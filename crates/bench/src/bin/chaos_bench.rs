@@ -20,11 +20,11 @@
 //!   fault-free baseline while leaving *wall* time unaffected (gated
 //!   against a generous multiple of the baseline wall time — a real
 //!   sleep in the transport path would blow through it immediately);
-//! * **batched** schedules run with per-level batched launches and
-//!   comm/compute overlap, so faults land while interior compute is in
-//!   flight; their recovered digests must match the *unbatched*
-//!   device baseline (batching is bitwise inert, even across
-//!   rollbacks);
+//! * **overlap** schedules run on the device, where each halo
+//!   exchange overlaps interior compute, so faults land while that
+//!   compute is in flight; their recovered digests must match the
+//!   fault-free device baseline (the overlap is bitwise inert, even
+//!   across rollbacks);
 //! * **shrinking** schedules (`RankKill`) permanently lose a rank —
 //!   at step 0, mid-run, on the regrid step, and inside the
 //!   checkpoint-adoption collective. The victim must report a typed
@@ -96,10 +96,6 @@ struct Schedule {
     name: &'static str,
     seed: u64,
     placement: Placement,
-    /// Run with batched per-level launches and comm/compute overlap:
-    /// faults land while interior compute is in flight, and recovery
-    /// must still reproduce the *unbatched* fault-free digest.
-    batched: bool,
     rules: Vec<FaultRule>,
     expectation: Expectation,
 }
@@ -114,7 +110,7 @@ fn schedules() -> Vec<Schedule> {
     let device = Placement::Device;
     let mut out = Vec::new();
     let mut add = |name, seed, placement, rules, expectation| {
-        out.push(Schedule { name, seed, placement, batched: false, rules, expectation });
+        out.push(Schedule { name, seed, placement, rules, expectation });
     };
 
     // Transient collective faults at different points of the run.
@@ -266,17 +262,14 @@ fn schedules() -> Vec<Schedule> {
         Unrecoverable,
     );
 
-    // Overlap-under-chaos: the same deck with batched per-level
-    // launches, so the halo exchange is in flight *while* interior
-    // compute runs. Faults land mid-overlap; recovery must reproduce
-    // the unbatched fault-free device digest (batching is bitwise
-    // inert even across rollbacks).
-    let mut add_batched = |name, seed, rules, expectation| {
-        out.push(Schedule { name, seed, placement: device, batched: true, rules, expectation });
-    };
-    add_batched(
-        "batched_delay_overlap",
+    // Overlap-under-chaos: on the device the halo exchange is in
+    // flight *while* interior compute runs. Faults land mid-overlap;
+    // recovery must reproduce the fault-free device digest (the
+    // overlap is bitwise inert even across rollbacks).
+    add(
+        "overlap_delay",
         801,
+        device,
         vec![FaultRule {
             kind: MsgDelay,
             ranks: None,
@@ -286,21 +279,24 @@ fn schedules() -> Vec<Schedule> {
         }],
         Recoverable,
     );
-    add_batched(
-        "batched_corrupt_in_flight",
+    add(
+        "overlap_corrupt_in_flight",
         802,
+        device,
         vec![FaultRule::once_on(MsgCorrupt, 1, 20)],
         Recoverable,
     );
-    add_batched(
-        "batched_drop_in_flight",
+    add(
+        "overlap_drop_in_flight",
         803,
+        device,
         vec![FaultRule::once_on(MsgDrop, 0, 12)],
         Recoverable,
     );
-    add_batched(
-        "batched_delay_plus_corrupt",
+    add(
+        "overlap_delay_plus_corrupt",
         804,
+        device,
         vec![
             FaultRule { kind: MsgDelay, ranks: None, after: 0, count: u64::MAX, probability: 0.3 },
             FaultRule::once_on(MsgCorrupt, 0, 35),
@@ -317,7 +313,6 @@ fn schedules() -> Vec<Schedule> {
             name,
             seed,
             placement: host,
-            batched: false,
             rules,
             expectation: Expectation::Shrinks { victim, at_step },
         });
@@ -356,13 +351,7 @@ struct ChaosRun {
     virtual_total: f64,
 }
 
-fn run(
-    placement: Placement,
-    batched: bool,
-    plan: FaultPlan,
-    policy: RecoveryPolicy,
-    nranks: usize,
-) -> ChaosRun {
+fn run(placement: Placement, plan: FaultPlan, policy: RecoveryPolicy, nranks: usize) -> ChaosRun {
     let deck = parse_deck(CHAOS_DECK).expect("chaos deck parses");
     let machine = match placement {
         Placement::Host => Machine::ipa_cpu_node(),
@@ -378,7 +367,6 @@ fn run(
                 regrid_interval: 5,
                 max_patch_size: 8,
                 metadata_mode: deck.metadata_mode,
-                batched,
                 ..rbamr_hydro::HydroConfig::default()
             };
             config.regrid.cluster.min_size = 4;
@@ -434,22 +422,11 @@ fn main() {
     let policy = policy_from_deck();
 
     println!("chaos_bench: {RANKS} ranks, {STEPS} steps, policy {policy:?}");
-    let baseline_host = run(Placement::Host, false, FaultPlan::none(), policy, RANKS);
-    let baseline_device = run(Placement::Device, false, FaultPlan::none(), policy, RANKS);
-    let baseline_batched = run(Placement::Device, true, FaultPlan::none(), policy, RANKS);
+    let baseline_host = run(Placement::Host, FaultPlan::none(), policy, RANKS);
+    let baseline_device = run(Placement::Device, FaultPlan::none(), policy, RANKS);
     // Fault-free run at the surviving rank count: the digest gate for
     // the rank-kill schedules (one victim, so RANKS - 1 survivors).
-    let baseline_survivor = run(Placement::Host, false, FaultPlan::none(), policy, RANKS - 1);
-    // Batching is bitwise inert: the fault-free batched run must match
-    // the unbatched device baseline before any chaos schedule runs.
-    for rank in 0..RANKS {
-        let unbatched = baseline_device.outcome[rank].as_ref().expect("baseline").digest;
-        let batched = baseline_batched.outcome[rank].as_ref().expect("baseline").digest;
-        assert_eq!(
-            unbatched, batched,
-            "rank {rank}: fault-free batched digest diverges from the unbatched baseline"
-        );
-    }
+    let baseline_survivor = run(Placement::Host, FaultPlan::none(), policy, RANKS - 1);
     let baseline_digest = |placement: Placement, rank: usize| -> u64 {
         let base = match placement {
             Placement::Host => &baseline_host.outcome,
@@ -462,8 +439,8 @@ fn main() {
     let mut rows = Vec::new();
     for s in schedules() {
         let plan = FaultPlan::new(s.seed, s.rules.clone());
-        let first = run(s.placement, s.batched, plan.clone(), policy, RANKS);
-        let second = run(s.placement, s.batched, plan, policy, RANKS);
+        let first = run(s.placement, plan.clone(), policy, RANKS);
+        let second = run(s.placement, plan, policy, RANKS);
 
         let deterministic = (0..RANKS).all(|r| match (&first.outcome[r], &second.outcome[r]) {
             (Ok(a), Ok(b)) => a == b,
@@ -484,9 +461,8 @@ fn main() {
         // does not. A sleep smuggled into the transport path would
         // fire here on hundreds of delayed messages per run.
         if ok && s.rules.iter().any(|r| r.kind == FaultKind::MsgDelay) {
-            let baseline = match (s.placement, s.batched) {
-                (Placement::Host, _) => &baseline_host,
-                (_, true) => &baseline_batched,
+            let baseline = match s.placement {
+                Placement::Host => &baseline_host,
                 _ => &baseline_device,
             };
             let wall_budget = baseline.wall * 10 + Duration::from_secs(2);
@@ -706,14 +682,13 @@ fn json_row(s: &Schedule, run: &ChaosRun, deterministic: bool, pass: bool, detai
     let mut out = String::new();
     let _ = write!(
         out,
-        "    {{\"name\": \"{}\", \"seed\": {}, \"placement\": \"{:?}\", \"batched\": {}, \
+        "    {{\"name\": \"{}\", \"seed\": {}, \"placement\": \"{:?}\", \
          \"expectation\": \"{}\", \"pass\": {pass}, \"deterministic\": {deterministic}, \
          \"wall_ms\": {}, \"virtual_seconds\": {:.6}, \
          \"detail\": \"{detail}\", \"ranks\": [{}]}}",
         s.name,
         s.seed,
         s.placement,
-        s.batched,
         s.expectation.name(),
         run.wall.as_millis(),
         run.virtual_total,

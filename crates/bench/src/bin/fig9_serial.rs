@@ -8,39 +8,36 @@
 //! speedup (paper: 1.99x at >= 200k) and the maximum (paper: 2.67x).
 //!
 //! ```text
-//! cargo run --release -p rbamr-bench --bin fig9_serial [-- --full] [--batched] [--json <path>]
+//! cargo run --release -p rbamr-bench --bin fig9_serial [-- --full] [--json <path>]
 //! ```
 //!
 //! `--full` includes the 3.2M- and 6.4M-zone rungs (a few minutes of
 //! real compute); the default stops at 800k and is representative.
 //!
-//! `--batched` adds an ablation column: the same GPU runs with batched
-//! per-level launches. The run gates in-process that the batched
-//! executor's launch count per step stays within
-//! `levels x MAX_BATCHED_LAUNCHES_PER_LEVEL_STEP` — the launch-bound
+//! Every GPU run gates in-process that hydro launches per step stay
+//! within `levels x MAX_LAUNCHES_PER_LEVEL_STEP` — the launch-bound
 //! regime that per-patch launching (which scales with patch count)
 //! cannot satisfy at scale.
 //!
 //! `--json <path>` writes the table as a JSON artifact for CI.
 
 use rbamr_bench::{
-    csv_dir_arg, fig9_resolutions, fmt_secs, measure_profile, path_arg, sod_config, sod_sim,
-    write_csv,
+    csv_dir_arg, fig9_resolutions, fmt_secs, measure_profile, path_arg, sod_sim, write_csv,
 };
 use rbamr_hydro::{
-    batched::{BATCHED_KERNEL_NAMES, MAX_BATCHED_LAUNCHES_PER_LEVEL_STEP},
-    HydroSim, Placement,
+    level_executor::{hydro_launches, MAX_LAUNCHES_PER_LEVEL_STEP},
+    Placement,
 };
 use rbamr_perfmodel::{Clock, Machine};
-use rbamr_problems::sod::sod_regions;
 use rbamr_telemetry::Recorder;
-use std::fmt::Write as _;
 
 const PAPER_STEPS: usize = 1000;
 const REGRID_INTERVAL: usize = 10;
 const LEVELS: usize = 3;
 
-fn run_one(placement: Placement, nx: i64, ny: i64) -> (f64, i64) {
+/// Projected runtime, total cells and measured hydro launches per step
+/// (zero on the host), the last gated against the levels x phases bound.
+fn run_one(placement: Placement, nx: i64, ny: i64) -> (f64, i64, f64) {
     let machine = match placement {
         Placement::Host => Machine::ipa_cpu_node(),
         _ => Machine::ipa_gpu(),
@@ -48,140 +45,64 @@ fn run_one(placement: Placement, nx: i64, ny: i64) -> (f64, i64) {
     // Patches are capped at 1024^2 cells; small problems are a single
     // patch (the serial study has no parallel decomposition).
     let mut sim = sod_sim(machine, placement, Clock::new(), nx, ny, LEVELS, 1024, 0, 1);
-    sim.initialize(None);
-    let steps = if nx >= 1024 { 2 } else { 4 };
-    let profile = measure_profile(&mut sim, None, steps);
-    (profile.projected_runtime(PAPER_STEPS, REGRID_INTERVAL), profile.total_cells)
-}
-
-/// The batched ablation: same GPU deck with batched per-level launches.
-/// Returns the projected runtime and the measured launches per step,
-/// gated in-process against the levels x phases bound.
-fn run_batched(nx: i64, ny: i64) -> (f64, f64) {
-    let mut config = sod_config(1024);
-    config.batched = true;
-    let mut sim = HydroSim::new(
-        Machine::ipa_gpu(),
-        Placement::Device,
-        Clock::new(),
-        (1.0, 1.0),
-        (nx, ny),
-        LEVELS,
-        2,
-        config,
-        sod_regions(),
-        0,
-        1,
-    );
     let rec = Recorder::new(0, sim.clock().clone());
     sim.set_recorder(rec.clone());
     sim.initialize(None);
+    // Halo-fill, sync, and regrid kernels are outside the executor's
+    // launch budget, so the profile's closing regrid adds nothing.
+    let launches0 = hydro_launches(&rec);
     let steps = if nx >= 1024 { 2 } else { 4 };
-    // Count batched launches by name roster (halo-fill, sync, and
-    // regrid kernels launch under other names and are outside the
-    // batched executor's launch budget), and inline measure_profile so
-    // the counting window covers only pure hydro steps.
-    let batched_launches = |rec: &Recorder| -> u64 {
-        BATCHED_KERNEL_NAMES
-            .iter()
-            .map(|name| rec.counter(&format!("device.kernel_launches.{name}")))
-            .sum()
-    };
-    sim.step(None); // warm-up: first dt ramp (and batch-plan build)
-    let launches0 = batched_launches(&rec);
-    let before = sim.clock().snapshot();
-    for _ in 0..steps {
-        sim.step(None);
-    }
-    let after = sim.clock().snapshot();
-    let launches_per_step = (batched_launches(&rec) - launches0) as f64 / steps as f64;
-    let per_step = (after.total() - before.total()) / steps as f64;
-    let before_rg = sim.clock().snapshot();
-    sim.regrid(None);
-    let regrid = sim.clock().snapshot().total() - before_rg.total();
-    let projected = per_step * PAPER_STEPS as f64 + regrid * (PAPER_STEPS / REGRID_INTERVAL) as f64;
-
-    let bound = (LEVELS as u64 * MAX_BATCHED_LAUNCHES_PER_LEVEL_STEP) as f64;
+    let profile = measure_profile(&mut sim, None, steps);
+    // The profile takes one warm-up step before the measured ones.
+    let launches_per_step = (hydro_launches(&rec) - launches0) as f64 / (steps + 1) as f64;
+    let bound = (LEVELS as u64 * MAX_LAUNCHES_PER_LEVEL_STEP) as f64;
     assert!(
         launches_per_step <= bound,
-        "{nx}x{ny}: batched run issued {launches_per_step:.0} launches/step, \
+        "{nx}x{ny}: {launches_per_step:.0} hydro launches/step, \
          above the levels x phases bound {bound:.0}"
     );
-    (projected, launches_per_step)
+    (
+        profile.projected_runtime(PAPER_STEPS, REGRID_INTERVAL),
+        profile.total_cells,
+        launches_per_step,
+    )
 }
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    let batched = std::env::args().any(|a| a == "--batched");
     let sizes = fig9_resolutions(full);
     println!("Figure 9: serial performance, Sod, {PAPER_STEPS} steps, {LEVELS} levels, ratio 2");
     println!("(runtimes are modelled K20x / E5-2670 times; numerics run for real)\n");
-    if batched {
-        println!(
-            "{:>12} {:>12} {:>14} {:>14} {:>9} {:>14} {:>12}",
-            "coarse zones",
-            "total cells",
-            "CPU runtime(s)",
-            "GPU runtime(s)",
-            "speedup",
-            "batched(s)",
-            "launch/step"
-        );
-        println!("{}", "-".repeat(94));
-    } else {
-        println!(
-            "{:>12} {:>12} {:>14} {:>14} {:>9}",
-            "coarse zones", "total cells", "CPU runtime(s)", "GPU runtime(s)", "speedup"
-        );
-        println!("{}", "-".repeat(66));
-    }
+    println!(
+        "{:>12} {:>12} {:>14} {:>14} {:>9} {:>12}",
+        "coarse zones", "total cells", "CPU runtime(s)", "GPU runtime(s)", "speedup", "launch/step"
+    );
+    println!("{}", "-".repeat(79));
 
     let mut small_ratios = Vec::new();
     let mut large_ratios = Vec::new();
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for &(nx, ny) in &sizes {
-        let (cpu, cells) = run_one(Placement::Host, nx, ny);
-        let (gpu, _) = run_one(Placement::Device, nx, ny);
+        let (cpu, cells, _) = run_one(Placement::Host, nx, ny);
+        let (gpu, _, launches) = run_one(Placement::Device, nx, ny);
         let speedup = cpu / gpu;
-        let mut row = vec![(nx * ny) as f64, cells as f64, cpu, gpu, speedup];
-        let mut json = format!(
-            "{{\"coarse_zones\": {}, \"total_cells\": {cells}, \"cpu_s\": {cpu:.6}, \
-             \"gpu_s\": {gpu:.6}, \"speedup\": {speedup:.4}",
-            nx * ny
+        println!(
+            "{:>12} {:>12} {:>14} {:>14} {:>8.2}x {:>12.1}",
+            nx * ny,
+            cells,
+            fmt_secs(cpu),
+            fmt_secs(gpu),
+            speedup,
+            launches
         );
-        if batched {
-            let (gpu_b, launches) = run_batched(nx, ny);
-            println!(
-                "{:>12} {:>12} {:>14} {:>14} {:>8.2}x {:>14} {:>12.1}",
-                nx * ny,
-                cells,
-                fmt_secs(cpu),
-                fmt_secs(gpu),
-                speedup,
-                fmt_secs(gpu_b),
-                launches
-            );
-            row.extend([gpu_b, cpu / gpu_b, launches]);
-            let _ = write!(
-                json,
-                ", \"gpu_batched_s\": {gpu_b:.6}, \"batched_speedup\": {:.4}, \
-                 \"batched_launches_per_step\": {launches:.1}",
-                cpu / gpu_b
-            );
-        } else {
-            println!(
-                "{:>12} {:>12} {:>14} {:>14} {:>8.2}x",
-                nx * ny,
-                cells,
-                fmt_secs(cpu),
-                fmt_secs(gpu),
-                speedup
-            );
-        }
-        json.push('}');
-        json_rows.push(json);
-        rows.push(row);
+        rows.push(vec![(nx * ny) as f64, cells as f64, cpu, gpu, speedup, launches]);
+        json_rows.push(format!(
+            "{{\"coarse_zones\": {}, \"total_cells\": {cells}, \"cpu_s\": {cpu:.6}, \
+             \"gpu_s\": {gpu:.6}, \"speedup\": {speedup:.4}, \
+             \"launches_per_step\": {launches:.1}}}",
+            nx * ny
+        ));
         if nx * ny < 200_000 {
             small_ratios.push(speedup);
         } else {
@@ -189,18 +110,13 @@ fn main() {
         }
     }
     if let Some(dir) = csv_dir_arg() {
-        let header = if batched {
-            "coarse_zones,total_cells,cpu_s,gpu_s,speedup,gpu_batched_s,batched_speedup,\
-             batched_launches_per_step"
-        } else {
-            "coarse_zones,total_cells,cpu_s,gpu_s,speedup"
-        };
+        let header = "coarse_zones,total_cells,cpu_s,gpu_s,speedup,launches_per_step";
         let p = write_csv(&dir, "fig9_serial.csv", header, &rows);
         println!("\nwrote {}", p.display());
     }
     if let Some(path) = path_arg("--json") {
         let json = format!(
-            "{{\n  \"steps\": {PAPER_STEPS},\n  \"levels\": {LEVELS},\n  \"batched\": {batched},\n  \
+            "{{\n  \"steps\": {PAPER_STEPS},\n  \"levels\": {LEVELS},\n  \
              \"rows\": [\n    {}\n  ]\n}}\n",
             json_rows.join(",\n    ")
         );
@@ -210,7 +126,7 @@ fn main() {
         std::fs::write(&path, json).expect("fig9: write artifact");
         println!("wrote {}", path.display());
     }
-    println!("{}", "-".repeat(if batched { 94 } else { 66 }));
+    println!("{}", "-".repeat(79));
 
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     if !small_ratios.is_empty() {

@@ -48,11 +48,7 @@ struct Combo {
 }
 
 fn run_combo(deck: &'static str, ranks: usize) -> Combo {
-    // `<deck>_batched` runs the same deck with batched per-level
-    // launches and comm/compute overlap.
-    let batched = deck.ends_with("_batched");
-    let base = deck.trim_end_matches("_batched");
-    let (machine, placement) = match base {
+    let (machine, placement) = match deck {
         "sod" => (Machine::ipa_gpu(), Placement::Device),
         _ => (Machine::titan(), Placement::Device),
     };
@@ -60,11 +56,10 @@ fn run_combo(deck: &'static str, ranks: usize) -> Combo {
     let results = cluster.run(ranks, |mut comm| {
         let rec = Recorder::new(comm.rank(), comm.clock().clone());
         comm.set_recorder(rec.clone());
-        let mut sim = match base {
+        let mut sim = match deck {
             "sod" => {
                 let mut config = sod_config(32);
                 config.regrid_interval = 2;
-                config.batched = batched;
                 HydroSim::new(
                     machine.clone(),
                     placement,
@@ -83,7 +78,6 @@ fn run_combo(deck: &'static str, ranks: usize) -> Combo {
                 let mut config = HydroConfig {
                     regrid_interval: 2,
                     max_patch_size: 16,
-                    batched,
                     ..HydroConfig::default()
                 };
                 config.regrid.max_patch_size = 16;
@@ -258,7 +252,7 @@ fn main() {
 
     let mut metrics = BTreeMap::new();
     let mut combos = Vec::new();
-    for deck in ["sod", "triple_point", "sod_batched", "triple_point_batched"] {
+    for deck in ["sod", "triple_point"] {
         for ranks in [1usize, 2, 4] {
             println!("running {deck} at {ranks} rank(s)...");
             let combo = run_combo(deck, ranks);
@@ -267,34 +261,6 @@ fn main() {
         }
     }
     let json = metrics_to_json(&metrics);
-
-    // Overlap gates, independent of the committed baseline: batching
-    // must hide >=30% of the exposed communication on the triple-point
-    // deck at 4 ranks and issue fewer kernel launches than per-patch
-    // launching on every deck at every rank count.
-    let get = |key: &str| *metrics.get(key).unwrap_or_else(|| panic!("missing metric {key}"));
-    let exposed = get("triple_point.r4.bucket.exposed_comm_s");
-    let exposed_batched = get("triple_point_batched.r4.bucket.exposed_comm_s");
-    assert!(
-        exposed_batched <= 0.7 * exposed,
-        "overlap gate: batched exposed_comm {exposed_batched:.3e}s is not >=30% below \
-         unbatched {exposed:.3e}s on triple_point at 4 ranks"
-    );
-    println!(
-        "overlap gate: triple_point r4 exposed_comm {exposed:.3e}s -> {exposed_batched:.3e}s \
-         ({:.0}% hidden)",
-        100.0 * (1.0 - exposed_batched / exposed)
-    );
-    for deck in ["sod", "triple_point"] {
-        for ranks in [1usize, 2, 4] {
-            let oracle = get(&format!("{deck}.r{ranks}.counter.device.kernel_launches"));
-            let batched = get(&format!("{deck}_batched.r{ranks}.counter.device.kernel_launches"));
-            assert!(
-                batched < oracle,
-                "launch gate: {deck} r{ranks}: batched issued {batched} launches, oracle {oracle}"
-            );
-        }
-    }
 
     if let Some(dir) = path_arg("--trace") {
         std::fs::create_dir_all(&dir).expect("trace: create dir");

@@ -1,32 +1,43 @@
 //! The GPU-resident patch integrator — the paper's device build.
 //!
-//! Every numerical phase runs as device kernel launches on the patch's
-//! `DeviceData` buffers; the only PCIe traffic per step is the dt
-//! scalar (here) plus the packed halos and compressed tag bitmaps the
-//! framework moves. The kernel bodies are the *same functions* the
-//! host integrator runs ([`crate::kernels`]), executed inside
-//! [`Device::launch`] so every launch is counted and costed with the
-//! K20x model.
+//! Every numerical phase is a call into the level executor
+//! ([`crate::level_executor`]) on a batch of one patch, so a patch
+//! advanced through this trait runs the same launches as a level
+//! advanced by [`crate::HydroSim`]. The only PCIe traffic per step is
+//! the dt scalar plus the packed halos and compressed tag bitmaps the
+//! framework moves — unless the integrator carries the copy-back
+//! transfer policy. Initialisation, flagging and the field summary are
+//! per-patch launches defined here.
 
 use crate::kernels as k;
-use crate::state::{
-    ComputeRegion, Fields, FlagThresholds, PatchIntegrator, RegionInit, Summary, GHOSTS,
-};
-use rbamr_amr::patchdata::PatchData;
-use rbamr_amr::{Patch, TagBitmap, VariableId};
-use rbamr_device::{Device, Stream};
+use crate::level_executor::{self as exec, dev, dev_mut, Pass};
+use crate::state::{Fields, FlagThresholds, PatchIntegrator, RegionInit, Summary, GHOSTS};
+use rbamr_amr::patchdata::PatchData as _;
+use rbamr_amr::{Patch, TagBitmap};
+use rbamr_device::Stream;
 use rbamr_geometry::{Centring, GBox, IntVector};
 use rbamr_gpu_amr::DeviceData;
 use rbamr_perfmodel::{Category, KernelShape};
+use std::slice::from_mut;
 
 /// Advances a patch with device-resident data.
-pub struct DevicePatchIntegrator;
+pub struct DevicePatchIntegrator {
+    /// Round-trip every phase's arrays over PCIe
+    /// ([`crate::Placement::DeviceCopyBack`]).
+    copy_back: bool,
+}
 
 impl DevicePatchIntegrator {
-    /// Create the device integrator (stateless: the device handle lives
+    /// Create the resident device integrator (the device handle lives
     /// in each patch's data).
     pub fn new() -> Self {
-        Self
+        Self { copy_back: false }
+    }
+
+    /// The non-resident variant: same kernels, per-phase full-array
+    /// PCIe round trips.
+    pub(crate) fn copy_back() -> Self {
+        Self { copy_back: true }
     }
 }
 
@@ -36,55 +47,18 @@ impl Default for DevicePatchIntegrator {
     }
 }
 
-pub(crate) fn split_dev<'a>(
-    datas: &'a mut [&mut dyn PatchData],
-    n_out: usize,
-) -> (Vec<&'a mut DeviceData<f64>>, Vec<&'a DeviceData<f64>>) {
-    let (outs, ins) = datas.split_at_mut(n_out);
-    let outs = outs
-        .iter_mut()
-        .map(|d| {
-            d.as_any_mut()
-                .downcast_mut::<DeviceData<f64>>()
-                .expect("device integrator on non-device data")
-        })
-        .collect();
-    let ins = ins
-        .iter()
-        .map(|d| {
-            d.as_any()
-                .downcast_ref::<DeviceData<f64>>()
-                .expect("device integrator on non-device data")
-        })
-        .collect();
-    (outs, ins)
-}
-
-/// Launch one hydro kernel: `body` receives the output slice + box and
-/// input views, exactly as the host integrator would call it.
-fn launch1(
-    name: &'static str,
-    out: &mut DeviceData<f64>,
-    ins: &[&DeviceData<f64>],
-    category: Category,
-    shape: KernelShape,
-    body: impl Fn(&mut [f64], GBox, &[k::View]) + Sync + Send,
-) {
-    let device = out.device().clone();
-    let obox = out.data_box();
-    out.stream().submit();
-    let stream = out.stream().clone();
-    let out_buf = out.buffer_mut();
-    device.launch_named(&stream, name, category, shape, |kk| {
-        let views: Vec<k::View> =
-            ins.iter().map(|d| k::View::new(d.buffer().as_slice(&kk), d.data_box())).collect();
-        body(out_buf.as_mut_slice(&kk), obox, &views);
-    });
+/// The stream a single patch's phases are submitted to.
+fn stream_of(patch: &Patch, f: &Fields) -> Stream {
+    dev(patch.data(f.density0)).stream().clone()
 }
 
 impl PatchIntegrator for DevicePatchIntegrator {
     fn name(&self) -> &'static str {
-        "device"
+        if self.copy_back {
+            "device-copy-back"
+        } else {
+            "device"
+        }
     }
 
     fn init_regions(
@@ -140,471 +114,74 @@ impl PatchIntegrator for DevicePatchIntegrator {
             (f.yvel1, 3, true),
         ] {
             let image = sample(if node { node_dbox } else { cell_dbox }, node, pick);
-            let d = patch
-                .data_mut(var)
-                .as_any_mut()
-                .downcast_mut::<DeviceData<f64>>()
-                .expect("device integrator on non-device data");
-            d.upload_all(&image, Category::Other);
+            dev_mut(patch.data_mut(var)).upload_all(&image, Category::Other);
         }
     }
 
     fn ideal_gas(&self, patch: &mut Patch, f: &Fields, gamma: f64, predict: bool) {
-        let region = if predict {
-            ComputeRegion::Grown(1).cell_box(patch.cell_box())
-        } else {
-            ComputeRegion::GhostBox.cell_box(patch.cell_box())
-        };
-        let (rho, e) = if predict { (f.density1, f.energy1) } else { (f.density0, f.energy0) };
-        // Pressure kernel.
-        {
-            let mut datas = patch.data_many_mut(&[f.pressure, rho, e]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(region.num_cells(), 3, 3);
-            launch1(
-                "ideal-gas-pressure",
-                outs[0],
-                &ins,
-                Category::HydroKernel,
-                shape,
-                |p, pbox, v| {
-                    k::ideal_gas_pressure(p, pbox, v[0], v[1], region, gamma);
-                },
-            );
-        }
-        // Sound speed kernel.
-        {
-            let mut datas = patch.data_many_mut(&[f.soundspeed, f.pressure, rho]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(region.num_cells(), 3, 5);
-            launch1(
-                "ideal-gas-soundspeed",
-                outs[0],
-                &ins,
-                Category::HydroKernel,
-                shape,
-                |ss, ssbox, v| {
-                    k::ideal_gas_soundspeed(ss, ssbox, v[0], v[1], region, gamma);
-                },
-            );
-        }
+        let stream = stream_of(patch, f);
+        exec::ideal_gas(from_mut(patch), f, &stream, self.copy_back, Pass::Full, gamma, predict);
     }
 
     fn viscosity(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64)) {
-        let region = ComputeRegion::Grown(1).cell_box(patch.cell_box());
-        let mut datas =
-            patch.data_many_mut(&[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0]);
-        let (mut outs, ins) = split_dev(&mut datas, 1);
-        let shape = KernelShape::streaming(region.num_cells(), 5, 15);
-        launch1("viscosity", outs[0], &ins, Category::HydroKernel, shape, |q, qbox, v| {
-            k::viscosity(q, qbox, v[0], v[1], v[2], v[3], region, dx);
-        });
+        let stream = stream_of(patch, f);
+        exec::viscosity(from_mut(patch), f, &stream, self.copy_back, Pass::Full, dx);
     }
 
     fn calc_dt(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), cfl: f64) -> f64 {
-        let region = patch.cell_box();
-        let mut datas = patch.data_many_mut(&[
-            f.density0,
-            f.pressure,
-            f.viscosity,
-            f.soundspeed,
-            f.xvel0,
-            f.yvel0,
-        ]);
-        let (_, ins) = split_dev(&mut datas, 0);
-        let device: Device = ins[0].device().clone();
-        let stream = Stream::new(&device);
-        stream.submit();
-        // Device reduction kernel: the min lands in a 1-element buffer,
-        // then one 8-byte scalar crosses PCIe — "calculating the
-        // timestep contains the only global reduction" (Section V-B).
-        let mut result = device.alloc::<f64>(1);
-        let shape = KernelShape::streaming(region.num_cells(), 6, 20);
-        device.launch_named(&stream, "calc-dt", Category::Timestep, shape, |kk| {
-            let views: Vec<k::View> =
-                ins.iter().map(|d| k::View::new(d.buffer().as_slice(&kk), d.data_box())).collect();
-            let dt = k::calc_dt(
-                views[0], views[1], views[2], views[3], views[4], views[5], region, dx, cfl,
-            );
-            result.as_mut_slice(&kk)[0] = dt;
-        });
-        let mut host = [0.0f64];
-        device.download(&result, 0, &mut host, Category::Timestep);
-        host[0]
+        exec::calc_dt(from_mut(patch), f, self.copy_back, dx, cfl)[0]
     }
 
     fn pdv(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64, predict: bool) {
-        let region = ComputeRegion::Grown(1).cell_box(patch.cell_box());
-        let dt_eff = if predict { 0.5 * dt } else { dt };
-        {
-            let mut datas = patch.data_many_mut(&[
-                f.energy1,
-                f.energy0,
-                f.density0,
-                f.pressure,
-                f.viscosity,
-                f.xvel0,
-                f.xvel1,
-                f.yvel0,
-                f.yvel1,
-            ]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(region.num_cells(), 9, 30);
-            launch1("pdv-energy", outs[0], &ins, Category::HydroKernel, shape, |e1, ebox, v| {
-                // Predictor time-averages with the start velocities.
-                let (u1, v1) = if predict { (v[4], v[6]) } else { (v[5], v[7]) };
-                k::pdv_energy(
-                    e1, ebox, v[0], v[1], v[2], v[3], v[4], u1, v[6], v1, region, dt_eff, dx,
-                );
-            });
-        }
-        {
-            let mut datas =
-                patch.data_many_mut(&[f.density1, f.density0, f.xvel0, f.xvel1, f.yvel0, f.yvel1]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(region.num_cells(), 6, 25);
-            launch1("pdv-density", outs[0], &ins, Category::HydroKernel, shape, |r1, rbox, v| {
-                let (u1, v1) = if predict { (v[1], v[3]) } else { (v[2], v[4]) };
-                k::pdv_density(r1, rbox, v[0], v[1], u1, v[3], v1, region, dt_eff, dx);
-            });
-        }
+        let stream = stream_of(patch, f);
+        exec::pdv(from_mut(patch), f, &stream, self.copy_back, dx, dt, predict);
     }
 
     fn revert(&self, patch: &mut Patch, f: &Fields) {
-        let region = ComputeRegion::Grown(1).cell_box(patch.cell_box());
-        for (dst, src) in [(f.density1, f.density0), (f.energy1, f.energy0)] {
-            let mut datas = patch.data_many_mut(&[dst, src]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(region.num_cells(), 2, 0);
-            launch1("copy-field", outs[0], &ins, Category::HydroKernel, shape, |d, dbox, v| {
-                k::copy_field(d, dbox, v[0], region);
-            });
-        }
+        let stream = stream_of(patch, f);
+        exec::revert(from_mut(patch), f, &stream, self.copy_back);
     }
 
     fn accelerate(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        let region = Centring::Node.data_box(patch.cell_box());
-        for (axis, (v1, v0)) in [(0usize, (f.xvel1, f.xvel0)), (1, (f.yvel1, f.yvel0))] {
-            let mut datas = patch.data_many_mut(&[v1, v0, f.density0, f.pressure, f.viscosity]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(region.num_cells(), 5, 20);
-            launch1("accelerate", outs[0], &ins, Category::HydroKernel, shape, |out, nbox, v| {
-                k::accelerate(out, nbox, v[0], v[1], v[2], v[3], region, dt, dx, axis);
-            });
-        }
+        let stream = stream_of(patch, f);
+        exec::accelerate(from_mut(patch), f, &stream, self.copy_back, dx, dt);
     }
 
     fn flux_calc(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        let ghost = patch.cell_box().grow(IntVector::uniform(GHOSTS));
-        for (axis, (flux, v0, v1)) in
-            [(0usize, (f.vol_flux_x, f.xvel0, f.xvel1)), (1, (f.vol_flux_y, f.yvel0, f.yvel1))]
-        {
-            let region = Centring::Side(axis).data_box(ghost);
-            let mut datas = patch.data_many_mut(&[flux, v0, v1]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(region.num_cells(), 3, 6);
-            launch1("flux-calc", outs[0], &ins, Category::HydroKernel, shape, |out, sbox, v| {
-                k::flux_calc(out, sbox, v[0], v[1], region, dt, dx, axis);
-            });
-        }
+        let stream = stream_of(patch, f);
+        exec::flux_calc(from_mut(patch), f, &stream, self.copy_back, Pass::Full, dx, dt);
     }
 
     fn advec_cell(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize) {
-        let interior = patch.cell_box();
-        let ghost = ComputeRegion::GhostBox.cell_box(interior);
-        let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
-        let vol_flux = if dir == 0 { f.vol_flux_x } else { f.vol_flux_y };
-        {
-            let mut datas = patch.data_many_mut(&[f.pre_vol, f.vol_flux_x, f.vol_flux_y]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(ghost.num_cells(), 3, 6);
-            launch1(
-                "advec-pre-vol",
-                outs[0],
-                &ins,
-                Category::HydroKernel,
-                shape,
-                |pre, cbox, v| {
-                    k::advec_pre_vol(pre, cbox, v[0], v[1], ghost, dir, sweep, dx);
-                },
-            );
-        }
-        {
-            let mut datas = patch.data_many_mut(&[f.post_vol, f.vol_flux_x, f.vol_flux_y]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(ghost.num_cells(), 3, 6);
-            launch1(
-                "advec-post-vol",
-                outs[0],
-                &ins,
-                Category::HydroKernel,
-                shape,
-                |post, cbox, v| {
-                    k::advec_post_vol(post, cbox, v[0], v[1], ghost, dir, sweep, dx);
-                },
-            );
-        }
-        let face_region = Centring::Side(dir).data_box(ghost);
-        {
-            let mut datas = patch.data_many_mut(&[mass_flux, vol_flux, f.density1, f.pre_vol]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(face_region.num_cells(), 4, 20);
-            let sbox = outs[0].data_box();
-            let region = face_region.intersect(sbox);
-            launch1(
-                "advec-mass-flux",
-                outs[0],
-                &ins,
-                Category::HydroKernel,
-                shape,
-                |mf, sbox, v| {
-                    k::advec_mass_flux(mf, sbox, v[0], v[1], v[2], region, dir);
-                },
-            );
-        }
-        let ef_region = interior.grow(IntVector::ONE);
-        {
-            let mut datas =
-                patch.data_many_mut(&[f.ener_flux, mass_flux, f.energy1, f.density1, f.pre_vol]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(ef_region.num_cells(), 5, 20);
-            launch1(
-                "advec-ener-flux",
-                outs[0],
-                &ins,
-                Category::HydroKernel,
-                shape,
-                |ef, cbox, v| {
-                    k::advec_ener_flux(ef, cbox, v[0], v[1], v[2], v[3], ef_region, dir);
-                },
-            );
-        }
-        // Stage old energy1/density1 in device work arrays: device-to-
-        // device copies (the resident equivalent of CloverLeaf's
-        // in-place read-modify loop).
-        // node_mass_pre and node_mass_post are free at this point in the
-        // phase order; reuse them as cell-shaped staging would mismatch
-        // centring, so copy through a fresh device allocation instead.
-        let (old_e, old_r, ebox) = {
-            let e1 = patch
-                .data(f.energy1)
-                .as_any()
-                .downcast_ref::<DeviceData<f64>>()
-                .expect("device data");
-            let r1 = patch
-                .data(f.density1)
-                .as_any()
-                .downcast_ref::<DeviceData<f64>>()
-                .expect("device data");
-            let device = e1.device().clone();
-            let ebox = e1.data_box();
-            let mut old_e = device.alloc::<f64>(e1.buffer().len());
-            let mut old_r = device.alloc::<f64>(r1.buffer().len());
-            let stream = Stream::new(&device);
-            stream.submit();
-            let shape = KernelShape::streaming(ebox.num_cells() * 2, 4, 0);
-            device.launch_named(&stream, "revert-save", Category::HydroKernel, shape, |kk| {
-                old_e.as_mut_slice(&kk).copy_from_slice(e1.buffer().as_slice(&kk));
-                old_r.as_mut_slice(&kk).copy_from_slice(r1.buffer().as_slice(&kk));
-            });
-            (old_e, old_r, ebox)
-        };
-        {
-            let mut datas = patch.data_many_mut(&[f.energy1, f.pre_vol, mass_flux, f.ener_flux]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let device = outs[0].device().clone();
-            let obox = outs[0].data_box();
-            outs[0].stream().submit();
-            let stream = outs[0].stream().clone();
-            let shape = KernelShape::streaming(interior.num_cells(), 6, 20);
-            let out_buf = outs[0].buffer_mut();
-            device.launch_named(&stream, "advec-cell", Category::HydroKernel, shape, |kk| {
-                let v: Vec<k::View> = ins
-                    .iter()
-                    .map(|d| k::View::new(d.buffer().as_slice(&kk), d.data_box()))
-                    .collect();
-                let e_old = k::View::new(old_e.as_slice(&kk), ebox);
-                let r_old = k::View::new(old_r.as_slice(&kk), ebox);
-                k::advec_cell_energy(
-                    out_buf.as_mut_slice(&kk),
-                    obox,
-                    e_old,
-                    r_old,
-                    v[0],
-                    v[1],
-                    v[2],
-                    interior,
-                    dir,
-                );
-            });
-        }
-        {
-            let mut datas = patch.data_many_mut(&[f.density1, f.pre_vol, mass_flux, vol_flux]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let device = outs[0].device().clone();
-            let obox = outs[0].data_box();
-            outs[0].stream().submit();
-            let stream = outs[0].stream().clone();
-            let shape = KernelShape::streaming(interior.num_cells(), 5, 15);
-            let out_buf = outs[0].buffer_mut();
-            device.launch_named(&stream, "advec-ener-update", Category::HydroKernel, shape, |kk| {
-                let v: Vec<k::View> = ins
-                    .iter()
-                    .map(|d| k::View::new(d.buffer().as_slice(&kk), d.data_box()))
-                    .collect();
-                let r_old = k::View::new(old_r.as_slice(&kk), ebox);
-                k::advec_cell_density(
-                    out_buf.as_mut_slice(&kk),
-                    obox,
-                    r_old,
-                    v[0],
-                    v[1],
-                    v[2],
-                    interior,
-                    dir,
-                );
-            });
-        }
+        let stream = stream_of(patch, f);
+        let mut stash = Vec::new();
+        exec::advec_cell(
+            from_mut(patch),
+            f,
+            &stream,
+            self.copy_back,
+            Pass::Full,
+            dx,
+            dir,
+            sweep,
+            &mut stash,
+        );
     }
 
     fn advec_mom(&self, patch: &mut Patch, f: &Fields, _dx: (f64, f64), dir: usize, _sweep: usize) {
-        let interior = patch.cell_box();
-        let node_region = Centring::Node.data_box(interior.grow(IntVector::ONE));
-        let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
-        {
-            let mut datas = patch.data_many_mut(&[f.node_flux, mass_flux]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(node_region.num_cells(), 2, 4);
-            launch1("mom-node-flux", outs[0], &ins, Category::HydroKernel, shape, |nf, nbox, v| {
-                k::mom_node_flux(nf, nbox, v[0], node_region, dir);
-            });
-        }
-        {
-            let mut datas = patch.data_many_mut(&[f.node_mass_post, f.density1, f.post_vol]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(node_region.num_cells(), 3, 8);
-            launch1(
-                "mom-node-mass-post",
-                outs[0],
-                &ins,
-                Category::HydroKernel,
-                shape,
-                |nm, nbox, v| {
-                    k::mom_node_mass_post(nm, nbox, v[0], v[1], node_region);
-                },
-            );
-        }
-        {
-            let mut datas = patch.data_many_mut(&[f.node_mass_pre, f.node_mass_post, f.node_flux]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(node_region.num_cells(), 3, 2);
-            launch1(
-                "mom-node-mass-pre",
-                outs[0],
-                &ins,
-                Category::HydroKernel,
-                shape,
-                |nm, nbox, v| {
-                    k::mom_node_mass_pre(nm, nbox, v[0], v[1], node_region, dir);
-                },
-            );
-        }
-        let vel_region = Centring::Node.data_box(interior);
-        for vel in [f.xvel1, f.yvel1] {
-            {
-                let mut datas =
-                    patch.data_many_mut(&[f.mom_flux, vel, f.node_flux, f.node_mass_pre]);
-                let (mut outs, ins) = split_dev(&mut datas, 1);
-                let shape = KernelShape::streaming(node_region.num_cells(), 4, 25);
-                launch1("mom-flux", outs[0], &ins, Category::HydroKernel, shape, |mf, nbox, v| {
-                    k::mom_flux(mf, nbox, v[0], v[1], v[2], node_region, dir);
-                });
-            }
-            {
-                // Stage the old velocity on the device.
-                let (old_v, vbox) = {
-                    let v1 = patch
-                        .data(vel)
-                        .as_any()
-                        .downcast_ref::<DeviceData<f64>>()
-                        .expect("device data");
-                    let device = v1.device().clone();
-                    let vbox = v1.data_box();
-                    let mut old = device.alloc::<f64>(v1.buffer().len());
-                    let stream = Stream::new(&device);
-                    stream.submit();
-                    let shape = KernelShape::streaming(vbox.num_cells(), 2, 0);
-                    device.launch_named(
-                        &stream,
-                        "mom-save-vel",
-                        Category::HydroKernel,
-                        shape,
-                        |kk| {
-                            old.as_mut_slice(&kk).copy_from_slice(v1.buffer().as_slice(&kk));
-                        },
-                    );
-                    (old, vbox)
-                };
-                let mut datas =
-                    patch.data_many_mut(&[vel, f.mom_flux, f.node_mass_pre, f.node_mass_post]);
-                let (mut outs, ins) = split_dev(&mut datas, 1);
-                let device = outs[0].device().clone();
-                let obox = outs[0].data_box();
-                outs[0].stream().submit();
-                let stream = outs[0].stream().clone();
-                let shape = KernelShape::streaming(vel_region.num_cells(), 5, 10);
-                let out_buf = outs[0].buffer_mut();
-                device.launch_named(
-                    &stream,
-                    "mom-vel-update",
-                    Category::HydroKernel,
-                    shape,
-                    |kk| {
-                        let v: Vec<k::View> = ins
-                            .iter()
-                            .map(|d| k::View::new(d.buffer().as_slice(&kk), d.data_box()))
-                            .collect();
-                        let v_old = k::View::new(old_v.as_slice(&kk), vbox);
-                        k::mom_vel_update(
-                            out_buf.as_mut_slice(&kk),
-                            obox,
-                            v_old,
-                            v[0],
-                            v[1],
-                            v[2],
-                            vel_region,
-                            dir,
-                        );
-                    },
-                );
-            }
-        }
+        let stream = stream_of(patch, f);
+        let mut stash = Vec::new();
+        exec::advec_mom(from_mut(patch), f, &stream, self.copy_back, Pass::Full, dir, &mut stash);
     }
 
     fn reset(&self, patch: &mut Patch, f: &Fields) {
-        let region = patch.cell_box();
-        let node_region = Centring::Node.data_box(patch.cell_box());
-        for (dst, src, reg) in [
-            (f.density0, f.density1, region),
-            (f.energy0, f.energy1, region),
-            (f.xvel0, f.xvel1, node_region),
-            (f.yvel0, f.yvel1, node_region),
-        ] {
-            let mut datas = patch.data_many_mut(&[dst, src]);
-            let (mut outs, ins) = split_dev(&mut datas, 1);
-            let shape = KernelShape::streaming(reg.num_cells(), 2, 0);
-            launch1("copy-field", outs[0], &ins, Category::HydroKernel, shape, |d, dbox, v| {
-                k::copy_field(d, dbox, v[0], reg);
-            });
-        }
+        let stream = stream_of(patch, f);
+        exec::reset(from_mut(patch), f, &stream, self.copy_back);
     }
 
     fn flag_cells(&self, patch: &Patch, f: &Fields, thresholds: &FlagThresholds) -> TagBitmap {
         let region = patch.cell_box();
-        let rho =
-            patch.data(f.density0).as_any().downcast_ref::<DeviceData<f64>>().expect("device data");
-        let e =
-            patch.data(f.energy0).as_any().downcast_ref::<DeviceData<f64>>().expect("device data");
+        let (rho, e) = (dev(patch.data(f.density0)), dev(patch.data(f.energy0)));
         let device = rho.device().clone();
         // Flag into a device tag field, then compress on the device and
         // move only the bitmap (Section IV-C).
@@ -624,9 +201,7 @@ impl PatchIntegrator for DevicePatchIntegrator {
 
     fn field_summary(&self, patch: &Patch, f: &Fields, dx: (f64, f64), region: GBox) -> Summary {
         let region = region.intersect(patch.cell_box());
-        let get = |v: VariableId| {
-            patch.data(v).as_any().downcast_ref::<DeviceData<f64>>().expect("device data")
-        };
+        let get = |v| dev(patch.data(v));
         let (rho, e, p, u, vv) =
             (get(f.density0), get(f.energy0), get(f.pressure), get(f.xvel0), get(f.yvel0));
         let device = rho.device().clone();

@@ -10,10 +10,10 @@
 //! behind [`PatchIntegrator`], so the same driver runs the CPU baseline
 //! and the GPU-resident build — the paper's central design point.
 
-use crate::batched::{self, Pass};
 use crate::boundary::ReflectiveBoundary;
 use crate::device_integrator::DevicePatchIntegrator;
 use crate::host_integrator::HostPatchIntegrator;
+use crate::level_executor::{self as exec, Pass};
 use crate::state::{Fields, FlagThresholds, HydroTagger, PatchIntegrator, RegionInit, Summary};
 use rbamr_amr::cluster::split_to_max;
 use rbamr_amr::hostdata::HostCostHook;
@@ -68,25 +68,12 @@ pub struct HydroConfig {
     pub regrid: RegridParams,
     /// Maximum patch extent on level 0, in cells.
     pub max_patch_size: i64,
-    /// Reuse communication schedules across structure-preserving
-    /// regrids via the structure-keyed [`ScheduleCache`]. Disable to
-    /// rebuild every schedule on every regrid (the always-rebuild
-    /// baseline the benchmarks compare against).
-    pub schedule_caching: bool,
     /// How level metadata is held across ranks. `Replicated` (the
     /// default) keeps every level's full box array on every rank;
     /// `Partitioned` holds owned + ghosted views, converted in place at
     /// [`HydroSim::initialize`] and maintained (digest-verified) across
     /// regrids. Field output is bitwise identical between the modes.
     pub metadata_mode: MetadataMode,
-    /// Batched per-level kernel launches with comm/compute overlap: one
-    /// launch per kernel per level (indexed through the level's cached
-    /// [`rbamr_gpu_amr::BatchPlan`] descriptor table) instead of one
-    /// per patch, and each halo-fill window split so interior-region
-    /// batches run while the exchange is in flight. Device placements
-    /// only (ignored on [`Placement::Host`]); field output is bitwise
-    /// identical to the per-patch path.
-    pub batched: bool,
 }
 
 impl Default for HydroConfig {
@@ -100,9 +87,7 @@ impl Default for HydroConfig {
             thresholds: FlagThresholds::default(),
             regrid: RegridParams::default(),
             max_patch_size: 1 << 30,
-            schedule_caching: true,
             metadata_mode: MetadataMode::default(),
-            batched: false,
         }
     }
 }
@@ -221,17 +206,17 @@ pub struct HydroSim {
     step: usize,
     prev_dt: f64,
     /// Live fill schedules, one set per level; refreshed after regrids
-    /// (through the cache when `config.schedule_caching`).
+    /// through the schedule cache.
     fill_schedules: Vec<LevelSchedules>,
     sync_schedules: Vec<Arc<CoarsenSchedule>>,
     /// Structure-keyed schedule cache: a regrid that reproduces a
     /// level's structure resolves its schedules as `Arc` clones instead
     /// of rebuilding the plans.
     schedule_cache: ScheduleCache,
-    /// Per-level batched-launch descriptor plans, keyed by the same
-    /// structure digest discipline as the schedule cache: a regrid that
-    /// preserves a level's boxes reuses the plan (and its one-time
-    /// device descriptor upload). Only consulted when `config.batched`.
+    /// Per-level launch descriptor plans, keyed by the same structure
+    /// digest discipline as the schedule cache: a regrid that preserves
+    /// a level's boxes reuses the plan (and its one-time device
+    /// descriptor upload). Empty on the host placement.
     batch_plans: BatchPlanCache,
     /// Telemetry handle; disabled unless wired via
     /// [`HydroSim::set_recorder`].
@@ -292,9 +277,7 @@ impl HydroSim {
                 cost: Arc::clone(&cost),
             })),
             Placement::Device => Box::new(DevicePatchIntegrator::new()),
-            Placement::DeviceCopyBack => {
-                Box::new(crate::copyback_integrator::CopyBackPatchIntegrator::new())
-            }
+            Placement::DeviceCopyBack => Box::new(DevicePatchIntegrator::copy_back()),
         };
 
         let geometry = GridGeometry {
@@ -463,18 +446,13 @@ impl HydroSim {
 
     /// (Re)build the per-level fill and sync schedules.
     ///
-    /// With `config.schedule_caching` (the default) every build is routed
-    /// through the structure-keyed [`ScheduleCache`], so levels whose
-    /// structure survived the last regrid resolve to `Arc` clones of the
-    /// existing schedules in O(1) and only levels that actually changed
-    /// pay for plan construction.
+    /// Every build is routed through the structure-keyed
+    /// [`ScheduleCache`], so levels whose structure survived the last
+    /// regrid resolve to `Arc` clones of the existing schedules in O(1)
+    /// and only levels that actually changed pay for plan construction.
     fn rebuild_schedules(&mut self) {
         let mut cache = std::mem::take(&mut self.schedule_cache);
-        let mut build = if self.config.schedule_caching {
-            ScheduleBuild::with_cache(&mut cache)
-        } else {
-            ScheduleBuild::indexed()
-        };
+        let mut build = ScheduleBuild::with_cache(&mut cache);
         if self.config.metadata_mode == MetadataMode::Partitioned {
             // Owner-computes planning over the held records; plans (and
             // so cache keys) are digest-identical to the indexed build.
@@ -565,27 +543,21 @@ impl HydroSim {
         &self.schedule_cache
     }
 
-    /// The per-level batched-launch plan cache (hit/build diagnostics).
-    /// Empty unless the simulation runs with `config.batched`.
+    /// The per-level launch plan cache (hit/build diagnostics). Empty
+    /// on the host placement.
     pub fn batch_plans(&self) -> &BatchPlanCache {
         &self.batch_plans
     }
 
-    /// Whether this step executes through the batched per-level path.
-    fn is_batched(&self) -> bool {
-        self.config.batched && self.device.is_some()
-    }
-
     /// Refresh every level's [`rbamr_gpu_amr::BatchPlan`]: a cache hit
     /// is a structure-key comparison; a miss rebuilds the descriptor
-    /// table and uploads it to the device (the only extra PCIe traffic
-    /// batching introduces).
-    fn refresh_batch_plans(&mut self) {
-        let device = self.device.clone().expect("batch plans need a device");
+    /// table and uploads it to the device (the only PCIe traffic
+    /// per-level launching adds to the resident step).
+    fn refresh_batch_plans(&mut self, device: &Device) {
         for l in 0..self.hierarchy.num_levels() {
             let boxes: Vec<GBox> =
                 self.hierarchy.level(l).local().iter().map(|p| p.cell_box()).collect();
-            let plan = self.batch_plans.get_or_build(&device, l, &boxes);
+            let plan = self.batch_plans.get_or_build(device, l, &boxes);
             debug_assert_eq!(plan.slots().len(), boxes.len());
         }
     }
@@ -594,7 +566,8 @@ impl HydroSim {
     ///
     /// 1. `begin_fill` on every level — interior copies, message
     ///    packing/sends and local coarse-source capture all read their
-    ///    inputs *now*, so the exchanged bytes equal the oracle's.
+    ///    inputs *now*, so the exchanged bytes equal those of
+    ///    fill-then-compute.
     /// 2. The interior batches (`Pass::Interior`) run on per-level
     ///    streams while the messages are in flight; each stream records
     ///    an event at the end of its batch, and the elapsed kernel time
@@ -608,15 +581,15 @@ impl HydroSim {
     ///
     /// Interior regions are margin-proven not to observe any cell the
     /// fill writes, so the window is bitwise-identical to fill-then-
-    /// compute (see [`crate::batched`] for the margin calculus).
-    fn batched_window(
+    /// compute (see [`crate::level_executor`] for the margin calculus).
+    fn fill_window(
         &mut self,
+        device: &Device,
         comm: Option<&Comm>,
         first: &mut Option<SimError>,
         which: impl Fn(&LevelSchedules) -> &Arc<RefineSchedule>,
         mut compute: impl FnMut(&mut Self, usize, Pass, &Stream),
     ) {
-        let device = self.device.clone().expect("batched window needs a device");
         let nlevels = self.hierarchy.num_levels();
         let scheds: Vec<Arc<RefineSchedule>> =
             self.fill_schedules.iter().map(|s| Arc::clone(which(s))).collect();
@@ -630,7 +603,7 @@ impl HydroSim {
             ));
         }
         let t0 = self.clock.total();
-        let streams: Vec<Stream> = (0..nlevels).map(|_| Stream::new(&device)).collect();
+        let streams: Vec<Stream> = (0..nlevels).map(|_| Stream::new(device)).collect();
         let mut interior_done = Vec::with_capacity(nlevels);
         for (l, stream) in streams.iter().enumerate() {
             compute(self, l, Pass::Interior, stream);
@@ -639,7 +612,7 @@ impl HydroSim {
         if let Some(comm) = comm {
             comm.bank_overlap_credit(self.clock.total() - t0);
         }
-        let exchange_stream = Stream::new(&device);
+        let exchange_stream = Stream::new(device);
         for (l, pending) in pendings.into_iter().enumerate() {
             if let Err(e) = pending.finish(
                 &mut self.hierarchy,
@@ -879,15 +852,15 @@ impl HydroSim {
     fn try_compute_dt(&mut self, comm: Option<&Comm>, first: &mut Option<SimError>) -> f64 {
         let cfl = self.config.cfl;
         let mut dt_local = f64::INFINITY;
-        if self.is_batched() {
+        if self.device.is_some() {
             // One launch and one 8n-byte download per level; the
-            // returned per-patch minima fold in the oracle's order.
+            // returned per-patch minima fold in patch order, as below.
             let f = self.fields;
             let copy_back = self.placement == Placement::DeviceCopyBack;
             for l in 0..self.hierarchy.num_levels() {
                 let dx = self.hierarchy.dx(l);
                 let level = self.hierarchy.level_mut(l);
-                for dt in batched::calc_dt(level.local_mut(), &f, copy_back, dx, cfl) {
+                for dt in exec::calc_dt(level.local_mut(), &f, copy_back, dx, cfl) {
                     dt_local = dt_local.min(dt);
                 }
             }
@@ -961,30 +934,34 @@ impl HydroSim {
         let _step_span =
             rec.is_enabled().then(|| rec.span_arg("step", Category::Other, self.step as i64));
         let mut first: Option<SimError> = None;
-        let batched = self.is_batched();
+        // The host placement advances patch by patch through the
+        // integrator; a device placement advances level by level
+        // through the executor, overlapping each halo fill.
+        let device = self.device.clone();
         let f = self.fields;
         let copy_back = self.placement == Placement::DeviceCopyBack;
 
         // --- Timestep phase ------------------------------------------
         {
             let _s = rec.is_enabled().then(|| rec.span("fill-start", Category::HaloExchange));
-            if batched {
-                self.refresh_batch_plans();
-                self.batched_window(
+            if let Some(device) = &device {
+                self.refresh_batch_plans(device);
+                self.fill_window(
+                    device,
                     comm,
                     &mut first,
                     |s| &s.start,
                     |sim, l, pass, stream| {
                         let dx = sim.hierarchy.dx(l);
                         let patches = sim.hierarchy.level_mut(l).local_mut();
-                        batched::eos_viscosity(patches, &f, stream, copy_back, pass, gamma, dx);
+                        exec::eos_viscosity(patches, &f, stream, copy_back, pass, gamma, dx);
                     },
                 );
             } else if let Err(e) = self.try_fill_start(comm) {
                 first.get_or_insert(e);
             }
         }
-        if !batched {
+        if device.is_none() {
             let _s = rec.is_enabled().then(|| rec.span("eos-viscosity", Category::HydroKernel));
             self.eos_and_viscosity();
         }
@@ -1000,22 +977,22 @@ impl HydroSim {
         // --- Lagrangian phase ----------------------------------------
         {
             let _s = rec.is_enabled().then(|| rec.span("lagrangian", Category::HydroKernel));
-            if batched {
-                let device = self.device.clone().expect("batched path has a device");
-                let stream = Stream::new(&device);
+            if let Some(device) = &device {
+                let stream = Stream::new(device);
                 for l in 0..self.hierarchy.num_levels() {
                     let dx = self.hierarchy.dx(l);
                     let patches = self.hierarchy.level_mut(l).local_mut();
-                    batched::lagrangian_pre(patches, &f, &stream, copy_back, gamma, dx, dt);
+                    exec::lagrangian_pre(patches, &f, &stream, copy_back, gamma, dx, dt);
                 }
-                self.batched_window(
+                self.fill_window(
+                    device,
                     comm,
                     &mut first,
                     |s| &s.post_accel,
                     |sim, l, pass, stream| {
                         let dx = sim.hierarchy.dx(l);
                         let patches = sim.hierarchy.level_mut(l).local_mut();
-                        batched::flux_calc(patches, &f, stream, copy_back, pass, dx, dt);
+                        exec::flux_calc(patches, &f, stream, copy_back, pass, dx, dt);
                     },
                 );
             } else {
@@ -1036,15 +1013,14 @@ impl HydroSim {
         {
             let _s = rec.is_enabled().then(|| rec.span("advection", Category::HydroKernel));
             let dirs = if self.step.is_multiple_of(2) { [0usize, 1] } else { [1, 0] };
-            if batched {
-                let device = self.device.clone().expect("batched path has a device");
+            if let Some(device) = &device {
                 let nlevels = self.hierarchy.num_levels();
-                let stream = Stream::new(&device);
-                let mut cell_stash: Vec<batched::CellStash> = Vec::new();
+                let stream = Stream::new(device);
+                let mut cell_stash: Vec<exec::CellStash> = Vec::new();
                 for l in 0..nlevels {
                     let dx = self.hierarchy.dx(l);
                     let patches = self.hierarchy.level_mut(l).local_mut();
-                    batched::advec_cell(
+                    exec::advec_cell(
                         patches,
                         &f,
                         &stream,
@@ -1056,15 +1032,16 @@ impl HydroSim {
                         &mut cell_stash,
                     );
                 }
-                let mut mom_stashes: Vec<Vec<batched::MomStash>> =
+                let mut mom_stashes: Vec<Vec<exec::MomStash>> =
                     (0..nlevels).map(|_| Vec::new()).collect();
-                self.batched_window(
+                self.fill_window(
+                    device,
                     comm,
                     &mut first,
                     |s| &s.post_sweep1[dirs[0]],
                     |sim, l, pass, stream| {
                         let patches = sim.hierarchy.level_mut(l).local_mut();
-                        batched::advec_mom(
+                        exec::advec_mom(
                             patches,
                             &f,
                             stream,
@@ -1075,16 +1052,17 @@ impl HydroSim {
                         );
                     },
                 );
-                let mut cell_stashes: Vec<Vec<batched::CellStash>> =
+                let mut cell_stashes: Vec<Vec<exec::CellStash>> =
                     (0..nlevels).map(|_| Vec::new()).collect();
-                self.batched_window(
+                self.fill_window(
+                    device,
                     comm,
                     &mut first,
                     |s| &s.mid_sweeps,
                     |sim, l, pass, stream| {
                         let dx = sim.hierarchy.dx(l);
                         let patches = sim.hierarchy.level_mut(l).local_mut();
-                        batched::advec_cell(
+                        exec::advec_cell(
                             patches,
                             &f,
                             stream,
@@ -1097,15 +1075,16 @@ impl HydroSim {
                         );
                     },
                 );
-                let mut mom_stashes: Vec<Vec<batched::MomStash>> =
+                let mut mom_stashes: Vec<Vec<exec::MomStash>> =
                     (0..nlevels).map(|_| Vec::new()).collect();
-                self.batched_window(
+                self.fill_window(
+                    device,
                     comm,
                     &mut first,
                     |s| &s.post_sweep2[dirs[1]],
                     |sim, l, pass, stream| {
                         let patches = sim.hierarchy.level_mut(l).local_mut();
-                        batched::advec_mom(
+                        exec::advec_mom(
                             patches,
                             &f,
                             stream,
@@ -1118,7 +1097,7 @@ impl HydroSim {
                 );
                 for l in 0..nlevels {
                     let patches = self.hierarchy.level_mut(l).local_mut();
-                    batched::reset(patches, &f, &stream, copy_back);
+                    exec::reset(patches, &f, &stream, copy_back);
                 }
             } else {
                 self.each_patch(|ig, p, f, dx| ig.advec_cell(p, f, dx, dirs[0], 1));
@@ -1485,12 +1464,21 @@ mod tests {
     }
 
     fn sim(placement: Placement, cells: i64, levels: usize) -> HydroSim {
+        sim_capped(placement, cells, levels, 1 << 30)
+    }
+
+    /// As [`sim`], with the patch size capped. 8-cell patches put many
+    /// patches on each level (the regime per-level launching exists
+    /// for: launches scale with levels, not patches).
+    fn sim_capped(placement: Placement, cells: i64, levels: usize, max_patch: i64) -> HydroSim {
         let machine = match placement {
             Placement::Host => Machine::ipa_cpu_node(),
             _ => Machine::ipa_gpu(),
         };
-        let mut config = HydroConfig { regrid_interval: 5, ..HydroConfig::default() };
+        let mut config =
+            HydroConfig { regrid_interval: 5, max_patch_size: max_patch, ..HydroConfig::default() };
         config.regrid.cluster.min_size = 4;
+        config.regrid.max_patch_size = max_patch;
         let mut s = HydroSim::new(
             machine,
             placement,
@@ -1586,100 +1574,28 @@ mod tests {
         }
     }
 
-    /// As [`sim`], with the batched executor toggled and the patch
-    /// size capped so levels hold many patches (the regime batching
-    /// exists for: launches scale with levels, not patches).
-    fn sim_batched(placement: Placement, cells: i64, levels: usize, batched: bool) -> HydroSim {
-        let machine = match placement {
-            Placement::Host => Machine::ipa_cpu_node(),
-            _ => Machine::ipa_gpu(),
-        };
-        let mut config = HydroConfig {
-            regrid_interval: 5,
-            batched,
-            max_patch_size: 8,
-            ..HydroConfig::default()
-        };
-        config.regrid.cluster.min_size = 4;
-        config.regrid.max_patch_size = 8;
-        let mut s = HydroSim::new(
-            machine,
-            placement,
-            Clock::new(),
-            (1.0, 1.0),
-            (cells, cells),
-            levels,
-            2,
-            config,
-            sod_regions(),
-            0,
-            1,
-        );
-        s.initialize(None);
-        s
-    }
-
-    /// The tentpole equivalence property, single-rank edition: the
-    /// batched + overlapped executor is bitwise identical to the
-    /// per-patch oracle — all fields, every step, through regrids —
-    /// while issuing strictly fewer kernel launches.
+    /// The equivalence property, single-rank edition: the per-level,
+    /// overlapped device executor is bitwise identical to the per-patch
+    /// host build — all fields, every step, through regrids — and its
+    /// launch plans survive structure-preserving regrids.
     #[test]
-    fn batched_build_is_bitwise_identical_to_per_patch_oracle() {
-        let mut oracle = sim_batched(Placement::Device, 32, 2, false);
-        let mut batched = sim_batched(Placement::Device, 32, 2, true);
-        assert_eq!(oracle.local_state_digest(), batched.local_state_digest(), "after init");
-        let dev_o = oracle.device().unwrap().clone();
-        let dev_b = batched.device().unwrap().clone();
+    fn device_build_is_bitwise_identical_to_host_with_many_patches() {
+        let mut host = sim_capped(Placement::Host, 32, 2, 8);
+        let mut dev = sim_capped(Placement::Device, 32, 2, 8);
+        assert_eq!(host.local_state_digest(), dev.local_state_digest(), "after init");
         for step in 0..8 {
-            dev_o.reset_transfer_stats();
-            dev_b.reset_transfer_stats();
-            let so = oracle.step(None);
-            let sb = batched.step(None);
-            assert_eq!(so.dt.to_bits(), sb.dt.to_bits(), "dt diverged at step {step}");
+            let sh = host.step(None);
+            let sd = dev.step(None);
+            assert_eq!(sh.dt.to_bits(), sd.dt.to_bits(), "dt diverged at step {step}");
             assert_eq!(
-                oracle.local_state_digest(),
-                batched.local_state_digest(),
+                host.local_state_digest(),
+                dev.local_state_digest(),
                 "state diverged at step {step}"
             );
-            let (o, b) = (dev_o.stats(), dev_b.stats());
-            assert!(
-                b.kernel_launches < o.kernel_launches,
-                "step {step}: batched issued {} launches, oracle {}",
-                b.kernel_launches,
-                o.kernel_launches
-            );
         }
-        assert!(batched.batch_plans().builds() > 0);
-        assert!(batched.batch_plans().hits() > 0, "steady structure must hit the plan cache");
-    }
-
-    /// Copy-back placement under batching: same physics, same per-step
-    /// PCIe byte totals as the per-patch copy-back oracle (round trips
-    /// are batched per level but move identical bytes).
-    #[test]
-    fn batched_copy_back_matches_oracle_bytes_and_physics() {
-        let mut oracle = sim_batched(Placement::DeviceCopyBack, 16, 1, false);
-        let mut batched = sim_batched(Placement::DeviceCopyBack, 16, 1, true);
-        let dev_o = oracle.device().unwrap().clone();
-        let dev_b = batched.device().unwrap().clone();
-        dev_o.reset_transfer_stats();
-        dev_b.reset_transfer_stats();
-        for _ in 0..3 {
-            oracle.step(None);
-            batched.step(None);
-        }
-        assert_eq!(oracle.local_state_digest(), batched.local_state_digest());
-        let (o, b) = (dev_o.stats(), dev_b.stats());
-        assert_eq!(o.d2h_bytes, b.d2h_bytes, "copy-back D2H bytes must match the oracle");
-        // H2D matches the oracle exactly except for the one-time batch
-        // descriptor uploads (the cost of batching itself).
-        let descriptors = batched.batch_plans().uploaded_bytes();
-        assert!(descriptors > 0);
-        assert_eq!(
-            o.h2d_bytes + descriptors,
-            b.h2d_bytes,
-            "copy-back H2D bytes must match the oracle modulo descriptor uploads"
-        );
+        assert!(dev.batch_plans().builds() > 0);
+        assert!(dev.batch_plans().hits() > 0, "steady structure must hit the plan cache");
+        assert_eq!(host.batch_plans().builds(), 0, "the host placement launches nothing");
     }
 
     #[test]
@@ -1768,13 +1684,18 @@ mod tests {
     fn device_build_is_resident() {
         let mut s = sim(Placement::Device, 16, 1);
         let device = s.device().unwrap().clone();
-        device.reset_transfer_stats();
+        // The first step uploads the level's launch descriptor table;
+        // the residency invariant is about every step after it.
         s.step(None);
+        device.reset_transfer_stats();
+        for _ in 0..3 {
+            s.step(None);
+        }
         let stats = device.stats();
         // Per-step D2H: the dt scalar only (single rank, one patch, no
-        // halos to pack, no regrid this step).
-        assert_eq!(stats.d2h_bytes, 8, "non-resident D2H traffic: {stats:?}");
+        // halos to pack, no regrid on these steps).
+        assert_eq!(stats.d2h_bytes, 3 * 8, "non-resident D2H traffic: {stats:?}");
         assert_eq!(stats.h2d_bytes, 0, "non-resident H2D traffic: {stats:?}");
-        assert!(stats.kernel_launches > 20, "suspiciously few launches");
+        assert!(stats.kernel_launches > 3 * 20, "suspiciously few launches");
     }
 }

@@ -1,13 +1,16 @@
-//! Batched per-level kernel launches with interior/boundary splitting.
+//! The level executor: every device hydro kernel launch, one launch
+//! per kernel per level, with interior/boundary splitting.
 //!
-//! The per-patch oracle ([`crate::device_integrator`]) pays one launch
-//! per kernel per patch — the Figure 9 overhead that makes small grids
-//! launch-bound. This module issues **one launch per kernel per level**:
-//! the launch body loops over the level's patches (the logical element
-//! index of the level's [`BatchPlan`](rbamr_gpu_amr::BatchPlan) spans
-//! them all) and calls the *same* kernel functions on the same regions,
-//! so the arithmetic is bitwise identical to the oracle while the fixed
-//! launch latency is paid once per level.
+//! A launch per kernel per patch is the Figure 9 overhead that makes
+//! small grids launch-bound. This module issues **one launch per kernel
+//! per level**: the launch body loops over the level's patches (the
+//! logical element index of the level's
+//! [`BatchPlan`](rbamr_gpu_amr::BatchPlan) spans them all) and calls the
+//! same kernel functions the host integrator runs ([`crate::kernels`])
+//! on the same regions, so the arithmetic is bitwise identical to the
+//! host build while the fixed launch latency is paid once per level.
+//! [`crate::DevicePatchIntegrator`] runs the same functions on a batch
+//! of one patch.
 //!
 //! For communication/computation overlap, each phase can run as two
 //! passes: [`Pass::Interior`] computes only patch cores that a
@@ -27,9 +30,15 @@
 //!
 //! A patch too small for a margin degrades gracefully: its interior is
 //! empty and the whole kernel runs in the boundary pass, i.e. in the
-//! oracle's unoverlapped order.
+//! unoverlapped fill-then-compute order.
+//!
+//! Every phase takes the transfer policy as `copy_back`: when set, the
+//! full arrays the phase touches make a PCIe round trip before its
+//! kernels — the non-resident Wang et al. baseline the paper's Related
+//! Work criticises ([`crate::Placement::DeviceCopyBack`]). The kernels
+//! are the same, so the measured gap to the resident placement is
+//! exactly the residency benefit the paper claims.
 
-use crate::device_integrator::split_dev;
 use crate::kernels as k;
 use crate::state::{ComputeRegion, Fields, GHOSTS};
 use rbamr_amr::patchdata::PatchData;
@@ -39,7 +48,7 @@ use rbamr_geometry::{Centring, GBox, IntVector};
 use rbamr_gpu_amr::{interior_core, split_region, DeviceData};
 use rbamr_perfmodel::{Category, KernelShape};
 
-/// Which part of a phase a batched call executes.
+/// Which part of a phase a call executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Pass {
     /// The whole region in one launch (phases outside overlap windows).
@@ -58,18 +67,15 @@ const MARGIN_BASE: i64 = 6;
 /// each interior kernel reads only inside the previous one's core.
 const MARGIN_STEP: i64 = 4;
 
-/// Upper bound on batched launches per level per step — the in-process
+/// Upper bound on hydro launches per level per step — the in-process
 /// fig9 gate constant. Counting every kernel of the step's phase chain
 /// with both passes of the five overlap windows gives 82; 96 leaves
 /// headroom without ever permitting per-patch scaling.
-pub const MAX_BATCHED_LAUNCHES_PER_LEVEL_STEP: u64 = 96;
+pub const MAX_LAUNCHES_PER_LEVEL_STEP: u64 = 96;
 
-/// Every kernel name the batched executor launches under. The names
-/// are shared with the per-patch oracle (so traces line up), but no
-/// halo-fill, sync, or regrid kernel uses them — in a batched run,
-/// summing the `device.kernel_launches.<name>` counters over this
-/// roster counts batched launches exactly.
-pub const BATCHED_KERNEL_NAMES: &[&str] = &[
+/// Every kernel name the executor launches under. No halo-fill, sync,
+/// or regrid kernel uses them.
+const HYDRO_KERNEL_NAMES: &[&str] = &[
     "accelerate",
     "advec-cell",
     "advec-ener-flux",
@@ -94,12 +100,21 @@ pub const BATCHED_KERNEL_NAMES: &[&str] = &[
     "viscosity",
 ];
 
+/// Hydro kernel launches `rec` has counted so far: the
+/// `device.kernel_launches.<name>` counters summed over the executor's
+/// kernel names — exactly the launches [`MAX_LAUNCHES_PER_LEVEL_STEP`]
+/// budgets.
+pub fn hydro_launches(rec: &rbamr_telemetry::Recorder) -> u64 {
+    let launches = |name| rec.counter(&format!("device.kernel_launches.{name}"));
+    HYDRO_KERNEL_NAMES.iter().map(launches).sum()
+}
+
 fn margin(ordinal: u32) -> i64 {
     MARGIN_BASE + MARGIN_STEP * (i64::from(ordinal) - 1)
 }
 
 /// The region boxes kernel `ordinal` computes on `pass` for one patch,
-/// given its nominal (oracle) region. Union over passes covers the
+/// given its nominal (single-pass) region. Union over passes covers the
 /// nominal region exactly once.
 fn pass_regions(
     pass: Pass,
@@ -145,12 +160,23 @@ fn regions_for(
         .collect()
 }
 
-fn dev(data: &dyn PatchData) -> &DeviceData<f64> {
-    data.as_any().downcast_ref::<DeviceData<f64>>().expect("batched executor on non-device data")
+pub(crate) fn dev(data: &dyn PatchData) -> &DeviceData<f64> {
+    data.as_any().downcast_ref::<DeviceData<f64>>().expect("device executor on non-device data")
+}
+
+pub(crate) fn dev_mut(data: &mut dyn PatchData) -> &mut DeviceData<f64> {
+    data.as_any_mut().downcast_mut::<DeviceData<f64>>().expect("device executor on non-device data")
 }
 
 /// One patch's device handles, split into output and input variables.
 type SplitHandles<'a> = (Vec<&'a mut DeviceData<f64>>, Vec<&'a DeviceData<f64>>);
+
+fn split_dev<'a>(datas: &'a mut [&mut dyn PatchData], n_out: usize) -> SplitHandles<'a> {
+    let (outs, ins) = datas.split_at_mut(n_out);
+    let outs = outs.iter_mut().map(|d| dev_mut(&mut **d)).collect();
+    let ins = ins.iter().map(|d| dev(&**d)).collect();
+    (outs, ins)
+}
 
 /// One batched launch: a single kernel invocation whose body loops the
 /// level's patches and applies `body` to each patch's region boxes.
@@ -194,62 +220,78 @@ fn batched_launch(
 }
 
 /// Per-phase full-array PCIe round trips for the copy-back placement:
-/// the same variable lists as [`crate::CopyBackPatchIntegrator`], one
-/// round trip per patch per phase, batched per level.
+/// D2H of the current values (the "result copy" of the previous phase
+/// in the Wang et al. scheme) followed by H2D (staging for the next
+/// kernel), once per patch per variable the phase touches. Both
+/// transfers are real: counted by the device and charged to the clock.
 fn roundtrip(patches: &mut [Patch], vars: &[VariableId]) {
     for p in patches.iter_mut() {
         for &var in vars {
-            let d = p
-                .data_mut(var)
-                .as_any_mut()
-                .downcast_mut::<DeviceData<f64>>()
-                .expect("batched executor on non-device data");
+            let d = dev_mut(p.data_mut(var));
             let host = d.download_all(Category::HydroKernel);
             d.upload_all(&host, Category::HydroKernel);
         }
     }
 }
 
-/// EOS + viscosity — the compute half of the `fill-start` overlap
-/// window. Kernel ordinals 1–3.
-pub(crate) fn eos_viscosity(
+/// Equation of state: pressure then sound speed. With `predict` unset
+/// it reads the step-start fields over the ghost box (kernel ordinals
+/// 1–2 of the `fill-start` window); the predictor EOS reads the working
+/// copies over the interior grown by one and only ever runs
+/// [`Pass::Full`].
+pub(crate) fn ideal_gas(
     patches: &mut [Patch],
     f: &Fields,
     stream: &Stream,
     copy_back: bool,
     pass: Pass,
     gamma: f64,
-    dx: (f64, f64),
+    predict: bool,
 ) {
+    let (rho, e) = if predict { (f.density1, f.energy1) } else { (f.density0, f.energy0) };
     if copy_back && pass != Pass::Boundary {
-        roundtrip(patches, &[f.pressure, f.soundspeed, f.density0, f.energy0]);
-        roundtrip(patches, &[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0]);
+        roundtrip(patches, &[f.pressure, f.soundspeed, rho, e]);
     }
-    let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
-    let regs = regions_for(patches, pass, 1, Centring::Cell, ghost);
+    let region = if predict { ComputeRegion::Grown(1) } else { ComputeRegion::GhostBox };
+    let nominal = |p: &Patch| region.cell_box(p.cell_box());
+    let regs = regions_for(patches, pass, 1, Centring::Cell, nominal);
     batched_launch(
         patches,
         stream,
         "ideal-gas-pressure",
         Category::HydroKernel,
-        &[f.pressure, f.density0, f.energy0],
+        &[f.pressure, rho, e],
         3,
         3,
         &regs,
         |_kk, _i, p, pbox, v, r| k::ideal_gas_pressure(p, pbox, v[0], v[1], r, gamma),
     );
-    let regs = regions_for(patches, pass, 2, Centring::Cell, ghost);
+    let regs = regions_for(patches, pass, 2, Centring::Cell, nominal);
     batched_launch(
         patches,
         stream,
         "ideal-gas-soundspeed",
         Category::HydroKernel,
-        &[f.soundspeed, f.pressure, f.density0],
+        &[f.soundspeed, f.pressure, rho],
         3,
         5,
         &regs,
         |_kk, _i, ss, ssbox, v, r| k::ideal_gas_soundspeed(ss, ssbox, v[0], v[1], r, gamma),
     );
+}
+
+/// Artificial viscosity — kernel ordinal 3 of the `fill-start` window.
+pub(crate) fn viscosity(
+    patches: &mut [Patch],
+    f: &Fields,
+    stream: &Stream,
+    copy_back: bool,
+    pass: Pass,
+    dx: (f64, f64),
+) {
+    if copy_back && pass != Pass::Boundary {
+        roundtrip(patches, &[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0]);
+    }
     let regs = regions_for(patches, pass, 3, Centring::Cell, |p| {
         ComputeRegion::Grown(1).cell_box(p.cell_box())
     });
@@ -266,11 +308,26 @@ pub(crate) fn eos_viscosity(
     );
 }
 
-/// Batched CFL reduction: every patch's minimum lands in one `n`-patch
-/// device buffer from a single launch, and one `8n`-byte transfer
-/// crosses PCIe per level instead of 8 bytes per patch. Returns the
-/// per-patch minima in patch order so the caller folds them exactly as
-/// the oracle does.
+/// EOS + viscosity — the compute half of the `fill-start` overlap
+/// window.
+pub(crate) fn eos_viscosity(
+    patches: &mut [Patch],
+    f: &Fields,
+    stream: &Stream,
+    copy_back: bool,
+    pass: Pass,
+    gamma: f64,
+    dx: (f64, f64),
+) {
+    ideal_gas(patches, f, stream, copy_back, pass, gamma, false);
+    viscosity(patches, f, stream, copy_back, pass, dx);
+}
+
+/// CFL reduction: every patch's minimum lands in one `n`-patch device
+/// buffer from a single launch, and one `8n`-byte transfer crosses PCIe
+/// per level — "calculating the timestep contains the only global
+/// reduction" (Section V-B). Returns the per-patch minima in patch
+/// order so the caller folds them exactly as the host build does.
 pub(crate) fn calc_dt(
     patches: &mut [Patch],
     f: &Fields,
@@ -318,7 +375,7 @@ pub(crate) fn calc_dt(
 
 /// The Lagrangian pre-fill chain — predictor PdV, predictor EOS,
 /// revert, accelerate, corrector PdV. No fill runs concurrently with
-/// these, so they batch as full-region launches (10 per level).
+/// these, so they run as full-region launches (10 per level).
 pub(crate) fn lagrangian_pre(
     patches: &mut [Patch],
     f: &Fields,
@@ -329,38 +386,20 @@ pub(crate) fn lagrangian_pre(
     dt: f64,
 ) {
     pdv(patches, f, stream, copy_back, dx, dt, true);
-    // Predictor EOS on the half-stepped density/energy.
-    if copy_back {
-        roundtrip(patches, &[f.pressure, f.soundspeed, f.density1, f.energy1]);
-    }
-    let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
-    let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, grown);
-    batched_launch(
-        patches,
-        stream,
-        "ideal-gas-pressure",
-        Category::HydroKernel,
-        &[f.pressure, f.density1, f.energy1],
-        3,
-        3,
-        &regs,
-        |_kk, _i, p, pbox, v, r| k::ideal_gas_pressure(p, pbox, v[0], v[1], r, gamma),
-    );
-    batched_launch(
-        patches,
-        stream,
-        "ideal-gas-soundspeed",
-        Category::HydroKernel,
-        &[f.soundspeed, f.pressure, f.density1],
-        3,
-        5,
-        &regs,
-        |_kk, _i, ss, ssbox, v, r| k::ideal_gas_soundspeed(ss, ssbox, v[0], v[1], r, gamma),
-    );
-    // Revert.
+    ideal_gas(patches, f, stream, copy_back, Pass::Full, gamma, true);
+    revert(patches, f, stream, copy_back);
+    accelerate(patches, f, stream, copy_back, dx, dt);
+    pdv(patches, f, stream, copy_back, dx, dt, false);
+}
+
+/// Restore working density/energy to step-start values.
+pub(crate) fn revert(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_back: bool) {
     if copy_back {
         roundtrip(patches, &[f.density1, f.energy1, f.density0, f.energy0]);
     }
+    let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, |p| {
+        ComputeRegion::Grown(1).cell_box(p.cell_box())
+    });
     for (dst, src) in [(f.density1, f.density0), (f.energy1, f.energy0)] {
         batched_launch(
             patches,
@@ -374,7 +413,17 @@ pub(crate) fn lagrangian_pre(
             |_kk, _i, d, dbox, v, r| k::copy_field(d, dbox, v[0], r),
         );
     }
-    // Accelerate.
+}
+
+/// Node velocity update from pressure and viscosity gradients.
+pub(crate) fn accelerate(
+    patches: &mut [Patch],
+    f: &Fields,
+    stream: &Stream,
+    copy_back: bool,
+    dx: (f64, f64),
+    dt: f64,
+) {
     if copy_back {
         roundtrip(
             patches,
@@ -398,10 +447,11 @@ pub(crate) fn lagrangian_pre(
             },
         );
     }
-    pdv(patches, f, stream, copy_back, dx, dt, false);
 }
 
-fn pdv(
+/// PdV energy/density update (predictor: half dt with the start
+/// velocities; corrector: full dt with time-averaged velocities).
+pub(crate) fn pdv(
     patches: &mut [Patch],
     f: &Fields,
     stream: &Stream,
@@ -506,11 +556,12 @@ pub(crate) fn flux_calc(
     }
 }
 
-/// Staged pre-advection copies of energy1/density1 — the batched
-/// revert-save. Captured in two pieces across the passes of the
+/// Staged pre-advection copies of energy1/density1 (device-to-device,
+/// the resident equivalent of CloverLeaf's in-place read-modify loop) —
+/// the revert-save. Captured in two pieces across the passes of the
 /// `mid-sweeps` window: the interior piece *before* the fill finishes
 /// (legal: the fill only writes ghost cells) and the frame piece after,
-/// so each captured cell holds exactly the value the oracle captures.
+/// so each captured cell holds exactly the value a single pass captures.
 pub(crate) struct CellStash {
     old_e: DeviceBuffer<f64>,
     old_r: DeviceBuffer<f64>,
@@ -650,32 +701,9 @@ fn revert_save(
     if patches.is_empty() {
         return;
     }
-    let m = margin(5);
-    let caps: Vec<Vec<GBox>> = patches
-        .iter()
-        .map(|p| {
-            let ebox = dev(p.data(f.energy1)).data_box();
-            match pass {
-                Pass::Full => vec![ebox],
-                Pass::Interior | Pass::Boundary => {
-                    let core = interior_core(p.cell_box(), m);
-                    if core.is_empty() {
-                        return if pass == Pass::Boundary { vec![ebox] } else { Vec::new() };
-                    }
-                    let (inner, frames) = split_region(ebox, Centring::Cell.data_box(core));
-                    if pass == Pass::Interior {
-                        if inner.is_empty() {
-                            Vec::new()
-                        } else {
-                            vec![inner]
-                        }
-                    } else {
-                        frames.into_iter().filter(|b| !b.is_empty()).collect()
-                    }
-                }
-            }
-        })
-        .collect();
+    // Kernel ordinal 5 of the cell-advection chain, over the whole
+    // energy1 allocation rather than a compute region.
+    let caps = regions_for(patches, pass, 5, Centring::Cell, |p| dev(p.data(f.energy1)).data_box());
     let device = dev(patches[0].data(f.energy1)).device().clone();
     if pass != Pass::Boundary {
         stash.clear();
@@ -852,7 +880,7 @@ pub(crate) fn advec_mom(
     }
 }
 
-/// End-of-step field reset: four full-region batched copies.
+/// End-of-step field reset: four full-region copies.
 pub(crate) fn reset(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_back: bool) {
     if copy_back {
         roundtrip(
@@ -915,6 +943,85 @@ mod tests {
                     for b in &frames {
                         assert!(a.intersect(*b).is_empty());
                     }
+                }
+            }
+        }
+    }
+
+    /// One device patch with the same random state in every field for
+    /// a given seed (positive for densities/energies/EOS fields).
+    fn random_patch(seed: u64, cells: i64) -> (Patch, Fields) {
+        use rand::{Rng, SeedableRng};
+        let device = rbamr_device::Device::k20x();
+        let factory = std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(device));
+        let mut reg = rbamr_amr::VariableRegistry::new(factory);
+        let f = Fields::register(&mut reg);
+        let id = rbamr_amr::patch::PatchId { level: 0, index: 0 };
+        let mut patch = Patch::new(id, GBox::from_coords(0, 0, cells, cells), 0, &reg);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for v in 0..reg.len() {
+            let d = dev_mut(patch.data_mut(VariableId(v)));
+            let image: Vec<f64> = (0..d.buffer().len())
+                .map(|_| if v < 7 { rng.gen_range(0.2..2.0) } else { rng.gen_range(-1.0..1.0) })
+                .collect();
+            d.upload_all(&image, Category::Other);
+        }
+        (patch, f)
+    }
+
+    fn field_bits(patch: &Patch) -> Vec<Vec<u64>> {
+        (0..22)
+            .map(|v| {
+                let host = dev(patch.data(VariableId(v))).download_all(Category::Other);
+                host.into_iter().map(f64::to_bits).collect()
+            })
+            .collect()
+    }
+
+    /// The split itself, phase by phase: with no fill between the
+    /// passes, `Interior` then `Boundary` leaves every field bitwise
+    /// equal to `Full`. 40 cells: early kernels split, deep-margin ones
+    /// degrade to boundary-only; 96 cells: every kernel of every chain
+    /// has a non-empty core.
+    #[test]
+    fn interior_then_boundary_equals_full_in_every_windowed_phase() {
+        const DX: (f64, f64) = (0.05, 0.05);
+        type Phase = fn(&mut [Patch], &Fields, &Stream, &[Pass]);
+        let phases: [(&str, Phase); 4] = [
+            ("eos_viscosity", |p, f, s, passes| {
+                for &pass in passes {
+                    eos_viscosity(p, f, s, false, pass, 1.4, DX);
+                }
+            }),
+            ("flux_calc", |p, f, s, passes| {
+                for &pass in passes {
+                    flux_calc(p, f, s, false, pass, DX, 1e-3);
+                }
+            }),
+            ("advec_cell", |p, f, s, passes| {
+                let mut stash = Vec::new();
+                for &pass in passes {
+                    advec_cell(p, f, s, false, pass, DX, 1, 2, &mut stash);
+                }
+            }),
+            ("advec_mom", |p, f, s, passes| {
+                let mut stash = Vec::new();
+                for &pass in passes {
+                    advec_mom(p, f, s, false, pass, 0, &mut stash);
+                }
+            }),
+        ];
+        for cells in [40, 96] {
+            for (seed, (name, phase)) in phases.iter().enumerate() {
+                let (mut full, f) = random_patch(seed as u64, cells);
+                let (mut split, _) = random_patch(seed as u64, cells);
+                let stream = dev(full.data(f.density0)).stream().clone();
+                phase(std::slice::from_mut(&mut full), &f, &stream, &[Pass::Full]);
+                let passes = [Pass::Interior, Pass::Boundary];
+                phase(std::slice::from_mut(&mut split), &f, &stream, &passes);
+                let (a, b) = (field_bits(&full), field_bits(&split));
+                for v in 0..a.len() {
+                    assert!(a[v] == b[v], "{name} on {cells}x{cells}: field {v} differs");
                 }
             }
         }

@@ -24,7 +24,13 @@
 //! halo fills via the framework's refine schedules, fine→coarse
 //! synchronisation (volume-weighted density, mass-weighted energy,
 //! node-injected velocities) and periodic regridding driven by the
-//! gradient flagging heuristic.
+//! gradient flagging heuristic. On the host placement it advances patch
+//! by patch through the integrator; on a device placement it advances
+//! level by level through [`level_executor`] — one launch per kernel
+//! per level, each halo fill overlapped with interior compute — which
+//! is also what [`DevicePatchIntegrator`] runs, on a batch of one
+//! patch. [`Placement::DeviceCopyBack`] is the same executor with
+//! per-phase PCIe round trips (the non-resident baseline).
 //!
 //! Deviation from CloverLeaf, documented per `DESIGN.md`: the
 //! artificial viscosity is the classic von Neumann–Richtmyer
@@ -32,20 +38,18 @@
 //! variant — same role (shock spreading over ~2 cells), same memory
 //! traffic, simpler coefficients.
 
-pub mod batched;
 pub mod boundary;
 pub mod checkpoint;
-pub mod copyback_integrator;
 pub mod device_integrator;
 pub mod host_integrator;
 pub mod integrator;
 pub mod kernels;
+pub mod level_executor;
 pub mod output;
 pub mod resilience;
 pub mod state;
 
 pub use boundary::ReflectiveBoundary;
-pub use copyback_integrator::CopyBackPatchIntegrator;
 pub use device_integrator::DevicePatchIntegrator;
 pub use host_integrator::HostPatchIntegrator;
 pub use integrator::{HydroConfig, HydroSim, Placement, SimError, StepStats};

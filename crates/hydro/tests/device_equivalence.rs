@@ -1,24 +1,29 @@
-//! The batch-equivalence layer: batched + overlapped execution must be
-//! observationally identical to the per-patch oracle.
+//! The device-equivalence layer: the device build (per-level launches,
+//! halo fills overlapped with interior compute) must be observationally
+//! identical to the per-patch host build.
 //!
 //! Property-tests random hierarchy configurations (deck, rank count,
 //! metadata mode, grid size) and asserts, per rank and per step:
 //!
-//! * the batched run's `state_field_digest` is bitwise identical to
-//!   the per-patch oracle's on the event-driven engine;
-//! * the batched run is **engine-invariant**: the event-driven and
+//! * the device run's `state_field_digest` is bitwise identical to the
+//!   host placement's on the event-driven engine;
+//! * the device run is **engine-invariant**: the event-driven and
 //!   thread-per-rank netsim engines produce identical digests, device
 //!   counters, recorder counters, and causal-edge streams (tags,
 //!   occurrences, bytes, and bit-exact virtual costs);
-//! * in the many-patch regime the batched executor issues strictly
-//!   fewer kernel launches than the oracle;
+//! * with 64-wide patches, where every interior/boundary split is
+//!   non-degenerate, the same digest identity holds;
+//! * the copy-back placement changes transfers, never digests;
+//! * in the many-patch regime hydro launches per step stay within
+//!   levels × `MAX_LAUNCHES_PER_LEVEL_STEP`, whatever the patch count;
 //! * under fault schedules (message drops and corruption during the
 //!   overlapped halo exchange), recovery reproduces the fault-free
-//!   digest — which itself equals the oracle's.
+//!   digest — which itself equals the host build's.
 
 use proptest::prelude::*;
 use rbamr_amr::MetadataMode;
 use rbamr_device::DeviceStats;
+use rbamr_hydro::level_executor::{hydro_launches, MAX_LAUNCHES_PER_LEVEL_STEP};
 use rbamr_hydro::{
     HydroConfig, HydroSim, Placement, RecoveryPolicy, RegionInit, ResilientSim, SimSpec,
 };
@@ -42,7 +47,7 @@ fn sod_regions() -> Vec<RegionInit> {
 }
 
 /// A three-state blast deck: refines in a different pattern than Sod,
-/// so regrids exercise different box structures and batch plans.
+/// so regrids exercise different box structures and launch plans.
 fn blast_regions() -> Vec<RegionInit> {
     vec![
         RegionInit { rect: (0.0, 0.0, 1.0, 1.0), density: 0.2, energy: 1.0, xvel: 0.0, yvel: 0.0 },
@@ -56,9 +61,13 @@ struct RunConfig {
     deck: u8,
     ranks: usize,
     cells: i64,
+    /// Maximum patch extent, in cells.
+    patch: i64,
     mode: MetadataMode,
     steps: usize,
 }
+
+const LEVELS: usize = 2;
 
 /// Everything observable about one rank of a run: per-step digests,
 /// cumulative device transfer/launch statistics, deterministic recorder
@@ -66,14 +75,18 @@ struct RunConfig {
 #[derive(Debug, PartialEq)]
 struct RankTrace {
     digests: Vec<u64>,
-    device: DeviceStats,
+    /// `None` on the host placement.
+    device: Option<DeviceStats>,
+    /// Hydro kernel launches issued by the steps (not by
+    /// initialisation).
+    hydro_launches: u64,
     counters: Vec<(String, u64)>,
     /// (name, peer, tag, occurrence, bytes, cost bits) per edge, in
     /// record order.
     edges: Vec<(String, usize, u64, u64, u64, u64)>,
 }
 
-fn run(cfg: RunConfig, engine: Engine, batched: bool) -> Vec<RankTrace> {
+fn run(cfg: RunConfig, engine: Engine, placement: Placement) -> Vec<RankTrace> {
     let machine = Machine::ipa_gpu();
     let m = machine.clone();
     let results = Cluster::new(machine)
@@ -84,21 +97,20 @@ fn run(cfg: RunConfig, engine: Engine, batched: bool) -> Vec<RankTrace> {
             comm.set_recorder(rec.clone());
             let mut config = HydroConfig {
                 regrid_interval: 3,
-                max_patch_size: 8,
+                max_patch_size: cfg.patch,
                 metadata_mode: cfg.mode,
-                batched,
                 ..HydroConfig::default()
             };
             config.regrid.cluster.min_size = 4;
-            config.regrid.max_patch_size = 8;
+            config.regrid.max_patch_size = cfg.patch;
             let regions = if cfg.deck == 0 { sod_regions() } else { blast_regions() };
             let mut sim = HydroSim::new(
                 m.clone(),
-                Placement::Device,
+                placement,
                 comm.clock().clone(),
                 (1.0, 1.0),
                 (cfg.cells, cfg.cells),
-                2,
+                LEVELS,
                 2,
                 config,
                 regions,
@@ -107,12 +119,14 @@ fn run(cfg: RunConfig, engine: Engine, batched: bool) -> Vec<RankTrace> {
             );
             sim.set_recorder(rec.clone());
             sim.initialize(Some(&comm));
+            let launches_at_init = hydro_launches(&rec);
             let mut digests = Vec::new();
             for _ in 0..cfg.steps {
                 sim.step(Some(&comm));
                 digests.push(sim.state_field_digest());
             }
-            let device = sim.device().expect("device placement").stats();
+            let hydro_launches = hydro_launches(&rec) - launches_at_init;
+            let device = sim.device().map(|d| d.stats());
             // Wall-clock counters (`*_ns`) are inherently noisy; every
             // other counter must be engine-invariant.
             let counters =
@@ -124,31 +138,29 @@ fn run(cfg: RunConfig, engine: Engine, batched: bool) -> Vec<RankTrace> {
                     (e.name.to_string(), e.peer, e.tag, e.occurrence, e.bytes, e.cost.to_bits())
                 })
                 .collect();
-            RankTrace { digests, device, counters, edges }
+            RankTrace { digests, device, hydro_launches, counters, edges }
         });
     let mut out: Vec<_> = results.into_iter().map(|r| (r.rank, r.value)).collect();
     out.sort_by_key(|(rank, _)| *rank);
     out.into_iter().map(|(_, t)| t).collect()
 }
 
-/// The core property: batched == oracle physics, and the batched run
+fn assert_same_digests(what: &str, cfg: RunConfig, a: &[RankTrace], b: &[RankTrace]) {
+    for (rank, (a, b)) in a.iter().zip(b).enumerate() {
+        assert_eq!(a.digests, b.digests, "{cfg:?}: rank {rank}: {what}");
+    }
+}
+
+/// The core property: device == host physics, and the device run
 /// itself is engine-invariant down to counters and edge costs.
 fn check_equivalence(cfg: RunConfig) {
-    let oracle = run(cfg, Engine::EventDriven, false);
-    let batched = run(cfg, Engine::EventDriven, true);
-    let batched_tpr = run(cfg, Engine::ThreadPerRank, true);
+    let host = run(cfg, Engine::EventDriven, Placement::Host);
+    let device = run(cfg, Engine::EventDriven, Placement::Device);
+    let device_tpr = run(cfg, Engine::ThreadPerRank, Placement::Device);
 
-    for (rank, (o, b)) in oracle.iter().zip(&batched).enumerate() {
-        assert_eq!(
-            o.digests, b.digests,
-            "{cfg:?}: rank {rank}: batched digests diverge from the per-patch oracle"
-        );
-    }
-    for (rank, (ed, tpr)) in batched.iter().zip(&batched_tpr).enumerate() {
-        assert_eq!(
-            ed.digests, tpr.digests,
-            "{cfg:?}: rank {rank}: digests differ across netsim engines"
-        );
+    assert_same_digests("device digests diverge from the host build", cfg, &host, &device);
+    assert_same_digests("digests differ across netsim engines", cfg, &device, &device_tpr);
+    for (rank, (ed, tpr)) in device.iter().zip(&device_tpr).enumerate() {
         assert_eq!(
             ed.device, tpr.device,
             "{cfg:?}: rank {rank}: device counters differ across netsim engines"
@@ -168,16 +180,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random hierarchies at 1–8 ranks, both decks, both metadata
-    /// modes: batched == oracle, and batched is engine-invariant.
+    /// modes: device == host, and device is engine-invariant.
     #[test]
-    fn random_hierarchies_match_oracle_across_engines(
+    fn random_hierarchies_match_host_across_engines(
         deck in prop::sample::select(vec![0u8, 1]),
         ranks in prop::sample::select(vec![1usize, 2, 3, 5, 8]),
         cells in prop::sample::select(vec![24i64, 32]),
         partitioned in any::<bool>(),
     ) {
         let mode = if partitioned { MetadataMode::Partitioned } else { MetadataMode::Replicated };
-        check_equivalence(RunConfig { deck, ranks, cells, mode, steps: 3 });
+        check_equivalence(RunConfig { deck, ranks, cells, patch: 8, mode, steps: 3 });
     }
 }
 
@@ -189,48 +201,75 @@ fn eight_rank_partitioned_blast_matches() {
         deck: 1,
         ranks: 8,
         cells: 32,
+        patch: 8,
         mode: MetadataMode::Partitioned,
         steps: 3,
     });
 }
 
-/// In the many-patch regime (patches per rank ≫ levels) the batched
-/// executor issues strictly fewer kernel launches than the per-patch
-/// oracle, on every rank, while remaining bitwise identical.
+/// 8-wide patches have no interior core, so every kernel above runs in
+/// the boundary pass. 64-wide patches make the interior/boundary split
+/// non-degenerate for the first kernels of every window.
 #[test]
-fn batched_issues_fewer_launches_in_many_patch_regime() {
-    let cfg = RunConfig { deck: 0, ranks: 2, cells: 32, mode: MetadataMode::Replicated, steps: 4 };
-    let oracle = run(cfg, Engine::EventDriven, false);
-    let batched = run(cfg, Engine::EventDriven, true);
-    for (rank, (o, b)) in oracle.iter().zip(&batched).enumerate() {
-        assert_eq!(o.digests, b.digests, "rank {rank}: digests diverge");
+fn big_patches_with_interior_cores_match() {
+    for ranks in [1usize, 2] {
+        check_equivalence(RunConfig {
+            deck: 0,
+            ranks,
+            cells: 64,
+            patch: 64,
+            mode: MetadataMode::Replicated,
+            steps: 6,
+        });
+    }
+}
+
+const MANY_PATCHES: RunConfig =
+    RunConfig { deck: 0, ranks: 2, cells: 32, patch: 8, mode: MetadataMode::Replicated, steps: 4 };
+
+/// The copy-back placement runs the same kernels with per-phase PCIe
+/// round trips: identical digests, strictly more transfers.
+#[test]
+fn copy_back_changes_transfers_not_digests() {
+    let resident = run(MANY_PATCHES, Engine::EventDriven, Placement::Device);
+    let copy_back = run(MANY_PATCHES, Engine::EventDriven, Placement::DeviceCopyBack);
+    assert_same_digests("copy-back changed the physics", MANY_PATCHES, &resident, &copy_back);
+    for (rank, (r, c)) in resident.iter().zip(&copy_back).enumerate() {
+        let (r, c) = (r.device.expect("device stats"), c.device.expect("device stats"));
+        assert!(c.h2d_transfers > r.h2d_transfers, "rank {rank}: H2D {c:?} vs {r:?}");
+        assert!(c.d2h_transfers > r.d2h_transfers, "rank {rank}: D2H {c:?} vs {r:?}");
+    }
+}
+
+/// In the many-patch regime (patches per rank ≫ levels) hydro launches
+/// per step are bounded by the level count, not the patch count.
+#[test]
+fn hydro_launches_scale_with_levels_not_patches() {
+    let bound = (MANY_PATCHES.steps * LEVELS) as u64 * MAX_LAUNCHES_PER_LEVEL_STEP;
+    for (rank, t) in run(MANY_PATCHES, Engine::EventDriven, Placement::Device).iter().enumerate() {
         assert!(
-            b.device.kernel_launches < o.device.kernel_launches,
-            "rank {rank}: batched issued {} launches, oracle {}",
-            b.device.kernel_launches,
-            o.device.kernel_launches
+            t.hydro_launches <= bound,
+            "rank {rank}: {} hydro launches in {} steps exceed {bound}",
+            t.hydro_launches,
+            MANY_PATCHES.steps
         );
     }
 }
 
-fn resilient_digests(plan: FaultPlan, batched: bool) -> Vec<u64> {
+fn resilient_digests(plan: FaultPlan, placement: Placement) -> Vec<u64> {
     let machine = Machine::ipa_gpu();
     let m = machine.clone();
     let results = Cluster::new(machine)
         .with_deadlock_timeout(Duration::from_secs(30))
         .with_fault_plan(plan)
         .run(2, move |comm| {
-            let mut config = HydroConfig {
-                regrid_interval: 3,
-                max_patch_size: 8,
-                batched,
-                ..HydroConfig::default()
-            };
+            let mut config =
+                HydroConfig { regrid_interval: 3, max_patch_size: 8, ..HydroConfig::default() };
             config.regrid.cluster.min_size = 4;
             config.regrid.max_patch_size = 8;
             let spec = SimSpec {
                 machine: m.clone(),
-                placement: Placement::Device,
+                placement,
                 extent: (1.0, 1.0),
                 coarse_cells: (24, 24),
                 max_levels: 2,
@@ -258,16 +297,13 @@ fn resilient_digests(plan: FaultPlan, batched: bool) -> Vec<u64> {
 }
 
 /// Fault schedules landing during the overlapped exchange: rollback +
-/// replay under batching reproduces the fault-free digest, which
-/// itself equals the per-patch oracle's.
+/// replay reproduces the fault-free digest, which itself equals the
+/// host build's.
 #[test]
-fn fault_recovery_under_batching_reproduces_fault_free_digest() {
-    let fault_free_oracle = resilient_digests(FaultPlan::none(), false);
-    let fault_free_batched = resilient_digests(FaultPlan::none(), true);
-    assert_eq!(
-        fault_free_oracle, fault_free_batched,
-        "fault-free batched run must match the per-patch oracle"
-    );
+fn fault_recovery_reproduces_fault_free_digest() {
+    let fault_free_host = resilient_digests(FaultPlan::none(), Placement::Host);
+    let fault_free = resilient_digests(FaultPlan::none(), Placement::Device);
+    assert_eq!(fault_free_host, fault_free, "fault-free device run must match the host build");
     for (name, rules) in [
         ("drop", vec![FaultRule::once_on(FaultKind::MsgDrop, 0, 12)]),
         ("corrupt", vec![FaultRule::once_on(FaultKind::MsgCorrupt, 1, 20)]),
@@ -279,10 +315,7 @@ fn fault_recovery_under_batching_reproduces_fault_free_digest() {
             ],
         ),
     ] {
-        let faulted = resilient_digests(FaultPlan::new(9000, rules), true);
-        assert_eq!(
-            faulted, fault_free_batched,
-            "{name}: batched recovery must reproduce the fault-free digest"
-        );
+        let faulted = resilient_digests(FaultPlan::new(9000, rules), Placement::Device);
+        assert_eq!(faulted, fault_free, "{name}: recovery must reproduce the fault-free digest");
     }
 }
