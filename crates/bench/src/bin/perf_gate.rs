@@ -7,7 +7,10 @@
 //!
 //! All times are **virtual** (deterministic), so the gate is exact on
 //! counters and tight (2%) on seconds, and the same source tree always
-//! produces a byte-identical metrics file.
+//! produces a byte-identical metrics file. No environment variable or
+//! run-time option selects a code path the gate runs through, so the
+//! baseline moves only with a source change, and a re-bless is always
+//! reviewed as that change's key-level diff.
 //!
 //! ```text
 //! cargo run --release -p rbamr-bench --bin perf_gate              # compare

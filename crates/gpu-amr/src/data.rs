@@ -181,6 +181,115 @@ impl<T: DeviceElement> DeviceData<T> {
     }
 }
 
+/// The one body behind each `pack`/`try_pack` and `unpack`/`try_unpack`
+/// pair. `fallible` picks only how a staging-allocation or PCIe
+/// failure leaves: `true` uses the device's `try_*` ops and returns the
+/// failure typed; `false` uses the ops that panic on genuine exhaustion
+/// and latch an injected fault on the device (drained by the caller's
+/// next [`Device::take_injected_fault`] poll), so it never returns
+/// `Err`.
+impl<T: DeviceElement> DeviceData<T> {
+    fn staging(&self, len: usize, fallible: bool) -> Result<DeviceBuffer<T>, PatchDataError> {
+        let device = self.buf.device();
+        if fallible {
+            device
+                .try_alloc::<T>(len)
+                .map_err(|e| PatchDataError::Allocation { detail: e.to_string() })
+        } else {
+            Ok(device.alloc::<T>(len))
+        }
+    }
+
+    fn pack_impl(&self, overlap: &BoxOverlap, fallible: bool) -> Result<Bytes, PatchDataError> {
+        let device = self.buf.device().clone();
+        let total = overlap.num_values() as usize;
+        device.recorder().count("pack.bytes", (total * T::BYTES) as u64);
+        // Stage the packed values in device memory (the contiguous
+        // `cuda_stream` buffer of Figure 4), then one D2H transfer.
+        let mut staging = self.staging(total, fallible)?;
+        if total > 0 {
+            let shape = KernelShape::streaming(total as i64, 2, 0);
+            self.stream.submit();
+            let (src_buf, src_dbox) = (&self.buf, self.dbox);
+            let staging_ref = &mut staging;
+            device.launch_named(&self.stream, "pack", self.category, shape, |k| {
+                let src_slice = src_buf.as_slice(&k);
+                let out = staging_ref.as_mut_slice(&k);
+                let mut offset = 0usize;
+                for fill in overlap.dst_boxes.boxes() {
+                    let n = region_threads(*fill);
+                    pack_region(
+                        &mut out[offset..offset + n],
+                        src_slice,
+                        src_dbox,
+                        *fill,
+                        overlap.shift,
+                    );
+                    offset += n;
+                }
+            });
+        }
+        let mut host = vec![T::default(); total];
+        if fallible {
+            device
+                .try_download(&staging, 0, &mut host, self.category)
+                .map_err(|e| PatchDataError::Transfer { detail: e.to_string() })?;
+        } else {
+            device.download(&staging, 0, &mut host, self.category);
+        }
+        let mut out = Vec::with_capacity(total * T::BYTES);
+        for v in host {
+            v.write_to(&mut out);
+        }
+        Ok(Bytes::from(out))
+    }
+
+    fn unpack_impl(
+        &mut self,
+        overlap: &BoxOverlap,
+        stream: &[u8],
+        fallible: bool,
+    ) -> Result<(), PatchDataError> {
+        assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
+        let device = self.buf.device().clone();
+        let total = overlap.num_values() as usize;
+        device.recorder().count("unpack.bytes", (total * T::BYTES) as u64);
+        let mut host = Vec::with_capacity(total);
+        let mut cursor = 0usize;
+        for _ in 0..total {
+            host.push(T::read_from(&stream[cursor..]));
+            cursor += T::BYTES;
+        }
+        // One H2D transfer of the packed buffer, then parallel unpack.
+        let mut staging = self.staging(total, fallible)?;
+        if fallible {
+            device
+                .try_upload(&mut staging, 0, &host, self.category)
+                .map_err(|e| PatchDataError::Transfer { detail: e.to_string() })?;
+        } else {
+            device.upload(&mut staging, 0, &host, self.category);
+        }
+        let dst_dbox = self.dbox;
+        if total > 0 {
+            let shape = KernelShape::streaming(total as i64, 2, 0);
+            self.stream.submit();
+            let dst_buf = &mut self.buf;
+            let staging_ref = &staging;
+            device.launch_named(&self.stream, "unpack", self.category, shape, |k| {
+                let input = staging_ref.as_slice(&k);
+                let dst_slice = dst_buf.as_mut_slice(&k);
+                let mut offset = 0usize;
+                for fill in overlap.dst_boxes.boxes() {
+                    let n = region_threads(*fill);
+                    unpack_region(dst_slice, dst_dbox, &input[offset..offset + n], *fill);
+                    offset += n;
+                }
+            });
+        }
+        Ok(())
+    }
+}
+
 impl<T: DeviceElement> PatchData for DeviceData<T> {
     fn as_any(&self) -> &dyn Any {
         self
@@ -246,121 +355,15 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
     }
 
     fn pack(&self, overlap: &BoxOverlap) -> Bytes {
-        let device = self.buf.device().clone();
-        let total = overlap.num_values() as usize;
-        device.recorder().count("pack.bytes", (total * T::BYTES) as u64);
-        // Stage the packed values in device memory (the contiguous
-        // `cuda_stream` buffer of Figure 4), then one D2H transfer.
-        let mut staging = device.alloc::<T>(total);
-        if total > 0 {
-            let shape = KernelShape::streaming(total as i64, 2, 0);
-            self.stream.submit();
-            let (src_buf, src_dbox) = (&self.buf, self.dbox);
-            let staging_ref = &mut staging;
-            device.launch_named(&self.stream, "pack", self.category, shape, |k| {
-                let src_slice = src_buf.as_slice(&k);
-                let out = staging_ref.as_mut_slice(&k);
-                let mut offset = 0usize;
-                for fill in overlap.dst_boxes.boxes() {
-                    let n = region_threads(*fill);
-                    pack_region(
-                        &mut out[offset..offset + n],
-                        src_slice,
-                        src_dbox,
-                        *fill,
-                        overlap.shift,
-                    );
-                    offset += n;
-                }
-            });
-        }
-        let host: Vec<T> = {
-            let mut tmp = vec![T::default(); total];
-            device.download(&staging, 0, &mut tmp, self.category);
-            tmp
-        };
-        let mut out = Vec::with_capacity(total * T::BYTES);
-        for v in host {
-            v.write_to(&mut out);
-        }
-        Bytes::from(out)
+        self.pack_impl(overlap, false).expect("latching device ops return no error")
     }
 
     fn try_pack(&self, overlap: &BoxOverlap) -> Result<Bytes, PatchDataError> {
-        let device = self.buf.device().clone();
-        let total = overlap.num_values() as usize;
-        device.recorder().count("pack.bytes", (total * T::BYTES) as u64);
-        let mut staging = device
-            .try_alloc::<T>(total)
-            .map_err(|e| PatchDataError::Allocation { detail: e.to_string() })?;
-        if total > 0 {
-            let shape = KernelShape::streaming(total as i64, 2, 0);
-            self.stream.submit();
-            let (src_buf, src_dbox) = (&self.buf, self.dbox);
-            let staging_ref = &mut staging;
-            device.launch_named(&self.stream, "pack", self.category, shape, |k| {
-                let src_slice = src_buf.as_slice(&k);
-                let out = staging_ref.as_mut_slice(&k);
-                let mut offset = 0usize;
-                for fill in overlap.dst_boxes.boxes() {
-                    let n = region_threads(*fill);
-                    pack_region(
-                        &mut out[offset..offset + n],
-                        src_slice,
-                        src_dbox,
-                        *fill,
-                        overlap.shift,
-                    );
-                    offset += n;
-                }
-            });
-        }
-        let mut tmp = vec![T::default(); total];
-        device
-            .try_download(&staging, 0, &mut tmp, self.category)
-            .map_err(|e| PatchDataError::Transfer { detail: e.to_string() })?;
-        let mut out = Vec::with_capacity(total * T::BYTES);
-        for v in tmp {
-            v.write_to(&mut out);
-        }
-        Ok(Bytes::from(out))
+        self.pack_impl(overlap, true)
     }
 
     fn try_unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) -> Result<(), PatchDataError> {
-        assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
-        let device = self.buf.device().clone();
-        let total = overlap.num_values() as usize;
-        device.recorder().count("unpack.bytes", (total * T::BYTES) as u64);
-        let mut host = Vec::with_capacity(total);
-        let mut cursor = 0usize;
-        for _ in 0..total {
-            host.push(T::read_from(&stream[cursor..]));
-            cursor += T::BYTES;
-        }
-        let mut staging = device
-            .try_alloc::<T>(total)
-            .map_err(|e| PatchDataError::Allocation { detail: e.to_string() })?;
-        device
-            .try_upload(&mut staging, 0, &host, self.category)
-            .map_err(|e| PatchDataError::Transfer { detail: e.to_string() })?;
-        let dst_dbox = self.dbox;
-        if total > 0 {
-            let shape = KernelShape::streaming(total as i64, 2, 0);
-            self.stream.submit();
-            let dst_buf = &mut self.buf;
-            let staging_ref = &staging;
-            device.launch_named(&self.stream, "unpack", self.category, shape, |k| {
-                let input = staging_ref.as_slice(&k);
-                let dst_slice = dst_buf.as_mut_slice(&k);
-                let mut offset = 0usize;
-                for fill in overlap.dst_boxes.boxes() {
-                    let n = region_threads(*fill);
-                    unpack_region(dst_slice, dst_dbox, &input[offset..offset + n], *fill);
-                    offset += n;
-                }
-            });
-        }
-        Ok(())
+        self.unpack_impl(overlap, stream, true)
     }
 
     fn extend_uncovered(&mut self, covered: &rbamr_geometry::BoxList) {
@@ -383,36 +386,7 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
     }
 
     fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
-        assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
-        let device = self.buf.device().clone();
-        let total = overlap.num_values() as usize;
-        device.recorder().count("unpack.bytes", (total * T::BYTES) as u64);
-        let mut host = Vec::with_capacity(total);
-        let mut cursor = 0usize;
-        for _ in 0..total {
-            host.push(T::read_from(&stream[cursor..]));
-            cursor += T::BYTES;
-        }
-        // One H2D transfer of the packed buffer, then parallel unpack.
-        let mut staging = device.alloc::<T>(total);
-        device.upload(&mut staging, 0, &host, self.category);
-        let dst_dbox = self.dbox;
-        if total > 0 {
-            let shape = KernelShape::streaming(total as i64, 2, 0);
-            self.stream.submit();
-            let dst_buf = &mut self.buf;
-            let staging_ref = &staging;
-            device.launch_named(&self.stream, "unpack", self.category, shape, |k| {
-                let input = staging_ref.as_slice(&k);
-                let dst_slice = dst_buf.as_mut_slice(&k);
-                let mut offset = 0usize;
-                for fill in overlap.dst_boxes.boxes() {
-                    let n = region_threads(*fill);
-                    unpack_region(dst_slice, dst_dbox, &input[offset..offset + n], *fill);
-                    offset += n;
-                }
-            });
-        }
+        self.unpack_impl(overlap, stream, false).expect("latching device ops return no error")
     }
 }
 

@@ -85,9 +85,9 @@ impl Cluster {
         self
     }
 
-    /// Select the execution engine (default [`Engine::EventDriven`]).
-    /// Overridable at runtime via `RBAMR_NETSIM_ENGINE=threads|sched`
-    /// for A/B debugging without recompiling.
+    /// Select the execution engine (default [`Engine::EventDriven`]);
+    /// equivalence tests pin [`Engine::ThreadPerRank`] as the
+    /// independent reference.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -110,11 +110,10 @@ impl Cluster {
         self
     }
 
-    /// Select the collective algorithm policy (default
-    /// [`CollectiveAlgo::RecursiveDoubling`]). Overridable at runtime
-    /// via `RBAMR_NETSIM_COLLECTIVES=flat|rd|tree` for A/B comparisons
-    /// without recompiling; equivalence tests pin
-    /// [`CollectiveAlgo::Flat`] as the oracle.
+    /// Select how payload-moving collectives exchange frames (default
+    /// [`CollectiveAlgo::RecursiveDoubling`]); equivalence tests pin
+    /// [`CollectiveAlgo::Flat`] as the reference. Reductions are
+    /// unaffected.
     pub fn with_collectives(mut self, algo: CollectiveAlgo) -> Self {
         self.collectives = algo;
         self
@@ -139,14 +138,6 @@ impl Cluster {
         &self.cost
     }
 
-    fn resolve_engine(&self) -> Engine {
-        match std::env::var("RBAMR_NETSIM_ENGINE").as_deref() {
-            Ok("threads") | Ok("thread-per-rank") => Engine::ThreadPerRank,
-            Ok("sched") | Ok("event-driven") => Engine::EventDriven,
-            _ => self.engine,
-        }
-    }
-
     fn resolve_workers(&self, nranks: usize) -> usize {
         let configured = std::env::var("RBAMR_NETSIM_WORKERS")
             .ok()
@@ -162,13 +153,6 @@ impl Cluster {
             .and_then(|v| v.parse::<usize>().ok())
             .map(|kb| kb * 1024)
             .or(self.stack_size)
-    }
-
-    fn resolve_collectives(&self) -> CollectiveAlgo {
-        std::env::var("RBAMR_NETSIM_COLLECTIVES")
-            .ok()
-            .and_then(|v| CollectiveAlgo::parse(&v))
-            .unwrap_or(self.collectives)
     }
 
     /// Run `nranks` copies of `f` concurrently and collect their
@@ -191,12 +175,12 @@ impl Cluster {
         F: Fn(Comm) -> R + Sync,
     {
         assert!(nranks > 0, "Cluster::run: need at least one rank");
-        let shared = match self.resolve_engine() {
+        let shared = match self.engine {
             Engine::EventDriven => Shared::new_event_driven(nranks, self.resolve_workers(nranks)),
             Engine::ThreadPerRank => Shared::new_thread_per_rank(nranks, self.deadlock_timeout),
         };
         let stack_size = self.resolve_stack_size();
-        let algo = self.resolve_collectives();
+        let algo = self.collectives;
         type Carried<R> = Result<RankResult<R>, Box<dyn std::any::Any + Send + 'static>>;
         let mut outcomes: Vec<Carried<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..nranks)

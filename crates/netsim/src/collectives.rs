@@ -1,85 +1,67 @@
-//! Pluggable collective algorithms for the simulated communicator.
+//! Collectives of the simulated communicator: what one costs and how
+//! it runs.
 //!
-//! [`Comm`]'s unified collective entry point
-//! ([`Comm::try_collective`]) dispatches on a job-wide
-//! [`CollectiveAlgo`] policy:
+//! # Reductions
 //!
-//! * [`CollectiveAlgo::Flat`] — the original implementations:
-//!   reductions and barriers as shared-memory rendezvous,
-//!   gather/broadcast/allgatherv as flat point-to-point fans (an
-//!   allgatherv is N·(N−1) frames). Kept as the property-tested
-//!   equivalence oracle.
-//! * [`CollectiveAlgo::RecursiveDoubling`] (default) — reductions and
-//!   allgatherv run a recursive-doubling butterfly (⌈log₂N⌉ rounds,
-//!   O(N·log N) frames job-wide); rooted gather/broadcast run a
-//!   binomial tree (N−1 frames, log-depth critical path).
-//! * [`CollectiveAlgo::RootedTree`] — everything is rooted: reductions
-//!   reduce up a binomial tree to rank 0 and broadcast the agreed
-//!   result back down; allgatherv is a tree gather followed by a tree
-//!   broadcast of the assembled segment blob.
+//! Every reduction-shaped collective ([`ReduceSpec::MIN_F64`],
+//! `MAX_F64`, `SUM_F64`, `DIGEST`, `BARRIER`) has one cost and one
+//! execution, both in [`Comm::try_reduce`]:
 //!
-//! Selected per [`crate::Cluster`] via the `RBAMR_NETSIM_COLLECTIVES`
-//! env knob (`flat` / `rd` / `tree`) or
-//! [`crate::Cluster::with_collectives`].
+//! * **Cost model** — `CostModel::allreduce(N, spec.bytes)`, i.e.
+//!   ⌈log₂N⌉ × `message(bytes)`, charged to the caller's category,
+//!   plus one collective causal edge. This is what a log-depth
+//!   butterfly costs on the modelled machine.
+//! * **Execution** — one rendezvous through the engine's shared 3-word
+//!   accumulator. All ranks share an address space, so the butterfly
+//!   is charged, not executed: a reduction puts no frames on the wire.
 //!
-//! Frame complexity per allgatherv at N ranks:
+//! The fault injector is consulted once per call (`CollectiveFault`);
+//! its decision and the dead-rank flag are OR-ed through the
+//! rendezvous, so an injected fault surfaces as the same
+//! [`CommError::CollectiveFault`], and a dead participant as the same
+//! [`CommError::Revoked`], on every rank.
 //!
-//! | algo                | frames       | critical path |
-//! |---------------------|--------------|---------------|
-//! | `Flat`              | N·(N−1)      | 1             |
-//! | `RecursiveDoubling` | ≈ N·⌈log₂N⌉  | ⌈log₂N⌉       |
-//! | `RootedTree`        | 2·(N−1)      | 2·⌈log₂N⌉     |
+//! # Payload-moving collectives
 //!
-//! # Fault discipline
+//! Gather, broadcast and allgatherv move real bytes as ordinary
+//! messages (injector-visible: drops and corruption surface as typed
+//! wire errors under the run-through discipline), dispatched by
+//! [`Comm::try_collective`] on the job's [`CollectiveAlgo`]:
 //!
-//! Reduction-shaped collectives consult the fault injector once per
-//! call (`CollectiveFault`), exactly like the rendezvous path; their
-//! internal butterfly/tree frames bypass the wire-fault injector (a
-//! rendezvous reduce has no frames to drop either) and instead carry a
-//! taint byte OR-ed through the exchange, so an injected fault still
-//! surfaces as the same [`CommError::CollectiveFault`] on every rank.
-//! Payload-moving collectives (gather / broadcast / allgatherv) keep
-//! flat semantics: their internal frames are ordinary messages, so
-//! injected drops and corruption surface as typed wire errors under
-//! the run-through discipline.
+//! | algo                | allgatherv frames | critical path | gather / broadcast |
+//! |---------------------|-------------------|---------------|--------------------|
+//! | `RecursiveDoubling` | ≈ N·⌈log₂N⌉       | ⌈log₂N⌉       | binomial tree, N−1 |
+//! | `Flat`              | N·(N−1)           | 1             | flat fan, N−1      |
+//!
+//! `RecursiveDoubling` is what production runs; `Flat` is reachable
+//! only through [`crate::Cluster::with_collectives`] and is kept as the
+//! reference the equivalence tests and the frames gate compare
+//! against.
 
 use crate::comm::{Comm, CommError};
 use bytes::Bytes;
 use rbamr_perfmodel::Category;
 
-/// Job-wide collective algorithm policy. See the module docs for the
-/// frame-complexity table.
+/// How payload-moving collectives (gather / broadcast / allgatherv)
+/// exchange their frames. See the module docs for the frame-complexity
+/// table. Reductions do not consult it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CollectiveAlgo {
-    /// Original flat implementations (rendezvous reductions,
-    /// all-to-all fans) — the property-tested equivalence oracle.
+    /// Flat point-to-point fans (an allgatherv is N·(N−1) frames) — the
+    /// property-tested reference.
     Flat,
-    /// Recursive-doubling butterfly for reductions and allgatherv,
-    /// binomial tree for rooted gather/broadcast.
+    /// Recursive-doubling butterfly for allgatherv, binomial tree for
+    /// rooted gather/broadcast — production.
     #[default]
     RecursiveDoubling,
-    /// Binomial trees rooted at rank 0 for everything.
-    RootedTree,
-}
-
-impl CollectiveAlgo {
-    /// Parse an `RBAMR_NETSIM_COLLECTIVES` value.
-    pub(crate) fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "flat" => Some(Self::Flat),
-            "rd" | "recursive-doubling" | "log" | "log-depth" => Some(Self::RecursiveDoubling),
-            "tree" | "rooted-tree" => Some(Self::RootedTree),
-            _ => None,
-        }
-    }
 }
 
 /// A reduction over 3-word states. The combine must be commutative, so
-/// every algorithm — and every arrival order — agrees on the result;
-/// non-associative combines (floating-point sum) may differ between
-/// algorithms at roundoff level, exactly as `MPI_SUM` does across MPI
-/// implementations. f64 reductions pack the value's bit pattern into
-/// word 0 (see [`f64_words`]).
+/// every arrival order agrees on the result; non-associative combines
+/// (floating-point sum) may differ between arrival orders at roundoff
+/// level, exactly as `MPI_SUM` does across MPI implementations. f64
+/// reductions pack the value's bit pattern into word 0 (see
+/// [`f64_words`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ReduceSpec {
     /// Collective name for spans, causal edges and error reports.
@@ -97,13 +79,12 @@ impl ReduceSpec {
     /// Global f64 maximum (word 0).
     pub const MAX_F64: Self = Self { name: "allreduce-max", bytes: 8, combine: combine_max_f64 };
     /// Global f64 sum (word 0); accumulation order is
-    /// algorithm-dependent, tolerated as MPI_SUM roundoff.
+    /// arrival-dependent, tolerated as MPI_SUM roundoff.
     pub const SUM_F64: Self = Self { name: "allreduce-sum", bytes: 8, combine: combine_sum_f64 };
     /// Order-independent digest channels `[sum, xor, count]` — the
     /// wire form of `rbamr_geometry::digest::UnorderedDigest`.
     pub const DIGEST: Self = Self { name: "allreduce-digest", bytes: 24, combine: combine_digest };
-    /// Pure synchronisation: no payload, no-op combine. Always runs as
-    /// a rendezvous regardless of the configured algorithm.
+    /// Pure synchronisation: no payload, no-op combine.
     pub const BARRIER: Self = Self { name: "barrier", bytes: 0, combine: combine_barrier };
 }
 
@@ -268,29 +249,6 @@ fn tree_children(rank: usize, root: usize, n: usize) -> Vec<usize> {
     out
 }
 
-/// Reduce frame: `[flags u8][3 × u64 LE]` (25 bytes). Flag bit 0 is
-/// the injected-fault taint, bit 1 the dead-rank revocation taint —
-/// both OR-ed through the butterfly/tree exchange so they surface
-/// symmetrically on every surviving rank.
-fn encode_reduce(taint: bool, revoked: bool, words: [u64; 3]) -> Bytes {
-    let mut v = Vec::with_capacity(25);
-    v.push(taint as u8 | (revoked as u8) << 1);
-    for w in words {
-        v.extend_from_slice(&w.to_le_bytes());
-    }
-    Bytes::from(v)
-}
-
-fn decode_reduce(frame: &Bytes) -> (bool, bool, [u64; 3]) {
-    assert_eq!(frame.len(), 25, "reduce frame: malformed length");
-    let mut words = [0u64; 3];
-    for (i, w) in words.iter_mut().enumerate() {
-        let at = 1 + 8 * i;
-        *w = u64::from_le_bytes(frame[at..at + 8].try_into().expect("8-byte word"));
-    }
-    (frame[0] & 1 != 0, frame[0] & 2 != 0, words)
-}
-
 /// Segment frame: `[taint u8][nseg u32 LE][(rank u32, len u32) ×
 /// nseg][payloads…]`. Decoded payloads are zero-copy slices of the
 /// received frame.
@@ -323,154 +281,6 @@ fn decode_segments(frame: &Bytes) -> (bool, Vec<(usize, Bytes)>) {
         off += len;
     }
     (frame[0] != 0, segments)
-}
-
-fn finish_reduce(
-    name: &'static str,
-    taint: bool,
-    revoked: bool,
-    acc: [u64; 3],
-) -> Result<[u64; 3], CommError> {
-    // Revocation outranks an injected taint: a result missing a dead
-    // rank's contribution must not be acted on at all.
-    if revoked {
-        Err(CommError::Revoked { name })
-    } else if taint {
-        Err(CommError::CollectiveFault { name })
-    } else {
-        Ok(acc)
-    }
-}
-
-/// Recursive-doubling allreduce: extras (ranks ≥ 2^⌊log₂n⌋) hand their
-/// contribution to a proxy, the power-of-two core runs the log₂
-/// butterfly, proxies send the final state back. Every rank's result
-/// incorporates every contribution via pairwise exchanges of identical
-/// sub-results, so commutative combines agree bit-exactly on all
-/// ranks; the taint flag rides the same exchange, so an injected fault
-/// surfaces symmetrically.
-pub(crate) fn rd_reduce(
-    comm: &Comm,
-    spec: ReduceSpec,
-    words: [u64; 3],
-    injected: bool,
-    category: Category,
-) -> Result<[u64; 3], CommError> {
-    let n = comm.size();
-    let rank = comm.rank();
-    let tag = comm.next_collective_tag();
-    let p = pow2_floor(n);
-    let extras = n - p;
-    let mut taint = injected;
-    let mut revoked = false;
-    let mut acc = words;
-    // A dead peer severs its exchange edge: the receive fails typed
-    // (RankDead), the local partial stands, and the revocation bit
-    // travels every remaining edge — the information-flow graph of the
-    // butterfly reaches all survivors, so every one of them reports the
-    // same Revoked verdict instead of hanging or diverging.
-    if rank >= p {
-        let proxy = rank - p;
-        comm.send_exempt(proxy, tag, encode_reduce(taint, revoked, acc));
-        let (t, rv, w) = match comm.recv_exempt(proxy, tag, category) {
-            Ok(frame) => decode_reduce(&frame),
-            Err(CommError::RankDead { .. }) => (taint, true, acc),
-            Err(e) => return Err(e),
-        };
-        return finish_reduce(spec.name, t, rv, w);
-    }
-    if rank < extras {
-        match comm.recv_exempt(rank + p, tag, category) {
-            Ok(frame) => {
-                let (t, rv, w) = decode_reduce(&frame);
-                taint |= t;
-                revoked |= rv;
-                (spec.combine)(&mut acc, w);
-            }
-            Err(CommError::RankDead { .. }) => revoked = true,
-            Err(e) => return Err(e),
-        }
-    }
-    let mut k = 1;
-    while k < p {
-        let partner = rank ^ k;
-        comm.send_exempt(partner, tag, encode_reduce(taint, revoked, acc));
-        match comm.recv_exempt(partner, tag, category) {
-            Ok(frame) => {
-                let (t, rv, w) = decode_reduce(&frame);
-                taint |= t;
-                revoked |= rv;
-                (spec.combine)(&mut acc, w);
-            }
-            Err(CommError::RankDead { .. }) => revoked = true,
-            Err(e) => return Err(e),
-        }
-        k <<= 1;
-    }
-    if rank < extras {
-        comm.send_exempt(rank + p, tag, encode_reduce(taint, revoked, acc));
-    }
-    finish_reduce(spec.name, taint, revoked, acc)
-}
-
-/// Rooted-tree allreduce: reduce up a binomial tree to rank 0, then
-/// broadcast the root's result (and aggregate taint) back down —
-/// trivially agreed since one rank computed it.
-pub(crate) fn tree_reduce(
-    comm: &Comm,
-    spec: ReduceSpec,
-    words: [u64; 3],
-    injected: bool,
-    category: Category,
-) -> Result<[u64; 3], CommError> {
-    let n = comm.size();
-    let rank = comm.rank();
-    let up = comm.next_collective_tag();
-    let down = comm.next_collective_tag();
-    let mut taint = injected;
-    let mut revoked = false;
-    let mut acc = words;
-    let children = tree_children(rank, 0, n);
-    // Dead-rank discipline: a dead child severs its up edge (the
-    // parent's partial is revoked, and the bit rides up to the root and
-    // back down); a dead parent severs the down edge (this subtree
-    // keeps its local partial, revoked). Either way every survivor
-    // reports Revoked — no rank hangs, no two ranks return different
-    // Ok values.
-    for &c in &children {
-        match comm.recv_exempt(c, up, category) {
-            Ok(frame) => {
-                let (t, rv, w) = decode_reduce(&frame);
-                taint |= t;
-                revoked |= rv;
-                (spec.combine)(&mut acc, w);
-            }
-            Err(CommError::RankDead { .. }) => revoked = true,
-            Err(e) => return Err(e),
-        }
-    }
-    if rank != 0 {
-        let parent = tree_parent(rank, 0, n);
-        comm.send_exempt(parent, up, encode_reduce(taint, revoked, acc));
-        // The root's answer supersedes the local partial (its taint
-        // already includes ours, which went up with the partial) —
-        // unless the parent died, in which case the local partial
-        // stands, revoked.
-        match comm.recv_exempt(parent, down, category) {
-            Ok(frame) => {
-                let (t, rv, w) = decode_reduce(&frame);
-                taint = t;
-                revoked |= rv;
-                acc = w;
-            }
-            Err(CommError::RankDead { .. }) => revoked = true,
-            Err(e) => return Err(e),
-        }
-    }
-    for &c in &children {
-        comm.send_exempt(c, down, encode_reduce(taint, revoked, acc));
-    }
-    finish_reduce(spec.name, taint, revoked, acc)
 }
 
 /// Binomial-tree gather: each rank merges its subtree's `(rank,
@@ -670,62 +480,6 @@ pub(crate) fn rd_allgatherv(
     finish_allgatherv(comm, parts, taint, first_err)
 }
 
-/// Tree allgatherv: gather the per-rank segments up a binomial tree to
-/// rank 0, then broadcast the assembled blob back down — 2·(N−1)
-/// frames job-wide.
-pub(crate) fn tree_allgatherv(
-    comm: &Comm,
-    payload: Bytes,
-    category: Category,
-) -> Result<Vec<Bytes>, CommError> {
-    let n = comm.size();
-    let rank = comm.rank();
-    let up = comm.next_collective_tag();
-    let down = comm.next_collective_tag();
-    let root = 0usize;
-    let mut taint = false;
-    let mut first_err = None;
-    let mut segments: Vec<(usize, Bytes)> = vec![(rank, payload)];
-    for c in tree_children(rank, root, n) {
-        match comm.try_recv(c, up, category) {
-            Ok(frame) => {
-                let (t, segs) = decode_segments(&frame);
-                taint |= t;
-                segments.extend(segs);
-            }
-            Err(e) => {
-                taint = true;
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    if rank != root {
-        comm.send(tree_parent(rank, root, n), up, encode_segments(taint, &segments));
-    }
-    let blob = if rank == root {
-        encode_segments(taint, &segments)
-    } else {
-        match comm.try_recv(tree_parent(rank, root, n), down, category) {
-            Ok(frame) => frame,
-            Err(e) => {
-                taint = true;
-                first_err.get_or_insert(e);
-                encode_segments(true, &[])
-            }
-        }
-    };
-    for c in tree_children(rank, root, n) {
-        comm.send(c, down, blob.clone());
-    }
-    let mut parts: Vec<Option<Bytes>> = vec![None; n];
-    let (t, segs) = decode_segments(&blob);
-    taint |= t;
-    for (r, b) in segs {
-        parts[r] = Some(b);
-    }
-    finish_allgatherv(comm, parts, taint, first_err)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,18 +512,6 @@ mod tests {
                     }
                 }
                 assert!(reached.iter().all(|&x| x), "tree must span all {n} ranks");
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_frame_roundtrip() {
-        let words = [u64::MAX, 0x1234_5678_9abc_def0, 7];
-        for taint in [false, true] {
-            for revoked in [false, true] {
-                let frame = encode_reduce(taint, revoked, words);
-                assert_eq!(frame.len(), 25);
-                assert_eq!(decode_reduce(&frame), (taint, revoked, words));
             }
         }
     }

@@ -621,7 +621,7 @@ impl Comm {
         &self.cost
     }
 
-    /// The job-wide collective algorithm this communicator dispatches
+    /// The payload-collective algorithm this communicator dispatches
     /// on (see [`crate::Cluster::with_collectives`]).
     pub fn collective_algo(&self) -> CollectiveAlgo {
         self.algo
@@ -665,7 +665,21 @@ impl Comm {
     /// through the network layer), or with a [`PeerPanicked`] payload
     /// if the job was poisoned by a peer's panic.
     pub fn send(&self, dst: usize, tag: u64, payload: Bytes) {
-        self.send_inner(dst, tag, payload, false);
+        assert!(dst < self.size(), "send: rank {dst} out of range");
+        let dst = self.physical(dst);
+        assert_ne!(dst, self.rank, "send: rank {} sent to itself", self.logical_rank);
+        self.count_message(true, tag, payload.len() as u64);
+        if self.recorder.is_enabled() {
+            let occ = next_occurrence(&self.send_seq, dst, tag);
+            self.recorder.edge_send(dst, tag, occ, payload.len() as u64, Category::Other);
+        }
+        let (flag, body) = self.frame_for_send(payload);
+        let mut framed = Vec::with_capacity(body.len() + 1);
+        framed.push(flag);
+        framed.extend_from_slice(&body);
+        if let Err(p) = self.shared.push_frame(self.rank, dst, tag, Bytes::from(framed)) {
+            std::panic::panic_any(p);
+        }
     }
 
     /// Dead-rank-aware send: like [`Comm::send`] but returns a typed
@@ -682,34 +696,8 @@ impl Comm {
         if self.shared.is_dead(self.physical(dst)) {
             return Err(CommError::RankDead { rank: dst });
         }
-        self.send_inner(dst, tag, payload, false);
+        self.send(dst, tag, payload);
         Ok(())
-    }
-
-    /// Buffered send for reduce-internal collective frames: identical
-    /// to [`Comm::send`] except the wire-fault injector is never
-    /// consulted (a rendezvous reduce has no frames to drop either;
-    /// injected collective faults ride the frames as a taint byte).
-    pub(crate) fn send_exempt(&self, dst: usize, tag: u64, payload: Bytes) {
-        self.send_inner(dst, tag, payload, true);
-    }
-
-    fn send_inner(&self, dst: usize, tag: u64, payload: Bytes, exempt: bool) {
-        assert!(dst < self.size(), "send: rank {dst} out of range");
-        let dst = self.physical(dst);
-        assert_ne!(dst, self.rank, "send: rank {} sent to itself", self.logical_rank);
-        self.count_message(true, tag, payload.len() as u64);
-        if self.recorder.is_enabled() {
-            let occ = next_occurrence(&self.send_seq, dst, tag);
-            self.recorder.edge_send(dst, tag, occ, payload.len() as u64, Category::Other);
-        }
-        let (flag, body) = if exempt { (FLAG_OK, payload) } else { self.frame_for_send(payload) };
-        let mut framed = Vec::with_capacity(body.len() + 1);
-        framed.push(flag);
-        framed.extend_from_slice(&body);
-        if let Err(p) = self.shared.push_frame(self.rank, dst, tag, Bytes::from(framed)) {
-            std::panic::panic_any(p);
-        }
     }
 
     /// Blocking receive of the next message from `src` with `tag`.
@@ -728,29 +716,6 @@ impl Comm {
     /// engine, wall-clock timeout on the thread-per-rank oracle; both
     /// dump every rank's pending op), or if `src` is invalid.
     pub fn try_recv(&self, src: usize, tag: u64, category: Category) -> Result<Bytes, CommError> {
-        self.try_recv_inner(src, tag, category, false)
-    }
-
-    /// Blocking receive for reduce-internal collective frames:
-    /// identical to [`Comm::try_recv`] except the wire-fault injector
-    /// is never consulted, so the only possible error is
-    /// [`CommError::PeerPanicked`]. See [`Comm::send_exempt`].
-    pub(crate) fn recv_exempt(
-        &self,
-        src: usize,
-        tag: u64,
-        category: Category,
-    ) -> Result<Bytes, CommError> {
-        self.try_recv_inner(src, tag, category, true)
-    }
-
-    fn try_recv_inner(
-        &self,
-        src: usize,
-        tag: u64,
-        category: Category,
-        exempt: bool,
-    ) -> Result<Bytes, CommError> {
         assert!(src < self.size(), "recv: rank {src} out of range");
         let logical_src = src;
         let src = self.physical(src);
@@ -768,20 +733,17 @@ impl Comm {
         let payload = frame.slice(1..);
         let bytes = payload.len() as u64;
         let mut transfer = self.cost.message(bytes);
-        if !exempt {
-            if let Some(inj) = &self.injector {
-                if let Some(site) = inj.should_fire(FaultKind::MsgDelay) {
-                    self.recorder.count("fault.injected", 1);
-                    // A deterministic 1-8x message-cost stall:
-                    // congestion, retransmission, a slow NIC — no data
-                    // harm done.
-                    let w = inj.decision_word(FaultKind::MsgDelay, site.occurrence);
-                    let factor = 1 + (w % 8);
-                    transfer += self.cost.message(bytes) * factor as f64;
-                }
+        if let Some(inj) = &self.injector {
+            if let Some(site) = inj.should_fire(FaultKind::MsgDelay) {
+                self.recorder.count("fault.injected", 1);
+                // A deterministic 1-8x message-cost stall: congestion,
+                // retransmission, a slow NIC — no data harm done.
+                let w = inj.decision_word(FaultKind::MsgDelay, site.occurrence);
+                let factor = 1 + (w % 8);
+                transfer += self.cost.message(bytes) * factor as f64;
             }
         }
-        if !exempt {
+        {
             // Consume banked comm/compute overlap credit: the part of
             // the transfer that demonstrably overlapped compute is not
             // charged (and not recorded as an exposed edge cost).
@@ -818,13 +780,14 @@ impl Comm {
         self.try_recv(src, tag, category).unwrap_or_else(|e| escalate("recv", e))
     }
 
-    /// Run one collective under the job's configured
-    /// [`CollectiveAlgo`]. This is the single fallible entry point
+    /// Run one collective. This is the single fallible entry point
     /// behind every named collective on `Comm`: the op carries the
-    /// reduction/concatenation semantics, the policy picks the
-    /// algorithm, and the output variant mirrors the op. An injected
+    /// reduction/concatenation semantics and the output variant
+    /// mirrors the op. Reductions are one rendezvous (see
+    /// [`Comm::try_reduce`]); payload-moving ops are messages under the
+    /// job's [`CollectiveAlgo`]. An injected
     /// [`CommError::CollectiveFault`] on a reduction surfaces
-    /// symmetrically on every rank under every algorithm.
+    /// symmetrically on every rank.
     pub fn try_collective(
         &self,
         op: CollectiveOp,
@@ -843,9 +806,6 @@ impl Comm {
                     CollectiveAlgo::RecursiveDoubling => {
                         collectives::rd_allgatherv(self, payload, category)
                     }
-                    CollectiveAlgo::RootedTree => {
-                        collectives::tree_allgatherv(self, payload, category)
-                    }
                 }
                 .map(CollectiveOutput::Gathered)
             }
@@ -855,7 +815,9 @@ impl Comm {
                 self.recorder.count("net.collectives", 1);
                 match self.algo {
                     CollectiveAlgo::Flat => self.flat_gather(root, payload, category),
-                    _ => collectives::tree_gather(self, root, payload, category),
+                    CollectiveAlgo::RecursiveDoubling => {
+                        collectives::tree_gather(self, root, payload, category)
+                    }
                 }
                 .map(CollectiveOutput::GatheredAtRoot)
             }
@@ -865,7 +827,9 @@ impl Comm {
                 self.recorder.count("net.collectives", 1);
                 match self.algo {
                     CollectiveAlgo::Flat => self.flat_broadcast(root, payload, category),
-                    _ => collectives::tree_broadcast(self, root, payload, category),
+                    CollectiveAlgo::RecursiveDoubling => {
+                        collectives::tree_broadcast(self, root, payload, category)
+                    }
                 }
                 .map(CollectiveOutput::Broadcast)
             }
@@ -883,11 +847,16 @@ impl Comm {
         self.try_collective(op, category).unwrap_or_else(|e| escalate(name, e))
     }
 
-    /// Allreduce of a 3-word state. Rendezvous-based under
-    /// [`CollectiveAlgo::Flat`] (and always for barriers);
-    /// message-based butterfly/tree otherwise, with the injected-fault
-    /// decision carried as a taint flag so every rank reports the same
-    /// [`CommError::CollectiveFault`].
+    /// Allreduce of a 3-word state — the one execution of every
+    /// reduction-shaped collective (barriers included). *Cost*: the
+    /// caller's clock is charged [`CostModel::allreduce`]
+    /// (⌈log₂N⌉ × `message(spec.bytes)`) to `category` and one
+    /// collective causal edge is emitted. *Execution*: one rendezvous
+    /// through the engine's shared 3-word accumulator, no frames on the
+    /// wire. The injected-fault decision (consulted once per call) and
+    /// the dead-rank flag are OR-ed through the same rendezvous, so
+    /// every rank reports the same [`CommError::CollectiveFault`] /
+    /// [`CommError::Revoked`].
     fn try_reduce(
         &self,
         spec: ReduceSpec,
@@ -898,16 +867,10 @@ impl Comm {
         let _span = self.recorder.is_enabled().then(|| self.recorder.span(name, category));
         self.recorder.count("net.collectives", 1);
         self.recorder.count("net.collective_bytes", spec.bytes);
-        // A barrier moves no data, so a log-depth exchange would only
-        // add empty frames: every algorithm runs it as a rendezvous.
-        let rendezvous = self.algo == CollectiveAlgo::Flat || spec.bytes == 0;
-        if rendezvous {
-            let nranks = self.size() as u32;
-            let cost = self.cost.allreduce(nranks, spec.bytes);
-            self.clock.advance(category, cost);
-            let cseq = self.rendezvous_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.recorder.edge_collective(name, cseq, spec.bytes, cost, category);
-        }
+        let cost = self.cost.allreduce(self.size() as u32, spec.bytes);
+        self.clock.advance(category, cost);
+        let cseq = self.rendezvous_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.recorder.edge_collective(name, cseq, spec.bytes, cost, category);
         let injected =
             self.injector.as_ref().and_then(|i| i.should_fire(FaultKind::CollectiveFault));
         if injected.is_some() {
@@ -920,36 +883,25 @@ impl Comm {
                 Ok(words)
             };
         }
-        if rendezvous {
-            let (result, result_fault, result_revoked) = match self.shared.rendezvous(
-                self.rank,
-                name,
-                category,
-                words,
-                spec.combine,
-                injected.is_some(),
-            ) {
-                Ok(out) => out,
-                Err(p) => return Err(CommError::PeerPanicked { origin: p.origin }),
-            };
-            // Revocation outranks an injected taint: a result missing a
-            // dead rank's contribution must not be acted on at all.
-            return if result_revoked {
-                Err(CommError::Revoked { name })
-            } else if result_fault {
-                Err(CommError::CollectiveFault { name })
-            } else {
-                Ok(result)
-            };
-        }
-        match self.algo {
-            CollectiveAlgo::RecursiveDoubling => {
-                collectives::rd_reduce(self, spec, words, injected.is_some(), category)
-            }
-            CollectiveAlgo::RootedTree => {
-                collectives::tree_reduce(self, spec, words, injected.is_some(), category)
-            }
-            CollectiveAlgo::Flat => unreachable!("flat reduces take the rendezvous path"),
+        let (result, result_fault, result_revoked) = match self.shared.rendezvous(
+            self.rank,
+            name,
+            category,
+            words,
+            spec.combine,
+            injected.is_some(),
+        ) {
+            Ok(out) => out,
+            Err(p) => return Err(CommError::PeerPanicked { origin: p.origin }),
+        };
+        // Revocation outranks an injected taint: a result missing a
+        // dead rank's contribution must not be acted on at all.
+        if result_revoked {
+            Err(CommError::Revoked { name })
+        } else if result_fault {
+            Err(CommError::CollectiveFault { name })
+        } else {
+            Ok(result)
         }
     }
 
@@ -998,9 +950,8 @@ impl Comm {
     /// Thin wrapper over [`Comm::collective`] with
     /// [`ReduceSpec::SUM_F64`].
     ///
-    /// The accumulation order is algorithm- and arrival-order
-    /// dependent; diagnostics tolerate roundoff-level variation
-    /// exactly as MPI_SUM does.
+    /// The accumulation order is arrival-order dependent; diagnostics
+    /// tolerate roundoff-level variation exactly as MPI_SUM does.
     pub fn allreduce_sum(&self, v: f64, category: Category) -> f64 {
         self.reduce_f64(ReduceSpec::SUM_F64, v, category)
     }
@@ -1011,8 +962,7 @@ impl Comm {
     }
 
     /// Synchronise all ranks. Thin wrapper over [`Comm::collective`]
-    /// with [`ReduceSpec::BARRIER`] (a rendezvous under every
-    /// algorithm — there is no payload to pipeline).
+    /// with [`ReduceSpec::BARRIER`].
     pub fn barrier(&self, category: Category) {
         self.reduce_f64(ReduceSpec::BARRIER, 0.0, category);
     }
@@ -1029,9 +979,8 @@ impl Comm {
     /// partial digests this way yields the digest a single rank would
     /// compute over the union of all items — the consistency handshake
     /// for partitioned level metadata. The combine is commutative and
-    /// associative, so no algorithm or arrival order can change the
-    /// result. Thin wrapper over [`Comm::collective`] with
-    /// [`ReduceSpec::DIGEST`].
+    /// associative, so no arrival order can change the result. Thin
+    /// wrapper over [`Comm::collective`] with [`ReduceSpec::DIGEST`].
     pub fn allreduce_digest(&self, words: [u64; 3], category: Category) -> [u64; 3] {
         self.try_reduce(ReduceSpec::DIGEST, words, category)
             .unwrap_or_else(|e| escalate("allreduce-digest", e))
@@ -1056,7 +1005,7 @@ impl Comm {
 
     /// Gather every rank's payload at `root` (returns `Some(payloads)`,
     /// indexed by rank, at the root; `None` elsewhere). A binomial tree
-    /// under the log-depth algorithms, a flat fan into the root under
+    /// in production, a flat fan into the root under
     /// [`CollectiveAlgo::Flat`]. Thin wrapper over
     /// [`Comm::collective`] with [`CollectiveOp::Gather`].
     ///
@@ -1121,8 +1070,8 @@ impl Comm {
 
     /// Broadcast from `root`: the root passes `Some(payload)`, everyone
     /// else passes `None` and receives the root's bytes. A binomial
-    /// tree under the log-depth algorithms, a flat fan out of the root
-    /// under [`CollectiveAlgo::Flat`]. Thin wrapper over
+    /// tree in production, a flat fan out of the root under
+    /// [`CollectiveAlgo::Flat`]. Thin wrapper over
     /// [`Comm::try_collective`] with [`CollectiveOp::Broadcast`].
     ///
     /// # Errors
@@ -1180,9 +1129,9 @@ impl Comm {
     /// that fetches partitioned level metadata: each rank publishes its
     /// owned box records and assembles the global view locally.
     ///
-    /// A recursive-doubling butterfly (≈ N·⌈log₂N⌉ frames) or rooted
-    /// tree under the log-depth algorithms; the flat all-to-all fan
-    /// (N·(N−1) frames) under [`CollectiveAlgo::Flat`]. Thin wrapper
+    /// A recursive-doubling butterfly (≈ N·⌈log₂N⌉ frames) in
+    /// production; the flat all-to-all fan (N·(N−1) frames) under
+    /// [`CollectiveAlgo::Flat`]. Thin wrapper
     /// over [`Comm::collective`] with [`CollectiveOp::AllGather`].
     ///
     /// # Panics
@@ -1520,8 +1469,8 @@ mod tests {
     fn collective_point_to_point_traffic_lands_in_kind15() {
         // Pinned to Flat: the flat fan moves exactly the logical
         // payload bytes per frame, so the kind-15 counters are the
-        // payload sizes. Log-depth algorithms add segment headers and
-        // taint bytes (covered by the cross-algo equivalence tests).
+        // payload sizes. The log-depth exchange adds segment headers
+        // and taint bytes (covered by the cross-algo equivalence tests).
         let results = cluster().with_collectives(CollectiveAlgo::Flat).run(2, |comm| {
             let clock = comm.clock().clone();
             let mut comm = comm;
@@ -1553,10 +1502,7 @@ mod tests {
 
     #[test]
     fn edge_events_match_across_ranks_and_feed_causal_analysis() {
-        // Pinned to Flat so the allreduce is a rendezvous emitting one
-        // collective edge and no frames; under the log-depth default
-        // it would emit send/recv edges instead.
-        let results = cluster().with_collectives(CollectiveAlgo::Flat).run(2, |comm| {
+        let results = cluster().run(2, |comm| {
             let clock = comm.clock().clone();
             let mut comm = comm;
             let rec = Recorder::new(comm.rank(), clock);
@@ -1659,24 +1605,6 @@ mod tests {
             }
         });
         assert_eq!(results[1].value, Err(CommError::MessageCorrupt { src: 0, dst: 1, tag: 5 }));
-    }
-
-    #[test]
-    fn injected_collective_fault_is_symmetric() {
-        let plan = FaultPlan::new(11, vec![FaultRule::once_on(FaultKind::CollectiveFault, 1, 0)]);
-        let results = cluster().with_fault_plan(plan).run(3, |comm| {
-            let bad = comm.try_allreduce_min(comm.rank() as f64, Category::Timestep);
-            let good = comm.try_allreduce_min(comm.rank() as f64, Category::Timestep);
-            (bad, good)
-        });
-        for r in &results {
-            assert_eq!(
-                r.value.0,
-                Err(CommError::CollectiveFault { name: "allreduce-min" }),
-                "every rank observes the same collective fault"
-            );
-            assert_eq!(r.value.1, Ok(0.0), "the next collective is clean");
-        }
     }
 
     #[test]
@@ -1936,26 +1864,6 @@ mod tests {
             start.elapsed() < Duration::from_secs(30),
             "dead-rank detection must be structural, not a deadlock timeout"
         );
-    }
-
-    #[test]
-    fn collective_with_dead_rank_is_revoked_on_every_survivor() {
-        let results = cluster().run(3, |comm| {
-            if comm.rank() == 2 {
-                comm.mark_dead();
-                return None;
-            }
-            // Whether the death lands before the survivors enter the
-            // collective or mid-rendezvous, both survivors observe the
-            // same revocation instead of a result or a hang.
-            Some(comm.try_allreduce_min(comm.rank() as f64, Category::Timestep))
-        });
-        for rank in [0, 1] {
-            match results[rank].value {
-                Some(Err(CommError::Revoked { name })) => assert_eq!(name, "allreduce-min"),
-                ref other => panic!("rank {rank}: expected Revoked, got {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -22,23 +22,24 @@
 //! oracle; both engines are required (and property-tested) to produce
 //! bitwise-identical results, causal edge streams, and virtual clocks.
 //!
-//! Collectives are *algorithms* selected through [`collectives`]: the
-//! log-depth default (recursive doubling, with a rooted binomial tree
-//! and the flat O(N²) oracle as alternatives — see
-//! [`CollectiveAlgo`]), all reachable through the unified
-//! [`Comm::collective`] entry point that the named wrappers delegate
-//! to.
+//! Collectives go through the unified [`Comm::collective`] entry
+//! point that the named wrappers delegate to (see [`collectives`]).
+//! Reductions and barriers are one rendezvous through a shared 3-word
+//! accumulator, charged at the log-depth cost; payload-moving
+//! collectives (gather / broadcast / allgatherv) are messages —
+//! log-depth in production, with the flat O(N²) fans kept as the test
+//! reference ([`CollectiveAlgo`]).
 //!
 //! Every communication operation also advances the calling rank's
 //! virtual [`rbamr_perfmodel::Clock`] using the bound machine's
 //! [`rbamr_perfmodel::CostModel`]:
 //! point-to-point messages are charged to the receiver
-//! (`latency + bytes/bandwidth`); rendezvous collectives are charged
-//! `ceil(log2 P)` message steps to every participant, while
-//! message-based collective algorithms charge their real per-frame
-//! receive costs. This is what turns
-//! a run on this single box into the strong/weak-scaling curves of
-//! Figures 10 and 11. Virtual time never depends on wall-clock
+//! (`latency + bytes/bandwidth`); reductions are charged
+//! `ceil(log2 P)` message steps to every participant
+//! ([`rbamr_perfmodel::CostModel::allreduce`]), while payload-moving
+//! collectives charge their real per-frame receive costs. This is what
+//! turns a run on this single box into the strong/weak-scaling curves
+//! of Figures 10 and 11. Virtual time never depends on wall-clock
 //! scheduling, so the engine choice cannot change any metric.
 
 pub mod cluster;

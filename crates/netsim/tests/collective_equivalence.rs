@@ -1,47 +1,56 @@
-//! Collective-algorithm equivalence: `Flat` is the semantic oracle;
-//! the log-depth algorithms (`RecursiveDoubling`, `RootedTree`) must
-//! reproduce its observable results exactly.
+//! Collective correctness on both engines.
 //!
-//! Random collective scripts run under all three algorithms and every
-//! *semantic* observable is required to be byte-identical: reduction
-//! results (compared as bit patterns), digest words, gathered /
-//! broadcast payload bytes, and the algorithm-independent accounting
-//! counters (`net.collectives`, `net.collective_bytes`). Wire-level
+//! *Reductions* have one execution (a rendezvous charged at the
+//! log-depth cost), so there is no second algorithm to diff against:
+//! every result is checked against the value folded directly from the
+//! script, and every call is checked for what it must and must not do —
+//! no frame on the wire, exactly one `net.collectives` and one
+//! collective causal edge, a clock advance of exactly
+//! `CostModel::allreduce(n, spec.bytes)`. `allreduce-sum` contributions
+//! are integer-valued so the arrival-order fold is exact.
+//!
+//! *Payload-moving* collectives (gather / broadcast / allgatherv) run
+//! as messages under two algorithms: `Flat` is the semantic reference,
+//! `RecursiveDoubling` (production) must reproduce its gathered /
+//! broadcast bytes and logical accounting counters exactly. Wire-level
 //! observables (frame counts, causal edges, virtual time) legitimately
-//! differ across algorithms, so those are checked for *per-algorithm*
-//! self-consistency instead: the event-driven scheduler must match the
-//! thread-per-rank oracle counter-for-counter and edge-for-edge under
-//! each algorithm, and every algorithm's causal edge stream must form
-//! a complete DAG (no unmatched sends, no stalls).
-//!
-//! `allreduce-sum` contributions are integer-valued so that the
-//! differing association orders (arrival order under `Flat`, pairwise
-//! butterfly under recursive doubling, tree order under `RootedTree`)
-//! produce bit-identical f64 sums.
+//! differ, so those are checked for *per-algorithm* self-consistency:
+//! the event-driven scheduler must match the thread-per-rank engine
+//! counter-for-counter and edge-for-edge, and the causal edge stream
+//! must form a complete DAG (no unmatched sends, no stalls).
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rbamr_netsim::{Cluster, CollectiveAlgo, Engine};
+use rbamr_netsim::{
+    Cluster, CollectiveAlgo, CollectiveOp, Comm, CommError, Engine, FaultKind, FaultPlan,
+    FaultRule, ReduceSpec,
+};
 use rbamr_perfmodel::{Category, Machine, TimeBreakdown};
 use rbamr_telemetry::Recorder;
 
 /// One collective in a script; roots are picked modulo the rank count.
 #[derive(Clone, Debug)]
 enum Op {
-    Min,
-    Max,
-    SumInt,
-    Digest,
-    Barrier,
+    Reduce(Red),
     AllGather,
     Gather { root_pick: usize },
     Broadcast { root_pick: usize },
 }
 
+/// The reduction-shaped collectives, one per [`ReduceSpec`] constant.
+#[derive(Clone, Copy, Debug)]
+enum Red {
+    Min,
+    Max,
+    SumInt,
+    Digest,
+    Barrier,
+}
+
 /// What a rank observed *semantically* — identical across algorithms.
 #[derive(Debug, PartialEq)]
 struct Semantics {
-    /// Bit patterns of every reduction result / digest word.
+    /// The three result words of every reduction, in script order.
     collective_bits: Vec<u64>,
     /// FNV-1a over every gathered / broadcast payload, in order.
     payload_digest: u64,
@@ -79,6 +88,70 @@ fn payload_for(rank: usize, i: usize) -> Bytes {
     Bytes::from(vec![(rank * 31 + i + 1) as u8; len])
 }
 
+/// The reduction `red` issues at script position `i` on rank `r`:
+/// spec, this rank's contribution, charged category.
+fn reduction(red: Red, r: usize, i: usize) -> (ReduceSpec, [u64; 3], Category) {
+    let f = |v: f64| [v.to_bits(), 0, 0];
+    match red {
+        Red::Min => (ReduceSpec::MIN_F64, f(r as f64 - i as f64 * 0.5), Category::Timestep),
+        Red::Max => (ReduceSpec::MAX_F64, f((r * 2) as f64 + i as f64), Category::Timestep),
+        // Integer-valued so the sum is exact under any arrival order.
+        Red::SumInt => (ReduceSpec::SUM_F64, f((r + i) as f64), Category::Other),
+        Red::Digest => (
+            ReduceSpec::DIGEST,
+            [(r * 3 + i) as u64, 1u64 << (r % 64), r as u64 + 1],
+            Category::Regrid,
+        ),
+        Red::Barrier => (ReduceSpec::BARRIER, [0; 3], Category::Other),
+    }
+}
+
+/// The agreed result of `red` at position `i` over `n` ranks, folded
+/// serially from the script with std arithmetic — independent of the
+/// communicator and of `ReduceSpec::combine`.
+fn expected_reduction(red: Red, n: usize, i: usize) -> [u64; 3] {
+    let words: Vec<[u64; 3]> = (0..n).map(|r| reduction(red, r, i).1).collect();
+    let f64s = || words.iter().map(|w| f64::from_bits(w[0]));
+    match red {
+        Red::Min => [f64s().fold(f64::INFINITY, f64::min).to_bits(), 0, 0],
+        Red::Max => [f64s().fold(f64::NEG_INFINITY, f64::max).to_bits(), 0, 0],
+        Red::SumInt => [f64s().sum::<f64>().to_bits(), 0, 0],
+        Red::Digest => words
+            .iter()
+            .fold([0; 3], |a, w| [a[0].wrapping_add(w[0]), a[1] ^ w[1], a[2].wrapping_add(w[2])]),
+        Red::Barrier => [0; 3],
+    }
+}
+
+/// Issue one reduction and assert the per-call contract: nothing on the
+/// wire, one collective counted and one collective edge, and the
+/// clock advanced by exactly the modelled log-depth cost.
+fn checked_reduce(
+    comm: &Comm,
+    rec: &Recorder,
+    spec: ReduceSpec,
+    words: [u64; 3],
+    category: Category,
+) -> [u64; 3] {
+    const WATCHED: [&str; 4] =
+        ["net.sends", "net.sends.kind15", "net.collectives", "net.edge.collectives"];
+    let before = WATCHED.map(|k| rec.counter(k));
+    let clock_before = comm.clock().snapshot().get(category);
+    let out = comm.collective(CollectiveOp::Reduce { spec, words }, category).reduced();
+    let delta: Vec<u64> = WATCHED.iter().zip(before).map(|(k, b)| rec.counter(k) - b).collect();
+    assert_eq!(delta, [0, 0, 1, 1], "{}: counter deltas for {WATCHED:?}", spec.name);
+    let cost = comm.cost_model().allreduce(comm.size() as u32, spec.bytes);
+    assert_eq!(
+        comm.clock().snapshot().get(category).to_bits(),
+        (clock_before + cost).to_bits(),
+        "{}: clock must advance by exactly allreduce({}, {})",
+        spec.name,
+        comm.size(),
+        spec.bytes
+    );
+    out
+}
+
 fn run_ops(cluster: Cluster, nranks: usize, ops: &[Op]) -> (Vec<Observation>, Vec<Recorder>) {
     let ops = ops.to_vec();
     let results = cluster.run(nranks, move |comm| {
@@ -92,22 +165,10 @@ fn run_ops(cluster: Cluster, nranks: usize, ops: &[Op]) -> (Vec<Observation>, Ve
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for (i, op) in ops.iter().enumerate() {
             match op {
-                Op::Min => bits.push(
-                    comm.allreduce_min(r as f64 - i as f64 * 0.5, Category::Timestep).to_bits(),
-                ),
-                Op::Max => bits.push(
-                    comm.allreduce_max((r * 2) as f64 + i as f64, Category::Timestep).to_bits(),
-                ),
-                // Integer-valued so the sum is exact under any
-                // association order (see module docs).
-                Op::SumInt => {
-                    bits.push(comm.allreduce_sum((r + i) as f64, Category::Other).to_bits())
+                Op::Reduce(red) => {
+                    let (spec, words, category) = reduction(*red, r, i);
+                    bits.extend_from_slice(&checked_reduce(&comm, &rec, spec, words, category));
                 }
-                Op::Digest => bits.extend_from_slice(&comm.allreduce_digest(
-                    [(r * 3 + i) as u64, 1u64 << (r % 64), r as u64 + 1],
-                    Category::Regrid,
-                )),
-                Op::Barrier => comm.barrier(Category::Other),
                 Op::AllGather => {
                     let parts = comm.allgatherv(payload_for(r, i), Category::Regrid);
                     assert_eq!(parts.len(), n);
@@ -153,11 +214,20 @@ fn run_ops(cluster: Cluster, nranks: usize, ops: &[Op]) -> (Vec<Observation>, Ve
     results.into_iter().map(|r| r.value).unzip()
 }
 
-const ALGOS: [CollectiveAlgo; 3] =
-    [CollectiveAlgo::Flat, CollectiveAlgo::RecursiveDoubling, CollectiveAlgo::RootedTree];
+const ALGOS: [CollectiveAlgo; 2] = [CollectiveAlgo::Flat, CollectiveAlgo::RecursiveDoubling];
 
-/// Run `ops` under every algorithm and check the equivalence contract.
+/// Run `ops` under both payload algorithms and both engines and check
+/// the contract in the module docs.
 fn check_algorithms(nranks: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+    let expected: Vec<u64> = ops
+        .iter()
+        .enumerate()
+        .filter_map(|(i, op)| match op {
+            Op::Reduce(red) => Some(expected_reduction(*red, nranks, i)),
+            _ => None,
+        })
+        .flatten()
+        .collect();
     let mut oracle: Option<Vec<Observation>> = None;
     for algo in ALGOS {
         let (sched, recs) =
@@ -173,6 +243,9 @@ fn check_algorithms(nranks: usize, ops: &[Op]) -> Result<(), TestCaseError> {
             ops,
         );
         prop_assert_eq!(&sched, &threads, "engines diverged under {:?}", algo);
+        for o in &sched {
+            prop_assert_eq!(&o.sem.collective_bits, &expected, "reductions vs script fold");
+        }
         // Cross-algorithm: semantics must match the Flat oracle.
         match &oracle {
             None => oracle = Some(sched),
@@ -188,11 +261,11 @@ fn check_algorithms(nranks: usize, ops: &[Op]) -> Result<(), TestCaseError> {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     (0u8..8, 0usize..1024).prop_map(|(kind, root_pick)| match kind {
-        0 => Op::Min,
-        1 => Op::Max,
-        2 => Op::SumInt,
-        3 => Op::Digest,
-        4 => Op::Barrier,
+        0 => Op::Reduce(Red::Min),
+        1 => Op::Reduce(Red::Max),
+        2 => Op::Reduce(Red::SumInt),
+        3 => Op::Reduce(Red::Digest),
+        4 => Op::Reduce(Red::Barrier),
         5 => Op::AllGather,
         6 => Op::Gather { root_pick },
         _ => Op::Broadcast { root_pick },
@@ -200,8 +273,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    // Each case runs the script six times (three algorithms, two
-    // engines each); modest rank counts keep the suite fast while
+    // Each case runs the script four times (two payload algorithms,
+    // two engines each); modest rank counts keep the suite fast while
     // covering power-of-two, odd, and prime communicator sizes.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -218,28 +291,29 @@ proptest! {
 fn fixed_script_is_algorithm_invariant_across_sizes() {
     // Deterministic sweep over the boundary sizes the proptest may
     // miss: 2 (trivial trees), primes, non-powers-of-two (recursive
-    // doubling's proxy phase), and an exact power of two.
+    // doubling's proxy phase, a rounded-up ⌈log₂N⌉ in the reduction
+    // cost), exact powers of two, and the 128/512-rank regime the
+    // benchmark and scale-smoke run at.
     let ops = [
         Op::AllGather,
-        Op::Min,
+        Op::Reduce(Red::Min),
         Op::Gather { root_pick: 3 },
-        Op::Digest,
+        Op::Reduce(Red::Digest),
         Op::Broadcast { root_pick: 5 },
-        Op::SumInt,
-        Op::Barrier,
-        Op::Max,
+        Op::Reduce(Red::SumInt),
+        Op::Reduce(Red::Barrier),
+        Op::Reduce(Red::Max),
     ];
-    for nranks in [2usize, 3, 5, 7, 12, 33, 64, 100] {
+    for nranks in [2usize, 3, 5, 8, 12, 33, 64, 127, 128, 512] {
         check_algorithms(nranks, &ops).unwrap_or_else(|e| panic!("{nranks} ranks: {e}"));
     }
 }
 
 #[test]
 fn log_depth_allgatherv_is_algorithm_invariant_at_512_ranks() {
-    // The issue's headline claim at the top of the tested rank range:
-    // identical allgatherv results with O(N log N) (recursive
-    // doubling) or O(N) (rooted tree) frames instead of Flat's
-    // O(N^2). Frame counts are read back from the `net.sends`
+    // The headline claim at the top of the tested rank range:
+    // identical allgatherv results with O(N log N) frames (recursive
+    // doubling) instead of Flat's O(N^2). Frame counts are read back from the `net.sends`
     // counters, which include collective-internal plumbing traffic.
     let nranks = 512usize;
     let ops = [Op::AllGather];
@@ -256,8 +330,6 @@ fn log_depth_allgatherv_is_algorithm_invariant_at_512_ranks() {
             // round, plus slack for the non-power-of-two proxy phase
             // (absent at 512).
             CollectiveAlgo::RecursiveDoubling => (nranks * (nranks.ilog2() as usize + 2)) as u64,
-            // One frame up and one frame down per non-root rank.
-            CollectiveAlgo::RootedTree => (2 * (nranks - 1)) as u64,
         };
         assert!(
             frames <= bound,
@@ -277,7 +349,6 @@ fn log_depth_allgatherv_is_algorithm_invariant_at_512_ranks() {
 #[test]
 fn generic_entry_point_matches_legacy_wrappers() {
     use rbamr_netsim::collectives::f64_words;
-    use rbamr_netsim::{CollectiveOp, ReduceSpec};
     for algo in ALGOS {
         let results = Cluster::new(machine()).with_collectives(algo).run(5, move |comm| {
             let r = comm.rank() as f64;
@@ -302,6 +373,56 @@ fn generic_entry_point_matches_legacy_wrappers() {
         });
         for r in &results {
             assert_eq!(r.value, algo, "cluster knob reaches every rank");
+        }
+    }
+}
+
+/// One default cluster per engine.
+fn clusters() -> [Cluster; 2] {
+    [Cluster::new(machine()), Cluster::new(machine()).with_engine(Engine::ThreadPerRank)]
+}
+
+#[test]
+fn injected_collective_fault_is_symmetric_at_128_ranks() {
+    for cluster in clusters() {
+        let plan = FaultPlan::new(11, vec![FaultRule::once_on(FaultKind::CollectiveFault, 77, 0)]);
+        let results = cluster.with_fault_plan(plan).run(128, |comm| {
+            let bad = comm.try_allreduce_min(comm.rank() as f64, Category::Timestep);
+            let good = comm.try_allreduce_min(comm.rank() as f64, Category::Timestep);
+            (bad, good)
+        });
+        for r in &results {
+            assert_eq!(
+                r.value.0,
+                Err(CommError::CollectiveFault { name: "allreduce-min" }),
+                "rank {}: every rank observes the one injected fault",
+                r.rank
+            );
+            assert_eq!(r.value.1, Ok(0.0), "rank {}: the next collective is clean", r.rank);
+        }
+    }
+}
+
+#[test]
+fn dead_rank_revokes_the_round_on_every_survivor_at_128_ranks() {
+    for cluster in clusters() {
+        let results = cluster.run(128, |comm| {
+            if comm.rank() == 77 {
+                comm.mark_dead();
+                return None;
+            }
+            // Whether the death lands before the survivors enter the
+            // collective or mid-rendezvous, every survivor observes the
+            // same revocation instead of a result or a hang.
+            Some(comm.try_allreduce_min(comm.rank() as f64, Category::Timestep))
+        });
+        for r in results.iter().filter(|r| r.rank != 77) {
+            assert_eq!(
+                r.value,
+                Some(Err(CommError::Revoked { name: "allreduce-min" })),
+                "rank {}",
+                r.rank
+            );
         }
     }
 }
