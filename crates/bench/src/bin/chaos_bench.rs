@@ -358,41 +358,38 @@ fn run(placement: Placement, plan: FaultPlan, policy: RecoveryPolicy, nranks: us
         _ => Machine::ipa_gpu(),
     };
     let started = std::time::Instant::now();
-    let results = Cluster::new(machine.clone())
-        .with_deadlock_timeout(Duration::from_secs(10))
-        .with_fault_plan(plan)
-        .run(nranks, move |comm| {
-            let rank = comm.rank();
-            let mut config = rbamr_hydro::HydroConfig {
-                regrid_interval: 5,
-                max_patch_size: 8,
-                metadata_mode: deck.metadata_mode,
-                ..rbamr_hydro::HydroConfig::default()
-            };
-            config.regrid.cluster.min_size = 4;
-            let spec = SimSpec {
-                machine: machine.clone(),
-                placement,
-                extent: deck.extent,
-                coarse_cells: deck.cells,
-                max_levels: deck.max_levels,
-                ratio: 2,
-                config,
-                regions: deck.regions.clone(),
-                rank,
-                nranks,
-            };
-            let recorder = Recorder::new(rank, comm.clock().clone());
-            let mut sim = ResilientSim::new(spec, policy, recorder, Some(&comm))?;
-            sim.run_steps(deck.end_step.unwrap_or(STEPS), Some(&comm))?;
-            let report = comm.fault_injector().expect("cluster ranks carry injectors").report();
-            Ok(RankOutcome {
-                digest: sim.sim().state_field_digest(),
-                stats: sim.stats(),
-                report,
-                placement: sim.placement(),
-            })
-        });
+    let results = Cluster::new(machine.clone()).with_fault_plan(plan).run(nranks, move |comm| {
+        let rank = comm.rank();
+        let mut config = rbamr_hydro::HydroConfig {
+            regrid_interval: 5,
+            max_patch_size: 8,
+            metadata_mode: deck.metadata_mode,
+            ..rbamr_hydro::HydroConfig::default()
+        };
+        config.regrid.cluster.min_size = 4;
+        let spec = SimSpec {
+            machine: machine.clone(),
+            placement,
+            extent: deck.extent,
+            coarse_cells: deck.cells,
+            max_levels: deck.max_levels,
+            ratio: 2,
+            config,
+            regions: deck.regions.clone(),
+            rank,
+            nranks,
+        };
+        let recorder = Recorder::new(rank, comm.clock().clone());
+        let mut sim = ResilientSim::new(spec, policy, recorder, Some(&comm))?;
+        sim.run_steps(deck.end_step.unwrap_or(STEPS), Some(&comm))?;
+        let report = comm.fault_injector().expect("cluster ranks carry injectors").report();
+        Ok(RankOutcome {
+            digest: sim.sim().state_field_digest(),
+            stats: sim.stats(),
+            report,
+            placement: sim.placement(),
+        })
+    });
     let wall = started.elapsed();
     let virtual_total = Cluster::job_time(&results).total();
     let mut out: Vec<_> = results.into_iter().map(|r| (r.rank, r.value)).collect();
@@ -455,7 +452,7 @@ fn main() {
             .sum();
 
         let (mut ok, mut detail) =
-            check(&s, &first.outcome, &baseline_digest, &baseline_survivor.outcome);
+            check(&s, &first.outcome, baseline_digest, &baseline_survivor.outcome);
         // Delay faults must be pure virtual-clock charges: virtual
         // seconds inflate versus the fault-free baseline, wall time
         // does not. A sleep smuggled into the transport path would

@@ -1,23 +1,22 @@
 //! Acceptance sweep for elastic shrink-and-recover (ISSUE 10): a seeded
 //! `RankKill` on the Sod and triple-point decks must complete with
 //! `state_field_digest` bitwise-identical to a fault-free run at the
-//! surviving rank count — across 2–8 ranks, both netsim engines, and
-//! both metadata modes. The rank-count-independent checkpoint manifest
-//! is what makes this possible: survivors repartition the last adopted
-//! checkpoint by patch identity, not by the original rank layout.
+//! surviving rank count — across 2–8 ranks and both metadata modes.
+//! The rank-count-independent checkpoint manifest is what makes this
+//! possible: survivors repartition the last adopted checkpoint by patch
+//! identity, not by the original rank layout.
 //!
-//! One test per (deck, engine, metadata mode) cell; each sweeps the
+//! One test per (deck, metadata mode) cell; each sweeps the
 //! rank counts so the per-cell cost stays bounded while the full
 //! cross-product is still exercised.
 
 use rbamr_hydro::{
     HydroConfig, MetadataMode, Placement, RecoveryPolicy, ResilienceError, ResilientSim, SimSpec,
 };
-use rbamr_netsim::{Cluster, Engine, FaultPlan, FaultRule};
+use rbamr_netsim::{Cluster, FaultPlan, FaultRule};
 use rbamr_perfmodel::Machine;
 use rbamr_problems::{sod_regions, triple_point_regions, TRIPLE_POINT_EXTENT};
 use rbamr_telemetry::Recorder;
-use std::time::Duration;
 
 const STEPS: usize = 8;
 /// Mid-run kill: after the initial checkpoint, before the step-5
@@ -65,15 +64,12 @@ fn policy() -> RecoveryPolicy {
 /// ascending original-rank order.
 fn run(
     deck: Deck,
-    engine: Engine,
     mode: MetadataMode,
     nranks: usize,
     plan: FaultPlan,
     policy: RecoveryPolicy,
 ) -> Vec<Result<u64, ResilienceError>> {
     let mut out: Vec<_> = Cluster::new(Machine::ipa_cpu_node())
-        .with_engine(engine)
-        .with_deadlock_timeout(Duration::from_secs(30))
         .with_fault_plan(plan)
         .run(nranks, move |comm| {
             let rank = comm.rank();
@@ -95,18 +91,17 @@ fn run(
 
 /// Kill rank `VICTIM` at `KILL_STEP` on `nranks` ranks and require the
 /// survivors' digests to match a fault-free run at `nranks - 1`.
-fn assert_shrink_matches_survivor_baseline(deck: Deck, engine: Engine, mode: MetadataMode) {
+fn assert_shrink_matches_survivor_baseline(deck: Deck, mode: MetadataMode) {
     for nranks in [2usize, 4, 8] {
-        let baseline =
-            run(deck, engine, mode, nranks - 1, FaultPlan::none(), policy());
+        let baseline = run(deck, mode, nranks - 1, FaultPlan::none(), policy());
         let plan =
             FaultPlan::new(1000 + nranks as u64, vec![FaultRule::rank_kill(VICTIM, KILL_STEP as u64)]);
-        let killed = run(deck, engine, mode, nranks, plan, policy());
+        let killed = run(deck, mode, nranks, plan, policy());
 
         assert_eq!(
             killed[VICTIM],
             Err(ResilienceError::Killed { rank: VICTIM, at_step: KILL_STEP }),
-            "{deck:?}/{engine:?}/{mode:?}/{nranks}r: victim must report its own death"
+            "{deck:?}/{mode:?}/{nranks}r: victim must report its own death"
         );
         // Survivors in ascending original-rank order take logical
         // ranks 0.. after the shrink; each must match the fault-free
@@ -117,12 +112,12 @@ fn assert_shrink_matches_survivor_baseline(deck: Deck, engine: Engine, mode: Met
                 continue;
             }
             let digest = outcome.as_ref().unwrap_or_else(|e| {
-                panic!("{deck:?}/{engine:?}/{mode:?}/{nranks}r: survivor {orig} failed: {e}")
+                panic!("{deck:?}/{mode:?}/{nranks}r: survivor {orig} failed: {e}")
             });
             let expect = baseline[logical].as_ref().expect("fault-free baseline cannot fail");
             assert_eq!(
                 digest, expect,
-                "{deck:?}/{engine:?}/{mode:?}/{nranks}r: survivor {orig} (logical {logical}) \
+                "{deck:?}/{mode:?}/{nranks}r: survivor {orig} (logical {logical}) \
                  diverged from the {}-rank fault-free baseline",
                 nranks - 1
             );
@@ -133,70 +128,22 @@ fn assert_shrink_matches_survivor_baseline(deck: Deck, engine: Engine, mode: Met
 
 #[test]
 fn sod_shrinks_event_driven_replicated() {
-    assert_shrink_matches_survivor_baseline(Deck::Sod, Engine::EventDriven, MetadataMode::Replicated);
+    assert_shrink_matches_survivor_baseline(Deck::Sod, MetadataMode::Replicated);
 }
 
 #[test]
 fn sod_shrinks_event_driven_partitioned() {
-    assert_shrink_matches_survivor_baseline(
-        Deck::Sod,
-        Engine::EventDriven,
-        MetadataMode::Partitioned,
-    );
-}
-
-#[test]
-fn sod_shrinks_oracle_engine_replicated() {
-    assert_shrink_matches_survivor_baseline(
-        Deck::Sod,
-        Engine::ThreadPerRank,
-        MetadataMode::Replicated,
-    );
-}
-
-#[test]
-fn sod_shrinks_oracle_engine_partitioned() {
-    assert_shrink_matches_survivor_baseline(
-        Deck::Sod,
-        Engine::ThreadPerRank,
-        MetadataMode::Partitioned,
-    );
+    assert_shrink_matches_survivor_baseline(Deck::Sod, MetadataMode::Partitioned);
 }
 
 #[test]
 fn triple_point_shrinks_event_driven_replicated() {
-    assert_shrink_matches_survivor_baseline(
-        Deck::TriplePoint,
-        Engine::EventDriven,
-        MetadataMode::Replicated,
-    );
+    assert_shrink_matches_survivor_baseline(Deck::TriplePoint, MetadataMode::Replicated);
 }
 
 #[test]
 fn triple_point_shrinks_event_driven_partitioned() {
-    assert_shrink_matches_survivor_baseline(
-        Deck::TriplePoint,
-        Engine::EventDriven,
-        MetadataMode::Partitioned,
-    );
-}
-
-#[test]
-fn triple_point_shrinks_oracle_engine_replicated() {
-    assert_shrink_matches_survivor_baseline(
-        Deck::TriplePoint,
-        Engine::ThreadPerRank,
-        MetadataMode::Replicated,
-    );
-}
-
-#[test]
-fn triple_point_shrinks_oracle_engine_partitioned() {
-    assert_shrink_matches_survivor_baseline(
-        Deck::TriplePoint,
-        Engine::ThreadPerRank,
-        MetadataMode::Partitioned,
-    );
+    assert_shrink_matches_survivor_baseline(Deck::TriplePoint, MetadataMode::Partitioned);
 }
 
 /// A loss that would shrink below `min_ranks` fails fast with the same
@@ -205,8 +152,7 @@ fn triple_point_shrinks_oracle_engine_partitioned() {
 fn loss_below_min_ranks_fails_fast_on_every_survivor() {
     let policy = RecoveryPolicy { min_ranks: 4, ..policy() };
     let plan = FaultPlan::new(77, vec![FaultRule::rank_kill(VICTIM, KILL_STEP as u64)]);
-    let results =
-        run(Deck::Sod, Engine::EventDriven, MetadataMode::Replicated, 4, plan, policy);
+    let results = run(Deck::Sod, MetadataMode::Replicated, 4, plan, policy);
     assert_eq!(
         results[VICTIM],
         Err(ResilienceError::Killed { rank: VICTIM, at_step: KILL_STEP })

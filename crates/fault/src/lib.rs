@@ -44,7 +44,7 @@ pub enum FaultKind {
     MetadataCorrupt,
     /// The rank dies permanently: it marks itself dead in the network,
     /// returns a typed error from its program, and never communicates
-    /// again. Survivors observe [`rbamr_netsim`]'s dead-rank state
+    /// again. Survivors observe `rbamr_netsim`'s dead-rank state
     /// (typed send errors, revoked collectives) and may shrink the job.
     ///
     /// Evaluated at the recovery driver's step boundaries — twice per

@@ -114,11 +114,15 @@ fn decode_records(words: &[i64]) -> Result<Vec<GBox>, RestoreError> {
     Ok(boxes)
 }
 
+/// One patch's payload: its level-local index and the values of each
+/// checkpoint field, in field order.
+type PatchEntry = (usize, [Vec<f64>; 4]);
+
 /// Serialise one rank's owned patch payloads for a level into a flat
 /// byte blob the structure allgather can carry: per patch, a `u64`
 /// index followed by, for each checkpoint field in order, a `u64` word
 /// count and that many `f64` little-endian words.
-fn encode_patch_blob(entries: &[(usize, [Vec<f64>; 4])]) -> Vec<u8> {
+fn encode_patch_blob(entries: &[PatchEntry]) -> Vec<u8> {
     let mut blob = Vec::new();
     for (index, fields) in entries {
         blob.extend_from_slice(&(*index as u64).to_le_bytes());
@@ -133,7 +137,7 @@ fn encode_patch_blob(entries: &[(usize, [Vec<f64>; 4])]) -> Vec<u8> {
 }
 
 /// Decode a patch-payload blob back into `(index, fields)` entries.
-fn decode_patch_blob(blob: &[u8]) -> Result<Vec<(usize, [Vec<f64>; 4])>, RestoreError> {
+fn decode_patch_blob(blob: &[u8]) -> Result<Vec<PatchEntry>, RestoreError> {
     let malformed = || RestoreError::Malformed {
         key: "patch payload".to_owned(),
         expected: "index and four length-prefixed field arrays per patch",
@@ -213,7 +217,8 @@ impl HydroSim {
                 for w in [patch.id().index as i64, b.lo.x, b.lo.y, b.hi.x, b.hi.y] {
                     rec_bytes.extend_from_slice(&w.to_le_bytes());
                 }
-                let values = checkpoint_fields(&fields).map(|(_, var)| read_values(patch.data(var)));
+                let values =
+                    checkpoint_fields(&fields).map(|(_, var)| read_values(patch.data(var)));
                 entries.push((patch.id().index, values));
             }
             let blob = encode_patch_blob(&entries);

@@ -7,7 +7,6 @@ use rbamr_amr::MetadataMode;
 use rbamr_hydro::{HydroConfig, HydroSim, Placement, RegionInit};
 use rbamr_netsim::{Cluster, Comm};
 use rbamr_perfmodel::Machine;
-use std::time::Duration;
 
 fn sod_regions() -> Vec<RegionInit> {
     vec![
@@ -22,7 +21,12 @@ fn sod_regions() -> Vec<RegionInit> {
     ]
 }
 
-fn build_at(mode: MetadataMode, clock: rbamr_perfmodel::Clock, rank: usize, nranks: usize) -> HydroSim {
+fn build_at(
+    mode: MetadataMode,
+    clock: rbamr_perfmodel::Clock,
+    rank: usize,
+    nranks: usize,
+) -> HydroSim {
     let mut config = HydroConfig {
         regrid_interval: 5,
         max_patch_size: 8,
@@ -52,44 +56,42 @@ fn build(mode: MetadataMode, comm: &Comm) -> HydroSim {
 /// Save at step 3, then compare the uninterrupted run against a fresh
 /// sim restored from the checkpoint, step for step.
 fn roundtrip(mode: MetadataMode) {
-    let results = Cluster::new(Machine::ipa_cpu_node())
-        .with_deadlock_timeout(Duration::from_secs(5))
-        .run(2, |comm| {
-            let mut original = build(mode, &comm);
-            original.initialize(Some(&comm));
-            original.run_steps(3, Some(&comm));
-            let ckpt = original
-                .try_save_checkpoint(Some(&comm))
-                .expect("a fault-free distributed save succeeds");
-            let step_at_save = original.steps_taken();
-            let time_at_save = original.time();
+    let results = Cluster::new(Machine::ipa_cpu_node()).run(2, |comm| {
+        let mut original = build(mode, &comm);
+        original.initialize(Some(&comm));
+        original.run_steps(3, Some(&comm));
+        let ckpt = original
+            .try_save_checkpoint(Some(&comm))
+            .expect("a fault-free distributed save succeeds");
+        let step_at_save = original.steps_taken();
+        let time_at_save = original.time();
 
-            // Restore into a simulation that never ran a step.
-            let mut restored = build(mode, &comm);
-            restored
-                .try_restore_checkpoint(&ckpt, Some(&comm))
-                .expect("a just-saved checkpoint restores cleanly");
-            assert_eq!(restored.steps_taken(), step_at_save);
-            assert_eq!(restored.time(), time_at_save);
-            assert_eq!(
-                restored.hierarchy().num_levels(),
-                original.hierarchy().num_levels(),
-                "restore must rebuild the full hierarchy"
-            );
+        // Restore into a simulation that never ran a step.
+        let mut restored = build(mode, &comm);
+        restored
+            .try_restore_checkpoint(&ckpt, Some(&comm))
+            .expect("a just-saved checkpoint restores cleanly");
+        assert_eq!(restored.steps_taken(), step_at_save);
+        assert_eq!(restored.time(), time_at_save);
+        assert_eq!(
+            restored.hierarchy().num_levels(),
+            original.hierarchy().num_levels(),
+            "restore must rebuild the full hierarchy"
+        );
 
-            // The persisted fields replay the uninterrupted trajectory
-            // bitwise. (Digests straight after restore are not compared:
-            // the re-priming fill refreshes ghost cells the running sim
-            // had left stale, and the first step's fill erases the
-            // difference anyway.)
-            let mut digests = Vec::new();
-            for _ in 0..4 {
-                original.run_steps(1, Some(&comm));
-                restored.run_steps(1, Some(&comm));
-                digests.push((original.state_field_digest(), restored.state_field_digest()));
-            }
-            digests
-        });
+        // The persisted fields replay the uninterrupted trajectory
+        // bitwise. (Digests straight after restore are not compared:
+        // the re-priming fill refreshes ghost cells the running sim
+        // had left stale, and the first step's fill erases the
+        // difference anyway.)
+        let mut digests = Vec::new();
+        for _ in 0..4 {
+            original.run_steps(1, Some(&comm));
+            restored.run_steps(1, Some(&comm));
+            digests.push((original.state_field_digest(), restored.state_field_digest()));
+        }
+        digests
+    });
     for r in results {
         for (step, (original, restored)) in r.value.into_iter().enumerate() {
             assert_eq!(
@@ -120,16 +122,14 @@ fn partitioned_roundtrip_replays_bitwise_at_two_ranks() {
 fn shrink_restore(mode: MetadataMode) {
     use rbamr_amr::restart::Database;
 
-    let results = Cluster::new(Machine::ipa_cpu_node())
-        .with_deadlock_timeout(Duration::from_secs(5))
-        .run(2, |comm| {
-            let mut sim = build(mode, &comm);
-            sim.initialize(Some(&comm));
-            sim.run_steps(3, Some(&comm));
-            sim.try_save_checkpoint(Some(&comm))
-                .expect("a fault-free distributed save succeeds")
-                .to_bytes()
-        });
+    let results = Cluster::new(Machine::ipa_cpu_node()).run(2, |comm| {
+        let mut sim = build(mode, &comm);
+        sim.initialize(Some(&comm));
+        sim.run_steps(3, Some(&comm));
+        sim.try_save_checkpoint(Some(&comm))
+            .expect("a fault-free distributed save succeeds")
+            .to_bytes()
+    });
     assert_eq!(
         results[0].value, results[1].value,
         "the global manifest must be identical on every rank"
@@ -143,9 +143,7 @@ fn shrink_restore(mode: MetadataMode) {
 
     // Restore the 2-rank checkpoint into a 1-rank simulation.
     let mut restored = build_at(mode, rbamr_perfmodel::Clock::new(), 0, 1);
-    restored
-        .try_restore_checkpoint(&ckpt, None)
-        .expect("a 2-rank manifest restores at 1 rank");
+    restored.try_restore_checkpoint(&ckpt, None).expect("a 2-rank manifest restores at 1 rank");
     assert_eq!(restored.steps_taken(), fresh.steps_taken());
 
     // Digests straight after restore are not compared (re-priming
@@ -175,16 +173,10 @@ fn partitioned_two_rank_checkpoint_restores_at_one_rank() {
 
 /// Per-rank digests of `steps` further steps, starting either from a
 /// fresh `m`-rank initialisation or from `ckpt` restored at `m` ranks.
-fn trajectory(
-    mode: MetadataMode,
-    m: usize,
-    ckpt: Option<Vec<u8>>,
-    steps: usize,
-) -> Vec<Vec<u64>> {
+fn trajectory(mode: MetadataMode, m: usize, ckpt: Option<Vec<u8>>, steps: usize) -> Vec<Vec<u64>> {
     use rbamr_amr::restart::Database;
 
     Cluster::new(Machine::ipa_cpu_node())
-        .with_deadlock_timeout(Duration::from_secs(10))
         .run(m, move |comm| {
             let mut sim = build(mode, &comm);
             match &ckpt {
@@ -231,7 +223,6 @@ proptest! {
             if partitioned { MetadataMode::Partitioned } else { MetadataMode::Replicated };
 
         let saved = Cluster::new(Machine::ipa_cpu_node())
-            .with_deadlock_timeout(Duration::from_secs(10))
             .run(n, move |comm| {
                 let mut sim = build(mode, &comm);
                 sim.initialize(Some(&comm));

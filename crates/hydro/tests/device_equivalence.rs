@@ -6,11 +6,12 @@
 //! metadata mode, grid size) and asserts, per rank and per step:
 //!
 //! * the device run's `state_field_digest` is bitwise identical to the
-//!   host placement's on the event-driven engine;
-//! * the device run is **engine-invariant**: the event-driven and
-//!   thread-per-rank netsim engines produce identical digests, device
-//!   counters, recorder counters, and causal-edge streams (tags,
-//!   occurrences, bytes, and bit-exact virtual costs);
+//!   host placement's;
+//! * the device run is **schedule-invariant**: netsim's deterministic
+//!   `workers = 1` round-robin and its default worker count produce
+//!   identical digests, device counters, recorder counters, and
+//!   causal-edge streams (tags, occurrences, bytes, and bit-exact
+//!   virtual costs);
 //! * with 64-wide patches, where every interior/boundary split is
 //!   non-degenerate, the same digest identity holds;
 //! * the copy-back placement changes transfers, never digests;
@@ -27,10 +28,9 @@ use rbamr_hydro::level_executor::{hydro_launches, MAX_LAUNCHES_PER_LEVEL_STEP};
 use rbamr_hydro::{
     HydroConfig, HydroSim, Placement, RecoveryPolicy, RegionInit, ResilientSim, SimSpec,
 };
-use rbamr_netsim::{Cluster, Engine, FaultKind, FaultPlan, FaultRule};
+use rbamr_netsim::{Cluster, FaultKind, FaultPlan, FaultRule};
 use rbamr_perfmodel::Machine;
 use rbamr_telemetry::Recorder;
-use std::time::Duration;
 
 /// Sod shock tube: the canonical two-state deck.
 fn sod_regions() -> Vec<RegionInit> {
@@ -86,60 +86,60 @@ struct RankTrace {
     edges: Vec<(String, usize, u64, u64, u64, u64)>,
 }
 
-fn run(cfg: RunConfig, engine: Engine, placement: Placement) -> Vec<RankTrace> {
+/// `workers`: netsim worker slots, `None` for the default count.
+fn run(cfg: RunConfig, workers: Option<usize>, placement: Placement) -> Vec<RankTrace> {
     let machine = Machine::ipa_gpu();
     let m = machine.clone();
-    let results = Cluster::new(machine)
-        .with_engine(engine)
-        .with_deadlock_timeout(Duration::from_secs(30))
-        .run(cfg.ranks, move |mut comm| {
-            let rec = Recorder::new(comm.rank(), comm.clock().clone());
-            comm.set_recorder(rec.clone());
-            let mut config = HydroConfig {
-                regrid_interval: 3,
-                max_patch_size: cfg.patch,
-                metadata_mode: cfg.mode,
-                ..HydroConfig::default()
-            };
-            config.regrid.cluster.min_size = 4;
-            config.regrid.max_patch_size = cfg.patch;
-            let regions = if cfg.deck == 0 { sod_regions() } else { blast_regions() };
-            let mut sim = HydroSim::new(
-                m.clone(),
-                placement,
-                comm.clock().clone(),
-                (1.0, 1.0),
-                (cfg.cells, cfg.cells),
-                LEVELS,
-                2,
-                config,
-                regions,
-                comm.rank(),
-                comm.size(),
-            );
-            sim.set_recorder(rec.clone());
-            sim.initialize(Some(&comm));
-            let launches_at_init = hydro_launches(&rec);
-            let mut digests = Vec::new();
-            for _ in 0..cfg.steps {
-                sim.step(Some(&comm));
-                digests.push(sim.state_field_digest());
-            }
-            let hydro_launches = hydro_launches(&rec) - launches_at_init;
-            let device = sim.device().map(|d| d.stats());
-            // Wall-clock counters (`*_ns`) are inherently noisy; every
-            // other counter must be engine-invariant.
-            let counters =
-                rec.counters().into_iter().filter(|(name, _)| !name.ends_with("_ns")).collect();
-            let edges = rec
-                .edges()
-                .into_iter()
-                .map(|e| {
-                    (e.name.to_string(), e.peer, e.tag, e.occurrence, e.bytes, e.cost.to_bits())
-                })
-                .collect();
-            RankTrace { digests, device, hydro_launches, counters, edges }
-        });
+    let mut cluster = Cluster::new(machine);
+    if let Some(workers) = workers {
+        cluster = cluster.with_workers(workers);
+    }
+    let results = cluster.run(cfg.ranks, move |mut comm| {
+        let rec = Recorder::new(comm.rank(), comm.clock().clone());
+        comm.set_recorder(rec.clone());
+        let mut config = HydroConfig {
+            regrid_interval: 3,
+            max_patch_size: cfg.patch,
+            metadata_mode: cfg.mode,
+            ..HydroConfig::default()
+        };
+        config.regrid.cluster.min_size = 4;
+        config.regrid.max_patch_size = cfg.patch;
+        let regions = if cfg.deck == 0 { sod_regions() } else { blast_regions() };
+        let mut sim = HydroSim::new(
+            m.clone(),
+            placement,
+            comm.clock().clone(),
+            (1.0, 1.0),
+            (cfg.cells, cfg.cells),
+            LEVELS,
+            2,
+            config,
+            regions,
+            comm.rank(),
+            comm.size(),
+        );
+        sim.set_recorder(rec.clone());
+        sim.initialize(Some(&comm));
+        let launches_at_init = hydro_launches(&rec);
+        let mut digests = Vec::new();
+        for _ in 0..cfg.steps {
+            sim.step(Some(&comm));
+            digests.push(sim.state_field_digest());
+        }
+        let hydro_launches = hydro_launches(&rec) - launches_at_init;
+        let device = sim.device().map(|d| d.stats());
+        // Wall-clock counters (`*_ns`) are inherently noisy; every
+        // other counter must be schedule-invariant.
+        let counters =
+            rec.counters().into_iter().filter(|(name, _)| !name.ends_with("_ns")).collect();
+        let edges = rec
+            .edges()
+            .into_iter()
+            .map(|e| (e.name.to_string(), e.peer, e.tag, e.occurrence, e.bytes, e.cost.to_bits()))
+            .collect();
+        RankTrace { digests, device, hydro_launches, counters, edges }
+    });
     let mut out: Vec<_> = results.into_iter().map(|r| (r.rank, r.value)).collect();
     out.sort_by_key(|(rank, _)| *rank);
     out.into_iter().map(|(_, t)| t).collect()
@@ -152,26 +152,26 @@ fn assert_same_digests(what: &str, cfg: RunConfig, a: &[RankTrace], b: &[RankTra
 }
 
 /// The core property: device == host physics, and the device run
-/// itself is engine-invariant down to counters and edge costs.
+/// itself is schedule-invariant down to counters and edge costs.
 fn check_equivalence(cfg: RunConfig) {
-    let host = run(cfg, Engine::EventDriven, Placement::Host);
-    let device = run(cfg, Engine::EventDriven, Placement::Device);
-    let device_tpr = run(cfg, Engine::ThreadPerRank, Placement::Device);
+    let host = run(cfg, None, Placement::Host);
+    let device = run(cfg, None, Placement::Device);
+    let device_rr = run(cfg, Some(1), Placement::Device);
 
     assert_same_digests("device digests diverge from the host build", cfg, &host, &device);
-    assert_same_digests("digests differ across netsim engines", cfg, &device, &device_tpr);
-    for (rank, (ed, tpr)) in device.iter().zip(&device_tpr).enumerate() {
+    assert_same_digests("digests differ across netsim schedules", cfg, &device, &device_rr);
+    for (rank, (dflt, rr)) in device.iter().zip(&device_rr).enumerate() {
         assert_eq!(
-            ed.device, tpr.device,
-            "{cfg:?}: rank {rank}: device counters differ across netsim engines"
+            dflt.device, rr.device,
+            "{cfg:?}: rank {rank}: device counters differ across netsim schedules"
         );
         assert_eq!(
-            ed.counters, tpr.counters,
-            "{cfg:?}: rank {rank}: recorder counters differ across netsim engines"
+            dflt.counters, rr.counters,
+            "{cfg:?}: rank {rank}: recorder counters differ across netsim schedules"
         );
         assert_eq!(
-            ed.edges, tpr.edges,
-            "{cfg:?}: rank {rank}: causal-edge streams differ across netsim engines"
+            dflt.edges, rr.edges,
+            "{cfg:?}: rank {rank}: causal-edge streams differ across netsim schedules"
         );
     }
 }
@@ -180,9 +180,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random hierarchies at 1–8 ranks, both decks, both metadata
-    /// modes: device == host, and device is engine-invariant.
+    /// modes: device == host, and device is schedule-invariant.
     #[test]
-    fn random_hierarchies_match_host_across_engines(
+    fn random_hierarchies_match_host_across_schedules(
         deck in prop::sample::select(vec![0u8, 1]),
         ranks in prop::sample::select(vec![1usize, 2, 3, 5, 8]),
         cells in prop::sample::select(vec![24i64, 32]),
@@ -231,8 +231,8 @@ const MANY_PATCHES: RunConfig =
 /// round trips: identical digests, strictly more transfers.
 #[test]
 fn copy_back_changes_transfers_not_digests() {
-    let resident = run(MANY_PATCHES, Engine::EventDriven, Placement::Device);
-    let copy_back = run(MANY_PATCHES, Engine::EventDriven, Placement::DeviceCopyBack);
+    let resident = run(MANY_PATCHES, None, Placement::Device);
+    let copy_back = run(MANY_PATCHES, None, Placement::DeviceCopyBack);
     assert_same_digests("copy-back changed the physics", MANY_PATCHES, &resident, &copy_back);
     for (rank, (r, c)) in resident.iter().zip(&copy_back).enumerate() {
         let (r, c) = (r.device.expect("device stats"), c.device.expect("device stats"));
@@ -246,7 +246,7 @@ fn copy_back_changes_transfers_not_digests() {
 #[test]
 fn hydro_launches_scale_with_levels_not_patches() {
     let bound = (MANY_PATCHES.steps * LEVELS) as u64 * MAX_LAUNCHES_PER_LEVEL_STEP;
-    for (rank, t) in run(MANY_PATCHES, Engine::EventDriven, Placement::Device).iter().enumerate() {
+    for (rank, t) in run(MANY_PATCHES, None, Placement::Device).iter().enumerate() {
         assert!(
             t.hydro_launches <= bound,
             "rank {rank}: {} hydro launches in {} steps exceed {bound}",
@@ -259,38 +259,35 @@ fn hydro_launches_scale_with_levels_not_patches() {
 fn resilient_digests(plan: FaultPlan, placement: Placement) -> Vec<u64> {
     let machine = Machine::ipa_gpu();
     let m = machine.clone();
-    let results = Cluster::new(machine)
-        .with_deadlock_timeout(Duration::from_secs(30))
-        .with_fault_plan(plan)
-        .run(2, move |comm| {
-            let mut config =
-                HydroConfig { regrid_interval: 3, max_patch_size: 8, ..HydroConfig::default() };
-            config.regrid.cluster.min_size = 4;
-            config.regrid.max_patch_size = 8;
-            let spec = SimSpec {
-                machine: m.clone(),
-                placement,
-                extent: (1.0, 1.0),
-                coarse_cells: (24, 24),
-                max_levels: 2,
-                ratio: 2,
-                config,
-                regions: sod_regions(),
-                rank: comm.rank(),
-                nranks: 2,
-            };
-            let policy = RecoveryPolicy {
-                checkpoint_interval: 3,
-                max_retries: 6,
-                backoff_base: 0.05,
-                ..RecoveryPolicy::default()
-            };
-            let recorder = Recorder::new(comm.rank(), comm.clock().clone());
-            let mut sim = ResilientSim::new(spec, policy, recorder, Some(&comm))
-                .expect("resilient sim builds");
-            sim.run_steps(6, Some(&comm)).expect("faults are recoverable");
-            sim.sim().state_field_digest()
-        });
+    let results = Cluster::new(machine).with_fault_plan(plan).run(2, move |comm| {
+        let mut config =
+            HydroConfig { regrid_interval: 3, max_patch_size: 8, ..HydroConfig::default() };
+        config.regrid.cluster.min_size = 4;
+        config.regrid.max_patch_size = 8;
+        let spec = SimSpec {
+            machine: m.clone(),
+            placement,
+            extent: (1.0, 1.0),
+            coarse_cells: (24, 24),
+            max_levels: 2,
+            ratio: 2,
+            config,
+            regions: sod_regions(),
+            rank: comm.rank(),
+            nranks: 2,
+        };
+        let policy = RecoveryPolicy {
+            checkpoint_interval: 3,
+            max_retries: 6,
+            backoff_base: 0.05,
+            ..RecoveryPolicy::default()
+        };
+        let recorder = Recorder::new(comm.rank(), comm.clock().clone());
+        let mut sim =
+            ResilientSim::new(spec, policy, recorder, Some(&comm)).expect("resilient sim builds");
+        sim.run_steps(6, Some(&comm)).expect("faults are recoverable");
+        sim.sim().state_field_digest()
+    });
     let mut out: Vec<_> = results.into_iter().map(|r| (r.rank, r.value)).collect();
     out.sort_by_key(|(rank, _)| *rank);
     out.into_iter().map(|(_, d)| d).collect()

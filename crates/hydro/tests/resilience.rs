@@ -13,7 +13,6 @@ use rbamr_hydro::{
 use rbamr_netsim::Cluster;
 use rbamr_perfmodel::{Clock, Machine};
 use rbamr_telemetry::Recorder;
-use std::time::Duration;
 
 fn sod_regions() -> Vec<RegionInit> {
     vec![
@@ -55,9 +54,7 @@ fn spec(placement: Placement, rank: usize, nranks: usize) -> SimSpec {
 }
 
 fn cluster(plan: FaultPlan) -> Cluster {
-    Cluster::new(Machine::ipa_cpu_node())
-        .with_deadlock_timeout(Duration::from_secs(5))
-        .with_fault_plan(plan)
+    Cluster::new(Machine::ipa_cpu_node()).with_fault_plan(plan)
 }
 
 /// Per-rank outcome of a resilient cluster run, for cross-run and

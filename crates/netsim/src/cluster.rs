@@ -1,11 +1,11 @@
 //! Job launcher: run N ranks of the same program.
 
 use crate::collectives::CollectiveAlgo;
-use crate::comm::{Comm, Shared, DEFAULT_DEADLOCK_TIMEOUT};
+use crate::comm::Comm;
+use crate::sched::Scheduler;
 use rbamr_fault::{FaultInjector, FaultPlan};
 use rbamr_perfmodel::{Clock, CostModel, Machine, TimeBreakdown};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What one rank produced: its closure's return value and its final
 /// virtual-time breakdown.
@@ -20,39 +20,21 @@ pub struct RankResult<R> {
     pub time: TimeBreakdown,
 }
 
-/// How simulated ranks are executed by [`Cluster::run`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// Event-driven cooperative scheduler (default): M simulated ranks
-    /// multiplexed on N worker slots, every blocking communication op
-    /// yields its slot, deadlocks detected structurally (instantly,
-    /// no wall-clock timeout). Scales to thousands of simulated ranks
-    /// on one box. See [`crate::sched`].
-    #[default]
-    EventDriven,
-    /// Legacy thread-per-rank engine: every rank is a freely scheduled
-    /// OS thread, deadlocks detected by wall-clock timeout. Kept as
-    /// the equivalence-test oracle; collapses near a few dozen ranks.
-    ThreadPerRank,
-}
-
 /// A simulated cluster: a machine description plus a rank launcher.
 ///
 /// `Cluster::run` is the `mpirun` analogue: it spawns one carrier
 /// thread per rank, hands each a [`Comm`] bound to a fresh virtual
-/// [`Clock`], runs the closure, and joins. With the default
-/// [`Engine::EventDriven`] only [`Cluster::with_workers`] carriers are
-/// runnable at once — the rest are parked cooperatively, which is what
-/// lets one box simulate thousands of ranks. Panics in any rank
+/// [`Clock`], runs the closure, and joins. Only
+/// [`Cluster::with_workers`] carriers are runnable at once — the rest
+/// are parked cooperatively by the scheduler ([`crate::sched`]), which
+/// is what lets one box simulate thousands of ranks. Panics in any rank
 /// propagate (the job "aborts"): the panicking rank's own payload is
 /// re-raised and every peer fails fast with a typed
-/// [`crate::PeerPanicked`] instead of waiting out a deadlock timeout.
+/// [`crate::PeerPanicked`].
 pub struct Cluster {
     machine: Machine,
     cost: Arc<CostModel>,
-    deadlock_timeout: Duration,
     fault_plan: Option<Arc<FaultPlan>>,
-    engine: Engine,
     workers: Option<usize>,
     stack_size: Option<usize>,
     collectives: CollectiveAlgo,
@@ -65,38 +47,18 @@ impl Cluster {
         Self {
             machine,
             cost,
-            deadlock_timeout: DEFAULT_DEADLOCK_TIMEOUT,
             fault_plan: None,
-            engine: Engine::default(),
             workers: None,
             stack_size: None,
             collectives: CollectiveAlgo::default(),
         }
     }
 
-    /// Override the deadlock timeout (default 60 s). Only meaningful
-    /// for [`Engine::ThreadPerRank`]; the default event-driven engine
-    /// detects deadlocks structurally and ignores it. Fault tests on
-    /// the oracle engine use a short timeout so an accidental hang
-    /// fails in milliseconds, with the per-rank pending-op diagnostic,
-    /// instead of stalling CI.
-    pub fn with_deadlock_timeout(mut self, timeout: Duration) -> Self {
-        self.deadlock_timeout = timeout;
-        self
-    }
-
-    /// Select the execution engine (default [`Engine::EventDriven`]);
-    /// equivalence tests pin [`Engine::ThreadPerRank`] as the
-    /// independent reference.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Bound how many simulated ranks are runnable at once on the
-    /// event-driven engine (default: available parallelism).
-    /// `RBAMR_NETSIM_WORKERS` overrides at runtime. With one worker
-    /// the schedule is a fully deterministic round-robin.
+    /// Bound how many simulated ranks are runnable at once (default:
+    /// available parallelism). `RBAMR_NETSIM_WORKERS` overrides at
+    /// runtime. With one worker the schedule is a fully deterministic
+    /// round-robin — the reference the equivalence tests compare every
+    /// other worker count against.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -175,10 +137,7 @@ impl Cluster {
         F: Fn(Comm) -> R + Sync,
     {
         assert!(nranks > 0, "Cluster::run: need at least one rank");
-        let shared = match self.engine {
-            Engine::EventDriven => Shared::new_event_driven(nranks, self.resolve_workers(nranks)),
-            Engine::ThreadPerRank => Shared::new_thread_per_rank(nranks, self.deadlock_timeout),
-        };
+        let shared = Arc::new(Scheduler::new(nranks, self.resolve_workers(nranks)));
         let stack_size = self.resolve_stack_size();
         let algo = self.collectives;
         type Carried<R> = Result<RankResult<R>, Box<dyn std::any::Any + Send + 'static>>;
@@ -201,8 +160,8 @@ impl Cluster {
                             if let Some(plan) = plan {
                                 comm.set_fault_injector(FaultInjector::new(plan, rank));
                             }
-                            // Park until the engine grants this rank a
-                            // run slot (immediate on thread-per-rank).
+                            // Park until the scheduler grants this rank
+                            // a run slot.
                             if let Err(poisoned) = shared.task_started(rank) {
                                 return Err(Box::new(poisoned));
                             }
@@ -295,16 +254,6 @@ mod tests {
                 panic!("rank exploded");
             }
             // Rank 0 returns immediately; no communication so no deadlock.
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "rank exploded")]
-    fn rank_panics_propagate_on_oracle_engine() {
-        Cluster::new(Machine::ipa_cpu_node()).with_engine(Engine::ThreadPerRank).run(2, |comm| {
-            if comm.rank() == 1 {
-                panic!("rank exploded");
-            }
         });
     }
 

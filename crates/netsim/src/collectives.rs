@@ -11,7 +11,7 @@
 //!   ⌈log₂N⌉ × `message(bytes)`, charged to the caller's category,
 //!   plus one collective causal edge. This is what a log-depth
 //!   butterfly costs on the modelled machine.
-//! * **Execution** — one rendezvous through the engine's shared 3-word
+//! * **Execution** — one rendezvous through the scheduler's shared 3-word
 //!   accumulator. All ranks share an address space, so the butterfly
 //!   is charged, not executed: a reduction puts no frames on the wire.
 //!

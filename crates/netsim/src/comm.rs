@@ -4,7 +4,6 @@ use crate::collectives::{
     self, f64_words, CollectiveAlgo, CollectiveOp, CollectiveOutput, ReduceSpec,
 };
 use crate::sched::Scheduler;
-use crate::threads::ThreadsEngine;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rbamr_fault::{FaultInjector, FaultKind};
@@ -12,23 +11,11 @@ use rbamr_perfmodel::{Category, Clock, CostModel};
 use rbamr_telemetry::Recorder;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Default wall-clock budget for a blocking receive or collective on
-/// the legacy thread-per-rank engine before the runtime declares a
-/// deadlock and panics (with a per-rank diagnostic of who is blocked
-/// where). Real MPI hangs silently; failing loudly is strictly more
-/// useful in a test suite. The default event-driven engine detects
-/// deadlocks *structurally* (instantly, no timeout — see
-/// [`crate::sched`]), so this only paces the oracle engine. Fault
-/// tests shrink it via [`crate::Cluster::with_deadlock_timeout`].
-pub const DEFAULT_DEADLOCK_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Typed panic payload and error cause raised on every surviving rank
 /// when a peer rank panics: the job is poisoned, all parked waiters
 /// wake immediately, and `Cluster::run` re-propagates the *origin*
-/// rank's original panic. Before poisoning existed, peers of a
-/// panicking rank sat parked until the 60 s deadlock timeout.
+/// rank's original panic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PeerPanicked {
     /// The rank whose panic poisoned the job.
@@ -43,7 +30,7 @@ impl std::fmt::Display for PeerPanicked {
 
 impl std::error::Error for PeerPanicked {}
 
-/// Engine-level failure for a blocking operation. Distinguishes the
+/// Scheduler-level failure for a blocking operation. Distinguishes the
 /// job-wide poison (a peer's *panic* — a bug, propagated loudly) from a
 /// first-class *permanent rank death* (an injected `RankKill` — an
 /// expected event at scale that the survivors recover from by
@@ -87,8 +74,8 @@ const FLAG_CORRUPT: u8 = 2;
 /// A communication failure observed by one rank.
 ///
 /// Returned as `Err` instead of panicking: a panic in one rank thread
-/// poisons the whole simulated job (every other rank then dies on the
-/// deadlock timeout), whereas an error lets the caller run through the
+/// poisons the whole simulated job (every other rank then fails with
+/// [`PeerPanicked`]), whereas an error lets the caller run through the
 /// rest of the step's communication pattern and fail collectively at
 /// the step commit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -129,9 +116,8 @@ pub enum CommError {
         name: &'static str,
     },
     /// A peer rank panicked and poisoned the job; this rank's pending
-    /// or subsequent communication fails fast instead of waiting out a
-    /// deadlock timeout. The origin rank's own panic is what
-    /// `Cluster::run` re-propagates.
+    /// or subsequent communication fails fast. The origin rank's own
+    /// panic is what `Cluster::run` re-propagates.
     PeerPanicked {
         /// The rank whose panic poisoned the job.
         origin: usize,
@@ -191,173 +177,24 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// The execution engine behind a job's shared communication state.
-/// `Comm` is engine-agnostic: all telemetry, cost charging, framing
-/// and fault injection happen above this dispatch, so both engines
-/// produce bitwise-identical results and metrics.
-enum EngineImpl {
-    /// Event-driven cooperative scheduler (default): M ranks
-    /// multiplexed on N worker slots, structural deadlock detection.
-    Sched(Scheduler),
-    /// Legacy thread-per-rank engine (test oracle): freely scheduled
-    /// OS threads, wall-clock-timeout deadlock detection.
-    Threads(ThreadsEngine),
-}
-
-pub(crate) struct Shared {
-    size: usize,
-    engine: EngineImpl,
-}
-
-impl Shared {
-    /// Shared state for the event-driven engine: `workers` bounds how
-    /// many ranks hold run slots concurrently.
-    pub(crate) fn new_event_driven(size: usize, workers: usize) -> Arc<Self> {
-        Arc::new(Self { size, engine: EngineImpl::Sched(Scheduler::new(size, workers)) })
-    }
-
-    /// Shared state for the legacy thread-per-rank oracle engine.
-    pub(crate) fn new_thread_per_rank(size: usize, timeout: Duration) -> Arc<Self> {
-        Arc::new(Self { size, engine: EngineImpl::Threads(ThreadsEngine::new(size, timeout)) })
-    }
-
-    /// Gate a rank's carrier thread until the engine grants it a run
-    /// slot (no-op on the thread-per-rank engine).
-    pub(crate) fn task_started(&self, rank: usize) -> Result<(), PeerPanicked> {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.task_started(rank),
-            EngineImpl::Threads(t) => t.task_started(rank),
-        }
-    }
-
-    /// The rank's closure returned normally.
-    pub(crate) fn task_finished(&self, rank: usize) {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.task_finished(rank),
-            EngineImpl::Threads(t) => t.task_finished(rank),
-        }
-    }
-
-    /// The rank's closure panicked: poison the job so peers fail fast.
-    pub(crate) fn task_panicked(&self, rank: usize) {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.task_panicked(rank),
-            EngineImpl::Threads(t) => t.task_panicked(rank),
-        }
-    }
-
-    /// The first rank whose (non-deadlock) panic poisoned the job.
-    pub(crate) fn poison_origin(&self) -> Option<usize> {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.poison_origin(),
-            EngineImpl::Threads(t) => t.poison_origin(),
-        }
-    }
-
-    fn push_frame(
-        &self,
-        src: usize,
-        dst: usize,
-        tag: u64,
-        frame: Bytes,
-    ) -> Result<(), PeerPanicked> {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.push_frame(src, dst, tag, frame),
-            EngineImpl::Threads(t) => t.push_frame(src, dst, tag, frame),
-        }
-    }
-
-    fn pop_frame(
-        &self,
-        rank: usize,
-        src: usize,
-        tag: u64,
-        category: Category,
-    ) -> Result<Bytes, Fail> {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.pop_frame(rank, src, tag, category),
-            EngineImpl::Threads(t) => t.pop_frame(rank, src, tag, category),
-        }
-    }
-
-    fn rendezvous(
-        &self,
-        rank: usize,
-        name: &'static str,
-        category: Category,
-        words: [u64; 3],
-        combine: fn(&mut [u64; 3], [u64; 3]),
-        fault: bool,
-    ) -> Result<([u64; 3], bool, bool), PeerPanicked> {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.rendezvous(rank, name, category, words, combine, fault),
-            EngineImpl::Threads(t) => t.rendezvous(rank, name, category, words, combine, fault),
-        }
-    }
-
-    /// Declare `rank` permanently dead: pending receives from it fail
-    /// with [`Fail::Dead`] once its mailbox drains, in-flight
-    /// rendezvous collectives complete among the survivors with the
-    /// revocation taint, and the structural deadlock detector stops
-    /// counting it as live.
-    pub(crate) fn mark_dead(&self, rank: usize) {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.mark_dead(rank),
-            EngineImpl::Threads(t) => t.mark_dead(rank),
-        }
-    }
-
-    /// Whether `rank` (physical) has been declared permanently dead.
-    pub(crate) fn is_dead(&self, rank: usize) -> bool {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.is_dead(rank),
-            EngineImpl::Threads(t) => t.is_dead(rank),
-        }
-    }
-
-    /// All physical ranks declared permanently dead so far, ascending.
-    pub(crate) fn dead_ranks(&self) -> Vec<usize> {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.dead_ranks(),
-            EngineImpl::Threads(t) => t.dead_ranks(),
-        }
-    }
-
-    /// Survivor barrier at a shrink boundary: blocks until every live
-    /// rank arrives (dead ranks excluded), flushes all mailboxes (frames
-    /// addressed to or queued from any rank — the shrink boundary is a
-    /// communication epoch), max-combines the submitted counter words so
-    /// survivors resume with aligned collective/rendezvous sequence
-    /// numbers, and acknowledges all deaths so far (subsequent
-    /// rendezvous among the survivors are no longer revoked).
-    pub(crate) fn shrink_align(
-        &self,
-        rank: usize,
-        words: [u64; 2],
-    ) -> Result<[u64; 2], PeerPanicked> {
-        match &self.engine {
-            EngineImpl::Sched(s) => s.shrink_align(rank, words),
-            EngineImpl::Threads(t) => t.shrink_align(rank, words),
-        }
-    }
-}
-
 /// A rank's endpoint in the simulated job — the MPI communicator
 /// analogue. One `Comm` is handed to each rank closure by
 /// [`Cluster::run`](crate::Cluster::run).
 pub struct Comm {
-    /// This rank's *physical* id in the original job, `0..shared.size`.
-    /// Engine-level operations (frames, rendezvous, liveness) always
-    /// speak physical ids; the application-facing [`Comm::rank`] /
-    /// [`Comm::size`] speak the logical (post-shrink) numbering.
-    rank: usize,
+    /// This rank's *physical* id in the original job,
+    /// `0..shared.size()`. Scheduler-level operations (frames,
+    /// rendezvous, liveness) always speak physical ids; the
+    /// application-facing [`Comm::rank`] / [`Comm::size`] speak the
+    /// logical (post-shrink) numbering.
+    physical_rank: usize,
     /// Logical→physical rank translation after a shrink: `view[l]` is
     /// the physical id of logical rank `l`. `None` until the first
     /// [`Comm::shrink`] (identity mapping).
     view: Option<Arc<Vec<usize>>>,
-    /// This rank's logical id (`== rank` until the first shrink).
+    /// This rank's logical id (`== physical_rank` until the first
+    /// shrink).
     logical_rank: usize,
-    shared: Arc<Shared>,
+    shared: Arc<Scheduler>,
     clock: Clock,
     cost: Arc<CostModel>,
     algo: CollectiveAlgo,
@@ -408,13 +245,13 @@ fn next_occurrence(map: &Mutex<HashMap<(usize, u64), u64>>, peer: usize, tag: u6
 impl Comm {
     pub(crate) fn new(
         rank: usize,
-        shared: Arc<Shared>,
+        shared: Arc<Scheduler>,
         clock: Clock,
         cost: Arc<CostModel>,
         algo: CollectiveAlgo,
     ) -> Self {
         Self {
-            rank,
+            physical_rank: rank,
             view: None,
             logical_rank: rank,
             shared,
@@ -434,7 +271,7 @@ impl Comm {
     /// Bank `seconds` of compute that ran while messages were in flight
     /// as overlap credit: subsequent point-to-point receives charge
     /// only the exposed remainder of their transfer cost (the netsim
-    /// analogue of [`rbamr_device::Device`]'s transfer/compute overlap
+    /// analogue of `rbamr_device::Device`'s transfer/compute overlap
     /// credit). Callers bound the window with
     /// [`Comm::clear_overlap_credit`].
     pub fn bank_overlap_credit(&self, seconds: f64) {
@@ -517,7 +354,7 @@ impl Comm {
     pub fn size(&self) -> usize {
         match &self.view {
             Some(v) => v.len(),
-            None => self.shared.size,
+            None => self.shared.size(),
         }
     }
 
@@ -539,7 +376,7 @@ impl Comm {
     /// it. The dying rank's closure should return promptly after
     /// calling this; its remaining sends are black-holed.
     pub fn mark_dead(&self) {
-        self.shared.mark_dead(self.rank);
+        self.shared.mark_dead(self.physical_rank);
     }
 
     /// All physical ranks declared permanently dead so far (ascending).
@@ -567,31 +404,30 @@ impl Comm {
     /// # Panics
     /// Panics with a [`PeerPanicked`] payload if the job is poisoned.
     pub fn shrink(&self) -> Result<Comm, CommError> {
-        if self.shared.is_dead(self.rank) {
-            return Err(CommError::RankDead { rank: self.rank });
+        if self.shared.is_dead(self.physical_rank) {
+            return Err(CommError::RankDead { rank: self.physical_rank });
         }
         let words = [
             self.collective_seq.load(std::sync::atomic::Ordering::Relaxed),
             self.rendezvous_seq.load(std::sync::atomic::Ordering::Relaxed),
         ];
-        let aligned = match self.shared.shrink_align(self.rank, words) {
+        let aligned = match self.shared.shrink_align(self.physical_rank, words) {
             Ok(w) => w,
             Err(p) => std::panic::panic_any(p),
         };
         // The survivor set is read *after* the align: completion
-        // freezes the accepted dead set under the engine lock, so every
+        // freezes the accepted dead set under the scheduler lock, so every
         // survivor derives the same view even when a second death lands
         // while the first is being agreed on.
         let dead = self.shared.dead_ranks();
-        let survivors: Vec<usize> =
-            (0..self.shared.size).filter(|r| !dead.contains(r)).collect();
+        let survivors: Vec<usize> = (0..self.shared.size()).filter(|r| !dead.contains(r)).collect();
         let logical_rank = survivors
             .iter()
-            .position(|&r| r == self.rank)
+            .position(|&r| r == self.physical_rank)
             .expect("live rank must appear in the survivor set");
         self.recorder.count("net.shrinks", 1);
         Ok(Comm {
-            rank: self.rank,
+            physical_rank: self.physical_rank,
             view: Some(Arc::new(survivors)),
             logical_rank,
             shared: Arc::clone(&self.shared),
@@ -667,7 +503,7 @@ impl Comm {
     pub fn send(&self, dst: usize, tag: u64, payload: Bytes) {
         assert!(dst < self.size(), "send: rank {dst} out of range");
         let dst = self.physical(dst);
-        assert_ne!(dst, self.rank, "send: rank {} sent to itself", self.logical_rank);
+        assert_ne!(dst, self.physical_rank, "send: rank {} sent to itself", self.logical_rank);
         self.count_message(true, tag, payload.len() as u64);
         if self.recorder.is_enabled() {
             let occ = next_occurrence(&self.send_seq, dst, tag);
@@ -677,7 +513,7 @@ impl Comm {
         let mut framed = Vec::with_capacity(body.len() + 1);
         framed.push(flag);
         framed.extend_from_slice(&body);
-        if let Err(p) = self.shared.push_frame(self.rank, dst, tag, Bytes::from(framed)) {
+        if let Err(p) = self.shared.push_frame(self.physical_rank, dst, tag, Bytes::from(framed)) {
             std::panic::panic_any(p);
         }
     }
@@ -712,19 +548,23 @@ impl Comm {
     /// when a peer's panic poisoned the job while this rank waited.
     ///
     /// # Panics
-    /// Panics on deadlock (structural detection on the event-driven
-    /// engine, wall-clock timeout on the thread-per-rank oracle; both
-    /// dump every rank's pending op), or if `src` is invalid.
+    /// Panics on deadlock (detected structurally, see [`crate::sched`];
+    /// the message dumps every rank's pending op), or if `src` is
+    /// invalid.
     pub fn try_recv(&self, src: usize, tag: u64, category: Category) -> Result<Bytes, CommError> {
         assert!(src < self.size(), "recv: rank {src} out of range");
         let logical_src = src;
         let src = self.physical(src);
-        assert_ne!(src, self.rank, "recv: rank {} received from itself", self.logical_rank);
-        let frame = match self.shared.pop_frame(self.rank, src, tag, category) {
+        assert_ne!(
+            src, self.physical_rank,
+            "recv: rank {} received from itself",
+            self.logical_rank
+        );
+        let frame = match self.shared.pop_frame(self.physical_rank, src, tag, category) {
             Ok(frame) => frame,
             Err(Fail::Poisoned(p)) => return Err(CommError::PeerPanicked { origin: p.origin }),
             Err(Fail::Dead { rank }) => {
-                debug_assert_eq!(rank, src, "engine reported a different dead rank");
+                debug_assert_eq!(rank, src, "scheduler reported a different dead rank");
                 return Err(CommError::RankDead { rank: logical_src });
             }
         };
@@ -852,7 +692,7 @@ impl Comm {
     /// caller's clock is charged [`CostModel::allreduce`]
     /// (⌈log₂N⌉ × `message(spec.bytes)`) to `category` and one
     /// collective causal edge is emitted. *Execution*: one rendezvous
-    /// through the engine's shared 3-word accumulator, no frames on the
+    /// through the scheduler's shared 3-word accumulator, no frames on the
     /// wire. The injected-fault decision (consulted once per call) and
     /// the dead-rank flag are OR-ed through the same rendezvous, so
     /// every rank reports the same [`CommError::CollectiveFault`] /
@@ -884,7 +724,7 @@ impl Comm {
             };
         }
         let (result, result_fault, result_revoked) = match self.shared.rendezvous(
-            self.rank,
+            self.physical_rank,
             name,
             category,
             words,
@@ -1194,6 +1034,7 @@ mod tests {
     use crate::cluster::Cluster;
     use rbamr_fault::{FaultPlan, FaultRule};
     use rbamr_perfmodel::Machine;
+    use std::time::Duration;
 
     fn cluster() -> Cluster {
         Cluster::new(Machine::ipa_cpu_node())
@@ -1687,9 +1528,8 @@ mod tests {
 
     #[test]
     fn deadlock_diagnostic_names_blocked_ranks() {
-        // Default (event-driven) engine: rank 1 exits while rank 0
-        // waits on a never-sent message — detected structurally, no
-        // timeout involved, same per-rank diagnostic as the oracle.
+        // Rank 1 exits while rank 0 waits on a never-sent message:
+        // detected structurally, with the per-rank pending-op dump.
         let caught = std::panic::catch_unwind(|| {
             cluster().run(2, |comm| {
                 if comm.rank() == 0 {
@@ -1706,31 +1546,9 @@ mod tests {
     }
 
     #[test]
-    fn oracle_engine_deadlock_diagnostic_names_blocked_ranks() {
-        // Thread-per-rank oracle keeps the wall-clock-timeout detector;
-        // the diagnostic format is shared with the structural one.
-        let caught = std::panic::catch_unwind(|| {
-            cluster()
-                .with_engine(crate::Engine::ThreadPerRank)
-                .with_deadlock_timeout(Duration::from_millis(200))
-                .run(2, |comm| {
-                    if comm.rank() == 0 {
-                        comm.recv(1, 99, Category::HaloExchange);
-                    }
-                });
-        });
-        let err = caught.expect_err("deadlock must panic");
-        let msg = panic_message(&err);
-        assert!(msg.contains("deadlock"), "got: {msg}");
-        assert!(msg.contains("pending operations per rank"), "got: {msg}");
-        assert!(msg.contains("rank 0: blocked in recv(src=1, tag=0x63"), "got: {msg}");
-        assert!(msg.contains("rank 1: not blocked"), "got: {msg}");
-    }
-
-    #[test]
     fn structural_deadlock_is_detected_instantly() {
-        // The default deadlock timeout is 60 s; if this test finishes
-        // quickly the detection was structural, not timeout-based.
+        // No timer is involved: the panic arrives as soon as the last
+        // runnable rank blocks or exits.
         let start = std::time::Instant::now();
         let caught = std::panic::catch_unwind(|| {
             cluster().run(3, |comm| {
@@ -1745,7 +1563,7 @@ mod tests {
         assert!(msg.contains("barrier (category=Timestep)"), "got: {msg}");
         assert!(
             start.elapsed() < Duration::from_secs(30),
-            "structural detection must not wait out the 60 s timeout"
+            "structural detection must not wait on a timer"
         );
     }
 
@@ -1771,10 +1589,9 @@ mod tests {
 
     #[test]
     fn peer_panic_poisons_job_and_propagates_original_payload() {
-        // Rank 0 panics while ranks 1 and 2 are parked in recv; before
-        // poisoning existed they would sit until the 60 s deadlock
-        // timeout. Now they fail fast and the job re-raises the origin
-        // rank's own panic payload.
+        // Rank 0 panics while ranks 1 and 2 are parked in recv: they
+        // fail fast and the job re-raises the origin rank's own panic
+        // payload.
         let start = std::time::Instant::now();
         let caught = std::panic::catch_unwind(|| {
             cluster().run(3, |comm| {
@@ -1787,10 +1604,7 @@ mod tests {
         let err = caught.expect_err("job must abort");
         let msg = panic_message(&err);
         assert!(msg.contains("original explosion"), "got: {msg}");
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "peers must fail fast, not wait out the deadlock timeout"
-        );
+        assert!(start.elapsed() < Duration::from_secs(30), "peers must fail fast");
     }
 
     #[test]
@@ -1819,23 +1633,6 @@ mod tests {
     }
 
     #[test]
-    fn oracle_engine_peer_panic_also_fails_fast() {
-        let start = std::time::Instant::now();
-        let caught = std::panic::catch_unwind(|| {
-            cluster().with_engine(crate::Engine::ThreadPerRank).run(2, |comm| {
-                if comm.rank() == 1 {
-                    panic!("oracle explosion");
-                }
-                comm.recv(1, 1, Category::Other);
-            });
-        });
-        let err = caught.expect_err("job must abort");
-        let msg = panic_message(&err);
-        assert!(msg.contains("oracle explosion"), "got: {msg}");
-        assert!(start.elapsed() < Duration::from_secs(30));
-    }
-
-    #[test]
     fn dead_rank_is_structural_pre_death_frames_drain_then_typed_error() {
         let start = std::time::Instant::now();
         let results = cluster().run(2, |comm| {
@@ -1848,7 +1645,7 @@ mod tests {
             let pre = comm.try_recv(1, 1, Category::Other);
             assert_eq!(pre.as_deref(), Ok(&b"last words"[..]));
             // A receive the dead rank never matched fails structurally
-            // with a typed error — no wall-clock timeout, no hang.
+            // with a typed error — no hang.
             let post = comm.try_recv(1, 2, Category::Other);
             assert_eq!(post, Err(CommError::RankDead { rank: 1 }));
             // Dead-rank-aware send is typed; the infallible send is
@@ -1862,7 +1659,7 @@ mod tests {
         assert_eq!(results[0].value, vec![1u8]);
         assert!(
             start.elapsed() < Duration::from_secs(30),
-            "dead-rank detection must be structural, not a deadlock timeout"
+            "dead-rank detection must be structural"
         );
     }
 
@@ -1898,22 +1695,5 @@ mod tests {
         });
         assert_eq!(results[0].value, (0, 2, 4.0));
         assert_eq!(results[2].value, (1, 2, 4.0));
-    }
-
-    #[test]
-    fn oracle_engine_also_survives_rank_death() {
-        let start = std::time::Instant::now();
-        let results = cluster().with_engine(crate::Engine::ThreadPerRank).run(2, |comm| {
-            if comm.rank() == 1 {
-                comm.mark_dead();
-                return false;
-            }
-            comm.try_recv(1, 7, Category::Other) == Err(CommError::RankDead { rank: 1 })
-        });
-        assert!(results[0].value, "oracle engine must surface the typed dead-rank error");
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "oracle engine must not fall back to the deadlock timeout"
-        );
     }
 }

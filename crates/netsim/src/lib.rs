@@ -12,15 +12,15 @@
 //! (halo fill → global dt reduction → advance → periodic regrid), so this
 //! model is semantically exact for the reproduced application.
 //!
-//! Rank execution is event-driven by default ([`Engine::EventDriven`],
-//! see [`sched`]): M simulated ranks are multiplexed over N worker
-//! slots, and every blocking communication op cooperatively yields its
-//! slot — which is what lets one box simulate thousands of ranks (the
-//! paper's 4,096-node Titan regime) instead of collapsing under one OS
-//! thread per rank. The legacy thread-per-rank engine
-//! ([`Engine::ThreadPerRank`]) survives as the equivalence-test
-//! oracle; both engines are required (and property-tested) to produce
-//! bitwise-identical results, causal edge streams, and virtual clocks.
+//! Rank execution is event-driven (see [`sched`]): M simulated ranks
+//! are multiplexed over N worker slots, and every blocking
+//! communication op cooperatively yields its slot — which is what lets
+//! one box simulate thousands of ranks (the paper's 4,096-node Titan
+//! regime) instead of collapsing under one freely scheduled OS thread
+//! per rank. With one worker the schedule is a deterministic
+//! round-robin; every other worker count is required (and
+//! property-tested) to produce bitwise-identical results, causal edge
+//! streams, and virtual clocks.
 //!
 //! Collectives go through the unified [`Comm::collective`] entry
 //! point that the named wrappers delegate to (see [`collectives`]).
@@ -40,15 +40,14 @@
 //! collectives charge their real per-frame receive costs. This is what
 //! turns a run on this single box into the strong/weak-scaling curves
 //! of Figures 10 and 11. Virtual time never depends on wall-clock
-//! scheduling, so the engine choice cannot change any metric.
+//! scheduling, so the worker count cannot change any metric.
 
 pub mod cluster;
 pub mod collectives;
 pub mod comm;
 pub mod sched;
-mod threads;
 
-pub use cluster::{Cluster, Engine, RankResult};
+pub use cluster::{Cluster, RankResult};
 pub use collectives::{CollectiveAlgo, CollectiveOp, CollectiveOutput, ReduceSpec};
 pub use comm::{Comm, CommError, PeerPanicked};
 pub use rbamr_fault::{FaultInjector, FaultKind, FaultPlan, FaultReport, FaultRule, FaultSite};

@@ -1,21 +1,22 @@
 //! Event-driven cooperative rank scheduler.
 //!
-//! The default execution engine behind [`Cluster::run`]: M simulated
-//! ranks are multiplexed over N worker *slots* instead of running as M
-//! concurrently-schedulable OS threads. Each rank still owns a (cheap,
-//! mostly-parked) carrier thread for its stack, but only `workers`
-//! of them hold a run slot at any instant; every blocking operation —
-//! a mailbox wait, a rendezvous barrier — releases the slot and yields
-//! back to the scheduler, which hands it to the next runnable rank.
-//! Virtual time is entirely unaffected: the clock is charged by the
-//! cost model in `Comm`, never by wall-clock waiting, so an
-//! event-driven run produces bitwise-identical results, edge streams,
-//! and virtual-seconds metrics to the thread-per-rank oracle.
+//! The execution engine behind [`Cluster::run`](crate::Cluster::run):
+//! M simulated ranks are multiplexed over N worker *slots* instead of
+//! running as M concurrently-schedulable OS threads. Each rank owns a
+//! (cheap, mostly-parked) carrier thread for its stack, but only
+//! `workers` of them hold a run slot at any instant; every blocking
+//! operation — a mailbox wait, a rendezvous barrier — releases the slot
+//! and yields back to the scheduler, which hands it to the next
+//! runnable rank. Virtual time is entirely unaffected: the clock is
+//! charged by the cost model in `Comm`, never by wall-clock waiting, so
+//! every worker count produces results, edge streams and
+//! virtual-seconds metrics bitwise identical to the deterministic
+//! `workers = 1` round-robin (`tests/sched_equivalence.rs`).
 //!
 //! This is what lets `netsim` scale to thousands of simulated ranks on
 //! one box (the paper's Titan weak-scaling regime): runnable
 //! parallelism is bounded by `workers`, memory by `ranks × stack`, and
-//! deadlock detection is *structural* instead of timeout-based.
+//! deadlock detection is *structural* — no timer anywhere.
 //!
 //! ## Task states
 //!
@@ -44,13 +45,13 @@
 //! on an event that only another (blocked or finished) rank could
 //! produce. No wall-clock timeout is involved, so a loaded CI machine
 //! can never produce a false positive, and a real deadlock is reported
-//! instantly with the same per-rank pending-operation dump the
-//! timeout-based engine printed.
+//! instantly with a per-rank pending-operation dump.
 
 use crate::comm::{Fail, PeerPanicked};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rbamr_perfmodel::Category;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// What a blocked task is waiting for. Descriptions are formatted
@@ -65,8 +66,7 @@ pub(crate) enum Wait {
 }
 
 impl Wait {
-    /// Human-readable pending-op description; format is shared with the
-    /// thread-per-rank engine so deadlock diagnostics read identically.
+    /// Human-readable pending-op description for deadlock diagnostics.
     fn describe(&self) -> String {
         match self {
             Wait::Recv { src, tag, category } => {
@@ -90,11 +90,11 @@ enum TaskState {
 
 /// Rendezvous accumulator shared by every rendezvous collective (the
 /// f64 reductions pack their value into word 0 as bits; the digest uses
-/// all three words). Same protocol as the thread-per-rank engine:
-/// `generation` bumps when a round completes, `result`/`result_fault`
-/// hold the completed round's output (safe to read late — the next
-/// round cannot complete until this rank arrives at it, so one
-/// accumulator serves every collective kind without cross-talk).
+/// all three words). `generation` bumps when a round completes,
+/// `result`/`result_fault` hold the completed round's output (safe to
+/// read late — the next round cannot complete until this rank arrives
+/// at it, so one accumulator serves every collective kind without
+/// cross-talk).
 struct CollState {
     arrived: usize,
     generation: u64,
@@ -145,9 +145,9 @@ struct SchedState {
     shrink_result: [u64; 2],
 }
 
-/// The event-driven engine: one global state lock plus one condvar per
-/// rank (a rank only ever waits on its own condvar, so wakeups are
-/// targeted; std requires one mutex per condvar, not vice versa).
+/// The scheduler: one global state lock plus one condvar per rank (a
+/// rank only ever waits on its own condvar, so wakeups are targeted;
+/// std requires one mutex per condvar, not vice versa).
 pub(crate) struct Scheduler {
     state: Mutex<SchedState>,
     cvs: Vec<Condvar>,
@@ -190,6 +190,12 @@ impl Scheduler {
         Self { state: Mutex::new(state), cvs }
     }
 
+    /// Number of ranks the job was launched with (physical ids are
+    /// `0..size()`, dead ranks included).
+    pub(crate) fn size(&self) -> usize {
+        self.cvs.len()
+    }
+
     /// Grant free run slots to queued Ready tasks, FIFO.
     fn refill(state: &mut SchedState, cvs: &[Condvar]) {
         while state.running < state.workers {
@@ -201,8 +207,7 @@ impl Scheduler {
         }
     }
 
-    /// Per-rank diagnostic of pending (blocked) operations; format is
-    /// identical to the thread-per-rank engine's dump.
+    /// Per-rank diagnostic of pending (blocked) operations.
     fn dump_pending(state: &SchedState) -> String {
         let mut out = String::from("pending operations per rank:\n");
         for (rank, task) in state.tasks.iter().enumerate() {
@@ -311,9 +316,8 @@ impl Scheduler {
     }
 
     /// The rank's closure panicked: poison the job so every peer fails
-    /// fast with [`PeerPanicked`] instead of waiting out a timeout.
-    /// Deadlock panics don't poison — those peers are already dying
-    /// with their own deadlock diagnostics.
+    /// fast with [`PeerPanicked`]. Deadlock panics don't poison — those
+    /// peers are already dying with their own deadlock diagnostics.
     pub(crate) fn task_panicked(&self, rank: usize) {
         let mut st = self.state.lock();
         if matches!(st.tasks[rank], TaskState::Running) {
@@ -381,15 +385,20 @@ impl Scheduler {
             if let Some(origin) = st.poisoned {
                 return Err(Fail::Poisoned(PeerPanicked { origin }));
             }
-            if let Some(frame) = st.mailboxes[rank].get_mut(&(src, tag)).and_then(|q| q.pop_front())
-            {
+            // A drained queue is removed with its key: payload
+            // collectives draw a fresh tag per call, so an emptied
+            // queue left behind is never used again.
+            if let Entry::Occupied(mut queue) = st.mailboxes[rank].entry((src, tag)) {
+                let frame = queue.get_mut().pop_front().expect("mailbox queues are never empty");
+                if queue.get().is_empty() {
+                    queue.remove();
+                }
                 return Ok(frame);
             }
             if st.dead[src] {
                 return Err(Fail::Dead { rank: src });
             }
-            self.block(&mut st, rank, Wait::Recv { src, tag, category })
-                .map_err(Fail::Poisoned)?;
+            self.block(&mut st, rank, Wait::Recv { src, tag, category }).map_err(Fail::Poisoned)?;
         }
     }
 
@@ -408,7 +417,7 @@ impl Scheduler {
         combine: fn(&mut [u64; 3], [u64; 3]),
         fault: bool,
     ) -> Result<([u64; 3], bool, bool), PeerPanicked> {
-        let size = self.cvs.len();
+        let size = self.size();
         let mut st = self.state.lock();
         if let Some(origin) = st.poisoned {
             return Err(PeerPanicked { origin });
@@ -472,7 +481,7 @@ impl Scheduler {
     /// keeps the live count exact, so the structural deadlock detector
     /// needs no special case.
     pub(crate) fn mark_dead(&self, rank: usize) {
-        let size = self.cvs.len();
+        let size = self.size();
         let mut st = self.state.lock();
         if st.dead[rank] {
             return;
@@ -510,15 +519,19 @@ impl Scheduler {
         st.dead.iter().enumerate().filter(|(_, &d)| d).map(|(r, _)| r).collect()
     }
 
-    /// Survivor barrier at a shrink boundary: completes once every live
-    /// rank has arrived, max-combining the submitted counter words. See
-    /// [`crate::comm::Shared::shrink_align`] for the contract.
+    /// Survivor barrier at a shrink boundary: blocks until every live
+    /// rank arrives (dead ranks excluded), flushes all mailboxes (the
+    /// shrink boundary is a communication epoch), max-combines the
+    /// submitted counter words so survivors resume with aligned
+    /// collective/rendezvous sequence numbers, and acknowledges all
+    /// deaths so far (subsequent rendezvous among the survivors are no
+    /// longer revoked).
     pub(crate) fn shrink_align(
         &self,
         rank: usize,
         words: [u64; 2],
     ) -> Result<[u64; 2], PeerPanicked> {
-        let size = self.cvs.len();
+        let size = self.size();
         let mut st = self.state.lock();
         if let Some(origin) = st.poisoned {
             return Err(PeerPanicked { origin });
@@ -560,5 +573,23 @@ impl Scheduler {
         st.coll.arrived = 0;
         st.coll.fault = false;
         Self::wake_collective_waiters(st, cvs);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn drained_mailbox_queues_are_removed() {
+        // Payload collectives draw a fresh tag per call, so a drained
+        // queue left in the map would leak one entry per received frame.
+        let sched = Scheduler::new(2, 2);
+        for tag in 0..1000u64 {
+            sched.push_frame(0, 1, tag, Bytes::from_static(b"x")).expect("job is not poisoned");
+            let frame = sched.pop_frame(1, 0, tag, Category::Other);
+            assert!(matches!(frame, Ok(f) if &f[..] == b"x"));
+        }
+        assert!(sched.state.lock().mailboxes[1].is_empty());
     }
 }

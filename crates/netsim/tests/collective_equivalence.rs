@@ -1,4 +1,4 @@
-//! Collective correctness on both engines.
+//! Collective correctness under any schedule.
 //!
 //! *Reductions* have one execution (a rendezvous charged at the
 //! log-depth cost), so there is no second algorithm to diff against:
@@ -15,15 +15,16 @@
 //! broadcast bytes and logical accounting counters exactly. Wire-level
 //! observables (frame counts, causal edges, virtual time) legitimately
 //! differ, so those are checked for *per-algorithm* self-consistency:
-//! the event-driven scheduler must match the thread-per-rank engine
-//! counter-for-counter and edge-for-edge, and the causal edge stream
-//! must form a complete DAG (no unmatched sends, no stalls).
+//! a multi-worker schedule must match the deterministic `workers = 1`
+//! round-robin counter-for-counter and edge-for-edge, and the causal
+//! edge stream must form a complete DAG (no unmatched sends, no
+//! stalls).
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rbamr_netsim::{
-    Cluster, CollectiveAlgo, CollectiveOp, Comm, CommError, Engine, FaultKind, FaultPlan,
-    FaultRule, ReduceSpec,
+    Cluster, CollectiveAlgo, CollectiveOp, Comm, CommError, FaultKind, FaultPlan, FaultRule,
+    ReduceSpec,
 };
 use rbamr_perfmodel::{Category, Machine, TimeBreakdown};
 use rbamr_telemetry::Recorder;
@@ -60,7 +61,7 @@ struct Semantics {
     collective_bytes: u64,
 }
 
-/// Full per-rank observation — identical across *engines* for a fixed
+/// Full per-rank observation — identical across *schedules* for a fixed
 /// algorithm, but not across algorithms.
 #[derive(Debug, PartialEq)]
 struct Observation {
@@ -216,7 +217,7 @@ fn run_ops(cluster: Cluster, nranks: usize, ops: &[Op]) -> (Vec<Observation>, Ve
 
 const ALGOS: [CollectiveAlgo; 2] = [CollectiveAlgo::Flat, CollectiveAlgo::RecursiveDoubling];
 
-/// Run `ops` under both payload algorithms and both engines and check
+/// Run `ops` under both payload algorithms and two schedules and check
 /// the contract in the module docs.
 fn check_algorithms(nranks: usize, ops: &[Op]) -> Result<(), TestCaseError> {
     let expected: Vec<u64> = ops
@@ -236,13 +237,10 @@ fn check_algorithms(nranks: usize, ops: &[Op]) -> Result<(), TestCaseError> {
         let analysis = rbamr_telemetry::analyze(&recs)
             .unwrap_or_else(|e| panic!("causal analysis under {algo:?}: {e}"));
         prop_assert_eq!(analysis.unmatched_sends, 0, "unmatched sends under {:?}", algo);
-        // Per-algorithm: engine choice must not change any observable.
-        let (threads, _) = run_ops(
-            Cluster::new(machine()).with_collectives(algo).with_engine(Engine::ThreadPerRank),
-            nranks,
-            ops,
-        );
-        prop_assert_eq!(&sched, &threads, "engines diverged under {:?}", algo);
+        // Per-algorithm: the schedule must not change any observable.
+        let (round_robin, _) =
+            run_ops(Cluster::new(machine()).with_collectives(algo).with_workers(1), nranks, ops);
+        prop_assert_eq!(&sched, &round_robin, "schedules diverged under {:?}", algo);
         for o in &sched {
             prop_assert_eq!(&o.sem.collective_bits, &expected, "reductions vs script fold");
         }
@@ -274,7 +272,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 proptest! {
     // Each case runs the script four times (two payload algorithms,
-    // two engines each); modest rank counts keep the suite fast while
+    // two schedules each); modest rank counts keep the suite fast while
     // covering power-of-two, odd, and prime communicator sizes.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -377,9 +375,9 @@ fn generic_entry_point_matches_legacy_wrappers() {
     }
 }
 
-/// One default cluster per engine.
+/// The default schedule and the deterministic round-robin.
 fn clusters() -> [Cluster; 2] {
-    [Cluster::new(machine()), Cluster::new(machine()).with_engine(Engine::ThreadPerRank)]
+    [Cluster::new(machine()), Cluster::new(machine()).with_workers(1)]
 }
 
 #[test]

@@ -1,23 +1,25 @@
-//! Engine-equivalence tests: the event-driven scheduler must be
-//! indistinguishable from the thread-per-rank oracle.
+//! Schedule-equivalence tests: every worker count must be
+//! indistinguishable from the deterministic `workers = 1` round-robin.
 //!
 //! Random communication scripts (point-to-point bursts plus
-//! rendezvous collectives) run on both engines — the legacy
-//! thread-per-rank model and the event-driven scheduler at several
-//! worker counts — and every per-rank observable is required to be
-//! *byte-identical*: received payload digests, collective results
-//! (compared as bit patterns), telemetry counters, the full causal
-//! edge stream (debug-formatted, which round-trips every f64 exactly),
-//! and the final virtual clock.
+//! rendezvous collectives) run under the single-worker reference
+//! schedule and at several worker counts, and every per-rank observable
+//! is required to be *byte-identical*: received payload digests,
+//! collective results (compared as bit patterns), telemetry counters,
+//! the full causal edge stream (debug-formatted, which round-trips
+//! every f64 exactly), and the final virtual clock. So that correctness
+//! does not rest on two runs of one implementation agreeing, every run
+//! also checks each received payload and each min/max result against
+//! the value the script itself determines.
 //!
 //! `allreduce-sum` is deliberately absent from the scripts: its
-//! accumulation order is rank-arrival order, which is the one
-//! documented non-determinism both engines share (tolerated as MPI_SUM
-//! roundoff); min/max/barrier/digest are order-independent.
+//! accumulation order is rank-arrival order, the one documented
+//! schedule dependence (tolerated as MPI_SUM roundoff);
+//! min/max/barrier/digest are order-independent.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rbamr_netsim::{Cluster, Engine};
+use rbamr_netsim::Cluster;
 use rbamr_perfmodel::{Category, Machine, TimeBreakdown};
 use rbamr_telemetry::Recorder;
 
@@ -69,17 +71,27 @@ fn run_script(cluster: Cluster, nranks: usize, script: &[Round]) -> Vec<RankObse
                     comm.send(dst, tag, Bytes::from(vec![fill; len]));
                 }
             }
-            for (i, &(src, dst, _len)) in round.sends.iter().enumerate() {
+            for (i, &(src, dst, len)) in round.sends.iter().enumerate() {
                 let tag = (round_idx * 1000 + i) as u64;
                 if dst == comm.rank() {
                     let payload = comm.recv(src, tag, Category::HaloExchange);
+                    let fill = (src * 7 + dst * 13 + round_idx) as u8;
+                    assert_eq!(&payload[..], vec![fill; len].as_slice(), "{src}->{dst} tag {tag}");
                     fnv1a(&mut recv_digest, &payload);
                 }
             }
             let v = (comm.rank() * 31 + round_idx) as f64;
             match round.collective {
-                0 => collective_bits.push(comm.allreduce_min(v, Category::Timestep).to_bits()),
-                1 => collective_bits.push(comm.allreduce_max(v, Category::Timestep).to_bits()),
+                0 => {
+                    let min = comm.allreduce_min(v, Category::Timestep);
+                    assert_eq!(min, round_idx as f64);
+                    collective_bits.push(min.to_bits());
+                }
+                1 => {
+                    let max = comm.allreduce_max(v, Category::Timestep);
+                    assert_eq!(max, ((nranks - 1) * 31 + round_idx) as f64);
+                    collective_bits.push(max.to_bits());
+                }
                 2 => {
                     comm.barrier(Category::Other);
                     collective_bits.push(0);
@@ -121,13 +133,13 @@ fn script_strategy(nranks: usize) -> impl Strategy<Value = Vec<Round>> {
 }
 
 proptest! {
-    // Each case runs the script four times (oracle + three worker
-    // counts) at 64-128 simulated ranks; a handful of cases keeps the
+    // Each case runs the script four times (the round-robin + three
+    // worker counts) at 64-128 simulated ranks; a handful of cases keeps the
     // suite fast while still shaking schedule-dependent divergence.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn random_scripts_are_engine_invariant(
+    fn random_scripts_are_schedule_invariant(
         nranks in 64usize..128,
         script in script_strategy(512),
     ) {
@@ -144,11 +156,7 @@ proptest! {
                 collective: r.collective,
             })
             .collect();
-        let oracle = run_script(
-            Cluster::new(machine()).with_engine(Engine::ThreadPerRank),
-            nranks,
-            &script,
-        );
+        let reference = run_script(Cluster::new(machine()).with_workers(1), nranks, &script);
         for workers in [2usize, 5, 8] {
             let sched = run_script(
                 Cluster::new(machine()).with_workers(workers),
@@ -156,9 +164,9 @@ proptest! {
                 &script,
             );
             prop_assert_eq!(
-                &oracle,
+                &reference,
                 &sched,
-                "engines diverged at {} ranks, {} workers",
+                "schedules diverged at {} ranks, {} workers",
                 nranks,
                 workers
             );
@@ -167,7 +175,7 @@ proptest! {
 }
 
 #[test]
-fn fixed_dense_script_is_engine_invariant_at_512_ranks() {
+fn fixed_dense_script_is_schedule_invariant_at_512_ranks() {
     // A deterministic dense script at the top of the issue's rank
     // range: ring halo exchange + alternating collectives.
     let nranks = 512;
@@ -181,22 +189,20 @@ fn fixed_dense_script_is_engine_invariant_at_512_ranks() {
         Round { sends: sends.clone(), collective: 3 },
         Round { sends, collective: 2 },
     ];
-    let oracle =
-        run_script(Cluster::new(machine()).with_engine(Engine::ThreadPerRank), nranks, &script);
+    let reference = run_script(Cluster::new(machine()).with_workers(1), nranks, &script);
     let sched = run_script(Cluster::new(machine()).with_workers(4), nranks, &script);
-    assert_eq!(oracle, sched);
+    assert_eq!(reference, sched);
 }
 
 #[test]
-fn single_worker_round_robin_is_engine_invariant() {
-    // workers = 1 is the fully deterministic schedule; it must still
-    // match the freely scheduled oracle observation-for-observation.
+fn default_worker_count_matches_the_round_robin() {
+    // The worker count nobody pinned (available parallelism) must match
+    // the deterministic schedule observation-for-observation.
     let nranks = 64;
     let sends: Vec<(usize, usize, usize)> =
         (0..nranks).map(|r| (r, (r * 7 + 1) % nranks, 16)).filter(|(a, b, _)| a != b).collect();
     let script = vec![Round { sends, collective: 1 }];
-    let oracle =
-        run_script(Cluster::new(machine()).with_engine(Engine::ThreadPerRank), nranks, &script);
-    let sched = run_script(Cluster::new(machine()).with_workers(1), nranks, &script);
-    assert_eq!(oracle, sched);
+    let reference = run_script(Cluster::new(machine()).with_workers(1), nranks, &script);
+    let sched = run_script(Cluster::new(machine()), nranks, &script);
+    assert_eq!(reference, sched);
 }

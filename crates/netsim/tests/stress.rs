@@ -136,9 +136,8 @@ fn message_costs_scale_with_size() {
 #[test]
 fn thousand_rank_ring_with_collectives() {
     // The scaling regime the event-driven scheduler exists for: 1,024
-    // simulated ranks on one box (the thread-per-rank engine would
-    // park 1,024 OS threads and risk timeout false-positives here).
-    // Small carrier stacks keep the memory footprint bounded.
+    // simulated ranks on one box. Small carrier stacks keep the memory
+    // footprint bounded.
     let n: usize = 1024;
     let results = Cluster::new(Machine::ipa_cpu_node())
         .with_workers(4)

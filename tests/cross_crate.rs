@@ -396,49 +396,62 @@ fn eight_ranks_step_and_reduce_at_the_log_depth_cost() {
     // More ranks than tier-1 otherwise runs (and than this sandbox has
     // workers), with a non-trivial ⌈log₂N⌉: two distributed Sod steps
     // must agree everywhere, then each explicit reduction must return
-    // the value folded by hand and charge exactly the cost model.
+    // the value folded by hand and charge exactly the cost model. Run
+    // under the default worker count and under netsim's deterministic
+    // `workers = 1` round-robin: no rank may tell the schedules apart.
     use rbamr::netsim::ReduceSpec;
     const N: usize = 8;
-    let results = Cluster::new(Machine::ipa_cpu_node()).run(N, |comm| {
-        let r = comm.rank();
-        let mut sim = sod(Placement::Host, 48, 2, 16, r, N, comm.clock().clone());
-        sim.initialize(Some(&comm));
-        for _ in 0..2 {
-            sim.try_step_capped(Some(&comm), None).expect("fault-free step");
-        }
-        let structure: Vec<u64> = (0..sim.hierarchy().num_levels())
-            .map(|l| sim.hierarchy().structure_digest(l))
-            .collect();
+    let run = |cluster: Cluster| {
+        cluster.run(N, |comm| {
+            let r = comm.rank();
+            let mut sim = sod(Placement::Host, 48, 2, 16, r, N, comm.clock().clone());
+            sim.initialize(Some(&comm));
+            for _ in 0..2 {
+                sim.try_step_capped(Some(&comm), None).expect("fault-free step");
+            }
+            let structure: Vec<u64> = (0..sim.hierarchy().num_levels())
+                .map(|l| sim.hierarchy().structure_digest(l))
+                .collect();
 
-        let timestep = || comm.clock().snapshot().get(Category::Timestep);
-        let assert_charged = |before: f64, spec: ReduceSpec| {
-            let cost = comm.cost_model().allreduce(N as u32, spec.bytes);
-            assert!(cost > 0.0);
-            assert_eq!(
-                timestep().to_bits(),
-                (before + cost).to_bits(),
-                "rank {r}: {} must charge exactly allreduce({N}, {})",
-                spec.name,
-                spec.bytes
-            );
-        };
-        let before = timestep();
-        let min = comm.allreduce_min(10.0 - r as f64, Category::Timestep);
-        assert_charged(before, ReduceSpec::MIN_F64);
-        assert_eq!(min, 10.0 - (N - 1) as f64);
-        let before = timestep();
-        let digest = comm.allreduce_digest([r as u64, 1 << r, 1], Category::Timestep);
-        assert_charged(before, ReduceSpec::DIGEST);
-        assert_eq!(digest, [(N * (N - 1) / 2) as u64, (1 << N) - 1, N as u64]);
-        let parts = comm.allgatherv(vec![r as u8; r].into(), Category::Regrid);
-        let parts: Vec<Vec<u8>> = parts.iter().map(|p| p.to_vec()).collect();
-        let expected: Vec<Vec<u8>> = (0..N).map(|q| vec![q as u8; q]).collect();
-        assert_eq!(parts, expected, "rank {r}: allgatherv is indexed by rank");
+            let timestep = || comm.clock().snapshot().get(Category::Timestep);
+            let assert_charged = |before: f64, spec: ReduceSpec| {
+                let cost = comm.cost_model().allreduce(N as u32, spec.bytes);
+                assert!(cost > 0.0);
+                assert_eq!(
+                    timestep().to_bits(),
+                    (before + cost).to_bits(),
+                    "rank {r}: {} must charge exactly allreduce({N}, {})",
+                    spec.name,
+                    spec.bytes
+                );
+            };
+            let before = timestep();
+            let min = comm.allreduce_min(10.0 - r as f64, Category::Timestep);
+            assert_charged(before, ReduceSpec::MIN_F64);
+            assert_eq!(min, 10.0 - (N - 1) as f64);
+            let before = timestep();
+            let digest = comm.allreduce_digest([r as u64, 1 << r, 1], Category::Timestep);
+            assert_charged(before, ReduceSpec::DIGEST);
+            assert_eq!(digest, [(N * (N - 1) / 2) as u64, (1 << N) - 1, N as u64]);
+            let parts = comm.allgatherv(vec![r as u8; r].into(), Category::Regrid);
+            let parts: Vec<Vec<u8>> = parts.iter().map(|p| p.to_vec()).collect();
+            let expected: Vec<Vec<u8>> = (0..N).map(|q| vec![q as u8; q]).collect();
+            assert_eq!(parts, expected, "rank {r}: allgatherv is indexed by rank");
 
-        (sim.steps_taken(), sim.time().to_bits(), structure)
-    });
-    assert_eq!(results[0].value.0, 2);
-    for r in &results {
-        assert_eq!(r.value, results[0].value, "rank {} disagrees on steps/time/structure", r.rank);
+            ((sim.steps_taken(), sim.time().to_bits(), structure), sim.state_field_digest())
+        })
+    };
+    let results = run(Cluster::new(Machine::ipa_cpu_node()));
+    let round_robin = run(Cluster::new(Machine::ipa_cpu_node()).with_workers(1));
+    let (agreed, _digest) = &results[0].value;
+    assert_eq!(agreed.0, 2);
+    for (r, rr) in results.iter().zip(&round_robin) {
+        assert_eq!(&r.value.0, agreed, "rank {} disagrees on steps/time/structure", r.rank);
+        assert_eq!(
+            (&r.value, &r.time),
+            (&rr.value, &rr.time),
+            "rank {}: state digest or virtual clock depends on the schedule",
+            r.rank
+        );
     }
 }
