@@ -224,6 +224,48 @@ fn big_patches_with_interior_cores_match() {
     }
 }
 
+/// Absolute digests of the host placement, recorded at commit d181116
+/// from the per-patch host integrator that was then an independent
+/// transcription of the step (its own region and field lists, its own
+/// fill-then-compute driver). Every placement now runs one
+/// transcription, so host = device no longer guards against a wrong
+/// region or field list; these constants do. One word per
+/// configuration: every rank's per-step `state_field_digest`, folded in
+/// rank-then-step order. The kernels use only `+ − × ÷`, `sqrt`, `min`
+/// and `max`, so the words are platform-stable. They move only with a
+/// deliberate physics change, which re-records them and says so.
+const FROZEN_HOST_DIGESTS: [((u8, usize), u64); 6] = [
+    ((0, 1), 0x747e_2f2e_9527_411a),
+    ((0, 2), 0x32cf_2414_9631_1937),
+    ((0, 4), 0x9bda_06a9_3b6a_eff1),
+    ((1, 1), 0x02a1_7811_67cb_deaa),
+    ((1, 2), 0xeab7_4c80_89c5_f9f8),
+    ((1, 4), 0x35e5_2fd7_15fe_125e),
+];
+
+#[test]
+fn host_digests_match_the_frozen_reference() {
+    let measured = FROZEN_HOST_DIGESTS.map(|((deck, ranks), _)| {
+        let cfg = RunConfig {
+            deck,
+            ranks,
+            cells: 32,
+            patch: 8,
+            mode: MetadataMode::Replicated,
+            steps: 6,
+        };
+        let mut fold = rbamr_geometry::Fnv64::new();
+        for trace in run(cfg, Some(1), Placement::Host) {
+            trace.digests.iter().for_each(|&d| fold.write_u64(d));
+        }
+        ((deck, ranks), fold.finish())
+    });
+    assert!(
+        measured == FROZEN_HOST_DIGESTS,
+        "host digests left the frozen reference: {measured:x?}"
+    );
+}
+
 const MANY_PATCHES: RunConfig =
     RunConfig { deck: 0, ranks: 2, cells: 32, patch: 8, mode: MetadataMode::Replicated, steps: 4 };
 

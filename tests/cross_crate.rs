@@ -51,9 +51,16 @@ fn sod(
     )
 }
 
-fn run_distributed(placement: Placement, nranks: usize, n: i64, steps: usize) -> Summary {
+/// The globally reduced summary and every rank's `state_field_digest`,
+/// in rank order.
+fn run_distributed(
+    placement: Placement,
+    nranks: usize,
+    n: i64,
+    steps: usize,
+) -> (Summary, Vec<u64>) {
     let cluster = Cluster::new(Machine::ipa_cpu_node());
-    let results = cluster.run(nranks, |comm| {
+    let mut results = cluster.run(nranks, |comm| {
         let mut sim = sod(
             placement,
             n,
@@ -67,14 +74,15 @@ fn run_distributed(placement: Placement, nranks: usize, n: i64, steps: usize) ->
         for _ in 0..steps {
             sim.step(Some(&comm));
         }
-        sim.summary(Some(&comm))
+        (sim.summary(Some(&comm)), sim.state_field_digest())
     });
+    results.sort_by_key(|r| r.rank);
     // Every rank reports the same reduced summary.
-    let s0 = results[0].value;
+    let s0 = results[0].value.0;
     for r in &results {
-        assert!((r.value.mass - s0.mass).abs() < 1e-12);
+        assert!((r.value.0.mass - s0.mass).abs() < 1e-12);
     }
-    s0
+    (s0, results.iter().map(|r| r.value.1).collect())
 }
 
 #[test]
@@ -89,7 +97,7 @@ fn distributed_run_matches_serial() {
         sim.summary(None)
     };
     for nranks in [2usize, 4] {
-        let dist = run_distributed(Placement::Host, nranks, 48, steps);
+        let (dist, _) = run_distributed(Placement::Host, nranks, 48, steps);
         // Same physics; summation order differs across ranks, so allow
         // roundoff-level drift only.
         assert!(
@@ -110,13 +118,20 @@ fn distributed_run_matches_serial() {
 
 #[test]
 fn device_distributed_matches_host_distributed() {
-    let host = run_distributed(Placement::Host, 2, 48, 6);
-    let dev = run_distributed(Placement::Device, 2, 48, 6);
+    let (host, host_digests) = run_distributed(Placement::Host, 2, 48, 6);
+    let (dev, dev_digests) = run_distributed(Placement::Device, 2, 48, 6);
     assert!(((host.mass - dev.mass) / host.mass).abs() < 1e-12);
     assert!(((host.total_energy() - dev.total_energy()) / host.total_energy()).abs() < 1e-12);
     assert!(
         ((host.kinetic_energy - dev.kinetic_energy) / host.kinetic_energy.max(1e-30)).abs() < 1e-9
     );
+    // The bitwise claim, and its anchor: per-rank digests recorded at
+    // commit d181116, when the host placement still ran its own
+    // transcription of the step (see `FROZEN_HOST_DIGESTS` in
+    // crates/hydro/tests/device_equivalence.rs).
+    const FROZEN: [u64; 2] = [0x3fd8_7dad_3e58_d3c4, 0x7a9c_162e_de1b_2e75];
+    assert_eq!(host_digests, dev_digests, "host and device state differ bitwise");
+    assert!(host_digests == FROZEN, "digests left the frozen reference: {host_digests:x?}");
 }
 
 #[test]
