@@ -609,10 +609,8 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("rbamr_restart_atomic_{}.bin", std::process::id()));
         db.save(&path).unwrap();
-        let tmp = dir.join(format!(
-            "rbamr_restart_atomic_{pid}.bin.tmp.{pid}",
-            pid = std::process::id()
-        ));
+        let tmp =
+            dir.join(format!("rbamr_restart_atomic_{pid}.bin.tmp.{pid}", pid = std::process::id()));
         assert!(!tmp.exists(), "temporary file must be renamed away");
         std::fs::remove_file(&path).ok();
     }

@@ -33,9 +33,7 @@ use crate::hierarchy::PatchHierarchy;
 use crate::ops::{CoarsenOperator, RefineOperator};
 use crate::patchdata::{PatchData, PatchDataError};
 use crate::variable::{VariableId, VariableRegistry};
-use rbamr_geometry::{
-    ghost_overlaps, BoxIndex, BoxList, BoxOverlap, Centring, GBox, IntVector,
-};
+use rbamr_geometry::{ghost_overlaps, BoxIndex, BoxList, BoxOverlap, Centring, GBox, IntVector};
 use rbamr_netsim::{Comm, CommError};
 use rbamr_perfmodel::Category;
 use std::sync::Arc;
@@ -710,7 +708,8 @@ impl RefineSchedule {
                     if !overlapping_centring && dst_rank != rank && src_rank != rank {
                         continue;
                     }
-                    let mut ov = ghost_overlaps(dst_box, ghosts, src_box, centring, IntVector::ZERO);
+                    let mut ov =
+                        ghost_overlaps(dst_box, ghosts, src_box, centring, IntVector::ZERO);
                     if ov.is_empty() {
                         continue;
                     }
@@ -817,8 +816,8 @@ impl RefineSchedule {
                 // node would depend on the rank layout. First candidate
                 // in record order claims; `covered` is the running
                 // union either way.
-                let cf_involved = dst_rank == rank
-                    || coarse_sources.iter().any(|&c| crecs.owner_at(c) == rank);
+                let cf_involved =
+                    dst_rank == rank || coarse_sources.iter().any(|&c| crecs.owner_at(c) == rank);
                 for &cpos in coarse_sources {
                     if !cf_involved {
                         break;
@@ -1502,11 +1501,8 @@ impl CoarsenSchedule {
             if plan.coarse_rank == rank {
                 local_results.push((plan.coarse_idx, plan, scratch));
             } else {
-                let ov = BoxOverlap {
-                    dst_boxes: plan.fill.clone(),
-                    shift: IntVector::ZERO,
-                    centring,
-                };
+                let ov =
+                    BoxOverlap { dst_boxes: plan.fill.clone(), shift: IntVector::ZERO, centring };
                 match scratch.try_pack(&ov) {
                     Ok(payload) => {
                         outgoing.entry(plan.coarse_rank).or_default().extend_from_slice(&payload);
@@ -1536,11 +1532,7 @@ impl CoarsenSchedule {
             let coarse = hierarchy.level_mut(self.fine_level_no - 1);
             let pos = local_pos(coarse, cidx);
             let dst = &mut coarse.local_mut()[pos];
-            let ov = BoxOverlap {
-                dst_boxes: plan.fill.clone(),
-                shift: IntVector::ZERO,
-                centring,
-            };
+            let ov = BoxOverlap { dst_boxes: plan.fill.clone(), shift: IntVector::ZERO, centring };
             let data = dst.data_mut(plan.var);
             data.set_transfer_category(category);
             data.copy_from(scratch.as_ref(), &ov);
@@ -1556,11 +1548,7 @@ impl CoarsenSchedule {
             }
             let comm = comm.expect("CoarsenSchedule: remote plans need a Comm");
             let centring = registry.get(plan.var).centring;
-            let ov = BoxOverlap {
-                dst_boxes: plan.fill.clone(),
-                shift: IntVector::ZERO,
-                centring,
-            };
+            let ov = BoxOverlap { dst_boxes: plan.fill.clone(), shift: IntVector::ZERO, centring };
             let (stream, cursor) = incoming.entry(plan.fine_rank).or_insert_with(|| {
                 match comm.try_recv(plan.fine_rank, agg_tag, category) {
                     Ok(b) => (Some(b), 0),

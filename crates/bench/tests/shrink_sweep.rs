@@ -94,8 +94,10 @@ fn run(
 fn assert_shrink_matches_survivor_baseline(deck: Deck, mode: MetadataMode) {
     for nranks in [2usize, 4, 8] {
         let baseline = run(deck, mode, nranks - 1, FaultPlan::none(), policy());
-        let plan =
-            FaultPlan::new(1000 + nranks as u64, vec![FaultRule::rank_kill(VICTIM, KILL_STEP as u64)]);
+        let plan = FaultPlan::new(
+            1000 + nranks as u64,
+            vec![FaultRule::rank_kill(VICTIM, KILL_STEP as u64)],
+        );
         let killed = run(deck, mode, nranks, plan, policy());
 
         assert_eq!(
@@ -116,7 +118,8 @@ fn assert_shrink_matches_survivor_baseline(deck: Deck, mode: MetadataMode) {
             });
             let expect = baseline[logical].as_ref().expect("fault-free baseline cannot fail");
             assert_eq!(
-                digest, expect,
+                digest,
+                expect,
                 "{deck:?}/{mode:?}/{nranks}r: survivor {orig} (logical {logical}) \
                  diverged from the {}-rank fault-free baseline",
                 nranks - 1
@@ -153,10 +156,7 @@ fn loss_below_min_ranks_fails_fast_on_every_survivor() {
     let policy = RecoveryPolicy { min_ranks: 4, ..policy() };
     let plan = FaultPlan::new(77, vec![FaultRule::rank_kill(VICTIM, KILL_STEP as u64)]);
     let results = run(Deck::Sod, MetadataMode::Replicated, 4, plan, policy);
-    assert_eq!(
-        results[VICTIM],
-        Err(ResilienceError::Killed { rank: VICTIM, at_step: KILL_STEP })
-    );
+    assert_eq!(results[VICTIM], Err(ResilienceError::Killed { rank: VICTIM, at_step: KILL_STEP }));
     for orig in [0usize, 2, 3] {
         assert_eq!(
             results[orig],

@@ -10,8 +10,8 @@
 //! per-patch launches defined here.
 
 use crate::kernels as k;
-use crate::level_executor::{self as exec, dev, dev_mut, Pass};
-use crate::state::{Fields, FlagThresholds, PatchIntegrator, RegionInit, Summary, GHOSTS};
+use crate::level_executor::{self as exec, dev, dev_mut, Exec, Pass};
+use crate::state::{initial_images, Fields, FlagThresholds, PatchIntegrator, RegionInit, Summary};
 use rbamr_amr::patchdata::PatchData as _;
 use rbamr_amr::{Patch, TagBitmap};
 use rbamr_device::Stream;
@@ -39,17 +39,26 @@ impl DevicePatchIntegrator {
     pub(crate) fn copy_back() -> Self {
         Self { copy_back: true }
     }
+
+    /// Run one executor phase on a batch of this one patch, on the
+    /// patch's own device and stream.
+    fn run<R>(
+        &self,
+        patch: &mut Patch,
+        f: &Fields,
+        phase: impl FnOnce(&mut [Patch], Exec<'_>) -> R,
+    ) -> R {
+        let data = dev(patch.data(f.density0));
+        let (device, stream) = (data.device().clone(), data.stream().clone());
+        let ex = Exec::Device { device: &device, stream: &stream, copy_back: self.copy_back };
+        phase(from_mut(patch), ex)
+    }
 }
 
 impl Default for DevicePatchIntegrator {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The stream a single patch's phases are submitted to.
-fn stream_of(patch: &Patch, f: &Fields) -> Stream {
-    dev(patch.data(f.density0)).stream().clone()
 }
 
 impl PatchIntegrator for DevicePatchIntegrator {
@@ -72,111 +81,51 @@ impl PatchIntegrator for DevicePatchIntegrator {
     ) {
         // Initialisation is a sanctioned full-array H2D transfer: build
         // the images on the host and upload once per field.
-        let interior = patch.cell_box();
-        let ghost = interior.grow(IntVector::uniform(GHOSTS));
-        let sample = |dbox: GBox, node: bool, pick: usize| -> Vec<f64> {
-            dbox.iter()
-                .map(|p| {
-                    let off = if node { 0.0 } else { 0.5 };
-                    let cx = origin.0 + (p.x as f64 + off) * dx.0;
-                    let cy = origin.1 + (p.y as f64 + off) * dx.1;
-                    let mut val = 0.0;
-                    for r in regions {
-                        let (x0, y0, x1, y1) = r.rect;
-                        let inside = if node {
-                            cx >= x0 && cx <= x1 && cy >= y0 && cy <= y1
-                        } else {
-                            cx >= x0 && cx < x1 && cy >= y0 && cy < y1
-                        };
-                        if inside {
-                            val = match pick {
-                                0 => r.density,
-                                1 => r.energy,
-                                2 => r.xvel,
-                                _ => r.yvel,
-                            };
-                        }
-                    }
-                    val
-                })
-                .collect()
-        };
-        let cell_dbox = Centring::Cell.data_box(ghost);
-        let node_dbox = Centring::Node.data_box(ghost);
-        for (var, pick, node) in [
-            (f.density0, 0usize, false),
-            (f.density1, 0, false),
-            (f.energy0, 1, false),
-            (f.energy1, 1, false),
-            (f.xvel0, 2, true),
-            (f.xvel1, 2, true),
-            (f.yvel0, 3, true),
-            (f.yvel1, 3, true),
-        ] {
-            let image = sample(if node { node_dbox } else { cell_dbox }, node, pick);
+        for (var, image) in initial_images(f, patch.cell_box(), origin, dx, regions) {
             dev_mut(patch.data_mut(var)).upload_all(&image, Category::Other);
         }
     }
 
     fn ideal_gas(&self, patch: &mut Patch, f: &Fields, gamma: f64, predict: bool) {
-        let stream = stream_of(patch, f);
-        exec::ideal_gas(from_mut(patch), f, &stream, self.copy_back, Pass::Full, gamma, predict);
+        self.run(patch, f, |p, ex| exec::ideal_gas(p, f, ex, Pass::Full, gamma, predict));
     }
 
     fn viscosity(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64)) {
-        let stream = stream_of(patch, f);
-        exec::viscosity(from_mut(patch), f, &stream, self.copy_back, Pass::Full, dx);
+        self.run(patch, f, |p, ex| exec::viscosity(p, f, ex, Pass::Full, dx));
     }
 
     fn calc_dt(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), cfl: f64) -> f64 {
-        exec::calc_dt(from_mut(patch), f, self.copy_back, dx, cfl)[0]
+        self.run(patch, f, |p, ex| exec::calc_dt(p, f, ex, dx, cfl)[0])
     }
 
     fn pdv(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64, predict: bool) {
-        let stream = stream_of(patch, f);
-        exec::pdv(from_mut(patch), f, &stream, self.copy_back, dx, dt, predict);
+        self.run(patch, f, |p, ex| exec::pdv(p, f, ex, dx, dt, predict));
     }
 
     fn revert(&self, patch: &mut Patch, f: &Fields) {
-        let stream = stream_of(patch, f);
-        exec::revert(from_mut(patch), f, &stream, self.copy_back);
+        self.run(patch, f, |p, ex| exec::revert(p, f, ex));
     }
 
     fn accelerate(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        let stream = stream_of(patch, f);
-        exec::accelerate(from_mut(patch), f, &stream, self.copy_back, dx, dt);
+        self.run(patch, f, |p, ex| exec::accelerate(p, f, ex, dx, dt));
     }
 
     fn flux_calc(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        let stream = stream_of(patch, f);
-        exec::flux_calc(from_mut(patch), f, &stream, self.copy_back, Pass::Full, dx, dt);
+        self.run(patch, f, |p, ex| exec::flux_calc(p, f, ex, Pass::Full, dx, dt));
     }
 
     fn advec_cell(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize) {
-        let stream = stream_of(patch, f);
-        let mut stash = Vec::new();
-        exec::advec_cell(
-            from_mut(patch),
-            f,
-            &stream,
-            self.copy_back,
-            Pass::Full,
-            dx,
-            dir,
-            sweep,
-            &mut stash,
-        );
+        self.run(patch, f, |p, ex| {
+            exec::advec_cell(p, f, ex, Pass::Full, dx, dir, sweep, &mut Vec::new());
+        });
     }
 
     fn advec_mom(&self, patch: &mut Patch, f: &Fields, _dx: (f64, f64), dir: usize, _sweep: usize) {
-        let stream = stream_of(patch, f);
-        let mut stash = Vec::new();
-        exec::advec_mom(from_mut(patch), f, &stream, self.copy_back, Pass::Full, dir, &mut stash);
+        self.run(patch, f, |p, ex| exec::advec_mom(p, f, ex, Pass::Full, dir, &mut Vec::new()));
     }
 
     fn reset(&self, patch: &mut Patch, f: &Fields) {
-        let stream = stream_of(patch, f);
-        exec::reset(from_mut(patch), f, &stream, self.copy_back);
+        self.run(patch, f, |p, ex| exec::reset(p, f, ex));
     }
 
     fn flag_cells(&self, patch: &Patch, f: &Fields, thresholds: &FlagThresholds) -> TagBitmap {

@@ -1,14 +1,21 @@
 //! The CPU patch integrator — the baseline the paper compares against.
+//!
+//! Every numerical phase is a call into the level executor
+//! ([`crate::level_executor`]) on a batch of one patch with the host
+//! executor handle, so a patch advanced through this trait runs the
+//! same kernel calls over the same regions — and charges the same CPU
+//! costs — as a level advanced by [`crate::HydroSim`]. Initialisation,
+//! flagging and the field summary are per-patch loops defined here.
 
 use crate::kernels as k;
-use crate::state::{
-    ComputeRegion, Fields, FlagThresholds, PatchIntegrator, RegionInit, Summary, GHOSTS,
-};
+use crate::level_executor::{self as exec, Exec, Pass};
+use crate::state::{initial_images, Fields, FlagThresholds, PatchIntegrator, RegionInit, Summary};
 use rbamr_amr::hostdata::HostCostHook;
-use rbamr_amr::patchdata::PatchData;
-use rbamr_amr::{HostData, Patch, TagBitmap, VariableId};
-use rbamr_geometry::{Centring, GBox, IntVector};
-use rbamr_perfmodel::{Category, KernelShape};
+use rbamr_amr::patchdata::PatchData as _;
+use rbamr_amr::{Patch, TagBitmap, VariableId};
+use rbamr_geometry::GBox;
+use rbamr_perfmodel::Category;
+use std::slice::from_mut;
 
 /// Advances a patch on the host. Optionally charges a virtual clock so
 /// the CPU baseline's runtime is modelled with the same machinery as
@@ -28,11 +35,8 @@ impl HostPatchIntegrator {
         Self { hook: Some(hook) }
     }
 
-    fn charge(&self, category: Category, cells: i64, arrays: u32, flops: u32) {
-        if let Some(h) = &self.hook {
-            let shape = KernelShape::streaming(cells, arrays, flops);
-            h.clock.advance(category, h.cost.host_kernel(shape));
-        }
+    fn ex(&self) -> Exec<'_> {
+        Exec::Host(self.hook.as_ref())
     }
 }
 
@@ -40,36 +44,6 @@ impl Default for HostPatchIntegrator {
     fn default() -> Self {
         Self::new()
     }
-}
-
-fn split_out<'a>(
-    datas: &'a mut [&mut dyn PatchData],
-    n_out: usize,
-) -> (Vec<(&'a mut [f64], GBox)>, Vec<k::View<'a>>) {
-    let (outs, ins) = datas.split_at_mut(n_out);
-    let outs = outs
-        .iter_mut()
-        .map(|d| {
-            let dbox = d.data_box();
-            let h = d
-                .as_any_mut()
-                .downcast_mut::<HostData<f64>>()
-                .expect("host integrator on non-host data");
-            (h.as_mut_slice(), dbox)
-        })
-        .collect();
-    let ins = ins
-        .iter()
-        .map(|d| {
-            let dbox = d.data_box();
-            let h = d
-                .as_any()
-                .downcast_ref::<HostData<f64>>()
-                .expect("host integrator on non-host data");
-            k::View::new(h.as_slice(), dbox)
-        })
-        .collect();
-    (outs, ins)
 }
 
 impl PatchIntegrator for HostPatchIntegrator {
@@ -86,294 +60,50 @@ impl PatchIntegrator for HostPatchIntegrator {
         regions: &[RegionInit],
         _gamma: f64,
     ) {
-        let interior = patch.cell_box();
-        let ghost = interior.grow(IntVector::uniform(GHOSTS));
-        // Cell fields.
-        for (var, pick) in [(f.density0, 0usize), (f.density1, 0), (f.energy0, 1), (f.energy1, 1)] {
-            let d = patch.host_mut::<f64>(var);
-            for p in Centring::Cell.data_box(ghost).iter() {
-                let cx = origin.0 + (p.x as f64 + 0.5) * dx.0;
-                let cy = origin.1 + (p.y as f64 + 0.5) * dx.1;
-                let mut val = 0.0;
-                for r in regions {
-                    let (x0, y0, x1, y1) = r.rect;
-                    if cx >= x0 && cx < x1 && cy >= y0 && cy < y1 {
-                        val = if pick == 0 { r.density } else { r.energy };
-                    }
-                }
-                *d.at_mut(p) = val;
-            }
-        }
-        // Node velocities.
-        for (var, pick) in [(f.xvel0, 0usize), (f.xvel1, 0), (f.yvel0, 1), (f.yvel1, 1)] {
-            let d = patch.host_mut::<f64>(var);
-            for p in Centring::Node.data_box(ghost).iter() {
-                let cx = origin.0 + p.x as f64 * dx.0;
-                let cy = origin.1 + p.y as f64 * dx.1;
-                let mut val = 0.0;
-                for r in regions {
-                    let (x0, y0, x1, y1) = r.rect;
-                    if cx >= x0 && cx <= x1 && cy >= y0 && cy <= y1 {
-                        val = if pick == 0 { r.xvel } else { r.yvel };
-                    }
-                }
-                *d.at_mut(p) = val;
-            }
+        for (var, image) in initial_images(f, patch.cell_box(), origin, dx, regions) {
+            patch.host_mut::<f64>(var).as_mut_slice().copy_from_slice(&image);
         }
     }
 
     fn ideal_gas(&self, patch: &mut Patch, f: &Fields, gamma: f64, predict: bool) {
-        let region = if predict {
-            ComputeRegion::Grown(1).cell_box(patch.cell_box())
-        } else {
-            ComputeRegion::GhostBox.cell_box(patch.cell_box())
-        };
-        let (rho, e) = if predict { (f.density1, f.energy1) } else { (f.density0, f.energy0) };
-        let mut datas = patch.data_many_mut(&[f.pressure, f.soundspeed, rho, e]);
-        let (mut outs, ins) = split_out(&mut datas, 2);
-        let [(p, pbox), (ss, ssbox)] = &mut outs[..] else { unreachable!() };
-        k::ideal_gas_pressure(p, *pbox, ins[0], ins[1], region, gamma);
-        k::ideal_gas_soundspeed(ss, *ssbox, k::View::new(p, *pbox), ins[0], region, gamma);
-        self.charge(Category::HydroKernel, region.num_cells() * 2, 3, 8);
+        exec::ideal_gas(from_mut(patch), f, self.ex(), Pass::Full, gamma, predict);
     }
 
     fn viscosity(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64)) {
-        let region = ComputeRegion::Grown(1).cell_box(patch.cell_box());
-        let mut datas =
-            patch.data_many_mut(&[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0]);
-        let (mut outs, ins) = split_out(&mut datas, 1);
-        let [(q, qbox)] = &mut outs[..] else { unreachable!() };
-        k::viscosity(q, *qbox, ins[0], ins[1], ins[2], ins[3], region, dx);
-        self.charge(Category::HydroKernel, region.num_cells(), 5, 15);
+        exec::viscosity(from_mut(patch), f, self.ex(), Pass::Full, dx);
     }
 
     fn calc_dt(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), cfl: f64) -> f64 {
-        let region = patch.cell_box();
-        let mut datas = patch.data_many_mut(&[
-            f.density0,
-            f.pressure,
-            f.viscosity,
-            f.soundspeed,
-            f.xvel0,
-            f.yvel0,
-        ]);
-        let (_, ins) = split_out(&mut datas, 0);
-        let dt = k::calc_dt(ins[0], ins[1], ins[2], ins[3], ins[4], ins[5], region, dx, cfl);
-        self.charge(Category::Timestep, region.num_cells(), 6, 20);
-        dt
+        exec::calc_dt(from_mut(patch), f, self.ex(), dx, cfl)[0]
     }
 
     fn pdv(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64, predict: bool) {
-        let region = ComputeRegion::Grown(1).cell_box(patch.cell_box());
-        let dt_eff = if predict { 0.5 * dt } else { dt };
-        {
-            let mut datas = patch.data_many_mut(&[
-                f.energy1,
-                f.energy0,
-                f.density0,
-                f.pressure,
-                f.viscosity,
-                f.xvel0,
-                f.xvel1,
-                f.yvel0,
-                f.yvel1,
-            ]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(e1, ebox)] = &mut outs[..] else { unreachable!() };
-            // The predictor time-averages with the start-of-step
-            // velocities themselves (u1 := u0).
-            let (u1, v1) = if predict { (ins[4], ins[6]) } else { (ins[5], ins[7]) };
-            k::pdv_energy(
-                e1, *ebox, ins[0], ins[1], ins[2], ins[3], ins[4], u1, ins[6], v1, region, dt_eff,
-                dx,
-            );
-        }
-        {
-            let mut datas =
-                patch.data_many_mut(&[f.density1, f.density0, f.xvel0, f.xvel1, f.yvel0, f.yvel1]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(r1, rbox)] = &mut outs[..] else { unreachable!() };
-            let (u1, v1) = if predict { (ins[1], ins[3]) } else { (ins[2], ins[4]) };
-            k::pdv_density(r1, *rbox, ins[0], ins[1], u1, ins[3], v1, region, dt_eff, dx);
-        }
-        self.charge(Category::HydroKernel, region.num_cells() * 2, 9, 30);
+        exec::pdv(from_mut(patch), f, self.ex(), dx, dt, predict);
     }
 
     fn revert(&self, patch: &mut Patch, f: &Fields) {
-        let region = ComputeRegion::Grown(1).cell_box(patch.cell_box());
-        for (dst, src) in [(f.density1, f.density0), (f.energy1, f.energy0)] {
-            let mut datas = patch.data_many_mut(&[dst, src]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(d, dbox)] = &mut outs[..] else { unreachable!() };
-            k::copy_field(d, *dbox, ins[0], region);
-        }
-        self.charge(Category::HydroKernel, region.num_cells() * 2, 2, 0);
+        exec::revert(from_mut(patch), f, self.ex());
     }
 
     fn accelerate(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        let region = Centring::Node.data_box(patch.cell_box());
-        for (axis, (v1, v0)) in [(0usize, (f.xvel1, f.xvel0)), (1, (f.yvel1, f.yvel0))] {
-            let mut datas = patch.data_many_mut(&[v1, v0, f.density0, f.pressure, f.viscosity]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(out, nbox)] = &mut outs[..] else { unreachable!() };
-            k::accelerate(out, *nbox, ins[0], ins[1], ins[2], ins[3], region, dt, dx, axis);
-        }
-        self.charge(Category::HydroKernel, region.num_cells() * 2, 5, 20);
+        exec::accelerate(from_mut(patch), f, self.ex(), dx, dt);
     }
 
     fn flux_calc(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        let ghost = patch.cell_box().grow(IntVector::uniform(GHOSTS));
-        for (axis, (flux, v0, v1)) in
-            [(0usize, (f.vol_flux_x, f.xvel0, f.xvel1)), (1, (f.vol_flux_y, f.yvel0, f.yvel1))]
-        {
-            let region = Centring::Side(axis).data_box(ghost);
-            let mut datas = patch.data_many_mut(&[flux, v0, v1]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(out, sbox)] = &mut outs[..] else { unreachable!() };
-            k::flux_calc(out, *sbox, ins[0], ins[1], region, dt, dx, axis);
-        }
-        self.charge(Category::HydroKernel, ghost.num_cells() * 2, 3, 6);
+        exec::flux_calc(from_mut(patch), f, self.ex(), Pass::Full, dx, dt);
     }
 
     fn advec_cell(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize) {
-        let interior = patch.cell_box();
-        let ghost = ComputeRegion::GhostBox.cell_box(interior);
-        let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
-        let vol_flux = if dir == 0 { f.vol_flux_x } else { f.vol_flux_y };
-        // Pre and post volumes over the full allocation.
-        {
-            let mut datas = patch.data_many_mut(&[f.pre_vol, f.vol_flux_x, f.vol_flux_y]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(pre, cbox)] = &mut outs[..] else { unreachable!() };
-            k::advec_pre_vol(pre, *cbox, ins[0], ins[1], ghost, dir, sweep, dx);
-        }
-        {
-            let mut datas = patch.data_many_mut(&[f.post_vol, f.vol_flux_x, f.vol_flux_y]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(post, cbox)] = &mut outs[..] else { unreachable!() };
-            k::advec_post_vol(post, *cbox, ins[0], ins[1], ghost, dir, sweep, dx);
-        }
-        // Face mass fluxes over all locally computable faces.
-        let face_region = Centring::Side(dir).data_box(interior.grow(IntVector::uniform(GHOSTS)));
-        {
-            let mut datas = patch.data_many_mut(&[mass_flux, vol_flux, f.density1, f.pre_vol]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(mf, sbox)] = &mut outs[..] else { unreachable!() };
-            let region = face_region.intersect(*sbox);
-            k::advec_mass_flux(mf, *sbox, ins[0], ins[1], ins[2], region, dir);
-        }
-        // Energy fluxes (cell-shaped, indexed by the face's low cell).
-        let ef_region = interior.grow(IntVector::ONE);
-        {
-            let mut datas =
-                patch.data_many_mut(&[f.ener_flux, mass_flux, f.energy1, f.density1, f.pre_vol]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(ef, cbox)] = &mut outs[..] else { unreachable!() };
-            k::advec_ener_flux(ef, *cbox, ins[0], ins[1], ins[2], ins[3], ef_region, dir);
-        }
-        // Updates: energy first (it needs the pre-advection density).
-        {
-            // energy1/density1 are both inputs (old values) and outputs.
-            // CloverLeaf reads and writes them in the same loop — safe
-            // there because each cell only uses its own old value. The
-            // shared kernels take distinct views, so stage the old
-            // values in scratch copies.
-            let old_e: Vec<f64>;
-            let old_r: Vec<f64>;
-            let ebox;
-            {
-                let d = patch.host::<f64>(f.energy1);
-                old_e = d.as_slice().to_vec();
-                ebox = d.data_box();
-                old_r = patch.host::<f64>(f.density1).as_slice().to_vec();
-            }
-            let e_old = k::View::new(&old_e, ebox);
-            let r_old = k::View::new(&old_r, ebox);
-            {
-                let mut datas =
-                    patch.data_many_mut(&[f.energy1, f.pre_vol, mass_flux, f.ener_flux]);
-                let (mut outs, ins) = split_out(&mut datas, 1);
-                let [(e1, cbox)] = &mut outs[..] else { unreachable!() };
-                k::advec_cell_energy(
-                    e1, *cbox, e_old, r_old, ins[0], ins[1], ins[2], interior, dir,
-                );
-            }
-            {
-                let mut datas = patch.data_many_mut(&[f.density1, f.pre_vol, mass_flux, vol_flux]);
-                let (mut outs, ins) = split_out(&mut datas, 1);
-                let [(r1, cbox)] = &mut outs[..] else { unreachable!() };
-                k::advec_cell_density(r1, *cbox, r_old, ins[0], ins[1], ins[2], interior, dir);
-            }
-        }
-        self.charge(Category::HydroKernel, ghost.num_cells() * 6, 8, 40);
+        let ex = self.ex();
+        exec::advec_cell(from_mut(patch), f, ex, Pass::Full, dx, dir, sweep, &mut Vec::new());
     }
 
     fn advec_mom(&self, patch: &mut Patch, f: &Fields, _dx: (f64, f64), dir: usize, _sweep: usize) {
-        let interior = patch.cell_box();
-        let node_region = Centring::Node.data_box(interior.grow(IntVector::ONE));
-        let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
-        {
-            let mut datas = patch.data_many_mut(&[f.node_flux, mass_flux]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(nf, nbox)] = &mut outs[..] else { unreachable!() };
-            k::mom_node_flux(nf, *nbox, ins[0], node_region, dir);
-        }
-        {
-            let mut datas = patch.data_many_mut(&[f.node_mass_post, f.density1, f.post_vol]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(nmp, nbox)] = &mut outs[..] else { unreachable!() };
-            k::mom_node_mass_post(nmp, *nbox, ins[0], ins[1], node_region);
-        }
-        {
-            let mut datas = patch.data_many_mut(&[f.node_mass_pre, f.node_mass_post, f.node_flux]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(nmp, nbox)] = &mut outs[..] else { unreachable!() };
-            k::mom_node_mass_pre(nmp, *nbox, ins[0], ins[1], node_region, dir);
-        }
-        // Advect each velocity component.
-        let vel_region = Centring::Node.data_box(interior);
-        for vel in [f.xvel1, f.yvel1] {
-            {
-                let mut datas =
-                    patch.data_many_mut(&[f.mom_flux, vel, f.node_flux, f.node_mass_pre]);
-                let (mut outs, ins) = split_out(&mut datas, 1);
-                let [(mf, nbox)] = &mut outs[..] else { unreachable!() };
-                k::mom_flux(mf, *nbox, ins[0], ins[1], ins[2], node_region, dir);
-            }
-            {
-                let old: Vec<f64>;
-                let vbox;
-                {
-                    let d = patch.host::<f64>(vel);
-                    old = d.as_slice().to_vec();
-                    vbox = d.data_box();
-                }
-                let v_old = k::View::new(&old, vbox);
-                let mut datas =
-                    patch.data_many_mut(&[vel, f.mom_flux, f.node_mass_pre, f.node_mass_post]);
-                let (mut outs, ins) = split_out(&mut datas, 1);
-                let [(v1, nbox)] = &mut outs[..] else { unreachable!() };
-                k::mom_vel_update(v1, *nbox, v_old, ins[0], ins[1], ins[2], vel_region, dir);
-            }
-        }
-        self.charge(Category::HydroKernel, node_region.num_cells() * 7, 7, 30);
+        exec::advec_mom(from_mut(patch), f, self.ex(), Pass::Full, dir, &mut Vec::new());
     }
 
     fn reset(&self, patch: &mut Patch, f: &Fields) {
-        let region = ComputeRegion::Interior.cell_box(patch.cell_box());
-        let node_region = Centring::Node.data_box(patch.cell_box());
-        for (dst, src, reg) in [
-            (f.density0, f.density1, region),
-            (f.energy0, f.energy1, region),
-            (f.xvel0, f.xvel1, node_region),
-            (f.yvel0, f.yvel1, node_region),
-        ] {
-            let mut datas = patch.data_many_mut(&[dst, src]);
-            let (mut outs, ins) = split_out(&mut datas, 1);
-            let [(d, dbox)] = &mut outs[..] else { unreachable!() };
-            k::copy_field(d, *dbox, ins[0], reg);
-        }
-        self.charge(Category::HydroKernel, region.num_cells() * 4, 2, 0);
+        exec::reset(from_mut(patch), f, self.ex());
     }
 
     fn flag_cells(&self, patch: &Patch, f: &Fields, thresholds: &FlagThresholds) -> TagBitmap {
@@ -389,7 +119,7 @@ impl PatchIntegrator for HostPatchIntegrator {
             thresholds.density,
             thresholds.energy,
         );
-        self.charge(Category::Regrid, region.num_cells(), 3, 10);
+        self.ex().charge_loop(Category::Regrid, region.num_cells(), 3, 10);
         TagBitmap::compress(region, &tags)
     }
 
@@ -399,7 +129,7 @@ impl PatchIntegrator for HostPatchIntegrator {
             let d = patch.host::<f64>(v);
             k::View::new(d.as_slice(), d.data_box())
         };
-        self.charge(Category::Other, region.num_cells(), 5, 15);
+        self.ex().charge_loop(Category::Other, region.num_cells(), 5, 15);
         k::field_summary(
             view(f.density0),
             view(f.energy0),

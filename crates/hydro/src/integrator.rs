@@ -6,14 +6,17 @@
 //! (the only global reduction, Section V-B), lockstep phase execution on
 //! every level (coarse to fine, so coarse-fine ghost interpolation uses
 //! same-phase data), fine→coarse conservative synchronisation after the
-//! step, and periodic regridding. The patch-local physics is entirely
-//! behind [`PatchIntegrator`], so the same driver runs the CPU baseline
-//! and the GPU-resident build — the paper's central design point.
+//! step, and periodic regridding. One step body serves every placement:
+//! the phases run through [`crate::level_executor`] behind an executor
+//! handle that differs only in where the arrays live and what a kernel
+//! charges, and [`PatchIntegrator`] supplies initialisation, flagging
+//! and diagnostics — so the same driver runs the CPU baseline and the
+//! GPU-resident build, the paper's central design point.
 
 use crate::boundary::ReflectiveBoundary;
 use crate::device_integrator::DevicePatchIntegrator;
 use crate::host_integrator::HostPatchIntegrator;
-use crate::level_executor::{self as exec, Pass};
+use crate::level_executor::{self as exec, Exec, Pass};
 use crate::state::{Fields, FlagThresholds, HydroTagger, PatchIntegrator, RegionInit, Summary};
 use rbamr_amr::cluster::split_to_max;
 use rbamr_amr::hostdata::HostCostHook;
@@ -24,9 +27,9 @@ use rbamr_amr::restart::RestoreError;
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
     balance, try_partition_hierarchy_metadata, BuildStrategy, CoarsenSchedule, GridGeometry,
-    HostDataFactory, MetadataMode, PatchHierarchy, RefineOperator, RefineSchedule, RegridError,
-    RegridOutcome, RegridParams, Regridder, ScheduleBuild, ScheduleCache, ScheduleError,
-    VariableId, VariableRegistry,
+    HostDataFactory, MetadataMode, Patch, PatchHierarchy, PendingFill, RefineOperator,
+    RefineSchedule, RegridError, RegridOutcome, RegridParams, Regridder, ScheduleBuild,
+    ScheduleCache, ScheduleError, VariableId, VariableRegistry,
 };
 use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -202,6 +205,9 @@ pub struct HydroSim {
     regions: Vec<RegionInit>,
     clock: Clock,
     device: Option<Device>,
+    /// What the host placement's phases charge (unused on a device,
+    /// whose launches charge the device's own clock).
+    host_costs: HostCostHook,
     time: f64,
     step: usize,
     prev_dt: f64,
@@ -271,11 +277,9 @@ impl HydroSim {
         let mut registry = VariableRegistry::new(factory);
         let fields = Fields::register(&mut registry);
         let boundary = ReflectiveBoundary::for_fields(&fields, registry.len());
+        let host_costs = HostCostHook { clock: clock.clone(), cost: Arc::clone(&cost) };
         let integrator: Box<dyn PatchIntegrator> = match placement {
-            Placement::Host => Box::new(HostPatchIntegrator::with_costs(HostCostHook {
-                clock: clock.clone(),
-                cost: Arc::clone(&cost),
-            })),
+            Placement::Host => Box::new(HostPatchIntegrator::with_costs(host_costs.clone())),
             Placement::Device => Box::new(DevicePatchIntegrator::new()),
             Placement::DeviceCopyBack => Box::new(DevicePatchIntegrator::copy_back()),
         };
@@ -310,6 +314,7 @@ impl HydroSim {
             regions,
             clock,
             device,
+            host_costs,
             time: 0.0,
             step: 0,
             prev_dt: f64::INFINITY,
@@ -552,8 +557,10 @@ impl HydroSim {
     /// Refresh every level's [`rbamr_gpu_amr::BatchPlan`]: a cache hit
     /// is a structure-key comparison; a miss rebuilds the descriptor
     /// table and uploads it to the device (the only PCIe traffic
-    /// per-level launching adds to the resident step).
-    fn refresh_batch_plans(&mut self, device: &Device) {
+    /// per-level launching adds to the resident step). Nothing to do on
+    /// the host placement, which launches nothing.
+    fn refresh_batch_plans(&mut self) {
+        let Some(device) = &self.device else { return };
         for l in 0..self.hierarchy.num_levels() {
             let boxes: Vec<GBox> =
                 self.hierarchy.level(l).local().iter().map(|p| p.cell_box()).collect();
@@ -562,33 +569,38 @@ impl HydroSim {
         }
     }
 
-    /// Run one comm/compute-overlapped fill window over every level:
+    /// Run one fill window over every level: the halo fill selected by
+    /// `which`, and the phase `compute` that consumes it.
     ///
     /// 1. `begin_fill` on every level — interior copies, message
     ///    packing/sends and local coarse-source capture all read their
     ///    inputs *now*, so the exchanged bytes equal those of
-    ///    fill-then-compute.
-    /// 2. The interior batches (`Pass::Interior`) run on per-level
-    ///    streams while the messages are in flight; each stream records
-    ///    an event at the end of its batch, and the elapsed kernel time
-    ///    is banked as comm overlap credit (the receives in step 3
-    ///    charge only the exposed remainder).
+    ///    fill-then-compute, and every send is posted before the first
+    ///    receive.
+    /// 2. Device placements only: the interior batches
+    ///    (`Pass::Interior`) run on per-level streams while the messages
+    ///    are in flight; each stream records an event at the end of its
+    ///    batch, and the elapsed kernel time is banked as comm overlap
+    ///    credit (the receives in step 3 charge only the exposed
+    ///    remainder).
     /// 3. Per level, in order: `finish` consumes the level's messages,
-    ///    then the boundary batch (`Pass::Boundary`) is gated behind
-    ///    two explicit ordering edges — the exchange completion and the
-    ///    level's own interior batch — surfaced as `stream-wait`
+    ///    then the rest of the phase runs. On the host that is the whole
+    ///    phase (`Pass::Full`): the CPU baseline models no overlap. On
+    ///    a device it is the boundary batch (`Pass::Boundary`), gated
+    ///    behind two explicit ordering edges — the exchange completion
+    ///    and the level's own interior batch — surfaced as `stream-wait`
     ///    telemetry (`halo-exchange` / `interior-batch`).
     ///
     /// Interior regions are margin-proven not to observe any cell the
-    /// fill writes, so the window is bitwise-identical to fill-then-
-    /// compute (see [`crate::level_executor`] for the margin calculus).
+    /// fill writes, so the overlapped window is bitwise-identical to
+    /// fill-then-compute (see [`crate::level_executor`] for the margin
+    /// calculus).
     fn fill_window(
         &mut self,
-        device: &Device,
         comm: Option<&Comm>,
         first: &mut Option<SimError>,
         which: impl Fn(&LevelSchedules) -> &Arc<RefineSchedule>,
-        mut compute: impl FnMut(&mut Self, usize, Pass, &Stream),
+        mut compute: impl FnMut(&mut [Patch], (f64, f64), usize, Pass, Exec<'_>),
     ) {
         let nlevels = self.hierarchy.num_levels();
         let scheds: Vec<Arc<RefineSchedule>> =
@@ -602,11 +614,31 @@ impl HydroSim {
                 Category::HaloExchange,
             ));
         }
+        let (boundary, time) = (&self.boundary, self.time);
+        let mut finish = |hierarchy: &mut PatchHierarchy, pending: PendingFill<'_>| {
+            if let Err(e) = pending.finish(hierarchy, boundary, comm, time, Category::HaloExchange)
+            {
+                first.get_or_insert(e.into());
+            }
+        };
+        let Some(device) = &self.device else {
+            // A host window has no interior pass: per level, finish
+            // the fill, then run the whole phase.
+            let ex = Exec::Host(Some(&self.host_costs));
+            for (l, pending) in pendings.into_iter().enumerate() {
+                finish(&mut self.hierarchy, pending);
+                let dx = self.hierarchy.dx(l);
+                compute(self.hierarchy.level_mut(l).local_mut(), dx, l, Pass::Full, ex);
+            }
+            return;
+        };
+        let copy_back = self.placement == Placement::DeviceCopyBack;
         let t0 = self.clock.total();
         let streams: Vec<Stream> = (0..nlevels).map(|_| Stream::new(device)).collect();
         let mut interior_done = Vec::with_capacity(nlevels);
         for (l, stream) in streams.iter().enumerate() {
-            compute(self, l, Pass::Interior, stream);
+            let (ex, dx) = (Exec::Device { device, stream, copy_back }, self.hierarchy.dx(l));
+            compute(self.hierarchy.level_mut(l).local_mut(), dx, l, Pass::Interior, ex);
             interior_done.push(device.record_event(stream));
         }
         if let Some(comm) = comm {
@@ -614,15 +646,7 @@ impl HydroSim {
         }
         let exchange_stream = Stream::new(device);
         for (l, pending) in pendings.into_iter().enumerate() {
-            if let Err(e) = pending.finish(
-                &mut self.hierarchy,
-                &self.boundary,
-                comm,
-                self.time,
-                Category::HaloExchange,
-            ) {
-                first.get_or_insert(e.into());
-            }
+            finish(&mut self.hierarchy, pending);
             exchange_stream.submit();
             let exchanged = device.record_event(&exchange_stream);
             device.stream_wait(&streams[l], &exchanged, "halo-exchange", Category::HaloExchange);
@@ -633,7 +657,9 @@ impl HydroSim {
                 Category::HydroKernel,
             );
             let boundary_start = self.clock.total();
-            compute(self, l, Pass::Boundary, &streams[l]);
+            let ex = Exec::Device { device, stream: &streams[l], copy_back };
+            let dx = self.hierarchy.dx(l);
+            compute(self.hierarchy.level_mut(l).local_mut(), dx, l, Pass::Boundary, ex);
             // Level l's boundary compute runs while the exchanges of
             // levels > l are still in flight: bank it as overlap
             // credit for their receives.
@@ -645,6 +671,22 @@ impl HydroSim {
         }
         if let Some(comm) = comm {
             comm.clear_overlap_credit();
+        }
+    }
+
+    /// Run `phase` on every level, coarse to fine, outside a fill
+    /// window: no fill runs concurrently, so callers ask for
+    /// [`Pass::Full`].
+    fn each_level(&mut self, mut phase: impl FnMut(&mut [Patch], (f64, f64), Exec<'_>)) {
+        let copy_back = self.placement == Placement::DeviceCopyBack;
+        let on_device = self.device.as_ref().map(|device| (device, Stream::new(device)));
+        let ex = match &on_device {
+            Some((device, stream)) => Exec::Device { device, stream, copy_back },
+            None => Exec::Host(Some(&self.host_costs)),
+        };
+        for l in 0..self.hierarchy.num_levels() {
+            let dx = self.hierarchy.dx(l);
+            phase(self.hierarchy.level_mut(l).local_mut(), dx, ex);
         }
     }
 
@@ -850,29 +892,15 @@ impl HydroSim {
     /// mid-pattern. A non-finite dt without a recorded fault is still a
     /// hard bug and panics.
     fn try_compute_dt(&mut self, comm: Option<&Comm>, first: &mut Option<SimError>) -> f64 {
-        let cfl = self.config.cfl;
+        let (f, cfl) = (self.fields, self.config.cfl);
         let mut dt_local = f64::INFINITY;
-        if self.device.is_some() {
-            // One launch and one 8n-byte download per level; the
-            // returned per-patch minima fold in patch order, as below.
-            let f = self.fields;
-            let copy_back = self.placement == Placement::DeviceCopyBack;
-            for l in 0..self.hierarchy.num_levels() {
-                let dx = self.hierarchy.dx(l);
-                let level = self.hierarchy.level_mut(l);
-                for dt in exec::calc_dt(level.local_mut(), &f, copy_back, dx, cfl) {
-                    dt_local = dt_local.min(dt);
-                }
+        // The per-patch minima fold in level, then patch order. On a
+        // device: one launch and one 8n-byte download per level.
+        self.each_level(|patches, dx, ex| {
+            for dt in exec::calc_dt(patches, &f, ex, dx, cfl) {
+                dt_local = dt_local.min(dt);
             }
-        } else {
-            for l in 0..self.hierarchy.num_levels() {
-                let dx = self.hierarchy.dx(l);
-                let level = self.hierarchy.level_mut(l);
-                for patch in level.local_mut() {
-                    dt_local = dt_local.min(self.integrator.calc_dt(patch, &self.fields, dx, cfl));
-                }
-            }
-        }
+        });
         let mut dt = dt_local.min(self.config.dt_max).min(self.prev_dt * self.config.max_dt_growth);
         if let Some(comm) = comm {
             match comm.try_allreduce_min(dt, Category::Timestep) {
@@ -934,36 +962,18 @@ impl HydroSim {
         let _step_span =
             rec.is_enabled().then(|| rec.span_arg("step", Category::Other, self.step as i64));
         let mut first: Option<SimError> = None;
-        // The host placement advances patch by patch through the
-        // integrator; a device placement advances level by level
-        // through the executor, overlapping each halo fill.
-        let device = self.device.clone();
         let f = self.fields;
-        let copy_back = self.placement == Placement::DeviceCopyBack;
 
         // --- Timestep phase ------------------------------------------
         {
             let _s = rec.is_enabled().then(|| rec.span("fill-start", Category::HaloExchange));
-            if let Some(device) = &device {
-                self.refresh_batch_plans(device);
-                self.fill_window(
-                    device,
-                    comm,
-                    &mut first,
-                    |s| &s.start,
-                    |sim, l, pass, stream| {
-                        let dx = sim.hierarchy.dx(l);
-                        let patches = sim.hierarchy.level_mut(l).local_mut();
-                        exec::eos_viscosity(patches, &f, stream, copy_back, pass, gamma, dx);
-                    },
-                );
-            } else if let Err(e) = self.try_fill_start(comm) {
-                first.get_or_insert(e);
-            }
-        }
-        if device.is_none() {
-            let _s = rec.is_enabled().then(|| rec.span("eos-viscosity", Category::HydroKernel));
-            self.eos_and_viscosity();
+            self.refresh_batch_plans();
+            self.fill_window(
+                comm,
+                &mut first,
+                |s| &s.start,
+                |patches, dx, _l, pass, ex| exec::eos_viscosity(patches, &f, ex, pass, gamma, dx),
+            );
         }
         let mut dt = {
             let _s = rec.is_enabled().then(|| rec.span("dt-reduction", Category::Timestep));
@@ -977,35 +987,15 @@ impl HydroSim {
         // --- Lagrangian phase ----------------------------------------
         {
             let _s = rec.is_enabled().then(|| rec.span("lagrangian", Category::HydroKernel));
-            if let Some(device) = &device {
-                let stream = Stream::new(device);
-                for l in 0..self.hierarchy.num_levels() {
-                    let dx = self.hierarchy.dx(l);
-                    let patches = self.hierarchy.level_mut(l).local_mut();
-                    exec::lagrangian_pre(patches, &f, &stream, copy_back, gamma, dx, dt);
-                }
-                self.fill_window(
-                    device,
-                    comm,
-                    &mut first,
-                    |s| &s.post_accel,
-                    |sim, l, pass, stream| {
-                        let dx = sim.hierarchy.dx(l);
-                        let patches = sim.hierarchy.level_mut(l).local_mut();
-                        exec::flux_calc(patches, &f, stream, copy_back, pass, dx, dt);
-                    },
-                );
-            } else {
-                self.each_patch(|ig, p, f, dx| ig.pdv(p, f, dx, dt, true));
-                self.each_patch(|ig, p, f, _dx| ig.ideal_gas(p, f, gamma, true));
-                self.each_patch(|ig, p, f, _dx| ig.revert(p, f));
-                self.each_patch(|ig, p, f, dx| ig.accelerate(p, f, dx, dt));
-                self.each_patch(|ig, p, f, dx| ig.pdv(p, f, dx, dt, false));
-                if let Err(e) = self.try_fill(|s| &s.post_accel, comm) {
-                    first.get_or_insert(e);
-                }
-                self.each_patch(|ig, p, f, dx| ig.flux_calc(p, f, dx, dt));
-            }
+            self.each_level(|patches, dx, ex| {
+                exec::lagrangian_pre(patches, &f, ex, gamma, dx, dt);
+            });
+            self.fill_window(
+                comm,
+                &mut first,
+                |s| &s.post_accel,
+                |patches, dx, _l, pass, ex| exec::flux_calc(patches, &f, ex, pass, dx, dt),
+            );
         }
         self.poll_device(&mut first);
 
@@ -1013,108 +1003,42 @@ impl HydroSim {
         {
             let _s = rec.is_enabled().then(|| rec.span("advection", Category::HydroKernel));
             let dirs = if self.step.is_multiple_of(2) { [0usize, 1] } else { [1, 0] };
-            if let Some(device) = &device {
-                let nlevels = self.hierarchy.num_levels();
-                let stream = Stream::new(device);
-                let mut cell_stash: Vec<exec::CellStash> = Vec::new();
-                for l in 0..nlevels {
-                    let dx = self.hierarchy.dx(l);
-                    let patches = self.hierarchy.level_mut(l).local_mut();
-                    exec::advec_cell(
-                        patches,
-                        &f,
-                        &stream,
-                        copy_back,
-                        Pass::Full,
-                        dx,
-                        dirs[0],
-                        1,
-                        &mut cell_stash,
-                    );
-                }
-                let mut mom_stashes: Vec<Vec<exec::MomStash>> =
-                    (0..nlevels).map(|_| Vec::new()).collect();
-                self.fill_window(
-                    device,
-                    comm,
-                    &mut first,
-                    |s| &s.post_sweep1[dirs[0]],
-                    |sim, l, pass, stream| {
-                        let patches = sim.hierarchy.level_mut(l).local_mut();
-                        exec::advec_mom(
-                            patches,
-                            &f,
-                            stream,
-                            copy_back,
-                            pass,
-                            dirs[0],
-                            &mut mom_stashes[l],
-                        );
-                    },
-                );
-                let mut cell_stashes: Vec<Vec<exec::CellStash>> =
-                    (0..nlevels).map(|_| Vec::new()).collect();
-                self.fill_window(
-                    device,
-                    comm,
-                    &mut first,
-                    |s| &s.mid_sweeps,
-                    |sim, l, pass, stream| {
-                        let dx = sim.hierarchy.dx(l);
-                        let patches = sim.hierarchy.level_mut(l).local_mut();
-                        exec::advec_cell(
-                            patches,
-                            &f,
-                            stream,
-                            copy_back,
-                            pass,
-                            dx,
-                            dirs[1],
-                            2,
-                            &mut cell_stashes[l],
-                        );
-                    },
-                );
-                let mut mom_stashes: Vec<Vec<exec::MomStash>> =
-                    (0..nlevels).map(|_| Vec::new()).collect();
-                self.fill_window(
-                    device,
-                    comm,
-                    &mut first,
-                    |s| &s.post_sweep2[dirs[1]],
-                    |sim, l, pass, stream| {
-                        let patches = sim.hierarchy.level_mut(l).local_mut();
-                        exec::advec_mom(
-                            patches,
-                            &f,
-                            stream,
-                            copy_back,
-                            pass,
-                            dirs[1],
-                            &mut mom_stashes[l],
-                        );
-                    },
-                );
-                for l in 0..nlevels {
-                    let patches = self.hierarchy.level_mut(l).local_mut();
-                    exec::reset(patches, &f, &stream, copy_back);
-                }
-            } else {
-                self.each_patch(|ig, p, f, dx| ig.advec_cell(p, f, dx, dirs[0], 1));
-                if let Err(e) = self.try_fill(|s| &s.post_sweep1[dirs[0]], comm) {
-                    first.get_or_insert(e);
-                }
-                self.each_patch(|ig, p, f, dx| ig.advec_mom(p, f, dx, dirs[0], 1));
-                if let Err(e) = self.try_fill(|s| &s.mid_sweeps, comm) {
-                    first.get_or_insert(e);
-                }
-                self.each_patch(|ig, p, f, dx| ig.advec_cell(p, f, dx, dirs[1], 2));
-                if let Err(e) = self.try_fill(|s| &s.post_sweep2[dirs[1]], comm) {
-                    first.get_or_insert(e);
-                }
-                self.each_patch(|ig, p, f, dx| ig.advec_mom(p, f, dx, dirs[1], 2));
-                self.each_patch(|ig, p, f, _dx| ig.reset(p, f));
-            }
+            let nlevels = self.hierarchy.num_levels();
+            let mut cell_stash = Vec::new();
+            self.each_level(|patches, dx, ex| {
+                exec::advec_cell(patches, &f, ex, Pass::Full, dx, dirs[0], 1, &mut cell_stash);
+            });
+            let mut mom_stashes: Vec<Vec<exec::MomStash>> =
+                (0..nlevels).map(|_| Vec::new()).collect();
+            self.fill_window(
+                comm,
+                &mut first,
+                |s| &s.post_sweep1[dirs[0]],
+                |patches, _dx, l, pass, ex| {
+                    exec::advec_mom(patches, &f, ex, pass, dirs[0], &mut mom_stashes[l]);
+                },
+            );
+            let mut cell_stashes: Vec<Vec<exec::CellStash>> =
+                (0..nlevels).map(|_| Vec::new()).collect();
+            self.fill_window(
+                comm,
+                &mut first,
+                |s| &s.mid_sweeps,
+                |patches, dx, l, pass, ex| {
+                    exec::advec_cell(patches, &f, ex, pass, dx, dirs[1], 2, &mut cell_stashes[l]);
+                },
+            );
+            let mut mom_stashes: Vec<Vec<exec::MomStash>> =
+                (0..nlevels).map(|_| Vec::new()).collect();
+            self.fill_window(
+                comm,
+                &mut first,
+                |s| &s.post_sweep2[dirs[1]],
+                |patches, _dx, l, pass, ex| {
+                    exec::advec_mom(patches, &f, ex, pass, dirs[1], &mut mom_stashes[l]);
+                },
+            );
+            self.each_level(|patches, _dx, ex| exec::reset(patches, &f, ex));
         }
         self.poll_device(&mut first);
 
@@ -1574,10 +1498,11 @@ mod tests {
         }
     }
 
-    /// The equivalence property, single-rank edition: the per-level,
-    /// overlapped device executor is bitwise identical to the per-patch
-    /// host build — all fields, every step, through regrids — and its
-    /// launch plans survive structure-preserving regrids.
+    /// The equivalence property, single-rank edition: the device arm
+    /// (per-level launches, overlapped windows) is bitwise identical to
+    /// the host arm (plain calls, fill-then-compute) — all fields,
+    /// every step, through regrids — and its launch plans survive
+    /// structure-preserving regrids.
     #[test]
     fn device_build_is_bitwise_identical_to_host_with_many_patches() {
         let mut host = sim_capped(Placement::Host, 32, 2, 8);

@@ -1,16 +1,24 @@
-//! The level executor: every device hydro kernel launch, one launch
-//! per kernel per level, with interior/boundary splitting.
+//! The level executor: every hydro kernel call of the step, for every
+//! placement — one call site per kernel, one region definition per
+//! phase.
 //!
-//! A launch per kernel per patch is the Figure 9 overhead that makes
-//! small grids launch-bound. This module issues **one launch per kernel
-//! per level**: the launch body loops over the level's patches (the
-//! logical element index of the level's
-//! [`BatchPlan`](rbamr_gpu_amr::BatchPlan) spans them all) and calls the
-//! same kernel functions the host integrator runs ([`crate::kernels`])
-//! on the same regions, so the arithmetic is bitwise identical to the
-//! host build while the fixed launch latency is paid once per level.
-//! [`crate::DevicePatchIntegrator`] runs the same functions on a batch
-//! of one patch.
+//! Each phase function takes the level's patches and an executor handle,
+//! `Exec`, that says where the arrays live and what running a kernel
+//! charges; the list of "which kernel runs over which region reading
+//! which fields" is written once, here, and both arms apply the same
+//! [`crate::kernels`] bodies to the same regions, so the arithmetic is
+//! bitwise identical whichever placement runs it:
+//!
+//! * `Exec::Host` — plain calls over `HostData` slices, patch by
+//!   patch; the CPU cost model is charged once per patch per phase.
+//! * `Exec::Device` — **one launch per kernel per level**: the launch
+//!   body loops over the level's patches (the logical element index of
+//!   the level's [`BatchPlan`](rbamr_gpu_amr::BatchPlan) spans them
+//!   all), so the fixed launch latency — the Figure 9 overhead that
+//!   makes small grids launch-bound — is paid once per level.
+//!
+//! [`crate::HostPatchIntegrator`] and [`crate::DevicePatchIntegrator`]
+//! run the same functions on a batch of one patch.
 //!
 //! For communication/computation overlap, each phase can run as two
 //! passes: [`Pass::Interior`] computes only patch cores that a
@@ -30,23 +38,131 @@
 //!
 //! A patch too small for a margin degrades gracefully: its interior is
 //! empty and the whole kernel runs in the boundary pass, i.e. in the
-//! unoverlapped fill-then-compute order.
+//! unoverlapped fill-then-compute order. The host placement models no
+//! overlap, so its driver only ever asks for `Pass::Full`.
 //!
-//! Every phase takes the transfer policy as `copy_back`: when set, the
-//! full arrays the phase touches make a PCIe round trip before its
-//! kernels — the non-resident Wang et al. baseline the paper's Related
-//! Work criticises ([`crate::Placement::DeviceCopyBack`]). The kernels
-//! are the same, so the measured gap to the resident placement is
-//! exactly the residency benefit the paper claims.
+//! `Exec::Device` carries the transfer policy as `copy_back`: when
+//! set, the full arrays a phase touches make a PCIe round trip before
+//! its kernels — the non-resident Wang et al. baseline the paper's
+//! Related Work criticises ([`crate::Placement::DeviceCopyBack`]). The
+//! kernels are the same, so the measured gap to the resident placement
+//! is exactly the residency benefit the paper claims.
 
 use crate::kernels as k;
 use crate::state::{ComputeRegion, Fields, GHOSTS};
+use rbamr_amr::hostdata::HostCostHook;
 use rbamr_amr::patchdata::PatchData;
-use rbamr_amr::{Patch, VariableId};
-use rbamr_device::{DeviceBuffer, Kernel, Stream};
+use rbamr_amr::{HostData, Patch, VariableId};
+use rbamr_device::{Device, DeviceBuffer, Kernel, Stream};
 use rbamr_geometry::{Centring, GBox, IntVector};
 use rbamr_gpu_amr::{interior_core, split_region, DeviceData};
 use rbamr_perfmodel::{Category, KernelShape};
+
+/// Where a phase's arrays live and what running it charges — the only
+/// thing that differs between the placements.
+#[derive(Clone, Copy)]
+pub(crate) enum Exec<'a> {
+    /// Host memory: every kernel is a plain call over `HostData`
+    /// slices. With a hook, each phase charges the CPU cost model once
+    /// per patch, after its kernels; no launch, span or counter exists.
+    Host(Option<&'a HostCostHook>),
+    /// Device memory: one launch per kernel per level on `stream`.
+    /// `copy_back` adds the per-phase PCIe round trips.
+    Device {
+        /// The device the patches' arrays live on.
+        device: &'a Device,
+        /// The stream the phase's launches are submitted to.
+        stream: &'a Stream,
+        /// Round-trip every array the phase touches before its kernels.
+        copy_back: bool,
+    },
+}
+
+impl Exec<'_> {
+    fn copy_back(self) -> bool {
+        matches!(self, Exec::Device { copy_back: true, .. })
+    }
+
+    /// The CPU baseline's price of one streaming loop over `cells`
+    /// cells. A no-op unless this is a host executor with a cost hook.
+    pub(crate) fn charge_loop(self, category: Category, cells: i64, arrays: u32, flops: u32) {
+        if let Exec::Host(Some(hook)) = self {
+            let shape = KernelShape::streaming(cells, arrays, flops);
+            hook.clock.advance(category, hook.cost.host_kernel(shape));
+        }
+    }
+
+    /// The CPU baseline's price of one phase: per patch, in patch
+    /// order, one loop over `cells_of(patch)` cells.
+    fn charge_host(
+        self,
+        patches: &[Patch],
+        category: Category,
+        cells_of: impl Fn(&Patch) -> i64,
+        arrays: u32,
+        flops: u32,
+    ) {
+        for p in patches {
+            self.charge_loop(category, cells_of(p), arrays, flops);
+        }
+    }
+
+    /// A zeroed staging array of `len` values in this executor's
+    /// memory space.
+    fn stage(self, len: usize) -> Staged {
+        match self {
+            Exec::Host(_) => Staged::Host(vec![0.0; len]),
+            Exec::Device { device, .. } => Staged::Device(device.alloc(len)),
+        }
+    }
+
+    /// Run `body` where this executor's kernels run: inside one named
+    /// launch on a device, as a plain call on the host — where there is
+    /// no launch, so no kernel token, span, counter or latency.
+    fn launch(
+        self,
+        name: &'static str,
+        category: Category,
+        shape: KernelShape,
+        body: impl FnOnce(Option<&Kernel<'_>>),
+    ) {
+        match self {
+            Exec::Host(_) => body(None),
+            Exec::Device { device, stream, .. } => {
+                stream.submit();
+                device.launch_named(stream, name, category, shape, |kk| body(Some(&kk)));
+            }
+        }
+    }
+}
+
+/// A scratch array a phase stages values in, living where the patch
+/// data lives. A device array is only readable inside a launch: both
+/// accessors take the launch's kernel token, `None` on the host.
+pub(crate) enum Staged {
+    Host(Vec<f64>),
+    Device(DeviceBuffer<f64>),
+}
+
+impl Staged {
+    fn as_slice(&self, kk: Option<&Kernel<'_>>) -> &[f64] {
+        match self {
+            Staged::Host(v) => v,
+            Staged::Device(b) => {
+                b.as_slice(kk.expect("device staging array read outside a launch"))
+            }
+        }
+    }
+
+    fn as_mut_slice(&mut self, kk: Option<&Kernel<'_>>) -> &mut [f64] {
+        match self {
+            Staged::Host(v) => v,
+            Staged::Device(b) => {
+                b.as_mut_slice(kk.expect("device staging array written outside a launch"))
+            }
+        }
+    }
+}
 
 /// Which part of a phase a call executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,52 +284,60 @@ pub(crate) fn dev_mut(data: &mut dyn PatchData) -> &mut DeviceData<f64> {
     data.as_any_mut().downcast_mut::<DeviceData<f64>>().expect("device executor on non-device data")
 }
 
-/// One patch's device handles, split into output and input variables.
-type SplitHandles<'a> = (Vec<&'a mut DeviceData<f64>>, Vec<&'a DeviceData<f64>>);
-
-fn split_dev<'a>(datas: &'a mut [&mut dyn PatchData], n_out: usize) -> SplitHandles<'a> {
-    let (outs, ins) = datas.split_at_mut(n_out);
-    let outs = outs.iter_mut().map(|d| dev_mut(&mut **d)).collect();
-    let ins = ins.iter().map(|d| dev(&**d)).collect();
-    (outs, ins)
+fn host(data: &dyn PatchData) -> &HostData<f64> {
+    data.as_any().downcast_ref::<HostData<f64>>().expect("host executor on non-host data")
 }
 
-/// One batched launch: a single kernel invocation whose body loops the
-/// level's patches and applies `body` to each patch's region boxes.
-/// Skipped entirely (no launch, no latency) when every region is empty.
+fn host_mut(data: &mut dyn PatchData) -> &mut HostData<f64> {
+    data.as_any_mut().downcast_mut::<HostData<f64>>().expect("host executor on non-host data")
+}
+
+/// Read-only kernel view of `data`: a device array inside the launch
+/// that issued `kk`, a host array when there is no launch.
+fn view<'a>(data: &'a dyn PatchData, kk: Option<&Kernel<'_>>) -> k::View<'a> {
+    let values = match kk {
+        Some(kk) => dev(data).buffer().as_slice(kk),
+        None => host(data).as_slice(),
+    };
+    k::View::new(values, data.data_box())
+}
+
+/// One kernel over a level: `body` is applied to each patch's region
+/// boxes, with `vars[0]` as the output array and the rest as read-only
+/// views. On a device this is a single launch whose body loops the
+/// patches, skipped entirely (no launch, no latency) when every region
+/// is empty; on the host the same loop runs as plain calls.
 #[allow(clippy::too_many_arguments)]
 fn batched_launch(
     patches: &mut [Patch],
-    stream: &Stream,
+    ex: Exec<'_>,
     name: &'static str,
     category: Category,
     vars: &[VariableId],
     arrays: u32,
     flops: u32,
     regions: &[Vec<GBox>],
-    body: impl Fn(&Kernel<'_>, usize, &mut [f64], GBox, &[k::View<'_>], GBox),
+    body: impl Fn(Option<&Kernel<'_>>, usize, &mut [f64], GBox, &[k::View<'_>], GBox),
 ) {
     let total: i64 = regions.iter().flatten().map(|b| b.num_cells()).sum();
     if total == 0 {
         return;
     }
-    let mut all: Vec<Vec<&mut dyn PatchData>> =
-        patches.iter_mut().map(|p| p.data_many_mut(vars)).collect();
-    let mut handles: Vec<SplitHandles<'_>> = all.iter_mut().map(|d| split_dev(d, 1)).collect();
-    let device = handles[0].0[0].device().clone();
-    stream.submit();
-    let shape = KernelShape::streaming(total, arrays, flops);
-    device.launch_named(stream, name, category, shape, |kk| {
-        for (i, (outs, ins)) in handles.iter_mut().enumerate() {
+    ex.launch(name, category, KernelShape::streaming(total, arrays, flops), |kk| {
+        for (i, p) in patches.iter_mut().enumerate() {
             if regions[i].is_empty() {
                 continue;
             }
-            let views: Vec<k::View> =
-                ins.iter().map(|d| k::View::new(d.buffer().as_slice(&kk), d.data_box())).collect();
-            let obox = outs[0].data_box();
-            let out = outs[0].buffer_mut();
+            let mut datas = p.data_many_mut(vars);
+            let (out, ins) = datas.split_at_mut(1);
+            let views: Vec<k::View> = ins.iter().map(|d| view(&**d, kk)).collect();
+            let obox = out[0].data_box();
+            let out = match kk {
+                Some(kk) => dev_mut(&mut *out[0]).buffer_mut().as_mut_slice(kk),
+                None => host_mut(&mut *out[0]).as_mut_slice(),
+            };
             for r in &regions[i] {
-                body(&kk, i, out.as_mut_slice(&kk), obox, &views, *r);
+                body(kk, i, out, obox, &views, *r);
             }
         }
     });
@@ -242,14 +366,13 @@ fn roundtrip(patches: &mut [Patch], vars: &[VariableId]) {
 pub(crate) fn ideal_gas(
     patches: &mut [Patch],
     f: &Fields,
-    stream: &Stream,
-    copy_back: bool,
+    ex: Exec<'_>,
     pass: Pass,
     gamma: f64,
     predict: bool,
 ) {
     let (rho, e) = if predict { (f.density1, f.energy1) } else { (f.density0, f.energy0) };
-    if copy_back && pass != Pass::Boundary {
+    if ex.copy_back() && pass != Pass::Boundary {
         roundtrip(patches, &[f.pressure, f.soundspeed, rho, e]);
     }
     let region = if predict { ComputeRegion::Grown(1) } else { ComputeRegion::GhostBox };
@@ -257,7 +380,7 @@ pub(crate) fn ideal_gas(
     let regs = regions_for(patches, pass, 1, Centring::Cell, nominal);
     batched_launch(
         patches,
-        stream,
+        ex,
         "ideal-gas-pressure",
         Category::HydroKernel,
         &[f.pressure, rho, e],
@@ -269,7 +392,7 @@ pub(crate) fn ideal_gas(
     let regs = regions_for(patches, pass, 2, Centring::Cell, nominal);
     batched_launch(
         patches,
-        stream,
+        ex,
         "ideal-gas-soundspeed",
         Category::HydroKernel,
         &[f.soundspeed, f.pressure, rho],
@@ -278,26 +401,25 @@ pub(crate) fn ideal_gas(
         &regs,
         |_kk, _i, ss, ssbox, v, r| k::ideal_gas_soundspeed(ss, ssbox, v[0], v[1], r, gamma),
     );
+    ex.charge_host(patches, Category::HydroKernel, |p| nominal(p).num_cells() * 2, 3, 8);
 }
 
 /// Artificial viscosity — kernel ordinal 3 of the `fill-start` window.
 pub(crate) fn viscosity(
     patches: &mut [Patch],
     f: &Fields,
-    stream: &Stream,
-    copy_back: bool,
+    ex: Exec<'_>,
     pass: Pass,
     dx: (f64, f64),
 ) {
-    if copy_back && pass != Pass::Boundary {
+    if ex.copy_back() && pass != Pass::Boundary {
         roundtrip(patches, &[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0]);
     }
-    let regs = regions_for(patches, pass, 3, Centring::Cell, |p| {
-        ComputeRegion::Grown(1).cell_box(p.cell_box())
-    });
+    let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
+    let regs = regions_for(patches, pass, 3, Centring::Cell, grown);
     batched_launch(
         patches,
-        stream,
+        ex,
         "viscosity",
         Category::HydroKernel,
         &[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0],
@@ -306,6 +428,7 @@ pub(crate) fn viscosity(
         &regs,
         |_kk, _i, q, qbox, v, r| k::viscosity(q, qbox, v[0], v[1], v[2], v[3], r, dx),
     );
+    ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells(), 5, 15);
 }
 
 /// EOS + viscosity — the compute half of the `fill-start` overlap
@@ -313,64 +436,53 @@ pub(crate) fn viscosity(
 pub(crate) fn eos_viscosity(
     patches: &mut [Patch],
     f: &Fields,
-    stream: &Stream,
-    copy_back: bool,
+    ex: Exec<'_>,
     pass: Pass,
     gamma: f64,
     dx: (f64, f64),
 ) {
-    ideal_gas(patches, f, stream, copy_back, pass, gamma, false);
-    viscosity(patches, f, stream, copy_back, pass, dx);
+    ideal_gas(patches, f, ex, pass, gamma, false);
+    viscosity(patches, f, ex, pass, dx);
 }
 
-/// CFL reduction: every patch's minimum lands in one `n`-patch device
-/// buffer from a single launch, and one `8n`-byte transfer crosses PCIe
-/// per level — "calculating the timestep contains the only global
-/// reduction" (Section V-B). Returns the per-patch minima in patch
-/// order so the caller folds them exactly as the host build does.
+/// CFL reduction: every patch's minimum lands in one `n`-patch staging
+/// array — on a device from a single launch, and one `8n`-byte transfer
+/// crosses PCIe per level: "calculating the timestep contains the only
+/// global reduction" (Section V-B). Returns the per-patch minima in
+/// patch order, so every placement folds them identically.
 pub(crate) fn calc_dt(
     patches: &mut [Patch],
     f: &Fields,
-    copy_back: bool,
+    ex: Exec<'_>,
     dx: (f64, f64),
     cfl: f64,
 ) -> Vec<f64> {
-    if copy_back {
-        roundtrip(patches, &[f.density0, f.pressure, f.viscosity, f.soundspeed, f.xvel0, f.yvel0]);
+    let vars = [f.density0, f.pressure, f.viscosity, f.soundspeed, f.xvel0, f.yvel0];
+    if ex.copy_back() {
+        roundtrip(patches, &vars);
     }
     if patches.is_empty() {
         return Vec::new();
     }
-    let device = dev(patches[0].data(f.density0)).device().clone();
-    let stream = Stream::new(&device);
-    stream.submit();
     let n = patches.len();
-    let mut result = device.alloc::<f64>(n);
+    let mut result = ex.stage(n);
     let total: i64 = patches.iter().map(|p| p.cell_box().num_cells()).sum();
-    let shape = KernelShape::streaming(total, 6, 20);
-    device.launch_named(&stream, "calc-dt", Category::Timestep, shape, |kk| {
+    ex.launch("calc-dt", Category::Timestep, KernelShape::streaming(total, 6, 20), |kk| {
         for (i, p) in patches.iter().enumerate() {
-            let view = |var: VariableId| {
-                let d = dev(p.data(var));
-                k::View::new(d.buffer().as_slice(&kk), d.data_box())
-            };
-            let dt = k::calc_dt(
-                view(f.density0),
-                view(f.pressure),
-                view(f.viscosity),
-                view(f.soundspeed),
-                view(f.xvel0),
-                view(f.yvel0),
-                p.cell_box(),
-                dx,
-                cfl,
-            );
-            result.as_mut_slice(&kk)[i] = dt;
+            let v = vars.map(|var| view(p.data(var), kk));
+            result.as_mut_slice(kk)[i] =
+                k::calc_dt(v[0], v[1], v[2], v[3], v[4], v[5], p.cell_box(), dx, cfl);
         }
     });
-    let mut host = vec![0.0f64; n];
-    device.download(&result, 0, &mut host, Category::Timestep);
-    host
+    ex.charge_host(patches, Category::Timestep, |p| p.cell_box().num_cells(), 6, 20);
+    match result {
+        Staged::Host(minima) => minima,
+        Staged::Device(buf) => {
+            let mut minima = vec![0.0f64; n];
+            buf.device().download(&buf, 0, &mut minima, Category::Timestep);
+            minima
+        }
+    }
 }
 
 /// The Lagrangian pre-fill chain — predictor PdV, predictor EOS,
@@ -379,31 +491,29 @@ pub(crate) fn calc_dt(
 pub(crate) fn lagrangian_pre(
     patches: &mut [Patch],
     f: &Fields,
-    stream: &Stream,
-    copy_back: bool,
+    ex: Exec<'_>,
     gamma: f64,
     dx: (f64, f64),
     dt: f64,
 ) {
-    pdv(patches, f, stream, copy_back, dx, dt, true);
-    ideal_gas(patches, f, stream, copy_back, Pass::Full, gamma, true);
-    revert(patches, f, stream, copy_back);
-    accelerate(patches, f, stream, copy_back, dx, dt);
-    pdv(patches, f, stream, copy_back, dx, dt, false);
+    pdv(patches, f, ex, dx, dt, true);
+    ideal_gas(patches, f, ex, Pass::Full, gamma, true);
+    revert(patches, f, ex);
+    accelerate(patches, f, ex, dx, dt);
+    pdv(patches, f, ex, dx, dt, false);
 }
 
 /// Restore working density/energy to step-start values.
-pub(crate) fn revert(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_back: bool) {
-    if copy_back {
+pub(crate) fn revert(patches: &mut [Patch], f: &Fields, ex: Exec<'_>) {
+    if ex.copy_back() {
         roundtrip(patches, &[f.density1, f.energy1, f.density0, f.energy0]);
     }
-    let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, |p| {
-        ComputeRegion::Grown(1).cell_box(p.cell_box())
-    });
+    let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
+    let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, grown);
     for (dst, src) in [(f.density1, f.density0), (f.energy1, f.energy0)] {
         batched_launch(
             patches,
-            stream,
+            ex,
             "copy-field",
             Category::HydroKernel,
             &[dst, src],
@@ -413,18 +523,12 @@ pub(crate) fn revert(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_ba
             |_kk, _i, d, dbox, v, r| k::copy_field(d, dbox, v[0], r),
         );
     }
+    ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells() * 2, 2, 0);
 }
 
 /// Node velocity update from pressure and viscosity gradients.
-pub(crate) fn accelerate(
-    patches: &mut [Patch],
-    f: &Fields,
-    stream: &Stream,
-    copy_back: bool,
-    dx: (f64, f64),
-    dt: f64,
-) {
-    if copy_back {
+pub(crate) fn accelerate(patches: &mut [Patch], f: &Fields, ex: Exec<'_>, dx: (f64, f64), dt: f64) {
+    if ex.copy_back() {
         roundtrip(
             patches,
             &[f.xvel1, f.yvel1, f.xvel0, f.yvel0, f.density0, f.pressure, f.viscosity],
@@ -435,7 +539,7 @@ pub(crate) fn accelerate(
     for (axis, (v1, v0)) in [(0usize, (f.xvel1, f.xvel0)), (1, (f.yvel1, f.yvel0))] {
         batched_launch(
             patches,
-            stream,
+            ex,
             "accelerate",
             Category::HydroKernel,
             &[v1, v0, f.density0, f.pressure, f.viscosity],
@@ -447,6 +551,7 @@ pub(crate) fn accelerate(
             },
         );
     }
+    ex.charge_host(patches, Category::HydroKernel, |p| node(p).num_cells() * 2, 5, 20);
 }
 
 /// PdV energy/density update (predictor: half dt with the start
@@ -454,13 +559,12 @@ pub(crate) fn accelerate(
 pub(crate) fn pdv(
     patches: &mut [Patch],
     f: &Fields,
-    stream: &Stream,
-    copy_back: bool,
+    ex: Exec<'_>,
     dx: (f64, f64),
     dt: f64,
     predict: bool,
 ) {
-    if copy_back {
+    if ex.copy_back() {
         roundtrip(
             patches,
             &[
@@ -482,7 +586,7 @@ pub(crate) fn pdv(
     let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, grown);
     batched_launch(
         patches,
-        stream,
+        ex,
         "pdv-energy",
         Category::HydroKernel,
         &[
@@ -506,7 +610,7 @@ pub(crate) fn pdv(
     );
     batched_launch(
         patches,
-        stream,
+        ex,
         "pdv-density",
         Category::HydroKernel,
         &[f.density1, f.density0, f.xvel0, f.xvel1, f.yvel0, f.yvel1],
@@ -518,6 +622,7 @@ pub(crate) fn pdv(
             k::pdv_density(r1, rbox, v[0], v[1], u1, v[3], v1, r, dt_eff, dx);
         },
     );
+    ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells() * 2, 9, 30);
 }
 
 /// Volume fluxes — the compute half of the `post-accel` overlap window.
@@ -525,13 +630,12 @@ pub(crate) fn pdv(
 pub(crate) fn flux_calc(
     patches: &mut [Patch],
     f: &Fields,
-    stream: &Stream,
-    copy_back: bool,
+    ex: Exec<'_>,
     pass: Pass,
     dx: (f64, f64),
     dt: f64,
 ) {
-    if copy_back && pass != Pass::Boundary {
+    if ex.copy_back() && pass != Pass::Boundary {
         roundtrip(patches, &[f.vol_flux_x, f.vol_flux_y, f.xvel0, f.xvel1, f.yvel0, f.yvel1]);
     }
     for (ordinal, (axis, (flux, v0, v1))) in
@@ -544,7 +648,7 @@ pub(crate) fn flux_calc(
         });
         batched_launch(
             patches,
-            stream,
+            ex,
             "flux-calc",
             Category::HydroKernel,
             &[flux, v0, v1],
@@ -554,17 +658,20 @@ pub(crate) fn flux_calc(
             |_kk, _i, out, sbox, v, r| k::flux_calc(out, sbox, v[0], v[1], r, dt, dx, axis),
         );
     }
+    let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
+    ex.charge_host(patches, Category::HydroKernel, |p| ghost(p).num_cells() * 2, 3, 6);
 }
 
-/// Staged pre-advection copies of energy1/density1 (device-to-device,
-/// the resident equivalent of CloverLeaf's in-place read-modify loop) —
-/// the revert-save. Captured in two pieces across the passes of the
-/// `mid-sweeps` window: the interior piece *before* the fill finishes
-/// (legal: the fill only writes ghost cells) and the frame piece after,
-/// so each captured cell holds exactly the value a single pass captures.
+/// Staged pre-advection copies of energy1/density1 (device-to-device
+/// on a device: the resident equivalent of CloverLeaf's in-place
+/// read-modify loop) — the revert-save. Captured in two pieces across
+/// the passes of the `mid-sweeps` window: the interior piece *before*
+/// the fill finishes (legal: the fill only writes ghost cells) and the
+/// frame piece after, so each captured cell holds exactly the value a
+/// single pass captures.
 pub(crate) struct CellStash {
-    old_e: DeviceBuffer<f64>,
-    old_r: DeviceBuffer<f64>,
+    old_e: Staged,
+    old_r: Staged,
     ebox: GBox,
 }
 
@@ -572,7 +679,7 @@ pub(crate) struct CellStash {
 /// the interior pass: no in-window kernel before the capture writes the
 /// velocities, and the concurrent fills never fill them.
 pub(crate) struct MomStash {
-    old: Vec<DeviceBuffer<f64>>,
+    old: Vec<Staged>,
     vbox: GBox,
 }
 
@@ -582,8 +689,7 @@ pub(crate) struct MomStash {
 pub(crate) fn advec_cell(
     patches: &mut [Patch],
     f: &Fields,
-    stream: &Stream,
-    copy_back: bool,
+    ex: Exec<'_>,
     pass: Pass,
     dx: (f64, f64),
     dir: usize,
@@ -592,7 +698,7 @@ pub(crate) fn advec_cell(
 ) {
     let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
     let vol_flux = if dir == 0 { f.vol_flux_x } else { f.vol_flux_y };
-    if copy_back && pass != Pass::Boundary {
+    if ex.copy_back() && pass != Pass::Boundary {
         roundtrip(
             patches,
             &[f.density1, f.energy1, mass_flux, vol_flux, f.pre_vol, f.post_vol, f.ener_flux],
@@ -602,7 +708,7 @@ pub(crate) fn advec_cell(
     let regs = regions_for(patches, pass, 1, Centring::Cell, ghost);
     batched_launch(
         patches,
-        stream,
+        ex,
         "advec-pre-vol",
         Category::HydroKernel,
         &[f.pre_vol, f.vol_flux_x, f.vol_flux_y],
@@ -614,7 +720,7 @@ pub(crate) fn advec_cell(
     let regs = regions_for(patches, pass, 2, Centring::Cell, ghost);
     batched_launch(
         patches,
-        stream,
+        ex,
         "advec-post-vol",
         Category::HydroKernel,
         &[f.post_vol, f.vol_flux_x, f.vol_flux_y],
@@ -629,7 +735,7 @@ pub(crate) fn advec_cell(
     });
     batched_launch(
         patches,
-        stream,
+        ex,
         "advec-mass-flux",
         Category::HydroKernel,
         &[mass_flux, vol_flux, f.density1, f.pre_vol],
@@ -641,7 +747,7 @@ pub(crate) fn advec_cell(
     let regs = regions_for(patches, pass, 4, Centring::Cell, |p| p.cell_box().grow(IntVector::ONE));
     batched_launch(
         patches,
-        stream,
+        ex,
         "advec-ener-flux",
         Category::HydroKernel,
         &[f.ener_flux, mass_flux, f.energy1, f.density1, f.pre_vol],
@@ -651,12 +757,12 @@ pub(crate) fn advec_cell(
         |_kk, _i, ef, cbox, v, r| k::advec_ener_flux(ef, cbox, v[0], v[1], v[2], v[3], r, dir),
     );
     // Revert-save (ordinal 5): stage pre-advection energy1/density1.
-    revert_save(patches, f, stream, pass, stash);
+    revert_save(patches, f, ex, pass, stash);
     let interior = |p: &Patch| p.cell_box();
     let regs = regions_for(patches, pass, 6, Centring::Cell, interior);
     batched_launch(
         patches,
-        stream,
+        ex,
         "advec-cell",
         Category::HydroKernel,
         &[f.energy1, f.pre_vol, mass_flux, f.ener_flux],
@@ -673,7 +779,7 @@ pub(crate) fn advec_cell(
     let regs = regions_for(patches, pass, 7, Centring::Cell, interior);
     batched_launch(
         patches,
-        stream,
+        ex,
         "advec-ener-update",
         Category::HydroKernel,
         &[f.density1, f.pre_vol, mass_flux, vol_flux],
@@ -689,12 +795,13 @@ pub(crate) fn advec_cell(
     if pass != Pass::Interior {
         stash.clear();
     }
+    ex.charge_host(patches, Category::HydroKernel, |p| ghost(p).num_cells() * 6, 8, 40);
 }
 
 fn revert_save(
     patches: &[Patch],
     f: &Fields,
-    stream: &Stream,
+    ex: Exec<'_>,
     pass: Pass,
     stash: &mut Vec<CellStash>,
 ) {
@@ -703,47 +810,27 @@ fn revert_save(
     }
     // Kernel ordinal 5 of the cell-advection chain, over the whole
     // energy1 allocation rather than a compute region.
-    let caps = regions_for(patches, pass, 5, Centring::Cell, |p| dev(p.data(f.energy1)).data_box());
-    let device = dev(patches[0].data(f.energy1)).device().clone();
+    let caps = regions_for(patches, pass, 5, Centring::Cell, |p| p.data(f.energy1).data_box());
     if pass != Pass::Boundary {
         stash.clear();
         for p in patches.iter() {
-            let e1 = dev(p.data(f.energy1));
-            let r1 = dev(p.data(f.density1));
-            stash.push(CellStash {
-                old_e: device.alloc::<f64>(e1.buffer().len()),
-                old_r: device.alloc::<f64>(r1.buffer().len()),
-                ebox: e1.data_box(),
-            });
+            // energy1 and density1 are both cell arrays over one box.
+            let ebox = p.data(f.energy1).data_box();
+            let len = ebox.num_cells() as usize;
+            stash.push(CellStash { old_e: ex.stage(len), old_r: ex.stage(len), ebox });
         }
     }
     let total: i64 = caps.iter().flatten().map(|b| b.num_cells()).sum();
     if total == 0 {
         return;
     }
-    stream.submit();
     let shape = KernelShape::streaming(total * 2, 4, 0);
-    device.launch_named(stream, "revert-save", Category::HydroKernel, shape, |kk| {
-        for (i, p) in patches.iter().enumerate() {
-            if caps[i].is_empty() {
-                continue;
-            }
-            let e1 = dev(p.data(f.energy1));
-            let r1 = dev(p.data(f.density1));
-            let st = &mut stash[i];
-            for r in &caps[i] {
-                k::copy_field(
-                    st.old_e.as_mut_slice(&kk),
-                    st.ebox,
-                    k::View::new(e1.buffer().as_slice(&kk), e1.data_box()),
-                    *r,
-                );
-                k::copy_field(
-                    st.old_r.as_mut_slice(&kk),
-                    st.ebox,
-                    k::View::new(r1.buffer().as_slice(&kk), r1.data_box()),
-                    *r,
-                );
+    ex.launch("revert-save", Category::HydroKernel, shape, |kk| {
+        for ((p, st), caps) in patches.iter().zip(stash.iter_mut()).zip(&caps) {
+            let (e1, r1) = (view(p.data(f.energy1), kk), view(p.data(f.density1), kk));
+            for r in caps {
+                k::copy_field(st.old_e.as_mut_slice(kk), st.ebox, e1, *r);
+                k::copy_field(st.old_r.as_mut_slice(kk), st.ebox, r1, *r);
             }
         }
     });
@@ -756,14 +843,13 @@ fn revert_save(
 pub(crate) fn advec_mom(
     patches: &mut [Patch],
     f: &Fields,
-    stream: &Stream,
-    copy_back: bool,
+    ex: Exec<'_>,
     pass: Pass,
     dir: usize,
     stash: &mut Vec<MomStash>,
 ) {
     let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
-    if copy_back && pass != Pass::Boundary {
+    if ex.copy_back() && pass != Pass::Boundary {
         roundtrip(
             patches,
             &[
@@ -784,7 +870,7 @@ pub(crate) fn advec_mom(
     let regs = regions_for(patches, pass, 1, Centring::Node, node_region);
     batched_launch(
         patches,
-        stream,
+        ex,
         "mom-node-flux",
         Category::HydroKernel,
         &[f.node_flux, mass_flux],
@@ -796,7 +882,7 @@ pub(crate) fn advec_mom(
     let regs = regions_for(patches, pass, 2, Centring::Node, node_region);
     batched_launch(
         patches,
-        stream,
+        ex,
         "mom-node-mass-post",
         Category::HydroKernel,
         &[f.node_mass_post, f.density1, f.post_vol],
@@ -808,7 +894,7 @@ pub(crate) fn advec_mom(
     let regs = regions_for(patches, pass, 3, Centring::Node, node_region);
     batched_launch(
         patches,
-        stream,
+        ex,
         "mom-node-mass-pre",
         Category::HydroKernel,
         &[f.node_mass_pre, f.node_mass_post, f.node_flux],
@@ -820,8 +906,7 @@ pub(crate) fn advec_mom(
     if pass != Pass::Boundary {
         stash.clear();
         for p in patches.iter() {
-            let vbox = dev(p.data(f.xvel1)).data_box();
-            stash.push(MomStash { old: Vec::new(), vbox });
+            stash.push(MomStash { old: Vec::new(), vbox: p.data(f.xvel1).data_box() });
         }
     }
     for (vi, vel) in [f.xvel1, f.yvel1].into_iter().enumerate() {
@@ -829,7 +914,7 @@ pub(crate) fn advec_mom(
         let regs = regions_for(patches, pass, base, Centring::Node, node_region);
         batched_launch(
             patches,
-            stream,
+            ex,
             "mom-flux",
             Category::HydroKernel,
             &[f.mom_flux, vel, f.node_flux, f.node_mass_pre],
@@ -841,18 +926,14 @@ pub(crate) fn advec_mom(
         // Save-vel (ordinal base+1): full capture of the untouched
         // velocity at the interior (or full) pass.
         if pass != Pass::Boundary && !patches.is_empty() {
-            let device = dev(patches[0].data(vel)).device().clone();
             let total: i64 = stash.iter().map(|s| s.vbox.num_cells()).sum();
-            for (i, p) in patches.iter().enumerate() {
-                let v1 = dev(p.data(vel));
-                stash[i].old.push(device.alloc::<f64>(v1.buffer().len()));
+            for st in stash.iter_mut() {
+                st.old.push(ex.stage(st.vbox.num_cells() as usize));
             }
-            stream.submit();
             let shape = KernelShape::streaming(total, 2, 0);
-            device.launch_named(stream, "mom-save-vel", Category::HydroKernel, shape, |kk| {
-                for (i, p) in patches.iter().enumerate() {
-                    let v1 = dev(p.data(vel));
-                    stash[i].old[vi].as_mut_slice(&kk).copy_from_slice(v1.buffer().as_slice(&kk));
+            ex.launch("mom-save-vel", Category::HydroKernel, shape, |kk| {
+                for (st, p) in stash.iter_mut().zip(patches.iter()) {
+                    st.old[vi].as_mut_slice(kk).copy_from_slice(view(p.data(vel), kk).data);
                 }
             });
         }
@@ -861,7 +942,7 @@ pub(crate) fn advec_mom(
         });
         batched_launch(
             patches,
-            stream,
+            ex,
             "mom-vel-update",
             Category::HydroKernel,
             &[vel, f.mom_flux, f.node_mass_pre, f.node_mass_post],
@@ -878,11 +959,12 @@ pub(crate) fn advec_mom(
     if pass != Pass::Interior {
         stash.clear();
     }
+    ex.charge_host(patches, Category::HydroKernel, |p| node_region(p).num_cells() * 7, 7, 30);
 }
 
 /// End-of-step field reset: four full-region copies.
-pub(crate) fn reset(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_back: bool) {
-    if copy_back {
+pub(crate) fn reset(patches: &mut [Patch], f: &Fields, ex: Exec<'_>) {
+    if ex.copy_back() {
         roundtrip(
             patches,
             &[f.density0, f.energy0, f.xvel0, f.yvel0, f.density1, f.energy1, f.xvel1, f.yvel1],
@@ -903,7 +985,7 @@ pub(crate) fn reset(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_bac
         });
         batched_launch(
             patches,
-            stream,
+            ex,
             "copy-field",
             Category::HydroKernel,
             &[dst, src],
@@ -913,6 +995,7 @@ pub(crate) fn reset(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_bac
             |_kk, _i, d, dbox, v, r| k::copy_field(d, dbox, v[0], r),
         );
     }
+    ex.charge_host(patches, Category::HydroKernel, |p| p.cell_box().num_cells() * 4, 2, 0);
 }
 
 #[cfg(test)]
@@ -986,28 +1069,28 @@ mod tests {
     #[test]
     fn interior_then_boundary_equals_full_in_every_windowed_phase() {
         const DX: (f64, f64) = (0.05, 0.05);
-        type Phase = fn(&mut [Patch], &Fields, &Stream, &[Pass]);
+        type Phase = fn(&mut [Patch], &Fields, Exec<'_>, &[Pass]);
         let phases: [(&str, Phase); 4] = [
-            ("eos_viscosity", |p, f, s, passes| {
+            ("eos_viscosity", |p, f, ex, passes| {
                 for &pass in passes {
-                    eos_viscosity(p, f, s, false, pass, 1.4, DX);
+                    eos_viscosity(p, f, ex, pass, 1.4, DX);
                 }
             }),
-            ("flux_calc", |p, f, s, passes| {
+            ("flux_calc", |p, f, ex, passes| {
                 for &pass in passes {
-                    flux_calc(p, f, s, false, pass, DX, 1e-3);
+                    flux_calc(p, f, ex, pass, DX, 1e-3);
                 }
             }),
-            ("advec_cell", |p, f, s, passes| {
+            ("advec_cell", |p, f, ex, passes| {
                 let mut stash = Vec::new();
                 for &pass in passes {
-                    advec_cell(p, f, s, false, pass, DX, 1, 2, &mut stash);
+                    advec_cell(p, f, ex, pass, DX, 1, 2, &mut stash);
                 }
             }),
-            ("advec_mom", |p, f, s, passes| {
+            ("advec_mom", |p, f, ex, passes| {
                 let mut stash = Vec::new();
                 for &pass in passes {
-                    advec_mom(p, f, s, false, pass, 0, &mut stash);
+                    advec_mom(p, f, ex, pass, 0, &mut stash);
                 }
             }),
         ];
@@ -1015,10 +1098,14 @@ mod tests {
             for (seed, (name, phase)) in phases.iter().enumerate() {
                 let (mut full, f) = random_patch(seed as u64, cells);
                 let (mut split, _) = random_patch(seed as u64, cells);
-                let stream = dev(full.data(f.density0)).stream().clone();
-                phase(std::slice::from_mut(&mut full), &f, &stream, &[Pass::Full]);
-                let passes = [Pass::Interior, Pass::Boundary];
-                phase(std::slice::from_mut(&mut split), &f, &stream, &passes);
+                let run = |patch: &mut Patch, passes: &[Pass]| {
+                    let data = dev(patch.data(f.density0));
+                    let (device, stream) = (data.device().clone(), data.stream().clone());
+                    let ex = Exec::Device { device: &device, stream: &stream, copy_back: false };
+                    phase(std::slice::from_mut(patch), &f, ex, passes);
+                };
+                run(&mut full, &[Pass::Full]);
+                run(&mut split, &[Pass::Interior, Pass::Boundary]);
                 let (a, b) = (field_bits(&full), field_bits(&split));
                 for v in 0..a.len() {
                     assert!(a[v] == b[v], "{name} on {cells}x{cells}: field {v} differs");

@@ -24,13 +24,14 @@
 //! halo fills via the framework's refine schedules, fine→coarse
 //! synchronisation (volume-weighted density, mass-weighted energy,
 //! node-injected velocities) and periodic regridding driven by the
-//! gradient flagging heuristic. On the host placement it advances patch
-//! by patch through the integrator; on a device placement it advances
-//! level by level through [`level_executor`] — one launch per kernel
-//! per level, each halo fill overlapped with interior compute — which
-//! is also what [`DevicePatchIntegrator`] runs, on a batch of one
-//! patch. [`Placement::DeviceCopyBack`] is the same executor with
-//! per-phase PCIe round trips (the non-resident baseline).
+//! gradient flagging heuristic. Every placement advances level by
+//! level through [`level_executor`], which holds the one call site of
+//! each step kernel: on the host as plain calls over host slices that
+//! charge the CPU cost model, on a device as one launch per kernel per
+//! level with each halo fill overlapped with interior compute. Both
+//! patch integrators run the same executor on a batch of one patch.
+//! [`Placement::DeviceCopyBack`] is the device arm with per-phase PCIe
+//! round trips (the non-resident baseline).
 //!
 //! Deviation from CloverLeaf, documented per `DESIGN.md`: the
 //! artificial viscosity is the classic von Neumann–Richtmyer

@@ -501,8 +501,7 @@ impl ResilientSim {
         // Deterministic seeded jitter decorrelates the ranks' simulated
         // retry storms without sacrificing reproducibility: the factor
         // is a pure hash, never wall-clock randomness.
-        let jitter =
-            jitter_factor(self.jitter_seed, self.spec.rank as u64, self.attempts as u64);
+        let jitter = jitter_factor(self.jitter_seed, self.spec.rank as u64, self.attempts as u64);
         self.clock.advance(Category::Other, backoff * jitter);
         Ok(())
     }
@@ -512,11 +511,7 @@ impl ResilientSim {
     /// observe the death structurally, with no timeout — and reports
     /// [`ResilienceError::Killed`]; it must not touch the communicator
     /// again.
-    fn poll_rank_kill(
-        &self,
-        comm: Option<&Comm>,
-        at_step: usize,
-    ) -> Result<(), ResilienceError> {
+    fn poll_rank_kill(&self, comm: Option<&Comm>, at_step: usize) -> Result<(), ResilienceError> {
         let Some(c) = comm else { return Ok(()) };
         let Some(inj) = c.fault_injector() else { return Ok(()) };
         if inj.should_fire(FaultKind::RankKill).is_some() {

@@ -115,6 +115,54 @@ pub struct RegionInit {
     pub yvel: f64,
 }
 
+/// The initial state of one patch: for each of the eight fields the
+/// regions define (both copies of density, energy and the velocities),
+/// the image of its data box over `cell_box` plus ghosts, row-major. A
+/// cell takes the last region whose half-open rectangle contains its
+/// centre; a node the last region whose closed rectangle contains it.
+pub(crate) fn initial_images<'a>(
+    f: &Fields,
+    cell_box: GBox,
+    origin: (f64, f64),
+    dx: (f64, f64),
+    regions: &'a [RegionInit],
+) -> impl Iterator<Item = (VariableId, Vec<f64>)> + 'a {
+    type Pick = fn(&RegionInit) -> f64;
+    let ghost = cell_box.grow(IntVector::uniform(GHOSTS));
+    let fields: [(VariableId, Centring, Pick); 8] = [
+        (f.density0, Centring::Cell, |r| r.density),
+        (f.density1, Centring::Cell, |r| r.density),
+        (f.energy0, Centring::Cell, |r| r.energy),
+        (f.energy1, Centring::Cell, |r| r.energy),
+        (f.xvel0, Centring::Node, |r| r.xvel),
+        (f.xvel1, Centring::Node, |r| r.xvel),
+        (f.yvel0, Centring::Node, |r| r.yvel),
+        (f.yvel1, Centring::Node, |r| r.yvel),
+    ];
+    fields.into_iter().map(move |(var, centring, pick)| {
+        let node = centring == Centring::Node;
+        let off = if node { 0.0 } else { 0.5 };
+        let image = centring
+            .data_box(ghost)
+            .iter()
+            .map(|p| {
+                let cx = origin.0 + (p.x as f64 + off) * dx.0;
+                let cy = origin.1 + (p.y as f64 + off) * dx.1;
+                let inside = |r: &&RegionInit| {
+                    let (x0, y0, x1, y1) = r.rect;
+                    if node {
+                        cx >= x0 && cx <= x1 && cy >= y0 && cy <= y1
+                    } else {
+                        cx >= x0 && cx < x1 && cy >= y0 && cy < y1
+                    }
+                };
+                regions.iter().rfind(inside).map_or(0.0, pick)
+            })
+            .collect();
+        (var, image)
+    })
+}
+
 /// Gradient-flagging thresholds (the CleverLeaf heuristic: refine where
 /// relative density/energy jumps exceed the threshold).
 #[derive(Clone, Copy, Debug)]
@@ -168,8 +216,11 @@ impl Summary {
 
 /// The per-patch black box of the paper's Figure 6: every numerical
 /// phase of the CloverLeaf step, on one patch. Two implementations
-/// exist — host and device — and the level/hierarchy drivers never know
-/// which they hold.
+/// exist — host and device — and the hierarchy driver never knows which
+/// it holds. Both run their phases through [`crate::level_executor`] on
+/// a batch of one patch, the same functions [`crate::HydroSim`] steps
+/// whole levels with; the driver itself uses this trait for
+/// initialisation, re-priming, flagging and diagnostics.
 pub trait PatchIntegrator: Send + Sync {
     /// Implementation name ("host" / "device").
     fn name(&self) -> &'static str;
@@ -230,9 +281,10 @@ pub trait PatchIntegrator: Send + Sync {
     fn field_summary(&self, patch: &Patch, f: &Fields, dx: (f64, f64), region: GBox) -> Summary;
 }
 
-/// [`CellTagger`] adapter running the integrator's flagging heuristic,
-/// excluding cells already covered by a finer level (their features are
-/// tracked there).
+/// [`CellTagger`] adapter running the integrator's flagging heuristic
+/// over every local patch's whole interior. Cells already covered by a
+/// finer level are flagged like any other: those tags are what keeps
+/// the finer level alive at the next regrid.
 pub struct HydroTagger<'a> {
     /// The patch integrator evaluating the heuristic.
     pub integrator: &'a dyn PatchIntegrator,

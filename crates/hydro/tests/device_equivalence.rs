@@ -1,12 +1,18 @@
 //! The device-equivalence layer: the device build (per-level launches,
 //! halo fills overlapped with interior compute) must be observationally
-//! identical to the per-patch host build.
+//! identical to the host build (plain calls, fill-then-compute). Both
+//! run one transcription of the step (`level_executor`), so what the
+//! comparison checks is the memory-space arm and the overlapped
+//! interior/boundary order; the region and field lists themselves are
+//! pinned by the frozen absolute digests below.
 //!
 //! Property-tests random hierarchy configurations (deck, rank count,
 //! metadata mode, grid size) and asserts, per rank and per step:
 //!
 //! * the device run's `state_field_digest` is bitwise identical to the
 //!   host placement's;
+//! * the host placement's digests equal the frozen reference recorded
+//!   from the last independent host implementation;
 //! * the device run is **schedule-invariant**: netsim's deterministic
 //!   `workers = 1` round-robin and its default worker count produce
 //!   identical digests, device counters, recorder counters, and
