@@ -405,14 +405,22 @@ impl PatchLevel {
         &mut self.local
     }
 
+    /// Position in [`PatchLevel::local`] of the patch with global
+    /// index `index`, if owned here. Every constructor fills the local
+    /// array in ascending global-index order, so this is a binary
+    /// search.
+    fn local_position(&self, index: usize) -> Option<usize> {
+        self.local.binary_search_by_key(&index, |p| p.id().index).ok()
+    }
+
     /// Locally owned patch by global index, if owned here.
     pub fn local_by_index(&self, index: usize) -> Option<&Patch> {
-        self.local.iter().find(|p| p.id().index == index)
+        self.local_position(index).map(|pos| &self.local[pos])
     }
 
     /// Locally owned patch by global index, mutable.
     pub fn local_by_index_mut(&mut self, index: usize) -> Option<&mut Patch> {
-        self.local.iter_mut().find(|p| p.id().index == index)
+        self.local_position(index).map(|pos| &mut self.local[pos])
     }
 
     /// Set the simulation time on all local data.

@@ -25,6 +25,9 @@
 //! * [`boundary`] — physical-boundary fill strategy.
 //! * [`schedule`] — ghost-fill (refine) and synchronisation (coarsen)
 //!   schedules, local and distributed.
+//! * [`transfer`] — schedule stages as job lists: what the batch entry
+//!   points of [`DataFactory`] and the operators' `*_many` methods
+//!   take.
 //! * [`tagging`] — tag buffers and the bitmap compression of
 //!   Section IV-C.
 //! * [`cluster`] — Berger–Rigoutsos point clustering.
@@ -52,6 +55,7 @@ pub mod restart;
 pub mod schedule;
 pub mod stats;
 pub mod tagging;
+pub mod transfer;
 pub mod variable;
 
 pub use boundary::PhysicalBoundary;

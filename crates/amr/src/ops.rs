@@ -17,7 +17,9 @@
 
 use crate::hostdata::HostData;
 use crate::patchdata::PatchData;
+use crate::transfer::{CoarsenJob, RefineJob, TransferCtx};
 use rbamr_geometry::{BoxList, GBox, IntVector};
+use rbamr_perfmodel::Category;
 
 /// Interpolate coarse data onto a finer level.
 pub trait RefineOperator: Send + Sync {
@@ -40,6 +42,27 @@ pub trait RefineOperator: Send + Sync {
         fine_boxes: &BoxList,
         ratio: IntVector,
     );
+
+    /// Run every job of one fill that uses this operator: scratch
+    /// `job.scratch` refined into the local patch `job.pos` of level
+    /// `level`, charging `category`. The default is the loop over
+    /// [`RefineOperator::refine`] in job order; a device operator
+    /// overrides it with one launch.
+    fn refine_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        level: usize,
+        jobs: &[RefineJob],
+        ratio: IntVector,
+        category: Category,
+    ) {
+        for job in jobs {
+            let fine = &mut ctx.hierarchy.level_mut(level).local_mut()[job.pos as usize];
+            let dst = fine.data_mut(job.var);
+            dst.set_transfer_category(category);
+            self.refine(dst, ctx.scratch[job.scratch as usize].as_ref(), &job.fill, ratio);
+        }
+    }
 }
 
 /// Project fine data onto a coarser level.
@@ -69,6 +92,26 @@ pub trait CoarsenOperator: Send + Sync {
         coarse_boxes: &BoxList,
         ratio: IntVector,
     );
+
+    /// Run every job of one synchronisation that uses this operator:
+    /// the local patch `job.pos` of level `fine_level` projected into
+    /// scratch `job.scratch`. The default is the loop over
+    /// [`CoarsenOperator::coarsen`] in job order; a device operator
+    /// overrides it with one launch.
+    fn coarsen_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        fine_level: usize,
+        jobs: &[CoarsenJob],
+        ratio: IntVector,
+    ) {
+        for job in jobs {
+            let fine = &ctx.hierarchy.level(fine_level).local()[job.pos as usize];
+            let aux: Vec<&dyn PatchData> = job.aux.iter().map(|&a| fine.data(a)).collect();
+            let dst = ctx.scratch[job.scratch as usize].as_mut();
+            self.coarsen(dst, fine.data(job.var), &aux, &job.fill, ratio);
+        }
+    }
 }
 
 fn host(d: &dyn PatchData) -> &HostData<f64> {

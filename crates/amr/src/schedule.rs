@@ -21,6 +21,14 @@
 //! negotiation; message tags encode `(kind, variable, destination patch,
 //! source patch)` and are therefore unique per schedule execution.
 //!
+//! Every plan is resolved at build time into a transfer *job* (see
+//! [`crate::transfer`]): local patch positions looked up, copy overlaps
+//! validated and message offsets prefix-summed once, so executing a
+//! schedule does no box calculus and no searching. Each stage hands its
+//! whole job list to the placement through the [`DataFactory`] batch
+//! entry points and the operators' `*_many` methods; the schedules
+//! themselves never ask where the data lives.
+//!
 //! [`ScheduleBuild`] is the sanctioned build entry point: it selects the
 //! overlap-discovery strategy ([`BuildStrategy`]) and optionally routes
 //! the build through a [`ScheduleCache`], which keys finished schedules
@@ -30,13 +38,20 @@
 
 use crate::boundary::PhysicalBoundary;
 use crate::hierarchy::PatchHierarchy;
+use crate::level::PatchLevel;
 use crate::ops::{CoarsenOperator, RefineOperator};
-use crate::patchdata::{PatchData, PatchDataError};
-use crate::variable::{VariableId, VariableRegistry};
+use crate::patchdata::{validate_overlap, PatchData, PatchDataError};
+use crate::transfer::{
+    narrow, CoarsenJob, CopyJob, DescriptorWords, Loc, PeerStream, RefineJob, StreamJob,
+    StreamPlan, TransferCtx,
+};
+use crate::variable::{DataFactory, Variable, VariableId, VariableRegistry};
+use bytes::Bytes;
 use rbamr_geometry::{ghost_overlaps, BoxIndex, BoxList, BoxOverlap, Centring, GBox, IntVector};
 use rbamr_netsim::{Comm, CommError};
 use rbamr_perfmodel::Category;
-use std::sync::Arc;
+use std::any::Any;
+use std::sync::{Arc, Mutex};
 
 /// A fault detected while executing a schedule.
 ///
@@ -290,6 +305,23 @@ impl ScheduleCache {
         self.misses
     }
 
+    /// Drop the descriptor tables of the cached schedules that nothing
+    /// but this cache holds. A schedule in use keeps its table across
+    /// rebuilds (a steady regrid hits the cache and gets the same
+    /// `Arc` back); one that fell out of use keeps only its plans, and
+    /// uploads again if a later regrid brings its structure back.
+    fn release_unheld(&self) {
+        let release = |r: &Resident| *r.lock().expect("descriptor upload panicked") = None;
+        self.refine
+            .values()
+            .filter(|s| Arc::strong_count(s) == 1)
+            .for_each(|s| release(&s.resident));
+        self.coarsen
+            .values()
+            .filter(|s| Arc::strong_count(s) == 1)
+            .for_each(|s| release(&s.resident));
+    }
+
     /// Lifetime hit rate in [0, 1]; 0 before any lookup.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -333,8 +365,12 @@ impl ScheduleBuild<'static> {
 }
 
 impl<'c> ScheduleBuild<'c> {
-    /// Indexed build through `cache`.
+    /// Indexed build through `cache`. Cached schedules no longer held
+    /// outside the cache give up their descriptor tables here (the
+    /// resident tables are those of the schedules in use, not of
+    /// everything the cache remembers).
     pub fn with_cache(cache: &'c mut ScheduleCache) -> Self {
+        cache.release_unheld();
         Self { strategy: BuildStrategy::Indexed, cache: Some(cache) }
     }
 
@@ -482,8 +518,6 @@ fn tag(kind: u64, var: VariableId, dst_idx: usize, src_idx: usize) -> u64 {
     (kind << 60) | ((var.0 as u64) << 40) | ((dst_idx as u64) << 20) | src_idx as u64
 }
 
-const KIND_SAME_LEVEL: u64 = 0;
-const KIND_COARSE_FINE: u64 = 1;
 /// Regrid message kind: coarse scratch data for a new patch.
 pub(crate) const REGRID_SCRATCH: u64 = 3;
 /// Regrid message kind: old-level data copied onto a new patch.
@@ -508,65 +542,72 @@ pub(crate) fn extend_scratch_pub(scratch: &mut dyn PatchData, covered: &BoxList)
     extend_scratch(scratch, covered);
 }
 
-struct CopyPlan {
-    var: VariableId,
-    src_idx: usize,
-    dst_idx: usize,
-    overlap: BoxOverlap,
+/// The placement's handle on a schedule's descriptor table (see
+/// [`DataFactory::upload_descriptors`]): made when the schedule first
+/// executes, dropped with the schedule or — for a cached schedule that
+/// nothing but its cache holds any more — by
+/// [`ScheduleBuild::with_cache`].
+type Resident = Mutex<Option<Box<dyn Any + Send + Sync>>>;
+
+/// Ask the placement for the handle unless one is held.
+fn ensure_resident(
+    resident: &Resident,
+    factory: &dyn DataFactory,
+    mut words: impl FnMut() -> Vec<i32>,
+    category: Category,
+) {
+    let mut held = resident.lock().expect("descriptor upload panicked");
+    if held.is_none() {
+        *held = factory.upload_descriptors(&mut words, category);
+    }
 }
 
-struct SendPlan {
-    var: VariableId,
-    src_idx: usize,
-    dst_idx: usize,
-    dst_rank: usize,
-    overlap: BoxOverlap,
-    kind: u64,
+/// The data box of `var` allocated over `cell_box` — what
+/// [`VariableRegistry::make_one`] produces, without making it.
+fn data_box_of(var: &Variable, cell_box: GBox) -> GBox {
+    var.centring.data_box(cell_box.grow(var.ghosts))
 }
 
-struct RecvPlan {
-    var: VariableId,
-    src_idx: usize,
+/// Out-of-domain ghost cells of one local patch and variable, for the
+/// physical boundary callback.
+struct PhysicalPlan {
+    pos: usize,
     dst_idx: usize,
-    src_rank: usize,
-    overlap: BoxOverlap,
-    kind: u64,
-}
-
-/// One coarse-fine interpolation job on a locally owned fine patch.
-struct InterpPlan {
     var: VariableId,
-    dst_idx: usize,
-    /// Fine data-space region to fill by interpolation.
-    fill: BoxList,
-    /// Coarse cell box of the scratch allocation.
-    scratch_box: GBox,
-    /// Coarse patches feeding the scratch: local copies `(coarse_idx,
-    /// overlap)` in scratch space.
-    local_sources: Vec<(usize, BoxOverlap)>,
-    /// Remote coarse sources `(coarse idx, overlap)` — the payloads
-    /// arrive in the aggregated per-rank message and are stashed for
-    /// this phase.
-    remote_sources: Vec<(usize, BoxOverlap)>,
-    /// Region of scratch covered by any coarse patch (for clamped
-    /// extension of uncovered corners).
-    covered: BoxList,
-    op: Arc<dyn RefineOperator>,
+    /// Cell-space region outside the level domain.
+    outside: BoxList,
 }
 
 /// Ghost-fill schedule for one level (SAMRAI `RefineSchedule`).
+///
+/// The stages, in execution order, each one job list:
+/// same-level local copies; outgoing messages (one per peer, same-level
+/// and coarse→fine plans interleaved in plan order); interpolation
+/// scratch with its local coarse sources captured; incoming messages
+/// (targets are fine patches or scratch arrays); scratch extension;
+/// interpolation, grouped by operator; physical boundaries.
 pub struct RefineSchedule {
     level_no: usize,
     vars: Vec<VariableId>,
-    copies: Vec<CopyPlan>,
-    sends: Vec<SendPlan>,
-    recvs: Vec<RecvPlan>,
-    interps: Vec<InterpPlan>,
-    /// Out-of-domain ghost regions per local patch and variable
-    /// (cell-space), for the physical boundary callback.
-    physical: Vec<(usize, VariableId, BoxList)>,
+    copies: Vec<CopyJob>,
+    sends: Vec<StreamJob>,
+    send_peers: Vec<PeerStream>,
+    recvs: Vec<StreamJob>,
+    recv_peers: Vec<PeerStream>,
+    /// One scratch array per interpolation job: its variable and
+    /// coarse cell box.
+    scratch: Vec<(VariableId, GBox)>,
+    /// Local coarse sources copied into scratch when the fill begins.
+    captures: Vec<CopyJob>,
+    /// Per scratch array, the region its coarse sources cover (for the
+    /// clamped extension of uncovered corners).
+    covered: Vec<BoxList>,
+    /// Interpolation jobs by operator, operators in order of first use.
+    refines: Vec<(Arc<dyn RefineOperator>, Vec<RefineJob>)>,
+    physical: Vec<PhysicalPlan>,
     /// Cell-space bounding box of the level domain (for the callback).
     domain_box: GBox,
+    resident: Resident,
 }
 
 impl RefineSchedule {
@@ -626,10 +667,15 @@ impl RefineSchedule {
         let boxes = recs.boxes();
         let domain = level.domain();
         let domain_box = domain.bounding();
+        let local = local_positions(level, rank);
+        let here = |rec_pos: usize| Loc::patch(level_no, local[rec_pos]);
         let mut copies = Vec::new();
-        let mut sends = Vec::new();
-        let mut recvs = Vec::new();
-        let mut interps = Vec::new();
+        let mut sends = StreamPlan::default();
+        let mut recvs = StreamPlan::default();
+        let mut scratch = Vec::new();
+        let mut captures = Vec::new();
+        let mut scratch_covered = Vec::new();
+        let mut refines: Vec<(Arc<dyn RefineOperator>, Vec<RefineJob>)> = Vec::new();
         let mut physical = Vec::new();
 
         // Candidate-source discovery. The stored boxes carry one cell
@@ -643,6 +689,11 @@ impl RefineSchedule {
         let all_same: Vec<usize> = if indexed { Vec::new() } else { (0..boxes.len()).collect() };
         let needs_coarse = level_no > 0 && specs.iter().any(|s| s.refine_op.is_some());
         let coarse_recs = (level_no > 0).then(|| hierarchy.level(level_no - 1).records());
+        let coarse_local = if needs_coarse {
+            local_positions(hierarchy.level(level_no - 1), rank)
+        } else {
+            Vec::new()
+        };
         let coarse_index = (indexed && needs_coarse)
             .then(|| BoxIndex::new(coarse_recs.as_ref().unwrap().boxes(), IntVector::ONE));
         let all_coarse: Vec<usize> = if !indexed && needs_coarse {
@@ -724,26 +775,26 @@ impl RefineSchedule {
                             continue;
                         }
                     }
+                    let ids = (src_idx, dst_idx);
                     if dst_rank == rank && src_rank == rank {
-                        copies.push(CopyPlan { var: spec.var, src_idx, dst_idx, overlap: ov });
+                        validate_overlap(
+                            &ov,
+                            data_box_of(var, src_box),
+                            data_box_of(var, dst_box),
+                            centring,
+                        );
+                        copies.push(CopyJob {
+                            var: spec.var,
+                            src: here(src_pos),
+                            dst: here(dst_pos),
+                            overlap: ov,
+                            src_idx: narrow(src_idx),
+                            dst_idx: narrow(dst_idx),
+                        });
                     } else if src_rank == rank {
-                        sends.push(SendPlan {
-                            var: spec.var,
-                            src_idx,
-                            dst_idx,
-                            dst_rank,
-                            overlap: ov,
-                            kind: KIND_SAME_LEVEL,
-                        });
+                        sends.push(dst_rank, spec.var, here(src_pos), ov, ids);
                     } else {
-                        recvs.push(RecvPlan {
-                            var: spec.var,
-                            src_idx,
-                            dst_idx,
-                            src_rank,
-                            overlap: ov,
-                            kind: KIND_SAME_LEVEL,
-                        });
+                        recvs.push(src_rank, spec.var, here(dst_pos), ov, ids);
                     }
                 }
 
@@ -753,7 +804,8 @@ impl RefineSchedule {
                     outside.subtract(domain);
                     outside.coalesce();
                     if !outside.is_empty() {
-                        physical.push((dst_idx, spec.var, outside));
+                        let pos = local[dst_pos];
+                        physical.push(PhysicalPlan { pos, dst_idx, var: spec.var, outside });
                     }
                 }
 
@@ -796,8 +848,11 @@ impl RefineSchedule {
                 let scratch_box = fine_cover.coarsen(ratio).grow(op.stencil_width());
                 let scratch_data_box = centring.data_box(scratch_box);
 
-                let mut local_sources = Vec::new();
-                let mut remote_sources = Vec::new();
+                // The scratch array this destination interpolates
+                // from, if it is ours to fill.
+                let slot = Loc::scratch(scratch.len());
+                let scratch_dbox = data_box_of(var, scratch_box);
+                let there = |rec_pos: usize| Loc::patch(level_no - 1, coarse_local[rec_pos]);
                 let mut covered = BoxList::new();
                 let coarse_sources: &[usize] = match &coarse_index {
                     Some(ix) => {
@@ -846,58 +901,63 @@ impl RefineSchedule {
                     if dst_rank != rank && c_rank != rank {
                         continue;
                     }
+                    let ids = (cidx, dst_idx);
                     if dst_rank == rank {
                         if c_rank == rank {
-                            local_sources.push((cidx, ov));
-                        } else {
-                            recvs.push(RecvPlan {
+                            validate_overlap(&ov, data_box_of(var, cbox), scratch_dbox, centring);
+                            captures.push(CopyJob {
                                 var: spec.var,
-                                src_idx: cidx,
-                                dst_idx,
-                                src_rank: c_rank,
-                                overlap: ov.clone(),
-                                kind: KIND_COARSE_FINE,
+                                src: there(cpos),
+                                dst: slot,
+                                overlap: ov,
+                                src_idx: narrow(cidx),
+                                dst_idx: narrow(dst_idx),
                             });
-                            remote_sources.push((cidx, ov));
+                        } else {
+                            recvs.push(c_rank, spec.var, slot, ov, ids);
                         }
                     } else if c_rank == rank {
                         // We own coarse data a remote fine patch needs.
-                        sends.push(SendPlan {
-                            var: spec.var,
-                            src_idx: cidx,
-                            dst_idx,
-                            dst_rank,
-                            overlap: ov,
-                            kind: KIND_COARSE_FINE,
-                        });
+                        sends.push(dst_rank, spec.var, there(cpos), ov, ids);
                     }
                 }
                 if dst_rank == rank {
-                    interps.push(InterpPlan {
+                    let job = RefineJob {
                         var: spec.var,
-                        dst_idx,
+                        pos: narrow(local[dst_pos]),
+                        scratch: narrow(scratch.len()),
                         fill: want,
-                        scratch_box,
-                        local_sources,
-                        remote_sources,
-                        covered,
-                        op: Arc::clone(op),
-                    });
+                        dst_idx: narrow(dst_idx),
+                    };
+                    match refines.iter_mut().find(|(o, _)| o.name() == op.name()) {
+                        Some((_, jobs)) => jobs.push(job),
+                        None => refines.push((Arc::clone(op), vec![job])),
+                    }
+                    scratch_covered.push(covered);
+                    scratch.push((spec.var, scratch_box));
                 }
             }
         }
 
         record_build_telemetry(hierarchy, candidate_pairs, build_start);
 
+        let (sends, send_peers) = sends.finish();
+        let (recvs, recv_peers) = recvs.finish();
         Self {
             level_no,
             vars: specs.iter().map(|s| s.var).collect(),
             copies,
             sends,
+            send_peers,
             recvs,
-            interps,
+            recv_peers,
+            scratch,
+            captures,
+            covered: scratch_covered,
+            refines,
             physical,
             domain_box,
+            resident: Mutex::new(None),
         }
     }
 
@@ -911,33 +971,52 @@ impl RefineSchedule {
         for p in &self.copies {
             out.push(format!("copy v{} {}<-{} {:?}", p.var.0, p.dst_idx, p.src_idx, p.overlap));
         }
+        // Kind 1 marks coarse→fine traffic: packed from the coarser
+        // level, unpacked into scratch.
+        let kind = |p: &StreamJob| match p.loc {
+            Loc::Patch { level, .. } => u8::from(usize::from(level) != self.level_no),
+            Loc::Scratch(_) => 1,
+        };
         for p in &self.sends {
             out.push(format!(
                 "send k{} v{} {}@r{}<-{} {:?}",
-                p.kind, p.var.0, p.dst_idx, p.dst_rank, p.src_idx, p.overlap
+                kind(p),
+                p.var.0,
+                p.dst_idx,
+                self.send_peers[p.peer as usize].rank,
+                p.src_idx,
+                p.overlap
             ));
         }
         for p in &self.recvs {
             out.push(format!(
                 "recv k{} v{} {}<-{}@r{} {:?}",
-                p.kind, p.var.0, p.dst_idx, p.src_idx, p.src_rank, p.overlap
-            ));
-        }
-        for p in &self.interps {
-            out.push(format!(
-                "interp v{} {} op {} fill {:?} scratch {} local {:?} remote {:?} covered {:?}",
+                kind(p),
                 p.var.0,
                 p.dst_idx,
-                p.op.name(),
-                p.fill,
-                p.scratch_box,
-                p.local_sources,
-                p.remote_sources,
-                p.covered
+                p.src_idx,
+                self.recv_peers[p.peer as usize].rank,
+                p.overlap
             ));
         }
-        for (dst_idx, var, boxes) in &self.physical {
-            out.push(format!("phys v{} {} {:?}", var.0, dst_idx, boxes));
+        for p in &self.captures {
+            out.push(format!("capture v{} {}<-{} {:?}", p.var.0, p.dst_idx, p.src_idx, p.overlap));
+        }
+        for (op, jobs) in &self.refines {
+            for p in jobs {
+                out.push(format!(
+                    "interp v{} {} op {} fill {:?} scratch {} covered {:?}",
+                    p.var.0,
+                    p.dst_idx,
+                    op.name(),
+                    p.fill,
+                    self.scratch[p.scratch as usize].1,
+                    self.covered[p.scratch as usize]
+                ));
+            }
+        }
+        for p in &self.physical {
+            out.push(format!("phys v{} {} {:?}", p.var.0, p.dst_idx, p.outside));
         }
         sorted_digest(out)
     }
@@ -950,7 +1029,27 @@ impl RefineSchedule {
 
     /// Number of interpolation jobs (diagnostics/tests).
     pub fn num_interp_jobs(&self) -> usize {
-        self.interps.len()
+        self.scratch.len()
+    }
+
+    /// Messages one execution sends and receives (diagnostics/tests).
+    pub fn num_messages(&self) -> (usize, usize) {
+        (self.send_peers.len(), self.recv_peers.len())
+    }
+
+    /// Render every job list as descriptor words (see
+    /// [`DataFactory::upload_descriptors`]).
+    fn descriptor_words(&self) -> Vec<i32> {
+        let mut w = DescriptorWords(Vec::new());
+        w.copies(&self.copies);
+        w.streams(&self.sends);
+        w.copies(&self.captures);
+        w.streams(&self.recvs);
+        w.extends(&self.covered);
+        for (_, jobs) in &self.refines {
+            w.refines(jobs);
+        }
+        w.0
     }
 
     /// Execute the fill.
@@ -1033,17 +1132,12 @@ impl RefineSchedule {
         comm: Option<&Comm>,
         category: Category,
     ) -> PendingFill<'a> {
+        let factory = Arc::clone(registry.factory());
+        ensure_resident(&self.resident, factory.as_ref(), || self.descriptor_words(), category);
+
         // 1. Same-level: local copies.
-        let level = hierarchy.level_mut(self.level_no);
-        for plan in &self.copies {
-            let (src_pos, dst_pos) =
-                (local_pos(level, plan.src_idx), local_pos(level, plan.dst_idx));
-            let locals = level.local_mut();
-            let (src, dst) = split_two(locals, src_pos, dst_pos);
-            let dst_data = dst.data_mut(plan.var);
-            dst_data.set_transfer_category(category);
-            dst_data.copy_from(src.data(plan.var), &plan.overlap);
-        }
+        let mut ctx = TransferCtx { hierarchy, scratch: &mut [] };
+        factory.copy_many(&mut ctx, &self.copies, category);
 
         // 2a. Same-level + coarse-fine: outgoing messages. All traffic
         //    for one destination rank is aggregated into a single
@@ -1051,42 +1145,18 @@ impl RefineSchedule {
         //    construction order is identical on every rank — it is
         //    derived from the globally replicated level metadata — so
         //    sender packing order and receiver slicing order agree by
-        //    construction.
+        //    construction. A pack fault leaves zeros of the exact
+        //    stream size, so the receiver's slicing stays aligned; the
+        //    bad values are discarded with the step at rollback.
         let mut first_err: Option<ScheduleError> = None;
         if !self.sends.is_empty() {
             let comm = comm.expect("RefineSchedule: remote plans need a Comm");
             let agg_tag = (KIND_AGG_FILL << 60) | self.level_no as u64;
-            // Pack per destination rank, in plan order. A pack fault
-            // appends a placeholder of the exact stream size so the
-            // receiver's slicing stays aligned; the bad values are
-            // discarded with the step at rollback.
-            let mut outgoing: std::collections::BTreeMap<usize, Vec<u8>> =
-                std::collections::BTreeMap::new();
-            for plan in &self.sends {
-                let src_level = if plan.kind == KIND_COARSE_FINE {
-                    hierarchy.level_mut(self.level_no - 1)
-                } else {
-                    hierarchy.level_mut(self.level_no)
-                };
-                let pos = local_pos(src_level, plan.src_idx);
-                let src = &mut src_level.local_mut()[pos];
-                let data = src.data_mut(plan.var);
-                data.set_transfer_category(category);
-                let size = data.stream_size(&plan.overlap);
-                match data.try_pack(&plan.overlap) {
-                    Ok(payload) => {
-                        outgoing.entry(plan.dst_rank).or_default().extend_from_slice(&payload);
-                    }
-                    Err(e) => {
-                        let v = outgoing.entry(plan.dst_rank).or_default();
-                        let padded = v.len() + size;
-                        v.resize(padded, 0u8);
-                        first_err.get_or_insert(ScheduleError::Data(e));
-                    }
-                }
-            }
-            for (dst_rank, stream) in outgoing {
-                comm.send(dst_rank, agg_tag, bytes::Bytes::from(stream));
+            let (streams, fault) =
+                factory.pack_many(&mut ctx, &self.sends, &self.send_peers, category);
+            first_err = fault.map(ScheduleError::Data);
+            for (peer, stream) in self.send_peers.iter().zip(streams) {
+                comm.send(peer.rank, agg_tag, stream);
             }
         }
 
@@ -1096,24 +1166,82 @@ impl RefineSchedule {
         //    interior-only compute run between the halves) writes can
         //    change them; capture-at-begin is bitwise-identical to
         //    capture-at-finish.
-        let mut scratches = Vec::with_capacity(self.interps.len());
-        for plan in &self.interps {
-            let mut scratch = registry.make_one(plan.var, plan.scratch_box);
+        let mut scratches = make_scratch(registry, &self.scratch, category);
+        ctx.scratch = &mut scratches;
+        factory.copy_many(&mut ctx, &self.captures, category);
+
+        PendingFill { sched: self, factory, first_err, scratches }
+    }
+}
+
+/// One scratch array per `(variable, cell box)`, charging `category`.
+fn make_scratch(
+    registry: &VariableRegistry,
+    specs: &[(VariableId, GBox)],
+    category: Category,
+) -> Vec<Box<dyn PatchData>> {
+    specs
+        .iter()
+        .map(|&(var, cell_box)| {
+            let mut scratch = registry.make_one(var, cell_box);
             scratch.set_transfer_category(category);
-            {
-                let coarse = hierarchy.level(self.level_no - 1);
-                for (cidx, ov) in &plan.local_sources {
-                    let src = coarse
-                        .local_by_index(*cidx)
-                        .expect("schedule stale: coarse source not local");
-                    scratch.copy_from(src.data(plan.var), ov);
+            scratch
+        })
+        .collect()
+}
+
+/// Receive the stage's messages lazily, in job order, and hand every
+/// job to the placement's [`UnpackBatch`](crate::transfer::UnpackBatch):
+/// the first job from a peer triggers its `try_recv`, patch targets are
+/// pushed as they are met, scratch targets after the last receive, and
+/// the batch is flushed. A faulty stream (dropped/corrupt frame) is
+/// noted and its jobs are skipped — the frame was consumed, so later
+/// messages still line up. Returns the first fault met.
+fn receive_and_unpack(
+    factory: &dyn DataFactory,
+    ctx: &mut TransferCtx<'_>,
+    jobs: &[StreamJob],
+    peers: &[PeerStream],
+    comm: Option<&Comm>,
+    tag: u64,
+    category: Category,
+) -> Option<ScheduleError> {
+    if jobs.is_empty() {
+        return None;
+    }
+    let comm = comm.expect("schedule: remote plans need a Comm");
+    let mut first_err: Option<ScheduleError> = None;
+    let mut incoming: Vec<Option<Option<Bytes>>> = vec![None; peers.len()];
+    let mut batch = factory.unpack_batch(category);
+    for job in jobs {
+        let msg = incoming[job.peer as usize].get_or_insert_with(|| {
+            match comm.try_recv(peers[job.peer as usize].rank, tag, category) {
+                Ok(msg) => Some(msg),
+                Err(e) => {
+                    first_err.get_or_insert(e.into());
+                    None
                 }
             }
-            scratches.push(scratch);
+        });
+        if let (Loc::Patch { .. }, Some(msg)) = (job.loc, msg) {
+            if let Err(e) = batch.push(ctx, job, msg) {
+                first_err.get_or_insert(e.into());
+            }
         }
-
-        PendingFill { sched: self, first_err, scratches }
     }
+    // Scratch targets, in plan order — the order of the interpolation
+    // jobs they feed.
+    for job in jobs {
+        if let (Loc::Scratch(_), Some(Some(msg))) = (job.loc, &incoming[job.peer as usize]) {
+            if let Err(e) = batch.push(ctx, job, msg) {
+                first_err.get_or_insert(e.into());
+            }
+        }
+    }
+    if let Err(e) = batch.flush(ctx) {
+        first_err.get_or_insert(e.into());
+    }
+    first_err
 }
 
 /// An in-flight fill started by [`RefineSchedule::begin_fill`]: local
@@ -1123,6 +1251,7 @@ impl RefineSchedule {
 /// blocked on unconsumed messages — always finish, even on error paths.
 pub struct PendingFill<'a> {
     sched: &'a RefineSchedule,
+    factory: Arc<dyn DataFactory>,
     first_err: Option<ScheduleError>,
     scratches: Vec<Box<dyn PatchData>>,
 }
@@ -1160,7 +1289,7 @@ impl PendingFill<'_> {
     /// (remote scratch unpack + interpolate), 4 (physical boundaries),
     /// and 5 (time stamps).
     fn finish_inner(
-        self,
+        mut self,
         hierarchy: &mut PatchHierarchy,
         physical: &dyn PhysicalBoundary,
         comm: Option<&Comm>,
@@ -1168,86 +1297,40 @@ impl PendingFill<'_> {
         category: Category,
     ) -> Result<(), ScheduleError> {
         let sched = self.sched;
-        let mut first_err = self.first_err;
-        let mut cf_stash: std::collections::HashMap<(VariableId, usize, usize), bytes::Bytes> =
-            std::collections::HashMap::new();
-        if !sched.recvs.is_empty() {
-            let comm = comm.expect("RefineSchedule: remote plans need a Comm");
-            let agg_tag = (KIND_AGG_FILL << 60) | sched.level_no as u64;
-            // Receive one stream per source rank and slice it in plan
-            // order. A faulty stream (dropped/corrupt frame) is noted
-            // and its plans are skipped — the frame was consumed, so
-            // later messages still line up.
-            let mut incoming: std::collections::HashMap<usize, (Option<bytes::Bytes>, usize)> =
-                std::collections::HashMap::new();
-            for plan in &sched.recvs {
-                let (stream, cursor) = incoming.entry(plan.src_rank).or_insert_with(|| match comm
-                    .try_recv(plan.src_rank, agg_tag, category)
-                {
-                    Ok(b) => (Some(b), 0),
-                    Err(e) => {
-                        first_err.get_or_insert(ScheduleError::Comm(e));
-                        (None, 0)
-                    }
-                });
-                let Some(stream) = stream else { continue };
-                let level = hierarchy.level(sched.level_no);
-                let pos = local_pos(level, plan.dst_idx);
-                let dst = &level.local()[pos];
-                let size = dst.data(plan.var).stream_size(&plan.overlap);
-                let slice = stream.slice(*cursor..*cursor + size);
-                *cursor += size;
-                if plan.kind == KIND_COARSE_FINE {
-                    cf_stash.insert((plan.var, plan.dst_idx, plan.src_idx), slice);
-                } else {
-                    let level = hierarchy.level_mut(sched.level_no);
-                    let pos = local_pos(level, plan.dst_idx);
-                    let dst = &mut level.local_mut()[pos];
-                    let data = dst.data_mut(plan.var);
-                    data.set_transfer_category(category);
-                    if let Err(e) = data.try_unpack(&plan.overlap, &slice) {
-                        first_err.get_or_insert(ScheduleError::Data(e));
-                    }
-                }
-            }
-        }
+        let ratio = hierarchy.ratio_to_coarser(sched.level_no);
+        let mut ctx = TransferCtx { hierarchy: &mut *hierarchy, scratch: &mut self.scratches };
+
+        // 2b + 3b. Incoming messages: same-level ghosts and the remote
+        //    coarse sources of the interpolation scratch.
+        let agg_tag = (KIND_AGG_FILL << 60) | sched.level_no as u64;
+        let received = receive_and_unpack(
+            self.factory.as_ref(),
+            &mut ctx,
+            &sched.recvs,
+            &sched.recv_peers,
+            comm,
+            agg_tag,
+            category,
+        );
+        let first_err = self.first_err.or(received);
 
         // 3b. Coarse-fine interpolation through the captured scratch.
-        for (plan, mut scratch) in sched.interps.iter().zip(self.scratches) {
-            for (cidx, ov) in &plan.remote_sources {
-                // A payload can be missing only when its stream was
-                // faulty (recorded above); skip — the scratch holds
-                // stale values and the step rolls back anyway.
-                let Some(payload) = cf_stash.remove(&(plan.var, plan.dst_idx, *cidx)) else {
-                    debug_assert!(first_err.is_some(), "payload missing without a recorded fault");
-                    continue;
-                };
-                if let Err(e) = scratch.try_unpack(ov, &payload) {
-                    first_err.get_or_insert(ScheduleError::Data(e));
-                }
-            }
-            extend_scratch(scratch.as_mut(), &plan.covered);
-            let ratio = hierarchy.ratio_to_coarser(sched.level_no);
-            let level = hierarchy.level_mut(sched.level_no);
-            let pos = local_pos(level, plan.dst_idx);
-            let dst = &mut level.local_mut()[pos];
-            let dst_data = dst.data_mut(plan.var);
-            dst_data.set_transfer_category(category);
-            plan.op.refine(dst_data, scratch.as_ref(), &plan.fill, ratio);
+        //    (After a faulty stream the scratch holds stale values; the
+        //    step rolls back anyway.)
+        self.factory.extend_many(ctx.scratch, &sched.covered);
+        for (op, jobs) in &sched.refines {
+            op.refine_many(&mut ctx, sched.level_no, jobs, ratio, category);
         }
 
         // 4. Physical boundaries, last (so corners overwrite interpolant
         //    values with the true boundary condition).
-        let domain_box = sched.domain_box;
         let level = hierarchy.level_mut(sched.level_no);
-        for (dst_idx, var, boxes) in &sched.physical {
-            let pos = local_pos(level, *dst_idx);
-            let patch = &mut level.local_mut()[pos];
-            physical.fill(patch, *var, boxes, domain_box, time);
+        for plan in &sched.physical {
+            let patch = &mut level.local_mut()[plan.pos];
+            physical.fill(patch, plan.var, &plan.outside, sched.domain_box, time);
         }
 
         // 5. Stamp times.
-        let level = hierarchy.level_mut(sched.level_no);
         for p in level.local_mut() {
             for &v in &sched.vars {
                 p.data_mut(v).set_time(time);
@@ -1260,30 +1343,27 @@ impl PendingFill<'_> {
     }
 }
 
-/// One fine→coarse synchronisation job.
-struct SyncPlan {
-    var: VariableId,
-    aux: Vec<VariableId>,
-    op: Arc<dyn CoarsenOperator>,
-    fine_idx: usize,
-    coarse_idx: usize,
-    fine_rank: usize,
-    coarse_rank: usize,
-    /// Coarse cell region receiving the projection.
-    region: GBox,
-    /// Data region actually applied: `region`'s data box minus what
-    /// earlier fine sources (ascending record order) already claimed.
-    /// Node- and side-centred projections from adjacent fine patches
-    /// overlap on shared planes, and local results are applied before
-    /// remote ones, so without disjoint regions the coarse value at a
-    /// shared node would depend on the rank layout.
-    fill: BoxList,
-}
-
 /// Fine-to-coarse synchronisation schedule (SAMRAI `CoarsenSchedule`).
+///
+/// The stages, each one job list: the fine owner projects into scratch,
+/// grouped by operator; scratch bound for a remote coarse owner is
+/// packed into that rank's message; scratch bound for a local coarse
+/// patch is copied; incoming messages are unpacked into the coarse
+/// patches owned here.
 pub struct CoarsenSchedule {
     fine_level_no: usize,
-    plans: Vec<SyncPlan>,
+    /// One scratch array per projection job: its variable and the
+    /// coarse cell region it covers.
+    scratch: Vec<(VariableId, GBox)>,
+    /// Projection jobs by operator, operators in order of first use.
+    projects: Vec<(Arc<dyn CoarsenOperator>, Vec<CoarsenJob>)>,
+    /// Scratch results applied to coarse patches owned here.
+    applies: Vec<CopyJob>,
+    sends: Vec<StreamJob>,
+    send_peers: Vec<PeerStream>,
+    recvs: Vec<StreamJob>,
+    recv_peers: Vec<PeerStream>,
+    resident: Resident,
 }
 
 impl CoarsenSchedule {
@@ -1337,7 +1417,14 @@ impl CoarsenSchedule {
         let all_coarse: Vec<usize> = if indexed { Vec::new() } else { (0..coarse.len()).collect() };
         let mut candidate_pairs: u64 = 0;
         let mut coarse_cand = Vec::new();
-        let mut plans = Vec::new();
+        let fine_local = local_positions(hierarchy.level(fine_level_no), rank);
+        let coarse_local = local_positions(hierarchy.level(fine_level_no - 1), rank);
+        let there = |rec_pos: usize| Loc::patch(fine_level_no - 1, coarse_local[rec_pos]);
+        let mut scratch = Vec::new();
+        let mut projects: Vec<(Arc<dyn CoarsenOperator>, Vec<CoarsenJob>)> = Vec::new();
+        let mut applies = Vec::new();
+        let mut sends = StreamPlan::default();
+        let mut recvs = StreamPlan::default();
         for spec in specs {
             let var = registry.get(spec.var);
             assert_eq!(
@@ -1348,10 +1435,16 @@ impl CoarsenSchedule {
                 spec.op.num_aux()
             );
             let centring = var.centring;
-            // See `SyncPlan::fill`: for overlapping (non-cell) centrings
-            // the claims per coarse destination accumulate over the fine
-            // sources in ascending record order, so every rank walks all
-            // candidate pairs, not only its own. A claim from a record
+            // The data region a plan applies is its region's data box
+            // minus what earlier fine sources (ascending record order)
+            // already claimed: node- and side-centred projections from
+            // adjacent fine patches overlap on shared planes, and local
+            // results are applied before remote ones, so without
+            // disjoint regions the coarse value at a shared node would
+            // depend on the rank layout. The claims per coarse
+            // destination accumulate over the fine sources in ascending
+            // record order, so every rank walks all candidate pairs,
+            // not only its own. A claim from a record
             // one rank holds and another does not can only reduce fills
             // it actually overlaps, and overlapping fine sources are
             // adjacent — inside every involved rank's interest
@@ -1395,51 +1488,104 @@ impl CoarsenSchedule {
                     if f_rank != rank && c_rank != rank {
                         continue;
                     }
-                    plans.push(SyncPlan {
+                    let ov = BoxOverlap { dst_boxes: fill, shift: IntVector::ZERO, centring };
+                    let ids = (fidx, cidx);
+                    if f_rank != rank {
+                        recvs.push(f_rank, spec.var, there(cpos), ov, ids);
+                        continue;
+                    }
+                    // The fine owner coarsens into scratch (where all
+                    // auxiliary data is local); the scratch then moves
+                    // to the coarse patch's owner.
+                    let slot = Loc::scratch(scratch.len());
+                    let job = CoarsenJob {
                         var: spec.var,
                         aux: spec.aux.clone(),
-                        op: Arc::clone(&spec.op),
-                        fine_idx: fidx,
-                        coarse_idx: cidx,
-                        fine_rank: f_rank,
-                        coarse_rank: c_rank,
-                        region,
-                        fill,
-                    });
+                        pos: narrow(fine_local[fpos]),
+                        scratch: narrow(scratch.len()),
+                        fill: BoxList::from_box(centring.data_box(region)),
+                        src_idx: narrow(fidx),
+                    };
+                    match projects.iter_mut().find(|(o, _)| o.name() == spec.op.name()) {
+                        Some((_, jobs)) => jobs.push(job),
+                        None => projects.push((Arc::clone(&spec.op), vec![job])),
+                    }
+                    scratch.push((spec.var, region));
+                    if c_rank == rank {
+                        validate_overlap(
+                            &ov,
+                            data_box_of(var, region),
+                            data_box_of(var, cbox),
+                            centring,
+                        );
+                        applies.push(CopyJob {
+                            var: spec.var,
+                            src: slot,
+                            dst: there(cpos),
+                            overlap: ov,
+                            src_idx: narrow(fidx),
+                            dst_idx: narrow(cidx),
+                        });
+                    } else {
+                        sends.push(c_rank, spec.var, slot, ov, ids);
+                    }
                 }
             }
         }
         record_build_telemetry(hierarchy, candidate_pairs, build_start);
-        Self { fine_level_no, plans }
+        let (sends, send_peers) = sends.finish();
+        let (recvs, recv_peers) = recvs.finish();
+        Self {
+            fine_level_no,
+            scratch,
+            projects,
+            applies,
+            sends,
+            send_peers,
+            recvs,
+            recv_peers,
+            resident: Mutex::new(None),
+        }
     }
 
     /// Canonical rendering of every sync plan, sorted (see
     /// [`RefineSchedule::plan_digest`]).
     pub fn plan_digest(&self) -> Vec<String> {
-        let out: Vec<String> = self
-            .plans
-            .iter()
-            .map(|p| {
-                format!(
-                    "sync v{} aux {:?} op {} f{}@r{} -> c{}@r{} region {} fill {:?}",
+        let mut out = Vec::new();
+        for (op, jobs) in &self.projects {
+            for p in jobs {
+                out.push(format!(
+                    "project v{} aux {:?} op {} f{} region {}",
                     p.var.0,
                     p.aux.iter().map(|a| a.0).collect::<Vec<_>>(),
-                    p.op.name(),
-                    p.fine_idx,
-                    p.fine_rank,
-                    p.coarse_idx,
-                    p.coarse_rank,
-                    p.region,
-                    p.fill
-                )
-            })
-            .collect();
+                    op.name(),
+                    p.src_idx,
+                    self.scratch[p.scratch as usize].1
+                ));
+            }
+        }
+        for p in &self.applies {
+            out.push(format!("apply v{} c{}<-f{} {:?}", p.var.0, p.dst_idx, p.src_idx, p.overlap));
+        }
+        for p in &self.sends {
+            out.push(format!(
+                "send v{} c{}@r{}<-f{} {:?}",
+                p.var.0, p.dst_idx, self.send_peers[p.peer as usize].rank, p.src_idx, p.overlap
+            ));
+        }
+        for p in &self.recvs {
+            out.push(format!(
+                "recv v{} c{}<-f{}@r{} {:?}",
+                p.var.0, p.dst_idx, p.src_idx, self.recv_peers[p.peer as usize].rank, p.overlap
+            ));
+        }
         sorted_digest(out)
     }
 
-    /// Number of projection jobs (diagnostics).
+    /// Number of projection jobs this rank takes part in, as the fine
+    /// or the coarse owner (diagnostics).
     pub fn num_jobs(&self) -> usize {
-        self.plans.len()
+        self.scratch.len() + self.recvs.len()
     }
 
     /// Execute the synchronisation. Time is charged to `category`
@@ -1473,137 +1619,90 @@ impl CoarsenSchedule {
             rec.count("amr.coarsen_syncs", 1);
             rec.span_arg("coarsen-sync", category, self.fine_level_no as i64)
         });
-        let rank = hierarchy.rank();
+        let factory = registry.factory().as_ref();
+        ensure_resident(&self.resident, factory, || self.descriptor_words(), category);
         let ratio = hierarchy.ratio_to_coarser(self.fine_level_no);
-        let mut first_err: Option<ScheduleError> = None;
-        // Phase 1: fine owners coarsen into scratch and either apply
-        // locally or append to the aggregated per-rank stream (one
-        // message per rank pair; plan order is globally deterministic).
-        let mut local_results: Vec<(usize, &SyncPlan, Box<dyn PatchData>)> = Vec::new();
-        let mut outgoing: std::collections::BTreeMap<usize, Vec<u8>> =
-            std::collections::BTreeMap::new();
-        for plan in &self.plans {
-            if plan.fine_rank != rank {
-                continue;
-            }
-            let centring = registry.get(plan.var).centring;
-            let mut scratch = registry.make_one(plan.var, plan.region);
-            scratch.set_transfer_category(category);
-            {
-                let fine = hierarchy.level(self.fine_level_no);
-                let fp = fine
-                    .local_by_index(plan.fine_idx)
-                    .expect("schedule stale: fine source not local");
-                let aux: Vec<&dyn PatchData> = plan.aux.iter().map(|&a| fp.data(a)).collect();
-                let coarse_fill = BoxList::from_box(centring.data_box(plan.region));
-                plan.op.coarsen(scratch.as_mut(), fp.data(plan.var), &aux, &coarse_fill, ratio);
-            }
-            if plan.coarse_rank == rank {
-                local_results.push((plan.coarse_idx, plan, scratch));
-            } else {
-                let ov =
-                    BoxOverlap { dst_boxes: plan.fill.clone(), shift: IntVector::ZERO, centring };
-                match scratch.try_pack(&ov) {
-                    Ok(payload) => {
-                        outgoing.entry(plan.coarse_rank).or_default().extend_from_slice(&payload);
-                    }
-                    Err(e) => {
-                        // Placeholder of the exact stream size keeps the
-                        // receiver's slicing aligned (see try_fill).
-                        let v = outgoing.entry(plan.coarse_rank).or_default();
-                        let padded = v.len() + scratch.stream_size(&ov);
-                        v.resize(padded, 0u8);
-                        first_err.get_or_insert(ScheduleError::Data(e));
-                    }
-                }
-            }
+        let mut scratches = make_scratch(registry, &self.scratch, category);
+        let mut ctx = TransferCtx { hierarchy, scratch: &mut scratches };
+
+        // Phase 1: fine owners coarsen into scratch, and the results
+        // bound for remote coarse owners join the aggregated per-rank
+        // stream (one message per rank pair; plan order is globally
+        // deterministic; a pack fault leaves zeros of the exact size,
+        // see `begin_inner`).
+        for (op, jobs) in &self.projects {
+            op.coarsen_many(&mut ctx, self.fine_level_no, jobs, ratio);
         }
+        let agg_tag = (KIND_AGG_SYNC << 60) | self.fine_level_no as u64;
+        let (streams, fault) = factory.pack_many(&mut ctx, &self.sends, &self.send_peers, category);
+        let packed = fault.map(ScheduleError::Data);
         if let Some(comm) = comm {
-            let agg_tag = (KIND_AGG_SYNC << 60) | self.fine_level_no as u64;
-            for (dst_rank, stream) in std::mem::take(&mut outgoing) {
-                comm.send(dst_rank, agg_tag, bytes::Bytes::from(stream));
+            for (peer, stream) in self.send_peers.iter().zip(streams) {
+                comm.send(peer.rank, agg_tag, stream);
             }
         } else {
-            assert!(outgoing.is_empty(), "CoarsenSchedule: remote plans need a Comm");
+            assert!(self.sends.is_empty(), "CoarsenSchedule: remote plans need a Comm");
         }
+
         // Phase 2: apply local results.
-        for (cidx, plan, scratch) in local_results {
-            let centring = registry.get(plan.var).centring;
-            let coarse = hierarchy.level_mut(self.fine_level_no - 1);
-            let pos = local_pos(coarse, cidx);
-            let dst = &mut coarse.local_mut()[pos];
-            let ov = BoxOverlap { dst_boxes: plan.fill.clone(), shift: IntVector::ZERO, centring };
-            let data = dst.data_mut(plan.var);
-            data.set_transfer_category(category);
-            data.copy_from(scratch.as_ref(), &ov);
-        }
-        // Phase 3: receive the aggregated remote results and slice them
-        // in plan order. Faulty streams are skipped (see try_fill).
-        let agg_tag = (KIND_AGG_SYNC << 60) | self.fine_level_no as u64;
-        let mut incoming: std::collections::HashMap<usize, (Option<bytes::Bytes>, usize)> =
-            std::collections::HashMap::new();
-        for plan in &self.plans {
-            if plan.coarse_rank != rank || plan.fine_rank == rank {
-                continue;
-            }
-            let comm = comm.expect("CoarsenSchedule: remote plans need a Comm");
-            let centring = registry.get(plan.var).centring;
-            let ov = BoxOverlap { dst_boxes: plan.fill.clone(), shift: IntVector::ZERO, centring };
-            let (stream, cursor) = incoming.entry(plan.fine_rank).or_insert_with(|| {
-                match comm.try_recv(plan.fine_rank, agg_tag, category) {
-                    Ok(b) => (Some(b), 0),
-                    Err(e) => {
-                        first_err.get_or_insert(ScheduleError::Comm(e));
-                        (None, 0)
-                    }
-                }
-            });
-            let Some(stream) = stream else { continue };
-            let size = ov.num_values() as usize * 8;
-            let payload = stream.slice(*cursor..*cursor + size);
-            *cursor += size;
-            let coarse = hierarchy.level_mut(self.fine_level_no - 1);
-            let pos = local_pos(coarse, plan.coarse_idx);
-            let dst = &mut coarse.local_mut()[pos];
-            let data = dst.data_mut(plan.var);
-            data.set_transfer_category(category);
-            if let Err(e) = data.try_unpack(&ov, &payload) {
-                first_err.get_or_insert(ScheduleError::Data(e));
-            }
-        }
-        match first_err {
+        factory.copy_many(&mut ctx, &self.applies, category);
+
+        // Phase 3: receive the aggregated remote results and unpack
+        // them in plan order. Faulty streams are skipped.
+        let received = receive_and_unpack(
+            factory,
+            &mut ctx,
+            &self.recvs,
+            &self.recv_peers,
+            comm,
+            agg_tag,
+            category,
+        );
+        match packed.or(received) {
             Some(e) => Err(e),
             None => Ok(()),
         }
     }
+
+    /// Render every job list as descriptor words (see
+    /// [`DataFactory::upload_descriptors`]).
+    fn descriptor_words(&self) -> Vec<i32> {
+        let mut w = DescriptorWords(Vec::new());
+        for (_, jobs) in &self.projects {
+            w.coarsens(jobs);
+        }
+        w.streams(&self.sends);
+        w.copies(&self.applies);
+        w.streams(&self.recvs);
+        w.0
+    }
 }
 
-/// Position of global patch `index` within the level's local vector.
+/// For each record position of `level`, where that patch sits in the
+/// level's local patch array — meaningful for the records `rank` owns,
+/// which are the local patches in order. Built once per schedule build;
+/// execution uses the stored positions.
 ///
 /// # Panics
-/// Panics if the patch is not local — a schedule/hierarchy mismatch.
-fn local_pos(level: &crate::level::PatchLevel, index: usize) -> usize {
-    level
-        .local()
-        .iter()
-        .position(|p| p.id().index == index)
-        .unwrap_or_else(|| panic!("patch {index} is not local (stale schedule?)"))
-}
-
-/// Disjoint mutable+shared access to two local patches.
-fn split_two(
-    patches: &mut [crate::patch::Patch],
-    src: usize,
-    dst: usize,
-) -> (&crate::patch::Patch, &mut crate::patch::Patch) {
-    assert_ne!(src, dst, "split_two: same patch");
-    if src < dst {
-        let (a, b) = patches.split_at_mut(dst);
-        (&a[src], &mut b[0])
-    } else {
-        let (a, b) = patches.split_at_mut(src);
-        (&b[0], &mut a[dst])
-    }
+/// Panics if an owned record has no local patch — a schedule/hierarchy
+/// mismatch.
+fn local_positions(level: &PatchLevel, rank: usize) -> Vec<usize> {
+    let recs = level.records();
+    let mut owned = 0;
+    (0..recs.len())
+        .map(|pos| {
+            let at = owned;
+            if recs.owner_at(pos) == rank {
+                let index = recs.global_index(pos);
+                assert!(
+                    level.local().get(at).is_some_and(|p| p.id().index == index),
+                    "patch {index} is not local (stale schedule?)"
+                );
+                owned += 1;
+            }
+            at
+        })
+        .collect()
 }
 
 /// Clamp-extend scratch data into cells no coarse patch covered (only
@@ -1816,10 +1915,10 @@ mod tests {
 
     #[test]
     fn tags_are_unique_per_pair() {
-        let t1 = tag(KIND_SAME_LEVEL, VariableId(3), 7, 9);
-        let t2 = tag(KIND_SAME_LEVEL, VariableId(3), 9, 7);
-        let t3 = tag(KIND_COARSE_FINE, VariableId(3), 7, 9);
-        let t4 = tag(KIND_SAME_LEVEL, VariableId(4), 7, 9);
+        let t1 = tag(REGRID_COPY, VariableId(3), 7, 9);
+        let t2 = tag(REGRID_COPY, VariableId(3), 9, 7);
+        let t3 = tag(REGRID_SCRATCH, VariableId(3), 7, 9);
+        let t4 = tag(REGRID_COPY, VariableId(4), 7, 9);
         assert!(t1 != t2 && t1 != t3 && t1 != t4 && t2 != t3);
     }
 
@@ -1829,19 +1928,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "message tag overflow")]
     fn tag_rejects_dst_index_overflow() {
-        tag(KIND_SAME_LEVEL, VariableId(0), 1 << 20, 0);
+        tag(REGRID_COPY, VariableId(0), 1 << 20, 0);
     }
 
     #[test]
     #[should_panic(expected = "message tag overflow")]
     fn tag_rejects_src_index_overflow() {
-        tag(KIND_SAME_LEVEL, VariableId(0), 0, 1 << 20);
+        tag(REGRID_COPY, VariableId(0), 0, 1 << 20);
     }
 
     #[test]
     #[should_panic(expected = "message tag overflow")]
     fn tag_rejects_variable_overflow() {
-        tag(KIND_SAME_LEVEL, VariableId(1 << 20), 0, 0);
+        tag(REGRID_COPY, VariableId(1 << 20), 0, 0);
     }
 
     #[test]

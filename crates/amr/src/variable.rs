@@ -1,7 +1,11 @@
 //! Variables and data factories.
 
-use crate::patchdata::PatchData;
-use rbamr_geometry::{Centring, GBox, IntVector};
+use crate::patchdata::{PatchData, PatchDataError};
+use crate::transfer::{CopyJob, EagerUnpack, PeerStream, StreamJob, TransferCtx, UnpackBatch};
+use bytes::Bytes;
+use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
+use rbamr_perfmodel::Category;
+use std::any::Any;
 use std::sync::Arc;
 
 /// Identifier of a registered variable — an index into the
@@ -32,10 +36,87 @@ pub struct Variable {
 /// factory produces device-resident data. Swapping factories is the
 /// entire difference between the paper's CPU and GPU builds of
 /// CleverLeaf (Figure 6).
+///
+/// The factory is also where a schedule stage enters the placement: the
+/// batch methods below take a stage's whole job list (see
+/// [`crate::transfer`]). Each default body is the loop over the
+/// per-item [`PatchData`] method in job order, so a factory that
+/// overrides nothing moves data exactly as per-item calls would, charge
+/// for charge; a factory whose data lives on a device overrides them
+/// with one fused launch (and one PCIe transfer per message) per call.
 pub trait DataFactory: Send + Sync {
     /// Allocate data for `var` over `cell_box` (plus the variable's
     /// ghosts).
     fn make(&self, var: &Variable, cell_box: GBox) -> Box<dyn PatchData>;
+
+    /// Run every copy job, charging `category`.
+    fn copy_many(&self, ctx: &mut TransferCtx<'_>, jobs: &[CopyJob], category: Category) {
+        for job in jobs {
+            let (dst, src) = ctx.pair(job.dst, job.src, job.var);
+            dst.set_transfer_category(category);
+            dst.copy_from(src, &job.overlap);
+        }
+    }
+
+    /// Pack every job into its peer's message and return the messages
+    /// in `peers` order, each exactly `peers[i].bytes` long.
+    ///
+    /// Run-through: a pack fault leaves zeros in the affected byte range
+    /// (so the receiver's slicing stays aligned; the values are
+    /// discarded with the step at rollback) and the first fault is
+    /// returned beside the messages.
+    fn pack_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        jobs: &[StreamJob],
+        peers: &[PeerStream],
+        category: Category,
+    ) -> (Vec<Bytes>, Option<PatchDataError>) {
+        let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
+        let mut first_err = None;
+        for job in jobs {
+            let data = ctx.data_mut(job.loc, job.var);
+            data.set_transfer_category(category);
+            let stream = &mut out[job.peer as usize];
+            match data.try_pack(&job.overlap) {
+                Ok(payload) => stream.extend_from_slice(&payload),
+                Err(e) => {
+                    stream.resize(job.byte_range().end, 0u8);
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        (out.into_iter().map(Bytes::from).collect(), first_err)
+    }
+
+    /// The receive side of a stage: see [`UnpackBatch`]. The default
+    /// unpacks every job as it is pushed.
+    fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
+        Box::new(EagerUnpack { category })
+    }
+
+    /// Clamp-extend every scratch array into the cells its coarse
+    /// sources did not cover: `covered[i]` is the covered region of
+    /// `scratch[i]` (see [`PatchData::extend_uncovered`]).
+    fn extend_many(&self, scratch: &mut [Box<dyn PatchData>], covered: &[BoxList]) {
+        for (scratch, covered) in scratch.iter_mut().zip(covered) {
+            scratch.extend_uncovered(covered);
+        }
+    }
+
+    /// Make a schedule's descriptor table resident where this factory's
+    /// data lives, and return the handle that keeps it there. Called
+    /// when a schedule that holds no handle executes. `words` renders
+    /// the table; the default — data the host addresses directly needs
+    /// no table — never calls it.
+    fn upload_descriptors(
+        &self,
+        words: &mut dyn FnMut() -> Vec<i32>,
+        category: Category,
+    ) -> Option<Box<dyn Any + Send + Sync>> {
+        let _ = (words, category);
+        None
+    }
 }
 
 /// The set of registered variables plus the factory that materialises
@@ -97,6 +178,11 @@ impl VariableRegistry {
     /// Allocate data for one variable.
     pub fn make_one(&self, id: VariableId, cell_box: GBox) -> Box<dyn PatchData> {
         self.factory.make(self.get(id), cell_box)
+    }
+
+    /// The data factory (the placement's batch entry points).
+    pub fn factory(&self) -> &Arc<dyn DataFactory> {
+        &self.factory
     }
 
     /// Replace the data factory (e.g. swap host for device placement);

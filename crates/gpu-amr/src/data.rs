@@ -3,13 +3,17 @@
 
 use crate::pack::{copy_region, pack_region, region_threads, unpack_region};
 use bytes::Bytes;
-use rbamr_amr::patchdata::{validate_overlap, Element, PatchData, PatchDataError};
+use rbamr_amr::patchdata::{extension_pairs, validate_overlap, Element, PatchData, PatchDataError};
+use rbamr_amr::transfer::{
+    CopyJob, PeerStream, StreamJob, TransferCtx, UnpackBatch, STREAM_VALUE_BYTES,
+};
 use rbamr_amr::variable::{DataFactory, Variable};
 use rbamr_device::memory::DeviceCopy;
-use rbamr_device::{Device, DeviceBuffer, Stream};
-use rbamr_geometry::{BoxOverlap, Centring, GBox, IntVector};
+use rbamr_device::{Device, DeviceBuffer, DeviceError, Stream};
+use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
 use rbamr_perfmodel::{Category, KernelShape};
 use std::any::Any;
+use std::sync::{Arc, Mutex};
 
 /// Elements that can live in device patch data: the intersection of the
 /// framework's [`Element`] types and the device's [`DeviceCopy`] types
@@ -33,6 +37,16 @@ impl DeviceElement for i32 {}
 ///   (Figure 4); SAMRAI (the `amr` crate here) then handles MPI.
 /// * `unpack` — one H2D transfer of the packed buffer, then a
 ///   data-parallel unpack kernel.
+///
+/// Each of these is a *batch of one* through the fused kernels of this
+/// module (`launch_copy`, `pack_message`, `unpack_message`,
+/// `launch_extend`). The schedules do not call them per overlap: they
+/// hand whole stages to [`DeviceDataFactory`], which runs the same
+/// kernels once per stage — one `copy-region` launch per job list, one
+/// `pack` launch and one D2H per outgoing message, one H2D and one
+/// `unpack` launch per incoming message. The per-item methods remain
+/// for the callers that move one region at a time (the regrid
+/// solution transfer, checkpoints, digests).
 ///
 /// Host code cannot touch the values: reads outside kernels are a
 /// compile error (no [`Kernel`](rbamr_device::Kernel) token), which is
@@ -181,67 +195,180 @@ impl<T: DeviceElement> DeviceData<T> {
     }
 }
 
-/// The one body behind each `pack`/`try_pack` and `unpack`/`try_unpack`
-/// pair. `fallible` picks only how a staging-allocation or PCIe
-/// failure leaves: `true` uses the device's `try_*` ops and returns the
-/// failure typed; `false` uses the ops that panic on genuine exhaustion
-/// and latch an injected fault on the device (drained by the caller's
-/// next [`Device::take_injected_fault`] poll), so it never returns
-/// `Err`.
+fn allocation_fault(e: DeviceError) -> PatchDataError {
+    PatchDataError::Allocation { detail: e.to_string() }
+}
+
+fn transfer_fault(e: DeviceError) -> PatchDataError {
+    PatchDataError::Transfer { detail: e.to_string() }
+}
+
+/// The `copy-region` kernel: one launch copying every `(dst, src,
+/// overlap)` that `jobs` yields, `total` values in all (one logical
+/// thread per element; the row decomposition is the safe-Rust shape of
+/// the Figure 4 kernel). No launch when there is nothing to copy.
+fn launch_copy<T: DeviceElement>(
+    device: &Device,
+    stream: &Stream,
+    category: Category,
+    total: i64,
+    jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &DeviceData<T>, &BoxOverlap)),
+) {
+    if total == 0 {
+        return;
+    }
+    let shape = KernelShape::streaming(total, 2, 0);
+    stream.submit();
+    device.launch_named(stream, "copy-region", category, shape, |k| {
+        jobs(&mut |dst, src, overlap| {
+            let (dst_dbox, src_dbox) = (dst.dbox, src.dbox);
+            let src_slice = src.buffer().as_slice(&k);
+            let dst_slice = dst.buffer_mut().as_mut_slice(&k);
+            for fill in overlap.dst_boxes.boxes() {
+                copy_region(dst_slice, dst_dbox, src_slice, src_dbox, *fill, overlap.shift);
+            }
+        });
+    });
+}
+
+/// The `pack` kernel and its transfer: one launch gathers every region
+/// `jobs` yields, in order, into `staging[..total]` (the contiguous
+/// `cuda_stream` buffer of Figure 4), then one D2H brings exactly the
+/// packed values to the host, where they become the message stream.
+///
+/// `fallible` picks only how a PCIe failure leaves: `true` returns it
+/// typed; `false` latches an injected fault on the device (drained by
+/// the caller's next [`Device::take_injected_fault`] poll) and never
+/// returns `Err`.
+fn pack_message<T: DeviceElement>(
+    device: &Device,
+    stream: &Stream,
+    category: Category,
+    staging: &mut DeviceBuffer<T>,
+    total: usize,
+    fallible: bool,
+    jobs: impl FnOnce(&mut dyn FnMut(&DeviceData<T>, &BoxOverlap)),
+) -> Result<Bytes, PatchDataError> {
+    device.recorder().count("pack.bytes", (total * T::BYTES) as u64);
+    if total > 0 {
+        let shape = KernelShape::streaming(total as i64, 2, 0);
+        stream.submit();
+        device.launch_named(stream, "pack", category, shape, |k| {
+            let out = &mut staging.as_mut_slice(&k)[..total];
+            let mut offset = 0usize;
+            jobs(&mut |src, overlap| {
+                let src_slice = src.buffer().as_slice(&k);
+                for fill in overlap.dst_boxes.boxes() {
+                    let n = region_threads(*fill);
+                    let packed = &mut out[offset..offset + n];
+                    pack_region(packed, src_slice, src.dbox, *fill, overlap.shift);
+                    offset += n;
+                }
+            });
+            assert_eq!(offset, total, "pack: jobs do not fill the message");
+        });
+    }
+    let mut host = vec![T::default(); total];
+    if fallible {
+        device.try_download(staging, 0, &mut host, category).map_err(transfer_fault)?;
+    } else {
+        device.download(staging, 0, &mut host, category);
+    }
+    let mut out = Vec::with_capacity(total * T::BYTES);
+    for v in host {
+        v.write_to(&mut out);
+    }
+    Ok(Bytes::from(out))
+}
+
+/// The `unpack` kernel and its transfer: one H2D of the whole message
+/// `msg` into `staging`, then one launch scattering it. Each job names
+/// the first value of its overlap within the message.
+///
+/// `fallible` as for [`pack_message`]; on `Err` nothing was unpacked.
+fn unpack_message<T: DeviceElement>(
+    device: &Device,
+    stream: &Stream,
+    category: Category,
+    staging: &mut DeviceBuffer<T>,
+    msg: &[u8],
+    fallible: bool,
+    jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &BoxOverlap, usize)),
+) -> Result<(), PatchDataError> {
+    device.recorder().count("unpack.bytes", msg.len() as u64);
+    let host: Vec<T> = msg.chunks_exact(T::BYTES).map(T::read_from).collect();
+    let total = host.len();
+    if fallible {
+        device.try_upload(staging, 0, &host, category).map_err(transfer_fault)?;
+    } else {
+        device.upload(staging, 0, &host, category);
+    }
+    if total > 0 {
+        let shape = KernelShape::streaming(total as i64, 2, 0);
+        stream.submit();
+        device.launch_named(stream, "unpack", category, shape, |k| {
+            let input = &staging.as_slice(&k)[..total];
+            jobs(&mut |dst, overlap, first| {
+                let dst_dbox = dst.dbox;
+                let dst_slice = dst.buffer_mut().as_mut_slice(&k);
+                let mut offset = first;
+                for fill in overlap.dst_boxes.boxes() {
+                    let n = region_threads(*fill);
+                    unpack_region(dst_slice, dst_dbox, &input[offset..offset + n], *fill);
+                    offset += n;
+                }
+            });
+        });
+    }
+    Ok(())
+}
+
+/// The `extend-uncovered` kernel: one launch applying every `(target,
+/// source)` offset pair of every array `jobs` yields, `total` pairs in
+/// all. No launch when there is nothing to extend.
+fn launch_extend<T: DeviceElement>(
+    device: &Device,
+    stream: &Stream,
+    category: Category,
+    total: usize,
+    jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &[(usize, usize)])),
+) {
+    if total == 0 {
+        return;
+    }
+    let shape = KernelShape::streaming(total as i64, 2, 0);
+    stream.submit();
+    device.launch_named(stream, "extend-uncovered", category, shape, |k| {
+        jobs(&mut |data, pairs| {
+            let slice = data.buffer_mut().as_mut_slice(&k);
+            // Sources are covered cells, targets uncovered: disjoint.
+            for &(t, s) in pairs {
+                slice[t] = slice[s];
+            }
+        });
+    });
+}
+
+/// The per-item `pack`/`unpack` pairs as batches of one, staged through
+/// a buffer of exactly the overlap's size. `fallible` also picks how a
+/// staging-allocation failure leaves (see [`pack_message`]).
 impl<T: DeviceElement> DeviceData<T> {
     fn staging(&self, len: usize, fallible: bool) -> Result<DeviceBuffer<T>, PatchDataError> {
         let device = self.buf.device();
         if fallible {
-            device
-                .try_alloc::<T>(len)
-                .map_err(|e| PatchDataError::Allocation { detail: e.to_string() })
+            device.try_alloc::<T>(len).map_err(allocation_fault)
         } else {
             Ok(device.alloc::<T>(len))
         }
     }
 
     fn pack_impl(&self, overlap: &BoxOverlap, fallible: bool) -> Result<Bytes, PatchDataError> {
-        let device = self.buf.device().clone();
         let total = overlap.num_values() as usize;
-        device.recorder().count("pack.bytes", (total * T::BYTES) as u64);
-        // Stage the packed values in device memory (the contiguous
-        // `cuda_stream` buffer of Figure 4), then one D2H transfer.
         let mut staging = self.staging(total, fallible)?;
-        if total > 0 {
-            let shape = KernelShape::streaming(total as i64, 2, 0);
-            self.stream.submit();
-            let (src_buf, src_dbox) = (&self.buf, self.dbox);
-            let staging_ref = &mut staging;
-            device.launch_named(&self.stream, "pack", self.category, shape, |k| {
-                let src_slice = src_buf.as_slice(&k);
-                let out = staging_ref.as_mut_slice(&k);
-                let mut offset = 0usize;
-                for fill in overlap.dst_boxes.boxes() {
-                    let n = region_threads(*fill);
-                    pack_region(
-                        &mut out[offset..offset + n],
-                        src_slice,
-                        src_dbox,
-                        *fill,
-                        overlap.shift,
-                    );
-                    offset += n;
-                }
-            });
-        }
-        let mut host = vec![T::default(); total];
-        if fallible {
-            device
-                .try_download(&staging, 0, &mut host, self.category)
-                .map_err(|e| PatchDataError::Transfer { detail: e.to_string() })?;
-        } else {
-            device.download(&staging, 0, &mut host, self.category);
-        }
-        let mut out = Vec::with_capacity(total * T::BYTES);
-        for v in host {
-            v.write_to(&mut out);
-        }
-        Ok(Bytes::from(out))
+        let (device, stream) = (self.buf.device(), &self.stream);
+        pack_message(device, stream, self.category, &mut staging, total, fallible, |pack| {
+            pack(self, overlap);
+        })
     }
 
     fn unpack_impl(
@@ -251,42 +378,12 @@ impl<T: DeviceElement> DeviceData<T> {
         fallible: bool,
     ) -> Result<(), PatchDataError> {
         assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
-        let device = self.buf.device().clone();
-        let total = overlap.num_values() as usize;
-        device.recorder().count("unpack.bytes", (total * T::BYTES) as u64);
-        let mut host = Vec::with_capacity(total);
-        let mut cursor = 0usize;
-        for _ in 0..total {
-            host.push(T::read_from(&stream[cursor..]));
-            cursor += T::BYTES;
-        }
-        // One H2D transfer of the packed buffer, then parallel unpack.
-        let mut staging = self.staging(total, fallible)?;
-        if fallible {
-            device
-                .try_upload(&mut staging, 0, &host, self.category)
-                .map_err(|e| PatchDataError::Transfer { detail: e.to_string() })?;
-        } else {
-            device.upload(&mut staging, 0, &host, self.category);
-        }
-        let dst_dbox = self.dbox;
-        if total > 0 {
-            let shape = KernelShape::streaming(total as i64, 2, 0);
-            self.stream.submit();
-            let dst_buf = &mut self.buf;
-            let staging_ref = &staging;
-            device.launch_named(&self.stream, "unpack", self.category, shape, |k| {
-                let input = staging_ref.as_slice(&k);
-                let dst_slice = dst_buf.as_mut_slice(&k);
-                let mut offset = 0usize;
-                for fill in overlap.dst_boxes.boxes() {
-                    let n = region_threads(*fill);
-                    unpack_region(dst_slice, dst_dbox, &input[offset..offset + n], *fill);
-                    offset += n;
-                }
-            });
-        }
-        Ok(())
+        let mut staging = self.staging(overlap.num_values() as usize, fallible)?;
+        let (device, queue, category) =
+            (self.buf.device().clone(), self.stream.clone(), self.category);
+        unpack_message(&device, &queue, category, &mut staging, stream, fallible, |unpack| {
+            unpack(self, overlap, 0);
+        })
     }
 }
 
@@ -329,24 +426,10 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
             .downcast_ref::<DeviceData<T>>()
             .expect("DeviceData::copy_from: source is not DeviceData of the same element type");
         validate_overlap(overlap, src.dbox, self.dbox, self.centring);
-        if overlap.is_empty() {
-            return;
-        }
-        let device = self.buf.device().clone();
-        let category = self.category;
-        let dst_dbox = self.dbox;
-        // One batched launch covers every region of the overlap (one
-        // logical thread per element; the row decomposition is the
-        // safe-Rust shape of the Figure 4 kernel).
-        let shape = KernelShape::streaming(overlap.num_values(), 2, 0);
-        self.stream.submit();
-        let (dst_buf, src_buf, src_dbox) = (&mut self.buf, &src.buf, src.dbox);
-        device.launch_named(&self.stream, "copy-region", category, shape, |k| {
-            let src_slice = src_buf.as_slice(&k);
-            let dst_slice = dst_buf.as_mut_slice(&k);
-            for fill in overlap.dst_boxes.boxes() {
-                copy_region(dst_slice, dst_dbox, src_slice, src_dbox, *fill, overlap.shift);
-            }
+        let (device, stream, category) =
+            (self.buf.device().clone(), self.stream.clone(), self.category);
+        launch_copy(&device, &stream, category, overlap.num_values(), |copy| {
+            copy(self, src, overlap);
         });
     }
 
@@ -367,22 +450,10 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
     }
 
     fn extend_uncovered(&mut self, covered: &rbamr_geometry::BoxList) {
-        let pairs = rbamr_amr::patchdata::extension_pairs(self.dbox, covered);
-        if pairs.is_empty() {
-            return;
-        }
-        let device = self.buf.device().clone();
-        self.stream.submit();
-        let shape = KernelShape::streaming(pairs.len() as i64, 2, 0);
-        let buf = &mut self.buf;
-        device.launch_named(&self.stream, "extend-uncovered", self.category, shape, |k| {
-            let slice = buf.as_mut_slice(&k);
-            // Sources are covered cells, targets uncovered: disjoint.
-            let vals: Vec<T> = pairs.iter().map(|&(_, s)| slice[s]).collect();
-            for (&(t, _), v) in pairs.iter().zip(vals) {
-                slice[t] = v;
-            }
-        });
+        let pairs = extension_pairs(self.dbox, covered);
+        let (device, stream, category) =
+            (self.buf.device().clone(), self.stream.clone(), self.category);
+        launch_extend(&device, &stream, category, pairs.len(), |extend| extend(self, &pairs));
     }
 
     fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
@@ -396,27 +467,204 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
 /// and GPU builds of the application, exactly as the paper's Figure 6
 /// shows for CleverLeaf's two patch integrators.
 ///
+/// It is also where a schedule stage becomes fused device work: every
+/// batch entry point of [`DataFactory`] is overridden with one launch
+/// per call (per message for pack and unpack) on the factory's transfer
+/// stream, and messages are staged through one persistent, grow-only
+/// device buffer — the simulated device is synchronous, so the buffer
+/// is free again as soon as a message's D2H returns or its unpack
+/// launch ends, and a steady step allocates no staging at all.
+///
 /// [`HostDataFactory`]: rbamr_amr::HostDataFactory
 #[derive(Clone)]
 pub struct DeviceDataFactory {
     device: Device,
+    /// The stream fused transfer launches are submitted to.
+    stream: Stream,
+    /// Message staging, shared by the factory's clones.
+    staging: Arc<Mutex<Option<DeviceBuffer<f64>>>>,
+}
+
+/// The device data behind a placement-agnostic handle.
+///
+/// # Panics
+/// Panics if the data is not `DeviceData<f64>` — a device factory or
+/// operator was handed another placement's data.
+pub(crate) fn device_ref(d: &dyn PatchData) -> &DeviceData<f64> {
+    d.as_any().downcast_ref().expect("device transfer applied to non-device data")
+}
+
+/// As [`device_ref`], mutable.
+pub(crate) fn device_mut(d: &mut dyn PatchData) -> &mut DeviceData<f64> {
+    d.as_any_mut().downcast_mut().expect("device transfer applied to non-device data")
 }
 
 impl DeviceDataFactory {
     /// A factory allocating on `device`.
     pub fn new(device: Device) -> Self {
-        Self { device }
+        let stream = Stream::new(&device);
+        Self { device, stream, staging: Arc::new(Mutex::new(None)) }
     }
 
     /// The device.
     pub fn device(&self) -> &Device {
         &self.device
     }
+
+    /// Run `f` on the staging buffer, grown first if it holds fewer
+    /// than `len` values. Growth is the only allocation a fused
+    /// transfer makes, and its failure is the transfer's failure.
+    fn with_staging<R>(
+        &self,
+        len: usize,
+        f: impl FnOnce(&mut DeviceBuffer<f64>) -> Result<R, PatchDataError>,
+    ) -> Result<R, PatchDataError> {
+        let mut slot = self.staging.lock().expect("a fused transfer panicked mid-message");
+        if slot.as_ref().is_none_or(|buf| buf.len() < len) {
+            // Release the old buffer before asking for the larger one.
+            *slot = None;
+            let grown = self.device.try_alloc(len.next_power_of_two());
+            *slot = Some(grown.map_err(allocation_fault)?);
+        }
+        f(slot.as_mut().expect("staging was ensured above"))
+    }
 }
 
 impl DataFactory for DeviceDataFactory {
     fn make(&self, var: &Variable, cell_box: GBox) -> Box<dyn PatchData> {
         Box::new(DeviceData::<f64>::new(&self.device, cell_box, var.ghosts, var.centring))
+    }
+
+    fn copy_many(&self, ctx: &mut TransferCtx<'_>, jobs: &[CopyJob], category: Category) {
+        let total = jobs.iter().map(|job| job.overlap.num_values()).sum();
+        launch_copy(&self.device, &self.stream, category, total, |copy| {
+            for job in jobs {
+                let (dst, src) = ctx.pair(job.dst, job.src, job.var);
+                dst.set_transfer_category(category);
+                copy(device_mut(dst), device_ref(src), &job.overlap);
+            }
+        });
+    }
+
+    fn pack_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        jobs: &[StreamJob],
+        peers: &[PeerStream],
+        category: Category,
+    ) -> (Vec<Bytes>, Option<PatchDataError>) {
+        let mut by_peer: Vec<Vec<&StreamJob>> = peers.iter().map(|_| Vec::new()).collect();
+        for job in jobs {
+            by_peer[job.peer as usize].push(job);
+        }
+        let mut first_err = None;
+        let streams = peers
+            .iter()
+            .zip(by_peer)
+            .map(|(peer, jobs)| {
+                let total = peer.bytes / STREAM_VALUE_BYTES;
+                let packed = self.with_staging(total, |staging| {
+                    let (device, stream) = (&self.device, &self.stream);
+                    pack_message(device, stream, category, staging, total, true, |pack| {
+                        for job in jobs {
+                            let src = ctx.data_mut(job.loc, job.var);
+                            src.set_transfer_category(category);
+                            pack(device_ref(src), &job.overlap);
+                        }
+                    })
+                });
+                packed.unwrap_or_else(|e| {
+                    // Run-through: the peer still gets a message of the
+                    // exact size, and the fault surfaces at the commit.
+                    first_err.get_or_insert(e);
+                    Bytes::from(vec![0u8; peer.bytes])
+                })
+            })
+            .collect();
+        (streams, first_err)
+    }
+
+    fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
+        Box::new(DeviceUnpack { factory: self, category, pending: Vec::new() })
+    }
+
+    fn extend_many(&self, scratch: &mut [Box<dyn PatchData>], covered: &[BoxList]) {
+        // The scratch arrays carry the category their fill charges.
+        let Some(category) = scratch.first().map(|s| device_ref(s.as_ref()).category) else {
+            return;
+        };
+        let pairs: Vec<_> = scratch
+            .iter()
+            .zip(covered)
+            .map(|(scratch, covered)| extension_pairs(scratch.data_box(), covered))
+            .collect();
+        let total = pairs.iter().map(Vec::len).sum();
+        launch_extend(&self.device, &self.stream, category, total, |extend| {
+            for (scratch, pairs) in scratch.iter_mut().zip(&pairs) {
+                extend(device_mut(scratch.as_mut()), pairs);
+            }
+        });
+    }
+
+    fn upload_descriptors(
+        &self,
+        words: &mut dyn FnMut() -> Vec<i32>,
+        category: Category,
+    ) -> Option<Box<dyn Any + Send + Sync>> {
+        let words = words();
+        if words.is_empty() {
+            return None;
+        }
+        let mut table = self.device.alloc::<i32>(words.len());
+        self.device.upload(&mut table, 0, &words, category);
+        Some(Box::new(table))
+    }
+}
+
+/// The device's [`UnpackBatch`]: `push` only records, `flush` moves
+/// each peer's whole message with one H2D and scatters it with one
+/// launch.
+struct DeviceUnpack<'f, 'j> {
+    factory: &'f DeviceDataFactory,
+    category: Category,
+    /// Per peer: its message and the jobs that read it.
+    pending: Vec<Option<(Bytes, Vec<&'j StreamJob>)>>,
+}
+
+impl<'j> UnpackBatch<'j> for DeviceUnpack<'_, 'j> {
+    fn push(
+        &mut self,
+        _ctx: &mut TransferCtx<'_>,
+        job: &'j StreamJob,
+        msg: &Bytes,
+    ) -> Result<(), PatchDataError> {
+        let peer = job.peer as usize;
+        if self.pending.len() <= peer {
+            self.pending.resize(peer + 1, None);
+        }
+        self.pending[peer].get_or_insert_with(|| (msg.clone(), Vec::new())).1.push(job);
+        Ok(())
+    }
+
+    fn flush(&mut self, ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError> {
+        let (factory, category) = (self.factory, self.category);
+        let mut first_err = None;
+        for (msg, jobs) in self.pending.drain(..).flatten() {
+            let unpacked = factory.with_staging(msg.len() / STREAM_VALUE_BYTES, |staging| {
+                let (device, stream) = (&factory.device, &factory.stream);
+                unpack_message(device, stream, category, staging, &msg, true, |unpack| {
+                    for job in jobs {
+                        let dst = ctx.data_mut(job.loc, job.var);
+                        dst.set_transfer_category(category);
+                        unpack(device_mut(dst), &job.overlap, job.first as usize);
+                    }
+                })
+            });
+            if let Err(e) = unpacked {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 

@@ -9,25 +9,26 @@
 //! (Figures 7 and 8), with the stream/event protocol of the Figure 5a
 //! host listing around each launch.
 
-use crate::data::DeviceData;
+use crate::data::{device_mut, device_ref, DeviceData};
 use rayon::prelude::*;
 use rbamr_amr::ops::{CoarsenOperator, RefineOperator};
 use rbamr_amr::patchdata::PatchData;
-use rbamr_device::Event;
+use rbamr_amr::transfer::{CoarsenJob, RefineJob, TransferCtx};
+use rbamr_device::{Device, Event, Stream};
 use rbamr_geometry::{BoxList, GBox, IntVector};
-use rbamr_perfmodel::KernelShape;
-
-fn device_data(d: &dyn PatchData) -> &DeviceData<f64> {
-    d.as_any().downcast_ref().expect("device operator applied to non-device data")
-}
-
-fn device_data_mut(d: &mut dyn PatchData) -> &mut DeviceData<f64> {
-    d.as_any_mut().downcast_mut().expect("device operator applied to non-device data")
-}
+use rbamr_perfmodel::{Category, KernelShape};
 
 #[inline]
 fn clamp_to(b: GBox, p: IntVector) -> IntVector {
     IntVector::new(p.x.clamp(b.lo.x, b.hi.x - 1), p.y.clamp(b.lo.y, b.hi.y - 1))
+}
+
+/// The value of `src` (row-major over `sbox`) at `p` clamped into
+/// `sbox`: one-sided stencils at the edge of available source data.
+#[inline]
+fn clamped(src: &[f64], sbox: GBox, p: IntVector) -> f64 {
+    let q = clamp_to(sbox, p);
+    src[((q.y - sbox.lo.y) * sbox.size().x + (q.x - sbox.lo.x)) as usize]
 }
 
 #[inline]
@@ -41,98 +42,243 @@ fn minmod(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Run one refine-style kernel: the Figure 5a protocol (synchronise the
-/// coarse stream, launch on the fine stream, record an event, make the
-/// coarse stream wait), then the row-parallel body over each fill box.
+/// What a refine launch does with one job: the fine destination, the
+/// coarse source, the fine fill boxes.
+type RefineVisit<'a> = dyn FnMut(&mut DeviceData<f64>, &DeviceData<f64>, &BoxList) + 'a;
+
+/// The jobs of one refine launch: each call walks them in order.
+/// [`launch_refine`] walks them once to size the launch, once inside
+/// it, and once for the stream protocol after it.
+type RefineJobs<'a> = dyn FnMut(&mut RefineVisit<'_>) + 'a;
+
+/// The jobs of one operator in one fill, resolved through `ctx`.
+fn each_refine(
+    ctx: &mut TransferCtx<'_>,
+    level: usize,
+    jobs: &[RefineJob],
+    category: Category,
+    visit: &mut RefineVisit<'_>,
+) {
+    for j in jobs {
+        let fine = &mut ctx.hierarchy.level_mut(level).local_mut()[j.pos as usize];
+        let dst = fine.data_mut(j.var);
+        dst.set_transfer_category(category);
+        let src = ctx.scratch[j.scratch as usize].as_ref();
+        visit(device_mut(dst), device_ref(src), &j.fill);
+    }
+}
+
+/// Where a fused launch runs and what it charges: the first job's
+/// destination decides (a batch shares one device and one category).
+fn launch_site(dst: &DeviceData<f64>) -> (Device, Category, Stream) {
+    (dst.device().clone(), dst.category(), dst.stream().clone())
+}
+
+/// The `refine-interp` kernel: one launch covering every fill region of
+/// every job, wrapped in the Figure 5a protocol (synchronise the coarse
+/// streams, launch on the fine stream, record an event, make the coarse
+/// streams wait).
 ///
-/// `body(dst_row_slice, y, x_range, src_slice)` computes one row of
-/// fine values; rows are independent, as in the one-thread-per-node
-/// CUDA kernel.
+/// `row(dst_row, y, (x0, x1), src, src_box, dst_x0)` computes one row
+/// of fine values of one job; rows are independent, as in the
+/// one-thread-per-node CUDA kernel.
 fn launch_refine(
-    dst: &mut DeviceData<f64>,
-    src: &DeviceData<f64>,
-    fine_boxes: &BoxList,
+    jobs: &mut RefineJobs<'_>,
     arrays_touched: u32,
     flops_per_elem: u32,
-    body: impl Fn(&mut [f64], i64, (i64, i64), &[f64]) + Sync + Send,
+    row: impl Fn(&mut [f64], i64, (i64, i64), &[f64], GBox, i64) + Sync + Send,
 ) {
-    let device = dst.device().clone();
-    let category = dst.category();
-    let dst_dbox = dst.data_box();
-    if fine_boxes.is_empty() {
-        return;
-    }
-    // Figure 5a: coarse stream sync, fine-stream launch (one batched
-    // launch covering every fill region), event record, coarse wait.
-    let coarse_stream = src.stream().clone();
-    coarse_stream.synchronize();
-    let total: i64 = fine_boxes.num_cells();
+    let mut total = 0i64;
+    let mut site = None;
+    jobs(&mut |dst, src, fine_boxes| {
+        total += fine_boxes.num_cells();
+        src.stream().synchronize();
+        site.get_or_insert_with(|| launch_site(dst));
+    });
+    let Some((device, category, fine_stream)) = site.filter(|_| total > 0) else { return };
     let shape = KernelShape::streaming(total, arrays_touched, flops_per_elem);
-    let _cfg = rbamr_device::LaunchConfig::for_elements(total.max(0) as usize);
-    dst.stream().submit();
-    let fine_stream = dst.stream().clone();
-    let dst_w = dst_dbox.size().x as usize;
-    let (dst_buf, src_buf) = (dst.buffer_mut(), src.buffer());
+    let _cfg = rbamr_device::LaunchConfig::for_elements(total as usize);
+    fine_stream.submit();
     device.launch_named(&fine_stream, "refine-interp", category, shape, |k| {
-        let src_slice = src_buf.as_slice(&k);
-        let dst_slice = dst_buf.as_mut_slice(&k);
-        for fill in fine_boxes.boxes() {
-            debug_assert!(dst_dbox.contains_box(*fill), "refine fill escapes dst");
-            let first_row = (fill.lo.y - dst_dbox.lo.y) as usize;
-            let n_rows = fill.size().y as usize;
-            dst_slice.par_chunks_mut(dst_w).skip(first_row).take(n_rows).enumerate().for_each(
-                |(r, row)| {
-                    let y = fill.lo.y + r as i64;
-                    body(row, y, (fill.lo.x, fill.hi.x), src_slice);
-                },
-            );
-        }
+        jobs(&mut |dst, src, fine_boxes| {
+            let (sbox, dst_dbox) = (src.data_box(), dst.data_box());
+            let dst_w = dst_dbox.size().x as usize;
+            let src_slice = src.buffer().as_slice(&k);
+            let dst_slice = dst.buffer_mut().as_mut_slice(&k);
+            for fill in fine_boxes.boxes() {
+                debug_assert!(dst_dbox.contains_box(*fill), "refine fill escapes dst");
+                let first_row = (fill.lo.y - dst_dbox.lo.y) as usize;
+                let n_rows = fill.size().y as usize;
+                dst_slice.par_chunks_mut(dst_w).skip(first_row).take(n_rows).enumerate().for_each(
+                    |(r, dst_row)| {
+                        let y = fill.lo.y + r as i64;
+                        row(dst_row, y, (fill.lo.x, fill.hi.x), src_slice, sbox, dst_dbox.lo.x);
+                    },
+                );
+            }
+        });
     });
     let event = Event::new(&device);
     event.record(&fine_stream);
-    coarse_stream.wait_event(&event);
+    jobs(&mut |_, src, _| src.stream().wait_event(&event));
 }
 
-/// As [`launch_refine`] but indexed per *coarse* row, for coarsening
-/// kernels (Figures 7/8: one thread per coarse value).
+/// As [`RefineVisit`], with the fine sources (the variable, then the
+/// operator's auxiliaries) as a list.
+type CoarsenVisit<'a> = dyn FnMut(&mut DeviceData<f64>, &[&DeviceData<f64>], &BoxList) + 'a;
+
+/// The jobs of one coarsen launch: each call walks them in order.
+type CoarsenJobs<'a> = dyn FnMut(&mut CoarsenVisit<'_>) + 'a;
+
+/// The jobs of one operator in one synchronisation, resolved through
+/// `ctx`.
+fn each_coarsen(
+    ctx: &mut TransferCtx<'_>,
+    fine_level: usize,
+    jobs: &[CoarsenJob],
+    visit: &mut CoarsenVisit<'_>,
+) {
+    for j in jobs {
+        let fine = &ctx.hierarchy.level(fine_level).local()[j.pos as usize];
+        let srcs: Vec<&DeviceData<f64>> = std::iter::once(j.var)
+            .chain(j.aux.iter().copied())
+            .map(|v| device_ref(fine.data(v)))
+            .collect();
+        visit(device_mut(ctx.scratch[j.scratch as usize].as_mut()), &srcs, &j.fill);
+    }
+}
+
+/// The `coarsen-project` kernel: as [`launch_refine`] but indexed per
+/// *coarse* row (Figures 7/8: one thread per coarse value). Every
+/// source of a job shares the layout `src_box`.
 fn launch_coarsen(
-    dst: &mut DeviceData<f64>,
-    srcs: &[&DeviceData<f64>],
-    coarse_boxes: &BoxList,
+    jobs: &mut CoarsenJobs<'_>,
     arrays_touched: u32,
     flops_per_elem: u32,
-    body: impl Fn(&mut [f64], i64, (i64, i64), &[&[f64]]) + Sync + Send,
+    row: impl Fn(&mut [f64], i64, (i64, i64), &[&[f64]], GBox, i64) + Sync + Send,
 ) {
-    let device = dst.device().clone();
-    let category = dst.category();
-    let dst_dbox = dst.data_box();
-    if coarse_boxes.is_empty() {
-        return;
-    }
-    let shape = KernelShape::streaming(coarse_boxes.num_cells(), arrays_touched, flops_per_elem);
-    dst.stream().submit();
-    let stream = dst.stream().clone();
-    let dst_w = dst_dbox.size().x as usize;
-    let dst_buf = dst.buffer_mut();
-    device.launch_named(&stream, "coarsen-project", category, shape, |k| {
-        let src_slices: Vec<&[f64]> = srcs.iter().map(|s| s.buffer().as_slice(&k)).collect();
-        let dst_slice = dst_buf.as_mut_slice(&k);
-        for fill in coarse_boxes.boxes() {
-            debug_assert!(dst_dbox.contains_box(*fill), "coarsen fill escapes dst");
-            let first_row = (fill.lo.y - dst_dbox.lo.y) as usize;
-            let n_rows = fill.size().y as usize;
-            dst_slice.par_chunks_mut(dst_w).skip(first_row).take(n_rows).enumerate().for_each(
-                |(r, row)| {
-                    let y = fill.lo.y + r as i64;
-                    body(row, y, (fill.lo.x, fill.hi.x), &src_slices);
-                },
-            );
-        }
+    let mut total = 0i64;
+    let mut site = None;
+    jobs(&mut |dst, srcs, coarse_boxes| {
+        total += coarse_boxes.num_cells();
+        assert!(
+            srcs.iter().all(|s| s.data_box() == srcs[0].data_box()),
+            "coarsen sources differ in layout"
+        );
+        site.get_or_insert_with(|| launch_site(dst));
     });
+    let Some((device, category, stream)) = site.filter(|_| total > 0) else { return };
+    let shape = KernelShape::streaming(total, arrays_touched, flops_per_elem);
+    stream.submit();
+    device.launch_named(&stream, "coarsen-project", category, shape, |k| {
+        jobs(&mut |dst, srcs, coarse_boxes| {
+            let (sbox, dst_dbox) = (srcs[0].data_box(), dst.data_box());
+            let dst_w = dst_dbox.size().x as usize;
+            let src_slices: Vec<&[f64]> = srcs.iter().map(|s| s.buffer().as_slice(&k)).collect();
+            let dst_slice = dst.buffer_mut().as_mut_slice(&k);
+            for fill in coarse_boxes.boxes() {
+                debug_assert!(dst_dbox.contains_box(*fill), "coarsen fill escapes dst");
+                let first_row = (fill.lo.y - dst_dbox.lo.y) as usize;
+                let n_rows = fill.size().y as usize;
+                dst_slice.par_chunks_mut(dst_w).skip(first_row).take(n_rows).enumerate().for_each(
+                    |(r, dst_row)| {
+                        let y = fill.lo.y + r as i64;
+                        row(dst_row, y, (fill.lo.x, fill.hi.x), &src_slices, sbox, dst_dbox.lo.x);
+                    },
+                );
+            }
+        });
+    });
+}
+
+/// Both [`RefineOperator`] entry points in terms of the operator's one
+/// `launch`: the per-item call is a batch of one.
+macro_rules! refine_entry_points {
+    () => {
+        fn refine(
+            &self,
+            dst: &mut dyn PatchData,
+            src: &dyn PatchData,
+            fine_boxes: &BoxList,
+            ratio: IntVector,
+        ) {
+            let (dst, src) = (device_mut(dst), device_ref(src));
+            self.launch(&mut |visit| visit(dst, src, fine_boxes), ratio);
+        }
+
+        fn refine_many(
+            &self,
+            ctx: &mut TransferCtx<'_>,
+            level: usize,
+            jobs: &[RefineJob],
+            ratio: IntVector,
+            category: Category,
+        ) {
+            self.launch(&mut |visit| each_refine(ctx, level, jobs, category, visit), ratio);
+        }
+    };
+}
+
+/// Both [`CoarsenOperator`] entry points in terms of the operator's one
+/// `launch`.
+macro_rules! coarsen_entry_points {
+    () => {
+        fn coarsen(
+            &self,
+            dst: &mut dyn PatchData,
+            src: &dyn PatchData,
+            aux: &[&dyn PatchData],
+            coarse_boxes: &BoxList,
+            ratio: IntVector,
+        ) {
+            assert_eq!(aux.len(), self.num_aux(), "{}: wrong auxiliary data", self.name());
+            let dst = device_mut(dst);
+            let srcs: Vec<&DeviceData<f64>> =
+                std::iter::once(src).chain(aux.iter().copied()).map(device_ref).collect();
+            self.launch(&mut |visit| visit(dst, &srcs, coarse_boxes), ratio);
+        }
+
+        fn coarsen_many(
+            &self,
+            ctx: &mut TransferCtx<'_>,
+            fine_level: usize,
+            jobs: &[CoarsenJob],
+            ratio: IntVector,
+        ) {
+            assert!(
+                jobs.iter().all(|j| j.aux.len() == self.num_aux()),
+                "{}: wrong auxiliary data",
+                self.name()
+            );
+            self.launch(&mut |visit| each_coarsen(ctx, fine_level, jobs, visit), ratio);
+        }
+    };
 }
 
 /// Device bilinear node refinement — the exact kernel of Figure 5b.
 pub struct DeviceLinearNodeRefine;
+
+impl DeviceLinearNodeRefine {
+    fn launch(&self, jobs: &mut RefineJobs<'_>, ratio: IntVector) {
+        let (rx, ry) = (ratio.x, ratio.y);
+        let (realrat0, realrat1) = (1.0 / rx as f64, 1.0 / ry as f64);
+        launch_refine(jobs, 2, 10, move |row, y, (x0, x1), src, sbox, dst_x0| {
+            // Figure 5b, one thread per fine node along the row.
+            let ic1 = y.div_euclid(ry);
+            let ir1 = y - ic1 * ry;
+            let yy = ir1 as f64 * realrat1;
+            for x in x0..x1 {
+                let ic0 = x.div_euclid(rx);
+                let ir0 = x - ic0 * rx;
+                let xx = ir0 as f64 * realrat0;
+                let c = |i: i64, j: i64| clamped(src, sbox, IntVector::new(i, j));
+                let v = (c(ic0, ic1) * (1.0 - xx) + c(ic0 + 1, ic1) * xx) * (1.0 - yy)
+                    + (c(ic0, ic1 + 1) * (1.0 - xx) + c(ic0 + 1, ic1 + 1) * xx) * yy;
+                row[(x - dst_x0) as usize] = v;
+            }
+        });
+    }
+}
 
 impl RefineOperator for DeviceLinearNodeRefine {
     fn name(&self) -> &'static str {
@@ -143,43 +289,30 @@ impl RefineOperator for DeviceLinearNodeRefine {
         IntVector::ONE
     }
 
-    fn refine(
-        &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        fine_boxes: &BoxList,
-        ratio: IntVector,
-    ) {
-        let src = device_data(src);
-        let dst = device_data_mut(dst);
-        let sbox = src.data_box();
-        let dst_dbox = dst.data_box();
-        let (rx, ry) = (ratio.x, ratio.y);
-        let (realrat0, realrat1) = (1.0 / rx as f64, 1.0 / ry as f64);
-        let sw = sbox.size().x;
-        launch_refine(dst, src, fine_boxes, 2, 10, move |row, y, (x0, x1), srcs| {
-            // Figure 5b, one thread per fine node along the row.
-            let ic1 = y.div_euclid(ry);
-            let ir1 = y - ic1 * ry;
-            let yy = ir1 as f64 * realrat1;
-            for x in x0..x1 {
-                let ic0 = x.div_euclid(rx);
-                let ir0 = x - ic0 * rx;
-                let xx = ir0 as f64 * realrat0;
-                let c = |i: i64, j: i64| {
-                    let q = clamp_to(sbox, IntVector::new(i, j));
-                    srcs[((q.y - sbox.lo.y) * sw + (q.x - sbox.lo.x)) as usize]
-                };
-                let v = (c(ic0, ic1) * (1.0 - xx) + c(ic0 + 1, ic1) * xx) * (1.0 - yy)
-                    + (c(ic0, ic1 + 1) * (1.0 - xx) + c(ic0 + 1, ic1 + 1) * xx) * yy;
-                row[(x - dst_dbox.lo.x) as usize] = v;
-            }
-        });
-    }
+    refine_entry_points!();
 }
 
 /// Device conservative linear cell refinement.
 pub struct DeviceConservativeCellRefine;
+
+impl DeviceConservativeCellRefine {
+    fn launch(&self, jobs: &mut RefineJobs<'_>, ratio: IntVector) {
+        let (rx, ry) = (ratio.x, ratio.y);
+        launch_refine(jobs, 2, 14, move |row, y, (x0, x1), src, sbox, dst_x0| {
+            let icy = y.div_euclid(ry);
+            let eta = ((y - icy * ry) as f64 + 0.5) / ry as f64 - 0.5;
+            for x in x0..x1 {
+                let icx = x.div_euclid(rx);
+                let c = |i: i64, j: i64| clamped(src, sbox, IntVector::new(i, j));
+                let v0 = c(icx, icy);
+                let sx = minmod(v0 - c(icx - 1, icy), c(icx + 1, icy) - v0);
+                let sy = minmod(v0 - c(icx, icy - 1), c(icx, icy + 1) - v0);
+                let xi = ((x - icx * rx) as f64 + 0.5) / rx as f64 - 0.5;
+                row[(x - dst_x0) as usize] = v0 + sx * xi + sy * eta;
+            }
+        });
+    }
+}
 
 impl RefineOperator for DeviceConservativeCellRefine {
     fn name(&self) -> &'static str {
@@ -190,40 +323,23 @@ impl RefineOperator for DeviceConservativeCellRefine {
         IntVector::ONE
     }
 
-    fn refine(
-        &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        fine_boxes: &BoxList,
-        ratio: IntVector,
-    ) {
-        let src = device_data(src);
-        let dst = device_data_mut(dst);
-        let sbox = src.data_box();
-        let dst_dbox = dst.data_box();
-        let (rx, ry) = (ratio.x, ratio.y);
-        let sw = sbox.size().x;
-        launch_refine(dst, src, fine_boxes, 2, 14, move |row, y, (x0, x1), srcs| {
-            let icy = y.div_euclid(ry);
-            let eta = ((y - icy * ry) as f64 + 0.5) / ry as f64 - 0.5;
-            for x in x0..x1 {
-                let icx = x.div_euclid(rx);
-                let c = |i: i64, j: i64| {
-                    let q = clamp_to(sbox, IntVector::new(i, j));
-                    srcs[((q.y - sbox.lo.y) * sw + (q.x - sbox.lo.x)) as usize]
-                };
-                let v0 = c(icx, icy);
-                let sx = minmod(v0 - c(icx - 1, icy), c(icx + 1, icy) - v0);
-                let sy = minmod(v0 - c(icx, icy - 1), c(icx, icy + 1) - v0);
-                let xi = ((x - icx * rx) as f64 + 0.5) / rx as f64 - 0.5;
-                row[(x - dst_dbox.lo.x) as usize] = v0 + sx * xi + sy * eta;
-            }
-        });
-    }
+    refine_entry_points!();
 }
 
 /// Device piecewise-constant refinement.
 pub struct DeviceConstantRefine;
+
+impl DeviceConstantRefine {
+    fn launch(&self, jobs: &mut RefineJobs<'_>, ratio: IntVector) {
+        launch_refine(jobs, 2, 2, move |row, y, (x0, x1), src, sbox, dst_x0| {
+            let icy = y.div_euclid(ratio.y);
+            for x in x0..x1 {
+                let ic = IntVector::new(x.div_euclid(ratio.x), icy);
+                row[(x - dst_x0) as usize] = clamped(src, sbox, ic);
+            }
+        });
+    }
+}
 
 impl RefineOperator for DeviceConstantRefine {
     fn name(&self) -> &'static str {
@@ -234,33 +350,30 @@ impl RefineOperator for DeviceConstantRefine {
         IntVector::ZERO
     }
 
-    fn refine(
-        &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        fine_boxes: &BoxList,
-        ratio: IntVector,
-    ) {
-        let src = device_data(src);
-        let dst = device_data_mut(dst);
-        let sbox = src.data_box();
-        let dst_dbox = dst.data_box();
-        let sw = sbox.size().x;
-        launch_refine(dst, src, fine_boxes, 2, 2, move |row, y, (x0, x1), srcs| {
-            let icy = y.div_euclid(ratio.y);
-            for x in x0..x1 {
-                let q = clamp_to(sbox, IntVector::new(x.div_euclid(ratio.x), icy));
-                row[(x - dst_dbox.lo.x) as usize] =
-                    srcs[((q.y - sbox.lo.y) * sw + (q.x - sbox.lo.x)) as usize];
-            }
-        });
-    }
+    refine_entry_points!();
 }
 
 /// Device linear side refinement (normal-axis interpolation).
 pub struct DeviceLinearSideRefine {
     /// The face-normal axis of the data this operator serves.
     pub axis: usize,
+}
+
+impl DeviceLinearSideRefine {
+    fn launch(&self, jobs: &mut RefineJobs<'_>, ratio: IntVector) {
+        let axis = self.axis;
+        let r_n = ratio.get(axis);
+        launch_refine(jobs, 2, 6, move |row, y, (x0, x1), src, sbox, dst_x0| {
+            for x in x0..x1 {
+                let p = IntVector::new(x, y);
+                let ic = p.div_floor(ratio);
+                let irn = p.get(axis) - ic.get(axis) * r_n;
+                let t = irn as f64 / r_n as f64;
+                row[(x - dst_x0) as usize] = clamped(src, sbox, ic) * (1.0 - t)
+                    + clamped(src, sbox, ic + IntVector::unit(axis)) * t;
+            }
+        });
+    }
 }
 
 impl RefineOperator for DeviceLinearSideRefine {
@@ -272,69 +385,31 @@ impl RefineOperator for DeviceLinearSideRefine {
         IntVector::ONE
     }
 
-    fn refine(
-        &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        fine_boxes: &BoxList,
-        ratio: IntVector,
-    ) {
-        let src = device_data(src);
-        let dst = device_data_mut(dst);
-        let sbox = src.data_box();
-        let dst_dbox = dst.data_box();
-        let axis = self.axis;
-        let r_n = ratio.get(axis);
-        let sw = sbox.size().x;
-        launch_refine(dst, src, fine_boxes, 2, 6, move |row, y, (x0, x1), srcs| {
-            for x in x0..x1 {
-                let p = IntVector::new(x, y);
-                let ic = p.div_floor(ratio);
-                let irn = p.get(axis) - ic.get(axis) * r_n;
-                let t = irn as f64 / r_n as f64;
-                let read = |q: IntVector| {
-                    let q = clamp_to(sbox, q);
-                    srcs[((q.y - sbox.lo.y) * sw + (q.x - sbox.lo.x)) as usize]
-                };
-                row[(x - dst_dbox.lo.x) as usize] =
-                    read(ic) * (1.0 - t) + read(ic + IntVector::unit(axis)) * t;
-            }
-        });
-    }
+    refine_entry_points!();
 }
 
 /// Device node-injection coarsening.
 pub struct DeviceNodeInjectionCoarsen;
+
+impl DeviceNodeInjectionCoarsen {
+    fn launch(&self, jobs: &mut CoarsenJobs<'_>, ratio: IntVector) {
+        launch_coarsen(jobs, 2, 1, move |row, y, (x0, x1), srcs, sbox, dst_x0| {
+            let (s, sw) = (srcs[0], sbox.size().x);
+            let fy = y * ratio.y;
+            for x in x0..x1 {
+                let fx = x * ratio.x;
+                row[(x - dst_x0) as usize] = s[((fy - sbox.lo.y) * sw + (fx - sbox.lo.x)) as usize];
+            }
+        });
+    }
+}
 
 impl CoarsenOperator for DeviceNodeInjectionCoarsen {
     fn name(&self) -> &'static str {
         "device-node-injection-coarsen"
     }
 
-    fn coarsen(
-        &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        aux: &[&dyn PatchData],
-        coarse_boxes: &BoxList,
-        ratio: IntVector,
-    ) {
-        assert!(aux.is_empty(), "injection takes no auxiliary data");
-        let src = device_data(src);
-        let dst = device_data_mut(dst);
-        let sbox = src.data_box();
-        let dst_dbox = dst.data_box();
-        let sw = sbox.size().x;
-        launch_coarsen(dst, &[src], coarse_boxes, 2, 1, move |row, y, (x0, x1), srcs| {
-            let s = srcs[0];
-            let fy = y * ratio.y;
-            for x in x0..x1 {
-                let fx = x * ratio.x;
-                row[(x - dst_dbox.lo.x) as usize] =
-                    s[((fy - sbox.lo.y) * sw + (fx - sbox.lo.x)) as usize];
-            }
-        });
-    }
+    coarsen_entry_points!();
 }
 
 /// Device volume-weighted coarsening — the exact kernel of Figure 8:
@@ -342,31 +417,14 @@ impl CoarsenOperator for DeviceNodeInjectionCoarsen {
 /// covering values weighted by cell volume.
 pub struct DeviceVolumeWeightedCoarsen;
 
-impl CoarsenOperator for DeviceVolumeWeightedCoarsen {
-    fn name(&self) -> &'static str {
-        "device-volume-weighted-coarsen"
-    }
-
-    fn coarsen(
-        &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        aux: &[&dyn PatchData],
-        coarse_boxes: &BoxList,
-        ratio: IntVector,
-    ) {
-        assert!(aux.is_empty(), "volume-weighted coarsen takes no auxiliary data");
-        let src = device_data(src);
-        let dst = device_data_mut(dst);
-        let sbox = src.data_box();
-        let dst_dbox = dst.data_box();
-        let sw = sbox.size().x;
+impl DeviceVolumeWeightedCoarsen {
+    fn launch(&self, jobs: &mut CoarsenJobs<'_>, ratio: IntVector) {
         let vf = 1.0;
         let vc = (ratio.x * ratio.y) as f64 * vf;
         let flops = (2 * ratio.x * ratio.y + 1) as u32;
-        launch_coarsen(dst, &[src], coarse_boxes, 2, flops, move |row, y, (x0, x1), srcs| {
+        launch_coarsen(jobs, 2, flops, move |row, y, (x0, x1), srcs, sbox, dst_x0| {
             // Figure 8, row-sliced: spv accumulates fine_data * Vf.
-            let s = srcs[0];
+            let (s, sw) = (srcs[0], sbox.size().x);
             for x in x0..x1 {
                 let f0 = IntVector::new(x * ratio.x, y * ratio.y);
                 let mut spv = 0.0;
@@ -376,45 +434,30 @@ impl CoarsenOperator for DeviceVolumeWeightedCoarsen {
                         spv += s[((q.y - sbox.lo.y) * sw + (q.x - sbox.lo.x)) as usize] * vf;
                     }
                 }
-                row[(x - dst_dbox.lo.x) as usize] = spv / vc;
+                row[(x - dst_x0) as usize] = spv / vc;
             }
         });
     }
+}
+
+impl CoarsenOperator for DeviceVolumeWeightedCoarsen {
+    fn name(&self) -> &'static str {
+        "device-volume-weighted-coarsen"
+    }
+
+    coarsen_entry_points!();
 }
 
 /// Device mass-weighted coarsening: weights each fine value by its cell
 /// mass (density × volume), conserving `Σ ρ e V` across levels.
 pub struct DeviceMassWeightedCoarsen;
 
-impl CoarsenOperator for DeviceMassWeightedCoarsen {
-    fn name(&self) -> &'static str {
-        "device-mass-weighted-coarsen"
-    }
-
-    fn num_aux(&self) -> usize {
-        1
-    }
-
-    fn coarsen(
-        &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        aux: &[&dyn PatchData],
-        coarse_boxes: &BoxList,
-        ratio: IntVector,
-    ) {
-        assert_eq!(aux.len(), 1, "mass-weighted coarsen needs the fine density");
-        let src = device_data(src);
-        let rho = device_data(aux[0]);
-        assert_eq!(rho.data_box(), src.data_box(), "density layout mismatch");
-        let dst = device_data_mut(dst);
-        let sbox = src.data_box();
-        let dst_dbox = dst.data_box();
-        let sw = sbox.size().x;
+impl DeviceMassWeightedCoarsen {
+    fn launch(&self, jobs: &mut CoarsenJobs<'_>, ratio: IntVector) {
         let n = (ratio.x * ratio.y) as f64;
         let flops = (5 * ratio.x * ratio.y + 2) as u32;
-        launch_coarsen(dst, &[src, rho], coarse_boxes, 3, flops, move |row, y, (x0, x1), srcs| {
-            let (s, m) = (srcs[0], srcs[1]);
+        launch_coarsen(jobs, 3, flops, move |row, y, (x0, x1), srcs, sbox, dst_x0| {
+            let (s, m, sw) = (srcs[0], srcs[1], sbox.size().x);
             for x in x0..x1 {
                 let f0 = IntVector::new(x * ratio.x, y * ratio.y);
                 let mut mass = 0.0;
@@ -429,11 +472,22 @@ impl CoarsenOperator for DeviceMassWeightedCoarsen {
                         plain += s[idx];
                     }
                 }
-                row[(x - dst_dbox.lo.x) as usize] =
-                    if mass > 0.0 { weighted / mass } else { plain / n };
+                row[(x - dst_x0) as usize] = if mass > 0.0 { weighted / mass } else { plain / n };
             }
         });
     }
+}
+
+impl CoarsenOperator for DeviceMassWeightedCoarsen {
+    fn name(&self) -> &'static str {
+        "device-mass-weighted-coarsen"
+    }
+
+    fn num_aux(&self) -> usize {
+        1
+    }
+
+    coarsen_entry_points!();
 }
 
 #[cfg(test)]

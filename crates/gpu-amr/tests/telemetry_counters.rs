@@ -1,75 +1,238 @@
-//! Telemetry counter integration tests: the `pack.bytes` /
-//! `unpack.bytes` counters recorded by the device pack/unpack path must
-//! equal the analytically known halo byte counts of a small two-level
-//! hierarchy configuration.
+//! Telemetry counter integration tests for the fused halo path: what a
+//! `RefineSchedule` fill on device data counts — launches per stage,
+//! PCIe transfers per message, `pack.bytes` / `unpack.bytes` — must
+//! equal the analytically known traffic of a small configuration, and
+//! must not grow with the number of overlaps.
 
-use rbamr_amr::patchdata::PatchData;
+use rbamr_amr::ops::RefineOperator;
+use rbamr_amr::patchdata::PatchDataError;
+use rbamr_amr::schedule::FillSpec;
+use rbamr_amr::{
+    GridGeometry, Patch, PatchData, PatchHierarchy, PhysicalBoundary, RefineSchedule,
+    ScheduleBuild, ScheduleCache, ScheduleError, VariableId, VariableRegistry,
+};
 use rbamr_device::Device;
-use rbamr_geometry::{copy_overlap, ghost_overlaps, Centring, GBox, IntVector};
-use rbamr_gpu_amr::DeviceData;
-use rbamr_perfmodel::{Category, Clock};
+use rbamr_geometry::{copy_overlap, BoxList, Centring, GBox, IntVector};
+use rbamr_gpu_amr::ops::DeviceConservativeCellRefine;
+use rbamr_gpu_amr::{DeviceData, DeviceDataFactory};
+use rbamr_netsim::{Cluster, Comm, FaultKind, FaultPlan, FaultRule};
+use rbamr_perfmodel::{Category, Machine};
 use rbamr_telemetry::Recorder;
+use std::sync::Arc;
+
+const CAT: Category = Category::HaloExchange;
 
 fn b(x0: i64, y0: i64, x1: i64, y1: i64) -> GBox {
     GBox::from_coords(x0, y0, x1, y1)
 }
 
+/// Boundary conditions belong to the application; these tests count the
+/// framework's traffic alone.
+struct NoBoundary;
+
+impl PhysicalBoundary for NoBoundary {
+    fn fill(&self, _: &mut Patch, _: VariableId, _: &BoxList, _: GBox, _: f64) {}
+}
+
+/// One rank of a device job: a 16x8 coarse level cut into two 8x8
+/// patches, one per rank, optionally under one 16x8 fine patch per rank;
+/// a single cell variable with two ghost cells, every value 1 + rank.
+struct Rank {
+    h: PatchHierarchy,
+    reg: VariableRegistry,
+    var: VariableId,
+    device: Device,
+    rec: Recorder,
+}
+
+impl Rank {
+    fn new(comm: &Comm, levels: usize) -> Self {
+        let device = Device::new(Machine::ipa_gpu(), comm.clock().clone());
+        let rec = Recorder::new(comm.rank(), comm.clock().clone());
+        device.set_recorder(rec.clone());
+        let mut reg = VariableRegistry::new(Arc::new(DeviceDataFactory::new(device.clone())));
+        let var = reg.register("q", Centring::Cell, IntVector::uniform(2));
+        let mut h = PatchHierarchy::new(
+            GridGeometry::unit(1.0),
+            BoxList::from_box(b(0, 0, 16, 8)),
+            IntVector::uniform(2),
+            2,
+            comm.rank(),
+            comm.size(),
+        );
+        let owners: Vec<usize> = (0..2).map(|i| i % comm.size()).collect();
+        h.set_level(0, vec![b(0, 0, 8, 8), b(8, 0, 16, 8)], owners.clone(), &reg);
+        if levels == 2 {
+            h.set_level(1, vec![b(8, 4, 16, 12), b(16, 4, 24, 12)], owners, &reg);
+        }
+        for l in 0..levels {
+            for p in h.level_mut(l).local_mut() {
+                let d: &mut DeviceData<f64> = p.data_mut(var).as_any_mut().downcast_mut().unwrap();
+                let image = vec![1.0 + comm.rank() as f64; d.data_box().num_cells() as usize];
+                d.upload_all(&image, Category::Other);
+            }
+        }
+        Self { h, reg, var, device, rec }
+    }
+
+    fn spec(&self, interpolate: bool) -> [FillSpec; 1] {
+        let op: Arc<dyn RefineOperator> = Arc::new(DeviceConservativeCellRefine);
+        [FillSpec { var: self.var, refine_op: interpolate.then_some(op) }]
+    }
+
+    fn fill(&mut self, sched: &RefineSchedule, comm: &Comm) -> Result<(), ScheduleError> {
+        sched.try_fill(&mut self.h, &self.reg, &NoBoundary, Some(comm), 0.0, CAT)
+    }
+
+    fn launches(&self, name: &str) -> u64 {
+        self.rec.counter(&format!("device.kernel_launches.{name}"))
+    }
+
+    /// The values of local patch 0 of `level`.
+    fn values(&self, level: usize) -> (GBox, Vec<f64>) {
+        let d: &DeviceData<f64> =
+            self.h.level(level).local()[0].data(self.var).as_any().downcast_ref().unwrap();
+        (d.data_box(), d.download_all(Category::Other))
+    }
+}
+
 #[test]
-fn pack_unpack_counters_match_analytic_halo_bytes() {
-    // The fine level of a two-level hierarchy: two adjacent 8x8 fine
-    // patches with 2 ghost cells, plus a coarse-to-fine scratch region
-    // — the exact transfers a refine-schedule halo fill performs.
-    let clock = Clock::new();
-    let device = Device::new(rbamr_perfmodel::Machine::ipa_gpu(), clock.clone());
-    let rec = Recorder::new(0, clock);
-    device.set_recorder(rec.clone());
+fn sibling_fill_counts_one_launch_and_one_transfer_per_message() {
+    Cluster::new(Machine::ipa_gpu()).run(2, |comm| {
+        let mut r = Rank::new(&comm, 1);
+        let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
+        assert_eq!(sched.num_messages(), (1, 1));
+        r.device.reset_transfer_stats();
+        r.fill(&sched, &comm).unwrap();
 
-    let ghosts = IntVector::uniform(2);
-    let left = {
-        let mut d = DeviceData::<f64>::new(&device, b(0, 0, 8, 8), ghosts, Centring::Cell);
-        let vals: Vec<f64> = d.data_box().iter().map(|p| (p.x * 10 + p.y) as f64).collect();
-        d.upload_all(&vals, Category::Other);
-        d
-    };
-    let mut right = DeviceData::<f64>::new(&device, b(8, 0, 16, 8), ghosts, Centring::Cell);
+        // The sibling halo: the 2-column x 8-row strip of the
+        // neighbour's interior, 16 cells each way.
+        let halo_bytes = 2 * 8 * 8;
+        assert_eq!(r.rec.counter("pack.bytes"), halo_bytes);
+        assert_eq!(r.rec.counter("unpack.bytes"), halo_bytes);
+        assert_eq!((r.launches("pack"), r.launches("unpack")), (1, 1));
+        assert_eq!(r.launches("copy-region"), 0, "no same-rank neighbour");
+        let first = r.device.stats();
+        assert_eq!((first.d2h_transfers, first.d2h_bytes), (1, halo_bytes));
+        // H2D: the message, and once per schedule its descriptor table.
+        assert_eq!(first.h2d_transfers, 2);
+        let table_bytes = first.h2d_bytes - halo_bytes;
+        assert!(
+            table_bytes > 0 && table_bytes.is_multiple_of(4),
+            "descriptor words: {table_bytes} B"
+        );
 
-    // Sibling halo: the right patch's ghost region overlapping the left
-    // patch is the 2-column x 8-row strip at x in [6, 8) — 16 cells.
-    let ov = ghost_overlaps(b(8, 0, 16, 8), ghosts, b(0, 0, 8, 8), Centring::Cell, IntVector::ZERO);
-    let sibling_cells = 2 * 8;
-    assert_eq!(ov.num_values(), sibling_cells);
-    let stream = left.pack(&ov);
-    right.unpack(&ov, &stream);
+        // A steady fill: the same traffic again, nothing uploaded for
+        // the schedule and nothing allocated (staging persists).
+        let allocs = r.rec.counter("device.allocs");
+        r.fill(&sched, &comm).unwrap();
+        let second = r.device.stats();
+        assert_eq!(second.d2h_transfers, 2);
+        assert_eq!((second.h2d_transfers, second.h2d_bytes), (3, first.h2d_bytes + halo_bytes));
+        assert_eq!(second.kernel_launches, 2 * first.kernel_launches);
+        assert_eq!(r.rec.counter("device.allocs"), allocs);
 
-    let sibling_bytes = (sibling_cells * 8) as u64;
-    assert_eq!(stream.len() as u64, sibling_bytes);
-    assert_eq!(rec.counter("pack.bytes"), sibling_bytes);
-    assert_eq!(rec.counter("unpack.bytes"), sibling_bytes);
+        let (dbox, values) = r.values(0);
+        let ghost = if comm.rank() == 0 { IntVector::new(9, 3) } else { IntVector::new(6, 3) };
+        assert_eq!(values[dbox.offset_of(ghost)], 2.0 - comm.rank() as f64);
+    });
+}
 
-    // Coarse-to-fine: a refine fill stages the coarse source region
-    // covering the fine patch (plus stencil), here the full 8x8 coarse
-    // scratch box — 64 more cells through the same pack/unpack path.
-    let coarse = {
-        let mut d = DeviceData::<f64>::new(&device, b(0, 0, 8, 8), IntVector::ZERO, Centring::Cell);
-        let vals: Vec<f64> = d.data_box().iter().map(|p| (p.x + p.y) as f64).collect();
-        d.upload_all(&vals, Category::Regrid);
-        d
-    };
-    let mut scratch =
-        DeviceData::<f64>::new(&device, b(0, 0, 8, 8), IntVector::ZERO, Centring::Cell);
-    let cov = copy_overlap(b(0, 0, 8, 8), b(0, 0, 8, 8), Centring::Cell);
-    let coarse_cells = 8 * 8;
-    assert_eq!(cov.num_values(), coarse_cells);
-    let cstream = coarse.pack(&cov);
-    scratch.unpack(&cov, &cstream);
+#[test]
+fn interpolating_fill_obeys_the_per_stage_launch_law() {
+    Cluster::new(Machine::ipa_gpu()).run(2, |comm| {
+        let mut r = Rank::new(&comm, 2);
+        let sched = RefineSchedule::new(&r.h, &r.reg, 1, &r.spec(true));
+        let (sent, received) = sched.num_messages();
+        assert_eq!((sent, received), (1, 1), "each rank needs the other's coarse patch");
+        r.device.reset_transfer_stats();
+        r.fill(&sched, &comm).unwrap();
+        assert_eq!(r.launches("pack"), sent as u64);
+        assert_eq!(r.launches("unpack"), received as u64);
+        assert!(r.launches("copy-region") <= 2);
+        assert_eq!(r.launches("extend-uncovered"), 1);
+        assert_eq!(r.launches("refine-interp"), 1);
+        // Residency: packed values out, packed values and one
+        // descriptor table in — nothing else crosses the bus.
+        let stats = r.device.stats();
+        assert_eq!((stats.d2h_transfers, stats.d2h_bytes), (1, r.rec.counter("pack.bytes")));
+        assert_eq!(stats.h2d_transfers, 2);
+        assert!(stats.h2d_bytes > r.rec.counter("unpack.bytes"));
+        // Both fine patches see the coarse field 1 + owner through the
+        // interpolant: constant per coarse patch, so exactly reproduced
+        // away from the coarse patches' shared edge.
+        let (dbox, values) = r.values(1);
+        let (near, far) = if comm.rank() == 0 { (7, 17) } else { (25, 14) };
+        assert_eq!(values[dbox.offset_of(IntVector::new(near, 8))], 1.0 + comm.rank() as f64);
+        assert_eq!(values[dbox.offset_of(IntVector::new(far, 13))], 2.0 - comm.rank() as f64);
+    });
+}
 
-    let total_bytes = sibling_bytes + (coarse_cells * 8) as u64;
-    assert_eq!(rec.counter("pack.bytes"), total_bytes);
-    assert_eq!(rec.counter("unpack.bytes"), total_bytes);
+/// Rank 0's device fails its `n`-th PCIe transfer of the fill (0 is the
+/// descriptor upload, which only latches; 1 the pack's D2H; 2 the
+/// unpack's H2D).
+fn fill_with_failed_transfer(n: u64) -> Vec<(Result<(), ScheduleError>, f64)> {
+    let plan = FaultPlan::new(5, vec![FaultRule::once_on(FaultKind::CopyFail, 0, n)]);
+    let results = Cluster::new(Machine::ipa_gpu()).with_fault_plan(plan).run(2, |comm| {
+        let mut r = Rank::new(&comm, 1);
+        r.device.set_fault_injector(Arc::clone(comm.fault_injector().unwrap()));
+        let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
+        let outcome = r.fill(&sched, &comm);
+        let (dbox, values) = r.values(0);
+        let ghost = if comm.rank() == 0 { IntVector::new(9, 3) } else { IntVector::new(6, 3) };
+        (comm.rank(), outcome, values[dbox.offset_of(ghost)])
+    });
+    let mut out: Vec<_> = results.into_iter().map(|r| r.value).collect();
+    out.sort_by_key(|&(rank, ..)| rank);
+    out.into_iter().map(|(_, outcome, ghost)| (outcome, ghost)).collect()
+}
 
-    // The PCIe byte counters agree: a pack is one D2H transfer of the
-    // packed bytes, an unpack one H2D, beyond the initial uploads.
-    assert_eq!(rec.counter("device.d2h_bytes"), total_bytes);
+fn is_transfer_fault(r: &Result<(), ScheduleError>) -> bool {
+    matches!(r, Err(ScheduleError::Data(PatchDataError::Transfer { .. })))
+}
+
+#[test]
+fn failed_pack_transfer_runs_through_with_a_placeholder() {
+    // Neither rank blocks: rank 0 reports the typed fault, rank 1
+    // unpacks a message of the exact size — all zeros.
+    let ranks = fill_with_failed_transfer(1);
+    assert!(is_transfer_fault(&ranks[0].0), "rank 0: {:?}", ranks[0].0);
+    assert_eq!(ranks[0].1, 2.0, "rank 0 still received rank 1's halo");
+    assert_eq!(ranks[1], (Ok(()), 0.0));
+}
+
+#[test]
+fn failed_unpack_transfer_runs_through_and_skips_the_peer() {
+    let ranks = fill_with_failed_transfer(2);
+    assert!(is_transfer_fault(&ranks[0].0), "rank 0: {:?}", ranks[0].0);
+    assert_eq!(ranks[0].1, 1.0, "rank 0's ghosts were never written");
+    assert_eq!(ranks[1], (Ok(()), 1.0));
+}
+
+#[test]
+fn descriptor_tables_live_with_the_schedules_in_use() {
+    Cluster::new(Machine::ipa_gpu()).run(1, |comm| {
+        let mut r = Rank::new(&comm, 1);
+        let specs = r.spec(false);
+        let mut cache = ScheduleCache::new();
+        let uploads = |r: &Rank| r.device.stats().h2d_transfers;
+        let sched = ScheduleBuild::with_cache(&mut cache).refine(&r.h, &r.reg, 0, &specs);
+        r.device.reset_transfer_stats();
+        r.fill(&sched, &comm).unwrap();
+        assert_eq!(uploads(&r), 1, "first execution uploads the table");
+        // A steady regrid: the cache returns the schedule still in
+        // use, table and all.
+        let again = ScheduleBuild::with_cache(&mut cache).refine(&r.h, &r.reg, 0, &specs);
+        assert!(Arc::ptr_eq(&sched, &again));
+        r.fill(&again, &comm).unwrap();
+        assert_eq!(uploads(&r), 1);
+        // Out of use: the cache keeps the plans, not the table.
+        drop((sched, again));
+        let revived = ScheduleBuild::with_cache(&mut cache).refine(&r.h, &r.reg, 0, &specs);
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+        r.fill(&revived, &comm).unwrap();
+        assert_eq!(uploads(&r), 2);
+    });
 }
 
 #[test]

@@ -23,6 +23,9 @@
 //! * the copy-back placement changes transfers, never digests;
 //! * in the many-patch regime hydro launches per step stay within
 //!   levels × `MAX_LAUNCHES_PER_LEVEL_STEP`, whatever the patch count;
+//! * data-movement launches per step stay within a small multiple of
+//!   the fills and syncs executed — one `pack` per message sent, one
+//!   `unpack` per message received — whatever the patch count;
 //! * under fault schedules (message drops and corruption during the
 //!   overlapped halo exchange), recovery reproduces the fault-free
 //!   digest — which itself equals the host build's.
@@ -87,6 +90,9 @@ struct RankTrace {
     /// initialisation).
     hydro_launches: u64,
     counters: Vec<(String, u64)>,
+    /// What the steps alone — not initialisation, not the digests taken
+    /// between them (which pack every array) — added to each counter.
+    step_counters: std::collections::BTreeMap<String, u64>,
     /// (name, peer, tag, occurrence, bytes, cost bits) per edge, in
     /// record order.
     edges: Vec<(String, usize, u64, u64, u64, u64)>,
@@ -129,8 +135,14 @@ fn run(cfg: RunConfig, workers: Option<usize>, placement: Placement) -> Vec<Rank
         sim.initialize(Some(&comm));
         let launches_at_init = hydro_launches(&rec);
         let mut digests = Vec::new();
+        let mut step_counters = std::collections::BTreeMap::new();
         for _ in 0..cfg.steps {
+            let before = rec.counters();
             sim.step(Some(&comm));
+            for (name, v) in rec.counters() {
+                let added = v - before.get(&name).copied().unwrap_or(0);
+                *step_counters.entry(name).or_insert(0) += added;
+            }
             digests.push(sim.state_field_digest());
         }
         let hydro_launches = hydro_launches(&rec) - launches_at_init;
@@ -144,7 +156,7 @@ fn run(cfg: RunConfig, workers: Option<usize>, placement: Placement) -> Vec<Rank
             .into_iter()
             .map(|e| (e.name.to_string(), e.peer, e.tag, e.occurrence, e.bytes, e.cost.to_bits()))
             .collect();
-        RankTrace { digests, device, hydro_launches, counters, edges }
+        RankTrace { digests, device, hydro_launches, counters, step_counters, edges }
     });
     let mut out: Vec<_> = results.into_iter().map(|r| (r.rank, r.value)).collect();
     out.sort_by_key(|(rank, _)| *rank);
@@ -301,6 +313,40 @@ fn hydro_launches_scale_with_levels_not_patches() {
             t.hydro_launches,
             MANY_PATCHES.steps
         );
+    }
+}
+
+/// The absolute data-movement gate, beside the hydro one: the launches
+/// that move halo data are bounded by the fills and syncs a step
+/// executes and by the messages it exchanges — never by the number of
+/// patches or overlaps. Checked at two patch sizes over steps that do
+/// not regrid (the regrid solution transfer still launches per
+/// overlap).
+#[test]
+fn data_movement_launches_scale_with_fills_not_patches() {
+    for patch in [8, 16] {
+        let cfg = RunConfig { patch, steps: 2, ..MANY_PATCHES };
+        for (rank, t) in run(cfg, None, Placement::Device).iter().enumerate() {
+            let c = |name: &str| t.step_counters.get(name).copied().unwrap_or(0);
+            let launches = |name: &str| c(&format!("device.kernel_launches.{name}"));
+            let (fills, syncs) = (c("amr.refine_fills"), c("amr.coarsen_syncs"));
+            // Kinds 5 and 6: the aggregated fill and sync streams.
+            let sent = c("net.sends.kind5") + c("net.sends.kind6");
+            let received = c("net.recvs.kind5") + c("net.recvs.kind6");
+            let what = format!("patch {patch} rank {rank}");
+            assert!(fills > 0 && syncs > 0 && sent > 0, "{what}: nothing exchanged");
+            assert_eq!(launches("pack"), sent, "{what}: one pack per message sent");
+            assert_eq!(launches("unpack"), received, "{what}: one unpack per message received");
+            // Per fill: the same-level copies and the scratch capture;
+            // per sync: the local applies.
+            assert!(launches("copy-region") <= 2 * fills + syncs, "{what}: copy-region");
+            assert!(launches("extend-uncovered") <= fills, "{what}: extend-uncovered");
+            // One launch per operator: at most the cell and the node or
+            // side operator per fill, the three coarsen operators per
+            // sync.
+            assert!(launches("refine-interp") <= 2 * fills, "{what}: refine-interp");
+            assert!(launches("coarsen-project") <= 3 * syncs, "{what}: coarsen-project");
+        }
     }
 }
 

@@ -134,28 +134,90 @@ fn device_distributed_matches_host_distributed() {
     assert!(host_digests == FROZEN, "digests left the frozen reference: {host_digests:x?}");
 }
 
+/// What one step of one rank moved across PCIe and the network.
+struct StepTraffic {
+    d2h: (u64, u64),
+    h2d: (u64, u64),
+    /// Point-to-point messages sent and received (fill and sync
+    /// streams; the regrid transfer on a regrid step).
+    messages: (u64, u64),
+    packed: (u64, u64),
+    /// Levels holding local patches, and the local patches on them, at
+    /// the start of the step: one dt download per level, one minimum
+    /// per patch.
+    dt: (u64, u64),
+}
+
 #[test]
 fn distributed_device_build_is_resident() {
+    use rbamr::telemetry::Recorder;
+    const STEPS: usize = 7;
     let cluster = Cluster::new(Machine::ipa_gpu());
-    let results = cluster.run(2, |comm| {
+    let results = cluster.run(2, |mut comm| {
+        let rec = Recorder::new(comm.rank(), comm.clock().clone());
+        comm.set_recorder(rec.clone());
         let mut sim =
-            sod(Placement::Device, 32, 1, 16, comm.rank(), comm.size(), comm.clock().clone());
+            sod(Placement::Device, 32, 2, 16, comm.rank(), comm.size(), comm.clock().clone());
+        sim.set_recorder(rec.clone());
         sim.initialize(Some(&comm));
-        sim.step(Some(&comm)); // warm-up (no regrid at interval 4)
         let device = sim.device().unwrap().clone();
-        device.reset_transfer_stats();
-        sim.step(Some(&comm));
-        let stats = device.stats();
-        // Packed halos cross PCIe in both directions; the dt scalar
-        // comes back. No full arrays: with 16^2-cell patches, a full
-        // 23-field array image would be ~750 kB.
-        (stats.d2h_bytes, stats.h2d_bytes)
+        let observe = || {
+            let s = device.stats();
+            let c = |name| rec.counter(name);
+            [
+                (s.d2h_transfers, s.d2h_bytes),
+                (s.h2d_transfers, s.h2d_bytes),
+                (c("net.sends"), c("net.recvs")),
+                (c("pack.bytes"), c("unpack.bytes")),
+            ]
+        };
+        let mut steps = Vec::new();
+        for _ in 0..STEPS {
+            let locals: Vec<u64> = (0..sim.hierarchy().num_levels())
+                .map(|l| sim.hierarchy().level(l).local().len() as u64)
+                .filter(|&n| n > 0)
+                .collect();
+            let before = observe();
+            sim.step(Some(&comm));
+            let [d2h, h2d, messages, packed] = {
+                let after = observe();
+                [0, 1, 2, 3].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1))
+            };
+            let dt = (locals.len() as u64, locals.iter().sum());
+            steps.push(StepTraffic { d2h, h2d, messages, packed, dt });
+        }
+        steps
     });
     for r in &results {
-        let (d2h, h2d) = r.value;
-        assert!(d2h > 8, "halos must cross PCIe");
-        assert!(d2h < 200_000, "D2H too large for packed halos: {d2h}");
-        assert!(h2d > 0 && h2d < 200_000, "H2D too large: {h2d}");
+        for (i, t) in r.value.iter().enumerate() {
+            let what = format!("rank {} step {}", r.rank, i + 1);
+            assert!(t.messages.0 > 0 && t.packed.0 > 0, "{what}: halos must cross PCIe");
+            // The regrid at the end of every fourth step moves tag
+            // bitmaps and packs its solution transfer per overlap: only
+            // bounded. No full arrays: with 16^2-cell patches, a full
+            // 23-field array image would be ~750 kB.
+            if (i + 1).is_multiple_of(4) {
+                assert!(t.d2h.1 < 200_000, "{what}: D2H too large for packed halos: {:?}", t.d2h);
+                assert!(t.h2d.1 < 200_000, "{what}: H2D too large: {:?}", t.h2d);
+                continue;
+            }
+            // Otherwise the residency claim is an equality. Out: one
+            // transfer per message sent, carrying exactly the packed
+            // bytes, and per level one download of the patches' dt
+            // minima (8 B each).
+            assert_eq!(t.d2h, (t.messages.0 + t.dt.0, t.packed.0 + 8 * t.dt.1), "{what}: D2H");
+            // In: one transfer per message received, carrying exactly
+            // the bytes unpacked — plus, on the two steps after the
+            // schedules are (re)built (the sweep directions alternate,
+            // so it takes two steps to execute every schedule once),
+            // their descriptor tables.
+            if i % 4 < 2 {
+                assert!(t.h2d.0 > t.messages.1 && t.h2d.1 > t.packed.1, "{what}: tables upload");
+                assert!(t.h2d.1 < 200_000, "{what}: H2D too large: {:?}", t.h2d);
+            } else {
+                assert_eq!(t.h2d, (t.messages.1, t.packed.1), "{what}: H2D");
+            }
+        }
     }
 }
 
