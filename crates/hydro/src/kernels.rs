@@ -1329,4 +1329,348 @@ mod tests {
         assert!((s.pressure - 1.0).abs() < 1e-14);
         assert!((s.total_energy() - 7.0).abs() < 1e-14);
     }
+
+    // ----------------------------------------------------------------
+    // Frozen bits: every kernel against constants recorded from the
+    // per-tap (`View::at` / `at_c`) bodies, so a rewrite of a body that
+    // moves one bit of one element fails here by kernel and region.
+    // ----------------------------------------------------------------
+
+    /// splitmix64 — the test's own generator, so the frozen constants
+    /// depend on nothing outside this file.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A `dbox`-shaped field of seeded values in `[lo, hi)`.
+    fn field(seed: u64, dbox: GBox, lo: f64, hi: f64) -> Vec<f64> {
+        let mut state = seed;
+        (0..dbox.num_cells())
+            .map(|_| lo + (hi - lo) * ((splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64))
+            .collect()
+    }
+
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.into_iter().flat_map(u64::to_le_bytes) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Hash of a whole output array over `obox` after `run` wrote its
+    /// region into it: the sentinel cells pin "nothing outside the
+    /// region is written" along with the region's bits.
+    fn hashed(obox: GBox, run: impl FnOnce(&mut [f64])) -> u64 {
+        let mut out = vec![-7.25; obox.num_cells() as usize];
+        run(&mut out);
+        fnv1a(out.iter().map(|v| v.to_bits()))
+    }
+
+    /// Recorded from the per-tap bodies at commit `dd40b5e` (identical
+    /// in the dev and release profiles). One row per kernel variant;
+    /// the columns are the regions of [`frozen_regions`].
+    const FROZEN_BITS: &str = "\
+ideal_gas_pressure 374e276cc99c2bbd e9ed443abf1d0463 9976258fbec80aac 88fde51225c5717a f953166a5968ed76 3fb33670865a833a
+ideal_gas_soundspeed 8fcb9941e6f49116 29f6a7f5be924dc6 9e398a518d247aee 0a3a6dc9f899c454 1e5b31fd531e863f ae56d2c793c2194d
+viscosity 7b483882343555f1 65945da5562cf787 04659e23f5c0baa5 7f31cb256172a220 b08f9a23ce8ae465 7c3e4519ad29d8ad
+calc_dt de8670ded35451fc c16d405e03fa0d95 f06bd27811205a43 9997122af5c84ee4 5983d0713c6d5355 c60530de39521944
+pdv_energy 0ffedd55864030bd bca6aa30f50a947b 524d826cc77eabdc bcfd452fa74908f5 6ba91aaab4008ece 459b52ad54cd649b
+pdv_density eb650d5d565a4bb8 4a76621edfb2ba58 d4188c36caa6b18b 367e11b378850305 0e84be73b2b96593 e5d7b091567382fd
+copy_field 29979dba7c220465 15a3cc72f3552e10 08c1eb97813ad6bd b2f02a9a4053c321 577f41444fd0df14 a12f8c909bdffec6
+mom_node_mass_post 8abed42a4f01cf51 bb046c17ab7059e0 6c7451cc53e1d6f1 c53362cb01404f19 7d052ac6df0e1c11 eb9f737ec78c89ac
+flag_cells 41e5973cebefc4c4 92ad82a33462ff04 d3de3841c29d9844 a875fae9a5ebdaa4 8b15ac4251670164 b8650f06a846baa4
+field_summary ac68da0b408f2fb0 4b00f8c96d1d671a 1d77ed7f34b93656 4d0833ededd0e406 e2df5a95d8367846 a790b684722a7f18
+accelerate/0 f5401007ed4b0eae aeccd4ea0a50af3c fa1d31de45925500 5195c751d94e5e3a 667b2edb8c55ca1e 596f39263d756ba7
+flux_calc/0 5c5474813ad45090 7d160408c1ffd9e1 f1d0180beaeba86d 151527a9ffa1e751 80ac1b006d5e9471 e79e9dd38a291403
+advec_pre_vol/0/1 f769014244654d46 a61498c926a2ab00 d01ce333ea86c5d6 3735960ce1f4ac4c a07838ccc381e7cf a9e76bd8c74ce874
+advec_post_vol/0/1 7f412cc501267700 757ea6b4d105bfd2 2752a115c7b7a124 04ec9a1c066d61c0 0b5dfb52f6c81061 75540b450ecbc3d8
+advec_pre_vol/0/2 50d98c578b207014 b5166e9f81be0c0d 9056d429ba519150 82a8d369ff76d83f eeb96beaf0e0bc20 00aadd1ceccb01e2
+advec_post_vol/0/2 472de51f63f3c61f f081278c537e315f 9816177b0010e7df 9a6292e75b53dfdf fdc5804822fa25bf d95f113c77506bbf
+advec_mass_flux/0 5fb9961fd76b16e3 c5e25ef813cda554 3a8927140e596274 262621ea6a183329 a5c8f062f3149619 f5b80bec93b5d604
+advec_ener_flux/0 4a9f233454b10903 d63dfdc1b8e86f59 e97265bf04f28848 fc45e7deba6beec6 369e4eb4e657d24b 4ef26871a6cbdcc6
+advec_cell_energy/0 a90972d1faa1d2b8 c4af89b6fba128e6 65f4fb7d8e1da12f 742c2a97227564fa 40b878517b6311c2 bb6716871907e9b0
+advec_cell_density/0 5f3ba3127825767c c1e8c4a81acb2d61 a85918555e549abe a0b87a3cf4c80236 62282ec6c2764f47 38a8cc6b305378c6
+mom_node_flux/0 e6d329c6325ff122 faed4d40db0e86a7 0be89036e6c24539 cb31f4e884e8851d 682668710a7dbf66 a91a853250610463
+mom_node_mass_pre/0 3a2fc683c040062c a2e0e616ac9ca7b4 92cb2e71c331beb5 fe42154eb4ad9467 f0dfabe38ce2de92 e3cce26802c8c9ec
+mom_flux/0 238fff2df9a8a1fa 3ab33b5370dc7783 8bf4dd013468c6e5 647fe5879773a128 53f843eb4d1e65ee f882b71f78537e03
+mom_vel_update/0 e65cf0488554dae7 9c1e2ad4d4cd1d25 9bd691a2ec375f69 86a12d365e7e4b1f 6cd1933b47bebcf9 4ceb21fe6be502cf
+accelerate/1 e63eab4730a7df0c b92f0439e5453dd7 ee752440ea0ec09a 581187022f7d0edf 859dbd34e43d553a f4f999f36149d47d
+flux_calc/1 09aeaabe848a1ee3 9fbe2412782bcc96 af76de8d63b083c2 09a2f33fb922e0de 04d19903da9adbdb d81a257e6693adaf
+advec_pre_vol/1/1 f769014244654d46 a61498c926a2ab00 d01ce333ea86c5d6 3735960ce1f4ac4c a07838ccc381e7cf a9e76bd8c74ce874
+advec_post_vol/1/1 50d98c578b207014 b5166e9f81be0c0d 9056d429ba519150 82a8d369ff76d83f eeb96beaf0e0bc20 00aadd1ceccb01e2
+advec_pre_vol/1/2 7f412cc501267700 757ea6b4d105bfd2 2752a115c7b7a124 04ec9a1c066d61c0 0b5dfb52f6c81061 75540b450ecbc3d8
+advec_post_vol/1/2 472de51f63f3c61f f081278c537e315f 9816177b0010e7df 9a6292e75b53dfdf fdc5804822fa25bf d95f113c77506bbf
+advec_mass_flux/1 5a191b4190fedece 111c83e9820125bf c4e1f2a8f719a05a cb0aaedb8483f6f8 12b2415e9e3ad98b e4876913736d76cb
+advec_ener_flux/1 bb9136ab408ec685 e3e8ff8184083113 107ed0d82c5e9998 c69451e6f94d3b5e 3312eeea066a0be5 1822b553576fda16
+advec_cell_energy/1 d2e6645351b3b2d8 0e39c42702916d8c 224a5111240c8c2d cba6880453ce1874 5c7206164a2bb268 94088b52dd83552a
+advec_cell_density/1 ef9de25818a7d44e 69c0a9cc1baca06a 2cc3089b2a4977fc d3aa239fa7783ecd 49221c53ba527823 0ae107a15561ce35
+mom_node_flux/1 6637b63f82f18dc3 f274566e9a7efde6 aff7eb0de7abd22f d63601a702ab2e68 c7276441311a97b9 fae3b9f59e0f546a
+mom_node_mass_pre/1 bc055a0a38a18617 5af652a7a2b206d4 53ac8468282a748c 3843a2f4ea09edde 5634ff639942de23 8cd1ed8a4bd1ff8d
+mom_flux/1 87553fd2454f5373 f3faf92030a019c6 32582b1f21c993f1 3e8e5aead09fd57b 258a71af6f4482a8 cc27b81f65d7550e
+mom_vel_update/1 20facf011fd795de 5c11f3593624da6a db018404a2c3ceae b2b7e47d242adc1f 7c3276085007794d f92e7d52d40e63f7";
+
+    /// The regions a variant runs on: its nominal region, the largest
+    /// region its unclamped taps allow (flush with the data-box edge
+    /// wherever a tap is clamped, so every clamp fires), and that
+    /// region's first/last column and first/last row — the 1-wide
+    /// frames the boundary pass hands the kernels.
+    fn frozen_regions(nominal: GBox, flush: GBox) -> [GBox; 6] {
+        let (lo, hi) = (flush.lo, flush.hi);
+        [
+            nominal,
+            flush,
+            GBox::from_coords(lo.x, lo.y, lo.x + 1, hi.y),
+            GBox::from_coords(hi.x - 1, lo.y, hi.x, hi.y),
+            GBox::from_coords(lo.x, lo.y, hi.x, lo.y + 1),
+            GBox::from_coords(lo.x, hi.y - 1, hi.x, hi.y),
+        ]
+    }
+
+    #[test]
+    fn every_kernel_matches_its_frozen_bits() {
+        use rbamr_geometry::Centring;
+        const DX: (f64, f64) = (0.05, 0.04);
+        // A non-square patch with two ghosts; node and side boxes
+        // derived from it as the variable registry derives them.
+        let cells = b(0, 0, 37, 23);
+        let grown = cells.grow(IntVector::ONE);
+        let cbox = cells.grow(IntVector::uniform(2));
+        let nbox = Centring::Node.data_box(cbox);
+        let sbox = [Centring::Side(0).data_box(cbox), Centring::Side(1).data_box(cbox)];
+        let nodes = Centring::Node.data_box(cells);
+        let nodes_grown = Centring::Node.data_box(grown);
+
+        // Positive cell fields (densities, energies, volumes …), one
+        // density with vacuum cells, signed cell fields, node and side
+        // fields of both signs so every donor/limiter arm is taken.
+        let pos_c: Vec<Vec<f64>> = (0..8).map(|k| field(100 + k, cbox, 0.2, 2.0)).collect();
+        let mut vacuum = field(120, cbox, 0.2, 2.0);
+        vacuum.iter_mut().step_by(13).for_each(|v| *v = 0.0);
+        let sgn_c: Vec<Vec<f64>> = (0..2).map(|k| field(140 + k, cbox, -1.0, 1.0)).collect();
+        let pos_n: Vec<Vec<f64>> = (0..2).map(|k| field(200 + k, nbox, 0.2, 2.0)).collect();
+        let sgn_n: Vec<Vec<f64>> = (0..6).map(|k| field(220 + k, nbox, -1.0, 1.0)).collect();
+        let sgn_s: Vec<Vec<Vec<f64>>> = (0..2u64)
+            .map(|a| (0..2).map(|k| field(300 + 10 * a + k, sbox[a as usize], -0.3, 0.3)).collect())
+            .collect();
+        let c = |k: usize| View::new(&pos_c[k], cbox);
+        let cs = |k: usize| View::new(&sgn_c[k], cbox);
+        let n = |k: usize| View::new(&pos_n[k], nbox);
+        let ns = |k: usize| View::new(&sgn_n[k], nbox);
+        let s = |a: usize, k: usize| View::new(&sgn_s[a][k], sbox[a]);
+
+        type Run<'a> = Box<dyn Fn(GBox) -> u64 + 'a>;
+        let mut variants: Vec<(String, GBox, GBox, Run)> = vec![
+            (
+                "ideal_gas_pressure".into(),
+                grown,
+                cbox,
+                Box::new(|r| hashed(cbox, |o| ideal_gas_pressure(o, cbox, c(0), c(1), r, 1.4))),
+            ),
+            (
+                "ideal_gas_soundspeed".into(),
+                grown,
+                cbox,
+                Box::new(|r| {
+                    let rho = View::new(&vacuum, cbox);
+                    hashed(cbox, |o| ideal_gas_soundspeed(o, cbox, cs(0), rho, r, 1.4))
+                }),
+            ),
+            (
+                "viscosity".into(),
+                grown,
+                cbox,
+                Box::new(|r| hashed(cbox, |o| viscosity(o, cbox, c(0), c(1), ns(0), ns(1), r, DX))),
+            ),
+            (
+                "calc_dt".into(),
+                cells,
+                cbox,
+                // A minimum hides all but one element: pin the region's
+                // value and every cell's own.
+                Box::new(|r| {
+                    let rho = View::new(&vacuum, cbox);
+                    let dt = |r| calc_dt(rho, c(1), c(2), c(3), ns(0), ns(1), r, DX, 0.7);
+                    let cell = |p: IntVector| dt(GBox::new(p, p + IntVector::ONE));
+                    fnv1a(std::iter::once(dt(r)).chain(r.iter().map(cell)).map(f64::to_bits))
+                }),
+            ),
+            (
+                "pdv_energy".into(),
+                grown,
+                cbox,
+                Box::new(|r| {
+                    hashed(cbox, |o| {
+                        let (u0, u1, v0, v1) = (ns(0), ns(1), ns(2), ns(3));
+                        pdv_energy(o, cbox, c(0), c(1), c(2), c(3), u0, u1, v0, v1, r, 0.01, DX);
+                    })
+                }),
+            ),
+            (
+                "pdv_density".into(),
+                grown,
+                cbox,
+                Box::new(|r| {
+                    hashed(cbox, |o| {
+                        pdv_density(o, cbox, c(0), ns(0), ns(1), ns(2), ns(3), r, 0.01, DX);
+                    })
+                }),
+            ),
+            (
+                "copy_field".into(),
+                grown,
+                cbox,
+                Box::new(|r| hashed(cbox, |o| copy_field(o, cbox, cs(0), r))),
+            ),
+            (
+                "mom_node_mass_post".into(),
+                nodes_grown,
+                nbox,
+                Box::new(|r| hashed(nbox, |o| mom_node_mass_post(o, nbox, c(0), c(1), r))),
+            ),
+            (
+                "flag_cells".into(),
+                cells,
+                cbox,
+                Box::new(|r| {
+                    let mut tags = vec![-1i32; r.num_cells() as usize];
+                    flag_cells(&mut tags, c(0), c(1), r, 0.9, 1.1);
+                    fnv1a(tags.iter().map(|&t| u64::from(t as u32)))
+                }),
+            ),
+            (
+                "field_summary".into(),
+                cells,
+                cbox,
+                Box::new(|r| {
+                    let t = field_summary(c(0), c(1), c(2), ns(0), ns(1), r, DX);
+                    let sums = [t.volume, t.mass, t.internal_energy, t.kinetic_energy, t.pressure];
+                    fnv1a(sums.map(f64::to_bits))
+                }),
+            ),
+        ];
+        for (a, &sb) in sbox.iter().enumerate() {
+            // Unclamped cell taps at `x - 1` / `y - 1`: one node layer
+            // inside the cell data box.
+            let acc = b(cbox.lo.x + 1, cbox.lo.y + 1, cbox.hi.x, cbox.hi.y);
+            variants.push((
+                format!("accelerate/{a}"),
+                nodes,
+                acc,
+                Box::new(move |r| {
+                    hashed(nbox, |o| accelerate(o, nbox, ns(0), c(0), c(1), c(2), r, 0.01, DX, a))
+                }),
+            ));
+            variants.push((
+                format!("flux_calc/{a}"),
+                Centring::Side(a).data_box(grown),
+                sb,
+                Box::new(move |r| hashed(sb, |o| flux_calc(o, sb, ns(0), ns(1), r, 0.01, DX, a))),
+            ));
+            for sweep in 1..=2usize {
+                variants.push((
+                    format!("advec_pre_vol/{a}/{sweep}"),
+                    grown,
+                    cbox,
+                    Box::new(move |r| {
+                        hashed(cbox, |o| advec_pre_vol(o, cbox, s(0, 0), s(1, 0), r, a, sweep, DX))
+                    }),
+                ));
+                variants.push((
+                    format!("advec_post_vol/{a}/{sweep}"),
+                    grown,
+                    cbox,
+                    Box::new(move |r| {
+                        hashed(cbox, |o| advec_post_vol(o, cbox, s(0, 0), s(1, 0), r, a, sweep, DX))
+                    }),
+                ));
+            }
+            variants.push((
+                format!("advec_mass_flux/{a}"),
+                Centring::Side(a).data_box(cells),
+                sb,
+                Box::new(move |r| {
+                    hashed(sb, |o| advec_mass_flux(o, sb, s(a, 0), c(0), c(1), r, a))
+                }),
+            ));
+            // The `mass_weighted` arm of `van_leer_face`.
+            variants.push((
+                format!("advec_ener_flux/{a}"),
+                grown,
+                cbox,
+                Box::new(move |r| {
+                    hashed(cbox, |o| advec_ener_flux(o, cbox, s(a, 1), c(0), c(1), c(2), r, a))
+                }),
+            ));
+            variants.push((
+                format!("advec_cell_energy/{a}"),
+                cells,
+                cbox,
+                Box::new(move |r| {
+                    hashed(cbox, |o| {
+                        advec_cell_energy(o, cbox, c(0), c(1), c(2), s(a, 1), cs(0), r, a);
+                    })
+                }),
+            ));
+            variants.push((
+                format!("advec_cell_density/{a}"),
+                cells,
+                cbox,
+                Box::new(move |r| {
+                    hashed(cbox, |o| {
+                        advec_cell_density(o, cbox, c(0), c(1), s(a, 1), s(a, 0), r, a);
+                    })
+                }),
+            ));
+            variants.push((
+                format!("mom_node_flux/{a}"),
+                nodes_grown,
+                nbox,
+                Box::new(move |r| hashed(nbox, |o| mom_node_flux(o, nbox, s(a, 1), r, a))),
+            ));
+            variants.push((
+                format!("mom_node_mass_pre/{a}"),
+                nodes_grown,
+                nbox,
+                Box::new(move |r| hashed(nbox, |o| mom_node_mass_pre(o, nbox, n(0), ns(0), r, a))),
+            ));
+            variants.push((
+                format!("mom_flux/{a}"),
+                nodes_grown,
+                nbox,
+                Box::new(move |r| hashed(nbox, |o| mom_flux(o, nbox, ns(1), ns(0), n(0), r, a))),
+            ));
+            variants.push((
+                format!("mom_vel_update/{a}"),
+                nodes,
+                nbox,
+                Box::new(move |r| {
+                    hashed(nbox, |o| mom_vel_update(o, nbox, ns(1), ns(2), n(0), n(1), r, a))
+                }),
+            ));
+        }
+
+        let computed: Vec<String> = variants
+            .iter()
+            .map(|(name, nominal, flush, run)| {
+                let hashes = frozen_regions(*nominal, *flush).map(|r| format!("{:016x}", run(r)));
+                format!("{name} {}", hashes.join(" "))
+            })
+            .collect();
+        let frozen: Vec<&str> = FROZEN_BITS.lines().collect();
+        let moved: Vec<&String> =
+            computed.iter().filter(|row| !frozen.contains(&row.as_str())).collect();
+        assert!(
+            moved.is_empty() && computed.len() == frozen.len(),
+            "{} of {} kernel variants left their frozen bits (name, then nominal / flush / \
+             first column / last column / first row / last row):\n{}",
+            moved.len(),
+            computed.len(),
+            moved.iter().map(|r| r.as_str()).collect::<Vec<_>>().join("\n")
+        );
+    }
 }
