@@ -87,21 +87,18 @@ impl Patch {
 
     /// Mutable access to many distinct variables at once — the shape a
     /// hydro kernel needs (several outputs, several inputs). Returned
-    /// in `vars` order.
+    /// in `vars` order; nothing is allocated.
     ///
     /// # Panics
-    /// Panics if `vars` contains duplicates.
-    pub fn data_many_mut(&mut self, vars: &[VariableId]) -> Vec<&mut dyn PatchData> {
-        let mut slots: Vec<Option<&mut Box<dyn PatchData>>> =
-            self.data.iter_mut().map(Some).collect();
-        vars.iter()
-            .map(|v| {
-                slots[v.0]
-                    .take()
-                    .unwrap_or_else(|| panic!("data_many_mut: variable {v:?} requested twice"))
-                    .as_mut()
-            })
-            .collect()
+    /// Panics if `vars` contains duplicates or an unregistered variable.
+    pub fn data_many_mut<const N: usize>(
+        &mut self,
+        vars: [VariableId; N],
+    ) -> [&mut dyn PatchData; N] {
+        self.data
+            .get_disjoint_mut(vars.map(|v| v.0))
+            .unwrap_or_else(|e| panic!("data_many_mut: {e} in {vars:?}"))
+            .map(|d| -> &mut dyn PatchData { d.as_mut() })
     }
 
     /// Typed host-data access.

@@ -204,14 +204,21 @@ pub fn interior_core(cell_box: GBox, margin: i64) -> GBox {
 
 /// Split a kernel's nominal `region` against an interior `core` data
 /// box: the part inside the core (computable while halo exchange is in
-/// flight) and the boundary frame boxes covering the rest exactly once.
-pub fn split_region(region: GBox, core: GBox) -> (GBox, Vec<GBox>) {
+/// flight) and the boundary frames covering the rest exactly once, in
+/// `GBox::subtract_into`'s order without its `Vec` — bottom and top
+/// strips of the full width, then the left and right strips between
+/// them; a strip the core leaves no room for is empty.
+pub fn split_region(region: GBox, core: GBox) -> (GBox, [GBox; 4]) {
     let inner = region.intersect(core);
     if inner.is_empty() {
-        return (GBox::from_coords(0, 0, 0, 0), vec![region]);
+        return (GBox::EMPTY, [region, GBox::EMPTY, GBox::EMPTY, GBox::EMPTY]);
     }
-    let mut frames = Vec::new();
-    region.subtract_into(inner, &mut frames);
+    let frames = [
+        GBox::from_coords(region.lo.x, region.lo.y, region.hi.x, inner.lo.y),
+        GBox::from_coords(region.lo.x, inner.hi.y, region.hi.x, region.hi.y),
+        GBox::from_coords(region.lo.x, inner.lo.y, inner.lo.x, inner.hi.y),
+        GBox::from_coords(inner.hi.x, inner.lo.y, region.hi.x, inner.hi.y),
+    ];
     (inner, frames)
 }
 
@@ -275,6 +282,6 @@ mod tests {
         let region = b(0, 0, 8, 8);
         let (inner, frames) = split_region(region, interior_core(b(0, 0, 8, 8), 6));
         assert!(inner.is_empty());
-        assert_eq!(frames, vec![region]);
+        assert_eq!(frames, [region, GBox::EMPTY, GBox::EMPTY, GBox::EMPTY]);
     }
 }

@@ -230,36 +230,29 @@ fn margin(ordinal: u32) -> i64 {
 }
 
 /// The region boxes kernel `ordinal` computes on `pass` for one patch,
-/// given its nominal (single-pass) region. Union over passes covers the
-/// nominal region exactly once.
+/// given its nominal (single-pass) region: at most four, the unused
+/// slots empty. Union over passes covers the nominal region exactly
+/// once.
 fn pass_regions(
     pass: Pass,
     ordinal: u32,
     cell_box: GBox,
     centring: Centring,
     nominal: GBox,
-) -> Vec<GBox> {
-    if nominal.is_empty() {
-        return Vec::new();
+) -> [GBox; 4] {
+    let only = |region: GBox| [region, GBox::EMPTY, GBox::EMPTY, GBox::EMPTY];
+    if pass == Pass::Full || nominal.is_empty() {
+        return only(nominal);
     }
-    match pass {
-        Pass::Full => vec![nominal],
-        Pass::Interior | Pass::Boundary => {
-            let core = interior_core(cell_box, margin(ordinal));
-            if core.is_empty() {
-                return if pass == Pass::Boundary { vec![nominal] } else { Vec::new() };
-            }
-            let (inner, frames) = split_region(nominal, centring.data_box(core));
-            if pass == Pass::Interior {
-                if inner.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![inner]
-                }
-            } else {
-                frames.into_iter().filter(|b| !b.is_empty()).collect()
-            }
-        }
+    let core = interior_core(cell_box, margin(ordinal));
+    if core.is_empty() {
+        return only(if pass == Pass::Boundary { nominal } else { GBox::EMPTY });
+    }
+    let (inner, frames) = split_region(nominal, centring.data_box(core));
+    if pass == Pass::Interior {
+        only(inner)
+    } else {
+        frames
     }
 }
 
@@ -269,7 +262,7 @@ fn regions_for(
     ordinal: u32,
     centring: Centring,
     nominal_of: impl Fn(&Patch) -> GBox,
-) -> Vec<Vec<GBox>> {
+) -> Vec<[GBox; 4]> {
     patches
         .iter()
         .map(|p| pass_regions(pass, ordinal, p.cell_box(), centring, nominal_of(p)))
@@ -306,17 +299,18 @@ fn view<'a>(data: &'a dyn PatchData, kk: Option<&Kernel<'_>>) -> k::View<'a> {
 /// boxes, with `vars[0]` as the output array and the rest as read-only
 /// views. On a device this is a single launch whose body loops the
 /// patches, skipped entirely (no launch, no latency) when every region
-/// is empty; on the host the same loop runs as plain calls.
+/// is empty; on the host the same loop runs as plain calls. Nothing is
+/// allocated per patch.
 #[allow(clippy::too_many_arguments)]
-fn batched_launch(
+fn batched_launch<const N: usize>(
     patches: &mut [Patch],
     ex: Exec<'_>,
     name: &'static str,
     category: Category,
-    vars: &[VariableId],
+    vars: [VariableId; N],
     arrays: u32,
     flops: u32,
-    regions: &[Vec<GBox>],
+    regions: &[[GBox; 4]],
     body: impl Fn(Option<&Kernel<'_>>, usize, &mut [f64], GBox, &[k::View<'_>], GBox),
 ) {
     let total: i64 = regions.iter().flatten().map(|b| b.num_cells()).sum();
@@ -325,19 +319,23 @@ fn batched_launch(
     }
     ex.launch(name, category, KernelShape::streaming(total, arrays, flops), |kk| {
         for (i, p) in patches.iter_mut().enumerate() {
-            if regions[i].is_empty() {
+            if regions[i].iter().all(|r| r.is_empty()) {
                 continue;
             }
             let mut datas = p.data_many_mut(vars);
-            let (out, ins) = datas.split_at_mut(1);
-            let views: Vec<k::View> = ins.iter().map(|d| view(&**d, kk)).collect();
-            let obox = out[0].data_box();
+            let (out, ins) = datas.split_first_mut().expect("a kernel has an output variable");
+            // Slot `j` views `ins[j]`; the last slot is never handed out.
+            let mut views = [k::View::new(&[], GBox::EMPTY); N];
+            for (v, d) in views.iter_mut().zip(ins.iter()) {
+                *v = view(&**d, kk);
+            }
+            let obox = out.data_box();
             let out = match kk {
-                Some(kk) => dev_mut(&mut *out[0]).buffer_mut().as_mut_slice(kk),
-                None => host_mut(&mut *out[0]).as_mut_slice(),
+                Some(kk) => dev_mut(&mut **out).buffer_mut().as_mut_slice(kk),
+                None => host_mut(&mut **out).as_mut_slice(),
             };
             for r in &regions[i] {
-                body(kk, i, out, obox, &views, *r);
+                body(kk, i, out, obox, &views[..N - 1], *r);
             }
         }
     });
@@ -383,7 +381,7 @@ pub(crate) fn ideal_gas(
         ex,
         "ideal-gas-pressure",
         Category::HydroKernel,
-        &[f.pressure, rho, e],
+        [f.pressure, rho, e],
         3,
         3,
         &regs,
@@ -395,7 +393,7 @@ pub(crate) fn ideal_gas(
         ex,
         "ideal-gas-soundspeed",
         Category::HydroKernel,
-        &[f.soundspeed, f.pressure, rho],
+        [f.soundspeed, f.pressure, rho],
         3,
         5,
         &regs,
@@ -422,7 +420,7 @@ pub(crate) fn viscosity(
         ex,
         "viscosity",
         Category::HydroKernel,
-        &[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0],
+        [f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0],
         5,
         15,
         &regs,
@@ -469,9 +467,10 @@ pub(crate) fn calc_dt(
     let total: i64 = patches.iter().map(|p| p.cell_box().num_cells()).sum();
     ex.launch("calc-dt", Category::Timestep, KernelShape::streaming(total, 6, 20), |kk| {
         for (i, p) in patches.iter().enumerate() {
+            // `v[1]`, the pressure, is charged and round-tripped but not read.
             let v = vars.map(|var| view(p.data(var), kk));
             result.as_mut_slice(kk)[i] =
-                k::calc_dt(v[0], v[1], v[2], v[3], v[4], v[5], p.cell_box(), dx, cfl);
+                k::calc_dt(v[0], v[2], v[3], v[4], v[5], p.cell_box(), dx, cfl);
         }
     });
     ex.charge_host(patches, Category::Timestep, |p| p.cell_box().num_cells(), 6, 20);
@@ -516,7 +515,7 @@ pub(crate) fn revert(patches: &mut [Patch], f: &Fields, ex: Exec<'_>) {
             ex,
             "copy-field",
             Category::HydroKernel,
-            &[dst, src],
+            [dst, src],
             2,
             0,
             &regs,
@@ -542,7 +541,7 @@ pub(crate) fn accelerate(patches: &mut [Patch], f: &Fields, ex: Exec<'_>, dx: (f
             ex,
             "accelerate",
             Category::HydroKernel,
-            &[v1, v0, f.density0, f.pressure, f.viscosity],
+            [v1, v0, f.density0, f.pressure, f.viscosity],
             5,
             20,
             &regs,
@@ -589,7 +588,7 @@ pub(crate) fn pdv(
         ex,
         "pdv-energy",
         Category::HydroKernel,
-        &[
+        [
             f.energy1,
             f.energy0,
             f.density0,
@@ -613,7 +612,7 @@ pub(crate) fn pdv(
         ex,
         "pdv-density",
         Category::HydroKernel,
-        &[f.density1, f.density0, f.xvel0, f.xvel1, f.yvel0, f.yvel1],
+        [f.density1, f.density0, f.xvel0, f.xvel1, f.yvel0, f.yvel1],
         6,
         25,
         &regs,
@@ -651,7 +650,7 @@ pub(crate) fn flux_calc(
             ex,
             "flux-calc",
             Category::HydroKernel,
-            &[flux, v0, v1],
+            [flux, v0, v1],
             3,
             6,
             &regs,
@@ -711,7 +710,7 @@ pub(crate) fn advec_cell(
         ex,
         "advec-pre-vol",
         Category::HydroKernel,
-        &[f.pre_vol, f.vol_flux_x, f.vol_flux_y],
+        [f.pre_vol, f.vol_flux_x, f.vol_flux_y],
         3,
         6,
         &regs,
@@ -723,7 +722,7 @@ pub(crate) fn advec_cell(
         ex,
         "advec-post-vol",
         Category::HydroKernel,
-        &[f.post_vol, f.vol_flux_x, f.vol_flux_y],
+        [f.post_vol, f.vol_flux_x, f.vol_flux_y],
         3,
         6,
         &regs,
@@ -738,7 +737,7 @@ pub(crate) fn advec_cell(
         ex,
         "advec-mass-flux",
         Category::HydroKernel,
-        &[mass_flux, vol_flux, f.density1, f.pre_vol],
+        [mass_flux, vol_flux, f.density1, f.pre_vol],
         4,
         20,
         &regs,
@@ -750,7 +749,7 @@ pub(crate) fn advec_cell(
         ex,
         "advec-ener-flux",
         Category::HydroKernel,
-        &[f.ener_flux, mass_flux, f.energy1, f.density1, f.pre_vol],
+        [f.ener_flux, mass_flux, f.energy1, f.density1, f.pre_vol],
         5,
         20,
         &regs,
@@ -765,7 +764,7 @@ pub(crate) fn advec_cell(
         ex,
         "advec-cell",
         Category::HydroKernel,
-        &[f.energy1, f.pre_vol, mass_flux, f.ener_flux],
+        [f.energy1, f.pre_vol, mass_flux, f.ener_flux],
         6,
         20,
         &regs,
@@ -782,7 +781,7 @@ pub(crate) fn advec_cell(
         ex,
         "advec-ener-update",
         Category::HydroKernel,
-        &[f.density1, f.pre_vol, mass_flux, vol_flux],
+        [f.density1, f.pre_vol, mass_flux, vol_flux],
         5,
         15,
         &regs,
@@ -873,7 +872,7 @@ pub(crate) fn advec_mom(
         ex,
         "mom-node-flux",
         Category::HydroKernel,
-        &[f.node_flux, mass_flux],
+        [f.node_flux, mass_flux],
         2,
         4,
         &regs,
@@ -885,7 +884,7 @@ pub(crate) fn advec_mom(
         ex,
         "mom-node-mass-post",
         Category::HydroKernel,
-        &[f.node_mass_post, f.density1, f.post_vol],
+        [f.node_mass_post, f.density1, f.post_vol],
         3,
         8,
         &regs,
@@ -897,7 +896,7 @@ pub(crate) fn advec_mom(
         ex,
         "mom-node-mass-pre",
         Category::HydroKernel,
-        &[f.node_mass_pre, f.node_mass_post, f.node_flux],
+        [f.node_mass_pre, f.node_mass_post, f.node_flux],
         3,
         2,
         &regs,
@@ -917,7 +916,7 @@ pub(crate) fn advec_mom(
             ex,
             "mom-flux",
             Category::HydroKernel,
-            &[f.mom_flux, vel, f.node_flux, f.node_mass_pre],
+            [f.mom_flux, vel, f.node_flux, f.node_mass_pre],
             4,
             25,
             &regs,
@@ -945,7 +944,7 @@ pub(crate) fn advec_mom(
             ex,
             "mom-vel-update",
             Category::HydroKernel,
-            &[vel, f.mom_flux, f.node_mass_pre, f.node_mass_post],
+            [vel, f.mom_flux, f.node_mass_pre, f.node_mass_post],
             5,
             10,
             &regs,
@@ -988,7 +987,7 @@ pub(crate) fn reset(patches: &mut [Patch], f: &Fields, ex: Exec<'_>) {
             ex,
             "copy-field",
             Category::HydroKernel,
-            &[dst, src],
+            [dst, src],
             2,
             0,
             &regs,
@@ -1119,10 +1118,11 @@ mod tests {
         let cell_box = GBox::from_coords(0, 0, 8, 8);
         let nominal = cell_box.grow(IntVector::uniform(GHOSTS));
         let ord = 9; // deepest margin of the momentum chain
-        assert!(pass_regions(Pass::Interior, ord, cell_box, Centring::Cell, nominal).is_empty());
+        let interior = pass_regions(Pass::Interior, ord, cell_box, Centring::Cell, nominal);
+        assert!(interior.iter().all(|r| r.is_empty()));
         assert_eq!(
             pass_regions(Pass::Boundary, ord, cell_box, Centring::Cell, nominal),
-            vec![nominal]
+            [nominal, GBox::EMPTY, GBox::EMPTY, GBox::EMPTY]
         );
     }
 }
