@@ -1,9 +1,29 @@
 //! Physical-boundary fill strategies.
 
+use crate::level::PatchLevel;
 use crate::patch::Patch;
 use crate::patchdata::PatchData;
 use crate::variable::VariableId;
 use rbamr_geometry::{BoxList, GBox, IntVector};
+use std::any::Any;
+
+/// The out-of-domain ghost cells of one local patch and variable: one
+/// job of a fill's physical-boundary stage.
+#[derive(Debug)]
+pub struct PhysicalPlan {
+    /// Position of the patch in its level's local array.
+    pub pos: usize,
+    /// Global index of the patch (plan digests only).
+    pub dst_idx: usize,
+    /// The variable filled.
+    pub var: VariableId,
+    /// Cell-space region outside the level domain.
+    pub outside: BoxList,
+}
+
+/// What a strategy keeps with a schedule between fills (see
+/// [`PhysicalBoundary::fill_many`]).
+pub type BoundaryKept = Option<Box<dyn Any + Send + Sync>>;
 
 /// Fills the parts of a patch's ghost region that lie outside the
 /// physical domain — case (i) of the paper's three boundary-fill paths
@@ -26,6 +46,27 @@ pub trait PhysicalBoundary: Send + Sync {
         domain_box: GBox,
         time: f64,
     );
+
+    /// The physical-boundary stage of one fill: every plan of the
+    /// schedule, on the local patches of `level`. The default loops
+    /// [`PhysicalBoundary::fill`] in plan order; a strategy for device
+    /// data overrides it with one launch. `kept` starts as `None` and
+    /// lives with the schedule: what depends on the plans alone (index
+    /// lists) can be left there at the first fill and reused.
+    fn fill_many(
+        &self,
+        level: &mut PatchLevel,
+        plans: &[PhysicalPlan],
+        domain_box: GBox,
+        time: f64,
+        kept: &mut BoundaryKept,
+    ) {
+        let _ = kept;
+        for plan in plans {
+            let patch = &mut level.local_mut()[plan.pos];
+            self.fill(patch, plan.var, &plan.outside, domain_box, time);
+        }
+    }
 }
 
 /// Which face of the domain a ghost box hangs off, with outward normal

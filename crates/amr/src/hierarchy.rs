@@ -212,20 +212,21 @@ impl PatchHierarchy {
         }
     }
 
-    /// Install a fully built level (the regridder constructs the new
-    /// level — including its transferred data — while the old one is
-    /// still readable, then swaps it in here).
+    /// Install a fully built level and return the one it replaced, if
+    /// any: the regridder installs the new level first and transfers
+    /// the solution into it from the returned one.
     ///
     /// # Panics
     /// Panics on level-number mismatch or gaps.
-    pub fn install_level(&mut self, l: usize, level: PatchLevel) {
+    pub fn install_level(&mut self, l: usize, level: PatchLevel) -> Option<PatchLevel> {
         assert_eq!(level.level_no(), l, "install_level: level number mismatch");
         assert!(l < self.max_levels, "install_level: exceeds max_levels");
         assert!(l <= self.levels.len(), "install_level: would leave a gap");
         if l == self.levels.len() {
             self.levels.push(level);
+            None
         } else {
-            self.levels[l] = level;
+            Some(std::mem::replace(&mut self.levels[l], level))
         }
     }
 

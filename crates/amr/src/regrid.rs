@@ -12,6 +12,16 @@
 //! planned, its coarsened footprint (grown by the nesting buffer) is
 //! added to the tags that will drive the planning of level `T-1`, so the
 //! new coarser level always covers the new finer one.
+//!
+//! The box calculus stays on the CPU; the solution transfer does not
+//! have a planner or a data path of its own. A rebuilt level is
+//! installed first, and its data arrives through a transfer schedule
+//! (`RefineSchedule::regrid_transfer`) whose sources are the replaced
+//! level (same index space: copies, or one aggregated message per
+//! peer) and the level below (captured into scratch and interpolated
+//! where the old level held nothing) — the stages, batch entry points
+//! and fault contract of a halo fill, one launch per stage whatever the
+//! patch count. The schedule is built, run once and dropped.
 
 use crate::balance::partition_sfc;
 use crate::cluster::{cluster_tags, split_to_max, ClusterParams};
@@ -23,10 +33,10 @@ use crate::partition::{
     view_from_global, BoxRecord, ExchangeError, InterestMargins, MetadataDivergence, MetadataMode,
 };
 use crate::patchdata::PatchDataError;
-use crate::schedule::{regrid_tag, REGRID_COPY, REGRID_SCRATCH};
+use crate::schedule::{RefineSchedule, ScheduleError};
 use crate::tagging::TagBitmap;
 use crate::variable::{VariableId, VariableRegistry};
-use rbamr_geometry::{copy_overlap, BoxIndex, BoxList, BoxOverlap, GBox, IntVector};
+use rbamr_geometry::{BoxList, GBox, IntVector};
 use rbamr_netsim::{Comm, CommError};
 use rbamr_perfmodel::Category;
 use std::sync::Arc;
@@ -157,9 +167,12 @@ impl From<MetadataDivergence> for RegridError {
     }
 }
 
-impl From<PatchDataError> for RegridError {
-    fn from(e: PatchDataError) -> Self {
-        Self::Data(e)
+impl From<ScheduleError> for RegridError {
+    fn from(e: ScheduleError) -> Self {
+        match e {
+            ScheduleError::Comm(c) => Self::Comm(c),
+            ScheduleError::Data(d) => Self::Data(d),
+        }
     }
 }
 
@@ -401,15 +414,12 @@ impl Regridder {
         }
     }
 
-    /// Build the new level `target`, initialise its data (refine from
-    /// the level below, then overwrite from the old level where it
-    /// overlapped), and install it.
-    ///
-    /// Runs through the full transfer pattern even after a fault — a
-    /// failed pack sends a correctly-sized zero placeholder, a failed
-    /// receive skips its unpack — so the level is always installed with
-    /// the agreed structure and every peer's sends/receives complete.
-    /// The first fault is reported at the end.
+    /// Build the new level `target`, install it, and initialise its
+    /// data from the level it replaces and the level below through one
+    /// transfer schedule ([`RefineSchedule::regrid_transfer`]) — built,
+    /// run once and dropped. The transfer runs through after a fault,
+    /// so the level is always installed with the agreed structure and
+    /// every peer's exchange completes; the first fault is returned.
     #[allow(clippy::too_many_arguments)]
     fn rebuild_level(
         &self,
@@ -423,253 +433,40 @@ impl Regridder {
         comm: Option<&Comm>,
         time: f64,
     ) -> Result<(), RegridError> {
-        let mut first_err: Option<RegridError> = None;
         let rank = hierarchy.rank();
         let ratio = hierarchy.ratio_to_coarser(target);
-        let mut new_level = PatchLevel::new(
-            target,
-            ratio,
-            boxes.clone(),
-            owners.clone(),
-            hierarchy.level_domain(target),
-            rank,
-            registry,
-        );
-
-        let old_exists = target <= hierarchy.finest_level();
-        // Old and coarse metadata as held records: the full arrays under
-        // replicated metadata, the owned + ghosted view (refreshed by
-        // the caller to cover every new patch) under partitioned.
-        let old_recs: Vec<BoxRecord> = if old_exists {
-            hierarchy.level(target).records().iter().collect()
-        } else {
-            Vec::new()
-        };
-        let old_boxes: Vec<GBox> = old_recs.iter().map(|&(_, b, _)| b).collect();
-        let coarse_recs: Vec<BoxRecord> = hierarchy.level(target - 1).records().iter().collect();
-        let coarse_boxes: Vec<GBox> = coarse_recs.iter().map(|&(_, b, _)| b).collect();
-
-        // Candidate discovery for the transfer planning, as in the
-        // schedule builds: one index over the coarse records (queried
-        // with each new patch's scratch region) and one over the old
-        // records (queried with each new patch's data box), both
-        // carrying one cell of centring slack. Query positions map back
-        // to global indices through the collected record triples, and
-        // the transfer tags carry the global indices, so both sides of
-        // each send/recv pair name it identically whatever subset of
-        // records each rank holds.
-        let coarse_index = BoxIndex::new(&coarse_boxes, IntVector::ONE);
-        let old_index = BoxIndex::new(&old_boxes, IntVector::ONE);
-        let mut coarse_cand = Vec::new();
-        let mut old_cand = Vec::new();
-        let mut candidate_pairs: u64 = 0;
-
-        for spec in specs {
-            let var = registry.get(spec.var);
-            let centring = var.centring;
-
-            // Phase A: sends of coarse scratch data we own to remote new
-            // patches, and of old-level data we own to remote new patches.
-            for (nidx, (&nb, &nrank)) in boxes.iter().zip(&owners).enumerate() {
-                let fine_fill = centring.data_box(nb);
-                let fine_cover = crate::schedule::cell_cover_pub(fine_fill, centring);
-                let scratch_box = fine_cover.coarsen(ratio).grow(spec.refine_op.stencil_width());
-                let scratch_data_box = centring.data_box(scratch_box);
-
-                coarse_index.query_into(scratch_data_box, &mut coarse_cand);
-                candidate_pairs += coarse_cand.len() as u64;
-                for &cpos in &coarse_cand {
-                    let (cidx, cb, c_rank) = coarse_recs[cpos];
-                    if c_rank != rank || nrank == rank {
-                        continue;
-                    }
-                    let fill = scratch_data_box.intersect(centring.data_box(cb));
-                    if fill.is_empty() {
-                        continue;
-                    }
-                    let ov = BoxOverlap {
-                        dst_boxes: BoxList::from_box(fill),
-                        shift: IntVector::ZERO,
-                        centring,
-                    };
-                    let comm = comm.expect("regrid: remote coarse sources need a Comm");
-                    let coarse = hierarchy.level(target - 1);
-                    let src = coarse.local_by_index(cidx).expect("owner mismatch");
-                    let data = src.data(spec.var);
-                    let payload = match data.try_pack(&ov) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            first_err.get_or_insert(e.into());
-                            bytes::Bytes::from(vec![0u8; data.stream_size(&ov)])
-                        }
-                    };
-                    comm.send(nrank, regrid_tag(REGRID_SCRATCH, spec.var, nidx, cidx), payload);
-                }
-
-                old_index.query_into(fine_fill, &mut old_cand);
-                candidate_pairs += old_cand.len() as u64;
-                for &opos in &old_cand {
-                    let (oidx, ob, o_rank) = old_recs[opos];
-                    if o_rank != rank || nrank == rank {
-                        continue;
-                    }
-                    let ov = copy_overlap(nb, ob, centring);
-                    if ov.is_empty() {
-                        continue;
-                    }
-                    let comm = comm.expect("regrid: remote old data needs a Comm");
-                    let old_level = hierarchy.level(target);
-                    let src = old_level.local_by_index(oidx).expect("owner mismatch");
-                    let data = src.data(spec.var);
-                    let payload = match data.try_pack(&ov) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            first_err.get_or_insert(e.into());
-                            bytes::Bytes::from(vec![0u8; data.stream_size(&ov)])
-                        }
-                    };
-                    comm.send(nrank, regrid_tag(REGRID_COPY, spec.var, nidx, oidx), payload);
-                }
-            }
-
-            // Phase B: initialise locally owned new patches.
-            for (nidx, (&nb, &nrank)) in boxes.iter().zip(&owners).enumerate() {
-                if nrank != rank {
-                    continue;
-                }
-                let fine_fill = centring.data_box(nb);
-                let fine_cover = crate::schedule::cell_cover_pub(fine_fill, centring);
-                let scratch_box = fine_cover.coarsen(ratio).grow(spec.refine_op.stencil_width());
-                let scratch_data_box = centring.data_box(scratch_box);
-
-                let mut scratch = registry.make_one(spec.var, scratch_box);
-                scratch.set_transfer_category(Category::Regrid);
-                let mut covered = BoxList::new();
-                {
-                    let coarse = hierarchy.level(target - 1);
-                    coarse_index.query_into(scratch_data_box, &mut coarse_cand);
-                    candidate_pairs += coarse_cand.len() as u64;
-                    for &cpos in &coarse_cand {
-                        let (cidx, cb, c_rank) = coarse_recs[cpos];
-                        let fill = scratch_data_box.intersect(centring.data_box(cb));
-                        if fill.is_empty() {
-                            continue;
-                        }
-                        covered.add(fill);
-                        let ov = BoxOverlap {
-                            dst_boxes: BoxList::from_box(fill),
-                            shift: IntVector::ZERO,
-                            centring,
-                        };
-                        if c_rank == rank {
-                            let src = coarse.local_by_index(cidx).expect("owner mismatch");
-                            scratch.copy_from(src.data(spec.var), &ov);
-                        } else {
-                            let comm = comm.expect("regrid: remote coarse sources need a Comm");
-                            match comm.try_recv(
-                                c_rank,
-                                regrid_tag(REGRID_SCRATCH, spec.var, nidx, cidx),
-                                Category::Regrid,
-                            ) {
-                                Ok(payload) => {
-                                    if let Err(e) = scratch.try_unpack(&ov, &payload) {
-                                        first_err.get_or_insert(e.into());
-                                    }
-                                }
-                                Err(e) => {
-                                    first_err.get_or_insert(e.into());
-                                }
-                            }
-                        }
-                    }
-                }
-                crate::schedule::extend_scratch_pub(scratch.as_mut(), &covered);
-
-                let pos = new_level
-                    .local()
-                    .iter()
-                    .position(|p| p.id().index == nidx)
-                    .expect("new patch not local");
-                let dst = &mut new_level.local_mut()[pos];
-                let dst_data = dst.data_mut(spec.var);
-                dst_data.set_transfer_category(Category::Regrid);
-                spec.refine_op.refine(
-                    dst_data,
-                    scratch.as_ref(),
-                    &BoxList::from_box(fine_fill),
-                    ratio,
-                );
-
-                // Overwrite with old data wherever the old level had it.
-                old_index.query_into(fine_fill, &mut old_cand);
-                candidate_pairs += old_cand.len() as u64;
-                for &opos in &old_cand {
-                    let (oidx, ob, o_rank) = old_recs[opos];
-                    let ov = copy_overlap(nb, ob, centring);
-                    if ov.is_empty() {
-                        continue;
-                    }
-                    let dst_data = dst.data_mut(spec.var);
-                    if o_rank == rank {
-                        let old_level = hierarchy.level(target);
-                        let src = old_level.local_by_index(oidx).expect("owner mismatch");
-                        dst_data.copy_from(src.data(spec.var), &ov);
-                    } else {
-                        let comm = comm.expect("regrid: remote old data needs a Comm");
-                        match comm.try_recv(
-                            o_rank,
-                            regrid_tag(REGRID_COPY, spec.var, nidx, oidx),
-                            Category::Regrid,
-                        ) {
-                            Ok(payload) => {
-                                if let Err(e) = dst_data.try_unpack(&ov, &payload) {
-                                    first_err.get_or_insert(e.into());
-                                }
-                            }
-                            Err(e) => {
-                                first_err.get_or_insert(e.into());
-                            }
-                        }
-                    }
-                }
-                dst.data_mut(spec.var).set_time(time);
-            }
-        }
-
-        let rec = hierarchy.recorder();
-        if rec.is_enabled() {
-            rec.count("regrid.candidate_pairs", candidate_pairs);
-        }
-        if self.params.metadata_mode == MetadataMode::Partitioned {
-            // Install the level holding a partitioned view. The full
-            // planned structure is transiently known on every rank (the
-            // plan is replicated), so the view is carved locally; the
-            // post-regrid refresh pass re-exchanges and digest-verifies
-            // it against every peer's owned records.
-            let new_owned: Vec<GBox> =
-                boxes.iter().zip(&owners).filter(|&(_, &o)| o == rank).map(|(&b, _)| b).collect();
+        let domain = hierarchy.level_domain(target);
+        // Under partitioned metadata the level ends up holding a view.
+        // The full planned structure is transiently known on every rank
+        // (the plan is replicated), so the view is carved locally; the
+        // post-regrid refresh pass re-exchanges and digest-verifies it
+        // against every peer's owned records.
+        let view = (self.params.metadata_mode == MetadataMode::Partitioned).then(|| {
+            let owned_of = |boxes: &[GBox], owners: &[usize]| -> Vec<GBox> {
+                boxes.iter().zip(owners).filter(|&(_, &o)| o == rank).map(|(&b, _)| b).collect()
+            };
             let coarser_owned = owned_boxes_of(hierarchy.level(target - 1), rank);
-            let finer: Option<(Vec<GBox>, IntVector)> = finer_plan.map(|(fb, fo)| {
-                (
-                    fb.iter().zip(&fo).filter(|&(_, &o)| o == rank).map(|(&b, _)| b).collect(),
-                    hierarchy.ratio_to_coarser(target + 1),
-                )
-            });
+            let finer = finer_plan
+                .map(|(fb, fo)| (owned_of(&fb, &fo), hierarchy.ratio_to_coarser(target + 1)));
             let spec = interest_for_level(
-                &new_owned,
+                &owned_of(&boxes, &owners),
                 Some((&coarser_owned, ratio)),
                 finer.as_ref().map(|(b, r)| (b.as_slice(), *r)),
                 self.params.margins,
             );
-            let domain = hierarchy.level_domain(target);
-            let view = view_from_global(target, ratio, &domain, &boxes, &owners, rank, &spec);
-            new_level.adopt_view(view, rank);
+            view_from_global(target, ratio, &domain, &boxes, &owners, rank, &spec)
+        });
+        let new_level = PatchLevel::new(target, ratio, boxes, owners, domain, rank, registry);
+        // The transfer plans against the new level's full plan and
+        // reads the old level, held here until the data has moved.
+        let mut outgoing = hierarchy.install_level(target, new_level);
+        let transfer =
+            RefineSchedule::regrid_transfer(hierarchy, outgoing.as_ref(), registry, target, specs);
+        let transferred = transfer.try_transfer(hierarchy, outgoing.as_mut(), registry, comm, time);
+        if let Some(view) = view {
+            hierarchy.level_mut(target).adopt_view(view, rank);
         }
-        hierarchy.install_level(target, new_level);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Ok(transferred?)
     }
 
     /// [`try_refresh_partitioned_view`] with this driver's margins.

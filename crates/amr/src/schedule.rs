@@ -36,18 +36,21 @@
 //! that reproduces the previous box structure (the common case once the
 //! hierarchy converges) reuses the schedules instead of rebuilding them.
 
-use crate::boundary::PhysicalBoundary;
+use crate::boundary::{PhysicalBoundary, PhysicalPlan};
 use crate::hierarchy::PatchHierarchy;
 use crate::level::PatchLevel;
 use crate::ops::{CoarsenOperator, RefineOperator};
 use crate::patchdata::{validate_overlap, PatchData, PatchDataError};
+use crate::regrid::TransferSpec;
 use crate::transfer::{
     narrow, CoarsenJob, CopyJob, DescriptorWords, Loc, PeerStream, RefineJob, StreamJob,
     StreamPlan, TransferCtx,
 };
 use crate::variable::{DataFactory, Variable, VariableId, VariableRegistry};
 use bytes::Bytes;
-use rbamr_geometry::{ghost_overlaps, BoxIndex, BoxList, BoxOverlap, Centring, GBox, IntVector};
+use rbamr_geometry::{
+    copy_overlap, ghost_overlaps, BoxIndex, BoxList, BoxOverlap, Centring, GBox, IntVector,
+};
 use rbamr_netsim::{Comm, CommError};
 use rbamr_perfmodel::Category;
 use std::any::Any;
@@ -305,17 +308,18 @@ impl ScheduleCache {
         self.misses
     }
 
-    /// Drop the descriptor tables of the cached schedules that nothing
-    /// but this cache holds. A schedule in use keeps its table across
-    /// rebuilds (a steady regrid hits the cache and gets the same
-    /// `Arc` back); one that fell out of use keeps only its plans, and
-    /// uploads again if a later regrid brings its structure back.
+    /// Drop the descriptor tables (and what the boundary strategy
+    /// kept) of the cached schedules that nothing but this cache holds.
+    /// A schedule in use keeps them across rebuilds (a steady regrid
+    /// hits the cache and gets the same `Arc` back); one that fell out
+    /// of use keeps only its plans, and uploads again if a later regrid
+    /// brings its structure back.
     fn release_unheld(&self) {
         let release = |r: &Resident| *r.lock().expect("descriptor upload panicked") = None;
-        self.refine
-            .values()
-            .filter(|s| Arc::strong_count(s) == 1)
-            .for_each(|s| release(&s.resident));
+        self.refine.values().filter(|s| Arc::strong_count(s) == 1).for_each(|s| {
+            release(&s.resident);
+            release(&s.boundary_kept);
+        });
         self.coarsen
             .values()
             .filter(|s| Arc::strong_count(s) == 1)
@@ -496,50 +500,22 @@ fn cell_cover(b: GBox, centring: Centring) -> GBox {
     }
 }
 
-/// Message tag: unique per (kind, var, dst patch, src patch) within a
-/// schedule execution. The top four bits carry the message kind so the
-/// schedules, the regridder and the netsim collectives never collide.
-///
-/// The packing limits are hard `assert!`s, not `debug_assert!`s: a
-/// release build that silently wrapped a 2^20-patch level into
-/// colliding tags would corrupt halo exchanges without any diagnostic.
-///
-/// # Panics
-/// Panics if any field exceeds its 20-bit range or `kind >= 15`
-/// (kind 15 is reserved for netsim collectives).
-fn tag(kind: u64, var: VariableId, dst_idx: usize, src_idx: usize) -> u64 {
-    assert!(
-        dst_idx < (1 << 20) && src_idx < (1 << 20) && var.0 < (1 << 20),
-        "message tag overflow: (var {}, dst {dst_idx}, src {src_idx}) exceeds the \
-         20-bit-per-field packing",
-        var.0
-    );
-    assert!(kind < 15, "kind 15 is reserved for netsim collectives");
-    (kind << 60) | ((var.0 as u64) << 40) | ((dst_idx as u64) << 20) | src_idx as u64
-}
-
-/// Regrid message kind: coarse scratch data for a new patch.
-pub(crate) const REGRID_SCRATCH: u64 = 3;
-/// Regrid message kind: old-level data copied onto a new patch.
-pub(crate) const REGRID_COPY: u64 = 4;
 /// Aggregated ghost-fill stream (one message per rank pair per fill).
 const KIND_AGG_FILL: u64 = 5;
 /// Aggregated synchronisation stream (one message per rank pair).
 const KIND_AGG_SYNC: u64 = 6;
+/// Aggregated regrid solution transfer (one message per rank pair per
+/// rebuilt level). Kinds 3 and 4, the per-overlap regrid messages this
+/// replaced, stay unused.
+const KIND_AGG_REGRID: u64 = 7;
 
-/// Tag for regrid data-transfer messages (see [`tag`]).
-pub(crate) fn regrid_tag(kind: u64, var: VariableId, dst_idx: usize, src_idx: usize) -> u64 {
-    tag(kind, var, dst_idx, src_idx)
-}
-
-/// Public re-export of [`cell_cover`] for the regridder.
-pub(crate) fn cell_cover_pub(b: GBox, centring: Centring) -> GBox {
-    cell_cover(b, centring)
-}
-
-/// Public re-export of [`extend_scratch`] for the regridder.
-pub(crate) fn extend_scratch_pub(scratch: &mut dyn PatchData, covered: &BoxList) {
-    extend_scratch(scratch, covered);
+/// Message tag of a schedule's aggregated stream: the kind in the top
+/// four bits (so the schedules and the netsim collectives, kind 15,
+/// never collide) over the level number. One execution sends at most
+/// one message per peer, so the tag needs no finer key.
+const fn agg_tag(kind: u64, level_no: usize) -> u64 {
+    assert!(kind < 15, "kind 15 is reserved for netsim collectives");
+    (kind << 60) | level_no as u64
 }
 
 /// The placement's handle on a schedule's descriptor table (see
@@ -568,16 +544,6 @@ fn data_box_of(var: &Variable, cell_box: GBox) -> GBox {
     var.centring.data_box(cell_box.grow(var.ghosts))
 }
 
-/// Out-of-domain ghost cells of one local patch and variable, for the
-/// physical boundary callback.
-struct PhysicalPlan {
-    pos: usize,
-    dst_idx: usize,
-    var: VariableId,
-    /// Cell-space region outside the level domain.
-    outside: BoxList,
-}
-
 /// Ghost-fill schedule for one level (SAMRAI `RefineSchedule`).
 ///
 /// The stages, in execution order, each one job list:
@@ -588,6 +554,8 @@ struct PhysicalPlan {
 /// interpolation, grouped by operator; physical boundaries.
 pub struct RefineSchedule {
     level_no: usize,
+    /// Tag of the one message a peer gets per execution.
+    tag: u64,
     vars: Vec<VariableId>,
     copies: Vec<CopyJob>,
     sends: Vec<StreamJob>,
@@ -605,9 +573,11 @@ pub struct RefineSchedule {
     /// Interpolation jobs by operator, operators in order of first use.
     refines: Vec<(Arc<dyn RefineOperator>, Vec<RefineJob>)>,
     physical: Vec<PhysicalPlan>,
-    /// Cell-space bounding box of the level domain (for the callback).
-    domain_box: GBox,
     resident: Resident,
+    /// What the physical-boundary strategy keeps between fills (see
+    /// [`PhysicalBoundary::fill_many`]); held and released with
+    /// `resident`.
+    boundary_kept: Resident,
 }
 
 impl RefineSchedule {
@@ -666,137 +636,38 @@ impl RefineSchedule {
         let recs = level.records();
         let boxes = recs.boxes();
         let domain = level.domain();
-        let domain_box = domain.bounding();
-        let local = local_positions(level, rank);
-        let here = |rec_pos: usize| Loc::patch(level_no, local[rec_pos]);
-        let mut copies = Vec::new();
-        let mut sends = StreamPlan::default();
-        let mut recvs = StreamPlan::default();
-        let mut scratch = Vec::new();
-        let mut captures = Vec::new();
-        let mut scratch_covered = Vec::new();
-        let mut refines: Vec<(Arc<dyn RefineOperator>, Vec<RefineJob>)> = Vec::new();
-        let mut physical = Vec::new();
-
-        // Candidate-source discovery. The stored boxes carry one cell
-        // of slack so centring-adjusted data boxes (which extend one
-        // layer past the cell box on the upper side) are still caught;
-        // queries grow by the ghost width. The query result is a
-        // superset of the overlapping pairs in ascending position
-        // order, so the plans below come out identical to the
-        // brute-force scan's — empty overlaps are skipped either way.
-        let same_index = indexed.then(|| BoxIndex::new(boxes, IntVector::ONE));
-        let all_same: Vec<usize> = if indexed { Vec::new() } else { (0..boxes.len()).collect() };
+        // Candidate-source discovery (see [`Sources::candidates`]):
+        // queries grow by the ghost width, and the result is a superset
+        // of the overlapping pairs in ascending position order, so the
+        // plans below come out identical to the brute-force scan's —
+        // empty overlaps are skipped either way.
+        let same = Sources::of(level, rank, Some(level_no), indexed);
         let needs_coarse = level_no > 0 && specs.iter().any(|s| s.refine_op.is_some());
-        let coarse_recs = (level_no > 0).then(|| hierarchy.level(level_no - 1).records());
-        let coarse_local = if needs_coarse {
-            local_positions(hierarchy.level(level_no - 1), rank)
-        } else {
-            Vec::new()
-        };
-        let coarse_index = (indexed && needs_coarse)
-            .then(|| BoxIndex::new(coarse_recs.as_ref().unwrap().boxes(), IntVector::ONE));
-        let all_coarse: Vec<usize> = if !indexed && needs_coarse {
-            (0..coarse_recs.as_ref().unwrap().len()).collect()
-        } else {
-            Vec::new()
-        };
-        let mut candidate_pairs: u64 = 0;
-        let mut same_cand = Vec::new();
-        let mut coarse_cand = Vec::new();
+        let coarse = needs_coarse
+            .then(|| Sources::of(hierarchy.level(level_no - 1), rank, Some(level_no - 1), indexed));
+        let vars = specs.iter().map(|s| s.var).collect();
+        let mut plan = Planner::new(hierarchy, registry, level_no, KIND_AGG_FILL, vars);
+        let (mut sources, mut coarse_sources) = (Vec::new(), Vec::new());
 
         for spec in specs {
             let var = registry.get(spec.var);
             let (centring, ghosts) = (var.centring, var.ghosts);
-            // Cell-centred source data boxes are disjoint, so every
-            // ghost cell has exactly one source and the apply order
-            // (local copies in stage 1, remote unpacks in stage 2b)
-            // cannot matter. Node- and side-centred data boxes share
-            // planes: a corner ghost node can be covered by an edge
-            // neighbour and a diagonal neighbour whose copies of the
-            // shared nodes are not guaranteed bitwise-equal (a regrid's
-            // refine-then-overwrite seeds boundary-node disagreement at
-            // truncation-error level). Overlapping writes would then
-            // resolve by apply order — which depends on which sources
-            // are local — and the filled values would vary with the
-            // rank layout. Instead every ghost value gets exactly one
-            // source: the first candidate in ascending record order
-            // claims its region, later candidates keep only what is
-            // unclaimed. Any rank planning a pair for a destination
-            // holds every record near it (interest closure, see the
-            // `want` subtraction below) and walks the candidates in the
-            // same order, so senders and receivers agree on the reduced
-            // regions.
-            let overlapping_centring = centring != Centring::Cell;
+            // Every ghost value gets exactly one source: the first
+            // candidate in ascending record order claims it (see
+            // [`Planner::walk`]), so the order the stages apply copies
+            // and unpacks in cannot matter.
             for (dst_pos, &dst_box) in boxes.iter().enumerate() {
                 let dst_idx = recs.global_index(dst_pos);
                 let dst_rank = recs.owner_at(dst_pos);
+                let dst = (dst_idx, dst_rank);
                 // --- Same-level copies -------------------------------
-                let sources: &[usize] = match &same_index {
-                    Some(ix) => {
-                        ix.query_into(dst_box.grow(ghosts + IntVector::ONE), &mut same_cand);
-                        &same_cand
-                    }
-                    None => &all_same,
+                same.candidates(dst_box.grow(ghosts + IntVector::ONE), &mut sources);
+                let ends = [(spec.var, same.loc(dst_pos), data_box_of(var, dst_box))];
+                // (A patch's overlap with itself is empty.)
+                let ghost_region = |_, src_box| {
+                    ghost_overlaps(dst_box, ghosts, src_box, centring, IntVector::ZERO).dst_boxes
                 };
-                candidate_pairs += sources.len() as u64;
-                // Claim accumulation needs the full candidate walk, so
-                // an uninvolved rank skips the destination wholesale
-                // rather than pair by pair.
-                let involved = dst_rank == rank
-                    || sources.iter().any(|&s| s != dst_pos && recs.owner_at(s) == rank);
-                let mut claimed = BoxList::new();
-                for &src_pos in sources {
-                    if !involved {
-                        break;
-                    }
-                    if src_pos == dst_pos {
-                        continue;
-                    }
-                    let src_box = boxes[src_pos];
-                    let src_idx = recs.global_index(src_pos);
-                    let src_rank = recs.owner_at(src_pos);
-                    if !overlapping_centring && dst_rank != rank && src_rank != rank {
-                        continue;
-                    }
-                    let mut ov =
-                        ghost_overlaps(dst_box, ghosts, src_box, centring, IntVector::ZERO);
-                    if ov.is_empty() {
-                        continue;
-                    }
-                    if overlapping_centring {
-                        ov.dst_boxes.subtract(&claimed);
-                        ov.dst_boxes.coalesce();
-                        if ov.is_empty() {
-                            continue;
-                        }
-                        claimed.union(&ov.dst_boxes);
-                        if dst_rank != rank && src_rank != rank {
-                            continue;
-                        }
-                    }
-                    let ids = (src_idx, dst_idx);
-                    if dst_rank == rank && src_rank == rank {
-                        validate_overlap(
-                            &ov,
-                            data_box_of(var, src_box),
-                            data_box_of(var, dst_box),
-                            centring,
-                        );
-                        copies.push(CopyJob {
-                            var: spec.var,
-                            src: here(src_pos),
-                            dst: here(dst_pos),
-                            overlap: ov,
-                            src_idx: narrow(src_idx),
-                            dst_idx: narrow(dst_idx),
-                        });
-                    } else if src_rank == rank {
-                        sends.push(dst_rank, spec.var, here(src_pos), ov, ids);
-                    } else {
-                        recvs.push(src_rank, spec.var, here(dst_pos), ov, ids);
-                    }
-                }
+                plan.walk(&same, &sources, false, ghost_region, &mut BoxList::new(), dst, &ends);
 
                 // --- Physical boundary regions (dst local only) ------
                 if dst_rank == rank {
@@ -804,8 +675,9 @@ impl RefineSchedule {
                     outside.subtract(domain);
                     outside.coalesce();
                     if !outside.is_empty() {
-                        let pos = local[dst_pos];
-                        physical.push(PhysicalPlan { pos, dst_idx, var: spec.var, outside });
+                        let pos = same.local[dst_pos];
+                        let job = PhysicalPlan { pos, dst_idx, var: spec.var, outside };
+                        plan.sched.physical.push(job);
                     }
                 }
 
@@ -828,10 +700,8 @@ impl RefineSchedule {
                 // rank planning for this destination — as its owner or
                 // as a coarse-data sender — holds every record near it,
                 // so both sides compute the same `want`.)
-                for &src_pos in sources {
-                    if src_pos != dst_pos {
-                        want.subtract_box(centring.data_box(boxes[src_pos]));
-                    }
+                for &src_pos in &sources {
+                    want.subtract_box(centring.data_box(boxes[src_pos]));
                 }
                 want.coalesce();
                 if want.is_empty() {
@@ -840,125 +710,143 @@ impl RefineSchedule {
 
                 // Scratch region on the coarse level.
                 let ratio = hierarchy.ratio_to_coarser(level_no);
-                let crecs = coarse_recs.as_ref().unwrap();
+                let coarse = coarse.as_ref().expect("a spec interpolates");
                 let fine_cover = want
                     .boxes()
                     .iter()
                     .fold(GBox::EMPTY, |acc, &b| acc.bounding(cell_cover(b, centring)));
                 let scratch_box = fine_cover.coarsen(ratio).grow(op.stencil_width());
                 let scratch_data_box = centring.data_box(scratch_box);
-
-                // The scratch array this destination interpolates
-                // from, if it is ours to fill.
-                let slot = Loc::scratch(scratch.len());
-                let scratch_dbox = data_box_of(var, scratch_box);
-                let there = |rec_pos: usize| Loc::patch(level_no - 1, coarse_local[rec_pos]);
+                coarse.candidates(scratch_data_box, &mut coarse_sources);
+                // The scratch array this destination interpolates from
+                // (ours to make if the destination is) is written by
+                // every coarse source whose data box meets it, each
+                // claiming what earlier ones left; `covered` is the
+                // running union.
                 let mut covered = BoxList::new();
-                let coarse_sources: &[usize] = match &coarse_index {
-                    Some(ix) => {
-                        ix.query_into(scratch_data_box, &mut coarse_cand);
-                        &coarse_cand
-                    }
-                    None => &all_coarse,
-                };
-                candidate_pairs += coarse_sources.len() as u64;
-                // The scratch is written by every coarse source whose
-                // data box meets it. Local captures land in stage 3a
-                // and remote unpacks in stage 3b, so — exactly as for
-                // the same-level copies above — node- and side-centred
-                // sources that share boundary values must be reduced to
-                // disjoint regions, or the scratch value at a shared
-                // node would depend on the rank layout. First candidate
-                // in record order claims; `covered` is the running
-                // union either way.
-                let cf_involved =
-                    dst_rank == rank || coarse_sources.iter().any(|&c| crecs.owner_at(c) == rank);
-                for &cpos in coarse_sources {
-                    if !cf_involved {
-                        break;
-                    }
-                    let cbox = crecs.box_at(cpos);
-                    let cidx = crecs.global_index(cpos);
-                    let c_rank = crecs.owner_at(cpos);
-                    if !overlapping_centring && dst_rank != rank && c_rank != rank {
-                        continue;
-                    }
-                    let src_data = centring.data_box(cbox);
-                    let fill = scratch_data_box.intersect(src_data);
-                    if fill.is_empty() {
-                        continue;
-                    }
-                    let mut fill = BoxList::from_box(fill);
-                    if overlapping_centring {
-                        fill.subtract(&covered);
-                        fill.coalesce();
-                        if fill.is_empty() {
-                            continue;
-                        }
-                    }
-                    covered.union(&fill);
-                    let ov = BoxOverlap { dst_boxes: fill, shift: IntVector::ZERO, centring };
-                    if dst_rank != rank && c_rank != rank {
-                        continue;
-                    }
-                    let ids = (cidx, dst_idx);
-                    if dst_rank == rank {
-                        if c_rank == rank {
-                            validate_overlap(&ov, data_box_of(var, cbox), scratch_dbox, centring);
-                            captures.push(CopyJob {
-                                var: spec.var,
-                                src: there(cpos),
-                                dst: slot,
-                                overlap: ov,
-                                src_idx: narrow(cidx),
-                                dst_idx: narrow(dst_idx),
-                            });
-                        } else {
-                            recvs.push(c_rank, spec.var, slot, ov, ids);
-                        }
-                    } else if c_rank == rank {
-                        // We own coarse data a remote fine patch needs.
-                        sends.push(dst_rank, spec.var, there(cpos), ov, ids);
-                    }
-                }
+                let slot = Loc::scratch(plan.next_scratch());
+                let ends = [(spec.var, slot, data_box_of(var, scratch_box))];
+                let in_scratch = |_, cbox| scratch_region(scratch_data_box, cbox, centring);
+                plan.walk(coarse, &coarse_sources, false, in_scratch, &mut covered, dst, &ends);
                 if dst_rank == rank {
-                    let job = RefineJob {
-                        var: spec.var,
-                        pos: narrow(local[dst_pos]),
-                        scratch: narrow(scratch.len()),
-                        fill: want,
-                        dst_idx: narrow(dst_idx),
-                    };
-                    match refines.iter_mut().find(|(o, _)| o.name() == op.name()) {
-                        Some((_, jobs)) => jobs.push(job),
-                        None => refines.push((Arc::clone(op), vec![job])),
-                    }
-                    scratch_covered.push(covered);
-                    scratch.push((spec.var, scratch_box));
+                    let at = (same.local[dst_pos], dst_idx);
+                    plan.interpolate(op, spec.var, at, want, scratch_box, covered);
                 }
             }
         }
 
-        record_build_telemetry(hierarchy, candidate_pairs, build_start);
+        record_build_telemetry(hierarchy, plan.candidate_pairs, build_start);
+        plan.finish()
+    }
 
-        let (sends, send_peers) = sends.finish();
-        let (recvs, recv_peers) = recvs.finish();
-        Self {
-            level_no,
-            vars: specs.iter().map(|s| s.var).collect(),
-            copies,
-            sends,
-            send_peers,
-            recvs,
-            recv_peers,
-            scratch,
-            captures,
-            covered: scratch_covered,
-            refines,
-            physical,
-            domain_box,
-            resident: Mutex::new(None),
+    /// Build the solution transfer of a regrid: the schedule that
+    /// initialises the variables of `specs` on level `level_no` — the
+    /// new level, already installed with its replicated plan — from
+    /// `outgoing`, the level it replaced (copies and messages between
+    /// equal indices), and from level `level_no - 1` (captured into
+    /// scratch and interpolated) where the old level held nothing. It
+    /// plans against the records each level holds, so both metadata
+    /// modes take this path; under partitioned metadata the caller has
+    /// widened the old and coarse views over this rank's new patches.
+    ///
+    /// The claim rule is the one a serial refine-then-overwrite in
+    /// ascending record order obeys — the last source in record order
+    /// wins, and old data wins over interpolated data — so candidates
+    /// are walked in *descending* order ([`Planner::walk`]) and the
+    /// interpolation fills what no old patch claimed, out of the
+    /// scratch box the whole data box needs (the extension of uncovered
+    /// scratch cells depends on that box). Specs sharing a centring and
+    /// a stencil width share every box of the plan: discovery and the
+    /// walks run once per (new patch, such group). Built for one
+    /// execution ([`RefineSchedule::try_transfer`]), never cached.
+    ///
+    /// # Panics
+    /// Panics if `level_no == 0`.
+    pub(crate) fn regrid_transfer(
+        hierarchy: &PatchHierarchy,
+        outgoing: Option<&PatchLevel>,
+        registry: &VariableRegistry,
+        level_no: usize,
+        specs: &[TransferSpec],
+    ) -> Self {
+        assert!(level_no > 0, "regrid transfer: level 0 is never rebuilt");
+        let rank = hierarchy.rank();
+        let ratio = hierarchy.ratio_to_coarser(level_no);
+        let new = Sources::of(hierarchy.level(level_no), rank, Some(level_no), false);
+        let coarse = Sources::of(hierarchy.level(level_no - 1), rank, Some(level_no - 1), true);
+        let old = outgoing.map(|old| Sources::of(old, rank, None, true));
+        let mut groups: Vec<(Centring, IntVector, Vec<&TransferSpec>)> = Vec::new();
+        for spec in specs {
+            let key = (registry.get(spec.var).centring, spec.refine_op.stencil_width());
+            match groups.iter_mut().find(|g| (g.0, g.1) == key) {
+                Some(group) => group.2.push(spec),
+                None => groups.push((key.0, key.1, vec![spec])),
+            }
         }
+
+        let vars = specs.iter().map(|s| s.var).collect();
+        let mut plan = Planner::new(hierarchy, registry, level_no, KIND_AGG_REGRID, vars);
+        let mut cand = Vec::new();
+
+        for (npos, &nb) in new.recs.boxes().iter().enumerate() {
+            let dst = (new.recs.global_index(npos), new.recs.owner_at(npos));
+            let mine = dst.1 == rank;
+            for (centring, stencil, group) in &groups {
+                let centring = *centring;
+                let fine_fill = centring.data_box(nb);
+                // One destination per spec of the group: the new patch,
+                // then its scratch array (ours to make when `mine`).
+                let ends = |at: &dyn Fn(usize) -> Loc, cells: GBox| -> Vec<_> {
+                    let end = |(k, spec): (usize, &&TransferSpec)| {
+                        (spec.var, at(k), data_box_of(registry.get(spec.var), cells))
+                    };
+                    group.iter().enumerate().map(end).collect()
+                };
+
+                // --- Old level, same index space: copies and messages --
+                let mut claimed = BoxList::new();
+                if let Some(old) = &old {
+                    old.candidates(fine_fill, &mut cand);
+                    let ends = ends(&|_| new.loc(npos), nb);
+                    let overlap = |_, obox| copy_overlap(nb, obox, centring).dst_boxes;
+                    plan.walk(old, &cand, true, overlap, &mut claimed, dst, &ends);
+                }
+
+                // --- Coarser level: scratch, then interpolation --------
+                let scratch_box = cell_cover(fine_fill, centring).coarsen(ratio).grow(*stencil);
+                let scratch_data_box = centring.data_box(scratch_box);
+                coarse.candidates(scratch_data_box, &mut cand);
+                let first = plan.next_scratch();
+                let ends = ends(&|k| Loc::scratch(first + k), scratch_box);
+                let in_scratch = |_, cbox| scratch_region(scratch_data_box, cbox, centring);
+                let mut covered = BoxList::new();
+                plan.walk(&coarse, &cand, true, in_scratch, &mut covered, dst, &ends);
+                if mine {
+                    let mut fill = BoxList::from_box(fine_fill);
+                    fill.subtract(&claimed);
+                    fill.coalesce();
+                    for spec in group {
+                        let (op, at) = (&spec.refine_op, (new.local[npos], dst.0));
+                        plan.interpolate(
+                            op,
+                            spec.var,
+                            at,
+                            fill.clone(),
+                            scratch_box,
+                            covered.clone(),
+                        );
+                    }
+                }
+            }
+        }
+
+        // Its own counter, not `schedule.builds`: this is regrid work,
+        // and the cache statistics count the schedules that are kept.
+        let rec = hierarchy.recorder();
+        if rec.is_enabled() {
+            rec.count("regrid.candidate_pairs", plan.candidate_pairs);
+        }
+        plan.finish()
     }
 
     /// Canonical rendering of every plan in this schedule, sorted.
@@ -976,6 +864,7 @@ impl RefineSchedule {
         let kind = |p: &StreamJob| match p.loc {
             Loc::Patch { level, .. } => u8::from(usize::from(level) != self.level_no),
             Loc::Scratch(_) => 1,
+            Loc::Outgoing(_) => 0,
         };
         for p in &self.sends {
             out.push(format!(
@@ -1092,7 +981,7 @@ impl RefineSchedule {
             rec.count("amr.refine_fills", 1);
             rec.span_arg("refine-fill", category, self.level_no as i64)
         });
-        let pending = self.begin_inner(hierarchy, registry, comm, category);
+        let pending = self.begin_inner(hierarchy, None, registry, comm, category);
         pending.finish_inner(hierarchy, physical, comm, time, category)
     }
 
@@ -1120,14 +1009,49 @@ impl RefineSchedule {
             rec.count("amr.refine_fills", 1);
             rec.span_arg("refine-fill-start", category, self.level_no as i64)
         });
-        self.begin_inner(hierarchy, registry, comm, category)
+        self.begin_inner(hierarchy, None, registry, comm, category)
+    }
+
+    /// Execute a regrid's solution transfer: the stages of a fill
+    /// without the physical boundaries (the next halo fill sets the new
+    /// level's ghosts), charged to [`Category::Regrid`], run-through
+    /// after a fault as [`RefineSchedule::try_fill`]. `outgoing` is the
+    /// level [`RefineSchedule::regrid_transfer`] planned against.
+    pub(crate) fn try_transfer(
+        &self,
+        hierarchy: &mut PatchHierarchy,
+        outgoing: Option<&mut PatchLevel>,
+        registry: &VariableRegistry,
+        comm: Option<&Comm>,
+        time: f64,
+    ) -> Result<(), ScheduleError> {
+        let category = Category::Regrid;
+        let _span = hierarchy.recorder().is_enabled().then(|| {
+            hierarchy.recorder().span_arg("regrid-transfer", category, self.level_no as i64)
+        });
+        let mut pending = self.begin_inner(hierarchy, outgoing, registry, comm, category);
+        let transferred = pending.receive_and_interpolate(hierarchy, comm, category);
+        self.stamp(hierarchy.level_mut(self.level_no), time);
+        transferred
+    }
+
+    /// Stamp `time` on the variables this schedule fills.
+    fn stamp(&self, level: &mut PatchLevel, time: f64) {
+        for p in level.local_mut() {
+            for &v in &self.vars {
+                p.data_mut(v).set_time(time);
+            }
+        }
     }
 
     /// The send half of the fill: stages 1 (local copies), 2a (pack +
     /// send), and 3a (scratch creation + local coarse capture).
+    /// `outgoing` is the level [`Loc::Outgoing`] sources name — set by
+    /// a regrid's solution transfer only, and read by this half only.
     fn begin_inner<'a>(
         &'a self,
         hierarchy: &mut PatchHierarchy,
+        outgoing: Option<&mut PatchLevel>,
         registry: &VariableRegistry,
         comm: Option<&Comm>,
         category: Category,
@@ -1136,7 +1060,7 @@ impl RefineSchedule {
         ensure_resident(&self.resident, factory.as_ref(), || self.descriptor_words(), category);
 
         // 1. Same-level: local copies.
-        let mut ctx = TransferCtx { hierarchy, scratch: &mut [] };
+        let mut ctx = TransferCtx { hierarchy, scratch: &mut [], outgoing };
         factory.copy_many(&mut ctx, &self.copies, category);
 
         // 2a. Same-level + coarse-fine: outgoing messages. All traffic
@@ -1151,12 +1075,11 @@ impl RefineSchedule {
         let mut first_err: Option<ScheduleError> = None;
         if !self.sends.is_empty() {
             let comm = comm.expect("RefineSchedule: remote plans need a Comm");
-            let agg_tag = (KIND_AGG_FILL << 60) | self.level_no as u64;
             let (streams, fault) =
                 factory.pack_many(&mut ctx, &self.sends, &self.send_peers, category);
             first_err = fault.map(ScheduleError::Data);
             for (peer, stream) in self.send_peers.iter().zip(streams) {
-                comm.send(peer.rank, agg_tag, stream);
+                comm.send(peer.rank, self.tag, stream);
             }
         }
 
@@ -1172,6 +1095,220 @@ impl RefineSchedule {
 
         PendingFill { sched: self, factory, first_err, scratches }
     }
+}
+
+/// One level as a source of planned transfers.
+struct Sources<'a> {
+    recs: crate::level::LevelRecords<'a>,
+    /// [`local_positions`] of the level.
+    local: Vec<usize>,
+    /// Its number in the hierarchy; `None` for the level being replaced.
+    level: Option<usize>,
+    /// Over the held boxes, with one cell of slack so centring-adjusted
+    /// data boxes (one layer past the cell box on the upper side) are
+    /// caught; `None` scans all pairs (the brute-force oracle).
+    index: Option<BoxIndex>,
+}
+
+impl<'a> Sources<'a> {
+    fn of(level: &'a PatchLevel, rank: usize, named: Option<usize>, indexed: bool) -> Self {
+        let recs = level.records();
+        let index = indexed.then(|| BoxIndex::new(recs.boxes(), IntVector::ONE));
+        Self { recs, local: local_positions(level, rank), level: named, index }
+    }
+
+    /// Positions of the records that may meet `query`, ascending.
+    fn candidates(&self, query: GBox, out: &mut Vec<usize>) {
+        match &self.index {
+            Some(index) => index.query_into(query, out),
+            None => {
+                out.clear();
+                out.extend(0..self.recs.len());
+            }
+        }
+    }
+
+    /// The owned record at `pos` as an end of a job (meaningless for a
+    /// record another rank owns).
+    fn loc(&self, pos: usize) -> Loc {
+        match self.level {
+            Some(level) => Loc::patch(level, self.local[pos]),
+            None => Loc::Outgoing(narrow(self.local[pos])),
+        }
+    }
+}
+
+/// A [`RefineSchedule`] under construction: its message streams stay
+/// open until [`Planner::finish`].
+struct Planner<'a> {
+    rank: usize,
+    registry: &'a VariableRegistry,
+    sched: RefineSchedule,
+    sends: StreamPlan,
+    recvs: StreamPlan,
+    /// Candidates walked (build telemetry).
+    candidate_pairs: u64,
+}
+
+impl<'a> Planner<'a> {
+    /// An empty schedule for level `level_no` filling the variables of
+    /// `specs`, its messages tagged with `kind`.
+    fn new(
+        hierarchy: &PatchHierarchy,
+        registry: &'a VariableRegistry,
+        level_no: usize,
+        kind: u64,
+        vars: Vec<VariableId>,
+    ) -> Self {
+        let sched = RefineSchedule {
+            level_no,
+            tag: agg_tag(kind, level_no),
+            vars,
+            copies: Vec::new(),
+            sends: Vec::new(),
+            send_peers: Vec::new(),
+            recvs: Vec::new(),
+            recv_peers: Vec::new(),
+            scratch: Vec::new(),
+            captures: Vec::new(),
+            covered: Vec::new(),
+            refines: Vec::new(),
+            physical: Vec::new(),
+            resident: Mutex::new(None),
+            boundary_kept: Mutex::new(None),
+        };
+        let (sends, recvs) = Default::default();
+        Self { rank: hierarchy.rank(), registry, sched, sends, recvs, candidate_pairs: 0 }
+    }
+
+    fn finish(mut self) -> RefineSchedule {
+        (self.sched.sends, self.sched.send_peers) = self.sends.finish();
+        (self.sched.recvs, self.sched.recv_peers) = self.recvs.finish();
+        self.sched
+    }
+
+    /// The scratch array the next [`Planner::interpolate`] makes.
+    fn next_scratch(&self) -> usize {
+        self.sched.scratch.len()
+    }
+
+    /// Interpolate `fill` of the local patch `(position, global index)`
+    /// out of a new scratch array over `scratch_box`, `covered` by its
+    /// planned sources. Operators are told apart by name, as in the
+    /// spec fingerprints, and kept in order of first use.
+    fn interpolate(
+        &mut self,
+        op: &Arc<dyn RefineOperator>,
+        var: VariableId,
+        (pos, dst_idx): (usize, usize),
+        fill: BoxList,
+        scratch_box: GBox,
+        covered: BoxList,
+    ) {
+        let (pos, scratch, dst_idx) = (narrow(pos), narrow(self.next_scratch()), narrow(dst_idx));
+        let job = RefineJob { var, pos, scratch, fill, dst_idx };
+        let refines = &mut self.sched.refines;
+        match refines.iter_mut().find(|(o, _)| o.name() == op.name()) {
+            Some((_, jobs)) => jobs.push(job),
+            None => refines.push((Arc::clone(op), vec![job])),
+        }
+        self.sched.covered.push(covered);
+        self.sched.scratch.push((var, scratch_box));
+    }
+
+    /// Give every value of one destination exactly one source, and file
+    /// each (source, destination) pair this rank owns an end of under
+    /// the stage that moves it: a validated copy job when both ends are
+    /// here, a pack for `dst`'s owner, or an unpack from the source's.
+    ///
+    /// Node- and side-centred data boxes of neighbours share planes,
+    /// and their copies of a shared value need not be bitwise-equal.
+    /// Local copies run before remote unpacks, so overlapping writes
+    /// would make the winner depend on the rank layout. Instead `cands`
+    /// (ascending positions) are walked first to last, or last to first
+    /// with `newest_first`, and each keeps of `region_of(position, box)`
+    /// only what earlier ones left; `claimed` is the running union. A
+    /// claim only shrinks sources it overlaps — neighbours, inside the
+    /// interest neighbourhood of every rank that owns one — so both
+    /// ends of a message derive the same regions (DESIGN.md §13).
+    /// Cell-centred sources are disjoint and skip the calculus, and a
+    /// rank owning no end skips the destination wholesale.
+    ///
+    /// `ends` lists the destination arrays sharing this geometry
+    /// (variable, where it lives, its data box), read only when `dst` —
+    /// `(global index, owner)` — is this rank's.
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        &mut self,
+        src: &Sources<'_>,
+        cands: &[usize],
+        newest_first: bool,
+        region_of: impl Fn(usize, GBox) -> BoxList,
+        claimed: &mut BoxList,
+        dst: (usize, usize),
+        ends: &[(VariableId, Loc, GBox)],
+    ) {
+        self.candidate_pairs += cands.len() as u64;
+        let mine = dst.1 == self.rank;
+        if !mine && !cands.iter().any(|&c| src.recs.owner_at(c) == self.rank) {
+            return;
+        }
+        let Some(&(first_var, first_loc, _)) = ends.first() else { return };
+        let centring = self.registry.get(first_var).centring;
+        // A local copy into scratch is a capture: its own stage.
+        let local = match first_loc {
+            Loc::Scratch(_) => &mut self.sched.captures,
+            _ => &mut self.sched.copies,
+        };
+        let n = cands.len();
+        for pos in (0..n).map(|i| if newest_first { cands[n - 1 - i] } else { cands[i] }) {
+            let src_rank = src.recs.owner_at(pos);
+            // A pair between two other ranks matters for its claim only.
+            let theirs = !mine && src_rank != self.rank;
+            if theirs && centring == Centring::Cell {
+                continue;
+            }
+            let src_box = src.recs.box_at(pos);
+            let mut region = region_of(pos, src_box);
+            if centring != Centring::Cell {
+                region.subtract(claimed);
+                region.coalesce();
+            }
+            if region.is_empty() {
+                continue;
+            }
+            claimed.union(&region);
+            if theirs {
+                continue;
+            }
+            let ids = (src.recs.global_index(pos), dst.0);
+            for &(var, dst_loc, dst_data_box) in ends {
+                let overlap =
+                    BoxOverlap { dst_boxes: region.clone(), shift: IntVector::ZERO, centring };
+                if !mine {
+                    self.sends.push(dst.1, var, src.loc(pos), overlap, ids);
+                } else if src_rank != self.rank {
+                    self.recvs.push(src_rank, var, dst_loc, overlap, ids);
+                } else {
+                    let src_data_box = data_box_of(self.registry.get(var), src_box);
+                    validate_overlap(&overlap, src_data_box, dst_data_box, centring);
+                    local.push(CopyJob {
+                        var,
+                        src: src.loc(pos),
+                        dst: dst_loc,
+                        overlap,
+                        src_idx: narrow(ids.0),
+                        dst_idx: narrow(ids.1),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// What the coarse record `cbox` can fill of an interpolation scratch.
+fn scratch_region(scratch_data_box: GBox, cbox: GBox, centring: Centring) -> BoxList {
+    BoxList::from_box(scratch_data_box.intersect(centring.data_box(cbox)))
 }
 
 /// One scratch array per `(variable, cell box)`, charging `category`.
@@ -1285,34 +1422,30 @@ impl PendingFill<'_> {
         self.finish_inner(hierarchy, physical, comm, time, category)
     }
 
-    /// The receive half of the fill: stages 2b (recv + unpack), 3b
-    /// (remote scratch unpack + interpolate), 4 (physical boundaries),
-    /// and 5 (time stamps).
-    fn finish_inner(
-        mut self,
+    /// Stages 2b (recv + unpack) and 3b (remote scratch unpack +
+    /// interpolate): everything the fill still has to move. Reports the
+    /// first fault of either half.
+    fn receive_and_interpolate(
+        &mut self,
         hierarchy: &mut PatchHierarchy,
-        physical: &dyn PhysicalBoundary,
         comm: Option<&Comm>,
-        time: f64,
         category: Category,
     ) -> Result<(), ScheduleError> {
         let sched = self.sched;
         let ratio = hierarchy.ratio_to_coarser(sched.level_no);
-        let mut ctx = TransferCtx { hierarchy: &mut *hierarchy, scratch: &mut self.scratches };
+        let mut ctx = TransferCtx { hierarchy, scratch: &mut self.scratches, outgoing: None };
 
         // 2b + 3b. Incoming messages: same-level ghosts and the remote
         //    coarse sources of the interpolation scratch.
-        let agg_tag = (KIND_AGG_FILL << 60) | sched.level_no as u64;
         let received = receive_and_unpack(
             self.factory.as_ref(),
             &mut ctx,
             &sched.recvs,
             &sched.recv_peers,
             comm,
-            agg_tag,
+            sched.tag,
             category,
         );
-        let first_err = self.first_err.or(received);
 
         // 3b. Coarse-fine interpolation through the captured scratch.
         //    (After a faulty stream the scratch holds stale values; the
@@ -1321,25 +1454,34 @@ impl PendingFill<'_> {
         for (op, jobs) in &sched.refines {
             op.refine_many(&mut ctx, sched.level_no, jobs, ratio, category);
         }
+        self.first_err.take().or(received).map_or(Ok(()), Err)
+    }
+
+    /// The receive half of the fill: the remaining transfers, then
+    /// stages 4 (physical boundaries) and 5 (time stamps).
+    fn finish_inner(
+        mut self,
+        hierarchy: &mut PatchHierarchy,
+        physical: &dyn PhysicalBoundary,
+        comm: Option<&Comm>,
+        time: f64,
+        category: Category,
+    ) -> Result<(), ScheduleError> {
+        let transferred = self.receive_and_interpolate(hierarchy, comm, category);
+        let sched = self.sched;
 
         // 4. Physical boundaries, last (so corners overwrite interpolant
         //    values with the true boundary condition).
         let level = hierarchy.level_mut(sched.level_no);
-        for plan in &sched.physical {
-            let patch = &mut level.local_mut()[plan.pos];
-            physical.fill(patch, plan.var, &plan.outside, sched.domain_box, time);
+        if !sched.physical.is_empty() {
+            let mut kept = sched.boundary_kept.lock().expect("a boundary fill panicked");
+            let domain_box = level.domain().bounding();
+            physical.fill_many(level, &sched.physical, domain_box, time, &mut kept);
         }
 
         // 5. Stamp times.
-        for p in level.local_mut() {
-            for &v in &sched.vars {
-                p.data_mut(v).set_time(time);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        sched.stamp(level, time);
+        transferred
     }
 }
 
@@ -1623,7 +1765,7 @@ impl CoarsenSchedule {
         ensure_resident(&self.resident, factory, || self.descriptor_words(), category);
         let ratio = hierarchy.ratio_to_coarser(self.fine_level_no);
         let mut scratches = make_scratch(registry, &self.scratch, category);
-        let mut ctx = TransferCtx { hierarchy, scratch: &mut scratches };
+        let mut ctx = TransferCtx { hierarchy, scratch: &mut scratches, outgoing: None };
 
         // Phase 1: fine owners coarsen into scratch, and the results
         // bound for remote coarse owners join the aggregated per-rank
@@ -1633,12 +1775,12 @@ impl CoarsenSchedule {
         for (op, jobs) in &self.projects {
             op.coarsen_many(&mut ctx, self.fine_level_no, jobs, ratio);
         }
-        let agg_tag = (KIND_AGG_SYNC << 60) | self.fine_level_no as u64;
+        let tag = agg_tag(KIND_AGG_SYNC, self.fine_level_no);
         let (streams, fault) = factory.pack_many(&mut ctx, &self.sends, &self.send_peers, category);
         let packed = fault.map(ScheduleError::Data);
         if let Some(comm) = comm {
             for (peer, stream) in self.send_peers.iter().zip(streams) {
-                comm.send(peer.rank, agg_tag, stream);
+                comm.send(peer.rank, tag, stream);
             }
         } else {
             assert!(self.sends.is_empty(), "CoarsenSchedule: remote plans need a Comm");
@@ -1655,7 +1797,7 @@ impl CoarsenSchedule {
             &self.recvs,
             &self.recv_peers,
             comm,
-            agg_tag,
+            tag,
             category,
         );
         match packed.or(received) {
@@ -1703,15 +1845,6 @@ fn local_positions(level: &PatchLevel, rank: usize) -> Vec<usize> {
             at
         })
         .collect()
-}
-
-/// Clamp-extend scratch data into cells no coarse patch covered (only
-/// possible at physical-domain corners). Values come from the nearest
-/// covered cell, so downstream stencils see a zero-gradient extension;
-/// fine ghost values derived from them are later overwritten by the
-/// physical boundary fill.
-fn extend_scratch(scratch: &mut dyn PatchData, covered: &BoxList) {
-    scratch.extend_uncovered(covered);
 }
 
 #[cfg(test)]
@@ -1909,50 +2042,29 @@ mod tests {
             *d.at_mut(q) = 9.0;
         }
         let covered = BoxList::from_box(b(0, 0, 4, 2));
-        extend_scratch(&mut d, &covered);
+        d.extend_uncovered(&covered);
         assert_eq!(d.at(IntVector::new(2, 3)), 9.0);
     }
 
     #[test]
-    fn tags_are_unique_per_pair() {
-        let t1 = tag(REGRID_COPY, VariableId(3), 7, 9);
-        let t2 = tag(REGRID_COPY, VariableId(3), 9, 7);
-        let t3 = tag(REGRID_SCRATCH, VariableId(3), 7, 9);
-        let t4 = tag(REGRID_COPY, VariableId(4), 7, 9);
-        assert!(t1 != t2 && t1 != t3 && t1 != t4 && t2 != t3);
+    fn aggregated_tags_differ_by_kind_and_level() {
+        let tags = [
+            agg_tag(KIND_AGG_FILL, 1),
+            agg_tag(KIND_AGG_FILL, 2),
+            agg_tag(KIND_AGG_SYNC, 1),
+            agg_tag(KIND_AGG_REGRID, 1),
+        ];
+        for (i, a) in tags.iter().enumerate() {
+            assert!(tags[i + 1..].iter().all(|b| a != b), "{tags:x?}");
+        }
     }
 
-    // The packing limits must hold in *release* builds too (they were
-    // once debug_assert!s, which vanish under --release and let tags
-    // silently collide). `cargo test --release` exercises these.
-    #[test]
-    #[should_panic(expected = "message tag overflow")]
-    fn tag_rejects_dst_index_overflow() {
-        tag(REGRID_COPY, VariableId(0), 1 << 20, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "message tag overflow")]
-    fn tag_rejects_src_index_overflow() {
-        tag(REGRID_COPY, VariableId(0), 0, 1 << 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "message tag overflow")]
-    fn tag_rejects_variable_overflow() {
-        tag(REGRID_COPY, VariableId(1 << 20), 0, 0);
-    }
-
+    // The limit must hold in *release* builds too: a kind-15 tag would
+    // collide with the netsim collectives' without any diagnostic.
     #[test]
     #[should_panic(expected = "reserved for netsim collectives")]
-    fn tag_rejects_reserved_kind() {
-        tag(15, VariableId(0), 0, 0);
-    }
-
-    #[test]
-    fn tag_accepts_the_limits() {
-        // The maximal legal fields pack without panicking.
-        tag(14, VariableId((1 << 20) - 1), (1 << 20) - 1, (1 << 20) - 1);
+    fn agg_tag_rejects_the_reserved_kind() {
+        agg_tag(15, 0);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Transfer jobs: the data movement of a schedule stage, as data.
 //!
 //! A schedule resolves every plan once, at build time, into a *job*: a
-//! plain record naming its arrays by [`Loc`] (a local patch position or
-//! an entry of the stage's scratch array), its box list, and — for
-//! message traffic — its byte range in the peer's aggregated stream.
+//! plain record naming its arrays by [`Loc`] (a local patch position,
+//! an entry of the stage's scratch array, or — as a source, while a
+//! regrid transfers the solution — a patch of the level being
+//! replaced), its box list, and — for message traffic — its byte range
+//! in the peer's aggregated stream.
 //! Executing a stage is then one call handing the whole job list to the
 //! placement: the [`DataFactory`](crate::DataFactory) batch entry
 //! points (`copy_many`, `pack_many`, `unpack_batch`, `extend_many`) and
@@ -19,6 +21,7 @@
 //! are 32 bits wide.
 
 use crate::hierarchy::PatchHierarchy;
+use crate::level::PatchLevel;
 use crate::patch::Patch;
 use crate::patchdata::{Element, PatchData, PatchDataError};
 use crate::variable::VariableId;
@@ -51,6 +54,10 @@ pub enum Loc {
     },
     /// An entry of the stage's scratch array.
     Scratch(u32),
+    /// A local patch of the level a regrid is replacing, by position in
+    /// [`TransferCtx::outgoing`]'s local array. Only ever read: the
+    /// source of a copy or of a pack.
+    Outgoing(u32),
 }
 
 impl Loc {
@@ -67,12 +74,16 @@ impl Loc {
 }
 
 /// The arrays one schedule stage may touch: the hierarchy's local
-/// patches and the stage's scratch data.
+/// patches, the stage's scratch data and, during a regrid's solution
+/// transfer, the level the hierarchy no longer holds.
 pub struct TransferCtx<'a> {
     /// The hierarchy whose local patches the jobs name.
     pub hierarchy: &'a mut PatchHierarchy,
     /// The stage's scratch arrays (interpolation or projection scratch).
     pub scratch: &'a mut [Box<dyn PatchData>],
+    /// The level [`Loc::Outgoing`] names: the one a regrid has just
+    /// replaced in `hierarchy`. `None` outside a solution transfer.
+    pub outgoing: Option<&'a mut PatchLevel>,
 }
 
 impl TransferCtx<'_> {
@@ -84,6 +95,10 @@ impl TransferCtx<'_> {
                 locals[pos as usize].data_mut(var)
             }
             Loc::Scratch(i) => self.scratch[i as usize].as_mut(),
+            Loc::Outgoing(pos) => {
+                let old = self.outgoing.as_deref_mut().expect("no outgoing level is set");
+                old.local_mut()[pos as usize].data_mut(var)
+            }
         }
     }
 
@@ -92,7 +107,8 @@ impl TransferCtx<'_> {
     /// # Panics
     /// Panics if both ends are the same patch, are patches of different
     /// levels, or are both scratch — inter-level movement always goes
-    /// through scratch, so no schedule plans such a pair.
+    /// through scratch, so no schedule plans such a pair — or if the
+    /// outgoing level is anything but the source of a patch.
     pub fn pair(
         &mut self,
         dst: Loc,
@@ -114,8 +130,16 @@ impl TransferCtx<'_> {
                 let locals = self.hierarchy.level(level.into()).local();
                 (self.scratch[i as usize].as_mut(), locals[pos as usize].data(var))
             }
+            (Loc::Patch { level, pos }, Loc::Outgoing(s)) => {
+                let old = self.outgoing.as_deref().expect("no outgoing level is set");
+                let locals = self.hierarchy.level_mut(level.into()).local_mut();
+                (locals[pos as usize].data_mut(var), old.local()[s as usize].data(var))
+            }
             (Loc::Scratch(_), Loc::Scratch(_)) => {
                 panic!("transfer pair between two scratch arrays")
+            }
+            (Loc::Outgoing(_), _) | (Loc::Scratch(_), Loc::Outgoing(_)) => {
+                panic!("the outgoing level is only the source of a patch")
             }
         }
     }
@@ -331,6 +355,10 @@ impl DescriptorWords {
             Loc::Scratch(i) => {
                 self.word(-1);
                 self.word(i);
+            }
+            Loc::Outgoing(pos) => {
+                self.word(-2);
+                self.word(pos);
             }
         }
     }

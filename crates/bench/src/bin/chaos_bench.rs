@@ -107,12 +107,19 @@ struct Schedule {
 /// The ≥20 seeded fault schedules. Occurrence indices are chosen to
 /// land inside the run, and [`check`] fails a schedule whose fault never
 /// fires. Per rank, the 2-rank 8-step Sod run evaluates ~65 (rank 0) /
-/// ~130 (rank 1) point-to-point and ~40 collective sites; on the device,
-/// with one rollback replayed, ~860 / ~380 allocation and ~460 / ~380
+/// ~105 (rank 1) point-to-point and ~40 collective sites; on the device,
+/// with one rollback replayed, ~850 / ~370 allocation and ~450 / ~365
 /// PCIe-transfer sites (checkpoints, initialisation and the regrid
-/// transfer included). Before the halo path was fused the device counts
-/// were ~3,700 and ~3,200: a change that removes sites can slide an
-/// index out of the run, which is what the fired-site gate catches.
+/// transfer included). A change that removes sites can slide an index
+/// out of the run, which is what the fired-site gate catches: fusing
+/// the halo path took the device counts down from ~3,700 and ~3,200,
+/// and running the regrid's solution transfer through the same path
+/// took rank 1's receives down from ~130 (a rebuilt level now costs one
+/// message, one pack, one unpack and two PCIe hops per peer). None of
+/// the occurrence-pinned rules below fired inside a transfer before
+/// that change, and each fires in the same place after it; the
+/// persistent and every-message rules still reach the transfer's
+/// message, its staging allocation and its two PCIe hops.
 fn schedules() -> Vec<Schedule> {
     use Expectation::{DegradesToHost, Recoverable, Unrecoverable};
     use FaultKind::{AllocFail, CollectiveFault, CopyFail, MsgCorrupt, MsgDelay, MsgDrop};
@@ -331,8 +338,10 @@ fn schedules() -> Vec<Schedule> {
     add_kill("rank_kill_at_step0", 901, vec![FaultRule::rank_kill(1, 0)], 1, 0);
     // Mid-run, between checkpoint intervals.
     add_kill("rank_kill_midrun", 902, vec![FaultRule::rank_kill(1, 3)], 1, 3);
-    // Right before the regrid step (regrid_interval = 5): the death is
-    // detected inside the regrid's own transfer collectives.
+    // On the step after the regrid step (regrid_interval = 5): the
+    // survivor meets the death in its first exchange with the freshly
+    // transferred level, and replays from the checkpoint the regrid step
+    // adopted.
     add_kill("rank_kill_during_regrid", 903, vec![FaultRule::rank_kill(1, 5)], 1, 5);
     // Inside the checkpoint-adoption collective after step 5 commits:
     // the survivors' save is revoked and discarded collectively.

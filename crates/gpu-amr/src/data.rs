@@ -44,9 +44,9 @@ impl DeviceElement for i32 {}
 /// hand whole stages to [`DeviceDataFactory`], which runs the same
 /// kernels once per stage — one `copy-region` launch per job list, one
 /// `pack` launch and one D2H per outgoing message, one H2D and one
-/// `unpack` launch per incoming message. The per-item methods remain
-/// for the callers that move one region at a time (the regrid
-/// solution transfer, checkpoints, digests).
+/// `unpack` launch per incoming message. A regrid's solution transfer
+/// is such a schedule too. The per-item methods remain for the callers
+/// that move one region at a time (checkpoints, digests).
 ///
 /// Host code cannot touch the values: reads outside kernels are a
 /// compile error (no [`Kernel`](rbamr_device::Kernel) token), which is

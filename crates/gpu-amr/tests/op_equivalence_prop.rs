@@ -417,7 +417,11 @@ mod fused {
             let factory = Arc::clone(self.reg.factory());
             f(
                 factory.as_ref(),
-                &mut TransferCtx { hierarchy: &mut self.h, scratch: &mut self.scratch },
+                &mut TransferCtx {
+                    hierarchy: &mut self.h,
+                    scratch: &mut self.scratch,
+                    outgoing: None,
+                },
             )
         }
 

@@ -1,19 +1,24 @@
-//! Telemetry counter integration tests for the fused halo path: what a
-//! `RefineSchedule` fill on device data counts — launches per stage,
-//! PCIe transfers per message, `pack.bytes` / `unpack.bytes` — must
-//! equal the analytically known traffic of a small configuration, and
-//! must not grow with the number of overlaps.
+//! Telemetry counter integration tests for the fused transfer path:
+//! what a `RefineSchedule` fill — and a regrid's solution transfer,
+//! which runs the same stages — counts on device data: launches per
+//! stage, PCIe transfers per message, `pack.bytes` / `unpack.bytes`.
+//! They must equal the analytically known traffic of a small
+//! configuration, and must not grow with the number of overlaps or of
+//! patches.
 
+use rbamr_amr::cluster::split_to_max;
 use rbamr_amr::ops::RefineOperator;
 use rbamr_amr::patchdata::PatchDataError;
+use rbamr_amr::regrid::{CellTagger, TransferSpec};
 use rbamr_amr::schedule::FillSpec;
 use rbamr_amr::{
-    GridGeometry, Patch, PatchData, PatchHierarchy, PhysicalBoundary, RefineSchedule,
-    ScheduleBuild, ScheduleCache, ScheduleError, VariableId, VariableRegistry,
+    GridGeometry, Patch, PatchData, PatchHierarchy, PhysicalBoundary, RefineSchedule, RegridError,
+    RegridParams, Regridder, ScheduleBuild, ScheduleCache, ScheduleError, TagBitmap, VariableId,
+    VariableRegistry,
 };
 use rbamr_device::Device;
 use rbamr_geometry::{copy_overlap, BoxList, Centring, GBox, IntVector};
-use rbamr_gpu_amr::ops::DeviceConservativeCellRefine;
+use rbamr_gpu_amr::ops::{DeviceConservativeCellRefine, DeviceLinearNodeRefine};
 use rbamr_gpu_amr::{DeviceData, DeviceDataFactory};
 use rbamr_netsim::{Cluster, Comm, FaultKind, FaultPlan, FaultRule};
 use rbamr_perfmodel::{Category, Machine};
@@ -233,6 +238,153 @@ fn descriptor_tables_live_with_the_schedules_in_use() {
         r.fill(&revived, &comm).unwrap();
         assert_eq!(uploads(&r), 2);
     });
+}
+
+/// Tags one box of level-0 cells, nothing else.
+struct BoxTagger(GBox);
+
+impl CellTagger for BoxTagger {
+    fn tag_cells(&self, h: &PatchHierarchy, level: usize, _time: f64) -> Vec<TagBitmap> {
+        let local = h.level(level).local().iter();
+        local
+            .map(|p| {
+                let tagged = |q| i32::from(level == 0 && self.0.contains(q));
+                let cells: Vec<i32> = p.cell_box().iter().map(tagged).collect();
+                TagBitmap::compress(p.cell_box(), &cells)
+            })
+            .collect()
+    }
+}
+
+/// What one rank's regrid counted.
+#[derive(Debug, PartialEq)]
+struct RegridCounts {
+    /// Launches of `pack`, `unpack`, `copy-region`, `refine-interp` and
+    /// `extend-uncovered`, in that order.
+    launches: [u64; 5],
+    /// Transfer messages (kind 7) sent and received.
+    messages: (u64, u64),
+    /// Sends of the retired per-overlap kinds 3 and 4.
+    retired: u64,
+    d2h: (u64, u64),
+    h2d: (u64, u64),
+    packed: (u64, u64),
+    new_patches: usize,
+    outcome: Result<(), RegridError>,
+}
+
+/// Regrid a two-rank device hierarchy whose level 1 — fifteen 8x8 patches
+/// straddling the new ones — is replaced by one of `(2 * tagged.x) x
+/// (2 * tagged.y) / 64` patches: a cell and a node variable, old data
+/// under part of every rank's new patches, interpolation elsewhere.
+/// `fail_transfer` fails rank 0's `n`-th PCIe transfer of the regrid.
+fn regrid_counts(tagged: IntVector, fail_transfer: Option<u64>) -> Vec<RegridCounts> {
+    let rules = fail_transfer.map(|n| FaultRule::once_on(FaultKind::CopyFail, 0, n));
+    let plan = FaultPlan::new(11, rules.into_iter().collect());
+    let results = Cluster::new(Machine::ipa_gpu()).with_fault_plan(plan).run(2, |mut comm| {
+        let device = Device::new(Machine::ipa_gpu(), comm.clock().clone());
+        let rec = Recorder::new(comm.rank(), comm.clock().clone());
+        device.set_recorder(rec.clone());
+        comm.set_recorder(rec.clone());
+        let mut reg = VariableRegistry::new(Arc::new(DeviceDataFactory::new(device.clone())));
+        let q = reg.register("q", Centring::Cell, IntVector::uniform(2));
+        let v = reg.register("v", Centring::Node, IntVector::uniform(2));
+        let domain = b(0, 0, 80, 48);
+        let mut h = PatchHierarchy::new(
+            GridGeometry::unit(1.0),
+            BoxList::from_box(domain),
+            IntVector::uniform(2),
+            2,
+            comm.rank(),
+            comm.size(),
+        );
+        // Alternating owners: whatever the regridder's partition of the
+        // new level, both ranks hold sources of both kinds.
+        let set_level = |h: &mut PatchHierarchy, l: usize, regions: &[GBox], max: i64| {
+            let mut boxes = Vec::new();
+            regions.iter().for_each(|&r| split_to_max(r, max, &mut boxes));
+            let owners = (0..boxes.len()).map(|i| i % comm.size()).collect();
+            h.set_level(l, boxes, owners, &reg);
+        };
+        set_level(&mut h, 0, &[domain], 16);
+        // Old fine patches under both halves of every new level tried.
+        let old = [(20, 20), (52, 20), (84, 20), (20, 60), (84, 60)];
+        set_level(&mut h, 1, &old.map(|(x, y)| b(x, y, x + 24, y + 8)), 8);
+
+        let params = RegridParams { tag_buffer: 0, max_patch_size: 8, ..RegridParams::default() };
+        let specs = [
+            TransferSpec { var: q, refine_op: Arc::new(DeviceConservativeCellRefine) },
+            TransferSpec { var: v, refine_op: Arc::new(DeviceLinearNodeRefine) },
+        ];
+        let tagger = BoxTagger(GBox::new(IntVector::uniform(8), IntVector::uniform(8) + tagged));
+        if fail_transfer.is_some() {
+            device.set_fault_injector(Arc::clone(comm.fault_injector().unwrap()));
+        }
+        device.reset_transfer_stats();
+        let outcome =
+            Regridder::new(params).try_regrid(&mut h, &reg, &tagger, &specs, Some(&comm), 1.0);
+
+        let launches = ["pack", "unpack", "copy-region", "refine-interp", "extend-uncovered"]
+            .map(|name| rec.counter(&format!("device.kernel_launches.{name}")));
+        let stats = device.stats();
+        RegridCounts {
+            launches,
+            messages: (rec.counter("net.sends.kind7"), rec.counter("net.recvs.kind7")),
+            retired: rec.counter("net.sends.kind3") + rec.counter("net.sends.kind4"),
+            d2h: (stats.d2h_transfers, stats.d2h_bytes),
+            h2d: (stats.h2d_transfers, stats.h2d_bytes),
+            packed: (rec.counter("pack.bytes"), rec.counter("unpack.bytes")),
+            new_patches: h.level(1).num_patches(),
+            outcome: outcome.map(|o| assert_eq!(o.levels_changed, [false, true])),
+        }
+    });
+    let mut out: Vec<_> = results.into_iter().map(|r| (r.rank, r.value)).collect();
+    out.sort_by_key(|&(rank, _)| rank);
+    out.into_iter().map(|(_, counts)| counts).collect()
+}
+
+#[test]
+fn regrid_transfer_budget_does_not_grow_with_the_patch_count() {
+    let sizes = [(16, 8, 8), (32, 16, 32), (64, 32, 128)];
+    let runs = sizes.map(|(x, y, patches)| {
+        let ranks = regrid_counts(IntVector::new(x, y), None);
+        for (rank, r) in ranks.iter().enumerate() {
+            let what = format!("{patches} patches, rank {rank}");
+            assert_eq!((r.new_patches, &r.outcome), (patches, &Ok(())), "{what}");
+            // One message each way between the two ranks, one pack and
+            // one unpack launch for it, one PCIe transfer per message
+            // carrying exactly the packed bytes — plus the schedule's
+            // descriptor table on the way in.
+            assert_eq!((r.messages, r.retired), ((1, 1), 0), "{what}");
+            assert_eq!(r.launches[..2], [1, 1], "{what}: pack, unpack");
+            assert_eq!(r.d2h, (1, r.packed.0), "{what}: D2H");
+            assert_eq!(r.h2d.0, 2, "{what}: H2D = message + descriptor table");
+            assert!(r.h2d.1 > r.packed.1 && r.packed.1 > 0, "{what}: {r:?}");
+        }
+        ranks.into_iter().map(|r| r.launches).collect::<Vec<_>>()
+    });
+    // Copies from the old level, scratch captures, one interpolation
+    // per operator, one extension: a constant.
+    assert!(runs[0].iter().all(|l| l.iter().sum::<u64>() <= 16), "{:?}", runs[0]);
+    assert_eq!(runs[0], [[1, 1, 2, 2, 1]; 2]);
+    assert!(runs[1] == runs[0] && runs[2] == runs[0], "launches grew with the level: {runs:?}");
+}
+
+#[test]
+fn failed_transfer_in_a_regrid_runs_through_and_installs_the_level() {
+    // Rank 0's transfers during the regrid: 0 the descriptor table
+    // (latching), 1 the pack's D2H, 2 the unpack's H2D. Either way the
+    // level is installed everywhere and the peer completes.
+    for n in [1, 2] {
+        let ranks = regrid_counts(IntVector::new(16, 8), Some(n));
+        let faulted = &ranks[0].outcome;
+        assert!(
+            matches!(faulted, Err(RegridError::Data(PatchDataError::Transfer { .. }))),
+            "transfer {n}: rank 0 reported {faulted:?}"
+        );
+        assert_eq!(ranks[1].outcome, Ok(()), "transfer {n}: rank 1 must not notice");
+        assert!(ranks.iter().all(|r| r.new_patches == 8 && r.messages == (1, 1)), "{ranks:?}");
+    }
 }
 
 #[test]

@@ -5,11 +5,17 @@
 //! quantities mirror evenly. The fill is index-precomputed on the host
 //! (pure box arithmetic, no data) and applied either directly to host
 //! data or as a device kernel — ghost filling never moves field data
-//! across the PCIe bus.
+//! across the PCIe bus. A schedule's fill is one call
+//! ([`PhysicalBoundary::fill_many`]): its index lists are worked out at
+//! the first fill and kept with the schedule, and on the device every
+//! patch and variable of the fill shares one launch.
 
 use crate::state::Fields;
-use rbamr_amr::{HostData, Patch, PhysicalBoundary, VariableId};
-use rbamr_device::Stream;
+use rbamr_amr::{
+    BoundaryKept, HostData, Patch, PatchData, PatchLevel, PhysicalBoundary, PhysicalPlan,
+    VariableId,
+};
+use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, Centring, GBox};
 use rbamr_gpu_amr::DeviceData;
 use rbamr_perfmodel::{Category, KernelShape};
@@ -114,6 +120,50 @@ pub fn mirror_pairs(
     pairs
 }
 
+/// Apply `pairs` to one array: sources are interior, targets are
+/// ghosts — disjoint sets, so gather-then-scatter preserves the
+/// one-thread-per-element semantics.
+fn reflect(slice: &mut [f64], pairs: &[(usize, usize, f64)]) {
+    let vals: Vec<f64> = pairs.iter().map(|&(_, s, sign)| sign * slice[s]).collect();
+    for (&(t, _, _), v) in pairs.iter().zip(vals) {
+        slice[t] = v;
+    }
+}
+
+/// The `physical-boundary` kernel: one launch applying the pair lists
+/// `jobs` yields, `total` pairs in all. No launch without pairs.
+fn launch_reflect(
+    device: &Device,
+    total: usize,
+    jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<f64>, &[(usize, usize, f64)])),
+) {
+    if total == 0 {
+        return;
+    }
+    let stream = Stream::new(device);
+    stream.submit();
+    let shape = KernelShape::streaming(total as i64, 2, 1);
+    device.launch_named(&stream, "physical-boundary", Category::HaloExchange, shape, |k| {
+        jobs(&mut |data, pairs| reflect(data.buffer_mut().as_mut_slice(&k), pairs));
+    });
+}
+
+/// The mirror pairs of every plan of one schedule, in plan order: what
+/// [`ReflectiveBoundary`] keeps with the schedule.
+struct SchedulePairs(Vec<Vec<(usize, usize, f64)>>);
+
+impl ReflectiveBoundary {
+    fn pairs_of(
+        &self,
+        data: &dyn PatchData,
+        var: VariableId,
+        boxes: &BoxList,
+        domain: GBox,
+    ) -> Vec<(usize, usize, f64)> {
+        mirror_pairs(data.data_box(), data.centring(), self.parity(var), boxes, domain)
+    }
+}
+
 impl PhysicalBoundary for ReflectiveBoundary {
     fn fill(
         &self,
@@ -123,39 +173,66 @@ impl PhysicalBoundary for ReflectiveBoundary {
         domain_box: GBox,
         _time: f64,
     ) {
-        let centring = patch.data(var).centring();
-        let data_box = patch.data(var).data_box();
-        let parity = self.parity(var);
-        let pairs = mirror_pairs(data_box, centring, parity, boxes, domain_box);
-        if pairs.is_empty() {
-            return;
-        }
         let data = patch.data_mut(var);
+        let pairs = self.pairs_of(data, var, boxes, domain_box);
         if let Some(host) = data.as_any_mut().downcast_mut::<HostData<f64>>() {
-            let slice = host.as_mut_slice();
-            for &(t, s, sign) in &pairs {
-                slice[t] = sign * slice[s];
-            }
+            reflect(host.as_mut_slice(), &pairs);
         } else if let Some(dev) = data.as_any_mut().downcast_mut::<DeviceData<f64>>() {
             let device = dev.device().clone();
-            let stream = Stream::new(&device);
-            stream.submit();
-            let shape = KernelShape::streaming(pairs.len() as i64, 2, 1);
-            let buf = dev.buffer_mut();
-            device.launch_named(&stream, "physical-boundary", Category::HaloExchange, shape, |k| {
-                let slice = buf.as_mut_slice(&k);
-                // Sources are interior, targets are ghosts: disjoint
-                // sets, so gather-then-scatter preserves the
-                // one-thread-per-element semantics.
-                let vals: Vec<f64> = pairs.iter().map(|&(_, s, sign)| sign * slice[s]).collect();
-                for (&(t, _, _), v) in pairs.iter().zip(vals) {
-                    slice[t] = v;
-                }
-            });
+            launch_reflect(&device, pairs.len(), |apply| apply(dev, &pairs));
         } else {
             panic!("ReflectiveBoundary: unsupported data placement");
         }
     }
+
+    fn fill_many(
+        &self,
+        level: &mut PatchLevel,
+        plans: &[PhysicalPlan],
+        domain_box: GBox,
+        _time: f64,
+        kept: &mut BoundaryKept,
+    ) {
+        // The pairs depend on the plans alone: computed at the
+        // schedule's first fill, dropped with it.
+        if !kept.as_ref().is_some_and(|k| k.is::<SchedulePairs>()) {
+            let pairs = plans.iter().map(|plan| {
+                let data = level.local()[plan.pos].data(plan.var);
+                self.pairs_of(data, plan.var, &plan.outside, domain_box)
+            });
+            *kept = Some(Box::new(SchedulePairs(pairs.collect())));
+        }
+        let kept = kept.as_ref().and_then(|k| k.downcast_ref::<SchedulePairs>());
+        let jobs = plans.iter().zip(&kept.expect("the pairs were just ensured").0);
+        // A level's patches share one placement.
+        let device = plans.first().and_then(|first| {
+            let data = data_of(level, first).as_any().downcast_ref::<DeviceData<f64>>();
+            data.map(|d| d.device().clone())
+        });
+        match device {
+            None => {
+                for (plan, pairs) in jobs {
+                    let host = data_of(level, plan).as_any_mut().downcast_mut::<HostData<f64>>();
+                    let host = host.expect("ReflectiveBoundary: unsupported data placement");
+                    reflect(host.as_mut_slice(), pairs);
+                }
+            }
+            Some(device) => {
+                let total = jobs.clone().map(|(_, pairs)| pairs.len()).sum();
+                launch_reflect(&device, total, |apply| {
+                    for (plan, pairs) in jobs {
+                        let dev = data_of(level, plan).as_any_mut().downcast_mut();
+                        apply(dev.expect("ReflectiveBoundary: mixed data placements"), pairs);
+                    }
+                });
+            }
+        }
+    }
+}
+
+/// The array a plan fills.
+fn data_of<'a>(level: &'a mut PatchLevel, plan: &PhysicalPlan) -> &'a mut dyn PatchData {
+    level.local_mut()[plan.pos].data_mut(plan.var)
 }
 
 #[cfg(test)]
@@ -238,6 +315,77 @@ mod tests {
         let d = patch.host::<f64>(f.density0);
         assert_eq!(d.at(IntVector::new(-1, 3)), 1.0);
         assert_eq!(d.at(IntVector::new(-2, 3)), 2.0);
+    }
+
+    /// A two-patch device level spanning an 8x4 domain, fields seeded
+    /// with distinct values, and the plans of its low-y ghost rows.
+    fn device_level() -> (rbamr_device::Device, PatchLevel, Fields, Vec<PhysicalPlan>, GBox) {
+        let device = rbamr_device::Device::k20x();
+        let factory = rbamr_gpu_amr::DeviceDataFactory::new(device.clone());
+        let mut reg = VariableRegistry::new(Arc::new(factory));
+        let f = Fields::register(&mut reg);
+        let domain = b(0, 0, 8, 4);
+        let boxes = vec![b(0, 0, 4, 4), b(4, 0, 8, 4)];
+        let mut level = PatchLevel::new(
+            0,
+            IntVector::ONE,
+            boxes,
+            vec![0, 0],
+            BoxList::from_box(domain),
+            0,
+            &reg,
+        );
+        let mut plans = Vec::new();
+        for (pos, patch) in level.local_mut().iter_mut().enumerate() {
+            for var in [f.density0, f.yvel0] {
+                let dev: &mut DeviceData<f64> =
+                    patch.data_mut(var).as_any_mut().downcast_mut().unwrap();
+                let image: Vec<f64> = (0..dev.data_box().num_cells())
+                    .map(|i| (1 + i + 100 * var.0 as i64) as f64)
+                    .collect();
+                dev.upload_all(&image, Category::Other);
+                let outside = BoxList::from_box(patch.cell_box().grow(IntVector::uniform(2)))
+                    .intersect_box(b(-2, -2, 10, 0));
+                plans.push(PhysicalPlan { pos, dst_idx: pos, var, outside });
+            }
+        }
+        (device, level, f, plans, domain)
+    }
+
+    #[test]
+    fn one_launch_fills_what_the_per_plan_loop_fills() {
+        let images = |level: &PatchLevel, plans: &[PhysicalPlan]| -> Vec<Vec<f64>> {
+            let image = |plan: &PhysicalPlan| {
+                let data = level.local()[plan.pos].data(plan.var);
+                let dev: &DeviceData<f64> = data.as_any().downcast_ref().unwrap();
+                dev.download_all(Category::Other)
+            };
+            plans.iter().map(image).collect()
+        };
+        let (device, mut level, f, plans, domain) = device_level();
+        let boundary = ReflectiveBoundary::for_fields(&f, 32);
+        let before = device.stats().kernel_launches;
+        for plan in &plans {
+            let patch = &mut level.local_mut()[plan.pos];
+            boundary.fill(patch, plan.var, &plan.outside, domain, 0.0);
+        }
+        assert_eq!(device.stats().kernel_launches - before, plans.len() as u64);
+        let per_plan = images(&level, &plans);
+
+        let (device, mut level, _, plans, domain) = device_level();
+        let mut kept = None;
+        let before = device.stats().kernel_launches;
+        boundary.fill_many(&mut level, &plans, domain, 0.0, &mut kept);
+        assert_eq!(device.stats().kernel_launches - before, 1);
+        assert_eq!(images(&level, &plans), per_plan);
+        // yvel is odd in y: the ghost row below the wall is negated.
+        assert!(per_plan[1].iter().any(|&v| v < 0.0));
+        // The pairs stay with the schedule: a second fill reuses them
+        // and, the ghosts already mirroring the interior, changes nothing.
+        assert!(kept.is_some());
+        boundary.fill_many(&mut level, &plans, domain, 0.0, &mut kept);
+        assert_eq!(device.stats().kernel_launches - before, 2);
+        assert_eq!(images(&level, &plans), per_plan);
     }
 
     #[test]

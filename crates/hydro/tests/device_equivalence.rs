@@ -320,8 +320,8 @@ fn hydro_launches_scale_with_levels_not_patches() {
 /// that move halo data are bounded by the fills and syncs a step
 /// executes and by the messages it exchanges — never by the number of
 /// patches or overlaps. Checked at two patch sizes over steps that do
-/// not regrid (the regrid solution transfer still launches per
-/// overlap).
+/// not regrid (a regrid's transfer obeys the same law per rebuilt
+/// level; `telemetry_counters` in `gpu-amr` pins its budget).
 #[test]
 fn data_movement_launches_scale_with_fills_not_patches() {
     for patch in [8, 16] {

@@ -138,14 +138,17 @@ fn device_distributed_matches_host_distributed() {
 struct StepTraffic {
     d2h: (u64, u64),
     h2d: (u64, u64),
-    /// Point-to-point messages sent and received (fill and sync
-    /// streams; the regrid transfer on a regrid step).
+    /// Data messages sent and received: the fill and sync streams and,
+    /// on a regrid step, the solution transfer's.
     messages: (u64, u64),
     packed: (u64, u64),
     /// Levels holding local patches, and the local patches on them, at
     /// the start of the step: one dt download per level, one minimum
     /// per patch.
     dt: (u64, u64),
+    /// `any-tagged` and `compress-tags` launches: each downloads its
+    /// result.
+    tags: (u64, u64),
 }
 
 #[test]
@@ -164,11 +167,14 @@ fn distributed_device_build_is_resident() {
         let observe = || {
             let s = device.stats();
             let c = |name| rec.counter(name);
+            // Kind 15 is the collectives' own point-to-point plumbing
+            // (the regrid's tag exchange): host payloads, no PCIe.
             [
                 (s.d2h_transfers, s.d2h_bytes),
                 (s.h2d_transfers, s.h2d_bytes),
-                (c("net.sends"), c("net.recvs")),
+                (c("net.sends") - c("net.sends.kind15"), c("net.recvs") - c("net.recvs.kind15")),
                 (c("pack.bytes"), c("unpack.bytes")),
+                (c("device.kernel_launches.any-tagged"), c("device.kernel_launches.compress-tags")),
             ]
         };
         let mut steps = Vec::new();
@@ -179,12 +185,12 @@ fn distributed_device_build_is_resident() {
                 .collect();
             let before = observe();
             sim.step(Some(&comm));
-            let [d2h, h2d, messages, packed] = {
+            let [d2h, h2d, messages, packed, tags] = {
                 let after = observe();
-                [0, 1, 2, 3].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1))
+                [0, 1, 2, 3, 4].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1))
             };
             let dt = (locals.len() as u64, locals.iter().sum());
-            steps.push(StepTraffic { d2h, h2d, messages, packed, dt });
+            steps.push(StepTraffic { d2h, h2d, messages, packed, dt, tags });
         }
         steps
     });
@@ -192,26 +198,27 @@ fn distributed_device_build_is_resident() {
         for (i, t) in r.value.iter().enumerate() {
             let what = format!("rank {} step {}", r.rank, i + 1);
             assert!(t.messages.0 > 0 && t.packed.0 > 0, "{what}: halos must cross PCIe");
-            // The regrid at the end of every fourth step moves tag
-            // bitmaps and packs its solution transfer per overlap: only
-            // bounded. No full arrays: with 16^2-cell patches, a full
-            // 23-field array image would be ~750 kB.
-            if (i + 1).is_multiple_of(4) {
-                assert!(t.d2h.1 < 200_000, "{what}: D2H too large for packed halos: {:?}", t.d2h);
-                assert!(t.h2d.1 < 200_000, "{what}: H2D too large: {:?}", t.h2d);
-                continue;
-            }
-            // Otherwise the residency claim is an equality. Out: one
-            // transfer per message sent, carrying exactly the packed
-            // bytes, and per level one download of the patches' dt
-            // minima (8 B each).
-            assert_eq!(t.d2h, (t.messages.0 + t.dt.0, t.packed.0 + 8 * t.dt.1), "{what}: D2H");
+            // The residency claim is an equality. Out: one transfer per
+            // message sent — halo, synchronisation or, on the regrid at
+            // the end of every fourth step, solution-transfer message —
+            // carrying exactly the packed bytes, and per level one
+            // download of the patches' dt minima (8 B each). A regrid
+            // adds, per flagged patch, the 4-byte any-tagged word and,
+            // where it is set, the compressed bitmap: at most one bit
+            // per cell of a 16^2 patch.
+            let regrid = (i + 1).is_multiple_of(4);
+            assert_eq!(regrid, t.tags.0 > 0, "{what}: flagging runs on regrid steps only");
+            assert_eq!(t.d2h.0, t.messages.0 + t.dt.0 + t.tags.0 + t.tags.1, "{what}: D2H count");
+            let bitmaps = t.d2h.1 - (t.packed.0 + 8 * t.dt.1 + 4 * t.tags.0);
+            assert!(t.tags.1 <= bitmaps && bitmaps <= 32 * t.tags.1, "{what}: D2H {:?}", t.d2h);
             // In: one transfer per message received, carrying exactly
-            // the bytes unpacked — plus, on the two steps after the
-            // schedules are (re)built (the sweep directions alternate,
-            // so it takes two steps to execute every schedule once),
-            // their descriptor tables.
-            if i % 4 < 2 {
+            // the bytes unpacked — plus a descriptor table per schedule
+            // at its first execution: the regrid's transfer schedule
+            // on the regrid step, the rebuilt fill and sync schedules
+            // on the two steps after a (re)build (the sweep directions
+            // alternate, so it takes two steps to execute every
+            // schedule once).
+            if regrid || i % 4 < 2 {
                 assert!(t.h2d.0 > t.messages.1 && t.h2d.1 > t.packed.1, "{what}: tables upload");
                 assert!(t.h2d.1 < 200_000, "{what}: H2D too large: {:?}", t.h2d);
             } else {
