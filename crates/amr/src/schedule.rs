@@ -1776,14 +1776,15 @@ impl CoarsenSchedule {
             op.coarsen_many(&mut ctx, self.fine_level_no, jobs, ratio);
         }
         let tag = agg_tag(KIND_AGG_SYNC, self.fine_level_no);
-        let (streams, fault) = factory.pack_many(&mut ctx, &self.sends, &self.send_peers, category);
-        let packed = fault.map(ScheduleError::Data);
-        if let Some(comm) = comm {
+        let mut packed = None;
+        if !self.sends.is_empty() {
+            let comm = comm.expect("CoarsenSchedule: remote plans need a Comm");
+            let (streams, fault) =
+                factory.pack_many(&mut ctx, &self.sends, &self.send_peers, category);
+            packed = fault.map(ScheduleError::Data);
             for (peer, stream) in self.send_peers.iter().zip(streams) {
                 comm.send(peer.rank, tag, stream);
             }
-        } else {
-            assert!(self.sends.is_empty(), "CoarsenSchedule: remote plans need a Comm");
         }
 
         // Phase 2: apply local results.

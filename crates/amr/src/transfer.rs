@@ -296,7 +296,7 @@ pub struct CoarsenJob {
 /// charges a clock per unpack would move its charges around `recv`'s
 /// `max(local, arrival)` if the schedule received everything first.
 /// The default batch therefore unpacks at [`UnpackBatch::push`]; a
-/// placement that fuses (one transfer and one launch per message)
+/// placement that fuses (one transfer and one launch per stage)
 /// records the job and runs it at [`UnpackBatch::flush`].
 pub trait UnpackBatch<'j> {
     /// Unpack `job` from `msg`, its peer's whole message — now, or at
@@ -308,8 +308,9 @@ pub trait UnpackBatch<'j> {
         msg: &Bytes,
     ) -> Result<(), PatchDataError>;
 
-    /// Run whatever `push` deferred. A failure skips the affected
-    /// peer's jobs only; the first one is returned.
+    /// Run whatever `push` deferred. A failure skips the deferred jobs
+    /// it affects — all of them, when they move in one transfer; the
+    /// first one is returned.
     fn flush(&mut self, ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError>;
 }
 

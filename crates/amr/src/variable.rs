@@ -43,7 +43,7 @@ pub struct Variable {
 /// per-item [`PatchData`] method in job order, so a factory that
 /// overrides nothing moves data exactly as per-item calls would, charge
 /// for charge; a factory whose data lives on a device overrides them
-/// with one fused launch (and one PCIe transfer per message) per call.
+/// with one fused launch (and one PCIe transfer per stage) per call.
 pub trait DataFactory: Send + Sync {
     /// Allocate data for `var` over `cell_box` (plus the variable's
     /// ghosts).

@@ -43,9 +43,9 @@ impl DeviceElement for i32 {}
 /// `launch_extend`). The schedules do not call them per overlap: they
 /// hand whole stages to [`DeviceDataFactory`], which runs the same
 /// kernels once per stage — one `copy-region` launch per job list, one
-/// `pack` launch and one D2H per outgoing message, one H2D and one
-/// `unpack` launch per incoming message. A regrid's solution transfer
-/// is such a schedule too. The per-item methods remain for the callers
+/// `pack` launch and one D2H for all of a stage's outgoing messages, one
+/// H2D and one `unpack` launch for all it received. A regrid's solution
+/// transfer is such a schedule too. The per-item methods remain for the callers
 /// that move one region at a time (checkpoints, digests).
 ///
 /// Host code cannot touch the values: reads outside kernels are a
@@ -281,9 +281,9 @@ fn pack_message<T: DeviceElement>(
     Ok(Bytes::from(out))
 }
 
-/// The `unpack` kernel and its transfer: one H2D of the whole message
-/// `msg` into `staging`, then one launch scattering it. Each job names
-/// the first value of its overlap within the message.
+/// The `unpack` kernel and its transfer: one H2D of `msgs`, back to
+/// back, into `staging`, then one launch scattering them. Each job names
+/// the first value of its overlap within the concatenation.
 ///
 /// `fallible` as for [`pack_message`]; on `Err` nothing was unpacked.
 fn unpack_message<T: DeviceElement>(
@@ -291,13 +291,16 @@ fn unpack_message<T: DeviceElement>(
     stream: &Stream,
     category: Category,
     staging: &mut DeviceBuffer<T>,
-    msg: &[u8],
+    msgs: &[&[u8]],
     fallible: bool,
     jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &BoxOverlap, usize)),
 ) -> Result<(), PatchDataError> {
-    device.recorder().count("unpack.bytes", msg.len() as u64);
-    let host: Vec<T> = msg.chunks_exact(T::BYTES).map(T::read_from).collect();
-    let total = host.len();
+    let total = msgs.iter().map(|m| m.len()).sum::<usize>() / T::BYTES;
+    device.recorder().count("unpack.bytes", (total * T::BYTES) as u64);
+    let mut host: Vec<T> = Vec::with_capacity(total);
+    for msg in msgs {
+        host.extend(msg.chunks_exact(T::BYTES).map(T::read_from));
+    }
     if fallible {
         device.try_upload(staging, 0, &host, category).map_err(transfer_fault)?;
     } else {
@@ -381,7 +384,7 @@ impl<T: DeviceElement> DeviceData<T> {
         let mut staging = self.staging(overlap.num_values() as usize, fallible)?;
         let (device, queue, category) =
             (self.buf.device().clone(), self.stream.clone(), self.category);
-        unpack_message(&device, &queue, category, &mut staging, stream, fallible, |unpack| {
+        unpack_message(&device, &queue, category, &mut staging, &[stream], fallible, |unpack| {
             unpack(self, overlap, 0);
         })
     }
@@ -469,11 +472,13 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
 ///
 /// It is also where a schedule stage becomes fused device work: every
 /// batch entry point of [`DataFactory`] is overridden with one launch
-/// per call (per message for pack and unpack) on the factory's transfer
-/// stream, and messages are staged through one persistent, grow-only
-/// device buffer — the simulated device is synchronous, so the buffer
-/// is free again as soon as a message's D2H returns or its unpack
-/// launch ends, and a steady step allocates no staging at all.
+/// per call on the factory's transfer stream, and a stage's messages
+/// cross PCIe together — every peer's, back to back in peer order, in
+/// one transfer — through one persistent, grow-only device buffer: the
+/// simulated device is synchronous, so the buffer is free again as soon
+/// as the stage's D2H returns or its unpack launch ends, and a steady
+/// step allocates no staging at all. A stage with no peers stages,
+/// launches and transfers nothing.
 ///
 /// [`HostDataFactory`]: rbamr_amr::HostDataFactory
 #[derive(Clone)]
@@ -553,35 +558,36 @@ impl DataFactory for DeviceDataFactory {
         peers: &[PeerStream],
         category: Category,
     ) -> (Vec<Bytes>, Option<PatchDataError>) {
-        let mut by_peer: Vec<Vec<&StreamJob>> = peers.iter().map(|_| Vec::new()).collect();
-        for job in jobs {
-            by_peer[job.peer as usize].push(job);
+        if peers.is_empty() {
+            return (Vec::new(), None);
         }
-        let mut first_err = None;
-        let streams = peers
-            .iter()
-            .zip(by_peer)
-            .map(|(peer, jobs)| {
-                let total = peer.bytes / STREAM_VALUE_BYTES;
-                let packed = self.with_staging(total, |staging| {
-                    let (device, stream) = (&self.device, &self.stream);
-                    pack_message(device, stream, category, staging, total, true, |pack| {
-                        for job in jobs {
-                            let src = ctx.data_mut(job.loc, job.var);
-                            src.set_transfer_category(category);
-                            pack(device_ref(src), &job.overlap);
-                        }
-                    })
-                });
-                packed.unwrap_or_else(|e| {
-                    // Run-through: the peer still gets a message of the
-                    // exact size, and the fault surfaces at the commit.
-                    first_err.get_or_insert(e);
-                    Bytes::from(vec![0u8; peer.bytes])
-                })
+        // Peer-major, job order inside a peer unchanged: `StreamJob::first`
+        // stays the offset inside the peer's slice of the staging region.
+        let mut by_peer: Vec<&StreamJob> = jobs.iter().collect();
+        by_peer.sort_by_key(|job| job.peer);
+        let total = peers.iter().map(|peer| peer.bytes).sum::<usize>() / STREAM_VALUE_BYTES;
+        let packed = self.with_staging(total, |staging| {
+            let (device, stream) = (&self.device, &self.stream);
+            pack_message(device, stream, category, staging, total, true, |pack| {
+                for job in by_peer {
+                    let src = ctx.data_mut(job.loc, job.var);
+                    src.set_transfer_category(category);
+                    pack(device_ref(src), &job.overlap);
+                }
             })
-            .collect();
-        (streams, first_err)
+        });
+        let mut end = 0;
+        let streams = peers.iter().map(|peer| {
+            let start = end;
+            end += peer.bytes;
+            match &packed {
+                Ok(stage) => stage.slice(start..end),
+                // Run-through: every peer still gets a message of the
+                // exact size, and the fault surfaces at the commit.
+                Err(_) => Bytes::from(vec![0u8; peer.bytes]),
+            }
+        });
+        (streams.collect(), packed.err())
     }
 
     fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
@@ -622,8 +628,9 @@ impl DataFactory for DeviceDataFactory {
 }
 
 /// The device's [`UnpackBatch`]: `push` only records, `flush` moves
-/// each peer's whole message with one H2D and scatters it with one
-/// launch.
+/// every received message with one H2D and scatters them with one
+/// launch. A message that never arrived is simply not part of the
+/// upload; a failed upload skips every job of the stage.
 struct DeviceUnpack<'f, 'j> {
     factory: &'f DeviceDataFactory,
     category: Category,
@@ -648,23 +655,26 @@ impl<'j> UnpackBatch<'j> for DeviceUnpack<'_, 'j> {
 
     fn flush(&mut self, ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError> {
         let (factory, category) = (self.factory, self.category);
-        let mut first_err = None;
-        for (msg, jobs) in self.pending.drain(..).flatten() {
-            let unpacked = factory.with_staging(msg.len() / STREAM_VALUE_BYTES, |staging| {
-                let (device, stream) = (&factory.device, &factory.stream);
-                unpack_message(device, stream, category, staging, &msg, true, |unpack| {
+        let pending: Vec<_> = self.pending.drain(..).flatten().collect();
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let msgs: Vec<&[u8]> = pending.iter().map(|(msg, _)| &msg[..]).collect();
+        let total = msgs.iter().map(|msg| msg.len()).sum::<usize>() / STREAM_VALUE_BYTES;
+        factory.with_staging(total, |staging| {
+            let (device, stream) = (&factory.device, &factory.stream);
+            unpack_message(device, stream, category, staging, &msgs, true, |unpack| {
+                let mut base = 0;
+                for (msg, jobs) in &pending {
                     for job in jobs {
                         let dst = ctx.data_mut(job.loc, job.var);
                         dst.set_transfer_category(category);
-                        unpack(device_mut(dst), &job.overlap, job.first as usize);
+                        unpack(device_mut(dst), &job.overlap, base + job.first as usize);
                     }
-                })
-            });
-            if let Err(e) = unpacked {
-                first_err.get_or_insert(e);
-            }
-        }
-        first_err.map_or(Ok(()), Err)
+                    base += msg.len() / STREAM_VALUE_BYTES;
+                }
+            })
+        })
     }
 }
 

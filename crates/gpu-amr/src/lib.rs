@@ -30,4 +30,4 @@ pub mod tags;
 
 pub use batch::{interior_core, split_region, BatchPlan, BatchPlanCache, PatchSlot};
 pub use data::{DeviceData, DeviceDataFactory};
-pub use tags::compress_tags;
+pub use tags::{compress_tags, compress_tags_many, TagField};

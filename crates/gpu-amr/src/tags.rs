@@ -5,104 +5,119 @@
 //! for each patch. If no cells in a patch are flagged for refinement
 //! then we don't copy data."
 //!
-//! The compression kernel runs on the device (one thread per output
-//! byte, each reading eight tags); only the bit array — or nothing but
-//! the flag, when the patch is clean — crosses the PCIe bus.
+//! Both kernels run on the device over a whole level's tag fields at
+//! once: `any-tagged` writes one flag word per patch, `compress-tags`
+//! (one thread per output byte, each reading eight tags) packs the
+//! flagged patches' bits into one array. Only the flag words and that
+//! bit array — nothing but the flags, when the level is clean — cross
+//! the PCIe bus, in one transfer each.
 
 use crate::data::DeviceData;
-use rayon::prelude::*;
 use rbamr_amr::patchdata::PatchData;
 use rbamr_amr::TagBitmap;
 use rbamr_device::{Device, DeviceBuffer, Stream};
 use rbamr_geometry::GBox;
 use rbamr_perfmodel::{Category, KernelShape};
 
-/// Compress a device-resident `i32` tag field into a host-side
-/// [`TagBitmap`], transferring only the compressed form.
-///
-/// The interior (non-ghost) tags of `tags` are compressed. Returns the
-/// bitmap; PCIe traffic is `ceil(cells/8) + 1` bytes when any cell is
-/// tagged, and a single flag byte otherwise (modelled as a 4-byte
-/// scalar readback).
-pub fn compress_tags(tags: &DeviceData<i32>, category: Category) -> TagBitmap {
-    let device = tags.device().clone();
-    let cell_box = tags.cell_box();
-    let dbox = tags.data_box();
-    let n = cell_box.num_cells() as usize;
-    let nbytes = n.div_ceil(8);
-
-    // Kernel 1: any-tagged reduction (one scalar crosses the bus).
-    let any = device_any_tagged(&device, tags, cell_box, dbox, category);
-    if !any {
-        return TagBitmap::empty(cell_box);
-    }
-
-    // Kernel 2: bit compression, one thread per output byte.
-    let mut bits: DeviceBuffer<u8> = device.alloc(nbytes);
-    let stream = Stream::new(&device);
-    stream.submit();
-    let shape = KernelShape::streaming(n as i64, 1, 2);
-    let src_buf = tags.buffer();
-    let width = cell_box.size().x;
-    device.launch_named(&stream, "compress-tags", category, shape, |k| {
-        let src = src_buf.as_slice(&k);
-        bits.as_mut_slice(&k).par_iter_mut().enumerate().for_each(|(byte_idx, out)| {
-            let mut b = 0u8;
-            for bit in 0..8 {
-                let cell = byte_idx * 8 + bit;
-                if cell >= n {
-                    break;
-                }
-                let p = rbamr_geometry::IntVector::new(
-                    cell_box.lo.x + (cell as i64 % width),
-                    cell_box.lo.y + (cell as i64 / width),
-                );
-                if src[dbox.offset_of(p)] != 0 {
-                    b |= 1 << bit;
-                }
-            }
-            *out = b;
-        });
-    });
-
-    // Transfer the compressed bits (D2H) and rebuild the bitmap.
-    let mut host_bits = vec![0u8; nbytes];
-    device.download(&bits, 0, &mut host_bits, category);
-    // Reconstruct through the shared TagBitmap type so host and device
-    // paths agree bit for bit.
-    let mut tags_host = vec![0i32; n];
-    for (k, t) in tags_host.iter_mut().enumerate() {
-        if host_bits[k / 8] & (1 << (k % 8)) != 0 {
-            *t = 1;
-        }
-    }
-    TagBitmap::compress(cell_box, &tags_host)
+/// One patch's `i32` tags inside a device array: `dbox`, row-major from
+/// element `offset` of `buf`, of which the cells of `cell_box` are the
+/// ones compressed.
+pub struct TagField<'a> {
+    /// The device array holding the tags.
+    pub buf: &'a DeviceBuffer<i32>,
+    /// First element of this patch's tags in `buf`.
+    pub offset: usize,
+    /// The patch interior.
+    pub cell_box: GBox,
+    /// The box the tags are stored over (`cell_box` plus any ghosts).
+    pub dbox: GBox,
 }
 
-/// The "any tagged" device reduction: one kernel plus one 4-byte D2H
-/// scalar.
-fn device_any_tagged(
+/// Compress a level's device-resident tag fields into host-side
+/// [`TagBitmap`]s, in `fields` order, transferring only the compressed
+/// form: one `any-tagged` launch and one download of a 4-byte flag per
+/// patch, then one `compress-tags` launch and one download of
+/// `ceil(cells / 8)` bytes per *flagged* patch — neither when no patch
+/// is flagged. Three allocations at most, whatever the patch count.
+pub fn compress_tags_many(
     device: &Device,
-    tags: &DeviceData<i32>,
-    cell_box: GBox,
-    dbox: GBox,
+    fields: &[TagField<'_>],
     category: Category,
-) -> bool {
+) -> Vec<TagBitmap> {
+    if fields.is_empty() {
+        return Vec::new();
+    }
+    let cells = |f: &TagField<'_>| f.cell_box.num_cells();
     let stream = Stream::new(device);
+
+    // Kernel 1: the any-tagged reduction, one word per patch.
+    let mut flags: DeviceBuffer<i32> = device.alloc(fields.len());
     stream.submit();
-    let n = cell_box.num_cells();
-    let shape = KernelShape::streaming(n, 1, 1);
-    let src_buf = tags.buffer();
-    let mut result: DeviceBuffer<i32> = device.alloc(1);
+    let shape = KernelShape::streaming(fields.iter().map(cells).sum(), 1, 1);
     device.launch_named(&stream, "any-tagged", category, shape, |k| {
-        let src = src_buf.as_slice(&k);
-        let any =
-            cell_box.iter().collect::<Vec<_>>().par_iter().any(|p| src[dbox.offset_of(*p)] != 0);
-        result.as_mut_slice(&k)[0] = i32::from(any);
+        for (f, flag) in fields.iter().zip(flags.as_mut_slice(&k)) {
+            let src = &f.buf.as_slice(&k)[f.offset..];
+            *flag = i32::from(f.cell_box.iter().any(|p| src[f.dbox.offset_of(p)] != 0));
+        }
     });
-    let mut host = [0i32; 1];
-    device.download(&result, 0, &mut host, category);
-    host[0] != 0
+    let mut any = vec![0i32; fields.len()];
+    device.download(&flags, 0, &mut any, category);
+
+    // Kernel 2: bit compression of the flagged patches, one thread per
+    // output byte; each patch's bits start on a byte boundary
+    // (`first_byte`, `None` for a clean patch).
+    let (mut nbytes, mut tagged_cells) = (0usize, 0i64);
+    let mut first_byte = Vec::with_capacity(fields.len());
+    for (f, &any) in fields.iter().zip(&any) {
+        first_byte.push((any != 0).then_some(nbytes));
+        if any != 0 {
+            nbytes += (cells(f) as usize).div_ceil(8);
+            tagged_cells += cells(f);
+        }
+    }
+    let mut host_bits = vec![0u8; nbytes];
+    if nbytes > 0 {
+        let mut bits: DeviceBuffer<u8> = device.alloc(nbytes);
+        stream.submit();
+        let shape = KernelShape::streaming(tagged_cells, 1, 2);
+        device.launch_named(&stream, "compress-tags", category, shape, |k| {
+            let out = bits.as_mut_slice(&k);
+            for (f, first) in fields.iter().zip(&first_byte) {
+                let Some(first) = first else { continue };
+                let src = &f.buf.as_slice(&k)[f.offset..];
+                for (cell, p) in f.cell_box.iter().enumerate() {
+                    if src[f.dbox.offset_of(p)] != 0 {
+                        out[first + cell / 8] |= 1 << (cell % 8);
+                    }
+                }
+            }
+        });
+        device.download(&bits, 0, &mut host_bits, category);
+    }
+
+    // Reconstruct through the shared TagBitmap type so host and device
+    // paths agree bit for bit.
+    let rebuild = |(f, first): (&TagField<'_>, &Option<usize>)| {
+        let Some(first) = first else { return TagBitmap::empty(f.cell_box) };
+        let bit = |cell: usize| i32::from(host_bits[first + cell / 8] & (1 << (cell % 8)) != 0);
+        let tags: Vec<i32> = (0..cells(f) as usize).map(bit).collect();
+        TagBitmap::compress(f.cell_box, &tags)
+    };
+    fields.iter().zip(&first_byte).map(rebuild).collect()
+}
+
+/// [`compress_tags_many`] on one tag field: the interior (non-ghost)
+/// tags of `tags`. PCIe traffic is `ceil(cells/8)` bytes plus the flag
+/// word when any cell is tagged, and the 4-byte flag alone otherwise.
+pub fn compress_tags(tags: &DeviceData<i32>, category: Category) -> TagBitmap {
+    let field = TagField {
+        buf: tags.buffer(),
+        offset: 0,
+        cell_box: tags.cell_box(),
+        dbox: tags.data_box(),
+    };
+    let mut bitmaps = compress_tags_many(tags.device(), &[field], category);
+    bitmaps.pop().expect("one bitmap per tag field")
 }
 
 #[cfg(test)]

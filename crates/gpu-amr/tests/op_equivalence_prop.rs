@@ -599,7 +599,8 @@ mod fused {
         /// `pack_many` then `unpack_batch`: the fused stream is the
         /// concatenation of the per-overlap packs (and the host's), the
         /// unpacked arrays agree, bytes agree, and the fused side spends
-        /// one launch and one PCIe transfer per message.
+        /// one launch and one PCIe transfer per stage, whatever the
+        /// peer count.
         #[test]
         fn fused_streams_equal_the_per_item_loop(case in arb_case()) {
             let mut ws = worlds(&case);
@@ -623,8 +624,8 @@ mod fused {
             prop_assert_eq!(ws[1].counter("pack.bytes"), total);
             prop_assert_eq!(ws[2].counter("pack.bytes"), total);
             prop_assert_eq!((per_item.kernel_launches, per_item.d2h_transfers), (sends.len() as u64, sends.len() as u64));
-            prop_assert_eq!((fused.kernel_launches, fused.d2h_transfers), (2, 2));
-            prop_assert_eq!(ws[2].counter("device.kernel_launches.pack"), 2);
+            prop_assert_eq!((fused.kernel_launches, fused.d2h_transfers), (1, 1));
+            prop_assert_eq!(ws[2].counter("device.kernel_launches.pack"), 1);
 
             // Unpack the same messages into the destinations' ghosts.
             let (recvs, _) = stream_jobs(&copies, false);
@@ -644,8 +645,8 @@ mod fused {
             prop_assert_eq!(ws[1].counter("unpack.bytes"), total);
             prop_assert_eq!(ws[2].counter("unpack.bytes"), total);
             prop_assert_eq!((per_item.kernel_launches, per_item.h2d_transfers), (recvs.len() as u64, recvs.len() as u64));
-            prop_assert_eq!((fused.kernel_launches, fused.h2d_transfers), (2, 2));
-            prop_assert_eq!(ws[2].counter("device.kernel_launches.unpack"), 2);
+            prop_assert_eq!((fused.kernel_launches, fused.h2d_transfers), (1, 1));
+            prop_assert_eq!(ws[2].counter("device.kernel_launches.unpack"), 1);
         }
 
         /// `extend_many` over scratch arrays with partial cover: same
@@ -771,10 +772,11 @@ mod fused {
         w.device.as_ref().unwrap().0.set_fault_injector(FaultInjector::new(Arc::new(plan), 0));
     }
 
-    /// A fused pack whose D2H fails ships zeros of the exact message
-    /// size and a typed error; the other peer's message is unharmed.
+    /// A fused pack whose D2H fails ships every peer of the stage zeros
+    /// of its exact message size and a typed error; the next pack is
+    /// whole again.
     #[test]
-    fn failed_pack_transfer_ships_an_exact_placeholder() {
+    fn failed_pack_transfer_ships_exact_placeholders() {
         let case = fixed_case();
         let mut w = World::new(Placement::Fused, &case);
         let (sends, peers) = stream_jobs(&copy_jobs(&w, &case), true);
@@ -783,15 +785,19 @@ mod fused {
         fail_transfer(&w, 0);
         let (streams, fault) = w.with_ctx(|f, ctx| f.pack_many(ctx, &sends, &peers, CAT));
         assert!(matches!(fault, Some(PatchDataError::Transfer { .. })), "got {fault:?}");
-        assert_eq!(streams[0].len(), peers[0].bytes);
-        assert!(streams[0].iter().all(|&b| b == 0), "placeholder must be zeros");
-        assert_eq!(streams[1], good[1]);
+        for (stream, peer) in streams.iter().zip(&peers) {
+            assert_eq!(stream.len(), peer.bytes);
+            assert!(stream.iter().all(|&b| b == 0), "placeholder must be zeros");
+        }
+        let (again, fault) = w.with_ctx(|f, ctx| f.pack_many(ctx, &sends, &peers, CAT));
+        assert_eq!((again, fault), (good, None));
     }
 
-    /// A fused unpack whose H2D fails skips that peer's jobs, reports a
-    /// typed error, and still unpacks the other peer's message.
+    /// A fused unpack whose H2D fails unpacks nothing and reports a
+    /// typed error; a peer whose message never arrived is simply not
+    /// part of the upload, and only its jobs are skipped.
     #[test]
-    fn failed_unpack_transfer_skips_only_that_peer() {
+    fn failed_unpack_transfer_skips_the_stage_and_a_missing_peer_only_itself() {
         let case = fixed_case();
         let mut w = World::new(Placement::Fused, &case);
         let copies = copy_jobs(&w, &case);
@@ -807,12 +813,23 @@ mod fused {
                 batch.flush(ctx)
             })
         };
-        // Reference: only peer 1's message is unpacked.
-        let mut reference = World::new(Placement::Fused, &case);
-        unpack(&mut reference, Some(1)).expect("fault-free unpack");
+        let untouched = World::new(Placement::Fused, &case).snapshot();
         fail_transfer(&w, 0);
         let fault = unpack(&mut w, None);
         assert!(matches!(fault, Err(PatchDataError::Transfer { .. })), "got {fault:?}");
-        assert!(w.snapshot() == reference.snapshot(), "peer 0 skipped, peer 1 unpacked");
+        assert!(w.snapshot() == untouched, "a failed upload unpacks nothing");
+
+        // Peer 0's frame was dropped: peer 1's jobs read their message
+        // from the start of the upload, as the per-item loop unpacks them.
+        for peer in [0, 1] {
+            let mut fused = World::new(Placement::Fused, &case);
+            let mut per_item = World::new(Placement::PerItem, &case);
+            let before = fused.device.as_ref().unwrap().0.stats();
+            unpack(&mut fused, Some(peer)).expect("fault-free unpack");
+            unpack(&mut per_item, Some(peer)).expect("fault-free unpack");
+            assert!(fused.snapshot() == per_item.snapshot(), "only peer {peer} arrived");
+            let after = fused.device.as_ref().unwrap().0.stats();
+            assert_eq!(after.h2d_bytes - before.h2d_bytes, peers[peer as usize].bytes as u64);
+        }
     }
 }

@@ -1,25 +1,27 @@
 //! Telemetry counter integration tests for the fused transfer path:
 //! what a `RefineSchedule` fill — and a regrid's solution transfer,
-//! which runs the same stages — counts on device data: launches per
-//! stage, PCIe transfers per message, `pack.bytes` / `unpack.bytes`.
-//! They must equal the analytically known traffic of a small
-//! configuration, and must not grow with the number of overlaps or of
-//! patches.
+//! which runs the same stages — counts on device data: launches and
+//! PCIe transfers per stage, `pack.bytes` / `unpack.bytes`; and what a
+//! level-wide tag compression counts. They must equal the analytically
+//! known traffic of a small configuration, and must not grow with the
+//! number of overlaps, of peers or of patches.
 
 use rbamr_amr::cluster::split_to_max;
 use rbamr_amr::ops::RefineOperator;
 use rbamr_amr::patchdata::PatchDataError;
 use rbamr_amr::regrid::{CellTagger, TransferSpec};
-use rbamr_amr::schedule::FillSpec;
+use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    GridGeometry, Patch, PatchData, PatchHierarchy, PhysicalBoundary, RefineSchedule, RegridError,
-    RegridParams, Regridder, ScheduleBuild, ScheduleCache, ScheduleError, TagBitmap, VariableId,
-    VariableRegistry,
+    CoarsenSchedule, GridGeometry, Patch, PatchData, PatchHierarchy, PhysicalBoundary,
+    RefineSchedule, RegridError, RegridParams, Regridder, ScheduleBuild, ScheduleCache,
+    ScheduleError, TagBitmap, VariableId, VariableRegistry,
 };
 use rbamr_device::Device;
 use rbamr_geometry::{copy_overlap, BoxList, Centring, GBox, IntVector};
-use rbamr_gpu_amr::ops::{DeviceConservativeCellRefine, DeviceLinearNodeRefine};
-use rbamr_gpu_amr::{DeviceData, DeviceDataFactory};
+use rbamr_gpu_amr::ops::{
+    DeviceConservativeCellRefine, DeviceLinearNodeRefine, DeviceVolumeWeightedCoarsen,
+};
+use rbamr_gpu_amr::{compress_tags, compress_tags_many, DeviceData, DeviceDataFactory, TagField};
 use rbamr_netsim::{Cluster, Comm, FaultKind, FaultPlan, FaultRule};
 use rbamr_perfmodel::{Category, Machine};
 use rbamr_telemetry::Recorder;
@@ -52,6 +54,17 @@ struct Rank {
 
 impl Rank {
     fn new(comm: &Comm, levels: usize) -> Self {
+        let owners: Vec<usize> = (0..2).map(|i| i % comm.size()).collect();
+        let mut r = Self::with_level0(comm, vec![b(0, 0, 8, 8), b(8, 0, 16, 8)], owners.clone());
+        if levels == 2 {
+            r.h.set_level(1, vec![b(8, 4, 16, 12), b(16, 4, 24, 12)], owners, &r.reg);
+            r.init_values(1, comm.rank());
+        }
+        r
+    }
+
+    /// Level 0 is the row of 8x8 `boxes` owned by `owners`.
+    fn with_level0(comm: &Comm, boxes: Vec<GBox>, owners: Vec<usize>) -> Self {
         let device = Device::new(Machine::ipa_gpu(), comm.clock().clone());
         let rec = Recorder::new(comm.rank(), comm.clock().clone());
         device.set_recorder(rec.clone());
@@ -59,25 +72,24 @@ impl Rank {
         let var = reg.register("q", Centring::Cell, IntVector::uniform(2));
         let mut h = PatchHierarchy::new(
             GridGeometry::unit(1.0),
-            BoxList::from_box(b(0, 0, 16, 8)),
+            BoxList::from_box(b(0, 0, 8 * boxes.len() as i64, 8)),
             IntVector::uniform(2),
             2,
             comm.rank(),
             comm.size(),
         );
-        let owners: Vec<usize> = (0..2).map(|i| i % comm.size()).collect();
-        h.set_level(0, vec![b(0, 0, 8, 8), b(8, 0, 16, 8)], owners.clone(), &reg);
-        if levels == 2 {
-            h.set_level(1, vec![b(8, 4, 16, 12), b(16, 4, 24, 12)], owners, &reg);
+        h.set_level(0, boxes, owners, &reg);
+        let mut r = Self { h, reg, var, device, rec };
+        r.init_values(0, comm.rank());
+        r
+    }
+
+    fn init_values(&mut self, level: usize, rank: usize) {
+        for p in self.h.level_mut(level).local_mut() {
+            let d: &mut DeviceData<f64> = p.data_mut(self.var).as_any_mut().downcast_mut().unwrap();
+            let image = vec![1.0 + rank as f64; d.data_box().num_cells() as usize];
+            d.upload_all(&image, Category::Other);
         }
-        for l in 0..levels {
-            for p in h.level_mut(l).local_mut() {
-                let d: &mut DeviceData<f64> = p.data_mut(var).as_any_mut().downcast_mut().unwrap();
-                let image = vec![1.0 + comm.rank() as f64; d.data_box().num_cells() as usize];
-                d.upload_all(&image, Category::Other);
-            }
-        }
-        Self { h, reg, var, device, rec }
     }
 
     fn spec(&self, interpolate: bool) -> [FillSpec; 1] {
@@ -99,10 +111,58 @@ impl Rank {
             self.h.level(level).local()[0].data(self.var).as_any().downcast_ref().unwrap();
         (d.data_box(), d.download_all(Category::Other))
     }
+
+    /// Per local level-0 patch of the [`chain`], what its left and right
+    /// ghost strips hold (`None` at the ends of the row).
+    fn chain_ghosts(&self) -> Vec<[Option<f64>; 2]> {
+        let patches = self.h.level(0).local().iter();
+        patches
+            .map(|p| {
+                let d: &DeviceData<f64> = p.data(self.var).as_any().downcast_ref().unwrap();
+                let (dbox, cells, values) = (d.data_box(), p.cell_box(), d.download_all(CAT));
+                [cells.lo.x - 1, cells.hi.x].map(|x| {
+                    (0..8 * CHAIN.len() as i64)
+                        .contains(&x)
+                        .then(|| values[dbox.offset_of(IntVector::new(x, 3))])
+                })
+            })
+            .collect()
+    }
+}
+
+/// Owners of a row of five 8x8 patches: rank 0 has one peer, ranks 2
+/// and 3 two each, rank 1 three.
+const CHAIN: [usize; 5] = [0, 1, 2, 3, 1];
+
+fn chain(comm: &Comm) -> Rank {
+    let boxes = (0..CHAIN.len() as i64).map(|i| b(8 * i, 0, 8 * i + 8, 8)).collect();
+    Rank::with_level0(comm, boxes, CHAIN.to_vec())
+}
+
+/// What [`Rank::chain_ghosts`] reads on `rank` after a whole fill: every
+/// strip holds its neighbour's owner's value.
+fn chain_filled(rank: usize) -> Vec<[Option<f64>; 2]> {
+    let neighbour = |i: usize| CHAIN.get(i).map(|&owner| 1.0 + owner as f64);
+    let mine = (0..CHAIN.len()).filter(|&i| CHAIN[i] == rank);
+    mine.map(|i| [i.checked_sub(1).and_then(neighbour), neighbour(i + 1)]).collect()
+}
+
+/// The peers of `rank` in the [`chain`]: the other owners next to its
+/// patches.
+fn chain_peers(rank: usize) -> u64 {
+    let mut peers: Vec<usize> = (0..CHAIN.len())
+        .filter(|&i| CHAIN[i] == rank)
+        .flat_map(|i| [i.wrapping_sub(1), i + 1])
+        .filter_map(|j| CHAIN.get(j).copied())
+        .filter(|&owner| owner != rank)
+        .collect();
+    peers.sort_unstable();
+    peers.dedup();
+    peers.len() as u64
 }
 
 #[test]
-fn sibling_fill_counts_one_launch_and_one_transfer_per_message() {
+fn sibling_fill_counts_one_launch_and_one_transfer_per_stage() {
     Cluster::new(Machine::ipa_gpu()).run(2, |comm| {
         let mut r = Rank::new(&comm, 1);
         let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
@@ -140,6 +200,62 @@ fn sibling_fill_counts_one_launch_and_one_transfer_per_message() {
         let (dbox, values) = r.values(0);
         let ghost = if comm.rank() == 0 { IntVector::new(9, 3) } else { IntVector::new(6, 3) };
         assert_eq!(values[dbox.offset_of(ghost)], 2.0 - comm.rank() as f64);
+    });
+}
+
+#[test]
+fn a_stage_costs_one_launch_and_one_transfer_whatever_its_peer_count() {
+    let results = Cluster::new(Machine::ipa_gpu()).run(4, |mut comm| {
+        let mut r = chain(&comm);
+        comm.set_recorder(r.rec.clone());
+        let peers = chain_peers(comm.rank());
+        let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
+        assert_eq!(sched.num_messages(), (peers as usize, peers as usize));
+        r.device.reset_transfer_stats();
+        r.fill(&sched, &comm).unwrap();
+        r.fill(&sched, &comm).unwrap();
+
+        // Two fills: one pack + one D2H and one H2D + one unpack each,
+        // one message per peer, and the descriptor table once.
+        let what = format!("rank {} ({peers} peers)", comm.rank());
+        assert_eq!((r.launches("pack"), r.launches("unpack")), (2, 2), "{what}");
+        assert_eq!(r.rec.counter("net.sends"), 2 * peers, "{what}");
+        let stats = r.device.stats();
+        assert_eq!((stats.d2h_transfers, stats.h2d_transfers), (2, 3), "{what}");
+        // Every adjacency is a 2-column x 8-row strip each way.
+        let strips = chain_filled(comm.rank()).iter().flatten().flatten().count() as u64;
+        let sent = 2 * strips * 2 * 8 * 8;
+        assert_eq!(r.rec.counter("net.send_bytes"), sent, "{what}");
+        assert_eq!((r.rec.counter("pack.bytes"), stats.d2h_bytes), (sent, sent), "{what}");
+        assert_eq!(r.rec.counter("unpack.bytes"), sent, "{what}");
+        assert_eq!(r.chain_ghosts(), chain_filled(comm.rank()), "{what}");
+        peers
+    });
+    let mut peers: Vec<u64> = results.into_iter().map(|r| r.value).collect();
+    peers.sort_unstable();
+    assert_eq!(peers, [1, 2, 2, 3], "the layout must cover 1, 2 and 3 peers");
+}
+
+#[test]
+fn a_stage_without_peers_packs_and_transfers_nothing() {
+    Cluster::new(Machine::ipa_gpu()).run(1, |comm| {
+        let mut r = Rank::new(&comm, 2);
+        let fill = RefineSchedule::new(&r.h, &r.reg, 1, &r.spec(true));
+        let spec =
+            CoarsenSpec { var: r.var, op: Arc::new(DeviceVolumeWeightedCoarsen), aux: vec![] };
+        let sync = CoarsenSchedule::new(&r.h, &r.reg, 1, &[spec]);
+        r.device.reset_transfer_stats();
+        r.fill(&fill, &comm).unwrap();
+        sync.try_run(&mut r.h, &r.reg, Some(&comm), CAT).unwrap();
+        assert!(r.launches("refine-interp") == 1 && r.launches("coarsen-project") == 1);
+        assert_eq!((r.launches("pack"), r.launches("unpack")), (0, 0));
+        // Nothing crosses PCIe but the two schedules' descriptor tables.
+        let first = r.device.stats();
+        assert_eq!((first.d2h_transfers, first.h2d_transfers), (0, 2));
+        r.fill(&fill, &comm).unwrap();
+        sync.try_run(&mut r.h, &r.reg, Some(&comm), CAT).unwrap();
+        let steady = r.device.stats();
+        assert_eq!((steady.d2h_transfers, steady.h2d_transfers), (0, 2));
     });
 }
 
@@ -196,6 +312,43 @@ fn is_transfer_fault(r: &Result<(), ScheduleError>) -> bool {
     matches!(r, Err(ScheduleError::Data(PatchDataError::Transfer { .. })))
 }
 
+type Ghosts = Vec<[Option<f64>; 2]>;
+
+/// Two fills of the [`chain`] under `rule`, per rank: each fill's outcome
+/// and the ghosts it left.
+fn chain_fills_with(rule: FaultRule) -> Vec<[(Result<(), ScheduleError>, Ghosts); 2]> {
+    let plan = FaultPlan::new(5, vec![rule]);
+    let results = Cluster::new(Machine::ipa_gpu()).with_fault_plan(plan).run(4, |comm| {
+        let mut r = chain(&comm);
+        r.device.set_fault_injector(Arc::clone(comm.fault_injector().unwrap()));
+        let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
+        [(); 2].map(|()| (r.fill(&sched, &comm), r.chain_ghosts()))
+    });
+    let mut out: Vec<_> = results.into_iter().map(|r| (r.rank, r.value)).collect();
+    out.sort_by_key(|&(rank, _)| rank);
+    out.into_iter().map(|(_, fills)| fills).collect()
+}
+
+/// [`chain_filled`] with the strips `lost` picks (by this rank and the
+/// neighbour's owner) left at `value`.
+fn chain_filled_but(rank: usize, value: f64, lost: impl Fn(usize) -> bool) -> Ghosts {
+    let but = |strip: f64| if lost(strip as usize - 1) { value } else { strip };
+    chain_filled(rank).iter().map(|patch| patch.map(|strip| strip.map(but))).collect()
+}
+
+/// Only rank 1, the rank with three peers, saw `is_fault` on the first
+/// fill, every rank completed it, and the second fill is whole.
+fn assert_rank_1_faulted_once(
+    ranks: &[[(Result<(), ScheduleError>, Ghosts); 2]],
+    is_fault: impl Fn(&Result<(), ScheduleError>) -> bool,
+) {
+    for (rank, [first, second]) in ranks.iter().enumerate() {
+        assert_eq!(is_fault(&first.0), rank == 1, "rank {rank}: {:?}", first.0);
+        assert!(rank == 1 || first.0.is_ok(), "rank {rank}: {:?}", first.0);
+        assert_eq!(second, &(Ok(()), chain_filled(rank)), "rank {rank}: the next fill");
+    }
+}
+
 #[test]
 fn failed_pack_transfer_runs_through_with_a_placeholder() {
     // Neither rank blocks: rank 0 reports the typed fault, rank 1
@@ -204,14 +357,42 @@ fn failed_pack_transfer_runs_through_with_a_placeholder() {
     assert!(is_transfer_fault(&ranks[0].0), "rank 0: {:?}", ranks[0].0);
     assert_eq!(ranks[0].1, 2.0, "rank 0 still received rank 1's halo");
     assert_eq!(ranks[1], (Ok(()), 0.0));
+
+    // Three peers share the failed D2H: each unpacks zeros of its exact
+    // size, and rank 1 itself still received all three halos.
+    let ranks = chain_fills_with(FaultRule::once_on(FaultKind::CopyFail, 1, 1));
+    assert_rank_1_faulted_once(&ranks, is_transfer_fault);
+    for (rank, [first, _]) in ranks.iter().enumerate() {
+        assert_eq!(first.1, chain_filled_but(rank, 0.0, |owner| owner == 1), "rank {rank}");
+    }
 }
 
 #[test]
-fn failed_unpack_transfer_runs_through_and_skips_the_peer() {
+fn failed_unpack_transfer_runs_through_and_skips_the_stage() {
     let ranks = fill_with_failed_transfer(2);
     assert!(is_transfer_fault(&ranks[0].0), "rank 0: {:?}", ranks[0].0);
     assert_eq!(ranks[0].1, 1.0, "rank 0's ghosts were never written");
     assert_eq!(ranks[1], (Ok(()), 1.0));
+
+    // Three messages share the failed H2D: none is unpacked, the peers
+    // do not notice, and the next fill is bitwise right.
+    let ranks = chain_fills_with(FaultRule::once_on(FaultKind::CopyFail, 1, 2));
+    assert_rank_1_faulted_once(&ranks, is_transfer_fault);
+    for (rank, [first, _]) in ranks.iter().enumerate() {
+        assert_eq!(first.1, chain_filled_but(rank, 2.0, |_| rank == 1), "rank {rank}");
+    }
+}
+
+#[test]
+fn corrupt_frame_from_one_of_three_peers_skips_that_peer_only() {
+    // Rank 2's first send is its message to rank 1 — the middle one of
+    // rank 1's three: the other two still unpack from the right offsets.
+    let ranks = chain_fills_with(FaultRule::once_on(FaultKind::MsgCorrupt, 2, 0));
+    assert_rank_1_faulted_once(&ranks, |r| matches!(r, Err(ScheduleError::Comm(_))));
+    for (rank, [first, _]) in ranks.iter().enumerate() {
+        let lost = |owner| rank == 1 && owner == 2;
+        assert_eq!(first.1, chain_filled_but(rank, 2.0, lost), "rank {rank}");
+    }
 }
 
 #[test]
@@ -384,6 +565,69 @@ fn failed_transfer_in_a_regrid_runs_through_and_installs_the_level() {
         );
         assert_eq!(ranks[1].outcome, Ok(()), "transfer {n}: rank 1 must not notice");
         assert!(ranks.iter().all(|r| r.new_patches == 8 && r.messages == (1, 1)), "{ranks:?}");
+    }
+}
+
+#[test]
+fn level_wide_tag_compression_budget_does_not_grow_with_the_patch_count() {
+    // 7x5 patches: 35 cells, so every patch's bits end mid-byte. Patch
+    // `i` of a mixed level is tagged when `i % 3 == 0`.
+    let cell_box = |i: usize| b(7 * i as i64, 0, 7 * i as i64 + 7, 5);
+    let tagged = |mix: usize, i: usize| [false, i.is_multiple_of(3), true][mix];
+    for (mix, what) in ["untagged", "mixed", "tagged"].into_iter().enumerate() {
+        let runs = [8usize, 32, 128].map(|patches| {
+            let device = Device::k20x();
+            let rec = Recorder::new(0, device.clock().clone());
+            device.set_recorder(rec.clone());
+            let fields: Vec<DeviceData<i32>> = (0..patches)
+                .map(|i| {
+                    let cells = cell_box(i);
+                    let mut d = DeviceData::new(&device, cells, IntVector::ONE, Centring::Cell);
+                    let dbox = d.data_box();
+                    let mut tags = vec![0i32; dbox.num_cells() as usize];
+                    // A ghost tag (never compressed) and, on tagged
+                    // patches, two interior ones.
+                    tags[dbox.offset_of(cells.lo - IntVector::ONE)] = 1;
+                    if tagged(mix, i) {
+                        tags[dbox.offset_of(cells.lo + IntVector::new(i as i64 % 7, 2))] = 1;
+                        tags[dbox.offset_of(cells.hi - IntVector::ONE)] = 1;
+                    }
+                    d.upload_all(&tags, Category::Regrid);
+                    d
+                })
+                .collect();
+            let per_patch: Vec<TagBitmap> =
+                fields.iter().map(|d| compress_tags(d, Category::Regrid)).collect();
+
+            let launches = |name: &str| rec.counter(&format!("device.kernel_launches.{name}"));
+            let before = (launches("any-tagged"), launches("compress-tags"));
+            let allocs = rec.counter("device.allocs");
+            device.reset_transfer_stats();
+            let level: Vec<TagField<'_>> = fields
+                .iter()
+                .map(|d| TagField {
+                    buf: d.buffer(),
+                    offset: 0,
+                    cell_box: d.cell_box(),
+                    dbox: d.data_box(),
+                })
+                .collect();
+            let bitmaps = compress_tags_many(&device, &level, Category::Regrid);
+            assert!(bitmaps == per_patch, "{what}, {patches} patches: bitmaps differ");
+            let flagged = (0..patches).filter(|&i| tagged(mix, i)).count() as u64;
+            assert_eq!(bitmaps.iter().filter(|bm| bm.any()).count() as u64, flagged, "{what}");
+
+            let stats = device.stats();
+            let compress = u64::from(flagged > 0);
+            let after = (launches("any-tagged"), launches("compress-tags"));
+            assert_eq!((after.0 - before.0, after.1 - before.1), (1, compress), "{what}");
+            assert_eq!(stats.d2h_transfers, 1 + compress, "{what}, {patches} patches");
+            // One word per patch, 35 bits in 5 bytes per flagged patch.
+            assert_eq!(stats.d2h_bytes, 4 * patches as u64 + 5 * flagged, "{what}");
+            assert_eq!(stats.h2d_transfers, 0, "{what}");
+            rec.counter("device.allocs") - allocs
+        });
+        assert_eq!(runs, [1 + u64::from(mix > 0); 3], "{what}: allocations per pass");
     }
 }
 

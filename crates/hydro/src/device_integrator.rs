@@ -6,8 +6,8 @@
 //! advanced by [`crate::HydroSim`]. The only PCIe traffic per step is
 //! the dt scalar plus the packed halos and compressed tag bitmaps the
 //! framework moves — unless the integrator carries the copy-back
-//! transfer policy. Initialisation, flagging and the field summary are
-//! per-patch launches defined here.
+//! transfer policy. Initialisation and the field summary are per-patch
+//! launches defined here.
 
 use crate::kernels as k;
 use crate::level_executor::{self as exec, dev, dev_mut, Exec, Pass};
@@ -15,10 +15,9 @@ use crate::state::{initial_images, Fields, FlagThresholds, PatchIntegrator, Regi
 use rbamr_amr::patchdata::PatchData as _;
 use rbamr_amr::{Patch, TagBitmap};
 use rbamr_device::Stream;
-use rbamr_geometry::{Centring, GBox, IntVector};
-use rbamr_gpu_amr::DeviceData;
+use rbamr_geometry::GBox;
 use rbamr_perfmodel::{Category, KernelShape};
-use std::slice::from_mut;
+use std::slice::{from_mut, from_ref};
 
 /// Advances a patch with device-resident data.
 pub struct DevicePatchIntegrator {
@@ -129,23 +128,10 @@ impl PatchIntegrator for DevicePatchIntegrator {
     }
 
     fn flag_cells(&self, patch: &Patch, f: &Fields, thresholds: &FlagThresholds) -> TagBitmap {
-        let region = patch.cell_box();
-        let (rho, e) = (dev(patch.data(f.density0)), dev(patch.data(f.energy0)));
-        let device = rho.device().clone();
-        // Flag into a device tag field, then compress on the device and
-        // move only the bitmap (Section IV-C).
-        let mut tags = DeviceData::<i32>::new(&device, region, IntVector::ZERO, Centring::Cell);
-        let stream = Stream::new(&device);
-        stream.submit();
-        let shape = KernelShape::streaming(region.num_cells(), 3, 10);
-        let (dth, eth) = (thresholds.density, thresholds.energy);
-        let tags_buf = tags.buffer_mut();
-        device.launch_named(&stream, "flag-cells", Category::Regrid, shape, |kk| {
-            let rho_v = k::View::new(rho.buffer().as_slice(&kk), rho.data_box());
-            let e_v = k::View::new(e.buffer().as_slice(&kk), e.data_box());
-            k::flag_cells(tags_buf.as_mut_slice(&kk), rho_v, e_v, region, dth, eth);
-        });
-        rbamr_gpu_amr::compress_tags(&tags, Category::Regrid)
+        let data = dev(patch.data(f.density0));
+        let ex = Exec::Device { device: data.device(), stream: data.stream(), copy_back: false };
+        let mut bitmaps = exec::flag_cells(from_ref(patch), f, ex, thresholds);
+        bitmaps.pop().expect("one bitmap per patch")
     }
 
     fn field_summary(&self, patch: &Patch, f: &Fields, dx: (f64, f64), region: GBox) -> Summary {

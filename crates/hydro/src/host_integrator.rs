@@ -4,8 +4,8 @@
 //! ([`crate::level_executor`]) on a batch of one patch with the host
 //! executor handle, so a patch advanced through this trait runs the
 //! same kernel calls over the same regions — and charges the same CPU
-//! costs — as a level advanced by [`crate::HydroSim`]. Initialisation,
-//! flagging and the field summary are per-patch loops defined here.
+//! costs — as a level advanced by [`crate::HydroSim`]. Initialisation
+//! and the field summary are per-patch loops defined here.
 
 use crate::kernels as k;
 use crate::level_executor::{self as exec, Exec, Pass};
@@ -15,7 +15,7 @@ use rbamr_amr::patchdata::PatchData as _;
 use rbamr_amr::{Patch, TagBitmap, VariableId};
 use rbamr_geometry::GBox;
 use rbamr_perfmodel::Category;
-use std::slice::from_mut;
+use std::slice::{from_mut, from_ref};
 
 /// Advances a patch on the host. Optionally charges a virtual clock so
 /// the CPU baseline's runtime is modelled with the same machinery as
@@ -107,20 +107,8 @@ impl PatchIntegrator for HostPatchIntegrator {
     }
 
     fn flag_cells(&self, patch: &Patch, f: &Fields, thresholds: &FlagThresholds) -> TagBitmap {
-        let region = patch.cell_box();
-        let rho = patch.host::<f64>(f.density0);
-        let e = patch.host::<f64>(f.energy0);
-        let mut tags = vec![0i32; region.num_cells() as usize];
-        k::flag_cells(
-            &mut tags,
-            k::View::new(rho.as_slice(), rho.data_box()),
-            k::View::new(e.as_slice(), e.data_box()),
-            region,
-            thresholds.density,
-            thresholds.energy,
-        );
-        self.ex().charge_loop(Category::Regrid, region.num_cells(), 3, 10);
-        TagBitmap::compress(region, &tags)
+        let mut bitmaps = exec::flag_cells(from_ref(patch), f, self.ex(), thresholds);
+        bitmaps.pop().expect("one bitmap per patch")
     }
 
     fn field_summary(&self, patch: &Patch, f: &Fields, dx: (f64, f64), region: GBox) -> Summary {

@@ -1242,11 +1242,12 @@ impl HydroSim {
             .into_iter()
             .map(|var| TransferSpec { var, refine_op: self.refine_op_for(var) })
             .collect();
-        let tagger = HydroTagger {
-            integrator: self.integrator.as_ref(),
-            fields: &self.fields,
-            thresholds: self.config.thresholds,
+        let on_device = self.device.as_ref().map(|device| (device, Stream::new(device)));
+        let ex = match &on_device {
+            Some((device, stream)) => Exec::Device { device, stream, copy_back: false },
+            None => Exec::Host(Some(&self.host_costs)),
         };
+        let tagger = HydroTagger { ex, fields: &self.fields, thresholds: self.config.thresholds };
         let outcome = regridder.try_regrid(
             &mut self.hierarchy,
             &self.registry,

@@ -49,13 +49,14 @@
 //! is exactly the residency benefit the paper claims.
 
 use crate::kernels as k;
-use crate::state::{ComputeRegion, Fields, GHOSTS};
+use crate::state::{ComputeRegion, Fields, FlagThresholds, GHOSTS};
 use rbamr_amr::hostdata::HostCostHook;
 use rbamr_amr::patchdata::PatchData;
-use rbamr_amr::{HostData, Patch, VariableId};
+use rbamr_amr::{HostData, Patch, TagBitmap, VariableId};
+use rbamr_device::memory::DeviceCopy;
 use rbamr_device::{Device, DeviceBuffer, Kernel, Stream};
 use rbamr_geometry::{Centring, GBox, IntVector};
-use rbamr_gpu_amr::{interior_core, split_region, DeviceData};
+use rbamr_gpu_amr::{compress_tags_many, interior_core, split_region, DeviceData, TagField};
 use rbamr_perfmodel::{Category, KernelShape};
 
 /// Where a phase's arrays live and what running it charges — the only
@@ -109,9 +110,9 @@ impl Exec<'_> {
 
     /// A zeroed staging array of `len` values in this executor's
     /// memory space.
-    fn stage(self, len: usize) -> Staged {
+    fn stage<T: DeviceCopy>(self, len: usize) -> Staged<T> {
         match self {
-            Exec::Host(_) => Staged::Host(vec![0.0; len]),
+            Exec::Host(_) => Staged::Host(vec![T::default(); len]),
             Exec::Device { device, .. } => Staged::Device(device.alloc(len)),
         }
     }
@@ -139,13 +140,13 @@ impl Exec<'_> {
 /// A scratch array a phase stages values in, living where the patch
 /// data lives. A device array is only readable inside a launch: both
 /// accessors take the launch's kernel token, `None` on the host.
-pub(crate) enum Staged {
-    Host(Vec<f64>),
-    Device(DeviceBuffer<f64>),
+pub(crate) enum Staged<T: DeviceCopy = f64> {
+    Host(Vec<T>),
+    Device(DeviceBuffer<T>),
 }
 
-impl Staged {
-    fn as_slice(&self, kk: Option<&Kernel<'_>>) -> &[f64] {
+impl<T: DeviceCopy> Staged<T> {
+    fn as_slice(&self, kk: Option<&Kernel<'_>>) -> &[T] {
         match self {
             Staged::Host(v) => v,
             Staged::Device(b) => {
@@ -154,7 +155,7 @@ impl Staged {
         }
     }
 
-    fn as_mut_slice(&mut self, kk: Option<&Kernel<'_>>) -> &mut [f64] {
+    fn as_mut_slice(&mut self, kk: Option<&Kernel<'_>>) -> &mut [T] {
         match self {
             Staged::Host(v) => v,
             Staged::Device(b) => {
@@ -480,6 +481,53 @@ pub(crate) fn calc_dt(
             let mut minima = vec![0.0f64; n];
             buf.device().download(&buf, 0, &mut minima, Category::Timestep);
             minima
+        }
+    }
+}
+
+/// The refinement heuristic over a level: every patch's tags land in one
+/// staged `i32` array, patch after patch — on a device from a single
+/// `flag-cells` launch, compressed there for the whole level, so only
+/// one flag word per patch and the flagged patches' bits cross PCIe
+/// (Section IV-C; see [`compress_tags_many`]). Returns the bitmaps in
+/// patch order; the copy-back policy adds nothing here.
+pub(crate) fn flag_cells(
+    patches: &[Patch],
+    f: &Fields,
+    ex: Exec<'_>,
+    thresholds: &FlagThresholds,
+) -> Vec<TagBitmap> {
+    if patches.is_empty() {
+        return Vec::new();
+    }
+    let cells = |p: &Patch| p.cell_box().num_cells();
+    let total: i64 = patches.iter().map(cells).sum();
+    let mut tags = ex.stage::<i32>(total as usize);
+    ex.launch("flag-cells", Category::Regrid, KernelShape::streaming(total, 3, 10), |kk| {
+        let mut rest = tags.as_mut_slice(kk);
+        for p in patches {
+            let (mine, tail) = rest.split_at_mut(cells(p) as usize);
+            let (rho, e) = (view(p.data(f.density0), kk), view(p.data(f.energy0), kk));
+            k::flag_cells(mine, rho, e, p.cell_box(), thresholds.density, thresholds.energy);
+            rest = tail;
+        }
+    });
+    ex.charge_host(patches, Category::Regrid, cells, 3, 10);
+    // Each patch's tags: its cell box, row-major, from its offset.
+    let mut end = 0;
+    let boxes = patches.iter().map(|p| {
+        let offset = end;
+        end += cells(p) as usize;
+        (p.cell_box(), offset)
+    });
+    match &tags {
+        Staged::Host(tags) => boxes
+            .map(|(b, offset)| TagBitmap::compress(b, &tags[offset..][..b.num_cells() as usize]))
+            .collect(),
+        Staged::Device(buf) => {
+            let fields: Vec<_> =
+                boxes.map(|(b, offset)| TagField { buf, offset, cell_box: b, dbox: b }).collect();
+            compress_tags_many(buf.device(), &fields, Category::Regrid)
         }
     }
 }
@@ -1109,6 +1157,98 @@ mod tests {
                 for v in 0..a.len() {
                     assert!(a[v] == b[v], "{name} on {cells}x{cells}: field {v} differs");
                 }
+            }
+        }
+    }
+
+    /// A level of `n` square patches of `cells` cells a side in a row, on
+    /// `factory`'s placement. Patch `i` is smooth (nothing to flag) when
+    /// `rough(i)` is false and random otherwise.
+    fn tag_level(
+        factory: std::sync::Arc<dyn rbamr_amr::DataFactory>,
+        n: usize,
+        cells: i64,
+        rough: impl Fn(usize) -> bool,
+    ) -> (Vec<Patch>, Fields) {
+        use rand::{Rng, SeedableRng};
+        let mut reg = rbamr_amr::VariableRegistry::new(factory);
+        let f = Fields::register(&mut reg);
+        let patches = (0..n).map(|i| {
+            let id = rbamr_amr::patch::PatchId { level: 0, index: i };
+            let x0 = i as i64 * cells;
+            let mut patch = Patch::new(id, GBox::from_coords(x0, 0, x0 + cells, cells), 0, &reg);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(i as u64);
+            for var in [f.density0, f.energy0] {
+                let data = patch.data_mut(var);
+                let image: Vec<f64> = (0..data.data_box().num_cells())
+                    .map(|_| if rough(i) { rng.gen_range(0.2..2.0) } else { 1.0 })
+                    .collect();
+                match data.as_any_mut().downcast_mut::<HostData<f64>>() {
+                    Some(host) => host.as_mut_slice().copy_from_slice(&image),
+                    None => dev_mut(data).upload_all(&image, Category::Other),
+                }
+            }
+            patch
+        });
+        (patches.collect(), f)
+    }
+
+    /// The level-wide tagging pass: three launches, two downloads and
+    /// three allocations at most, whatever the patch count, and the
+    /// bitmaps of the per-patch entry points of both placements.
+    #[test]
+    fn flag_cells_is_three_launches_per_level_and_equals_the_per_patch_bitmaps() {
+        use crate::state::PatchIntegrator;
+        let th = FlagThresholds::default();
+        type Rough = fn(usize) -> bool;
+        let mixes: [(&str, Rough); 3] =
+            [("untagged", |_| false), ("mixed", |i| i % 3 == 1), ("tagged", |_| true)];
+        // 7^2 and 13^2 cells: every patch's bits end mid-byte.
+        for cells in [7, 13, 16] {
+            for (what, rough) in mixes {
+                let budgets = [8usize, 32, 128].map(|n| {
+                    let device = Device::k20x();
+                    let rec = rbamr_telemetry::Recorder::new(0, device.clock().clone());
+                    device.set_recorder(rec.clone());
+                    let factory = rbamr_gpu_amr::DeviceDataFactory::new(device.clone());
+                    let (patches, f) = tag_level(std::sync::Arc::new(factory), n, cells, rough);
+                    let host = std::sync::Arc::new(rbamr_amr::HostDataFactory::new());
+                    let (host_patches, _) = tag_level(host, n, cells, rough);
+
+                    let count = |name: &str| rec.counter(name);
+                    let launches = |name: &str| count(&format!("device.kernel_launches.{name}"));
+                    let stream = Stream::new(&device);
+                    let ex = Exec::Device { device: &device, stream: &stream, copy_back: false };
+                    let allocs = count("device.allocs");
+                    device.reset_transfer_stats();
+                    let level = flag_cells(&patches, &f, ex, &th);
+                    let any = level.iter().any(TagBitmap::any);
+                    let budget = [
+                        launches("flag-cells"),
+                        launches("any-tagged"),
+                        launches("compress-tags"),
+                        device.stats().d2h_transfers,
+                        count("device.allocs") - allocs,
+                    ];
+                    assert_eq!(budget, [1, 1, any.into(), 1 + u64::from(any), 2 + u64::from(any)]);
+                    assert_eq!(device.stats().h2d_transfers, 0);
+
+                    let tagged: Vec<bool> = level.iter().map(TagBitmap::any).collect();
+                    let expect: Vec<bool> = (0..n).map(rough).collect();
+                    assert_eq!(tagged, expect, "{what}, {n} patches of {cells}^2");
+                    let dev_ig = crate::DevicePatchIntegrator::new();
+                    let host_ig = crate::HostPatchIntegrator::new();
+                    for (i, bitmap) in level.iter().enumerate() {
+                        assert!(*bitmap == dev_ig.flag_cells(&patches[i], &f, &th), "{what} {i}");
+                        assert!(*bitmap == host_ig.flag_cells(&host_patches[i], &f, &th));
+                    }
+                    assert!(level == flag_cells(&host_patches, &f, Exec::Host(None), &th));
+                    budget
+                });
+                assert!(
+                    budgets[1] == budgets[0] && budgets[2] == budgets[0],
+                    "{what}: {budgets:?}"
+                );
             }
         }
     }

@@ -1,5 +1,6 @@
 //! Field registry and the patch-integrator interface.
 
+use crate::level_executor::{flag_cells, Exec};
 use rbamr_amr::regrid::CellTagger;
 use rbamr_amr::{Patch, PatchHierarchy, TagBitmap, VariableId, VariableRegistry};
 use rbamr_geometry::{Centring, GBox, IntVector};
@@ -281,13 +282,14 @@ pub trait PatchIntegrator: Send + Sync {
     fn field_summary(&self, patch: &Patch, f: &Fields, dx: (f64, f64), region: GBox) -> Summary;
 }
 
-/// [`CellTagger`] adapter running the integrator's flagging heuristic
-/// over every local patch's whole interior. Cells already covered by a
-/// finer level are flagged like any other: those tags are what keeps
-/// the finer level alive at the next regrid.
+/// [`CellTagger`] adapter running the flagging heuristic over every
+/// local patch's whole interior, a level at a time
+/// ([`level_executor::flag_cells`](crate::level_executor)). Cells already
+/// covered by a finer level are flagged like any other: those tags are
+/// what keeps the finer level alive at the next regrid.
 pub struct HydroTagger<'a> {
-    /// The patch integrator evaluating the heuristic.
-    pub integrator: &'a dyn PatchIntegrator,
+    /// Where the patches' arrays live and what flagging them charges.
+    pub(crate) ex: Exec<'a>,
     /// The field registry.
     pub fields: &'a Fields,
     /// Flagging thresholds.
@@ -296,12 +298,7 @@ pub struct HydroTagger<'a> {
 
 impl CellTagger for HydroTagger<'_> {
     fn tag_cells(&self, hierarchy: &PatchHierarchy, level: usize, _time: f64) -> Vec<TagBitmap> {
-        hierarchy
-            .level(level)
-            .local()
-            .iter()
-            .map(|p| self.integrator.flag_cells(p, self.fields, &self.thresholds))
-            .collect()
+        flag_cells(hierarchy.level(level).local(), self.fields, self.ex, &self.thresholds)
     }
 }
 

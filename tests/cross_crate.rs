@@ -142,6 +142,9 @@ struct StepTraffic {
     /// on a regrid step, the solution transfer's.
     messages: (u64, u64),
     packed: (u64, u64),
+    /// `pack` and `unpack` launches: one per stage with any peer, each
+    /// with one transfer for all of the stage's messages.
+    stages: (u64, u64),
     /// Levels holding local patches, and the local patches on them, at
     /// the start of the step: one dt download per level, one minimum
     /// per patch.
@@ -149,14 +152,25 @@ struct StepTraffic {
     /// `any-tagged` and `compress-tags` launches: each downloads its
     /// result.
     tags: (u64, u64),
+    /// Local patches on the level a regrid flags (level 0 of two): one
+    /// any-tagged word each.
+    flagged: u64,
 }
 
 #[test]
 fn distributed_device_build_is_resident() {
+    // At 2 ranks every stage has one peer, so one transfer per message
+    // and one per stage count the same; 4 ranks tell them apart.
+    for nranks in [2, 4] {
+        resident_traffic(nranks);
+    }
+}
+
+fn resident_traffic(nranks: usize) {
     use rbamr::telemetry::Recorder;
     const STEPS: usize = 7;
     let cluster = Cluster::new(Machine::ipa_gpu());
-    let results = cluster.run(2, |mut comm| {
+    let results = cluster.run(nranks, |mut comm| {
         let rec = Recorder::new(comm.rank(), comm.clock().clone());
         comm.set_recorder(rec.clone());
         let mut sim =
@@ -174,44 +188,56 @@ fn distributed_device_build_is_resident() {
                 (s.h2d_transfers, s.h2d_bytes),
                 (c("net.sends") - c("net.sends.kind15"), c("net.recvs") - c("net.recvs.kind15")),
                 (c("pack.bytes"), c("unpack.bytes")),
+                (c("device.kernel_launches.pack"), c("device.kernel_launches.unpack")),
                 (c("device.kernel_launches.any-tagged"), c("device.kernel_launches.compress-tags")),
             ]
         };
         let mut steps = Vec::new();
         for _ in 0..STEPS {
-            let locals: Vec<u64> = (0..sim.hierarchy().num_levels())
-                .map(|l| sim.hierarchy().level(l).local().len() as u64)
-                .filter(|&n| n > 0)
-                .collect();
+            let local = |l| sim.hierarchy().level(l).local().len() as u64;
+            let locals: Vec<u64> =
+                (0..sim.hierarchy().num_levels()).map(local).filter(|&n| n > 0).collect();
+            let flagged = local(0);
             let before = observe();
             sim.step(Some(&comm));
-            let [d2h, h2d, messages, packed, tags] = {
+            let [d2h, h2d, messages, packed, stages, tags] = {
                 let after = observe();
-                [0, 1, 2, 3, 4].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1))
+                [0, 1, 2, 3, 4, 5].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1))
             };
             let dt = (locals.len() as u64, locals.iter().sum());
-            steps.push(StepTraffic { d2h, h2d, messages, packed, dt, tags });
+            steps.push(StepTraffic { d2h, h2d, messages, packed, stages, dt, tags, flagged });
         }
         steps
     });
+    let mut fused = false;
     for r in &results {
         for (i, t) in r.value.iter().enumerate() {
-            let what = format!("rank {} step {}", r.rank, i + 1);
+            let what = format!("{nranks} ranks, rank {} step {}", r.rank, i + 1);
             assert!(t.messages.0 > 0 && t.packed.0 > 0, "{what}: halos must cross PCIe");
+            // One launch and one transfer per stage and direction,
+            // however many peers the stage has.
+            assert!(t.stages.0 <= t.messages.0 && t.stages.1 <= t.messages.1, "{what}: stages");
+            if nranks == 2 {
+                assert_eq!(t.stages, t.messages, "{what}: one peer, one message per stage");
+            }
+            fused |= t.stages.0 < t.messages.0 && t.stages.1 < t.messages.1;
             // The residency claim is an equality. Out: one transfer per
-            // message sent — halo, synchronisation or, on the regrid at
-            // the end of every fourth step, solution-transfer message —
+            // stage that sends — halo, synchronisation or, on the regrid
+            // at the end of every fourth step, solution-transfer stage —
             // carrying exactly the packed bytes, and per level one
             // download of the patches' dt minima (8 B each). A regrid
-            // adds, per flagged patch, the 4-byte any-tagged word and,
-            // where it is set, the compressed bitmap: at most one bit
-            // per cell of a 16^2 patch.
+            // adds one download of the flagged level's any-tagged words
+            // (4 B per patch) and, where any is set, one of the
+            // compressed bitmaps: at most one bit per cell of a 16^2
+            // patch.
             let regrid = (i + 1).is_multiple_of(4);
             assert_eq!(regrid, t.tags.0 > 0, "{what}: flagging runs on regrid steps only");
-            assert_eq!(t.d2h.0, t.messages.0 + t.dt.0 + t.tags.0 + t.tags.1, "{what}: D2H count");
-            let bitmaps = t.d2h.1 - (t.packed.0 + 8 * t.dt.1 + 4 * t.tags.0);
-            assert!(t.tags.1 <= bitmaps && bitmaps <= 32 * t.tags.1, "{what}: D2H {:?}", t.d2h);
-            // In: one transfer per message received, carrying exactly
+            assert!(t.tags.0 <= 1 && t.tags.1 <= t.tags.0, "{what}: tag launches {:?}", t.tags);
+            assert_eq!(t.d2h.0, t.stages.0 + t.dt.0 + t.tags.0 + t.tags.1, "{what}: D2H count");
+            let words = if regrid { 4 * t.flagged } else { 0 };
+            let bitmaps = t.d2h.1 - (t.packed.0 + 8 * t.dt.1 + words);
+            assert!(t.tags.1 <= bitmaps && bitmaps <= 32 * t.flagged, "{what}: D2H {:?}", t.d2h);
+            // In: one transfer per stage that receives, carrying exactly
             // the bytes unpacked — plus a descriptor table per schedule
             // at its first execution: the regrid's transfer schedule
             // on the regrid step, the rebuilt fill and sync schedules
@@ -219,13 +245,14 @@ fn distributed_device_build_is_resident() {
             // alternate, so it takes two steps to execute every
             // schedule once).
             if regrid || i % 4 < 2 {
-                assert!(t.h2d.0 > t.messages.1 && t.h2d.1 > t.packed.1, "{what}: tables upload");
+                assert!(t.h2d.0 > t.stages.1 && t.h2d.1 > t.packed.1, "{what}: tables upload");
                 assert!(t.h2d.1 < 200_000, "{what}: H2D too large: {:?}", t.h2d);
             } else {
-                assert_eq!(t.h2d, (t.messages.1, t.packed.1), "{what}: H2D");
+                assert_eq!(t.h2d, (t.stages.1, t.packed.1), "{what}: H2D");
             }
         }
     }
+    assert_eq!(fused, nranks > 2, "{nranks} ranks: some stage must have several peers");
 }
 
 #[test]
