@@ -719,14 +719,14 @@ mod tests {
         let mut sim = build(Placement::Host);
         sim.run_steps(6, None);
         let db = sim.save_checkpoint();
-        let original = sim.start_fill_digests();
+        let original = sim.plan_digests();
 
         let mut resumed = build(Placement::Host);
         resumed.restore_checkpoint(&db, None);
         // Level 0 never regrids, so at minimum its schedules come out
         // of the cache even if finer structure moved since construction.
         assert!(resumed.schedule_cache().hits() > 0, "restore must reuse cached schedules");
-        assert_eq!(resumed.start_fill_digests(), original, "restored plans must match originals");
+        assert_eq!(resumed.plan_digests(), original, "restored plans must match originals");
 
         // A second restore reproduces the structure exactly: every
         // schedule lookup hits and nothing is rebuilt.
@@ -739,7 +739,7 @@ mod tests {
             "identical structure must not rebuild any schedule"
         );
         assert!(resumed.schedule_cache().hits() > hits);
-        assert_eq!(resumed.start_fill_digests(), original);
+        assert_eq!(resumed.plan_digests(), original);
     }
 
     #[test]

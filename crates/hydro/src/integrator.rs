@@ -690,11 +690,18 @@ impl HydroSim {
         }
     }
 
-    /// Plan digests of every level's start-of-step fill schedule, in
-    /// level order. Used by tests to check that cached schedules are
-    /// plan-identical to fresh builds (e.g. across a restart).
-    pub fn start_fill_digests(&self) -> Vec<Vec<String>> {
-        self.fill_schedules.iter().map(|s| s.start.plan_digest()).collect()
+    /// Plan digests of every schedule in use: per level the seven fills
+    /// in the order `rebuild_schedules` looks them up, then
+    /// the sync schedules. Used by tests to check that cached schedules
+    /// are plan-identical to fresh builds (e.g. across a restart) and
+    /// to freeze the plans themselves.
+    pub fn plan_digests(&self) -> Vec<Vec<String>> {
+        let fills = self.fill_schedules.iter().flat_map(|s| {
+            let [c0, c1] = &s.post_sweep1;
+            let [e0, e1] = &s.post_sweep2;
+            [&s.start, &s.post_accel, c0, c1, &s.mid_sweeps, e0, e1].map(|f| f.plan_digest())
+        });
+        fills.chain(self.sync_schedules.iter().map(|s| s.plan_digest())).collect()
     }
 
     /// Switch how level metadata is held ([`MetadataMode`]). Must be

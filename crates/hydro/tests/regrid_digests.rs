@@ -24,75 +24,14 @@
 //! them and says so; never for a change to how the transfer is planned,
 //! batched or sent.
 
+mod regrid_decks;
+
 use rbamr_amr::MetadataMode;
 use rbamr_geometry::{BoxList, BoxOverlap, Fnv64, IntVector, UnorderedDigest};
-use rbamr_hydro::{FlagThresholds, HydroConfig, HydroSim, Placement, RegionInit};
+use rbamr_hydro::{HydroSim, Placement};
 use rbamr_netsim::Cluster;
 use rbamr_perfmodel::Machine;
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Deck {
-    TriplePoint,
-    Sedov,
-}
-
-const LEVELS: usize = 3;
-const REGRID_EVERY: usize = 2;
-const REGRIDS: usize = 10;
-
-impl Deck {
-    fn extent(self) -> (f64, f64) {
-        match self {
-            Deck::TriplePoint => (7.0, 3.0),
-            Deck::Sedov => (1.0, 1.0),
-        }
-    }
-
-    fn cells(self) -> (i64, i64) {
-        match self {
-            Deck::TriplePoint => (112, 48),
-            Deck::Sedov => (24, 24),
-        }
-    }
-
-    fn patch(self) -> i64 {
-        match self {
-            Deck::TriplePoint => 16,
-            Deck::Sedov => 8,
-        }
-    }
-
-    /// Jumps that flag a cell: high enough that a weakening front drops
-    /// below them within a few regrids.
-    fn thresholds(self) -> FlagThresholds {
-        match self {
-            Deck::TriplePoint => FlagThresholds { density: 0.5, energy: 0.5 },
-            Deck::Sedov => FlagThresholds { density: 0.4, energy: 0.4 },
-        }
-    }
-
-    fn regions(self) -> Vec<RegionInit> {
-        let still =
-            |rect, density, energy| RegionInit { rect, density, energy, xvel: 0.0, yvel: 0.0 };
-        match self {
-            // The triple-point geometry with a 2:1 driver and a 10 %
-            // density step: the shock is flagged while it is steep.
-            Deck::TriplePoint => vec![
-                still((0.0, 0.0, 1.0, 3.0), 1.0, 2.0),
-                still((1.0, 0.0, 7.0, 1.5), 1.0, 1.0),
-                still((1.0, 1.5, 7.0, 3.0), 0.9, 1.0 / 0.9),
-            ],
-            // Two warm squares in a box: each blast decays below the
-            // threshold on its own, and is flagged again where the two
-            // meet.
-            Deck::Sedov => vec![
-                still((0.0, 0.0, 1.0, 1.0), 1.0, 1.0),
-                still((0.15, 0.45, 0.25, 0.55), 1.0, 1.5),
-                still((0.75, 0.45, 0.85, 0.55), 1.0, 1.5),
-            ],
-        }
-    }
-}
+use regrid_decks::{Deck, REGRIDS, REGRID_EVERY};
 
 /// What one regrid left behind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,31 +72,8 @@ fn state_items(sim: &HydroSim) -> UnorderedDigest {
 }
 
 fn run(deck: Deck, placement: Placement, ranks: usize, mode: MetadataMode) -> Vec<AfterRegrid> {
-    let machine = Machine::ipa_gpu();
-    let m = machine.clone();
-    let results = Cluster::new(machine).run(ranks, move |comm| {
-        let mut config = HydroConfig {
-            regrid_interval: REGRID_EVERY,
-            max_patch_size: deck.patch(),
-            metadata_mode: mode,
-            thresholds: deck.thresholds(),
-            ..HydroConfig::default()
-        };
-        config.regrid.cluster.min_size = 4;
-        config.regrid.max_patch_size = deck.patch();
-        let mut sim = HydroSim::new(
-            m.clone(),
-            placement,
-            comm.clock().clone(),
-            deck.extent(),
-            deck.cells(),
-            LEVELS,
-            2,
-            config,
-            deck.regions(),
-            comm.rank(),
-            comm.size(),
-        );
+    let results = Cluster::new(Machine::ipa_gpu()).run(ranks, move |comm| {
+        let mut sim = deck.sim(placement, mode, &comm);
         let comm = (comm.size() > 1).then_some(&comm);
         sim.initialize(comm);
         let mut after = Vec::new();
