@@ -226,32 +226,31 @@ struct ScheduleKey {
 }
 
 impl ScheduleKey {
-    fn refine(hierarchy: &PatchHierarchy, level_no: usize, specs: &[FillSpec]) -> Self {
-        // Matches the build: coarse metadata is only consulted when the
-        // level has a coarser one and some spec interpolates.
-        let needs_coarse = level_no > 0 && specs.iter().any(|s| s.refine_op.is_some());
+    /// `coarse`: whether what is keyed reads the coarser level.
+    fn new(hierarchy: &PatchHierarchy, level_no: usize, coarse: bool, spec_fp: u64) -> Self {
         Self {
             rank: hierarchy.rank(),
             level_no,
             level_digest: hierarchy.structure_digest(level_no),
-            coarser_digest: if needs_coarse { hierarchy.structure_digest(level_no - 1) } else { 0 },
-            spec_fp: specs_fingerprint(specs),
+            coarser_digest: if coarse { hierarchy.structure_digest(level_no - 1) } else { 0 },
+            spec_fp,
         }
+    }
+
+    fn refine(hierarchy: &PatchHierarchy, level_no: usize, specs: &[FillSpec]) -> Self {
+        // Matches the build: coarse metadata is only consulted when the
+        // level has a coarser one and some spec interpolates.
+        let needs_coarse = level_no > 0 && specs.iter().any(|s| s.refine_op.is_some());
+        Self::new(hierarchy, level_no, needs_coarse, specs_fingerprint(specs))
     }
 
     fn coarsen(hierarchy: &PatchHierarchy, fine_level_no: usize, specs: &[CoarsenSpec]) -> Self {
         assert!(fine_level_no > 0, "CoarsenSchedule: level 0 has no coarser level");
-        Self {
-            rank: hierarchy.rank(),
-            level_no: fine_level_no,
-            level_digest: hierarchy.structure_digest(fine_level_no),
-            coarser_digest: hierarchy.structure_digest(fine_level_no - 1),
-            spec_fp: specs_fingerprint(specs),
-        }
+        Self::new(hierarchy, fine_level_no, true, specs_fingerprint(specs))
     }
 }
 
-/// Structure-keyed cache of built schedules.
+/// Structure-keyed cache of the schedules in use.
 ///
 /// Keys bind the digests of every level a schedule was planned against
 /// (see [`crate::PatchLevel::structure_digest`]), the spec-set
@@ -259,11 +258,15 @@ impl ScheduleKey {
 /// plans are byte-for-byte what a fresh build would produce. Entries are
 /// `Arc`-shared: a hit is an `Arc` clone, no copying.
 ///
-/// Invalidation is automatic — a regrid that changes a level's boxes,
-/// owners, or ordering changes the digest and subsequent lookups miss;
-/// stale entries age out via the [`ScheduleCache::MAX_ENTRIES`] bound
-/// (the maps are cleared wholesale when full; steady-state AMR runs hold
-/// a handful of live keys, so eviction refinement is not worth state).
+/// The cache keeps an entry alive only while something else does: when
+/// a build pass opens ([`ScheduleBuild::with_cache`]) every schedule
+/// that nothing outside the cache holds is dropped — plans, descriptor
+/// table and boundary state together — so the cache is bounded by the
+/// schedules of the current structure and of the one being replaced,
+/// and a level that survives a regrid gets the same `Arc` back. A
+/// structure that fell out of use and comes back later is rebuilt;
+/// remembering such plans cost several times the mesh in host memory
+/// on a moving front and was never once hit on the benchmark decks.
 #[derive(Default)]
 pub struct ScheduleCache {
     refine: std::collections::HashMap<ScheduleKey, Arc<RefineSchedule>>,
@@ -273,10 +276,6 @@ pub struct ScheduleCache {
 }
 
 impl ScheduleCache {
-    /// Bound on cached schedules per kind before the cache clears
-    /// itself.
-    pub const MAX_ENTRIES: usize = 512;
-
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
@@ -292,12 +291,6 @@ impl ScheduleCache {
         self.refine.is_empty() && self.coarsen.is_empty()
     }
 
-    /// Drop every cached schedule (lifetime hit/miss counters survive).
-    pub fn clear(&mut self) {
-        self.refine.clear();
-        self.coarsen.clear();
-    }
-
     /// Lifetime lookup hits.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -308,22 +301,11 @@ impl ScheduleCache {
         self.misses
     }
 
-    /// Drop the descriptor tables (and what the boundary strategy
-    /// kept) of the cached schedules that nothing but this cache holds.
-    /// A schedule in use keeps them across rebuilds (a steady regrid
-    /// hits the cache and gets the same `Arc` back); one that fell out
-    /// of use keeps only its plans, and uploads again if a later regrid
-    /// brings its structure back.
-    fn release_unheld(&self) {
-        let release = |r: &Resident| *r.lock().expect("descriptor upload panicked") = None;
-        self.refine.values().filter(|s| Arc::strong_count(s) == 1).for_each(|s| {
-            release(&s.resident);
-            release(&s.boundary_kept);
-        });
-        self.coarsen
-            .values()
-            .filter(|s| Arc::strong_count(s) == 1)
-            .for_each(|s| release(&s.resident));
+    /// Host heap bytes of the cached schedules (see
+    /// [`RefineSchedule::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.refine.values().map(|s| s.heap_bytes()).sum::<usize>()
+            + self.coarsen.values().map(|s| s.heap_bytes()).sum::<usize>()
     }
 
     /// Lifetime hit rate in [0, 1]; 0 before any lookup.
@@ -348,34 +330,38 @@ impl ScheduleCache {
 /// Cache lookups are attempted for [`BuildStrategy::Indexed`] and
 /// [`BuildStrategy::Partitioned`]; the brute-force oracle always builds
 /// fresh (its point is to be an independent reference).
+///
+/// One value is one build *pass*: the fill geometry of a level is
+/// walked once per class of variables and shared by
+/// every fill schedule the pass builds, and is dropped with the value.
 pub struct ScheduleBuild<'c> {
     /// Overlap-discovery strategy.
     pub strategy: BuildStrategy,
     /// When set, built schedules are cached and structure-preserving
     /// rebuilds become `Arc` clones.
     pub cache: Option<&'c mut ScheduleCache>,
+    memo: GeometryMemo,
 }
 
 impl ScheduleBuild<'static> {
     /// Indexed build, no caching.
     pub fn indexed() -> Self {
-        Self { strategy: BuildStrategy::Indexed, cache: None }
+        Self::new(BuildStrategy::Indexed)
     }
 
     /// A specific strategy, no caching.
     pub fn new(strategy: BuildStrategy) -> Self {
-        Self { strategy, cache: None }
+        Self { strategy, cache: None, memo: GeometryMemo::default() }
     }
 }
 
 impl<'c> ScheduleBuild<'c> {
-    /// Indexed build through `cache`. Cached schedules no longer held
-    /// outside the cache give up their descriptor tables here (the
-    /// resident tables are those of the schedules in use, not of
-    /// everything the cache remembers).
+    /// Indexed build through `cache`, which first drops every schedule
+    /// nothing else holds any more (see [`ScheduleCache`]).
     pub fn with_cache(cache: &'c mut ScheduleCache) -> Self {
-        cache.release_unheld();
-        Self { strategy: BuildStrategy::Indexed, cache: Some(cache) }
+        cache.refine.retain(|_, s| Arc::strong_count(s) > 1);
+        cache.coarsen.retain(|_, s| Arc::strong_count(s) > 1);
+        Self { cache: Some(cache), ..ScheduleBuild::indexed() }
     }
 
     fn indexed_discovery(&self) -> bool {
@@ -405,13 +391,11 @@ impl<'c> ScheduleBuild<'c> {
             level_no,
             specs,
             self.indexed_discovery(),
+            &mut self.memo,
         ));
         if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
             cache.misses += 1;
             count_if_enabled(hierarchy, "schedule.cache_misses");
-            if cache.refine.len() >= ScheduleCache::MAX_ENTRIES {
-                cache.refine.clear();
-            }
             cache.refine.insert(key, Arc::clone(&built));
         }
         built
@@ -448,9 +432,6 @@ impl<'c> ScheduleBuild<'c> {
         if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
             cache.misses += 1;
             count_if_enabled(hierarchy, "schedule.cache_misses");
-            if cache.coarsen.len() >= ScheduleCache::MAX_ENTRIES {
-                cache.coarsen.clear();
-            }
             cache.coarsen.insert(key, Arc::clone(&built));
         }
         built
@@ -520,9 +501,7 @@ const fn agg_tag(kind: u64, level_no: usize) -> u64 {
 
 /// The placement's handle on a schedule's descriptor table (see
 /// [`DataFactory::upload_descriptors`]): made when the schedule first
-/// executes, dropped with the schedule or — for a cached schedule that
-/// nothing but its cache holds any more — by
-/// [`ScheduleBuild::with_cache`].
+/// executes, dropped with the schedule.
 type Resident = Mutex<Option<Box<dyn Any + Send + Sync>>>;
 
 /// Ask the placement for the handle unless one is held.
@@ -536,6 +515,12 @@ fn ensure_resident(
     if held.is_none() {
         *held = factory.upload_descriptors(&mut words, category);
     }
+}
+
+/// Heap bytes of a list whose items each own `owned(item)` more, by
+/// capacity: what the allocator holds, not what is in use.
+fn list_bytes<T>(list: &Vec<T>, owned: impl Fn(&T) -> usize) -> usize {
+    list.capacity() * std::mem::size_of::<T>() + list.iter().map(owned).sum::<usize>()
 }
 
 /// The data box of `var` allocated over `cell_box` — what
@@ -575,8 +560,7 @@ pub struct RefineSchedule {
     physical: Vec<PhysicalPlan>,
     resident: Resident,
     /// What the physical-boundary strategy keeps between fills (see
-    /// [`PhysicalBoundary::fill_many`]); held and released with
-    /// `resident`.
+    /// [`PhysicalBoundary::fill_many`]).
     boundary_kept: Resident,
 }
 
@@ -600,7 +584,7 @@ impl RefineSchedule {
         level_no: usize,
         specs: &[FillSpec],
     ) -> Self {
-        Self::build(hierarchy, registry, level_no, specs, true)
+        Self::build(hierarchy, registry, level_no, specs, true, &mut GeometryMemo::default())
     }
 
     /// Build the schedule with the all-pairs O(N²) scan the indexed
@@ -614,7 +598,7 @@ impl RefineSchedule {
         level_no: usize,
         specs: &[FillSpec],
     ) -> Self {
-        Self::build(hierarchy, registry, level_no, specs, false)
+        Self::build(hierarchy, registry, level_no, specs, false, &mut GeometryMemo::default())
     }
 
     fn build(
@@ -623,6 +607,7 @@ impl RefineSchedule {
         level_no: usize,
         specs: &[FillSpec],
         indexed: bool,
+        memo: &mut GeometryMemo,
     ) -> Self {
         let build_start = std::time::Instant::now();
         let rank = hierarchy.rank();
@@ -633,104 +618,44 @@ impl RefineSchedule {
         // modes, so the relative candidate order — and with it the
         // aggregated message stream layout — is identical on every rank
         // that plans a given pair.
-        let recs = level.records();
-        let boxes = recs.boxes();
-        let domain = level.domain();
-        // Candidate-source discovery (see [`Sources::candidates`]):
-        // queries grow by the ghost width, and the result is a superset
-        // of the overlapping pairs in ascending position order, so the
-        // plans below come out identical to the brute-force scan's —
-        // empty overlaps are skipped either way.
         let same = Sources::of(level, rank, Some(level_no), indexed);
         let needs_coarse = level_no > 0 && specs.iter().any(|s| s.refine_op.is_some());
         let coarse = needs_coarse
             .then(|| Sources::of(hierarchy.level(level_no - 1), rank, Some(level_no - 1), indexed));
         let vars = specs.iter().map(|s| s.var).collect();
         let mut plan = Planner::new(hierarchy, registry, level_no, KIND_AGG_FILL, vars);
-        let (mut sources, mut coarse_sources) = (Vec::new(), Vec::new());
+        let structure = ScheduleKey::new(hierarchy, level_no, needs_coarse, indexed.into());
 
         for spec in specs {
             let var = registry.get(spec.var);
-            let (centring, ghosts) = (var.centring, var.ghosts);
-            // Every ghost value gets exactly one source: the first
-            // candidate in ascending record order claims it (see
-            // [`Planner::walk`]), so the order the stages apply copies
-            // and unpacks in cannot matter.
-            for (dst_pos, &dst_box) in boxes.iter().enumerate() {
-                let dst_idx = recs.global_index(dst_pos);
-                let dst_rank = recs.owner_at(dst_pos);
-                let dst = (dst_idx, dst_rank);
-                // --- Same-level copies -------------------------------
-                same.candidates(dst_box.grow(ghosts + IntVector::ONE), &mut sources);
-                let ends = [(spec.var, same.loc(dst_pos), data_box_of(var, dst_box))];
-                // (A patch's overlap with itself is empty.)
-                let ghost_region = |_, src_box| {
-                    ghost_overlaps(dst_box, ghosts, src_box, centring, IntVector::ZERO).dst_boxes
-                };
-                plan.walk(&same, &sources, false, ghost_region, &mut BoxList::new(), dst, &ends);
-
-                // --- Physical boundary regions (dst local only) ------
-                if dst_rank == rank {
-                    let mut outside = BoxList::from_box(dst_box.grow(ghosts));
-                    outside.subtract(domain);
-                    outside.coalesce();
-                    if !outside.is_empty() {
-                        let pos = same.local[dst_pos];
-                        let job = PhysicalPlan { pos, dst_idx, var: spec.var, outside };
-                        plan.sched.physical.push(job);
-                    }
+            // Every box of the plan depends on the variable through its
+            // class only, so the calculus runs once per class and pass.
+            let op = spec.refine_op.as_ref().filter(|_| level_no > 0);
+            let class = (var.centring, var.ghosts, op.map(|op| op.stencil_width()));
+            let geometry = memo
+                .entry((structure, class))
+                .or_insert_with(|| plan.geometry(hierarchy, &same, coarse.as_ref(), class));
+            for (dst_pos, g) in geometry.iter().enumerate() {
+                let dst_box = same.recs.box_at(dst_pos);
+                let dst = (same.recs.global_index(dst_pos), same.recs.owner_at(dst_pos));
+                // --- Same-level copies -----------------------------------
+                let end = (spec.var, same.loc(dst_pos), data_box_of(var, dst_box));
+                plan.stamp(&same, &g.same, dst, &[end]);
+                // --- Physical boundary regions (dst local only) ----------
+                if !g.outside.is_empty() {
+                    let (pos, dst_idx, outside) = (same.local[dst_pos], dst.0, g.outside.clone());
+                    plan.sched.physical.push(PhysicalPlan { pos, dst_idx, var: spec.var, outside });
                 }
-
-                // --- Coarse-fine interpolation -----------------------
-                let Some(op) = &spec.refine_op else { continue };
-                if level_no == 0 {
-                    continue;
-                }
-                // Region wanted: in-domain ghost data not provided by
-                // this patch or any same-level patch.
-                let ghost_cells = dst_box.grow(ghosts);
-                let in_domain = domain.intersect_box(ghost_cells);
-                let mut want = data_region(&in_domain, centring);
-                want.subtract_box(centring.data_box(dst_box));
-                // Only sources near the ghost region can cover any of
-                // it; subtracting a disjoint data box is a no-op, so
-                // restricting to the candidates leaves `want` bitwise
-                // identical to the all-boxes subtraction. (In
-                // partitioned mode the interest closure guarantees a
-                // rank planning for this destination — as its owner or
-                // as a coarse-data sender — holds every record near it,
-                // so both sides compute the same `want`.)
-                for &src_pos in &sources {
-                    want.subtract_box(centring.data_box(boxes[src_pos]));
-                }
-                want.coalesce();
-                if want.is_empty() {
-                    continue;
-                }
-
-                // Scratch region on the coarse level.
-                let ratio = hierarchy.ratio_to_coarser(level_no);
-                let coarse = coarse.as_ref().expect("a spec interpolates");
-                let fine_cover = want
-                    .boxes()
-                    .iter()
-                    .fold(GBox::EMPTY, |acc, &b| acc.bounding(cell_cover(b, centring)));
-                let scratch_box = fine_cover.coarsen(ratio).grow(op.stencil_width());
-                let scratch_data_box = centring.data_box(scratch_box);
-                coarse.candidates(scratch_data_box, &mut coarse_sources);
+                // --- Coarse-fine interpolation ---------------------------
+                let (Some(c), Some(op), Some(coarse)) = (&g.coarse, op, &coarse) else { continue };
                 // The scratch array this destination interpolates from
-                // (ours to make if the destination is) is written by
-                // every coarse source whose data box meets it, each
-                // claiming what earlier ones left; `covered` is the
-                // running union.
-                let mut covered = BoxList::new();
+                // is ours to make if the destination is.
                 let slot = Loc::scratch(plan.next_scratch());
-                let ends = [(spec.var, slot, data_box_of(var, scratch_box))];
-                let in_scratch = |_, cbox| scratch_region(scratch_data_box, cbox, centring);
-                plan.walk(coarse, &coarse_sources, false, in_scratch, &mut covered, dst, &ends);
-                if dst_rank == rank {
-                    let at = (same.local[dst_pos], dst_idx);
-                    plan.interpolate(op, spec.var, at, want, scratch_box, covered);
+                let end = (spec.var, slot, data_box_of(var, c.scratch_box));
+                plan.stamp(coarse, &c.sources, dst, &[end]);
+                if dst.1 == rank {
+                    let at = (same.local[dst_pos], dst.0);
+                    plan.interpolate(op, spec.var, at, (&c.want, c.scratch_box, &c.covered));
                 }
             }
         }
@@ -752,7 +677,7 @@ impl RefineSchedule {
     /// The claim rule is the one a serial refine-then-overwrite in
     /// ascending record order obeys — the last source in record order
     /// wins, and old data wins over interpolated data — so candidates
-    /// are walked in *descending* order ([`Planner::walk`]) and the
+    /// are walked in *descending* order ([`Planner::claim`]) and the
     /// interpolation fills what no old patch claimed, out of the
     /// scratch box the whole data box needs (the extension of uncovered
     /// scratch cells depends on that box). Specs sharing a centring and
@@ -809,7 +734,10 @@ impl RefineSchedule {
                     old.candidates(fine_fill, &mut cand);
                     let ends = ends(&|_| new.loc(npos), nb);
                     let overlap = |_, obox| copy_overlap(nb, obox, centring).dst_boxes;
-                    plan.walk(old, &cand, true, overlap, &mut claimed, dst, &ends);
+                    let newest_first = cand.iter().rev().copied();
+                    let claims =
+                        plan.claim(old, newest_first, centring, overlap, &mut claimed, dst.1);
+                    plan.stamp(old, &claims, dst, &ends);
                 }
 
                 // --- Coarser level: scratch, then interpolation --------
@@ -820,21 +748,17 @@ impl RefineSchedule {
                 let ends = ends(&|k| Loc::scratch(first + k), scratch_box);
                 let in_scratch = |_, cbox| scratch_region(scratch_data_box, cbox, centring);
                 let mut covered = BoxList::new();
-                plan.walk(&coarse, &cand, true, in_scratch, &mut covered, dst, &ends);
+                let newest_first = cand.iter().rev().copied();
+                let claims =
+                    plan.claim(&coarse, newest_first, centring, in_scratch, &mut covered, dst.1);
+                plan.stamp(&coarse, &claims, dst, &ends);
                 if mine {
                     let mut fill = BoxList::from_box(fine_fill);
                     fill.subtract(&claimed);
                     fill.coalesce();
                     for spec in group {
                         let (op, at) = (&spec.refine_op, (new.local[npos], dst.0));
-                        plan.interpolate(
-                            op,
-                            spec.var,
-                            at,
-                            fill.clone(),
-                            scratch_box,
-                            covered.clone(),
-                        );
+                        plan.interpolate(op, spec.var, at, (&fill, scratch_box, &covered));
                     }
                 }
             }
@@ -924,6 +848,25 @@ impl RefineSchedule {
     /// Messages one execution sends and receives (diagnostics/tests).
     pub fn num_messages(&self) -> (usize, usize) {
         (self.send_peers.len(), self.recv_peers.len())
+    }
+
+    /// Host heap bytes the schedule holds — job lists, their box lists
+    /// and the peer tables — by capacity. The descriptor table and the
+    /// boundary state belong to the placement and are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        let copy = |j: &CopyJob| j.overlap.dst_boxes.heap_bytes();
+        let stream = |j: &StreamJob| j.overlap.dst_boxes.heap_bytes();
+        list_bytes(&self.vars, |_| 0)
+            + list_bytes(&self.copies, copy)
+            + list_bytes(&self.captures, copy)
+            + list_bytes(&self.sends, stream)
+            + list_bytes(&self.recvs, stream)
+            + list_bytes(&self.send_peers, |_| 0)
+            + list_bytes(&self.recv_peers, |_| 0)
+            + list_bytes(&self.scratch, |_| 0)
+            + list_bytes(&self.covered, BoxList::heap_bytes)
+            + list_bytes(&self.refines, |(_, jobs)| list_bytes(jobs, |j| j.fill.heap_bytes()))
+            + list_bytes(&self.physical, |p| p.outside.heap_bytes())
     }
 
     /// Render every job list as descriptor words (see
@@ -1097,6 +1040,43 @@ impl RefineSchedule {
     }
 }
 
+/// What each source provides of one destination array: `(record
+/// position, region)`, for the pairs this rank owns an end of.
+type Claims = Vec<(usize, BoxList)>;
+
+/// The fill geometry of one destination record, shared by every
+/// variable of a [`Class`].
+struct DstGeometry {
+    /// From the neighbours on the level.
+    same: Claims,
+    /// The ghost cells outside the domain; empty unless the record is
+    /// this rank's.
+    outside: BoxList,
+    /// Where the level leaves in-domain ghost data wanted.
+    coarse: Option<CoarseGeometry>,
+}
+
+struct CoarseGeometry {
+    /// Fine data-space region to interpolate.
+    want: BoxList,
+    /// Cell box of the coarse scratch array it is interpolated from.
+    scratch_box: GBox,
+    /// From the coarser level, into the scratch array.
+    sources: Claims,
+    /// The union of what the coarse sources provide.
+    covered: BoxList,
+}
+
+/// What the geometry depends on a variable through: its centring, its
+/// ghost width and, where it interpolates, the stencil width.
+type Class = (Centring, IntVector, Option<IntVector>);
+
+/// The geometry of every record of a level, per structure (the key of
+/// a schedule, the discovery mode in place of a spec set) and class.
+/// It lives as long as one [`ScheduleBuild`] and is what lets the fill
+/// schedules of a level share one walk over its records.
+type GeometryMemo = std::collections::HashMap<(ScheduleKey, Class), Vec<DstGeometry>>;
+
 /// One level as a source of planned transfers.
 struct Sources<'a> {
     recs: crate::level::LevelRecords<'a>,
@@ -1201,75 +1181,135 @@ impl<'a> Planner<'a> {
         op: &Arc<dyn RefineOperator>,
         var: VariableId,
         (pos, dst_idx): (usize, usize),
-        fill: BoxList,
-        scratch_box: GBox,
-        covered: BoxList,
+        (fill, scratch_box, covered): (&BoxList, GBox, &BoxList),
     ) {
         let (pos, scratch, dst_idx) = (narrow(pos), narrow(self.next_scratch()), narrow(dst_idx));
-        let job = RefineJob { var, pos, scratch, fill, dst_idx };
+        let job = RefineJob { var, pos, scratch, fill: fill.clone(), dst_idx };
         let refines = &mut self.sched.refines;
         match refines.iter_mut().find(|(o, _)| o.name() == op.name()) {
             Some((_, jobs)) => jobs.push(job),
             None => refines.push((Arc::clone(op), vec![job])),
         }
-        self.sched.covered.push(covered);
+        self.sched.covered.push(covered.clone());
         self.sched.scratch.push((var, scratch_box));
     }
 
-    /// Give every value of one destination exactly one source, and file
-    /// each (source, destination) pair this rank owns an end of under
-    /// the stage that moves it: a validated copy job when both ends are
-    /// here, a pack for `dst`'s owner, or an unpack from the source's.
+    /// The fill geometry of every record of the level `same` holds, for
+    /// one class of variables (see [`DstGeometry`]).
+    fn geometry(
+        &mut self,
+        hierarchy: &PatchHierarchy,
+        same: &Sources<'_>,
+        coarse: Option<&Sources<'_>>,
+        (centring, ghosts, stencil): Class,
+    ) -> Vec<DstGeometry> {
+        let level_no = same.level.expect("a fill targets a level of the hierarchy");
+        let domain = hierarchy.level(level_no).domain();
+        let boxes = same.recs.boxes();
+        let (mut sources, mut coarse_sources) = (Vec::new(), Vec::new());
+        let per_dst = |(dst_pos, &dst_box): (usize, &GBox)| {
+            let dst_rank = same.recs.owner_at(dst_pos);
+            // Candidate-source discovery (see [`Sources::candidates`]):
+            // queries grow by the ghost width, and the result is a
+            // superset of the overlapping pairs in ascending position
+            // order, so the plans come out identical to the brute-force
+            // scan's — empty overlaps are skipped either way. (A
+            // patch's overlap with itself is empty.)
+            same.candidates(dst_box.grow(ghosts + IntVector::ONE), &mut sources);
+            let ghost_region = |_, src_box| {
+                ghost_overlaps(dst_box, ghosts, src_box, centring, IntVector::ZERO).dst_boxes
+            };
+            let (near, claimed) = (sources.iter().copied(), &mut BoxList::new());
+            let mut g = DstGeometry {
+                same: self.claim(same, near, centring, ghost_region, claimed, dst_rank),
+                outside: BoxList::new(),
+                coarse: None,
+            };
+            if dst_rank == self.rank {
+                g.outside = BoxList::from_box(dst_box.grow(ghosts));
+                g.outside.subtract(domain);
+                g.outside.coalesce();
+            }
+            let (Some(stencil), Some(coarse)) = (stencil, coarse) else { return g };
+            // Region wanted: in-domain ghost data not provided by this
+            // patch or any same-level patch. Only sources near the
+            // ghost region can cover any of it; subtracting a disjoint
+            // data box is a no-op, so restricting to the candidates
+            // leaves `want` bitwise identical to the all-boxes
+            // subtraction. (In partitioned mode the interest closure
+            // guarantees a rank planning for this destination — as its
+            // owner or as a coarse-data sender — holds every record
+            // near it, so both sides compute the same `want`.)
+            let in_domain = domain.intersect_box(dst_box.grow(ghosts));
+            let mut want = data_region(&in_domain, centring);
+            want.subtract_box(centring.data_box(dst_box));
+            for &src_pos in &sources {
+                want.subtract_box(centring.data_box(boxes[src_pos]));
+            }
+            want.coalesce();
+            if want.is_empty() {
+                return g;
+            }
+            // Scratch region on the coarse level, written by every
+            // coarse source whose data box meets it, each claiming what
+            // earlier ones left; `covered` is the running union.
+            let fine_cover = want
+                .boxes()
+                .iter()
+                .fold(GBox::EMPTY, |acc, &b| acc.bounding(cell_cover(b, centring)));
+            let scratch_box =
+                fine_cover.coarsen(hierarchy.ratio_to_coarser(level_no)).grow(stencil);
+            let scratch_data_box = centring.data_box(scratch_box);
+            coarse.candidates(scratch_data_box, &mut coarse_sources);
+            let in_scratch = |_, cbox| scratch_region(scratch_data_box, cbox, centring);
+            let mut covered = BoxList::new();
+            let near = coarse_sources.iter().copied();
+            let sources = self.claim(coarse, near, centring, in_scratch, &mut covered, dst_rank);
+            g.coarse = Some(CoarseGeometry { want, scratch_box, sources, covered });
+            g
+        };
+        boxes.iter().enumerate().map(per_dst).collect()
+    }
+
+    /// Give every value of one destination — a record `dst_rank` owns —
+    /// exactly one source, and return the (source, region) pairs this
+    /// rank owns an end of.
     ///
     /// Node- and side-centred data boxes of neighbours share planes,
     /// and their copies of a shared value need not be bitwise-equal.
     /// Local copies run before remote unpacks, so overlapping writes
     /// would make the winner depend on the rank layout. Instead `cands`
-    /// (ascending positions) are walked first to last, or last to first
-    /// with `newest_first`, and each keeps of `region_of(position, box)`
-    /// only what earlier ones left; `claimed` is the running union. A
+    /// (record positions, ascending or descending) are walked in order
+    /// and each keeps of `region_of(position, box)` only what earlier
+    /// ones left; `claimed` is the running union. A
     /// claim only shrinks sources it overlaps — neighbours, inside the
     /// interest neighbourhood of every rank that owns one — so both
-    /// ends of a message derive the same regions (DESIGN.md §13).
+    /// ends of a message derive the same regions (DESIGN.md §13), and
+    /// the order the stages apply copies and unpacks in cannot matter.
     /// Cell-centred sources are disjoint and skip the calculus, and a
     /// rank owning no end skips the destination wholesale.
-    ///
-    /// `ends` lists the destination arrays sharing this geometry
-    /// (variable, where it lives, its data box), read only when `dst` —
-    /// `(global index, owner)` — is this rank's.
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
+    fn claim(
         &mut self,
         src: &Sources<'_>,
-        cands: &[usize],
-        newest_first: bool,
+        cands: impl ExactSizeIterator<Item = usize> + Clone,
+        centring: Centring,
         region_of: impl Fn(usize, GBox) -> BoxList,
         claimed: &mut BoxList,
-        dst: (usize, usize),
-        ends: &[(VariableId, Loc, GBox)],
-    ) {
+        dst_rank: usize,
+    ) -> Claims {
         self.candidate_pairs += cands.len() as u64;
-        let mine = dst.1 == self.rank;
-        if !mine && !cands.iter().any(|&c| src.recs.owner_at(c) == self.rank) {
-            return;
+        let mine = dst_rank == self.rank;
+        let mut claims = Claims::new();
+        if !mine && !cands.clone().any(|c| src.recs.owner_at(c) == self.rank) {
+            return claims;
         }
-        let Some(&(first_var, first_loc, _)) = ends.first() else { return };
-        let centring = self.registry.get(first_var).centring;
-        // A local copy into scratch is a capture: its own stage.
-        let local = match first_loc {
-            Loc::Scratch(_) => &mut self.sched.captures,
-            _ => &mut self.sched.copies,
-        };
-        let n = cands.len();
-        for pos in (0..n).map(|i| if newest_first { cands[n - 1 - i] } else { cands[i] }) {
-            let src_rank = src.recs.owner_at(pos);
+        for pos in cands {
             // A pair between two other ranks matters for its claim only.
-            let theirs = !mine && src_rank != self.rank;
+            let theirs = !mine && src.recs.owner_at(pos) != self.rank;
             if theirs && centring == Centring::Cell {
                 continue;
             }
-            let src_box = src.recs.box_at(pos);
-            let mut region = region_of(pos, src_box);
+            let mut region = region_of(pos, src.recs.box_at(pos));
             if centring != Centring::Cell {
                 region.subtract(claimed);
                 region.coalesce();
@@ -1278,19 +1318,45 @@ impl<'a> Planner<'a> {
                 continue;
             }
             claimed.union(&region);
-            if theirs {
-                continue;
+            if !theirs {
+                claims.push((pos, region));
             }
+        }
+        claims
+    }
+
+    /// File each of `claims` on the destination `dst` — `(global index,
+    /// owner)` — under the stage that moves it: a validated copy job
+    /// when both ends are here, a pack for `dst`'s owner, or an unpack
+    /// from the source's. `ends` lists the destination arrays sharing
+    /// this geometry (variable, where it lives, its data box), read
+    /// only when `dst` is this rank's.
+    fn stamp(
+        &mut self,
+        src: &Sources<'_>,
+        claims: &Claims,
+        dst: (usize, usize),
+        ends: &[(VariableId, Loc, GBox)],
+    ) {
+        let Some(&(first_var, first_loc, _)) = ends.first() else { return };
+        let centring = self.registry.get(first_var).centring;
+        // A local copy into scratch is a capture: its own stage.
+        let local = match first_loc {
+            Loc::Scratch(_) => &mut self.sched.captures,
+            _ => &mut self.sched.copies,
+        };
+        for (pos, region) in claims {
+            let (pos, src_rank) = (*pos, src.recs.owner_at(*pos));
             let ids = (src.recs.global_index(pos), dst.0);
             for &(var, dst_loc, dst_data_box) in ends {
                 let overlap =
                     BoxOverlap { dst_boxes: region.clone(), shift: IntVector::ZERO, centring };
-                if !mine {
+                if dst.1 != self.rank {
                     self.sends.push(dst.1, var, src.loc(pos), overlap, ids);
                 } else if src_rank != self.rank {
                     self.recvs.push(src_rank, var, dst_loc, overlap, ids);
                 } else {
-                    let src_data_box = data_box_of(self.registry.get(var), src_box);
+                    let src_data_box = data_box_of(self.registry.get(var), src.recs.box_at(pos));
                     validate_overlap(&overlap, src_data_box, dst_data_box, centring);
                     local.push(CopyJob {
                         var,
@@ -1807,6 +1873,20 @@ impl CoarsenSchedule {
         }
     }
 
+    /// Host heap bytes the schedule holds (see
+    /// [`RefineSchedule::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        let stream = |j: &StreamJob| j.overlap.dst_boxes.heap_bytes();
+        let project = |j: &CoarsenJob| list_bytes(&j.aux, |_| 0) + j.fill.heap_bytes();
+        list_bytes(&self.scratch, |_| 0)
+            + list_bytes(&self.projects, |(_, jobs)| list_bytes(jobs, project))
+            + list_bytes(&self.applies, |j| j.overlap.dst_boxes.heap_bytes())
+            + list_bytes(&self.sends, stream)
+            + list_bytes(&self.recvs, stream)
+            + list_bytes(&self.send_peers, |_| 0)
+            + list_bytes(&self.recv_peers, |_| 0)
+    }
+
     /// Render every job list as descriptor words (see
     /// [`DataFactory::upload_descriptors`]).
     fn descriptor_words(&self) -> Vec<i32> {
@@ -2129,16 +2209,31 @@ mod tests {
         let mut cache = ScheduleCache::new();
         let with_op = [FillSpec { var, refine_op: Some(Arc::new(ConservativeCellRefine)) }];
         let without = [FillSpec { var, refine_op: None }];
-        ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &with_op);
-        ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &without);
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
         let sync = [CoarsenSpec { var, op: Arc::new(VolumeWeightedCoarsen), aux: vec![] }];
-        ScheduleBuild::with_cache(&mut cache).coarsen(&h, &reg, 1, &sync);
+        // One pass, every schedule held the way an integrator holds them.
+        let mut build = ScheduleBuild::with_cache(&mut cache);
+        let held = (
+            build.refine(&h, &reg, 1, &with_op),
+            build.refine(&h, &reg, 1, &without),
+            build.coarsen(&h, &reg, 1, &sync),
+        );
         assert_eq!((cache.hits(), cache.misses()), (0, 3));
         assert_eq!(cache.len(), 3);
-        cache.clear();
+        assert!(cache.heap_bytes() >= held.0.heap_bytes() + held.2.heap_bytes());
+        // A held schedule survives the next pass; the dropped ones go
+        // when it opens. The lifetime counters outlive the entries.
+        let (kept, bare, synced) = held;
+        drop((bare, synced));
+        let again = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &with_op);
+        assert!(Arc::ptr_eq(&kept, &again));
+        assert_eq!(cache.len(), 1);
+        drop((kept, again));
+        ScheduleBuild::with_cache(&mut cache);
         assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 3); // counters survive clear
+        assert_eq!((cache.hits(), cache.misses()), (1, 3));
+        // What fell out of use is built again.
+        let _rebuilt = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &with_op);
+        assert_eq!((cache.hits(), cache.misses()), (1, 4));
     }
 
     #[test]
@@ -2146,8 +2241,8 @@ mod tests {
         let (h, reg, var) = two_level_setup();
         let specs = [FillSpec { var, refine_op: None }];
         let mut cache = ScheduleCache::new();
-        let mut build =
-            ScheduleBuild { strategy: BuildStrategy::BruteForceOracle, cache: Some(&mut cache) };
+        let mut build = ScheduleBuild::with_cache(&mut cache);
+        build.strategy = BuildStrategy::BruteForceOracle;
         let a = build.refine(&h, &reg, 0, &specs);
         let bsched = build.refine(&h, &reg, 0, &specs);
         assert!(!Arc::ptr_eq(&a, &bsched));

@@ -12,13 +12,18 @@
 //!   a fine-level change leaves the level-0 fill cached but misses the
 //!   fine fill and the coarsen sync; a coarse-level change misses
 //!   everything (the fine fill interpolates from the coarse level, so
-//!   its key binds the coarser digest too).
+//!   its key binds the coarser digest too);
+//! * the cache holds what is in use and nothing else: the tests hold a
+//!   generation of schedules the way an integrator does — until the
+//!   next pass has built its successor — and whatever is dropped
+//!   leaves the cache when the following pass opens.
 
 use proptest::prelude::*;
 use rbamr_amr::ops::{ConservativeCellRefine, VolumeWeightedCoarsen};
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    GridGeometry, HostDataFactory, PatchHierarchy, ScheduleBuild, ScheduleCache, VariableRegistry,
+    CoarsenSchedule, GridGeometry, HostDataFactory, PatchHierarchy, RefineSchedule, ScheduleBuild,
+    ScheduleCache, VariableRegistry,
 };
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
 use std::sync::Arc;
@@ -71,6 +76,25 @@ fn sync_specs(fill: &FillSpec) -> [CoarsenSpec; 1] {
     [CoarsenSpec { var: fill.var, op: Arc::new(VolumeWeightedCoarsen), aux: vec![] }]
 }
 
+/// The schedules of one structure: both fills and the sync.
+type Generation = (Arc<RefineSchedule>, Arc<RefineSchedule>, Arc<CoarsenSchedule>);
+
+/// One rebuild pass; the caller holds the result until the next pass
+/// has replaced it.
+fn pass(
+    cache: &mut ScheduleCache,
+    h: &PatchHierarchy,
+    reg: &VariableRegistry,
+    fill: &FillSpec,
+) -> Generation {
+    let mut build = ScheduleBuild::with_cache(cache);
+    (
+        build.refine(h, reg, 0, std::slice::from_ref(fill)),
+        build.refine(h, reg, 1, std::slice::from_ref(fill)),
+        build.coarsen(h, reg, 1, &sync_specs(fill)),
+    )
+}
+
 fn structure(coarse_mask: u32, fine_bits: u64, owner_seed: &[usize], nranks: usize) -> Structure {
     let coarse_boxes = masked_tiles(coarse_mask as u64, 4, 8);
     let fine_boxes = masked_tiles(fine_bits, 8, 8);
@@ -96,23 +120,13 @@ proptest! {
         for rank in 0..nranks {
             let (h1, reg1, fill1) = setup(&s, rank, nranks);
             let mut cache = ScheduleCache::new();
-            let (first_r0, first_r1, first_c) = {
-                let mut build = ScheduleBuild::with_cache(&mut cache);
-                (
-                    build.refine(&h1, &reg1, 0, std::slice::from_ref(&fill1)),
-                    build.refine(&h1, &reg1, 1, std::slice::from_ref(&fill1)),
-                    build.coarsen(&h1, &reg1, 1, &sync_specs(&fill1)),
-                )
-            };
+            let (first_r0, first_r1, first_c) = pass(&mut cache, &h1, &reg1, &fill1);
             prop_assert_eq!(cache.misses(), 3);
             prop_assert_eq!(cache.hits(), 0);
 
             // Restore-like: brand-new hierarchy/registry, same structure.
             let (h2, reg2, fill2) = setup(&s, rank, nranks);
-            let mut build = ScheduleBuild::with_cache(&mut cache);
-            let again_r0 = build.refine(&h2, &reg2, 0, std::slice::from_ref(&fill2));
-            let again_r1 = build.refine(&h2, &reg2, 1, std::slice::from_ref(&fill2));
-            let again_c = build.coarsen(&h2, &reg2, 1, &sync_specs(&fill2));
+            let (again_r0, again_r1, again_c) = pass(&mut cache, &h2, &reg2, &fill2);
             prop_assert_eq!(cache.misses(), 3, "rebuild must not miss");
             prop_assert_eq!(cache.hits(), 3, "rebuild must hit every lookup");
             prop_assert!(Arc::ptr_eq(&first_r0, &again_r0));
@@ -167,46 +181,62 @@ proptest! {
         for rank in 0..nranks {
             let (h1, reg1, fill1) = setup(&s, rank, nranks);
             let mut cache = ScheduleCache::new();
-            {
-                let mut build = ScheduleBuild::with_cache(&mut cache);
-                build.refine(&h1, &reg1, 0, std::slice::from_ref(&fill1));
-                build.refine(&h1, &reg1, 1, std::slice::from_ref(&fill1));
-                build.coarsen(&h1, &reg1, 1, &sync_specs(&fill1));
-            }
+            let mut held = pass(&mut cache, &h1, &reg1, &fill1);
             prop_assert_eq!((cache.hits(), cache.misses()), (0, 3));
 
             // Fine-level change: level-0 fill hits, the rest miss.
             let (h2, reg2, fill2) = setup(&fine, rank, nranks);
             prop_assert_ne!(h1.structure_digest(1), h2.structure_digest(1));
             prop_assert_eq!(h1.structure_digest(0), h2.structure_digest(0));
-            {
-                let mut build = ScheduleBuild::with_cache(&mut cache);
-                build.refine(&h2, &reg2, 0, std::slice::from_ref(&fill2));
-                build.refine(&h2, &reg2, 1, std::slice::from_ref(&fill2));
-                build.coarsen(&h2, &reg2, 1, &sync_specs(&fill2));
-            }
+            let level0 = Arc::clone(&held.0);
+            held = pass(&mut cache, &h2, &reg2, &fill2);
             prop_assert_eq!(
                 (cache.hits(), cache.misses()),
                 (1, 5),
                 "fine change: only the level-0 fill may hit"
             );
+            prop_assert!(Arc::ptr_eq(&level0, &held.0));
+            // Both generations are cached until the next pass opens.
+            prop_assert_eq!(cache.len(), 5);
 
             // Coarse-level change: nothing hits (the fine fill's key
             // binds the coarser digest because it interpolates).
             let coarse = structure(coarse_mask ^ 1 | 2, fine_bits, &owner_seed, nranks);
             let (h3, reg3, fill3) = setup(&coarse, rank, nranks);
             prop_assert_ne!(h1.structure_digest(0), h3.structure_digest(0));
-            {
-                let mut build = ScheduleBuild::with_cache(&mut cache);
-                build.refine(&h3, &reg3, 0, std::slice::from_ref(&fill3));
-                build.refine(&h3, &reg3, 1, std::slice::from_ref(&fill3));
-                build.coarsen(&h3, &reg3, 1, &sync_specs(&fill3));
-            }
+            drop(level0);
+            held = pass(&mut cache, &h3, &reg3, &fill3);
             prop_assert_eq!(
                 (cache.hits(), cache.misses()),
                 (1, 8),
                 "coarse change: every lookup must miss"
             );
+            // The first generation's fine schedules went when this pass
+            // opened; the second goes when the next one does.
+            prop_assert_eq!(cache.len(), 6);
+            drop(held);
+            ScheduleBuild::with_cache(&mut cache);
+            prop_assert!(cache.is_empty());
         }
     }
+}
+
+/// A front that moves back and forth: 200 passes alternating between
+/// two structures, only the latest generation held. The cache never
+/// holds more than the generation in use and the one it replaced, and
+/// nothing is ever revived — every pass is three misses.
+#[test]
+fn alternating_structures_keep_the_cache_at_two_generations() {
+    let seed: Vec<usize> = (0..80).map(|i| i % 3).collect();
+    let structures =
+        [structure(0xffff, 0x0f0f_3c3c, &seed, 2), structure(0xfffe, 0x33cc_00ff, &seed, 2)];
+    let mut cache = ScheduleCache::new();
+    let mut held = None;
+    for i in 0..200 {
+        let (h, reg, fill) = setup(&structures[i % 2], 0, 2);
+        held = Some(pass(&mut cache, &h, &reg, &fill));
+        assert!(cache.len() <= 6, "pass {i}: {} schedules cached", cache.len());
+    }
+    assert_eq!((cache.hits(), cache.misses()), (0, 600));
+    drop(held);
 }

@@ -181,6 +181,12 @@ fn collect_metrics(out: &mut BTreeMap<String, f64>, combo: &Combo) {
         }
         out.insert(format!("{p}.counter.{name}"), *v as f64);
     }
+    // Where schedule memory is: the peak over ranks and build passes.
+    // (Bytes are capacities — exact for one toolchain, so they compare
+    // within the seconds tolerance, not as counters.)
+    for (name, v) in snap.gauges.iter().filter(|(name, _)| name.starts_with("schedule.")) {
+        out.insert(format!("{p}.gauge.{name}"), *v as f64);
+    }
 }
 
 /// Serialise metrics as one-entry-per-line JSON (trivially diffable

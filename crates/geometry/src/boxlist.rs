@@ -57,6 +57,11 @@ impl BoxList {
         self.boxes.is_empty()
     }
 
+    /// Heap bytes held: the capacity of the box array, not its length.
+    pub fn heap_bytes(&self) -> usize {
+        self.boxes.capacity() * std::mem::size_of::<GBox>()
+    }
+
     /// Total number of cells in the region.
     pub fn num_cells(&self) -> i64 {
         self.boxes.iter().map(|b| b.num_cells()).sum()

@@ -402,21 +402,29 @@ fn descriptor_tables_live_with_the_schedules_in_use() {
         let specs = r.spec(false);
         let mut cache = ScheduleCache::new();
         let uploads = |r: &Rank| r.device.stats().h2d_transfers;
+        let resident = r.device.stats().allocated_bytes;
         let sched = ScheduleBuild::with_cache(&mut cache).refine(&r.h, &r.reg, 0, &specs);
         r.device.reset_transfer_stats();
         r.fill(&sched, &comm).unwrap();
         assert_eq!(uploads(&r), 1, "first execution uploads the table");
-        // A steady regrid: the cache returns the schedule still in
-        // use, table and all.
+        assert!(r.device.stats().allocated_bytes > resident, "the table is resident");
+        // A steady regrid: the schedule held across the pass comes
+        // back, table and all.
         let again = ScheduleBuild::with_cache(&mut cache).refine(&r.h, &r.reg, 0, &specs);
         assert!(Arc::ptr_eq(&sched, &again));
         r.fill(&again, &comm).unwrap();
         assert_eq!(uploads(&r), 1);
-        // Out of use: the cache keeps the plans, not the table.
+        // Out of use: the next pass drops the schedule, and its table
+        // and staging with it.
         drop((sched, again));
-        let revived = ScheduleBuild::with_cache(&mut cache).refine(&r.h, &r.reg, 0, &specs);
-        assert_eq!((cache.hits(), cache.misses()), (2, 1));
-        r.fill(&revived, &comm).unwrap();
+        assert_eq!(cache.len(), 1);
+        let mut build = ScheduleBuild::with_cache(&mut cache);
+        assert_eq!(build.cache.as_ref().map(|c| c.len()), Some(0));
+        assert_eq!(r.device.stats().allocated_bytes, resident);
+        // A later lookup is a miss, a build and one more upload.
+        let rebuilt = build.refine(&r.h, &r.reg, 0, &specs);
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        r.fill(&rebuilt, &comm).unwrap();
         assert_eq!(uploads(&r), 2);
     });
 }

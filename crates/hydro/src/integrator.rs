@@ -449,12 +449,15 @@ impl HydroSim {
         vars.iter().map(|&var| FillSpec { var, refine_op: Some(self.refine_op_for(var)) }).collect()
     }
 
-    /// (Re)build the per-level fill and sync schedules.
+    /// (Re)build the per-level fill and sync schedules, in one build
+    /// pass.
     ///
-    /// Every build is routed through the structure-keyed
-    /// [`ScheduleCache`], so levels whose structure survived the last
-    /// regrid resolve to `Arc` clones of the existing schedules in O(1)
-    /// and only levels that actually changed pay for plan construction.
+    /// The old schedules are still held here while the pass runs, so a
+    /// level whose structure survived the last regrid resolves to `Arc`
+    /// clones of them in O(1) through the [`ScheduleCache`]; a level
+    /// that changed walks its overlap geometry once per centring for
+    /// all six of its fills. What this pass replaces leaves the cache
+    /// when the next one opens.
     fn rebuild_schedules(&mut self) {
         let mut cache = std::mem::take(&mut self.schedule_cache);
         let mut build = ScheduleBuild::with_cache(&mut cache);
@@ -540,6 +543,10 @@ impl HydroSim {
                 )
             })
             .collect();
+        if self.recorder.is_enabled() {
+            self.recorder.gauge_max("schedule.cache_entries", cache.len() as u64);
+            self.recorder.gauge_max("schedule.cache_bytes", cache.heap_bytes() as u64);
+        }
         self.schedule_cache = cache;
     }
 
