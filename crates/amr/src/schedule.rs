@@ -1281,11 +1281,11 @@ impl<'a> Planner<'a> {
     /// would make the winner depend on the rank layout. Instead `cands`
     /// (record positions, ascending or descending) are walked in order
     /// and each keeps of `region_of(position, box)` only what earlier
-    /// ones left; `claimed` is the running union. A
-    /// claim only shrinks sources it overlaps — neighbours, inside the
-    /// interest neighbourhood of every rank that owns one — so both
-    /// ends of a message derive the same regions (DESIGN.md §13), and
-    /// the order the stages apply copies and unpacks in cannot matter.
+    /// ones left; `claimed` is the running union. A claim only shrinks
+    /// sources it overlaps — neighbours, inside the interest
+    /// neighbourhood of every rank that owns one — so both ends of a
+    /// message derive the same regions (DESIGN.md §13), and the order
+    /// the stages apply copies and unpacks in cannot matter.
     /// Cell-centred sources are disjoint and skip the calculus, and a
     /// rank owning no end skips the destination wholesale.
     fn claim(
@@ -1334,7 +1334,7 @@ impl<'a> Planner<'a> {
     fn stamp(
         &mut self,
         src: &Sources<'_>,
-        claims: &Claims,
+        claims: &[(usize, BoxList)],
         dst: (usize, usize),
         ends: &[(VariableId, Loc, GBox)],
     ) {
@@ -1345,8 +1345,8 @@ impl<'a> Planner<'a> {
             Loc::Scratch(_) => &mut self.sched.captures,
             _ => &mut self.sched.copies,
         };
-        for (pos, region) in claims {
-            let (pos, src_rank) = (*pos, src.recs.owner_at(*pos));
+        for &(pos, ref region) in claims {
+            let src_rank = src.recs.owner_at(pos);
             let ids = (src.recs.global_index(pos), dst.0);
             for &(var, dst_loc, dst_data_box) in ends {
                 let overlap =

@@ -6,7 +6,7 @@
 //! of two levels — once on 1 rank and once on 4. A counting global
 //! allocator gives the live heap of the process (the simulated device
 //! memory included); the test binary holds this one test, so nothing
-//! else allocates while it runs. (About 12 s optimised, 90 s in the
+//! else allocates while it runs. (About 15 s optimised, 90 s in the
 //! dev profile.)
 //!
 //! * Live heap per mesh cell after regrid 150 is within 15 % of the
