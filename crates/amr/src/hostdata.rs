@@ -1,6 +1,8 @@
 //! Host-memory patch data — the CPU baseline implementation.
 
-use crate::patchdata::{validate_overlap, Element, PatchData};
+use crate::patchdata::{
+    copy_region, pack_region, unpack_region, validate_overlap, Element, PatchData,
+};
 use crate::variable::{DataFactory, Variable};
 use bytes::Bytes;
 use rbamr_geometry::{BoxOverlap, Centring, GBox, IntVector};
@@ -163,12 +165,9 @@ impl<T: Element> PatchData for HostData<T> {
             .as_any()
             .downcast_ref::<HostData<T>>()
             .expect("HostData::copy_from: source is not HostData of the same element type");
-        validate_overlap(overlap, src.data_box(), self.data_box(), self.centring);
+        validate_overlap(overlap, src.dbox, self.dbox, self.centring);
         for b in overlap.dst_boxes.boxes() {
-            for p in b.iter() {
-                let v = src.at(p - overlap.shift);
-                *self.at_mut(p) = v;
-            }
+            copy_region(&mut self.data, self.dbox, &src.data, src.dbox, *b, overlap.shift);
         }
         self.charge(overlap.num_values());
     }
@@ -178,16 +177,15 @@ impl<T: Element> PatchData for HostData<T> {
     }
 
     fn pack(&self, overlap: &BoxOverlap) -> Bytes {
-        let mut out = Vec::with_capacity(self.stream_size(overlap));
+        let mut values = vec![T::default(); overlap.num_values() as usize];
+        let mut offset = 0;
         for b in overlap.dst_boxes.boxes() {
-            let src_b = b.shift(-overlap.shift);
-            assert!(self.data_box().contains_box(src_b), "pack: overlap escapes source data box");
-            for p in src_b.iter() {
-                self.at(p).write_to(&mut out);
-            }
+            let n = b.num_cells() as usize;
+            pack_region(&mut values[offset..offset + n], &self.data, self.dbox, *b, overlap.shift);
+            offset += n;
         }
         self.charge(overlap.num_values());
-        Bytes::from(out)
+        Bytes::from(T::encode(&values))
     }
 
     fn extend_uncovered(&mut self, covered: &rbamr_geometry::BoxList) {
@@ -198,16 +196,13 @@ impl<T: Element> PatchData for HostData<T> {
 
     fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
         assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
-        let mut cursor = 0usize;
+        let mut values = Vec::with_capacity(overlap.num_values() as usize);
+        T::decode(stream, &mut values);
+        let mut offset = 0;
         for b in overlap.dst_boxes.boxes() {
-            assert!(
-                self.data_box().contains_box(*b),
-                "unpack: overlap escapes destination data box"
-            );
-            for p in b.iter() {
-                *self.at_mut(p) = T::read_from(&stream[cursor..]);
-                cursor += T::BYTES;
-            }
+            let n = b.num_cells() as usize;
+            unpack_region(&mut self.data, self.dbox, &values[offset..offset + n], *b);
+            offset += n;
         }
         self.charge(overlap.num_values());
     }

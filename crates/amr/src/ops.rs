@@ -2,12 +2,12 @@
 //! (fine → coarse).
 //!
 //! These traits reproduce SAMRAI's `RefineOperator` / `CoarsenOperator`
-//! interfaces (paper Section IV-B). The implementations here are the
-//! **host reference versions**; the `rbamr-gpu-amr` crate provides the
-//! data-parallel device versions (the paper's claimed first data-parallel
-//! implementations) which must produce bit-identical results — the
-//! gpu-amr test suite checks each device operator against its host
-//! reference on random data.
+//! interfaces (paper Section IV-B). The arithmetic of each operator is
+//! written once, as a row body in [`rows`]; the operator types here run
+//! it over `HostData`, and the `Device*` operators of `rbamr-gpu-amr`
+//! (the paper's claimed first data-parallel implementations) run the
+//! same body inside one device launch. Placements differ in where the
+//! data lives, never in what is computed.
 //!
 //! Index conventions: operators receive *data-space* fill boxes (already
 //! centring-adjusted). Reads outside the source's data box are clamped
@@ -82,8 +82,9 @@ pub trait CoarsenOperator: Send + Sync {
     /// `src` (and `aux` data from the same fine patch).
     ///
     /// # Panics
-    /// Panics if data types or centrings are incompatible, or
-    /// `aux.len() != self.num_aux()`.
+    /// Panics if data types or centrings are incompatible,
+    /// `aux.len() != self.num_aux()`, or `src` and `aux` are not all
+    /// laid out over one data box (see [`shared_source_box`]).
     fn coarsen(
         &self,
         dst: &mut dyn PatchData,
@@ -122,31 +123,259 @@ fn host_mut(d: &mut dyn PatchData) -> &mut HostData<f64> {
     d.as_any_mut().downcast_mut().expect("host operator applied to non-host data")
 }
 
-/// Clamp `p` into `b` (component-wise). Used for one-sided stencils at
-/// the edge of available source data.
-#[inline]
-fn clamp_to(b: GBox, p: IntVector) -> IntVector {
-    IntVector::new(p.x.clamp(b.lo.x, b.hi.x - 1), p.y.clamp(b.lo.y, b.hi.y - 1))
-}
-
-/// The minmod slope limiter used by conservative linear refinement:
-/// returns the smaller-magnitude one-sided difference, or zero at an
-/// extremum.
-#[inline]
-fn minmod(a: f64, b: f64) -> f64 {
-    if a * b <= 0.0 {
-        0.0
-    } else if a.abs() < b.abs() {
-        a
-    } else {
-        b
+/// Row driver of every operator on every placement: for each row of
+/// each box of `fills`, in order, `row(out, at)` receives the fill's
+/// stretch of that row of an array laid out over `dbox` and the index
+/// `at` of `out[0]`.
+///
+/// # Panics
+/// Panics if a fill box is not inside `dbox`.
+pub fn each_row(
+    dst: &mut [f64],
+    dbox: GBox,
+    fills: &BoxList,
+    mut row: impl FnMut(&mut [f64], IntVector),
+) {
+    let w = dbox.size().x as usize;
+    for fill in fills.boxes() {
+        assert!(dbox.contains_box(*fill), "operator fill {fill:?} escapes the data box {dbox:?}");
+        let (off, n) = ((fill.lo.x - dbox.lo.x) as usize, fill.size().x as usize);
+        let first = (fill.lo.y - dbox.lo.y) as usize;
+        for (y, dst_row) in (fill.lo.y..fill.hi.y).zip(dst.chunks_mut(w).skip(first)) {
+            row(&mut dst_row[off..off + n], IntVector::new(fill.lo.x, y));
+        }
     }
 }
 
-/// Bilinear interpolation for node-centred data — the host reference of
-/// the paper's Figure 5 kernel. A fine node at index `i` maps to coarse
-/// interval `ic = floor(i / r)` with offset `x = (i - ic·r)/r`, and is
-/// the bilinear blend of the four surrounding coarse nodes. Fine nodes
+/// The one data box the fine sources of a coarsen — the variable, then
+/// the operator's auxiliaries — are laid out over: the row bodies index
+/// all of them through it.
+///
+/// # Panics
+/// Panics, naming operator `op`, if the sources differ in layout.
+pub fn shared_source_box(op: &str, mut boxes: impl Iterator<Item = GBox>) -> GBox {
+    let first = boxes.next().expect("a coarsen has a source");
+    assert!(boxes.all(|b| b == first), "{op}: coarsen sources differ in layout");
+    first
+}
+
+/// A host refine: `row` over the fill rows of `HostData`.
+fn refine_host(
+    dst: &mut dyn PatchData,
+    src: &dyn PatchData,
+    fine_boxes: &BoxList,
+    ratio: IntVector,
+    row: impl Fn(&mut [f64], IntVector, &[f64], GBox, IntVector),
+) {
+    let (src, dst) = (host(src), host_mut(dst));
+    let (sbox, dbox) = (src.data_box(), dst.data_box());
+    each_row(dst.as_mut_slice(), dbox, fine_boxes, |out, at| {
+        row(out, at, src.as_slice(), sbox, ratio);
+    });
+}
+
+/// A host coarsen by operator `op`: `row` over the fill rows of
+/// `HostData`, reading `src` and then `aux`.
+fn coarsen_host(
+    op: &dyn CoarsenOperator,
+    dst: &mut dyn PatchData,
+    src: &dyn PatchData,
+    aux: &[&dyn PatchData],
+    coarse_boxes: &BoxList,
+    ratio: IntVector,
+    row: impl Fn(&mut [f64], IntVector, &[&[f64]], GBox, IntVector),
+) {
+    assert_eq!(aux.len(), op.num_aux(), "{}: wrong auxiliary data", op.name());
+    let srcs: Vec<&HostData<f64>> =
+        std::iter::once(src).chain(aux.iter().copied()).map(host).collect();
+    let sbox = shared_source_box(op.name(), srcs.iter().map(|s| s.data_box()));
+    let srcs: Vec<&[f64]> = srcs.iter().map(|s| s.as_slice()).collect();
+    let dst = host_mut(dst);
+    let dbox = dst.data_box();
+    each_row(dst.as_mut_slice(), dbox, coarse_boxes, |out, at| {
+        row(out, at, &srcs, sbox, ratio);
+    });
+}
+
+/// The arithmetic of every operator, written once. A refine body is
+/// `fn(out, at, src, sbox, ratio)`: it fills `out`, the fine values of
+/// one row starting at index `at`, from the coarse array `src` laid out
+/// row-major over `sbox`. A coarsen body takes `srcs` — the fine
+/// variable, then the operator's auxiliaries, all laid out over `sbox` —
+/// and fills coarse values. Rows are independent (one logical thread per
+/// value in the paper's kernels), so a placement may run them in any
+/// order: [`each_row`] drives them over `HostData` here and inside the
+/// device launches of `rbamr-gpu-amr`.
+///
+/// Each value's floating-point expression tree is frozen by
+/// `crates/gpu-amr/tests/op_bits.rs`. Only index work that does not vary
+/// along the row (the `y` quotient, `η`) is hoisted out of the `x` loop.
+pub mod rows {
+    use rbamr_geometry::{GBox, IntVector};
+
+    /// Clamp `p` into `b` (component-wise).
+    #[inline]
+    fn clamp_to(b: GBox, p: IntVector) -> IntVector {
+        IntVector::new(p.x.clamp(b.lo.x, b.hi.x - 1), p.y.clamp(b.lo.y, b.hi.y - 1))
+    }
+
+    /// The value of `src` (row-major over `sbox`) at `(i, j)` clamped
+    /// into `sbox`: one-sided stencils at the edge of available source
+    /// data.
+    #[inline]
+    fn clamped(src: &[f64], sbox: GBox, i: i64, j: i64) -> f64 {
+        src[sbox.offset_of(clamp_to(sbox, IntVector::new(i, j)))]
+    }
+
+    /// The minmod slope limiter used by conservative linear refinement:
+    /// returns the smaller-magnitude one-sided difference, or zero at an
+    /// extremum.
+    #[inline]
+    pub(super) fn minmod(a: f64, b: f64) -> f64 {
+        if a * b <= 0.0 {
+            0.0
+        } else if a.abs() < b.abs() {
+            a
+        } else {
+            b
+        }
+    }
+
+    /// [`LinearNodeRefine`](super::LinearNodeRefine): exactly the index
+    /// arithmetic of Figure 5b.
+    pub fn linear_node(out: &mut [f64], at: IntVector, src: &[f64], sbox: GBox, r: IntVector) {
+        let (realrat0, realrat1) = (1.0 / r.x as f64, 1.0 / r.y as f64);
+        let ic1 = at.y.div_euclid(r.y);
+        let ir1 = at.y - ic1 * r.y;
+        let yy = ir1 as f64 * realrat1;
+        let c = |i, j| clamped(src, sbox, i, j);
+        for (x, v) in (at.x..).zip(out) {
+            let ic0 = x.div_euclid(r.x);
+            let ir0 = x - ic0 * r.x;
+            let xx = ir0 as f64 * realrat0;
+            *v = (c(ic0, ic1) * (1.0 - xx) + c(ic0 + 1, ic1) * xx) * (1.0 - yy)
+                + (c(ic0, ic1 + 1) * (1.0 - xx) + c(ic0 + 1, ic1 + 1) * xx) * yy;
+        }
+    }
+
+    /// [`ConservativeCellRefine`](super::ConservativeCellRefine).
+    pub fn conservative_cell(
+        out: &mut [f64],
+        at: IntVector,
+        src: &[f64],
+        sbox: GBox,
+        r: IntVector,
+    ) {
+        let icy = at.y.div_euclid(r.y);
+        // Fine-cell centre offset from the coarse-cell centre, in coarse
+        // cell widths: mean over the block is zero.
+        let eta = ((at.y - icy * r.y) as f64 + 0.5) / r.y as f64 - 0.5;
+        let c = |i, j| clamped(src, sbox, i, j);
+        for (x, v) in (at.x..).zip(out) {
+            let icx = x.div_euclid(r.x);
+            let v0 = c(icx, icy);
+            let sx = minmod(v0 - c(icx - 1, icy), c(icx + 1, icy) - v0);
+            let sy = minmod(v0 - c(icx, icy - 1), c(icx, icy + 1) - v0);
+            let xi = ((x - icx * r.x) as f64 + 0.5) / r.x as f64 - 0.5;
+            *v = v0 + sx * xi + sy * eta;
+        }
+    }
+
+    /// [`ConstantRefine`](super::ConstantRefine).
+    pub fn constant(out: &mut [f64], at: IntVector, src: &[f64], sbox: GBox, r: IntVector) {
+        let icy = at.y.div_euclid(r.y);
+        for (x, v) in (at.x..).zip(out) {
+            *v = clamped(src, sbox, x.div_euclid(r.x), icy);
+        }
+    }
+
+    /// [`LinearSideRefine`](super::LinearSideRefine) for faces normal
+    /// to `axis`.
+    pub fn linear_side(
+        axis: usize,
+        out: &mut [f64],
+        at: IntVector,
+        src: &[f64],
+        sbox: GBox,
+        r: IntVector,
+    ) {
+        let r_n = r.get(axis);
+        for (x, v) in (at.x..).zip(out) {
+            let p = IntVector::new(x, at.y);
+            let ic = p.div_floor(r);
+            let hi = ic + IntVector::unit(axis);
+            let t = (p.get(axis) - ic.get(axis) * r_n) as f64 / r_n as f64;
+            *v = clamped(src, sbox, ic.x, ic.y) * (1.0 - t) + clamped(src, sbox, hi.x, hi.y) * t;
+        }
+    }
+
+    /// [`NodeInjectionCoarsen`](super::NodeInjectionCoarsen).
+    pub fn node_injection(
+        out: &mut [f64],
+        at: IntVector,
+        srcs: &[&[f64]],
+        sbox: GBox,
+        r: IntVector,
+    ) {
+        for (x, v) in (at.x..).zip(out) {
+            *v = srcs[0][sbox.offset_of(IntVector::new(x, at.y).scale(r))];
+        }
+    }
+
+    /// [`VolumeWeightedCoarsen`](super::VolumeWeightedCoarsen): Figure 8
+    /// row-sliced, `spv` accumulating `fine_data * Vf`.
+    pub fn volume_weighted(
+        out: &mut [f64],
+        at: IntVector,
+        srcs: &[&[f64]],
+        sbox: GBox,
+        r: IntVector,
+    ) {
+        let vf = 1.0; // fine cell volume (uniform)
+        let vc = (r.x * r.y) as f64 * vf;
+        for (x, v) in (at.x..).zip(out) {
+            let f0 = IntVector::new(x, at.y).scale(r);
+            let mut spv = 0.0;
+            for j in 0..r.y {
+                for i in 0..r.x {
+                    spv += srcs[0][sbox.offset_of(f0 + IntVector::new(i, j))] * vf;
+                }
+            }
+            *v = spv / vc;
+        }
+    }
+
+    /// [`MassWeightedCoarsen`](super::MassWeightedCoarsen): `srcs[1]` is
+    /// the fine density.
+    pub fn mass_weighted(
+        out: &mut [f64],
+        at: IntVector,
+        srcs: &[&[f64]],
+        sbox: GBox,
+        r: IntVector,
+    ) {
+        let (s, rho) = (srcs[0], srcs[1]);
+        let n = (r.x * r.y) as f64;
+        for (x, v) in (at.x..).zip(out) {
+            let f0 = IntVector::new(x, at.y).scale(r);
+            let (mut mass, mut weighted, mut plain) = (0.0, 0.0, 0.0);
+            for j in 0..r.y {
+                for i in 0..r.x {
+                    let q = sbox.offset_of(f0 + IntVector::new(i, j));
+                    mass += rho[q];
+                    weighted += s[q] * rho[q];
+                    plain += s[q];
+                }
+            }
+            *v = if mass > 0.0 { weighted / mass } else { plain / n };
+        }
+    }
+}
+
+/// Bilinear interpolation for node-centred data — the paper's Figure 5
+/// kernel. A fine node at index `i` maps to coarse interval
+/// `ic = floor(i / r)` with offset `x = (i - ic·r)/r`, and is the
+/// bilinear blend of the four surrounding coarse nodes. Fine nodes
 /// coincident with coarse nodes (`x = y = 0`) copy them exactly.
 pub struct LinearNodeRefine;
 
@@ -166,26 +395,7 @@ impl RefineOperator for LinearNodeRefine {
         fine_boxes: &BoxList,
         ratio: IntVector,
     ) {
-        let src = host(src);
-        let dst = host_mut(dst);
-        let sbox = src.data_box();
-        let (rx, ry) = (ratio.x, ratio.y);
-        let (realrat0, realrat1) = (1.0 / rx as f64, 1.0 / ry as f64);
-        for fb in fine_boxes.boxes() {
-            for p in fb.iter() {
-                // Exactly the index arithmetic of Figure 5b.
-                let ic0 = p.x.div_euclid(rx);
-                let ic1 = p.y.div_euclid(ry);
-                let ir0 = p.x - ic0 * rx;
-                let ir1 = p.y - ic1 * ry;
-                let x = ir0 as f64 * realrat0;
-                let y = ir1 as f64 * realrat1;
-                let c = |i, j| src.at(clamp_to(sbox, IntVector::new(i, j)));
-                let v = (c(ic0, ic1) * (1.0 - x) + c(ic0 + 1, ic1) * x) * (1.0 - y)
-                    + (c(ic0, ic1 + 1) * (1.0 - x) + c(ic0 + 1, ic1 + 1) * x) * y;
-                *dst.at_mut(p) = v;
-            }
-        }
+        refine_host(dst, src, fine_boxes, ratio, rows::linear_node);
     }
 }
 
@@ -211,24 +421,7 @@ impl RefineOperator for ConservativeCellRefine {
         fine_boxes: &BoxList,
         ratio: IntVector,
     ) {
-        let src = host(src);
-        let dst = host_mut(dst);
-        let sbox = src.data_box();
-        let (rx, ry) = (ratio.x, ratio.y);
-        for fb in fine_boxes.boxes() {
-            for p in fb.iter() {
-                let ic = IntVector::new(p.x.div_euclid(rx), p.y.div_euclid(ry));
-                let c = |i, j| src.at(clamp_to(sbox, IntVector::new(i, j)));
-                let v0 = c(ic.x, ic.y);
-                let sx = minmod(v0 - c(ic.x - 1, ic.y), c(ic.x + 1, ic.y) - v0);
-                let sy = minmod(v0 - c(ic.x, ic.y - 1), c(ic.x, ic.y + 1) - v0);
-                // Fine-cell centre offset from the coarse-cell centre,
-                // in coarse cell widths: mean over the block is zero.
-                let xi = ((p.x - ic.x * rx) as f64 + 0.5) / rx as f64 - 0.5;
-                let eta = ((p.y - ic.y * ry) as f64 + 0.5) / ry as f64 - 0.5;
-                *dst.at_mut(p) = v0 + sx * xi + sy * eta;
-            }
-        }
+        refine_host(dst, src, fine_boxes, ratio, rows::conservative_cell);
     }
 }
 
@@ -253,15 +446,7 @@ impl RefineOperator for ConstantRefine {
         fine_boxes: &BoxList,
         ratio: IntVector,
     ) {
-        let src = host(src);
-        let dst = host_mut(dst);
-        let sbox = src.data_box();
-        for fb in fine_boxes.boxes() {
-            for p in fb.iter() {
-                let ic = p.div_floor(ratio);
-                *dst.at_mut(p) = src.at(clamp_to(sbox, ic));
-            }
-        }
+        refine_host(dst, src, fine_boxes, ratio, rows::constant);
     }
 }
 
@@ -291,21 +476,9 @@ impl RefineOperator for LinearSideRefine {
         fine_boxes: &BoxList,
         ratio: IntVector,
     ) {
-        let src = host(src);
-        let dst = host_mut(dst);
-        let sbox = src.data_box();
-        let axis = self.axis;
-        let r_n = ratio.get(axis);
-        for fb in fine_boxes.boxes() {
-            for p in fb.iter() {
-                let ic = p.div_floor(ratio);
-                let irn = p.get(axis) - ic.get(axis) * r_n;
-                let x = irn as f64 / r_n as f64;
-                let lo = clamp_to(sbox, ic);
-                let hi = clamp_to(sbox, ic + IntVector::unit(axis));
-                *dst.at_mut(p) = src.at(lo) * (1.0 - x) + src.at(hi) * x;
-            }
-        }
+        refine_host(dst, src, fine_boxes, ratio, |out, at, src, sbox, r| {
+            rows::linear_side(self.axis, out, at, src, sbox, r);
+        });
     }
 }
 
@@ -326,14 +499,7 @@ impl CoarsenOperator for NodeInjectionCoarsen {
         coarse_boxes: &BoxList,
         ratio: IntVector,
     ) {
-        assert!(aux.is_empty(), "injection takes no auxiliary data");
-        let src = host(src);
-        let dst = host_mut(dst);
-        for cb in coarse_boxes.boxes() {
-            for p in cb.iter() {
-                *dst.at_mut(p) = src.at(p.scale(ratio));
-            }
-        }
+        coarsen_host(self, dst, src, aux, coarse_boxes, ratio, rows::node_injection);
     }
 }
 
@@ -357,23 +523,7 @@ impl CoarsenOperator for VolumeWeightedCoarsen {
         coarse_boxes: &BoxList,
         ratio: IntVector,
     ) {
-        assert!(aux.is_empty(), "volume-weighted coarsen takes no auxiliary data");
-        let src = host(src);
-        let dst = host_mut(dst);
-        let vf = 1.0; // fine cell volume (uniform)
-        let vc = (ratio.x * ratio.y) as f64 * vf;
-        for cb in coarse_boxes.boxes() {
-            for p in cb.iter() {
-                let f0 = p.scale(ratio);
-                let mut spv = 0.0;
-                for j in 0..ratio.y {
-                    for i in 0..ratio.x {
-                        spv += src.at(f0 + IntVector::new(i, j)) * vf;
-                    }
-                }
-                *dst.at_mut(p) = spv / vc;
-            }
-        }
+        coarsen_host(self, dst, src, aux, coarse_boxes, ratio, rows::volume_weighted);
     }
 }
 
@@ -401,34 +551,13 @@ impl CoarsenOperator for MassWeightedCoarsen {
         coarse_boxes: &BoxList,
         ratio: IntVector,
     ) {
-        assert_eq!(aux.len(), 1, "mass-weighted coarsen needs the fine density");
-        let src = host(src);
-        let rho = host(aux[0]);
-        let dst = host_mut(dst);
-        let n = (ratio.x * ratio.y) as f64;
-        for cb in coarse_boxes.boxes() {
-            for p in cb.iter() {
-                let f0 = p.scale(ratio);
-                let mut mass = 0.0;
-                let mut weighted = 0.0;
-                let mut plain = 0.0;
-                for j in 0..ratio.y {
-                    for i in 0..ratio.x {
-                        let q = f0 + IntVector::new(i, j);
-                        let m = rho.at(q);
-                        mass += m;
-                        weighted += src.at(q) * m;
-                        plain += src.at(q);
-                    }
-                }
-                *dst.at_mut(p) = if mass > 0.0 { weighted / mass } else { plain / n };
-            }
-        }
+        coarsen_host(self, dst, src, aux, coarse_boxes, ratio, rows::mass_weighted);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::rows::minmod;
     use super::*;
     use rbamr_geometry::Centring;
 

@@ -16,6 +16,21 @@ pub trait Element: Copy + Default + Send + Sync + PartialEq + std::fmt::Debug + 
     fn write_to(self, out: &mut Vec<u8>);
     /// Decode from the first `Self::BYTES` bytes of `src`.
     fn read_from(src: &[u8]) -> Self;
+
+    /// The wire format of every placement: `values` encoded back to
+    /// back.
+    fn encode(values: &[Self]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(values.len() * Self::BYTES);
+        for v in values {
+            v.write_to(&mut out);
+        }
+        out
+    }
+
+    /// Decode every whole element of `stream`, appending to `out`.
+    fn decode(stream: &[u8], out: &mut Vec<Self>) {
+        out.extend(stream.chunks_exact(Self::BYTES).map(Self::read_from));
+    }
 }
 
 impl Element for f64 {
@@ -214,6 +229,82 @@ pub fn validate_overlap(
     }
 }
 
+/// Copy `fill` (a box in the destination's index space) from `src` into
+/// `dst`. `src_index = dst_index - shift`; `dst_dbox` / `src_dbox`
+/// describe the row-major layouts of the two arrays.
+///
+/// This and its two siblings are the paper's Figure 4 kernels. There one
+/// logical thread moves one element; here a row is one
+/// `copy_from_slice`, and every placement runs these same bodies —
+/// `HostData` directly, device data inside a launch.
+///
+/// # Panics
+/// Panics if the fill region escapes either array.
+pub fn copy_region<T: Copy>(
+    dst: &mut [T],
+    dst_dbox: GBox,
+    src: &[T],
+    src_dbox: GBox,
+    fill: GBox,
+    shift: IntVector,
+) {
+    if fill.is_empty() {
+        return;
+    }
+    let src_fill = fill.shift(-shift);
+    assert!(dst_dbox.contains_box(fill), "copy_region: fill escapes dst");
+    assert!(src_dbox.contains_box(src_fill), "copy_region: fill escapes src");
+    let (w, dst_w, src_w) =
+        (fill.size().x as usize, dst_dbox.size().x as usize, src_dbox.size().x as usize);
+    let (d0, s0) = (dst_dbox.offset_of(fill.lo), src_dbox.offset_of(src_fill.lo));
+    for r in 0..fill.size().y as usize {
+        dst[d0 + r * dst_w..][..w].copy_from_slice(&src[s0 + r * src_w..][..w]);
+    }
+}
+
+/// Pack `fill` (in the destination's index space; this side reads at
+/// `index - shift`) from `src` into the contiguous `out` buffer,
+/// row-major.
+///
+/// # Panics
+/// Panics if the region escapes `src` or `out.len()` is not its size.
+pub fn pack_region<T: Copy>(
+    out: &mut [T],
+    src: &[T],
+    src_dbox: GBox,
+    fill: GBox,
+    shift: IntVector,
+) {
+    if fill.is_empty() {
+        return;
+    }
+    let src_fill = fill.shift(-shift);
+    assert!(src_dbox.contains_box(src_fill), "pack_region: fill escapes src");
+    assert_eq!(out.len(), fill.num_cells() as usize, "pack_region: buffer size mismatch");
+    let (w, src_w) = (fill.size().x as usize, src_dbox.size().x as usize);
+    let s0 = src_dbox.offset_of(src_fill.lo);
+    for (r, row) in out.chunks_mut(w).enumerate() {
+        row.copy_from_slice(&src[s0 + r * src_w..][..w]);
+    }
+}
+
+/// Unpack a contiguous row-major buffer into `fill` of `dst`.
+///
+/// # Panics
+/// Panics if `fill` escapes `dst` or `input.len()` is not its size.
+pub fn unpack_region<T: Copy>(dst: &mut [T], dst_dbox: GBox, input: &[T], fill: GBox) {
+    if fill.is_empty() {
+        return;
+    }
+    assert!(dst_dbox.contains_box(fill), "unpack_region: fill escapes dst");
+    assert_eq!(input.len(), fill.num_cells() as usize, "unpack_region: buffer size mismatch");
+    let (w, dst_w) = (fill.size().x as usize, dst_dbox.size().x as usize);
+    let d0 = dst_dbox.offset_of(fill.lo);
+    for (r, packed) in input.chunks(w).enumerate() {
+        dst[d0 + r * dst_w..][..w].copy_from_slice(packed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,5 +347,109 @@ mod tests {
             GBox::from_coords(0, 0, 4, 4),
             Centring::Cell,
         );
+    }
+
+    fn b(x0: i64, y0: i64, x1: i64, y1: i64) -> GBox {
+        GBox::from_coords(x0, y0, x1, y1)
+    }
+
+    fn field(dbox: GBox) -> Vec<f64> {
+        dbox.iter().map(|p| (p.x * 1000 + p.y) as f64).collect()
+    }
+
+    #[test]
+    fn slice_codec_is_the_per_element_format() {
+        let values = [-3.25f64, 0.0, 7.5];
+        let stream = f64::encode(&values);
+        let mut per_element = Vec::new();
+        values.iter().for_each(|v| v.write_to(&mut per_element));
+        assert_eq!(stream, per_element);
+        let mut back = vec![1.0];
+        f64::decode(&stream, &mut back);
+        assert_eq!(back, [1.0, -3.25, 0.0, 7.5]);
+    }
+
+    #[test]
+    fn copy_region_moves_exactly_the_fill() {
+        let dst_dbox = b(0, 0, 6, 6);
+        let src_dbox = b(4, 0, 10, 6);
+        let src = field(src_dbox);
+        let mut dst = vec![0.0; 36];
+        let fill = b(4, 1, 6, 4);
+        copy_region(&mut dst, dst_dbox, &src, src_dbox, fill, IntVector::ZERO);
+        for p in dst_dbox.iter() {
+            let got = dst[dst_dbox.offset_of(p)];
+            if fill.contains(p) {
+                assert_eq!(got, (p.x * 1000 + p.y) as f64, "at {p}");
+            } else {
+                assert_eq!(got, 0.0, "at {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn copy_region_applies_shift() {
+        let dbox = b(0, 0, 4, 4);
+        let src = field(dbox);
+        let mut dst = vec![0.0; 16];
+        // Destination index p reads source p - (1, 0).
+        let fill = b(1, 0, 4, 4);
+        copy_region(&mut dst, dbox, &src, dbox, fill, IntVector::new(1, 0));
+        assert_eq!(dst[dbox.offset_of(IntVector::new(1, 2))], 2.0); // src (0,2)
+    }
+
+    #[test]
+    fn pack_then_unpack_is_identity() {
+        let src_dbox = b(-2, -2, 6, 6);
+        let src = field(src_dbox);
+        let fill = b(0, 0, 4, 3);
+        let mut buf = vec![0.0; fill.num_cells() as usize];
+        pack_region(&mut buf, &src, src_dbox, fill, IntVector::ZERO);
+        let dst_dbox = b(-1, -1, 5, 5);
+        let mut dst = vec![0.0; 36];
+        unpack_region(&mut dst, dst_dbox, &buf, fill);
+        for p in fill.iter() {
+            assert_eq!(dst[dst_dbox.offset_of(p)], (p.x * 1000 + p.y) as f64);
+        }
+    }
+
+    #[test]
+    fn pack_order_is_row_major() {
+        let dbox = b(0, 0, 3, 3);
+        let src: Vec<f64> = (0..9).map(f64::from).collect();
+        let fill = b(1, 0, 3, 2);
+        let mut buf = vec![0.0; 4];
+        pack_region(&mut buf, &src, dbox, fill, IntVector::ZERO);
+        assert_eq!(buf, vec![1.0, 2.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn empty_fill_is_a_noop() {
+        let mut dst = vec![1.0; 4];
+        copy_region(
+            &mut dst,
+            b(0, 0, 2, 2),
+            &[0.0; 4],
+            b(0, 0, 2, 2),
+            GBox::EMPTY,
+            IntVector::ZERO,
+        );
+        assert_eq!(dst, vec![1.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "size mismatch")]
+    fn unpack_checks_buffer_size() {
+        let mut dst = vec![0.0; 4];
+        unpack_region(&mut dst, b(0, 0, 2, 2), &[0.0; 3], b(0, 0, 2, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "fill escapes src")]
+    fn pack_checks_the_source_in_every_profile() {
+        // One column past the source: an unchecked row copy would wrap
+        // into the next row instead of failing.
+        let mut buf = vec![0.0; 4];
+        pack_region(&mut buf, &[0.0; 9], b(0, 0, 3, 3), b(2, 0, 4, 2), IntVector::ZERO);
     }
 }

@@ -1,9 +1,11 @@
 //! Device-resident patch data — the `CudaArrayData`/`CudaCellData`/
 //! `CudaNodeData`/`CudaSideData` family (paper Figure 3).
 
-use crate::pack::{copy_region, pack_region, region_threads, unpack_region};
 use bytes::Bytes;
-use rbamr_amr::patchdata::{extension_pairs, validate_overlap, Element, PatchData, PatchDataError};
+use rbamr_amr::patchdata::{
+    copy_region, extension_pairs, pack_region, unpack_region, validate_overlap, Element, PatchData,
+    PatchDataError,
+};
 use rbamr_amr::transfer::{
     CopyJob, PeerStream, StreamJob, TransferCtx, UnpackBatch, STREAM_VALUE_BYTES,
 };
@@ -259,7 +261,7 @@ fn pack_message<T: DeviceElement>(
             jobs(&mut |src, overlap| {
                 let src_slice = src.buffer().as_slice(&k);
                 for fill in overlap.dst_boxes.boxes() {
-                    let n = region_threads(*fill);
+                    let n = fill.num_cells() as usize;
                     let packed = &mut out[offset..offset + n];
                     pack_region(packed, src_slice, src.dbox, *fill, overlap.shift);
                     offset += n;
@@ -274,11 +276,7 @@ fn pack_message<T: DeviceElement>(
     } else {
         device.download(staging, 0, &mut host, category);
     }
-    let mut out = Vec::with_capacity(total * T::BYTES);
-    for v in host {
-        v.write_to(&mut out);
-    }
-    Ok(Bytes::from(out))
+    Ok(Bytes::from(T::encode(&host)))
 }
 
 /// The `unpack` kernel and its transfer: one H2D of `msgs`, back to
@@ -299,7 +297,7 @@ fn unpack_message<T: DeviceElement>(
     device.recorder().count("unpack.bytes", (total * T::BYTES) as u64);
     let mut host: Vec<T> = Vec::with_capacity(total);
     for msg in msgs {
-        host.extend(msg.chunks_exact(T::BYTES).map(T::read_from));
+        T::decode(msg, &mut host);
     }
     if fallible {
         device.try_upload(staging, 0, &host, category).map_err(transfer_fault)?;
@@ -316,7 +314,7 @@ fn unpack_message<T: DeviceElement>(
                 let dst_slice = dst.buffer_mut().as_mut_slice(&k);
                 let mut offset = first;
                 for fill in overlap.dst_boxes.boxes() {
-                    let n = region_threads(*fill);
+                    let n = fill.num_cells() as usize;
                     unpack_region(dst_slice, dst_dbox, &input[offset..offset + n], *fill);
                     offset += n;
                 }

@@ -15,17 +15,20 @@
 //!   coarsen kernels (Figures 7 and 8) the paper claims as the first
 //!   data-parallel implementations.
 //!
-//! [`pack`] holds the data-parallel buffer pack/unpack kernels of
-//! Figure 4, and [`tags`] the flag-compression path of Section IV-C
-//! (int tags → bitmaps → a single `tagged` flag when nothing is set).
+//! [`tags`] holds the flag-compression path of Section IV-C (int tags →
+//! bitmaps → a single `tagged` flag when nothing is set).
 //!
-//! Every operator is tested for exact agreement with the host reference
-//! implementation in `rbamr-amr` on randomised data.
+//! Neither package has arithmetic of its own: the operator row bodies
+//! (`rbamr_amr::ops::rows`) and the Figure 4 copy / pack / unpack region
+//! kernels (`rbamr_amr::patchdata`) are written once in `rbamr-amr`, and
+//! this crate runs those bodies on device buffers inside launches. Host
+//! and device results are equal by construction; `tests/op_bits.rs`
+//! freezes the bits and `tests/op_equivalence_prop.rs` checks the
+//! launch plumbing around them.
 
 pub mod batch;
 pub mod data;
 pub mod ops;
-pub mod pack;
 pub mod tags;
 
 pub use batch::{interior_core, split_region, BatchPlan, BatchPlanCache, PatchSlot};

@@ -1,7 +1,9 @@
-//! Property tests: every device operator equals its host reference
-//! bit-for-bit on random data, boxes, ratios and partial fill regions —
-//! the correctness contract of the paper's "first data-parallel
-//! implementations" claim, explored beyond the fixed cases.
+//! Property tests: every device operator leaves what its host operator
+//! leaves, bit for bit, on random data, boxes, ratios and partial fill
+//! regions. Both placements run one row body (`rbamr_amr::ops::rows`;
+//! its bits are frozen by `op_bits.rs`), so what these properties pin is
+//! the plumbing around it, which is what can still differ: row offsets,
+//! fill clipping, job order, `first` offsets, launches and transfers.
 
 use proptest::prelude::*;
 use rbamr_amr::ops as host_ops;
@@ -55,35 +57,156 @@ fn assert_equal(h: &HostData<f64>, d: &DeviceData<f64>, what: &str) {
     }
 }
 
+/// The fill fractions of [`sub_box`] that select the whole box.
+const WHOLE: [f64; 4] = [0.0, 0.0, 1.0, 1.0];
+
+/// Refine operator `which` (node, cell, constant, side x, side y) on
+/// both placements: same values, same fill — part of the fine data box
+/// grown one ghost, so the clamped reads fire — same result.
+fn refine_case(which: usize, ratio: i64, [fx, fy, fw, fh]: [f64; 4], vals: &[f64]) {
+    let device = Device::k20x();
+    let r = IntVector::uniform(ratio);
+    let coarse_box = GBox::from_coords(0, 0, 7, 9);
+    let fine_box = coarse_box.refine(r);
+    let (host_op, dev_op, centring): (Box<dyn RefineOperator>, Box<dyn RefineOperator>, Centring) =
+        match which {
+            0 => (
+                Box::new(host_ops::LinearNodeRefine),
+                Box::new(dev_ops::DeviceLinearNodeRefine),
+                Centring::Node,
+            ),
+            1 => (
+                Box::new(host_ops::ConservativeCellRefine),
+                Box::new(dev_ops::DeviceConservativeCellRefine),
+                Centring::Cell,
+            ),
+            2 => (
+                Box::new(host_ops::ConstantRefine),
+                Box::new(dev_ops::DeviceConstantRefine),
+                Centring::Cell,
+            ),
+            _ => {
+                let axis = which - 3;
+                (
+                    Box::new(host_ops::LinearSideRefine { axis }),
+                    Box::new(dev_ops::DeviceLinearSideRefine { axis }),
+                    Centring::Side(axis),
+                )
+            }
+        };
+    let (hsrc, dsrc) = pair(&device, coarse_box, 1, centring, vals);
+    let (mut hdst, mut ddst) = pair(&device, fine_box, 2, centring, vals);
+    let fill = centring.data_box(fine_box.grow(IntVector::ONE));
+    let fill = BoxList::from_box(sub_box(fill, fx, fy, fw, fh));
+    host_op.refine(&mut hdst, &hsrc, &fill, r);
+    dev_op.refine(&mut ddst, &dsrc, &fill, r);
+    assert_equal(&hdst, &ddst, &format!("refine op {which} ratio {ratio}"));
+}
+
+/// Coarsen operator `which` (volume-weighted, mass-weighted, node
+/// injection) on both placements, as [`refine_case`].
+fn coarsen_case(which: usize, ratio: i64, [fx, fy, fw, fh]: [f64; 4], vals: &[f64]) {
+    let device = Device::k20x();
+    let r = IntVector::uniform(ratio);
+    let coarse_box = GBox::from_coords(0, 0, 6, 5);
+    let fine_box = coarse_box.refine(r);
+    let (host_op, dev_op, centring): (
+        Box<dyn CoarsenOperator>,
+        Box<dyn CoarsenOperator>,
+        Centring,
+    ) = match which {
+        0 => (
+            Box::new(host_ops::VolumeWeightedCoarsen),
+            Box::new(dev_ops::DeviceVolumeWeightedCoarsen),
+            Centring::Cell,
+        ),
+        1 => (
+            Box::new(host_ops::MassWeightedCoarsen),
+            Box::new(dev_ops::DeviceMassWeightedCoarsen),
+            Centring::Cell,
+        ),
+        _ => (
+            Box::new(host_ops::NodeInjectionCoarsen),
+            Box::new(dev_ops::DeviceNodeInjectionCoarsen),
+            Centring::Node,
+        ),
+    };
+    let (hsrc, dsrc) = pair(&device, fine_box, 0, centring, vals);
+    let (hrho, drho) = pair(&device, fine_box, 0, centring, vals);
+    let (mut hdst, mut ddst) = pair(&device, coarse_box, 0, centring, vals);
+    let fill = BoxList::from_box(sub_box(centring.data_box(coarse_box), fx, fy, fw, fh));
+    let haux: Vec<&dyn PatchData> = (0..host_op.num_aux()).map(|_| &hrho as _).collect();
+    let daux: Vec<&dyn PatchData> = (0..dev_op.num_aux()).map(|_| &drho as _).collect();
+    host_op.coarsen(&mut hdst, &hsrc, &haux, &fill, r);
+    dev_op.coarsen(&mut ddst, &dsrc, &daux, &fill, r);
+    assert_equal(&hdst, &ddst, &format!("coarsen op {which} ratio {ratio}"));
+}
+
+/// The cases the unit tests of `rbamr_gpu_amr::ops` used to fix: ratio
+/// 4 for the node and cell operators, both side axes, whole fills.
+#[test]
+fn refine_ops_agree_on_the_fixed_cases() {
+    let vals = [-7.5, 2.25, 9.0, -0.5, 3.0, 6.5, -4.0, 1.0];
+    for (which, ratio) in [(0, 2), (0, 4), (1, 2), (1, 4), (2, 2), (3, 2), (4, 2)] {
+        refine_case(which, ratio, WHOLE, &vals);
+    }
+}
+
+/// As above: ratio 4 for volume weighting, whole fills.
+#[test]
+fn coarsen_ops_agree_on_the_fixed_cases() {
+    let vals = [0.5, 2.25, 9.0, 0.125, 3.0, 6.5, 4.0, 1.0];
+    for (which, ratio) in [(0, 2), (0, 4), (1, 2), (2, 2)] {
+        coarsen_case(which, ratio, WHOLE, &vals);
+    }
+}
+
+/// Mass weighting with a density of another ghost width, on `device` or
+/// on the host: the row body indexes every source through one data box.
+fn coarsen_with_a_wider_density(device: Option<&Device>) {
+    let r = IntVector::uniform(2);
+    let coarse_box = GBox::from_coords(0, 0, 4, 4);
+    let make = |cell_box: GBox, ghosts: i64| -> Box<dyn PatchData> {
+        let g = IntVector::uniform(ghosts);
+        match device {
+            Some(device) => Box::new(DeviceData::<f64>::new(device, cell_box, g, Centring::Cell)),
+            None => Box::new(HostData::<f64>::new(cell_box, g, Centring::Cell)),
+        }
+    };
+    let (src, rho) = (make(coarse_box.refine(r), 0), make(coarse_box.refine(r), 1));
+    let mut dst = make(coarse_box, 0);
+    let op: Box<dyn CoarsenOperator> = match device {
+        Some(_) => Box::new(dev_ops::DeviceMassWeightedCoarsen),
+        None => Box::new(host_ops::MassWeightedCoarsen),
+    };
+    op.coarsen(dst.as_mut(), src.as_ref(), &[rho.as_ref()], &BoxList::from_box(coarse_box), r);
+}
+
+#[test]
+#[should_panic(expected = "mass-weighted-coarsen: coarsen sources differ in layout")]
+fn host_coarsen_rejects_sources_of_different_layouts() {
+    coarsen_with_a_wider_density(None);
+}
+
+#[test]
+#[should_panic(expected = "device-mass-weighted-coarsen: coarsen sources differ in layout")]
+fn device_coarsen_rejects_sources_of_different_layouts() {
+    coarsen_with_a_wider_density(Some(&Device::k20x()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// All four refine operators agree on random data and partial fill
+    /// The refine operators agree on random data and partial fill
     /// regions for every ratio and centring they serve.
     #[test]
     fn refine_ops_agree(
         vals in prop::collection::vec(-5.0f64..5.0, 8),
         ratio in arb_ratio(),
         fx in 0.0f64..1.0, fy in 0.0f64..1.0, fw in 0.0f64..1.0, fh in 0.0f64..1.0,
-        which in 0usize..4,
+        which in 0usize..5,
     ) {
-        let device = Device::k20x();
-        let r = IntVector::uniform(ratio);
-        let coarse_box = GBox::from_coords(0, 0, 7, 9);
-        let fine_box = coarse_box.refine(r);
-        let (host_op, dev_op, centring): (Box<dyn RefineOperator>, Box<dyn RefineOperator>, Centring) =
-            match which {
-                0 => (Box::new(host_ops::LinearNodeRefine), Box::new(dev_ops::DeviceLinearNodeRefine), Centring::Node),
-                1 => (Box::new(host_ops::ConservativeCellRefine), Box::new(dev_ops::DeviceConservativeCellRefine), Centring::Cell),
-                2 => (Box::new(host_ops::ConstantRefine), Box::new(dev_ops::DeviceConstantRefine), Centring::Cell),
-                _ => (Box::new(host_ops::LinearSideRefine { axis: 1 }), Box::new(dev_ops::DeviceLinearSideRefine { axis: 1 }), Centring::Side(1)),
-            };
-        let (hsrc, dsrc) = pair(&device, coarse_box, 1, centring, &vals);
-        let (mut hdst, mut ddst) = pair(&device, fine_box, 2, centring, &vals);
-        let fill = BoxList::from_box(sub_box(centring.data_box(fine_box), fx, fy, fw, fh));
-        host_op.refine(&mut hdst, &hsrc, &fill, r);
-        dev_op.refine(&mut ddst, &dsrc, &fill, r);
-        assert_equal(&hdst, &ddst, &format!("refine op {which} ratio {ratio}"));
+        refine_case(which, ratio, [fx, fy, fw, fh], &vals);
     }
 
     /// The three coarsen operators agree on random data and partial
@@ -95,25 +218,7 @@ proptest! {
         fx in 0.0f64..1.0, fy in 0.0f64..1.0, fw in 0.0f64..1.0, fh in 0.0f64..1.0,
         which in 0usize..3,
     ) {
-        let device = Device::k20x();
-        let r = IntVector::uniform(ratio);
-        let coarse_box = GBox::from_coords(0, 0, 6, 5);
-        let fine_box = coarse_box.refine(r);
-        let (host_op, dev_op, centring, naux): (Box<dyn CoarsenOperator>, Box<dyn CoarsenOperator>, Centring, usize) =
-            match which {
-                0 => (Box::new(host_ops::VolumeWeightedCoarsen), Box::new(dev_ops::DeviceVolumeWeightedCoarsen), Centring::Cell, 0),
-                1 => (Box::new(host_ops::MassWeightedCoarsen), Box::new(dev_ops::DeviceMassWeightedCoarsen), Centring::Cell, 1),
-                _ => (Box::new(host_ops::NodeInjectionCoarsen), Box::new(dev_ops::DeviceNodeInjectionCoarsen), Centring::Node, 0),
-            };
-        let (hsrc, dsrc) = pair(&device, fine_box, 0, centring, &vals);
-        let (hrho, drho) = pair(&device, fine_box, 0, centring, &vals);
-        let (mut hdst, mut ddst) = pair(&device, coarse_box, 0, centring, &vals);
-        let fill = BoxList::from_box(sub_box(centring.data_box(coarse_box), fx, fy, fw, fh));
-        let haux: Vec<&dyn PatchData> = if naux == 1 { vec![&hrho] } else { vec![] };
-        let daux: Vec<&dyn PatchData> = if naux == 1 { vec![&drho] } else { vec![] };
-        host_op.coarsen(&mut hdst, &hsrc, &haux, &fill, r);
-        dev_op.coarsen(&mut ddst, &dsrc, &daux, &fill, r);
-        assert_equal(&hdst, &ddst, &format!("coarsen op {which} ratio {ratio}"));
+        coarsen_case(which, ratio, [fx, fy, fw, fh], &vals);
     }
 
     /// Pack on one placement, unpack on the other: device and host data
