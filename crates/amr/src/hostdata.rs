@@ -1,8 +1,6 @@
 //! Host-memory patch data — the CPU baseline implementation.
 
-use crate::patchdata::{
-    copy_region, pack_region, unpack_region, validate_overlap, Element, PatchData,
-};
+use crate::patchdata::{copy_region, region_rows, validate_overlap, Element, PatchData};
 use crate::variable::{DataFactory, Variable};
 use bytes::Bytes;
 use rbamr_geometry::{BoxOverlap, Centring, GBox, IntVector};
@@ -177,15 +175,14 @@ impl<T: Element> PatchData for HostData<T> {
     }
 
     fn pack(&self, overlap: &BoxOverlap) -> Bytes {
-        let mut values = vec![T::default(); overlap.num_values() as usize];
-        let mut offset = 0;
+        let mut out = Vec::with_capacity(self.stream_size(overlap));
         for b in overlap.dst_boxes.boxes() {
-            let n = b.num_cells() as usize;
-            pack_region(&mut values[offset..offset + n], &self.data, self.dbox, *b, overlap.shift);
-            offset += n;
+            for row in region_rows(self.dbox, b.shift(-overlap.shift)) {
+                T::encode(&self.data[row], &mut out);
+            }
         }
         self.charge(overlap.num_values());
-        Bytes::from(T::encode(&values))
+        Bytes::from(out)
     }
 
     fn extend_uncovered(&mut self, covered: &rbamr_geometry::BoxList) {
@@ -196,13 +193,13 @@ impl<T: Element> PatchData for HostData<T> {
 
     fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
         assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
-        let mut values = Vec::with_capacity(overlap.num_values() as usize);
-        T::decode(stream, &mut values);
-        let mut offset = 0;
+        let mut rest = stream;
         for b in overlap.dst_boxes.boxes() {
-            let n = b.num_cells() as usize;
-            unpack_region(&mut self.data, self.dbox, &values[offset..offset + n], *b);
-            offset += n;
+            for row in region_rows(self.dbox, *b) {
+                let (packed, tail) = rest.split_at(row.len() * T::BYTES);
+                T::decode(packed, &mut self.data[row]);
+                rest = tail;
+            }
         }
         self.charge(overlap.num_values());
     }

@@ -19,9 +19,10 @@
 //! * [`patchdata`] — the `PatchData` trait.
 //! * [`hostdata`] — host-memory array data for every centring.
 //! * [`patch`], [`level`], [`hierarchy`] — the mesh containers.
-//! * [`ops`] — refine/coarsen operator traits and host reference
-//!   implementations (linear node refine, conservative linear cell
-//!   refine, injection, volume- and mass-weighted coarsen).
+//! * [`ops`] — refine/coarsen operator traits, the one row body per
+//!   operator that every placement runs (linear node refine,
+//!   conservative linear cell refine, injection, volume- and
+//!   mass-weighted coarsen) and the host operators over it.
 //! * [`boundary`] — physical-boundary fill strategy.
 //! * [`schedule`] — ghost-fill (refine) and synchronisation (coarsen)
 //!   schedules, local and distributed.

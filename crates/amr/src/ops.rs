@@ -16,7 +16,7 @@
 //! stencil wherever coarse data exists.
 
 use crate::hostdata::HostData;
-use crate::patchdata::PatchData;
+use crate::patchdata::{region_rows, PatchData};
 use crate::transfer::{CoarsenJob, RefineJob, TransferCtx};
 use rbamr_geometry::{BoxList, GBox, IntVector};
 use rbamr_perfmodel::Category;
@@ -136,13 +136,9 @@ pub fn each_row(
     fills: &BoxList,
     mut row: impl FnMut(&mut [f64], IntVector),
 ) {
-    let w = dbox.size().x as usize;
     for fill in fills.boxes() {
-        assert!(dbox.contains_box(*fill), "operator fill {fill:?} escapes the data box {dbox:?}");
-        let (off, n) = ((fill.lo.x - dbox.lo.x) as usize, fill.size().x as usize);
-        let first = (fill.lo.y - dbox.lo.y) as usize;
-        for (y, dst_row) in (fill.lo.y..fill.hi.y).zip(dst.chunks_mut(w).skip(first)) {
-            row(&mut dst_row[off..off + n], IntVector::new(fill.lo.x, y));
+        for (y, stretch) in (fill.lo.y..).zip(region_rows(dbox, *fill)) {
+            row(&mut dst[stretch], IntVector::new(fill.lo.x, y));
         }
     }
 }
@@ -299,13 +295,13 @@ pub mod rows {
         sbox: GBox,
         r: IntVector,
     ) {
-        let r_n = r.get(axis);
+        let (r_n, step) = (r.get(axis), IntVector::unit(axis));
+        let icy = at.y.div_euclid(r.y);
         for (x, v) in (at.x..).zip(out) {
-            let p = IntVector::new(x, at.y);
-            let ic = p.div_floor(r);
-            let hi = ic + IntVector::unit(axis);
+            let (p, ic) = (IntVector::new(x, at.y), IntVector::new(x.div_euclid(r.x), icy));
             let t = (p.get(axis) - ic.get(axis) * r_n) as f64 / r_n as f64;
-            *v = clamped(src, sbox, ic.x, ic.y) * (1.0 - t) + clamped(src, sbox, hi.x, hi.y) * t;
+            *v = clamped(src, sbox, ic.x, ic.y) * (1.0 - t)
+                + clamped(src, sbox, ic.x + step.x, ic.y + step.y) * t;
         }
     }
 

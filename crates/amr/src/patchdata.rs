@@ -4,6 +4,7 @@ use bytes::Bytes;
 use rbamr_geometry::{BoxOverlap, Centring, GBox, IntVector};
 use rbamr_perfmodel::Category;
 use std::any::Any;
+use std::ops::Range;
 
 /// Scalar element types storable in patch data.
 ///
@@ -17,19 +18,25 @@ pub trait Element: Copy + Default + Send + Sync + PartialEq + std::fmt::Debug + 
     /// Decode from the first `Self::BYTES` bytes of `src`.
     fn read_from(src: &[u8]) -> Self;
 
-    /// The wire format of every placement: `values` encoded back to
-    /// back.
-    fn encode(values: &[Self]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(values.len() * Self::BYTES);
+    /// The wire format of every placement: the encodings of `values`,
+    /// in order, appended to `out`.
+    fn encode(values: &[Self], out: &mut Vec<u8>) {
+        out.reserve(values.len() * Self::BYTES);
         for v in values {
-            v.write_to(&mut out);
+            v.write_to(out);
         }
-        out
     }
 
-    /// Decode every whole element of `stream`, appending to `out`.
-    fn decode(stream: &[u8], out: &mut Vec<Self>) {
-        out.extend(stream.chunks_exact(Self::BYTES).map(Self::read_from));
+    /// Decode `stream`, which holds exactly `out.len()` elements, into
+    /// `out`.
+    ///
+    /// # Panics
+    /// Panics if the lengths disagree.
+    fn decode(stream: &[u8], out: &mut [Self]) {
+        assert_eq!(stream.len(), out.len() * Self::BYTES, "decode: stream length mismatch");
+        for (v, bytes) in out.iter_mut().zip(stream.chunks_exact(Self::BYTES)) {
+            *v = Self::read_from(bytes);
+        }
     }
 }
 
@@ -229,6 +236,22 @@ pub fn validate_overlap(
     }
 }
 
+/// The flat index range of each row of `fill`, in order, within an
+/// array laid out row-major over `dbox` — the one row walk under the
+/// region kernels below, `HostData`'s pack and unpack, and the operator
+/// row driver [`each_row`](crate::ops::each_row).
+///
+/// # Panics
+/// Panics if `fill` escapes `dbox`, in every profile: the flat range of
+/// a row that leaves its box is still inside the array and would
+/// silently move the neighbouring row's values.
+pub fn region_rows(dbox: GBox, fill: GBox) -> impl Iterator<Item = Range<usize>> {
+    assert!(dbox.contains_box(fill), "region {fill:?} escapes the data box {dbox:?}");
+    let (w, stride) = (fill.size().x.max(0) as usize, dbox.size().x as usize);
+    let first = if fill.is_empty() { 0 } else { dbox.offset_of(fill.lo) };
+    (0..fill.size().y.max(0) as usize).map(move |r| first + r * stride..first + r * stride + w)
+}
+
 /// Copy `fill` (a box in the destination's index space) from `src` into
 /// `dst`. `src_index = dst_index - shift`; `dst_dbox` / `src_dbox`
 /// describe the row-major layouts of the two arrays.
@@ -248,17 +271,9 @@ pub fn copy_region<T: Copy>(
     fill: GBox,
     shift: IntVector,
 ) {
-    if fill.is_empty() {
-        return;
-    }
-    let src_fill = fill.shift(-shift);
-    assert!(dst_dbox.contains_box(fill), "copy_region: fill escapes dst");
-    assert!(src_dbox.contains_box(src_fill), "copy_region: fill escapes src");
-    let (w, dst_w, src_w) =
-        (fill.size().x as usize, dst_dbox.size().x as usize, src_dbox.size().x as usize);
-    let (d0, s0) = (dst_dbox.offset_of(fill.lo), src_dbox.offset_of(src_fill.lo));
-    for r in 0..fill.size().y as usize {
-        dst[d0 + r * dst_w..][..w].copy_from_slice(&src[s0 + r * src_w..][..w]);
+    let rows = region_rows(dst_dbox, fill).zip(region_rows(src_dbox, fill.shift(-shift)));
+    for (to, from) in rows {
+        dst[to].copy_from_slice(&src[from]);
     }
 }
 
@@ -275,16 +290,12 @@ pub fn pack_region<T: Copy>(
     fill: GBox,
     shift: IntVector,
 ) {
-    if fill.is_empty() {
-        return;
-    }
-    let src_fill = fill.shift(-shift);
-    assert!(src_dbox.contains_box(src_fill), "pack_region: fill escapes src");
     assert_eq!(out.len(), fill.num_cells() as usize, "pack_region: buffer size mismatch");
-    let (w, src_w) = (fill.size().x as usize, src_dbox.size().x as usize);
-    let s0 = src_dbox.offset_of(src_fill.lo);
-    for (r, row) in out.chunks_mut(w).enumerate() {
-        row.copy_from_slice(&src[s0 + r * src_w..][..w]);
+    let mut at = 0;
+    for from in region_rows(src_dbox, fill.shift(-shift)) {
+        let n = from.len();
+        out[at..at + n].copy_from_slice(&src[from]);
+        at += n;
     }
 }
 
@@ -293,15 +304,12 @@ pub fn pack_region<T: Copy>(
 /// # Panics
 /// Panics if `fill` escapes `dst` or `input.len()` is not its size.
 pub fn unpack_region<T: Copy>(dst: &mut [T], dst_dbox: GBox, input: &[T], fill: GBox) {
-    if fill.is_empty() {
-        return;
-    }
-    assert!(dst_dbox.contains_box(fill), "unpack_region: fill escapes dst");
     assert_eq!(input.len(), fill.num_cells() as usize, "unpack_region: buffer size mismatch");
-    let (w, dst_w) = (fill.size().x as usize, dst_dbox.size().x as usize);
-    let d0 = dst_dbox.offset_of(fill.lo);
-    for (r, packed) in input.chunks(w).enumerate() {
-        dst[d0 + r * dst_w..][..w].copy_from_slice(packed);
+    let mut at = 0;
+    for to in region_rows(dst_dbox, fill) {
+        let n = to.len();
+        dst[to].copy_from_slice(&input[at..at + n]);
+        at += n;
     }
 }
 
@@ -360,13 +368,14 @@ mod tests {
     #[test]
     fn slice_codec_is_the_per_element_format() {
         let values = [-3.25f64, 0.0, 7.5];
-        let stream = f64::encode(&values);
-        let mut per_element = Vec::new();
+        let mut stream = vec![9u8];
+        f64::encode(&values, &mut stream);
+        let mut per_element = vec![9u8];
         values.iter().for_each(|v| v.write_to(&mut per_element));
         assert_eq!(stream, per_element);
-        let mut back = vec![1.0];
-        f64::decode(&stream, &mut back);
-        assert_eq!(back, [1.0, -3.25, 0.0, 7.5]);
+        let mut back = [1.0; 3];
+        f64::decode(&stream[1..], &mut back);
+        assert_eq!(back, values);
     }
 
     #[test]
@@ -445,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fill escapes src")]
+    #[should_panic(expected = "escapes the data box")]
     fn pack_checks_the_source_in_every_profile() {
         // One column past the source: an unchecked row copy would wrap
         // into the next row instead of failing.

@@ -276,7 +276,9 @@ fn pack_message<T: DeviceElement>(
     } else {
         device.download(staging, 0, &mut host, category);
     }
-    Ok(Bytes::from(T::encode(&host)))
+    let mut out = Vec::new();
+    T::encode(&host, &mut out);
+    Ok(Bytes::from(out))
 }
 
 /// The `unpack` kernel and its transfer: one H2D of `msgs`, back to
@@ -295,9 +297,12 @@ fn unpack_message<T: DeviceElement>(
 ) -> Result<(), PatchDataError> {
     let total = msgs.iter().map(|m| m.len()).sum::<usize>() / T::BYTES;
     device.recorder().count("unpack.bytes", (total * T::BYTES) as u64);
-    let mut host: Vec<T> = Vec::with_capacity(total);
+    let mut host = vec![T::default(); total];
+    let mut rest = &mut host[..];
     for msg in msgs {
-        T::decode(msg, &mut host);
+        let (values, tail) = rest.split_at_mut(msg.len() / T::BYTES);
+        T::decode(msg, values);
+        rest = tail;
     }
     if fallible {
         device.try_upload(staging, 0, &host, category).map_err(transfer_fault)?;

@@ -174,86 +174,59 @@ impl Placement {
         digest(values.into_iter().map(Bits::bits))
     }
 
-    /// Row name, operator and centring of every refine case.
-    fn refine_ops(&self) -> Vec<(String, Box<dyn RefineOperator>, Centring)> {
-        let host = matches!(self, Placement::Host);
-        let mut ops: Vec<(String, Box<dyn RefineOperator>, Centring)> = vec![
-            (
-                "linear-node-refine".into(),
-                if host {
-                    Box::new(host_ops::LinearNodeRefine)
-                } else {
-                    Box::new(dev_ops::DeviceLinearNodeRefine)
-                },
-                Centring::Node,
-            ),
-            (
-                "conservative-linear-cell-refine".into(),
-                if host {
-                    Box::new(host_ops::ConservativeCellRefine)
-                } else {
-                    Box::new(dev_ops::DeviceConservativeCellRefine)
-                },
-                Centring::Cell,
-            ),
-            (
-                "constant-refine".into(),
-                if host {
-                    Box::new(host_ops::ConstantRefine)
-                } else {
-                    Box::new(dev_ops::DeviceConstantRefine)
-                },
-                Centring::Cell,
-            ),
-        ];
-        for axis in 0..2 {
-            ops.push((
-                format!("linear-side-refine.{axis}"),
-                if host {
-                    Box::new(host_ops::LinearSideRefine { axis })
-                } else {
-                    Box::new(dev_ops::DeviceLinearSideRefine { axis })
-                },
-                Centring::Side(axis),
-            ));
+    /// The operators of [`REFINE_ROWS`], in its order.
+    fn refine_ops(&self) -> [Box<dyn RefineOperator>; 5] {
+        match self {
+            Placement::Host => [
+                Box::new(host_ops::LinearNodeRefine),
+                Box::new(host_ops::ConservativeCellRefine),
+                Box::new(host_ops::ConstantRefine),
+                Box::new(host_ops::LinearSideRefine { axis: 0 }),
+                Box::new(host_ops::LinearSideRefine { axis: 1 }),
+            ],
+            Placement::Device(_) => [
+                Box::new(dev_ops::DeviceLinearNodeRefine),
+                Box::new(dev_ops::DeviceConservativeCellRefine),
+                Box::new(dev_ops::DeviceConstantRefine),
+                Box::new(dev_ops::DeviceLinearSideRefine { axis: 0 }),
+                Box::new(dev_ops::DeviceLinearSideRefine { axis: 1 }),
+            ],
         }
-        ops
     }
 
-    /// Row name, operator and centring of every coarsen case.
-    fn coarsen_ops(&self) -> Vec<(&'static str, Box<dyn CoarsenOperator>, Centring)> {
-        let host = matches!(self, Placement::Host);
-        vec![
-            (
-                "node-injection-coarsen",
-                if host {
-                    Box::new(host_ops::NodeInjectionCoarsen)
-                } else {
-                    Box::new(dev_ops::DeviceNodeInjectionCoarsen)
-                },
-                Centring::Node,
-            ),
-            (
-                "volume-weighted-coarsen",
-                if host {
-                    Box::new(host_ops::VolumeWeightedCoarsen)
-                } else {
-                    Box::new(dev_ops::DeviceVolumeWeightedCoarsen)
-                },
-                Centring::Cell,
-            ),
-            (
-                "mass-weighted-coarsen",
-                if host {
-                    Box::new(host_ops::MassWeightedCoarsen)
-                } else {
-                    Box::new(dev_ops::DeviceMassWeightedCoarsen)
-                },
-                Centring::Cell,
-            ),
-        ]
+    /// The operators of [`COARSEN_ROWS`], in its order.
+    fn coarsen_ops(&self) -> [Box<dyn CoarsenOperator>; 3] {
+        match self {
+            Placement::Host => [
+                Box::new(host_ops::NodeInjectionCoarsen),
+                Box::new(host_ops::VolumeWeightedCoarsen),
+                Box::new(host_ops::MassWeightedCoarsen),
+            ],
+            Placement::Device(_) => [
+                Box::new(dev_ops::DeviceNodeInjectionCoarsen),
+                Box::new(dev_ops::DeviceVolumeWeightedCoarsen),
+                Box::new(dev_ops::DeviceMassWeightedCoarsen),
+            ],
+        }
     }
 }
+
+/// Row name (the host operator's, with the side axis) and centring of
+/// every refine case.
+const REFINE_ROWS: [(&str, Centring); 5] = [
+    ("linear-node-refine", Centring::Node),
+    ("conservative-linear-cell-refine", Centring::Cell),
+    ("constant-refine", Centring::Cell),
+    ("linear-side-refine.0", Centring::Side(0)),
+    ("linear-side-refine.1", Centring::Side(1)),
+];
+
+/// Row name and centring of every coarsen case.
+const COARSEN_ROWS: [(&str, Centring); 3] = [
+    ("node-injection-coarsen", Centring::Node),
+    ("volume-weighted-coarsen", Centring::Cell),
+    ("mass-weighted-coarsen", Centring::Cell),
+];
 
 fn b(x0: i64, y0: i64, x1: i64, y1: i64) -> GBox {
     GBox::from_coords(x0, y0, x1, y1)
@@ -304,7 +277,7 @@ fn row(name: &str, hashes: impl IntoIterator<Item = u64>) -> String {
 }
 
 fn refine_rows(p: &Placement, rows: &mut Vec<String>) {
-    for (name, op, centring) in p.refine_ops() {
+    for ((name, centring), op) in REFINE_ROWS.into_iter().zip(p.refine_ops()) {
         for (k, &r) in RATIOS.iter().enumerate() {
             let src =
                 p.make(COARSE, IntVector::ONE, centring, |n| field(1000 + k as u64, n, -3.0, 5.0));
@@ -322,7 +295,7 @@ fn refine_rows(p: &Placement, rows: &mut Vec<String>) {
 }
 
 fn coarsen_rows(p: &Placement, rows: &mut Vec<String>) {
-    for (name, op, centring) in p.coarsen_ops() {
+    for ((name, centring), op) in COARSEN_ROWS.into_iter().zip(p.coarsen_ops()) {
         for (k, &r) in RATIOS.iter().enumerate() {
             let fine_box = COARSE.refine(r);
             let ghosts = IntVector::uniform(2);
