@@ -313,8 +313,9 @@ pub mod rows {
         sbox: GBox,
         r: IntVector,
     ) {
+        let s = srcs[0];
         for (x, v) in (at.x..).zip(out) {
-            *v = srcs[0][sbox.offset_of(IntVector::new(x, at.y).scale(r))];
+            *v = s[sbox.offset_of(IntVector::new(x, at.y).scale(r))];
         }
     }
 
@@ -327,6 +328,7 @@ pub mod rows {
         sbox: GBox,
         r: IntVector,
     ) {
+        let s = srcs[0];
         let vf = 1.0; // fine cell volume (uniform)
         let vc = (r.x * r.y) as f64 * vf;
         for (x, v) in (at.x..).zip(out) {
@@ -334,7 +336,7 @@ pub mod rows {
             let mut spv = 0.0;
             for j in 0..r.y {
                 for i in 0..r.x {
-                    spv += srcs[0][sbox.offset_of(f0 + IntVector::new(i, j))] * vf;
+                    spv += s[sbox.offset_of(f0 + IntVector::new(i, j))] * vf;
                 }
             }
             *v = spv / vc;

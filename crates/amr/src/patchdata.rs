@@ -19,9 +19,9 @@ pub trait Element: Copy + Default + Send + Sync + PartialEq + std::fmt::Debug + 
     fn read_from(src: &[u8]) -> Self;
 
     /// The wire format of every placement: the encodings of `values`,
-    /// in order, appended to `out`.
+    /// in order, appended to `out` (which the caller sizes: a stream is
+    /// usually many slices).
     fn encode(values: &[Self], out: &mut Vec<u8>) {
-        out.reserve(values.len() * Self::BYTES);
         for v in values {
             v.write_to(out);
         }

@@ -276,7 +276,7 @@ fn pack_message<T: DeviceElement>(
     } else {
         device.download(staging, 0, &mut host, category);
     }
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(total * T::BYTES);
     T::encode(&host, &mut out);
     Ok(Bytes::from(out))
 }
