@@ -64,28 +64,6 @@ pub fn partition_sfc(boxes: &[GBox], nranks: usize) -> Vec<usize> {
     owners
 }
 
-/// Greedy largest-first partitioning (SAMRAI's `ChopAndPackLoadBalancer`
-/// family): boxes are assigned in decreasing cell-count order to the
-/// currently least-loaded rank. Better worst-case balance than the SFC
-/// partitioner for wildly uneven box sizes, at the cost of spatial
-/// compactness (more halo neighbours per rank).
-///
-/// # Panics
-/// Panics if `nranks == 0`.
-pub fn partition_greedy(boxes: &[GBox], nranks: usize) -> Vec<usize> {
-    assert!(nranks > 0, "partition_greedy: need at least one rank");
-    let mut order: Vec<usize> = (0..boxes.len()).collect();
-    order.sort_by_key(|&i| (-boxes[i].num_cells(), i));
-    let mut load = vec![0i64; nranks];
-    let mut owners = vec![0usize; boxes.len()];
-    for &i in &order {
-        let rank = (0..nranks).min_by_key(|&r| (load[r], r)).expect("nranks > 0");
-        owners[i] = rank;
-        load[rank] += boxes[i].num_cells();
-    }
-    owners
-}
-
 /// Maximum over ranks of assigned cells divided by the ideal per-rank
 /// share — 1.0 is perfect balance. Used by tests and diagnostics.
 pub fn imbalance(boxes: &[GBox], owners: &[usize], nranks: usize) -> f64 {
@@ -210,32 +188,6 @@ mod tests {
             let bound = mine.iter().fold(GBox::EMPTY, |a, &b| a.bounding(b));
             let covered: i64 = mine.iter().map(|b| b.num_cells()).sum();
             assert_eq!(bound.num_cells(), covered, "rank {r} tiles not compact: {mine:?}");
-        }
-    }
-
-    #[test]
-    fn greedy_beats_sfc_on_uneven_boxes() {
-        // One big box and many small ones: greedy isolates the big box.
-        let mut boxes = tiles(3, 4);
-        boxes.push(GBox::from_coords(100, 100, 132, 132));
-        let sfc = imbalance(&boxes, &partition_sfc(&boxes, 3), 3);
-        let greedy = imbalance(&boxes, &partition_greedy(&boxes, 3), 3);
-        assert!(greedy <= sfc + 1e-12, "greedy {greedy} worse than sfc {sfc}");
-        // The big box's share is a hard floor for any partitioner.
-        let total: i64 = boxes.iter().map(|b| b.num_cells()).sum();
-        let floor = 1024.0 / (total as f64 / 3.0);
-        assert!(greedy >= floor - 1e-12);
-    }
-
-    #[test]
-    fn greedy_is_total_and_deterministic() {
-        let boxes = tiles(4, 8);
-        let a = partition_greedy(&boxes, 5);
-        let b = partition_greedy(&boxes, 5);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&o| o < 5));
-        for r in 0..5 {
-            assert!(a.contains(&r));
         }
     }
 }

@@ -1,9 +1,10 @@
 //! Host-memory patch data — the CPU baseline implementation.
 
+use crate::ops::{shared_source_box, CoarsenOperator, RefineOperator};
 use crate::patchdata::{copy_region, region_rows, validate_overlap, Element, PatchData};
 use crate::variable::{DataFactory, Variable};
 use bytes::Bytes;
-use rbamr_geometry::{BoxOverlap, Centring, GBox, IntVector};
+use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
 use rbamr_perfmodel::{Category, Clock, CostModel, KernelShape};
 use std::any::Any;
 use std::sync::Arc;
@@ -185,10 +186,39 @@ impl<T: Element> PatchData for HostData<T> {
         Bytes::from(out)
     }
 
-    fn extend_uncovered(&mut self, covered: &rbamr_geometry::BoxList) {
+    fn extend_uncovered(&mut self, covered: &BoxList) {
         for (t, s) in crate::patchdata::extension_pairs(self.data_box(), covered) {
             self.data[t] = self.data[s];
         }
+    }
+
+    fn refine_from(
+        &mut self,
+        op: &dyn RefineOperator,
+        src: &dyn PatchData,
+        fills: &BoxList,
+        ratio: IntVector,
+    ) {
+        // Unlike a copy or a pack, an operator charges the host clock
+        // nothing (here and in `coarsen_from`): the host placement's
+        // virtual time does not price interpolation.
+        let (src, dst) = (host(src), host_mut(self));
+        op.fill(&mut dst.data, dst.dbox, fills, &src.data, src.dbox, ratio);
+    }
+
+    fn coarsen_from(
+        &mut self,
+        op: &dyn CoarsenOperator,
+        src: &dyn PatchData,
+        aux: &[&dyn PatchData],
+        fills: &BoxList,
+        ratio: IntVector,
+    ) {
+        let sources = || std::iter::once(src).chain(aux.iter().copied());
+        let sbox = shared_source_box(op, sources().map(|s| s.data_box()));
+        let srcs: Vec<&[f64]> = sources().map(|s| host(s).as_slice()).collect();
+        let dst = host_mut(self);
+        op.fill(&mut dst.data, dst.dbox, fills, &srcs, sbox, ratio);
     }
 
     fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
@@ -203,6 +233,19 @@ impl<T: Element> PatchData for HostData<T> {
         }
         self.charge(overlap.num_values());
     }
+}
+
+/// The host `f64` data behind a placement-agnostic handle.
+///
+/// # Panics
+/// Panics if `d` is another placement's data or holds tags.
+fn host(d: &dyn PatchData) -> &HostData<f64> {
+    d.as_any().downcast_ref().expect("operator applied to data that is not host f64 data")
+}
+
+/// As [`host`], mutable.
+fn host_mut(d: &mut dyn PatchData) -> &mut HostData<f64> {
+    d.as_any_mut().downcast_mut().expect("operator applied to data that is not host f64 data")
 }
 
 /// Factory producing [`HostData<f64>`] for simulation variables — the

@@ -19,16 +19,15 @@
 //! * [`patchdata`] — the `PatchData` trait.
 //! * [`hostdata`] — host-memory array data for every centring.
 //! * [`patch`], [`level`], [`hierarchy`] — the mesh containers.
-//! * [`ops`] — refine/coarsen operator traits, the one row body per
-//!   operator that every placement runs (linear node refine,
-//!   conservative linear cell refine, injection, volume- and
-//!   mass-weighted coarsen) and the host operators over it.
+//! * [`ops`] — refine/coarsen operator traits and the one operator set
+//!   every placement runs (linear node refine, conservative linear cell
+//!   refine, injection, volume- and mass-weighted coarsen): each a name,
+//!   a stencil, a row body and a cost; the data runs it.
 //! * [`boundary`] — physical-boundary fill strategy.
 //! * [`schedule`] — ghost-fill (refine) and synchronisation (coarsen)
 //!   schedules, local and distributed.
 //! * [`transfer`] — schedule stages as job lists: what the batch entry
-//!   points of [`DataFactory`] and the operators' `*_many` methods
-//!   take.
+//!   points of [`DataFactory`] take.
 //! * [`tagging`] — tag buffers and the bitmap compression of
 //!   Section IV-C.
 //! * [`cluster`] — Berger–Rigoutsos point clustering.
@@ -76,8 +75,7 @@ pub use regrid::{
     try_refresh_partitioned_view, RegridError, RegridOutcome, RegridParams, Regridder,
 };
 pub use schedule::{
-    BuildStrategy, CoarsenSchedule, PendingFill, RefineSchedule, ScheduleBuild, ScheduleCache,
-    ScheduleError,
+    CoarsenSchedule, PendingFill, RefineSchedule, ScheduleBuild, ScheduleCache, ScheduleError,
 };
 pub use stats::{hierarchy_stats, HierarchyStats};
 pub use tagging::TagBitmap;

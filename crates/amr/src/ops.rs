@@ -2,12 +2,23 @@
 //! (fine → coarse).
 //!
 //! These traits reproduce SAMRAI's `RefineOperator` / `CoarsenOperator`
-//! interfaces (paper Section IV-B). The arithmetic of each operator is
-//! written once, as a row body in [`rows`]; the operator types here run
-//! it over `HostData`, and the `Device*` operators of `rbamr-gpu-amr`
-//! (the paper's claimed first data-parallel implementations) run the
-//! same body inside one device launch. Placements differ in where the
-//! data lives, never in what is computed.
+//! interfaces (paper Section IV-B). An operator is data: a name, a
+//! stencil, a `fill` that drives its row body from [`rows`] over the
+//! rows of a fill list, and the `(arrays, flops)` cost of one value.
+//! Where it runs is the data's business, with the per-item / per-stage
+//! split of every other data movement: [`PatchData::refine_from`] /
+//! [`PatchData::coarsen_from`] run one job, and
+//! [`DataFactory::refine_many`](crate::DataFactory::refine_many) /
+//! [`DataFactory::coarsen_many`](crate::DataFactory::coarsen_many) run a
+//! stage. `HostData` calls `fill` on its slices; the device data of
+//! `rbamr-gpu-amr` calls it inside one launch per stage (the paper's
+//! claimed first data-parallel implementations). So the one operator set
+//! serves every placement, and host = device holds by construction.
+//!
+//! Dispatch granularity: `fill` is the one dynamic call, once per job
+//! (one fill list); its loop calls the row body statically. A draft that
+//! crossed `dyn` once per *row* was bit-identical but cost 10-20 % on
+//! the 16 × 16-patch refine and coarsen probes.
 //!
 //! Index conventions: operators receive *data-space* fill boxes (already
 //! centring-adjusted). Reads outside the source's data box are clamped
@@ -15,76 +26,87 @@
 //! guarantees the source covers the coarsened fill region plus the
 //! stencil wherever coarse data exists.
 
-use crate::hostdata::HostData;
 use crate::patchdata::{region_rows, PatchData};
-use crate::transfer::{CoarsenJob, RefineJob, TransferCtx};
 use rbamr_geometry::{BoxList, GBox, IntVector};
-use rbamr_perfmodel::Category;
 
 /// Interpolate coarse data onto a finer level.
 pub trait RefineOperator: Send + Sync {
-    /// Operator name for diagnostics and registries.
+    /// Operator name for diagnostics, plan digests and schedule-cache
+    /// keys.
     fn name(&self) -> &'static str;
 
     /// Width (in coarse cells) of source data needed beyond the
     /// coarsened fill region.
     fn stencil_width(&self) -> IntVector;
 
-    /// Fill `fine_boxes` (fine data-space) of `dst` by interpolating
-    /// `src` (coarse data).
+    /// Fill `fills` (fine data space) of `dst`, laid out row-major over
+    /// `dbox`, by interpolating the coarse `src`, laid out over `sbox`.
     ///
     /// # Panics
-    /// Panics if data types or centrings are incompatible.
+    /// Panics if a fill box is not inside `dbox`.
+    fn fill(
+        &self,
+        dst: &mut [f64],
+        dbox: GBox,
+        fills: &BoxList,
+        src: &[f64],
+        sbox: GBox,
+        ratio: IntVector,
+    );
+
+    /// What one fine value costs a launch: `(arrays touched, flops)`.
+    fn cost(&self, ratio: IntVector) -> (u32, u32);
+
+    /// Fill `fine_boxes` of `dst` by interpolating `src`, wherever the
+    /// two live (see [`PatchData::refine_from`]).
     fn refine(
         &self,
         dst: &mut dyn PatchData,
         src: &dyn PatchData,
         fine_boxes: &BoxList,
         ratio: IntVector,
-    );
-
-    /// Run every job of one fill that uses this operator: scratch
-    /// `job.scratch` refined into the local patch `job.pos` of level
-    /// `level`, charging `category`. The default is the loop over
-    /// [`RefineOperator::refine`] in job order; a device operator
-    /// overrides it with one launch.
-    fn refine_many(
-        &self,
-        ctx: &mut TransferCtx<'_>,
-        level: usize,
-        jobs: &[RefineJob],
-        ratio: IntVector,
-        category: Category,
-    ) {
-        for job in jobs {
-            let fine = &mut ctx.hierarchy.level_mut(level).local_mut()[job.pos as usize];
-            let dst = fine.data_mut(job.var);
-            dst.set_transfer_category(category);
-            self.refine(dst, ctx.scratch[job.scratch as usize].as_ref(), &job.fill, ratio);
-        }
+    ) where
+        Self: Sized,
+    {
+        dst.refine_from(self, src, fine_boxes, ratio);
     }
 }
 
 /// Project fine data onto a coarser level.
 pub trait CoarsenOperator: Send + Sync {
-    /// Operator name for diagnostics and registries.
+    /// Operator name for diagnostics, plan digests and schedule-cache
+    /// keys.
     fn name(&self) -> &'static str;
 
     /// Auxiliary variables (by registry order chosen by the caller) the
     /// operator reads from the fine patch — e.g. mass-weighted
-    /// coarsening reads the fine density. Informational; the schedule
-    /// passes them in `aux`.
+    /// coarsening reads the fine density. The schedule passes them
+    /// after the variable.
     fn num_aux(&self) -> usize {
         0
     }
 
-    /// Fill `coarse_boxes` (coarse data-space) of `dst` from the fine
-    /// `src` (and `aux` data from the same fine patch).
+    /// Fill `fills` (coarse data space) of `dst`, laid out row-major
+    /// over `dbox`, from the fine `srcs` — the variable, then the
+    /// auxiliaries — all laid out over `sbox` (see [`shared_source_box`]).
     ///
     /// # Panics
-    /// Panics if data types or centrings are incompatible,
-    /// `aux.len() != self.num_aux()`, or `src` and `aux` are not all
-    /// laid out over one data box (see [`shared_source_box`]).
+    /// Panics if a fill box is not inside `dbox`.
+    fn fill(
+        &self,
+        dst: &mut [f64],
+        dbox: GBox,
+        fills: &BoxList,
+        srcs: &[&[f64]],
+        sbox: GBox,
+        ratio: IntVector,
+    );
+
+    /// What one coarse value costs a launch: `(arrays touched, flops)`.
+    fn cost(&self, ratio: IntVector) -> (u32, u32);
+
+    /// Fill `coarse_boxes` of `dst` from the fine `src` and `aux`,
+    /// wherever they live (see [`PatchData::coarsen_from`]).
     fn coarsen(
         &self,
         dst: &mut dyn PatchData,
@@ -92,41 +114,16 @@ pub trait CoarsenOperator: Send + Sync {
         aux: &[&dyn PatchData],
         coarse_boxes: &BoxList,
         ratio: IntVector,
-    );
-
-    /// Run every job of one synchronisation that uses this operator:
-    /// the local patch `job.pos` of level `fine_level` projected into
-    /// scratch `job.scratch`. The default is the loop over
-    /// [`CoarsenOperator::coarsen`] in job order; a device operator
-    /// overrides it with one launch.
-    fn coarsen_many(
-        &self,
-        ctx: &mut TransferCtx<'_>,
-        fine_level: usize,
-        jobs: &[CoarsenJob],
-        ratio: IntVector,
-    ) {
-        for job in jobs {
-            let fine = &ctx.hierarchy.level(fine_level).local()[job.pos as usize];
-            let aux: Vec<&dyn PatchData> = job.aux.iter().map(|&a| fine.data(a)).collect();
-            let dst = ctx.scratch[job.scratch as usize].as_mut();
-            self.coarsen(dst, fine.data(job.var), &aux, &job.fill, ratio);
-        }
+    ) where
+        Self: Sized,
+    {
+        dst.coarsen_from(self, src, aux, coarse_boxes, ratio);
     }
 }
 
-fn host(d: &dyn PatchData) -> &HostData<f64> {
-    d.as_any().downcast_ref().expect("host operator applied to non-host data")
-}
-
-fn host_mut(d: &mut dyn PatchData) -> &mut HostData<f64> {
-    d.as_any_mut().downcast_mut().expect("host operator applied to non-host data")
-}
-
-/// Row driver of every operator on every placement: for each row of
-/// each box of `fills`, in order, `row(out, at)` receives the fill's
-/// stretch of that row of an array laid out over `dbox` and the index
-/// `at` of `out[0]`.
+/// Row driver of every operator: for each row of each box of `fills`,
+/// in order, `row(out, at)` receives the fill's stretch of that row of
+/// an array laid out over `dbox` and the index `at` of `out[0]`.
 ///
 /// # Panics
 /// Panics if a fill box is not inside `dbox`.
@@ -143,54 +140,24 @@ pub fn each_row(
     }
 }
 
-/// The one data box the fine sources of a coarsen — the variable, then
-/// the operator's auxiliaries — are laid out over: the row bodies index
-/// all of them through it.
+/// The one data box the fine sources of a coarsen by `op` — the
+/// variable, then the operator's auxiliaries, given by their data boxes
+/// — are laid out over: the row bodies index all of them through it.
+/// Every placement checks its sources here.
 ///
 /// # Panics
-/// Panics, naming operator `op`, if the sources differ in layout.
-pub fn shared_source_box(op: &str, mut boxes: impl Iterator<Item = GBox>) -> GBox {
-    let first = boxes.next().expect("a coarsen has a source");
-    assert!(boxes.all(|b| b == first), "{op}: coarsen sources differ in layout");
-    first
-}
-
-/// A host refine: `row` over the fill rows of `HostData`.
-fn refine_host(
-    dst: &mut dyn PatchData,
-    src: &dyn PatchData,
-    fine_boxes: &BoxList,
-    ratio: IntVector,
-    row: impl Fn(&mut [f64], IntVector, &[f64], GBox, IntVector),
-) {
-    let (src, dst) = (host(src), host_mut(dst));
-    let (sbox, dbox) = (src.data_box(), dst.data_box());
-    each_row(dst.as_mut_slice(), dbox, fine_boxes, |out, at| {
-        row(out, at, src.as_slice(), sbox, ratio);
-    });
-}
-
-/// A host coarsen by operator `op`: `row` over the fill rows of
-/// `HostData`, reading `src` and then `aux`.
-fn coarsen_host(
-    op: &dyn CoarsenOperator,
-    dst: &mut dyn PatchData,
-    src: &dyn PatchData,
-    aux: &[&dyn PatchData],
-    coarse_boxes: &BoxList,
-    ratio: IntVector,
-    row: impl Fn(&mut [f64], IntVector, &[&[f64]], GBox, IntVector),
-) {
-    assert_eq!(aux.len(), op.num_aux(), "{}: wrong auxiliary data", op.name());
-    let srcs: Vec<&HostData<f64>> =
-        std::iter::once(src).chain(aux.iter().copied()).map(host).collect();
-    let sbox = shared_source_box(op.name(), srcs.iter().map(|s| s.data_box()));
-    let srcs: Vec<&[f64]> = srcs.iter().map(|s| s.as_slice()).collect();
-    let dst = host_mut(dst);
-    let dbox = dst.data_box();
-    each_row(dst.as_mut_slice(), dbox, coarse_boxes, |out, at| {
-        row(out, at, &srcs, sbox, ratio);
-    });
+/// Panics, naming the operator, if the sources differ in layout or are
+/// not `1 + op.num_aux()` of them.
+pub fn shared_source_box(op: &dyn CoarsenOperator, boxes: impl Iterator<Item = GBox>) -> GBox {
+    let mut shared = None;
+    let mut count = 0;
+    for b in boxes {
+        let first = *shared.get_or_insert(b);
+        assert!(b == first, "{}: coarsen sources differ in layout", op.name());
+        count += 1;
+    }
+    assert_eq!(count, 1 + op.num_aux(), "{}: wrong auxiliary data", op.name());
+    shared.expect("a coarsen has a source")
 }
 
 /// The arithmetic of every operator, written once. A refine body is
@@ -200,8 +167,8 @@ fn coarsen_host(
 /// variable, then the operator's auxiliaries, all laid out over `sbox` —
 /// and fills coarse values. Rows are independent (one logical thread per
 /// value in the paper's kernels), so a placement may run them in any
-/// order: [`each_row`] drives them over `HostData` here and inside the
-/// device launches of `rbamr-gpu-amr`.
+/// order: each operator's `fill` drives its body with [`each_row`], on
+/// `HostData` and inside the device launches of `rbamr-gpu-amr` alike.
 ///
 /// Each value's floating-point expression tree is frozen by
 /// `crates/gpu-amr/tests/op_bits.rs`. Only index work that does not vary
@@ -386,14 +353,20 @@ impl RefineOperator for LinearNodeRefine {
         IntVector::ONE
     }
 
-    fn refine(
+    fn fill(
         &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        fine_boxes: &BoxList,
-        ratio: IntVector,
+        dst: &mut [f64],
+        dbox: GBox,
+        fills: &BoxList,
+        src: &[f64],
+        sbox: GBox,
+        r: IntVector,
     ) {
-        refine_host(dst, src, fine_boxes, ratio, rows::linear_node);
+        each_row(dst, dbox, fills, |out, at| rows::linear_node(out, at, src, sbox, r));
+    }
+
+    fn cost(&self, _: IntVector) -> (u32, u32) {
+        (2, 10)
     }
 }
 
@@ -412,14 +385,20 @@ impl RefineOperator for ConservativeCellRefine {
         IntVector::ONE
     }
 
-    fn refine(
+    fn fill(
         &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        fine_boxes: &BoxList,
-        ratio: IntVector,
+        dst: &mut [f64],
+        dbox: GBox,
+        fills: &BoxList,
+        src: &[f64],
+        sbox: GBox,
+        r: IntVector,
     ) {
-        refine_host(dst, src, fine_boxes, ratio, rows::conservative_cell);
+        each_row(dst, dbox, fills, |out, at| rows::conservative_cell(out, at, src, sbox, r));
+    }
+
+    fn cost(&self, _: IntVector) -> (u32, u32) {
+        (2, 14)
     }
 }
 
@@ -437,14 +416,20 @@ impl RefineOperator for ConstantRefine {
         IntVector::ZERO
     }
 
-    fn refine(
+    fn fill(
         &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        fine_boxes: &BoxList,
-        ratio: IntVector,
+        dst: &mut [f64],
+        dbox: GBox,
+        fills: &BoxList,
+        src: &[f64],
+        sbox: GBox,
+        r: IntVector,
     ) {
-        refine_host(dst, src, fine_boxes, ratio, rows::constant);
+        each_row(dst, dbox, fills, |out, at| rows::constant(out, at, src, sbox, r));
+    }
+
+    fn cost(&self, _: IntVector) -> (u32, u32) {
+        (2, 2)
     }
 }
 
@@ -467,16 +452,20 @@ impl RefineOperator for LinearSideRefine {
         IntVector::ONE
     }
 
-    fn refine(
+    fn fill(
         &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        fine_boxes: &BoxList,
-        ratio: IntVector,
+        dst: &mut [f64],
+        dbox: GBox,
+        fills: &BoxList,
+        src: &[f64],
+        sbox: GBox,
+        r: IntVector,
     ) {
-        refine_host(dst, src, fine_boxes, ratio, |out, at, src, sbox, r| {
-            rows::linear_side(self.axis, out, at, src, sbox, r);
-        });
+        each_row(dst, dbox, fills, |out, at| rows::linear_side(self.axis, out, at, src, sbox, r));
+    }
+
+    fn cost(&self, _: IntVector) -> (u32, u32) {
+        (2, 6)
     }
 }
 
@@ -489,15 +478,20 @@ impl CoarsenOperator for NodeInjectionCoarsen {
         "node-injection-coarsen"
     }
 
-    fn coarsen(
+    fn fill(
         &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        aux: &[&dyn PatchData],
-        coarse_boxes: &BoxList,
-        ratio: IntVector,
+        dst: &mut [f64],
+        dbox: GBox,
+        fills: &BoxList,
+        srcs: &[&[f64]],
+        sbox: GBox,
+        r: IntVector,
     ) {
-        coarsen_host(self, dst, src, aux, coarse_boxes, ratio, rows::node_injection);
+        each_row(dst, dbox, fills, |out, at| rows::node_injection(out, at, srcs, sbox, r));
+    }
+
+    fn cost(&self, _: IntVector) -> (u32, u32) {
+        (2, 1)
     }
 }
 
@@ -513,15 +507,20 @@ impl CoarsenOperator for VolumeWeightedCoarsen {
         "volume-weighted-coarsen"
     }
 
-    fn coarsen(
+    fn fill(
         &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        aux: &[&dyn PatchData],
-        coarse_boxes: &BoxList,
-        ratio: IntVector,
+        dst: &mut [f64],
+        dbox: GBox,
+        fills: &BoxList,
+        srcs: &[&[f64]],
+        sbox: GBox,
+        r: IntVector,
     ) {
-        coarsen_host(self, dst, src, aux, coarse_boxes, ratio, rows::volume_weighted);
+        each_row(dst, dbox, fills, |out, at| rows::volume_weighted(out, at, srcs, sbox, r));
+    }
+
+    fn cost(&self, r: IntVector) -> (u32, u32) {
+        (2, (2 * r.x * r.y + 1) as u32)
     }
 }
 
@@ -541,15 +540,20 @@ impl CoarsenOperator for MassWeightedCoarsen {
         1
     }
 
-    fn coarsen(
+    fn fill(
         &self,
-        dst: &mut dyn PatchData,
-        src: &dyn PatchData,
-        aux: &[&dyn PatchData],
-        coarse_boxes: &BoxList,
-        ratio: IntVector,
+        dst: &mut [f64],
+        dbox: GBox,
+        fills: &BoxList,
+        srcs: &[&[f64]],
+        sbox: GBox,
+        r: IntVector,
     ) {
-        coarsen_host(self, dst, src, aux, coarse_boxes, ratio, rows::mass_weighted);
+        each_row(dst, dbox, fills, |out, at| rows::mass_weighted(out, at, srcs, sbox, r));
+    }
+
+    fn cost(&self, r: IntVector) -> (u32, u32) {
+        (3, (5 * r.x * r.y + 2) as u32)
     }
 }
 
@@ -557,6 +561,7 @@ impl CoarsenOperator for MassWeightedCoarsen {
 mod tests {
     use super::rows::minmod;
     use super::*;
+    use crate::hostdata::HostData;
     use rbamr_geometry::Centring;
 
     const R2: IntVector = IntVector::uniform(2);

@@ -1,7 +1,8 @@
 //! The `PatchData` interface (the paper's Figure 2).
 
+use crate::ops::{CoarsenOperator, RefineOperator};
 use bytes::Bytes;
-use rbamr_geometry::{BoxOverlap, Centring, GBox, IntVector};
+use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
 use rbamr_perfmodel::Category;
 use std::any::Any;
 use std::ops::Range;
@@ -101,7 +102,8 @@ impl std::error::Error for PatchDataError {}
 /// Everything the framework does with data goes through this interface:
 /// same-level copies (`copy`/`copy2` in the original), message packing
 /// and unpacking for MPI transfers (`packStream`/`unpackStream`,
-/// `getDataStreamSize`), and restart serialisation. Implementations
+/// `getDataStreamSize`), running an inter-level operator on the data,
+/// and restart serialisation. Implementations
 /// decide where the values live: [`HostData`](crate::HostData) keeps
 /// them in host memory; the `rbamr-gpu-amr` crate keeps them resident in
 /// (simulated) device memory and implements these methods with
@@ -186,13 +188,44 @@ pub trait PatchData: Send {
     /// coarse source exists): each uncovered index copies the value at
     /// its coordinates clamped into the covered bounding box. A no-op
     /// when `covered` is empty or covers the whole data box.
-    fn extend_uncovered(&mut self, covered: &rbamr_geometry::BoxList);
+    fn extend_uncovered(&mut self, covered: &BoxList);
+
+    /// Fill `fills` (fine data space) of `self` by interpolating the
+    /// coarse `src` with `op` — one job; a schedule stage goes through
+    /// [`DataFactory::refine_many`](crate::DataFactory::refine_many).
+    ///
+    /// # Panics
+    /// Panics if `src` or `self` is not `f64` data of this placement.
+    fn refine_from(
+        &mut self,
+        op: &dyn RefineOperator,
+        src: &dyn PatchData,
+        fills: &BoxList,
+        ratio: IntVector,
+    );
+
+    /// Fill `fills` (coarse data space) of `self` by projecting the fine
+    /// `src` with `op`, which also reads `aux` — one job; a stage goes
+    /// through [`DataFactory::coarsen_many`](crate::DataFactory::coarsen_many).
+    ///
+    /// # Panics
+    /// As [`PatchData::refine_from`], and as
+    /// [`shared_source_box`](crate::ops::shared_source_box) for the
+    /// sources.
+    fn coarsen_from(
+        &mut self,
+        op: &dyn CoarsenOperator,
+        src: &dyn PatchData,
+        aux: &[&dyn PatchData],
+        fills: &BoxList,
+        ratio: IntVector,
+    );
 }
 
 /// Compute the (target, source) index pairs for
 /// [`PatchData::extend_uncovered`]: pure index arithmetic shared by the
 /// host and device implementations.
-pub fn extension_pairs(data_box: GBox, covered: &rbamr_geometry::BoxList) -> Vec<(usize, usize)> {
+pub fn extension_pairs(data_box: GBox, covered: &BoxList) -> Vec<(usize, usize)> {
     if covered.is_empty() {
         return Vec::new();
     }
@@ -345,7 +378,7 @@ mod tests {
     #[should_panic(expected = "outside destination")]
     fn validate_overlap_rejects_escapes() {
         let ov = BoxOverlap {
-            dst_boxes: rbamr_geometry::BoxList::from_box(GBox::from_coords(0, 0, 9, 9)),
+            dst_boxes: BoxList::from_box(GBox::from_coords(0, 0, 9, 9)),
             shift: IntVector::ZERO,
             centring: Centring::Cell,
         };

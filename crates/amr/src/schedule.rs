@@ -26,12 +26,13 @@
 //! validated and message offsets prefix-summed once, so executing a
 //! schedule does no box calculus and no searching. Each stage hands its
 //! whole job list to the placement through the [`DataFactory`] batch
-//! entry points and the operators' `*_many` methods; the schedules
-//! themselves never ask where the data lives.
+//! entry points — interpolation and projection included, with the
+//! operator as an argument; the schedules themselves never ask where the
+//! data lives.
 //!
-//! [`ScheduleBuild`] is the sanctioned build entry point: it selects the
-//! overlap-discovery strategy ([`BuildStrategy`]) and optionally routes
-//! the build through a [`ScheduleCache`], which keys finished schedules
+//! [`ScheduleBuild`] is the sanctioned build entry point: indexed
+//! overlap discovery over the level's records, optionally routed
+//! through a [`ScheduleCache`], which keys finished schedules
 //! on the level-structure digests and a spec fingerprint so a regrid
 //! that reproduces the previous box structure (the common case once the
 //! hierarchy converges) reuses the schedules instead of rebuilding them.
@@ -191,26 +192,6 @@ fn specs_fingerprint<T: std::hash::Hash>(specs: &[T]) -> u64 {
     h.finish()
 }
 
-/// How a schedule's overlap discovery runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BuildStrategy {
-    /// Morton [`BoxIndex`] discovery, O(N log N + k) — the production
-    /// path over replicated metadata.
-    Indexed,
-    /// All-pairs O(N²) scan. Retained purely as the property-test
-    /// oracle; never cached.
-    BruteForceOracle,
-    /// Owner-computes planning over partitioned level views: the same
-    /// indexed discovery, but iterating only the records this rank
-    /// retains (owned + interest neighborhood), so each rank plans only
-    /// transfers it owns an endpoint of. Requires the hierarchy's
-    /// levels to hold partitioned views (a replicated level simply
-    /// degenerates to [`BuildStrategy::Indexed`]). Cached like the
-    /// indexed build: view digests equal replicated digests, so keys
-    /// agree across modes.
-    Partitioned,
-}
-
 /// Identity of a cached schedule: the level structures it was planned
 /// against, the spec set, and the rank (plans are rank-relative — they
 /// split into copies vs sends vs recvs by owner comparison).
@@ -319,24 +300,26 @@ impl ScheduleCache {
     }
 }
 
-/// The sanctioned schedule-build entry point: strategy selection plus
-/// the cache hook.
+/// The sanctioned schedule-build entry point: Morton [`BoxIndex`]
+/// discovery, O(N log N + k), plus the cache hook.
 ///
 /// ```ignore
 /// let mut cache = ScheduleCache::new();
 /// let sched = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &specs);
 /// ```
 ///
-/// Cache lookups are attempted for [`BuildStrategy::Indexed`] and
-/// [`BuildStrategy::Partitioned`]; the brute-force oracle always builds
-/// fresh (its point is to be an independent reference).
+/// Discovery iterates the level's records: all of them over replicated
+/// metadata, the owned + interest neighbourhood of a partitioned view —
+/// where each rank then plans only transfers it owns an endpoint of.
+/// View digests equal replicated digests, so cache keys agree across
+/// metadata modes. The all-pairs oracle
+/// ([`RefineSchedule::new_bruteforce`]) never goes through here, so it
+/// is never cached.
 ///
 /// One value is one build *pass*: the fill geometry of a level is
 /// walked once per class of variables and shared by
 /// every fill schedule the pass builds, and is dropped with the value.
 pub struct ScheduleBuild<'c> {
-    /// Overlap-discovery strategy.
-    pub strategy: BuildStrategy,
     /// When set, built schedules are cached and structure-preserving
     /// rebuilds become `Arc` clones.
     pub cache: Option<&'c mut ScheduleCache>,
@@ -346,12 +329,7 @@ pub struct ScheduleBuild<'c> {
 impl ScheduleBuild<'static> {
     /// Indexed build, no caching.
     pub fn indexed() -> Self {
-        Self::new(BuildStrategy::Indexed)
-    }
-
-    /// A specific strategy, no caching.
-    pub fn new(strategy: BuildStrategy) -> Self {
-        Self { strategy, cache: None, memo: GeometryMemo::default() }
+        Self { cache: None, memo: GeometryMemo::default() }
     }
 }
 
@@ -364,10 +342,6 @@ impl<'c> ScheduleBuild<'c> {
         Self { cache: Some(cache), ..ScheduleBuild::indexed() }
     }
 
-    fn indexed_discovery(&self) -> bool {
-        matches!(self.strategy, BuildStrategy::Indexed | BuildStrategy::Partitioned)
-    }
-
     /// Build (or fetch) the ghost-fill schedule for `level_no`.
     pub fn refine(
         &mut self,
@@ -376,8 +350,7 @@ impl<'c> ScheduleBuild<'c> {
         level_no: usize,
         specs: &[FillSpec],
     ) -> Arc<RefineSchedule> {
-        let key = (self.cache.is_some() && self.indexed_discovery())
-            .then(|| ScheduleKey::refine(hierarchy, level_no, specs));
+        let key = self.cache.is_some().then(|| ScheduleKey::refine(hierarchy, level_no, specs));
         if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
             if let Some(hit) = cache.refine.get(&key) {
                 cache.hits += 1;
@@ -390,7 +363,7 @@ impl<'c> ScheduleBuild<'c> {
             registry,
             level_no,
             specs,
-            self.indexed_discovery(),
+            true,
             &mut self.memo,
         ));
         if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
@@ -413,8 +386,8 @@ impl<'c> ScheduleBuild<'c> {
         fine_level_no: usize,
         specs: &[CoarsenSpec],
     ) -> Arc<CoarsenSchedule> {
-        let key = (self.cache.is_some() && self.indexed_discovery())
-            .then(|| ScheduleKey::coarsen(hierarchy, fine_level_no, specs));
+        let key =
+            self.cache.is_some().then(|| ScheduleKey::coarsen(hierarchy, fine_level_no, specs));
         if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
             if let Some(hit) = cache.coarsen.get(&key) {
                 cache.hits += 1;
@@ -422,13 +395,8 @@ impl<'c> ScheduleBuild<'c> {
                 return Arc::clone(hit);
             }
         }
-        let built = Arc::new(CoarsenSchedule::build(
-            hierarchy,
-            registry,
-            fine_level_no,
-            specs,
-            self.indexed_discovery(),
-        ));
+        let built =
+            Arc::new(CoarsenSchedule::build(hierarchy, registry, fine_level_no, specs, true));
         if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
             cache.misses += 1;
             count_if_enabled(hierarchy, "schedule.cache_misses");
@@ -590,8 +558,7 @@ impl RefineSchedule {
     /// Build the schedule with the all-pairs O(N²) scan the indexed
     /// build replaced. Retained as the test oracle: the proptests
     /// assert [`RefineSchedule::plan_digest`] is identical for both
-    /// builds on arbitrary hierarchies. Thin wrapper over
-    /// [`BuildStrategy::BruteForceOracle`].
+    /// builds on arbitrary hierarchies. Never cached.
     pub fn new_bruteforce(
         hierarchy: &PatchHierarchy,
         registry: &VariableRegistry,
@@ -1518,7 +1485,7 @@ impl PendingFill<'_> {
         //    step rolls back anyway.)
         self.factory.extend_many(ctx.scratch, &sched.covered);
         for (op, jobs) in &sched.refines {
-            op.refine_many(&mut ctx, sched.level_no, jobs, ratio, category);
+            self.factory.refine_many(&mut ctx, op.as_ref(), sched.level_no, jobs, ratio, category);
         }
         self.first_err.take().or(received).map_or(Ok(()), Err)
     }
@@ -1839,7 +1806,7 @@ impl CoarsenSchedule {
         // deterministic; a pack fault leaves zeros of the exact size,
         // see `begin_inner`).
         for (op, jobs) in &self.projects {
-            op.coarsen_many(&mut ctx, self.fine_level_no, jobs, ratio);
+            factory.coarsen_many(&mut ctx, op.as_ref(), self.fine_level_no, jobs, ratio);
         }
         let tag = agg_tag(KIND_AGG_SYNC, self.fine_level_no);
         let mut packed = None;
@@ -2234,20 +2201,6 @@ mod tests {
         // What fell out of use is built again.
         let _rebuilt = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &with_op);
         assert_eq!((cache.hits(), cache.misses()), (1, 4));
-    }
-
-    #[test]
-    fn bruteforce_oracle_bypasses_the_cache() {
-        let (h, reg, var) = two_level_setup();
-        let specs = [FillSpec { var, refine_op: None }];
-        let mut cache = ScheduleCache::new();
-        let mut build = ScheduleBuild::with_cache(&mut cache);
-        build.strategy = BuildStrategy::BruteForceOracle;
-        let a = build.refine(&h, &reg, 0, &specs);
-        let bsched = build.refine(&h, &reg, 0, &specs);
-        assert!(!Arc::ptr_eq(&a, &bsched));
-        assert!(cache.is_empty());
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]

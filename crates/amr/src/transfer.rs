@@ -8,11 +8,11 @@
 //! in the peer's aggregated stream.
 //! Executing a stage is then one call handing the whole job list to the
 //! placement: the [`DataFactory`](crate::DataFactory) batch entry
-//! points (`copy_many`, `pack_many`, `unpack_batch`, `extend_many`) and
-//! the operators' `refine_many` / `coarsen_many`. Their default bodies
-//! loop the per-item [`PatchData`] methods in job order — the host
-//! placement, charge for charge; a device factory overrides them with
-//! one fused launch per call, driven by the same job list.
+//! points (`copy_many`, `pack_many`, `unpack_batch`, `extend_many`,
+//! `refine_many`, `coarsen_many`). Their default bodies loop the
+//! per-item [`PatchData`] methods in job order — the host placement,
+//! charge for charge; a device factory overrides them with one fused
+//! launch per call, driven by the same job list.
 //!
 //! Jobs carry positions, not references, so a placement may defer them
 //! (see [`UnpackBatch`]) without holding borrows of the hierarchy; a

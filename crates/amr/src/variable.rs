@@ -1,7 +1,10 @@
 //! Variables and data factories.
 
+use crate::ops::{CoarsenOperator, RefineOperator};
 use crate::patchdata::{PatchData, PatchDataError};
-use crate::transfer::{CopyJob, EagerUnpack, PeerStream, StreamJob, TransferCtx, UnpackBatch};
+use crate::transfer::{
+    CoarsenJob, CopyJob, EagerUnpack, PeerStream, RefineJob, StreamJob, TransferCtx, UnpackBatch,
+};
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
 use rbamr_perfmodel::Category;
@@ -37,10 +40,11 @@ pub struct Variable {
 /// entire difference between the paper's CPU and GPU builds of
 /// CleverLeaf (Figure 6).
 ///
-/// The factory is also where a schedule stage enters the placement: the
-/// batch methods below take a stage's whole job list (see
-/// [`crate::transfer`]). Each default body is the loop over the
-/// per-item [`PatchData`] method in job order, so a factory that
+/// The factory is also where every schedule stage enters the placement:
+/// the batch methods below take a stage's whole job list (see
+/// [`crate::transfer`]) — copies, packs, unpacks, scratch extension and
+/// the inter-level operators alike. Each default body is the loop over
+/// the per-item [`PatchData`] method in job order, so a factory that
 /// overrides nothing moves data exactly as per-item calls would, charge
 /// for charge; a factory whose data lives on a device overrides them
 /// with one fused launch (and one PCIe transfer per stage) per call.
@@ -101,6 +105,45 @@ pub trait DataFactory: Send + Sync {
     fn extend_many(&self, scratch: &mut [Box<dyn PatchData>], covered: &[BoxList]) {
         for (scratch, covered) in scratch.iter_mut().zip(covered) {
             scratch.extend_uncovered(covered);
+        }
+    }
+
+    /// Run every job of one fill that uses `op`: scratch `job.scratch`
+    /// refined into the local patch `job.pos` of level `level`, charging
+    /// `category`.
+    fn refine_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        op: &dyn RefineOperator,
+        level: usize,
+        jobs: &[RefineJob],
+        ratio: IntVector,
+        category: Category,
+    ) {
+        for job in jobs {
+            let fine = &mut ctx.hierarchy.level_mut(level).local_mut()[job.pos as usize];
+            let dst = fine.data_mut(job.var);
+            dst.set_transfer_category(category);
+            dst.refine_from(op, ctx.scratch[job.scratch as usize].as_ref(), &job.fill, ratio);
+        }
+    }
+
+    /// Run every job of one synchronisation that uses `op`: the local
+    /// patch `job.pos` of level `fine_level` projected into scratch
+    /// `job.scratch` (which carries the category).
+    fn coarsen_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        op: &dyn CoarsenOperator,
+        fine_level: usize,
+        jobs: &[CoarsenJob],
+        ratio: IntVector,
+    ) {
+        for job in jobs {
+            let fine = &ctx.hierarchy.level(fine_level).local()[job.pos as usize];
+            let aux: Vec<&dyn PatchData> = job.aux.iter().map(|&a| fine.data(a)).collect();
+            let dst = ctx.scratch[job.scratch as usize].as_mut();
+            dst.coarsen_from(op, fine.data(job.var), &aux, &job.fill, ratio);
         }
     }
 

@@ -15,9 +15,9 @@ use rbamr_amr::regrid::{CellTagger, TransferSpec};
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::tagging::TagBitmap;
 use rbamr_amr::{
-    interest_for_level, view_from_global, BuildStrategy, CoarsenSchedule, GridGeometry,
-    HostDataFactory, InterestMargins, MetadataMode, PatchHierarchy, RefineSchedule, RegridParams,
-    Regridder, ScheduleBuild, VariableRegistry,
+    interest_for_level, view_from_global, CoarsenSchedule, GridGeometry, HostDataFactory,
+    InterestMargins, MetadataMode, PatchHierarchy, RefineSchedule, RegridParams, Regridder,
+    ScheduleBuild, VariableRegistry,
 };
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
 use rbamr_netsim::Cluster;
@@ -154,7 +154,7 @@ proptest! {
                 FillSpec { var: qc, refine_op: Some(Arc::new(ConservativeCellRefine)) },
                 FillSpec { var: qn, refine_op: Some(Arc::new(LinearNodeRefine)) },
             ];
-            let mut part_build = ScheduleBuild::new(BuildStrategy::Partitioned);
+            let mut part_build = ScheduleBuild::indexed();
             for level_no in 0..levels.len() {
                 let indexed = RefineSchedule::new(&h_rep, &reg, level_no, &fills);
                 let oracle = RefineSchedule::new_bruteforce(&h_rep, &reg, level_no, &fills);
@@ -279,9 +279,7 @@ fn regrids_keep_partitioned_twin_identical() {
                     .collect();
                 let part_plans: Vec<Vec<String>> = (0..h_part.num_levels())
                     .map(|l| {
-                        ScheduleBuild::new(BuildStrategy::Partitioned)
-                            .refine(&h_part, &reg, l, &fills)
-                            .plan_digest()
+                        ScheduleBuild::indexed().refine(&h_part, &reg, l, &fills).plan_digest()
                     })
                     .collect();
                 assert_eq!(plans, part_plans, "post-regrid plan digests");

@@ -2,14 +2,17 @@
 //! regridding run moves, as absolute bits.
 //!
 //! The two `regrid_digests` decks (`crates/hydro/tests/regrid_decks`)
-//! are run on the host placement at 1, 2 and 4 ranks under replicated
-//! and partitioned metadata. After every regrid each rank renders
+//! are run on the host and the device placement at 1, 2 and 4 ranks
+//! under replicated and partitioned metadata. After every regrid each
+//! rank renders
 //! [`rbamr_amr::RefineSchedule::plan_digest`] /
 //! [`rbamr_amr::CoarsenSchedule::plan_digest`] of every schedule the
 //! integrator holds — per level the seven fills in the order it looks
 //! them up, then the syncs — and the lines of all ranks, in rank order,
-//! are hashed with FNV-1a. Both metadata modes must produce the one
-//! sequence in [`FROZEN`] for their rank count.
+//! are hashed with FNV-1a. Both placements and both metadata modes must
+//! produce the one sequence in [`FROZEN`] for their rank count: one
+//! operator set serves every placement, so a plan — which names its
+//! operators — cannot tell where the data lives.
 //!
 //! The constants were recorded at commit 5833799, from the build that
 //! walked every record of a level once per variable. A plan digest is
@@ -38,9 +41,9 @@ fn fnv1a<'a>(hash: u64, lines: impl IntoIterator<Item = &'a String>) -> u64 {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One hash per regrid: every schedule of every rank, in rank order.
-fn run(deck: Deck, ranks: usize, mode: MetadataMode) -> Vec<u64> {
+fn run(deck: Deck, ranks: usize, placement: Placement, mode: MetadataMode) -> Vec<u64> {
     let results = Cluster::new(Machine::ipa_gpu()).run(ranks, move |comm| {
-        let mut sim = deck.sim(Placement::Host, mode, &comm);
+        let mut sim = deck.sim(placement, mode, &comm);
         let comm = (comm.size() > 1).then_some(&comm);
         sim.initialize(comm);
         let mut after = Vec::new();
@@ -170,16 +173,19 @@ fn plans_after_every_regrid_match_the_frozen_digests() {
     // Every cell runs before the verdict, so one failure prints all
     // that moved, in the form of `FROZEN`.
     let mut moved = String::new();
+    let cells = [Placement::Host, Placement::Device].into_iter().flat_map(|placement| {
+        [MetadataMode::Replicated, MetadataMode::Partitioned].map(|mode| (placement, mode))
+    });
     for (deck, ranks, frozen) in FROZEN {
-        for mode in [MetadataMode::Replicated, MetadataMode::Partitioned] {
-            let measured = run(deck, ranks, mode);
+        for (placement, mode) in cells.clone() {
+            let measured = run(deck, ranks, placement, mode);
             if measured != frozen {
                 let hex = |h: &u64| {
                     let h = format!("{h:016x}");
                     format!("0x{}_{}_{}_{}", &h[..4], &h[4..8], &h[8..12], &h[12..])
                 };
                 let row = measured.iter().map(hex).collect::<Vec<_>>().join(", ");
-                moved += &format!("{mode:?}: (Deck::{deck:?}, {ranks}, [{row}]),\n");
+                moved += &format!("{placement:?} {mode:?}: (Deck::{deck:?}, {ranks}, [{row}]),\n");
             }
         }
     }

@@ -35,9 +35,7 @@
 use rbamr_amr::ops::ConservativeCellRefine;
 use rbamr_amr::partition::RECORD_BYTES;
 use rbamr_amr::schedule::FillSpec;
-use rbamr_amr::{
-    partition_hierarchy_metadata, BuildStrategy, InterestMargins, RefineSchedule, ScheduleBuild,
-};
+use rbamr_amr::{partition_hierarchy_metadata, InterestMargins, RefineSchedule, ScheduleBuild};
 use rbamr_bench::{path_arg, schedule_bench_hierarchy, schedule_bench_hierarchy_sfc, sod_config};
 use rbamr_hydro::{HydroSim, Placement};
 use rbamr_netsim::Cluster;
@@ -225,8 +223,7 @@ fn partitioned_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
                 partition_hierarchy_metadata(&mut h_part, InterestMargins::default(), Some(&comm));
                 let specs = [FillSpec { var, refine_op: Some(Arc::new(ConservativeCellRefine)) }];
                 for level in 0..2 {
-                    let part = ScheduleBuild::new(BuildStrategy::Partitioned)
-                        .refine(&h_part, &reg, level, &specs);
+                    let part = ScheduleBuild::indexed().refine(&h_part, &reg, level, &specs);
                     let indexed = RefineSchedule::new(&h_rep, &reg, level, &specs);
                     assert_eq!(
                         part.plan_digest(),
@@ -243,7 +240,7 @@ fn partitioned_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
                     RefineSchedule::new(&h_rep, &reg, 1, &specs);
                 });
                 let partitioned_ns = median_ns(reps, || {
-                    ScheduleBuild::new(BuildStrategy::Partitioned).refine(&h_part, &reg, 1, &specs);
+                    ScheduleBuild::indexed().refine(&h_part, &reg, 1, &specs);
                 });
                 let part_bytes: usize = (0..2)
                     .map(|l| h_part.level(l).view().expect("partitioned view").metadata_bytes())

@@ -1,13 +1,16 @@
 //! Device-resident patch data — the `CudaArrayData`/`CudaCellData`/
 //! `CudaNodeData`/`CudaSideData` family (paper Figure 3).
 
+use crate::ops::{launch_coarsen, launch_refine, CoarsenVisit, RefineVisit};
 use bytes::Bytes;
+use rbamr_amr::ops::{CoarsenOperator, RefineOperator};
 use rbamr_amr::patchdata::{
     copy_region, extension_pairs, pack_region, unpack_region, validate_overlap, Element, PatchData,
     PatchDataError,
 };
 use rbamr_amr::transfer::{
-    CopyJob, PeerStream, StreamJob, TransferCtx, UnpackBatch, STREAM_VALUE_BYTES,
+    CoarsenJob, CopyJob, PeerStream, RefineJob, StreamJob, TransferCtx, UnpackBatch,
+    STREAM_VALUE_BYTES,
 };
 use rbamr_amr::variable::{DataFactory, Variable};
 use rbamr_device::memory::DeviceCopy;
@@ -39,16 +42,20 @@ impl DeviceElement for i32 {}
 ///   (Figure 4); SAMRAI (the `amr` crate here) then handles MPI.
 /// * `unpack` — one H2D transfer of the packed buffer, then a
 ///   data-parallel unpack kernel.
+/// * `refine_from` / `coarsen_from` — any `rbamr_amr` operator inside
+///   one `refine-interp` / `coarsen-project` launch.
 ///
 /// Each of these is a *batch of one* through the fused kernels of this
-/// module (`launch_copy`, `pack_message`, `unpack_message`,
-/// `launch_extend`). The schedules do not call them per overlap: they
+/// module and [`crate::ops`] (`launch_copy`, `pack_message`,
+/// `unpack_message`, `launch_extend`, `launch_refine`,
+/// `launch_coarsen`). The schedules do not call them per overlap: they
 /// hand whole stages to [`DeviceDataFactory`], which runs the same
 /// kernels once per stage — one `copy-region` launch per job list, one
 /// `pack` launch and one D2H for all of a stage's outgoing messages, one
-/// H2D and one `unpack` launch for all it received. A regrid's solution
-/// transfer is such a schedule too. The per-item methods remain for the callers
-/// that move one region at a time (checkpoints, digests).
+/// H2D and one `unpack` launch for all it received, one interpolation or
+/// projection launch per operator. A regrid's solution transfer is such
+/// a schedule too. The per-item methods remain for the callers that move
+/// one region at a time (checkpoints, digests, probes).
 ///
 /// Host code cannot touch the values: reads outside kernels are a
 /// compile error (no [`Kernel`](rbamr_device::Kernel) token), which is
@@ -465,6 +472,33 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
     fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
         self.unpack_impl(overlap, stream, false).expect("latching device ops return no error")
     }
+
+    fn refine_from(
+        &mut self,
+        op: &dyn RefineOperator,
+        src: &dyn PatchData,
+        fills: &BoxList,
+        ratio: IntVector,
+    ) {
+        let (dst, src) = (device_mut(self), device_ref(src));
+        launch_refine(op, &mut |visit| visit(dst, src, fills), ratio);
+    }
+
+    fn coarsen_from(
+        &mut self,
+        op: &dyn CoarsenOperator,
+        src: &dyn PatchData,
+        aux: &[&dyn PatchData],
+        fills: &BoxList,
+        ratio: IntVector,
+    ) {
+        let (dst, src) = (device_mut(self), device_ref(src));
+        launch_coarsen(
+            op,
+            &mut |visit| visit(dst, src, &mut aux.iter().map(|&a| device_ref(a)), fills),
+            ratio,
+        );
+    }
 }
 
 /// Factory producing [`DeviceData<f64>`] for simulation variables — the
@@ -475,7 +509,9 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
 ///
 /// It is also where a schedule stage becomes fused device work: every
 /// batch entry point of [`DataFactory`] is overridden with one launch
-/// per call on the factory's transfer stream, and a stage's messages
+/// per call (copies, packs, unpacks and scratch extension on the
+/// factory's transfer stream; interpolation and projection where the
+/// first job's destination lives), and a stage's messages
 /// cross PCIe together — every peer's, back to back in peer order, in
 /// one transfer — through one persistent, grow-only device buffer: the
 /// simulated device is synchronous, so the buffer is free again as soon
@@ -497,7 +533,7 @@ pub struct DeviceDataFactory {
 ///
 /// # Panics
 /// Panics if the data is not `DeviceData<f64>` — a device factory or
-/// operator was handed another placement's data.
+/// device data was handed another placement's data.
 pub(crate) fn device_ref(d: &dyn PatchData) -> &DeviceData<f64> {
     d.as_any().downcast_ref().expect("device transfer applied to non-device data")
 }
@@ -613,6 +649,46 @@ impl DataFactory for DeviceDataFactory {
                 extend(device_mut(scratch.as_mut()), pairs);
             }
         });
+    }
+
+    fn refine_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        op: &dyn RefineOperator,
+        level: usize,
+        jobs: &[RefineJob],
+        ratio: IntVector,
+        category: Category,
+    ) {
+        let mut each = |visit: &mut RefineVisit<'_>| {
+            for job in jobs {
+                let fine = &mut ctx.hierarchy.level_mut(level).local_mut()[job.pos as usize];
+                let dst = fine.data_mut(job.var);
+                dst.set_transfer_category(category);
+                let src = ctx.scratch[job.scratch as usize].as_ref();
+                visit(device_mut(dst), device_ref(src), &job.fill);
+            }
+        };
+        launch_refine(op, &mut each, ratio);
+    }
+
+    fn coarsen_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        op: &dyn CoarsenOperator,
+        fine_level: usize,
+        jobs: &[CoarsenJob],
+        ratio: IntVector,
+    ) {
+        let mut each = |visit: &mut CoarsenVisit<'_>| {
+            for job in jobs {
+                let fine = &ctx.hierarchy.level(fine_level).local()[job.pos as usize];
+                let aux = &mut job.aux.iter().map(|&a| device_ref(fine.data(a)));
+                let dst = device_mut(ctx.scratch[job.scratch as usize].as_mut());
+                visit(dst, device_ref(fine.data(job.var)), aux, &job.fill);
+            }
+        };
+        launch_coarsen(op, &mut each, ratio);
     }
 
     fn upload_descriptors(

@@ -9,22 +9,25 @@
 //!   so that "simulation data is stored in GPU memory at all times" and
 //!   only packed halo buffers, compressed tag bitmaps and scalars cross
 //!   the PCIe bus.
-//! * **geom** ([`ops`]) — the data-parallel coarsen and refine
-//!   operators: linear node refine (Figure 5), conservative linear
-//!   cell/side refine, node injection, and the volume- and mass-weighted
-//!   coarsen kernels (Figures 7 and 8) the paper claims as the first
-//!   data-parallel implementations.
+//! * **geom** ([`ops`]) — the two launches that run the coarsen and
+//!   refine operators data-parallel: linear node refine (Figure 5),
+//!   conservative linear cell/side refine, node injection, and the
+//!   volume- and mass-weighted coarsen kernels (Figures 7 and 8) the
+//!   paper claims as the first data-parallel implementations.
 //!
 //! [`tags`] holds the flag-compression path of Section IV-C (int tags →
 //! bitmaps → a single `tagged` flag when nothing is set).
 //!
-//! Neither package has arithmetic of its own: the operator row bodies
-//! (`rbamr_amr::ops::rows`) and the Figure 4 copy / pack / unpack region
-//! kernels (`rbamr_amr::patchdata`) are written once in `rbamr-amr`, and
-//! this crate runs those bodies on device buffers inside launches. Host
-//! and device results are equal by construction; `tests/op_bits.rs`
-//! freezes the bits and `tests/op_equivalence_prop.rs` checks the
-//! launch plumbing around them.
+//! Neither package has arithmetic or operators of its own: the one
+//! operator set (`rbamr_amr::ops`) and the Figure 4 copy / pack / unpack
+//! region kernels (`rbamr_amr::patchdata`) are written once in
+//! `rbamr-amr`, and this crate runs them on device buffers inside
+//! launches — one job through `DeviceData`'s `PatchData` methods, one
+//! stage through `DeviceDataFactory`'s `DataFactory` methods. Host and
+//! device results are equal by construction; `tests/op_bits.rs` freezes
+//! the bits and `tests/op_equivalence_prop.rs` checks the launch
+//! plumbing around them. ([`ops`] re-exports two operators under their
+//! old `Device*` names for the frozen `benchmarks/` package.)
 
 pub mod batch;
 pub mod data;

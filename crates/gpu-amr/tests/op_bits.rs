@@ -1,6 +1,7 @@
 //! Frozen bits of every data operator: the seven inter-level operators
 //! and `copy_from` / `pack` / `unpack`, as FNV-1a constants over what
-//! they leave behind, asserted for the host *and* the device placement.
+//! they leave behind, asserted for the one operator set on host *and*
+//! device data.
 //!
 //! The constants were recorded from the host bodies at commit `20cd00f`
 //! (identical in the dev and release profiles). They are the oracle for
@@ -9,15 +10,17 @@
 //! here by operator, ratio and fill list. Never edit a constant for a
 //! restructuring or a speed-up.
 
-use rbamr_amr::ops as host_ops;
-use rbamr_amr::ops::{CoarsenOperator, RefineOperator};
+use rbamr_amr::ops::{
+    CoarsenOperator, ConservativeCellRefine, ConstantRefine, LinearNodeRefine, LinearSideRefine,
+    MassWeightedCoarsen, NodeInjectionCoarsen, RefineOperator, VolumeWeightedCoarsen,
+};
 use rbamr_amr::patchdata::PatchData;
 use rbamr_amr::HostData;
 use rbamr_device::Device;
 use rbamr_geometry::digest::Fnv64;
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
 use rbamr_gpu_amr::data::DeviceElement;
-use rbamr_gpu_amr::{ops as dev_ops, DeviceData};
+use rbamr_gpu_amr::DeviceData;
 use rbamr_perfmodel::Category;
 
 /// One row per operator and ratio; the columns are the fill lists of
@@ -124,7 +127,7 @@ fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
     h.finish()
 }
 
-/// Where the arrays of a case live, and whose operators run on them.
+/// Where the arrays of a case live.
 enum Placement {
     Host,
     Device(Device),
@@ -173,59 +176,23 @@ impl Placement {
         };
         digest(values.into_iter().map(Bits::bits))
     }
-
-    /// The operators of [`REFINE_ROWS`], in its order.
-    fn refine_ops(&self) -> [Box<dyn RefineOperator>; 5] {
-        match self {
-            Placement::Host => [
-                Box::new(host_ops::LinearNodeRefine),
-                Box::new(host_ops::ConservativeCellRefine),
-                Box::new(host_ops::ConstantRefine),
-                Box::new(host_ops::LinearSideRefine { axis: 0 }),
-                Box::new(host_ops::LinearSideRefine { axis: 1 }),
-            ],
-            Placement::Device(_) => [
-                Box::new(dev_ops::DeviceLinearNodeRefine),
-                Box::new(dev_ops::DeviceConservativeCellRefine),
-                Box::new(dev_ops::DeviceConstantRefine),
-                Box::new(dev_ops::DeviceLinearSideRefine { axis: 0 }),
-                Box::new(dev_ops::DeviceLinearSideRefine { axis: 1 }),
-            ],
-        }
-    }
-
-    /// The operators of [`COARSEN_ROWS`], in its order.
-    fn coarsen_ops(&self) -> [Box<dyn CoarsenOperator>; 3] {
-        match self {
-            Placement::Host => [
-                Box::new(host_ops::NodeInjectionCoarsen),
-                Box::new(host_ops::VolumeWeightedCoarsen),
-                Box::new(host_ops::MassWeightedCoarsen),
-            ],
-            Placement::Device(_) => [
-                Box::new(dev_ops::DeviceNodeInjectionCoarsen),
-                Box::new(dev_ops::DeviceVolumeWeightedCoarsen),
-                Box::new(dev_ops::DeviceMassWeightedCoarsen),
-            ],
-        }
-    }
 }
 
-/// Row name (the host operator's, with the side axis) and centring of
-/// every refine case.
-const REFINE_ROWS: [(&str, Centring); 5] = [
-    ("linear-node-refine", Centring::Node),
-    ("conservative-linear-cell-refine", Centring::Cell),
-    ("constant-refine", Centring::Cell),
-    ("linear-side-refine.0", Centring::Side(0)),
-    ("linear-side-refine.1", Centring::Side(1)),
+/// Row name (the operator's, with the side axis), operator and centring
+/// of every refine case.
+const REFINE_ROWS: [(&str, &dyn RefineOperator, Centring); 5] = [
+    ("linear-node-refine", &LinearNodeRefine, Centring::Node),
+    ("conservative-linear-cell-refine", &ConservativeCellRefine, Centring::Cell),
+    ("constant-refine", &ConstantRefine, Centring::Cell),
+    ("linear-side-refine.0", &LinearSideRefine { axis: 0 }, Centring::Side(0)),
+    ("linear-side-refine.1", &LinearSideRefine { axis: 1 }, Centring::Side(1)),
 ];
 
-/// Row name and centring of every coarsen case.
-const COARSEN_ROWS: [(&str, Centring); 3] = [
-    ("node-injection-coarsen", Centring::Node),
-    ("volume-weighted-coarsen", Centring::Cell),
-    ("mass-weighted-coarsen", Centring::Cell),
+/// Row name, operator and centring of every coarsen case.
+const COARSEN_ROWS: [(&str, &dyn CoarsenOperator, Centring); 3] = [
+    ("node-injection-coarsen", &NodeInjectionCoarsen, Centring::Node),
+    ("volume-weighted-coarsen", &VolumeWeightedCoarsen, Centring::Cell),
+    ("mass-weighted-coarsen", &MassWeightedCoarsen, Centring::Cell),
 ];
 
 fn b(x0: i64, y0: i64, x1: i64, y1: i64) -> GBox {
@@ -277,7 +244,7 @@ fn row(name: &str, hashes: impl IntoIterator<Item = u64>) -> String {
 }
 
 fn refine_rows(p: &Placement, rows: &mut Vec<String>) {
-    for ((name, centring), op) in REFINE_ROWS.into_iter().zip(p.refine_ops()) {
+    for (name, op, centring) in REFINE_ROWS {
         for (k, &r) in RATIOS.iter().enumerate() {
             let src =
                 p.make(COARSE, IntVector::ONE, centring, |n| field(1000 + k as u64, n, -3.0, 5.0));
@@ -286,7 +253,7 @@ fn refine_rows(p: &Placement, rows: &mut Vec<String>) {
             let dst_dbox = centring.data_box(fine_box.grow(dst_ghosts));
             let hashes = refine_fills(dst_dbox, r).map(|fill| {
                 let mut dst = p.make(fine_box, dst_ghosts, centring, |n| vec![SENTINEL; n]);
-                op.refine(dst.as_mut(), src.as_ref(), &fill, r);
+                dst.refine_from(op, src.as_ref(), &fill, r);
                 p.digest_of::<f64>(dst.as_ref())
             });
             rows.push(row(&format!("{name}/{}", ratio_name(r)), hashes));
@@ -295,7 +262,7 @@ fn refine_rows(p: &Placement, rows: &mut Vec<String>) {
 }
 
 fn coarsen_rows(p: &Placement, rows: &mut Vec<String>) {
-    for ((name, centring), op) in COARSEN_ROWS.into_iter().zip(p.coarsen_ops()) {
+    for (name, op, centring) in COARSEN_ROWS {
         for (k, &r) in RATIOS.iter().enumerate() {
             let fine_box = COARSE.refine(r);
             let ghosts = IntVector::uniform(2);
@@ -318,7 +285,7 @@ fn coarsen_rows(p: &Placement, rows: &mut Vec<String>) {
                 let mut dst = p.make(COARSE.grow(IntVector::ONE), IntVector::ZERO, centring, |n| {
                     vec![SENTINEL; n]
                 });
-                op.coarsen(dst.as_mut(), src.as_ref(), &aux, &fill, r);
+                dst.coarsen_from(op, src.as_ref(), &aux, &fill, r);
                 p.digest_of::<f64>(dst.as_ref())
             });
             rows.push(row(&format!("{name}/{}", ratio_name(r)), hashes));

@@ -1,18 +1,20 @@
-//! Property tests: every device operator leaves what its host operator
-//! leaves, bit for bit, on random data, boxes, ratios and partial fill
-//! regions. Both placements run one row body (`rbamr_amr::ops::rows`;
-//! its bits are frozen by `op_bits.rs`), so what these properties pin is
-//! the plumbing around it, which is what can still differ: row offsets,
-//! fill clipping, job order, `first` offsets, launches and transfers.
+//! Property tests: every operator leaves the same bits on device data as
+//! on host data, on random data, boxes, ratios and partial fill regions.
+//! Both placements run one operator set (`rbamr_amr::ops`; its bits are
+//! frozen by `op_bits.rs`), so what these properties pin is the plumbing
+//! around it, which is what can still differ: row offsets, fill
+//! clipping, job order, `first` offsets, launches and transfers.
 
 use proptest::prelude::*;
-use rbamr_amr::ops as host_ops;
-use rbamr_amr::ops::{CoarsenOperator, RefineOperator};
+use rbamr_amr::ops::{
+    CoarsenOperator, ConservativeCellRefine, ConstantRefine, LinearNodeRefine, LinearSideRefine,
+    MassWeightedCoarsen, NodeInjectionCoarsen, RefineOperator, VolumeWeightedCoarsen,
+};
 use rbamr_amr::patchdata::PatchData;
 use rbamr_amr::HostData;
 use rbamr_device::Device;
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
-use rbamr_gpu_amr::{ops as dev_ops, DeviceData};
+use rbamr_gpu_amr::DeviceData;
 use rbamr_perfmodel::Category;
 
 fn arb_ratio() -> impl Strategy<Value = i64> {
@@ -60,85 +62,61 @@ fn assert_equal(h: &HostData<f64>, d: &DeviceData<f64>, what: &str) {
 /// The fill fractions of [`sub_box`] that select the whole box.
 const WHOLE: [f64; 4] = [0.0, 0.0, 1.0, 1.0];
 
-/// Refine operator `which` (node, cell, constant, side x, side y) on
-/// both placements: same values, same fill — part of the fine data box
-/// grown one ghost, so the clamped reads fire — same result.
+/// Refine operator `which` (node, cell, constant, side x, side y) and
+/// the centring it serves.
+fn refine_op(which: usize) -> (Box<dyn RefineOperator>, Centring) {
+    match which {
+        0 => (Box::new(LinearNodeRefine), Centring::Node),
+        1 => (Box::new(ConservativeCellRefine), Centring::Cell),
+        2 => (Box::new(ConstantRefine), Centring::Cell),
+        _ => (Box::new(LinearSideRefine { axis: which - 3 }), Centring::Side(which - 3)),
+    }
+}
+
+/// Coarsen operator `which` (volume-weighted, mass-weighted, node
+/// injection) and the centring it serves.
+fn coarsen_op(which: usize) -> (Box<dyn CoarsenOperator>, Centring) {
+    match which {
+        0 => (Box::new(VolumeWeightedCoarsen), Centring::Cell),
+        1 => (Box::new(MassWeightedCoarsen), Centring::Cell),
+        _ => (Box::new(NodeInjectionCoarsen), Centring::Node),
+    }
+}
+
+/// Refine operator `which` on host and device data: same values, same
+/// fill — part of the fine data box grown one ghost, so the clamped
+/// reads fire — same result.
 fn refine_case(which: usize, ratio: i64, [fx, fy, fw, fh]: [f64; 4], vals: &[f64]) {
     let device = Device::k20x();
     let r = IntVector::uniform(ratio);
     let coarse_box = GBox::from_coords(0, 0, 7, 9);
     let fine_box = coarse_box.refine(r);
-    let (host_op, dev_op, centring): (Box<dyn RefineOperator>, Box<dyn RefineOperator>, Centring) =
-        match which {
-            0 => (
-                Box::new(host_ops::LinearNodeRefine),
-                Box::new(dev_ops::DeviceLinearNodeRefine),
-                Centring::Node,
-            ),
-            1 => (
-                Box::new(host_ops::ConservativeCellRefine),
-                Box::new(dev_ops::DeviceConservativeCellRefine),
-                Centring::Cell,
-            ),
-            2 => (
-                Box::new(host_ops::ConstantRefine),
-                Box::new(dev_ops::DeviceConstantRefine),
-                Centring::Cell,
-            ),
-            _ => {
-                let axis = which - 3;
-                (
-                    Box::new(host_ops::LinearSideRefine { axis }),
-                    Box::new(dev_ops::DeviceLinearSideRefine { axis }),
-                    Centring::Side(axis),
-                )
-            }
-        };
+    let (op, centring) = refine_op(which);
     let (hsrc, dsrc) = pair(&device, coarse_box, 1, centring, vals);
     let (mut hdst, mut ddst) = pair(&device, fine_box, 2, centring, vals);
     let fill = centring.data_box(fine_box.grow(IntVector::ONE));
     let fill = BoxList::from_box(sub_box(fill, fx, fy, fw, fh));
-    host_op.refine(&mut hdst, &hsrc, &fill, r);
-    dev_op.refine(&mut ddst, &dsrc, &fill, r);
+    hdst.refine_from(op.as_ref(), &hsrc, &fill, r);
+    ddst.refine_from(op.as_ref(), &dsrc, &fill, r);
     assert_equal(&hdst, &ddst, &format!("refine op {which} ratio {ratio}"));
 }
 
-/// Coarsen operator `which` (volume-weighted, mass-weighted, node
-/// injection) on both placements, as [`refine_case`].
+/// Coarsen operator `which` on host and device data, as
+/// [`refine_case`].
 fn coarsen_case(which: usize, ratio: i64, [fx, fy, fw, fh]: [f64; 4], vals: &[f64]) {
     let device = Device::k20x();
     let r = IntVector::uniform(ratio);
     let coarse_box = GBox::from_coords(0, 0, 6, 5);
     let fine_box = coarse_box.refine(r);
-    let (host_op, dev_op, centring): (
-        Box<dyn CoarsenOperator>,
-        Box<dyn CoarsenOperator>,
-        Centring,
-    ) = match which {
-        0 => (
-            Box::new(host_ops::VolumeWeightedCoarsen),
-            Box::new(dev_ops::DeviceVolumeWeightedCoarsen),
-            Centring::Cell,
-        ),
-        1 => (
-            Box::new(host_ops::MassWeightedCoarsen),
-            Box::new(dev_ops::DeviceMassWeightedCoarsen),
-            Centring::Cell,
-        ),
-        _ => (
-            Box::new(host_ops::NodeInjectionCoarsen),
-            Box::new(dev_ops::DeviceNodeInjectionCoarsen),
-            Centring::Node,
-        ),
-    };
+    let (op, centring) = coarsen_op(which);
     let (hsrc, dsrc) = pair(&device, fine_box, 0, centring, vals);
     let (hrho, drho) = pair(&device, fine_box, 0, centring, vals);
     let (mut hdst, mut ddst) = pair(&device, coarse_box, 0, centring, vals);
     let fill = BoxList::from_box(sub_box(centring.data_box(coarse_box), fx, fy, fw, fh));
-    let haux: Vec<&dyn PatchData> = (0..host_op.num_aux()).map(|_| &hrho as _).collect();
-    let daux: Vec<&dyn PatchData> = (0..dev_op.num_aux()).map(|_| &drho as _).collect();
-    host_op.coarsen(&mut hdst, &hsrc, &haux, &fill, r);
-    dev_op.coarsen(&mut ddst, &dsrc, &daux, &fill, r);
+    let haux: Vec<&dyn PatchData> = (0..op.num_aux()).map(|_| &hrho as _).collect();
+    let daux: Vec<&dyn PatchData> = (0..op.num_aux()).map(|_| &drho as _).collect();
+    hdst.coarsen_from(op.as_ref(), &hsrc, &haux, &fill, r);
+    ddst.coarsen_from(op.as_ref(), &dsrc, &daux, &fill, r);
     assert_equal(&hdst, &ddst, &format!("coarsen op {which} ratio {ratio}"));
 }
 
@@ -175,11 +153,8 @@ fn coarsen_with_a_wider_density(device: Option<&Device>) {
     };
     let (src, rho) = (make(coarse_box.refine(r), 0), make(coarse_box.refine(r), 1));
     let mut dst = make(coarse_box, 0);
-    let op: Box<dyn CoarsenOperator> = match device {
-        Some(_) => Box::new(dev_ops::DeviceMassWeightedCoarsen),
-        None => Box::new(host_ops::MassWeightedCoarsen),
-    };
-    op.coarsen(dst.as_mut(), src.as_ref(), &[rho.as_ref()], &BoxList::from_box(coarse_box), r);
+    let fill = BoxList::from_box(coarse_box);
+    MassWeightedCoarsen.coarsen(dst.as_mut(), src.as_ref(), &[rho.as_ref()], &fill, r);
 }
 
 #[test]
@@ -189,7 +164,7 @@ fn host_coarsen_rejects_sources_of_different_layouts() {
 }
 
 #[test]
-#[should_panic(expected = "device-mass-weighted-coarsen: coarsen sources differ in layout")]
+#[should_panic(expected = "mass-weighted-coarsen: coarsen sources differ in layout")]
 fn device_coarsen_rejects_sources_of_different_layouts() {
     coarsen_with_a_wider_density(Some(&Device::k20x()));
 }
@@ -295,16 +270,14 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // The fused batch entry points — `DeviceDataFactory`'s overrides of
-// `copy_many` / `pack_many` / `unpack_batch` / `extend_many` and the
-// device operators' `refine_many` / `coarsen_many` — against the trait
-// defaults (the per-item loop) *on the same device data*, and against
-// the host placement.
+// `copy_many` / `pack_many` / `unpack_batch` / `extend_many` /
+// `refine_many` / `coarsen_many` — against the trait defaults (the
+// per-item loop) *on the same device data*, and against the host
+// placement.
 
 mod fused {
-    use super::sub_box;
+    use super::{coarsen_op, refine_op, sub_box};
     use proptest::prelude::*;
-    use rbamr_amr::ops as host_ops;
-    use rbamr_amr::ops::{CoarsenOperator, RefineOperator};
     use rbamr_amr::patchdata::{PatchData, PatchDataError};
     use rbamr_amr::transfer::{
         narrow, CoarsenJob, CopyJob, Loc, PeerStream, RefineJob, StreamJob, TransferCtx,
@@ -316,7 +289,7 @@ mod fused {
     };
     use rbamr_device::{Device, DeviceStats};
     use rbamr_geometry::{ghost_overlaps, BoxList, Centring, GBox, IntVector};
-    use rbamr_gpu_amr::{ops as dev_ops, DeviceData, DeviceDataFactory};
+    use rbamr_gpu_amr::{DeviceData, DeviceDataFactory};
     use rbamr_netsim::{FaultInjector, FaultKind, FaultPlan, FaultRule};
     use rbamr_perfmodel::{Category, Clock, Machine};
     use rbamr_telemetry::Recorder;
@@ -335,43 +308,6 @@ mod fused {
     impl DataFactory for PerItem {
         fn make(&self, var: &Variable, cell_box: GBox) -> Box<dyn PatchData> {
             self.0.make(var, cell_box)
-        }
-    }
-
-    /// A device operator with `refine_many` inherited.
-    struct PerItemRefine(Box<dyn RefineOperator>);
-
-    impl RefineOperator for PerItemRefine {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn stencil_width(&self) -> IntVector {
-            self.0.stencil_width()
-        }
-        fn refine(&self, dst: &mut dyn PatchData, src: &dyn PatchData, b: &BoxList, r: IntVector) {
-            self.0.refine(dst, src, b, r);
-        }
-    }
-
-    /// A device operator with `coarsen_many` inherited.
-    struct PerItemCoarsen(Box<dyn CoarsenOperator>);
-
-    impl CoarsenOperator for PerItemCoarsen {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn num_aux(&self) -> usize {
-            self.0.num_aux()
-        }
-        fn coarsen(
-            &self,
-            dst: &mut dyn PatchData,
-            src: &dyn PatchData,
-            aux: &[&dyn PatchData],
-            b: &BoxList,
-            r: IntVector,
-        ) {
-            self.0.coarsen(dst, src, aux, b, r);
         }
     }
 
@@ -632,48 +568,12 @@ mod fused {
         (jobs, peers)
     }
 
-    /// Refine operator `which`: the host reference, its device twin,
-    /// and the index of the variable (centring) it serves.
-    fn refine_ops(
-        which: usize,
-        axis: usize,
-    ) -> (Box<dyn RefineOperator>, Box<dyn RefineOperator>, usize) {
-        match which {
-            0 => {
-                (Box::new(host_ops::LinearNodeRefine), Box::new(dev_ops::DeviceLinearNodeRefine), 1)
-            }
-            1 => (
-                Box::new(host_ops::ConservativeCellRefine),
-                Box::new(dev_ops::DeviceConservativeCellRefine),
-                0,
-            ),
-            2 => (Box::new(host_ops::ConstantRefine), Box::new(dev_ops::DeviceConstantRefine), 0),
-            _ => (
-                Box::new(host_ops::LinearSideRefine { axis }),
-                Box::new(dev_ops::DeviceLinearSideRefine { axis }),
-                2,
-            ),
-        }
-    }
-
-    /// Coarsen operator `which`, as [`refine_ops`].
-    fn coarsen_ops(which: usize) -> (Box<dyn CoarsenOperator>, Box<dyn CoarsenOperator>, usize) {
-        match which {
-            0 => (
-                Box::new(host_ops::VolumeWeightedCoarsen),
-                Box::new(dev_ops::DeviceVolumeWeightedCoarsen),
-                0,
-            ),
-            1 => (
-                Box::new(host_ops::MassWeightedCoarsen),
-                Box::new(dev_ops::DeviceMassWeightedCoarsen),
-                0,
-            ),
-            _ => (
-                Box::new(host_ops::NodeInjectionCoarsen),
-                Box::new(dev_ops::DeviceNodeInjectionCoarsen),
-                1,
-            ),
+    /// The world variable of `centring`: cell, node or side.
+    fn var_of(w: &World, centring: Centring) -> VariableId {
+        match centring {
+            Centring::Cell => w.vars[0],
+            Centring::Node => w.vars[1],
+            Centring::Side(_) => w.vars[2],
         }
     }
 
@@ -791,11 +691,10 @@ mod fused {
         ) {
             let r = IntVector::uniform(case.ratio);
             for which in 0..4 {
-                let (host_op, dev_op, var) = refine_ops(which, case.axis);
-                let per_item = PerItemRefine(refine_ops(which, case.axis).1);
+                // The side operator serves the world's side axis.
+                let (op, centring) = refine_op(if which == 3 { 3 + case.axis } else { which });
                 let mut ws = worlds(&case);
-                let var = ws[0].vars[var];
-                let centring = ws[0].reg.get(var).centring;
+                let var = var_of(&ws[0], centring);
                 let mut jobs = Vec::new();
                 for (p, &(fx, fy, fw, fh)) in f.iter().enumerate() {
                     let fine_box = FOOTPRINTS[p].refine(r);
@@ -811,11 +710,8 @@ mod fused {
                         dst_idx: narrow(p),
                     });
                 }
-                let ops: [Box<dyn RefineOperator>; 3] = [host_op, Box::new(per_item), dev_op];
-                let mut ops = ops.into_iter();
                 let [_, per_item, fused] = measured(&mut ws, |w| {
-                    let op = ops.next().unwrap();
-                    w.with_ctx(|_, ctx| op.refine_many(ctx, 1, &jobs, r, CAT));
+                    w.with_ctx(|f, ctx| f.refine_many(ctx, op.as_ref(), 1, &jobs, r, CAT));
                 });
                 assert_same(&ws, "refine_many");
                 prop_assert_eq!(per_item.kernel_launches, 2);
@@ -833,12 +729,10 @@ mod fused {
         ) {
             let r = IntVector::uniform(case.ratio);
             for which in 0..3 {
-                let (host_op, dev_op, var) = coarsen_ops(which);
-                let per_item = PerItemCoarsen(coarsen_ops(which).1);
+                let (op, centring) = coarsen_op(which);
                 let mut ws = worlds(&case);
-                let var = ws[0].vars[var];
-                let aux: Vec<VariableId> = (0..host_op.num_aux()).map(|_| ws[0].vars[3]).collect();
-                let centring = ws[0].reg.get(var).centring;
+                let var = var_of(&ws[0], centring);
+                let aux: Vec<VariableId> = (0..op.num_aux()).map(|_| ws[0].vars[3]).collect();
                 let mut jobs = Vec::new();
                 for (p, &(fx, fy, fw, fh)) in f.iter().enumerate() {
                     for w in &mut ws {
@@ -853,11 +747,8 @@ mod fused {
                         src_idx: narrow(p),
                     });
                 }
-                let ops: [Box<dyn CoarsenOperator>; 3] = [host_op, Box::new(per_item), dev_op];
-                let mut ops = ops.into_iter();
                 let [_, per_item, fused] = measured(&mut ws, |w| {
-                    let op = ops.next().unwrap();
-                    w.with_ctx(|_, ctx| op.coarsen_many(ctx, 1, &jobs, r));
+                    w.with_ctx(|f, ctx| f.coarsen_many(ctx, op.as_ref(), 1, &jobs, r));
                 });
                 assert_same(&ws, "coarsen_many");
                 prop_assert_eq!(per_item.kernel_launches, 2);

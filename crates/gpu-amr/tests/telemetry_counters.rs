@@ -7,7 +7,9 @@
 //! number of overlaps, of peers or of patches.
 
 use rbamr_amr::cluster::split_to_max;
-use rbamr_amr::ops::RefineOperator;
+use rbamr_amr::ops::{
+    ConservativeCellRefine, LinearNodeRefine, RefineOperator, VolumeWeightedCoarsen,
+};
 use rbamr_amr::patchdata::PatchDataError;
 use rbamr_amr::regrid::{CellTagger, TransferSpec};
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
@@ -18,9 +20,6 @@ use rbamr_amr::{
 };
 use rbamr_device::Device;
 use rbamr_geometry::{copy_overlap, BoxList, Centring, GBox, IntVector};
-use rbamr_gpu_amr::ops::{
-    DeviceConservativeCellRefine, DeviceLinearNodeRefine, DeviceVolumeWeightedCoarsen,
-};
 use rbamr_gpu_amr::{compress_tags, compress_tags_many, DeviceData, DeviceDataFactory, TagField};
 use rbamr_netsim::{Cluster, Comm, FaultKind, FaultPlan, FaultRule};
 use rbamr_perfmodel::{Category, Machine};
@@ -93,7 +92,7 @@ impl Rank {
     }
 
     fn spec(&self, interpolate: bool) -> [FillSpec; 1] {
-        let op: Arc<dyn RefineOperator> = Arc::new(DeviceConservativeCellRefine);
+        let op: Arc<dyn RefineOperator> = Arc::new(ConservativeCellRefine);
         [FillSpec { var: self.var, refine_op: interpolate.then_some(op) }]
     }
 
@@ -241,8 +240,7 @@ fn a_stage_without_peers_packs_and_transfers_nothing() {
     Cluster::new(Machine::ipa_gpu()).run(1, |comm| {
         let mut r = Rank::new(&comm, 2);
         let fill = RefineSchedule::new(&r.h, &r.reg, 1, &r.spec(true));
-        let spec =
-            CoarsenSpec { var: r.var, op: Arc::new(DeviceVolumeWeightedCoarsen), aux: vec![] };
+        let spec = CoarsenSpec { var: r.var, op: Arc::new(VolumeWeightedCoarsen), aux: vec![] };
         let sync = CoarsenSchedule::new(&r.h, &r.reg, 1, &[spec]);
         r.device.reset_transfer_stats();
         r.fill(&fill, &comm).unwrap();
@@ -502,8 +500,8 @@ fn regrid_counts(tagged: IntVector, fail_transfer: Option<u64>) -> Vec<RegridCou
 
         let params = RegridParams { tag_buffer: 0, max_patch_size: 8, ..RegridParams::default() };
         let specs = [
-            TransferSpec { var: q, refine_op: Arc::new(DeviceConservativeCellRefine) },
-            TransferSpec { var: v, refine_op: Arc::new(DeviceLinearNodeRefine) },
+            TransferSpec { var: q, refine_op: Arc::new(ConservativeCellRefine) },
+            TransferSpec { var: v, refine_op: Arc::new(LinearNodeRefine) },
         ];
         let tagger = BoxTagger(GBox::new(IntVector::uniform(8), IntVector::uniform(8) + tagged));
         if fail_transfer.is_some() {

@@ -20,20 +20,23 @@ use crate::level_executor::{self as exec, Exec, Pass};
 use crate::state::{Fields, FlagThresholds, HydroTagger, PatchIntegrator, RegionInit, Summary};
 use rbamr_amr::cluster::split_to_max;
 use rbamr_amr::hostdata::HostCostHook;
-use rbamr_amr::ops as host_ops;
+use rbamr_amr::ops::{
+    ConservativeCellRefine, LinearNodeRefine, LinearSideRefine, MassWeightedCoarsen,
+    NodeInjectionCoarsen, VolumeWeightedCoarsen,
+};
 use rbamr_amr::patchdata::PatchData as _;
 use rbamr_amr::regrid::TransferSpec;
 use rbamr_amr::restart::RestoreError;
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    balance, try_partition_hierarchy_metadata, BuildStrategy, CoarsenSchedule, GridGeometry,
+    balance, try_partition_hierarchy_metadata, CoarsenOperator, CoarsenSchedule, GridGeometry,
     HostDataFactory, MetadataMode, Patch, PatchHierarchy, PendingFill, RefineOperator,
     RefineSchedule, RegridError, RegridOutcome, RegridParams, Regridder, ScheduleBuild,
     ScheduleCache, ScheduleError, VariableId, VariableRegistry,
 };
 use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
-use rbamr_gpu_amr::{ops as dev_ops, BatchPlanCache, DeviceDataFactory};
+use rbamr_gpu_amr::{BatchPlanCache, DeviceDataFactory};
 use rbamr_netsim::{Comm, CommError};
 use rbamr_perfmodel::{Category, Clock, CostModel, Machine};
 use std::sync::Arc;
@@ -431,17 +434,13 @@ impl HydroSim {
         refill.map_err(|e| RestoreError::Exchange { detail: e.to_string() })
     }
 
+    /// The interpolation of `var`, by centring: one operator set serves
+    /// every placement (the data runs it).
     fn refine_op_for(&self, var: VariableId) -> Arc<dyn RefineOperator> {
-        let centring = self.registry.get(var).centring;
-        match (self.placement, centring) {
-            (Placement::Host, Centring::Cell) => Arc::new(host_ops::ConservativeCellRefine),
-            (Placement::Host, Centring::Node) => Arc::new(host_ops::LinearNodeRefine),
-            (Placement::Host, Centring::Side(a)) => {
-                Arc::new(host_ops::LinearSideRefine { axis: a })
-            }
-            (_, Centring::Cell) => Arc::new(dev_ops::DeviceConservativeCellRefine),
-            (_, Centring::Node) => Arc::new(dev_ops::DeviceLinearNodeRefine),
-            (_, Centring::Side(a)) => Arc::new(dev_ops::DeviceLinearSideRefine { axis: a }),
+        match self.registry.get(var).centring {
+            Centring::Cell => Arc::new(ConservativeCellRefine),
+            Centring::Node => Arc::new(LinearNodeRefine),
+            Centring::Side(axis) => Arc::new(LinearSideRefine { axis }),
         }
     }
 
@@ -460,12 +459,10 @@ impl HydroSim {
     /// when the next one opens.
     fn rebuild_schedules(&mut self) {
         let mut cache = std::mem::take(&mut self.schedule_cache);
+        // Over partitioned metadata the build plans owner-computes from
+        // the held records; plans (and so cache keys) are
+        // digest-identical to the replicated build.
         let mut build = ScheduleBuild::with_cache(&mut cache);
-        if self.config.metadata_mode == MetadataMode::Partitioned {
-            // Owner-computes planning over the held records; plans (and
-            // so cache keys) are digest-identical to the indexed build.
-            build.strategy = BuildStrategy::Partitioned;
-        }
         let f = &self.fields;
         let start_vars = [f.density0, f.energy0, f.xvel0, f.yvel0];
         // After the Lagrangian phase: the advected velocities AND the
@@ -508,22 +505,9 @@ impl HydroSim {
             })
             .collect();
 
-        let (vol_op, mass_op, inj_op): (
-            Arc<dyn rbamr_amr::CoarsenOperator>,
-            Arc<dyn rbamr_amr::CoarsenOperator>,
-            Arc<dyn rbamr_amr::CoarsenOperator>,
-        ) = match self.placement {
-            Placement::Host => (
-                Arc::new(host_ops::VolumeWeightedCoarsen),
-                Arc::new(host_ops::MassWeightedCoarsen),
-                Arc::new(host_ops::NodeInjectionCoarsen),
-            ),
-            Placement::Device | Placement::DeviceCopyBack => (
-                Arc::new(dev_ops::DeviceVolumeWeightedCoarsen),
-                Arc::new(dev_ops::DeviceMassWeightedCoarsen),
-                Arc::new(dev_ops::DeviceNodeInjectionCoarsen),
-            ),
-        };
+        let vol_op: Arc<dyn CoarsenOperator> = Arc::new(VolumeWeightedCoarsen);
+        let mass_op: Arc<dyn CoarsenOperator> = Arc::new(MassWeightedCoarsen);
+        let inj_op: Arc<dyn CoarsenOperator> = Arc::new(NodeInjectionCoarsen);
         self.sync_schedules = (1..self.hierarchy.num_levels())
             .map(|l| {
                 build.coarsen(
