@@ -2,7 +2,7 @@
 
 use crate::ops::{shared_source_box, CoarsenOperator, RefineOperator};
 use crate::patchdata::{copy_region, region_rows, validate_overlap, Element, PatchData};
-use crate::variable::{DataFactory, Variable};
+use crate::variable::DataFactory;
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
 use rbamr_perfmodel::{Category, Clock, CostModel, KernelShape};
@@ -269,8 +269,8 @@ impl HostDataFactory {
 }
 
 impl DataFactory for HostDataFactory {
-    fn make(&self, var: &Variable, cell_box: GBox) -> Box<dyn PatchData> {
-        Box::new(HostData::<f64>::with_hook(cell_box, var.ghosts, var.centring, self.hook.clone()))
+    fn make(&self, centring: Centring, ghosts: IntVector, cell_box: GBox) -> Box<dyn PatchData> {
+        Box::new(HostData::<f64>::with_hook(cell_box, ghosts, centring, self.hook.clone()))
     }
 }
 

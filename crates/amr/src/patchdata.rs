@@ -224,22 +224,25 @@ pub trait PatchData: Send {
 
 /// Compute the (target, source) index pairs for
 /// [`PatchData::extend_uncovered`]: pure index arithmetic shared by the
-/// host and device implementations.
+/// host and device implementations. Only the cells box calculus leaves
+/// of `data_box` minus `covered` are visited, so a covered array costs
+/// one subtraction. Targets are uncovered and sources covered, so the
+/// pairs may be applied in any order.
 pub fn extension_pairs(data_box: GBox, covered: &BoxList) -> Vec<(usize, usize)> {
     if covered.is_empty() {
         return Vec::new();
     }
+    let mut uncovered = BoxList::from_box(data_box);
+    uncovered.subtract(covered);
     let bound = covered.bounding();
     let mut pairs = Vec::new();
-    for p in data_box.iter() {
-        if !covered.contains(p) {
-            let q = IntVector::new(
-                p.x.clamp(bound.lo.x, bound.hi.x - 1),
-                p.y.clamp(bound.lo.y, bound.hi.y - 1),
-            );
-            if covered.contains(q) {
-                pairs.push((data_box.offset_of(p), data_box.offset_of(q)));
-            }
+    for p in uncovered.boxes().iter().flat_map(|b| b.iter()) {
+        let q = IntVector::new(
+            p.x.clamp(bound.lo.x, bound.hi.x - 1),
+            p.y.clamp(bound.lo.y, bound.hi.y - 1),
+        );
+        if covered.contains(q) {
+            pairs.push((data_box.offset_of(p), data_box.offset_of(q)));
         }
     }
     pairs
@@ -484,6 +487,87 @@ mod tests {
     fn unpack_checks_buffer_size() {
         let mut dst = vec![0.0; 4];
         unpack_region(&mut dst, b(0, 0, 2, 2), &[0.0; 3], b(0, 0, 2, 2));
+    }
+
+    /// The per-point scan [`extension_pairs`] replaced: every index of
+    /// the data box tested against `covered`.
+    fn extension_pairs_scan(data_box: GBox, covered: &BoxList) -> Vec<(usize, usize)> {
+        if covered.is_empty() {
+            return Vec::new();
+        }
+        let bound = covered.bounding();
+        let mut pairs = Vec::new();
+        for p in data_box.iter() {
+            if !covered.contains(p) {
+                let q = IntVector::new(
+                    p.x.clamp(bound.lo.x, bound.hi.x - 1),
+                    p.y.clamp(bound.lo.y, bound.hi.y - 1),
+                );
+                if covered.contains(q) {
+                    pairs.push((data_box.offset_of(p), data_box.offset_of(q)));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn extension_pairs_clamp_the_uncovered_row() {
+        let dbox = b(0, 0, 4, 4);
+        let at = |x, y| dbox.offset_of(IntVector::new(x, y));
+        let row = (0..4).map(|x| (at(x, 3), at(x, 2))).collect::<Vec<_>>();
+        assert_eq!(extension_pairs(dbox, &BoxList::from_box(b(0, 0, 4, 3))), row);
+        assert!(extension_pairs(dbox, &BoxList::from_box(dbox)).is_empty());
+        assert!(extension_pairs(dbox, &BoxList::new()).is_empty());
+    }
+
+    /// A box of `dbox` from four fractions: its corner, then its extent.
+    fn sub_box(dbox: GBox, (fx, fy, fw, fh): (f64, f64, f64, f64)) -> GBox {
+        let s = dbox.size();
+        let lo = dbox.lo + IntVector::new((fx * s.x as f64) as i64, (fy * s.y as f64) as i64);
+        let rest = dbox.hi - lo;
+        let size = IntVector::new(1 + (fw * rest.x as f64) as i64, 1 + (fh * rest.y as f64) as i64);
+        GBox::new(lo, (lo + size).min(dbox.hi))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The box-calculus walk and the per-point scan pick the same
+        /// pairs over every centring and shape of cover: none, all of
+        /// the data box, an L, and up to four overlapping boxes.
+        #[test]
+        fn extension_pairs_equal_the_per_point_scan(
+            lo in (-6i64..6, -6i64..6),
+            size in (1i64..10, 1i64..10),
+            centring in proptest::sample::select(
+                vec![Centring::Cell, Centring::Node, Centring::Side(0), Centring::Side(1)],
+            ),
+            shape in 0u8..4,
+            fractions in proptest::collection::vec(
+                (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+                1..5,
+            ),
+        ) {
+            let cells = GBox::new(IntVector::new(lo.0, lo.1), IntVector::new(lo.0 + size.0, lo.1 + size.1));
+            let dbox = centring.data_box(cells);
+            let covered = match shape {
+                0 => BoxList::new(),
+                1 => BoxList::from_box(dbox),
+                2 => {
+                    // An L: the data box less a corner box.
+                    let mut l = BoxList::from_box(dbox);
+                    l.subtract_box(GBox::new(sub_box(dbox, fractions[0]).lo, dbox.hi));
+                    l
+                }
+                _ => BoxList::from_boxes(fractions.iter().map(|&f| sub_box(dbox, f))),
+            };
+            let mut fast = extension_pairs(dbox, &covered);
+            let mut scan = extension_pairs_scan(dbox, &covered);
+            fast.sort_unstable();
+            scan.sort_unstable();
+            proptest::prop_assert_eq!(fast, scan);
+        }
     }
 
     #[test]

@@ -618,7 +618,7 @@ impl RefineSchedule {
                 // The scratch array this destination interpolates from
                 // is ours to make if the destination is.
                 let slot = Loc::scratch(plan.next_scratch());
-                let end = (spec.var, slot, data_box_of(var, c.scratch_box));
+                let end = (spec.var, slot, var.centring.data_box(c.scratch_box));
                 plan.stamp(coarse, &c.sources, dst, &[end]);
                 if dst.1 == rank {
                     let at = (same.local[dst_pos], dst.0);
@@ -688,18 +688,17 @@ impl RefineSchedule {
                 let fine_fill = centring.data_box(nb);
                 // One destination per spec of the group: the new patch,
                 // then its scratch array (ours to make when `mine`).
-                let ends = |at: &dyn Fn(usize) -> Loc, cells: GBox| -> Vec<_> {
-                    let end = |(k, spec): (usize, &&TransferSpec)| {
-                        (spec.var, at(k), data_box_of(registry.get(spec.var), cells))
-                    };
-                    group.iter().enumerate().map(end).collect()
+                let ends = |at: &dyn Fn(usize) -> Loc, data_box: &dyn Fn(VariableId) -> GBox| {
+                    let end =
+                        |(k, spec): (usize, &&TransferSpec)| (spec.var, at(k), data_box(spec.var));
+                    group.iter().enumerate().map(end).collect::<Vec<_>>()
                 };
 
                 // --- Old level, same index space: copies and messages --
                 let mut claimed = BoxList::new();
                 if let Some(old) = &old {
                     old.candidates(fine_fill, &mut cand);
-                    let ends = ends(&|_| new.loc(npos), nb);
+                    let ends = ends(&|_| new.loc(npos), &|v| data_box_of(registry.get(v), nb));
                     let overlap = |_, obox| copy_overlap(nb, obox, centring).dst_boxes;
                     let newest_first = cand.iter().rev().copied();
                     let claims =
@@ -712,7 +711,7 @@ impl RefineSchedule {
                 let scratch_data_box = centring.data_box(scratch_box);
                 coarse.candidates(scratch_data_box, &mut cand);
                 let first = plan.next_scratch();
-                let ends = ends(&|k| Loc::scratch(first + k), scratch_box);
+                let ends = ends(&|k| Loc::scratch(first + k), &|_| scratch_data_box);
                 let in_scratch = |_, cbox| scratch_region(scratch_data_box, cbox, centring);
                 let mut covered = BoxList::new();
                 let newest_first = cand.iter().rev().copied();
@@ -1089,6 +1088,8 @@ impl<'a> Sources<'a> {
 /// open until [`Planner::finish`].
 struct Planner<'a> {
     rank: usize,
+    /// Refinement ratio of the level to its coarser one.
+    ratio: IntVector,
     registry: &'a VariableRegistry,
     sched: RefineSchedule,
     sends: StreamPlan,
@@ -1125,7 +1126,8 @@ impl<'a> Planner<'a> {
             boundary_kept: Mutex::new(None),
         };
         let (sends, recvs) = Default::default();
-        Self { rank: hierarchy.rank(), registry, sched, sends, recvs, candidate_pairs: 0 }
+        let (rank, ratio) = (hierarchy.rank(), hierarchy.ratio_to_coarser(level_no));
+        Self { rank, ratio, registry, sched, sends, recvs, candidate_pairs: 0 }
     }
 
     fn finish(mut self) -> RefineSchedule {
@@ -1143,6 +1145,11 @@ impl<'a> Planner<'a> {
     /// out of a new scratch array over `scratch_box`, `covered` by its
     /// planned sources. Operators are told apart by name, as in the
     /// spec fingerprints, and kept in order of first use.
+    ///
+    /// # Panics
+    /// Panics, in every profile, if `op` could read outside the scratch
+    /// data box: the scratch has no ghosts, so a tap beyond it would be
+    /// clamped to values the plan never meant it to read.
     fn interpolate(
         &mut self,
         op: &Arc<dyn RefineOperator>,
@@ -1150,6 +1157,17 @@ impl<'a> Planner<'a> {
         (pos, dst_idx): (usize, usize),
         (fill, scratch_box, covered): (&BoxList, GBox, &BoxList),
     ) {
+        let centring = self.registry.get(var).centring;
+        let sbox = centring.data_box(scratch_box);
+        for b in fill.boxes() {
+            let cells = cell_cover(*b, centring).coarsen(self.ratio).grow(op.stencil_width());
+            let reads = centring.data_box(cells);
+            assert!(
+                sbox.contains_box(reads),
+                "{} reads {reads:?} outside its scratch data box {sbox:?}",
+                op.name()
+            );
+        }
         let (pos, scratch, dst_idx) = (narrow(pos), narrow(self.next_scratch()), narrow(dst_idx));
         let job = RefineJob { var, pos, scratch, fill: fill.clone(), dst_idx };
         let refines = &mut self.sched.refines;
@@ -1345,15 +1363,19 @@ fn scratch_region(scratch_data_box: GBox, cbox: GBox, centring: Centring) -> Box
 }
 
 /// One scratch array per `(variable, cell box)`, charging `category`.
+/// Scratch has no ghosts: its data box is what the jobs write and read
+/// (see [`Planner::interpolate`]), and all the plan validated against.
 fn make_scratch(
     registry: &VariableRegistry,
     specs: &[(VariableId, GBox)],
     category: Category,
 ) -> Vec<Box<dyn PatchData>> {
+    let factory = registry.factory();
     specs
         .iter()
         .map(|&(var, cell_box)| {
-            let mut scratch = registry.make_one(var, cell_box);
+            let centring = registry.get(var).centring;
+            let mut scratch = factory.make(centring, IntVector::ZERO, cell_box);
             scratch.set_transfer_category(category);
             scratch
         })
@@ -1687,12 +1709,8 @@ impl CoarsenSchedule {
                     }
                     scratch.push((spec.var, region));
                     if c_rank == rank {
-                        validate_overlap(
-                            &ov,
-                            data_box_of(var, region),
-                            data_box_of(var, cbox),
-                            centring,
-                        );
+                        let scratch_data_box = centring.data_box(region);
+                        validate_overlap(&ov, scratch_data_box, data_box_of(var, cbox), centring);
                         applies.push(CopyJob {
                             var: spec.var,
                             src: slot,
@@ -2092,6 +2110,20 @@ mod tests {
         let covered = BoxList::from_box(b(0, 0, 4, 2));
         d.extend_uncovered(&covered);
         assert_eq!(d.at(IntVector::new(2, 3)), 9.0);
+    }
+
+    /// The left ghost strip of `two_level_setup`'s fine patch reads the
+    /// coarse cells [3, 4) x [4, 12), grown by the stencil: scratch
+    /// [2, 5) x [3, 13) is exactly enough, one column less is not.
+    #[test]
+    #[should_panic(expected = "outside its scratch data box")]
+    fn interpolation_reading_past_its_scratch_is_refused() {
+        let (h, reg, var) = two_level_setup();
+        let mut plan = Planner::new(&h, &reg, 1, KIND_AGG_FILL, vec![var]);
+        let op: Arc<dyn RefineOperator> = Arc::new(ConservativeCellRefine);
+        let (fill, covered) = (BoxList::from_box(b(6, 8, 8, 24)), BoxList::new());
+        plan.interpolate(&op, var, (0, 0), (&fill, b(2, 3, 5, 13), &covered));
+        plan.interpolate(&op, var, (0, 0), (&fill, b(3, 3, 5, 13), &covered));
     }
 
     #[test]

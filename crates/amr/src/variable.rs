@@ -49,9 +49,10 @@ pub struct Variable {
 /// for charge; a factory whose data lives on a device overrides them
 /// with one fused launch (and one PCIe transfer per stage) per call.
 pub trait DataFactory: Send + Sync {
-    /// Allocate data for `var` over `cell_box` (plus the variable's
-    /// ghosts).
-    fn make(&self, var: &Variable, cell_box: GBox) -> Box<dyn PatchData>;
+    /// Allocate zeroed `centring` data over `cell_box` grown by
+    /// `ghosts` — a variable's own width on patches
+    /// ([`VariableRegistry::make_one`]), none on schedule scratch.
+    fn make(&self, centring: Centring, ghosts: IntVector, cell_box: GBox) -> Box<dyn PatchData>;
 
     /// Run every copy job, charging `category`.
     fn copy_many(&self, ctx: &mut TransferCtx<'_>, jobs: &[CopyJob], category: Category) {
@@ -215,12 +216,13 @@ impl VariableRegistry {
 
     /// Allocate data for every variable on `cell_box`, in id order.
     pub fn make_all(&self, cell_box: GBox) -> Vec<Box<dyn PatchData>> {
-        self.vars.iter().map(|v| self.factory.make(v, cell_box)).collect()
+        self.vars.iter().map(|v| self.factory.make(v.centring, v.ghosts, cell_box)).collect()
     }
 
-    /// Allocate data for one variable.
+    /// Allocate data for one variable, ghosts included.
     pub fn make_one(&self, id: VariableId, cell_box: GBox) -> Box<dyn PatchData> {
-        self.factory.make(self.get(id), cell_box)
+        let var = self.get(id);
+        self.factory.make(var.centring, var.ghosts, cell_box)
     }
 
     /// The data factory (the placement's batch entry points).

@@ -12,7 +12,7 @@ use rbamr_amr::transfer::{
     CoarsenJob, CopyJob, PeerStream, RefineJob, StreamJob, TransferCtx, UnpackBatch,
     STREAM_VALUE_BYTES,
 };
-use rbamr_amr::variable::{DataFactory, Variable};
+use rbamr_amr::variable::DataFactory;
 use rbamr_device::memory::DeviceCopy;
 use rbamr_device::{Device, DeviceBuffer, DeviceError, Stream};
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
@@ -575,8 +575,8 @@ impl DeviceDataFactory {
 }
 
 impl DataFactory for DeviceDataFactory {
-    fn make(&self, var: &Variable, cell_box: GBox) -> Box<dyn PatchData> {
-        Box::new(DeviceData::<f64>::new(&self.device, cell_box, var.ghosts, var.centring))
+    fn make(&self, centring: Centring, ghosts: IntVector, cell_box: GBox) -> Box<dyn PatchData> {
+        Box::new(DeviceData::<f64>::new(&self.device, cell_box, ghosts, centring))
     }
 
     fn copy_many(&self, ctx: &mut TransferCtx<'_>, jobs: &[CopyJob], category: Category) {
@@ -877,15 +877,12 @@ mod tests {
     fn factory_allocates_on_its_device() {
         let device = dev();
         let factory = DeviceDataFactory::new(device.clone());
-        let var = Variable {
-            id: rbamr_amr::VariableId(0),
-            name: "q".into(),
-            centring: Centring::Cell,
-            ghosts: IntVector::uniform(2),
-        };
-        let data = factory.make(&var, b(0, 0, 8, 8));
+        let data = factory.make(Centring::Cell, IntVector::uniform(2), b(0, 0, 8, 8));
         assert_eq!(data.cell_box(), b(0, 0, 8, 8));
-        assert!(device.stats().allocated_bytes >= 12 * 12 * 8);
+        assert_eq!(device.stats().allocated_bytes, 12 * 12 * 8);
+        let scratch = factory.make(Centring::Node, IntVector::ZERO, b(0, 0, 8, 8));
+        assert_eq!(scratch.data_box(), b(0, 0, 9, 9));
+        assert_eq!(device.stats().allocated_bytes, (12 * 12 + 9 * 9) * 8);
     }
 
     #[test]

@@ -283,7 +283,7 @@ mod fused {
         narrow, CoarsenJob, CopyJob, Loc, PeerStream, RefineJob, StreamJob, TransferCtx,
         STREAM_VALUE_BYTES,
     };
-    use rbamr_amr::variable::{DataFactory, Variable};
+    use rbamr_amr::variable::DataFactory;
     use rbamr_amr::{
         GridGeometry, HostData, HostDataFactory, PatchHierarchy, VariableId, VariableRegistry,
     };
@@ -306,8 +306,13 @@ mod fused {
     struct PerItem(DeviceDataFactory);
 
     impl DataFactory for PerItem {
-        fn make(&self, var: &Variable, cell_box: GBox) -> Box<dyn PatchData> {
-            self.0.make(var, cell_box)
+        fn make(
+            &self,
+            centring: Centring,
+            ghosts: IntVector,
+            cell_box: GBox,
+        ) -> Box<dyn PatchData> {
+            self.0.make(centring, ghosts, cell_box)
         }
     }
 

@@ -269,7 +269,8 @@ fn interpolating_fill_obeys_the_per_stage_launch_law() {
         assert_eq!(r.launches("pack"), sent as u64);
         assert_eq!(r.launches("unpack"), received as u64);
         assert!(r.launches("copy-region") <= 2);
-        assert_eq!(r.launches("extend-uncovered"), 1);
+        // The coarse level covers every scratch value: nothing to extend.
+        assert_eq!(r.launches("extend-uncovered"), 0);
         assert_eq!(r.launches("refine-interp"), 1);
         // Residency: packed values out, packed values and one
         // descriptor table in — nothing else crosses the bus.
@@ -284,6 +285,26 @@ fn interpolating_fill_obeys_the_per_stage_launch_law() {
         let (near, far) = if comm.rank() == 0 { (7, 17) } else { (25, 14) };
         assert_eq!(values[dbox.offset_of(IntVector::new(near, 8))], 1.0 + comm.rank() as f64);
         assert_eq!(values[dbox.offset_of(IntVector::new(far, 13))], 2.0 - comm.rank() as f64);
+    });
+}
+
+#[test]
+fn scratch_extension_is_one_launch_when_some_scratch_value_is_uncovered() {
+    Cluster::new(Machine::ipa_gpu()).run(1, |comm| {
+        let mut r = Rank::new(&comm, 1);
+        // Three fine patches: the outer two reach one coarse cell past
+        // the domain's left and right edges, the middle one is covered.
+        let fine = vec![b(0, 4, 8, 12), b(8, 4, 16, 12), b(24, 4, 32, 12)];
+        r.h.set_level(1, fine, vec![0; 3], &r.reg);
+        r.init_values(1, comm.rank());
+        let sched = RefineSchedule::new(&r.h, &r.reg, 1, &r.spec(true));
+        assert_eq!(sched.num_interp_jobs(), 3);
+        r.fill(&sched, &comm).unwrap();
+        assert_eq!(r.launches("extend-uncovered"), 1);
+        assert_eq!(r.launches("refine-interp"), 1);
+        // The same fill again: the same single launch.
+        r.fill(&sched, &comm).unwrap();
+        assert_eq!(r.launches("extend-uncovered"), 2);
     });
 }
 
@@ -551,9 +572,11 @@ fn regrid_transfer_budget_does_not_grow_with_the_patch_count() {
         ranks.into_iter().map(|r| r.launches).collect::<Vec<_>>()
     });
     // Copies from the old level, scratch captures, one interpolation
-    // per operator, one extension: a constant.
+    // per operator, and one extension when some scratch value lies
+    // outside the coarse level — none here, the new level is well
+    // inside it: a constant.
     assert!(runs[0].iter().all(|l| l.iter().sum::<u64>() <= 16), "{:?}", runs[0]);
-    assert_eq!(runs[0], [[1, 1, 2, 2, 1]; 2]);
+    assert_eq!(runs[0], [[1, 1, 2, 2, 0]; 2]);
     assert!(runs[1] == runs[0] && runs[2] == runs[0], "launches grew with the level: {runs:?}");
 }
 
