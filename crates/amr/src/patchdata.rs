@@ -224,10 +224,10 @@ pub trait PatchData: Send {
 
 /// Compute the (target, source) index pairs for
 /// [`PatchData::extend_uncovered`]: pure index arithmetic shared by the
-/// host and device implementations. Only the cells box calculus leaves
-/// of `data_box` minus `covered` are visited, so a covered array costs
-/// one subtraction. Targets are uncovered and sources covered, so the
-/// pairs may be applied in any order.
+/// host and device implementations. Only the cells of `data_box` that
+/// `covered` leaves, found by box calculus, are visited, so a covered
+/// array costs one subtraction. Targets are uncovered and sources
+/// covered, so the pairs may be applied in any order.
 pub fn extension_pairs(data_box: GBox, covered: &BoxList) -> Vec<(usize, usize)> {
     if covered.is_empty() {
         return Vec::new();

@@ -1363,8 +1363,8 @@ fn scratch_region(scratch_data_box: GBox, cbox: GBox, centring: Centring) -> Box
 }
 
 /// One scratch array per `(variable, cell box)`, charging `category`.
-/// Scratch has no ghosts: its data box is what the jobs write and read
-/// (see [`Planner::interpolate`]), and all the plan validated against.
+/// Scratch has no ghosts: its data box is all the jobs write and read
+/// (see [`Planner::interpolate`]) and what the plan validated against.
 fn make_scratch(
     registry: &VariableRegistry,
     specs: &[(VariableId, GBox)],
