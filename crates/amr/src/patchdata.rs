@@ -511,16 +511,6 @@ mod tests {
         pairs
     }
 
-    #[test]
-    fn extension_pairs_clamp_the_uncovered_row() {
-        let dbox = b(0, 0, 4, 4);
-        let at = |x, y| dbox.offset_of(IntVector::new(x, y));
-        let row = (0..4).map(|x| (at(x, 3), at(x, 2))).collect::<Vec<_>>();
-        assert_eq!(extension_pairs(dbox, &BoxList::from_box(b(0, 0, 4, 3))), row);
-        assert!(extension_pairs(dbox, &BoxList::from_box(dbox)).is_empty());
-        assert!(extension_pairs(dbox, &BoxList::new()).is_empty());
-    }
-
     /// A box of `dbox` from four fractions: its corner, then its extent.
     fn sub_box(dbox: GBox, (fx, fy, fw, fh): (f64, f64, f64, f64)) -> GBox {
         let s = dbox.size();
