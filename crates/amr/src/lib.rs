@@ -65,14 +65,14 @@ pub use hostdata::{HostData, HostDataFactory};
 pub use level::{LevelRecords, PatchLevel};
 pub use ops::{CoarsenOperator, RefineOperator};
 pub use partition::{
-    exchange_level_view, interest_for_level, verify_level_digest, view_from_global, ExchangeError,
-    InterestMargins, InterestSpec, LevelView, MetadataDivergence, MetadataMode,
+    exchange_level_view, interest_for_level, view_from_global, ExchangeError, InterestMargins,
+    InterestSpec, LevelView, MetadataDivergence, MetadataMode,
 };
 pub use patch::{Patch, PatchId};
 pub use patchdata::{Element, PatchData, PatchDataError};
 pub use regrid::{
-    partition_hierarchy_metadata, refresh_partitioned_view, try_partition_hierarchy_metadata,
-    try_refresh_partitioned_view, RegridError, RegridOutcome, RegridParams, Regridder,
+    partition_hierarchy_metadata, try_partition_hierarchy_metadata, try_refresh_partitioned_view,
+    RegridError, RegridOutcome, RegridParams, Regridder,
 };
 pub use schedule::{
     CoarsenSchedule, PendingFill, RefineSchedule, ScheduleBuild, ScheduleCache, ScheduleError,

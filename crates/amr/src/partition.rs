@@ -51,7 +51,6 @@
 //!   the destination owner's `want` region bit-for-bit to agree on the
 //!   message payload.
 
-use crate::level::PatchLevel;
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, Fnv64, GBox, IntVector, UnorderedDigest};
 use rbamr_netsim::{Comm, CommError, FaultKind};
@@ -175,7 +174,7 @@ where
 
 /// Bind level number, ratio, and domain around an items digest,
 /// producing the level structure digest
-/// ([`PatchLevel::structure_digest`]). Identical on every rank.
+/// ([`crate::PatchLevel::structure_digest`]). Identical on every rank.
 #[must_use]
 pub fn finalize_structure_digest(
     level_no: usize,
@@ -261,7 +260,7 @@ impl LevelView {
     }
 
     /// The verified level structure digest (equal to the replicated
-    /// [`PatchLevel::structure_digest`] of the same structure).
+    /// [`crate::PatchLevel::structure_digest`] of the same structure).
     #[must_use]
     pub fn global_digest(&self) -> u64 {
         self.global_digest
@@ -677,51 +676,6 @@ fn split_records(records: Vec<BoxRecord>) -> (Vec<usize>, Vec<GBox>, Vec<usize>)
         owners.push(o);
     }
     (indices, boxes, owners)
-}
-
-/// The cheap per-level handshake (one 3-word allreduce): combine every
-/// rank's owned partial digests and check the result matches the
-/// level's stored structure digest. Run after installing or refreshing
-/// a level to confirm all ranks hold views of the same structure.
-///
-/// # Errors
-/// [`MetadataDivergence`] (on every rank) if the combined owned
-/// partials do not reproduce the stored digest on any rank.
-pub fn verify_level_digest(
-    comm: Option<&Comm>,
-    level: &PatchLevel,
-    my_rank: usize,
-) -> Result<(), MetadataDivergence> {
-    let recs = level.records();
-    let partial = structure_items_digest(recs.iter().filter(|&(_, _, owner)| owner == my_rank));
-    let words = match comm {
-        Some(c) => c.allreduce_digest(partial.to_words(), Category::Regrid),
-        None => partial.to_words(),
-    };
-    let combined = UnorderedDigest::from_words(words);
-    let observed =
-        finalize_structure_digest(level.level_no(), level.ratio(), level.domain(), &combined);
-    let expected = level.structure_digest();
-    let locally_ok = observed == expected;
-    let all_ok = match comm {
-        Some(c) => c.allreduce_min(if locally_ok { 1.0 } else { 0.0 }, Category::Regrid) >= 0.5,
-        None => locally_ok,
-    };
-    if all_ok {
-        Ok(())
-    } else {
-        Err(MetadataDivergence {
-            level_no: level.level_no(),
-            expected_digest: expected,
-            observed_digest: observed,
-            rank: my_rank,
-            detail: if locally_ok {
-                "a peer rank's owned partials diverge from the stored digest".into()
-            } else {
-                "combined owned partials diverge from the stored digest".into()
-            },
-        })
-    }
 }
 
 #[cfg(test)]

@@ -78,7 +78,9 @@ pub struct RegridParams {
     /// installs owned + ghosted [`crate::partition::LevelView`]s,
     /// re-exchanging adjacent views (digest-verified) around each
     /// rebuild so the solution transfer and later schedule builds see
-    /// every record they need.
+    /// every record they need. A driver holding this mode converts its
+    /// existing levels itself ([`partition_hierarchy_metadata`]); field
+    /// output is bitwise identical between the modes.
     pub metadata_mode: MetadataMode,
     /// Interest margins for partitioned views. `margins.stencil + 2`
     /// must be at least the widest refine-operator stencil so the
@@ -495,27 +497,9 @@ impl Regridder {
 /// solution transfer is about to read under. Owned records travel by
 /// allgatherv and the result is digest-verified before adoption; a
 /// replicated level is converted in place, its local patches and data
-/// untouched.
-///
-/// # Panics
-/// Panics with the typed [`crate::partition::MetadataDivergence`]
-/// message if verification fails — every rank fails together, so no
-/// rank plans against a divergent view.
-pub fn refresh_partitioned_view(
-    hierarchy: &mut PatchHierarchy,
-    level_no: usize,
-    finer_override: Option<(&[GBox], &[usize])>,
-    extra_interest: &[GBox],
-    margins: InterestMargins,
-    comm: Option<&Comm>,
-) {
-    try_refresh_partitioned_view(hierarchy, level_no, finer_override, extra_interest, margins, comm)
-        .unwrap_or_else(|e| panic!("regrid: {e}"))
-}
-
-/// Fault-aware [`refresh_partitioned_view`]: verification and transport
-/// faults surface as a typed [`ExchangeError`] instead of a panic. The
-/// verdict is collective — every rank returns `Err` together.
+/// untouched. Verification and transport faults surface as a typed
+/// [`ExchangeError`]; the verdict is collective — every rank returns
+/// `Err` together, so no rank plans against a divergent view.
 ///
 /// # Errors
 /// [`ExchangeError`] when the digest-verified exchange fails.

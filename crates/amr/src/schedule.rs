@@ -303,9 +303,23 @@ impl ScheduleCache {
 /// The sanctioned schedule-build entry point: Morton [`BoxIndex`]
 /// discovery, O(N log N + k), plus the cache hook.
 ///
-/// ```ignore
+/// ```
+/// # use rbamr_amr::{ops::ConservativeCellRefine, schedule::FillSpec, *};
+/// # use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
+/// # use std::sync::Arc;
+/// # let mut reg = VariableRegistry::new(Arc::new(HostDataFactory::new()));
+/// # let var = reg.register("q", Centring::Cell, IntVector::uniform(2));
+/// # let domain = BoxList::from_box(GBox::from_coords(0, 0, 16, 16));
+/// # let ratio = IntVector::uniform(2);
+/// # let mut h = PatchHierarchy::new(GridGeometry::unit(1.0), domain, ratio, 2, 0, 1);
+/// # h.set_level(0, vec![GBox::from_coords(0, 0, 16, 16)], vec![0], &reg);
+/// # h.set_level(1, vec![GBox::from_coords(8, 8, 24, 24)], vec![0], &reg);
+/// # let specs = [FillSpec { var, refine_op: Some(Arc::new(ConservativeCellRefine)) }];
 /// let mut cache = ScheduleCache::new();
 /// let sched = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &specs);
+/// // While `sched` is held, the same structure is a cache hit.
+/// let again = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &specs);
+/// assert!(Arc::ptr_eq(&sched, &again));
 /// ```
 ///
 /// Discovery iterates the level's records: all of them over replicated

@@ -382,10 +382,10 @@ fn run(placement: Placement, plan: FaultPlan, policy: RecoveryPolicy, nranks: us
         let mut config = rbamr_hydro::HydroConfig {
             regrid_interval: 5,
             max_patch_size: 8,
-            metadata_mode: deck.metadata_mode,
             ..rbamr_hydro::HydroConfig::default()
         };
         config.regrid.cluster.min_size = 4;
+        config.regrid.metadata_mode = deck.metadata_mode;
         let spec = SimSpec {
             machine: machine.clone(),
             placement,

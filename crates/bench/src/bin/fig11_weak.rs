@@ -243,13 +243,10 @@ fn scale_run(ranks: usize, mode: MetadataMode) {
         metadata_name(mode)
     );
     let results = Cluster::new(Machine::titan()).with_stack_size(1 << 20).run(ranks, move |comm| {
-        let mut config = HydroConfig {
-            regrid_interval: 0,
-            max_patch_size: 16,
-            metadata_mode: mode,
-            ..HydroConfig::default()
-        };
+        let mut config =
+            HydroConfig { regrid_interval: 0, max_patch_size: 16, ..HydroConfig::default() };
         config.regrid.max_patch_size = 16;
+        config.regrid.metadata_mode = mode;
         let mut sim = HydroSim::new(
             Machine::titan(),
             Placement::Device,

@@ -9,20 +9,11 @@
 //!
 //! ```text
 //! cargo run --release -p rbamr-bench --bin schedule_bench [-- --smoke] [--json PATH]
-//! cargo run --release -p rbamr-bench --bin schedule_bench -- --steady-regrid [--smoke] [--json PATH]
 //! cargo run --release -p rbamr-bench --bin schedule_bench -- --partitioned [--smoke] [--json PATH]
 //! ```
 //!
 //! `--smoke` restricts the sweep to 64/256 patches with one repetition
 //! (CI). `--json PATH` writes the measurements for the perf trajectory.
-//!
-//! `--steady-regrid` instead exercises the structure-keyed schedule
-//! cache on the Sod deck: converge the hierarchy, then regrid
-//! repeatedly with an unchanged structure and compare the schedule-build
-//! time per regrid against the same run's convergence window (where
-//! every regrid changes the structure and must build). The run asserts
-//! a 100% cache hit-rate (zero rebuilds) after convergence and at least
-//! a 5x reduction in build time per regrid.
 //!
 //! `--partitioned` measures the partitioned-metadata path on a
 //! simulated cluster (8 and 16 ranks): each rank converts to an owned +
@@ -36,12 +27,9 @@ use rbamr_amr::ops::ConservativeCellRefine;
 use rbamr_amr::partition::RECORD_BYTES;
 use rbamr_amr::schedule::FillSpec;
 use rbamr_amr::{partition_hierarchy_metadata, InterestMargins, RefineSchedule, ScheduleBuild};
-use rbamr_bench::{path_arg, schedule_bench_hierarchy, schedule_bench_hierarchy_sfc, sod_config};
-use rbamr_hydro::{HydroSim, Placement};
+use rbamr_bench::{path_arg, schedule_bench_hierarchy, schedule_bench_hierarchy_sfc};
 use rbamr_netsim::Cluster;
-use rbamr_perfmodel::{Clock, Machine};
-use rbamr_problems::sod_regions;
-use rbamr_telemetry::Recorder;
+use rbamr_perfmodel::Machine;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,125 +44,6 @@ fn median_ns(reps: usize, mut f: impl FnMut()) -> u128 {
         .collect();
     samples.sort_unstable();
     samples[samples.len() / 2]
-}
-
-/// Schedule counter deltas over a window of regrids.
-struct WindowStats {
-    regrids: u64,
-    builds: u64,
-    build_ns: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl WindowStats {
-    fn build_ns_per_regrid(&self) -> f64 {
-        self.build_ns as f64 / self.regrids as f64
-    }
-}
-
-/// Converge a Sod hierarchy, then run `regrids` structure-preserving
-/// regrids. Returns the schedule counter deltas of the convergence
-/// window (initialisation's level-creating regrids plus the passes up
-/// to and including the one that confirms the fixed point) and of the
-/// steady window after it.
-fn run_steady(nx: i64, levels: usize, regrids: usize) -> (WindowStats, WindowStats) {
-    let clock = Clock::new();
-    let mut sim = HydroSim::new(
-        Machine::ipa_cpu_node(),
-        Placement::Host,
-        clock.clone(),
-        (1.0, 1.0),
-        (nx, nx),
-        levels,
-        2,
-        sod_config(16),
-        sod_regions(),
-        0,
-        1,
-    );
-    let rec = Recorder::new(0, clock);
-    sim.set_recorder(rec.clone());
-    let counters = || {
-        ["schedule.builds", "schedule.build_ns", "schedule.cache_hits", "schedule.cache_misses"]
-            .map(|name| rec.counter(name))
-    };
-    let window = |regrids: usize, from: [u64; 4], to: [u64; 4]| WindowStats {
-        regrids: regrids as u64,
-        builds: to[0] - from[0],
-        build_ns: to[1] - from[1],
-        hits: to[2] - from[2],
-        misses: to[3] - from[3],
-    };
-
-    let start = counters();
-    sim.initialize(None);
-    assert_eq!(sim.hierarchy().num_levels(), levels, "steady-regrid: deck must fill every level");
-    // Convergence: the state is not advanced, so regridding reaches a
-    // structural fixed point within a few passes.
-    let passes = (1..=10).find(|_| !sim.regrid(None).any_changed());
-    let passes = passes.expect("steady-regrid: hierarchy failed to converge");
-    let fixed_point = counters();
-    for _ in 0..regrids {
-        let outcome = sim.regrid(None);
-        assert!(!outcome.any_changed(), "steady-regrid: structure moved at a fixed point");
-    }
-    // Initialisation regrids once per level it creates.
-    (window(levels - 1 + passes, start, fixed_point), window(regrids, fixed_point, counters()))
-}
-
-fn steady_regrid_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
-    let (nx, levels, regrids) = if smoke { (32, 2, 8) } else { (64, 3, 32) };
-    println!("Steady-regrid schedule caching: Sod {nx}x{nx}, {levels} levels, {regrids} regrids");
-
-    let (converging, steady) = run_steady(nx, levels, regrids);
-
-    let lookups = steady.hits + steady.misses;
-    let hit_rate = steady.hits as f64 / lookups.max(1) as f64;
-    let reduction = converging.build_ns_per_regrid() / steady.build_ns_per_regrid().max(1.0);
-    println!(
-        "  steady:     {} regrids, {} builds, {} ns build time, {}/{} lookups hit",
-        steady.regrids, steady.builds, steady.build_ns, steady.hits, lookups
-    );
-    println!(
-        "  converging: {} regrids, {} builds, {} ns build time",
-        converging.regrids, converging.builds, converging.build_ns
-    );
-    println!(
-        "  hit rate {:.1}%  build-time-per-regrid reduction {reduction:.1}x",
-        hit_rate * 100.0
-    );
-
-    if let Some(path) = json_path {
-        let body = format!(
-            "{{\n  \"mode\": \"steady-regrid\",\n  \"nx\": {nx},\n  \"levels\": {levels},\n  \
-             \"steady_regrids\": {regrids},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
-             \"hit_rate\": {hit_rate:.4},\n  \"steady_builds\": {},\n  \
-             \"steady_build_ns\": {},\n  \"converging_regrids\": {},\n  \
-             \"converging_builds\": {},\n  \"converging_build_ns\": {},\n  \
-             \"build_time_reduction\": {reduction:.3}\n}}\n",
-            steady.hits,
-            steady.misses,
-            steady.builds,
-            steady.build_ns,
-            converging.regrids,
-            converging.builds,
-            converging.build_ns,
-        );
-        std::fs::write(&path, body).expect("schedule_bench: write json");
-        println!("wrote {}", path.display());
-    }
-
-    // Acceptance gates (CI smoke relies on these panicking on failure).
-    assert!(steady.hits > 0, "steady regrids must hit the cache");
-    assert_eq!(steady.misses, 0, "steady regrids must not miss: hit rate {hit_rate}");
-    assert_eq!(steady.builds, 0, "steady regrids must perform zero schedule rebuilds");
-    assert!(converging.builds > 0, "structure-changing regrids must build schedules");
-    assert!(
-        reduction >= 5.0,
-        "schedule caching must cut build time per regrid >= 5x (got {reduction:.2}x)"
-    );
-    println!("steady-regrid: PASS");
 }
 
 /// Per-rank measurements from one partitioned-metadata configuration.
@@ -335,10 +204,6 @@ fn main() {
     let json_path = path_arg("--json");
     if std::env::args().any(|a| a == "--partitioned") {
         partitioned_mode(smoke, json_path);
-        return;
-    }
-    if std::env::args().any(|a| a == "--steady-regrid") {
-        steady_regrid_mode(smoke, json_path);
         return;
     }
     let (sizes, reps): (&[usize], usize) =

@@ -35,13 +35,10 @@ fn spec(deck: Deck, mode: MetadataMode, rank: usize, nranks: usize) -> SimSpec {
         Deck::Sod => ((1.0, 1.0), (24, 24), sod_regions()),
         Deck::TriplePoint => (TRIPLE_POINT_EXTENT, (28, 12), triple_point_regions()),
     };
-    let mut config = HydroConfig {
-        regrid_interval: 5,
-        max_patch_size: 8,
-        metadata_mode: mode,
-        ..HydroConfig::default()
-    };
+    let mut config =
+        HydroConfig { regrid_interval: 5, max_patch_size: 8, ..HydroConfig::default() };
     config.regrid.cluster.min_size = 4;
+    config.regrid.metadata_mode = mode;
     SimSpec {
         machine: Machine::ipa_cpu_node(),
         placement: Placement::Host,

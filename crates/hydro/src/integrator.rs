@@ -74,12 +74,6 @@ pub struct HydroConfig {
     pub regrid: RegridParams,
     /// Maximum patch extent on level 0, in cells.
     pub max_patch_size: i64,
-    /// How level metadata is held across ranks. `Replicated` (the
-    /// default) keeps every level's full box array on every rank;
-    /// `Partitioned` holds owned + ghosted views, converted in place at
-    /// [`HydroSim::initialize`] and maintained (digest-verified) across
-    /// regrids. Field output is bitwise identical between the modes.
-    pub metadata_mode: MetadataMode,
 }
 
 impl Default for HydroConfig {
@@ -93,7 +87,6 @@ impl Default for HydroConfig {
             thresholds: FlagThresholds::default(),
             regrid: RegridParams::default(),
             max_patch_size: 1 << 30,
-            metadata_mode: MetadataMode::default(),
         }
     }
 }
@@ -422,7 +415,7 @@ impl HydroSim {
         &mut self,
         comm: Option<&Comm>,
     ) -> Result<(), RestoreError> {
-        if self.config.metadata_mode == MetadataMode::Partitioned {
+        if self.config.regrid.metadata_mode == MetadataMode::Partitioned {
             // Restore rebuilds levels replicated; convert back before
             // schedules are rebuilt.
             try_partition_hierarchy_metadata(&mut self.hierarchy, self.config.regrid.margins, comm)
@@ -695,11 +688,12 @@ impl HydroSim {
         fills.chain(self.sync_schedules.iter().map(|s| s.plan_digest())).collect()
     }
 
-    /// Switch how level metadata is held ([`MetadataMode`]). Must be
-    /// called before [`HydroSim::initialize`]: initialisation performs
-    /// the replicated → partitioned conversion exchange.
+    /// Switch how level metadata is held: sets
+    /// [`RegridParams::metadata_mode`]. Must be called before
+    /// [`HydroSim::initialize`]: initialisation performs the replicated
+    /// → partitioned conversion exchange of level 0.
     pub fn set_metadata_mode(&mut self, mode: MetadataMode) {
-        self.config.metadata_mode = mode;
+        self.config.regrid.metadata_mode = mode;
     }
 
     /// Order-independent digest over every local patch's packed field
@@ -776,7 +770,7 @@ impl HydroSim {
         let rec = self.recorder.clone();
         let _span = rec.is_enabled().then(|| rec.span("initialize", Category::Other));
         let mut first: Option<SimError> = None;
-        if self.config.metadata_mode == MetadataMode::Partitioned {
+        if self.config.regrid.metadata_mode == MetadataMode::Partitioned {
             // Convert the level-0 metadata to partitioned views before
             // the first regrid; the regrids below keep every level
             // partitioned from then on. The exchange verdict is
@@ -1232,9 +1226,7 @@ impl HydroSim {
     /// [`SimError`] when the regrid's transport, metadata verification
     /// or patch-data transfer faulted.
     pub fn try_regrid(&mut self, comm: Option<&Comm>) -> Result<RegridOutcome, SimError> {
-        let mut params = self.config.regrid.clone();
-        params.metadata_mode = self.config.metadata_mode;
-        let regridder = Regridder::new(params);
+        let regridder = Regridder::new(self.config.regrid.clone());
         let f = self.fields;
         let specs: Vec<TransferSpec> = [f.density0, f.energy0, f.xvel0, f.yvel0]
             .into_iter()
@@ -1394,14 +1386,19 @@ mod tests {
     /// patches on each level (the regime per-level launching exists
     /// for: launches scale with levels, not patches).
     fn sim_capped(placement: Placement, cells: i64, levels: usize, max_patch: i64) -> HydroSim {
-        let machine = match placement {
-            Placement::Host => Machine::ipa_cpu_node(),
-            _ => Machine::ipa_gpu(),
-        };
         let mut config =
             HydroConfig { regrid_interval: 5, max_patch_size: max_patch, ..HydroConfig::default() };
         config.regrid.cluster.min_size = 4;
         config.regrid.max_patch_size = max_patch;
+        sim_with(placement, cells, levels, config)
+    }
+
+    /// An initialised Sod simulation of `cells`² coarse cells.
+    fn sim_with(placement: Placement, cells: i64, levels: usize, config: HydroConfig) -> HydroSim {
+        let machine = match placement {
+            Placement::Host => Machine::ipa_cpu_node(),
+            _ => Machine::ipa_gpu(),
+        };
         let mut s = HydroSim::new(
             machine,
             placement,
@@ -1454,6 +1451,22 @@ mod tests {
         assert_eq!(rec.counter("schedule.cache_misses"), misses);
         assert!(rec.counter("schedule.cache_hits") > hits, "every lookup must hit the cache");
         assert!(rec.counter("regrid.levels_unchanged") > 0);
+    }
+
+    /// `config.regrid.metadata_mode` is the one metadata-mode setting:
+    /// set alone, it partitions level 0 at initialisation and every
+    /// level the regrids create.
+    #[test]
+    fn regrid_metadata_mode_partitions_every_level() {
+        let mut config = HydroConfig::default();
+        config.regrid.cluster.min_size = 4;
+        config.regrid.metadata_mode = MetadataMode::Partitioned;
+        let s = sim_with(Placement::Host, 32, 2, config);
+        let h = s.hierarchy();
+        assert_eq!(h.num_levels(), 2);
+        for l in 0..h.num_levels() {
+            assert!(h.level(l).is_partitioned(), "level {l} kept replicated metadata");
+        }
     }
 
     #[test]

@@ -1081,20 +1081,36 @@ mod tests {
     /// One device patch with the same random state in every field for
     /// a given seed (positive for densities/energies/EOS fields).
     fn random_patch(seed: u64, cells: i64) -> (Patch, Fields) {
-        use rand::{Rng, SeedableRng};
         let device = rbamr_device::Device::k20x();
-        let factory = std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(device));
+        random_patch_on(
+            std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(device)),
+            seed,
+            cells,
+        )
+    }
+
+    /// [`random_patch`] on `factory`'s placement: the same seed gives
+    /// the same values on every placement.
+    fn random_patch_on(
+        factory: std::sync::Arc<dyn rbamr_amr::DataFactory>,
+        seed: u64,
+        cells: i64,
+    ) -> (Patch, Fields) {
+        use rand::{Rng, SeedableRng};
         let mut reg = rbamr_amr::VariableRegistry::new(factory);
         let f = Fields::register(&mut reg);
         let id = rbamr_amr::patch::PatchId { level: 0, index: 0 };
         let mut patch = Patch::new(id, GBox::from_coords(0, 0, cells, cells), 0, &reg);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for v in 0..reg.len() {
-            let d = dev_mut(patch.data_mut(VariableId(v)));
-            let image: Vec<f64> = (0..d.buffer().len())
+            let data = patch.data_mut(VariableId(v));
+            let image: Vec<f64> = (0..data.data_box().num_cells())
                 .map(|_| if v < 7 { rng.gen_range(0.2..2.0) } else { rng.gen_range(-1.0..1.0) })
                 .collect();
-            d.upload_all(&image, Category::Other);
+            match data.as_any_mut().downcast_mut::<HostData<f64>>() {
+                Some(host) => host.as_mut_slice().copy_from_slice(&image),
+                None => dev_mut(data).upload_all(&image, Category::Other),
+            }
         }
         (patch, f)
     }
@@ -1102,10 +1118,63 @@ mod tests {
     fn field_bits(patch: &Patch) -> Vec<Vec<u64>> {
         (0..22)
             .map(|v| {
-                let host = dev(patch.data(VariableId(v))).download_all(Category::Other);
-                host.into_iter().map(f64::to_bits).collect()
+                let data = patch.data(VariableId(v));
+                let values = match data.as_any().downcast_ref::<HostData<f64>>() {
+                    Some(host) => host.as_slice().to_vec(),
+                    None => dev(data).download_all(Category::Other),
+                };
+                values.into_iter().map(f64::to_bits).collect()
             })
             .collect()
+    }
+
+    /// The two [`crate::PatchIntegrator`]s are thin: each method hands
+    /// its arguments to one executor body. From the same random state,
+    /// every method leaves host and device fields, and then the dt and
+    /// summary each integrator computes, bitwise equal — a wrapper that
+    /// passes one argument differently fails here (`flag_cells` is
+    /// checked below).
+    #[test]
+    fn both_patch_integrators_forward_every_method_alike() {
+        use crate::state::PatchIntegrator;
+        const DX: (f64, f64) = (0.05, 0.05);
+        const DT: f64 = 1e-3;
+        let methods: [fn(&dyn PatchIntegrator, &mut Patch, &Fields); 12] = [
+            |ig, p, f| ig.ideal_gas(p, f, 1.4, false),
+            |ig, p, f| ig.ideal_gas(p, f, 1.4, true),
+            |ig, p, f| ig.viscosity(p, f, DX),
+            |ig, p, f| ig.pdv(p, f, DX, DT, true),
+            |ig, p, f| ig.pdv(p, f, DX, DT, false),
+            |ig, p, f| ig.revert(p, f),
+            |ig, p, f| ig.accelerate(p, f, DX, DT),
+            |ig, p, f| ig.flux_calc(p, f, DX, DT),
+            |ig, p, f| ig.advec_cell(p, f, DX, 0, 1),
+            |ig, p, f| ig.advec_cell(p, f, DX, 1, 2),
+            |ig, p, f| {
+                // Momentum advection reads the volumes and fluxes the
+                // cell sweep computes.
+                ig.advec_cell(p, f, DX, 0, 1);
+                ig.advec_mom(p, f, DX, 0, 1);
+            },
+            |ig, p, f| ig.reset(p, f),
+        ];
+        let observe = |ig: &dyn PatchIntegrator, p: &mut Patch, f: &Fields| {
+            let s = ig.field_summary(p, f, DX, p.cell_box());
+            let dt = ig.calc_dt(p, f, DX, 0.5);
+            let words = [dt, s.volume, s.mass, s.internal_energy, s.kinetic_energy, s.pressure];
+            (words.map(f64::to_bits), field_bits(p))
+        };
+        let host = std::sync::Arc::new(rbamr_amr::HostDataFactory::new());
+        let (host_ig, dev_ig) =
+            (crate::HostPatchIntegrator::new(), crate::DevicePatchIntegrator::new());
+        for (i, method) in methods.iter().enumerate() {
+            let (mut hp, f) = random_patch_on(host.clone(), i as u64, 12);
+            let (mut dp, _) = random_patch(i as u64, 12);
+            method(&host_ig, &mut hp, &f);
+            method(&dev_ig, &mut dp, &f);
+            let same = observe(&host_ig, &mut hp, &f) == observe(&dev_ig, &mut dp, &f);
+            assert!(same, "method {i}: host and device diverge");
+        }
     }
 
     /// The split itself, phase by phase: with no fill between the

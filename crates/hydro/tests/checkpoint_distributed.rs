@@ -27,13 +27,10 @@ fn build_at(
     rank: usize,
     nranks: usize,
 ) -> HydroSim {
-    let mut config = HydroConfig {
-        regrid_interval: 5,
-        max_patch_size: 8,
-        metadata_mode: mode,
-        ..HydroConfig::default()
-    };
+    let mut config =
+        HydroConfig { regrid_interval: 5, max_patch_size: 8, ..HydroConfig::default() };
     config.regrid.cluster.min_size = 4;
+    config.regrid.metadata_mode = mode;
     HydroSim::new(
         Machine::ipa_cpu_node(),
         Placement::Host,

@@ -9,8 +9,9 @@
 //! Property-tests random hierarchy configurations (deck, rank count,
 //! metadata mode, grid size) and asserts, per rank and per step:
 //!
-//! * the device run's `state_field_digest` is bitwise identical to the
-//!   host placement's;
+//! * the device run's `state_field_digest`, and its final `summary`
+//!   (the field-summary launch and download no step kernel shares), are
+//!   bitwise identical to the host placement's;
 //! * the host placement's digests equal the frozen reference recorded
 //!   from the last independent host implementation;
 //! * the device run is **schedule-invariant**: netsim's deterministic
@@ -96,6 +97,8 @@ struct RankTrace {
     /// (name, peer, tag, occurrence, bytes, cost bits) per edge, in
     /// record order.
     edges: Vec<(String, usize, u64, u64, u64, u64)>,
+    /// The bits of the rank-local `summary` after the last step.
+    summary: [u64; 5],
 }
 
 /// `workers`: netsim worker slots, `None` for the default count.
@@ -109,14 +112,11 @@ fn run(cfg: RunConfig, workers: Option<usize>, placement: Placement) -> Vec<Rank
     let results = cluster.run(cfg.ranks, move |mut comm| {
         let rec = Recorder::new(comm.rank(), comm.clock().clone());
         comm.set_recorder(rec.clone());
-        let mut config = HydroConfig {
-            regrid_interval: 3,
-            max_patch_size: cfg.patch,
-            metadata_mode: cfg.mode,
-            ..HydroConfig::default()
-        };
+        let mut config =
+            HydroConfig { regrid_interval: 3, max_patch_size: cfg.patch, ..HydroConfig::default() };
         config.regrid.cluster.min_size = 4;
         config.regrid.max_patch_size = cfg.patch;
+        config.regrid.metadata_mode = cfg.mode;
         let regions = if cfg.deck == 0 { sod_regions() } else { blast_regions() };
         let mut sim = HydroSim::new(
             m.clone(),
@@ -156,7 +156,10 @@ fn run(cfg: RunConfig, workers: Option<usize>, placement: Placement) -> Vec<Rank
             .into_iter()
             .map(|e| (e.name.to_string(), e.peer, e.tag, e.occurrence, e.bytes, e.cost.to_bits()))
             .collect();
-        RankTrace { digests, device, hydro_launches, counters, step_counters, edges }
+        let s = sim.summary(None);
+        let summary =
+            [s.volume, s.mass, s.internal_energy, s.kinetic_energy, s.pressure].map(f64::to_bits);
+        RankTrace { digests, device, hydro_launches, counters, step_counters, edges, summary }
     });
     let mut out: Vec<_> = results.into_iter().map(|r| (r.rank, r.value)).collect();
     out.sort_by_key(|(rank, _)| *rank);
@@ -166,6 +169,7 @@ fn run(cfg: RunConfig, workers: Option<usize>, placement: Placement) -> Vec<Rank
 fn assert_same_digests(what: &str, cfg: RunConfig, a: &[RankTrace], b: &[RankTrace]) {
     for (rank, (a, b)) in a.iter().zip(b).enumerate() {
         assert_eq!(a.digests, b.digests, "{cfg:?}: rank {rank}: {what}");
+        assert_eq!(a.summary, b.summary, "{cfg:?}: rank {rank}: {what} (summary)");
     }
 }
 

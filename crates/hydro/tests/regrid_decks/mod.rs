@@ -80,12 +80,12 @@ impl Deck {
         let mut config = HydroConfig {
             regrid_interval: REGRID_EVERY,
             max_patch_size: self.patch(),
-            metadata_mode: mode,
             thresholds: self.thresholds(),
             ..HydroConfig::default()
         };
         config.regrid.cluster.min_size = 4;
         config.regrid.max_patch_size = self.patch();
+        config.regrid.metadata_mode = mode;
         HydroSim::new(
             Machine::ipa_gpu(),
             placement,

@@ -518,24 +518,6 @@ impl Comm {
         }
     }
 
-    /// Dead-rank-aware send: like [`Comm::send`] but returns a typed
-    /// [`CommError::RankDead`] instead of silently black-holing the
-    /// frame when `dst` has been declared permanently dead. Use on
-    /// paths that want to *react* to a peer's death (the plain `send`
-    /// stays infallible so survivors mid-way through a doomed step's
-    /// communication pattern can run through to the step commit).
-    ///
-    /// # Errors
-    /// [`CommError::RankDead`] when `dst` is dead.
-    pub fn try_send(&self, dst: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
-        assert!(dst < self.size(), "send: rank {dst} out of range");
-        if self.shared.is_dead(self.physical(dst)) {
-            return Err(CommError::RankDead { rank: dst });
-        }
-        self.send(dst, tag, payload);
-        Ok(())
-    }
-
     /// Blocking receive of the next message from `src` with `tag`.
     /// Charges this rank's clock with the modelled message cost,
     /// attributed to `category`.
@@ -1648,10 +1630,7 @@ mod tests {
             // with a typed error — no hang.
             let post = comm.try_recv(1, 2, Category::Other);
             assert_eq!(post, Err(CommError::RankDead { rank: 1 }));
-            // Dead-rank-aware send is typed; the infallible send is
-            // black-holed without panicking.
-            let send = comm.try_send(1, 3, Bytes::from_static(b"ping"));
-            assert_eq!(send, Err(CommError::RankDead { rank: 1 }));
+            // A send to the dead rank is black-holed without panicking.
             comm.send(1, 4, Bytes::from_static(b"into the void"));
             assert_eq!(comm.dead_ranks(), vec![1]);
             vec![1u8]

@@ -159,8 +159,8 @@ fn main() {
     let a = args.clone();
     let results = cluster.run(args.ranks, move |comm| {
         let comm_opt = if comm.size() > 1 { Some(&comm) } else { None };
-        let mut config =
-            HydroConfig { metadata_mode: a.metadata.unwrap_or_default(), ..HydroConfig::default() };
+        let mut config = HydroConfig::default();
+        config.regrid.metadata_mode = a.metadata.unwrap_or_default();
         if comm.size() > 1 {
             let max_patch =
                 (cells.0 as f64 / (comm.size() as f64).sqrt() / 2.0).clamp(16.0, 512.0) as i64;
