@@ -177,13 +177,16 @@ impl Window {
 /// of an array laid out over `obox`, and the window itself.
 ///
 /// # Panics
-/// Panics if `region` is not inside `obox`.
+/// Panics, in every profile, if `out` does not hold exactly the cells of
+/// `obox` or `region` is not inside `obox`.
 pub fn par_rows(
     out: &mut [f64],
     obox: GBox,
     region: GBox,
     f: impl Fn(&mut [f64], Window) + Sync + Send,
 ) {
+    let len = out.len();
+    assert_eq!(len, obox.num_cells() as usize, "par_rows: output of {len} values for {obox:?}");
     if region.is_empty() {
         return;
     }
@@ -1032,6 +1035,16 @@ mod tests {
         let dbox = b(0, 0, 4, 4);
         let data = constant(dbox, 0.0);
         View::new(&data, dbox).row(4, 0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "par_rows: output")]
+    fn output_shorter_than_its_box_panics() {
+        let dbox = b(0, 0, 4, 4);
+        let src = constant(dbox, 1.0);
+        // Two of the four rows: a row walk that stops where the array
+        // ends would write those and silently skip the rest.
+        copy_field(&mut [0.0; 8], dbox, View::new(&src, dbox), dbox);
     }
 
     #[test]
