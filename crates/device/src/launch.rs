@@ -1,7 +1,6 @@
-//! Kernel launch machinery: access tokens and data-parallel helpers.
+//! Kernel launch machinery: access tokens and grid configuration.
 
 use crate::Device;
-use rayon::prelude::*;
 
 /// Capability token proving code is executing "on the device".
 ///
@@ -69,47 +68,9 @@ impl LaunchConfig {
     }
 }
 
-/// Run `f` for every logical thread index `0..threads` in parallel.
-///
-/// This is the execution model of a 1D CUDA grid: every invocation is
-/// independent (the borrow checker enforces what CUDA merely assumes).
-/// Bodies receive the global thread index.
-pub fn par_for_each(threads: usize, f: impl Fn(usize) + Sync + Send) {
-    (0..threads).into_par_iter().for_each(f);
-}
-
-/// Data-parallel map over the rows of a row-major 2D array: `f(row_index,
-/// row_slice)` runs concurrently per row. `data.len()` must be a
-/// multiple of `row_len`.
-///
-/// Writing kernels row-wise rather than element-wise lets safe Rust
-/// express the same independence a CUDA thread-per-element kernel has,
-/// without interior mutability: each row is a disjoint `&mut` chunk.
-pub fn par_rows_mut(data: &mut [f64], row_len: usize, f: impl Fn(usize, &mut [f64]) + Sync + Send) {
-    assert!(row_len > 0, "par_rows_mut: zero row length");
-    assert_eq!(data.len() % row_len, 0, "par_rows_mut: data not a whole number of rows");
-    data.par_chunks_mut(row_len).enumerate().for_each(|(r, row)| f(r, row));
-}
-
-/// Parallel reduction to a minimum over `0..n`, evaluating `f(i)` per
-/// logical thread — the shape of the device dt-reduction kernel.
-pub fn par_reduce_min(n: usize, f: impl Fn(usize) -> f64 + Sync + Send) -> f64 {
-    (0..n).into_par_iter().map(f).reduce(|| f64::INFINITY, f64::min)
-}
-
-/// Parallel reduction to a sum over `0..n`.
-///
-/// Summation order is non-deterministic across the thread pool; callers
-/// needing bitwise reproducibility (the dt reduction does not — it is a
-/// min) should reduce on sorted keys instead.
-pub fn par_reduce_sum(n: usize, f: impl Fn(usize) -> f64 + Sync + Send) -> f64 {
-    (0..n).into_par_iter().map(f).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn launch_config_matches_figure_5a() {
@@ -119,43 +80,5 @@ mod tests {
         assert_eq!(LaunchConfig::for_elements(0).blocks(), 0);
         assert_eq!(LaunchConfig::for_elements(256).blocks(), 1);
         assert_eq!(LaunchConfig::for_elements(257).blocks(), 2);
-    }
-
-    #[test]
-    fn par_for_each_visits_every_thread_once() {
-        let n = 10_000;
-        let hits = AtomicUsize::new(0);
-        par_for_each(n, |_i| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), n);
-    }
-
-    #[test]
-    fn par_rows_mut_gives_disjoint_rows() {
-        let mut data = vec![0.0; 12];
-        par_rows_mut(&mut data, 4, |r, row| {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = (r * 4 + c) as f64;
-            }
-        });
-        let expect: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        assert_eq!(data, expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole number of rows")]
-    fn par_rows_mut_checks_shape() {
-        let mut data = vec![0.0; 10];
-        par_rows_mut(&mut data, 4, |_, _| {});
-    }
-
-    #[test]
-    fn reductions() {
-        let v: Vec<f64> = vec![5.0, 2.0, 8.0, -1.0];
-        assert_eq!(par_reduce_min(v.len(), |i| v[i]), -1.0);
-        assert_eq!(par_reduce_sum(v.len(), |i| v[i]), 14.0);
-        assert_eq!(par_reduce_min(0, |_| 0.0), f64::INFINITY);
-        assert_eq!(par_reduce_sum(0, |_| 0.0), 0.0);
     }
 }

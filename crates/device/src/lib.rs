@@ -15,9 +15,11 @@
 //!   benchmark harness read [`Device::stats`] to assert that a timestep
 //!   moves exactly the packed-halo + tag-bitmap + scalar traffic the
 //!   paper describes, and nothing more.
-//! * Kernel bodies execute for real, data-parallel, on the host's
-//!   thread pool (rayon); each launch also advances the rank's virtual
-//!   [`rbamr_perfmodel::Clock`] by the modelled K20x kernel cost.
+//! * Kernel bodies execute for real on the launching thread; a body
+//!   that covers a large region splits its rows across the host's cores
+//!   (`rayon::join`, in the hydro kernels' row drivers). Each launch
+//!   also advances the rank's virtual [`rbamr_perfmodel::Clock`] by the
+//!   modelled K20x kernel cost, whatever the split.
 //! * [`Stream`]s and [`Event`]s reproduce the ordering constructs of the
 //!   paper's Figure 5a host code.
 

@@ -21,11 +21,14 @@
 //! does not depend on how a region is cut into rows and windows — which
 //! is what keeps host = device and Interior + Boundary = Full bitwise.
 //!
-//! Rows are written through disjoint slices and are independent, but
-//! they run in order on the calling thread: the vendored `rayon` whose
-//! adapters the row drivers use executes serially.
+//! Rows are written through disjoint slices and are independent, so a
+//! row driver that covers at least [`SPLIT_CELLS`] cells cuts its rows in
+//! two and runs the halves with `rayon::join`, recursively, on whatever
+//! cores are free; smaller calls run on the calling thread. No bit
+//! depends on the cut: every element keeps its expression tree, and
+//! [`calc_dt`] and [`field_summary`] keep one value per row and fold
+//! those in row order once every row is done.
 
-use rayon::prelude::*;
 use rbamr_geometry::{GBox, IntVector};
 
 /// Read-only view of a row-major field.
@@ -172,9 +175,38 @@ impl Window {
     }
 }
 
-/// Row driver of every array-writing kernel: for each row of `region`,
-/// in order, `f(out, window)` receives the region's window of that row
-/// of an array laid out over `obox`, and the window itself.
+/// Cells from which a row driver splits its rows across threads, into
+/// pieces of at least half this. Every region of a 16² patch is below it,
+/// and so are the thin boundary frames of an overlap window; a smaller
+/// piece costs more to hand to another thread than it saves.
+const SPLIT_CELLS: usize = 4096;
+
+/// Calls `f(y, row)` for each row of `out` — rows of `w` values, the
+/// first of them row `y` — on the calling thread, or, while there are at
+/// least two rows and `row_cells` × rows ≥ [`SPLIT_CELLS`], on the two
+/// halves of the rows through `rayon::join`.
+fn split_rows<T: Send>(
+    out: &mut [T],
+    w: usize,
+    y: i64,
+    row_cells: usize,
+    f: &(impl Fn(i64, &mut [T]) + Sync),
+) {
+    let rows = out.len() / w;
+    if rows < 2 || rows * row_cells < SPLIT_CELLS {
+        for (r, row) in out.chunks_mut(w).enumerate() {
+            f(y + r as i64, row);
+        }
+        return;
+    }
+    let (lo, hi) = out.split_at_mut(rows / 2 * w);
+    let mid = y + (rows / 2) as i64;
+    rayon::join(|| split_rows(lo, w, y, row_cells, f), || split_rows(hi, w, mid, row_cells, f));
+}
+
+/// Row driver of every array-writing kernel: for each row of `region`
+/// ([`split_rows`]), `f(out, window)` receives the region's window of
+/// that row of an array laid out over `obox`, and the window itself.
 ///
 /// # Panics
 /// Panics, in every profile, if `out` does not hold exactly the cells of
@@ -193,12 +225,10 @@ pub fn par_rows(
     assert!(obox.contains_box(region), "par_rows: region {region:?} escapes {obox:?}");
     let w = obox.size().x as usize;
     let first = (region.lo.y - obox.lo.y) as usize;
-    let rows = region.size().y as usize;
+    let rows = &mut out[first * w..(first + region.size().y as usize) * w];
     let (x0, x1) = (region.lo.x, region.hi.x);
     let (off, n) = ((x0 - obox.lo.x) as usize, (x1 - x0) as usize);
-    out.par_chunks_mut(w).skip(first).take(rows).enumerate().for_each(|(r, row)| {
-        f(&mut row[off..off + n], Window { y: region.lo.y + r as i64, x0, x1 });
-    });
+    split_rows(rows, w, region.lo.y, n, &|y, row| f(&mut row[off..off + n], Window { y, x0, x1 }));
 }
 
 /// Runs `body(out, plain, clamped)` over a row of outputs some of whose
@@ -345,27 +375,26 @@ pub fn calc_dt(
     if region.is_empty() {
         return f64::INFINITY;
     }
-    (region.lo.y..region.hi.y)
-        .into_par_iter()
-        .map(|y| {
-            let w = Window { y, x0: region.lo.x, x1: region.hi.x };
-            let (rho, q, ss, u, v) = (w.row(rho), w.row(q), w.row(ss), w.quad(u), w.quad(v));
-            let mut dt = f64::INFINITY;
-            for (i, &rho) in rho.iter().enumerate() {
-                let d = rho.max(1e-300);
-                // Effective signal speed: sound speed stiffened by the
-                // viscous pressure.
-                let cs = (ss[i] * ss[i] + 2.0 * q[i] / d).sqrt();
-                let dtx = dx.0 / (cs + u.abs_max(i) + 1e-12);
-                let dty = dx.1 / (cs + v.abs_max(i) + 1e-12);
-                let (du, dv) = cell_velocity_jumps(&u, &v, i);
-                let div = (du / dx.0 + dv / dx.1).abs();
-                let dtdiv = 0.25 / div.max(1e-12);
-                dt = dt.min(cfl * dtx.min(dty)).min(dtdiv);
-            }
-            dt
-        })
-        .reduce(|| f64::INFINITY, f64::min)
+    let mut per_row = vec![f64::INFINITY; region.size().y as usize];
+    split_rows(&mut per_row, 1, region.lo.y, region.size().x as usize, &|y, out| {
+        let w = Window { y, x0: region.lo.x, x1: region.hi.x };
+        let (rho, q, ss, u, v) = (w.row(rho), w.row(q), w.row(ss), w.quad(u), w.quad(v));
+        let mut dt = f64::INFINITY;
+        for (i, &rho) in rho.iter().enumerate() {
+            let d = rho.max(1e-300);
+            // Effective signal speed: sound speed stiffened by the
+            // viscous pressure.
+            let cs = (ss[i] * ss[i] + 2.0 * q[i] / d).sqrt();
+            let dtx = dx.0 / (cs + u.abs_max(i) + 1e-12);
+            let dty = dx.1 / (cs + v.abs_max(i) + 1e-12);
+            let (du, dv) = cell_velocity_jumps(&u, &v, i);
+            let div = (du / dx.0 + dv / dx.1).abs();
+            let dtdiv = 0.25 / div.max(1e-12);
+            dt = dt.min(cfl * dtx.min(dty)).min(dtdiv);
+        }
+        out[0] = dt;
+    });
+    per_row.into_iter().fold(f64::INFINITY, f64::min)
 }
 
 // --------------------------------------------------------------------
@@ -892,8 +921,12 @@ pub fn flag_cells(
 ) {
     let (x0, x1) = (region.lo.x, region.hi.x);
     assert_eq!(tags.len(), region.num_cells() as usize, "flag_cells: tag buffer shape");
-    tags.par_chunks_mut((x1 - x0) as usize).enumerate().for_each(|(r, out)| {
-        let w = Window { y: region.lo.y + r as i64, x0, x1 };
+    if region.is_empty() {
+        return;
+    }
+    let n = (x1 - x0) as usize;
+    split_rows(tags, n, region.lo.y, n, &|y, out| {
+        let w = Window { y, x0, x1 };
         // The x then y neighbours of each cell, in `rho` then in `e`.
         let rho_at = |dx, dy| w.shift(dx, dy).row_c(rho);
         let e_at = |dx, dy| w.shift(dx, dy).row_c(e);
@@ -941,32 +974,31 @@ pub fn field_summary(
         return crate::state::Summary::default();
     }
     let vol = dx.0 * dx.1;
-    (region.lo.y..region.hi.y)
-        .into_par_iter()
-        .map(|y| {
-            let w = Window { y, x0: region.lo.x, x1: region.hi.x };
-            let (rho, e, p, u, v) = (w.row(rho), w.row(e), w.row(p), w.quad(u), w.quad(v));
-            let mut s = crate::state::Summary::default();
-            for (i, &d) in rho.iter().enumerate() {
-                let vsqrd = 0.25
-                    * ((u.bl[i].powi(2) + v.bl[i].powi(2))
-                        + (u.br[i].powi(2) + v.br[i].powi(2))
-                        + (u.tl[i].powi(2) + v.tl[i].powi(2))
-                        + (u.tr[i].powi(2) + v.tr[i].powi(2)));
-                s.volume += vol;
-                s.mass += d * vol;
-                s.internal_energy += d * e[i] * vol;
-                s.kinetic_energy += 0.5 * d * vsqrd * vol;
-                s.pressure += p[i] * vol;
-            }
-            s
-        })
-        .reduce(crate::state::Summary::default, |a, b| a.merged(&b))
+    let mut per_row = vec![crate::state::Summary::default(); region.size().y as usize];
+    split_rows(&mut per_row, 1, region.lo.y, region.size().x as usize, &|y, out| {
+        let w = Window { y, x0: region.lo.x, x1: region.hi.x };
+        let (rho, e, p, u, v) = (w.row(rho), w.row(e), w.row(p), w.quad(u), w.quad(v));
+        let s = &mut out[0];
+        for (i, &d) in rho.iter().enumerate() {
+            let vsqrd = 0.25
+                * ((u.bl[i].powi(2) + v.bl[i].powi(2))
+                    + (u.br[i].powi(2) + v.br[i].powi(2))
+                    + (u.tl[i].powi(2) + v.tl[i].powi(2))
+                    + (u.tr[i].powi(2) + v.tr[i].powi(2)));
+            s.volume += vol;
+            s.mass += d * vol;
+            s.internal_energy += d * e[i] * vol;
+            s.kinetic_energy += 0.5 * d * vsqrd * vol;
+            s.pressure += p[i] * vol;
+        }
+    });
+    per_row.iter().fold(crate::state::Summary::default(), |a, b| a.merged(b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rbamr_geometry::IntVector;
 
     fn b(x0: i64, y0: i64, x1: i64, y1: i64) -> GBox {
@@ -1908,5 +1940,65 @@ mom_vel_update/1 1295c9b02f0c1019 d921e41a6cc38c12 3a73c996c3790918 2c7bf8b433ac
                 format!("{name} {}", hashes.join(" "))
             })
             .collect()
+    }
+
+    /// The bits of `v`, for comparing arrays that may hold NaN.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Each row driver over a region large enough to split across
+        /// threads writes the bits of the same call cut by hand into strips
+        /// of `strip` rows, each too small to split (one row for
+        /// `field_summary`, whose fold runs row by row).
+        #[test]
+        fn split_calls_equal_the_calls_on_their_strips(
+            (x0, y0, w, h) in (-50i64..50, -50i64..50, 64i64..200, 64i64..130),
+            strip in 1i64..21,
+            seed in 0u64..1_000_000,
+        ) {
+            use rbamr_geometry::Centring;
+            const DX: (f64, f64) = (0.05, 0.04);
+            let region = b(x0, y0, x0 + w, y0 + h);
+            let cbox = region.grow(IntVector::uniform(2));
+            let nbox = Centring::Node.data_box(cbox);
+            let cf: Vec<Vec<f64>> = (0..4).map(|k| field(seed + k, cbox, 0.2, 2.0)).collect();
+            let nf: Vec<Vec<f64>> = (0..2).map(|k| field(seed + 10 + k, nbox, -1.0, 1.0)).collect();
+            let (c, n) = (|k: usize| View::new(&cf[k], cbox), |k: usize| View::new(&nf[k], nbox));
+            let strips = |rows: i64| {
+                (region.lo.y..region.hi.y).step_by(rows as usize).map(move |y| {
+                    b(region.lo.x, y, region.hi.x, (y + rows).min(region.hi.y))
+                })
+            };
+
+            let viscosity_on = |regions: &mut dyn Iterator<Item = GBox>| {
+                let mut q = constant(cbox, -7.25);
+                regions.for_each(|r| viscosity(&mut q, cbox, c(0), c(1), n(0), n(1), r, DX));
+                q
+            };
+            let whole = viscosity_on(&mut std::iter::once(region));
+            prop_assert_eq!(bits(&whole), bits(&viscosity_on(&mut strips(strip))));
+
+            let dt = |r| calc_dt(c(0), c(1), c(2), n(0), n(1), r, DX, 0.7);
+            let cut = strips(strip).map(dt).fold(f64::INFINITY, f64::min);
+            prop_assert_eq!(dt(region).to_bits(), cut.to_bits());
+
+            let tags = |r: GBox| {
+                let mut t = vec![-1i32; r.num_cells() as usize];
+                flag_cells(&mut t, c(0), c(3), r, 0.9, 1.1);
+                t
+            };
+            prop_assert_eq!(tags(region), strips(strip).flat_map(tags).collect::<Vec<_>>());
+
+            let sums = |r| field_summary(c(0), c(1), c(2), n(0), n(1), r, DX);
+            let cut = strips(1).fold(crate::state::Summary::default(), |a, r| a.merged(&sums(r)));
+            let words = |t: crate::state::Summary| {
+                [t.volume, t.mass, t.internal_energy, t.kinetic_energy, t.pressure].map(f64::to_bits)
+            };
+            prop_assert_eq!(words(sums(region)), words(cut));
+        }
     }
 }
