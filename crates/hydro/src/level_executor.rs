@@ -980,7 +980,8 @@ pub(crate) fn advec_mom(
             let shape = KernelShape::streaming(total, 2, 0);
             ex.launch("mom-save-vel", Category::HydroKernel, shape, |kk| {
                 for (st, p) in stash.iter_mut().zip(patches.iter()) {
-                    st.old[vi].as_mut_slice(kk).copy_from_slice(view(p.data(vel), kk).data);
+                    let old = st.old[vi].as_mut_slice(kk);
+                    k::copy_field(old, st.vbox, view(p.data(vel), kk), st.vbox);
                 }
             });
         }
