@@ -176,9 +176,10 @@ impl Window {
 }
 
 /// Cells from which a row driver splits its rows across threads, into
-/// pieces of at least half this. Every region of a 16² patch is below it,
-/// and so are the thin boundary frames of an overlap window; a smaller
-/// piece costs more to hand to another thread than it saves.
+/// pieces of at least half this. No region of a 16² patch reaches it. A
+/// smaller piece costs about as much to hand to another thread as it
+/// saves; a larger threshold keeps more of a big patch's calls on one
+/// core.
 const SPLIT_CELLS: usize = 4096;
 
 /// Calls `f(y, row)` for each row of `out` — rows of `w` values, the
