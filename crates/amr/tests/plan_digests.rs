@@ -2,8 +2,10 @@
 //! regridding run moves, as absolute bits.
 //!
 //! The two `regrid_digests` decks (`crates/hydro/tests/regrid_decks`)
-//! are run on the host and the device placement at 1, 2 and 4 ranks
-//! under replicated and partitioned metadata. After every regrid each
+//! are run on the host and the device placement at 1, 2 and 4 ranks,
+//! and the triple point also at 8, under replicated and partitioned
+//! metadata. At 8 ranks most destinations of a level are ones a rank
+//! owns no end of, which the builds skip. After every regrid each
 //! rank renders
 //! [`rbamr_amr::RefineSchedule::plan_digest`] /
 //! [`rbamr_amr::CoarsenSchedule::plan_digest`] of every schedule the
@@ -15,7 +17,9 @@
 //! operators — cannot tell where the data lives.
 //!
 //! The constants were recorded at commit 5833799, from the build that
-//! walked every record of a level once per variable. A plan digest is
+//! walked every record of a level once per variable; the 8-rank row at
+//! 46fe580, from the build that walked every record once per class of
+//! variables, on every rank. A plan digest is
 //! sorted, so it pins *what* moves — every copy, send, receive,
 //! capture, interpolation and physical fill, with its boxes — and not
 //! the order of jobs inside a stage. The constants move only with a
@@ -69,7 +73,7 @@ fn run(deck: Deck, ranks: usize, placement: Placement, mode: MetadataMode) -> Ve
 }
 
 /// Per deck and rank count, one hash per regrid.
-const FROZEN: [(Deck, usize, [u64; REGRIDS]); 6] = [
+const FROZEN: [(Deck, usize, [u64; REGRIDS]); 7] = [
     (
         Deck::TriplePoint,
         1,
@@ -164,6 +168,22 @@ const FROZEN: [(Deck, usize, [u64; REGRIDS]); 6] = [
             0x2234_1a88_dd23_3496,
             0x7187_eba9_cf60_844e,
             0x0a64_013c_9815_c128,
+        ],
+    ),
+    (
+        Deck::TriplePoint,
+        8,
+        [
+            0x0610_9e24_f13e_9bb7,
+            0x0610_9e24_f13e_9bb7,
+            0x0610_9e24_f13e_9bb7,
+            0xe816_2c8c_8214_2fc9,
+            0xe816_2c8c_8214_2fc9,
+            0xe816_2c8c_8214_2fc9,
+            0x95dc_fe33_3bfb_f8ce,
+            0x1ead_4d95_46e6_9e4c,
+            0x66d2_9f87_783d_35ee,
+            0x1ead_4d95_46e6_9e4c,
         ],
     ),
 ];

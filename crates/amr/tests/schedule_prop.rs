@@ -3,11 +3,17 @@
 //! The indexed `RefineSchedule`/`CoarsenSchedule` constructors must
 //! produce byte-identical plans to the retained brute-force oracle
 //! (`new_bruteforce`) on arbitrary two-level hierarchies viewed from
-//! every rank of a 1–4 rank job: same copies, sends, recvs, interps,
-//! physical fills and sync jobs, in the same canonical order.
+//! every rank of a 1–8 rank job: same copies, sends, recvs, interps,
+//! physical fills and sync jobs, in the same canonical order. The
+//! indexed builds skip the destinations a rank owns no end of; the
+//! oracle has no index and walks them all. A cell- and a node-centred
+//! variable are filled and synchronised, so both the disjoint and the
+//! claim-accumulating paths of each build are compared.
 
 use proptest::prelude::*;
-use rbamr_amr::ops::{ConservativeCellRefine, LinearNodeRefine, VolumeWeightedCoarsen};
+use rbamr_amr::ops::{
+    ConservativeCellRefine, LinearNodeRefine, NodeInjectionCoarsen, VolumeWeightedCoarsen,
+};
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
     CoarsenSchedule, GridGeometry, HostDataFactory, PatchHierarchy, RefineSchedule,
@@ -43,10 +49,10 @@ proptest! {
 
     #[test]
     fn indexed_schedule_matches_bruteforce(
-        nranks in 1usize..5,
+        nranks in 1usize..9,
         coarse_mask in 1u32..65536,
         fine_mask in (any::<u32>(), any::<u32>()),
-        owner_seed in proptest::collection::vec(0usize..4, 80),
+        owner_seed in proptest::collection::vec(0usize..8, 80),
     ) {
         // Level 0: selected 8x8 tiles of a 4x4 grid over [0,32)^2.
         // Level 1: selected 8x8 fine tiles of an 8x8 grid over [0,64)^2
@@ -66,6 +72,11 @@ proptest! {
             let mut reg = VariableRegistry::new(Arc::new(HostDataFactory::new()));
             let qc = reg.register("qc", Centring::Cell, IntVector::uniform(2));
             let qn = reg.register("qn", Centring::Node, IntVector::ONE);
+            // Ghosts 8 (x) and 5 (y) on 8-cell tiles put an owned
+            // source's nodes exactly `ghosts + 1` cells out, and a
+            // coarse tile's one cell off the widest scratch box: the
+            // edges of the reach a rank plans destinations within.
+            let wide = reg.register("wide", Centring::Node, IntVector::new(8, 5));
             let mut h = PatchHierarchy::new(
                 GridGeometry::unit(1.0),
                 BoxList::from_box(b(0, 0, 32, 32)),
@@ -80,6 +91,7 @@ proptest! {
             let fills = [
                 FillSpec { var: qc, refine_op: Some(Arc::new(ConservativeCellRefine)) },
                 FillSpec { var: qn, refine_op: Some(Arc::new(LinearNodeRefine)) },
+                FillSpec { var: wide, refine_op: Some(Arc::new(LinearNodeRefine)) },
             ];
             for level_no in 0..2 {
                 let fast = RefineSchedule::new(&h, &reg, level_no, &fills);
@@ -94,7 +106,10 @@ proptest! {
                 );
             }
 
-            let syncs = [CoarsenSpec { var: qc, op: Arc::new(VolumeWeightedCoarsen), aux: vec![] }];
+            let syncs = [
+                CoarsenSpec { var: qc, op: Arc::new(VolumeWeightedCoarsen), aux: vec![] },
+                CoarsenSpec { var: qn, op: Arc::new(NodeInjectionCoarsen), aux: vec![] },
+            ];
             let fast = CoarsenSchedule::new(&h, &reg, 1, &syncs);
             let slow = CoarsenSchedule::new_bruteforce(&h, &reg, 1, &syncs);
             prop_assert_eq!(
