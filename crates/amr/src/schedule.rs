@@ -16,10 +16,11 @@
 //! mass-weighted coarsening, is local), then the scratch moves to the
 //! coarse patch's owner.
 //!
-//! Schedules are built redundantly on every rank from the globally
-//! replicated level metadata, so send and receive plans agree without
-//! negotiation; message tags encode `(kind, variable, destination patch,
-//! source patch)` and are therefore unique per schedule execution.
+//! Each rank builds its schedules from the level metadata it holds and
+//! plans only the transfers it owns an end of; both ends of a transfer
+//! derive it from the same records, so send and receive plans agree
+//! without negotiation. Each schedule execution sends one message per
+//! peer, tagged with the schedule kind and level.
 //!
 //! Every plan is resolved at build time into a transfer *job* (see
 //! [`crate::transfer`]): local patch positions looked up, copy overlaps
@@ -55,6 +56,7 @@ use rbamr_geometry::{
 use rbamr_netsim::{Comm, CommError};
 use rbamr_perfmodel::Category;
 use std::any::Any;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// A fault detected while executing a schedule.
@@ -250,8 +252,8 @@ impl ScheduleKey {
 /// on a moving front and was never once hit on the benchmark decks.
 #[derive(Default)]
 pub struct ScheduleCache {
-    refine: std::collections::HashMap<ScheduleKey, Arc<RefineSchedule>>,
-    coarsen: std::collections::HashMap<ScheduleKey, Arc<CoarsenSchedule>>,
+    refine: HashMap<ScheduleKey, Arc<RefineSchedule>>,
+    coarsen: HashMap<ScheduleKey, Arc<CoarsenSchedule>>,
     hits: u64,
     misses: u64,
 }
@@ -322,28 +324,31 @@ impl ScheduleCache {
 /// assert!(Arc::ptr_eq(&sched, &again));
 /// ```
 ///
-/// Discovery iterates the level's records: all of them over replicated
-/// metadata, the owned + interest neighbourhood of a partitioned view —
-/// where each rank then plans only transfers it owns an endpoint of.
-/// View digests equal replicated digests, so cache keys agree across
-/// metadata modes. The all-pairs oracle
-/// ([`RefineSchedule::new_bruteforce`]) never goes through here, so it
-/// is never cached.
+/// Discovery runs over the level's records — all of them over
+/// replicated metadata, the owned + interest neighbourhood of a
+/// partitioned view — and in both modes walks only the destinations
+/// this rank may own an end of a transfer into, so each rank plans only
+/// the transfers it owns an endpoint of, from the same records either
+/// way. View digests equal replicated digests, so cache keys agree
+/// across metadata modes. The all-pairs oracle
+/// ([`RefineSchedule::new_bruteforce`]) has no index, walks every
+/// destination and never goes through here, so it is never cached.
 ///
-/// One value is one build *pass*: the fill geometry of a level is
-/// walked once per class of variables and shared by
-/// every fill schedule the pass builds, and is dropped with the value.
+/// One value is one build *pass*: each level's index and local
+/// positions are made once, and its fill geometry is walked once per
+/// class of variables, for every schedule the pass builds; all of it is
+/// dropped with the value.
 pub struct ScheduleBuild<'c> {
     /// When set, built schedules are cached and structure-preserving
     /// rebuilds become `Arc` clones.
     pub cache: Option<&'c mut ScheduleCache>,
-    memo: GeometryMemo,
+    memo: PassMemo,
 }
 
 impl ScheduleBuild<'static> {
     /// Indexed build, no caching.
     pub fn indexed() -> Self {
-        Self { cache: None, memo: GeometryMemo::default() }
+        Self { cache: None, memo: PassMemo::default() }
     }
 }
 
@@ -409,8 +414,9 @@ impl<'c> ScheduleBuild<'c> {
                 return Arc::clone(hit);
             }
         }
+        let memo = &mut self.memo;
         let built =
-            Arc::new(CoarsenSchedule::build(hierarchy, registry, fine_level_no, specs, true));
+            Arc::new(CoarsenSchedule::build(hierarchy, registry, fine_level_no, specs, true, memo));
         if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
             cache.misses += 1;
             count_if_enabled(hierarchy, "schedule.cache_misses");
@@ -566,20 +572,22 @@ impl RefineSchedule {
         level_no: usize,
         specs: &[FillSpec],
     ) -> Self {
-        Self::build(hierarchy, registry, level_no, specs, true, &mut GeometryMemo::default())
+        Self::build(hierarchy, registry, level_no, specs, true, &mut PassMemo::default())
     }
 
     /// Build the schedule with the all-pairs O(N²) scan the indexed
-    /// build replaced. Retained as the test oracle: the proptests
-    /// assert [`RefineSchedule::plan_digest`] is identical for both
-    /// builds on arbitrary hierarchies. Never cached.
+    /// build replaced: without an index it walks every destination of
+    /// the level, not only those this rank may own an end of. Retained
+    /// as the test oracle: the proptests assert
+    /// [`RefineSchedule::plan_digest`] is identical for both builds on
+    /// arbitrary hierarchies. Never cached.
     pub fn new_bruteforce(
         hierarchy: &PatchHierarchy,
         registry: &VariableRegistry,
         level_no: usize,
         specs: &[FillSpec],
     ) -> Self {
-        Self::build(hierarchy, registry, level_no, specs, false, &mut GeometryMemo::default())
+        Self::build(hierarchy, registry, level_no, specs, false, &mut PassMemo::default())
     }
 
     fn build(
@@ -588,21 +596,19 @@ impl RefineSchedule {
         level_no: usize,
         specs: &[FillSpec],
         indexed: bool,
-        memo: &mut GeometryMemo,
+        memo: &mut PassMemo,
     ) -> Self {
         let build_start = std::time::Instant::now();
         let rank = hierarchy.rank();
-        let level = hierarchy.level(level_no);
         // Plan against the level's records: every record in replicated
         // mode, the owned + interest neighborhood of a partitioned
         // view. Records are in ascending global-index order in both
         // modes, so the relative candidate order — and with it the
         // aggregated message stream layout — is identical on every rank
         // that plans a given pair.
-        let same = Sources::of(level, rank, Some(level_no), indexed);
+        let same = Sources::shared(memo, hierarchy, level_no, indexed);
         let needs_coarse = level_no > 0 && specs.iter().any(|s| s.refine_op.is_some());
-        let coarse = needs_coarse
-            .then(|| Sources::of(hierarchy.level(level_no - 1), rank, Some(level_no - 1), indexed));
+        let coarse = needs_coarse.then(|| Sources::shared(memo, hierarchy, level_no - 1, indexed));
         let vars = specs.iter().map(|s| s.var).collect();
         let mut plan = Planner::new(hierarchy, registry, level_no, KIND_AGG_FILL, vars);
         let structure = ScheduleKey::new(hierarchy, level_no, needs_coarse, indexed.into());
@@ -614,9 +620,10 @@ impl RefineSchedule {
             let op = spec.refine_op.as_ref().filter(|_| level_no > 0);
             let class = (var.centring, var.ghosts, op.map(|op| op.stencil_width()));
             let geometry = memo
+                .geometry
                 .entry((structure, class))
                 .or_insert_with(|| plan.geometry(hierarchy, &same, coarse.as_ref(), class));
-            for (dst_pos, g) in geometry.iter().enumerate() {
+            for &(dst_pos, ref g) in geometry.iter() {
                 let dst_box = same.recs.box_at(dst_pos);
                 let dst = (same.recs.global_index(dst_pos), same.recs.owner_at(dst_pos));
                 // --- Same-level copies -----------------------------------
@@ -624,7 +631,8 @@ impl RefineSchedule {
                 plan.stamp(&same, &g.same, dst, &[end]);
                 // --- Physical boundary regions (dst local only) ----------
                 if !g.outside.is_empty() {
-                    let (pos, dst_idx, outside) = (same.local[dst_pos], dst.0, g.outside.clone());
+                    let (pos, dst_idx, outside) =
+                        (same.table.local[dst_pos], dst.0, g.outside.clone());
                     plan.sched.physical.push(PhysicalPlan { pos, dst_idx, var: spec.var, outside });
                 }
                 // --- Coarse-fine interpolation ---------------------------
@@ -635,7 +643,7 @@ impl RefineSchedule {
                 let end = (spec.var, slot, var.centring.data_box(c.scratch_box));
                 plan.stamp(coarse, &c.sources, dst, &[end]);
                 if dst.1 == rank {
-                    let at = (same.local[dst_pos], dst.0);
+                    let at = (same.table.local[dst_pos], dst.0);
                     plan.interpolate(op, spec.var, at, (&c.want, c.scratch_box, &c.covered));
                 }
             }
@@ -737,7 +745,7 @@ impl RefineSchedule {
                     fill.subtract(&claimed);
                     fill.coalesce();
                     for spec in group {
-                        let (op, at) = (&spec.refine_op, (new.local[npos], dst.0));
+                        let (op, at) = (&spec.refine_op, (new.table.local[npos], dst.0));
                         plan.interpolate(op, spec.var, at, (&fill, scratch_box, &covered));
                     }
                 }
@@ -1051,35 +1059,71 @@ struct CoarseGeometry {
 /// ghost width and, where it interpolates, the stencil width.
 type Class = (Centring, IntVector, Option<IntVector>);
 
-/// The geometry of every record of a level, per structure (the key of
-/// a schedule, the discovery mode in place of a spec set) and class.
-/// It lives as long as one [`ScheduleBuild`] and is what lets the fill
-/// schedules of a level share one walk over its records.
-type GeometryMemo = std::collections::HashMap<(ScheduleKey, Class), Vec<DstGeometry>>;
+/// The geometry of a level's destinations, by record position, per
+/// structure (the key of a schedule, the discovery mode in place of a
+/// spec set) and class: what lets its fill schedules share one walk.
+type GeometryMemo = HashMap<(ScheduleKey, Class), Vec<(usize, DstGeometry)>>;
 
-/// One level as a source of planned transfers.
-struct Sources<'a> {
-    recs: crate::level::LevelRecords<'a>,
-    /// [`local_positions`] of the level.
-    local: Vec<usize>,
-    /// Its number in the hierarchy; `None` for the level being replaced.
-    level: Option<usize>,
+/// What one [`ScheduleBuild`] pass computes once for all its builds.
+#[derive(Default)]
+struct PassMemo {
+    /// Per level, keyed like a schedule of that level alone.
+    levels: HashMap<ScheduleKey, Arc<LevelTable>>,
+    geometry: GeometryMemo,
+}
+
+/// What planning against a level needs besides its records.
+struct LevelTable {
     /// Over the held boxes, with one cell of slack so centring-adjusted
     /// data boxes (one layer past the cell box on the upper side) are
     /// caught; `None` scans all pairs (the brute-force oracle).
     index: Option<BoxIndex>,
+    /// Per record, where its patch sits in the level's local array —
+    /// meaningful for the records this rank owns.
+    local: Vec<usize>,
+    /// Positions of the records this rank owns.
+    owned: Vec<usize>,
+}
+
+/// One level as a source of planned transfers.
+struct Sources<'a> {
+    recs: crate::level::LevelRecords<'a>,
+    /// Its number in the hierarchy; `None` for the level being replaced.
+    level: Option<usize>,
+    table: Arc<LevelTable>,
 }
 
 impl<'a> Sources<'a> {
+    /// # Panics
+    /// Panics if a record `rank` owns has no local patch — a
+    /// schedule/hierarchy mismatch.
     fn of(level: &'a PatchLevel, rank: usize, named: Option<usize>, indexed: bool) -> Self {
         let recs = level.records();
         let index = indexed.then(|| BoxIndex::new(recs.boxes(), IntVector::ONE));
-        Self { recs, local: local_positions(level, rank), level: named, index }
+        let (mut local, mut owned) = (Vec::with_capacity(recs.len()), Vec::new());
+        for pos in 0..recs.len() {
+            local.push(owned.len());
+            if recs.owner_at(pos) == rank {
+                let index = recs.global_index(pos);
+                let patch = level.local().get(owned.len());
+                assert!(patch.is_some_and(|p| p.id().index == index), "patch {index} is not local");
+                owned.push(pos);
+            }
+        }
+        Self { recs, level: named, table: Arc::new(LevelTable { index, local, owned }) }
+    }
+
+    /// Level `level_no` of `h`, its table made once per pass.
+    fn shared(memo: &mut PassMemo, h: &'a PatchHierarchy, level_no: usize, indexed: bool) -> Self {
+        let key = ScheduleKey::new(h, level_no, false, indexed.into());
+        let fresh = || Self::of(h.level(level_no), h.rank(), None, indexed).table;
+        let table = Arc::clone(memo.levels.entry(key).or_insert_with(fresh));
+        Self { recs: h.level(level_no).records(), level: Some(level_no), table }
     }
 
     /// Positions of the records that may meet `query`, ascending.
     fn candidates(&self, query: GBox, out: &mut Vec<usize>) {
-        match &self.index {
+        match &self.table.index {
             Some(index) => index.query_into(query, out),
             None => {
                 out.clear();
@@ -1088,12 +1132,39 @@ impl<'a> Sources<'a> {
         }
     }
 
+    /// Positions of the records that meet `region`, ascending.
+    fn meeting(&self, region: GBox, out: &mut Vec<usize>) {
+        self.candidates(region, out);
+        out.retain(|&pos| self.recs.box_at(pos).intersects(region));
+    }
+
+    /// Per record, whether this rank may own an end of a transfer into
+    /// it: whether it meets one of `regions`, which the caller derives
+    /// from the records this rank owns. Only an index narrows the walk
+    /// down, so the brute-force oracle plans for every record.
+    fn reachable(&self, regions: impl Iterator<Item = GBox>) -> Vec<bool> {
+        if self.table.index.is_none() {
+            return vec![true; self.recs.len()];
+        }
+        let (mut flags, mut found) = (vec![false; self.recs.len()], Vec::new());
+        for region in regions {
+            self.meeting(region, &mut found);
+            found.iter().for_each(|&pos| flags[pos] = true);
+        }
+        flags
+    }
+
+    /// Boxes of the records this rank owns.
+    fn owned_boxes(&self) -> impl Iterator<Item = GBox> + '_ {
+        self.table.owned.iter().map(|&pos| self.recs.box_at(pos))
+    }
+
     /// The owned record at `pos` as an end of a job (meaningless for a
     /// record another rank owns).
     fn loc(&self, pos: usize) -> Loc {
         match self.level {
-            Some(level) => Loc::patch(level, self.local[pos]),
-            None => Loc::Outgoing(narrow(self.local[pos])),
+            Some(level) => Loc::patch(level, self.table.local[pos]),
+            None => Loc::Outgoing(narrow(self.table.local[pos])),
         }
     }
 }
@@ -1193,20 +1264,31 @@ impl<'a> Planner<'a> {
         self.sched.scratch.push((var, scratch_box));
     }
 
-    /// The fill geometry of every record of the level `same` holds, for
-    /// one class of variables (see [`DstGeometry`]).
+    /// The fill geometry of the records of `same` this rank may own an
+    /// end of a fill into, by position, for one class of variables (see
+    /// [`DstGeometry`]). Any other destination would plan nothing here,
+    /// so it is skipped before any box calculus: a same-level source's
+    /// region lies in both data boxes, within `ghosts + 1` cells of the
+    /// destination, and a coarse one's in the scratch data box, whose
+    /// cell box lies in `dst.grow(ghosts + 1).coarsen(ratio).grow(stencil)`.
     fn geometry(
         &mut self,
         hierarchy: &PatchHierarchy,
         same: &Sources<'_>,
         coarse: Option<&Sources<'_>>,
         (centring, ghosts, stencil): Class,
-    ) -> Vec<DstGeometry> {
+    ) -> Vec<(usize, DstGeometry)> {
         let level_no = same.level.expect("a fill targets a level of the hierarchy");
         let domain = hierarchy.level(level_no).domain();
         let boxes = same.recs.boxes();
+        let (reach, ratio) = (ghosts + IntVector::ONE, self.ratio);
+        let feeds = coarse.zip(stencil).into_iter().flat_map(|(coarse, stencil)| {
+            let from = move |c: GBox| c.grow(stencil + IntVector::ONE).refine(ratio).grow(reach);
+            coarse.owned_boxes().map(from)
+        });
+        let walked = same.reachable(same.owned_boxes().map(|b| b.grow(reach)).chain(feeds));
         let (mut sources, mut coarse_sources) = (Vec::new(), Vec::new());
-        let per_dst = |(dst_pos, &dst_box): (usize, &GBox)| {
+        let mut per_dst = |(dst_pos, &dst_box): (usize, &GBox)| {
             let dst_rank = same.recs.owner_at(dst_pos);
             // Candidate-source discovery (see [`Sources::candidates`]):
             // queries grow by the ghost width, and the result is a
@@ -1256,8 +1338,7 @@ impl<'a> Planner<'a> {
                 .boxes()
                 .iter()
                 .fold(GBox::EMPTY, |acc, &b| acc.bounding(cell_cover(b, centring)));
-            let scratch_box =
-                fine_cover.coarsen(hierarchy.ratio_to_coarser(level_no)).grow(stencil);
+            let scratch_box = fine_cover.coarsen(ratio).grow(stencil);
             let scratch_data_box = centring.data_box(scratch_box);
             coarse.candidates(scratch_data_box, &mut coarse_sources);
             let in_scratch = |_, cbox| scratch_region(scratch_data_box, cbox, centring);
@@ -1267,7 +1348,8 @@ impl<'a> Planner<'a> {
             g.coarse = Some(CoarseGeometry { want, scratch_box, sources, covered });
             g
         };
-        boxes.iter().enumerate().map(per_dst).collect()
+        let walked = boxes.iter().enumerate().filter(|&(pos, _)| walked[pos]);
+        walked.map(|(pos, b)| (pos, per_dst((pos, b)))).collect()
     }
 
     /// Give every value of one destination — a record `dst_rank` owns —
@@ -1595,7 +1677,7 @@ impl CoarsenSchedule {
         fine_level_no: usize,
         specs: &[CoarsenSpec],
     ) -> Self {
-        Self::build(hierarchy, registry, fine_level_no, specs, true)
+        Self::build(hierarchy, registry, fine_level_no, specs, true, &mut PassMemo::default())
     }
 
     /// All-pairs O(N²) build, retained as the test oracle (see
@@ -1606,7 +1688,7 @@ impl CoarsenSchedule {
         fine_level_no: usize,
         specs: &[CoarsenSpec],
     ) -> Self {
-        Self::build(hierarchy, registry, fine_level_no, specs, false)
+        Self::build(hierarchy, registry, fine_level_no, specs, false, &mut PassMemo::default())
     }
 
     fn build(
@@ -1615,22 +1697,25 @@ impl CoarsenSchedule {
         fine_level_no: usize,
         specs: &[CoarsenSpec],
         indexed: bool,
+        memo: &mut PassMemo,
     ) -> Self {
         assert!(fine_level_no > 0, "CoarsenSchedule: level 0 has no coarser level");
         let build_start = std::time::Instant::now();
         let rank = hierarchy.rank();
-        let fine = hierarchy.level(fine_level_no).records();
-        let coarse = hierarchy.level(fine_level_no - 1).records();
+        let fine = Sources::shared(memo, hierarchy, fine_level_no, indexed);
+        let coarse = Sources::shared(memo, hierarchy, fine_level_no - 1, indexed);
         let ratio = hierarchy.ratio_to_coarser(fine_level_no);
-        // Cell-box intersection only, so no centring slack is needed:
-        // the candidates are exactly the coarse boxes the shadow meets.
-        let coarse_index = indexed.then(|| BoxIndex::new(coarse.boxes(), IntVector::ZERO));
-        let all_coarse: Vec<usize> = if indexed { Vec::new() } else { (0..coarse.len()).collect() };
+        let shadow_of = |fpos: usize| fine.recs.box_at(fpos).coarsen(ratio);
+        // A pair matters to this rank only if its coarse destination is
+        // the rank's own or under the shadow of one of its fine records,
+        // and only fine records under such a destination are walked.
+        let fine_shadows = fine.table.owned.iter().map(|&fpos| shadow_of(fpos));
+        let relevant = coarse.reachable(coarse.owned_boxes().chain(fine_shadows));
+        let fed = (0..relevant.len()).filter(|&cpos| relevant[cpos]);
+        let walked = fine.reachable(fed.map(|cpos| coarse.recs.box_at(cpos).refine(ratio)));
         let mut candidate_pairs: u64 = 0;
         let mut coarse_cand = Vec::new();
-        let fine_local = local_positions(hierarchy.level(fine_level_no), rank);
-        let coarse_local = local_positions(hierarchy.level(fine_level_no - 1), rank);
-        let there = |rec_pos: usize| Loc::patch(fine_level_no - 1, coarse_local[rec_pos]);
+        let there = |rec_pos: usize| Loc::patch(fine_level_no - 1, coarse.table.local[rec_pos]);
         let mut scratch = Vec::new();
         let mut projects: Vec<(Arc<dyn CoarsenOperator>, Vec<CoarsenJob>)> = Vec::new();
         let mut applies = Vec::new();
@@ -1654,31 +1739,26 @@ impl CoarsenSchedule {
             // disjoint regions the coarse value at a shared node would
             // depend on the rank layout. The claims per coarse
             // destination accumulate over the fine sources in ascending
-            // record order, so every rank walks all candidate pairs,
-            // not only its own. A claim from a record
-            // one rank holds and another does not can only reduce fills
-            // it actually overlaps, and overlapping fine sources are
-            // adjacent — inside every involved rank's interest
-            // neighborhood — so the reduced fills agree across ranks.
+            // record order, so a rank walks every candidate pair of a
+            // destination it is an end at, not only its own pairs. A
+            // claim from a record one rank holds and another does not
+            // can only reduce fills it actually overlaps, and
+            // overlapping fine sources are adjacent — inside every
+            // involved rank's interest neighborhood — so the reduced
+            // fills agree across ranks.
             let overlapping_centring = centring != Centring::Cell;
-            let mut claims: std::collections::HashMap<usize, BoxList> =
-                std::collections::HashMap::new();
-            for (fpos, &fbox) in fine.boxes().iter().enumerate() {
-                let fidx = fine.global_index(fpos);
-                let f_rank = fine.owner_at(fpos);
-                let shadow = fbox.coarsen(ratio);
-                let targets: &[usize] = match &coarse_index {
-                    Some(ix) => {
-                        ix.query_into(shadow, &mut coarse_cand);
-                        &coarse_cand
-                    }
-                    None => &all_coarse,
-                };
-                candidate_pairs += targets.len() as u64;
-                for &cpos in targets {
-                    let cbox = coarse.box_at(cpos);
-                    let cidx = coarse.global_index(cpos);
-                    let c_rank = coarse.owner_at(cpos);
+            let mut claims: HashMap<usize, BoxList> = HashMap::new();
+            for fpos in (0..walked.len()).filter(|&fpos| walked[fpos]) {
+                let fidx = fine.recs.global_index(fpos);
+                let f_rank = fine.recs.owner_at(fpos);
+                let shadow = shadow_of(fpos);
+                coarse.meeting(shadow, &mut coarse_cand);
+                coarse_cand.retain(|&cpos| relevant[cpos]);
+                candidate_pairs += coarse_cand.len() as u64;
+                for &cpos in &coarse_cand {
+                    let cbox = coarse.recs.box_at(cpos);
+                    let cidx = coarse.recs.global_index(cpos);
+                    let c_rank = coarse.recs.owner_at(cpos);
                     if !overlapping_centring && f_rank != rank && c_rank != rank {
                         continue;
                     }
@@ -1712,7 +1792,7 @@ impl CoarsenSchedule {
                     let job = CoarsenJob {
                         var: spec.var,
                         aux: spec.aux.clone(),
-                        pos: narrow(fine_local[fpos]),
+                        pos: narrow(fine.table.local[fpos]),
                         scratch: narrow(scratch.len()),
                         fill: BoxList::from_box(centring.data_box(region)),
                         src_idx: narrow(fidx),
@@ -1898,33 +1978,6 @@ impl CoarsenSchedule {
         w.streams(&self.recvs);
         w.0
     }
-}
-
-/// For each record position of `level`, where that patch sits in the
-/// level's local patch array — meaningful for the records `rank` owns,
-/// which are the local patches in order. Built once per schedule build;
-/// execution uses the stored positions.
-///
-/// # Panics
-/// Panics if an owned record has no local patch — a schedule/hierarchy
-/// mismatch.
-fn local_positions(level: &PatchLevel, rank: usize) -> Vec<usize> {
-    let recs = level.records();
-    let mut owned = 0;
-    (0..recs.len())
-        .map(|pos| {
-            let at = owned;
-            if recs.owner_at(pos) == rank {
-                let index = recs.global_index(pos);
-                assert!(
-                    level.local().get(at).is_some_and(|p| p.id().index == index),
-                    "patch {index} is not local (stale schedule?)"
-                );
-                owned += 1;
-            }
-            at
-        })
-        .collect()
 }
 
 #[cfg(test)]
