@@ -21,7 +21,9 @@
 //! the owner-computes `Partitioned` strategy. Reports worst-rank
 //! retained metadata bytes against the replicated footprint and the
 //! level-1 build time of both paths, asserting plan-digest agreement
-//! with the replicated build and sublinear per-rank retention.
+//! with the replicated build and sublinear per-rank retention, and —
+//! deterministic, unlike the times — that the replicated build's worst
+//! rank walks at most 1.5x the partitioned build's candidate pairs.
 
 use rbamr_amr::ops::ConservativeCellRefine;
 use rbamr_amr::partition::RECORD_BYTES;
@@ -30,6 +32,7 @@ use rbamr_amr::{partition_hierarchy_metadata, InterestMargins, RefineSchedule, S
 use rbamr_bench::{path_arg, schedule_bench_hierarchy, schedule_bench_hierarchy_sfc};
 use rbamr_netsim::Cluster;
 use rbamr_perfmodel::Machine;
+use rbamr_telemetry::Recorder;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,6 +58,8 @@ struct PartitionedRow {
     max_partitioned_bytes: usize,
     indexed_ns: u128,
     partitioned_ns: u128,
+    /// Worst-rank candidate pairs of a level-1 build: replicated, partitioned.
+    max_pairs: (u64, u64),
 }
 
 /// `--partitioned`: owner-computes planning over owned + ghosted views
@@ -62,8 +67,9 @@ struct PartitionedRow {
 /// a simulated cluster. Reports per-rank metadata bytes and level-1
 /// build time; asserts every rank's partitioned plans digest-match the
 /// replicated build (and the brute-force oracle at the smallest size),
-/// and that per-rank retention at the largest size is sublinear in the
-/// global patch count.
+/// and, at the largest size, that per-rank retention is sublinear in the
+/// global patch count and that the replicated build walks at most 1.5x
+/// the partitioned build's candidate pairs.
 fn partitioned_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
     // Retention only separates from the replicated footprint once the
     // level dwarfs the ghost margins, so the smoke sweep keeps a large
@@ -85,7 +91,8 @@ fn partitioned_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
             let cluster = Cluster::new(Machine::ipa_cpu_node());
             let results = cluster.run(nranks, |comm| {
                 let rank = comm.rank();
-                let (h_rep, reg, var) = schedule_bench_hierarchy_sfc(patches, rank, comm.size());
+                let (mut h_rep, reg, var) =
+                    schedule_bench_hierarchy_sfc(patches, rank, comm.size());
                 let (mut h_part, _, _) = schedule_bench_hierarchy_sfc(patches, rank, comm.size());
                 // The production conversion: interest carving + allgatherv
                 // exchange + digest-verified handshake.
@@ -105,6 +112,13 @@ fn partitioned_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
                         assert_eq!(part.plan_digest(), oracle.plan_digest());
                     }
                 }
+                // A recorder on each hierarchy counts one level-1 build.
+                let pairs = |h: &mut rbamr_amr::PatchHierarchy| {
+                    h.set_recorder(Recorder::new(rank, comm.clock().clone()));
+                    RefineSchedule::new(h, &reg, 1, &specs);
+                    h.recorder().counter("schedule.candidate_pairs")
+                };
+                let pairs = (pairs(&mut h_rep), pairs(&mut h_part));
                 let indexed_ns = median_ns(reps, || {
                     RefineSchedule::new(&h_rep, &reg, 1, &specs);
                 });
@@ -116,7 +130,7 @@ fn partitioned_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
                     .sum();
                 let global_records: usize =
                     (0..2).map(|l| h_rep.level(l).global_boxes().len()).sum();
-                (part_bytes, global_records, indexed_ns, partitioned_ns)
+                (part_bytes, global_records, indexed_ns, partitioned_ns, pairs)
             });
             let global_records = results[0].value.1;
             let replicated_bytes = global_records * RECORD_BYTES;
@@ -133,6 +147,10 @@ fn partitioned_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
                 max_partitioned_bytes,
                 indexed_ns: idx_ns[idx_ns.len() / 2],
                 partitioned_ns: part_ns[part_ns.len() / 2],
+                max_pairs: results
+                    .iter()
+                    .map(|r| r.value.4)
+                    .fold((0, 0), |m, (repl, part)| (m.0.max(repl), m.1.max(part))),
             };
             println!(
                 "{:>6} {:>8} {:>10} {:>12} {:>12} {:>12.1} {:>12.1}",
@@ -155,14 +173,15 @@ fn partitioned_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
                 format!(
                     "  {{\"nranks\": {}, \"patches\": {}, \"global_records\": {}, \
                      \"replicated_bytes\": {}, \"max_partitioned_bytes\": {}, \
-                     \"indexed_ns\": {}, \"partitioned_ns\": {}}}",
+                     \"indexed_ns\": {}, \"partitioned_ns\": {}, \"max_pairs\": {:?}}}",
                     r.nranks,
                     r.patches,
                     r.global_records,
                     r.replicated_bytes,
                     r.max_partitioned_bytes,
                     r.indexed_ns,
-                    r.partitioned_ns
+                    r.partitioned_ns,
+                    [r.max_pairs.0, r.max_pairs.1]
                 )
             })
             .collect();
@@ -195,6 +214,9 @@ fn partitioned_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
             "{nranks} ranks: retention grew {growth:.2}x against a \
              {global_growth:.2}x global growth — not sublinear"
         );
+        let (repl, part) = big.max_pairs;
+        println!("{nranks} ranks, {largest} patches: worst-rank candidate pairs {repl} vs {part}");
+        assert!(2 * repl <= 3 * part, "replicated planning walks over 1.5x the partitioned");
     }
     println!("partitioned: PASS");
 }
