@@ -356,9 +356,9 @@ fn frames_gate(failures: &mut Vec<String>) -> (u64, u64) {
 /// per-rank RSS against a replicated run at 1,024 ranks, and the
 /// collectives behind the exchange must be log-depth.
 fn scale_smoke(mode: MetadataMode) {
-    // Wall budgets are ~5x the measured values on a single-core CI-class
-    // box (release build: 3.0 s at 256 ranks, 26 s at 1,024), so they
-    // catch order-of-magnitude regressions — a return to
+    // Wall budgets sit far above the measured values (release build on
+    // one core of a 2-vCPU Xeon VM: 0.6 s at 256 ranks, 4.1 s at 1,024),
+    // so they catch order-of-magnitude regressions — a return to
     // thread-per-rank scheduling or a wall-clock sleep — not jitter.
     const WALL_BUDGET_256_MS: u64 = 15_000;
     const WALL_BUDGET_1024_MS: u64 = 120_000;
