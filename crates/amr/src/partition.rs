@@ -2,10 +2,9 @@
 //! and the digest-verified exchange.
 //!
 //! SAMRAI-style hierarchy management replicates every level's box array
-//! on every rank, so each rank holds, digests and regrids against every
-//! record — the metadata scaling wall at large rank counts. (Schedule
-//! builds plan only the transfers a rank owns an end of, under the
-//! bounds below, in either mode.) This module provides the
+//! on every rank, so each rank holds and digests every record (it plans
+//! only the transfers it owns an end of, under the bounds below) — the
+//! metadata scaling wall at large rank counts. This module provides the
 //! distributed alternative (the AMReX approach): each rank durably
 //! holds a [`LevelView`] containing only its *owned* box records plus a
 //! ghost-grown *interest neighborhood*, fetched with one
@@ -61,9 +60,8 @@ use rbamr_perfmodel::Category;
 /// Where level box arrays live.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetadataMode {
-    /// Every rank holds every level's full box array (SAMRAI-style)
-    /// and plans, from it, the transfers it owns an endpoint of. The
-    /// oracle path.
+    /// Every rank holds every level's full box array (SAMRAI-style) and
+    /// plans the transfers it owns an endpoint of. The oracle path.
     #[default]
     Replicated,
     /// Each rank durably holds only its owned records plus a ghosted

@@ -1141,9 +1141,10 @@ impl<'a> Sources<'a> {
     /// Per record, whether this rank may own an end of a transfer into
     /// it: whether it meets one of `regions`, which the caller derives
     /// from the records this rank owns. Only an index narrows the walk
-    /// down, so the brute-force oracle plans for every record.
+    /// down, so the brute-force oracle plans for every record; so does
+    /// a rank owning every record, without the queries.
     fn reachable(&self, regions: impl Iterator<Item = GBox>) -> Vec<bool> {
-        if self.table.index.is_none() {
+        if self.table.index.is_none() || self.table.owned.len() == self.recs.len() {
             return vec![true; self.recs.len()];
         }
         let (mut flags, mut found) = (vec![false; self.recs.len()], Vec::new());
@@ -1348,8 +1349,9 @@ impl<'a> Planner<'a> {
             g.coarse = Some(CoarseGeometry { want, scratch_box, sources, covered });
             g
         };
-        let walked = boxes.iter().enumerate().filter(|&(pos, _)| walked[pos]);
-        walked.map(|(pos, b)| (pos, per_dst((pos, b)))).collect()
+        // Collected from an exact-size iterator: one allocation.
+        let walked: Vec<usize> = (0..boxes.len()).filter(|&pos| walked[pos]).collect();
+        walked.into_iter().map(|pos| (pos, per_dst((pos, &boxes[pos])))).collect()
     }
 
     /// Give every value of one destination — a record `dst_rank` owns —
