@@ -6,7 +6,9 @@
 //! three levels each, the finer levels vanishing and reappearing as the
 //! fronts drop under the flagging thresholds and cross again — are run
 //! on {Host, Device} × {1, 2, 4 ranks} × {replicated, partitioned
-//! metadata}. After every regrid the four
+//! metadata}, and the triple point on the host at 8 ranks in both
+//! modes, where a rank walks few of a new level's transfer
+//! destinations. After every regrid the four
 //! persisted state fields of every patch are hashed exactly as
 //! [`HydroSim::state_field_digest`] hashes them and combined over the
 //! ranks, which gives the digest a 1-rank run reports whatever the rank
@@ -150,20 +152,25 @@ fn check(deck: Deck) {
         .iter()
         .map(|&(digest, levels, patches)| AfterRegrid { digest, levels, patches })
         .collect();
-    for placement in [Placement::Host, Placement::Device] {
-        for ranks in [1, 2, 4] {
-            for mode in [MetadataMode::Replicated, MetadataMode::Partitioned] {
-                let measured = run(deck, placement, ranks, mode);
-                assert!(
-                    measured == frozen,
-                    "{deck:?} {placement:?} {ranks} ranks {mode:?}: the per-regrid digests left \
-                     the frozen reference:\n{}",
-                    measured
-                        .iter()
-                        .map(|a| format!("(0x{:016x}, {}, {}),\n", a.digest, a.levels, a.patches))
-                        .collect::<String>()
-                );
-            }
+    // The triple point also runs at 8 ranks on the host, where a rank
+    // walks few of a new level's destinations.
+    let eight = (deck == Deck::TriplePoint).then_some((Placement::Host, 8));
+    let cells = [Placement::Host, Placement::Device]
+        .into_iter()
+        .flat_map(|placement| [1, 2, 4].map(|ranks| (placement, ranks)))
+        .chain(eight);
+    for (placement, ranks) in cells {
+        for mode in [MetadataMode::Replicated, MetadataMode::Partitioned] {
+            let measured = run(deck, placement, ranks, mode);
+            assert!(
+                measured == frozen,
+                "{deck:?} {placement:?} {ranks} ranks {mode:?}: the per-regrid digests left the \
+                 frozen reference:\n{}",
+                measured
+                    .iter()
+                    .map(|a| format!("(0x{:016x}, {}, {}),\n", a.digest, a.levels, a.patches))
+                    .collect::<String>()
+            );
         }
     }
     // The runs are worth freezing only while the finest level comes and
