@@ -3,7 +3,7 @@
 use crate::partition::{finalize_structure_digest, structure_items_digest, LevelView};
 use crate::patch::{Patch, PatchId};
 use crate::variable::VariableRegistry;
-use rbamr_geometry::{BoxList, GBox, IntVector};
+use rbamr_geometry::{BoxIndex, BoxList, GBox, IntVector};
 
 /// How a level's box metadata is held on this rank.
 enum LevelMetadata {
@@ -142,12 +142,16 @@ impl<'a> LevelRecords<'a> {
 }
 
 /// Shared construction-time validation of a set of patch boxes.
+/// Overlaps are found through a [`BoxIndex`]; each pair is reported at
+/// its lower index, as the pairwise scan did.
 fn validate_boxes(boxes: &[GBox], domain: &BoxList) {
+    let (index, mut hits) = (BoxIndex::new(boxes, IntVector::ZERO), Vec::new());
     for (i, b) in boxes.iter().enumerate() {
         assert!(!b.is_empty(), "PatchLevel: empty patch box {i}");
         assert!(domain.contains_box(*b), "PatchLevel: patch box {b:?} escapes level domain");
-        for other in &boxes[i + 1..] {
-            assert!(!b.intersects(*other), "PatchLevel: overlapping patch boxes {b:?}, {other:?}");
+        index.query_into(*b, &mut hits);
+        if let Some(&j) = hits.iter().find(|&&j| j != i) {
+            panic!("PatchLevel: overlapping patch boxes {b:?}, {:?}", boxes[j]);
         }
     }
 }

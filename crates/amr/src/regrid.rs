@@ -13,6 +13,11 @@
 //! added to the tags that will drive the planning of level `T-1`, so the
 //! new coarser level always covers the new finer one.
 //!
+//! Clustering runs once per planning pass, on rank 0: every rank sends
+//! the [`TagBitmap`] of each of its tagged patches (the paper's
+//! compressed tags, Section IV-C), and rank 0 broadcasts the clustered
+//! boxes. From there every rank plans the same structure.
+//!
 //! The box calculus stays on the CPU; the solution transfer does not
 //! have a planner or a data path of its own. A rebuilt level is
 //! installed first, and its data arrives through a transfer schedule
@@ -21,7 +26,9 @@
 //! peer) and the level below (captured into scratch and interpolated
 //! where the old level held nothing) — the stages, batch entry points
 //! and fault contract of a halo fill, one launch per stage whatever the
-//! patch count. The schedule is built, run once and dropped.
+//! patch count. Like a fill build, it walks only the new patches the
+//! rank owns an end of a transfer into. The schedule is built, run once
+//! and dropped.
 
 use crate::balance::partition_sfc;
 use crate::cluster::{cluster_tags, split_to_max, ClusterParams};
@@ -44,7 +51,8 @@ use std::sync::Arc;
 /// Produces refinement tags — the application-supplied flagging
 /// heuristic (CleverLeaf flags on density/energy/pressure gradients; the
 /// GPU build evaluates it with one CUDA thread per cell and ships the
-/// result as a compressed [`TagBitmap`]).
+/// result as a compressed [`TagBitmap`], which is also what the regrid
+/// gathers to rank 0 for clustering).
 pub trait CellTagger {
     /// Tag cells on the *local* patches of `level`, returning one bitmap
     /// per local patch (in [`PatchLevel::local`] order).
@@ -112,8 +120,9 @@ pub struct RegridOutcome {
     /// Level 0 is never regridded, so `levels_changed[0]` is always
     /// `false`.
     pub levels_changed: Vec<bool>,
-    /// Cells flagged for refinement across all planning passes, after
-    /// the global tag exchange (identical on every rank).
+    /// Cells flagged for refinement on every rank, across all planning
+    /// passes: rank 0 counts them as it clusters and broadcasts the
+    /// count with the boxes (identical on every rank).
     pub tags_flagged: u64,
 }
 
@@ -235,8 +244,8 @@ impl Regridder {
 
     /// Fault-aware [`Regridder::regrid`]: injected transport, metadata,
     /// or device faults surface as a typed [`RegridError`] instead of a
-    /// panic. Fault verdicts that could diverge across ranks (tag
-    /// exchange, metadata handshake) are made collective before any rank
+    /// panic. Fault verdicts that could diverge across ranks (clustering
+    /// on rank 0, metadata handshake) are made collective before any rank
     /// acts on them, so every rank either completes the pass or errors —
     /// never a hang.
     ///
@@ -278,20 +287,17 @@ impl Regridder {
                 hierarchy.level(tag_level).local().len(),
                 "tagger returned wrong number of bitmaps"
             );
-            let mut cells: Vec<IntVector> =
-                bitmaps.iter().flat_map(|bm| bm.tagged_cells()).collect();
-            rec.count("regrid.tags_flagged", cells.len() as u64);
+            rec.count("regrid.tags_flagged", bitmaps.iter().map(|bm| bm.count() as u64).sum());
 
-            // Exchange tags globally (clustering is replicated). The
-            // exchange's failure verdict is collective, so on error
-            // every rank returns together here.
-            if let Some(comm) = comm {
-                cells = try_exchange_tags(comm, &cells)?;
-            }
-            tags_flagged += cells.len() as u64;
-
-            // Cluster in tag-level index space.
-            let clustered = cluster_tags(&cells, &self.params.cluster);
+            // Cluster in tag-level index space, once: rank 0 clusters
+            // every rank's tags and broadcasts the boxes. The verdict
+            // is collective, so on error every rank returns together.
+            let params = &self.params.cluster;
+            let (tags, clustered) = match comm {
+                Some(comm) => try_cluster_on_root(comm, &bitmaps, params)?,
+                None => cluster_bitmaps(&bitmaps, params),
+            };
+            tags_flagged += tags;
 
             // Buffer, merge the nesting footprint of the finer level,
             // clip to the domain.
@@ -462,8 +468,9 @@ impl Regridder {
         // The transfer plans against the new level's full plan and
         // reads the old level, held here until the data has moved.
         let mut outgoing = hierarchy.install_level(target, new_level);
+        let old = outgoing.as_ref();
         let transfer =
-            RefineSchedule::regrid_transfer(hierarchy, outgoing.as_ref(), registry, target, specs);
+            RefineSchedule::regrid_transfer(hierarchy, old, registry, target, specs, true);
         let transferred = transfer.try_transfer(hierarchy, outgoing.as_mut(), registry, comm, time);
         if let Some(view) = view {
             hierarchy.level_mut(target).adopt_view(view, rank);
@@ -612,70 +619,70 @@ fn owned_boxes_of(level: &PatchLevel, rank: usize) -> Vec<GBox> {
     level.records().iter().filter(|&(_, _, o)| o == rank).map(|(_, b, _)| b).collect()
 }
 
-/// All-ranks exchange of tagged cells: every rank contributes its local
-/// tags and receives the union (rank 0 gathers, then broadcasts).
+/// The tag count and the Berger–Rigoutsos boxes of `bitmaps`' cells.
+fn cluster_bitmaps(bitmaps: &[TagBitmap], params: &ClusterParams) -> (u64, Vec<GBox>) {
+    let cells: Vec<IntVector> = bitmaps.iter().flat_map(TagBitmap::tagged_cells).collect();
+    (cells.len() as u64, cluster_tags(&cells, params))
+}
+
+/// [`cluster_bitmaps`] over every rank's tags, run once: each rank
+/// gathers the wire record of each of its tagged patches to rank 0
+/// ([`TagBitmap::encode_into`]; an untagged patch sends nothing), and
+/// rank 0 clusters them in rank order and broadcasts the tag count and
+/// the boxes. Clustering depends only on the set of tags, so these are
+/// the boxes every rank would cluster from the union.
 ///
-/// Clustering must be replicated — every rank needs the *same* tag set
-/// — so any rank's transport fault is turned into a collective verdict
-/// by a final agreement reduction: either every rank returns the same
-/// merged tags, or every rank returns `Err` together. A fault on the
-/// gather corrupts the union identically on all ranks (rank 0's merged
-/// stream is what everyone receives) but still fails the agreement; a
-/// fault on the broadcast leaves one rank with divergent tags, which the
-/// agreement likewise surfaces before anyone clusters against them.
-fn try_exchange_tags(comm: &Comm, local: &[IntVector]) -> Result<Vec<IntVector>, CommError> {
-    let mut first_err: Option<CommError> = None;
-    let mut payload = Vec::with_capacity(local.len() * 16);
-    for p in local {
-        payload.extend_from_slice(&p.x.to_le_bytes());
-        payload.extend_from_slice(&p.y.to_le_bytes());
-    }
-    let gathered = match comm.try_gather(0, bytes::Bytes::from(payload), Category::Regrid) {
-        Ok(g) => g,
-        Err(e) => {
-            first_err.get_or_insert(e);
-            // The gather completed (run-through); rank 0 lost the parts
-            // and broadcasts an empty union to stay in lock-step.
-            (comm.rank() == 0).then(Vec::new)
-        }
-    };
-    let merged = if comm.rank() == 0 {
-        let mut all = Vec::new();
-        for part in gathered.unwrap_or_default() {
-            all.extend_from_slice(&part);
-        }
-        Some(bytes::Bytes::from(all))
-    } else {
-        None
-    };
-    let all = match comm.broadcast(0, merged, Category::Regrid) {
-        Ok(b) => b,
-        Err(e) => {
-            first_err.get_or_insert(e);
-            bytes::Bytes::new()
-        }
-    };
+/// A final agreement reduction makes every fault a collective verdict:
+/// either every rank returns the same boxes, or every rank returns
+/// `Err` together. A fault on the gather or a malformed record leaves
+/// rank 0 with nothing to broadcast, and a fault on the broadcast leaves
+/// one rank without the boxes; either fails the agreement.
+fn try_cluster_on_root(
+    comm: &Comm,
+    local: &[TagBitmap],
+    params: &ClusterParams,
+) -> Result<(u64, Vec<GBox>), CommError> {
+    let mut payload = Vec::new();
+    local.iter().filter(|bm| bm.any()).for_each(|bm| bm.encode_into(&mut payload));
+    let gathered = comm.try_gather(0, payload.into(), Category::Regrid);
+    // The gather runs through, so rank 0 always broadcasts: nothing
+    // when it lost a part.
+    let parts = gathered.as_ref().ok().and_then(Option::as_deref);
+    let clustered = parts.and_then(decode_records).map(|bitmaps| {
+        let (tags, boxes) = cluster_bitmaps(&bitmaps, params);
+        let words = boxes.iter().flat_map(|b| [b.lo.x, b.lo.y, b.hi.x, b.hi.y]);
+        std::iter::once(tags as i64).chain(words).flat_map(i64::to_le_bytes).collect::<Vec<_>>()
+    });
+    let root = (comm.rank() == 0).then(|| clustered.unwrap_or_default().into());
+    let received = comm.broadcast(0, root, Category::Regrid);
+    let words: Vec<i64> = (received.as_deref().unwrap_or_default().chunks_exact(8))
+        .map(|w| i64::from_le_bytes(w.try_into().expect("8 bytes")))
+        .collect();
+    let boxes = words.get(1..).unwrap_or_default().chunks_exact(4);
+    let boxes = boxes.map(|w| GBox::from_coords(w[0], w[1], w[2], w[3])).collect();
+    let result = words.first().map(|&tags| (tags as u64, boxes));
     // Agreement: every rank learns whether any rank faulted, so no rank
-    // clusters against tags its peers do not share.
-    let locally_ok = first_err.is_none();
-    let all_ok = match comm.try_allreduce_min(if locally_ok { 1.0 } else { 0.0 }, Category::Regrid)
-    {
-        Ok(v) => v >= 0.5,
-        Err(e) => {
-            first_err.get_or_insert(e);
-            false
+    // plans against boxes its peers do not share.
+    let first_err = gathered.err().or(received.err());
+    let vote = if first_err.is_none() && result.is_some() { 1.0 } else { 0.0 };
+    match comm.try_allreduce_min(vote, Category::Regrid) {
+        Ok(v) if v >= 0.5 => Ok(result.expect("every rank holds the boxes")),
+        agreed => Err(first_err
+            .or(agreed.err())
+            .unwrap_or(CommError::CollectiveFault { name: "tag-exchange" })),
+    }
+}
+
+/// The bitmaps of the wire records in `parts`, in order; `None` if any
+/// record is malformed.
+fn decode_records(parts: &[bytes::Bytes]) -> Option<Vec<TagBitmap>> {
+    let mut out = Vec::new();
+    for mut part in parts.iter().map(|p| &p[..]) {
+        while !part.is_empty() {
+            out.push(TagBitmap::decode(&mut part)?);
         }
-    };
-    if !all_ok {
-        return Err(first_err.unwrap_or(CommError::CollectiveFault { name: "tag-exchange" }));
     }
-    let mut out = Vec::with_capacity(all.len() / 16);
-    for chunk in all.chunks_exact(16) {
-        let x = i64::from_le_bytes(chunk[..8].try_into().expect("tag stream"));
-        let y = i64::from_le_bytes(chunk[8..].try_into().expect("tag stream"));
-        out.push(IntVector::new(x, y));
-    }
-    Ok(out)
+    Some(out)
 }
 
 #[cfg(test)]
@@ -683,8 +690,9 @@ mod tests {
     use super::*;
     use crate::hierarchy::GridGeometry;
     use crate::hostdata::HostDataFactory;
-    use crate::ops::ConservativeCellRefine;
+    use crate::ops::{ConservativeCellRefine, ConstantRefine, LinearNodeRefine};
     use rbamr_geometry::Centring;
+    use rbamr_netsim::Cluster;
 
     fn b(x0: i64, y0: i64, x1: i64, y1: i64) -> GBox {
         GBox::from_coords(x0, y0, x1, y1)
@@ -728,6 +736,85 @@ mod tests {
         );
         h.set_level(0, vec![b(0, 0, 32, 32)], vec![0], &reg);
         (h, reg, var)
+    }
+
+    #[test]
+    fn owner_only_transfer_plans_match_the_full_walk() {
+        // Coarse tiles over the whole domain; new fine tiles meet the old
+        // ones edge to edge in x and half a tile apart in y, so sources
+        // sit on the edges of the reach (dropping any term or `+ 1` of
+        // it fails this test).
+        let tiles = |(x0, y0): (i64, i64), (nx, ny): (i64, i64)| -> Vec<GBox> {
+            let at = |t: i64| (x0 + t % nx * 8, y0 + t / nx * 8);
+            (0..nx * ny).map(at).map(|(x, y)| b(x, y, x + 8, y + 8)).collect()
+        };
+        let (coarse, old, new) =
+            (tiles((0, 0), (4, 4)), tiles((16, 16), (3, 3)), tiles((0, 12), (6, 3)));
+        for nranks in 1..=8 {
+            for mode in [MetadataMode::Replicated, MetadataMode::Partitioned] {
+                Cluster::new(rbamr_perfmodel::Machine::ipa_cpu_node()).run(nranks, |comm| {
+                    let owners =
+                        |n: usize, k: usize| (0..n).map(|i| (i * k + 1) % nranks).collect();
+                    let (rank, margins) = (comm.rank(), InterestMargins::default());
+                    let mut reg = VariableRegistry::new(Arc::new(HostDataFactory::new()));
+                    let qc = reg.register("qc", Centring::Cell, IntVector::uniform(2));
+                    let qn = reg.register("qn", Centring::Node, IntVector::ONE);
+                    let qk = reg.register("qk", Centring::Cell, IntVector::ONE);
+                    let specs = [
+                        TransferSpec { var: qc, refine_op: Arc::new(ConservativeCellRefine) },
+                        TransferSpec { var: qn, refine_op: Arc::new(LinearNodeRefine) },
+                        TransferSpec { var: qk, refine_op: Arc::new(ConstantRefine) },
+                    ];
+                    let domain = BoxList::from_box(b(0, 0, 32, 32));
+                    let ratio = IntVector::uniform(2);
+                    let mut h = PatchHierarchy::new(
+                        GridGeometry::unit(1.0),
+                        domain,
+                        ratio,
+                        2,
+                        rank,
+                        nranks,
+                    );
+                    h.set_level(0, coarse.clone(), owners(coarse.len(), 5), &reg);
+                    h.set_level(1, old.clone(), owners(old.len(), 3), &reg);
+                    let new_owners: Vec<usize> = owners(new.len(), 7);
+                    if mode == MetadataMode::Partitioned {
+                        let (finer, comm) = (Some((&new[..], &new_owners[..])), Some(&comm));
+                        let mine = new.iter().zip(&new_owners);
+                        let mine: Vec<GBox> =
+                            (mine.filter(|&(_, &o)| o == rank)).map(|(&b, _)| b).collect();
+                        try_partition_hierarchy_metadata(&mut h, margins, comm).unwrap();
+                        try_refresh_partitioned_view(&mut h, 0, finer, &[], margins, comm).unwrap();
+                        try_refresh_partitioned_view(&mut h, 1, None, &mine, margins, comm)
+                            .unwrap();
+                    }
+                    let level = PatchLevel::new(
+                        1,
+                        ratio,
+                        new.clone(),
+                        new_owners,
+                        h.level_domain(1),
+                        rank,
+                        &reg,
+                    );
+                    let outgoing = h.install_level(1, level);
+                    let plan = |indexed| {
+                        let t = RefineSchedule::regrid_transfer(
+                            &h,
+                            outgoing.as_ref(),
+                            &reg,
+                            1,
+                            &specs,
+                            indexed,
+                        );
+                        t.plan_digest()
+                    };
+                    let full = plan(false);
+                    assert!(!full.is_empty() || nranks > 1);
+                    assert_eq!(plan(true), full, "rank {rank} of {nranks}, {mode:?}");
+                });
+            }
+        }
     }
 
     #[test]

@@ -674,6 +674,13 @@ impl RefineSchedule {
     /// walks run once per (new patch, such group). Built for one
     /// execution ([`RefineSchedule::try_transfer`]), never cached.
     ///
+    /// A rank walks only the new records it may own an end of a transfer
+    /// into (DESIGN.md §13): one it owns, one within a cell of an old
+    /// record it owns, or one an owned coarse record may feed through
+    /// the widest scratch box. Unindexed — the test oracle — every
+    /// record is walked and every source is a candidate, as in
+    /// [`RefineSchedule::new_bruteforce`]; the plans are identical.
+    ///
     /// # Panics
     /// Panics if `level_no == 0`.
     pub(crate) fn regrid_transfer(
@@ -682,13 +689,26 @@ impl RefineSchedule {
         registry: &VariableRegistry,
         level_no: usize,
         specs: &[TransferSpec],
+        indexed: bool,
     ) -> Self {
         assert!(level_no > 0, "regrid transfer: level 0 is never rebuilt");
         let rank = hierarchy.rank();
         let ratio = hierarchy.ratio_to_coarser(level_no);
-        let new = Sources::of(hierarchy.level(level_no), rank, Some(level_no), false);
-        let coarse = Sources::of(hierarchy.level(level_no - 1), rank, Some(level_no - 1), true);
-        let old = outgoing.map(|old| Sources::of(old, rank, None, true));
+        // The new level's index only narrows the walk, so a rank owning
+        // the whole level goes without one.
+        let new_level = hierarchy.level(level_no);
+        let whole = new_level.records().iter().all(|(_, _, owner)| owner == rank);
+        let new = Sources::of(new_level, rank, Some(level_no), indexed && !whole);
+        let coarse = Sources::of(hierarchy.level(level_no - 1), rank, Some(level_no - 1), indexed);
+        let old = outgoing.map(|old| Sources::of(old, rank, None, indexed));
+        // Owned, an owned old record's data box within a cell, or an
+        // owned coarse record within a cell of the widest scratch box.
+        let stencil =
+            specs.iter().map(|s| s.refine_op.stencil_width()).fold(IntVector::ZERO, IntVector::max);
+        let one = IntVector::ONE;
+        let feeds = coarse.owned_boxes().map(|c| c.grow(stencil + one).refine(ratio).grow(one));
+        let olds = old.iter().flat_map(|old| old.owned_boxes().map(|b| b.grow(one)));
+        let walked = new.reachable(new.owned_boxes().chain(olds).chain(feeds));
         let mut groups: Vec<(Centring, IntVector, Vec<&TransferSpec>)> = Vec::new();
         for spec in specs {
             let key = (registry.get(spec.var).centring, spec.refine_op.stencil_width());
@@ -702,7 +722,7 @@ impl RefineSchedule {
         let mut plan = Planner::new(hierarchy, registry, level_no, KIND_AGG_REGRID, vars);
         let mut cand = Vec::new();
 
-        for (npos, &nb) in new.recs.boxes().iter().enumerate() {
+        for (npos, &nb) in new.recs.boxes().iter().enumerate().filter(|&(npos, _)| walked[npos]) {
             let dst = (new.recs.global_index(npos), new.recs.owner_at(npos));
             let mine = dst.1 == rank;
             for (centring, stencil, group) in &groups {

@@ -105,6 +105,46 @@ impl TagBitmap {
     pub fn count(&self) -> usize {
         self.bits.iter().map(|b| b.count_ones() as usize).sum()
     }
+
+    /// Append this bitmap's wire record to `out`: the box as four
+    /// little-endian `i64` (`lo.x, lo.y, hi.x, hi.y`), then the bits as
+    /// [`TagBitmap::compress`] packs them, ⌈cells / 8⌉ bytes (all zero
+    /// when nothing is tagged).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let b = self.cell_box;
+        for word in [b.lo.x, b.lo.y, b.hi.x, b.hi.y] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        let start = out.len();
+        out.resize(start + (b.num_cells() as usize).div_ceil(8), 0);
+        out[start..start + self.bits.len()].copy_from_slice(&self.bits);
+    }
+
+    /// Read the record [`TagBitmap::encode_into`] wrote off the front of
+    /// `bytes` and advance past it. Total: a truncated header, an empty
+    /// or inverted box, a cell count that overflows, fewer bit bytes than
+    /// the box needs or a bit set past its last cell give `None`, and
+    /// nothing is allocated beyond the bytes received.
+    pub fn decode(bytes: &mut &[u8]) -> Option<Self> {
+        let (head, rest) = bytes.split_at_checked(32)?;
+        let word =
+            |k: usize| i64::from_le_bytes(head[8 * k..8 * k + 8].try_into().expect("8 bytes"));
+        let cell_box = GBox::from_coords(word(0), word(1), word(2), word(3));
+        if cell_box.is_empty() {
+            return None;
+        }
+        let (lo, hi) = (cell_box.lo, cell_box.hi);
+        let cells = hi.x.checked_sub(lo.x)?.checked_mul(hi.y.checked_sub(lo.y)?)?;
+        let cells = usize::try_from(cells).ok()?;
+        let (bits, rest) = rest.split_at_checked(cells.div_ceil(8))?;
+        let spare = (8 - cells % 8) % 8;
+        if bits.last().is_some_and(|&last| last.leading_zeros() < spare as u32) {
+            return None;
+        }
+        *bytes = rest;
+        let any = bits.iter().any(|&b| b != 0);
+        Some(Self { cell_box, bits: if any { bits.to_vec() } else { Vec::new() }, any })
+    }
 }
 
 #[cfg(test)]
@@ -166,5 +206,48 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn wrong_length_rejected() {
         TagBitmap::compress(b(0, 0, 2, 2), &[1, 0]);
+    }
+
+    /// One record's bytes: `header` words, then `bits`.
+    fn record(header: [i64; 4], bits: &[u8]) -> Vec<u8> {
+        let mut out: Vec<u8> = header.iter().flat_map(|w| w.to_le_bytes()).collect();
+        out.extend_from_slice(bits);
+        out
+    }
+
+    #[test]
+    fn wire_records_roundtrip_back_to_back() {
+        let tagged =
+            TagBitmap::compress(b(-3, 2, 2, 5), &[0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
+        let untagged = TagBitmap::empty(b(0, 0, 4, 4));
+        let mut wire = Vec::new();
+        tagged.encode_into(&mut wire);
+        untagged.encode_into(&mut wire);
+        assert_eq!(wire.len(), 32 + 2 + 32 + 2);
+        let mut rest = wire.as_slice();
+        assert_eq!(TagBitmap::decode(&mut rest), Some(tagged));
+        assert_eq!(TagBitmap::decode(&mut rest), Some(untagged));
+        assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn malformed_wire_records_decode_to_none() {
+        let good = record([0, 0, 3, 3], &[0xff, 0x01]);
+        assert!(TagBitmap::decode(&mut good.as_slice()).is_some());
+        let cases = [
+            ("truncated header", good[..31].to_vec()),
+            ("truncated bits", good[..33].to_vec()),
+            ("empty box", record([0, 0, 0, 3], &[])),
+            ("inverted box", record([5, 0, 3, 3], &[0])),
+            ("cell-count overflow", record([i64::MIN, 0, i64::MAX, 2], &[0])),
+            ("product overflow", record([0, 0, 1 << 40, 1 << 40], &[0])),
+            ("more cells than bytes", record([0, 0, 1 << 20, 1 << 20], &[0; 64])),
+            ("bit past the last cell", record([0, 0, 3, 3], &[0, 0x02])),
+        ];
+        for (what, bytes) in cases {
+            let mut rest = bytes.as_slice();
+            assert_eq!(TagBitmap::decode(&mut rest), None, "{what}");
+            assert_eq!(rest.len(), bytes.len(), "{what}: a failed decode consumed bytes");
+        }
     }
 }
