@@ -675,11 +675,9 @@ impl RefineSchedule {
     /// execution ([`RefineSchedule::try_transfer`]), never cached.
     ///
     /// A rank walks only the new records it may own an end of a transfer
-    /// into (DESIGN.md §13): one it owns, one within a cell of an old
-    /// record it owns, or one an owned coarse record may feed through
-    /// the widest scratch box. Unindexed — the test oracle — every
-    /// record is walked and every source is a candidate, as in
-    /// [`RefineSchedule::new_bruteforce`]; the plans are identical.
+    /// into (DESIGN.md §13). Unindexed — the test oracle — it walks every
+    /// record with every source a candidate, as
+    /// [`RefineSchedule::new_bruteforce`] does, and plans the same.
     ///
     /// # Panics
     /// Panics if `level_no == 0`.
@@ -701,8 +699,8 @@ impl RefineSchedule {
         let new = Sources::of(new_level, rank, Some(level_no), indexed && !whole);
         let coarse = Sources::of(hierarchy.level(level_no - 1), rank, Some(level_no - 1), indexed);
         let old = outgoing.map(|old| Sources::of(old, rank, None, indexed));
-        // Owned, an owned old record's data box within a cell, or an
-        // owned coarse record within a cell of the widest scratch box.
+        // Owned, or within a cell of an owned old record's data box or
+        // of the widest scratch box an owned coarse record feeds.
         let stencil =
             specs.iter().map(|s| s.refine_op.stencil_width()).fold(IntVector::ZERO, IntVector::max);
         let one = IntVector::ONE;

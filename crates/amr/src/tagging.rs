@@ -107,9 +107,8 @@ impl TagBitmap {
     }
 
     /// Append this bitmap's wire record to `out`: the box as four
-    /// little-endian `i64` (`lo.x, lo.y, hi.x, hi.y`), then the bits as
-    /// [`TagBitmap::compress`] packs them, ⌈cells / 8⌉ bytes (all zero
-    /// when nothing is tagged).
+    /// little-endian `i64` (`lo.x, lo.y, hi.x, hi.y`), then ⌈cells / 8⌉
+    /// bytes of bits as [`TagBitmap::compress`] packs them.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let b = self.cell_box;
         for word in [b.lo.x, b.lo.y, b.hi.x, b.hi.y] {
