@@ -1,6 +1,7 @@
 //! The patch hierarchy: the stack of refinement levels.
 
 use crate::level::PatchLevel;
+use crate::patch::Patch;
 use crate::variable::VariableRegistry;
 use rbamr_geometry::{BoxList, GBox, IntVector};
 
@@ -178,6 +179,16 @@ impl PatchHierarchy {
         }
     }
 
+    /// Every level's locally owned patches at once, mutable — coarse to
+    /// fine, and in patch-array order within a level — and each one's
+    /// cell widths: the split borrow one phase over the whole hierarchy
+    /// runs on.
+    pub fn local_patches_mut(&mut self) -> (Vec<&mut Patch>, Vec<(f64, f64)>) {
+        let dx: &Vec<_> = &(0..self.levels.len()).map(|l| self.dx(l)).collect();
+        let levels = self.levels.iter_mut().enumerate();
+        levels.flat_map(|(l, level)| level.local_mut().iter_mut().map(move |p| (p, dx[l]))).unzip()
+    }
+
     /// Install (or replace) level `l`: builds local patches for the
     /// boxes owned by this rank.
     ///
@@ -300,6 +311,12 @@ mod tests {
         assert_eq!(h.num_levels(), 2);
         assert_eq!(h.finest_level(), 1);
         assert_eq!(h.total_cells(), 256 + 256);
+        let (patches, dx) = h.local_patches_mut();
+        let levels: Vec<_> = patches.iter().map(|p| p.id().level).collect();
+        assert_eq!(
+            (levels, dx),
+            (vec![0, 1], vec![(1.0 / 16.0, 1.0 / 16.0), (1.0 / 32.0, 1.0 / 32.0)])
+        );
         // Replace level 1.
         h.set_level(1, vec![GBox::from_coords(0, 0, 8, 8)], vec![0], &r);
         assert_eq!(h.total_cells(), 256 + 64);

@@ -15,9 +15,9 @@
 //! real compute); the default stops at 800k and is representative.
 //!
 //! Every GPU run gates in-process that hydro launches per step stay
-//! within `levels x MAX_LAUNCHES_PER_LEVEL_STEP` — the launch-bound
-//! regime that per-patch launching (which scales with patch count)
-//! cannot satisfy at scale.
+//! within `MAX_LAUNCHES_PER_STEP`, whatever the level count — the
+//! launch-bound regime that per-level or per-patch launching (which
+//! scale with level and patch counts) cannot satisfy.
 //!
 //! `--json <path>` writes the table as a JSON artifact for CI.
 
@@ -25,7 +25,7 @@ use rbamr_bench::{
     csv_dir_arg, fig9_resolutions, fmt_secs, measure_profile, path_arg, sod_sim, write_csv,
 };
 use rbamr_hydro::{
-    level_executor::{hydro_launches, MAX_LAUNCHES_PER_LEVEL_STEP},
+    level_executor::{hydro_launches, MAX_LAUNCHES_PER_STEP},
     Placement,
 };
 use rbamr_perfmodel::{Clock, Machine};
@@ -36,7 +36,7 @@ const REGRID_INTERVAL: usize = 10;
 const LEVELS: usize = 3;
 
 /// Projected runtime, total cells and measured hydro launches per step
-/// (zero on the host), the last gated against the levels x phases bound.
+/// (zero on the host), the last gated against the whole-hierarchy bound.
 fn run_one(placement: Placement, nx: i64, ny: i64) -> (f64, i64, f64) {
     let machine = match placement {
         Placement::Host => Machine::ipa_cpu_node(),
@@ -55,11 +55,11 @@ fn run_one(placement: Placement, nx: i64, ny: i64) -> (f64, i64, f64) {
     let profile = measure_profile(&mut sim, None, steps);
     // The profile takes one warm-up step before the measured ones.
     let launches_per_step = (hydro_launches(&rec) - launches0) as f64 / (steps + 1) as f64;
-    let bound = (LEVELS as u64 * MAX_LAUNCHES_PER_LEVEL_STEP) as f64;
+    let bound = MAX_LAUNCHES_PER_STEP as f64;
     assert!(
         launches_per_step <= bound,
         "{nx}x{ny}: {launches_per_step:.0} hydro launches/step, \
-         above the levels x phases bound {bound:.0}"
+         above the whole-hierarchy bound {bound:.0}"
     );
     (
         profile.projected_runtime(PAPER_STEPS, REGRID_INTERVAL),

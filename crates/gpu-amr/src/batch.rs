@@ -1,13 +1,13 @@
-//! Batched per-level launch planning.
+//! Batched launch planning for the whole hierarchy.
 //!
 //! The paper's Figure 9 shows per-patch kernel launches dominating below
-//! ~200k cells: every patch pays the fixed launch latency. The fix (the
-//! first open ROADMAP item) is to fuse all patches of a level into *one*
-//! launch per kernel, indexed by a variable-size patch-descriptor array
-//! — one logical element index spans every patch, and the descriptor
-//! table maps it back to (patch, local offset). A [`BatchPlan`] is that
-//! descriptor table: built once per level whenever the level's box
-//! structure changes, cached alongside the structure-keyed
+//! ~200k cells: every patch pays the fixed launch latency. The fix is to
+//! fuse every local patch of every level into *one* launch per kernel,
+//! indexed by a variable-size patch-descriptor array — one logical
+//! element index spans every patch, and the descriptor table maps it
+//! back to (level, patch, local offset); the level gives the patch's
+//! cell widths. A [`BatchPlan`] is that descriptor table: built whenever
+//! any level's box structure changes, cached beside the structure-keyed
 //! `ScheduleBuild`, and its device-resident copy uploaded once per
 //! rebuild (the only extra PCIe traffic batching introduces).
 //!
@@ -22,18 +22,19 @@ use rbamr_device::{Device, DeviceBuffer};
 use rbamr_geometry::digest::Fnv64;
 use rbamr_geometry::{GBox, IntVector};
 use rbamr_perfmodel::Category;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Number of `i64` words one patch occupies in the packed descriptor
-/// array: box lo/hi (4) plus the running element offset (1).
-pub const DESCRIPTOR_WORDS: usize = 5;
+/// array: level (1), box lo/hi (4) and the running element offset (1).
+pub const DESCRIPTOR_WORDS: usize = 6;
 
-/// One patch's entry in a [`BatchPlan`]: where the patch sits in the
-/// level's patch array, its cell box, and where its elements begin in
-/// the batched logical index space.
+/// One patch's entry in a [`BatchPlan`]: its level, where it sits in
+/// that level's patch array, its cell box, and where its elements begin
+/// in the batched logical index space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatchSlot {
+    /// The patch's level.
+    pub level: usize,
     /// Index into the level's local patch array.
     pub patch_index: usize,
     /// The patch's interior cell box.
@@ -43,14 +44,13 @@ pub struct PatchSlot {
     pub elem_offset: u64,
 }
 
-/// The descriptor table for one level's batched launches.
+/// The descriptor table for the hierarchy's batched launches.
 ///
 /// Holds the host-side slot array, the structure key it was built from,
 /// and the device-resident packed descriptor buffer (uploaded once at
 /// build time — batched kernels index it instead of receiving per-patch
 /// arguments).
 pub struct BatchPlan {
-    level_no: usize,
     structure_key: u64,
     slots: Vec<PatchSlot>,
     total_cells: u64,
@@ -58,16 +58,21 @@ pub struct BatchPlan {
 }
 
 impl BatchPlan {
-    /// Build the plan for `level_no` from the level's local patch cell
-    /// boxes (in patch-array order) and upload the packed descriptor
-    /// array to `device`.
-    pub fn build(device: &Device, level_no: usize, cell_boxes: &[GBox]) -> Self {
-        let mut slots = Vec::with_capacity(cell_boxes.len());
+    /// Build the plan from every local patch's `(level, cell box)`,
+    /// coarse to fine and in patch-array order within a level, and
+    /// upload the packed descriptor array to `device`.
+    pub fn build(device: &Device, patches: &[(usize, GBox)]) -> Self {
+        let mut slots = Vec::with_capacity(patches.len());
         let mut offset = 0u64;
-        let mut packed = Vec::with_capacity(cell_boxes.len() * DESCRIPTOR_WORDS);
-        for (patch_index, &cell_box) in cell_boxes.iter().enumerate() {
-            slots.push(PatchSlot { patch_index, cell_box, elem_offset: offset });
+        let mut packed = Vec::with_capacity(patches.len() * DESCRIPTOR_WORDS);
+        let mut patch_index = 0;
+        for (i, &(level, cell_box)) in patches.iter().enumerate() {
+            if i > 0 && patches[i - 1].0 != level {
+                patch_index = 0;
+            }
+            slots.push(PatchSlot { level, patch_index, cell_box, elem_offset: offset });
             packed.extend_from_slice(&[
+                level as i64,
                 cell_box.lo.x,
                 cell_box.lo.y,
                 cell_box.hi.x,
@@ -75,23 +80,13 @@ impl BatchPlan {
                 offset as i64,
             ]);
             offset += cell_box.num_cells() as u64;
+            patch_index += 1;
         }
         let mut descriptors = device.alloc::<i64>(packed.len().max(1));
         if !packed.is_empty() {
             device.upload(&mut descriptors, 0, &packed, Category::Other);
         }
-        Self {
-            level_no,
-            structure_key: structure_key(level_no, cell_boxes),
-            slots,
-            total_cells: offset,
-            descriptors,
-        }
-    }
-
-    /// The level this plan describes.
-    pub fn level_no(&self) -> usize {
-        self.level_no
+        Self { structure_key: structure_key(patches), slots, total_cells: offset, descriptors }
     }
 
     /// The structure key the plan was built from.
@@ -99,7 +94,8 @@ impl BatchPlan {
         self.structure_key
     }
 
-    /// Per-patch slots in patch-array order.
+    /// Per-patch slots, coarse to fine, in patch-array order within a
+    /// level.
     pub fn slots(&self) -> &[PatchSlot] {
         &self.slots
     }
@@ -116,24 +112,25 @@ impl BatchPlan {
     }
 }
 
-/// Digest of a level's box structure: what a [`BatchPlan`] is keyed by.
-pub fn structure_key(level_no: usize, cell_boxes: &[GBox]) -> u64 {
+/// Digest of the hierarchy's local box structure — every patch's
+/// `(level, cell box)` in plan order: what a [`BatchPlan`] is keyed by.
+pub fn structure_key(patches: &[(usize, GBox)]) -> u64 {
     let mut h = Fnv64::new();
-    h.write_usize(level_no);
-    h.write_usize(cell_boxes.len());
-    for b in cell_boxes {
-        h.write_gbox(*b);
+    h.write_usize(patches.len());
+    for &(level, b) in patches {
+        h.write_usize(level);
+        h.write_gbox(b);
     }
     h.finish()
 }
 
-/// Cache of batch plans keyed by level, invalidated by structure key —
-/// the batching analogue of the schedule cache: a regrid that leaves a
-/// level's boxes unchanged reuses the plan (and its device descriptor
-/// upload) untouched.
+/// The hierarchy's current batch plan, invalidated by structure key —
+/// the batching analogue of the schedule cache: a regrid that leaves
+/// every level's boxes unchanged reuses the plan (and its device
+/// descriptor upload) untouched; a change on any level rebuilds it.
 #[derive(Default)]
 pub struct BatchPlanCache {
-    plans: HashMap<usize, Arc<BatchPlan>>,
+    plan: Option<Arc<BatchPlan>>,
     hits: u64,
     builds: u64,
     uploaded_bytes: u64,
@@ -145,31 +142,24 @@ impl BatchPlanCache {
         Self::default()
     }
 
-    /// Return the cached plan for `level_no` if its structure key still
-    /// matches, else build (and cache) a fresh one.
-    pub fn get_or_build(
-        &mut self,
-        device: &Device,
-        level_no: usize,
-        cell_boxes: &[GBox],
-    ) -> Arc<BatchPlan> {
-        let key = structure_key(level_no, cell_boxes);
-        if let Some(plan) = self.plans.get(&level_no) {
-            if plan.structure_key() == key {
-                self.hits += 1;
-                return Arc::clone(plan);
-            }
+    /// Return the cached plan if its structure key still matches
+    /// `patches`, else build (and cache) a fresh one.
+    pub fn get_or_build(&mut self, device: &Device, patches: &[(usize, GBox)]) -> Arc<BatchPlan> {
+        let key = structure_key(patches);
+        if let Some(plan) = self.plan.as_ref().filter(|p| p.structure_key() == key) {
+            self.hits += 1;
+            return Arc::clone(plan);
         }
         self.builds += 1;
-        let plan = Arc::new(BatchPlan::build(device, level_no, cell_boxes));
+        let plan = Arc::new(BatchPlan::build(device, patches));
         self.uploaded_bytes += plan.descriptor_bytes();
-        self.plans.insert(level_no, Arc::clone(&plan));
+        self.plan = Some(Arc::clone(&plan));
         plan
     }
 
-    /// Drop every cached plan (e.g. when the device is replaced).
-    pub fn clear(&mut self) {
-        self.plans.clear();
+    /// The current plan, if one was built.
+    pub fn plan(&self) -> Option<&Arc<BatchPlan>> {
+        self.plan.as_ref()
     }
 
     /// Structure-key cache hits since creation.
@@ -233,13 +223,11 @@ mod tests {
     #[test]
     fn plan_offsets_span_patches() {
         let dev = Device::k20x();
-        let boxes = [b(0, 0, 8, 8), b(8, 0, 16, 8), b(0, 8, 8, 16)];
-        let plan = BatchPlan::build(&dev, 1, &boxes);
-        assert_eq!(plan.level_no(), 1);
-        assert_eq!(plan.slots().len(), 3);
-        assert_eq!(plan.slots()[0].elem_offset, 0);
-        assert_eq!(plan.slots()[1].elem_offset, 64);
-        assert_eq!(plan.slots()[2].elem_offset, 128);
+        let patches = [(0, b(0, 0, 8, 8)), (0, b(8, 0, 16, 8)), (1, b(0, 8, 8, 16))];
+        let plan = BatchPlan::build(&dev, &patches);
+        let slots: Vec<_> =
+            plan.slots().iter().map(|s| (s.level, s.patch_index, s.elem_offset)).collect();
+        assert_eq!(slots, [(0, 0, 0), (0, 1, 64), (1, 0, 128)]);
         assert_eq!(plan.total_cells(), 192);
         assert_eq!(plan.descriptor_bytes(), (3 * DESCRIPTOR_WORDS * 8) as u64);
     }
@@ -248,13 +236,15 @@ mod tests {
     fn cache_reuses_plan_until_structure_changes() {
         let dev = Device::k20x();
         let mut cache = BatchPlanCache::new();
-        let boxes = vec![b(0, 0, 8, 8), b(8, 0, 16, 8)];
-        let p1 = cache.get_or_build(&dev, 0, &boxes);
-        let p2 = cache.get_or_build(&dev, 0, &boxes);
+        let patches = vec![(0, b(0, 0, 8, 8)), (1, b(8, 0, 16, 8))];
+        let p1 = cache.get_or_build(&dev, &patches);
+        let p2 = cache.get_or_build(&dev, &patches);
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!((cache.builds(), cache.hits()), (1, 1));
-        let p3 = cache.get_or_build(&dev, 0, &[b(0, 0, 8, 8)]);
+        // The same boxes on other levels are another structure.
+        let p3 = cache.get_or_build(&dev, &[(0, b(0, 0, 8, 8)), (2, b(8, 0, 16, 8))]);
         assert!(!Arc::ptr_eq(&p1, &p3));
+        assert!(cache.plan().is_some_and(|p| Arc::ptr_eq(p, &p3)));
         assert_eq!((cache.builds(), cache.hits()), (2, 1));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Every numerical phase is a call into the level executor
 //! ([`crate::level_executor`]) on a batch of one patch, so a patch
-//! advanced through this trait runs the same launches as a level
+//! advanced through this trait runs the same launches as a hierarchy
 //! advanced by [`crate::HydroSim`]. The only PCIe traffic per step is
 //! the dt scalar plus the packed halos and compressed tag bitmaps the
 //! framework moves — unless the integrator carries the copy-back
@@ -17,7 +17,7 @@ use rbamr_amr::{Patch, TagBitmap};
 use rbamr_device::Stream;
 use rbamr_geometry::GBox;
 use rbamr_perfmodel::{Category, KernelShape};
-use std::slice::{from_mut, from_ref};
+use std::slice::from_ref;
 
 /// Advances a patch with device-resident data.
 pub struct DevicePatchIntegrator {
@@ -45,12 +45,12 @@ impl DevicePatchIntegrator {
         &self,
         patch: &mut Patch,
         f: &Fields,
-        phase: impl FnOnce(&mut [Patch], Exec<'_>) -> R,
+        phase: impl FnOnce(&mut [&mut Patch], Exec<'_>) -> R,
     ) -> R {
         let data = dev(patch.data(f.density0));
         let (device, stream) = (data.device().clone(), data.stream().clone());
         let ex = Exec::Device { device: &device, stream: &stream, copy_back: self.copy_back };
-        phase(from_mut(patch), ex)
+        phase(&mut [patch], ex)
     }
 }
 
@@ -90,15 +90,15 @@ impl PatchIntegrator for DevicePatchIntegrator {
     }
 
     fn viscosity(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64)) {
-        self.run(patch, f, |p, ex| exec::viscosity(p, f, ex, Pass::Full, dx));
+        self.run(patch, f, |p, ex| exec::viscosity(p, f, ex, Pass::Full, &[dx]));
     }
 
     fn calc_dt(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), cfl: f64) -> f64 {
-        self.run(patch, f, |p, ex| exec::calc_dt(p, f, ex, dx, cfl)[0])
+        self.run(patch, f, |p, ex| exec::calc_dt(p, f, ex, &[dx], cfl)[0])
     }
 
     fn pdv(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64, predict: bool) {
-        self.run(patch, f, |p, ex| exec::pdv(p, f, ex, dx, dt, predict));
+        self.run(patch, f, |p, ex| exec::pdv(p, f, ex, &[dx], dt, predict));
     }
 
     fn revert(&self, patch: &mut Patch, f: &Fields) {
@@ -106,16 +106,16 @@ impl PatchIntegrator for DevicePatchIntegrator {
     }
 
     fn accelerate(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        self.run(patch, f, |p, ex| exec::accelerate(p, f, ex, dx, dt));
+        self.run(patch, f, |p, ex| exec::accelerate(p, f, ex, &[dx], dt));
     }
 
     fn flux_calc(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        self.run(patch, f, |p, ex| exec::flux_calc(p, f, ex, Pass::Full, dx, dt));
+        self.run(patch, f, |p, ex| exec::flux_calc(p, f, ex, Pass::Full, &[dx], dt));
     }
 
     fn advec_cell(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize) {
         self.run(patch, f, |p, ex| {
-            exec::advec_cell(p, f, ex, Pass::Full, dx, dir, sweep, &mut Vec::new());
+            exec::advec_cell(p, f, ex, Pass::Full, &[dx], dir, sweep, &mut Vec::new());
         });
     }
 

@@ -4,7 +4,7 @@
 //! ([`crate::level_executor`]) on a batch of one patch with the host
 //! executor handle, so a patch advanced through this trait runs the
 //! same kernel calls over the same regions — and charges the same CPU
-//! costs — as a level advanced by [`crate::HydroSim`]. Initialisation
+//! costs — as a hierarchy advanced by [`crate::HydroSim`]. Initialisation
 //! and the field summary are per-patch loops defined here.
 
 use crate::kernels as k;
@@ -15,7 +15,7 @@ use rbamr_amr::patchdata::PatchData as _;
 use rbamr_amr::{Patch, TagBitmap, VariableId};
 use rbamr_geometry::GBox;
 use rbamr_perfmodel::Category;
-use std::slice::{from_mut, from_ref};
+use std::slice::from_ref;
 
 /// Advances a patch on the host. Optionally charges a virtual clock so
 /// the CPU baseline's runtime is modelled with the same machinery as
@@ -66,44 +66,44 @@ impl PatchIntegrator for HostPatchIntegrator {
     }
 
     fn ideal_gas(&self, patch: &mut Patch, f: &Fields, gamma: f64, predict: bool) {
-        exec::ideal_gas(from_mut(patch), f, self.ex(), Pass::Full, gamma, predict);
+        exec::ideal_gas(&mut [patch], f, self.ex(), Pass::Full, gamma, predict);
     }
 
     fn viscosity(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64)) {
-        exec::viscosity(from_mut(patch), f, self.ex(), Pass::Full, dx);
+        exec::viscosity(&mut [patch], f, self.ex(), Pass::Full, &[dx]);
     }
 
     fn calc_dt(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), cfl: f64) -> f64 {
-        exec::calc_dt(from_mut(patch), f, self.ex(), dx, cfl)[0]
+        exec::calc_dt(&mut [patch], f, self.ex(), &[dx], cfl)[0]
     }
 
     fn pdv(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64, predict: bool) {
-        exec::pdv(from_mut(patch), f, self.ex(), dx, dt, predict);
+        exec::pdv(&mut [patch], f, self.ex(), &[dx], dt, predict);
     }
 
     fn revert(&self, patch: &mut Patch, f: &Fields) {
-        exec::revert(from_mut(patch), f, self.ex());
+        exec::revert(&mut [patch], f, self.ex());
     }
 
     fn accelerate(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        exec::accelerate(from_mut(patch), f, self.ex(), dx, dt);
+        exec::accelerate(&mut [patch], f, self.ex(), &[dx], dt);
     }
 
     fn flux_calc(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        exec::flux_calc(from_mut(patch), f, self.ex(), Pass::Full, dx, dt);
+        exec::flux_calc(&mut [patch], f, self.ex(), Pass::Full, &[dx], dt);
     }
 
     fn advec_cell(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize) {
         let ex = self.ex();
-        exec::advec_cell(from_mut(patch), f, ex, Pass::Full, dx, dir, sweep, &mut Vec::new());
+        exec::advec_cell(&mut [patch], f, ex, Pass::Full, &[dx], dir, sweep, &mut Vec::new());
     }
 
     fn advec_mom(&self, patch: &mut Patch, f: &Fields, _dx: (f64, f64), dir: usize, _sweep: usize) {
-        exec::advec_mom(from_mut(patch), f, self.ex(), Pass::Full, dir, &mut Vec::new());
+        exec::advec_mom(&mut [patch], f, self.ex(), Pass::Full, dir, &mut Vec::new());
     }
 
     fn reset(&self, patch: &mut Patch, f: &Fields) {
-        exec::reset(from_mut(patch), f, self.ex());
+        exec::reset(&mut [patch], f, self.ex());
     }
 
     fn flag_cells(&self, patch: &Patch, f: &Fields, thresholds: &FlagThresholds) -> TagBitmap {

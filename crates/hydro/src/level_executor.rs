@@ -2,7 +2,8 @@
 //! placement — one call site per kernel, one region definition per
 //! phase.
 //!
-//! Each phase function takes the level's patches and an executor handle,
+//! Each phase function takes every level's local patches, coarse to
+//! fine, each with its level's cell widths, and an executor handle,
 //! `Exec`, that says where the arrays live and what running a kernel
 //! charges; the list of "which kernel runs over which region reading
 //! which fields" is written once, here, and both arms apply the same
@@ -11,11 +12,14 @@
 //!
 //! * `Exec::Host` — plain calls over `HostData` slices, patch by
 //!   patch; the CPU cost model is charged once per patch per phase.
-//! * `Exec::Device` — **one launch per kernel per level**: the launch
-//!   body loops over the level's patches (the logical element index of
-//!   the level's [`BatchPlan`](rbamr_gpu_amr::BatchPlan) spans them
-//!   all), so the fixed launch latency — the Figure 9 overhead that
-//!   makes small grids launch-bound — is paid once per level.
+//! * `Exec::Device` — **one launch per kernel per pass for the whole
+//!   hierarchy**: the launch body loops over every level's patches (the
+//!   logical element index of the hierarchy's
+//!   [`BatchPlan`](rbamr_gpu_amr::BatchPlan) spans them all), so the
+//!   fixed launch latency — the Figure 9 overhead that makes small
+//!   grids launch-bound — is paid once per (kernel, pass), whatever the
+//!   level or patch count. Within a phase the levels never read each
+//!   other, so the fusion changes the launch order, not the numerics.
 //!
 //! [`crate::HostPatchIntegrator`] and [`crate::DevicePatchIntegrator`]
 //! run the same functions on a batch of one patch.
@@ -58,6 +62,7 @@ use rbamr_device::{Device, DeviceBuffer, Kernel, Stream};
 use rbamr_geometry::{Centring, GBox, IntVector};
 use rbamr_gpu_amr::{compress_tags_many, interior_core, split_region, DeviceData, TagField};
 use rbamr_perfmodel::{Category, KernelShape};
+use std::borrow::Borrow;
 
 /// Where a phase's arrays live and what running it charges — the only
 /// thing that differs between the placements.
@@ -67,7 +72,7 @@ pub(crate) enum Exec<'a> {
     /// slices. With a hook, each phase charges the CPU cost model once
     /// per patch, after its kernels; no launch, span or counter exists.
     Host(Option<&'a HostCostHook>),
-    /// Device memory: one launch per kernel per level on `stream`.
+    /// Device memory: one launch per kernel per pass on `stream`.
     /// `copy_back` adds the per-phase PCIe round trips.
     Device {
         /// The device the patches' arrays live on.
@@ -95,16 +100,16 @@ impl Exec<'_> {
 
     /// The CPU baseline's price of one phase: per patch, in patch
     /// order, one loop over `cells_of(patch)` cells.
-    fn charge_host(
+    fn charge_host<P: Borrow<Patch>>(
         self,
-        patches: &[Patch],
+        patches: &[P],
         category: Category,
         cells_of: impl Fn(&Patch) -> i64,
         arrays: u32,
         flops: u32,
     ) {
         for p in patches {
-            self.charge_loop(category, cells_of(p), arrays, flops);
+            self.charge_loop(category, cells_of(p.borrow()), arrays, flops);
         }
     }
 
@@ -184,11 +189,13 @@ const MARGIN_BASE: i64 = 6;
 /// each interior kernel reads only inside the previous one's core.
 const MARGIN_STEP: i64 = 4;
 
-/// Upper bound on hydro launches per level per step — the in-process
-/// fig9 gate constant. Counting every kernel of the step's phase chain
-/// with both passes of the five overlap windows gives 82; 96 leaves
-/// headroom without ever permitting per-patch scaling.
-pub const MAX_LAUNCHES_PER_LEVEL_STEP: u64 = 96;
+/// Upper bound on hydro launches per step for the whole hierarchy —
+/// the in-process fig9 gate constant. Every kernel of the step's phase
+/// chain, with both passes of the five overlap windows, is 78 launches
+/// (what a step issues once any patch has an interior core deep enough
+/// for every kernel); 96 leaves headroom without ever permitting
+/// per-level or per-patch scaling.
+pub const MAX_LAUNCHES_PER_STEP: u64 = 96;
 
 /// Every kernel name the executor launches under. No halo-fill, sync,
 /// or regrid kernel uses them.
@@ -219,7 +226,7 @@ const HYDRO_KERNEL_NAMES: &[&str] = &[
 
 /// Hydro kernel launches `rec` has counted so far: the
 /// `device.kernel_launches.<name>` counters summed over the executor's
-/// kernel names — exactly the launches [`MAX_LAUNCHES_PER_LEVEL_STEP`]
+/// kernel names — exactly the launches [`MAX_LAUNCHES_PER_STEP`]
 /// budgets.
 pub fn hydro_launches(rec: &rbamr_telemetry::Recorder) -> u64 {
     let launches = |name| rec.counter(&format!("device.kernel_launches.{name}"));
@@ -258,7 +265,7 @@ fn pass_regions(
 }
 
 fn regions_for(
-    patches: &[Patch],
+    patches: &[&mut Patch],
     pass: Pass,
     ordinal: u32,
     centring: Centring,
@@ -296,7 +303,7 @@ fn view<'a>(data: &'a dyn PatchData, kk: Option<&Kernel<'_>>) -> k::View<'a> {
     k::View::new(values, data.data_box())
 }
 
-/// One kernel over a level: `body` is applied to each patch's region
+/// One kernel over the hierarchy: `body` is applied to each patch's region
 /// boxes, with `vars[0]` as the output array and the rest as read-only
 /// views. On a device this is a single launch whose body loops the
 /// patches, skipped entirely (no launch, no latency) when every region
@@ -304,7 +311,7 @@ fn view<'a>(data: &'a dyn PatchData, kk: Option<&Kernel<'_>>) -> k::View<'a> {
 /// allocated per patch.
 #[allow(clippy::too_many_arguments)]
 fn batched_launch<const N: usize>(
-    patches: &mut [Patch],
+    patches: &mut [&mut Patch],
     ex: Exec<'_>,
     name: &'static str,
     category: Category,
@@ -347,7 +354,7 @@ fn batched_launch<const N: usize>(
 /// in the Wang et al. scheme) followed by H2D (staging for the next
 /// kernel), once per patch per variable the phase touches. Both
 /// transfers are real: counted by the device and charged to the clock.
-fn roundtrip(patches: &mut [Patch], vars: &[VariableId]) {
+fn roundtrip(patches: &mut [&mut Patch], vars: &[VariableId]) {
     for p in patches.iter_mut() {
         for &var in vars {
             let d = dev_mut(p.data_mut(var));
@@ -363,7 +370,7 @@ fn roundtrip(patches: &mut [Patch], vars: &[VariableId]) {
 /// copies over the interior grown by one and only ever runs
 /// [`Pass::Full`].
 pub(crate) fn ideal_gas(
-    patches: &mut [Patch],
+    patches: &mut [&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
     pass: Pass,
@@ -405,11 +412,11 @@ pub(crate) fn ideal_gas(
 
 /// Artificial viscosity — kernel ordinal 3 of the `fill-start` window.
 pub(crate) fn viscosity(
-    patches: &mut [Patch],
+    patches: &mut [&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
     pass: Pass,
-    dx: (f64, f64),
+    dx: &[(f64, f64)],
 ) {
     if ex.copy_back() && pass != Pass::Boundary {
         roundtrip(patches, &[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0]);
@@ -425,7 +432,7 @@ pub(crate) fn viscosity(
         5,
         15,
         &regs,
-        |_kk, _i, q, qbox, v, r| k::viscosity(q, qbox, v[0], v[1], v[2], v[3], r, dx),
+        |_kk, i, q, qbox, v, r| k::viscosity(q, qbox, v[0], v[1], v[2], v[3], r, dx[i]),
     );
     ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells(), 5, 15);
 }
@@ -433,12 +440,12 @@ pub(crate) fn viscosity(
 /// EOS + viscosity — the compute half of the `fill-start` overlap
 /// window.
 pub(crate) fn eos_viscosity(
-    patches: &mut [Patch],
+    patches: &mut [&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
     pass: Pass,
     gamma: f64,
-    dx: (f64, f64),
+    dx: &[(f64, f64)],
 ) {
     ideal_gas(patches, f, ex, pass, gamma, false);
     viscosity(patches, f, ex, pass, dx);
@@ -446,14 +453,14 @@ pub(crate) fn eos_viscosity(
 
 /// CFL reduction: every patch's minimum lands in one `n`-patch staging
 /// array — on a device from a single launch, and one `8n`-byte transfer
-/// crosses PCIe per level: "calculating the timestep contains the only
+/// crosses PCIe per step: "calculating the timestep contains the only
 /// global reduction" (Section V-B). Returns the per-patch minima in
-/// patch order, so every placement folds them identically.
+/// level-major patch order, so every placement folds them identically.
 pub(crate) fn calc_dt(
-    patches: &mut [Patch],
+    patches: &mut [&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
-    dx: (f64, f64),
+    dx: &[(f64, f64)],
     cfl: f64,
 ) -> Vec<f64> {
     let vars = [f.density0, f.pressure, f.viscosity, f.soundspeed, f.xvel0, f.yvel0];
@@ -471,7 +478,7 @@ pub(crate) fn calc_dt(
             // `v[1]`, the pressure, is charged and round-tripped but not read.
             let v = vars.map(|var| view(p.data(var), kk));
             result.as_mut_slice(kk)[i] =
-                k::calc_dt(v[0], v[2], v[3], v[4], v[5], p.cell_box(), dx, cfl);
+                k::calc_dt(v[0], v[2], v[3], v[4], v[5], p.cell_box(), dx[i], cfl);
         }
     });
     ex.charge_host(patches, Category::Timestep, |p| p.cell_box().num_cells(), 6, 20);
@@ -534,13 +541,13 @@ pub(crate) fn flag_cells(
 
 /// The Lagrangian pre-fill chain — predictor PdV, predictor EOS,
 /// revert, accelerate, corrector PdV. No fill runs concurrently with
-/// these, so they run as full-region launches (10 per level).
+/// these, so they run as full-region launches (10 in all).
 pub(crate) fn lagrangian_pre(
-    patches: &mut [Patch],
+    patches: &mut [&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
     gamma: f64,
-    dx: (f64, f64),
+    dx: &[(f64, f64)],
     dt: f64,
 ) {
     pdv(patches, f, ex, dx, dt, true);
@@ -551,7 +558,7 @@ pub(crate) fn lagrangian_pre(
 }
 
 /// Restore working density/energy to step-start values.
-pub(crate) fn revert(patches: &mut [Patch], f: &Fields, ex: Exec<'_>) {
+pub(crate) fn revert(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) {
     if ex.copy_back() {
         roundtrip(patches, &[f.density1, f.energy1, f.density0, f.energy0]);
     }
@@ -574,7 +581,13 @@ pub(crate) fn revert(patches: &mut [Patch], f: &Fields, ex: Exec<'_>) {
 }
 
 /// Node velocity update from pressure and viscosity gradients.
-pub(crate) fn accelerate(patches: &mut [Patch], f: &Fields, ex: Exec<'_>, dx: (f64, f64), dt: f64) {
+pub(crate) fn accelerate(
+    patches: &mut [&mut Patch],
+    f: &Fields,
+    ex: Exec<'_>,
+    dx: &[(f64, f64)],
+    dt: f64,
+) {
     if ex.copy_back() {
         roundtrip(
             patches,
@@ -593,8 +606,8 @@ pub(crate) fn accelerate(patches: &mut [Patch], f: &Fields, ex: Exec<'_>, dx: (f
             5,
             20,
             &regs,
-            |_kk, _i, out, nbox, v, r| {
-                k::accelerate(out, nbox, v[0], v[1], v[2], v[3], r, dt, dx, axis);
+            |_kk, i, out, nbox, v, r| {
+                k::accelerate(out, nbox, v[0], v[1], v[2], v[3], r, dt, dx[i], axis);
             },
         );
     }
@@ -604,10 +617,10 @@ pub(crate) fn accelerate(patches: &mut [Patch], f: &Fields, ex: Exec<'_>, dx: (f
 /// PdV energy/density update (predictor: half dt with the start
 /// velocities; corrector: full dt with time-averaged velocities).
 pub(crate) fn pdv(
-    patches: &mut [Patch],
+    patches: &mut [&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
-    dx: (f64, f64),
+    dx: &[(f64, f64)],
     dt: f64,
     predict: bool,
 ) {
@@ -650,9 +663,9 @@ pub(crate) fn pdv(
         9,
         30,
         &regs,
-        |_kk, _i, e1, ebox, v, r| {
+        |_kk, i, e1, ebox, v, r| {
             let (u1, v1) = if predict { (v[4], v[6]) } else { (v[5], v[7]) };
-            k::pdv_energy(e1, ebox, v[0], v[1], v[2], v[3], v[4], u1, v[6], v1, r, dt_eff, dx);
+            k::pdv_energy(e1, ebox, v[0], v[1], v[2], v[3], v[4], u1, v[6], v1, r, dt_eff, dx[i]);
         },
     );
     batched_launch(
@@ -664,9 +677,9 @@ pub(crate) fn pdv(
         6,
         25,
         &regs,
-        |_kk, _i, r1, rbox, v, r| {
+        |_kk, i, r1, rbox, v, r| {
             let (u1, v1) = if predict { (v[1], v[3]) } else { (v[2], v[4]) };
-            k::pdv_density(r1, rbox, v[0], v[1], u1, v[3], v1, r, dt_eff, dx);
+            k::pdv_density(r1, rbox, v[0], v[1], u1, v[3], v1, r, dt_eff, dx[i]);
         },
     );
     ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells() * 2, 9, 30);
@@ -675,11 +688,11 @@ pub(crate) fn pdv(
 /// Volume fluxes — the compute half of the `post-accel` overlap window.
 /// Kernel ordinals 1–2.
 pub(crate) fn flux_calc(
-    patches: &mut [Patch],
+    patches: &mut [&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
     pass: Pass,
-    dx: (f64, f64),
+    dx: &[(f64, f64)],
     dt: f64,
 ) {
     if ex.copy_back() && pass != Pass::Boundary {
@@ -702,7 +715,7 @@ pub(crate) fn flux_calc(
             3,
             6,
             &regs,
-            |_kk, _i, out, sbox, v, r| k::flux_calc(out, sbox, v[0], v[1], r, dt, dx, axis),
+            |_kk, i, out, sbox, v, r| k::flux_calc(out, sbox, v[0], v[1], r, dt, dx[i], axis),
         );
     }
     let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
@@ -734,11 +747,11 @@ pub(crate) struct MomStash {
 /// compute half of the `mid-sweeps` window. Kernel ordinals 1–7.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn advec_cell(
-    patches: &mut [Patch],
+    patches: &mut [&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
     pass: Pass,
-    dx: (f64, f64),
+    dx: &[(f64, f64)],
     dir: usize,
     sweep: usize,
     stash: &mut Vec<CellStash>,
@@ -762,7 +775,7 @@ pub(crate) fn advec_cell(
         3,
         6,
         &regs,
-        |_kk, _i, pre, cbox, v, r| k::advec_pre_vol(pre, cbox, v[0], v[1], r, dir, sweep, dx),
+        |_kk, i, pre, cbox, v, r| k::advec_pre_vol(pre, cbox, v[0], v[1], r, dir, sweep, dx[i]),
     );
     let regs = regions_for(patches, pass, 2, Centring::Cell, ghost);
     batched_launch(
@@ -774,7 +787,9 @@ pub(crate) fn advec_cell(
         3,
         6,
         &regs,
-        |_kk, _i, post, cbox, v, r| k::advec_post_vol(post, cbox, v[0], v[1], r, dir, sweep, dx),
+        |_kk, i, post, cbox, v, r| {
+            k::advec_post_vol(post, cbox, v[0], v[1], r, dir, sweep, dx[i]);
+        },
     );
     let regs = regions_for(patches, pass, 3, Centring::Side(dir), |p| {
         let face = Centring::Side(dir).data_box(p.cell_box().grow(IntVector::uniform(GHOSTS)));
@@ -846,15 +861,12 @@ pub(crate) fn advec_cell(
 }
 
 fn revert_save(
-    patches: &[Patch],
+    patches: &[&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
     pass: Pass,
     stash: &mut Vec<CellStash>,
 ) {
-    if patches.is_empty() {
-        return;
-    }
     // Kernel ordinal 5 of the cell-advection chain, over the whole
     // energy1 allocation rather than a compute region.
     let caps = regions_for(patches, pass, 5, Centring::Cell, |p| p.data(f.energy1).data_box());
@@ -888,7 +900,7 @@ fn revert_save(
 /// ordinal so later margins stay monotone).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn advec_mom(
-    patches: &mut [Patch],
+    patches: &mut [&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
     pass: Pass,
@@ -1011,7 +1023,7 @@ pub(crate) fn advec_mom(
 }
 
 /// End-of-step field reset: four full-region copies.
-pub(crate) fn reset(patches: &mut [Patch], f: &Fields, ex: Exec<'_>) {
+pub(crate) fn reset(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) {
     if ex.copy_back() {
         roundtrip(
             patches,
@@ -1079,41 +1091,53 @@ mod tests {
         }
     }
 
-    /// One device patch with the same random state in every field for
-    /// a given seed (positive for densities/energies/EOS fields).
-    fn random_patch(seed: u64, cells: i64) -> (Patch, Fields) {
-        let device = rbamr_device::Device::k20x();
-        random_patch_on(
-            std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(device)),
-            seed,
-            cells,
-        )
+    /// Fill `var` with one `value()` per element, on either placement.
+    fn fill(patch: &mut Patch, var: VariableId, mut value: impl FnMut() -> f64) {
+        let data = patch.data_mut(var);
+        let image: Vec<f64> = (0..data.data_box().num_cells()).map(|_| value()).collect();
+        match data.as_any_mut().downcast_mut::<HostData<f64>>() {
+            Some(host) => host.as_mut_slice().copy_from_slice(&image),
+            None => dev_mut(data).upload_all(&image, Category::Other),
+        }
     }
 
-    /// [`random_patch`] on `factory`'s placement: the same seed gives
-    /// the same values on every placement.
+    /// Patch `index` of `level` over `cell_box`, on `reg`'s placement,
+    /// with the same random state in every field for a given seed on
+    /// every placement (positive for densities/energies/EOS fields).
+    fn random_patch_in(
+        reg: &rbamr_amr::VariableRegistry,
+        (level, index): (usize, usize),
+        cell_box: GBox,
+        seed: u64,
+    ) -> Patch {
+        use rand::{Rng, SeedableRng};
+        let id = rbamr_amr::patch::PatchId { level, index };
+        let mut patch = Patch::new(id, cell_box, 0, reg);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for v in 0..reg.len() {
+            let range = if v < 7 { 0.2..2.0 } else { -1.0..1.0 };
+            fill(&mut patch, VariableId(v), || rng.gen_range(range.clone()));
+        }
+        patch
+    }
+
+    /// A registry of the hydro fields on `factory`'s placement.
+    fn registry(
+        factory: std::sync::Arc<dyn rbamr_amr::DataFactory>,
+    ) -> (rbamr_amr::VariableRegistry, Fields) {
+        let mut reg = rbamr_amr::VariableRegistry::new(factory);
+        let f = Fields::register(&mut reg);
+        (reg, f)
+    }
+
+    /// One random patch of `cells`² cells on `factory`'s placement.
     fn random_patch_on(
         factory: std::sync::Arc<dyn rbamr_amr::DataFactory>,
         seed: u64,
         cells: i64,
     ) -> (Patch, Fields) {
-        use rand::{Rng, SeedableRng};
-        let mut reg = rbamr_amr::VariableRegistry::new(factory);
-        let f = Fields::register(&mut reg);
-        let id = rbamr_amr::patch::PatchId { level: 0, index: 0 };
-        let mut patch = Patch::new(id, GBox::from_coords(0, 0, cells, cells), 0, &reg);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        for v in 0..reg.len() {
-            let data = patch.data_mut(VariableId(v));
-            let image: Vec<f64> = (0..data.data_box().num_cells())
-                .map(|_| if v < 7 { rng.gen_range(0.2..2.0) } else { rng.gen_range(-1.0..1.0) })
-                .collect();
-            match data.as_any_mut().downcast_mut::<HostData<f64>>() {
-                Some(host) => host.as_mut_slice().copy_from_slice(&image),
-                None => dev_mut(data).upload_all(&image, Category::Other),
-            }
-        }
-        (patch, f)
+        let (reg, f) = registry(factory);
+        (random_patch_in(&reg, (0, 0), GBox::from_coords(0, 0, cells, cells), seed), f)
     }
 
     fn field_bits(patch: &Patch) -> Vec<Vec<u64>> {
@@ -1170,7 +1194,8 @@ mod tests {
             (crate::HostPatchIntegrator::new(), crate::DevicePatchIntegrator::new());
         for (i, method) in methods.iter().enumerate() {
             let (mut hp, f) = random_patch_on(host.clone(), i as u64, 12);
-            let (mut dp, _) = random_patch(i as u64, 12);
+            let device = std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(Device::k20x()));
+            let (mut dp, _) = random_patch_on(device, i as u64, 12);
             method(&host_ig, &mut hp, &f);
             method(&dev_ig, &mut dp, &f);
             let same = observe(&host_ig, &mut hp, &f) == observe(&dev_ig, &mut dp, &f);
@@ -1178,54 +1203,85 @@ mod tests {
         }
     }
 
-    /// The split itself, phase by phase: with no fill between the
-    /// passes, `Interior` then `Boundary` leaves every field bitwise
-    /// equal to `Full`. 40 cells: early kernels split, deep-margin ones
-    /// degrade to boundary-only; 96 cells: every kernel of every chain
-    /// has a non-empty core.
+    /// The fusion oracle, and the split itself: on both placements,
+    /// every phase run once over every level's patches leaves every
+    /// field (and `calc_dt` its minima) bitwise equal to the same phase
+    /// run level by level — with one full pass, and in the windowed
+    /// phases also with an interior then a boundary pass, which equal
+    /// the full pass. The 3-level hierarchy mixes patches too small for
+    /// any interior core, 40² ones where deep-margin kernels degrade to
+    /// boundary-only, and 64- and 96-wide ones (on 96² every kernel of
+    /// every chain has a non-empty core).
     #[test]
-    fn interior_then_boundary_equals_full_in_every_windowed_phase() {
-        const DX: (f64, f64) = (0.05, 0.05);
-        type Phase = fn(&mut [Patch], &Fields, Exec<'_>, &[Pass]);
-        let phases: [(&str, Phase); 4] = [
-            ("eos_viscosity", |p, f, ex, passes| {
-                for &pass in passes {
-                    eos_viscosity(p, f, ex, pass, 1.4, DX);
-                }
+    fn one_pass_over_every_level_equals_a_pass_per_level() {
+        // A phase's stashes and dt minima, one set per call group.
+        type Scratch = (Vec<CellStash>, Vec<MomStash>, Vec<f64>);
+        type Phase = fn(&mut [&mut Patch], &[(f64, f64)], &Fields, Exec<'_>, Pass, &mut Scratch);
+        let phases: [(&str, bool, Phase); 7] = [
+            ("eos_viscosity", true, |p, dx, f, ex, pass, _| eos_viscosity(p, f, ex, pass, 1.4, dx)),
+            ("flux_calc", true, |p, dx, f, ex, pass, _| flux_calc(p, f, ex, pass, dx, 1e-3)),
+            ("advec_cell", true, |p, dx, f, ex, pass, s| {
+                advec_cell(p, f, ex, pass, dx, 1, 2, &mut s.0);
             }),
-            ("flux_calc", |p, f, ex, passes| {
-                for &pass in passes {
-                    flux_calc(p, f, ex, pass, DX, 1e-3);
-                }
-            }),
-            ("advec_cell", |p, f, ex, passes| {
-                let mut stash = Vec::new();
-                for &pass in passes {
-                    advec_cell(p, f, ex, pass, DX, 1, 2, &mut stash);
-                }
-            }),
-            ("advec_mom", |p, f, ex, passes| {
-                let mut stash = Vec::new();
-                for &pass in passes {
-                    advec_mom(p, f, ex, pass, 0, &mut stash);
-                }
-            }),
+            ("advec_mom", true, |p, _, f, ex, pass, s| advec_mom(p, f, ex, pass, 0, &mut s.1)),
+            ("calc_dt", false, |p, dx, f, ex, _, s| s.2.extend(calc_dt(p, f, ex, dx, 0.5))),
+            ("lagrangian_pre", false, |p, dx, f, ex, _, _| lagrangian_pre(p, f, ex, 1.4, dx, 1e-3)),
+            ("reset", false, |p, _, f, ex, _, _| reset(p, f, ex)),
         ];
-        for cells in [40, 96] {
-            for (seed, (name, phase)) in phases.iter().enumerate() {
-                let (mut full, f) = random_patch(seed as u64, cells);
-                let (mut split, _) = random_patch(seed as u64, cells);
-                let run = |patch: &mut Patch, passes: &[Pass]| {
-                    let data = dev(patch.data(f.density0));
-                    let (device, stream) = (data.device().clone(), data.stream().clone());
-                    let ex = Exec::Device { device: &device, stream: &stream, copy_back: false };
-                    phase(std::slice::from_mut(patch), &f, ex, passes);
+        // Each level's patch shapes, laid out in a row.
+        let shapes: [&[(i64, i64)]; 3] =
+            [&[(96, 96), (8, 8)], &[(64, 64), (40, 40), (10, 10)], &[(64, 24), (12, 12)]];
+        let dx = |l: usize| (0.05 / f64::from(1 << l), 0.05 / f64::from(1 << l));
+        let device = Device::k20x();
+        let stream = Stream::new(&device);
+        let placements: [(Exec<'_>, std::sync::Arc<dyn rbamr_amr::DataFactory>); 2] = [
+            (Exec::Host(None), std::sync::Arc::new(rbamr_amr::HostDataFactory::new())),
+            (
+                Exec::Device { device: &device, stream: &stream, copy_back: false },
+                std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(device.clone())),
+            ),
+        ];
+        for (ex, factory) in placements {
+            let (reg, f) = registry(factory);
+            let hierarchy = || -> Vec<Vec<Patch>> {
+                let level = |(l, level): (usize, &&[(i64, i64)])| {
+                    let mut x0 = 0;
+                    let patch = |(i, &(w, h)): (usize, &(i64, i64))| {
+                        x0 += w;
+                        let cell_box = GBox::from_coords(x0 - w, 0, x0, h);
+                        random_patch_in(&reg, (l, i), cell_box, (8 * l + i) as u64)
+                    };
+                    level.iter().enumerate().map(patch).collect()
                 };
-                run(&mut full, &[Pass::Full]);
-                run(&mut split, &[Pass::Interior, Pass::Boundary]);
-                let (a, b) = (field_bits(&full), field_bits(&split));
-                for v in 0..a.len() {
-                    assert!(a[v] == b[v], "{name} on {cells}x{cells}: field {v} differs");
+                shapes.iter().enumerate().map(level).collect()
+            };
+            for (name, windowed, phase) in phases {
+                let full: &[Pass] = &[Pass::Full];
+                let split: &[Pass] = &[Pass::Interior, Pass::Boundary];
+                let runs = if windowed { &[full, split][..] } else { &[full] };
+                let mut outcomes = Vec::new();
+                for (passes, fused) in runs.iter().flat_map(|r| [(r, false), (r, true)]) {
+                    let mut levels = hierarchy();
+                    let mut groups: Vec<Vec<&mut Patch>> = if fused {
+                        vec![levels.iter_mut().flatten().collect()]
+                    } else {
+                        levels.iter_mut().map(|l| l.iter_mut().collect()).collect()
+                    };
+                    let mut scratch: Vec<Scratch> =
+                        groups.iter().map(|_| Default::default()).collect();
+                    for &pass in *passes {
+                        for (group, s) in groups.iter_mut().zip(&mut scratch) {
+                            let dxs: Vec<_> = group.iter().map(|p| dx(p.id().level)).collect();
+                            phase(group, &dxs, &f, ex, pass, s);
+                        }
+                    }
+                    let minima = scratch.iter().flat_map(|s| s.2.iter().map(|m| m.to_bits()));
+                    let bits: Vec<_> = levels.iter().flatten().map(field_bits).collect();
+                    outcomes.push((minima.collect::<Vec<_>>(), bits));
+                }
+                for (k, outcome) in outcomes.iter().enumerate() {
+                    let (passes, how) = (runs[k / 2], ["per level", "fused"][k % 2]);
+                    assert!(*outcome == outcomes[0], "{name}: {passes:?} {how} differs");
                 }
             }
         }
@@ -1241,22 +1297,14 @@ mod tests {
         rough: impl Fn(usize) -> bool,
     ) -> (Vec<Patch>, Fields) {
         use rand::{Rng, SeedableRng};
-        let mut reg = rbamr_amr::VariableRegistry::new(factory);
-        let f = Fields::register(&mut reg);
+        let (reg, f) = registry(factory);
         let patches = (0..n).map(|i| {
             let id = rbamr_amr::patch::PatchId { level: 0, index: i };
             let x0 = i as i64 * cells;
             let mut patch = Patch::new(id, GBox::from_coords(x0, 0, x0 + cells, cells), 0, &reg);
             let mut rng = rand::rngs::StdRng::seed_from_u64(i as u64);
             for var in [f.density0, f.energy0] {
-                let data = patch.data_mut(var);
-                let image: Vec<f64> = (0..data.data_box().num_cells())
-                    .map(|_| if rough(i) { rng.gen_range(0.2..2.0) } else { 1.0 })
-                    .collect();
-                match data.as_any_mut().downcast_mut::<HostData<f64>>() {
-                    Some(host) => host.as_mut_slice().copy_from_slice(&image),
-                    None => dev_mut(data).upload_all(&image, Category::Other),
-                }
+                fill(&mut patch, var, || if rough(i) { rng.gen_range(0.2..2.0) } else { 1.0 });
             }
             patch
         });

@@ -24,11 +24,12 @@
 //! halo fills via the framework's refine schedules, fine→coarse
 //! synchronisation (volume-weighted density, mass-weighted energy,
 //! node-injected velocities) and periodic regridding driven by the
-//! gradient flagging heuristic. Every placement advances level by
-//! level through [`level_executor`], which holds the one call site of
-//! each step kernel: on the host as plain calls over host slices that
-//! charge the CPU cost model, on a device as one launch per kernel per
-//! level with each halo fill overlapped with interior compute. Both
+//! gradient flagging heuristic. Every placement advances the whole
+//! hierarchy through [`level_executor`], which holds the one call site
+//! of each step kernel: on the host as plain calls over host slices
+//! that charge the CPU cost model, on a device as one launch per kernel
+//! per pass over every level, with each window's halo fills overlapped
+//! with interior compute. Both
 //! patch integrators run the same executor on a batch of one patch.
 //! [`Placement::DeviceCopyBack`] is the device arm with per-phase PCIe
 //! round trips (the non-resident baseline).

@@ -578,3 +578,59 @@ impl ResilientSim {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rbamr_netsim::{Cluster, FaultPlan, FaultRule};
+
+    /// The commit's one rendezvous (min of the ok flag, max of the
+    /// failure kind) gives all four ranks one verdict: the worst local
+    /// failure, and `Comm` when the rendezvous itself is injected a
+    /// fault or revoked by a dead rank.
+    #[test]
+    fn commit_gives_every_rank_the_same_verdict() {
+        // Per rank: no local failure (0), a comm (1) or a device (2) one.
+        let verdicts = |plan: FaultPlan, dead: Option<usize>, local: [u8; 4]| {
+            let cluster = Cluster::new(Machine::ipa_cpu_node()).with_fault_plan(plan);
+            let results = cluster.run(4, move |comm| {
+                if Some(comm.rank()) == dead {
+                    comm.mark_dead();
+                    return None;
+                }
+                let spec = SimSpec {
+                    machine: Machine::ipa_cpu_node(),
+                    placement: Placement::Host,
+                    extent: (1.0, 1.0),
+                    coarse_cells: (8, 8),
+                    max_levels: 1,
+                    ratio: 2,
+                    config: HydroConfig::default(),
+                    regions: Vec::new(),
+                    rank: comm.rank(),
+                    nranks: comm.size(),
+                };
+                let sim = spec.build(Placement::Host, comm.clock().clone());
+                let detail = "local".to_string();
+                let first = match local[comm.rank()] {
+                    0 => None,
+                    1 => Some(SimError::Comm { detail }),
+                    _ => Some(SimError::Device { detail }),
+                };
+                Some(match sim.commit(Some(&comm), first) {
+                    Ok(()) => "ok",
+                    Err(SimError::Comm { .. }) => "comm",
+                    Err(SimError::Device { .. }) => "device",
+                })
+            });
+            results.into_iter().filter_map(|r| r.value).collect::<Vec<_>>()
+        };
+        let none = FaultPlan::none;
+        assert_eq!(verdicts(none(), None, [0; 4]), ["ok"; 4]);
+        assert_eq!(verdicts(none(), None, [0, 0, 0, 1]), ["comm"; 4]);
+        assert_eq!(verdicts(none(), None, [0, 1, 2, 0]), ["device"; 4]);
+        let fault = FaultPlan::new(3, vec![FaultRule::once_on(FaultKind::CollectiveFault, 2, 0)]);
+        assert_eq!(verdicts(fault, None, [0; 4]), ["comm"; 4]);
+        assert_eq!(verdicts(none(), Some(3), [0, 2, 0, 0]), ["comm"; 3]);
+    }
+}

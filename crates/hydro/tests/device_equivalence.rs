@@ -1,4 +1,4 @@
-//! The device-equivalence layer: the device build (per-level launches,
+//! The device-equivalence layer: the device build (fused launches,
 //! halo fills overlapped with interior compute) must be observationally
 //! identical to the host build (plain calls, fill-then-compute). Both
 //! run one transcription of the step (`level_executor`), so what the
@@ -22,8 +22,9 @@
 //! * with 64-wide patches, where every interior/boundary split is
 //!   non-degenerate, the same digest identity holds;
 //! * the copy-back placement changes transfers, never digests;
-//! * in the many-patch regime hydro launches per step stay within
-//!   levels × `MAX_LAUNCHES_PER_LEVEL_STEP`, whatever the patch count;
+//! * hydro launches per step stay within `MAX_LAUNCHES_PER_STEP`,
+//!   whatever the patch or level count, and a 1-level and a 3-level run
+//!   of one deck launch the same number;
 //! * data-movement launches per step stay within a small multiple of
 //!   the fills and syncs executed — one `pack` per message sent, one
 //!   `unpack` per message received — whatever the patch count;
@@ -34,7 +35,7 @@
 use proptest::prelude::*;
 use rbamr_amr::MetadataMode;
 use rbamr_device::DeviceStats;
-use rbamr_hydro::level_executor::{hydro_launches, MAX_LAUNCHES_PER_LEVEL_STEP};
+use rbamr_hydro::level_executor::{hydro_launches, MAX_LAUNCHES_PER_STEP};
 use rbamr_hydro::{
     HydroConfig, HydroSim, Placement, RecoveryPolicy, RegionInit, ResilientSim, SimSpec,
 };
@@ -103,6 +104,16 @@ struct RankTrace {
 
 /// `workers`: netsim worker slots, `None` for the default count.
 fn run(cfg: RunConfig, workers: Option<usize>, placement: Placement) -> Vec<RankTrace> {
+    run_levels(cfg, workers, placement, LEVELS)
+}
+
+/// [`run`] on a hierarchy of at most `levels` levels.
+fn run_levels(
+    cfg: RunConfig,
+    workers: Option<usize>,
+    placement: Placement,
+    levels: usize,
+) -> Vec<RankTrace> {
     let machine = Machine::ipa_gpu();
     let m = machine.clone();
     let mut cluster = Cluster::new(machine);
@@ -124,7 +135,7 @@ fn run(cfg: RunConfig, workers: Option<usize>, placement: Placement) -> Vec<Rank
             comm.clock().clone(),
             (1.0, 1.0),
             (cfg.cells, cfg.cells),
-            LEVELS,
+            levels,
             2,
             config,
             regions,
@@ -306,18 +317,24 @@ fn copy_back_changes_transfers_not_digests() {
 }
 
 /// In the many-patch regime (patches per rank ≫ levels) hydro launches
-/// per step are bounded by the level count, not the patch count.
+/// per step are bounded by one constant for the whole hierarchy: a
+/// 1-level and a 3-level run of the same deck launch the same number.
 #[test]
 fn hydro_launches_scale_with_levels_not_patches() {
-    let bound = (MANY_PATCHES.steps * LEVELS) as u64 * MAX_LAUNCHES_PER_LEVEL_STEP;
-    for (rank, t) in run(MANY_PATCHES, None, Placement::Device).iter().enumerate() {
-        assert!(
-            t.hydro_launches <= bound,
-            "rank {rank}: {} hydro launches in {} steps exceed {bound}",
-            t.hydro_launches,
-            MANY_PATCHES.steps
-        );
-    }
+    let bound = MANY_PATCHES.steps as u64 * MAX_LAUNCHES_PER_STEP;
+    let launches = [1, 3].map(|levels| {
+        let traces = run_levels(MANY_PATCHES, None, Placement::Device, levels);
+        for (rank, t) in traces.iter().enumerate() {
+            assert!(
+                t.hydro_launches <= bound,
+                "rank {rank}, {levels} levels: {} hydro launches in {} steps exceed {bound}",
+                t.hydro_launches,
+                MANY_PATCHES.steps
+            );
+        }
+        traces.iter().map(|t| t.hydro_launches).collect::<Vec<_>>()
+    });
+    assert_eq!(launches[0], launches[1], "hydro launches depend on the level count");
 }
 
 /// The absolute data-movement gate, beside the hydro one: the launches

@@ -4,7 +4,7 @@
 //! # Reductions
 //!
 //! Every reduction-shaped collective ([`ReduceSpec::MIN_F64`],
-//! `MAX_F64`, `SUM_F64`, `DIGEST`, `BARRIER`) has one cost and one
+//! `MAX_F64`, `SUM_F64`, `DIGEST`, `BARRIER`, `VERDICT`) has one cost and one
 //! execution, both in [`Comm::try_reduce`]:
 //!
 //! * **Cost model** — `CostModel::allreduce(N, spec.bytes)`, i.e.
@@ -86,6 +86,11 @@ impl ReduceSpec {
     pub const DIGEST: Self = Self { name: "allreduce-digest", bytes: 24, combine: combine_digest };
     /// Pure synchronisation: no payload, no-op combine.
     pub const BARRIER: Self = Self { name: "barrier", bytes: 0, combine: combine_barrier };
+    /// A commit verdict in one rendezvous: the minimum of word 0 (an
+    /// all-ok flag) and the maximum of word 1 (the worst failure
+    /// kind), both as integers.
+    pub const VERDICT: Self =
+        Self { name: "allreduce-verdict", bytes: 16, combine: combine_verdict };
 }
 
 /// Pack an f64 into the word-0 slot of a reduction state.
@@ -112,6 +117,11 @@ fn combine_digest(acc: &mut [u64; 3], v: [u64; 3]) {
 }
 
 fn combine_barrier(_: &mut [u64; 3], _: [u64; 3]) {}
+
+fn combine_verdict(acc: &mut [u64; 3], v: [u64; 3]) {
+    acc[0] = acc[0].min(v[0]);
+    acc[1] = acc[1].max(v[1]);
+}
 
 /// One collective operation for the unified entry point
 /// [`Comm::try_collective`] / [`Comm::collective`]. Every named

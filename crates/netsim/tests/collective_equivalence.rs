@@ -46,6 +46,7 @@ enum Red {
     SumInt,
     Digest,
     Barrier,
+    Verdict,
 }
 
 /// What a rank observed *semantically* — identical across algorithms.
@@ -104,6 +105,12 @@ fn reduction(red: Red, r: usize, i: usize) -> (ReduceSpec, [u64; 3], Category) {
             Category::Regrid,
         ),
         Red::Barrier => (ReduceSpec::BARRIER, [0; 3], Category::Other),
+        // An ok flag some ranks clear, and a failure kind 0..=2.
+        Red::Verdict => (
+            ReduceSpec::VERDICT,
+            [u64::from((r + i) % 5 != 3), ((r * 7 + i) % 3) as u64, 0],
+            Category::Other,
+        ),
     }
 }
 
@@ -121,6 +128,10 @@ fn expected_reduction(red: Red, n: usize, i: usize) -> [u64; 3] {
             .iter()
             .fold([0; 3], |a, w| [a[0].wrapping_add(w[0]), a[1] ^ w[1], a[2].wrapping_add(w[2])]),
         Red::Barrier => [0; 3],
+        Red::Verdict => {
+            let ok = words.iter().map(|w| w[0]).min().expect("at least one rank");
+            [ok, words.iter().map(|w| w[1]).max().expect("at least one rank"), 0]
+        }
     }
 }
 
@@ -258,7 +269,8 @@ fn check_algorithms(nranks: usize, ops: &[Op]) -> Result<(), TestCaseError> {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..8, 0usize..1024).prop_map(|(kind, root_pick)| match kind {
+    (0u8..9, 0usize..1024).prop_map(|(kind, root_pick)| match kind {
+        8 => Op::Reduce(Red::Verdict),
         0 => Op::Reduce(Red::Min),
         1 => Op::Reduce(Red::Max),
         2 => Op::Reduce(Red::SumInt),
@@ -301,6 +313,7 @@ fn fixed_script_is_algorithm_invariant_across_sizes() {
         Op::Reduce(Red::SumInt),
         Op::Reduce(Red::Barrier),
         Op::Reduce(Red::Max),
+        Op::Reduce(Red::Verdict),
     ];
     for nranks in [2usize, 3, 5, 8, 12, 33, 64, 127, 128, 512] {
         check_algorithms(nranks, &ops).unwrap_or_else(|e| panic!("{nranks} ranks: {e}"));

@@ -145,9 +145,9 @@ struct StepTraffic {
     /// `pack` and `unpack` launches: one per stage with any peer, each
     /// with one transfer for all of the stage's messages.
     stages: (u64, u64),
-    /// Levels holding local patches, and the local patches on them, at
-    /// the start of the step: one dt download per level, one minimum
-    /// per patch.
+    /// dt downloads (one per step, for every level at once, when the
+    /// rank holds any patch) and the local patches at the start of the
+    /// step: one minimum per patch.
     dt: (u64, u64),
     /// `any-tagged` and `compress-tags` launches: each downloads its
     /// result.
@@ -195,8 +195,7 @@ fn resident_traffic(nranks: usize) {
         let mut steps = Vec::new();
         for _ in 0..STEPS {
             let local = |l| sim.hierarchy().level(l).local().len() as u64;
-            let locals: Vec<u64> =
-                (0..sim.hierarchy().num_levels()).map(local).filter(|&n| n > 0).collect();
+            let patches: u64 = (0..sim.hierarchy().num_levels()).map(local).sum();
             let flagged = local(0);
             let before = observe();
             sim.step(Some(&comm));
@@ -204,7 +203,7 @@ fn resident_traffic(nranks: usize) {
                 let after = observe();
                 [0, 1, 2, 3, 4, 5].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1))
             };
-            let dt = (locals.len() as u64, locals.iter().sum());
+            let dt = (u64::from(patches > 0), patches);
             steps.push(StepTraffic { d2h, h2d, messages, packed, stages, dt, tags, flagged });
         }
         steps
@@ -224,8 +223,8 @@ fn resident_traffic(nranks: usize) {
             // The residency claim is an equality. Out: one transfer per
             // stage that sends — halo, synchronisation or, on the regrid
             // at the end of every fourth step, solution-transfer stage —
-            // carrying exactly the packed bytes, and per level one
-            // download of the patches' dt minima (8 B each). A regrid
+            // carrying exactly the packed bytes, and one download of
+            // every level's dt minima (8 B per patch). A regrid
             // adds one download of the flagged level's any-tagged words
             // (4 B per patch) and, where any is set, one of the
             // compressed bitmaps: at most one bit per cell of a 16^2
