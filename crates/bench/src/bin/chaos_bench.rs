@@ -121,10 +121,9 @@ struct Schedule {
 /// the occurrence-pinned rules below fired inside a transfer before
 /// that change, and each fires in the same place after it; the
 /// persistent and every-message rules still reach the transfer's
-/// message, its staging allocation and its two PCIe hops. When the
-/// commit's two reductions became one verdict, `collective_late_r1`
-/// moved from occurrence 25 to 18: still rank 1's checkpoint-adoption
-/// verdict after step 5, a spoiled save that needs no rollback.
+/// message, its staging allocation and its two PCIe hops.
+/// `collective_late_r1` lands in rank 1's checkpoint-adoption verdict
+/// after step 5: a spoiled save, discarded with no rollback.
 fn schedules() -> Vec<Schedule> {
     use Expectation::{DegradesToHost, Recoverable, Unrecoverable};
     use FaultKind::{AllocFail, CollectiveFault, CopyFail, MsgCorrupt, MsgDelay, MsgDrop};

@@ -157,11 +157,6 @@ impl BatchPlanCache {
         plan
     }
 
-    /// The current plan, if one was built.
-    pub fn plan(&self) -> Option<&Arc<BatchPlan>> {
-        self.plan.as_ref()
-    }
-
     /// Structure-key cache hits since creation.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -244,7 +239,6 @@ mod tests {
         // The same boxes on other levels are another structure.
         let p3 = cache.get_or_build(&dev, &[(0, b(0, 0, 8, 8)), (2, b(8, 0, 16, 8))]);
         assert!(!Arc::ptr_eq(&p1, &p3));
-        assert!(cache.plan().is_some_and(|p| Arc::ptr_eq(p, &p3)));
         assert_eq!((cache.builds(), cache.hits()), (2, 1));
     }
 
