@@ -1,7 +1,9 @@
 //! Host-memory patch data — the CPU baseline implementation.
 
 use crate::ops::{shared_source_box, CoarsenOperator, RefineOperator};
-use crate::patchdata::{copy_region, region_rows, validate_overlap, Element, PatchData};
+use crate::patchdata::{
+    copy_region, region_rows, validate_overlap, Element, PatchData, PatchDataError,
+};
 use crate::variable::DataFactory;
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
@@ -175,7 +177,7 @@ impl<T: Element> PatchData for HostData<T> {
         overlap.num_values() as usize * T::BYTES
     }
 
-    fn pack(&self, overlap: &BoxOverlap) -> Bytes {
+    fn try_pack(&self, overlap: &BoxOverlap) -> Result<Bytes, PatchDataError> {
         let mut out = Vec::with_capacity(self.stream_size(overlap));
         for b in overlap.dst_boxes.boxes() {
             for row in region_rows(self.dbox, b.shift(-overlap.shift)) {
@@ -183,7 +185,7 @@ impl<T: Element> PatchData for HostData<T> {
             }
         }
         self.charge(overlap.num_values());
-        Bytes::from(out)
+        Ok(Bytes::from(out))
     }
 
     fn extend_uncovered(&mut self, covered: &BoxList) {
@@ -221,7 +223,7 @@ impl<T: Element> PatchData for HostData<T> {
         op.fill(&mut dst.data, dst.dbox, fills, &srcs, sbox, ratio);
     }
 
-    fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
+    fn try_unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) -> Result<(), PatchDataError> {
         assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
         let mut rest = stream;
         for b in overlap.dst_boxes.boxes() {
@@ -232,6 +234,7 @@ impl<T: Element> PatchData for HostData<T> {
             }
         }
         self.charge(overlap.num_values());
+        Ok(())
     }
 }
 

@@ -75,7 +75,8 @@ pub use regrid::{
     RegridError, RegridOutcome, RegridParams, Regridder,
 };
 pub use schedule::{
-    CoarsenSchedule, PendingFill, RefineSchedule, ScheduleBuild, ScheduleCache, ScheduleError,
+    CoarsenSchedule, FillWindow, PendingFill, RefineSchedule, ScheduleBuild, ScheduleCache,
+    ScheduleError,
 };
 pub use stats::{hierarchy_stats, HierarchyStats};
 pub use tagging::TagBitmap;

@@ -154,33 +154,36 @@ pub trait PatchData: Send {
     /// all schedule-construction bugs.
     fn copy_from(&mut self, src: &dyn PatchData, overlap: &BoxOverlap);
 
-    /// Exact size in bytes of the stream [`PatchData::pack`] produces
-    /// for this overlap (`getDataStreamSize`).
+    /// Exact size in bytes of the stream [`PatchData::try_pack`]
+    /// produces for this overlap (`getDataStreamSize`).
     fn stream_size(&self, overlap: &BoxOverlap) -> usize;
 
     /// Pack the source values for `overlap` into a contiguous stream
     /// (`packStream`). The overlap's boxes are in *destination* index
     /// space; this (source) side reads at `index - shift`. Values are
-    /// streamed box by box in row-major order.
-    fn pack(&self, overlap: &BoxOverlap) -> Bytes;
+    /// streamed box by box in row-major order. Packing that can fail
+    /// (the device path, under fault injection) returns a typed error.
+    fn try_pack(&self, overlap: &BoxOverlap) -> Result<Bytes, PatchDataError>;
 
-    /// Unpack a stream produced by a matching [`PatchData::pack`] into
-    /// the overlap region (`unpackStream`).
-    fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]);
+    /// Unpack a stream produced by a matching [`PatchData::try_pack`]
+    /// into the overlap region (`unpackStream`); on `Err` nothing was
+    /// unpacked.
+    ///
+    /// # Panics
+    /// Panics if the stream is not exactly [`PatchData::stream_size`]
+    /// bytes long.
+    fn try_unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) -> Result<(), PatchDataError>;
 
-    /// Fault-aware [`PatchData::pack`]: implementations whose packing
-    /// can fail (the device path, under fault injection) surface a
-    /// typed error instead of panicking. The default wraps the
-    /// infallible `pack`.
-    fn try_pack(&self, overlap: &BoxOverlap) -> Result<Bytes, PatchDataError> {
-        Ok(self.pack(overlap))
+    /// [`PatchData::try_pack`] for callers no fault can reach; panics
+    /// on one.
+    fn pack(&self, overlap: &BoxOverlap) -> Bytes {
+        self.try_pack(overlap).unwrap_or_else(|e| panic!("pack: {e}"))
     }
 
-    /// Fault-aware [`PatchData::unpack`]; the default wraps the
-    /// infallible `unpack`.
-    fn try_unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) -> Result<(), PatchDataError> {
-        self.unpack(overlap, stream);
-        Ok(())
+    /// [`PatchData::try_unpack`] for callers no fault can reach; panics
+    /// on one.
+    fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
+        self.try_unpack(overlap, stream).unwrap_or_else(|e| panic!("unpack: {e}"));
     }
 
     /// Clamp-extend values into cells not covered by `covered` (used on

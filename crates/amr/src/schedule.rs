@@ -42,14 +42,13 @@ use crate::boundary::{PhysicalBoundary, PhysicalPlan};
 use crate::hierarchy::PatchHierarchy;
 use crate::level::PatchLevel;
 use crate::ops::{CoarsenOperator, RefineOperator};
-use crate::patchdata::{validate_overlap, PatchData, PatchDataError};
+use crate::patchdata::{validate_overlap, PatchDataError};
 use crate::regrid::TransferSpec;
 use crate::transfer::{
-    narrow, CoarsenJob, CopyJob, DescriptorWords, Loc, PeerStream, RefineJob, StreamJob,
+    narrow, CoarsenJob, CopyJob, DescriptorWords, Loc, Part, PeerStream, RefineJob, StreamJob,
     StreamPlan, TransferCtx,
 };
 use crate::variable::{DataFactory, Variable, VariableId, VariableRegistry};
-use bytes::Bytes;
 use rbamr_geometry::{
     copy_overlap, ghost_overlaps, BoxIndex, BoxList, BoxOverlap, Centring, GBox, IntVector,
 };
@@ -58,6 +57,10 @@ use rbamr_perfmodel::Category;
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+
+mod window;
+use window::{fill_span, make_scratch, receive_and_unpack};
+pub use window::{FillWindow, PendingFill};
 
 /// A fault detected while executing a schedule.
 ///
@@ -840,12 +843,6 @@ impl RefineSchedule {
         sorted_digest(out)
     }
 
-    /// Total values moved by same-level plans (diagnostics/tests).
-    pub fn same_level_values(&self) -> i64 {
-        self.copies.iter().map(|c| c.overlap.num_values()).sum::<i64>()
-            + self.recvs.iter().map(|r| r.overlap.num_values()).sum::<i64>()
-    }
-
     /// Number of interpolation jobs (diagnostics/tests).
     pub fn num_interp_jobs(&self) -> usize {
         self.scratch.len()
@@ -911,11 +908,12 @@ impl RefineSchedule {
             .unwrap_or_else(|e| panic!("refine fill: unhandled injected fault: {e}"));
     }
 
-    /// Fault-aware [`RefineSchedule::fill`]: a detected fault is
-    /// reported after the whole communication pattern has executed
-    /// (faulty plans fill with placeholder bytes), so no rank is left
-    /// blocked on this rank's messages. On `Err` the filled data is
-    /// unusable and the caller must roll back.
+    /// Fault-aware [`RefineSchedule::fill`]: the window of this schedule
+    /// alone (see [`FillWindow`]). A detected fault is reported after
+    /// the whole communication pattern has executed (faulty plans fill
+    /// with placeholder bytes), so no rank is left blocked on this
+    /// rank's messages. On `Err` the filled data is unusable and the
+    /// caller must roll back.
     pub fn try_fill(
         &self,
         hierarchy: &mut PatchHierarchy,
@@ -925,40 +923,10 @@ impl RefineSchedule {
         time: f64,
         category: Category,
     ) -> Result<(), ScheduleError> {
-        let _span = hierarchy.recorder().is_enabled().then(|| {
-            let rec = hierarchy.recorder();
-            rec.count("amr.refine_fills", 1);
-            rec.span_arg("refine-fill", category, self.level_no as i64)
-        });
-        let pending = self.begin_inner(hierarchy, None, registry, comm, category);
-        pending.finish_inner(hierarchy, physical, comm, time, category)
-    }
-
-    /// Start the fill and return without consuming any incoming
-    /// messages: local copies run, outgoing messages are packed and
-    /// sent, and interpolation scratch is created with its *local*
-    /// coarse sources captured. The caller may then run independent
-    /// work — e.g. interior-region compute — while peer messages are in
-    /// flight, and complete the fill with [`PendingFill::finish`].
-    ///
-    /// Splitting is bitwise-equivalent to [`RefineSchedule::try_fill`]:
-    /// every value the begin half reads (same-level source regions,
-    /// coarse data boxes) is untouched between the two halves because
-    /// the finish half writes only ghost regions, and message
-    /// packing/slicing order is unchanged.
-    pub fn begin_fill<'a>(
-        &'a self,
-        hierarchy: &mut PatchHierarchy,
-        registry: &VariableRegistry,
-        comm: Option<&Comm>,
-        category: Category,
-    ) -> PendingFill<'a> {
-        let _span = hierarchy.recorder().is_enabled().then(|| {
-            let rec = hierarchy.recorder();
-            rec.count("amr.refine_fills", 1);
-            rec.span_arg("refine-fill-start", category, self.level_no as i64)
-        });
-        self.begin_inner(hierarchy, None, registry, comm, category)
+        let _span = fill_span(hierarchy, "refine-fill", category, self.level_no);
+        let window = FillWindow::new(vec![self]);
+        let pending = window.begin_with(hierarchy, None, registry, comm, category);
+        pending.finish(hierarchy, physical, comm, time, category)
     }
 
     /// Execute a regrid's solution transfer: the stages of a fill
@@ -978,7 +946,8 @@ impl RefineSchedule {
         let _span = hierarchy.recorder().is_enabled().then(|| {
             hierarchy.recorder().span_arg("regrid-transfer", category, self.level_no as i64)
         });
-        let mut pending = self.begin_inner(hierarchy, outgoing, registry, comm, category);
+        let window = FillWindow::new(vec![self]);
+        let mut pending = window.begin_with(hierarchy, outgoing, registry, comm, category);
         let transferred = pending.receive_and_interpolate(hierarchy, comm, category);
         self.stamp(hierarchy.level_mut(self.level_no), time);
         transferred
@@ -991,58 +960,6 @@ impl RefineSchedule {
                 p.data_mut(v).set_time(time);
             }
         }
-    }
-
-    /// The send half of the fill: stages 1 (local copies), 2a (pack +
-    /// send), and 3a (scratch creation + local coarse capture).
-    /// `outgoing` is the level [`Loc::Outgoing`] sources name — set by
-    /// a regrid's solution transfer only, and read by this half only.
-    fn begin_inner<'a>(
-        &'a self,
-        hierarchy: &mut PatchHierarchy,
-        outgoing: Option<&mut PatchLevel>,
-        registry: &VariableRegistry,
-        comm: Option<&Comm>,
-        category: Category,
-    ) -> PendingFill<'a> {
-        let factory = Arc::clone(registry.factory());
-        ensure_resident(&self.resident, factory.as_ref(), || self.descriptor_words(), category);
-
-        // 1. Same-level: local copies.
-        let mut ctx = TransferCtx { hierarchy, scratch: &mut [], outgoing };
-        factory.copy_many(&mut ctx, &self.copies, category);
-
-        // 2a. Same-level + coarse-fine: outgoing messages. All traffic
-        //    for one destination rank is aggregated into a single
-        //    message (SAMRAI's per-processor MessageStream): plan
-        //    construction order is identical on every rank — it is
-        //    derived from the globally replicated level metadata — so
-        //    sender packing order and receiver slicing order agree by
-        //    construction. A pack fault leaves zeros of the exact
-        //    stream size, so the receiver's slicing stays aligned; the
-        //    bad values are discarded with the step at rollback.
-        let mut first_err: Option<ScheduleError> = None;
-        if !self.sends.is_empty() {
-            let comm = comm.expect("RefineSchedule: remote plans need a Comm");
-            let (streams, fault) =
-                factory.pack_many(&mut ctx, &self.sends, &self.send_peers, category);
-            first_err = fault.map(ScheduleError::Data);
-            for (peer, stream) in self.send_peers.iter().zip(streams) {
-                comm.send(peer.rank, self.tag, stream);
-            }
-        }
-
-        // 3a. Interpolation scratch, with the *local* coarse sources
-        //    captured now. The reads are coarse data-box interiors —
-        //    never ghost regions — so nothing the finish half (or any
-        //    interior-only compute run between the halves) writes can
-        //    change them; capture-at-begin is bitwise-identical to
-        //    capture-at-finish.
-        let mut scratches = make_scratch(registry, &self.scratch, category);
-        ctx.scratch = &mut scratches;
-        factory.copy_many(&mut ctx, &self.captures, category);
-
-        PendingFill { sched: self, factory, first_err, scratches }
     }
 }
 
@@ -1273,7 +1190,8 @@ impl<'a> Planner<'a> {
             );
         }
         let (pos, scratch, dst_idx) = (narrow(pos), narrow(self.next_scratch()), narrow(dst_idx));
-        let job = RefineJob { var, pos, scratch, fill: fill.clone(), dst_idx };
+        let level = u16::try_from(self.sched.level_no).expect("level number exceeds 16 bits");
+        let job = RefineJob { var, level, pos, scratch, fill: fill.clone(), dst_idx };
         let refines = &mut self.sched.refines;
         match refines.iter_mut().find(|(o, _)| o.name() == op.name()) {
             Some((_, jobs)) => jobs.push(job),
@@ -1476,184 +1394,6 @@ impl<'a> Planner<'a> {
 /// What the coarse record `cbox` can fill of an interpolation scratch.
 fn scratch_region(scratch_data_box: GBox, cbox: GBox, centring: Centring) -> BoxList {
     BoxList::from_box(scratch_data_box.intersect(centring.data_box(cbox)))
-}
-
-/// One scratch array per `(variable, cell box)`, charging `category`.
-/// Scratch has no ghosts: its data box is all the jobs write and read
-/// (see [`Planner::interpolate`]) and what the plan validated against.
-fn make_scratch(
-    registry: &VariableRegistry,
-    specs: &[(VariableId, GBox)],
-    category: Category,
-) -> Vec<Box<dyn PatchData>> {
-    let factory = registry.factory();
-    specs
-        .iter()
-        .map(|&(var, cell_box)| {
-            let centring = registry.get(var).centring;
-            let mut scratch = factory.make(centring, IntVector::ZERO, cell_box);
-            scratch.set_transfer_category(category);
-            scratch
-        })
-        .collect()
-}
-
-/// Receive the stage's messages lazily, in job order, and hand every
-/// job to the placement's [`UnpackBatch`](crate::transfer::UnpackBatch):
-/// the first job from a peer triggers its `try_recv`, patch targets are
-/// pushed as they are met, scratch targets after the last receive, and
-/// the batch is flushed. A faulty stream (dropped/corrupt frame) is
-/// noted and its jobs are skipped — the frame was consumed, so later
-/// messages still line up. Returns the first fault met.
-fn receive_and_unpack(
-    factory: &dyn DataFactory,
-    ctx: &mut TransferCtx<'_>,
-    jobs: &[StreamJob],
-    peers: &[PeerStream],
-    comm: Option<&Comm>,
-    tag: u64,
-    category: Category,
-) -> Option<ScheduleError> {
-    if jobs.is_empty() {
-        return None;
-    }
-    let comm = comm.expect("schedule: remote plans need a Comm");
-    let mut first_err: Option<ScheduleError> = None;
-    let mut incoming: Vec<Option<Option<Bytes>>> = vec![None; peers.len()];
-    let mut batch = factory.unpack_batch(category);
-    for job in jobs {
-        let msg = incoming[job.peer as usize].get_or_insert_with(|| {
-            match comm.try_recv(peers[job.peer as usize].rank, tag, category) {
-                Ok(msg) => Some(msg),
-                Err(e) => {
-                    first_err.get_or_insert(e.into());
-                    None
-                }
-            }
-        });
-        if let (Loc::Patch { .. }, Some(msg)) = (job.loc, msg) {
-            if let Err(e) = batch.push(ctx, job, msg) {
-                first_err.get_or_insert(e.into());
-            }
-        }
-    }
-    // Scratch targets, in plan order — the order of the interpolation
-    // jobs they feed.
-    for job in jobs {
-        if let (Loc::Scratch(_), Some(Some(msg))) = (job.loc, &incoming[job.peer as usize]) {
-            if let Err(e) = batch.push(ctx, job, msg) {
-                first_err.get_or_insert(e.into());
-            }
-        }
-    }
-    if let Err(e) = batch.flush(ctx) {
-        first_err.get_or_insert(e.into());
-    }
-    first_err
-}
-
-/// An in-flight fill started by [`RefineSchedule::begin_fill`]: local
-/// copies are done, outgoing messages are posted, and interpolation
-/// scratch holds the captured local coarse sources. Dropping a
-/// `PendingFill` without calling [`PendingFill::finish`] leaves peers
-/// blocked on unconsumed messages — always finish, even on error paths.
-pub struct PendingFill<'a> {
-    sched: &'a RefineSchedule,
-    factory: Arc<dyn DataFactory>,
-    first_err: Option<ScheduleError>,
-    scratches: Vec<Box<dyn PatchData>>,
-}
-
-impl PendingFill<'_> {
-    /// The level this fill targets.
-    pub fn level_no(&self) -> usize {
-        self.sched.level_no
-    }
-
-    /// Complete the fill: consume incoming messages, interpolate
-    /// coarse-fine ghosts, apply physical boundaries, and stamp times.
-    /// Only ghost regions are written. Errors recorded by either half
-    /// are reported after the whole communication pattern has executed,
-    /// exactly as [`RefineSchedule::try_fill`] does.
-    pub fn finish(
-        self,
-        hierarchy: &mut PatchHierarchy,
-        physical: &dyn PhysicalBoundary,
-        comm: Option<&Comm>,
-        time: f64,
-        category: Category,
-    ) -> Result<(), ScheduleError> {
-        let _span = hierarchy.recorder().is_enabled().then(|| {
-            hierarchy.recorder().span_arg(
-                "refine-fill-finish",
-                category,
-                self.sched.level_no as i64,
-            )
-        });
-        self.finish_inner(hierarchy, physical, comm, time, category)
-    }
-
-    /// Stages 2b (recv + unpack) and 3b (remote scratch unpack +
-    /// interpolate): everything the fill still has to move. Reports the
-    /// first fault of either half.
-    fn receive_and_interpolate(
-        &mut self,
-        hierarchy: &mut PatchHierarchy,
-        comm: Option<&Comm>,
-        category: Category,
-    ) -> Result<(), ScheduleError> {
-        let sched = self.sched;
-        let ratio = hierarchy.ratio_to_coarser(sched.level_no);
-        let mut ctx = TransferCtx { hierarchy, scratch: &mut self.scratches, outgoing: None };
-
-        // 2b + 3b. Incoming messages: same-level ghosts and the remote
-        //    coarse sources of the interpolation scratch.
-        let received = receive_and_unpack(
-            self.factory.as_ref(),
-            &mut ctx,
-            &sched.recvs,
-            &sched.recv_peers,
-            comm,
-            sched.tag,
-            category,
-        );
-
-        // 3b. Coarse-fine interpolation through the captured scratch.
-        //    (After a faulty stream the scratch holds stale values; the
-        //    step rolls back anyway.)
-        self.factory.extend_many(ctx.scratch, &sched.covered);
-        for (op, jobs) in &sched.refines {
-            self.factory.refine_many(&mut ctx, op.as_ref(), sched.level_no, jobs, ratio, category);
-        }
-        self.first_err.take().or(received).map_or(Ok(()), Err)
-    }
-
-    /// The receive half of the fill: the remaining transfers, then
-    /// stages 4 (physical boundaries) and 5 (time stamps).
-    fn finish_inner(
-        mut self,
-        hierarchy: &mut PatchHierarchy,
-        physical: &dyn PhysicalBoundary,
-        comm: Option<&Comm>,
-        time: f64,
-        category: Category,
-    ) -> Result<(), ScheduleError> {
-        let transferred = self.receive_and_interpolate(hierarchy, comm, category);
-        let sched = self.sched;
-
-        // 4. Physical boundaries, last (so corners overwrite interpolant
-        //    values with the true boundary condition).
-        let level = hierarchy.level_mut(sched.level_no);
-        if !sched.physical.is_empty() {
-            let mut kept = sched.boundary_kept.lock().expect("a boundary fill panicked");
-            let domain_box = level.domain().bounding();
-            physical.fill_many(level, &sched.physical, domain_box, time, &mut kept);
-        }
-
-        // 5. Stamp times.
-        sched.stamp(level, time);
-        transferred
-    }
 }
 
 /// Fine-to-coarse synchronisation schedule (SAMRAI `CoarsenSchedule`).
@@ -1931,12 +1671,13 @@ impl CoarsenSchedule {
         let ratio = hierarchy.ratio_to_coarser(self.fine_level_no);
         let mut scratches = make_scratch(registry, &self.scratch, category);
         let mut ctx = TransferCtx { hierarchy, scratch: &mut scratches, outgoing: None };
+        let (sends, recvs) = ([Part::whole(&self.sends[..])], [Part::whole(&self.recvs[..])]);
 
         // Phase 1: fine owners coarsen into scratch, and the results
         // bound for remote coarse owners join the aggregated per-rank
         // stream (one message per rank pair; plan order is globally
         // deterministic; a pack fault leaves zeros of the exact size,
-        // see `begin_inner`).
+        // see `Stages::begin`).
         for (op, jobs) in &self.projects {
             factory.coarsen_many(&mut ctx, op.as_ref(), self.fine_level_no, jobs, ratio);
         }
@@ -1944,8 +1685,7 @@ impl CoarsenSchedule {
         let mut packed = None;
         if !self.sends.is_empty() {
             let comm = comm.expect("CoarsenSchedule: remote plans need a Comm");
-            let (streams, fault) =
-                factory.pack_many(&mut ctx, &self.sends, &self.send_peers, category);
+            let (streams, fault) = factory.pack_many(&mut ctx, &sends, &self.send_peers, category);
             packed = fault.map(ScheduleError::Data);
             for (peer, stream) in self.send_peers.iter().zip(streams) {
                 comm.send(peer.rank, tag, stream);
@@ -1953,19 +1693,12 @@ impl CoarsenSchedule {
         }
 
         // Phase 2: apply local results.
-        factory.copy_many(&mut ctx, &self.applies, category);
+        factory.copy_many(&mut ctx, &[Part::whole(&self.applies)], category);
 
         // Phase 3: receive the aggregated remote results and unpack
         // them in plan order. Faulty streams are skipped.
-        let received = receive_and_unpack(
-            factory,
-            &mut ctx,
-            &self.recvs,
-            &self.recv_peers,
-            comm,
-            tag,
-            category,
-        );
+        let received =
+            receive_and_unpack(factory, &mut ctx, &recvs, &self.recv_peers, comm, tag, category);
         match packed.or(received) {
             Some(e) => Err(e),
             None => Ok(()),
@@ -2007,6 +1740,7 @@ mod tests {
     use crate::hierarchy::GridGeometry;
     use crate::hostdata::{HostData, HostDataFactory};
     use crate::ops::{ConservativeCellRefine, LinearNodeRefine, VolumeWeightedCoarsen};
+    use crate::patchdata::PatchData;
     use rbamr_geometry::Centring;
 
     fn b(x0: i64, y0: i64, x1: i64, y1: i64) -> GBox {

@@ -6,13 +6,14 @@
 //! regrid transfers the solution — a patch of the level being
 //! replaced), its box list, and — for message traffic — its byte range
 //! in the peer's aggregated stream.
-//! Executing a stage is then one call handing the whole job list to the
-//! placement: the [`DataFactory`](crate::DataFactory) batch entry
-//! points (`copy_many`, `pack_many`, `unpack_batch`, `extend_many`,
-//! `refine_many`, `coarsen_many`). Their default bodies loop the
-//! per-item [`PatchData`] methods in job order — the host placement,
-//! charge for charge; a device factory overrides them with one fused
-//! launch per call, driven by the same job list.
+//! Executing a stage is then one call handing the job lists of every
+//! schedule executed together — a fill window's members, each a
+//! [`Part`] — to the placement: the [`DataFactory`](crate::DataFactory)
+//! batch entry points (`copy_many`, `pack_many`, `unpack_batch`,
+//! `extend_many`, `refine_many`, `coarsen_many`). Their default bodies
+//! loop the per-item [`PatchData`] methods in job order — the host
+//! placement, charge for charge; a device factory overrides them with
+//! one fused launch per call, driven by the same job lists.
 //!
 //! Jobs carry positions, not references, so a placement may defer them
 //! (see [`UnpackBatch`]) without holding borrows of the hierarchy; a
@@ -194,11 +195,57 @@ pub struct StreamJob {
     pub dst_idx: u32,
 }
 
-impl StreamJob {
-    /// The byte range of this overlap within the peer's message.
-    pub fn byte_range(&self) -> Range<usize> {
-        let first = self.first as usize * STREAM_VALUE_BYTES;
-        first..first + self.overlap.num_values() as usize * STREAM_VALUE_BYTES
+/// Where a schedule's peer lands in a stage that runs several: the
+/// stage's peer slot, and the first value of the schedule's stream in
+/// that peer's message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PeerSlot {
+    /// Index in the stage's [`PeerStream`] table.
+    pub peer: u32,
+    /// First value of the schedule's stream in the stage's message.
+    pub first: u32,
+}
+
+/// One schedule's job list within a stage that runs several: its
+/// scratch arrays start at `scratch` in the stage's scratch array, and
+/// its peer `p`'s stream at `peers[p]` (`None`: the schedule runs
+/// alone, so its own numbering is the stage's).
+pub struct Part<'a, J> {
+    /// The schedule's jobs of this stage.
+    pub jobs: &'a [J],
+    /// First stage scratch array of the schedule.
+    pub scratch: u32,
+    /// Per peer of the schedule, its slot in the stage's messages.
+    pub peers: Option<&'a [PeerSlot]>,
+}
+
+impl<'a, J> Part<'a, J> {
+    /// The jobs of a schedule that runs alone.
+    pub fn whole(jobs: &'a [J]) -> Self {
+        Self { jobs, scratch: 0, peers: None }
+    }
+
+    /// Every job of `parts`, in order, with its part.
+    pub fn each<'p>(parts: &'p [Self]) -> impl Iterator<Item = (&'p Self, &'a J)> + Clone {
+        parts.iter().flat_map(|part| part.jobs.iter().map(move |job| (part, job)))
+    }
+
+    /// `loc`, with a scratch index moved to the stage's numbering.
+    pub fn at(&self, loc: Loc) -> Loc {
+        match loc {
+            Loc::Scratch(i) => Loc::Scratch(i + self.scratch),
+            loc => loc,
+        }
+    }
+}
+
+impl Part<'_, StreamJob> {
+    /// The stage's peer slot of `job` and the job's byte range within
+    /// that peer's message.
+    pub fn slot(&self, job: &StreamJob) -> (usize, Range<usize>) {
+        let at = self.peers.map_or(PeerSlot { peer: job.peer, first: 0 }, |p| p[job.peer as usize]);
+        let first = (at.first + job.first) as usize * STREAM_VALUE_BYTES;
+        (at.peer as usize, first..first + job.overlap.num_values() as usize * STREAM_VALUE_BYTES)
     }
 }
 
@@ -260,6 +307,8 @@ impl StreamPlan {
 pub struct RefineJob {
     /// The variable interpolated.
     pub var: VariableId,
+    /// Level of the fine patch.
+    pub level: u16,
     /// Position of the fine patch in its level's local array.
     pub pos: u32,
     /// Index of the coarse scratch array.
@@ -299,11 +348,12 @@ pub struct CoarsenJob {
 /// placement that fuses (one transfer and one launch per stage)
 /// records the job and runs it at [`UnpackBatch::flush`].
 pub trait UnpackBatch<'j> {
-    /// Unpack `job` from `msg`, its peer's whole message — now, or at
-    /// flush.
+    /// Unpack `job` of `part` from `msg`, its peer's whole message —
+    /// now, or at flush.
     fn push(
         &mut self,
         ctx: &mut TransferCtx<'_>,
+        part: &Part<'j, StreamJob>,
         job: &'j StreamJob,
         msg: &Bytes,
     ) -> Result<(), PatchDataError>;
@@ -323,12 +373,13 @@ impl<'j> UnpackBatch<'j> for EagerUnpack {
     fn push(
         &mut self,
         ctx: &mut TransferCtx<'_>,
+        part: &Part<'j, StreamJob>,
         job: &'j StreamJob,
         msg: &Bytes,
     ) -> Result<(), PatchDataError> {
-        let data = ctx.data_mut(job.loc, job.var);
+        let data = ctx.data_mut(part.at(job.loc), job.var);
         data.set_transfer_category(self.category);
-        data.try_unpack(&job.overlap, &msg[job.byte_range()])
+        data.try_unpack(&job.overlap, &msg[part.slot(job).1])
     }
 
     fn flush(&mut self, _ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError> {
@@ -452,7 +503,7 @@ mod tests {
             peers,
             vec![PeerStream { rank: 1, bytes: 24 }, PeerStream { rank: 3, bytes: 64 }]
         );
-        let at: Vec<_> = jobs.iter().map(|j| (j.peer, j.byte_range())).collect();
+        let at: Vec<_> = jobs.iter().map(|j| Part::whole(&jobs).slot(j)).collect();
         assert_eq!(at, vec![(1, 0..32), (0, 0..24), (1, 32..64)]);
     }
 }

@@ -3,7 +3,8 @@
 use crate::ops::{CoarsenOperator, RefineOperator};
 use crate::patchdata::{PatchData, PatchDataError};
 use crate::transfer::{
-    CoarsenJob, CopyJob, EagerUnpack, PeerStream, RefineJob, StreamJob, TransferCtx, UnpackBatch,
+    CoarsenJob, CopyJob, EagerUnpack, Loc, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
+    UnpackBatch,
 };
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -47,24 +48,31 @@ pub struct Variable {
 /// the per-item [`PatchData`] method in job order, so a factory that
 /// overrides nothing moves data exactly as per-item calls would, charge
 /// for charge; a factory whose data lives on a device overrides them
-/// with one fused launch (and one PCIe transfer per stage) per call.
+/// with one fused launch (and one PCIe transfer per stage) per call,
+/// whatever the number of parts.
 pub trait DataFactory: Send + Sync {
     /// Allocate zeroed `centring` data over `cell_box` grown by
     /// `ghosts` — a variable's own width on patches
     /// ([`VariableRegistry::make_one`]), none on schedule scratch.
     fn make(&self, centring: Centring, ghosts: IntVector, cell_box: GBox) -> Box<dyn PatchData>;
 
-    /// Run every copy job, charging `category`.
-    fn copy_many(&self, ctx: &mut TransferCtx<'_>, jobs: &[CopyJob], category: Category) {
-        for job in jobs {
-            let (dst, src) = ctx.pair(job.dst, job.src, job.var);
+    /// Run every copy job of every part, charging `category`.
+    fn copy_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        parts: &[Part<'_, CopyJob>],
+        category: Category,
+    ) {
+        for (part, job) in Part::each(parts) {
+            let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
             dst.set_transfer_category(category);
             dst.copy_from(src, &job.overlap);
         }
     }
 
-    /// Pack every job into its peer's message and return the messages
-    /// in `peers` order, each exactly `peers[i].bytes` long.
+    /// Pack every job of every part into its peer's message (see
+    /// [`Part::slot`]) and return the messages in `peers` order, each
+    /// exactly `peers[i].bytes` long.
     ///
     /// Run-through: a pack fault leaves zeros in the affected byte range
     /// (so the receiver's slicing stays aligned; the values are
@@ -73,20 +81,19 @@ pub trait DataFactory: Send + Sync {
     fn pack_many(
         &self,
         ctx: &mut TransferCtx<'_>,
-        jobs: &[StreamJob],
+        parts: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
         category: Category,
     ) -> (Vec<Bytes>, Option<PatchDataError>) {
-        let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
+        let mut out: Vec<Vec<u8>> = peers.iter().map(|p| vec![0; p.bytes]).collect();
         let mut first_err = None;
-        for job in jobs {
-            let data = ctx.data_mut(job.loc, job.var);
+        for (part, job) in Part::each(parts) {
+            let data = ctx.data_mut(part.at(job.loc), job.var);
             data.set_transfer_category(category);
-            let stream = &mut out[job.peer as usize];
+            let (peer, range) = part.slot(job);
             match data.try_pack(&job.overlap) {
-                Ok(payload) => stream.extend_from_slice(&payload),
+                Ok(payload) => out[peer][range].copy_from_slice(&payload),
                 Err(e) => {
-                    stream.resize(job.byte_range().end, 0u8);
                     first_err.get_or_insert(e);
                 }
             }
@@ -101,31 +108,35 @@ pub trait DataFactory: Send + Sync {
     }
 
     /// Clamp-extend every scratch array into the cells its coarse
-    /// sources did not cover: `covered[i]` is the covered region of
-    /// `scratch[i]` (see [`PatchData::extend_uncovered`]).
-    fn extend_many(&self, scratch: &mut [Box<dyn PatchData>], covered: &[BoxList]) {
-        for (scratch, covered) in scratch.iter_mut().zip(covered) {
+    /// sources did not cover: `covered`, concatenated, lists the
+    /// covered region of each of `scratch` in order (see
+    /// [`PatchData::extend_uncovered`]).
+    fn extend_many(&self, scratch: &mut [Box<dyn PatchData>], covered: &[&[BoxList]]) {
+        for (scratch, covered) in scratch.iter_mut().zip(covered.iter().copied().flatten()) {
             scratch.extend_uncovered(covered);
         }
     }
 
-    /// Run every job of one fill that uses `op`: scratch `job.scratch`
-    /// refined into the local patch `job.pos` of level `level`, charging
+    /// Run every job of every part that uses `op`: scratch
+    /// `job.scratch` refined into the local patch `job.pos` of level
+    /// `job.level`, `ratio` finer than its coarser level, charging
     /// `category`.
     fn refine_many(
         &self,
         ctx: &mut TransferCtx<'_>,
         op: &dyn RefineOperator,
-        level: usize,
-        jobs: &[RefineJob],
+        parts: &[Part<'_, RefineJob>],
         ratio: IntVector,
         category: Category,
     ) {
-        for job in jobs {
-            let fine = &mut ctx.hierarchy.level_mut(level).local_mut()[job.pos as usize];
-            let dst = fine.data_mut(job.var);
+        for (part, job) in Part::each(parts) {
+            let (dst, src) = ctx.pair(
+                Loc::Patch { level: job.level, pos: job.pos },
+                part.at(Loc::Scratch(job.scratch)),
+                job.var,
+            );
             dst.set_transfer_category(category);
-            dst.refine_from(op, ctx.scratch[job.scratch as usize].as_ref(), &job.fill, ratio);
+            dst.refine_from(op, src, &job.fill, ratio);
         }
     }
 
@@ -228,12 +239,6 @@ impl VariableRegistry {
     /// The data factory (the placement's batch entry points).
     pub fn factory(&self) -> &Arc<dyn DataFactory> {
         &self.factory
-    }
-
-    /// Replace the data factory (e.g. swap host for device placement);
-    /// existing patches are unaffected.
-    pub fn set_factory(&mut self, factory: Arc<dyn DataFactory>) {
-        self.factory = factory;
     }
 }
 

@@ -9,7 +9,7 @@ use rbamr_amr::patchdata::{
     PatchDataError,
 };
 use rbamr_amr::transfer::{
-    CoarsenJob, CopyJob, PeerStream, RefineJob, StreamJob, TransferCtx, UnpackBatch,
+    CoarsenJob, CopyJob, Loc, Part, PeerStream, RefineJob, StreamJob, TransferCtx, UnpackBatch,
     STREAM_VALUE_BYTES,
 };
 use rbamr_amr::variable::DataFactory;
@@ -243,19 +243,14 @@ fn launch_copy<T: DeviceElement>(
 /// The `pack` kernel and its transfer: one launch gathers every region
 /// `jobs` yields, in order, into `staging[..total]` (the contiguous
 /// `cuda_stream` buffer of Figure 4), then one D2H brings exactly the
-/// packed values to the host, where they become the message stream.
-///
-/// `fallible` picks only how a PCIe failure leaves: `true` returns it
-/// typed; `false` latches an injected fault on the device (drained by
-/// the caller's next [`Device::take_injected_fault`] poll) and never
-/// returns `Err`.
+/// packed values to the host, where they become the message stream. A
+/// PCIe failure returns typed.
 fn pack_message<T: DeviceElement>(
     device: &Device,
     stream: &Stream,
     category: Category,
     staging: &mut DeviceBuffer<T>,
     total: usize,
-    fallible: bool,
     jobs: impl FnOnce(&mut dyn FnMut(&DeviceData<T>, &BoxOverlap)),
 ) -> Result<Bytes, PatchDataError> {
     device.recorder().count("pack.bytes", (total * T::BYTES) as u64);
@@ -278,11 +273,7 @@ fn pack_message<T: DeviceElement>(
         });
     }
     let mut host = vec![T::default(); total];
-    if fallible {
-        device.try_download(staging, 0, &mut host, category).map_err(transfer_fault)?;
-    } else {
-        device.download(staging, 0, &mut host, category);
-    }
+    device.try_download(staging, 0, &mut host, category).map_err(transfer_fault)?;
     let mut out = Vec::with_capacity(total * T::BYTES);
     T::encode(&host, &mut out);
     Ok(Bytes::from(out))
@@ -290,16 +281,14 @@ fn pack_message<T: DeviceElement>(
 
 /// The `unpack` kernel and its transfer: one H2D of `msgs`, back to
 /// back, into `staging`, then one launch scattering them. Each job names
-/// the first value of its overlap within the concatenation.
-///
-/// `fallible` as for [`pack_message`]; on `Err` nothing was unpacked.
+/// the first value of its overlap within the concatenation. On a PCIe
+/// failure nothing is unpacked.
 fn unpack_message<T: DeviceElement>(
     device: &Device,
     stream: &Stream,
     category: Category,
     staging: &mut DeviceBuffer<T>,
     msgs: &[&[u8]],
-    fallible: bool,
     jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &BoxOverlap, usize)),
 ) -> Result<(), PatchDataError> {
     let total = msgs.iter().map(|m| m.len()).sum::<usize>() / T::BYTES;
@@ -311,11 +300,7 @@ fn unpack_message<T: DeviceElement>(
         T::decode(msg, values);
         rest = tail;
     }
-    if fallible {
-        device.try_upload(staging, 0, &host, category).map_err(transfer_fault)?;
-    } else {
-        device.upload(staging, 0, &host, category);
-    }
+    device.try_upload(staging, 0, &host, category).map_err(transfer_fault)?;
     if total > 0 {
         let shape = KernelShape::streaming(total as i64, 2, 0);
         stream.submit();
@@ -360,44 +345,6 @@ fn launch_extend<T: DeviceElement>(
             }
         });
     });
-}
-
-/// The per-item `pack`/`unpack` pairs as batches of one, staged through
-/// a buffer of exactly the overlap's size. `fallible` also picks how a
-/// staging-allocation failure leaves (see [`pack_message`]).
-impl<T: DeviceElement> DeviceData<T> {
-    fn staging(&self, len: usize, fallible: bool) -> Result<DeviceBuffer<T>, PatchDataError> {
-        let device = self.buf.device();
-        if fallible {
-            device.try_alloc::<T>(len).map_err(allocation_fault)
-        } else {
-            Ok(device.alloc::<T>(len))
-        }
-    }
-
-    fn pack_impl(&self, overlap: &BoxOverlap, fallible: bool) -> Result<Bytes, PatchDataError> {
-        let total = overlap.num_values() as usize;
-        let mut staging = self.staging(total, fallible)?;
-        let (device, stream) = (self.buf.device(), &self.stream);
-        pack_message(device, stream, self.category, &mut staging, total, fallible, |pack| {
-            pack(self, overlap);
-        })
-    }
-
-    fn unpack_impl(
-        &mut self,
-        overlap: &BoxOverlap,
-        stream: &[u8],
-        fallible: bool,
-    ) -> Result<(), PatchDataError> {
-        assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
-        let mut staging = self.staging(overlap.num_values() as usize, fallible)?;
-        let (device, queue, category) =
-            (self.buf.device().clone(), self.stream.clone(), self.category);
-        unpack_message(&device, &queue, category, &mut staging, &[stream], fallible, |unpack| {
-            unpack(self, overlap, 0);
-        })
-    }
 }
 
 impl<T: DeviceElement> PatchData for DeviceData<T> {
@@ -450,16 +397,26 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
         overlap.num_values() as usize * T::BYTES
     }
 
-    fn pack(&self, overlap: &BoxOverlap) -> Bytes {
-        self.pack_impl(overlap, false).expect("latching device ops return no error")
-    }
-
+    /// A batch of one, staged through a buffer of exactly the overlap's
+    /// size.
     fn try_pack(&self, overlap: &BoxOverlap) -> Result<Bytes, PatchDataError> {
-        self.pack_impl(overlap, true)
+        let total = overlap.num_values() as usize;
+        let (device, stream) = (self.buf.device(), &self.stream);
+        let mut staging = device.try_alloc(total).map_err(allocation_fault)?;
+        pack_message(device, stream, self.category, &mut staging, total, |pack| {
+            pack(self, overlap);
+        })
     }
 
+    /// As [`DeviceData::try_pack`].
     fn try_unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) -> Result<(), PatchDataError> {
-        self.unpack_impl(overlap, stream, true)
+        assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
+        let (device, queue) = (self.buf.device().clone(), self.stream.clone());
+        let mut staging =
+            device.try_alloc(overlap.num_values() as usize).map_err(allocation_fault)?;
+        unpack_message(&device, &queue, self.category, &mut staging, &[stream], |unpack| {
+            unpack(self, overlap, 0);
+        })
     }
 
     fn extend_uncovered(&mut self, covered: &rbamr_geometry::BoxList) {
@@ -467,10 +424,6 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
         let (device, stream, category) =
             (self.buf.device().clone(), self.stream.clone(), self.category);
         launch_extend(&device, &stream, category, pairs.len(), |extend| extend(self, &pairs));
-    }
-
-    fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
-        self.unpack_impl(overlap, stream, false).expect("latching device ops return no error")
     }
 
     fn refine_from(
@@ -579,11 +532,16 @@ impl DataFactory for DeviceDataFactory {
         Box::new(DeviceData::<f64>::new(&self.device, cell_box, ghosts, centring))
     }
 
-    fn copy_many(&self, ctx: &mut TransferCtx<'_>, jobs: &[CopyJob], category: Category) {
-        let total = jobs.iter().map(|job| job.overlap.num_values()).sum();
+    fn copy_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        parts: &[Part<'_, CopyJob>],
+        category: Category,
+    ) {
+        let total = Part::each(parts).map(|(_, job)| job.overlap.num_values()).sum();
         launch_copy(&self.device, &self.stream, category, total, |copy| {
-            for job in jobs {
-                let (dst, src) = ctx.pair(job.dst, job.src, job.var);
+            for (part, job) in Part::each(parts) {
+                let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
                 dst.set_transfer_category(category);
                 copy(device_mut(dst), device_ref(src), &job.overlap);
             }
@@ -593,23 +551,25 @@ impl DataFactory for DeviceDataFactory {
     fn pack_many(
         &self,
         ctx: &mut TransferCtx<'_>,
-        jobs: &[StreamJob],
+        parts: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
         category: Category,
     ) -> (Vec<Bytes>, Option<PatchDataError>) {
         if peers.is_empty() {
             return (Vec::new(), None);
         }
-        // Peer-major, job order inside a peer unchanged: `StreamJob::first`
-        // stays the offset inside the peer's slice of the staging region.
-        let mut by_peer: Vec<&StreamJob> = jobs.iter().collect();
-        by_peer.sort_by_key(|job| job.peer);
+        // Peer-major, then by place in the peer's message: the jobs of
+        // each part are in order within each of its streams, and the
+        // parts' streams follow one another in a message.
+        let jobs = Part::each(parts).map(|(part, job)| (part.slot(job), part, job));
+        let mut by_peer: Vec<_> = jobs.collect();
+        by_peer.sort_by_key(|((peer, range), ..)| (*peer, range.start));
         let total = peers.iter().map(|peer| peer.bytes).sum::<usize>() / STREAM_VALUE_BYTES;
         let packed = self.with_staging(total, |staging| {
             let (device, stream) = (&self.device, &self.stream);
-            pack_message(device, stream, category, staging, total, true, |pack| {
-                for job in by_peer {
-                    let src = ctx.data_mut(job.loc, job.var);
+            pack_message(device, stream, category, staging, total, |pack| {
+                for (_, part, job) in by_peer {
+                    let src = ctx.data_mut(part.at(job.loc), job.var);
                     src.set_transfer_category(category);
                     pack(device_ref(src), &job.overlap);
                 }
@@ -633,14 +593,14 @@ impl DataFactory for DeviceDataFactory {
         Box::new(DeviceUnpack { factory: self, category, pending: Vec::new() })
     }
 
-    fn extend_many(&self, scratch: &mut [Box<dyn PatchData>], covered: &[BoxList]) {
+    fn extend_many(&self, scratch: &mut [Box<dyn PatchData>], covered: &[&[BoxList]]) {
         // The scratch arrays carry the category their fill charges.
         let Some(category) = scratch.first().map(|s| device_ref(s.as_ref()).category) else {
             return;
         };
         let pairs: Vec<_> = scratch
             .iter()
-            .zip(covered)
+            .zip(covered.iter().copied().flatten())
             .map(|(scratch, covered)| extension_pairs(scratch.data_box(), covered))
             .collect();
         let total = pairs.iter().map(Vec::len).sum();
@@ -655,17 +615,18 @@ impl DataFactory for DeviceDataFactory {
         &self,
         ctx: &mut TransferCtx<'_>,
         op: &dyn RefineOperator,
-        level: usize,
-        jobs: &[RefineJob],
+        parts: &[Part<'_, RefineJob>],
         ratio: IntVector,
         category: Category,
     ) {
         let mut each = |visit: &mut RefineVisit<'_>| {
-            for job in jobs {
-                let fine = &mut ctx.hierarchy.level_mut(level).local_mut()[job.pos as usize];
-                let dst = fine.data_mut(job.var);
+            for (part, job) in Part::each(parts) {
+                let (dst, src) = ctx.pair(
+                    Loc::Patch { level: job.level, pos: job.pos },
+                    part.at(Loc::Scratch(job.scratch)),
+                    job.var,
+                );
                 dst.set_transfer_category(category);
-                let src = ctx.scratch[job.scratch as usize].as_ref();
                 visit(device_mut(dst), device_ref(src), &job.fill);
             }
         };
@@ -714,21 +675,28 @@ struct DeviceUnpack<'f, 'j> {
     factory: &'f DeviceDataFactory,
     category: Category,
     /// Per peer: its message and the jobs that read it.
-    pending: Vec<Option<(Bytes, Vec<&'j StreamJob>)>>,
+    pending: Vec<Option<(Bytes, Vec<Deferred<'j>>)>>,
 }
+
+/// A deferred unpack: its target, its job, and its first value in its
+/// peer's message.
+type Deferred<'j> = (Loc, &'j StreamJob, usize);
 
 impl<'j> UnpackBatch<'j> for DeviceUnpack<'_, 'j> {
     fn push(
         &mut self,
         _ctx: &mut TransferCtx<'_>,
+        part: &Part<'j, StreamJob>,
         job: &'j StreamJob,
         msg: &Bytes,
     ) -> Result<(), PatchDataError> {
-        let peer = job.peer as usize;
+        let (peer, range) = part.slot(job);
         if self.pending.len() <= peer {
             self.pending.resize(peer + 1, None);
         }
-        self.pending[peer].get_or_insert_with(|| (msg.clone(), Vec::new())).1.push(job);
+        let first = range.start / STREAM_VALUE_BYTES;
+        let jobs = &mut self.pending[peer].get_or_insert_with(|| (msg.clone(), Vec::new())).1;
+        jobs.push((part.at(job.loc), job, first));
         Ok(())
     }
 
@@ -742,13 +710,13 @@ impl<'j> UnpackBatch<'j> for DeviceUnpack<'_, 'j> {
         let total = msgs.iter().map(|msg| msg.len()).sum::<usize>() / STREAM_VALUE_BYTES;
         factory.with_staging(total, |staging| {
             let (device, stream) = (&factory.device, &factory.stream);
-            unpack_message(device, stream, category, staging, &msgs, true, |unpack| {
+            unpack_message(device, stream, category, staging, &msgs, |unpack| {
                 let mut base = 0;
                 for (msg, jobs) in &pending {
-                    for job in jobs {
-                        let dst = ctx.data_mut(job.loc, job.var);
+                    for &(loc, job, first) in jobs {
+                        let dst = ctx.data_mut(loc, job.var);
                         dst.set_transfer_category(category);
-                        unpack(device_mut(dst), &job.overlap, base + job.first as usize);
+                        unpack(device_mut(dst), &job.overlap, base + first);
                     }
                     base += msg.len() / STREAM_VALUE_BYTES;
                 }

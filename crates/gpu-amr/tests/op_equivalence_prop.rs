@@ -280,7 +280,7 @@ mod fused {
     use proptest::prelude::*;
     use rbamr_amr::patchdata::{PatchData, PatchDataError};
     use rbamr_amr::transfer::{
-        narrow, CoarsenJob, CopyJob, Loc, PeerStream, RefineJob, StreamJob, TransferCtx,
+        narrow, CoarsenJob, CopyJob, Loc, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
         STREAM_VALUE_BYTES,
     };
     use rbamr_amr::variable::DataFactory;
@@ -598,7 +598,7 @@ mod fused {
             let jobs = copy_jobs(&ws[0], &case);
             prop_assume!(!jobs.is_empty());
             let [_, per_item, fused] =
-                measured(&mut ws, |w| w.with_ctx(|f, ctx| f.copy_many(ctx, &jobs, CAT)));
+                measured(&mut ws, |w| w.with_ctx(|f, ctx| f.copy_many(ctx, &[Part::whole(&jobs)], CAT)));
             assert_same(&ws, "copy_many");
             prop_assert_eq!(per_item.kernel_launches, jobs.len() as u64);
             prop_assert_eq!(fused.kernel_launches, 1);
@@ -619,7 +619,7 @@ mod fused {
             let (sends, peers) = stream_jobs(&copies, true);
             let mut packed = Vec::new();
             let [_, per_item, fused] = measured(&mut ws, |w| {
-                let (streams, fault) = w.with_ctx(|f, ctx| f.pack_many(ctx, &sends, &peers, CAT));
+                let (streams, fault) = w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
                 assert_eq!(fault, None);
                 packed.push(streams);
             });
@@ -644,7 +644,7 @@ mod fused {
                 w.with_ctx(|f, ctx| {
                     let mut batch = f.unpack_batch(CAT);
                     for job in &recvs {
-                        batch.push(ctx, job, &streams[job.peer as usize]).expect("unpack");
+                        batch.push(ctx, &Part::whole(&recvs), job, &streams[job.peer as usize]).expect("unpack");
                     }
                     batch.flush(ctx).expect("flush");
                 });
@@ -679,7 +679,7 @@ mod fused {
                 jobs.push(covered);
             }
             let [_, per_item, fused] =
-                measured(&mut ws, |w| w.with_ctx(|f, ctx| f.extend_many(ctx.scratch, &jobs)));
+                measured(&mut ws, |w| w.with_ctx(|f, ctx| f.extend_many(ctx.scratch, &[&jobs])));
             assert_same(&ws, "extend_many");
             // Every scratch has uncovered ghosts, so every job launches.
             prop_assert_eq!(per_item.kernel_launches, 3);
@@ -709,6 +709,7 @@ mod fused {
                     }
                     jobs.push(RefineJob {
                         var,
+                        level: 1,
                         pos: narrow(p),
                         scratch: narrow(p),
                         fill: BoxList::from_box(fill),
@@ -716,7 +717,7 @@ mod fused {
                     });
                 }
                 let [_, per_item, fused] = measured(&mut ws, |w| {
-                    w.with_ctx(|f, ctx| f.refine_many(ctx, op.as_ref(), 1, &jobs, r, CAT));
+                    w.with_ctx(|f, ctx| f.refine_many(ctx, op.as_ref(), &[Part::whole(&jobs)], r, CAT));
                 });
                 assert_same(&ws, "refine_many");
                 prop_assert_eq!(per_item.kernel_launches, 2);
@@ -781,16 +782,19 @@ mod fused {
         let case = fixed_case();
         let mut w = World::new(Placement::Fused, &case);
         let (sends, peers) = stream_jobs(&copy_jobs(&w, &case), true);
-        let (good, fault) = w.with_ctx(|f, ctx| f.pack_many(ctx, &sends, &peers, CAT));
+        let (good, fault) =
+            w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
         assert_eq!(fault, None);
         fail_transfer(&w, 0);
-        let (streams, fault) = w.with_ctx(|f, ctx| f.pack_many(ctx, &sends, &peers, CAT));
+        let (streams, fault) =
+            w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
         assert!(matches!(fault, Some(PatchDataError::Transfer { .. })), "got {fault:?}");
         for (stream, peer) in streams.iter().zip(&peers) {
             assert_eq!(stream.len(), peer.bytes);
             assert!(stream.iter().all(|&b| b == 0), "placeholder must be zeros");
         }
-        let (again, fault) = w.with_ctx(|f, ctx| f.pack_many(ctx, &sends, &peers, CAT));
+        let (again, fault) =
+            w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
         assert_eq!((again, fault), (good, None));
     }
 
@@ -804,12 +808,15 @@ mod fused {
         let copies = copy_jobs(&w, &case);
         let (sends, peers) = stream_jobs(&copies, true);
         let (recvs, _) = stream_jobs(&copies, false);
-        let (streams, _) = w.with_ctx(|f, ctx| f.pack_many(ctx, &sends, &peers, CAT));
+        let (streams, _) =
+            w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
         let unpack = |w: &mut World, only: Option<u32>| {
             w.with_ctx(|f, ctx| {
                 let mut batch = f.unpack_batch(CAT);
                 for job in recvs.iter().filter(|j| only.is_none_or(|p| j.peer == p)) {
-                    batch.push(ctx, job, &streams[job.peer as usize]).expect("push defers");
+                    batch
+                        .push(ctx, &Part::whole(&recvs), job, &streams[job.peer as usize])
+                        .expect("push defers");
                 }
                 batch.flush(ctx)
             })

@@ -49,12 +49,20 @@ fn full_overlap(data: &dyn PatchData) -> BoxOverlap {
 }
 
 /// Read a patch's full data array, from either placement. On the
-/// device placements this is a sanctioned full-array D2H transfer; an
-/// injected transfer fault latches on the device and is drained by the
-/// caller's next [`rbamr_device::Device::take_injected_fault`] poll.
-fn read_values(data: &dyn PatchData) -> Vec<f64> {
-    let bytes = data.pack(&full_overlap(data));
-    bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))).collect()
+/// device placements this is a sanctioned full-array D2H transfer; a
+/// fault in it is noted in `first` and reads as no values (run-through:
+/// the save's agreement then rejects it on every rank).
+fn read_values(data: &dyn PatchData, first: &mut Option<RestoreError>) -> Vec<f64> {
+    match data.try_pack(&full_overlap(data)) {
+        Ok(bytes) => bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect(),
+        Err(e) => {
+            first.get_or_insert(RestoreError::Exchange { detail: format!("device fault: {e}") });
+            Vec::new()
+        }
+    }
 }
 
 /// Write a patch's full data array, to either placement.
@@ -217,8 +225,8 @@ impl HydroSim {
                 for w in [patch.id().index as i64, b.lo.x, b.lo.y, b.hi.x, b.hi.y] {
                     rec_bytes.extend_from_slice(&w.to_le_bytes());
                 }
-                let values =
-                    checkpoint_fields(&fields).map(|(_, var)| read_values(patch.data(var)));
+                let values = checkpoint_fields(&fields)
+                    .map(|(_, var)| read_values(patch.data(var), &mut first_err));
                 entries.push((patch.id().index, values));
             }
             let blob = encode_patch_blob(&entries);

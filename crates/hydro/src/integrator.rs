@@ -31,8 +31,8 @@ use rbamr_amr::regrid::TransferSpec;
 use rbamr_amr::restart::RestoreError;
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    balance, try_partition_hierarchy_metadata, CoarsenOperator, CoarsenSchedule, GridGeometry,
-    HostDataFactory, MetadataMode, Patch, PatchHierarchy, PendingFill, RefineOperator,
+    balance, try_partition_hierarchy_metadata, CoarsenOperator, CoarsenSchedule, FillWindow,
+    GridGeometry, HostDataFactory, MetadataMode, Patch, PatchHierarchy, RefineOperator,
     RefineSchedule, RegridError, RegridOutcome, RegridParams, Regridder, ScheduleBuild,
     ScheduleCache, ScheduleError, VariableId, VariableRegistry,
 };
@@ -209,9 +209,10 @@ pub struct HydroSim {
     time: f64,
     step: usize,
     prev_dt: f64,
-    /// Live fill schedules, one set per level; refreshed after regrids
-    /// through the schedule cache.
-    fill_schedules: Vec<LevelSchedules>,
+    /// Live fill windows, indexed by [`START`] … [`POST_SWEEP2`], each
+    /// over one schedule per level; refreshed after regrids through the
+    /// schedule cache.
+    fills: Vec<Arc<FillWindow>>,
     sync_schedules: Vec<Arc<CoarsenSchedule>>,
     /// Structure-keyed schedule cache: a regrid that reproduces a
     /// level's structure resolves its schedules as `Arc` clones instead
@@ -227,13 +228,16 @@ pub struct HydroSim {
     recorder: rbamr_telemetry::Recorder,
 }
 
-struct LevelSchedules {
-    start: Arc<RefineSchedule>,      // fill A: state fields before the step
-    post_accel: Arc<RefineSchedule>, // fill B: advanced velocities
-    post_sweep1: [Arc<RefineSchedule>; 2], // fill C per sweep direction
-    mid_sweeps: Arc<RefineSchedule>, // fill D: state + velocities
-    post_sweep2: [Arc<RefineSchedule>; 2], // fill E per sweep direction
-}
+/// Fill A: state fields before the step.
+const START: usize = 0;
+/// Fill B: advanced velocities.
+const POST_ACCEL: usize = 1;
+/// Fill C, plus the sweep direction.
+const POST_SWEEP1: usize = 2;
+/// Fill D: state + velocities.
+const MID_SWEEPS: usize = 4;
+/// Fill E, plus the sweep direction.
+const POST_SWEEP2: usize = 5;
 
 impl HydroSim {
     /// Build a simulation.
@@ -316,7 +320,7 @@ impl HydroSim {
             time: 0.0,
             step: 0,
             prev_dt: f64::INFINITY,
-            fill_schedules: Vec::new(),
+            fills: Vec::new(),
             sync_schedules: Vec::new(),
             schedule_cache: ScheduleCache::new(),
             batch_plans: BatchPlanCache::new(),
@@ -466,37 +470,28 @@ impl HydroSim {
         // the same set before advection).
         let b_vars = [f.density1, f.energy1, f.xvel1, f.yvel1];
         let c_vars = |dir: usize| {
-            [f.density1, f.energy1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }]
+            vec![f.density1, f.energy1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }]
         };
         let d_vars = [f.density1, f.energy1, f.xvel1, f.yvel1];
         let e_vars =
-            |dir: usize| [f.density1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }];
-        self.fill_schedules = (0..self.hierarchy.num_levels())
-            .map(|l| LevelSchedules {
-                start: build.refine(
-                    &self.hierarchy,
-                    &self.registry,
-                    l,
-                    &self.fill_specs(&start_vars),
-                ),
-                post_accel: build.refine(
-                    &self.hierarchy,
-                    &self.registry,
-                    l,
-                    &self.fill_specs(&b_vars),
-                ),
-                post_sweep1: [0, 1].map(|d| {
-                    build.refine(&self.hierarchy, &self.registry, l, &self.fill_specs(&c_vars(d)))
-                }),
-                mid_sweeps: build.refine(
-                    &self.hierarchy,
-                    &self.registry,
-                    l,
-                    &self.fill_specs(&d_vars),
-                ),
-                post_sweep2: [0, 1].map(|d| {
-                    build.refine(&self.hierarchy, &self.registry, l, &self.fill_specs(&e_vars(d)))
-                }),
+            |dir: usize| vec![f.density1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }];
+        let fills = [start_vars.into(), b_vars.into(), c_vars(0), c_vars(1), d_vars.into()]
+            .into_iter()
+            .chain([e_vars(0), e_vars(1)])
+            .map(|vars: Vec<_>| self.fill_specs(&vars))
+            .collect::<Vec<_>>();
+        let mut members = vec![Vec::new(); fills.len()];
+        for l in 0..self.hierarchy.num_levels() {
+            for (specs, members) in fills.iter().zip(&mut members) {
+                members.push(build.refine(&self.hierarchy, &self.registry, l, specs));
+            }
+        }
+        let mut held = std::mem::take(&mut self.fills).into_iter();
+        self.fills = members
+            .into_iter()
+            .map(|m| match held.next() {
+                Some(window) if window.members_are(&m) => window,
+                _ => Arc::new(FillWindow::new(m)),
             })
             .collect();
 
@@ -554,11 +549,11 @@ impl HydroSim {
     }
 
     /// Run one fill window over the whole hierarchy: the halo fill
-    /// selected by `which` on every level, and the phase `compute` that
-    /// consumes it, over every level's local patches at once.
+    /// `which` on every level, and the phase `compute` that consumes
+    /// it, over every level's local patches at once.
     ///
-    /// 1. `begin_fill` on every level — interior copies, message
-    ///    packing/sends and local coarse-source capture all read their
+    /// 1. `begin` the window — interior copies, message packing/sends
+    ///    and local coarse-source capture of every level all read their
     ///    inputs *now*, so the exchanged bytes equal those of
     ///    fill-then-compute, and every send is posted before the first
     ///    receive.
@@ -566,7 +561,7 @@ impl HydroSim {
     ///    runs on the window's stream while the messages are in flight,
     ///    and its elapsed kernel time is banked as comm overlap credit
     ///    (the receives in step 3 charge only the exposed remainder).
-    /// 3. `finish` on every level consumes its messages.
+    /// 3. `finish` consumes the window's messages.
     /// 4. One batch runs the rest of the phase. On the host that is the
     ///    whole phase (`Pass::Full`): the CPU baseline models no
     ///    overlap. On a device it is the boundary batch
@@ -579,22 +574,17 @@ impl HydroSim {
     /// fill writes, so the overlapped window is bitwise-identical to
     /// fill-then-compute (see [`crate::level_executor`] for the margin
     /// calculus); no level reads another inside a phase, and a fill
-    /// captures its coarse sources at `begin_fill`.
+    /// captures its coarse sources at `begin`.
     fn fill_window(
         &mut self,
         comm: Option<&Comm>,
         first: &mut Option<SimError>,
-        which: impl Fn(&LevelSchedules) -> &Arc<RefineSchedule>,
+        which: usize,
         mut compute: impl FnMut(&mut [&mut Patch], &[(f64, f64)], Pass, Exec<'_>),
     ) {
-        let scheds: Vec<Arc<RefineSchedule>> =
-            self.fill_schedules.iter().map(|s| Arc::clone(which(s))).collect();
-        let pendings: Vec<PendingFill<'_>> = scheds
-            .iter()
-            .map(|s| {
-                s.begin_fill(&mut self.hierarchy, &self.registry, comm, Category::HaloExchange)
-            })
-            .collect();
+        let window = Arc::clone(&self.fills[which]);
+        let pending =
+            window.begin(&mut self.hierarchy, &self.registry, comm, Category::HaloExchange);
         let stream = self.device.as_ref().map(Stream::new);
         if let Some(stream) = &stream {
             let t0 = self.clock.total();
@@ -603,11 +593,9 @@ impl HydroSim {
                 comm.bank_overlap_credit(self.clock.total() - t0);
             }
         }
-        for pending in pendings {
-            let (h, time) = (&mut self.hierarchy, self.time);
-            if let Err(e) = pending.finish(h, &self.boundary, comm, time, Category::HaloExchange) {
-                first.get_or_insert(e.into());
-            }
+        let (h, time) = (&mut self.hierarchy, self.time);
+        if let Err(e) = pending.finish(h, &self.boundary, comm, time, Category::HaloExchange) {
+            first.get_or_insert(e.into());
         }
         if let (Some(device), Some(stream)) = (&self.device, &stream) {
             let exchange_stream = Stream::new(device);
@@ -655,11 +643,10 @@ impl HydroSim {
     /// are plan-identical to fresh builds (e.g. across a restart) and
     /// to freeze the plans themselves.
     pub fn plan_digests(&self) -> Vec<Vec<String>> {
-        let fills = self.fill_schedules.iter().flat_map(|s| {
-            let [c0, c1] = &s.post_sweep1;
-            let [e0, e1] = &s.post_sweep2;
-            [&s.start, &s.post_accel, c0, c1, &s.mid_sweeps, e0, e1].map(|f| f.plan_digest())
+        let levels = (0..self.hierarchy.num_levels()).flat_map(|l| {
+            self.fills.iter().map(move |w| w.members().nth(l).expect("a member per level"))
         });
+        let fills = levels.map(RefineSchedule::plan_digest);
         fills.chain(self.sync_schedules.iter().map(|s| s.plan_digest())).collect()
     }
 
@@ -796,37 +783,14 @@ impl HydroSim {
         }
     }
 
-    /// Run one ghost-fill pass over every level, run-through: a level
-    /// whose schedule faults still leaves the remaining levels' fills
-    /// (and their sends to peers) executed, so the cross-rank
-    /// communication pattern is identical whether or not a fault fired.
-    fn try_fill(
-        &mut self,
-        which: impl Fn(&LevelSchedules) -> &RefineSchedule,
-        comm: Option<&Comm>,
-    ) -> Result<(), SimError> {
-        let mut first: Option<SimError> = None;
-        for l in 0..self.hierarchy.num_levels() {
-            let sched = which(&self.fill_schedules[l]);
-            if let Err(e) = sched.try_fill(
-                &mut self.hierarchy,
-                &self.registry,
-                &self.boundary,
-                comm,
-                self.time,
-                Category::HaloExchange,
-            ) {
-                first.get_or_insert(e.into());
-            }
-        }
-        match first {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
+    /// Run the start fill over every level, run-through: a fault
+    /// still leaves the whole window (and its sends to peers) executed,
+    /// so the cross-rank communication pattern is identical whether or
+    /// not a fault fired.
     fn try_fill_start(&mut self, comm: Option<&Comm>) -> Result<(), SimError> {
-        self.try_fill(|s| &s.start, comm)
+        let (window, category) = (Arc::clone(&self.fills[START]), Category::HaloExchange);
+        let pending = window.begin(&mut self.hierarchy, &self.registry, comm, category);
+        Ok(pending.finish(&mut self.hierarchy, &self.boundary, comm, self.time, category)?)
     }
 
     fn eos_and_viscosity(&mut self) {
@@ -915,12 +879,9 @@ impl HydroSim {
         // --- Timestep phase ------------------------------------------
         {
             let _s = rec.is_enabled().then(|| rec.span("fill-start", Category::HaloExchange));
-            self.fill_window(
-                comm,
-                &mut first,
-                |s| &s.start,
-                |patches, dx, pass, ex| exec::eos_viscosity(patches, &f, ex, pass, gamma, dx),
-            );
+            self.fill_window(comm, &mut first, START, |patches, dx, pass, ex| {
+                exec::eos_viscosity(patches, &f, ex, pass, gamma, dx)
+            });
         }
         let mut dt = {
             let _s = rec.is_enabled().then(|| rec.span("dt-reduction", Category::Timestep));
@@ -935,12 +896,9 @@ impl HydroSim {
         {
             let _s = rec.is_enabled().then(|| rec.span("lagrangian", Category::HydroKernel));
             self.run_phase(|patches, dx, ex| exec::lagrangian_pre(patches, &f, ex, gamma, dx, dt));
-            self.fill_window(
-                comm,
-                &mut first,
-                |s| &s.post_accel,
-                |patches, dx, pass, ex| exec::flux_calc(patches, &f, ex, pass, dx, dt),
-            );
+            self.fill_window(comm, &mut first, POST_ACCEL, |patches, dx, pass, ex| {
+                exec::flux_calc(patches, &f, ex, pass, dx, dt)
+            });
         }
         self.poll_device(&mut first);
 
@@ -952,30 +910,15 @@ impl HydroSim {
             self.run_phase(|patches, dx, ex| {
                 exec::advec_cell(patches, &f, ex, Pass::Full, dx, dirs[0], 1, &mut cell_stash);
             });
-            self.fill_window(
-                comm,
-                &mut first,
-                |s| &s.post_sweep1[dirs[0]],
-                |patches, _, pass, ex| {
-                    exec::advec_mom(patches, &f, ex, pass, dirs[0], &mut mom_stash);
-                },
-            );
-            self.fill_window(
-                comm,
-                &mut first,
-                |s| &s.mid_sweeps,
-                |patches, dx, pass, ex| {
-                    exec::advec_cell(patches, &f, ex, pass, dx, dirs[1], 2, &mut cell_stash);
-                },
-            );
-            self.fill_window(
-                comm,
-                &mut first,
-                |s| &s.post_sweep2[dirs[1]],
-                |patches, _, pass, ex| {
-                    exec::advec_mom(patches, &f, ex, pass, dirs[1], &mut mom_stash);
-                },
-            );
+            self.fill_window(comm, &mut first, POST_SWEEP1 + dirs[0], |patches, _, pass, ex| {
+                exec::advec_mom(patches, &f, ex, pass, dirs[0], &mut mom_stash);
+            });
+            self.fill_window(comm, &mut first, MID_SWEEPS, |patches, dx, pass, ex| {
+                exec::advec_cell(patches, &f, ex, pass, dx, dirs[1], 2, &mut cell_stash);
+            });
+            self.fill_window(comm, &mut first, POST_SWEEP2 + dirs[1], |patches, _, pass, ex| {
+                exec::advec_mom(patches, &f, ex, pass, dirs[1], &mut mom_stash);
+            });
             self.run_phase(|patches, _, ex| exec::reset(patches, &f, ex));
         }
         self.poll_device(&mut first);
