@@ -337,12 +337,37 @@ fn hydro_launches_scale_with_levels_not_patches() {
     assert_eq!(launches[0], launches[1], "hydro launches depend on the level count");
 }
 
+/// The fill windows' pack-class launches per step do not depend on the
+/// level count: a 1-level and a 3-level run of the same deck pack and
+/// unpack once per window — five of each per step at two ranks, where
+/// every window has the one peer. (Syncs, one per fine level, and a
+/// regrid's transfers, one per rebuilt level, add their own: at two
+/// ranks one pack per kind-6 or kind-7 message sent and one unpack per
+/// one received, which is what is taken off.)
+#[test]
+fn fill_pack_launches_are_the_same_at_one_and_three_levels() {
+    let per_level_count = [1, 3].map(|levels| {
+        let traces = run_levels(MANY_PATCHES, None, Placement::Device, levels);
+        let fills = traces.iter().map(|t| {
+            let c = |name: &str| t.step_counters.get(name).copied().unwrap_or(0);
+            let (sent, received) = (c("net.sends.kind6"), c("net.recvs.kind6"));
+            let (sent, received) = (sent + c("net.sends.kind7"), received + c("net.recvs.kind7"));
+            let pack = c("device.kernel_launches.pack") - sent;
+            (pack, c("device.kernel_launches.unpack") - received)
+        });
+        fills.collect::<Vec<_>>()
+    });
+    assert_eq!(per_level_count[0], per_level_count[1], "fill launches depend on the level count");
+    let windows = 5 * MANY_PATCHES.steps as u64;
+    assert!(per_level_count[0].iter().all(|&c| c == (windows, windows)), "{per_level_count:?}");
+}
+
 /// The absolute data-movement gate, beside the hydro one: the launches
-/// that move halo data are bounded by the fills and syncs a step
+/// that move halo data are bounded by the fill windows and syncs a step
 /// executes and by the messages it exchanges — never by the number of
-/// patches or overlaps. Checked at two patch sizes over steps that do
-/// not regrid (a regrid's transfer obeys the same law per rebuilt
-/// level; `telemetry_counters` in `gpu-amr` pins its budget).
+/// levels, patches or overlaps. Checked at two patch sizes over steps
+/// that do not regrid (a regrid's transfer obeys the same law per
+/// rebuilt level; `telemetry_counters` in `gpu-amr` pins its budget).
 #[test]
 fn data_movement_launches_scale_with_fills_not_patches() {
     for patch in [8, 16] {
@@ -356,6 +381,12 @@ fn data_movement_launches_scale_with_fills_not_patches() {
             let received = c("net.recvs.kind5") + c("net.recvs.kind6");
             let what = format!("patch {patch} rank {rank}");
             assert!(fills > 0 && syncs > 0 && sent > 0, "{what}: nothing exchanged");
+            // Five windows per step, each over every level; one sync per
+            // fine level.
+            let steps = cfg.steps as u64;
+            assert_eq!((fills, syncs), (5 * steps, (LEVELS as u64 - 1) * steps), "{what}");
+            // One peer (two ranks): one message per window or sync.
+            assert!(sent <= fills + syncs && received <= fills + syncs, "{what}: messages");
             assert_eq!(launches("pack"), sent, "{what}: one pack per message sent");
             assert_eq!(launches("unpack"), received, "{what}: one unpack per message received");
             // Per fill: the same-level copies and the scratch capture;

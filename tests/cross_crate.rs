@@ -155,6 +155,8 @@ struct StepTraffic {
     /// Local patches on the level a regrid flags (level 0 of two): one
     /// any-tagged word each.
     flagged: u64,
+    /// Fill windows and coarsen syncs executed.
+    windows: (u64, u64),
 }
 
 #[test]
@@ -190,6 +192,7 @@ fn resident_traffic(nranks: usize) {
                 (c("pack.bytes"), c("unpack.bytes")),
                 (c("device.kernel_launches.pack"), c("device.kernel_launches.unpack")),
                 (c("device.kernel_launches.any-tagged"), c("device.kernel_launches.compress-tags")),
+                (c("amr.refine_fills"), c("amr.coarsen_syncs")),
             ]
         };
         let mut steps = Vec::new();
@@ -199,12 +202,13 @@ fn resident_traffic(nranks: usize) {
             let flagged = local(0);
             let before = observe();
             sim.step(Some(&comm));
-            let [d2h, h2d, messages, packed, stages, tags] = {
+            let [d2h, h2d, messages, packed, stages, tags, windows] = {
                 let after = observe();
-                [0, 1, 2, 3, 4, 5].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1))
+                [0, 1, 2, 3, 4, 5, 6].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1))
             };
             let dt = (u64::from(patches > 0), patches);
-            steps.push(StepTraffic { d2h, h2d, messages, packed, stages, dt, tags, flagged });
+            let t = StepTraffic { d2h, h2d, messages, packed, stages, dt, tags, flagged, windows };
+            steps.push(t);
         }
         steps
     });
@@ -216,6 +220,16 @@ fn resident_traffic(nranks: usize) {
             // One launch and one transfer per stage and direction,
             // however many peers the stage has.
             assert!(t.stages.0 <= t.messages.0 && t.stages.1 <= t.messages.1, "{what}: stages");
+            // One window per halo fill and one sync per fine level, each
+            // a stage — never one per level and fill — plus the regrid's
+            // transfer of its one rebuilt level; each sends a peer at
+            // most one message.
+            let regrid = (i + 1).is_multiple_of(4);
+            assert_eq!(t.windows, (5, 1), "{what}: five fill windows and one sync per step");
+            let limit = t.windows.0 + t.windows.1 + u64::from(regrid);
+            assert!(t.stages.0 <= limit && t.stages.1 <= limit, "{what}: {:?} stages", t.stages);
+            let peers = nranks as u64 - 1;
+            assert!(t.messages.0 <= limit * peers && t.messages.1 <= limit * peers, "{what}");
             if nranks == 2 {
                 assert_eq!(t.stages, t.messages, "{what}: one peer, one message per stage");
             }
@@ -229,7 +243,6 @@ fn resident_traffic(nranks: usize) {
             // (4 B per patch) and, where any is set, one of the
             // compressed bitmaps: at most one bit per cell of a 16^2
             // patch.
-            let regrid = (i + 1).is_multiple_of(4);
             assert_eq!(regrid, t.tags.0 > 0, "{what}: flagging runs on regrid steps only");
             assert!(t.tags.0 <= 1 && t.tags.1 <= t.tags.0, "{what}: tag launches {:?}", t.tags);
             assert_eq!(t.d2h.0, t.stages.0 + t.dt.0 + t.tags.0 + t.tags.1, "{what}: D2H count");
