@@ -15,8 +15,10 @@
 //! real compute); the default stops at 800k and is representative.
 //!
 //! Every GPU run gates in-process that hydro launches per step stay
-//! within `MAX_LAUNCHES_PER_STEP`, whatever the level count — the
-//! launch-bound regime that per-level or per-patch launching (which
+//! within `MAX_LAUNCHES_PER_STEP`, and halo data-movement launches
+//! (copies, packs, unpacks, scratch extension, interpolation) within
+//! `MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP`, whatever the level count —
+//! the launch-bound regime that per-level or per-patch launching (which
 //! scale with level and patch counts) cannot satisfy.
 //!
 //! `--json <path>` writes the table as a JSON artifact for CI.
@@ -25,7 +27,10 @@ use rbamr_bench::{
     csv_dir_arg, fig9_resolutions, fmt_secs, measure_profile, path_arg, sod_sim, write_csv,
 };
 use rbamr_hydro::{
-    level_executor::{hydro_launches, MAX_LAUNCHES_PER_STEP},
+    level_executor::{
+        data_movement_launches, hydro_launches, MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP,
+        MAX_LAUNCHES_PER_STEP,
+    },
     Placement,
 };
 use rbamr_perfmodel::{Clock, Machine};
@@ -36,7 +41,8 @@ const REGRID_INTERVAL: usize = 10;
 const LEVELS: usize = 3;
 
 /// Projected runtime, total cells and measured hydro launches per step
-/// (zero on the host), the last gated against the whole-hierarchy bound.
+/// (zero on the host), the last gated against the whole-hierarchy bound
+/// beside the data-movement launches per step.
 fn run_one(placement: Placement, nx: i64, ny: i64) -> (f64, i64, f64) {
     let machine = match placement {
         Placement::Host => Machine::ipa_cpu_node(),
@@ -50,7 +56,7 @@ fn run_one(placement: Placement, nx: i64, ny: i64) -> (f64, i64, f64) {
     sim.initialize(None);
     // Halo-fill, sync, and regrid kernels are outside the executor's
     // launch budget, so the profile's closing regrid adds nothing.
-    let launches0 = hydro_launches(&rec);
+    let (launches0, moves0) = (hydro_launches(&rec), data_movement_launches(&rec));
     let steps = if nx >= 1024 { 2 } else { 4 };
     let profile = measure_profile(&mut sim, None, steps);
     // The profile takes one warm-up step before the measured ones.
@@ -60,6 +66,14 @@ fn run_one(placement: Placement, nx: i64, ny: i64) -> (f64, i64, f64) {
         launches_per_step <= bound,
         "{nx}x{ny}: {launches_per_step:.0} hydro launches/step, \
          above the whole-hierarchy bound {bound:.0}"
+    );
+    // The profile's closing regrid is counted too: its transfers are
+    // halo data movement.
+    let moves_per_step = (data_movement_launches(&rec) - moves0) as f64 / (steps + 1) as f64;
+    let bound = MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP as f64;
+    assert!(
+        moves_per_step <= bound,
+        "{nx}x{ny}: {moves_per_step:.1} data-movement launches/step, above the bound {bound:.0}"
     );
     (
         profile.projected_runtime(PAPER_STEPS, REGRID_INTERVAL),

@@ -197,6 +197,19 @@ const MARGIN_STEP: i64 = 4;
 /// per-level or per-patch scaling.
 pub const MAX_LAUNCHES_PER_STEP: u64 = 96;
 
+/// Upper bound on halo data-movement launches per step — fig9's second
+/// gate, with the same bound whatever the level count: a fill window is
+/// at most seven launches for the whole hierarchy (local copies,
+/// capture, pack, unpack, extension and two interpolation operators),
+/// so the five windows of a step launch at most 35; 40 leaves the
+/// syncs' local applies and the odd regrid transfer room. The serial
+/// fig9 sweep reads 24-29 (44-54 when every level filled alone).
+pub const MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP: u64 = 40;
+
+/// The kernels [`MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP`] budgets.
+const DATA_MOVEMENT_KERNEL_NAMES: &[&str] =
+    &["copy-region", "pack", "unpack", "extend-uncovered", "refine-interp"];
+
 /// Every kernel name the executor launches under. No halo-fill, sync,
 /// or regrid kernel uses them.
 const HYDRO_KERNEL_NAMES: &[&str] = &[
@@ -229,8 +242,17 @@ const HYDRO_KERNEL_NAMES: &[&str] = &[
 /// kernel names — exactly the launches [`MAX_LAUNCHES_PER_STEP`]
 /// budgets.
 pub fn hydro_launches(rec: &rbamr_telemetry::Recorder) -> u64 {
-    let launches = |name| rec.counter(&format!("device.kernel_launches.{name}"));
-    HYDRO_KERNEL_NAMES.iter().map(launches).sum()
+    launches_of(rec, HYDRO_KERNEL_NAMES)
+}
+
+/// Halo data-movement launches `rec` has counted so far — exactly the
+/// launches [`MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP`] budgets.
+pub fn data_movement_launches(rec: &rbamr_telemetry::Recorder) -> u64 {
+    launches_of(rec, DATA_MOVEMENT_KERNEL_NAMES)
+}
+
+fn launches_of(rec: &rbamr_telemetry::Recorder, names: &[&str]) -> u64 {
+    names.iter().map(|name| rec.counter(&format!("device.kernel_launches.{name}"))).sum()
 }
 
 fn margin(ordinal: u32) -> i64 {
