@@ -107,7 +107,7 @@ struct Schedule {
 /// The ≥20 seeded fault schedules. Occurrence indices are chosen to
 /// land inside the run, and [`check`] fails a schedule whose fault never
 /// fires. Per rank, the 2-rank 8-step Sod run evaluates ~65 (rank 0) /
-/// ~105 (rank 1) point-to-point and ~30 collective sites (25 without a
+/// ~60 (rank 1) point-to-point and ~30 collective sites (25 without a
 /// replay: each step's dt minimum and commit verdict, plus the regrids'
 /// and checkpoints'); on the device,
 /// with one rollback replayed, ~850 / ~370 allocation and ~450 / ~365
@@ -121,7 +121,12 @@ struct Schedule {
 /// the occurrence-pinned rules below fired inside a transfer before
 /// that change, and each fires in the same place after it; the
 /// persistent and every-message rules still reach the transfer's
-/// message, its staging allocation and its two PCIe hops.
+/// message, its staging allocation and its two PCIe hops. Sending one
+/// message per peer per fill window instead of one per level took rank
+/// 1 from ten messages a step to five (rank 0, whose peer traffic is
+/// all on level 0, is unchanged), so every rank-1 message rule is pinned
+/// to the window that carries the level message it hit before: the same
+/// step and fill, and the same replays.
 /// `collective_late_r1` lands in rank 1's checkpoint-adoption verdict
 /// after step 5: a spoiled save, discarded with no rollback.
 fn schedules() -> Vec<Schedule> {
@@ -168,8 +173,14 @@ fn schedules() -> Vec<Schedule> {
     // Transient point-to-point faults.
     add("msg_drop_early_r0", 201, host, vec![FaultRule::once_on(MsgDrop, 0, 5)], Recoverable);
     add("msg_drop_late_r0", 202, host, vec![FaultRule::once_on(MsgDrop, 0, 40)], Recoverable);
-    add("msg_corrupt_r1", 203, host, vec![FaultRule::once_on(MsgCorrupt, 1, 30)], Recoverable);
-    add("msg_corrupt_both", 204, host, vec![FaultRule::once(MsgCorrupt, 15)], Recoverable);
+    add("msg_corrupt_r1", 203, host, vec![FaultRule::once_on(MsgCorrupt, 1, 18)], Recoverable);
+    add(
+        "msg_corrupt_both",
+        204,
+        host,
+        vec![FaultRule::once_on(MsgCorrupt, 0, 15), FaultRule::once_on(MsgCorrupt, 1, 11)],
+        Recoverable,
+    );
     add(
         "msg_drop_burst_r1",
         205,
@@ -177,7 +188,7 @@ fn schedules() -> Vec<Schedule> {
         vec![FaultRule {
             kind: MsgDrop,
             ranks: Some(vec![1]),
-            after: 20,
+            after: 13,
             count: 3,
             probability: 1.0,
         }],
@@ -224,7 +235,7 @@ fn schedules() -> Vec<Schedule> {
         "mixed_corrupt_drop",
         402,
         host,
-        vec![FaultRule::once_on(MsgCorrupt, 1, 45), FaultRule::once_on(MsgDrop, 1, 60)],
+        vec![FaultRule::once_on(MsgCorrupt, 1, 26), FaultRule::once_on(MsgDrop, 1, 33)],
         Recoverable,
     );
     // A random 10% corruption rate over a bounded window: rollbacks
@@ -304,7 +315,7 @@ fn schedules() -> Vec<Schedule> {
         "overlap_corrupt_in_flight",
         802,
         device,
-        vec![FaultRule::once_on(MsgCorrupt, 1, 20)],
+        vec![FaultRule::once_on(MsgCorrupt, 1, 13)],
         Recoverable,
     );
     add(
