@@ -789,6 +789,8 @@ impl HydroSim {
     /// not a fault fired.
     fn try_fill_start(&mut self, comm: Option<&Comm>) -> Result<(), SimError> {
         let (window, category) = (Arc::clone(&self.fills[START]), Category::HaloExchange);
+        let rec = self.recorder.clone();
+        let _span = rec.is_enabled().then(|| rec.span("refine-fill", category));
         let pending = window.begin(&mut self.hierarchy, &self.registry, comm, category);
         Ok(pending.finish(&mut self.hierarchy, &self.boundary, comm, self.time, category)?)
     }
