@@ -85,15 +85,19 @@ pub trait DataFactory: Send + Sync {
         peers: &[PeerStream],
         category: Category,
     ) -> (Vec<Bytes>, Option<PatchDataError>) {
-        let mut out: Vec<Vec<u8>> = peers.iter().map(|p| vec![0; p.bytes]).collect();
+        // Each peer's jobs come in stream order: a part's in plan order,
+        // the parts' streams one after the other.
+        let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
         let mut first_err = None;
         for (part, job) in Part::each(parts) {
             let data = ctx.data_mut(part.at(job.loc), job.var);
             data.set_transfer_category(category);
             let (peer, range) = part.slot(job);
+            let stream = &mut out[peer];
             match data.try_pack(&job.overlap) {
-                Ok(payload) => out[peer][range].copy_from_slice(&payload),
+                Ok(payload) => stream.extend_from_slice(&payload),
                 Err(e) => {
+                    stream.resize(range.end, 0u8);
                     first_err.get_or_insert(e);
                 }
             }
