@@ -19,8 +19,10 @@
 //! Each rank builds its schedules from the level metadata it holds and
 //! plans only the transfers it owns an end of; both ends of a transfer
 //! derive it from the same records, so send and receive plans agree
-//! without negotiation. Each schedule execution sends one message per
-//! peer, tagged with the schedule kind and level.
+//! without negotiation. Each execution sends one message per peer,
+//! tagged with the schedule kind and level; the fills of every level
+//! execute together as one [`FillWindow`], whose message to a peer
+//! carries each level's stream in turn.
 //!
 //! Every plan is resolved at build time into a transfer *job* (see
 //! [`crate::transfer`]): local patch positions looked up, copy overlaps
@@ -1677,7 +1679,7 @@ impl CoarsenSchedule {
         // bound for remote coarse owners join the aggregated per-rank
         // stream (one message per rank pair; plan order is globally
         // deterministic; a pack fault leaves zeros of the exact size,
-        // see `Stages::begin`).
+        // see `FillWindow::begin_with`).
         for (op, jobs) in &self.projects {
             factory.coarsen_many(&mut ctx, op.as_ref(), self.fine_level_no, jobs, ratio);
         }

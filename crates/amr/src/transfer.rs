@@ -226,7 +226,7 @@ impl<'a, J> Part<'a, J> {
     }
 
     /// Every job of `parts`, in order, with its part.
-    pub fn each<'p>(parts: &'p [Self]) -> impl Iterator<Item = (&'p Self, &'a J)> + Clone {
+    pub fn each<'p>(parts: &'p [Self]) -> impl Iterator<Item = (&'p Self, &'a J)> {
         parts.iter().flat_map(|part| part.jobs.iter().map(move |job| (part, job)))
     }
 

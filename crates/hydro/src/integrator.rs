@@ -470,16 +470,16 @@ impl HydroSim {
         // the same set before advection).
         let b_vars = [f.density1, f.energy1, f.xvel1, f.yvel1];
         let c_vars = |dir: usize| {
-            vec![f.density1, f.energy1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }]
+            [f.density1, f.energy1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }]
         };
         let d_vars = [f.density1, f.energy1, f.xvel1, f.yvel1];
         let e_vars =
-            |dir: usize| vec![f.density1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }];
-        let fills = [start_vars.into(), b_vars.into(), c_vars(0), c_vars(1), d_vars.into()]
-            .into_iter()
-            .chain([e_vars(0), e_vars(1)])
-            .map(|vars: Vec<_>| self.fill_specs(&vars))
-            .collect::<Vec<_>>();
+            |dir: usize| [f.density1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }];
+        let (c, e) = ([c_vars(0), c_vars(1)], [e_vars(0), e_vars(1)]);
+        // In `START` … `POST_SWEEP2` order.
+        let var_sets: [&[VariableId]; 7] =
+            [&start_vars, &b_vars, &c[0], &c[1], &d_vars, &e[0], &e[1]];
+        let fills = var_sets.map(|vars| self.fill_specs(vars));
         let mut members = vec![Vec::new(); fills.len()];
         for l in 0..self.hierarchy.num_levels() {
             for (specs, members) in fills.iter().zip(&mut members) {

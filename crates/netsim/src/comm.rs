@@ -214,7 +214,7 @@ pub struct Comm {
     injector: Option<Arc<FaultInjector>>,
     /// Communication/computation overlap credit (virtual seconds):
     /// compute that provably ran while messages were in flight (e.g. an
-    /// interior-region batch between `begin_fill` and `finish`) is
+    /// interior-region batch between a fill window's `begin` and `finish`) is
     /// banked here, and subsequent point-to-point receives charge only
     /// the *exposed* remainder of their transfer cost. Zero unless a
     /// caller banks — the unoverlapped paths are unaffected.
