@@ -33,8 +33,6 @@
 //! * [`cluster`] — Berger–Rigoutsos point clustering.
 //! * [`nesting`] — proper-nesting calculus.
 //! * [`balance`] — spatial load balancing.
-//! * [`partition`] — partitioned level metadata: owned + ghosted views
-//!   and the digest-verified exchange.
 //! * [`regrid`] — the flag → cluster → rebuild → transfer driver.
 //! * [`restart`] — a minimal restart database (Figure 2's
 //!   `getFromRestart`/`putToRestart`).
@@ -47,7 +45,6 @@ pub mod hostdata;
 pub mod level;
 pub mod nesting;
 pub mod ops;
-pub mod partition;
 pub mod patch;
 pub mod patchdata;
 pub mod regrid;
@@ -64,16 +61,9 @@ pub use hierarchy::{GridGeometry, PatchHierarchy};
 pub use hostdata::{HostData, HostDataFactory};
 pub use level::{LevelRecords, PatchLevel};
 pub use ops::{CoarsenOperator, RefineOperator};
-pub use partition::{
-    exchange_level_view, interest_for_level, view_from_global, ExchangeError, InterestMargins,
-    InterestSpec, LevelView, MetadataDivergence, MetadataMode,
-};
 pub use patch::{Patch, PatchId};
 pub use patchdata::{Element, PatchData, PatchDataError};
-pub use regrid::{
-    partition_hierarchy_metadata, try_partition_hierarchy_metadata, try_refresh_partitioned_view,
-    RegridError, RegridOutcome, RegridParams, Regridder,
-};
+pub use regrid::{RegridError, RegridOutcome, RegridParams, Regridder};
 pub use schedule::{
     CoarsenSchedule, FillWindow, PendingFill, RefineSchedule, ScheduleBuild, ScheduleCache,
     ScheduleError,

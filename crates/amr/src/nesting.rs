@@ -111,41 +111,6 @@ pub fn is_properly_nested(
     })
 }
 
-/// [`is_properly_nested`] restricted to a rank's *owned* fine boxes,
-/// checked against whatever coarse records the rank holds (e.g. a
-/// partitioned [`crate::partition::LevelView`]'s boxes).
-///
-/// Nesting is a conjunction over fine boxes, so the global condition
-/// holds iff every rank's partial check passes — combine the verdicts
-/// with a min-allreduce. The coverage is windowed to the owned
-/// footprint grown by `buffer + 1` coarse cells: the shrink in
-/// [`allowed_region`] propagates at most `buffer` cells inward from a
-/// coverage edge, so coarse records beyond the window cannot change the
-/// verdict for boxes inside it. The caller must hold every coarse
-/// record meeting the window — the default
-/// [`crate::partition::InterestMargins`] retain strictly more.
-pub fn is_properly_nested_partial(
-    owned_fine_boxes: &[GBox],
-    held_coarse_boxes: &BoxList,
-    coarse_domain: &BoxList,
-    buffer: IntVector,
-    ratio: IntVector,
-) -> bool {
-    if owned_fine_boxes.is_empty() {
-        return true;
-    }
-    let window = IntVector::new(buffer.x + 1, buffer.y + 1);
-    let mut footprint =
-        BoxList::from_boxes(owned_fine_boxes.iter().map(|b| b.coarsen(ratio).grow(window)));
-    footprint.coalesce();
-    let mut coverage = BoxList::new();
-    for w in footprint.boxes() {
-        coverage.union(&held_coarse_boxes.intersect_box(*w));
-    }
-    coverage.coalesce();
-    is_properly_nested(owned_fine_boxes, &coverage, coarse_domain, buffer, ratio)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,29 +174,5 @@ mod tests {
         let bad = vec![b(8, 8, 12, 12).refine(R2)]; // touches coverage edge
         assert!(is_properly_nested(&good, &coverage, &domain, IntVector::ONE, R2));
         assert!(!is_properly_nested(&bad, &coverage, &domain, IntVector::ONE, R2));
-    }
-
-    #[test]
-    fn partial_check_matches_full_check_per_owner() {
-        // Two coverage islands far apart, one fine box over each. A
-        // rank owning only the first fine box and holding only the
-        // first island's records must reach the same verdict as the
-        // replicated check over everything.
-        let domain = BoxList::from_box(b(0, 0, 64, 64));
-        let mut coverage = BoxList::from_box(b(4, 4, 12, 12));
-        coverage.add(b(40, 40, 60, 60));
-        let fine = vec![b(5, 5, 11, 11).refine(R2), b(41, 41, 59, 59).refine(R2)];
-        assert!(is_properly_nested(&fine, &coverage, &domain, IntVector::ONE, R2));
-
-        let held = BoxList::from_box(b(4, 4, 12, 12)); // first island only
-        assert!(is_properly_nested_partial(&fine[..1], &held, &domain, IntVector::ONE, R2));
-
-        // A violation on the owned box is still caught from the
-        // partial view.
-        let bad = vec![b(4, 4, 8, 8).refine(R2)];
-        assert!(!is_properly_nested_partial(&bad, &held, &domain, IntVector::ONE, R2));
-
-        // Owning nothing is vacuously nested (empty-rank edge case).
-        assert!(is_properly_nested_partial(&[], &held, &domain, IntVector::ONE, R2));
     }
 }

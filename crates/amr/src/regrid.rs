@@ -35,10 +35,6 @@ use crate::cluster::{cluster_tags, split_to_max, ClusterParams};
 use crate::hierarchy::PatchHierarchy;
 use crate::level::PatchLevel;
 use crate::ops::RefineOperator;
-use crate::partition::{
-    exchange_level_view, finalize_structure_digest, interest_for_level, structure_items_digest,
-    view_from_global, BoxRecord, ExchangeError, InterestMargins, MetadataDivergence, MetadataMode,
-};
 use crate::patchdata::PatchDataError;
 use crate::schedule::{RefineSchedule, ScheduleError};
 use crate::tagging::TagBitmap;
@@ -81,19 +77,6 @@ pub struct RegridParams {
     pub tag_buffer: i64,
     /// Maximum patch extent on the *new* (fine) level, in fine cells.
     pub max_patch_size: i64,
-    /// How rebuilt levels hold their metadata. `Replicated` (the
-    /// default) installs full box arrays on every rank; `Partitioned`
-    /// installs owned + ghosted [`crate::partition::LevelView`]s,
-    /// re-exchanging adjacent views (digest-verified) around each
-    /// rebuild so the solution transfer and later schedule builds see
-    /// every record they need. A driver holding this mode converts its
-    /// existing levels itself ([`partition_hierarchy_metadata`]); field
-    /// output is bitwise identical between the modes.
-    pub metadata_mode: MetadataMode,
-    /// Interest margins for partitioned views. `margins.stencil + 2`
-    /// must be at least the widest refine-operator stencil so the
-    /// coarse view retains every scratch source the transfer reads.
-    pub margins: InterestMargins,
 }
 
 impl Default for RegridParams {
@@ -103,8 +86,6 @@ impl Default for RegridParams {
             nesting_buffer: 1,
             tag_buffer: 1,
             max_patch_size: 1 << 30,
-            metadata_mode: MetadataMode::default(),
-            margins: InterestMargins::default(),
         }
     }
 }
@@ -148,8 +129,6 @@ impl RegridOutcome {
 pub enum RegridError {
     /// A point-to-point or collective transport fault.
     Comm(CommError),
-    /// The partitioned-metadata handshake detected divergent views.
-    Divergence(MetadataDivergence),
     /// Packing or unpacking solution-transfer data failed.
     Data(PatchDataError),
 }
@@ -158,7 +137,6 @@ impl std::fmt::Display for RegridError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Comm(e) => write!(f, "regrid transport fault: {e}"),
-            Self::Divergence(e) => write!(f, "regrid metadata fault: {e}"),
             Self::Data(e) => write!(f, "regrid data fault: {e}"),
         }
     }
@@ -172,26 +150,11 @@ impl From<CommError> for RegridError {
     }
 }
 
-impl From<MetadataDivergence> for RegridError {
-    fn from(e: MetadataDivergence) -> Self {
-        Self::Divergence(e)
-    }
-}
-
 impl From<ScheduleError> for RegridError {
     fn from(e: ScheduleError) -> Self {
         match e {
             ScheduleError::Comm(c) => Self::Comm(c),
             ScheduleError::Data(d) => Self::Data(d),
-        }
-    }
-}
-
-impl From<ExchangeError> for RegridError {
-    fn from(e: ExchangeError) -> Self {
-        match e {
-            ExchangeError::Comm(c) => Self::Comm(c),
-            ExchangeError::Divergence(d) => Self::Divergence(d),
         }
     }
 }
@@ -242,12 +205,11 @@ impl Regridder {
             .unwrap_or_else(|e| panic!("regrid: unhandled injected fault: {e}"))
     }
 
-    /// Fault-aware [`Regridder::regrid`]: injected transport, metadata,
-    /// or device faults surface as a typed [`RegridError`] instead of a
-    /// panic. Fault verdicts that could diverge across ranks (clustering
-    /// on rank 0, metadata handshake) are made collective before any rank
-    /// acts on them, so every rank either completes the pass or errors —
-    /// never a hang.
+    /// Fault-aware [`Regridder::regrid`]: injected transport or device
+    /// faults surface as a typed [`RegridError`] instead of a panic.
+    /// Fault verdicts that could diverge across ranks (clustering on
+    /// rank 0) are made collective before any rank acts on them, so
+    /// every rank either completes the pass or errors — never a hang.
     ///
     /// # Errors
     /// [`RegridError`] on the fault; the hierarchy may hold partially
@@ -335,8 +297,6 @@ impl Regridder {
 
         // --- Rebuild + transfer, coarsest first ------------------------
         let nranks = hierarchy.nranks();
-        let rank = hierarchy.rank();
-        let partitioned = self.params.metadata_mode == MetadataMode::Partitioned;
         let mut new_num_levels = 1;
         let mut levels_changed = vec![false; max_levels];
         // Data-plane faults (pack/unpack/p2p) are rank-local: record the
@@ -352,8 +312,10 @@ impl Regridder {
             }
             let owners = partition_sfc(&boxes, nranks);
             rec.count("regrid.patches", boxes.len() as u64);
-            let unchanged = target <= hierarchy.finest_level()
-                && structure_matches(hierarchy, target, &boxes, &owners);
+            let unchanged = target <= hierarchy.finest_level() && {
+                let level = hierarchy.level(target);
+                level.global_boxes() == boxes && level.owners() == owners
+            };
             if unchanged {
                 // The full rebuild against an identical old level is the
                 // identity (refine-from-coarse then overwrite everywhere
@@ -362,39 +324,10 @@ impl Regridder {
                 rec.count("regrid.levels_unchanged", 1);
                 hierarchy.level_mut(target).set_time(time);
             } else {
-                // Planned structure of the next finer level, if one
-                // will exist — it seeds the new level's interest.
-                let finer_plan = (target < finest_target)
-                    .then(|| planned[target + 1].as_deref())
-                    .flatten()
-                    .filter(|b| !b.is_empty())
-                    .map(|b| (b.to_vec(), partition_sfc(b, nranks)));
-                if partitioned {
-                    // The transfer reads the coarse level around every
-                    // new patch and the old level under every new patch:
-                    // widen and re-exchange those views first. Plan and
-                    // digest comparison are rank-invariant, so every
-                    // rank reaches these collectives together.
-                    self.try_refresh_view(
-                        hierarchy,
-                        target - 1,
-                        Some((&boxes, &owners)),
-                        &[],
-                        comm,
-                    )?;
-                    if target <= hierarchy.finest_level() {
-                        let new_owned: Vec<GBox> = boxes
-                            .iter()
-                            .zip(&owners)
-                            .filter(|&(_, &o)| o == rank)
-                            .map(|(&b, _)| b)
-                            .collect();
-                        self.try_refresh_view(hierarchy, target, None, &new_owned, comm)?;
-                    }
-                }
-                if let Err(e) = self.rebuild_level(
-                    hierarchy, registry, target, boxes, owners, finer_plan, specs, comm, time,
-                ) {
+                let rebuilt = Self::rebuild_level(
+                    hierarchy, registry, target, boxes, owners, specs, comm, time,
+                );
+                if let Err(e) = rebuilt {
                     first_err.get_or_insert(e);
                 }
                 levels_changed[target] = true;
@@ -402,16 +335,6 @@ impl Regridder {
             new_num_levels = target + 1;
         }
         hierarchy.truncate_levels(new_num_levels);
-        if partitioned {
-            // Settle every surviving view against the final structure —
-            // unchanged levels whose neighbours changed (or vanished)
-            // retain different records now. Each refresh is a
-            // digest-verified exchange, so this doubles as the
-            // post-regrid metadata handshake.
-            for l in 0..new_num_levels {
-                self.try_refresh_view(hierarchy, l, None, &[], comm)?;
-            }
-        }
         if let Some(comm) = comm {
             comm.try_barrier(Category::Regrid)?;
         }
@@ -430,13 +353,11 @@ impl Regridder {
     /// every peer's exchange completes; the first fault is returned.
     #[allow(clippy::too_many_arguments)]
     fn rebuild_level(
-        &self,
         hierarchy: &mut PatchHierarchy,
         registry: &VariableRegistry,
         target: usize,
         boxes: Vec<GBox>,
         owners: Vec<usize>,
-        finer_plan: Option<(Vec<GBox>, Vec<usize>)>,
         specs: &[TransferSpec],
         comm: Option<&Comm>,
         time: f64,
@@ -444,179 +365,15 @@ impl Regridder {
         let rank = hierarchy.rank();
         let ratio = hierarchy.ratio_to_coarser(target);
         let domain = hierarchy.level_domain(target);
-        // Under partitioned metadata the level ends up holding a view.
-        // The full planned structure is transiently known on every rank
-        // (the plan is replicated), so the view is carved locally; the
-        // post-regrid refresh pass re-exchanges and digest-verifies it
-        // against every peer's owned records.
-        let view = (self.params.metadata_mode == MetadataMode::Partitioned).then(|| {
-            let owned_of = |boxes: &[GBox], owners: &[usize]| -> Vec<GBox> {
-                boxes.iter().zip(owners).filter(|&(_, &o)| o == rank).map(|(&b, _)| b).collect()
-            };
-            let coarser_owned = owned_boxes_of(hierarchy.level(target - 1), rank);
-            let finer = finer_plan
-                .map(|(fb, fo)| (owned_of(&fb, &fo), hierarchy.ratio_to_coarser(target + 1)));
-            let spec = interest_for_level(
-                &owned_of(&boxes, &owners),
-                Some((&coarser_owned, ratio)),
-                finer.as_ref().map(|(b, r)| (b.as_slice(), *r)),
-                self.params.margins,
-            );
-            view_from_global(target, ratio, &domain, &boxes, &owners, rank, &spec)
-        });
         let new_level = PatchLevel::new(target, ratio, boxes, owners, domain, rank, registry);
-        // The transfer plans against the new level's full plan and
-        // reads the old level, held here until the data has moved.
+        // The transfer plans against the new level and reads the old
+        // level, held here until the data has moved.
         let mut outgoing = hierarchy.install_level(target, new_level);
         let old = outgoing.as_ref();
         let transfer =
             RefineSchedule::regrid_transfer(hierarchy, old, registry, target, specs, true);
-        let transferred = transfer.try_transfer(hierarchy, outgoing.as_mut(), registry, comm, time);
-        if let Some(view) = view {
-            hierarchy.level_mut(target).adopt_view(view, rank);
-        }
-        Ok(transferred?)
+        Ok(transfer.try_transfer(hierarchy, outgoing.as_mut(), registry, comm, time)?)
     }
-
-    /// [`try_refresh_partitioned_view`] with this driver's margins.
-    fn try_refresh_view(
-        &self,
-        hierarchy: &mut PatchHierarchy,
-        level_no: usize,
-        finer_override: Option<(&[GBox], &[usize])>,
-        extra_interest: &[GBox],
-        comm: Option<&Comm>,
-    ) -> Result<(), ExchangeError> {
-        try_refresh_partitioned_view(
-            hierarchy,
-            level_no,
-            finer_override,
-            extra_interest,
-            self.params.margins,
-            comm,
-        )
-    }
-}
-
-/// Re-exchange (or first build) `level_no`'s partitioned view so it
-/// reflects the current — or, via `finer_override`, the planned —
-/// adjacent structure, widened by the `extra_interest` footprints a
-/// solution transfer is about to read under. Owned records travel by
-/// allgatherv and the result is digest-verified before adoption; a
-/// replicated level is converted in place, its local patches and data
-/// untouched. Verification and transport faults surface as a typed
-/// [`ExchangeError`]; the verdict is collective — every rank returns
-/// `Err` together, so no rank plans against a divergent view.
-///
-/// # Errors
-/// [`ExchangeError`] when the digest-verified exchange fails.
-pub fn try_refresh_partitioned_view(
-    hierarchy: &mut PatchHierarchy,
-    level_no: usize,
-    finer_override: Option<(&[GBox], &[usize])>,
-    extra_interest: &[GBox],
-    margins: InterestMargins,
-    comm: Option<&Comm>,
-) -> Result<(), ExchangeError> {
-    let rank = hierarchy.rank();
-    let owned: Vec<BoxRecord> =
-        hierarchy.level(level_no).records().iter().filter(|&(_, _, o)| o == rank).collect();
-    let owned_boxes: Vec<GBox> = owned.iter().map(|&(_, b, _)| b).collect();
-    let coarser: Option<(Vec<GBox>, IntVector)> = (level_no > 0).then(|| {
-        (owned_boxes_of(hierarchy.level(level_no - 1), rank), hierarchy.ratio_to_coarser(level_no))
-    });
-    let finer: Option<(Vec<GBox>, IntVector)> = match finer_override {
-        Some((fb, fo)) => Some((
-            fb.iter().zip(fo).filter(|&(_, &o)| o == rank).map(|(&b, _)| b).collect(),
-            hierarchy.ratio_to_coarser(level_no + 1),
-        )),
-        None => (level_no < hierarchy.finest_level()).then(|| {
-            (
-                owned_boxes_of(hierarchy.level(level_no + 1), rank),
-                hierarchy.ratio_to_coarser(level_no + 1),
-            )
-        }),
-    };
-    let mut spec = interest_for_level(
-        &owned_boxes,
-        coarser.as_ref().map(|(b, r)| (b.as_slice(), *r)),
-        finer.as_ref().map(|(b, r)| (b.as_slice(), *r)),
-        margins,
-    );
-    let g = IntVector::uniform(margins.ghost + 2);
-    for &b in extra_interest {
-        spec.interest.add(b.grow(g));
-    }
-    let domain = hierarchy.level_domain(level_no);
-    let ratio = hierarchy.level(level_no).ratio();
-    let view = exchange_level_view(comm, level_no, ratio, &domain, &owned, &spec, rank)?;
-    hierarchy.level_mut(level_no).adopt_view(view, rank);
-    Ok(())
-}
-
-/// Convert every level of the hierarchy to partitioned metadata — or
-/// refresh existing views — coarsest first, each level's exchange
-/// digest-verified. Local patches and their data are untouched, so a
-/// running simulation can switch its metadata in place.
-pub fn partition_hierarchy_metadata(
-    hierarchy: &mut PatchHierarchy,
-    margins: InterestMargins,
-    comm: Option<&Comm>,
-) {
-    try_partition_hierarchy_metadata(hierarchy, margins, comm)
-        .unwrap_or_else(|e| panic!("partition: {e}"));
-}
-
-/// Fault-aware [`partition_hierarchy_metadata`]: the first level whose
-/// digest-verified exchange fails surfaces as a typed
-/// [`ExchangeError`]. Each level's verdict is collective, so every rank
-/// aborts at the same level together — a restore/recovery path can call
-/// this under fault injection without risking divergent communication.
-///
-/// # Errors
-/// [`ExchangeError`] from the first failing level exchange.
-pub fn try_partition_hierarchy_metadata(
-    hierarchy: &mut PatchHierarchy,
-    margins: InterestMargins,
-    comm: Option<&Comm>,
-) -> Result<(), ExchangeError> {
-    for l in 0..hierarchy.num_levels() {
-        try_refresh_partitioned_view(hierarchy, l, None, &[], margins, comm)?;
-    }
-    Ok(())
-}
-
-/// Does `hierarchy.level(target)` already have exactly this planned
-/// structure? Replicated levels compare the full arrays; partitioned
-/// levels (which hold only a partial view) compare the structure digest
-/// the plan finalizes to — the same rank-invariant commitment the
-/// exchange verifies against.
-fn structure_matches(
-    hierarchy: &PatchHierarchy,
-    target: usize,
-    boxes: &[GBox],
-    owners: &[usize],
-) -> bool {
-    let level = hierarchy.level(target);
-    if level.is_partitioned() {
-        let items = structure_items_digest(
-            boxes.iter().zip(owners).enumerate().map(|(i, (&b, &o))| (i, b, o)),
-        );
-        let digest = finalize_structure_digest(
-            target,
-            level.ratio(),
-            &hierarchy.level_domain(target),
-            &items,
-        );
-        digest == level.structure_digest()
-    } else {
-        level.global_boxes() == boxes && level.owners() == owners
-    }
-}
-
-/// Boxes of the records `rank` owns on `level`, ascending by index.
-fn owned_boxes_of(level: &PatchLevel, rank: usize) -> Vec<GBox> {
-    level.records().iter().filter(|&(_, _, o)| o == rank).map(|(_, b, _)| b).collect()
 }
 
 /// The tag count and the Berger–Rigoutsos boxes of `bitmaps`' cells.
@@ -751,69 +508,43 @@ mod tests {
         let (coarse, old, new) =
             (tiles((0, 0), (4, 4)), tiles((16, 16), (3, 3)), tiles((0, 12), (6, 3)));
         for nranks in 1..=8 {
-            for mode in [MetadataMode::Replicated, MetadataMode::Partitioned] {
-                Cluster::new(rbamr_perfmodel::Machine::ipa_cpu_node()).run(nranks, |comm| {
-                    let owners =
-                        |n: usize, k: usize| (0..n).map(|i| (i * k + 1) % nranks).collect();
-                    let (rank, margins) = (comm.rank(), InterestMargins::default());
-                    let mut reg = VariableRegistry::new(Arc::new(HostDataFactory::new()));
-                    let qc = reg.register("qc", Centring::Cell, IntVector::uniform(2));
-                    let qn = reg.register("qn", Centring::Node, IntVector::ONE);
-                    let qk = reg.register("qk", Centring::Cell, IntVector::ONE);
-                    let specs = [
-                        TransferSpec { var: qc, refine_op: Arc::new(ConservativeCellRefine) },
-                        TransferSpec { var: qn, refine_op: Arc::new(LinearNodeRefine) },
-                        TransferSpec { var: qk, refine_op: Arc::new(ConstantRefine) },
-                    ];
-                    let domain = BoxList::from_box(b(0, 0, 32, 32));
-                    let ratio = IntVector::uniform(2);
-                    let mut h = PatchHierarchy::new(
-                        GridGeometry::unit(1.0),
-                        domain,
-                        ratio,
-                        2,
-                        rank,
-                        nranks,
-                    );
-                    h.set_level(0, coarse.clone(), owners(coarse.len(), 5), &reg);
-                    h.set_level(1, old.clone(), owners(old.len(), 3), &reg);
-                    let new_owners: Vec<usize> = owners(new.len(), 7);
-                    if mode == MetadataMode::Partitioned {
-                        let (finer, comm) = (Some((&new[..], &new_owners[..])), Some(&comm));
-                        let mine = new.iter().zip(&new_owners);
-                        let mine: Vec<GBox> =
-                            (mine.filter(|&(_, &o)| o == rank)).map(|(&b, _)| b).collect();
-                        try_partition_hierarchy_metadata(&mut h, margins, comm).unwrap();
-                        try_refresh_partitioned_view(&mut h, 0, finer, &[], margins, comm).unwrap();
-                        try_refresh_partitioned_view(&mut h, 1, None, &mine, margins, comm)
-                            .unwrap();
-                    }
-                    let level = PatchLevel::new(
-                        1,
-                        ratio,
-                        new.clone(),
-                        new_owners,
-                        h.level_domain(1),
-                        rank,
+            Cluster::new(rbamr_perfmodel::Machine::ipa_cpu_node()).run(nranks, |comm| {
+                let owners = |n: usize, k: usize| (0..n).map(|i| (i * k + 1) % nranks).collect();
+                let rank = comm.rank();
+                let mut reg = VariableRegistry::new(Arc::new(HostDataFactory::new()));
+                let qc = reg.register("qc", Centring::Cell, IntVector::uniform(2));
+                let qn = reg.register("qn", Centring::Node, IntVector::ONE);
+                let qk = reg.register("qk", Centring::Cell, IntVector::ONE);
+                let specs = [
+                    TransferSpec { var: qc, refine_op: Arc::new(ConservativeCellRefine) },
+                    TransferSpec { var: qn, refine_op: Arc::new(LinearNodeRefine) },
+                    TransferSpec { var: qk, refine_op: Arc::new(ConstantRefine) },
+                ];
+                let domain = BoxList::from_box(b(0, 0, 32, 32));
+                let ratio = IntVector::uniform(2);
+                let mut h =
+                    PatchHierarchy::new(GridGeometry::unit(1.0), domain, ratio, 2, rank, nranks);
+                h.set_level(0, coarse.clone(), owners(coarse.len(), 5), &reg);
+                h.set_level(1, old.clone(), owners(old.len(), 3), &reg);
+                let new_owners = owners(new.len(), 7);
+                let domain = h.level_domain(1);
+                let level = PatchLevel::new(1, ratio, new.clone(), new_owners, domain, rank, &reg);
+                let outgoing = h.install_level(1, level);
+                let plan = |indexed| {
+                    let t = RefineSchedule::regrid_transfer(
+                        &h,
+                        outgoing.as_ref(),
                         &reg,
+                        1,
+                        &specs,
+                        indexed,
                     );
-                    let outgoing = h.install_level(1, level);
-                    let plan = |indexed| {
-                        let t = RefineSchedule::regrid_transfer(
-                            &h,
-                            outgoing.as_ref(),
-                            &reg,
-                            1,
-                            &specs,
-                            indexed,
-                        );
-                        t.plan_digest()
-                    };
-                    let full = plan(false);
-                    assert!(!full.is_empty() || nranks > 1);
-                    assert_eq!(plan(true), full, "rank {rank} of {nranks}, {mode:?}");
-                });
-            }
+                    t.plan_digest()
+                };
+                let full = plan(false);
+                assert!(!full.is_empty() || nranks > 1);
+                assert_eq!(plan(true), full, "rank {rank} of {nranks}");
+            });
         }
     }
 

@@ -329,13 +329,10 @@ impl ScheduleCache {
 /// assert!(Arc::ptr_eq(&sched, &again));
 /// ```
 ///
-/// Discovery runs over the level's records — all of them over
-/// replicated metadata, the owned + interest neighbourhood of a
-/// partitioned view — and in both modes walks only the destinations
-/// this rank may own an end of a transfer into, so each rank plans only
-/// the transfers it owns an endpoint of, from the same records either
-/// way. View digests equal replicated digests, so cache keys agree
-/// across metadata modes. The all-pairs oracle
+/// Discovery runs over the level's replicated records and walks only
+/// the destinations this rank may own an end of a transfer into, so
+/// each rank plans only the transfers it owns an endpoint of. The
+/// all-pairs oracle
 /// ([`RefineSchedule::new_bruteforce`]) has no index, walks every
 /// destination and never goes through here, so it is never cached.
 ///
@@ -605,10 +602,8 @@ impl RefineSchedule {
     ) -> Self {
         let build_start = std::time::Instant::now();
         let rank = hierarchy.rank();
-        // Plan against the level's records: every record in replicated
-        // mode, the owned + interest neighborhood of a partitioned
-        // view. Records are in ascending global-index order in both
-        // modes, so the relative candidate order — and with it the
+        // Plan against the level's records, in ascending global-index
+        // order, so the relative candidate order — and with it the
         // aggregated message stream layout — is identical on every rank
         // that plans a given pair.
         let same = Sources::shared(memo, hierarchy, level_no, indexed);
@@ -630,7 +625,7 @@ impl RefineSchedule {
                 .or_insert_with(|| plan.geometry(hierarchy, &same, coarse.as_ref(), class));
             for &(dst_pos, ref g) in geometry.iter() {
                 let dst_box = same.recs.box_at(dst_pos);
-                let dst = (same.recs.global_index(dst_pos), same.recs.owner_at(dst_pos));
+                let dst = (dst_pos, same.recs.owner_at(dst_pos));
                 // --- Same-level copies -----------------------------------
                 let end = (spec.var, same.loc(dst_pos), data_box_of(var, dst_box));
                 plan.stamp(&same, &g.same, dst, &[end]);
@@ -663,10 +658,7 @@ impl RefineSchedule {
     /// new level, already installed with its replicated plan — from
     /// `outgoing`, the level it replaced (copies and messages between
     /// equal indices), and from level `level_no - 1` (captured into
-    /// scratch and interpolated) where the old level held nothing. It
-    /// plans against the records each level holds, so both metadata
-    /// modes take this path; under partitioned metadata the caller has
-    /// widened the old and coarse views over this rank's new patches.
+    /// scratch and interpolated) where the old level held nothing.
     ///
     /// The claim rule is the one a serial refine-then-overwrite in
     /// ascending record order obeys — the last source in record order
@@ -726,7 +718,7 @@ impl RefineSchedule {
         let mut cand = Vec::new();
 
         for (npos, &nb) in new.recs.boxes().iter().enumerate().filter(|&(npos, _)| walked[npos]) {
-            let dst = (new.recs.global_index(npos), new.recs.owner_at(npos));
+            let dst = (npos, new.recs.owner_at(npos));
             let mine = dst.1 == rank;
             for (centring, stencil, group) in &groups {
                 let centring = *centring;
@@ -1041,9 +1033,8 @@ impl<'a> Sources<'a> {
         for pos in 0..recs.len() {
             local.push(owned.len());
             if recs.owner_at(pos) == rank {
-                let index = recs.global_index(pos);
                 let patch = level.local().get(owned.len());
-                assert!(patch.is_some_and(|p| p.id().index == index), "patch {index} is not local");
+                assert!(patch.is_some_and(|p| p.id().index == pos), "patch {pos} is not local");
                 owned.push(pos);
             }
         }
@@ -1256,10 +1247,7 @@ impl<'a> Planner<'a> {
             // ghost region can cover any of it; subtracting a disjoint
             // data box is a no-op, so restricting to the candidates
             // leaves `want` bitwise identical to the all-boxes
-            // subtraction. (In partitioned mode the interest closure
-            // guarantees a rank planning for this destination — as its
-            // owner or as a coarse-data sender — holds every record
-            // near it, so both sides compute the same `want`.)
+            // subtraction.
             let in_domain = domain.intersect_box(dst_box.grow(ghosts));
             let mut want = data_region(&in_domain, centring);
             want.subtract_box(centring.data_box(dst_box));
@@ -1302,10 +1290,9 @@ impl<'a> Planner<'a> {
     /// would make the winner depend on the rank layout. Instead `cands`
     /// (record positions, ascending or descending) are walked in order
     /// and each keeps of `region_of(position, box)` only what earlier
-    /// ones left; `claimed` is the running union. A claim only shrinks
-    /// sources it overlaps — neighbours, inside the interest
-    /// neighbourhood of every rank that owns one — so both ends of a
-    /// message derive the same regions (DESIGN.md §13), and the order
+    /// ones left; `claimed` is the running union. Every rank holds every
+    /// record, so both ends of a message derive the same regions
+    /// (DESIGN.md §13), and the order
     /// the stages apply copies and unpacks in cannot matter.
     /// Cell-centred sources are disjoint and skip the calculus, and a
     /// rank owning no end skips the destination wholesale.
@@ -1368,7 +1355,7 @@ impl<'a> Planner<'a> {
         };
         for &(pos, ref region) in claims {
             let src_rank = src.recs.owner_at(pos);
-            let ids = (src.recs.global_index(pos), dst.0);
+            let ids = (pos, dst.0);
             for &(var, dst_loc, dst_data_box) in ends {
                 let overlap =
                     BoxOverlap { dst_boxes: region.clone(), shift: IntVector::ZERO, centring };
@@ -1502,16 +1489,10 @@ impl CoarsenSchedule {
             // depend on the rank layout. The claims per coarse
             // destination accumulate over the fine sources in ascending
             // record order, so a rank walks every candidate pair of a
-            // destination it is an end at, not only its own pairs. A
-            // claim from a record one rank holds and another does not
-            // can only reduce fills it actually overlaps, and
-            // overlapping fine sources are adjacent — inside every
-            // involved rank's interest neighborhood — so the reduced
-            // fills agree across ranks.
+            // destination it is an end at, not only its own pairs.
             let overlapping_centring = centring != Centring::Cell;
             let mut claims: HashMap<usize, BoxList> = HashMap::new();
             for fpos in (0..walked.len()).filter(|&fpos| walked[fpos]) {
-                let fidx = fine.recs.global_index(fpos);
                 let f_rank = fine.recs.owner_at(fpos);
                 let shadow = shadow_of(fpos);
                 coarse.meeting(shadow, &mut coarse_cand);
@@ -1519,7 +1500,6 @@ impl CoarsenSchedule {
                 candidate_pairs += coarse_cand.len() as u64;
                 for &cpos in &coarse_cand {
                     let cbox = coarse.recs.box_at(cpos);
-                    let cidx = coarse.recs.global_index(cpos);
                     let c_rank = coarse.recs.owner_at(cpos);
                     if !overlapping_centring && f_rank != rank && c_rank != rank {
                         continue;
@@ -1530,7 +1510,7 @@ impl CoarsenSchedule {
                     }
                     let mut fill = BoxList::from_box(centring.data_box(region));
                     if overlapping_centring {
-                        let claimed = claims.entry(cidx).or_default();
+                        let claimed = claims.entry(cpos).or_default();
                         fill.subtract(claimed);
                         fill.coalesce();
                         if fill.is_empty() {
@@ -1542,7 +1522,7 @@ impl CoarsenSchedule {
                         continue;
                     }
                     let ov = BoxOverlap { dst_boxes: fill, shift: IntVector::ZERO, centring };
-                    let ids = (fidx, cidx);
+                    let ids = (fpos, cpos);
                     if f_rank != rank {
                         recvs.push(f_rank, spec.var, there(cpos), ov, ids);
                         continue;
@@ -1557,7 +1537,7 @@ impl CoarsenSchedule {
                         pos: narrow(fine.table.local[fpos]),
                         scratch: narrow(scratch.len()),
                         fill: BoxList::from_box(centring.data_box(region)),
-                        src_idx: narrow(fidx),
+                        src_idx: narrow(fpos),
                     };
                     match projects.iter_mut().find(|(o, _)| o.name() == spec.op.name()) {
                         Some((_, jobs)) => jobs.push(job),
@@ -1572,8 +1552,8 @@ impl CoarsenSchedule {
                             src: slot,
                             dst: there(cpos),
                             overlap: ov,
-                            src_idx: narrow(fidx),
-                            dst_idx: narrow(cidx),
+                            src_idx: narrow(fpos),
+                            dst_idx: narrow(cpos),
                         });
                     } else {
                         sends.push(c_rank, spec.var, slot, ov, ids);

@@ -89,7 +89,7 @@ pub fn hierarchy_stats(h: &PatchHierarchy) -> HierarchyStats {
     for l in 0..h.num_levels() {
         let level = h.level(l);
         let boxes: Vec<GBox> = level.global_boxes().to_vec();
-        let owners: Vec<usize> = (0..boxes.len()).map(|i| level.owner_of(i)).collect();
+        let owners: Vec<usize> = level.owners().to_vec();
         let cells = level.num_cells();
         let (mut min_extent, mut max_extent) = (i64::MAX, 0i64);
         for b in &boxes {

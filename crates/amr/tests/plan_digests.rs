@@ -3,18 +3,17 @@
 //!
 //! The two `regrid_digests` decks (`crates/hydro/tests/regrid_decks`)
 //! are run on the host and the device placement at 1, 2 and 4 ranks,
-//! and the triple point also at 8, under replicated and partitioned
-//! metadata. At 8 ranks most destinations of a level are ones a rank
-//! owns no end of, which the builds skip. After every regrid each
-//! rank renders
+//! and the triple point also at 8. At 8 ranks most destinations of a
+//! level are ones a rank owns no end of, which the builds skip. After
+//! every regrid each rank renders
 //! [`rbamr_amr::RefineSchedule::plan_digest`] /
 //! [`rbamr_amr::CoarsenSchedule::plan_digest`] of every schedule the
 //! integrator holds — per level the seven fills in the order it looks
 //! them up, then the syncs — and the lines of all ranks, in rank order,
-//! are hashed with FNV-1a. Both placements and both metadata modes must
-//! produce the one sequence in [`FROZEN`] for their rank count: one
-//! operator set serves every placement, so a plan — which names its
-//! operators — cannot tell where the data lives.
+//! are hashed with FNV-1a. Both placements must produce the one
+//! sequence in [`FROZEN`] for their rank count: one operator set serves
+//! every placement, so a plan — which names its operators — cannot tell
+//! where the data lives.
 //!
 //! The constants were recorded at commit 5833799, from the build that
 //! walked every record of a level once per variable; the 8-rank row at
@@ -30,7 +29,6 @@
 #[path = "../../hydro/tests/regrid_decks/mod.rs"]
 mod regrid_decks;
 
-use rbamr_amr::MetadataMode;
 use rbamr_hydro::Placement;
 use rbamr_netsim::Cluster;
 use rbamr_perfmodel::Machine;
@@ -45,9 +43,9 @@ fn fnv1a<'a>(hash: u64, lines: impl IntoIterator<Item = &'a String>) -> u64 {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One hash per regrid: every schedule of every rank, in rank order.
-fn run(deck: Deck, ranks: usize, placement: Placement, mode: MetadataMode) -> Vec<u64> {
+fn run(deck: Deck, ranks: usize, placement: Placement) -> Vec<u64> {
     let results = Cluster::new(Machine::ipa_gpu()).run(ranks, move |comm| {
-        let mut sim = deck.sim(placement, mode, &comm);
+        let mut sim = deck.sim(placement, &comm);
         let comm = (comm.size() > 1).then_some(&comm);
         sim.initialize(comm);
         let mut after = Vec::new();
@@ -193,19 +191,16 @@ fn plans_after_every_regrid_match_the_frozen_digests() {
     // Every cell runs before the verdict, so one failure prints all
     // that moved, in the form of `FROZEN`.
     let mut moved = String::new();
-    let cells = [Placement::Host, Placement::Device].into_iter().flat_map(|placement| {
-        [MetadataMode::Replicated, MetadataMode::Partitioned].map(|mode| (placement, mode))
-    });
     for (deck, ranks, frozen) in FROZEN {
-        for (placement, mode) in cells.clone() {
-            let measured = run(deck, ranks, placement, mode);
+        for placement in [Placement::Host, Placement::Device] {
+            let measured = run(deck, ranks, placement);
             if measured != frozen {
                 let hex = |h: &u64| {
                     let h = format!("{h:016x}");
                     format!("0x{}_{}_{}_{}", &h[..4], &h[4..8], &h[8..12], &h[12..])
                 };
                 let row = measured.iter().map(hex).collect::<Vec<_>>().join(", ");
-                moved += &format!("{placement:?} {mode:?}: (Deck::{deck:?}, {ranks}, [{row}]),\n");
+                moved += &format!("{placement:?}: (Deck::{deck:?}, {ranks}, [{row}]),\n");
             }
         }
     }

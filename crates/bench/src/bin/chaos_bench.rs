@@ -400,7 +400,6 @@ fn run(placement: Placement, plan: FaultPlan, policy: RecoveryPolicy, nranks: us
             ..rbamr_hydro::HydroConfig::default()
         };
         config.regrid.cluster.min_size = 4;
-        config.regrid.metadata_mode = deck.metadata_mode;
         let spec = SimSpec {
             machine: machine.clone(),
             placement,

@@ -21,25 +21,22 @@
 //!
 //! Two extra modes exercise the event-driven rank scheduler at scale:
 //!
-//! * `--ranks N [--metadata replicated|partitioned]` runs the real
-//!   triple-point problem on `N` simulated ranks (small per-rank
-//!   workload, 2 steps) under the requested metadata mode and prints
-//!   one `SCALE_JSON {...}` line with wall time and the process
-//!   peak-RSS (`VmHWM`).
-//! * `--scale-smoke [--metadata ...] [--json <path>]` re-executes this
-//!   binary as a child process at 256 and then 1,024 ranks (`VmHWM` is
-//!   a process-lifetime high-water mark, so each rank count needs a
-//!   fresh process), gates per-rank memory sublinearity and wall-clock
-//!   budgets, and writes a combined JSON artifact for CI. With
-//!   `--metadata partitioned` it additionally runs a replicated
-//!   1,024-rank comparison child, requires partitioned metadata to win
-//!   on peak per-rank RSS, and gates the per-`allgatherv` frame count
-//!   of the log-depth collectives in process.
+//! * `--ranks N` runs the real triple-point problem on `N` simulated
+//!   ranks (small per-rank workload, 2 steps) and prints one
+//!   `SCALE_JSON {...}` line with wall time and the process peak-RSS
+//!   (`VmHWM`).
+//! * `--scale-smoke [--json <path>]` re-executes this binary as a child
+//!   process at 256, 1,024 and 4,096 ranks (`VmHWM` is a
+//!   process-lifetime high-water mark, so each rank count needs a fresh
+//!   process), gates per-rank memory sublinearity, a per-rank ceiling
+//!   and wall-clock budgets, gates the per-`allgatherv` frame count of
+//!   the log-depth collectives in process, and writes a combined JSON
+//!   artifact for CI.
 
 use rbamr_bench::{
     csv_dir_arg, measure_profile, metrics_path_arg, path_arg, trace_path_arg, vm_hwm_kb, write_csv,
 };
-use rbamr_hydro::{HydroConfig, HydroSim, MetadataMode, Placement};
+use rbamr_hydro::{HydroConfig, HydroSim, Placement};
 use rbamr_netsim::Cluster;
 use rbamr_perfmodel::{Category, Machine};
 use rbamr_problems::synthetic::WeakScalingModel;
@@ -203,50 +200,19 @@ impl RealRun {
 /// that every rank owns real patches and sends real halos.
 const SCALE_COARSE_PER_RANK: i64 = 256;
 
-fn metadata_name(mode: MetadataMode) -> &'static str {
-    match mode {
-        MetadataMode::Replicated => "replicated",
-        MetadataMode::Partitioned => "partitioned",
-    }
-}
-
-fn metadata_arg(args: &[String]) -> MetadataMode {
-    match args.iter().position(|a| a == "--metadata") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("replicated") => MetadataMode::Replicated,
-            Some("partitioned") => MetadataMode::Partitioned,
-            other => panic!("usage: --metadata replicated|partitioned (got {other:?})"),
-        },
-        None => MetadataMode::Replicated,
-    }
-}
-
 /// One `--ranks N` run: the real triple-point problem at `N` simulated
 /// ranks, weak-scaled workload. Prints a machine-readable `SCALE_JSON`
 /// line for the `--scale-smoke` parent.
-///
-/// Both metadata modes are viable here since the log-depth collectives
-/// landed: the partitioned conversion's `allgatherv` costs
-/// O(N log N) frames per level refresh instead of the old all-to-all
-/// N·(N-1), so each rank durably holds only its interest neighborhood
-/// instead of the replicated global box list. The replicated mode
-/// gates the *rank execution model*; the partitioned mode additionally
-/// gates the metadata memory win.
-fn scale_run(ranks: usize, mode: MetadataMode) {
+fn scale_run(ranks: usize) {
     let started = std::time::Instant::now();
     let total_coarse = SCALE_COARSE_PER_RANK * ranks as i64;
     let ny = ((total_coarse as f64 / (7.0 / 3.0)).sqrt()).round() as i64;
     let nx = ny * 7 / 3;
-    println!(
-        "fig11_weak --ranks {ranks}: triple point, {nx}x{ny} coarse, {LEVELS} levels, \
-         {} metadata",
-        metadata_name(mode)
-    );
+    println!("fig11_weak --ranks {ranks}: triple point, {nx}x{ny} coarse, {LEVELS} levels");
     let results = Cluster::new(Machine::titan()).with_stack_size(1 << 20).run(ranks, move |comm| {
         let mut config =
             HydroConfig { regrid_interval: 0, max_patch_size: 16, ..HydroConfig::default() };
         config.regrid.max_patch_size = 16;
-        config.regrid.metadata_mode = mode;
         let mut sim = HydroSim::new(
             Machine::titan(),
             Placement::Device,
@@ -271,10 +237,8 @@ fn scale_run(ranks: usize, mode: MetadataMode) {
     let stored_cells = results[0].value;
     let hwm = vm_hwm_kb().unwrap_or(0);
     println!(
-        "SCALE_JSON {{\"ranks\": {ranks}, \"metadata\": \"{}\", \"wall_ms\": {}, \
-         \"vm_hwm_kb\": {hwm}, \"stored_cells\": {stored_cells}, \
-         \"virtual_seconds\": {virtual_seconds:.6}}}",
-        metadata_name(mode),
+        "SCALE_JSON {{\"ranks\": {ranks}, \"wall_ms\": {}, \"vm_hwm_kb\": {hwm}, \
+         \"stored_cells\": {stored_cells}, \"virtual_seconds\": {virtual_seconds:.6}}}",
         wall.as_millis(),
     );
 }
@@ -287,10 +251,16 @@ struct ScaleSample {
     json: String,
 }
 
-fn scale_child(ranks: usize, mode: MetadataMode) -> ScaleSample {
+impl ScaleSample {
+    fn per_rank_kb(&self) -> u64 {
+        self.vm_hwm_kb / self.ranks as u64
+    }
+}
+
+fn scale_child(ranks: usize) -> ScaleSample {
     let exe = std::env::current_exe().expect("scale-smoke: current_exe");
     let out = std::process::Command::new(exe)
-        .args(["--ranks", &ranks.to_string(), "--metadata", metadata_name(mode)])
+        .args(["--ranks", &ranks.to_string()])
         .output()
         .expect("scale-smoke: spawn child");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -351,31 +321,35 @@ fn frames_gate(failures: &mut Vec<String>) -> (u64, u64) {
 }
 
 /// CI gate: the event-driven scheduler must hold per-rank memory
-/// sublinear and wall time bounded as simulated ranks quadruple. Under
-/// partitioned metadata, the mode must additionally *win* on peak
-/// per-rank RSS against a replicated run at 1,024 ranks, and the
-/// collectives behind the exchange must be log-depth.
-fn scale_smoke(mode: MetadataMode) {
+/// sublinear and wall time bounded as simulated ranks quadruple twice,
+/// up to the paper's 4,096 nodes, and the collectives must be
+/// log-depth on the wire.
+fn scale_smoke() {
     // Wall budgets sit far above the measured values (release build on
-    // one core of a 2-vCPU Xeon VM: 0.6-1.0 s at 256 ranks, 4.1-5.6 s at 1,024),
-    // so they catch order-of-magnitude regressions — a return to
-    // thread-per-rank scheduling or a wall-clock sleep — not jitter.
-    const WALL_BUDGET_256_MS: u64 = 15_000;
-    const WALL_BUDGET_1024_MS: u64 = 120_000;
-    // Per-rank peak-RSS ceiling at 1,024 ranks (measured ~480 KiB).
-    // Thread-per-rank needs a multi-MiB touched stack per rank; the
-    // cooperative scheduler with 1 MiB carrier stacks stays well under.
+    // one core of a 2-vCPU Xeon VM: 0.6-1.3 s at 256 ranks, 4.1-5.6 s at
+    // 1,024, 28.7-36.0 s at 4,096), so they catch order-of-magnitude
+    // regressions — a return to thread-per-rank scheduling or a
+    // wall-clock sleep — not jitter. The 4,096-rank budget keeps the
+    // 1,024-rank one's ~21x headroom over its slowest measured run.
+    const WALL_BUDGETS_MS: [(usize, u64); 3] = [(256, 15_000), (1024, 120_000), (4096, 770_000)];
+    // Per-rank peak-RSS ceiling at 1,024 and 4,096 ranks (measured ~440
+    // and ~640 KiB). Thread-per-rank needs a multi-MiB touched stack per
+    // rank; the cooperative scheduler with 1 MiB carrier stacks stays
+    // well under.
     const PER_RANK_KB_CEILING: u64 = 1024;
 
     println!(
-        "fig11_weak --scale-smoke: 256 -> 1,024 simulated ranks, {} metadata \
-         (fresh child per count)",
-        metadata_name(mode)
+        "fig11_weak --scale-smoke: 256 -> 1,024 -> 4,096 simulated ranks (fresh child per count)"
     );
-    let small = scale_child(256, mode);
-    println!("  256 ranks: wall {} ms, VmHWM {} KiB", small.wall_ms, small.vm_hwm_kb);
-    let large = scale_child(1024, mode);
-    println!("  1024 ranks: wall {} ms, VmHWM {} KiB", large.wall_ms, large.vm_hwm_kb);
+    let samples: Vec<ScaleSample> = WALL_BUDGETS_MS
+        .iter()
+        .map(|&(ranks, _)| {
+            let sample = scale_child(ranks);
+            println!("  {ranks} ranks: wall {} ms, VmHWM {} KiB", sample.wall_ms, sample.vm_hwm_kb);
+            sample
+        })
+        .collect();
+    let [small, large, largest] = &samples[..] else { unreachable!("three rank counts") };
 
     let mut failures = Vec::new();
     // Per-rank memory sublinearity: rank count x4 while peak RSS per
@@ -383,20 +357,27 @@ fn scale_smoke(mode: MetadataMode) {
     // Anything per-rank that secretly scales with *global* size — a
     // replicated O(ranks) structure per rank, per-peer transport state
     // — shows up here as superlinear total growth.
-    let small_per_rank_kb = small.vm_hwm_kb / small.ranks as u64;
-    let per_rank_kb = large.vm_hwm_kb / large.ranks as u64;
+    let (small_per_rank_kb, per_rank_kb) = (small.per_rank_kb(), large.per_rank_kb());
     if 2 * per_rank_kb >= 3 * small_per_rank_kb {
         failures.push(format!(
             "per-rank memory not sublinear: {per_rank_kb} KiB/rank at 1024 ranks >= 1.5x the \
              {small_per_rank_kb} KiB/rank at 256 ranks"
         ));
     }
-    if per_rank_kb >= PER_RANK_KB_CEILING {
-        failures.push(format!(
-            "per-rank peak RSS {per_rank_kb} KiB at 1024 ranks >= {PER_RANK_KB_CEILING} KiB ceiling"
-        ));
+    // Recorded, not gated: the replicated level metadata grows with the
+    // global patch count (measured 1.46x for 1,024 -> 4,096 ranks).
+    let growth_to_largest = largest.per_rank_kb() as f64 / per_rank_kb as f64;
+    println!("  per-rank growth 1,024 -> 4,096 ranks: {growth_to_largest:.2}x");
+    for sample in [large, largest] {
+        if sample.per_rank_kb() >= PER_RANK_KB_CEILING {
+            failures.push(format!(
+                "per-rank peak RSS {} KiB at {} ranks >= {PER_RANK_KB_CEILING} KiB ceiling",
+                sample.per_rank_kb(),
+                sample.ranks
+            ));
+        }
     }
-    for (sample, budget) in [(&small, WALL_BUDGET_256_MS), (&large, WALL_BUDGET_1024_MS)] {
+    for (sample, &(_, budget)) in samples.iter().zip(&WALL_BUDGETS_MS) {
         if sample.wall_ms > budget {
             failures.push(format!(
                 "wall budget blown at {} ranks: {} ms > {budget} ms",
@@ -404,48 +385,19 @@ fn scale_smoke(mode: MetadataMode) {
             ));
         }
     }
-
-    // Partitioned metadata must *win* on peak per-rank RSS against a
-    // replicated run of the identical workload at 1,024 ranks, and the
-    // exchange's collectives must be log-depth on the wire.
-    let mut runs = vec![small.json.clone(), large.json.clone()];
-    let mut extra_fields = String::new();
-    if mode == MetadataMode::Partitioned {
-        let repl = scale_child(1024, MetadataMode::Replicated);
-        println!(
-            "  1024 ranks (replicated comparison): wall {} ms, VmHWM {} KiB",
-            repl.wall_ms, repl.vm_hwm_kb
-        );
-        if large.vm_hwm_kb >= repl.vm_hwm_kb {
-            failures.push(format!(
-                "partitioned metadata does not beat replicated on peak RSS at 1024 ranks: \
-                 {} KiB >= {} KiB",
-                large.vm_hwm_kb, repl.vm_hwm_kb
-            ));
-        } else {
-            println!(
-                "  partitioned beats replicated on peak RSS: {} KiB < {} KiB ({:.1}% saved)",
-                large.vm_hwm_kb,
-                repl.vm_hwm_kb,
-                (1.0 - large.vm_hwm_kb as f64 / repl.vm_hwm_kb as f64) * 100.0
-            );
-        }
-        let (frames, bound) = frames_gate(&mut failures);
-        extra_fields = format!(
-            ",\n  \"allgatherv_frames_1024\": {frames},\n  \"allgatherv_frame_bound\": {bound}"
-        );
-        runs.push(repl.json.clone());
-    }
+    let (frames, bound) = frames_gate(&mut failures);
 
     let json_path =
         path_arg("--json").unwrap_or_else(|| std::path::PathBuf::from("target/scale_smoke.json"));
+    let budgets = WALL_BUDGETS_MS.map(|(_, ms)| ms.to_string()).join(", ");
+    let runs: Vec<&str> = samples.iter().map(|s| s.json.as_str()).collect();
     let json = format!(
-        "{{\n  \"pass\": {},\n  \"metadata\": \"{}\",\n  \"per_rank_growth_limit\": 1.5,\n  \
-         \"per_rank_kb_ceiling\": {PER_RANK_KB_CEILING},\n  \"wall_budgets_ms\": \
-         [{WALL_BUDGET_256_MS}, {WALL_BUDGET_1024_MS}]{extra_fields},\n  \"failures\": [{}],\n  \
-         \"runs\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"pass\": {},\n  \"per_rank_growth_limit\": 1.5,\n  \
+         \"per_rank_growth_1024_to_4096\": {growth_to_largest:.3},\n  \
+         \"per_rank_kb_ceiling\": {PER_RANK_KB_CEILING},\n  \"wall_budgets_ms\": [{budgets}],\n  \
+         \"allgatherv_frames_1024\": {frames},\n  \"allgatherv_frame_bound\": {bound},\n  \
+         \"failures\": [{}],\n  \"runs\": [\n    {}\n  ]\n}}\n",
         failures.is_empty(),
-        metadata_name(mode),
         failures.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
         runs.join(",\n    "),
     );
@@ -457,9 +409,14 @@ fn scale_smoke(mode: MetadataMode) {
 
     if failures.is_empty() {
         println!(
-            "scale-smoke PASS: {} -> {} KiB/rank peak RSS for x4 ranks, \
-             VmHWM {} -> {} KiB total",
-            small_per_rank_kb, per_rank_kb, small.vm_hwm_kb, large.vm_hwm_kb
+            "scale-smoke PASS: {} -> {} -> {} KiB/rank peak RSS for x4 and x16 ranks, \
+             VmHWM {} -> {} -> {} KiB total",
+            small_per_rank_kb,
+            per_rank_kb,
+            largest.per_rank_kb(),
+            small.vm_hwm_kb,
+            large.vm_hwm_kb,
+            largest.vm_hwm_kb
         );
     } else {
         for f in &failures {
@@ -474,11 +431,11 @@ fn main() {
     if let Some(i) = args.iter().position(|a| a == "--ranks") {
         let ranks =
             args.get(i + 1).and_then(|v| v.parse().ok()).expect("usage: fig11_weak --ranks <N>");
-        scale_run(ranks, metadata_arg(&args));
+        scale_run(ranks);
         return;
     }
     if args.iter().any(|a| a == "--scale-smoke") {
-        scale_smoke(metadata_arg(&args));
+        scale_smoke();
         return;
     }
 

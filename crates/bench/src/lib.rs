@@ -239,8 +239,9 @@ pub fn schedule_bench_hierarchy(
 /// As [`schedule_bench_hierarchy`], with owners assigned by the
 /// production space-filling-curve partitioner
 /// ([`rbamr_amr::balance::partition_sfc`]) instead of round-robin, so
-/// each rank owns a compact block. Used by the partitioned-metadata
-/// benchmark, where per-rank retention depends on ownership locality.
+/// each rank owns a compact block. `schedule_bench` gates the owner-only
+/// walk on it, where the pairs a rank walks depend on ownership
+/// locality.
 pub fn schedule_bench_hierarchy_sfc(
     fine_patches: usize,
     rank: usize,

@@ -1,18 +1,14 @@
-//! Acceptance sweep for elastic shrink-and-recover (ISSUE 10): a seeded
-//! `RankKill` on the Sod and triple-point decks must complete with
+//! Acceptance sweep for elastic shrink-and-recover: a seeded `RankKill`
+//! on the Sod and triple-point decks must complete with
 //! `state_field_digest` bitwise-identical to a fault-free run at the
-//! surviving rank count — across 2–8 ranks and both metadata modes.
-//! The rank-count-independent checkpoint manifest is what makes this
-//! possible: survivors repartition the last adopted checkpoint by patch
-//! identity, not by the original rank layout.
+//! surviving rank count — across 2–8 ranks. The rank-count-independent
+//! checkpoint manifest is what makes this possible: survivors
+//! repartition the last adopted checkpoint by patch identity, not by
+//! the original rank layout.
 //!
-//! One test per (deck, metadata mode) cell; each sweeps the
-//! rank counts so the per-cell cost stays bounded while the full
-//! cross-product is still exercised.
+//! One test per deck; each sweeps the rank counts.
 
-use rbamr_hydro::{
-    HydroConfig, MetadataMode, Placement, RecoveryPolicy, ResilienceError, ResilientSim, SimSpec,
-};
+use rbamr_hydro::{HydroConfig, Placement, RecoveryPolicy, ResilienceError, ResilientSim, SimSpec};
 use rbamr_netsim::{Cluster, FaultPlan, FaultRule};
 use rbamr_perfmodel::Machine;
 use rbamr_problems::{sod_regions, triple_point_regions, TRIPLE_POINT_EXTENT};
@@ -30,7 +26,7 @@ enum Deck {
     TriplePoint,
 }
 
-fn spec(deck: Deck, mode: MetadataMode, rank: usize, nranks: usize) -> SimSpec {
+fn spec(deck: Deck, rank: usize, nranks: usize) -> SimSpec {
     let (extent, coarse_cells, regions) = match deck {
         Deck::Sod => ((1.0, 1.0), (24, 24), sod_regions()),
         Deck::TriplePoint => (TRIPLE_POINT_EXTENT, (28, 12), triple_point_regions()),
@@ -38,7 +34,6 @@ fn spec(deck: Deck, mode: MetadataMode, rank: usize, nranks: usize) -> SimSpec {
     let mut config =
         HydroConfig { regrid_interval: 5, max_patch_size: 8, ..HydroConfig::default() };
     config.regrid.cluster.min_size = 4;
-    config.regrid.metadata_mode = mode;
     SimSpec {
         machine: Machine::ipa_cpu_node(),
         placement: Placement::Host,
@@ -61,7 +56,6 @@ fn policy() -> RecoveryPolicy {
 /// ascending original-rank order.
 fn run(
     deck: Deck,
-    mode: MetadataMode,
     nranks: usize,
     plan: FaultPlan,
     policy: RecoveryPolicy,
@@ -72,7 +66,7 @@ fn run(
             let rank = comm.rank();
             let recorder = Recorder::new(rank, comm.clock().clone());
             let mut sim =
-                ResilientSim::new(spec(deck, mode, rank, nranks), policy, recorder, Some(&comm))?;
+                ResilientSim::new(spec(deck, rank, nranks), policy, recorder, Some(&comm))?;
             sim.run_steps(STEPS, Some(&comm))?;
             let stats = sim.stats();
             assert_eq!(stats.shrinks, if comm.dead_ranks().is_empty() { 0 } else { 1 });
@@ -88,19 +82,19 @@ fn run(
 
 /// Kill rank `VICTIM` at `KILL_STEP` on `nranks` ranks and require the
 /// survivors' digests to match a fault-free run at `nranks - 1`.
-fn assert_shrink_matches_survivor_baseline(deck: Deck, mode: MetadataMode) {
+fn assert_shrink_matches_survivor_baseline(deck: Deck) {
     for nranks in [2usize, 4, 8] {
-        let baseline = run(deck, mode, nranks - 1, FaultPlan::none(), policy());
+        let baseline = run(deck, nranks - 1, FaultPlan::none(), policy());
         let plan = FaultPlan::new(
             1000 + nranks as u64,
             vec![FaultRule::rank_kill(VICTIM, KILL_STEP as u64)],
         );
-        let killed = run(deck, mode, nranks, plan, policy());
+        let killed = run(deck, nranks, plan, policy());
 
         assert_eq!(
             killed[VICTIM],
             Err(ResilienceError::Killed { rank: VICTIM, at_step: KILL_STEP }),
-            "{deck:?}/{mode:?}/{nranks}r: victim must report its own death"
+            "{deck:?}/{nranks}r: victim must report its own death"
         );
         // Survivors in ascending original-rank order take logical
         // ranks 0.. after the shrink; each must match the fault-free
@@ -110,14 +104,14 @@ fn assert_shrink_matches_survivor_baseline(deck: Deck, mode: MetadataMode) {
             if orig == VICTIM {
                 continue;
             }
-            let digest = outcome.as_ref().unwrap_or_else(|e| {
-                panic!("{deck:?}/{mode:?}/{nranks}r: survivor {orig} failed: {e}")
-            });
+            let digest = outcome
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{deck:?}/{nranks}r: survivor {orig} failed: {e}"));
             let expect = baseline[logical].as_ref().expect("fault-free baseline cannot fail");
             assert_eq!(
                 digest,
                 expect,
-                "{deck:?}/{mode:?}/{nranks}r: survivor {orig} (logical {logical}) \
+                "{deck:?}/{nranks}r: survivor {orig} (logical {logical}) \
                  diverged from the {}-rank fault-free baseline",
                 nranks - 1
             );
@@ -128,22 +122,12 @@ fn assert_shrink_matches_survivor_baseline(deck: Deck, mode: MetadataMode) {
 
 #[test]
 fn sod_shrinks_event_driven_replicated() {
-    assert_shrink_matches_survivor_baseline(Deck::Sod, MetadataMode::Replicated);
-}
-
-#[test]
-fn sod_shrinks_event_driven_partitioned() {
-    assert_shrink_matches_survivor_baseline(Deck::Sod, MetadataMode::Partitioned);
+    assert_shrink_matches_survivor_baseline(Deck::Sod);
 }
 
 #[test]
 fn triple_point_shrinks_event_driven_replicated() {
-    assert_shrink_matches_survivor_baseline(Deck::TriplePoint, MetadataMode::Replicated);
-}
-
-#[test]
-fn triple_point_shrinks_event_driven_partitioned() {
-    assert_shrink_matches_survivor_baseline(Deck::TriplePoint, MetadataMode::Partitioned);
+    assert_shrink_matches_survivor_baseline(Deck::TriplePoint);
 }
 
 /// A loss that would shrink below `min_ranks` fails fast with the same
@@ -152,7 +136,7 @@ fn triple_point_shrinks_event_driven_partitioned() {
 fn loss_below_min_ranks_fails_fast_on_every_survivor() {
     let policy = RecoveryPolicy { min_ranks: 4, ..policy() };
     let plan = FaultPlan::new(77, vec![FaultRule::rank_kill(VICTIM, KILL_STEP as u64)]);
-    let results = run(Deck::Sod, MetadataMode::Replicated, 4, plan, policy);
+    let results = run(Deck::Sod, 4, plan, policy);
     assert_eq!(results[VICTIM], Err(ResilienceError::Killed { rank: VICTIM, at_step: KILL_STEP }));
     for orig in [0usize, 2, 3] {
         assert_eq!(

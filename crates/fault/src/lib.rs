@@ -32,16 +32,13 @@ pub enum FaultKind {
     /// A point-to-point message is delayed: delivery charges extra
     /// virtual time but the payload is intact. No error is raised.
     MsgDelay,
-    /// A collective (allreduce / barrier / digest) fails; every
+    /// A collective (allreduce / barrier / gather) fails; every
     /// participating rank observes the same typed error.
     CollectiveFault,
     /// A device allocation reports out-of-memory.
     AllocFail,
     /// A host↔device transfer fails.
     CopyFail,
-    /// A box record in a partitioned-metadata exchange is corrupted in
-    /// flight, tripping the digest verification on every rank.
-    MetadataCorrupt,
     /// The rank dies permanently: it marks itself dead in the network,
     /// returns a typed error from its program, and never communicates
     /// again. Survivors observe `rbamr_netsim`'s dead-rank state
@@ -55,7 +52,7 @@ pub enum FaultKind {
 }
 
 /// Number of distinct [`FaultKind`]s (for per-kind counter arrays).
-pub const NUM_KINDS: usize = 8;
+pub const NUM_KINDS: usize = 7;
 
 impl FaultKind {
     /// Dense index for per-kind counters.
@@ -67,8 +64,7 @@ impl FaultKind {
             FaultKind::CollectiveFault => 3,
             FaultKind::AllocFail => 4,
             FaultKind::CopyFail => 5,
-            FaultKind::MetadataCorrupt => 6,
-            FaultKind::RankKill => 7,
+            FaultKind::RankKill => 6,
         }
     }
 
@@ -81,7 +77,6 @@ impl FaultKind {
             FaultKind::CollectiveFault,
             FaultKind::AllocFail,
             FaultKind::CopyFail,
-            FaultKind::MetadataCorrupt,
             FaultKind::RankKill,
         ]
     }
@@ -95,7 +90,6 @@ impl FaultKind {
             FaultKind::CollectiveFault => "collective",
             FaultKind::AllocFail => "alloc_fail",
             FaultKind::CopyFail => "copy_fail",
-            FaultKind::MetadataCorrupt => "metadata_corrupt",
             FaultKind::RankKill => "rank_kill",
         }
     }

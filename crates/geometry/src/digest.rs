@@ -136,29 +136,14 @@ impl UnorderedDigest {
     }
 
     /// Fold another accumulator into this one. Because every channel is
-    /// commutative and associative, merging per-rank partial digests (in
-    /// any order, e.g. through an allreduce) yields exactly the digest a
-    /// single pass over the union of the items would have produced —
-    /// this is what lets a rank holding only its owned metadata verify
-    /// agreement with the replicated whole.
+    /// commutative and associative, merging per-rank partial digests in
+    /// any order yields exactly the digest a single pass over the union
+    /// of the items would have produced.
     #[inline]
     pub fn merge(&mut self, other: &Self) {
         self.sum = self.sum.wrapping_add(other.sum);
         self.xor ^= other.xor;
         self.count = self.count.wrapping_add(other.count);
-    }
-
-    /// The raw channel words `[sum, xor, count]` for wire transport
-    /// (e.g. a 3-word allreduce whose combine matches [`Self::merge`]).
-    #[must_use]
-    pub fn to_words(&self) -> [u64; 3] {
-        [self.sum, self.xor, self.count]
-    }
-
-    /// Rebuild an accumulator from its [`Self::to_words`] channels.
-    #[must_use]
-    pub fn from_words(words: [u64; 3]) -> Self {
-        Self { sum: words[0], xor: words[1], count: words[2] }
     }
 
     /// Collapse to a single 64-bit digest.

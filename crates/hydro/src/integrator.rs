@@ -31,10 +31,9 @@ use rbamr_amr::regrid::TransferSpec;
 use rbamr_amr::restart::RestoreError;
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    balance, try_partition_hierarchy_metadata, CoarsenOperator, CoarsenSchedule, FillWindow,
-    GridGeometry, HostDataFactory, MetadataMode, Patch, PatchHierarchy, RefineOperator,
-    RefineSchedule, RegridError, RegridOutcome, RegridParams, Regridder, ScheduleBuild,
-    ScheduleCache, ScheduleError, VariableId, VariableRegistry,
+    balance, CoarsenOperator, CoarsenSchedule, FillWindow, GridGeometry, HostDataFactory, Patch,
+    PatchHierarchy, RefineOperator, RefineSchedule, RegridError, RegridOutcome, RegridParams,
+    Regridder, ScheduleBuild, ScheduleCache, ScheduleError, VariableId, VariableRegistry,
 };
 use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -114,14 +113,14 @@ pub struct StepStats {
 /// worst failure kind across ranks — so every rank returns the same
 /// variant and a recovery driver makes identical decisions everywhere.
 ///
-/// * `Comm` — a transport or metadata fault. Retry after rollback.
+/// * `Comm` — a transport fault. Retry after rollback.
 /// * `Device` — a device allocation or transfer fault. Retrying may
 ///   help for a transient fault; a persistent one calls for degrading
 ///   the placement (device → copy-back → host).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
     /// A communication-layer fault (message drop/corruption, collective
-    /// fault, metadata divergence) spoiled the step.
+    /// fault) spoiled the step.
     Comm {
         /// The first locally observed fault, or a note that the fault
         /// was reported by a peer rank.
@@ -166,7 +165,6 @@ impl From<RegridError> for SimError {
     fn from(e: RegridError) -> Self {
         match e {
             RegridError::Comm(c) => Self::Comm { detail: c.to_string() },
-            RegridError::Divergence(d) => Self::Comm { detail: d.to_string() },
             RegridError::Data(d) => Self::Device { detail: d.to_string() },
         }
     }
@@ -412,21 +410,14 @@ impl HydroSim {
     /// Rebuild schedules and re-prime derived fields after a restore.
     ///
     /// # Errors
-    /// [`RestoreError::Exchange`] when a fault interrupts the metadata
-    /// conversion or the priming ghost fill. The metadata verdict is
-    /// collective (every rank aborts together); a fill fault is
-    /// rank-local but runs through, so the communication pattern stays
-    /// aligned and the caller's commit reduction can make it symmetric.
+    /// [`RestoreError::Exchange`] when a fault interrupts the priming
+    /// ghost fill. A fill fault is rank-local but runs through, so the
+    /// communication pattern stays aligned and the caller's commit
+    /// reduction can make it symmetric.
     pub(crate) fn reprime_after_restart(
         &mut self,
         comm: Option<&Comm>,
     ) -> Result<(), RestoreError> {
-        if self.config.regrid.metadata_mode == MetadataMode::Partitioned {
-            // Restore rebuilds levels replicated; convert back before
-            // schedules are rebuilt.
-            try_partition_hierarchy_metadata(&mut self.hierarchy, self.config.regrid.margins, comm)
-                .map_err(|e| RestoreError::Exchange { detail: e.to_string() })?;
-        }
         self.rebuild_schedules();
         let refill = self.try_fill_start(comm);
         self.eos_and_viscosity();
@@ -458,9 +449,6 @@ impl HydroSim {
     /// when the next one opens.
     fn rebuild_schedules(&mut self) {
         let mut cache = std::mem::take(&mut self.schedule_cache);
-        // Over partitioned metadata the build plans owner-computes from
-        // the held records; plans (and so cache keys) are
-        // digest-identical to the replicated build.
         let mut build = ScheduleBuild::with_cache(&mut cache);
         let f = &self.fields;
         let start_vars = [f.density0, f.energy0, f.xvel0, f.yvel0];
@@ -650,19 +638,10 @@ impl HydroSim {
         fills.chain(self.sync_schedules.iter().map(|s| s.plan_digest())).collect()
     }
 
-    /// Switch how level metadata is held: sets
-    /// [`RegridParams::metadata_mode`]. Must be called before
-    /// [`HydroSim::initialize`]: initialisation performs the replicated
-    /// → partitioned conversion exchange of level 0.
-    pub fn set_metadata_mode(&mut self, mode: MetadataMode) {
-        self.config.regrid.metadata_mode = mode;
-    }
-
     /// Order-independent digest over every local patch's packed field
     /// bytes (bound to level, patch index and variable), rank-local.
     /// Two runs whose digests agree on every rank hold bitwise
-    /// identical resident state — the cross-crate tests use this to
-    /// show `metadata_mode` does not perturb the solution.
+    /// identical resident state.
     pub fn local_state_digest(&self) -> u64 {
         let vars: Vec<VariableId> = (0..self.registry.len()).map(VariableId).collect();
         self.digest_of_vars(&vars)
@@ -732,14 +711,6 @@ impl HydroSim {
         let rec = self.recorder.clone();
         let _span = rec.is_enabled().then(|| rec.span("initialize", Category::Other));
         let mut first: Option<SimError> = None;
-        if self.config.regrid.metadata_mode == MetadataMode::Partitioned {
-            // Convert the level-0 metadata to partitioned views before
-            // the first regrid; the regrids below keep every level
-            // partitioned from then on. The exchange verdict is
-            // collective, so this early return is symmetric.
-            try_partition_hierarchy_metadata(&mut self.hierarchy, self.config.regrid.margins, comm)
-                .map_err(|e| SimError::Comm { detail: e.to_string() })?;
-        }
         self.apply_initial_state();
         for _ in 0..self.hierarchy.max_levels() - 1 {
             let before = self.hierarchy.num_levels();
@@ -1113,8 +1084,8 @@ impl HydroSim {
     /// schedules stay consistent across ranks either way.
     ///
     /// # Errors
-    /// [`SimError`] when the regrid's transport, metadata verification
-    /// or patch-data transfer faulted.
+    /// [`SimError`] when the regrid's transport or patch-data transfer
+    /// faulted.
     pub fn try_regrid(&mut self, comm: Option<&Comm>) -> Result<RegridOutcome, SimError> {
         let regridder = Regridder::new(self.config.regrid.clone());
         let f = self.fields;
@@ -1341,22 +1312,6 @@ mod tests {
         assert_eq!(rec.counter("schedule.cache_misses"), misses);
         assert!(rec.counter("schedule.cache_hits") > hits, "every lookup must hit the cache");
         assert!(rec.counter("regrid.levels_unchanged") > 0);
-    }
-
-    /// `config.regrid.metadata_mode` is the one metadata-mode setting:
-    /// set alone, it partitions level 0 at initialisation and every
-    /// level the regrids create.
-    #[test]
-    fn regrid_metadata_mode_partitions_every_level() {
-        let mut config = HydroConfig::default();
-        config.regrid.cluster.min_size = 4;
-        config.regrid.metadata_mode = MetadataMode::Partitioned;
-        let s = sim_with(Placement::Host, 32, 2, config);
-        let h = s.hierarchy();
-        assert_eq!(h.num_levels(), 2);
-        for l in 0..h.num_levels() {
-            assert!(h.level(l).is_partitioned(), "level {l} kept replicated metadata");
-        }
     }
 
     #[test]

@@ -55,6 +55,5 @@ pub use boundary::ReflectiveBoundary;
 pub use device_integrator::DevicePatchIntegrator;
 pub use host_integrator::HostPatchIntegrator;
 pub use integrator::{HydroConfig, HydroSim, Placement, SimError, StepStats};
-pub use rbamr_amr::MetadataMode;
 pub use resilience::{RecoveryPolicy, RecoveryStats, ResilienceError, ResilientSim, SimSpec};
 pub use state::{Fields, FlagThresholds, PatchIntegrator, RegionInit, Summary};

@@ -1,9 +1,7 @@
 //! Distributed checkpoint/restore: a checkpoint saved by a multi-rank
-//! run must restore into fresh simulations — including under
-//! partitioned level metadata — and replay the uninterrupted
+//! run must restore into fresh simulations and replay the uninterrupted
 //! trajectory bitwise.
 
-use rbamr_amr::MetadataMode;
 use rbamr_hydro::{HydroConfig, HydroSim, Placement, RegionInit};
 use rbamr_netsim::{Cluster, Comm};
 use rbamr_perfmodel::Machine;
@@ -21,16 +19,10 @@ fn sod_regions() -> Vec<RegionInit> {
     ]
 }
 
-fn build_at(
-    mode: MetadataMode,
-    clock: rbamr_perfmodel::Clock,
-    rank: usize,
-    nranks: usize,
-) -> HydroSim {
+fn build_at(clock: rbamr_perfmodel::Clock, rank: usize, nranks: usize) -> HydroSim {
     let mut config =
         HydroConfig { regrid_interval: 5, max_patch_size: 8, ..HydroConfig::default() };
     config.regrid.cluster.min_size = 4;
-    config.regrid.metadata_mode = mode;
     HydroSim::new(
         Machine::ipa_cpu_node(),
         Placement::Host,
@@ -46,15 +38,15 @@ fn build_at(
     )
 }
 
-fn build(mode: MetadataMode, comm: &Comm) -> HydroSim {
-    build_at(mode, comm.clock().clone(), comm.rank(), comm.size())
+fn build(comm: &Comm) -> HydroSim {
+    build_at(comm.clock().clone(), comm.rank(), comm.size())
 }
 
 /// Save at step 3, then compare the uninterrupted run against a fresh
 /// sim restored from the checkpoint, step for step.
-fn roundtrip(mode: MetadataMode) {
+fn roundtrip() {
     let results = Cluster::new(Machine::ipa_cpu_node()).run(2, |comm| {
-        let mut original = build(mode, &comm);
+        let mut original = build(&comm);
         original.initialize(Some(&comm));
         original.run_steps(3, Some(&comm));
         let ckpt = original
@@ -64,7 +56,7 @@ fn roundtrip(mode: MetadataMode) {
         let time_at_save = original.time();
 
         // Restore into a simulation that never ran a step.
-        let mut restored = build(mode, &comm);
+        let mut restored = build(&comm);
         restored
             .try_restore_checkpoint(&ckpt, Some(&comm))
             .expect("a just-saved checkpoint restores cleanly");
@@ -104,23 +96,18 @@ fn roundtrip(mode: MetadataMode) {
 
 #[test]
 fn replicated_roundtrip_replays_bitwise_at_two_ranks() {
-    roundtrip(MetadataMode::Replicated);
-}
-
-#[test]
-fn partitioned_roundtrip_replays_bitwise_at_two_ranks() {
-    roundtrip(MetadataMode::Partitioned);
+    roundtrip();
 }
 
 /// The elastic-recovery acceptance at the checkpoint layer: a manifest
 /// written by a 2-rank run is identical on every rank, restores into a
 /// 1-rank simulation, and replays the trajectory a fresh 1-rank run
 /// produces — bitwise.
-fn shrink_restore(mode: MetadataMode) {
+fn shrink_restore() {
     use rbamr_amr::restart::Database;
 
     let results = Cluster::new(Machine::ipa_cpu_node()).run(2, |comm| {
-        let mut sim = build(mode, &comm);
+        let mut sim = build(&comm);
         sim.initialize(Some(&comm));
         sim.run_steps(3, Some(&comm));
         sim.try_save_checkpoint(Some(&comm))
@@ -134,12 +121,12 @@ fn shrink_restore(mode: MetadataMode) {
     let ckpt = Database::from_bytes(&results[0].value).expect("manifest decodes");
 
     // Fresh 1-rank reference trajectory.
-    let mut fresh = build_at(mode, rbamr_perfmodel::Clock::new(), 0, 1);
+    let mut fresh = build_at(rbamr_perfmodel::Clock::new(), 0, 1);
     fresh.initialize(None);
     fresh.run_steps(3, None);
 
     // Restore the 2-rank checkpoint into a 1-rank simulation.
-    let mut restored = build_at(mode, rbamr_perfmodel::Clock::new(), 0, 1);
+    let mut restored = build_at(rbamr_perfmodel::Clock::new(), 0, 1);
     restored.try_restore_checkpoint(&ckpt, None).expect("a 2-rank manifest restores at 1 rank");
     assert_eq!(restored.steps_taken(), fresh.steps_taken());
 
@@ -160,22 +147,17 @@ fn shrink_restore(mode: MetadataMode) {
 
 #[test]
 fn replicated_two_rank_checkpoint_restores_at_one_rank() {
-    shrink_restore(MetadataMode::Replicated);
-}
-
-#[test]
-fn partitioned_two_rank_checkpoint_restores_at_one_rank() {
-    shrink_restore(MetadataMode::Partitioned);
+    shrink_restore();
 }
 
 /// Per-rank digests of `steps` further steps, starting either from a
 /// fresh `m`-rank initialisation or from `ckpt` restored at `m` ranks.
-fn trajectory(mode: MetadataMode, m: usize, ckpt: Option<Vec<u8>>, steps: usize) -> Vec<Vec<u64>> {
+fn trajectory(m: usize, ckpt: Option<Vec<u8>>, steps: usize) -> Vec<Vec<u64>> {
     use rbamr_amr::restart::Database;
 
     Cluster::new(Machine::ipa_cpu_node())
         .run(m, move |comm| {
-            let mut sim = build(mode, &comm);
+            let mut sim = build(&comm);
             match &ckpt {
                 Some(bytes) => {
                     let db = Database::from_bytes(bytes).expect("manifest decodes");
@@ -206,22 +188,19 @@ proptest! {
 
     /// The rank-count-independence property behind elastic recovery: a
     /// checkpoint saved at step 3 by an N-rank run restores at ANY
-    /// smaller rank count M (1 ≤ M < N) in either metadata mode, and
+    /// smaller rank count M (1 ≤ M < N), and
     /// the restored trajectory's `state_field_digest` matches a fresh
     /// M-rank run bitwise on every rank, step for step.
     #[test]
     fn checkpoint_at_n_ranks_restores_bitwise_at_any_fewer(
         n in 2usize..6,
         m_sel in 0usize..4,
-        partitioned in any::<bool>(),
     ) {
         let m = 1 + m_sel % (n - 1);
-        let mode =
-            if partitioned { MetadataMode::Partitioned } else { MetadataMode::Replicated };
 
         let saved = Cluster::new(Machine::ipa_cpu_node())
             .run(n, move |comm| {
-                let mut sim = build(mode, &comm);
+                let mut sim = build(&comm);
                 sim.initialize(Some(&comm));
                 sim.run_steps(3, Some(&comm));
                 sim.try_save_checkpoint(Some(&comm))
@@ -236,13 +215,13 @@ proptest! {
         }
 
         let steps = 3;
-        let fresh = trajectory(mode, m, None, steps);
-        let restored = trajectory(mode, m, Some(saved[0].value.clone()), steps);
+        let fresh = trajectory(m, None, steps);
+        let restored = trajectory(m, Some(saved[0].value.clone()), steps);
         for rank in 0..m {
             prop_assert_eq!(
                 &restored[rank], &fresh[rank],
-                "{:?}: {}-rank checkpoint restored at {} ranks diverges on rank {}",
-                mode, n, m, rank
+                "{}-rank checkpoint restored at {} ranks diverges on rank {}",
+                n, m, rank
             );
         }
     }

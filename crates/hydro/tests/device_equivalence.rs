@@ -7,7 +7,7 @@
 //! pinned by the frozen absolute digests below.
 //!
 //! Property-tests random hierarchy configurations (deck, rank count,
-//! metadata mode, grid size) and asserts, per rank and per step:
+//! grid size) and asserts, per rank and per step:
 //!
 //! * the device run's `state_field_digest`, and its final `summary`
 //!   (the field-summary launch and download no step kernel shares), are
@@ -33,7 +33,6 @@
 //!   digest — which itself equals the host build's.
 
 use proptest::prelude::*;
-use rbamr_amr::MetadataMode;
 use rbamr_device::DeviceStats;
 use rbamr_hydro::level_executor::{hydro_launches, MAX_LAUNCHES_PER_STEP};
 use rbamr_hydro::{
@@ -74,7 +73,6 @@ struct RunConfig {
     cells: i64,
     /// Maximum patch extent, in cells.
     patch: i64,
-    mode: MetadataMode,
     steps: usize,
 }
 
@@ -127,7 +125,6 @@ fn run_levels(
             HydroConfig { regrid_interval: 3, max_patch_size: cfg.patch, ..HydroConfig::default() };
         config.regrid.cluster.min_size = 4;
         config.regrid.max_patch_size = cfg.patch;
-        config.regrid.metadata_mode = cfg.mode;
         let regions = if cfg.deck == 0 { sod_regions() } else { blast_regions() };
         let mut sim = HydroSim::new(
             m.clone(),
@@ -212,32 +209,23 @@ fn check_equivalence(cfg: RunConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random hierarchies at 1–8 ranks, both decks, both metadata
-    /// modes: device == host, and device is schedule-invariant.
+    /// Random hierarchies at 1–8 ranks, both decks: device == host, and
+    /// device is schedule-invariant.
     #[test]
     fn random_hierarchies_match_host_across_schedules(
         deck in prop::sample::select(vec![0u8, 1]),
         ranks in prop::sample::select(vec![1usize, 2, 3, 5, 8]),
         cells in prop::sample::select(vec![24i64, 32]),
-        partitioned in any::<bool>(),
     ) {
-        let mode = if partitioned { MetadataMode::Partitioned } else { MetadataMode::Replicated };
-        check_equivalence(RunConfig { deck, ranks, cells, patch: 8, mode, steps: 3 });
+        check_equivalence(RunConfig { deck, ranks, cells, patch: 8, steps: 3 });
     }
 }
 
 /// Fixed corner pins the proptest strategy's ends: the largest rank
-/// count with partitioned metadata on the non-Sod deck.
+/// count on the non-Sod deck.
 #[test]
-fn eight_rank_partitioned_blast_matches() {
-    check_equivalence(RunConfig {
-        deck: 1,
-        ranks: 8,
-        cells: 32,
-        patch: 8,
-        mode: MetadataMode::Partitioned,
-        steps: 3,
-    });
+fn eight_rank_blast_matches() {
+    check_equivalence(RunConfig { deck: 1, ranks: 8, cells: 32, patch: 8, steps: 3 });
 }
 
 /// 8-wide patches have no interior core, so every kernel above runs in
@@ -246,14 +234,7 @@ fn eight_rank_partitioned_blast_matches() {
 #[test]
 fn big_patches_with_interior_cores_match() {
     for ranks in [1usize, 2] {
-        check_equivalence(RunConfig {
-            deck: 0,
-            ranks,
-            cells: 64,
-            patch: 64,
-            mode: MetadataMode::Replicated,
-            steps: 6,
-        });
+        check_equivalence(RunConfig { deck: 0, ranks, cells: 64, patch: 64, steps: 6 });
     }
 }
 
@@ -279,14 +260,7 @@ const FROZEN_HOST_DIGESTS: [((u8, usize), u64); 6] = [
 #[test]
 fn host_digests_match_the_frozen_reference() {
     let measured = FROZEN_HOST_DIGESTS.map(|((deck, ranks), _)| {
-        let cfg = RunConfig {
-            deck,
-            ranks,
-            cells: 32,
-            patch: 8,
-            mode: MetadataMode::Replicated,
-            steps: 6,
-        };
+        let cfg = RunConfig { deck, ranks, cells: 32, patch: 8, steps: 6 };
         let mut fold = rbamr_geometry::Fnv64::new();
         for trace in run(cfg, Some(1), Placement::Host) {
             trace.digests.iter().for_each(|&d| fold.write_u64(d));
@@ -299,8 +273,7 @@ fn host_digests_match_the_frozen_reference() {
     );
 }
 
-const MANY_PATCHES: RunConfig =
-    RunConfig { deck: 0, ranks: 2, cells: 32, patch: 8, mode: MetadataMode::Replicated, steps: 4 };
+const MANY_PATCHES: RunConfig = RunConfig { deck: 0, ranks: 2, cells: 32, patch: 8, steps: 4 };
 
 /// The copy-back placement runs the same kernels with per-phase PCIe
 /// round trips: identical digests, strictly more transfers.

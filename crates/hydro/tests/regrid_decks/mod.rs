@@ -7,7 +7,6 @@
 //! thresholds and cross again. Changing a deck moves both sets of
 //! constants.
 
-use rbamr_amr::MetadataMode;
 use rbamr_hydro::{FlagThresholds, HydroConfig, HydroSim, Placement, RegionInit};
 use rbamr_netsim::Comm;
 use rbamr_perfmodel::Machine;
@@ -76,7 +75,7 @@ impl Deck {
     }
 
     /// This rank's simulation of the deck, not yet initialised.
-    pub fn sim(self, placement: Placement, mode: MetadataMode, comm: &Comm) -> HydroSim {
+    pub fn sim(self, placement: Placement, comm: &Comm) -> HydroSim {
         let mut config = HydroConfig {
             regrid_interval: REGRID_EVERY,
             max_patch_size: self.patch(),
@@ -85,7 +84,6 @@ impl Deck {
         };
         config.regrid.cluster.min_size = 4;
         config.regrid.max_patch_size = self.patch();
-        config.regrid.metadata_mode = mode;
         HydroSim::new(
             Machine::ipa_gpu(),
             placement,

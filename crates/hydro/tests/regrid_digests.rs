@@ -5,14 +5,13 @@
 //! on 16² patches and a pair of weak Sedov blasts on 8² patches, up to
 //! three levels each, the finer levels vanishing and reappearing as the
 //! fronts drop under the flagging thresholds and cross again — are run
-//! on {Host, Device} × {1, 2, 4 ranks} × {replicated, partitioned
-//! metadata}, and the triple point on the host at 8 ranks in both
-//! modes, where a rank walks few of a new level's transfer
+//! on {Host, Device} × {1, 2, 4 ranks}, and the triple point on the
+//! host at 8 ranks, where a rank walks few of a new level's transfer
 //! destinations. After every regrid the four
 //! persisted state fields of every patch are hashed exactly as
 //! [`HydroSim::state_field_digest`] hashes them and combined over the
 //! ranks, which gives the digest a 1-rank run reports whatever the rank
-//! layout. All twelve cells of a deck must produce the one sequence in
+//! layout. Every cell of a deck must produce the one sequence in
 //! [`FROZEN`].
 //!
 //! The constants were recorded at commit 50e6f37, from the regridder
@@ -28,7 +27,6 @@
 
 mod regrid_decks;
 
-use rbamr_amr::MetadataMode;
 use rbamr_geometry::{BoxList, BoxOverlap, Fnv64, IntVector, UnorderedDigest};
 use rbamr_hydro::{HydroSim, Placement};
 use rbamr_netsim::Cluster;
@@ -73,9 +71,9 @@ fn state_items(sim: &HydroSim) -> UnorderedDigest {
     set
 }
 
-fn run(deck: Deck, placement: Placement, ranks: usize, mode: MetadataMode) -> Vec<AfterRegrid> {
+fn run(deck: Deck, placement: Placement, ranks: usize) -> Vec<AfterRegrid> {
     let results = Cluster::new(Machine::ipa_gpu()).run(ranks, move |comm| {
-        let mut sim = deck.sim(placement, mode, &comm);
+        let mut sim = deck.sim(placement, &comm);
         let comm = (comm.size() > 1).then_some(&comm);
         sim.initialize(comm);
         let mut after = Vec::new();
@@ -160,18 +158,16 @@ fn check(deck: Deck) {
         .flat_map(|placement| [1, 2, 4].map(|ranks| (placement, ranks)))
         .chain(eight);
     for (placement, ranks) in cells {
-        for mode in [MetadataMode::Replicated, MetadataMode::Partitioned] {
-            let measured = run(deck, placement, ranks, mode);
-            assert!(
-                measured == frozen,
-                "{deck:?} {placement:?} {ranks} ranks {mode:?}: the per-regrid digests left the \
-                 frozen reference:\n{}",
-                measured
-                    .iter()
-                    .map(|a| format!("(0x{:016x}, {}, {}),\n", a.digest, a.levels, a.patches))
-                    .collect::<String>()
-            );
-        }
+        let measured = run(deck, placement, ranks);
+        assert!(
+            measured == frozen,
+            "{deck:?} {placement:?} {ranks} ranks: the per-regrid digests left the frozen \
+             reference:\n{}",
+            measured
+                .iter()
+                .map(|a| format!("(0x{:016x}, {}, {}),\n", a.digest, a.levels, a.patches))
+                .collect::<String>()
+        );
     }
     // The runs are worth freezing only while the finest level comes and
     // goes between regrids.

@@ -4,7 +4,7 @@
 //! # Reductions
 //!
 //! Every reduction-shaped collective ([`ReduceSpec::MIN_F64`],
-//! `MAX_F64`, `SUM_F64`, `DIGEST`, `BARRIER`, `VERDICT`) has one cost and one
+//! `MAX_F64`, `SUM_F64`, `BARRIER`, `VERDICT`) has one cost and one
 //! execution, both in [`Comm::try_reduce`]:
 //!
 //! * **Cost model** — `CostModel::allreduce(N, spec.bytes)`, i.e.
@@ -81,9 +81,6 @@ impl ReduceSpec {
     /// Global f64 sum (word 0); accumulation order is
     /// arrival-dependent, tolerated as MPI_SUM roundoff.
     pub const SUM_F64: Self = Self { name: "allreduce-sum", bytes: 8, combine: combine_sum_f64 };
-    /// Order-independent digest channels `[sum, xor, count]` — the
-    /// wire form of `rbamr_geometry::digest::UnorderedDigest`.
-    pub const DIGEST: Self = Self { name: "allreduce-digest", bytes: 24, combine: combine_digest };
     /// Pure synchronisation: no payload, no-op combine.
     pub const BARRIER: Self = Self { name: "barrier", bytes: 0, combine: combine_barrier };
     /// A commit verdict in one rendezvous: the minimum of word 0 (an
@@ -108,12 +105,6 @@ fn combine_max_f64(acc: &mut [u64; 3], v: [u64; 3]) {
 
 fn combine_sum_f64(acc: &mut [u64; 3], v: [u64; 3]) {
     acc[0] = (f64::from_bits(acc[0]) + f64::from_bits(v[0])).to_bits();
-}
-
-fn combine_digest(acc: &mut [u64; 3], v: [u64; 3]) {
-    acc[0] = acc[0].wrapping_add(v[0]);
-    acc[1] ^= v[1];
-    acc[2] = acc[2].wrapping_add(v[2]);
 }
 
 fn combine_barrier(_: &mut [u64; 3], _: [u64; 3]) {}
@@ -434,8 +425,7 @@ fn finish_allgatherv(
 /// Recursive-doubling allgatherv: the power-of-two core doubles its
 /// known segment set every round; extras hand their segment to a proxy
 /// up front and receive the complete set at the end. ≈ N·⌈log₂N⌉
-/// frames job-wide vs the flat fan's N·(N−1) — the reason partitioned
-/// metadata wins at 1,024 ranks.
+/// frames job-wide vs the flat fan's N·(N−1).
 pub(crate) fn rd_allgatherv(
     comm: &Comm,
     payload: Bytes,

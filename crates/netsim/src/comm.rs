@@ -794,29 +794,6 @@ impl Comm {
         self.try_reduce(ReduceSpec::BARRIER, [0; 3], category).map(|_| ())
     }
 
-    /// Allreduce of order-independent digest channel words
-    /// `[sum, xor, count]` (the wire form of
-    /// `rbamr_geometry::digest::UnorderedDigest`): channel 0 and 2
-    /// combine by wrapping addition, channel 1 by xor. Merging per-rank
-    /// partial digests this way yields the digest a single rank would
-    /// compute over the union of all items — the consistency handshake
-    /// for partitioned level metadata. The combine is commutative and
-    /// associative, so no arrival order can change the result. Thin
-    /// wrapper over [`Comm::collective`] with [`ReduceSpec::DIGEST`].
-    pub fn allreduce_digest(&self, words: [u64; 3], category: Category) -> [u64; 3] {
-        self.try_reduce(ReduceSpec::DIGEST, words, category)
-            .unwrap_or_else(|e| escalate("allreduce-digest", e))
-    }
-
-    /// Fault-aware [`Comm::allreduce_digest`].
-    pub fn try_allreduce_digest(
-        &self,
-        words: [u64; 3],
-        category: Category,
-    ) -> Result<[u64; 3], CommError> {
-        self.try_reduce(ReduceSpec::DIGEST, words, category)
-    }
-
     pub(crate) fn next_collective_tag(&self) -> u64 {
         // All ranks execute collectives in the same order, so local
         // counters agree. The top four bits (kind 15) keep these tags
@@ -947,9 +924,8 @@ impl Comm {
 
     /// All-to-all gather of variable-length payloads: every rank
     /// contributes its bytes and receives every rank's contribution,
-    /// indexed by rank (this rank's own slot included). The collective
-    /// that fetches partitioned level metadata: each rank publishes its
-    /// owned box records and assembles the global view locally.
+    /// indexed by rank (this rank's own slot included). Distributed
+    /// checkpoints use it.
     ///
     /// A recursive-doubling butterfly (≈ N·⌈log₂N⌉ frames) in
     /// production; the flat all-to-all fan (N·(N−1) frames) under
@@ -1216,41 +1192,17 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_digest_combines_channels_commutatively() {
-        let results = cluster().run(4, |comm| {
-            let r = comm.rank() as u64;
-            // Distinct per-rank channel words, including wrap-prone sums.
-            comm.allreduce_digest([u64::MAX - r, 1u64 << r, r + 1], Category::Regrid)
-        });
-        let mut sum = 0u64;
-        let mut xor = 0u64;
-        let mut count = 0u64;
-        for r in 0..4u64 {
-            sum = sum.wrapping_add(u64::MAX - r);
-            xor ^= 1u64 << r;
-            count = count.wrapping_add(r + 1);
-        }
-        for r in &results {
-            assert_eq!(r.value, [sum, xor, count]);
-        }
-    }
-
-    #[test]
-    fn allreduce_digest_single_rank_is_identity() {
-        let results = cluster().run(1, |comm| comm.allreduce_digest([7, 8, 9], Category::Regrid));
-        assert_eq!(results[0].value, [7, 8, 9]);
-    }
-
-    #[test]
-    fn repeated_digest_allreduces_do_not_cross_talk() {
+    fn repeated_allreduces_do_not_cross_talk() {
         let results = cluster().run(3, |comm| {
-            (0..8u64)
-                .map(|round| comm.allreduce_digest([round, comm.rank() as u64, 1], Category::Other))
+            (0..8)
+                .map(|round| {
+                    comm.allreduce_sum(f64::from(round) + comm.rank() as f64, Category::Other)
+                })
                 .collect::<Vec<_>>()
         });
         for r in &results {
-            for (round, words) in r.value.iter().enumerate() {
-                assert_eq!(*words, [3 * round as u64, 1 ^ 2, 3]); // xor over ranks 0..3
+            for (round, &sum) in r.value.iter().enumerate() {
+                assert_eq!(sum, 3.0 * round as f64 + 3.0); // ranks 0 + 1 + 2
             }
         }
     }
@@ -1271,7 +1223,6 @@ mod tests {
             let mine = Bytes::from(vec![comm.rank() as u8; comm.rank() + 1]); // 1, 2, 3 bytes
             comm.allreduce_sum(1.0, Category::Timestep); // 8
             comm.barrier(Category::Other); // 0
-            comm.allreduce_digest([1, 2, 3], Category::Regrid); // 24
             comm.gather(0, mine.clone(), Category::Regrid); // root: 6, others: own len
             let bcast = comm.broadcast(
                 0,
@@ -1282,10 +1233,10 @@ mod tests {
             comm.allgatherv(mine, Category::HaloExchange); // 6 everywhere
             (rec.counter("net.collectives"), rec.counter("net.collective_bytes"))
         });
-        let base = 8 + 24 + 5 + 6; // allreduce + digest + broadcast + allgatherv (barrier: 0)
-        assert_eq!(results[0].value, (6, base + 6)); // gather root sees all 6 bytes
-        assert_eq!(results[1].value, (6, base + 2)); // non-root contributes its 2
-        assert_eq!(results[2].value, (6, base + 3));
+        let base = 8 + 5 + 6; // allreduce + broadcast + allgatherv (barrier: 0)
+        assert_eq!(results[0].value, (5, base + 6)); // gather root sees all 6 bytes
+        assert_eq!(results[1].value, (5, base + 2)); // non-root contributes its 2
+        assert_eq!(results[2].value, (5, base + 3));
     }
 
     #[test]

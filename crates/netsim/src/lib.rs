@@ -6,8 +6,7 @@
 //! through typed mailboxes ([`Comm::send`] /
 //! [`Comm::recv`]) and collectives ([`Comm::allreduce_min`],
 //! [`Comm::barrier`], [`Comm::allgatherv`] — the variable-payload
-//! gather behind partitioned-metadata exchange — and
-//! [`Comm::allreduce_digest`], its 3-word agreement handshake).
+//! gather behind distributed checkpoints).
 //! CleverLeaf's timestep is bulk-synchronous
 //! (halo fill → global dt reduction → advance → periodic regrid), so this
 //! model is semantically exact for the reproduced application.

@@ -44,7 +44,6 @@ enum Red {
     Min,
     Max,
     SumInt,
-    Digest,
     Barrier,
     Verdict,
 }
@@ -99,11 +98,6 @@ fn reduction(red: Red, r: usize, i: usize) -> (ReduceSpec, [u64; 3], Category) {
         Red::Max => (ReduceSpec::MAX_F64, f((r * 2) as f64 + i as f64), Category::Timestep),
         // Integer-valued so the sum is exact under any arrival order.
         Red::SumInt => (ReduceSpec::SUM_F64, f((r + i) as f64), Category::Other),
-        Red::Digest => (
-            ReduceSpec::DIGEST,
-            [(r * 3 + i) as u64, 1u64 << (r % 64), r as u64 + 1],
-            Category::Regrid,
-        ),
         Red::Barrier => (ReduceSpec::BARRIER, [0; 3], Category::Other),
         // An ok flag some ranks clear, and a failure kind 0..=2.
         Red::Verdict => (
@@ -124,9 +118,6 @@ fn expected_reduction(red: Red, n: usize, i: usize) -> [u64; 3] {
         Red::Min => [f64s().fold(f64::INFINITY, f64::min).to_bits(), 0, 0],
         Red::Max => [f64s().fold(f64::NEG_INFINITY, f64::max).to_bits(), 0, 0],
         Red::SumInt => [f64s().sum::<f64>().to_bits(), 0, 0],
-        Red::Digest => words
-            .iter()
-            .fold([0; 3], |a, w| [a[0].wrapping_add(w[0]), a[1] ^ w[1], a[2].wrapping_add(w[2])]),
         Red::Barrier => [0; 3],
         Red::Verdict => {
             let ok = words.iter().map(|w| w[0]).min().expect("at least one rank");
@@ -269,15 +260,14 @@ fn check_algorithms(nranks: usize, ops: &[Op]) -> Result<(), TestCaseError> {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..9, 0usize..1024).prop_map(|(kind, root_pick)| match kind {
-        8 => Op::Reduce(Red::Verdict),
+    (0u8..8, 0usize..1024).prop_map(|(kind, root_pick)| match kind {
         0 => Op::Reduce(Red::Min),
         1 => Op::Reduce(Red::Max),
         2 => Op::Reduce(Red::SumInt),
-        3 => Op::Reduce(Red::Digest),
-        4 => Op::Reduce(Red::Barrier),
-        5 => Op::AllGather,
-        6 => Op::Gather { root_pick },
+        3 => Op::Reduce(Red::Barrier),
+        4 => Op::AllGather,
+        5 => Op::Gather { root_pick },
+        6 => Op::Reduce(Red::Verdict),
         _ => Op::Broadcast { root_pick },
     })
 }
@@ -308,7 +298,6 @@ fn fixed_script_is_algorithm_invariant_across_sizes() {
         Op::AllGather,
         Op::Reduce(Red::Min),
         Op::Gather { root_pick: 3 },
-        Op::Reduce(Red::Digest),
         Op::Broadcast { root_pick: 5 },
         Op::Reduce(Red::SumInt),
         Op::Reduce(Red::Barrier),

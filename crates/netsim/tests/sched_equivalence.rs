@@ -97,11 +97,9 @@ fn run_script(cluster: Cluster, nranks: usize, script: &[Round]) -> Vec<RankObse
                     collective_bits.push(0);
                 }
                 _ => {
-                    let d = comm.allreduce_digest(
-                        [v as u64, 1u64 << (comm.rank() % 64), 1],
-                        Category::Regrid,
-                    );
-                    collective_bits.extend_from_slice(&d);
+                    // Integer-valued, so exact under any arrival order.
+                    let sum = comm.allreduce_sum(v, Category::Regrid);
+                    collective_bits.push(sum.to_bits());
                 }
             }
         }

@@ -24,7 +24,7 @@
 //! does. Unknown keys are ignored with a warning list so real decks
 //! (which carry visualisation frequencies etc.) still parse.
 
-use rbamr_hydro::{MetadataMode, RegionInit};
+use rbamr_hydro::RegionInit;
 
 /// A parsed deck.
 #[derive(Clone, Debug, PartialEq)]
@@ -41,10 +41,6 @@ pub struct Deck {
     pub end_time: Option<f64>,
     /// Stop after this many steps, if given.
     pub end_step: Option<usize>,
-    /// How ranks hold level metadata: `metadata_mode=replicated` (the
-    /// default) or `metadata_mode=partitioned` (owned + ghosted views
-    /// with digest-verified exchange).
-    pub metadata_mode: MetadataMode,
     /// Seed for deterministic fault injection (`fault_seed=…`), if the
     /// run should be a chaos run.
     pub fault_seed: Option<u64>,
@@ -111,7 +107,6 @@ pub fn parse_deck(text: &str) -> Result<Deck, DeckError> {
     let mut max_levels = 1usize;
     let mut end_time = None;
     let mut end_step = None;
-    let mut metadata_mode = MetadataMode::default();
     let mut fault_seed = None;
     let mut checkpoint_interval = None;
     let mut max_retries = None;
@@ -192,13 +187,6 @@ pub fn parse_deck(text: &str) -> Result<Deck, DeckError> {
                 "max_levels" => max_levels = ival()? as usize,
                 "end_time" => end_time = Some(fval()?),
                 "end_step" => end_step = Some(ival()? as usize),
-                "metadata_mode" => {
-                    metadata_mode = match v.to_ascii_lowercase().as_str() {
-                        "replicated" => MetadataMode::Replicated,
-                        "partitioned" => MetadataMode::Partitioned,
-                        _ => return Err(DeckError::BadValue(k.into(), v.into())),
-                    }
-                }
                 "fault_seed" => {
                     fault_seed =
                         Some(v.parse().map_err(|_| DeckError::BadValue(k.into(), v.into()))?);
@@ -256,7 +244,6 @@ pub fn parse_deck(text: &str) -> Result<Deck, DeckError> {
         max_levels,
         end_time,
         end_step,
-        metadata_mode,
         fault_seed,
         checkpoint_interval,
         max_retries,
@@ -321,30 +308,6 @@ mod tests {
         let deck = parse_deck(text).expect("deck");
         assert_eq!(deck.cells, (8, 8));
         assert_eq!(deck.ignored, vec!["visit_frequency", "profiler_on"]);
-    }
-
-    #[test]
-    fn metadata_mode_key_parses_and_rejects_garbage() {
-        let text = |mode: &str| {
-            format!(
-                "*clover\n state 1 density=1.0 energy=1.0\n x_cells=8 y_cells=8\n \
-                 metadata_mode={mode}\n*endclover\n"
-            )
-        };
-        assert_eq!(
-            parse_deck(&text("partitioned")).expect("deck").metadata_mode,
-            MetadataMode::Partitioned
-        );
-        assert_eq!(
-            parse_deck(&text("replicated")).expect("deck").metadata_mode,
-            MetadataMode::Replicated
-        );
-        // Absent defaults to replicated.
-        assert_eq!(parse_deck(sod_deck()).expect("deck").metadata_mode, MetadataMode::Replicated);
-        assert_eq!(
-            parse_deck(&text("sharded")),
-            Err(DeckError::BadValue("metadata_mode".into(), "sharded".into()))
-        );
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! cargo run --release --example cleverleaf -- \
 //!     [--problem sod|triple|sedov | --deck clover.in] [--cells N] [--levels L] \
 //!     [--placement host|device|copyback] [--ranks R] \
-//!     [--metadata replicated|partitioned] \
 //!     [--steps N | --time T] [--vtk DIR] [--summary-every N]
 //! ```
 //!
@@ -17,7 +16,7 @@
 //! cargo run --release --example cleverleaf -- --placement copyback --steps 20
 //! ```
 
-use rbamr::hydro::{HydroConfig, HydroSim, MetadataMode, Placement, RegionInit};
+use rbamr::hydro::{HydroConfig, HydroSim, Placement, RegionInit};
 use rbamr::netsim::Cluster;
 use rbamr::perfmodel::{Category, Machine};
 use rbamr::problems::{parse_deck, sedov::sedov_regions, sod_regions, triple_point_regions};
@@ -38,7 +37,6 @@ struct Args {
     t_end: Option<f64>,
     vtk: Option<PathBuf>,
     summary_every: usize,
-    metadata: Option<MetadataMode>,
 }
 
 impl Args {
@@ -54,7 +52,6 @@ impl Args {
             t_end: None,
             vtk: None,
             summary_every: 10,
-            metadata: None,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -79,13 +76,6 @@ impl Args {
                         other => return Err(format!("unknown placement {other}")),
                     }
                 }
-                "--metadata" => {
-                    args.metadata = Some(match value()?.as_str() {
-                        "replicated" => MetadataMode::Replicated,
-                        "partitioned" => MetadataMode::Partitioned,
-                        other => return Err(format!("unknown metadata mode {other}")),
-                    })
-                }
                 "--help" | "-h" => {
                     println!("see the module docs at the top of examples/cleverleaf.rs");
                     std::process::exit(0);
@@ -107,10 +97,6 @@ impl Args {
             if self.steps.is_none() && self.t_end.is_none() {
                 self.steps = deck.end_step;
                 self.t_end = deck.end_time;
-            }
-            // CLI `--metadata` wins over the deck's `metadata_mode` key.
-            if self.metadata.is_none() {
-                self.metadata = Some(deck.metadata_mode);
             }
             self.problem = format!("deck {}", path.display());
             return Ok((deck.extent, deck.cells, deck.regions));
@@ -160,7 +146,6 @@ fn main() {
     let results = cluster.run(args.ranks, move |comm| {
         let comm_opt = if comm.size() > 1 { Some(&comm) } else { None };
         let mut config = HydroConfig::default();
-        config.regrid.metadata_mode = a.metadata.unwrap_or_default();
         if comm.size() > 1 {
             let max_patch =
                 (cells.0 as f64 / (comm.size() as f64).sqrt() / 2.0).clamp(16.0, 512.0) as i64;
