@@ -1,6 +1,6 @@
 //! Physical-boundary fill strategies.
 
-use crate::level::PatchLevel;
+use crate::hierarchy::PatchHierarchy;
 use crate::patch::Patch;
 use crate::patchdata::PatchData;
 use crate::variable::VariableId;
@@ -47,26 +47,35 @@ pub trait PhysicalBoundary: Send + Sync {
         time: f64,
     );
 
-    /// The physical-boundary stage of one fill: every plan of the
-    /// schedule, on the local patches of `level`. The default loops
+    /// The physical-boundary stage of one fill window: every plan of
+    /// every member, member by member. The default loops
     /// [`PhysicalBoundary::fill`] in plan order; a strategy for device
-    /// data overrides it with one launch. `kept` starts as `None` and
-    /// lives with the schedule: what depends on the plans alone (index
-    /// lists) can be left there at the first fill and reused.
-    fn fill_many(
-        &self,
-        level: &mut PatchLevel,
-        plans: &[PhysicalPlan],
-        domain_box: GBox,
-        time: f64,
-        kept: &mut BoundaryKept,
-    ) {
-        let _ = kept;
-        for plan in plans {
-            let patch = &mut level.local_mut()[plan.pos];
-            self.fill(patch, plan.var, &plan.outside, domain_box, time);
+    /// data overrides it with one launch. Each member's `kept` starts
+    /// as `None` and lives with its schedule: what depends on the plans
+    /// alone (index lists) can be left there at the first fill and
+    /// reused.
+    fn fill_many(&self, hierarchy: &mut PatchHierarchy, fills: &mut [BoundaryFill<'_>], time: f64) {
+        for fill in fills {
+            let level = hierarchy.level_mut(fill.level);
+            for plan in fill.plans {
+                let patch = &mut level.local_mut()[plan.pos];
+                self.fill(patch, plan.var, &plan.outside, fill.domain_box, time);
+            }
         }
     }
+}
+
+/// One schedule's share of a fill window's physical-boundary stage
+/// (see [`PhysicalBoundary::fill_many`]).
+pub struct BoundaryFill<'a> {
+    /// The level filled.
+    pub level: usize,
+    /// The bounding box of the level's domain.
+    pub domain_box: GBox,
+    /// The schedule's plans, on the local patches of `level`.
+    pub plans: &'a [PhysicalPlan],
+    /// What the strategy keeps with the schedule between fills.
+    pub kept: &'a mut BoundaryKept,
 }
 
 /// Which face of the domain a ghost box hangs off, with outward normal

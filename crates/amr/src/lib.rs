@@ -55,7 +55,7 @@ pub mod tagging;
 pub mod transfer;
 pub mod variable;
 
-pub use boundary::{BoundaryKept, PhysicalBoundary, PhysicalPlan};
+pub use boundary::{BoundaryFill, BoundaryKept, PhysicalBoundary, PhysicalPlan};
 pub use cluster::{cluster_tags, ClusterParams};
 pub use hierarchy::{GridGeometry, PatchHierarchy};
 pub use hostdata::{HostData, HostDataFactory};

@@ -29,9 +29,9 @@
 //! validated and message offsets prefix-summed once, so executing a
 //! schedule does no box calculus and no searching. Each stage hands its
 //! whole job list to the placement through the [`DataFactory`] batch
-//! entry points — interpolation and projection included, with the
-//! operator as an argument; the schedules themselves never ask where the
-//! data lives.
+//! entry points — interpolation and projection included, every
+//! operator's jobs in one call; the schedules themselves never ask where
+//! the data lives.
 //!
 //! [`ScheduleBuild`] is the sanctioned build entry point: indexed
 //! overlap discovery over the level's records, optionally routed
@@ -47,8 +47,8 @@ use crate::ops::{CoarsenOperator, RefineOperator};
 use crate::patchdata::{validate_overlap, PatchDataError};
 use crate::regrid::TransferSpec;
 use crate::transfer::{
-    narrow, CoarsenJob, CopyJob, DescriptorWords, Loc, Part, PeerStream, RefineJob, StreamJob,
-    StreamPlan, TransferCtx,
+    narrow, CoarsenJob, CopyJob, DescriptorWords, Loc, OpGroup, Part, PeerStream, RefineJob,
+    StreamJob, StreamPlan, TransferCtx,
 };
 use crate::variable::{DataFactory, Variable, VariableId, VariableRegistry};
 use rbamr_geometry::{
@@ -521,10 +521,10 @@ fn data_box_of(var: &Variable, cell_box: GBox) -> GBox {
 
 /// Ghost-fill schedule for one level (SAMRAI `RefineSchedule`).
 ///
-/// The stages, in execution order, each one job list:
-/// same-level local copies; outgoing messages (one per peer, same-level
-/// and coarse→fine plans interleaved in plan order); interpolation
-/// scratch with its local coarse sources captured; incoming messages
+/// The stages, in execution order, each one job list: interpolation
+/// scratch, then the same-level local copies and the scratch's local
+/// coarse sources captured; outgoing messages (one per peer, same-level
+/// and coarse→fine plans interleaved in plan order); incoming messages
 /// (targets are fine patches or scratch arrays); scratch extension;
 /// interpolation, grouped by operator; physical boundaries.
 pub struct RefineSchedule {
@@ -1655,14 +1655,17 @@ impl CoarsenSchedule {
         let mut ctx = TransferCtx { hierarchy, scratch: &mut scratches, outgoing: None };
         let (sends, recvs) = ([Part::whole(&self.sends[..])], [Part::whole(&self.recvs[..])]);
 
-        // Phase 1: fine owners coarsen into scratch, and the results
-        // bound for remote coarse owners join the aggregated per-rank
-        // stream (one message per rank pair; plan order is globally
-        // deterministic; a pack fault leaves zeros of the exact size,
-        // see `FillWindow::begin_with`).
-        for (op, jobs) in &self.projects {
-            factory.coarsen_many(&mut ctx, op.as_ref(), self.fine_level_no, jobs, ratio);
-        }
+        // Phase 1: fine owners coarsen into scratch, every operator in
+        // one call, and the results bound for remote coarse owners join
+        // the aggregated per-rank stream (one message per rank pair;
+        // plan order is globally deterministic; a pack fault leaves
+        // zeros of the exact size, see `FillWindow::begin_with`).
+        let groups: Vec<_> = self
+            .projects
+            .iter()
+            .map(|(op, jobs)| OpGroup { op: op.as_ref(), ratio, parts: vec![Part::whole(jobs)] })
+            .collect();
+        factory.coarsen_many(&mut ctx, self.fine_level_no, &groups);
         let tag = agg_tag(KIND_AGG_SYNC, self.fine_level_no);
         let mut packed = None;
         if !self.sends.is_empty() {

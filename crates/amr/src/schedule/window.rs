@@ -3,8 +3,9 @@
 //! [`CoarsenSchedule`](super::CoarsenSchedule) shares.
 
 use super::*;
+use crate::boundary::BoundaryFill;
 use crate::patchdata::PatchData;
-use crate::transfer::{PeerSlot, STREAM_VALUE_BYTES};
+use crate::transfer::{OpGroup, PeerSlot, STREAM_VALUE_BYTES};
 use bytes::Bytes;
 use std::borrow::Borrow;
 
@@ -24,9 +25,11 @@ pub(super) fn fill_span(
 
 /// The ghost fills of several levels, coarse to fine, executed as one:
 /// every stage runs once for all members — one call per batch entry
-/// point of the [`DataFactory`], one interpolation call per operator
-/// (and ratio) — and each peer gets one message, the members' streams
-/// to it concatenated in member order, under the first member's tag.
+/// point of the [`DataFactory`] (the local copies and the coarse
+/// captures share one, every operator and ratio's interpolation jobs
+/// another) and one [`PhysicalBoundary::fill_many`] — and each peer gets
+/// one message, the members' streams to it concatenated in member
+/// order, under the first member's tag.
 /// [`RefineSchedule::try_fill`] is the window of one schedule.
 ///
 /// The members are shared, not copied: the window keeps each (by `Arc`
@@ -89,6 +92,12 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
         self.members.iter().map(|m| m.sched.borrow())
     }
 
+    /// Whether some member receives a message on this rank — whether
+    /// [`PendingFill::finish`] can wait on a peer at all.
+    pub fn receives_remotely(&self) -> bool {
+        !self.recv_peers.is_empty()
+    }
+
     /// Start the fill and return without consuming any incoming
     /// message: local copies run, outgoing messages are packed and
     /// sent, and interpolation scratch is made with its *local* coarse
@@ -128,8 +137,8 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
         self.members.iter().map(part).collect()
     }
 
-    /// The send half of the fill: stages 1 (local copies), 2a (pack +
-    /// send), and 3a (scratch creation + local coarse capture).
+    /// The send half of the fill: stages 1 (scratch creation, then the
+    /// local copies and the local coarse captures) and 2 (pack + send).
     /// `outgoing` is the level [`Loc::Outgoing`] sources name — set by
     /// a regrid's solution transfer only, and read by this half only.
     pub(super) fn begin_with(
@@ -145,11 +154,20 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
             ensure_resident(&s.resident, factory.as_ref(), || s.descriptor_words(), category);
         }
 
-        // 1. Same-level: local copies.
-        let mut ctx = TransferCtx { hierarchy, scratch: &mut [], outgoing };
-        factory.copy_many(&mut ctx, &self.parts(|s| &s.copies, |_| None), category);
+        // 1. Interpolation scratch, then one copy stage: the same-level
+        //    local copies, then the scratch's *local* coarse sources.
+        //    The captures read coarse data-box interiors — never ghost
+        //    regions — so nothing the finish half (or any interior-only
+        //    compute run between the halves) writes can change them;
+        //    capture-at-begin is bitwise-identical to capture-at-finish.
+        let mut scratches =
+            make_scratch(registry, self.members().flat_map(|s| &s.scratch), category);
+        let mut ctx = TransferCtx { hierarchy, scratch: &mut scratches, outgoing };
+        let mut copies = self.parts(|s| &s.copies, |_| None);
+        copies.extend(self.parts(|s| &s.captures, |_| None));
+        factory.copy_many(&mut ctx, &copies, category);
 
-        // 2a. Same-level + coarse-fine: outgoing messages. All traffic
+        // 2. Same-level + coarse-fine: outgoing messages. All traffic
         //    for one destination rank is aggregated into a single
         //    message (SAMRAI's per-processor MessageStream): plan
         //    construction order is identical on every rank — it is
@@ -168,18 +186,6 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
                 comm.send(peer.rank, self.tag, stream);
             }
         }
-
-        // 3a. Interpolation scratch, with the *local* coarse sources
-        //    captured now. The reads are coarse data-box interiors —
-        //    never ghost regions — so nothing the finish half (or any
-        //    interior-only compute run between the halves) writes can
-        //    change them; capture-at-begin is bitwise-identical to
-        //    capture-at-finish.
-        let mut scratches =
-            make_scratch(registry, self.members().flat_map(|s| &s.scratch), category);
-        ctx.scratch = &mut scratches;
-        factory.copy_many(&mut ctx, &self.parts(|s| &s.captures, |_| None), category);
-
         PendingFill { window: self, factory, first_err, scratches }
     }
 }
@@ -312,23 +318,31 @@ impl<S: Borrow<RefineSchedule>> PendingFill<'_, S> {
         });
         let transferred = self.receive_and_interpolate(hierarchy, comm, category);
 
-        // 4. Physical boundaries, last (so corners overwrite interpolant
-        //    values with the true boundary condition); 5. time stamps.
+        // 5. Physical boundaries of every member, after every member's
+        //    interpolation (so corners overwrite interpolant values
+        //    with the true boundary condition); 6. time stamps.
+        let members = || self.window.members().filter(|s| !s.physical.is_empty());
+        let mut kept: Vec<_> =
+            members().map(|s| s.boundary_kept.lock().expect("a boundary fill panicked")).collect();
+        let mut fills: Vec<_> = members()
+            .zip(&mut kept)
+            .map(|(s, kept)| BoundaryFill {
+                level: s.level_no,
+                domain_box: hierarchy.level(s.level_no).domain().bounding(),
+                plans: &s.physical,
+                kept,
+            })
+            .collect();
+        physical.fill_many(hierarchy, &mut fills, time);
         for sched in self.window.members() {
-            let level = hierarchy.level_mut(sched.level_no);
-            if !sched.physical.is_empty() {
-                let mut kept = sched.boundary_kept.lock().expect("a boundary fill panicked");
-                let domain_box = level.domain().bounding();
-                physical.fill_many(level, &sched.physical, domain_box, time, &mut kept);
-            }
-            sched.stamp(level, time);
+            sched.stamp(hierarchy.level_mut(sched.level_no), time);
         }
         transferred
     }
 
-    /// Stages 2b (recv + unpack) and 3b (remote scratch unpack +
-    /// interpolate): everything the fill still has to move. Reports the
-    /// first fault of either half.
+    /// Stages 3 (recv + unpack, remote coarse sources included) and 4
+    /// (scratch extension + interpolation): everything the fill still
+    /// has to move. Reports the first fault of either half.
     pub(super) fn receive_and_interpolate(
         &mut self,
         hierarchy: &mut PatchHierarchy,
@@ -338,32 +352,30 @@ impl<S: Borrow<RefineSchedule>> PendingFill<'_, S> {
         let (w, factory) = (self.window, self.factory.as_ref());
         let mut ctx = TransferCtx { hierarchy, scratch: &mut self.scratches, outgoing: None };
 
-        // 2b + 3b. Incoming messages: same-level ghosts and the remote
+        // 3. Incoming messages: same-level ghosts and the remote
         //    coarse sources of the interpolation scratch.
         let parts = w.parts(|s| &s.recvs, |m| Some(&m.recvs));
         let received =
             receive_and_unpack(factory, &mut ctx, &parts, &w.recv_peers, comm, w.tag, category);
 
-        // 3b. Coarse-fine interpolation through the captured scratch,
-        //    one call per operator and ratio for every member. (After a
-        //    faulty stream the scratch holds stale values; the step
-        //    rolls back anyway.)
+        // 4. Coarse-fine interpolation through the captured scratch:
+        //    one call for every member, its jobs grouped by operator and
+        //    ratio in order of first use. (After a faulty stream the
+        //    scratch holds stale values; the step rolls back anyway.)
         let covered: Vec<&[BoxList]> = w.members().map(|s| &s.covered[..]).collect();
         factory.extend_many(ctx.scratch, &covered);
-        let mut by_op: Vec<(&dyn RefineOperator, IntVector, Vec<Part<'_, RefineJob>>)> = Vec::new();
+        let mut groups: Vec<OpGroup<'_, dyn RefineOperator, RefineJob>> = Vec::new();
         for (m, sched) in w.members.iter().zip(w.members()) {
             let ratio = ctx.hierarchy.ratio_to_coarser(sched.level_no);
             for (op, jobs) in &sched.refines {
                 let part = Part { jobs, scratch: m.scratch, peers: None };
-                match by_op.iter_mut().find(|(o, r, _)| o.name() == op.name() && *r == ratio) {
-                    Some((.., parts)) => parts.push(part),
-                    None => by_op.push((op.as_ref(), ratio, vec![part])),
+                match groups.iter_mut().find(|g| g.op.name() == op.name() && g.ratio == ratio) {
+                    Some(group) => group.parts.push(part),
+                    None => groups.push(OpGroup { op: op.as_ref(), ratio, parts: vec![part] }),
                 }
             }
         }
-        for (op, ratio, parts) in &by_op {
-            factory.refine_many(&mut ctx, *op, parts, *ratio, category);
-        }
+        factory.refine_many(&mut ctx, &groups, category);
         self.first_err.take().or(received).map_or(Ok(()), Err)
     }
 }

@@ -27,7 +27,7 @@ use crate::patch::Patch;
 use crate::patchdata::{Element, PatchData, PatchDataError};
 use crate::variable::VariableId;
 use bytes::Bytes;
-use rbamr_geometry::{BoxList, BoxOverlap};
+use rbamr_geometry::{BoxList, BoxOverlap, IntVector};
 use rbamr_perfmodel::Category;
 use std::ops::Range;
 
@@ -317,6 +317,30 @@ pub struct RefineJob {
     pub fill: BoxList,
     /// Global index of the fine patch (plan digests only).
     pub dst_idx: u32,
+}
+
+/// The jobs of an interpolation stage that share one operator `op` and
+/// one ratio: one schedule's per operator, or every member's of a
+/// window. A stage hands all its groups to one call, in order.
+pub struct OpGroup<'a, O: ?Sized, J> {
+    /// The operator.
+    pub op: &'a O,
+    /// How much finer the fine level is than the coarse one.
+    pub ratio: IntVector,
+    /// The jobs, one part per schedule.
+    pub parts: Vec<Part<'a, J>>,
+}
+
+impl<'a, O: ?Sized, J> OpGroup<'a, O, J> {
+    /// Every job of every group, in order, with its operator, ratio and
+    /// part.
+    pub fn each<'g>(
+        groups: &'g [Self],
+    ) -> impl Iterator<Item = (&'a O, IntVector, &'g Part<'a, J>, &'a J)> {
+        groups
+            .iter()
+            .flat_map(|g| Part::each(&g.parts).map(|(part, job)| (g.op, g.ratio, part, job)))
+    }
 }
 
 /// One fine→coarse projection: a local fine patch projected into

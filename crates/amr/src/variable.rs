@@ -3,8 +3,8 @@
 use crate::ops::{CoarsenOperator, RefineOperator};
 use crate::patchdata::{PatchData, PatchDataError};
 use crate::transfer::{
-    CoarsenJob, CopyJob, EagerUnpack, Loc, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
-    UnpackBatch,
+    CoarsenJob, CopyJob, EagerUnpack, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob,
+    TransferCtx, UnpackBatch,
 };
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -121,19 +121,17 @@ pub trait DataFactory: Send + Sync {
         }
     }
 
-    /// Run every job of every part that uses `op`: scratch
-    /// `job.scratch` refined into the local patch `job.pos` of level
-    /// `job.level`, `ratio` finer than its coarser level, charging
-    /// `category`.
+    /// Run every job of every group: scratch `job.scratch` refined by
+    /// the group's operator into the local patch `job.pos` of level
+    /// `job.level`, the group's ratio finer than its coarser level,
+    /// charging `category`.
     fn refine_many(
         &self,
         ctx: &mut TransferCtx<'_>,
-        op: &dyn RefineOperator,
-        parts: &[Part<'_, RefineJob>],
-        ratio: IntVector,
+        groups: &[OpGroup<'_, dyn RefineOperator, RefineJob>],
         category: Category,
     ) {
-        for (part, job) in Part::each(parts) {
+        for (op, ratio, part, job) in OpGroup::each(groups) {
             let (dst, src) = ctx.pair(
                 Loc::Patch { level: job.level, pos: job.pos },
                 part.at(Loc::Scratch(job.scratch)),
@@ -144,21 +142,20 @@ pub trait DataFactory: Send + Sync {
         }
     }
 
-    /// Run every job of one synchronisation that uses `op`: the local
-    /// patch `job.pos` of level `fine_level` projected into scratch
-    /// `job.scratch` (which carries the category).
+    /// Run every job of every group of one synchronisation: the local
+    /// patch `job.pos` of level `fine_level` projected by the group's
+    /// operator into scratch `job.scratch` (which carries the
+    /// category).
     fn coarsen_many(
         &self,
         ctx: &mut TransferCtx<'_>,
-        op: &dyn CoarsenOperator,
         fine_level: usize,
-        jobs: &[CoarsenJob],
-        ratio: IntVector,
+        groups: &[OpGroup<'_, dyn CoarsenOperator, CoarsenJob>],
     ) {
-        for job in jobs {
+        for (op, ratio, part, job) in OpGroup::each(groups) {
             let fine = &ctx.hierarchy.level(fine_level).local()[job.pos as usize];
             let aux: Vec<&dyn PatchData> = job.aux.iter().map(|&a| fine.data(a)).collect();
-            let dst = ctx.scratch[job.scratch as usize].as_mut();
+            let dst = ctx.scratch[(part.scratch + job.scratch) as usize].as_mut();
             dst.coarsen_from(op, fine.data(job.var), &aux, &job.fill, ratio);
         }
     }

@@ -16,7 +16,8 @@
 //!
 //! Every GPU run gates in-process that hydro launches per step stay
 //! within `MAX_LAUNCHES_PER_STEP`, and halo data-movement launches
-//! (copies, packs, unpacks, scratch extension, interpolation) within
+//! (copies, packs, unpacks, scratch extension, interpolation,
+//! projection, physical boundaries) within
 //! `MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP`, whatever the level count —
 //! the launch-bound regime that per-level or per-patch launching (which
 //! scale with level and patch counts) cannot satisfy.

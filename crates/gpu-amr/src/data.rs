@@ -9,8 +9,8 @@ use rbamr_amr::patchdata::{
     PatchDataError,
 };
 use rbamr_amr::transfer::{
-    CoarsenJob, CopyJob, Loc, Part, PeerStream, RefineJob, StreamJob, TransferCtx, UnpackBatch,
-    STREAM_VALUE_BYTES,
+    CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
+    UnpackBatch, STREAM_VALUE_BYTES,
 };
 use rbamr_amr::variable::DataFactory;
 use rbamr_device::memory::DeviceCopy;
@@ -53,7 +53,7 @@ impl DeviceElement for i32 {}
 /// kernels once per stage — one `copy-region` launch per job list, one
 /// `pack` launch and one D2H for all of a stage's outgoing messages, one
 /// H2D and one `unpack` launch for all it received, one interpolation or
-/// projection launch per operator. A regrid's solution transfer is such
+/// projection launch for every operator. A regrid's solution transfer is such
 /// a schedule too. The per-item methods remain for the callers that move
 /// one region at a time (checkpoints, digests, probes).
 ///
@@ -434,7 +434,7 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
         ratio: IntVector,
     ) {
         let (dst, src) = (device_mut(self), device_ref(src));
-        launch_refine(op, &mut |visit| visit(dst, src, fills), ratio);
+        launch_refine(&mut |visit| visit(op, ratio, dst, src, fills));
     }
 
     fn coarsen_from(
@@ -446,11 +446,8 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
         ratio: IntVector,
     ) {
         let (dst, src) = (device_mut(self), device_ref(src));
-        launch_coarsen(
-            op,
-            &mut |visit| visit(dst, src, &mut aux.iter().map(|&a| device_ref(a)), fills),
-            ratio,
-        );
+        let aux = || aux.iter().map(|&a| device_ref(a));
+        launch_coarsen(&mut |visit| visit(op, ratio, dst, src, &mut aux(), fills));
     }
 }
 
@@ -614,42 +611,36 @@ impl DataFactory for DeviceDataFactory {
     fn refine_many(
         &self,
         ctx: &mut TransferCtx<'_>,
-        op: &dyn RefineOperator,
-        parts: &[Part<'_, RefineJob>],
-        ratio: IntVector,
+        groups: &[OpGroup<'_, dyn RefineOperator, RefineJob>],
         category: Category,
     ) {
-        let mut each = |visit: &mut RefineVisit<'_>| {
-            for (part, job) in Part::each(parts) {
+        launch_refine(&mut |visit: &mut RefineVisit<'_>| {
+            for (op, ratio, part, job) in OpGroup::each(groups) {
                 let (dst, src) = ctx.pair(
                     Loc::Patch { level: job.level, pos: job.pos },
                     part.at(Loc::Scratch(job.scratch)),
                     job.var,
                 );
                 dst.set_transfer_category(category);
-                visit(device_mut(dst), device_ref(src), &job.fill);
+                visit(op, ratio, device_mut(dst), device_ref(src), &job.fill);
             }
-        };
-        launch_refine(op, &mut each, ratio);
+        });
     }
 
     fn coarsen_many(
         &self,
         ctx: &mut TransferCtx<'_>,
-        op: &dyn CoarsenOperator,
         fine_level: usize,
-        jobs: &[CoarsenJob],
-        ratio: IntVector,
+        groups: &[OpGroup<'_, dyn CoarsenOperator, CoarsenJob>],
     ) {
-        let mut each = |visit: &mut CoarsenVisit<'_>| {
-            for job in jobs {
+        launch_coarsen(&mut |visit: &mut CoarsenVisit<'_>| {
+            for (op, ratio, part, job) in OpGroup::each(groups) {
                 let fine = &ctx.hierarchy.level(fine_level).local()[job.pos as usize];
                 let aux = &mut job.aux.iter().map(|&a| device_ref(fine.data(a)));
-                let dst = device_mut(ctx.scratch[job.scratch as usize].as_mut());
-                visit(dst, device_ref(fine.data(job.var)), aux, &job.fill);
+                let dst = ctx.scratch[(part.scratch + job.scratch) as usize].as_mut();
+                visit(op, ratio, device_mut(dst), device_ref(fine.data(job.var)), aux, &job.fill);
             }
-        };
-        launch_coarsen(op, &mut each, ratio);
+        });
     }
 
     fn upload_descriptors(

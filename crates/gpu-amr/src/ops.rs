@@ -11,8 +11,8 @@
 //! refine launch. [`DeviceData`]'s per-item `refine_from` /
 //! `coarsen_from` are a batch of one;
 //! [`DeviceDataFactory`](crate::DeviceDataFactory)'s `refine_many` /
-//! `coarsen_many` hand a stage's whole job list to one launch. Nothing
-//! here computes a value.
+//! `coarsen_many` hand a stage's whole job list — every operator's, at
+//! every ratio — to one launch. Nothing here computes a value.
 
 use crate::data::DeviceData;
 use rbamr_amr::ops::{shared_source_box, CoarsenOperator, RefineOperator};
@@ -28,9 +28,10 @@ pub use rbamr_amr::ops::{
     VolumeWeightedCoarsen as DeviceVolumeWeightedCoarsen,
 };
 
-/// What a refine launch does with one job: the fine destination, the
-/// coarse source, the fine fill boxes.
-pub(crate) type RefineVisit<'a> = dyn FnMut(&mut DeviceData<f64>, &DeviceData<f64>, &BoxList) + 'a;
+/// What a refine launch does with one job: its operator and ratio, the
+/// fine destination, the coarse source, the fine fill boxes.
+pub(crate) type RefineVisit<'a> = dyn FnMut(&dyn RefineOperator, IntVector, &mut DeviceData<f64>, &DeviceData<f64>, &BoxList)
+    + 'a;
 
 /// The jobs of one refine launch: each call walks them in order.
 /// [`launch_refine`] walks them once to size the launch, once inside
@@ -43,25 +44,31 @@ fn launch_site(dst: &DeviceData<f64>) -> (Device, Category, Stream) {
     (dst.device().clone(), dst.category(), dst.stream().clone())
 }
 
-/// The `refine-interp` kernel of operator `op`: one launch covering
-/// every fill region of every job, wrapped in the Figure 5a protocol
-/// (synchronise the coarse streams, launch on the fine stream, record an
-/// event, make the coarse streams wait). Each job is one call of
-/// `op.fill`.
-pub(crate) fn launch_refine(op: &dyn RefineOperator, jobs: &mut RefineJobs<'_>, ratio: IntVector) {
-    let mut total = 0i64;
+/// The shape of a launch over jobs of several operators: each job's
+/// fill values priced at its operator's cost, bytes and flops summed.
+fn add_job(shape: &mut KernelShape, values: i64, (arrays, flops): (u32, u32)) {
+    let job = KernelShape::streaming(values, arrays, flops);
+    shape.bytes += job.bytes;
+    shape.flops += job.flops;
+}
+
+/// The `refine-interp` kernel: one launch covering every fill region
+/// of every job, whatever its operator and ratio, wrapped in the
+/// Figure 5a protocol (synchronise the coarse streams, launch on the
+/// fine stream, record an event, make the coarse streams wait). Each
+/// job is one call of its operator's `fill`.
+pub(crate) fn launch_refine(jobs: &mut RefineJobs<'_>) {
+    let mut shape = KernelShape::default();
     let mut site = None;
-    jobs(&mut |dst, src, fills| {
-        total += fills.num_cells();
+    jobs(&mut |op, ratio, dst, src, fills| {
+        add_job(&mut shape, fills.num_cells(), op.cost(ratio));
         src.stream().synchronize();
         site.get_or_insert_with(|| launch_site(dst));
     });
-    let Some((device, category, fine_stream)) = site.filter(|_| total > 0) else { return };
-    let (arrays_touched, flops_per_elem) = op.cost(ratio);
-    let shape = KernelShape::streaming(total, arrays_touched, flops_per_elem);
+    let Some((device, category, fine_stream)) = site.filter(|_| shape.bytes > 0.0) else { return };
     fine_stream.submit();
     device.launch_named(&fine_stream, "refine-interp", category, shape, |k| {
-        jobs(&mut |dst, src, fills| {
+        jobs(&mut |op, ratio, dst, src, fills| {
             let (sbox, dbox) = (src.data_box(), dst.data_box());
             let src = src.buffer().as_slice(&k);
             op.fill(dst.buffer_mut().as_mut_slice(&k), dbox, fills, src, sbox, ratio);
@@ -69,12 +76,15 @@ pub(crate) fn launch_refine(op: &dyn RefineOperator, jobs: &mut RefineJobs<'_>, 
     });
     let event = Event::new(&device);
     event.record(&fine_stream);
-    jobs(&mut |_, src, _| src.stream().wait_event(&event));
+    jobs(&mut |_, _, _, src, _| src.stream().wait_event(&event));
 }
 
-/// As [`RefineVisit`], for a coarsen: the coarse destination, the fine
-/// variable, the operator's fine auxiliaries, the coarse fill boxes.
+/// As [`RefineVisit`], for a coarsen: the operator and ratio, the
+/// coarse destination, the fine variable, the operator's fine
+/// auxiliaries, the coarse fill boxes.
 pub(crate) type CoarsenVisit<'a> = dyn for<'s> FnMut(
+        &dyn CoarsenOperator,
+        IntVector,
         &mut DeviceData<f64>,
         &'s DeviceData<f64>,
         &mut dyn Iterator<Item = &'s DeviceData<f64>>,
@@ -84,31 +94,25 @@ pub(crate) type CoarsenVisit<'a> = dyn for<'s> FnMut(
 /// The jobs of one coarsen launch: each call walks them in order.
 pub(crate) type CoarsenJobs<'a> = dyn FnMut(&mut CoarsenVisit<'_>) + 'a;
 
-/// The `coarsen-project` kernel of operator `op`: as [`launch_refine`]
-/// but indexed per *coarse* row (Figures 7/8: one thread per coarse
-/// value), with no stream protocol.
+/// The `coarsen-project` kernel: as [`launch_refine`] but indexed per
+/// *coarse* row (Figures 7/8: one thread per coarse value), with no
+/// stream protocol.
 ///
 /// # Panics
 /// Panics, before launching, as [`shared_source_box`] for the sources
 /// of any job.
-pub(crate) fn launch_coarsen(
-    op: &dyn CoarsenOperator,
-    jobs: &mut CoarsenJobs<'_>,
-    ratio: IntVector,
-) {
-    let mut total = 0i64;
+pub(crate) fn launch_coarsen(jobs: &mut CoarsenJobs<'_>) {
+    let mut shape = KernelShape::default();
     let mut site = None;
-    jobs(&mut |dst, src, aux, fills| {
-        total += fills.num_cells();
+    jobs(&mut |op, ratio, dst, src, aux, fills| {
+        add_job(&mut shape, fills.num_cells(), op.cost(ratio));
         shared_source_box(op, std::iter::once(src).chain(aux).map(|s| s.data_box()));
         site.get_or_insert_with(|| launch_site(dst));
     });
-    let Some((device, category, stream)) = site.filter(|_| total > 0) else { return };
-    let (arrays_touched, flops_per_elem) = op.cost(ratio);
-    let shape = KernelShape::streaming(total, arrays_touched, flops_per_elem);
+    let Some((device, category, stream)) = site.filter(|_| shape.bytes > 0.0) else { return };
     stream.submit();
     device.launch_named(&stream, "coarsen-project", category, shape, |k| {
-        jobs(&mut |dst, src, aux, fills| {
+        jobs(&mut |op, ratio, dst, src, aux, fills| {
             let (sbox, dbox) = (src.data_box(), dst.data_box());
             let srcs: Vec<&[f64]> =
                 std::iter::once(src).chain(aux).map(|s| s.buffer().as_slice(&k)).collect();

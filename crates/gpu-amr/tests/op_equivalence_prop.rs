@@ -280,12 +280,13 @@ mod fused {
     use proptest::prelude::*;
     use rbamr_amr::patchdata::{PatchData, PatchDataError};
     use rbamr_amr::transfer::{
-        narrow, CoarsenJob, CopyJob, Loc, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
-        STREAM_VALUE_BYTES,
+        narrow, CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob,
+        TransferCtx, STREAM_VALUE_BYTES,
     };
     use rbamr_amr::variable::DataFactory;
     use rbamr_amr::{
-        GridGeometry, HostData, HostDataFactory, PatchHierarchy, VariableId, VariableRegistry,
+        CoarsenOperator, GridGeometry, HostData, HostDataFactory, PatchHierarchy, RefineOperator,
+        VariableId, VariableRegistry,
     };
     use rbamr_device::{Device, DeviceStats};
     use rbamr_geometry::{ghost_overlaps, BoxList, Centring, GBox, IntVector};
@@ -687,80 +688,93 @@ mod fused {
             prop_assert_eq!(ws[2].counter("device.kernel_launches.extend-uncovered"), 1);
         }
 
-        /// `refine_many` for all four operators: same arrays, one
-        /// launch per call.
+        /// `refine_many` with all four operators in one call, two jobs
+        /// each: same arrays as the per-item loop in group order, one
+        /// launch.
         #[test]
         fn fused_refine_equals_the_per_item_loop(
             case in arb_case(),
             f in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 2),
         ) {
             let r = IntVector::uniform(case.ratio);
-            for which in 0..4 {
-                // The side operator serves the world's side axis.
-                let (op, centring) = refine_op(if which == 3 { 3 + case.axis } else { which });
-                let mut ws = worlds(&case);
-                let var = var_of(&ws[0], centring);
-                let mut jobs = Vec::new();
+            let mut ws = worlds(&case);
+            // The side operator serves the world's side axis.
+            let ops = [0, 1, 2, 3 + case.axis].map(refine_op);
+            let mut jobs = Vec::new();
+            for (op, centring) in &ops {
+                let var = var_of(&ws[0], *centring);
+                let mut group = Vec::new();
                 for (p, &(fx, fy, fw, fh)) in f.iter().enumerate() {
                     let fine_box = FOOTPRINTS[p].refine(r);
                     let fill = sub_box(centring.data_box(fine_box.grow(IntVector::ONE)), fx, fy, fw, fh);
+                    let mut scratch = 0;
                     for w in &mut ws {
-                        w.add_scratch(var, FOOTPRINTS[p].grow(IntVector::ONE), &case);
+                        scratch = w.add_scratch(var, FOOTPRINTS[p].grow(IntVector::ONE), &case);
                     }
-                    jobs.push(RefineJob {
+                    group.push(RefineJob {
                         var,
                         level: 1,
                         pos: narrow(p),
-                        scratch: narrow(p),
+                        scratch: narrow(scratch),
                         fill: BoxList::from_box(fill),
                         dst_idx: narrow(p),
                     });
                 }
-                let [_, per_item, fused] = measured(&mut ws, |w| {
-                    w.with_ctx(|f, ctx| f.refine_many(ctx, op.as_ref(), &[Part::whole(&jobs)], r, CAT));
-                });
-                assert_same(&ws, "refine_many");
-                prop_assert_eq!(per_item.kernel_launches, 2);
-                prop_assert_eq!(fused.kernel_launches, 1);
-                prop_assert_eq!(ws[2].counter("device.kernel_launches.refine-interp"), 1);
+                jobs.push((op.as_ref(), group));
             }
+            let groups: Vec<OpGroup<'_, dyn RefineOperator, RefineJob>> = jobs
+                .iter()
+                .map(|(op, group)| OpGroup { op: *op, ratio: r, parts: vec![Part::whole(group)] })
+                .collect();
+            let [_, per_item, fused] =
+                measured(&mut ws, |w| w.with_ctx(|f, ctx| f.refine_many(ctx, &groups, CAT)));
+            assert_same(&ws, "refine_many");
+            prop_assert_eq!(per_item.kernel_launches, 8);
+            prop_assert_eq!(fused.kernel_launches, 1);
+            prop_assert_eq!(ws[2].counter("device.kernel_launches.refine-interp"), 1);
         }
 
-        /// `coarsen_many` for all three operators: same arrays, one
-        /// launch per call.
+        /// `coarsen_many` with all three operators in one call, two
+        /// jobs each: same arrays, one launch.
         #[test]
         fn fused_coarsen_equals_the_per_item_loop(
             case in arb_case(),
             f in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 2),
         ) {
             let r = IntVector::uniform(case.ratio);
-            for which in 0..3 {
-                let (op, centring) = coarsen_op(which);
-                let mut ws = worlds(&case);
-                let var = var_of(&ws[0], centring);
+            let mut ws = worlds(&case);
+            let ops = [0, 1, 2].map(coarsen_op);
+            let mut jobs = Vec::new();
+            for (op, centring) in &ops {
+                let var = var_of(&ws[0], *centring);
                 let aux: Vec<VariableId> = (0..op.num_aux()).map(|_| ws[0].vars[3]).collect();
-                let mut jobs = Vec::new();
+                let mut group = Vec::new();
                 for (p, &(fx, fy, fw, fh)) in f.iter().enumerate() {
+                    let mut scratch = 0;
                     for w in &mut ws {
-                        w.add_scratch(var, FOOTPRINTS[p], &case);
+                        scratch = w.add_scratch(var, FOOTPRINTS[p], &case);
                     }
-                    jobs.push(CoarsenJob {
+                    group.push(CoarsenJob {
                         var,
                         aux: aux.clone(),
                         pos: narrow(p),
-                        scratch: narrow(p),
+                        scratch: narrow(scratch),
                         fill: BoxList::from_box(sub_box(centring.data_box(FOOTPRINTS[p]), fx, fy, fw, fh)),
                         src_idx: narrow(p),
                     });
                 }
-                let [_, per_item, fused] = measured(&mut ws, |w| {
-                    w.with_ctx(|f, ctx| f.coarsen_many(ctx, op.as_ref(), 1, &jobs, r));
-                });
-                assert_same(&ws, "coarsen_many");
-                prop_assert_eq!(per_item.kernel_launches, 2);
-                prop_assert_eq!(fused.kernel_launches, 1);
-                prop_assert_eq!(ws[2].counter("device.kernel_launches.coarsen-project"), 1);
+                jobs.push((op.as_ref(), group));
             }
+            let groups: Vec<OpGroup<'_, dyn CoarsenOperator, CoarsenJob>> = jobs
+                .iter()
+                .map(|(op, group)| OpGroup { op: *op, ratio: r, parts: vec![Part::whole(group)] })
+                .collect();
+            let [_, per_item, fused] =
+                measured(&mut ws, |w| w.with_ctx(|f, ctx| f.coarsen_many(ctx, 1, &groups)));
+            assert_same(&ws, "coarsen_many");
+            prop_assert_eq!(per_item.kernel_launches, 6);
+            prop_assert_eq!(fused.kernel_launches, 1);
+            prop_assert_eq!(ws[2].counter("device.kernel_launches.coarsen-project"), 1);
         }
     }
 

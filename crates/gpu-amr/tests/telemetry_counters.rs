@@ -571,12 +571,12 @@ fn regrid_transfer_budget_does_not_grow_with_the_patch_count() {
         }
         ranks.into_iter().map(|r| r.launches).collect::<Vec<_>>()
     });
-    // Copies from the old level, scratch captures, one interpolation
-    // per operator, and one extension when some scratch value lies
-    // outside the coarse level — none here, the new level is well
-    // inside it: a constant.
+    // One launch for the copies from the old level and the scratch
+    // captures, one for the interpolation of both operators, and one
+    // extension when some scratch value lies outside the coarse level
+    // — none here, the new level is well inside it: a constant.
     assert!(runs[0].iter().all(|l| l.iter().sum::<u64>() <= 16), "{:?}", runs[0]);
-    assert_eq!(runs[0], [[1, 1, 2, 2, 0]; 2]);
+    assert_eq!(runs[0], [[1, 1, 1, 1, 0]; 2]);
     assert!(runs[1] == runs[0] && runs[2] == runs[0], "launches grew with the level: {runs:?}");
 }
 

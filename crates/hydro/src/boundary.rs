@@ -5,14 +5,14 @@
 //! quantities mirror evenly. The fill is index-precomputed on the host
 //! (pure box arithmetic, no data) and applied either directly to host
 //! data or as a device kernel — ghost filling never moves field data
-//! across the PCIe bus. A schedule's fill is one call
-//! ([`PhysicalBoundary::fill_many`]): its index lists are worked out at
-//! the first fill and kept with the schedule, and on the device every
-//! patch and variable of the fill shares one launch.
+//! across the PCIe bus. A fill window's boundary stage is one call
+//! ([`PhysicalBoundary::fill_many`]): each schedule's index lists are
+//! worked out at its first fill and kept with it, and on the device
+//! every level, patch and variable of the window shares one launch.
 
 use crate::state::Fields;
 use rbamr_amr::{
-    BoundaryKept, HostData, Patch, PatchData, PatchLevel, PhysicalBoundary, PhysicalPlan,
+    BoundaryFill, HostData, Patch, PatchData, PatchHierarchy, PhysicalBoundary, PhysicalPlan,
     VariableId,
 };
 use rbamr_device::{Device, Stream};
@@ -185,43 +185,43 @@ impl PhysicalBoundary for ReflectiveBoundary {
         }
     }
 
-    fn fill_many(
-        &self,
-        level: &mut PatchLevel,
-        plans: &[PhysicalPlan],
-        domain_box: GBox,
-        _time: f64,
-        kept: &mut BoundaryKept,
-    ) {
-        // The pairs depend on the plans alone: computed at the
-        // schedule's first fill, dropped with it.
-        if !kept.as_ref().is_some_and(|k| k.is::<SchedulePairs>()) {
-            let pairs = plans.iter().map(|plan| {
-                let data = level.local()[plan.pos].data(plan.var);
-                self.pairs_of(data, plan.var, &plan.outside, domain_box)
-            });
-            *kept = Some(Box::new(SchedulePairs(pairs.collect())));
+    fn fill_many(&self, hierarchy: &mut PatchHierarchy, fills: &mut [BoundaryFill<'_>], _: f64) {
+        // The pairs depend on the plans alone: computed at a schedule's
+        // first fill, dropped with it.
+        for fill in fills.iter_mut() {
+            if !fill.kept.as_ref().is_some_and(|k| k.is::<SchedulePairs>()) {
+                let level = hierarchy.level(fill.level);
+                let pairs = fill.plans.iter().map(|plan| {
+                    let data = level.local()[plan.pos].data(plan.var);
+                    self.pairs_of(data, plan.var, &plan.outside, fill.domain_box)
+                });
+                *fill.kept = Some(Box::new(SchedulePairs(pairs.collect())));
+            }
         }
-        let kept = kept.as_ref().and_then(|k| k.downcast_ref::<SchedulePairs>());
-        let jobs = plans.iter().zip(&kept.expect("the pairs were just ensured").0);
-        // A level's patches share one placement.
-        let device = plans.first().and_then(|first| {
-            let data = data_of(level, first).as_any().downcast_ref::<DeviceData<f64>>();
+        let jobs = fills.iter().flat_map(|fill| {
+            let kept = fill.kept.as_ref().and_then(|k| k.downcast_ref::<SchedulePairs>());
+            let pairs = &kept.expect("the pairs were just ensured").0;
+            fill.plans.iter().zip(pairs).map(|(plan, pairs)| (fill.level, plan, pairs))
+        });
+        // A hierarchy's patches share one placement.
+        let device = jobs.clone().next().and_then(|(level, plan, _)| {
+            let data = data_of(hierarchy, level, plan).as_any().downcast_ref::<DeviceData<f64>>();
             data.map(|d| d.device().clone())
         });
         match device {
             None => {
-                for (plan, pairs) in jobs {
-                    let host = data_of(level, plan).as_any_mut().downcast_mut::<HostData<f64>>();
-                    let host = host.expect("ReflectiveBoundary: unsupported data placement");
+                for (level, plan, pairs) in jobs {
+                    let host = data_of(hierarchy, level, plan).as_any_mut().downcast_mut();
+                    let host: &mut HostData<f64> =
+                        host.expect("ReflectiveBoundary: unsupported data placement");
                     reflect(host.as_mut_slice(), pairs);
                 }
             }
             Some(device) => {
-                let total = jobs.clone().map(|(_, pairs)| pairs.len()).sum();
+                let total = jobs.clone().map(|(.., pairs)| pairs.len()).sum();
                 launch_reflect(&device, total, |apply| {
-                    for (plan, pairs) in jobs {
-                        let dev = data_of(level, plan).as_any_mut().downcast_mut();
+                    for (level, plan, pairs) in jobs {
+                        let dev = data_of(hierarchy, level, plan).as_any_mut().downcast_mut();
                         apply(dev.expect("ReflectiveBoundary: mixed data placements"), pairs);
                     }
                 });
@@ -230,16 +230,20 @@ impl PhysicalBoundary for ReflectiveBoundary {
     }
 }
 
-/// The array a plan fills.
-fn data_of<'a>(level: &'a mut PatchLevel, plan: &PhysicalPlan) -> &'a mut dyn PatchData {
-    level.local_mut()[plan.pos].data_mut(plan.var)
+/// The array a plan of level `level` fills.
+fn data_of<'a>(
+    hierarchy: &'a mut PatchHierarchy,
+    level: usize,
+    plan: &PhysicalPlan,
+) -> &'a mut dyn PatchData {
+    hierarchy.level_mut(level).local_mut()[plan.pos].data_mut(plan.var)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rbamr_amr::patch::PatchId;
-    use rbamr_amr::{HostDataFactory, VariableRegistry};
+    use rbamr_amr::{GridGeometry, HostDataFactory, VariableRegistry};
     use rbamr_geometry::IntVector;
     use std::sync::Arc;
 
@@ -317,26 +321,28 @@ mod tests {
         assert_eq!(d.at(IntVector::new(-2, 3)), 2.0);
     }
 
-    /// A two-patch device level spanning an 8x4 domain, fields seeded
-    /// with distinct values, and the plans of its low-y ghost rows.
-    fn device_level() -> (rbamr_device::Device, PatchLevel, Fields, Vec<PhysicalPlan>, GBox) {
+    /// A one-level device hierarchy of two patches spanning an 8x4
+    /// domain, fields seeded with distinct values, and the plans of its
+    /// low-y ghost rows.
+    fn device_hierarchy() -> (rbamr_device::Device, PatchHierarchy, Fields, Vec<PhysicalPlan>, GBox)
+    {
         let device = rbamr_device::Device::k20x();
         let factory = rbamr_gpu_amr::DeviceDataFactory::new(device.clone());
         let mut reg = VariableRegistry::new(Arc::new(factory));
         let f = Fields::register(&mut reg);
         let domain = b(0, 0, 8, 4);
-        let boxes = vec![b(0, 0, 4, 4), b(4, 0, 8, 4)];
-        let mut level = PatchLevel::new(
-            0,
-            IntVector::ONE,
-            boxes,
-            vec![0, 0],
+        let geometry = GridGeometry::unit(1.0);
+        let mut h = PatchHierarchy::new(
+            geometry,
             BoxList::from_box(domain),
+            IntVector::uniform(2),
+            1,
             0,
-            &reg,
+            1,
         );
+        h.set_level(0, vec![b(0, 0, 4, 4), b(4, 0, 8, 4)], vec![0, 0], &reg);
         let mut plans = Vec::new();
-        for (pos, patch) in level.local_mut().iter_mut().enumerate() {
+        for (pos, patch) in h.level_mut(0).local_mut().iter_mut().enumerate() {
             for var in [f.density0, f.yvel0] {
                 let dev: &mut DeviceData<f64> =
                     patch.data_mut(var).as_any_mut().downcast_mut().unwrap();
@@ -349,43 +355,50 @@ mod tests {
                 plans.push(PhysicalPlan { pos, dst_idx: pos, var, outside });
             }
         }
-        (device, level, f, plans, domain)
+        (device, h, f, plans, domain)
     }
 
     #[test]
     fn one_launch_fills_what_the_per_plan_loop_fills() {
-        let images = |level: &PatchLevel, plans: &[PhysicalPlan]| -> Vec<Vec<f64>> {
+        let images = |h: &PatchHierarchy, plans: &[PhysicalPlan]| -> Vec<Vec<f64>> {
             let image = |plan: &PhysicalPlan| {
-                let data = level.local()[plan.pos].data(plan.var);
+                let data = h.level(0).local()[plan.pos].data(plan.var);
                 let dev: &DeviceData<f64> = data.as_any().downcast_ref().unwrap();
                 dev.download_all(Category::Other)
             };
             plans.iter().map(image).collect()
         };
-        let (device, mut level, f, plans, domain) = device_level();
+        let (device, mut h, f, plans, domain) = device_hierarchy();
         let boundary = ReflectiveBoundary::for_fields(&f, 32);
         let before = device.stats().kernel_launches;
         for plan in &plans {
-            let patch = &mut level.local_mut()[plan.pos];
+            let patch = &mut h.level_mut(0).local_mut()[plan.pos];
             boundary.fill(patch, plan.var, &plan.outside, domain, 0.0);
         }
         assert_eq!(device.stats().kernel_launches - before, plans.len() as u64);
-        let per_plan = images(&level, &plans);
+        let per_plan = images(&h, &plans);
 
-        let (device, mut level, _, plans, domain) = device_level();
-        let mut kept = None;
+        // Two schedules' plans, as two members of one window.
+        let (device, mut h, _, plans, domain) = device_hierarchy();
+        let mut kept = [None, None];
+        let mut window_fill = |h: &mut PatchHierarchy| {
+            let [first, second] = &mut kept;
+            let mut fills = [(&plans[..2], first), (&plans[2..], second)]
+                .map(|(plans, kept)| BoundaryFill { level: 0, domain_box: domain, plans, kept });
+            boundary.fill_many(h, &mut fills, 0.0);
+        };
         let before = device.stats().kernel_launches;
-        boundary.fill_many(&mut level, &plans, domain, 0.0, &mut kept);
+        window_fill(&mut h);
         assert_eq!(device.stats().kernel_launches - before, 1);
-        assert_eq!(images(&level, &plans), per_plan);
+        assert_eq!(images(&h, &plans), per_plan);
         // yvel is odd in y: the ghost row below the wall is negated.
         assert!(per_plan[1].iter().any(|&v| v < 0.0));
-        // The pairs stay with the schedule: a second fill reuses them
+        // The pairs stay with each schedule: a second fill reuses them
         // and, the ghosts already mirroring the interior, changes nothing.
-        assert!(kept.is_some());
-        boundary.fill_many(&mut level, &plans, domain, 0.0, &mut kept);
+        window_fill(&mut h);
         assert_eq!(device.stats().kernel_launches - before, 2);
-        assert_eq!(images(&level, &plans), per_plan);
+        assert_eq!(images(&h, &plans), per_plan);
+        assert!(kept.iter().all(Option::is_some));
     }
 
     #[test]

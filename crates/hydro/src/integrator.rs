@@ -545,18 +545,20 @@ impl HydroSim {
     ///    inputs *now*, so the exchanged bytes equal those of
     ///    fill-then-compute, and every send is posted before the first
     ///    receive.
-    /// 2. Device placements only: one interior batch (`Pass::Interior`)
-    ///    runs on the window's stream while the messages are in flight,
-    ///    and its elapsed kernel time is banked as comm overlap credit
-    ///    (the receives in step 3 charge only the exposed remainder).
+    /// 2. Only on a device, and only when this rank receives a message
+    ///    in the window: one interior batch (`Pass::Interior`) runs on
+    ///    the window's stream while the messages are in flight, and its
+    ///    elapsed kernel time is banked as comm overlap credit (the
+    ///    receives in step 3 charge only the exposed remainder).
     /// 3. `finish` consumes the window's messages.
-    /// 4. One batch runs the rest of the phase. On the host that is the
-    ///    whole phase (`Pass::Full`): the CPU baseline models no
-    ///    overlap. On a device it is the boundary batch
-    ///    (`Pass::Boundary`) on the same stream, so stream order is its
-    ///    edge to the interior batch, gated behind the exchange
-    ///    completion — surfaced as `stream-wait` telemetry
-    ///    (`halo-exchange`).
+    /// 4. One batch runs the rest of the phase. After an interior batch
+    ///    it is the boundary batch (`Pass::Boundary`) on the same
+    ///    stream, so stream order is its edge to the interior batch,
+    ///    gated behind the exchange completion — surfaced as
+    ///    `stream-wait` telemetry (`halo-exchange`). Otherwise it is
+    ///    the whole phase (`Pass::Full`): the CPU baseline models no
+    ///    overlap, and a window with no message to wait for has nothing
+    ///    to hide, so splitting it would only double its launches.
     ///
     /// Interior regions are margin-proven not to observe any cell the
     /// fill writes, so the overlapped window is bitwise-identical to
@@ -574,7 +576,8 @@ impl HydroSim {
         let pending =
             window.begin(&mut self.hierarchy, &self.registry, comm, Category::HaloExchange);
         let stream = self.device.as_ref().map(Stream::new);
-        if let Some(stream) = &stream {
+        let split = stream.as_ref().filter(|_| window.receives_remotely());
+        if let Some(stream) = split {
             let t0 = self.clock.total();
             self.run_phase_on(Some(stream), |p, dx, ex| compute(p, dx, Pass::Interior, ex));
             if let Some(comm) = comm {
@@ -585,13 +588,13 @@ impl HydroSim {
         if let Err(e) = pending.finish(h, &self.boundary, comm, time, Category::HaloExchange) {
             first.get_or_insert(e.into());
         }
-        if let (Some(device), Some(stream)) = (&self.device, &stream) {
+        if let (Some(device), Some(stream)) = (&self.device, split) {
             let exchange_stream = Stream::new(device);
             exchange_stream.submit();
             let exchanged = device.record_event(&exchange_stream);
             device.stream_wait(stream, &exchanged, "halo-exchange", Category::HaloExchange);
         }
-        let pass = if stream.is_some() { Pass::Boundary } else { Pass::Full };
+        let pass = if split.is_some() { Pass::Boundary } else { Pass::Full };
         self.run_phase_on(stream.as_ref(), |p, dx, ex| compute(p, dx, pass, ex));
         if let Some(comm) = comm {
             comm.clear_overlap_credit();

@@ -28,7 +28,11 @@
 //! passes: [`Pass::Interior`] computes only patch cores that a
 //! stencil-margin analysis proves cannot observe ghost cells (so it is
 //! safe to run while the halo exchange is in flight), and
-//! [`Pass::Boundary`] finishes the frame after the exchange lands.
+//! [`Pass::Boundary`] finishes the frame after the exchange lands. The
+//! driver splits a window's phase only on a device, and only when the
+//! rank receives a message in that window — with nothing in flight
+//! there is nothing to hide, and the split would only double the
+//! window's launches; every other phase runs as one `Pass::Full`.
 //! Margins grow along a window's kernel chain (`margin(k) = 6 + 4(k-1)`)
 //! so that, with a maximum stencil radius of 4 (2-cell van Leer upwind
 //! reach + centring conversions + slack):
@@ -43,7 +47,10 @@
 //! A patch too small for a margin degrades gracefully: its interior is
 //! empty and the whole kernel runs in the boundary pass, i.e. in the
 //! unoverlapped fill-then-compute order. The host placement models no
-//! overlap, so its driver only ever asks for `Pass::Full`.
+//! overlap, so its driver only ever asks for `Pass::Full`. Interior +
+//! Boundary equals Full bitwise (the unit test
+//! `one_pass_over_every_level_equals_a_pass_per_level`), so where the
+//! driver splits never changes a value.
 //!
 //! `Exec::Device` carries the transfer policy as `copy_back`: when
 //! set, the full arrays a phase touches make a PCIe round trip before
@@ -190,25 +197,37 @@ const MARGIN_BASE: i64 = 6;
 const MARGIN_STEP: i64 = 4;
 
 /// Upper bound on hydro launches per step for the whole hierarchy —
-/// the in-process fig9 gate constant. Every kernel of the step's phase
-/// chain, with both passes of the five overlap windows, is 78 launches
-/// (what a step issues once any patch has an interior core deep enough
-/// for every kernel); 96 leaves headroom without ever permitting
-/// per-level or per-patch scaling.
-pub const MAX_LAUNCHES_PER_STEP: u64 = 96;
+/// the in-process fig9 gate constant — where no window's phase runs in
+/// two passes that both launch: on one rank, or where no patch has an
+/// interior core. Every kernel of the step's phase chain, once, is 52
+/// launches (the serial fig9 sweep reads 52 on every rung); 60 leaves
+/// headroom without ever permitting per-level or per-patch scaling. (A
+/// window whose rank receives a message splits, and its interior pass
+/// launches the window's kernels again where some patch has a core:
+/// 78 when all five windows split.)
+pub const MAX_LAUNCHES_PER_STEP: u64 = 60;
 
 /// Upper bound on halo data-movement launches per step — fig9's second
 /// gate, with the same bound whatever the level count: a fill window is
-/// at most seven launches for the whole hierarchy (local copies,
-/// capture, pack, unpack, extension and two interpolation operators),
-/// so the five windows of a step launch at most 35; 40 leaves the
-/// syncs' local applies and the odd regrid transfer room. The serial
-/// fig9 sweep reads 24-29 (44-54 when every level filled alone).
-pub const MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP: u64 = 40;
+/// at most six launches for the whole hierarchy (local copies with the
+/// coarse captures, pack, unpack, extension, interpolation and physical
+/// boundaries), and a sync at most four (projection, pack, local
+/// applies, unpack). The serial fig9 sweep — one rank, so no packs, two
+/// syncs and a regrid every ten steps — reads 25.2 on every rung; 30
+/// leaves headroom.
+pub const MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP: u64 = 30;
 
-/// The kernels [`MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP`] budgets.
-const DATA_MOVEMENT_KERNEL_NAMES: &[&str] =
-    &["copy-region", "pack", "unpack", "extend-uncovered", "refine-interp"];
+/// The kernels [`MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP`] budgets: every
+/// launch of a fill, a sync or a regrid's transfer.
+const DATA_MOVEMENT_KERNEL_NAMES: &[&str] = &[
+    "copy-region",
+    "pack",
+    "unpack",
+    "extend-uncovered",
+    "refine-interp",
+    "coarsen-project",
+    "physical-boundary",
+];
 
 /// Every kernel name the executor launches under. No halo-fill, sync,
 /// or regrid kernel uses them.

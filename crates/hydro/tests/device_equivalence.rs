@@ -25,9 +25,11 @@
 //! * hydro launches per step stay within `MAX_LAUNCHES_PER_STEP`,
 //!   whatever the patch or level count, and a 1-level and a 3-level run
 //!   of one deck launch the same number;
-//! * data-movement launches per step stay within a small multiple of
-//!   the fills and syncs executed — one `pack` per message sent, one
-//!   `unpack` per message received — whatever the patch count;
+//! * data-movement launches per step stay within the fills and syncs
+//!   executed — one launch per stage of each, one `pack` per message
+//!   sent, one `unpack` per message received — whatever the patch count;
+//! * a window's phase splits into interior and boundary passes only
+//!   where the rank receives a message in that window;
 //! * under fault schedules (message drops and corruption during the
 //!   overlapped halo exchange), recovery reproduces the fault-free
 //!   digest — which itself equals the host build's.
@@ -310,29 +312,39 @@ fn hydro_launches_scale_with_levels_not_patches() {
     assert_eq!(launches[0], launches[1], "hydro launches depend on the level count");
 }
 
-/// The fill windows' pack-class launches per step do not depend on the
-/// level count: a 1-level and a 3-level run of the same deck pack and
-/// unpack once per window — five of each per step at two ranks, where
-/// every window has the one peer. (Syncs, one per fine level, and a
-/// regrid's transfers, one per rebuilt level, add their own: at two
-/// ranks one pack per kind-6 or kind-7 message sent and one unpack per
-/// one received, which is what is taken off.)
+/// The fill windows' pack-class and physical-boundary launches per step
+/// do not depend on the level count: a 1-level and a 3-level run of the
+/// same deck pack, unpack and apply the physical boundaries once per
+/// window — five of each per step at two ranks, where every window has
+/// the one peer. (Syncs, one per fine level, and a regrid's transfers,
+/// one per rebuilt level, add their own packs and unpacks: at two ranks
+/// one pack per kind-6 or kind-7 message sent and one unpack per one
+/// received, which is what is taken off.) Interpolation is one launch
+/// per window too: none on one level; on three, one per window, plus at
+/// most one per fine level the step-3 regrid rebuilds.
 #[test]
 fn fill_pack_launches_are_the_same_at_one_and_three_levels() {
-    let per_level_count = [1, 3].map(|levels| {
+    let [one, three] = [1, 3].map(|levels| {
         let traces = run_levels(MANY_PATCHES, None, Placement::Device, levels);
         let fills = traces.iter().map(|t| {
             let c = |name: &str| t.step_counters.get(name).copied().unwrap_or(0);
             let (sent, received) = (c("net.sends.kind6"), c("net.recvs.kind6"));
             let (sent, received) = (sent + c("net.sends.kind7"), received + c("net.recvs.kind7"));
             let pack = c("device.kernel_launches.pack") - sent;
-            (pack, c("device.kernel_launches.unpack") - received)
+            let unpack = c("device.kernel_launches.unpack") - received;
+            let physical = c("device.kernel_launches.physical-boundary");
+            ((pack, unpack, physical), c("device.kernel_launches.refine-interp"))
         });
         fills.collect::<Vec<_>>()
     });
-    assert_eq!(per_level_count[0], per_level_count[1], "fill launches depend on the level count");
     let windows = 5 * MANY_PATCHES.steps as u64;
-    assert!(per_level_count[0].iter().all(|&c| c == (windows, windows)), "{per_level_count:?}");
+    for (rank, (one, three)) in one.iter().zip(&three).enumerate() {
+        assert_eq!(one.0, three.0, "rank {rank}: fill launches depend on the level count");
+        assert_eq!(one.0, (windows, windows, windows), "rank {rank}");
+        assert_eq!(one.1, 0, "rank {rank}: one level interpolates nothing");
+        let interp = three.1;
+        assert!((windows..=windows + 2).contains(&interp), "rank {rank}: {interp} refine-interp");
+    }
 }
 
 /// The absolute data-movement gate, beside the hydro one: the launches
@@ -362,15 +374,53 @@ fn data_movement_launches_scale_with_fills_not_patches() {
             assert!(sent <= fills + syncs && received <= fills + syncs, "{what}: messages");
             assert_eq!(launches("pack"), sent, "{what}: one pack per message sent");
             assert_eq!(launches("unpack"), received, "{what}: one unpack per message received");
-            // Per fill: the same-level copies and the scratch capture;
-            // per sync: the local applies.
-            assert!(launches("copy-region") <= 2 * fills + syncs, "{what}: copy-region");
+            // One launch per stage: per fill, the same-level copies and
+            // the scratch capture together; per sync, the local applies.
+            assert!(launches("copy-region") <= fills + syncs, "{what}: copy-region");
             assert!(launches("extend-uncovered") <= fills, "{what}: extend-uncovered");
-            // One launch per operator: at most the cell and the node or
-            // side operator per fill, the three coarsen operators per
-            // sync.
-            assert!(launches("refine-interp") <= 2 * fills, "{what}: refine-interp");
-            assert!(launches("coarsen-project") <= 3 * syncs, "{what}: coarsen-project");
+            // Every operator of a fill or a sync in one launch, and the
+            // physical boundaries of every level of a fill in one.
+            assert!(launches("refine-interp") <= fills, "{what}: refine-interp");
+            assert!(launches("coarsen-project") <= syncs, "{what}: coarsen-project");
+            assert!(launches("physical-boundary") <= fills, "{what}: physical-boundary");
+        }
+    }
+}
+
+/// A window splits into interior and boundary passes only where this
+/// rank receives a message in it. On one rank every windowed kernel
+/// launches once per window and no pass waits on an exchange; on two
+/// ranks, where every window of this 64-wide-patch deck has a remote
+/// peer, the passes still split (interior cores are non-empty, so each
+/// pass launches) and each window's boundary pass waits once. The
+/// digests equal the host build's, which runs every phase whole — and
+/// whole equals interior + boundary bitwise
+/// (`one_pass_over_every_level_equals_a_pass_per_level`).
+#[test]
+fn windows_split_only_where_a_peer_sends() {
+    for (ranks, passes) in [(1, 1), (2, 2)] {
+        let cfg = RunConfig { deck: 0, ranks, cells: 128, patch: 64, steps: 2 };
+        let device = run(cfg, None, Placement::Device);
+        assert_same_digests(
+            "the split rule moved a value",
+            cfg,
+            &run(cfg, None, Placement::Host),
+            &device,
+        );
+        let steps = cfg.steps as u64;
+        for (rank, t) in device.iter().enumerate() {
+            let c = |name: &str| t.step_counters.get(name).copied().unwrap_or(0);
+            let launches = |name: &str| c(&format!("device.kernel_launches.{name}"));
+            // `viscosity` runs in the step's first window only,
+            // `flux-calc` (x, then y) in its second only.
+            let windowed = (launches("viscosity"), launches("flux-calc"));
+            assert_eq!(
+                windowed,
+                (passes * steps, 2 * passes * steps),
+                "{ranks} ranks, rank {rank}"
+            );
+            let waits = c("device.stream_waits.halo-exchange");
+            assert_eq!(waits, (passes - 1) * 5 * steps, "{ranks} ranks, rank {rank}: waits");
         }
     }
 }
