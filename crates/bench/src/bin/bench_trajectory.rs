@@ -11,8 +11,8 @@
 //! `<dir>` holds the standard output of one `rbamr_bench --workload <w>
 //! --seed <s> --trace 0` run per file, named `<arm>.<w>.<s>.txt` with
 //! `<arm>` `parent` or `change` — or `<arm>.<w>.<s>.<n>.txt` for the
-//! `n`-th run of a seed run more than once; only the last line, the
-//! run's JSON object, is read. A run that failed its checks stops the
+//! `n`-th run of a seed run more than once (`n` a number; other names
+//! are skipped); only the last line, the run's JSON object, is read. A run that failed its checks stops the
 //! tool. The file is a JSON array with one object per campaign and one
 //! line per (workload, metric), so a campaign is a one-hunk diff.
 
@@ -54,7 +54,11 @@ fn main() {
         let path = file.expect("--runs: unreadable entry").path();
         let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
         let parts: Vec<&str> = name.strip_suffix(".txt").unwrap_or("").split('.').collect();
-        let [arm @ ("parent" | "change"), workload, seed, ..] = parts[..] else { continue };
+        let (arm, workload, seed) = match parts[..] {
+            [arm @ ("parent" | "change"), w, s] => (arm, w, s),
+            [arm @ ("parent" | "change"), w, s, n] if n.parse::<u32>().is_ok() => (arm, w, s),
+            _ => continue,
+        };
         let text = std::fs::read_to_string(&path).expect("a run's output");
         let json = text.lines().last().unwrap_or("");
         let correct = json.contains("\"correct\": true");

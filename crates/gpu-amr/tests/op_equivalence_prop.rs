@@ -448,6 +448,11 @@ mod fused {
             self.scratch.len() - 1
         }
 
+        /// `var` on the fine patches, as bit patterns.
+        fn fine_bits(&self, var: VariableId) -> Vec<Vec<u64>> {
+            self.h.level(1).local().iter().map(|p| bits(p.data(var))).collect()
+        }
+
         /// Every stored value, patches then scratch, as bit patterns.
         fn snapshot(&self) -> Vec<Vec<u64>> {
             let patches = (0..2).flat_map(|l| self.h.level(l).local());
@@ -690,7 +695,9 @@ mod fused {
 
         /// `refine_many` with all four operators in one call, two jobs
         /// each: same arrays as the per-item loop in group order, one
-        /// launch.
+        /// launch. Each group writes its own variable — the constant
+        /// operator the second cell variable — so no group overwrites
+        /// another's output, and each output changes.
         #[test]
         fn fused_refine_equals_the_per_item_loop(
             case in arb_case(),
@@ -700,9 +707,13 @@ mod fused {
             let mut ws = worlds(&case);
             // The side operator serves the world's side axis.
             let ops = [0, 1, 2, 3 + case.axis].map(refine_op);
+            let vars = [1, 0, 3, 2].map(|k| ws[0].vars[k]);
+            for (&var, (_, centring)) in vars.iter().zip(&ops) {
+                prop_assert_eq!(ws[0].reg.get(var).centring, *centring);
+            }
+            let before = vars.map(|var| ws[0].fine_bits(var));
             let mut jobs = Vec::new();
-            for (op, centring) in &ops {
-                let var = var_of(&ws[0], *centring);
+            for (&var, (op, centring)) in vars.iter().zip(&ops) {
                 let mut group = Vec::new();
                 for (p, &(fx, fy, fw, fh)) in f.iter().enumerate() {
                     let fine_box = FOOTPRINTS[p].refine(r);
@@ -729,6 +740,9 @@ mod fused {
             let [_, per_item, fused] =
                 measured(&mut ws, |w| w.with_ctx(|f, ctx| f.refine_many(ctx, &groups, CAT)));
             assert_same(&ws, "refine_many");
+            for (k, &var) in vars.iter().enumerate() {
+                prop_assert!(ws[0].fine_bits(var) != before[k], "group {} wrote nothing", k);
+            }
             prop_assert_eq!(per_item.kernel_launches, 8);
             prop_assert_eq!(fused.kernel_launches, 1);
             prop_assert_eq!(ws[2].counter("device.kernel_launches.refine-interp"), 1);

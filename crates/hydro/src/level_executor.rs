@@ -201,11 +201,14 @@ const MARGIN_STEP: i64 = 4;
 /// two passes that both launch: on one rank, or where no patch has an
 /// interior core. Every kernel of the step's phase chain, once, is 52
 /// launches (the serial fig9 sweep reads 52 on every rung); 60 leaves
-/// headroom without ever permitting per-level or per-patch scaling. (A
-/// window whose rank receives a message splits, and its interior pass
-/// launches the window's kernels again where some patch has a core:
-/// 78 when all five windows split.)
+/// headroom without ever permitting per-level or per-patch scaling.
 pub const MAX_LAUNCHES_PER_STEP: u64 = 60;
+
+/// Upper bound on hydro launches per step where windows split: a
+/// window whose rank receives a message launches its kernels in an
+/// interior pass too, where some patch has a core — 78 when all five
+/// windows split; 84 leaves headroom.
+pub const MAX_SPLIT_LAUNCHES_PER_STEP: u64 = 84;
 
 /// Upper bound on halo data-movement launches per step — fig9's second
 /// gate, with the same bound whatever the level count: a fill window is

@@ -24,7 +24,8 @@
 //! * the copy-back placement changes transfers, never digests;
 //! * hydro launches per step stay within `MAX_LAUNCHES_PER_STEP`,
 //!   whatever the patch or level count, and a 1-level and a 3-level run
-//!   of one deck launch the same number;
+//!   of one deck launch the same number; where windows split, within
+//!   `MAX_SPLIT_LAUNCHES_PER_STEP`;
 //! * data-movement launches per step stay within the fills and syncs
 //!   executed — one launch per stage of each, one `pack` per message
 //!   sent, one `unpack` per message received — whatever the patch count;
@@ -36,7 +37,9 @@
 
 use proptest::prelude::*;
 use rbamr_device::DeviceStats;
-use rbamr_hydro::level_executor::{hydro_launches, MAX_LAUNCHES_PER_STEP};
+use rbamr_hydro::level_executor::{
+    hydro_launches, MAX_LAUNCHES_PER_STEP, MAX_SPLIT_LAUNCHES_PER_STEP,
+};
 use rbamr_hydro::{
     HydroConfig, HydroSim, Placement, RecoveryPolicy, RegionInit, ResilientSim, SimSpec,
 };
@@ -392,13 +395,16 @@ fn data_movement_launches_scale_with_fills_not_patches() {
 /// launches once per window and no pass waits on an exchange; on two
 /// ranks, where every window of this 64-wide-patch deck has a remote
 /// peer, the passes still split (interior cores are non-empty, so each
-/// pass launches) and each window's boundary pass waits once. The
+/// pass launches) and each window's boundary pass waits once. Hydro
+/// launches per step stay within the bound of each regime. The
 /// digests equal the host build's, which runs every phase whole — and
 /// whole equals interior + boundary bitwise
 /// (`one_pass_over_every_level_equals_a_pass_per_level`).
 #[test]
 fn windows_split_only_where_a_peer_sends() {
-    for (ranks, passes) in [(1, 1), (2, 2)] {
+    for (ranks, passes, bound) in
+        [(1, 1, MAX_LAUNCHES_PER_STEP), (2, 2, MAX_SPLIT_LAUNCHES_PER_STEP)]
+    {
         let cfg = RunConfig { deck: 0, ranks, cells: 128, patch: 64, steps: 2 };
         let device = run(cfg, None, Placement::Device);
         assert_same_digests(
@@ -421,6 +427,11 @@ fn windows_split_only_where_a_peer_sends() {
             );
             let waits = c("device.stream_waits.halo-exchange");
             assert_eq!(waits, (passes - 1) * 5 * steps, "{ranks} ranks, rank {rank}: waits");
+            assert!(
+                t.hydro_launches <= bound * steps,
+                "{ranks} ranks, rank {rank}: {} hydro launches in {steps} steps exceed {bound} per step",
+                t.hydro_launches
+            );
         }
     }
 }
