@@ -4,6 +4,9 @@ use crate::ops::{shared_source_box, CoarsenOperator, RefineOperator};
 use crate::patchdata::{
     copy_region, region_rows, validate_overlap, Element, PatchData, PatchDataError,
 };
+use crate::transfer::{
+    CopyJob, Part, PeerStream, StreamJob, TransferCtx, UnpackBatch, STREAM_VALUE_BYTES,
+};
 use crate::variable::DataFactory;
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
@@ -11,10 +14,10 @@ use rbamr_perfmodel::{Category, Clock, CostModel, KernelShape};
 use std::any::Any;
 use std::sync::Arc;
 
-/// Optional cost accounting for host data movement: a clock to charge
-/// and the cost model to price operations, mirroring how device data
-/// charges its device's clock. Shared by all data the
-/// factory creates for one rank.
+/// Cost accounting for the host placement: a clock to charge and the
+/// cost model to price loops, mirroring how device data charges its
+/// device's clock. Held by the rank's [`HostDataFactory`] and by the
+/// hydro executor — the only two places the host placement charges.
 #[derive(Clone)]
 pub struct HostCostHook {
     /// The rank's virtual clock.
@@ -35,29 +38,17 @@ pub struct HostData<T: Element> {
     dbox: GBox,
     data: Vec<T>,
     time: f64,
-    category: Category,
-    hook: Option<HostCostHook>,
 }
 
 impl<T: Element> HostData<T> {
     /// Allocate zero-initialised host data over `cell_box` grown by
     /// `ghosts`, with the given centring.
     pub fn new(cell_box: GBox, ghosts: IntVector, centring: Centring) -> Self {
-        Self::with_hook(cell_box, ghosts, centring, None)
-    }
-
-    /// As [`HostData::new`], with cost accounting.
-    pub fn with_hook(
-        cell_box: GBox,
-        ghosts: IntVector,
-        centring: Centring,
-        hook: Option<HostCostHook>,
-    ) -> Self {
         assert!(!cell_box.is_empty(), "HostData: empty cell box");
         assert!(ghosts.all_ge(IntVector::ZERO), "HostData: negative ghost width");
         let dbox = centring.data_box(cell_box.grow(ghosts));
         let data = vec![T::default(); dbox.num_cells() as usize];
-        Self { cell_box, ghosts, centring, dbox, data, time: 0.0, category: Category::Other, hook }
+        Self { cell_box, ghosts, centring, dbox, data, time: 0.0 }
     }
 
     /// Cell-centred convenience constructor.
@@ -119,11 +110,12 @@ impl<T: Element> HostData<T> {
         acc
     }
 
-    fn charge(&self, values: i64) {
-        if let Some(h) = &self.hook {
-            // A copy/pack touches one read and one write stream.
-            let shape = KernelShape::streaming(values, 2, 0);
-            h.clock.advance(self.category, h.cost.host_kernel(shape));
+    /// Append the values of `overlap`, in stream order, to `out`.
+    fn pack_into(&self, overlap: &BoxOverlap, out: &mut Vec<u8>) {
+        for b in overlap.dst_boxes.boxes() {
+            for row in region_rows(self.dbox, b.shift(-overlap.shift)) {
+                T::encode(&self.data[row], out);
+            }
         }
     }
 }
@@ -157,10 +149,6 @@ impl<T: Element> PatchData for HostData<T> {
         self.time = time;
     }
 
-    fn set_transfer_category(&mut self, category: Category) {
-        self.category = category;
-    }
-
     fn copy_from(&mut self, src: &dyn PatchData, overlap: &BoxOverlap) {
         let src = src
             .as_any()
@@ -170,7 +158,6 @@ impl<T: Element> PatchData for HostData<T> {
         for b in overlap.dst_boxes.boxes() {
             copy_region(&mut self.data, self.dbox, &src.data, src.dbox, *b, overlap.shift);
         }
-        self.charge(overlap.num_values());
     }
 
     fn stream_size(&self, overlap: &BoxOverlap) -> usize {
@@ -179,12 +166,7 @@ impl<T: Element> PatchData for HostData<T> {
 
     fn try_pack(&self, overlap: &BoxOverlap) -> Result<Bytes, PatchDataError> {
         let mut out = Vec::with_capacity(self.stream_size(overlap));
-        for b in overlap.dst_boxes.boxes() {
-            for row in region_rows(self.dbox, b.shift(-overlap.shift)) {
-                T::encode(&self.data[row], &mut out);
-            }
-        }
-        self.charge(overlap.num_values());
+        self.pack_into(overlap, &mut out);
         Ok(Bytes::from(out))
     }
 
@@ -201,9 +183,9 @@ impl<T: Element> PatchData for HostData<T> {
         fills: &BoxList,
         ratio: IntVector,
     ) {
-        // Unlike a copy or a pack, an operator charges the host clock
-        // nothing (here and in `coarsen_from`): the host placement's
-        // virtual time does not price interpolation.
+        // An operator charges the host clock nothing (here and in
+        // `coarsen_from`): the host placement's virtual time does not
+        // price interpolation.
         let (src, dst) = (host(src), host_mut(self));
         op.fill(&mut dst.data, dst.dbox, fills, &src.data, src.dbox, ratio);
     }
@@ -233,7 +215,6 @@ impl<T: Element> PatchData for HostData<T> {
                 rest = tail;
             }
         }
-        self.charge(overlap.num_values());
         Ok(())
     }
 }
@@ -243,19 +224,26 @@ impl<T: Element> PatchData for HostData<T> {
 /// # Panics
 /// Panics if `d` is another placement's data or holds tags.
 fn host(d: &dyn PatchData) -> &HostData<f64> {
-    d.as_any().downcast_ref().expect("operator applied to data that is not host f64 data")
+    d.as_any().downcast_ref().expect("host placement handed data that is not host f64 data")
 }
 
 /// As [`host`], mutable.
 fn host_mut(d: &mut dyn PatchData) -> &mut HostData<f64> {
-    d.as_any_mut().downcast_mut().expect("operator applied to data that is not host f64 data")
+    d.as_any_mut().downcast_mut().expect("host placement handed data that is not host f64 data")
 }
 
 /// Factory producing [`HostData<f64>`] for simulation variables — the
 /// CPU baseline data placement.
+///
+/// With costs, the factory prices host data movement where the device
+/// pays a launch: a copy or a pack stage is one loop nest over every
+/// job of every part, and an unpack one loop per received peer message
+/// — the fork/join overhead once, the bytes of every job. Per-item
+/// calls outside a stage (diagnostic digests, checkpoints) charge
+/// nothing.
 #[derive(Clone, Default)]
 pub struct HostDataFactory {
-    /// Optional cost accounting shared by all created data.
+    /// Optional cost accounting for the factory's stages.
     pub hook: Option<HostCostHook>,
 }
 
@@ -269,11 +257,94 @@ impl HostDataFactory {
     pub fn with_costs(clock: Clock, cost: Arc<CostModel>) -> Self {
         Self { hook: Some(HostCostHook { clock, cost }) }
     }
+
+    /// Charge one loop nest moving `values` values, each one read and
+    /// one write.
+    fn charge(&self, category: Category, values: i64) {
+        if let Some(h) = &self.hook {
+            h.clock.advance(category, h.cost.host_kernel(KernelShape::streaming(values, 2, 0)));
+        }
+    }
 }
 
 impl DataFactory for HostDataFactory {
     fn make(&self, centring: Centring, ghosts: IntVector, cell_box: GBox) -> Box<dyn PatchData> {
-        Box::new(HostData::<f64>::with_hook(cell_box, ghosts, centring, self.hook.clone()))
+        Box::new(HostData::<f64>::new(cell_box, ghosts, centring))
+    }
+
+    fn copy_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        parts: &[Part<'_, CopyJob>],
+        category: Category,
+    ) {
+        let mut values = None;
+        for (part, job) in Part::each(parts) {
+            let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
+            dst.copy_from(src, &job.overlap);
+            *values.get_or_insert(0) += job.overlap.num_values();
+        }
+        if let Some(values) = values {
+            self.charge(category, values);
+        }
+    }
+
+    fn pack_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        parts: &[Part<'_, StreamJob>],
+        peers: &[PeerStream],
+        category: Category,
+    ) -> (Vec<Bytes>, Option<PatchDataError>) {
+        // Each peer's jobs come in stream order, straight into its
+        // message; a host pack cannot fail.
+        let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
+        for (part, job) in Part::each(parts) {
+            let src = host(ctx.data_mut(part.at(job.loc), job.var));
+            src.pack_into(&job.overlap, &mut out[part.slot(job).0]);
+        }
+        if !peers.is_empty() {
+            let bytes: usize = peers.iter().map(|p| p.bytes).sum();
+            self.charge(category, (bytes / STREAM_VALUE_BYTES) as i64);
+        }
+        (out.into_iter().map(Bytes::from).collect(), None)
+    }
+
+    fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
+        Box::new(HostUnpack { factory: self, category, charged: Vec::new() })
+    }
+}
+
+/// The host's [`UnpackBatch`]: every job unpacks at `push`, and a peer's
+/// message is charged as one loop when its first job unpacks — after
+/// its receive, ahead of the next peer's.
+struct HostUnpack<'f> {
+    factory: &'f HostDataFactory,
+    category: Category,
+    /// Per peer slot: whether its message's loop is charged.
+    charged: Vec<bool>,
+}
+
+impl<'j> UnpackBatch<'j> for HostUnpack<'_> {
+    fn push(
+        &mut self,
+        ctx: &mut TransferCtx<'_>,
+        part: &Part<'j, StreamJob>,
+        job: &'j StreamJob,
+        msg: &Bytes,
+    ) -> Result<(), PatchDataError> {
+        let (peer, range) = part.slot(job);
+        if self.charged.len() <= peer {
+            self.charged.resize(peer + 1, false);
+        }
+        if !std::mem::replace(&mut self.charged[peer], true) {
+            self.factory.charge(self.category, (msg.len() / STREAM_VALUE_BYTES) as i64);
+        }
+        ctx.data_mut(part.at(job.loc), job.var).try_unpack(&job.overlap, &msg[range])
+    }
+
+    fn flush(&mut self, _ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError> {
+        Ok(())
     }
 }
 
@@ -366,29 +437,73 @@ mod tests {
         assert_eq!(total, 4.0); // 2x2 interior, not the 4x4 allocation
     }
 
+    /// A copy or a pack stage is one loop over every job's values, an
+    /// unpack one loop per received message, each charged in the
+    /// stage's category; a per-item copy outside a stage charges
+    /// nothing.
     #[test]
     fn cost_hook_charges_clock() {
+        use crate::transfer::{Loc, StreamPlan};
+        use crate::{GridGeometry, PatchHierarchy, VariableRegistry};
         let clock = Clock::new();
         let cost = Arc::new(CostModel::new(rbamr_perfmodel::Machine::ipa_cpu_node()));
-        let hook = HostCostHook { clock: clock.clone(), cost };
-        let mut dst = HostData::<f64>::with_hook(
-            b(0, 0, 4, 4),
-            IntVector::ONE,
-            Centring::Cell,
-            Some(hook.clone()),
-        );
-        let src =
-            HostData::<f64>::with_hook(b(4, 0, 8, 4), IntVector::ONE, Centring::Cell, Some(hook));
-        dst.set_transfer_category(Category::HaloExchange);
-        let ov = ghost_overlaps(
-            dst.cell_box(),
-            IntVector::ONE,
-            src.cell_box(),
-            Centring::Cell,
-            IntVector::ZERO,
-        );
-        dst.copy_from(&src, &ov);
-        assert!(clock.snapshot().get(Category::HaloExchange) > 0.0);
+        let factory = HostDataFactory::with_costs(clock.clone(), Arc::clone(&cost));
+        let mut reg = VariableRegistry::new(Arc::new(factory.clone()));
+        let var = reg.register("rho", Centring::Cell, IntVector::ONE);
+        let boxes = vec![b(0, 0, 4, 4), b(4, 0, 8, 4), b(8, 0, 12, 4)];
+        let domain = BoxList::from_box(b(0, 0, 12, 4));
+        let mut h = PatchHierarchy::new(GridGeometry::unit(1.0), domain, IntVector::ONE, 1, 0, 1);
+        h.set_level(0, boxes.clone(), vec![0; 3], &reg);
+        let jobs: Vec<CopyJob> = [(1, 0), (0, 1), (2, 1), (1, 2)]
+            .map(|(src, dst): (usize, usize)| CopyJob {
+                var,
+                src: Loc::patch(0, src),
+                dst: Loc::patch(0, dst),
+                overlap: ghost_overlaps(
+                    boxes[dst],
+                    IntVector::ONE,
+                    boxes[src],
+                    Centring::Cell,
+                    IntVector::ZERO,
+                ),
+                src_idx: src as u32,
+                dst_idx: dst as u32,
+            })
+            .into();
+        let mut ctx = TransferCtx { hierarchy: &mut h, scratch: &mut [], outgoing: None };
+        factory.copy_many(&mut ctx, &[Part::whole(&jobs)], Category::HaloExchange);
+        let values = jobs.iter().map(|j| j.overlap.num_values()).sum();
+        let stage = cost.host_kernel(KernelShape::streaming(values, 2, 0));
+        assert_eq!(clock.snapshot().get(Category::HaloExchange), stage);
+
+        let (dst, src) = ctx.pair(jobs[0].dst, jobs[0].src, var);
+        dst.copy_from(src, &jobs[0].overlap);
+        assert_eq!(clock.snapshot().total(), stage);
+
+        // The same overlaps through two peers' messages: the pack stage
+        // is one loop over both, the unpack one loop per message.
+        let (mut sends, mut recvs) = (StreamPlan::default(), StreamPlan::default());
+        for (job, rank) in jobs.iter().zip([3, 5, 3, 5]) {
+            let ends = (job.src_idx as usize, job.dst_idx as usize);
+            sends.push(rank, var, job.src, job.overlap.clone(), ends);
+            recvs.push(rank, var, job.dst, job.overlap.clone(), ends);
+        }
+        let ((sends, peers), (recvs, _)) = (sends.finish(), recvs.finish());
+        let cat = Category::Synchronize;
+        let (msgs, fault) = factory.pack_many(&mut ctx, &[Part::whole(&sends)], &peers, cat);
+        assert_eq!((clock.snapshot().get(cat), fault), (stage, None));
+        let mut batch = factory.unpack_batch(cat);
+        for job in &recvs {
+            let msg = &msgs[job.peer as usize];
+            batch.push(&mut ctx, &Part::whole(&recvs), job, msg).expect("a host unpack");
+        }
+        batch.flush(&mut ctx).expect("nothing deferred");
+        let loop_of = |p: &PeerStream| {
+            cost.host_kernel(KernelShape::streaming((p.bytes / STREAM_VALUE_BYTES) as i64, 2, 0))
+        };
+        let unpacked = clock.snapshot().get(cat) - stage;
+        assert_eq!(peers.len(), 2);
+        assert!((unpacked - peers.iter().map(loop_of).sum::<f64>()).abs() < 1e-12 * stage);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use level::{LevelRecords, PatchLevel};
 pub use ops::{CoarsenOperator, RefineOperator};
 pub use patch::{Patch, PatchId};
 pub use patchdata::{Element, PatchData, PatchDataError};
-pub use regrid::{RegridError, RegridOutcome, RegridParams, Regridder};
+pub use regrid::{RegridOutcome, RegridParams, Regridder};
 pub use schedule::{
     CoarsenSchedule, FillWindow, PendingFill, RefineSchedule, ScheduleBuild, ScheduleCache,
     ScheduleError,

@@ -142,7 +142,8 @@ pub trait PatchData: Send {
     /// Set the cost category charged for subsequent copy/pack/unpack
     /// operations, so schedules can attribute data movement to the
     /// right runtime component (halo fill vs synchronisation vs
-    /// regridding). Implementations without cost accounting ignore it.
+    /// regridding). Implementations without per-item cost accounting —
+    /// host data, whose factory charges whole stages — ignore it.
     fn set_transfer_category(&mut self, _category: Category) {}
 
     /// Copy the overlap region from `src` into `self` (`copy(src,

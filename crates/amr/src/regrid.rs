@@ -35,7 +35,6 @@ use crate::cluster::{cluster_tags, split_to_max, ClusterParams};
 use crate::hierarchy::PatchHierarchy;
 use crate::level::PatchLevel;
 use crate::ops::RefineOperator;
-use crate::patchdata::PatchDataError;
 use crate::schedule::{RefineSchedule, ScheduleError};
 use crate::tagging::TagBitmap;
 use crate::variable::{VariableId, VariableRegistry};
@@ -121,44 +120,6 @@ impl RegridOutcome {
     }
 }
 
-/// A regrid pass failed on an injected (or simulated) fault. The pass
-/// runs through its full communication pattern before reporting —
-/// failure verdicts that could diverge across ranks are made collective
-/// first — so an error here never leaves a peer stranded mid-exchange.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RegridError {
-    /// A point-to-point or collective transport fault.
-    Comm(CommError),
-    /// Packing or unpacking solution-transfer data failed.
-    Data(PatchDataError),
-}
-
-impl std::fmt::Display for RegridError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Comm(e) => write!(f, "regrid transport fault: {e}"),
-            Self::Data(e) => write!(f, "regrid data fault: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RegridError {}
-
-impl From<CommError> for RegridError {
-    fn from(e: CommError) -> Self {
-        Self::Comm(e)
-    }
-}
-
-impl From<ScheduleError> for RegridError {
-    fn from(e: ScheduleError) -> Self {
-        match e {
-            ScheduleError::Comm(c) => Self::Comm(c),
-            ScheduleError::Data(d) => Self::Data(d),
-        }
-    }
-}
-
 /// The regridding driver.
 pub struct Regridder {
     params: RegridParams,
@@ -206,13 +167,13 @@ impl Regridder {
     }
 
     /// Fault-aware [`Regridder::regrid`]: injected transport or device
-    /// faults surface as a typed [`RegridError`] instead of a panic.
+    /// faults surface as a typed [`ScheduleError`] instead of a panic.
     /// Fault verdicts that could diverge across ranks (clustering on
     /// rank 0) are made collective before any rank acts on them, so
     /// every rank either completes the pass or errors — never a hang.
     ///
     /// # Errors
-    /// [`RegridError`] on the fault; the hierarchy may hold partially
+    /// [`ScheduleError`] on the fault; the hierarchy may hold partially
     /// rebuilt levels and must be restored from a checkpoint before the
     /// next use.
     pub fn try_regrid(
@@ -223,7 +184,7 @@ impl Regridder {
         specs: &[TransferSpec],
         comm: Option<&Comm>,
         time: f64,
-    ) -> Result<RegridOutcome, RegridError> {
+    ) -> Result<RegridOutcome, ScheduleError> {
         let rec = hierarchy.recorder().clone();
         let _span = rec.is_enabled().then(|| rec.span("regrid", Category::Regrid));
         let max_levels = hierarchy.max_levels();
@@ -303,7 +264,7 @@ impl Regridder {
         // first and keep the pass in lock-step — the structure decisions
         // are rank-invariant, so every rank still reaches every
         // collective. Only collectively-agreed failures return early.
-        let mut first_err: Option<RegridError> = None;
+        let mut first_err: Option<ScheduleError> = None;
         #[allow(clippy::needless_range_loop)] // target is a level number, not a plain index
         for target in 1..=finest_target {
             let boxes = planned[target].take().unwrap_or_default();
@@ -361,7 +322,7 @@ impl Regridder {
         specs: &[TransferSpec],
         comm: Option<&Comm>,
         time: f64,
-    ) -> Result<(), RegridError> {
+    ) -> Result<(), ScheduleError> {
         let rank = hierarchy.rank();
         let ratio = hierarchy.ratio_to_coarser(target);
         let domain = hierarchy.level_domain(target);
@@ -372,7 +333,7 @@ impl Regridder {
         let old = outgoing.as_ref();
         let transfer =
             RefineSchedule::regrid_transfer(hierarchy, old, registry, target, specs, true);
-        Ok(transfer.try_transfer(hierarchy, outgoing.as_mut(), registry, comm, time)?)
+        transfer.try_transfer(hierarchy, outgoing.as_mut(), registry, comm, time)
     }
 }
 

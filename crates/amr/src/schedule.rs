@@ -64,7 +64,9 @@ mod window;
 use window::{fill_span, make_scratch, receive_and_unpack};
 pub use window::{FillWindow, PendingFill};
 
-/// A fault detected while executing a schedule.
+/// A fault detected while executing a schedule — a halo fill, a
+/// synchronisation or a regrid's solution transfer — or while a regrid
+/// exchanges tags and boxes.
 ///
 /// Schedule execution is *run-through*: the first fault is recorded and
 /// the rest of the communication pattern still executes (placeholder

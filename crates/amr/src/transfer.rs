@@ -10,10 +10,11 @@
 //! schedule executed together — a fill window's members, each a
 //! [`Part`] — to the placement: the [`DataFactory`](crate::DataFactory)
 //! batch entry points (`copy_many`, `pack_many`, `unpack_batch`,
-//! `extend_many`, `refine_many`, `coarsen_many`). Their default bodies
-//! loop the per-item [`PatchData`] methods in job order — the host
-//! placement, charge for charge; a device factory overrides them with
-//! one fused launch per call, driven by the same job lists.
+//! `extend_many`, `refine_many`, `coarsen_many`). The host factory
+//! loops the per-item [`PatchData`] methods in job order and charges a
+//! copy or pack stage as one loop nest and an unpack as one loop per
+//! received message; a device factory runs each call as one fused
+//! launch, driven by the same job lists.
 //!
 //! Jobs carry positions, not references, so a placement may defer them
 //! (see [`UnpackBatch`]) without holding borrows of the hierarchy; a
@@ -28,7 +29,6 @@ use crate::patchdata::{Element, PatchData, PatchDataError};
 use crate::variable::VariableId;
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, BoxOverlap, IntVector};
-use rbamr_perfmodel::Category;
 use std::ops::Range;
 
 /// Bytes per value in a message stream: simulation variables are `f64`.
@@ -366,11 +366,11 @@ pub struct CoarsenJob {
 ///
 /// A schedule receives lazily — the first job from a peer triggers the
 /// receive — so unpacks interleave with receives, and a placement that
-/// charges a clock per unpack would move its charges around `recv`'s
+/// charges a clock per message would move its charges around `recv`'s
 /// `max(local, arrival)` if the schedule received everything first.
-/// The default batch therefore unpacks at [`UnpackBatch::push`]; a
-/// placement that fuses (one transfer and one launch per stage)
-/// records the job and runs it at [`UnpackBatch::flush`].
+/// The host's batch therefore unpacks at [`UnpackBatch::push`]; a
+/// placement that fuses (one transfer and one launch per stage) records
+/// the job and runs it at [`UnpackBatch::flush`].
 pub trait UnpackBatch<'j> {
     /// Unpack `job` of `part` from `msg`, its peer's whole message —
     /// now, or at flush.
@@ -386,29 +386,6 @@ pub trait UnpackBatch<'j> {
     /// it affects — all of them, when they move in one transfer; the
     /// first one is returned.
     fn flush(&mut self, ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError>;
-}
-
-/// The default [`UnpackBatch`]: every job unpacks at `push`.
-pub(crate) struct EagerUnpack {
-    pub(crate) category: Category,
-}
-
-impl<'j> UnpackBatch<'j> for EagerUnpack {
-    fn push(
-        &mut self,
-        ctx: &mut TransferCtx<'_>,
-        part: &Part<'j, StreamJob>,
-        job: &'j StreamJob,
-        msg: &Bytes,
-    ) -> Result<(), PatchDataError> {
-        let data = ctx.data_mut(part.at(job.loc), job.var);
-        data.set_transfer_category(self.category);
-        data.try_unpack(&job.overlap, &msg[part.slot(job).1])
-    }
-
-    fn flush(&mut self, _ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError> {
-        Ok(())
-    }
 }
 
 /// Packed descriptor words of a stage's job lists — what a fused kernel

@@ -3,8 +3,8 @@
 use crate::ops::{CoarsenOperator, RefineOperator};
 use crate::patchdata::{PatchData, PatchDataError};
 use crate::transfer::{
-    CoarsenJob, CopyJob, EagerUnpack, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob,
-    TransferCtx, UnpackBatch,
+    CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
+    UnpackBatch,
 };
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -44,12 +44,14 @@ pub struct Variable {
 /// The factory is also where every schedule stage enters the placement:
 /// the batch methods below take a stage's whole job list (see
 /// [`crate::transfer`]) — copies, packs, unpacks, scratch extension and
-/// the inter-level operators alike. Each default body is the loop over
-/// the per-item [`PatchData`] method in job order, so a factory that
-/// overrides nothing moves data exactly as per-item calls would, charge
-/// for charge; a factory whose data lives on a device overrides them
-/// with one fused launch (and one PCIe transfer per stage) per call,
-/// whatever the number of parts.
+/// the inter-level operators alike. Both placements price a stage, not
+/// an item: a factory whose data lives on a device runs each call as
+/// one fused launch (and one PCIe transfer per stage), whatever the
+/// number of parts; the host factory pays one loop nest's fixed cost
+/// per copy or pack stage and per received message. The movement
+/// methods are therefore required; the scratch-extension and operator
+/// methods, which the host placement does not price, default to the
+/// loop over the per-item [`PatchData`] method in job order.
 pub trait DataFactory: Send + Sync {
     /// Allocate zeroed `centring` data over `cell_box` grown by
     /// `ghosts` — a variable's own width on patches
@@ -57,22 +59,13 @@ pub trait DataFactory: Send + Sync {
     fn make(&self, centring: Centring, ghosts: IntVector, cell_box: GBox) -> Box<dyn PatchData>;
 
     /// Run every copy job of every part, charging `category`.
-    fn copy_many(
-        &self,
-        ctx: &mut TransferCtx<'_>,
-        parts: &[Part<'_, CopyJob>],
-        category: Category,
-    ) {
-        for (part, job) in Part::each(parts) {
-            let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
-            dst.set_transfer_category(category);
-            dst.copy_from(src, &job.overlap);
-        }
-    }
+    fn copy_many(&self, ctx: &mut TransferCtx<'_>, parts: &[Part<'_, CopyJob>], category: Category);
 
     /// Pack every job of every part into its peer's message (see
     /// [`Part::slot`]) and return the messages in `peers` order, each
-    /// exactly `peers[i].bytes` long.
+    /// exactly `peers[i].bytes` long. Each peer's jobs come in stream
+    /// order: a part's in plan order, the parts' streams one after the
+    /// other.
     ///
     /// Run-through: a pack fault leaves zeros in the affected byte range
     /// (so the receiver's slicing stays aligned; the values are
@@ -84,32 +77,11 @@ pub trait DataFactory: Send + Sync {
         parts: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
         category: Category,
-    ) -> (Vec<Bytes>, Option<PatchDataError>) {
-        // Each peer's jobs come in stream order: a part's in plan order,
-        // the parts' streams one after the other.
-        let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
-        let mut first_err = None;
-        for (part, job) in Part::each(parts) {
-            let data = ctx.data_mut(part.at(job.loc), job.var);
-            data.set_transfer_category(category);
-            let (peer, range) = part.slot(job);
-            let stream = &mut out[peer];
-            match data.try_pack(&job.overlap) {
-                Ok(payload) => stream.extend_from_slice(&payload),
-                Err(e) => {
-                    stream.resize(range.end, 0u8);
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        (out.into_iter().map(Bytes::from).collect(), first_err)
-    }
+    ) -> (Vec<Bytes>, Option<PatchDataError>);
 
-    /// The receive side of a stage: see [`UnpackBatch`]. The default
-    /// unpacks every job as it is pushed.
-    fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
-        Box::new(EagerUnpack { category })
-    }
+    /// The receive side of a stage, charging `category`: see
+    /// [`UnpackBatch`].
+    fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a>;
 
     /// Clamp-extend every scratch array into the cells its coarse
     /// sources did not cover: `covered`, concatenated, lists the

@@ -8,13 +8,18 @@
 //! work).
 //!
 //! ```text
-//! cargo run --release -p rbamr-bench --bin fig10_strong [-- --full]
+//! cargo run --release -p rbamr-bench --bin fig10_strong [-- --full | --quick] [--json <path>]
 //! ```
 //!
 //! The default runs the sweep at 1.6M zones (a quarter of the paper's
-//! problem, minutes of real compute); `--full` uses the paper's 6.4M.
+//! problem, ~10 s of real compute on two cores); `--full` uses the
+//! paper's 6.4M, `--quick` 102k. Every run asserts the figure's trend:
+//! the GPU advantage shrinks at every doubling of the node count.
+//! `--json <path>` writes the table as a JSON artifact for CI.
 
-use rbamr_bench::{csv_dir_arg, fmt_secs, measure_profile, sod_sim, write_csv, StepProfile};
+use rbamr_bench::{
+    csv_dir_arg, fmt_secs, measure_profile, path_arg, sod_sim, write_csv, StepProfile,
+};
 use rbamr_hydro::Placement;
 use rbamr_netsim::Cluster;
 use rbamr_perfmodel::Machine;
@@ -93,10 +98,10 @@ fn main() {
     );
     println!("{}", "-".repeat(62));
 
-    let mut first_speedup = None;
-    let mut last_speedup = None;
+    let mut speedups = Vec::new();
     let mut gpu_times = Vec::new();
     let mut rows = Vec::new();
+    let mut json_rows = Vec::new();
     for nodes in [1usize, 2, 4, 8] {
         let ranks = nodes * 2; // 2 GPUs or 2 sockets per node
         let gpu = run_config(Placement::Device, Machine::ipa_gpu(), ranks, nx, ny);
@@ -111,19 +116,40 @@ fn main() {
             speedup
         );
         rows.push(vec![nodes as f64, ranks as f64, cpu, gpu, speedup]);
-        if nodes == 1 {
-            first_speedup = Some(speedup);
-        }
-        last_speedup = Some(speedup);
+        json_rows.push(format!(
+            "{{\"nodes\": {nodes}, \"ranks\": {ranks}, \"cpu_s\": {cpu:.6}, \
+             \"gpu_s\": {gpu:.6}, \"speedup\": {speedup:.4}}}"
+        ));
+        speedups.push(speedup);
         gpu_times.push((nodes, gpu));
     }
     if let Some(dir) = csv_dir_arg() {
         let p = write_csv(&dir, "fig10_strong.csv", "nodes,ranks,cpu_s,gpu_s,speedup", &rows);
         println!("wrote {}", p.display());
     }
+    if let Some(path) = path_arg("--json") {
+        let json = format!(
+            "{{\n  \"zones\": {},\n  \"steps\": {PAPER_STEPS},\n  \"levels\": {LEVELS},\n  \
+             \"rows\": [\n    {}\n  ]\n}}\n",
+            nx * ny,
+            json_rows.join(",\n    ")
+        );
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir).expect("fig10: create artifact dir");
+        }
+        std::fs::write(&path, json).expect("fig10: write artifact");
+        println!("wrote {}", path.display());
+    }
     println!("{}", "-".repeat(62));
-    println!("one-node GPU advantage: {:.2}x   (paper: 4.87x)", first_speedup.unwrap_or(0.0));
-    println!("eight-node GPU advantage: {:.2}x (paper: 1.92x)", last_speedup.unwrap_or(0.0));
+    println!("one-node GPU advantage: {:.2}x   (paper: 4.87x)", speedups[0]);
+    println!("eight-node GPU advantage: {:.2}x (paper: 1.92x)", speedups[speedups.len() - 1]);
+    // The paper's trend: the halo exchange and host-side regridding stop
+    // shrinking with the per-rank work, so the advantage falls with
+    // every doubling.
+    assert!(
+        speedups.windows(2).all(|w| w[1] < w[0]),
+        "the GPU advantage must shrink from 1 to 8 nodes: {speedups:.2?}"
+    );
     if let (Some(&(_, t1)), Some(&(_, t8))) = (gpu_times.first(), gpu_times.last()) {
         println!("GPU parallel efficiency 1->8 nodes: {:.0}%", t1 / t8 / 8.0 * 100.0);
     }

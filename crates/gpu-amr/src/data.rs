@@ -458,7 +458,7 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
 /// shows for CleverLeaf's two patch integrators.
 ///
 /// It is also where a schedule stage becomes fused device work: every
-/// batch entry point of [`DataFactory`] is overridden with one launch
+/// batch entry point of [`DataFactory`] runs as one launch
 /// per call (copies, packs, unpacks and scratch extension on the
 /// factory's transfer stream; interpolation and projection where the
 /// first job's destination lives), and a stage's messages

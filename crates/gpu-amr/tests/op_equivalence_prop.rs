@@ -269,19 +269,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The fused batch entry points — `DeviceDataFactory`'s overrides of
-// `copy_many` / `pack_many` / `unpack_batch` / `extend_many` /
-// `refine_many` / `coarsen_many` — against the trait defaults (the
-// per-item loop) *on the same device data*, and against the host
-// placement.
+// The fused batch entry points — `DeviceDataFactory`'s `copy_many` /
+// `pack_many` / `unpack_batch` / `extend_many` / `refine_many` /
+// `coarsen_many` — against the per-item loop *on the same device data*,
+// and against the host placement.
 
 mod fused {
     use super::{coarsen_op, refine_op, sub_box};
+    use bytes::Bytes;
     use proptest::prelude::*;
     use rbamr_amr::patchdata::{PatchData, PatchDataError};
     use rbamr_amr::transfer::{
         narrow, CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob,
-        TransferCtx, STREAM_VALUE_BYTES,
+        TransferCtx, UnpackBatch, STREAM_VALUE_BYTES,
     };
     use rbamr_amr::variable::DataFactory;
     use rbamr_amr::{
@@ -301,9 +301,10 @@ mod fused {
     /// Coarse footprints of the two fine patches.
     const FOOTPRINTS: [GBox; 2] = [GBox::from_coords(2, 2, 8, 8), GBox::from_coords(12, 4, 20, 12)];
 
-    /// Device data from the fused factory, every batch entry point
-    /// inherited: the trait's default loops over `DeviceData`'s
-    /// per-item methods.
+    /// Device data from the fused factory, moved item by item: every
+    /// batch entry point loops `DeviceData`'s per-item methods in job
+    /// order — here for copies, packs and unpacks, through the trait's
+    /// defaults for the rest.
     struct PerItem(DeviceDataFactory);
 
     impl DataFactory for PerItem {
@@ -314,6 +315,68 @@ mod fused {
             cell_box: GBox,
         ) -> Box<dyn PatchData> {
             self.0.make(centring, ghosts, cell_box)
+        }
+
+        fn copy_many(
+            &self,
+            ctx: &mut TransferCtx<'_>,
+            parts: &[Part<'_, CopyJob>],
+            category: Category,
+        ) {
+            for (part, job) in Part::each(parts) {
+                let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
+                dst.set_transfer_category(category);
+                dst.copy_from(src, &job.overlap);
+            }
+        }
+
+        fn pack_many(
+            &self,
+            ctx: &mut TransferCtx<'_>,
+            parts: &[Part<'_, StreamJob>],
+            peers: &[PeerStream],
+            category: Category,
+        ) -> (Vec<Bytes>, Option<PatchDataError>) {
+            let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
+            let mut first_err = None;
+            for (part, job) in Part::each(parts) {
+                let data = ctx.data_mut(part.at(job.loc), job.var);
+                data.set_transfer_category(category);
+                let (peer, range) = part.slot(job);
+                match data.try_pack(&job.overlap) {
+                    Ok(payload) => out[peer].extend_from_slice(&payload),
+                    Err(e) => {
+                        out[peer].resize(range.end, 0u8);
+                        first_err.get_or_insert(e);
+                    }
+                }
+            }
+            (out.into_iter().map(Bytes::from).collect(), first_err)
+        }
+
+        fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
+            Box::new(EagerUnpack(category))
+        }
+    }
+
+    /// Every job unpacks at `push`.
+    struct EagerUnpack(Category);
+
+    impl<'j> UnpackBatch<'j> for EagerUnpack {
+        fn push(
+            &mut self,
+            ctx: &mut TransferCtx<'_>,
+            part: &Part<'j, StreamJob>,
+            job: &'j StreamJob,
+            msg: &Bytes,
+        ) -> Result<(), PatchDataError> {
+            let data = ctx.data_mut(part.at(job.loc), job.var);
+            data.set_transfer_category(self.0);
+            data.try_unpack(&job.overlap, &msg[part.slot(job).1])
+        }
+
+        fn flush(&mut self, _ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError> {
+            Ok(())
         }
     }
 

@@ -15,8 +15,8 @@ use rbamr_amr::regrid::{CellTagger, TransferSpec};
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
     CoarsenSchedule, GridGeometry, Patch, PatchData, PatchHierarchy, PhysicalBoundary,
-    RefineSchedule, RegridError, RegridParams, Regridder, ScheduleBuild, ScheduleCache,
-    ScheduleError, TagBitmap, VariableId, VariableRegistry,
+    RefineSchedule, RegridParams, Regridder, ScheduleBuild, ScheduleCache, ScheduleError,
+    TagBitmap, VariableId, VariableRegistry,
 };
 use rbamr_device::Device;
 use rbamr_geometry::{copy_overlap, BoxList, Centring, GBox, IntVector};
@@ -478,7 +478,7 @@ struct RegridCounts {
     h2d: (u64, u64),
     packed: (u64, u64),
     new_patches: usize,
-    outcome: Result<(), RegridError>,
+    outcome: Result<(), ScheduleError>,
 }
 
 /// Regrid a two-rank device hierarchy whose level 1 — fifteen 8x8 patches
@@ -589,7 +589,7 @@ fn failed_transfer_in_a_regrid_runs_through_and_installs_the_level() {
         let ranks = regrid_counts(IntVector::new(16, 8), Some(n));
         let faulted = &ranks[0].outcome;
         assert!(
-            matches!(faulted, Err(RegridError::Data(PatchDataError::Transfer { .. }))),
+            matches!(faulted, Err(ScheduleError::Data(PatchDataError::Transfer { .. }))),
             "transfer {n}: rank 0 reported {faulted:?}"
         );
         assert_eq!(ranks[1].outcome, Ok(()), "transfer {n}: rank 1 must not notice");

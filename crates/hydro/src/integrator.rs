@@ -32,8 +32,8 @@ use rbamr_amr::restart::RestoreError;
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
     balance, CoarsenOperator, CoarsenSchedule, FillWindow, GridGeometry, HostDataFactory, Patch,
-    PatchHierarchy, RefineOperator, RefineSchedule, RegridError, RegridOutcome, RegridParams,
-    Regridder, ScheduleBuild, ScheduleCache, ScheduleError, VariableId, VariableRegistry,
+    PatchHierarchy, RefineOperator, RefineSchedule, RegridOutcome, RegridParams, Regridder,
+    ScheduleBuild, ScheduleCache, ScheduleError, VariableId, VariableRegistry,
 };
 use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -157,15 +157,6 @@ impl From<ScheduleError> for SimError {
         match e {
             ScheduleError::Comm(c) => Self::Comm { detail: c.to_string() },
             ScheduleError::Data(d) => Self::Device { detail: d.to_string() },
-        }
-    }
-}
-
-impl From<RegridError> for SimError {
-    fn from(e: RegridError) -> Self {
-        match e {
-            RegridError::Comm(c) => Self::Comm { detail: c.to_string() },
-            RegridError::Data(d) => Self::Device { detail: d.to_string() },
         }
     }
 }

@@ -11,7 +11,9 @@
 //! bitwise identical whichever placement runs it:
 //!
 //! * `Exec::Host` — plain calls over `HostData` slices, patch by
-//!   patch; the CPU cost model is charged once per patch per phase.
+//!   patch; the CPU cost model is charged once per phase, one loop over
+//!   the summed cells of every level's patches — where the device pays
+//!   one launch, the host pays one fork/join.
 //! * `Exec::Device` — **one launch per kernel per pass for the whole
 //!   hierarchy**: the launch body loops over every level's patches (the
 //!   logical element index of the hierarchy's
@@ -76,8 +78,9 @@ use std::borrow::Borrow;
 #[derive(Clone, Copy)]
 pub(crate) enum Exec<'a> {
     /// Host memory: every kernel is a plain call over `HostData`
-    /// slices. With a hook, each phase charges the CPU cost model once
-    /// per patch, after its kernels; no launch, span or counter exists.
+    /// slices. With a hook, each phase charges the CPU cost model one
+    /// loop over all its patches, after its kernels; no launch, span or
+    /// counter exists.
     Host(Option<&'a HostCostHook>),
     /// Device memory: one launch per kernel per pass on `stream`.
     /// `copy_back` adds the per-phase PCIe round trips.
@@ -105,8 +108,8 @@ impl Exec<'_> {
         }
     }
 
-    /// The CPU baseline's price of one phase: per patch, in patch
-    /// order, one loop over `cells_of(patch)` cells.
+    /// The CPU baseline's price of one phase: one loop over the summed
+    /// `cells_of(patch)` of every patch, if there is any.
     fn charge_host<P: Borrow<Patch>>(
         self,
         patches: &[P],
@@ -115,8 +118,9 @@ impl Exec<'_> {
         arrays: u32,
         flops: u32,
     ) {
-        for p in patches {
-            self.charge_loop(category, cells_of(p.borrow()), arrays, flops);
+        if !patches.is_empty() {
+            let cells = patches.iter().map(|p| cells_of(p.borrow())).sum();
+            self.charge_loop(category, cells, arrays, flops);
         }
     }
 

@@ -44,7 +44,7 @@ use rbamr_hydro::{
     HydroConfig, HydroSim, Placement, RecoveryPolicy, RegionInit, ResilientSim, SimSpec,
 };
 use rbamr_netsim::{Cluster, FaultKind, FaultPlan, FaultRule};
-use rbamr_perfmodel::Machine;
+use rbamr_perfmodel::{Category, Clock, Machine, TimeBreakdown};
 use rbamr_telemetry::Recorder;
 
 /// Sod shock tube: the canonical two-state deck.
@@ -348,6 +348,124 @@ fn fill_pack_launches_are_the_same_at_one_and_three_levels() {
         let interp = three.1;
         assert!((windows..=windows + 2).contains(&interp), "rank {rank}: {interp} refine-interp");
     }
+}
+
+/// One step of a one-rank host run of the Sod deck on `machine`, over
+/// `cells`² coarse cells cut into `patch`² patches, with at most
+/// `levels` levels: the virtual seconds the step charged, per category,
+/// and the level and level-0 patch counts it ran on.
+fn host_step(
+    machine: Machine,
+    levels: usize,
+    cells: i64,
+    patch: i64,
+) -> (TimeBreakdown, usize, usize) {
+    let mut config =
+        HydroConfig { regrid_interval: 1000, max_patch_size: patch, ..HydroConfig::default() };
+    config.regrid.cluster.min_size = 4;
+    config.regrid.max_patch_size = patch;
+    let mut sim = HydroSim::new(
+        machine,
+        Placement::Host,
+        Clock::new(),
+        (1.0, 1.0),
+        (cells, cells),
+        levels,
+        2,
+        config,
+        sod_regions(),
+        0,
+        1,
+    );
+    sim.initialize(None);
+    let before = sim.clock().snapshot();
+    sim.step(None);
+    let h = sim.hierarchy();
+    (sim.clock().snapshot().since(&before), h.num_levels(), h.level(0).local().len())
+}
+
+/// The IPA node with the host's fixed loop cost replaced by
+/// `call_overhead` and, if `free_bytes`, every loop's bytes and flops
+/// made free.
+fn host_machine(call_overhead: f64, free_bytes: bool) -> Machine {
+    let mut machine = Machine::ipa_cpu_node();
+    machine.host.call_overhead = call_overhead;
+    if free_bytes {
+        machine.host.mem_bandwidth = f64::INFINITY;
+        machine.host.flops = f64::INFINITY;
+    }
+    machine
+}
+
+/// The host placement pays a loop nest's fixed cost where the device
+/// pays a launch. On a machine whose every loop costs exactly 1 s, one
+/// step's halo-exchange seconds count the copy stages — one per window
+/// on one rank — and its hydro-kernel seconds count the phases, the same
+/// at one and three levels, and at 4 and 16 level-0 patches (more at
+/// three levels). With free fixed costs instead, the seconds are the
+/// bytes term alone: equal, to rounding, to the per-item sum recorded
+/// at ff83fec, where every copy and every patch of a phase charged its
+/// own loop.
+#[test]
+fn host_loops_are_one_per_stage_and_phase() {
+    let layouts = [(1, 16), (1, 8), (3, 16), (3, 8)];
+    let loops = layouts.map(|(levels, patch)| {
+        let (t, num_levels, patches) = host_step(host_machine(1.0, true), levels, 32, patch);
+        assert_eq!((num_levels, patches), (levels, (32 / patch as usize).pow(2)));
+        (t.get(Category::HaloExchange), t.get(Category::HydroKernel))
+    });
+    for (layout, l) in layouts.iter().zip(&loops) {
+        assert_eq!(
+            *l, loops[0],
+            "{layout:?} levels and patch size: loops {l:?}, 1-level {:?}",
+            loops[0]
+        );
+    }
+    // One copy stage per window, five windows per step; thirteen phases.
+    assert_eq!(loops[0], (5.0, 13.0));
+
+    for (&(levels, patch), &(halo, hydro)) in layouts.iter().zip(&PER_ITEM_BYTES_SECONDS) {
+        let (t, ..) = host_step(host_machine(0.0, false), levels, 32, patch);
+        let what = format!("{levels} levels, {patch}² patches");
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+        assert!(close(t.get(Category::HaloExchange), halo), "{what}: halo {t:?}");
+        assert!(close(t.get(Category::HydroKernel), hydro), "{what}: hydro {t:?}");
+    }
+}
+
+/// Per layout of [`host_loops_are_one_per_stage_and_phase`], one step's
+/// (halo-exchange, hydro-kernel) seconds with `call_overhead = 0`,
+/// recorded at ff83fec from the per-item charges.
+const PER_ITEM_BYTES_SECONDS: [(f64, f64); 4] = [
+    (1.082514285714283e-6, 4.573257142857142e-5),
+    (3.6973714285714293e-6, 6.186422857142855e-5),
+    (7.456914285714269e-6, 1.2546194285714275e-4),
+    (1.380388571428592e-5, 1.546605714285714e-4),
+];
+
+/// A diagnostic digest reads every array through the per-item pack, and
+/// per-item calls outside a stage charge nothing: taking it leaves the
+/// host clock bit-identical.
+#[test]
+fn a_host_digest_leaves_the_clock_alone() {
+    let mut sim = HydroSim::new(
+        Machine::ipa_cpu_node(),
+        Placement::Host,
+        Clock::new(),
+        (1.0, 1.0),
+        (32, 32),
+        3,
+        2,
+        HydroConfig { max_patch_size: 16, ..HydroConfig::default() },
+        sod_regions(),
+        0,
+        1,
+    );
+    sim.initialize(None);
+    sim.step(None);
+    let before = sim.clock().snapshot();
+    sim.state_field_digest();
+    assert_eq!(sim.clock().snapshot(), before);
 }
 
 /// The absolute data-movement gate, beside the hydro one: the launches
