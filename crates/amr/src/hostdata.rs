@@ -1,9 +1,7 @@
 //! Host-memory patch data — the CPU baseline implementation.
 
 use crate::ops::{shared_source_box, CoarsenOperator, RefineOperator};
-use crate::patchdata::{
-    copy_region, region_rows, validate_overlap, Element, PatchData, PatchDataError,
-};
+use crate::patchdata::{copy_region, region_rows, validate_overlap, Element, PatchData};
 use crate::transfer::{
     CopyJob, Part, PeerStream, StreamJob, TransferCtx, UnpackBatch, STREAM_VALUE_BYTES,
 };
@@ -164,10 +162,10 @@ impl<T: Element> PatchData for HostData<T> {
         overlap.num_values() as usize * T::BYTES
     }
 
-    fn try_pack(&self, overlap: &BoxOverlap) -> Result<Bytes, PatchDataError> {
+    fn pack(&self, overlap: &BoxOverlap) -> Bytes {
         let mut out = Vec::with_capacity(self.stream_size(overlap));
         self.pack_into(overlap, &mut out);
-        Ok(Bytes::from(out))
+        Bytes::from(out)
     }
 
     fn extend_uncovered(&mut self, covered: &BoxList) {
@@ -205,7 +203,7 @@ impl<T: Element> PatchData for HostData<T> {
         op.fill(&mut dst.data, dst.dbox, fills, &srcs, sbox, ratio);
     }
 
-    fn try_unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) -> Result<(), PatchDataError> {
+    fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
         assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
         let mut rest = stream;
         for b in overlap.dst_boxes.boxes() {
@@ -215,7 +213,6 @@ impl<T: Element> PatchData for HostData<T> {
                 rest = tail;
             }
         }
-        Ok(())
     }
 }
 
@@ -295,9 +292,9 @@ impl DataFactory for HostDataFactory {
         parts: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
         category: Category,
-    ) -> (Vec<Bytes>, Option<PatchDataError>) {
+    ) -> Vec<Bytes> {
         // Each peer's jobs come in stream order, straight into its
-        // message; a host pack cannot fail.
+        // message.
         let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
         for (part, job) in Part::each(parts) {
             let src = host(ctx.data_mut(part.at(job.loc), job.var));
@@ -307,7 +304,7 @@ impl DataFactory for HostDataFactory {
             let bytes: usize = peers.iter().map(|p| p.bytes).sum();
             self.charge(category, (bytes / STREAM_VALUE_BYTES) as i64);
         }
-        (out.into_iter().map(Bytes::from).collect(), None)
+        out.into_iter().map(Bytes::from).collect()
     }
 
     fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
@@ -332,7 +329,7 @@ impl<'j> UnpackBatch<'j> for HostUnpack<'_> {
         part: &Part<'j, StreamJob>,
         job: &'j StreamJob,
         msg: &Bytes,
-    ) -> Result<(), PatchDataError> {
+    ) {
         let (peer, range) = part.slot(job);
         if self.charged.len() <= peer {
             self.charged.resize(peer + 1, false);
@@ -340,12 +337,10 @@ impl<'j> UnpackBatch<'j> for HostUnpack<'_> {
         if !std::mem::replace(&mut self.charged[peer], true) {
             self.factory.charge(self.category, (msg.len() / STREAM_VALUE_BYTES) as i64);
         }
-        ctx.data_mut(part.at(job.loc), job.var).try_unpack(&job.overlap, &msg[range])
+        ctx.data_mut(part.at(job.loc), job.var).unpack(&job.overlap, &msg[range]);
     }
 
-    fn flush(&mut self, _ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError> {
-        Ok(())
-    }
+    fn flush(&mut self, _ctx: &mut TransferCtx<'_>) {}
 }
 
 #[cfg(test)]
@@ -490,14 +485,14 @@ mod tests {
         }
         let ((sends, peers), (recvs, _)) = (sends.finish(), recvs.finish());
         let cat = Category::Synchronize;
-        let (msgs, fault) = factory.pack_many(&mut ctx, &[Part::whole(&sends)], &peers, cat);
-        assert_eq!((clock.snapshot().get(cat), fault), (stage, None));
+        let msgs = factory.pack_many(&mut ctx, &[Part::whole(&sends)], &peers, cat);
+        assert_eq!(clock.snapshot().get(cat), stage);
         let mut batch = factory.unpack_batch(cat);
         for job in &recvs {
             let msg = &msgs[job.peer as usize];
-            batch.push(&mut ctx, &Part::whole(&recvs), job, msg).expect("a host unpack");
+            batch.push(&mut ctx, &Part::whole(&recvs), job, msg);
         }
-        batch.flush(&mut ctx).expect("nothing deferred");
+        batch.flush(&mut ctx);
         let loop_of = |p: &PeerStream| {
             cost.host_kernel(KernelShape::streaming((p.bytes / STREAM_VALUE_BYTES) as i64, 2, 0))
         };

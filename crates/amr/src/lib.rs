@@ -62,11 +62,10 @@ pub use hostdata::{HostData, HostDataFactory};
 pub use level::{LevelRecords, PatchLevel};
 pub use ops::{CoarsenOperator, RefineOperator};
 pub use patch::{Patch, PatchId};
-pub use patchdata::{Element, PatchData, PatchDataError};
+pub use patchdata::{Element, PatchData};
 pub use regrid::{RegridOutcome, RegridParams, Regridder};
 pub use schedule::{
     CoarsenSchedule, FillWindow, PendingFill, RefineSchedule, ScheduleBuild, ScheduleCache,
-    ScheduleError,
 };
 pub use stats::{hierarchy_stats, HierarchyStats};
 pub use tagging::TagBitmap;

@@ -61,41 +61,6 @@ impl Element for i32 {
     }
 }
 
-/// A failure while packing or unpacking patch data for transfer.
-///
-/// Host-side implementations are infallible; the device implementation
-/// maps injected allocation/transfer faults here so the schedule layer
-/// can run through the step and fail at the collective commit instead
-/// of panicking mid-exchange.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PatchDataError {
-    /// A staging allocation on the device failed.
-    Allocation {
-        /// The device error message.
-        detail: String,
-    },
-    /// A host↔device staging transfer failed.
-    Transfer {
-        /// The device error message.
-        detail: String,
-    },
-    /// The incoming stream was marked faulty by the sender (it detected
-    /// a fault mid-pack and shipped a placeholder to stay in lock-step).
-    RemoteFault,
-}
-
-impl std::fmt::Display for PatchDataError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Allocation { detail } => write!(f, "pack/unpack staging allocation: {detail}"),
-            Self::Transfer { detail } => write!(f, "pack/unpack staging transfer: {detail}"),
-            Self::RemoteFault => write!(f, "sender shipped a faulty stream placeholder"),
-        }
-    }
-}
-
-impl std::error::Error for PatchDataError {}
-
 /// One simulation quantity on one patch — the reproduction of SAMRAI's
 /// `PatchData` interface (paper Figure 2).
 ///
@@ -155,37 +120,23 @@ pub trait PatchData: Send {
     /// all schedule-construction bugs.
     fn copy_from(&mut self, src: &dyn PatchData, overlap: &BoxOverlap);
 
-    /// Exact size in bytes of the stream [`PatchData::try_pack`]
-    /// produces for this overlap (`getDataStreamSize`).
+    /// Exact size in bytes of the stream [`PatchData::pack`] produces
+    /// for this overlap (`getDataStreamSize`).
     fn stream_size(&self, overlap: &BoxOverlap) -> usize;
 
     /// Pack the source values for `overlap` into a contiguous stream
     /// (`packStream`). The overlap's boxes are in *destination* index
     /// space; this (source) side reads at `index - shift`. Values are
-    /// streamed box by box in row-major order. Packing that can fail
-    /// (the device path, under fault injection) returns a typed error.
-    fn try_pack(&self, overlap: &BoxOverlap) -> Result<Bytes, PatchDataError>;
+    /// streamed box by box in row-major order.
+    fn pack(&self, overlap: &BoxOverlap) -> Bytes;
 
-    /// Unpack a stream produced by a matching [`PatchData::try_pack`]
-    /// into the overlap region (`unpackStream`); on `Err` nothing was
-    /// unpacked.
+    /// Unpack a stream produced by a matching [`PatchData::pack`] into
+    /// the overlap region (`unpackStream`).
     ///
     /// # Panics
     /// Panics if the stream is not exactly [`PatchData::stream_size`]
     /// bytes long.
-    fn try_unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) -> Result<(), PatchDataError>;
-
-    /// [`PatchData::try_pack`] for callers no fault can reach; panics
-    /// on one.
-    fn pack(&self, overlap: &BoxOverlap) -> Bytes {
-        self.try_pack(overlap).unwrap_or_else(|e| panic!("pack: {e}"))
-    }
-
-    /// [`PatchData::try_unpack`] for callers no fault can reach; panics
-    /// on one.
-    fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
-        self.try_unpack(overlap, stream).unwrap_or_else(|e| panic!("unpack: {e}"));
-    }
+    fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]);
 
     /// Clamp-extend values into cells not covered by `covered` (used on
     /// interpolation scratch at physical-domain corners, where no

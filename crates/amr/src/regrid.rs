@@ -35,7 +35,7 @@ use crate::cluster::{cluster_tags, split_to_max, ClusterParams};
 use crate::hierarchy::PatchHierarchy;
 use crate::level::PatchLevel;
 use crate::ops::RefineOperator;
-use crate::schedule::{RefineSchedule, ScheduleError};
+use crate::schedule::RefineSchedule;
 use crate::tagging::TagBitmap;
 use crate::variable::{VariableId, VariableRegistry};
 use rbamr_geometry::{BoxList, GBox, IntVector};
@@ -166,14 +166,14 @@ impl Regridder {
             .unwrap_or_else(|e| panic!("regrid: unhandled injected fault: {e}"))
     }
 
-    /// Fault-aware [`Regridder::regrid`]: injected transport or device
-    /// faults surface as a typed [`ScheduleError`] instead of a panic.
+    /// Fault-aware [`Regridder::regrid`]: injected transport faults
+    /// surface as a typed [`CommError`] instead of a panic.
     /// Fault verdicts that could diverge across ranks (clustering on
     /// rank 0) are made collective before any rank acts on them, so
     /// every rank either completes the pass or errors — never a hang.
     ///
     /// # Errors
-    /// [`ScheduleError`] on the fault; the hierarchy may hold partially
+    /// [`CommError`] on the fault; the hierarchy may hold partially
     /// rebuilt levels and must be restored from a checkpoint before the
     /// next use.
     pub fn try_regrid(
@@ -184,7 +184,7 @@ impl Regridder {
         specs: &[TransferSpec],
         comm: Option<&Comm>,
         time: f64,
-    ) -> Result<RegridOutcome, ScheduleError> {
+    ) -> Result<RegridOutcome, CommError> {
         let rec = hierarchy.recorder().clone();
         let _span = rec.is_enabled().then(|| rec.span("regrid", Category::Regrid));
         let max_levels = hierarchy.max_levels();
@@ -260,11 +260,11 @@ impl Regridder {
         let nranks = hierarchy.nranks();
         let mut new_num_levels = 1;
         let mut levels_changed = vec![false; max_levels];
-        // Data-plane faults (pack/unpack/p2p) are rank-local: record the
-        // first and keep the pass in lock-step — the structure decisions
+        // Point-to-point faults are rank-local: record the first and
+        // keep the pass in lock-step — the structure decisions
         // are rank-invariant, so every rank still reaches every
         // collective. Only collectively-agreed failures return early.
-        let mut first_err: Option<ScheduleError> = None;
+        let mut first_err: Option<CommError> = None;
         #[allow(clippy::needless_range_loop)] // target is a level number, not a plain index
         for target in 1..=finest_target {
             let boxes = planned[target].take().unwrap_or_default();
@@ -322,7 +322,7 @@ impl Regridder {
         specs: &[TransferSpec],
         comm: Option<&Comm>,
         time: f64,
-    ) -> Result<(), ScheduleError> {
+    ) -> Result<(), CommError> {
         let rank = hierarchy.rank();
         let ratio = hierarchy.ratio_to_coarser(target);
         let domain = hierarchy.level_domain(target);

@@ -44,7 +44,7 @@ use crate::boundary::{PhysicalBoundary, PhysicalPlan};
 use crate::hierarchy::PatchHierarchy;
 use crate::level::PatchLevel;
 use crate::ops::{CoarsenOperator, RefineOperator};
-use crate::patchdata::{validate_overlap, PatchDataError};
+use crate::patchdata::validate_overlap;
 use crate::regrid::TransferSpec;
 use crate::transfer::{
     narrow, CoarsenJob, CopyJob, DescriptorWords, Loc, OpGroup, Part, PeerStream, RefineJob,
@@ -63,48 +63,6 @@ use std::sync::{Arc, Mutex};
 mod window;
 use window::{fill_span, make_scratch, receive_and_unpack};
 pub use window::{FillWindow, PendingFill};
-
-/// A fault detected while executing a schedule — a halo fill, a
-/// synchronisation or a regrid's solution transfer — or while a regrid
-/// exchanges tags and boxes.
-///
-/// Schedule execution is *run-through*: the first fault is recorded and
-/// the rest of the communication pattern still executes (placeholder
-/// payloads keep senders and receivers in lock-step), so every rank
-/// finishes the exchange and the step can fail collectively at its
-/// commit point instead of deadlocking mid-pattern.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScheduleError {
-    /// A message-level fault (drop/corrupt/collective) from the
-    /// communicator.
-    Comm(CommError),
-    /// A pack/unpack fault from the data layer (device allocation or
-    /// staging-transfer failure).
-    Data(PatchDataError),
-}
-
-impl std::fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Comm(e) => write!(f, "schedule comm fault: {e}"),
-            Self::Data(e) => write!(f, "schedule data fault: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ScheduleError {}
-
-impl From<CommError> for ScheduleError {
-    fn from(e: CommError) -> Self {
-        Self::Comm(e)
-    }
-}
-
-impl From<PatchDataError> for ScheduleError {
-    fn from(e: PatchDataError) -> Self {
-        Self::Data(e)
-    }
-}
 
 /// What to fill for one variable in a refine schedule.
 pub struct FillSpec {
@@ -905,11 +863,10 @@ impl RefineSchedule {
     }
 
     /// Fault-aware [`RefineSchedule::fill`]: the window of this schedule
-    /// alone (see [`FillWindow`]). A detected fault is reported after
-    /// the whole communication pattern has executed (faulty plans fill
-    /// with placeholder bytes), so no rank is left blocked on this
-    /// rank's messages. On `Err` the filled data is unusable and the
-    /// caller must roll back.
+    /// alone (see [`FillWindow`]). A message fault is reported after the
+    /// whole communication pattern has executed, so no rank is left
+    /// blocked on this rank's messages. On `Err` the filled data is
+    /// unusable and the caller must roll back.
     pub fn try_fill(
         &self,
         hierarchy: &mut PatchHierarchy,
@@ -918,7 +875,7 @@ impl RefineSchedule {
         comm: Option<&Comm>,
         time: f64,
         category: Category,
-    ) -> Result<(), ScheduleError> {
+    ) -> Result<(), CommError> {
         let _span = fill_span(hierarchy, "refine-fill", category, self.level_no);
         let window = FillWindow::new(vec![self]);
         let pending = window.begin_with(hierarchy, None, registry, comm, category);
@@ -937,7 +894,7 @@ impl RefineSchedule {
         registry: &VariableRegistry,
         comm: Option<&Comm>,
         time: f64,
-    ) -> Result<(), ScheduleError> {
+    ) -> Result<(), CommError> {
         let category = Category::Regrid;
         let _span = hierarchy.recorder().is_enabled().then(|| {
             hierarchy.recorder().span_arg("regrid-transfer", category, self.level_no as i64)
@@ -1644,7 +1601,7 @@ impl CoarsenSchedule {
         registry: &VariableRegistry,
         comm: Option<&Comm>,
         category: Category,
-    ) -> Result<(), ScheduleError> {
+    ) -> Result<(), CommError> {
         let _span = hierarchy.recorder().is_enabled().then(|| {
             let rec = hierarchy.recorder();
             rec.count("amr.coarsen_syncs", 1);
@@ -1660,8 +1617,7 @@ impl CoarsenSchedule {
         // Phase 1: fine owners coarsen into scratch, every operator in
         // one call, and the results bound for remote coarse owners join
         // the aggregated per-rank stream (one message per rank pair;
-        // plan order is globally deterministic; a pack fault leaves
-        // zeros of the exact size, see `FillWindow::begin_with`).
+        // plan order is globally deterministic).
         let groups: Vec<_> = self
             .projects
             .iter()
@@ -1669,11 +1625,9 @@ impl CoarsenSchedule {
             .collect();
         factory.coarsen_many(&mut ctx, self.fine_level_no, &groups);
         let tag = agg_tag(KIND_AGG_SYNC, self.fine_level_no);
-        let mut packed = None;
         if !self.sends.is_empty() {
             let comm = comm.expect("CoarsenSchedule: remote plans need a Comm");
-            let (streams, fault) = factory.pack_many(&mut ctx, &sends, &self.send_peers, category);
-            packed = fault.map(ScheduleError::Data);
+            let streams = factory.pack_many(&mut ctx, &sends, &self.send_peers, category);
             for (peer, stream) in self.send_peers.iter().zip(streams) {
                 comm.send(peer.rank, tag, stream);
             }
@@ -1686,10 +1640,7 @@ impl CoarsenSchedule {
         // them in plan order. Faulty streams are skipped.
         let received =
             receive_and_unpack(factory, &mut ctx, &recvs, &self.recv_peers, comm, tag, category);
-        match packed.or(received) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        received.map_or(Ok(()), Err)
     }
 
     /// Host heap bytes the schedule holds (see

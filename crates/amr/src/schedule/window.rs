@@ -173,20 +173,16 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
         //    construction order is identical on every rank — it is
         //    derived from the globally replicated level metadata — so
         //    sender packing order and receiver slicing order agree by
-        //    construction. A pack fault leaves zeros of the exact
-        //    stream size, so the receiver's slicing stays aligned; the
-        //    bad values are discarded with the step at rollback.
-        let mut first_err: Option<ScheduleError> = None;
+        //    construction.
         if !self.send_peers.is_empty() {
             let comm = comm.expect("RefineSchedule: remote plans need a Comm");
             let parts = self.parts(|s| &s.sends, |m| Some(&m.sends));
-            let (streams, fault) = factory.pack_many(&mut ctx, &parts, &self.send_peers, category);
-            first_err = fault.map(ScheduleError::Data);
+            let streams = factory.pack_many(&mut ctx, &parts, &self.send_peers, category);
             for (peer, stream) in self.send_peers.iter().zip(streams) {
                 comm.send(peer.rank, self.tag, stream);
             }
         }
-        PendingFill { window: self, factory, first_err, scratches }
+        PendingFill { window: self, factory, scratches }
     }
 }
 
@@ -246,12 +242,12 @@ pub(super) fn receive_and_unpack(
     comm: Option<&Comm>,
     tag: u64,
     category: Category,
-) -> Option<ScheduleError> {
+) -> Option<CommError> {
     if peers.is_empty() {
         return None;
     }
     let comm = comm.expect("schedule: remote plans need a Comm");
-    let mut first_err: Option<ScheduleError> = None;
+    let mut first_err: Option<CommError> = None;
     let mut incoming: Vec<Option<Option<Bytes>>> = vec![None; peers.len()];
     let mut batch = factory.unpack_batch(category);
     for (part, job) in Part::each(parts) {
@@ -260,29 +256,23 @@ pub(super) fn receive_and_unpack(
             match comm.try_recv(peers[peer].rank, tag, category) {
                 Ok(msg) => Some(msg),
                 Err(e) => {
-                    first_err.get_or_insert(e.into());
+                    first_err.get_or_insert(e);
                     None
                 }
             }
         });
         if let (Loc::Patch { .. }, Some(msg)) = (job.loc, msg) {
-            if let Err(e) = batch.push(ctx, part, job, msg) {
-                first_err.get_or_insert(e.into());
-            }
+            batch.push(ctx, part, job, msg);
         }
     }
     // Scratch targets, in plan order — the order of the interpolation
     // jobs they feed.
     for (part, job) in Part::each(parts) {
         if let (Loc::Scratch(_), Some(Some(msg))) = (job.loc, &incoming[part.slot(job).0]) {
-            if let Err(e) = batch.push(ctx, part, job, msg) {
-                first_err.get_or_insert(e.into());
-            }
+            batch.push(ctx, part, job, msg);
         }
     }
-    if let Err(e) = batch.flush(ctx) {
-        first_err.get_or_insert(e.into());
-    }
+    batch.flush(ctx);
     first_err
 }
 
@@ -294,16 +284,15 @@ pub(super) fn receive_and_unpack(
 pub struct PendingFill<'a, S = Arc<RefineSchedule>> {
     window: &'a FillWindow<S>,
     factory: Arc<dyn DataFactory>,
-    first_err: Option<ScheduleError>,
     scratches: Vec<Box<dyn PatchData>>,
 }
 
 impl<S: Borrow<RefineSchedule>> PendingFill<'_, S> {
     /// Complete the fill: consume incoming messages, interpolate
     /// coarse-fine ghosts, apply physical boundaries, and stamp times.
-    /// Only ghost regions are written. Errors recorded by either half
-    /// are reported after the whole communication pattern has executed,
-    /// exactly as [`RefineSchedule::try_fill`] does.
+    /// Only ghost regions are written. A message fault is reported
+    /// after the whole communication pattern has executed, exactly as
+    /// [`RefineSchedule::try_fill`] does.
     pub fn finish(
         mut self,
         hierarchy: &mut PatchHierarchy,
@@ -311,7 +300,7 @@ impl<S: Borrow<RefineSchedule>> PendingFill<'_, S> {
         comm: Option<&Comm>,
         time: f64,
         category: Category,
-    ) -> Result<(), ScheduleError> {
+    ) -> Result<(), CommError> {
         let _span = hierarchy.recorder().is_enabled().then(|| {
             let level_no = self.window.members[0].sched.borrow().level_no as i64;
             hierarchy.recorder().span_arg("refine-fill-finish", category, level_no)
@@ -342,13 +331,13 @@ impl<S: Borrow<RefineSchedule>> PendingFill<'_, S> {
 
     /// Stages 3 (recv + unpack, remote coarse sources included) and 4
     /// (scratch extension + interpolation): everything the fill still
-    /// has to move. Reports the first fault of either half.
+    /// has to move. Reports the first message fault.
     pub(super) fn receive_and_interpolate(
         &mut self,
         hierarchy: &mut PatchHierarchy,
         comm: Option<&Comm>,
         category: Category,
-    ) -> Result<(), ScheduleError> {
+    ) -> Result<(), CommError> {
         let (w, factory) = (self.window, self.factory.as_ref());
         let mut ctx = TransferCtx { hierarchy, scratch: &mut self.scratches, outgoing: None };
 
@@ -376,6 +365,6 @@ impl<S: Borrow<RefineSchedule>> PendingFill<'_, S> {
             }
         }
         factory.refine_many(&mut ctx, &groups, category);
-        self.first_err.take().or(received).map_or(Ok(()), Err)
+        received.map_or(Ok(()), Err)
     }
 }

@@ -25,7 +25,7 @@
 use crate::hierarchy::PatchHierarchy;
 use crate::level::PatchLevel;
 use crate::patch::Patch;
-use crate::patchdata::{Element, PatchData, PatchDataError};
+use crate::patchdata::{Element, PatchData};
 use crate::variable::VariableId;
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, BoxOverlap, IntVector};
@@ -380,12 +380,10 @@ pub trait UnpackBatch<'j> {
         part: &Part<'j, StreamJob>,
         job: &'j StreamJob,
         msg: &Bytes,
-    ) -> Result<(), PatchDataError>;
+    );
 
-    /// Run whatever `push` deferred. A failure skips the deferred jobs
-    /// it affects — all of them, when they move in one transfer; the
-    /// first one is returned.
-    fn flush(&mut self, ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError>;
+    /// Run whatever `push` deferred.
+    fn flush(&mut self, ctx: &mut TransferCtx<'_>);
 }
 
 /// Packed descriptor words of a stage's job lists — what a fused kernel

@@ -1,7 +1,7 @@
 //! Variables and data factories.
 
 use crate::ops::{CoarsenOperator, RefineOperator};
-use crate::patchdata::{PatchData, PatchDataError};
+use crate::patchdata::PatchData;
 use crate::transfer::{
     CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
     UnpackBatch,
@@ -66,18 +66,13 @@ pub trait DataFactory: Send + Sync {
     /// exactly `peers[i].bytes` long. Each peer's jobs come in stream
     /// order: a part's in plan order, the parts' streams one after the
     /// other.
-    ///
-    /// Run-through: a pack fault leaves zeros in the affected byte range
-    /// (so the receiver's slicing stays aligned; the values are
-    /// discarded with the step at rollback) and the first fault is
-    /// returned beside the messages.
     fn pack_many(
         &self,
         ctx: &mut TransferCtx<'_>,
         parts: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
         category: Category,
-    ) -> (Vec<Bytes>, Option<PatchDataError>);
+    ) -> Vec<Bytes>;
 
     /// The receive side of a stage, charging `category`: see
     /// [`UnpackBatch`].

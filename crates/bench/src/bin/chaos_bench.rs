@@ -581,7 +581,7 @@ fn check(
             }
             let rollbacks = result[0].as_ref().unwrap().stats.rollbacks;
             // A device fault must have cost a rollback, not been
-            // absorbed (latched and never polled).
+            // absorbed (latched and never drained).
             let device_fault = s
                 .rules
                 .iter()

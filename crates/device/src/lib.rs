@@ -85,10 +85,10 @@ struct DeviceInner {
     _default_stream: Mutex<()>,
     /// Seeded fault injector, shared with the rank's communicator.
     injector: Mutex<Option<Arc<FaultInjector>>>,
-    /// CUDA-style sticky error: a fault injected on an infallible path
-    /// (factory allocation, spill transfer) is latched here and the
-    /// operation completes with valid data; the resilience driver polls
-    /// [`Device::take_injected_fault`] at phase boundaries.
+    /// CUDA-style sticky error: an injected allocation or transfer
+    /// fault is latched here and the operation completes with valid
+    /// data; the step's commit drains it with
+    /// [`Device::take_injected_fault`].
     pending_fault: Mutex<Option<DeviceError>>,
 }
 
@@ -200,10 +200,11 @@ impl Device {
     }
 
     /// Take (and clear) the latched sticky fault, if an injected fault
-    /// fired on an infallible path since the last poll. The resilience
-    /// driver checks this at phase boundaries; the data written by the
-    /// faulting op itself is valid (the fault is synthetic), so rolling
-    /// back to the last checkpoint is always safe.
+    /// fired since the last drain — the only way a device fault
+    /// surfaces. The simulation's commit drains it once per step; the
+    /// data written by the faulting op itself is valid (the fault is
+    /// synthetic), so rolling back to the last checkpoint is always
+    /// safe.
     pub fn take_injected_fault(&self) -> Option<DeviceError> {
         self.inner.pending_fault.lock().take()
     }
@@ -267,48 +268,6 @@ impl Device {
         }
     }
 
-    /// Allocate a zero-initialised device buffer of `len` elements.
-    ///
-    /// # Errors
-    /// Returns [`DeviceError::OutOfMemory`] if the allocation would
-    /// exceed the modelled device capacity (6 GB for the K20x), or if
-    /// an attached fault injector simulates exhaustion at this
-    /// allocation site.
-    pub fn try_alloc<T: memory::DeviceCopy>(
-        &self,
-        len: usize,
-    ) -> Result<DeviceBuffer<T>, DeviceError> {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
-        if self.injected(FaultKind::AllocFail) {
-            return Err(DeviceError::OutOfMemory {
-                requested: bytes,
-                in_use: self.inner.allocated.load(Ordering::Relaxed),
-                capacity: self.inner.cost.machine().device().memory_bytes,
-            });
-        }
-        self.alloc_impl(len, bytes)
-    }
-
-    fn alloc_impl<T: memory::DeviceCopy>(
-        &self,
-        len: usize,
-        bytes: u64,
-    ) -> Result<DeviceBuffer<T>, DeviceError> {
-        let capacity = self.inner.cost.machine().device().memory_bytes;
-        let prev = self.inner.allocated.fetch_add(bytes, Ordering::Relaxed);
-        if prev + bytes > capacity {
-            self.inner.allocated.fetch_sub(bytes, Ordering::Relaxed);
-            return Err(DeviceError::OutOfMemory { requested: bytes, in_use: prev, capacity });
-        }
-        self.inner.peak_allocated.fetch_max(prev + bytes, Ordering::Relaxed);
-        if let Some(rec) = self.telemetry() {
-            rec.count("device.allocs", 1);
-            rec.count("device.alloc_bytes", bytes);
-            rec.gauge_max("device.peak_bytes", prev + bytes);
-        }
-        Ok(DeviceBuffer::new_zeroed(len, self.clone()))
-    }
-
     /// Allocate, panicking on genuine exhaustion (most call sites size
     /// buffers from problem configuration and treat exhaustion as fatal,
     /// exactly as `cudaMalloc` failure was fatal in the original code).
@@ -326,7 +285,20 @@ impl Device {
                 capacity: self.inner.cost.machine().device().memory_bytes,
             });
         }
-        self.alloc_impl(len, bytes).unwrap_or_else(|e| panic!("device allocation failed: {e}"))
+        let capacity = self.inner.cost.machine().device().memory_bytes;
+        let prev = self.inner.allocated.fetch_add(bytes, Ordering::Relaxed);
+        if prev + bytes > capacity {
+            self.inner.allocated.fetch_sub(bytes, Ordering::Relaxed);
+            let e = DeviceError::OutOfMemory { requested: bytes, in_use: prev, capacity };
+            panic!("device allocation failed: {e}");
+        }
+        self.inner.peak_allocated.fetch_max(prev + bytes, Ordering::Relaxed);
+        if let Some(rec) = self.telemetry() {
+            rec.count("device.allocs", 1);
+            rec.count("device.alloc_bytes", bytes);
+            rec.gauge_max("device.peak_bytes", prev + bytes);
+        }
+        DeviceBuffer::new_zeroed(len, self.clone())
     }
 
     pub(crate) fn release_bytes(&self, bytes: u64) {
@@ -355,37 +327,6 @@ impl Device {
                 bytes: std::mem::size_of_val(src) as u64,
             });
         }
-        self.upload_impl(dst, offset, src, category);
-    }
-
-    /// [`Device::upload`] surfacing an injected copy fault as a typed
-    /// error instead of latching it. The copy is not performed on
-    /// failure (a failed `cudaMemcpy` leaves the destination
-    /// undefined).
-    pub fn try_upload<T: memory::DeviceCopy>(
-        &self,
-        dst: &mut DeviceBuffer<T>,
-        offset: usize,
-        src: &[T],
-        category: Category,
-    ) -> Result<(), DeviceError> {
-        if self.injected(FaultKind::CopyFail) {
-            return Err(DeviceError::TransferFault {
-                direction: "h2d",
-                bytes: std::mem::size_of_val(src) as u64,
-            });
-        }
-        self.upload_impl(dst, offset, src, category);
-        Ok(())
-    }
-
-    fn upload_impl<T: memory::DeviceCopy>(
-        &self,
-        dst: &mut DeviceBuffer<T>,
-        offset: usize,
-        src: &[T],
-        category: Category,
-    ) {
         let rec = self.telemetry();
         let _span = rec.as_ref().map(|r| r.span("h2d-copy", category));
         dst.host_write(offset, src);
@@ -420,36 +361,6 @@ impl Device {
                 bytes: std::mem::size_of_val(dst) as u64,
             });
         }
-        self.download_impl(src, offset, dst, category);
-    }
-
-    /// [`Device::download`] surfacing an injected copy fault as a typed
-    /// error instead of latching it. The copy is not performed on
-    /// failure.
-    pub fn try_download<T: memory::DeviceCopy>(
-        &self,
-        src: &DeviceBuffer<T>,
-        offset: usize,
-        dst: &mut [T],
-        category: Category,
-    ) -> Result<(), DeviceError> {
-        if self.injected(FaultKind::CopyFail) {
-            return Err(DeviceError::TransferFault {
-                direction: "d2h",
-                bytes: std::mem::size_of_val(dst) as u64,
-            });
-        }
-        self.download_impl(src, offset, dst, category);
-        Ok(())
-    }
-
-    fn download_impl<T: memory::DeviceCopy>(
-        &self,
-        src: &DeviceBuffer<T>,
-        offset: usize,
-        dst: &mut [T],
-        category: Category,
-    ) {
         let rec = self.telemetry();
         let _span = rec.as_ref().map(|r| r.span("d2h-copy", category));
         src.host_read(offset, dst);
@@ -584,6 +495,7 @@ impl std::fmt::Debug for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn upload_download_roundtrip_counts_bytes() {
@@ -632,11 +544,13 @@ mod tests {
         let cap = dev.cost_model().machine().device().memory_bytes;
         let a = dev.alloc::<u8>((cap / 2) as usize);
         assert_eq!(dev.stats().allocated_bytes, cap / 2);
-        let err = dev.try_alloc::<u8>((cap / 2 + 1) as usize).unwrap_err();
-        match err {
-            DeviceError::OutOfMemory { capacity, .. } => assert_eq!(capacity, cap),
-            other => panic!("expected OutOfMemory, got {other}"),
-        }
+        // Genuine exhaustion is fatal, and the refused bytes are not
+        // kept on the gauge.
+        let over =
+            std::panic::catch_unwind(AssertUnwindSafe(|| dev.alloc::<u8>(cap as usize / 2 + 1)));
+        let msg = *over.expect_err("over capacity").downcast::<String>().expect("a message");
+        assert!(msg.contains(&format!("of {cap} B")), "got {msg}");
+        assert_eq!(dev.stats().allocated_bytes, cap / 2);
         drop(a);
         assert_eq!(dev.stats().allocated_bytes, 0);
         assert_eq!(dev.stats().peak_allocated_bytes, cap / 2);
@@ -737,20 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_alloc_fault_is_a_typed_error_on_try_alloc() {
-        use rbamr_fault::{FaultPlan, FaultRule};
-        let dev = Device::k20x();
-        let plan = FaultPlan::new(3, vec![FaultRule::once(rbamr_fault::FaultKind::AllocFail, 1)]);
-        dev.set_fault_injector(rbamr_fault::FaultInjector::new(Arc::new(plan), 0));
-        let _a = dev.try_alloc::<f64>(8).expect("occurrence 0 is clean");
-        let err = dev.try_alloc::<f64>(8).unwrap_err();
-        assert!(matches!(err, DeviceError::OutOfMemory { requested: 64, .. }), "got {err}");
-        let _b = dev.try_alloc::<f64>(8).expect("one-shot rule stops firing");
-        // The failed allocation must not leak accounting.
-        assert_eq!(dev.stats().allocated_bytes, 2 * 64);
-    }
-
-    #[test]
     fn injected_fault_on_infallible_paths_is_sticky_not_fatal() {
         use rbamr_fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
         let dev = Device::k20x();
@@ -759,11 +659,13 @@ mod tests {
             vec![FaultRule::once(FaultKind::AllocFail, 0), FaultRule::once(FaultKind::CopyFail, 1)],
         );
         dev.set_fault_injector(FaultInjector::new(Arc::new(plan), 0));
-        // Injected alloc fault: latched, allocation still succeeds.
+        // Injected alloc fault: latched, allocation still succeeds and
+        // is accounted.
         let mut buf = dev.alloc::<f64>(4);
         let latched = dev.take_injected_fault().expect("alloc fault latched");
-        assert!(matches!(latched, DeviceError::OutOfMemory { .. }));
+        assert!(matches!(latched, DeviceError::OutOfMemory { requested: 32, .. }));
         assert!(dev.take_injected_fault().is_none(), "take clears the latch");
+        assert_eq!(dev.stats().allocated_bytes, 32);
         // Copy occurrence 0 clean, occurrence 1 latched — data intact.
         dev.upload(&mut buf, 0, &[1.0, 2.0], Category::Other);
         dev.upload(&mut buf, 2, &[3.0, 4.0], Category::Other);
@@ -772,21 +674,6 @@ mod tests {
         let mut out = vec![0.0; 4];
         dev.download(&buf, 0, &mut out, Category::Other);
         assert_eq!(out, vec![1.0, 2.0, 3.0, 4.0], "sticky faults never corrupt data");
-    }
-
-    #[test]
-    fn try_transfer_surfaces_injected_copy_fault() {
-        use rbamr_fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
-        let dev = Device::k20x();
-        let plan = FaultPlan::new(8, vec![FaultRule::once(FaultKind::CopyFail, 0)]);
-        dev.set_fault_injector(FaultInjector::new(Arc::new(plan), 0));
-        let buf = dev.alloc::<f64>(4);
-        let mut out = vec![7.0; 4];
-        let err = dev.try_download(&buf, 0, &mut out, Category::Other).unwrap_err();
-        assert_eq!(err, DeviceError::TransferFault { direction: "d2h", bytes: 32 });
-        assert_eq!(out, vec![7.0; 4], "failed copy leaves the destination untouched");
-        assert!(dev.try_download(&buf, 0, &mut out, Category::Other).is_ok());
-        assert_eq!(out, vec![0.0; 4]);
-        assert!(dev.take_injected_fault().is_none(), "try paths do not latch");
+        assert!(dev.take_injected_fault().is_none(), "one-shot rules stop firing");
     }
 }

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use rbamr_device::{Device, Stream};
 use rbamr_perfmodel::{Category, KernelShape};
+use std::panic::AssertUnwindSafe;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -92,7 +93,8 @@ fn capacity_is_a_hard_limit_across_many_buffers() {
     let b2 = dev.alloc::<u8>(chunk);
     let b3 = dev.alloc::<u8>(chunk);
     // A fourth chunk plus one byte must fail...
-    assert!(dev.try_alloc::<u8>(chunk + 1).is_err());
+    let over = std::panic::catch_unwind(AssertUnwindSafe(|| dev.alloc::<u8>(chunk + 1)));
+    assert!(over.is_err());
     // ...and the failed attempt must not leak gauge bytes.
     assert_eq!(dev.stats().allocated_bytes, 3 * chunk as u64);
     drop((b1, b2, b3));

@@ -6,7 +6,6 @@ use bytes::Bytes;
 use rbamr_amr::ops::{CoarsenOperator, RefineOperator};
 use rbamr_amr::patchdata::{
     copy_region, extension_pairs, pack_region, unpack_region, validate_overlap, Element, PatchData,
-    PatchDataError,
 };
 use rbamr_amr::transfer::{
     CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
@@ -14,7 +13,7 @@ use rbamr_amr::transfer::{
 };
 use rbamr_amr::variable::DataFactory;
 use rbamr_device::memory::DeviceCopy;
-use rbamr_device::{Device, DeviceBuffer, DeviceError, Stream};
+use rbamr_device::{Device, DeviceBuffer, Stream};
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
 use rbamr_perfmodel::{Category, KernelShape};
 use std::any::Any;
@@ -69,10 +68,6 @@ pub struct DeviceData<T: DeviceElement> {
     stream: Stream,
     time: f64,
     category: Category,
-    /// Host-side image when the data is spilled out of device memory
-    /// (the paper's future-work extension, Section VI). `Some` means
-    /// the device allocation has been released.
-    spilled: Option<Vec<T>>,
 }
 
 impl<T: DeviceElement> DeviceData<T> {
@@ -87,61 +82,7 @@ impl<T: DeviceElement> DeviceData<T> {
         let dbox = centring.data_box(cell_box.grow(ghosts));
         let buf = device.alloc::<T>(dbox.num_cells() as usize);
         let stream = Stream::new(device);
-        Self {
-            cell_box,
-            ghosts,
-            centring,
-            dbox,
-            buf,
-            stream,
-            time: 0.0,
-            category: Category::Other,
-            spilled: None,
-        }
-    }
-
-    /// True if the data currently lives in host memory (spilled).
-    pub fn is_spilled(&self) -> bool {
-        self.spilled.is_some()
-    }
-
-    /// Spill the array to host memory, releasing its device allocation
-    /// — the paper's future-work mechanism for oversubscribing the
-    /// 6 GB device ("allowing patches to be 'spilled' into CPU memory
-    /// and then be transferred back to the device when necessary").
-    /// One D2H transfer; idempotent.
-    pub fn spill(&mut self, category: Category) {
-        if self.spilled.is_some() {
-            return;
-        }
-        let device = self.buf.device().clone();
-        let mut host = vec![T::default(); self.buf.len()];
-        device.download(&self.buf, 0, &mut host, category);
-        // Release the device bytes by replacing the buffer with an
-        // empty allocation.
-        self.buf = device.alloc::<T>(0);
-        self.spilled = Some(host);
-    }
-
-    /// Bring spilled data back into device memory (one H2D transfer).
-    /// Idempotent.
-    ///
-    /// # Panics
-    /// Panics if the device is out of memory.
-    pub fn unspill(&mut self, category: Category) {
-        let Some(host) = self.spilled.take() else { return };
-        let device = self.buf.device().clone();
-        let mut buf = device.alloc::<T>(host.len());
-        device.upload(&mut buf, 0, &host, category);
-        self.buf = buf;
-    }
-
-    fn assert_resident(&self, what: &str) {
-        assert!(
-            self.spilled.is_none(),
-            "{what} on spilled patch data (cell box {:?}): call unspill() first",
-            self.cell_box
-        );
+        Self { cell_box, ghosts, centring, dbox, buf, stream, time: 0.0, category: Category::Other }
     }
 
     /// The device this data lives on.
@@ -162,21 +103,12 @@ impl<T: DeviceElement> DeviceData<T> {
 
     /// The backing device buffer (for kernels in this crate and the
     /// hydro device integrator).
-    ///
-    /// # Panics
-    /// Panics if the data is spilled — the device pointer would be
-    /// dangling, exactly the fault the real mechanism must prevent.
     pub fn buffer(&self) -> &DeviceBuffer<T> {
-        self.assert_resident("kernel access");
         &self.buf
     }
 
     /// Mutable backing device buffer.
-    ///
-    /// # Panics
-    /// Panics if the data is spilled.
     pub fn buffer_mut(&mut self) -> &mut DeviceBuffer<T> {
-        self.assert_resident("kernel access");
         &mut self.buf
     }
 
@@ -202,14 +134,6 @@ impl<T: DeviceElement> DeviceData<T> {
     pub fn index(&self, p: IntVector) -> usize {
         self.dbox.offset_of(p)
     }
-}
-
-fn allocation_fault(e: DeviceError) -> PatchDataError {
-    PatchDataError::Allocation { detail: e.to_string() }
-}
-
-fn transfer_fault(e: DeviceError) -> PatchDataError {
-    PatchDataError::Transfer { detail: e.to_string() }
 }
 
 /// The `copy-region` kernel: one launch copying every `(dst, src,
@@ -243,8 +167,7 @@ fn launch_copy<T: DeviceElement>(
 /// The `pack` kernel and its transfer: one launch gathers every region
 /// `jobs` yields, in order, into `staging[..total]` (the contiguous
 /// `cuda_stream` buffer of Figure 4), then one D2H brings exactly the
-/// packed values to the host, where they become the message stream. A
-/// PCIe failure returns typed.
+/// packed values to the host, where they become the message stream.
 fn pack_message<T: DeviceElement>(
     device: &Device,
     stream: &Stream,
@@ -252,7 +175,7 @@ fn pack_message<T: DeviceElement>(
     staging: &mut DeviceBuffer<T>,
     total: usize,
     jobs: impl FnOnce(&mut dyn FnMut(&DeviceData<T>, &BoxOverlap)),
-) -> Result<Bytes, PatchDataError> {
+) -> Bytes {
     device.recorder().count("pack.bytes", (total * T::BYTES) as u64);
     if total > 0 {
         let shape = KernelShape::streaming(total as i64, 2, 0);
@@ -273,16 +196,15 @@ fn pack_message<T: DeviceElement>(
         });
     }
     let mut host = vec![T::default(); total];
-    device.try_download(staging, 0, &mut host, category).map_err(transfer_fault)?;
+    device.download(staging, 0, &mut host, category);
     let mut out = Vec::with_capacity(total * T::BYTES);
     T::encode(&host, &mut out);
-    Ok(Bytes::from(out))
+    Bytes::from(out)
 }
 
 /// The `unpack` kernel and its transfer: one H2D of `msgs`, back to
 /// back, into `staging`, then one launch scattering them. Each job names
-/// the first value of its overlap within the concatenation. On a PCIe
-/// failure nothing is unpacked.
+/// the first value of its overlap within the concatenation.
 fn unpack_message<T: DeviceElement>(
     device: &Device,
     stream: &Stream,
@@ -290,7 +212,7 @@ fn unpack_message<T: DeviceElement>(
     staging: &mut DeviceBuffer<T>,
     msgs: &[&[u8]],
     jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &BoxOverlap, usize)),
-) -> Result<(), PatchDataError> {
+) {
     let total = msgs.iter().map(|m| m.len()).sum::<usize>() / T::BYTES;
     device.recorder().count("unpack.bytes", (total * T::BYTES) as u64);
     let mut host = vec![T::default(); total];
@@ -300,7 +222,7 @@ fn unpack_message<T: DeviceElement>(
         T::decode(msg, values);
         rest = tail;
     }
-    device.try_upload(staging, 0, &host, category).map_err(transfer_fault)?;
+    device.upload(staging, 0, &host, category);
     if total > 0 {
         let shape = KernelShape::streaming(total as i64, 2, 0);
         stream.submit();
@@ -318,7 +240,6 @@ fn unpack_message<T: DeviceElement>(
             });
         });
     }
-    Ok(())
 }
 
 /// The `extend-uncovered` kernel: one launch applying every `(target,
@@ -399,24 +320,23 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
 
     /// A batch of one, staged through a buffer of exactly the overlap's
     /// size.
-    fn try_pack(&self, overlap: &BoxOverlap) -> Result<Bytes, PatchDataError> {
+    fn pack(&self, overlap: &BoxOverlap) -> Bytes {
         let total = overlap.num_values() as usize;
         let (device, stream) = (self.buf.device(), &self.stream);
-        let mut staging = device.try_alloc(total).map_err(allocation_fault)?;
+        let mut staging = device.alloc(total);
         pack_message(device, stream, self.category, &mut staging, total, |pack| {
             pack(self, overlap);
         })
     }
 
-    /// As [`DeviceData::try_pack`].
-    fn try_unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) -> Result<(), PatchDataError> {
+    /// As [`DeviceData::pack`].
+    fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
         assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
         let (device, queue) = (self.buf.device().clone(), self.stream.clone());
-        let mut staging =
-            device.try_alloc(overlap.num_values() as usize).map_err(allocation_fault)?;
+        let mut staging = device.alloc(overlap.num_values() as usize);
         unpack_message(&device, &queue, self.category, &mut staging, &[stream], |unpack| {
             unpack(self, overlap, 0);
-        })
+        });
     }
 
     fn extend_uncovered(&mut self, covered: &rbamr_geometry::BoxList) {
@@ -507,18 +427,13 @@ impl DeviceDataFactory {
 
     /// Run `f` on the staging buffer, grown first if it holds fewer
     /// than `len` values. Growth is the only allocation a fused
-    /// transfer makes, and its failure is the transfer's failure.
-    fn with_staging<R>(
-        &self,
-        len: usize,
-        f: impl FnOnce(&mut DeviceBuffer<f64>) -> Result<R, PatchDataError>,
-    ) -> Result<R, PatchDataError> {
+    /// transfer makes.
+    fn with_staging<R>(&self, len: usize, f: impl FnOnce(&mut DeviceBuffer<f64>) -> R) -> R {
         let mut slot = self.staging.lock().expect("a fused transfer panicked mid-message");
         if slot.as_ref().is_none_or(|buf| buf.len() < len) {
             // Release the old buffer before asking for the larger one.
             *slot = None;
-            let grown = self.device.try_alloc(len.next_power_of_two());
-            *slot = Some(grown.map_err(allocation_fault)?);
+            *slot = Some(self.device.alloc(len.next_power_of_two()));
         }
         f(slot.as_mut().expect("staging was ensured above"))
     }
@@ -551,9 +466,9 @@ impl DataFactory for DeviceDataFactory {
         parts: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
         category: Category,
-    ) -> (Vec<Bytes>, Option<PatchDataError>) {
+    ) -> Vec<Bytes> {
         if peers.is_empty() {
-            return (Vec::new(), None);
+            return Vec::new();
         }
         // Peer-major, then by place in the peer's message: the jobs of
         // each part are in order within each of its streams, and the
@@ -576,14 +491,9 @@ impl DataFactory for DeviceDataFactory {
         let streams = peers.iter().map(|peer| {
             let start = end;
             end += peer.bytes;
-            match &packed {
-                Ok(stage) => stage.slice(start..end),
-                // Run-through: every peer still gets a message of the
-                // exact size, and the fault surfaces at the commit.
-                Err(_) => Bytes::from(vec![0u8; peer.bytes]),
-            }
+            packed.slice(start..end)
         });
-        (streams.collect(), packed.err())
+        streams.collect()
     }
 
     fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
@@ -661,7 +571,7 @@ impl DataFactory for DeviceDataFactory {
 /// The device's [`UnpackBatch`]: `push` only records, `flush` moves
 /// every received message with one H2D and scatters them with one
 /// launch. A message that never arrived is simply not part of the
-/// upload; a failed upload skips every job of the stage.
+/// upload.
 struct DeviceUnpack<'f, 'j> {
     factory: &'f DeviceDataFactory,
     category: Category,
@@ -680,7 +590,7 @@ impl<'j> UnpackBatch<'j> for DeviceUnpack<'_, 'j> {
         part: &Part<'j, StreamJob>,
         job: &'j StreamJob,
         msg: &Bytes,
-    ) -> Result<(), PatchDataError> {
+    ) {
         let (peer, range) = part.slot(job);
         if self.pending.len() <= peer {
             self.pending.resize(peer + 1, None);
@@ -688,14 +598,13 @@ impl<'j> UnpackBatch<'j> for DeviceUnpack<'_, 'j> {
         let first = range.start / STREAM_VALUE_BYTES;
         let jobs = &mut self.pending[peer].get_or_insert_with(|| (msg.clone(), Vec::new())).1;
         jobs.push((part.at(job.loc), job, first));
-        Ok(())
     }
 
-    fn flush(&mut self, ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError> {
+    fn flush(&mut self, ctx: &mut TransferCtx<'_>) {
         let (factory, category) = (self.factory, self.category);
         let pending: Vec<_> = self.pending.drain(..).flatten().collect();
         if pending.is_empty() {
-            return Ok(());
+            return;
         }
         let msgs: Vec<&[u8]> = pending.iter().map(|(msg, _)| &msg[..]).collect();
         let total = msgs.iter().map(|msg| msg.len()).sum::<usize>() / STREAM_VALUE_BYTES;
@@ -711,8 +620,8 @@ impl<'j> UnpackBatch<'j> for DeviceUnpack<'_, 'j> {
                     }
                     base += msg.len() / STREAM_VALUE_BYTES;
                 }
-            })
-        })
+            });
+        });
     }
 }
 

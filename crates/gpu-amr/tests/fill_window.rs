@@ -119,7 +119,7 @@ impl Rank {
                             - 1.13 * p.y as f64;
                         bytes.extend_from_slice(&v.to_le_bytes());
                     }
-                    data.try_unpack(&ov, &bytes).expect("initial values");
+                    data.unpack(&ov, &bytes);
                 }
             }
         }

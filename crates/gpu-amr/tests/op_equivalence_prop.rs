@@ -278,7 +278,7 @@ mod fused {
     use super::{coarsen_op, refine_op, sub_box};
     use bytes::Bytes;
     use proptest::prelude::*;
-    use rbamr_amr::patchdata::{PatchData, PatchDataError};
+    use rbamr_amr::patchdata::PatchData;
     use rbamr_amr::transfer::{
         narrow, CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob,
         TransferCtx, UnpackBatch, STREAM_VALUE_BYTES,
@@ -288,7 +288,7 @@ mod fused {
         CoarsenOperator, GridGeometry, HostData, HostDataFactory, PatchHierarchy, RefineOperator,
         VariableId, VariableRegistry,
     };
-    use rbamr_device::{Device, DeviceStats};
+    use rbamr_device::{Device, DeviceError, DeviceStats};
     use rbamr_geometry::{ghost_overlaps, BoxList, Centring, GBox, IntVector};
     use rbamr_gpu_amr::{DeviceData, DeviceDataFactory};
     use rbamr_netsim::{FaultInjector, FaultKind, FaultPlan, FaultRule};
@@ -336,22 +336,14 @@ mod fused {
             parts: &[Part<'_, StreamJob>],
             peers: &[PeerStream],
             category: Category,
-        ) -> (Vec<Bytes>, Option<PatchDataError>) {
+        ) -> Vec<Bytes> {
             let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
-            let mut first_err = None;
             for (part, job) in Part::each(parts) {
                 let data = ctx.data_mut(part.at(job.loc), job.var);
                 data.set_transfer_category(category);
-                let (peer, range) = part.slot(job);
-                match data.try_pack(&job.overlap) {
-                    Ok(payload) => out[peer].extend_from_slice(&payload),
-                    Err(e) => {
-                        out[peer].resize(range.end, 0u8);
-                        first_err.get_or_insert(e);
-                    }
-                }
+                out[part.slot(job).0].extend_from_slice(&data.pack(&job.overlap));
             }
-            (out.into_iter().map(Bytes::from).collect(), first_err)
+            out.into_iter().map(Bytes::from).collect()
         }
 
         fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
@@ -369,15 +361,13 @@ mod fused {
             part: &Part<'j, StreamJob>,
             job: &'j StreamJob,
             msg: &Bytes,
-        ) -> Result<(), PatchDataError> {
+        ) {
             let data = ctx.data_mut(part.at(job.loc), job.var);
             data.set_transfer_category(self.0);
-            data.try_unpack(&job.overlap, &msg[part.slot(job).1])
+            data.unpack(&job.overlap, &msg[part.slot(job).1]);
         }
 
-        fn flush(&mut self, _ctx: &mut TransferCtx<'_>) -> Result<(), PatchDataError> {
-            Ok(())
-        }
+        fn flush(&mut self, _ctx: &mut TransferCtx<'_>) {}
     }
 
     #[derive(Clone, Copy, Debug, PartialEq)]
@@ -688,9 +678,7 @@ mod fused {
             let (sends, peers) = stream_jobs(&copies, true);
             let mut packed = Vec::new();
             let [_, per_item, fused] = measured(&mut ws, |w| {
-                let (streams, fault) = w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
-                assert_eq!(fault, None);
-                packed.push(streams);
+                packed.push(w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT)));
             });
             prop_assert_eq!(&packed[0], &packed[2], "fused stream differs from the host's");
             prop_assert_eq!(&packed[1], &packed[2], "fused stream differs from the per-item packs");
@@ -713,9 +701,9 @@ mod fused {
                 w.with_ctx(|f, ctx| {
                     let mut batch = f.unpack_batch(CAT);
                     for job in &recvs {
-                        batch.push(ctx, &Part::whole(&recvs), job, &streams[job.peer as usize]).expect("unpack");
+                        batch.push(ctx, &Part::whole(&recvs), job, &streams[job.peer as usize]);
                     }
-                    batch.flush(ctx).expect("flush");
+                    batch.flush(ctx);
                 });
             });
             assert_same(&ws, "unpack_batch");
@@ -865,58 +853,62 @@ mod fused {
         w.device.as_ref().unwrap().0.set_fault_injector(FaultInjector::new(Arc::new(plan), 0));
     }
 
-    /// A fused pack whose D2H fails ships every peer of the stage zeros
-    /// of its exact message size and a typed error; the next pack is
-    /// whole again.
+    /// Take what the world's device latched.
+    fn latched(w: &World) -> Option<DeviceError> {
+        w.device.as_ref().unwrap().0.take_injected_fault()
+    }
+
+    /// A fused pack whose D2H fails latches the fault on the device and
+    /// still ships every peer its true message.
     #[test]
-    fn failed_pack_transfer_ships_exact_placeholders() {
+    fn failed_pack_transfer_latches_and_ships_true_messages() {
         let case = fixed_case();
         let mut w = World::new(Placement::Fused, &case);
         let (sends, peers) = stream_jobs(&copy_jobs(&w, &case), true);
-        let (good, fault) =
-            w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
-        assert_eq!(fault, None);
+        let pack = |w: &mut World| {
+            w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT))
+        };
+        let good = pack(&mut w);
+        assert_eq!(latched(&w), None);
         fail_transfer(&w, 0);
-        let (streams, fault) =
-            w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
-        assert!(matches!(fault, Some(PatchDataError::Transfer { .. })), "got {fault:?}");
-        for (stream, peer) in streams.iter().zip(&peers) {
-            assert_eq!(stream.len(), peer.bytes);
-            assert!(stream.iter().all(|&b| b == 0), "placeholder must be zeros");
-        }
-        let (again, fault) =
-            w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
-        assert_eq!((again, fault), (good, None));
+        assert_eq!(pack(&mut w), good, "a failed D2H still delivers the packed values");
+        let fault = latched(&w);
+        assert!(
+            matches!(fault, Some(DeviceError::TransferFault { direction: "d2h", .. })),
+            "got {fault:?}"
+        );
     }
 
-    /// A fused unpack whose H2D fails unpacks nothing and reports a
-    /// typed error; a peer whose message never arrived is simply not
-    /// part of the upload, and only its jobs are skipped.
+    /// A fused unpack whose H2D fails latches the fault and still
+    /// unpacks the whole stage; a peer whose message never arrived is
+    /// simply not part of the upload, and only its jobs are skipped.
     #[test]
-    fn failed_unpack_transfer_skips_the_stage_and_a_missing_peer_only_itself() {
+    fn failed_unpack_transfer_latches_and_a_missing_peer_skips_itself() {
         let case = fixed_case();
         let mut w = World::new(Placement::Fused, &case);
         let copies = copy_jobs(&w, &case);
         let (sends, peers) = stream_jobs(&copies, true);
         let (recvs, _) = stream_jobs(&copies, false);
-        let (streams, _) =
-            w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
+        let streams = w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
         let unpack = |w: &mut World, only: Option<u32>| {
             w.with_ctx(|f, ctx| {
                 let mut batch = f.unpack_batch(CAT);
                 for job in recvs.iter().filter(|j| only.is_none_or(|p| j.peer == p)) {
-                    batch
-                        .push(ctx, &Part::whole(&recvs), job, &streams[job.peer as usize])
-                        .expect("push defers");
+                    batch.push(ctx, &Part::whole(&recvs), job, &streams[job.peer as usize]);
                 }
-                batch.flush(ctx)
-            })
+                batch.flush(ctx);
+            });
         };
-        let untouched = World::new(Placement::Fused, &case).snapshot();
+        let mut clean = World::new(Placement::Fused, &case);
+        unpack(&mut clean, None);
         fail_transfer(&w, 0);
-        let fault = unpack(&mut w, None);
-        assert!(matches!(fault, Err(PatchDataError::Transfer { .. })), "got {fault:?}");
-        assert!(w.snapshot() == untouched, "a failed upload unpacks nothing");
+        unpack(&mut w, None);
+        let fault = latched(&w);
+        assert!(
+            matches!(fault, Some(DeviceError::TransferFault { direction: "h2d", .. })),
+            "got {fault:?}"
+        );
+        assert!(w.snapshot() == clean.snapshot(), "a failed upload still unpacks the stage");
 
         // Peer 0's frame was dropped: peer 1's jobs read their message
         // from the start of the upload, as the per-item loop unpacks them.
@@ -924,8 +916,8 @@ mod fused {
             let mut fused = World::new(Placement::Fused, &case);
             let mut per_item = World::new(Placement::PerItem, &case);
             let before = fused.device.as_ref().unwrap().0.stats();
-            unpack(&mut fused, Some(peer)).expect("fault-free unpack");
-            unpack(&mut per_item, Some(peer)).expect("fault-free unpack");
+            unpack(&mut fused, Some(peer));
+            unpack(&mut per_item, Some(peer));
             assert!(fused.snapshot() == per_item.snapshot(), "only peer {peer} arrived");
             let after = fused.device.as_ref().unwrap().0.stats();
             assert_eq!(after.h2d_bytes - before.h2d_bytes, peers[peer as usize].bytes as u64);

@@ -10,18 +10,17 @@ use rbamr_amr::cluster::split_to_max;
 use rbamr_amr::ops::{
     ConservativeCellRefine, LinearNodeRefine, RefineOperator, VolumeWeightedCoarsen,
 };
-use rbamr_amr::patchdata::PatchDataError;
 use rbamr_amr::regrid::{CellTagger, TransferSpec};
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
     CoarsenSchedule, GridGeometry, Patch, PatchData, PatchHierarchy, PhysicalBoundary,
-    RefineSchedule, RegridParams, Regridder, ScheduleBuild, ScheduleCache, ScheduleError,
-    TagBitmap, VariableId, VariableRegistry,
+    RefineSchedule, RegridParams, Regridder, ScheduleBuild, ScheduleCache, TagBitmap, VariableId,
+    VariableRegistry,
 };
-use rbamr_device::Device;
+use rbamr_device::{Device, DeviceError};
 use rbamr_geometry::{copy_overlap, BoxList, Centring, GBox, IntVector};
 use rbamr_gpu_amr::{compress_tags, compress_tags_many, DeviceData, DeviceDataFactory, TagField};
-use rbamr_netsim::{Cluster, Comm, FaultKind, FaultPlan, FaultRule};
+use rbamr_netsim::{Cluster, Comm, CommError, FaultKind, FaultPlan, FaultRule};
 use rbamr_perfmodel::{Category, Machine};
 use rbamr_telemetry::Recorder;
 use std::sync::Arc;
@@ -96,7 +95,7 @@ impl Rank {
         [FillSpec { var: self.var, refine_op: interpolate.then_some(op) }]
     }
 
-    fn fill(&mut self, sched: &RefineSchedule, comm: &Comm) -> Result<(), ScheduleError> {
+    fn fill(&mut self, sched: &RefineSchedule, comm: &Comm) -> Result<(), CommError> {
         sched.try_fill(&mut self.h, &self.reg, &NoBoundary, Some(comm), 0.0, CAT)
     }
 
@@ -309,39 +308,48 @@ fn scratch_extension_is_one_launch_when_some_scratch_value_is_uncovered() {
 }
 
 /// Rank 0's device fails its `n`-th PCIe transfer of the fill (0 is the
-/// descriptor upload, which only latches; 1 the pack's D2H; 2 the
-/// unpack's H2D).
-fn fill_with_failed_transfer(n: u64) -> Vec<(Result<(), ScheduleError>, f64)> {
+/// descriptor upload; 1 the pack's D2H; 2 the unpack's H2D). Per rank:
+/// the fill's outcome, the ghost it left and what its device latched.
+fn fill_with_failed_transfer(n: u64) -> Vec<(Result<(), CommError>, f64, Option<DeviceError>)> {
     let plan = FaultPlan::new(5, vec![FaultRule::once_on(FaultKind::CopyFail, 0, n)]);
     let results = Cluster::new(Machine::ipa_gpu()).with_fault_plan(plan).run(2, |comm| {
         let mut r = Rank::new(&comm, 1);
         r.device.set_fault_injector(Arc::clone(comm.fault_injector().unwrap()));
         let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
         let outcome = r.fill(&sched, &comm);
+        let latched = r.device.take_injected_fault();
         let (dbox, values) = r.values(0);
         let ghost = if comm.rank() == 0 { IntVector::new(9, 3) } else { IntVector::new(6, 3) };
-        (comm.rank(), outcome, values[dbox.offset_of(ghost)])
+        (comm.rank(), outcome, values[dbox.offset_of(ghost)], latched)
     });
     let mut out: Vec<_> = results.into_iter().map(|r| r.value).collect();
     out.sort_by_key(|&(rank, ..)| rank);
-    out.into_iter().map(|(_, outcome, ghost)| (outcome, ghost)).collect()
+    out.into_iter().map(|(_, outcome, ghost, latched)| (outcome, ghost, latched)).collect()
 }
 
-fn is_transfer_fault(r: &Result<(), ScheduleError>) -> bool {
-    matches!(r, Err(ScheduleError::Data(PatchDataError::Transfer { .. })))
+/// Whether `latched` is a failed PCIe hop in `direction`.
+fn is_transfer_fault(latched: &Option<DeviceError>, direction: &str) -> bool {
+    matches!(latched, Some(DeviceError::TransferFault { direction: d, .. }) if *d == direction)
 }
 
 type Ghosts = Vec<[Option<f64>; 2]>;
 
-/// Two fills of the [`chain`] under `rule`, per rank: each fill's outcome
-/// and the ghosts it left.
-fn chain_fills_with(rule: FaultRule) -> Vec<[(Result<(), ScheduleError>, Ghosts); 2]> {
+/// One fill of the [`chain`] on one rank: its outcome, the ghosts it
+/// left and what the rank's device latched.
+type ChainFill = (Result<(), CommError>, Ghosts, Option<DeviceError>);
+
+/// Two fills of the [`chain`] under `rule`, per rank.
+fn chain_fills_with(rule: FaultRule) -> Vec<[ChainFill; 2]> {
     let plan = FaultPlan::new(5, vec![rule]);
     let results = Cluster::new(Machine::ipa_gpu()).with_fault_plan(plan).run(4, |comm| {
         let mut r = chain(&comm);
         r.device.set_fault_injector(Arc::clone(comm.fault_injector().unwrap()));
         let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
-        [(); 2].map(|()| (r.fill(&sched, &comm), r.chain_ghosts()))
+        [(); 2].map(|()| {
+            let outcome = r.fill(&sched, &comm);
+            let latched = r.device.take_injected_fault();
+            (outcome, r.chain_ghosts(), latched)
+        })
     });
     let mut out: Vec<_> = results.into_iter().map(|r| (r.rank, r.value)).collect();
     out.sort_by_key(|&(rank, _)| rank);
@@ -356,50 +364,43 @@ fn chain_filled_but(rank: usize, value: f64, lost: impl Fn(usize) -> bool) -> Gh
 }
 
 /// Only rank 1, the rank with three peers, saw `is_fault` on the first
-/// fill, every rank completed it, and the second fill is whole.
-fn assert_rank_1_faulted_once(
-    ranks: &[[(Result<(), ScheduleError>, Ghosts); 2]],
-    is_fault: impl Fn(&Result<(), ScheduleError>) -> bool,
-) {
+/// fill, every other rank completed it clean, and the second fill is
+/// whole everywhere.
+fn assert_rank_1_faulted_once(ranks: &[[ChainFill; 2]], is_fault: impl Fn(&ChainFill) -> bool) {
     for (rank, [first, second]) in ranks.iter().enumerate() {
-        assert_eq!(is_fault(&first.0), rank == 1, "rank {rank}: {:?}", first.0);
-        assert!(rank == 1 || first.0.is_ok(), "rank {rank}: {:?}", first.0);
-        assert_eq!(second, &(Ok(()), chain_filled(rank)), "rank {rank}: the next fill");
+        assert_eq!(is_fault(first), rank == 1, "rank {rank}: {first:?}");
+        assert!(rank == 1 || (first.0.is_ok() && first.2.is_none()), "rank {rank}: {first:?}");
+        assert_eq!(second, &(Ok(()), chain_filled(rank), None), "rank {rank}: the next fill");
+    }
+}
+
+/// A failed PCIe hop of `direction`, the `n`-th transfer of rank 0's
+/// fill and of rank 1's first chain fill, latches on that rank's device
+/// and nowhere else; the stage completes, every rank reports `Ok` and
+/// holds the values of a fault-free fill.
+fn assert_failed_transfer_latches(n: u64, direction: &str) {
+    let ranks = fill_with_failed_transfer(n);
+    assert!(is_transfer_fault(&ranks[0].2, direction), "rank 0: {:?}", ranks[0]);
+    assert_eq!((&ranks[0].0, ranks[0].1), (&Ok(()), 2.0), "rank 0 received rank 1's halo");
+    assert_eq!(ranks[1], (Ok(()), 1.0, None), "rank 1 received rank 0's halo");
+
+    // Three peers share rank 1's failed transfer: every rank's ghosts
+    // are whole.
+    let ranks = chain_fills_with(FaultRule::once_on(FaultKind::CopyFail, 1, n));
+    assert_rank_1_faulted_once(&ranks, |f| f.0.is_ok() && is_transfer_fault(&f.2, direction));
+    for (rank, [first, _]) in ranks.iter().enumerate() {
+        assert_eq!(first.1, chain_filled(rank), "rank {rank}");
     }
 }
 
 #[test]
-fn failed_pack_transfer_runs_through_with_a_placeholder() {
-    // Neither rank blocks: rank 0 reports the typed fault, rank 1
-    // unpacks a message of the exact size — all zeros.
-    let ranks = fill_with_failed_transfer(1);
-    assert!(is_transfer_fault(&ranks[0].0), "rank 0: {:?}", ranks[0].0);
-    assert_eq!(ranks[0].1, 2.0, "rank 0 still received rank 1's halo");
-    assert_eq!(ranks[1], (Ok(()), 0.0));
-
-    // Three peers share the failed D2H: each unpacks zeros of its exact
-    // size, and rank 1 itself still received all three halos.
-    let ranks = chain_fills_with(FaultRule::once_on(FaultKind::CopyFail, 1, 1));
-    assert_rank_1_faulted_once(&ranks, is_transfer_fault);
-    for (rank, [first, _]) in ranks.iter().enumerate() {
-        assert_eq!(first.1, chain_filled_but(rank, 0.0, |owner| owner == 1), "rank {rank}");
-    }
+fn failed_pack_transfer_latches_and_the_stage_completes() {
+    assert_failed_transfer_latches(1, "d2h");
 }
 
 #[test]
-fn failed_unpack_transfer_runs_through_and_skips_the_stage() {
-    let ranks = fill_with_failed_transfer(2);
-    assert!(is_transfer_fault(&ranks[0].0), "rank 0: {:?}", ranks[0].0);
-    assert_eq!(ranks[0].1, 1.0, "rank 0's ghosts were never written");
-    assert_eq!(ranks[1], (Ok(()), 1.0));
-
-    // Three messages share the failed H2D: none is unpacked, the peers
-    // do not notice, and the next fill is bitwise right.
-    let ranks = chain_fills_with(FaultRule::once_on(FaultKind::CopyFail, 1, 2));
-    assert_rank_1_faulted_once(&ranks, is_transfer_fault);
-    for (rank, [first, _]) in ranks.iter().enumerate() {
-        assert_eq!(first.1, chain_filled_but(rank, 2.0, |_| rank == 1), "rank {rank}");
-    }
+fn failed_unpack_transfer_latches_and_the_stage_completes() {
+    assert_failed_transfer_latches(2, "h2d");
 }
 
 #[test]
@@ -407,7 +408,7 @@ fn corrupt_frame_from_one_of_three_peers_skips_that_peer_only() {
     // Rank 2's first send is its message to rank 1 — the middle one of
     // rank 1's three: the other two still unpack from the right offsets.
     let ranks = chain_fills_with(FaultRule::once_on(FaultKind::MsgCorrupt, 2, 0));
-    assert_rank_1_faulted_once(&ranks, |r| matches!(r, Err(ScheduleError::Comm(_))));
+    assert_rank_1_faulted_once(&ranks, |f| f.0.is_err() && f.2.is_none());
     for (rank, [first, _]) in ranks.iter().enumerate() {
         let lost = |owner| rank == 1 && owner == 2;
         assert_eq!(first.1, chain_filled_but(rank, 2.0, lost), "rank {rank}");
@@ -478,7 +479,11 @@ struct RegridCounts {
     h2d: (u64, u64),
     packed: (u64, u64),
     new_patches: usize,
-    outcome: Result<(), ScheduleError>,
+    outcome: Result<(), CommError>,
+    /// What the rank's device latched.
+    latched: Option<DeviceError>,
+    /// FNV-1a of the new level's values, both variables, local patches.
+    digest: u64,
 }
 
 /// Regrid a two-rank device hierarchy whose level 1 — fifteen 8x8 patches
@@ -535,6 +540,16 @@ fn regrid_counts(tagged: IntVector, fail_transfer: Option<u64>) -> Vec<RegridCou
         let launches = ["pack", "unpack", "copy-region", "refine-interp", "extend-uncovered"]
             .map(|name| rec.counter(&format!("device.kernel_launches.{name}")));
         let stats = device.stats();
+        let latched = device.take_injected_fault();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for p in h.level(1).local() {
+            for var in [q, v] {
+                let d: &DeviceData<f64> = p.data(var).as_any().downcast_ref().unwrap();
+                for x in d.download_all(Category::Other) {
+                    digest = (digest ^ x.to_bits()).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
         RegridCounts {
             launches,
             messages: (rec.counter("net.sends.kind7"), rec.counter("net.recvs.kind7")),
@@ -544,6 +559,8 @@ fn regrid_counts(tagged: IntVector, fail_transfer: Option<u64>) -> Vec<RegridCou
             packed: (rec.counter("pack.bytes"), rec.counter("unpack.bytes")),
             new_patches: h.level(1).num_patches(),
             outcome: outcome.map(|o| assert_eq!(o.levels_changed, [false, true])),
+            latched,
+            digest,
         }
     });
     let mut out: Vec<_> = results.into_iter().map(|r| (r.rank, r.value)).collect();
@@ -582,17 +599,20 @@ fn regrid_transfer_budget_does_not_grow_with_the_patch_count() {
 
 #[test]
 fn failed_transfer_in_a_regrid_runs_through_and_installs_the_level() {
-    // Rank 0's transfers during the regrid: 0 the descriptor table
-    // (latching), 1 the pack's D2H, 2 the unpack's H2D. Either way the
-    // level is installed everywhere and the peer completes.
-    for n in [1, 2] {
+    // Rank 0's transfers during the regrid: 0 the descriptor table, 1
+    // the pack's D2H, 2 the unpack's H2D. Either way the fault latches
+    // on rank 0's device alone, and every rank installs the level with
+    // the values of a fault-free regrid.
+    let clean = regrid_counts(IntVector::new(16, 8), None);
+    for (n, direction) in [(1, "d2h"), (2, "h2d")] {
         let ranks = regrid_counts(IntVector::new(16, 8), Some(n));
-        let faulted = &ranks[0].outcome;
-        assert!(
-            matches!(faulted, Err(ScheduleError::Data(PatchDataError::Transfer { .. }))),
-            "transfer {n}: rank 0 reported {faulted:?}"
-        );
-        assert_eq!(ranks[1].outcome, Ok(()), "transfer {n}: rank 1 must not notice");
+        for (rank, (r, c)) in ranks.iter().zip(&clean).enumerate() {
+            let what = format!("transfer {n}, rank {rank}");
+            assert_eq!(r.outcome, Ok(()), "{what}");
+            assert_eq!(is_transfer_fault(&r.latched, direction), rank == 0, "{what}: {r:?}");
+            assert!(rank == 0 || r.latched.is_none(), "{what}: {r:?}");
+            assert_eq!(r.digest, c.digest, "{what}: the new level's values");
+        }
         assert!(ranks.iter().all(|r| r.new_patches == 8 && r.messages == (1, 1)), "{ranks:?}");
     }
 }

@@ -50,22 +50,15 @@ fn full_overlap(data: &dyn PatchData) -> BoxOverlap {
 
 /// Read a patch's full data array, from either placement. On the
 /// device placements this is a sanctioned full-array D2H transfer; a
-/// fault in it is noted in `first` and reads as no values (run-through:
-/// the save's agreement then rejects it on every rank).
-fn read_values(data: &dyn PatchData, first: &mut Option<RestoreError>) -> Vec<f64> {
-    match data.try_pack(&full_overlap(data)) {
-        Ok(bytes) => bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect(),
-        Err(e) => {
-            first.get_or_insert(RestoreError::Exchange { detail: format!("device fault: {e}") });
-            Vec::new()
-        }
-    }
+/// fault in it latches on the device, and the adoption's commit
+/// discards the save on every rank.
+fn read_values(data: &dyn PatchData) -> Vec<f64> {
+    let bytes = data.pack(&full_overlap(data));
+    bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))).collect()
 }
 
-/// Write a patch's full data array, to either placement.
+/// Write a patch's full data array, to either placement. A device
+/// fault latches; the restore's commit fails it on every rank.
 fn try_write_values(
     data: &mut dyn PatchData,
     values: &[f64],
@@ -83,10 +76,8 @@ fn try_write_values(
     for v in values {
         bytes.extend_from_slice(&v.to_le_bytes());
     }
-    // The "device fault" prefix is what `SimError::from(RestoreError)`
-    // keys on to classify the failure for the degradation policy.
-    data.try_unpack(&ov, &bytes)
-        .map_err(|e| RestoreError::Exchange { detail: format!("device fault: {e}") })
+    data.unpack(&ov, &bytes);
+    Ok(())
 }
 
 /// Checkpoint manifest format written by [`HydroSim::try_save_checkpoint`]
@@ -225,8 +216,8 @@ impl HydroSim {
                 for w in [patch.id().index as i64, b.lo.x, b.lo.y, b.hi.x, b.hi.y] {
                     rec_bytes.extend_from_slice(&w.to_le_bytes());
                 }
-                let values = checkpoint_fields(&fields)
-                    .map(|(_, var)| read_values(patch.data(var), &mut first_err));
+                let values =
+                    checkpoint_fields(&fields).map(|(_, var)| read_values(patch.data(var)));
                 entries.push((patch.id().index, values));
             }
             let blob = encode_patch_blob(&entries);

@@ -30,7 +30,8 @@ impl HostPatchIntegrator {
         Self { hook: None }
     }
 
-    /// Integrator charging `hook`'s clock per kernel.
+    /// Integrator charging `hook`'s clock one loop per executor phase
+    /// (here a phase over one patch).
     pub fn with_costs(hook: HostCostHook) -> Self {
         Self { hook: Some(hook) }
     }

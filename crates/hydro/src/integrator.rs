@@ -33,7 +33,7 @@ use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
     balance, CoarsenOperator, CoarsenSchedule, FillWindow, GridGeometry, HostDataFactory, Patch,
     PatchHierarchy, RefineOperator, RefineSchedule, RegridOutcome, RegridParams, Regridder,
-    ScheduleBuild, ScheduleCache, ScheduleError, VariableId, VariableRegistry,
+    ScheduleBuild, ScheduleCache, VariableId, VariableRegistry,
 };
 use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -152,31 +152,9 @@ impl From<CommError> for SimError {
     }
 }
 
-impl From<ScheduleError> for SimError {
-    fn from(e: ScheduleError) -> Self {
-        match e {
-            ScheduleError::Comm(c) => Self::Comm { detail: c.to_string() },
-            ScheduleError::Data(d) => Self::Device { detail: d.to_string() },
-        }
-    }
-}
-
-impl From<rbamr_device::DeviceError> for SimError {
-    fn from(e: rbamr_device::DeviceError) -> Self {
-        Self::Device { detail: e.to_string() }
-    }
-}
-
 impl From<RestoreError> for SimError {
     fn from(e: RestoreError) -> Self {
-        match &e {
-            // Restore tags device-side upload faults so the recovery
-            // driver's degradation policy sees them as device failures.
-            RestoreError::Exchange { detail } if detail.starts_with("device fault") => {
-                Self::Device { detail: detail.clone() }
-            }
-            _ => Self::Comm { detail: e.to_string() },
-        }
+        Self::Comm { detail: e.to_string() }
     }
 }
 
@@ -726,7 +704,6 @@ impl HydroSim {
             first.get_or_insert(e);
         }
         self.eos_and_viscosity();
-        self.poll_device(&mut first);
         self.commit(comm, first)
     }
 
@@ -867,7 +844,6 @@ impl HydroSim {
                 exec::flux_calc(patches, &f, ex, pass, dx, dt)
             });
         }
-        self.poll_device(&mut first);
 
         // --- Advection phase (alternating sweep order) ---------------
         {
@@ -888,7 +864,6 @@ impl HydroSim {
             });
             self.run_phase(|patches, _, ex| exec::reset(patches, &f, ex));
         }
-        self.poll_device(&mut first);
 
         // --- Synchronisation: project fine onto coarse ----------------
         {
@@ -917,7 +892,6 @@ impl HydroSim {
                 first.get_or_insert(e);
             }
         }
-        self.poll_device(&mut first);
 
         // --- Commit: one global verdict per step ---------------------
         self.commit(comm, first)?;
@@ -946,17 +920,6 @@ impl HydroSim {
         })
     }
 
-    /// Drain the device's sticky fault latch (the simulated analogue of
-    /// polling a CUDA error at a phase boundary) into the step's first
-    /// recorded error.
-    fn poll_device(&self, first: &mut Option<SimError>) {
-        if let Some(device) = &self.device {
-            if let Some(e) = device.take_injected_fault() {
-                first.get_or_insert(e.into());
-            }
-        }
-    }
-
     /// The per-step commit collective: agree globally, in one
     /// rendezvous, on whether the pass ran clean and, if not, on the
     /// *worst* failure kind across ranks, so every rank returns the same [`SimError`] variant and a
@@ -964,11 +927,19 @@ impl HydroSim {
     /// everywhere. A fault in the commit collective itself is symmetric
     /// (the rendezvous carries the poison flag to every rank) and is
     /// reported as a `Comm` verdict.
+    ///
+    /// The commit is where device faults surface: it drains the
+    /// device's sticky latch (the simulated analogue of polling a CUDA
+    /// error once per step), and a latched fault makes this rank's
+    /// local verdict `Device`, outranking a communication fault.
     pub(crate) fn commit(
         &self,
         comm: Option<&Comm>,
-        first: Option<SimError>,
+        mut first: Option<SimError>,
     ) -> Result<(), SimError> {
+        if let Some(e) = self.device.as_ref().and_then(Device::take_injected_fault) {
+            first = Some(SimError::Device { detail: e.to_string() });
+        }
         let Some(comm) = comm else {
             return match first {
                 Some(e) => Err(e),
@@ -1025,41 +996,6 @@ impl HydroSim {
             assert!(steps < 1_000_000, "run_to_time: runaway step count");
         }
         steps
-    }
-
-    /// Spill every field of every local patch on `level` to host
-    /// memory, releasing device allocations — the paper's Section VI
-    /// future-work mechanism, usable between steps to run problems
-    /// larger than device memory. No-op on the host placement.
-    pub fn spill_level(&mut self, level: usize) {
-        self.set_level_spilled(level, true);
-    }
-
-    /// Bring a spilled level back into device memory.
-    pub fn unspill_level(&mut self, level: usize) {
-        self.set_level_spilled(level, false);
-    }
-
-    fn set_level_spilled(&mut self, level: usize, spill: bool) {
-        if self.placement == Placement::Host {
-            return;
-        }
-        let nvars = self.registry.len();
-        let lvl = self.hierarchy.level_mut(level);
-        for patch in lvl.local_mut() {
-            for v in 0..nvars {
-                let data = patch
-                    .data_mut(VariableId(v))
-                    .as_any_mut()
-                    .downcast_mut::<rbamr_gpu_amr::DeviceData<f64>>()
-                    .expect("device placement holds DeviceData");
-                if spill {
-                    data.spill(Category::Other);
-                } else {
-                    data.unspill(Category::Other);
-                }
-            }
-        }
     }
 
     /// Regrid the hierarchy and refresh all schedules. Returns the
@@ -1433,30 +1369,6 @@ mod tests {
         );
         // And more modelled time.
         assert!(copyback.clock().total() > 2.0 * resident.clock().total());
-    }
-
-    #[test]
-    fn level_spilling_frees_device_memory_and_preserves_physics() {
-        let mut s = sim(Placement::Device, 16, 1);
-        let device = s.device().unwrap().clone();
-        s.step(None);
-        let before_bytes = device.stats().allocated_bytes;
-        let reference_profile = {
-            let mut twin = sim(Placement::Device, 16, 1);
-            twin.step(None);
-            twin.step(None);
-            twin.density_profile()
-        };
-        s.spill_level(0);
-        assert!(device.stats().allocated_bytes < before_bytes / 2, "spill freed nothing");
-        s.unspill_level(0);
-        assert_eq!(device.stats().allocated_bytes, before_bytes);
-        s.step(None);
-        let profile = s.density_profile();
-        for ((xa, da), (xb, db)) in profile.iter().zip(&reference_profile) {
-            assert_eq!(xa, xb);
-            assert_eq!(da, db, "spill cycle changed the solution at x={xa}");
-        }
     }
 
     #[test]

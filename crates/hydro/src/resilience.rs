@@ -442,23 +442,15 @@ impl ResilientSim {
 
     /// Save a global checkpoint manifest and adopt it collectively: a
     /// save spoiled by a device or transport fault on *any* rank is
-    /// discarded on *every* rank. The adopted manifest is identical on
-    /// every rank and rank-count-independent, so it stays restorable
-    /// after the job shrinks.
+    /// discarded on *every* rank (the commit drains the device latch).
+    /// The adopted manifest is identical on every rank and
+    /// rank-count-independent, so it stays restorable after the job
+    /// shrinks.
     fn try_adopt_checkpoint(&mut self, comm: Option<&Comm>) -> Result<(), SimError> {
-        let mut local: Option<SimError> = None;
-        let db = match self.sim.try_save_checkpoint(comm) {
-            Ok(db) => Some(db),
-            Err(e) => {
-                local = Some(e.into());
-                None
-            }
+        let (db, local) = match self.sim.try_save_checkpoint(comm) {
+            Ok(db) => (Some(db), None),
+            Err(e) => (None, Some(e.into())),
         };
-        if let Some(device) = self.sim.device() {
-            if let Some(e) = device.take_injected_fault() {
-                local = Some(e.into());
-            }
-        }
         self.sim.commit(comm, local)?;
         self.checkpoint = db.expect("a committed save produced a manifest");
         self.checkpoint_step = self.sim.steps_taken();

@@ -395,3 +395,82 @@ fn loss_below_min_ranks_fails_fast_on_every_survivor() {
         "the survivor must fail fast below the configured rank floor"
     );
 }
+
+/// Rank 1's device transfers evaluated by a fault-free 2-rank device
+/// run: after initialisation (and its checkpoint), then after each of
+/// `steps` steps (and any checkpoint adopted in it). A one-shot rule at
+/// `marks[s]` hits the first transfer of step `s + 1`.
+fn rank_1_transfer_marks(steps: usize, policy: RecoveryPolicy) -> Vec<u64> {
+    let counting = FaultRule {
+        kind: FaultKind::CopyFail,
+        ranks: None,
+        after: 0,
+        count: u64::MAX,
+        probability: 0.0,
+    };
+    let results = cluster(FaultPlan::new(41, vec![counting])).run(2, move |comm| {
+        let recorder = Recorder::new(comm.rank(), comm.clock().clone());
+        let spec = spec(Placement::Device, comm.rank(), 2);
+        let mut sim = ResilientSim::new(spec, policy, recorder, Some(&comm)).expect("fault-free");
+        let injector = comm.fault_injector().expect("cluster ranks always carry an injector");
+        let evaluated = || injector.report().evaluated[FaultKind::CopyFail.index()];
+        let mut marks = vec![evaluated()];
+        for _ in 0..steps {
+            sim.step(Some(&comm)).expect("fault-free");
+            marks.push(evaluated());
+        }
+        (comm.rank(), marks)
+    });
+    results.into_iter().map(|r| r.value).find(|(rank, _)| *rank == 1).expect("rank 1").1
+}
+
+/// A one-shot PCIe fault on rank 1 surfaces wherever it lands — in
+/// initialisation, in a step's halo pack, in a checkpoint save, in the
+/// restore of a rollback — because the commit that follows drains the
+/// device's latch: every rank then sees a `Device` verdict, counted as
+/// a rollback (or, for a save, as a discarded adoption), and recovers
+/// the fault-free answer.
+#[test]
+fn a_copy_fault_anywhere_is_a_device_verdict_at_the_next_commit() {
+    let steps = 6;
+    let policy =
+        RecoveryPolicy { backoff_base: 0.01, degrade_after: 3, ..RecoveryPolicy::default() };
+    let marks = rank_1_transfer_marks(steps, policy);
+    let run = |at: &[u64], policy| {
+        let rules = at.iter().map(|&n| FaultRule::once_on(FaultKind::CopyFail, 1, n)).collect();
+        run_resilient(Placement::Device, 2, steps, FaultPlan::new(41, rules), policy)
+    };
+    let clean = run(&[], policy);
+    let clean: Vec<_> = clean.iter().map(|r| r.as_ref().expect("fault-free")).collect();
+    let recovered = |what: &str, at: &[u64], rollbacks: u64, checkpoints_lost: u64| {
+        for (rank, (r, c)) in run(at, policy).iter().zip(&clean).enumerate() {
+            let r = r.as_ref().unwrap_or_else(|e| panic!("{what}, rank {rank}: {e}"));
+            assert_eq!(r.digest, c.digest, "{what}, rank {rank}: the fault-free answer");
+            assert_eq!(r.stats.rollbacks, rollbacks, "{what}, rank {rank}");
+            assert_eq!(r.stats.checkpoints + checkpoints_lost, c.stats.checkpoints, "{what}");
+            let fired = if rank == 1 { at.len() as u64 } else { 0 };
+            assert_eq!(r.report.total_fired(), fired, "{what}, rank {rank}");
+        }
+    };
+
+    // Rank 1's first transfer is in `try_initialize`: one rollback, a
+    // clean re-initialisation.
+    recovered("initialisation", &[0], 1, 0);
+    // The first transfer of step 1 is its start window's pack D2H: with
+    // no retries left, every rank ends on the same `Device` verdict.
+    let no_retry = RecoveryPolicy { max_retries: 0, ..policy };
+    for (rank, r) in run(&[marks[0]], no_retry).iter().enumerate() {
+        let Err(ResilienceError::RetriesExhausted { last: SimError::Device { detail }, .. }) = r
+        else {
+            panic!("rank {rank}: expected a Device verdict, got {r:?}");
+        };
+        assert_eq!(detail.contains("d2h"), rank == 1, "rank {rank}: {detail}");
+    }
+    recovered("step 1's pack", &[marks[0]], 1, 0);
+    // The last transfer before step 6 is the end of step 5's checkpoint
+    // save: the adoption is discarded on both ranks, with no rollback.
+    recovered("checkpoint save", &[marks[5] - 1], 0, 1);
+    // A fault in step 2 rolls back; the restore's first transfer comes
+    // right after the failed attempt's last, and fails the restore too.
+    recovered("restore", &[marks[1], marks[2]], 2, 0);
+}
