@@ -1,9 +1,10 @@
 //! CI perf-regression gate: runs the Sod and triple-point decks at
-//! 1/2/4 ranks with full telemetry, derives a flat metric set (step
-//! makespan, causal attribution buckets, critical-path composition,
-//! per-phase times, key counters), and compares it against the
-//! committed baseline `BENCH_perf_gate.json` with per-metric
-//! tolerances.
+//! 1/2/4 ranks on the device placement and the triple-point deck at 4
+//! ranks on the host placement (`triple_point_host`, the CPU build)
+//! with full telemetry, derives a flat metric set (step makespan,
+//! causal attribution buckets, critical-path composition, per-phase
+//! times, key counters), and compares it against the committed
+//! baseline `BENCH_perf_gate.json` with per-metric tolerances.
 //!
 //! All times are **virtual** (deterministic), so the gate is exact on
 //! counters and tight (2%) on seconds, and the same source tree always
@@ -53,6 +54,7 @@ struct Combo {
 fn run_combo(deck: &'static str, ranks: usize) -> Combo {
     let (machine, placement) = match deck {
         "sod" => (Machine::ipa_gpu(), Placement::Device),
+        "triple_point_host" => (Machine::titan(), Placement::Host),
         _ => (Machine::titan(), Placement::Device),
     };
     let cluster = Cluster::new(machine.clone());
@@ -261,8 +263,10 @@ fn main() {
 
     let mut metrics = BTreeMap::new();
     let mut combos = Vec::new();
-    for deck in ["sod", "triple_point"] {
-        for ranks in [1usize, 2, 4] {
+    let rows =
+        [("sod", &[1usize, 2, 4][..]), ("triple_point", &[1, 2, 4]), ("triple_point_host", &[4])];
+    for (deck, ranks) in rows {
+        for &ranks in ranks {
             println!("running {deck} at {ranks} rank(s)...");
             let combo = run_combo(deck, ranks);
             collect_metrics(&mut metrics, &combo);
