@@ -2,9 +2,7 @@
 
 use crate::ops::{shared_source_box, CoarsenOperator, RefineOperator};
 use crate::patchdata::{copy_region, region_rows, validate_overlap, Element, PatchData};
-use crate::transfer::{
-    CopyJob, Part, PeerStream, StreamJob, TransferCtx, UnpackBatch, STREAM_VALUE_BYTES,
-};
+use crate::transfer::{CopyJob, Part, PeerStream, StreamJob, TransferCtx, STREAM_VALUE_BYTES};
 use crate::variable::DataFactory;
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
@@ -233,9 +231,9 @@ fn host_mut(d: &mut dyn PatchData) -> &mut HostData<f64> {
 /// CPU baseline data placement.
 ///
 /// With costs, the factory prices host data movement where the device
-/// pays a launch: a copy or a pack stage is one loop nest over every
-/// job of every part, and an unpack one loop per received peer message
-/// — the fork/join overhead once, the bytes of every job. Per-item
+/// pays a launch: a copy, pack or unpack stage is one loop nest over
+/// every job of every part — the fork/join overhead once, the bytes of
+/// every job (of an unpack, of every message received). Per-item
 /// calls outside a stage (diagnostic digests, checkpoints) charge
 /// nothing.
 #[derive(Clone, Default)]
@@ -307,40 +305,23 @@ impl DataFactory for HostDataFactory {
         out.into_iter().map(Bytes::from).collect()
     }
 
-    fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
-        Box::new(HostUnpack { factory: self, category, charged: Vec::new() })
-    }
-}
-
-/// The host's [`UnpackBatch`]: every job unpacks at `push`, and a peer's
-/// message is charged as one loop when its first job unpacks — after
-/// its receive, ahead of the next peer's.
-struct HostUnpack<'f> {
-    factory: &'f HostDataFactory,
-    category: Category,
-    /// Per peer slot: whether its message's loop is charged.
-    charged: Vec<bool>,
-}
-
-impl<'j> UnpackBatch<'j> for HostUnpack<'_> {
-    fn push(
-        &mut self,
+    fn unpack_many(
+        &self,
         ctx: &mut TransferCtx<'_>,
-        part: &Part<'j, StreamJob>,
-        job: &'j StreamJob,
-        msg: &Bytes,
+        parts: &[Part<'_, StreamJob>],
+        msgs: &[Option<Bytes>],
+        category: Category,
     ) {
-        let (peer, range) = part.slot(job);
-        if self.charged.len() <= peer {
-            self.charged.resize(peer + 1, false);
+        for (part, job) in Part::each(parts) {
+            let (peer, range) = part.slot(job);
+            if let Some(msg) = &msgs[peer] {
+                ctx.data_mut(part.at(job.loc), job.var).unpack(&job.overlap, &msg[range]);
+            }
         }
-        if !std::mem::replace(&mut self.charged[peer], true) {
-            self.factory.charge(self.category, (msg.len() / STREAM_VALUE_BYTES) as i64);
+        if let Some(bytes) = msgs.iter().flatten().map(Bytes::len).reduce(|a, b| a + b) {
+            self.charge(category, (bytes / STREAM_VALUE_BYTES) as i64);
         }
-        ctx.data_mut(part.at(job.loc), job.var).unpack(&job.overlap, &msg[range]);
     }
-
-    fn flush(&mut self, _ctx: &mut TransferCtx<'_>) {}
 }
 
 #[cfg(test)]
@@ -432,10 +413,9 @@ mod tests {
         assert_eq!(total, 4.0); // 2x2 interior, not the 4x4 allocation
     }
 
-    /// A copy or a pack stage is one loop over every job's values, an
-    /// unpack one loop per received message, each charged in the
-    /// stage's category; a per-item copy outside a stage charges
-    /// nothing.
+    /// A copy, pack or unpack stage is one loop over every job's
+    /// values, charged in the stage's category, whatever the number of
+    /// peers; a per-item copy outside a stage charges nothing.
     #[test]
     fn cost_hook_charges_clock() {
         use crate::transfer::{Loc, StreamPlan};
@@ -476,7 +456,7 @@ mod tests {
         assert_eq!(clock.snapshot().total(), stage);
 
         // The same overlaps through two peers' messages: the pack stage
-        // is one loop over both, the unpack one loop per message.
+        // and the unpack stage are each one loop over both.
         let (mut sends, mut recvs) = (StreamPlan::default(), StreamPlan::default());
         for (job, rank) in jobs.iter().zip([3, 5, 3, 5]) {
             let ends = (job.src_idx as usize, job.dst_idx as usize);
@@ -487,18 +467,14 @@ mod tests {
         let cat = Category::Synchronize;
         let msgs = factory.pack_many(&mut ctx, &[Part::whole(&sends)], &peers, cat);
         assert_eq!(clock.snapshot().get(cat), stage);
-        let mut batch = factory.unpack_batch(cat);
-        for job in &recvs {
-            let msg = &msgs[job.peer as usize];
-            batch.push(&mut ctx, &Part::whole(&recvs), job, msg);
-        }
-        batch.flush(&mut ctx);
-        let loop_of = |p: &PeerStream| {
-            cost.host_kernel(KernelShape::streaming((p.bytes / STREAM_VALUE_BYTES) as i64, 2, 0))
-        };
-        let unpacked = clock.snapshot().get(cat) - stage;
         assert_eq!(peers.len(), 2);
-        assert!((unpacked - peers.iter().map(loop_of).sum::<f64>()).abs() < 1e-12 * stage);
+        let msgs: Vec<_> = msgs.into_iter().map(Some).collect();
+        factory.unpack_many(&mut ctx, &[Part::whole(&recvs)], &msgs, cat);
+        assert_eq!(clock.snapshot().get(cat), 2.0 * stage);
+
+        // A stage whose every frame was lost unpacks and charges nothing.
+        factory.unpack_many(&mut ctx, &[Part::whole(&recvs)], &[None, None], cat);
+        assert_eq!(clock.snapshot().get(cat), 2.0 * stage);
     }
 
     #[test]

@@ -227,13 +227,12 @@ pub(super) fn make_scratch<'a>(
         .collect()
 }
 
-/// Receive the stage's messages lazily, in job order, and hand every
-/// job to the placement's [`UnpackBatch`](crate::transfer::UnpackBatch):
-/// the first job from a peer triggers its `try_recv`, patch targets are
-/// pushed as they are met, scratch targets after the last receive, and
-/// the batch is flushed. A faulty stream (dropped/corrupt frame) is
-/// noted and its jobs are skipped — the frame was consumed, so later
-/// messages still line up. Returns the first fault met.
+/// Receive every message of the stage, then unpack them all in one
+/// [`DataFactory::unpack_many`] call. A peer is received when its first
+/// job comes up in job order. A faulty stream (dropped/corrupt frame) is
+/// noted and handed over as `None`, so its jobs are skipped — the frame
+/// was consumed, so later messages still line up. Returns the first
+/// fault met.
 pub(super) fn receive_and_unpack(
     factory: &dyn DataFactory,
     ctx: &mut TransferCtx<'_>,
@@ -249,10 +248,9 @@ pub(super) fn receive_and_unpack(
     let comm = comm.expect("schedule: remote plans need a Comm");
     let mut first_err: Option<CommError> = None;
     let mut incoming: Vec<Option<Option<Bytes>>> = vec![None; peers.len()];
-    let mut batch = factory.unpack_batch(category);
     for (part, job) in Part::each(parts) {
         let peer = part.slot(job).0;
-        let msg = incoming[peer].get_or_insert_with(|| {
+        incoming[peer].get_or_insert_with(|| {
             match comm.try_recv(peers[peer].rank, tag, category) {
                 Ok(msg) => Some(msg),
                 Err(e) => {
@@ -261,18 +259,9 @@ pub(super) fn receive_and_unpack(
                 }
             }
         });
-        if let (Loc::Patch { .. }, Some(msg)) = (job.loc, msg) {
-            batch.push(ctx, part, job, msg);
-        }
     }
-    // Scratch targets, in plan order — the order of the interpolation
-    // jobs they feed.
-    for (part, job) in Part::each(parts) {
-        if let (Loc::Scratch(_), Some(Some(msg))) = (job.loc, &incoming[part.slot(job).0]) {
-            batch.push(ctx, part, job, msg);
-        }
-    }
-    batch.flush(ctx);
+    let msgs: Vec<Option<Bytes>> = incoming.into_iter().map(Option::flatten).collect();
+    factory.unpack_many(ctx, parts, &msgs, category);
     first_err
 }
 

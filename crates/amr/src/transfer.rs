@@ -9,25 +9,22 @@
 //! Executing a stage is then one call handing the job lists of every
 //! schedule executed together — a fill window's members, each a
 //! [`Part`] — to the placement: the [`DataFactory`](crate::DataFactory)
-//! batch entry points (`copy_many`, `pack_many`, `unpack_batch`,
+//! batch entry points (`copy_many`, `pack_many`, `unpack_many`,
 //! `extend_many`, `refine_many`, `coarsen_many`). The host factory
 //! loops the per-item [`PatchData`] methods in job order and charges a
-//! copy or pack stage as one loop nest and an unpack as one loop per
-//! received message; a device factory runs each call as one fused
-//! launch, driven by the same job lists.
+//! copy, pack or unpack stage as one loop nest; a device factory runs
+//! each call as one fused launch, driven by the same job lists.
 //!
-//! Jobs carry positions, not references, so a placement may defer them
-//! (see [`UnpackBatch`]) without holding borrows of the hierarchy; a
-//! [`TransferCtx`] resolves them when they run. They are kept with the
-//! cached schedules, many thousands at a time, so their index fields
-//! are 32 bits wide.
+//! Jobs carry positions, not references, so they hold no borrows of
+//! the hierarchy; a [`TransferCtx`] resolves them when they run. They
+//! are kept with the cached schedules, many thousands at a time, so
+//! their index fields are 32 bits wide.
 
 use crate::hierarchy::PatchHierarchy;
 use crate::level::PatchLevel;
 use crate::patch::Patch;
 use crate::patchdata::{Element, PatchData};
 use crate::variable::VariableId;
-use bytes::Bytes;
 use rbamr_geometry::{BoxList, BoxOverlap, IntVector};
 use std::ops::Range;
 
@@ -359,31 +356,6 @@ pub struct CoarsenJob {
     pub fill: BoxList,
     /// Global index of the fine patch (plan digests only).
     pub src_idx: u32,
-}
-
-/// The receive side of a stage: unpack jobs handed over one at a time,
-/// in the order the host placement executes them.
-///
-/// A schedule receives lazily — the first job from a peer triggers the
-/// receive — so unpacks interleave with receives, and a placement that
-/// charges a clock per message would move its charges around `recv`'s
-/// `max(local, arrival)` if the schedule received everything first.
-/// The host's batch therefore unpacks at [`UnpackBatch::push`]; a
-/// placement that fuses (one transfer and one launch per stage) records
-/// the job and runs it at [`UnpackBatch::flush`].
-pub trait UnpackBatch<'j> {
-    /// Unpack `job` of `part` from `msg`, its peer's whole message —
-    /// now, or at flush.
-    fn push(
-        &mut self,
-        ctx: &mut TransferCtx<'_>,
-        part: &Part<'j, StreamJob>,
-        job: &'j StreamJob,
-        msg: &Bytes,
-    );
-
-    /// Run whatever `push` deferred.
-    fn flush(&mut self, ctx: &mut TransferCtx<'_>);
 }
 
 /// Packed descriptor words of a stage's job lists — what a fused kernel

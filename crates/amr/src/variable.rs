@@ -4,7 +4,6 @@ use crate::ops::{CoarsenOperator, RefineOperator};
 use crate::patchdata::PatchData;
 use crate::transfer::{
     CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
-    UnpackBatch,
 };
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -47,8 +46,8 @@ pub struct Variable {
 /// the inter-level operators alike. Both placements price a stage, not
 /// an item: a factory whose data lives on a device runs each call as
 /// one fused launch (and one PCIe transfer per stage), whatever the
-/// number of parts; the host factory pays one loop nest's fixed cost
-/// per copy or pack stage and per received message. The movement
+/// number of parts or peers; the host factory pays one loop nest's
+/// fixed cost per copy, pack or unpack stage. The movement
 /// methods are therefore required; the scratch-extension and operator
 /// methods, which the host placement does not price, default to the
 /// loop over the per-item [`PatchData`] method in job order.
@@ -74,9 +73,18 @@ pub trait DataFactory: Send + Sync {
         category: Category,
     ) -> Vec<Bytes>;
 
-    /// The receive side of a stage, charging `category`: see
-    /// [`UnpackBatch`].
-    fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a>;
+    /// Unpack every job of every part from its peer's message —
+    /// `msgs[p]` for the stage's peer slot `p` (see [`Part::slot`]) —
+    /// charging `category`. The stage has received every message
+    /// before this call; `None` marks one that did not arrive intact (a
+    /// dropped or corrupt frame), and its jobs are skipped.
+    fn unpack_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        parts: &[Part<'_, StreamJob>],
+        msgs: &[Option<Bytes>],
+        category: Category,
+    );
 
     /// Clamp-extend every scratch array into the cells its coarse
     /// sources did not cover: `covered`, concatenated, lists the

@@ -9,7 +9,7 @@ use rbamr_amr::patchdata::{
 };
 use rbamr_amr::transfer::{
     CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
-    UnpackBatch, STREAM_VALUE_BYTES,
+    STREAM_VALUE_BYTES,
 };
 use rbamr_amr::variable::DataFactory;
 use rbamr_device::memory::DeviceCopy;
@@ -496,8 +496,42 @@ impl DataFactory for DeviceDataFactory {
         streams.collect()
     }
 
-    fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
-        Box::new(DeviceUnpack { factory: self, category, pending: Vec::new() })
+    fn unpack_many(
+        &self,
+        ctx: &mut TransferCtx<'_>,
+        parts: &[Part<'_, StreamJob>],
+        msgs: &[Option<Bytes>],
+        category: Category,
+    ) {
+        // Peer-major, then by place in the peer's message, as packed. A
+        // message that never arrived is not part of the upload, and its
+        // jobs are skipped.
+        let jobs = Part::each(parts).map(|(part, job)| (part.slot(job), part, job));
+        let mut by_peer: Vec<_> = jobs.filter(|((peer, _), ..)| msgs[*peer].is_some()).collect();
+        if by_peer.is_empty() {
+            return;
+        }
+        by_peer.sort_by_key(|((peer, range), ..)| (*peer, range.start));
+        // Each received message's first byte in the one upload: they go
+        // back to back, in peer order.
+        let mut base = Vec::with_capacity(msgs.len());
+        let mut end = 0;
+        for msg in msgs {
+            base.push(end);
+            end += msg.as_ref().map_or(0, Bytes::len);
+        }
+        let received: Vec<&[u8]> = msgs.iter().flatten().map(|msg| &msg[..]).collect();
+        self.with_staging(end / STREAM_VALUE_BYTES, |staging| {
+            let (device, stream) = (&self.device, &self.stream);
+            unpack_message(device, stream, category, staging, &received, |unpack| {
+                for ((peer, range), part, job) in by_peer {
+                    let dst = ctx.data_mut(part.at(job.loc), job.var);
+                    dst.set_transfer_category(category);
+                    let first = (base[peer] + range.start) / STREAM_VALUE_BYTES;
+                    unpack(device_mut(dst), &job.overlap, first);
+                }
+            });
+        });
     }
 
     fn extend_many(&self, scratch: &mut [Box<dyn PatchData>], covered: &[&[BoxList]]) {
@@ -565,63 +599,6 @@ impl DataFactory for DeviceDataFactory {
         let mut table = self.device.alloc::<i32>(words.len());
         self.device.upload(&mut table, 0, &words, category);
         Some(Box::new(table))
-    }
-}
-
-/// The device's [`UnpackBatch`]: `push` only records, `flush` moves
-/// every received message with one H2D and scatters them with one
-/// launch. A message that never arrived is simply not part of the
-/// upload.
-struct DeviceUnpack<'f, 'j> {
-    factory: &'f DeviceDataFactory,
-    category: Category,
-    /// Per peer: its message and the jobs that read it.
-    pending: Vec<Option<(Bytes, Vec<Deferred<'j>>)>>,
-}
-
-/// A deferred unpack: its target, its job, and its first value in its
-/// peer's message.
-type Deferred<'j> = (Loc, &'j StreamJob, usize);
-
-impl<'j> UnpackBatch<'j> for DeviceUnpack<'_, 'j> {
-    fn push(
-        &mut self,
-        _ctx: &mut TransferCtx<'_>,
-        part: &Part<'j, StreamJob>,
-        job: &'j StreamJob,
-        msg: &Bytes,
-    ) {
-        let (peer, range) = part.slot(job);
-        if self.pending.len() <= peer {
-            self.pending.resize(peer + 1, None);
-        }
-        let first = range.start / STREAM_VALUE_BYTES;
-        let jobs = &mut self.pending[peer].get_or_insert_with(|| (msg.clone(), Vec::new())).1;
-        jobs.push((part.at(job.loc), job, first));
-    }
-
-    fn flush(&mut self, ctx: &mut TransferCtx<'_>) {
-        let (factory, category) = (self.factory, self.category);
-        let pending: Vec<_> = self.pending.drain(..).flatten().collect();
-        if pending.is_empty() {
-            return;
-        }
-        let msgs: Vec<&[u8]> = pending.iter().map(|(msg, _)| &msg[..]).collect();
-        let total = msgs.iter().map(|msg| msg.len()).sum::<usize>() / STREAM_VALUE_BYTES;
-        factory.with_staging(total, |staging| {
-            let (device, stream) = (&factory.device, &factory.stream);
-            unpack_message(device, stream, category, staging, &msgs, |unpack| {
-                let mut base = 0;
-                for (msg, jobs) in &pending {
-                    for &(loc, job, first) in jobs {
-                        let dst = ctx.data_mut(loc, job.var);
-                        dst.set_transfer_category(category);
-                        unpack(device_mut(dst), &job.overlap, base + first);
-                    }
-                    base += msg.len() / STREAM_VALUE_BYTES;
-                }
-            });
-        });
     }
 }
 

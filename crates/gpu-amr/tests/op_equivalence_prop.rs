@@ -270,7 +270,7 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // The fused batch entry points — `DeviceDataFactory`'s `copy_many` /
-// `pack_many` / `unpack_batch` / `extend_many` / `refine_many` /
+// `pack_many` / `unpack_many` / `extend_many` / `refine_many` /
 // `coarsen_many` — against the per-item loop *on the same device data*,
 // and against the host placement.
 
@@ -281,7 +281,7 @@ mod fused {
     use rbamr_amr::patchdata::PatchData;
     use rbamr_amr::transfer::{
         narrow, CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob,
-        TransferCtx, UnpackBatch, STREAM_VALUE_BYTES,
+        TransferCtx, STREAM_VALUE_BYTES,
     };
     use rbamr_amr::variable::DataFactory;
     use rbamr_amr::{
@@ -346,28 +346,22 @@ mod fused {
             out.into_iter().map(Bytes::from).collect()
         }
 
-        fn unpack_batch<'a>(&'a self, category: Category) -> Box<dyn UnpackBatch<'a> + 'a> {
-            Box::new(EagerUnpack(category))
-        }
-    }
-
-    /// Every job unpacks at `push`.
-    struct EagerUnpack(Category);
-
-    impl<'j> UnpackBatch<'j> for EagerUnpack {
-        fn push(
-            &mut self,
+        fn unpack_many(
+            &self,
             ctx: &mut TransferCtx<'_>,
-            part: &Part<'j, StreamJob>,
-            job: &'j StreamJob,
-            msg: &Bytes,
+            parts: &[Part<'_, StreamJob>],
+            msgs: &[Option<Bytes>],
+            category: Category,
         ) {
-            let data = ctx.data_mut(part.at(job.loc), job.var);
-            data.set_transfer_category(self.0);
-            data.unpack(&job.overlap, &msg[part.slot(job).1]);
+            for (part, job) in Part::each(parts) {
+                let (peer, range) = part.slot(job);
+                if let Some(msg) = &msgs[peer] {
+                    let data = ctx.data_mut(part.at(job.loc), job.var);
+                    data.set_transfer_category(category);
+                    data.unpack(&job.overlap, &msg[range]);
+                }
+            }
         }
-
-        fn flush(&mut self, _ctx: &mut TransferCtx<'_>) {}
     }
 
     #[derive(Clone, Copy, Debug, PartialEq)]
@@ -665,7 +659,7 @@ mod fused {
             prop_assert_eq!((fused.h2d_transfers, fused.d2h_transfers), (0, 0));
         }
 
-        /// `pack_many` then `unpack_batch`: the fused stream is the
+        /// `pack_many` then `unpack_many`: the fused stream is the
         /// concatenation of the per-overlap packs (and the host's), the
         /// unpacked arrays agree, bytes agree, and the fused side spends
         /// one launch and one PCIe transfer per stage, whatever the
@@ -696,17 +690,11 @@ mod fused {
 
             // Unpack the same messages into the destinations' ghosts.
             let (recvs, _) = stream_jobs(&copies, false);
-            let streams = packed.pop().unwrap();
+            let streams: Vec<_> = packed.pop().unwrap().into_iter().map(Some).collect();
             let [_, per_item, fused] = measured(&mut ws, |w| {
-                w.with_ctx(|f, ctx| {
-                    let mut batch = f.unpack_batch(CAT);
-                    for job in &recvs {
-                        batch.push(ctx, &Part::whole(&recvs), job, &streams[job.peer as usize]);
-                    }
-                    batch.flush(ctx);
-                });
+                w.with_ctx(|f, ctx| f.unpack_many(ctx, &[Part::whole(&recvs)], &streams, CAT));
             });
-            assert_same(&ws, "unpack_batch");
+            assert_same(&ws, "unpack_many");
             prop_assert_eq!(per_item.h2d_bytes, total);
             prop_assert_eq!(fused.h2d_bytes, total);
             prop_assert_eq!(ws[1].counter("unpack.bytes"), total);
@@ -891,13 +879,10 @@ mod fused {
         let (recvs, _) = stream_jobs(&copies, false);
         let streams = w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
         let unpack = |w: &mut World, only: Option<u32>| {
-            w.with_ctx(|f, ctx| {
-                let mut batch = f.unpack_batch(CAT);
-                for job in recvs.iter().filter(|j| only.is_none_or(|p| j.peer == p)) {
-                    batch.push(ctx, &Part::whole(&recvs), job, &streams[job.peer as usize]);
-                }
-                batch.flush(ctx);
-            });
+            let arrived = |p: usize| only.is_none_or(|only| p == only as usize);
+            let msgs: Vec<_> =
+                streams.iter().enumerate().map(|(p, s)| arrived(p).then(|| s.clone())).collect();
+            w.with_ctx(|f, ctx| f.unpack_many(ctx, &[Part::whole(&recvs)], &msgs, CAT));
         };
         let mut clean = World::new(Placement::Fused, &case);
         unpack(&mut clean, None);

@@ -45,7 +45,7 @@ use rbamr_hydro::{
 };
 use rbamr_netsim::{Cluster, FaultKind, FaultPlan, FaultRule};
 use rbamr_perfmodel::{Category, Clock, Machine, TimeBreakdown};
-use rbamr_telemetry::Recorder;
+use rbamr_telemetry::{EdgeKind, Recorder};
 
 /// Sod shock tube: the canonical two-state deck.
 fn sod_regions() -> Vec<RegionInit> {
@@ -430,6 +430,80 @@ fn host_loops_are_one_per_stage_and_phase() {
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
         assert!(close(t.get(Category::HaloExchange), halo), "{what}: halo {t:?}");
         assert!(close(t.get(Category::HydroKernel), hydro), "{what}: hydro {t:?}");
+    }
+}
+
+/// One step of a `ranks`-rank run of the Sod deck on `machine` over 32²
+/// coarse cells cut into 8² patches, at most 3 levels, per rank: the
+/// halo-exchange seconds the step charged, the halo-exchange launches
+/// of `copy-region`, `pack` and `unpack` it issued (none on the host
+/// placement), and the halo-exchange messages it received.
+fn halo_step(
+    machine: Machine,
+    placement: Placement,
+    ranks: usize,
+) -> Vec<(f64, [usize; 3], usize)> {
+    let results = Cluster::new(machine.clone()).run(ranks, move |mut comm| {
+        let rec = Recorder::new(comm.rank(), comm.clock().clone());
+        comm.set_recorder(rec.clone());
+        let mut config =
+            HydroConfig { regrid_interval: 1000, max_patch_size: 8, ..HydroConfig::default() };
+        config.regrid.cluster.min_size = 4;
+        config.regrid.max_patch_size = 8;
+        let mut sim = HydroSim::new(
+            machine.clone(),
+            placement,
+            comm.clock().clone(),
+            (1.0, 1.0),
+            (32, 32),
+            3,
+            2,
+            config,
+            sod_regions(),
+            comm.rank(),
+            comm.size(),
+        );
+        sim.set_recorder(rec.clone());
+        sim.initialize(Some(&comm));
+        let (before, spans, edges) =
+            (comm.clock().snapshot(), rec.spans().len(), rec.edges().len());
+        sim.step(Some(&comm));
+        let halo = comm.clock().snapshot().since(&before).get(Category::HaloExchange);
+        let spans = rec.spans().split_off(spans);
+        let launches = ["copy-region", "pack", "unpack"].map(|name| {
+            spans.iter().filter(|s| s.name == name && s.category == Category::HaloExchange).count()
+        });
+        let received = rec.edges()[edges..]
+            .iter()
+            .filter(|e| e.kind == EdgeKind::Recv && e.category == Category::HaloExchange)
+            .count();
+        (halo, launches, received)
+    });
+    results.into_iter().map(|r| r.value).collect()
+}
+
+/// Where a fill window has several peers, the host still pays one loop
+/// per stage: on a machine whose every loop costs 1 s and whose network
+/// is free, a step's halo-exchange seconds on each rank count its copy,
+/// pack and unpack stages — the device build's launches of the same
+/// step, one per stage — not the messages it received, which outnumber
+/// the unpack stages on some rank at 3 and at 4 ranks.
+#[test]
+fn host_unpacks_are_one_loop_per_stage_whatever_the_peers() {
+    let mut machine = host_machine(1.0, true);
+    machine.network.latency = 0.0;
+    machine.network.bandwidth = f64::INFINITY;
+    for ranks in [3, 4] {
+        let host = halo_step(machine.clone(), Placement::Host, ranks);
+        let device = halo_step(Machine::ipa_gpu(), Placement::Device, ranks);
+        let mut several_peers = false;
+        for (rank, (&(loops, ..), &(_, launches, received))) in host.iter().zip(&device).enumerate()
+        {
+            let stages: usize = launches.iter().sum();
+            assert_eq!(loops, stages as f64, "{ranks} ranks, rank {rank}: {launches:?} stages");
+            several_peers |= received > launches[2];
+        }
+        assert!(several_peers, "{ranks} ranks: no window received from two peers");
     }
 }
 

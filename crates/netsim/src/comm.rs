@@ -62,11 +62,11 @@ pub(crate) fn tag_kind(tag: u64) -> usize {
     kind
 }
 
-/// Frame flags carried in the first byte of every point-to-point
-/// message. The fault layer marks injected drop/corrupt frames so the
-/// receiver stays in lock-step (the frame is consumed) while the
-/// payload is detected as faulty — the simulated analogue of a
-/// checksum mismatch or a lost-packet NACK.
+/// Frame flags queued beside every point-to-point payload. The fault
+/// layer marks injected drop/corrupt frames so the receiver stays in
+/// lock-step (the frame is consumed) while the payload is detected as
+/// faulty — the simulated analogue of a checksum mismatch or a
+/// lost-packet NACK.
 const FLAG_OK: u8 = 0;
 const FLAG_DROPPED: u8 = 1;
 const FLAG_CORRUPT: u8 = 2;
@@ -509,11 +509,8 @@ impl Comm {
             let occ = next_occurrence(&self.send_seq, dst, tag);
             self.recorder.edge_send(dst, tag, occ, payload.len() as u64, Category::Other);
         }
-        let (flag, body) = self.frame_for_send(payload);
-        let mut framed = Vec::with_capacity(body.len() + 1);
-        framed.push(flag);
-        framed.extend_from_slice(&body);
-        if let Err(p) = self.shared.push_frame(self.physical_rank, dst, tag, Bytes::from(framed)) {
+        let frame = self.frame_for_send(payload);
+        if let Err(p) = self.shared.push_frame(self.physical_rank, dst, tag, frame) {
             std::panic::panic_any(p);
         }
     }
@@ -542,7 +539,7 @@ impl Comm {
             "recv: rank {} received from itself",
             self.logical_rank
         );
-        let frame = match self.shared.pop_frame(self.physical_rank, src, tag, category) {
+        let (flag, payload) = match self.shared.pop_frame(self.physical_rank, src, tag, category) {
             Ok(frame) => frame,
             Err(Fail::Poisoned(p)) => return Err(CommError::PeerPanicked { origin: p.origin }),
             Err(Fail::Dead { rank }) => {
@@ -550,9 +547,6 @@ impl Comm {
                 return Err(CommError::RankDead { rank: logical_src });
             }
         };
-        assert!(!frame.is_empty(), "recv: malformed frame (missing flag byte)");
-        let flag = frame[0];
-        let payload = frame.slice(1..);
         let bytes = payload.len() as u64;
         let mut transfer = self.cost.message(bytes);
         if let Some(inj) = &self.injector {

@@ -54,6 +54,11 @@ use rbamr_perfmodel::Category;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
+/// A queued point-to-point message: its flag (a fault the wire
+/// injected, or none) and the sender's payload itself — queueing it
+/// copies no bytes.
+pub(crate) type Frame = (u8, Bytes);
+
 /// What a blocked task is waiting for. Descriptions are formatted
 /// lazily (only when a deadlock dump is actually printed) to keep the
 /// block path allocation-free.
@@ -125,7 +130,7 @@ struct SchedState {
     /// Structural-deadlock diagnostic, set once when detected.
     deadlock: Option<std::sync::Arc<String>>,
     /// `mailboxes[dst]` holds the per-`(src, tag)` FIFO frame queues.
-    mailboxes: Vec<HashMap<(usize, u64), VecDeque<Bytes>>>,
+    mailboxes: Vec<HashMap<(usize, u64), VecDeque<Frame>>>,
     coll: CollState,
     /// Permanently dead ranks (physical ids). Dead ranks stop counting
     /// toward rendezvous thresholds, their frames are black-holed, and
@@ -347,7 +352,7 @@ impl Scheduler {
         src: usize,
         dst: usize,
         tag: u64,
-        frame: Bytes,
+        frame: Frame,
     ) -> Result<(), PeerPanicked> {
         let mut st = self.state.lock();
         if let Some(origin) = st.poisoned {
@@ -379,7 +384,7 @@ impl Scheduler {
         src: usize,
         tag: u64,
         category: Category,
-    ) -> Result<Bytes, Fail> {
+    ) -> Result<Frame, Fail> {
         let mut st = self.state.lock();
         loop {
             if let Some(origin) = st.poisoned {
@@ -586,9 +591,11 @@ mod tests {
         // queue left in the map would leak one entry per received frame.
         let sched = Scheduler::new(2, 2);
         for tag in 0..1000u64 {
-            sched.push_frame(0, 1, tag, Bytes::from_static(b"x")).expect("job is not poisoned");
+            let flag = (tag % 3) as u8;
+            let frame = (flag, Bytes::from_static(b"x"));
+            sched.push_frame(0, 1, tag, frame).expect("job is not poisoned");
             let frame = sched.pop_frame(1, 0, tag, Category::Other);
-            assert!(matches!(frame, Ok(f) if &f[..] == b"x"));
+            assert!(matches!(frame, Ok((f, body)) if f == flag && &body[..] == b"x"));
         }
         assert!(sched.state.lock().mailboxes[1].is_empty());
     }
