@@ -9,6 +9,7 @@
 //! * `fig10_strong` — Figure 10, strong scaling on IPA.
 //! * `fig11_weak` — Figure 11, weak scaling on Titan.
 //! * `breakdown` — the Section V-B runtime-component percentages.
+//! * `report diff` — two metric files' differences by layer ([`report`]).
 //!
 //! Runtimes are **virtual** (the calibrated machine models of
 //! `rbamr-perfmodel`); the numerics execute for real. Large
@@ -16,6 +17,8 @@
 //! paper's 1000 (per-step cost is stationary once the hierarchy
 //! exists); regrid cost is measured separately and amortised at the
 //! regrid interval.
+
+pub mod report;
 
 use rbamr_hydro::{HydroConfig, HydroSim, Placement};
 use rbamr_netsim::Comm;

@@ -226,7 +226,7 @@ pub const MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP: u64 = 30;
 
 /// The kernels [`MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP`] budgets: every
 /// launch of a fill, a sync or a regrid's transfer.
-const DATA_MOVEMENT_KERNEL_NAMES: &[&str] = &[
+pub const DATA_MOVEMENT_KERNEL_NAMES: &[&str] = &[
     "copy-region",
     "pack",
     "unpack",
@@ -262,6 +262,10 @@ const HYDRO_KERNEL_NAMES: &[&str] = &[
     "revert-save",
     "viscosity",
 ];
+
+/// The tagging pass's kernels: [`flag_cells`] and the two compressing
+/// the level's tags.
+pub const TAG_KERNEL_NAMES: &[&str] = &["flag-cells", "any-tagged", "compress-tags"];
 
 /// Hydro kernel launches `rec` has counted so far: the
 /// `device.kernel_launches.<name>` counters summed over the executor's
