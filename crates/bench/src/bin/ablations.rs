@@ -188,16 +188,18 @@ fn residency_ablation_modeled() {
     let launches_per_step = stats.kernel_launches as f64 / 4.0;
 
     let resident = profile.per_step.total();
-    // Copy-back model: every kernel round-trips its working set over
-    // PCIe (CloverLeaf-style kernels touch ~4 arrays; patch arrays are
-    // total_cells/launches-per-patch-step sized on average).
+    // Copy-back model: every launch round-trips its working set over
+    // PCIe, patch by patch (CloverLeaf-style kernels touch ~4 arrays;
+    // patch arrays are total_cells/patches sized on average).
     let cost = CostModel::new(Machine::ipa_gpu());
     let cells = profile.total_cells as f64;
     let avg_arrays = 4.0;
-    let patches = launches_per_step / 52.0; // hydro phases per patch per step
+    let h = sim.hierarchy();
+    let patches = (0..h.num_levels()).map(|l| h.level(l).num_patches()).sum::<usize>() as f64;
     let array_bytes = cells / patches.max(1.0) * 8.0;
     let per_kernel_pcie = 2.0 * cost.pcie((avg_arrays * array_bytes) as u64);
-    let copy_back = resident + launches_per_step * per_kernel_pcie;
+    let round_trips = launches_per_step * patches;
+    let copy_back = resident + round_trips * per_kernel_pcie;
 
     println!("per-step virtual time, 256^2 Sod, 3 levels:");
     println!("  resident (paper design)   : {:>9.2} ms", resident * 1e3);
@@ -209,7 +211,7 @@ fn residency_ablation_modeled() {
     );
     println!(
         "  per-step PCIe, copy-back  : {:>9.0} MB\n",
-        launches_per_step * avg_arrays * array_bytes * 2.0 / 1e6
+        round_trips * avg_arrays * array_bytes * 2.0 / 1e6
     );
 }
 

@@ -14,8 +14,9 @@
 //! `--full` includes the 3.2M- and 6.4M-zone rungs (a few minutes of
 //! real compute); the default stops at 800k and is representative.
 //!
-//! Every GPU run gates in-process that hydro launches per step stay
-//! within `MAX_LAUNCHES_PER_STEP`, and halo data-movement launches
+//! Every GPU run gates in-process that hydro launches per step are
+//! exactly the step's 27 kernel groups, within
+//! `MAX_LAUNCHES_PER_STEP`, and halo data-movement launches
 //! (copies, packs, unpacks, scratch extension, interpolation,
 //! projection, physical boundaries) within
 //! `MAX_DATA_MOVEMENT_LAUNCHES_PER_STEP`, whatever the level count —
@@ -40,6 +41,9 @@ use rbamr_telemetry::Recorder;
 const PAPER_STEPS: usize = 1000;
 const REGRID_INTERVAL: usize = 10;
 const LEVELS: usize = 3;
+/// Hydro launches per device step: one rank, so no window splits and
+/// every kernel group of the step launches once.
+const HYDRO_LAUNCHES_PER_STEP: f64 = 27.0;
 
 /// Projected runtime, total cells and measured hydro launches per step
 /// (zero on the host), the last gated against the whole-hierarchy bound
@@ -68,6 +72,9 @@ fn run_one(placement: Placement, nx: i64, ny: i64) -> (f64, i64, f64) {
         "{nx}x{ny}: {launches_per_step:.0} hydro launches/step, \
          above the whole-hierarchy bound {bound:.0}"
     );
+    if placement != Placement::Host {
+        assert_eq!(launches_per_step, HYDRO_LAUNCHES_PER_STEP, "{nx}x{ny}: hydro launches/step");
+    }
     // The profile's closing regrid is counted too: its transfers are
     // halo data movement.
     let moves_per_step = (data_movement_launches(&rec) - moves0) as f64 / (steps + 1) as f64;

@@ -14,14 +14,39 @@
 //!   patch; the CPU cost model is charged once per phase, one loop over
 //!   the summed cells of every level's patches — where the device pays
 //!   one launch, the host pays one fork/join.
-//! * `Exec::Device` — **one launch per kernel per pass for the whole
-//!   hierarchy**: the launch body loops over every level's patches (the
-//!   logical element index of the hierarchy's
+//! * `Exec::Device` — **one launch per kernel group per pass for the
+//!   whole hierarchy**: the launch body loops over every level's
+//!   patches (the logical element index of the hierarchy's
 //!   [`BatchPlan`](rbamr_gpu_amr::BatchPlan) spans them all), so the
 //!   fixed launch latency — the Figure 9 overhead that makes small
-//!   grids launch-bound — is paid once per (kernel, pass), whatever the
+//!   grids launch-bound — is paid once per (group, pass), whatever the
 //!   level or patch count. Within a phase the levels never read each
 //!   other, so the fusion changes the launch order, not the numerics.
+//!
+//! A group is a list of member kernels with no cross-element
+//! dependency, run as one launch (CloverLeaf's kernels update several
+//! fields per pass the same way). The members run in order, each over
+//! every patch, and the launch charges the sum of their shapes. A member
+//! may read an earlier member's output only at the same element, and may
+//! not overwrite what an earlier member reads at a neighbour, so each
+//! group is one legal data-parallel kernel, not just a sequential loop.
+//! A lone kernel is the one-member group. A step is 27 launches:
+//!
+//! | launch (per step) | members |
+//! |---|---|
+//! | `ideal-gas-viscosity` | pressure, sound speed, viscosity (`fill-start`) |
+//! | `calc-dt` | the per-patch CFL minima |
+//! | `pdv-predict` | predictor PdV energy + density, predictor EOS, revert |
+//! | `accelerate` | x and y velocity |
+//! | `pdv` | corrector PdV energy + density |
+//! | `flux-calc` | x and y volume flux (`post-accel`) |
+//! | `advec-cell-vol` (×2) | pre- and post-sweep volume, revert-save |
+//! | `advec-mass-flux`, `advec-ener-flux` (×2 each) | one kernel |
+//! | `advec-cell` (×2) | cell energy + cell density, both from the saved ρ |
+//! | `advec-mom-node` (×2) | node flux, post-sweep node mass, both velocity saves |
+//! | `mom-node-mass-pre` (×2) | one kernel |
+//! | `mom-flux`, `mom-vel-update` (×4 each) | one kernel, per velocity |
+//! | `reset-field` | the four copies |
 //!
 //! [`crate::HostPatchIntegrator`] and [`crate::DevicePatchIntegrator`]
 //! run the same functions on a batch of one patch.
@@ -82,7 +107,7 @@ pub(crate) enum Exec<'a> {
     /// loop over all its patches, after its kernels; no launch, span or
     /// counter exists.
     Host(Option<&'a HostCostHook>),
-    /// Device memory: one launch per kernel per pass on `stream`.
+    /// Device memory: one launch per kernel group per pass on `stream`.
     /// `copy_back` adds the per-phase PCIe round trips.
     Device {
         /// The device the patches' arrays live on.
@@ -203,16 +228,16 @@ const MARGIN_STEP: i64 = 4;
 /// Upper bound on hydro launches per step for the whole hierarchy —
 /// the in-process fig9 gate constant — where no window's phase runs in
 /// two passes that both launch: on one rank, or where no patch has an
-/// interior core. Every kernel of the step's phase chain, once, is 52
-/// launches (the serial fig9 sweep reads 52 on every rung); 60 leaves
-/// headroom without ever permitting per-level or per-patch scaling.
-pub const MAX_LAUNCHES_PER_STEP: u64 = 60;
+/// interior core. Every group of the step's phase chain, once, is 27
+/// launches (the serial fig9 sweep reads exactly 27 on every rung); 35
+/// leaves headroom without ever permitting per-level or per-patch scaling.
+pub const MAX_LAUNCHES_PER_STEP: u64 = 35;
 
 /// Upper bound on hydro launches per step where windows split: a
 /// window whose rank receives a message launches its kernels in an
-/// interior pass too, where some patch has a core — 78 when all five
-/// windows split; 84 leaves headroom.
-pub const MAX_SPLIT_LAUNCHES_PER_STEP: u64 = 84;
+/// interior pass too, where some patch has a core — 45 when all five
+/// windows split; 51 leaves headroom.
+pub const MAX_SPLIT_LAUNCHES_PER_STEP: u64 = 51;
 
 /// Upper bound on halo data-movement launches per step — fig9's second
 /// gate, with the same bound whatever the level count: a fill window is
@@ -236,30 +261,26 @@ pub const DATA_MOVEMENT_KERNEL_NAMES: &[&str] = &[
     "physical-boundary",
 ];
 
-/// Every kernel name the executor launches under. No halo-fill, sync,
-/// or regrid kernel uses them.
-const HYDRO_KERNEL_NAMES: &[&str] = &[
+/// Every name the executor launches a step kernel group under. No
+/// halo-fill, sync, or regrid kernel uses them.
+pub const HYDRO_KERNEL_NAMES: &[&str] = &[
     "accelerate",
     "advec-cell",
+    "advec-cell-vol",
     "advec-ener-flux",
-    "advec-ener-update",
     "advec-mass-flux",
-    "advec-post-vol",
-    "advec-pre-vol",
+    "advec-mom-node",
     "calc-dt",
-    "copy-field",
     "flux-calc",
-    "ideal-gas-pressure",
-    "ideal-gas-soundspeed",
+    "ideal-gas",
+    "ideal-gas-viscosity",
     "mom-flux",
-    "mom-node-flux",
-    "mom-node-mass-post",
     "mom-node-mass-pre",
-    "mom-save-vel",
     "mom-vel-update",
-    "pdv-density",
-    "pdv-energy",
-    "revert-save",
+    "pdv",
+    "pdv-predict",
+    "reset-field",
+    "revert",
     "viscosity",
 ];
 
@@ -355,47 +376,105 @@ fn view<'a>(data: &'a dyn PatchData, kk: Option<&Kernel<'_>>) -> k::View<'a> {
     k::View::new(values, data.data_box())
 }
 
-/// One kernel over the hierarchy: `body` is applied to each patch's region
-/// boxes, with `vars[0]` as the output array and the rest as read-only
-/// views. On a device this is a single launch whose body loops the
-/// patches, skipped entirely (no launch, no latency) when every region
-/// is empty; on the host the same loop runs as plain calls. Nothing is
-/// allocated per patch.
-#[allow(clippy::too_many_arguments)]
-fn batched_launch<const N: usize>(
+/// A member's work on patch `i`, given the launch's kernel token.
+type MemberRun<'a> = Box<dyn FnMut(Option<&Kernel<'_>>, usize, &mut Patch) + 'a>;
+
+/// One kernel of a launch group: its declared accesses, its price, and
+/// its work on patch `i`.
+struct Member<'a> {
+    kernel: &'static str,
+    /// The field it writes (`None`: a staging array, written and read
+    /// only at the same element).
+    out: Option<VariableId>,
+    /// The fields it reads at a neighbouring element; it reads every
+    /// other input at its own element only.
+    stencil: Vec<VariableId>,
+    cells: i64,
+    shape: KernelShape,
+    run: MemberRun<'a>,
+}
+
+impl<'a> Member<'a> {
+    fn new(
+        kernel: &'static str,
+        (out, stencil): (Option<VariableId>, &[VariableId]),
+        (cells, arrays, flops): (i64, u32, u32),
+        run: impl FnMut(Option<&Kernel<'_>>, usize, &mut Patch) + 'a,
+    ) -> Self {
+        let (stencil, shape) = (stencil.to_vec(), KernelShape::streaming(cells, arrays, flops));
+        Self { kernel, out, stencil, cells, shape, run: Box::new(run) }
+    }
+}
+
+/// The group rule, or the first (earlier, later) pair of members that
+/// breaks it: a member reads at a neighbour what the other writes.
+fn group_rule(members: &[Member<'_>]) -> Result<(), (&'static str, &'static str)> {
+    let reads = |r: &Member<'_>, w: &Member<'_>| w.out.is_some_and(|o| r.stencil.contains(&o));
+    for (j, later) in members.iter().enumerate() {
+        if let Some(e) = members[..j].iter().find(|e| reads(later, e) || reads(e, later)) {
+            return Err((e.kernel, later.kernel));
+        }
+    }
+    Ok(())
+}
+
+/// A member writing field `vars[0]` over each patch's region boxes from
+/// read-only views of the rest, reading the `stencil` ones at
+/// neighbouring elements. Nothing is allocated per patch.
+fn kernel<'a, const N: usize>(
+    name: &'static str,
+    vars: [VariableId; N],
+    stencil: &[VariableId],
+    (arrays, flops): (u32, u32),
+    regions: Vec<[GBox; 4]>,
+    body: impl Fn(Option<&Kernel<'_>>, usize, &mut [f64], GBox, &[k::View<'_>], GBox) + 'a,
+) -> Member<'a> {
+    let cells = regions.iter().flatten().map(|b| b.num_cells()).sum();
+    Member::new(name, (Some(vars[0]), stencil), (cells, arrays, flops), move |kk, i, p| {
+        if regions[i].iter().all(|r| r.is_empty()) {
+            return;
+        }
+        let mut datas = p.data_many_mut(vars);
+        let (out, ins) = datas.split_first_mut().expect("a kernel has an output variable");
+        // Slot `j` views `ins[j]`; the last slot is never handed out.
+        let mut views = [k::View::new(&[], GBox::EMPTY); N];
+        for (v, d) in views.iter_mut().zip(ins.iter()) {
+            *v = view(&**d, kk);
+        }
+        let obox = out.data_box();
+        let out = match kk {
+            Some(kk) => dev_mut(&mut **out).buffer_mut().as_mut_slice(kk),
+            None => host_mut(&mut **out).as_mut_slice(),
+        };
+        for r in &regions[i] {
+            body(kk, i, out, obox, &views[..N - 1], *r);
+        }
+    })
+}
+
+/// Run `members` as one launch over the hierarchy — the one way a step
+/// kernel runs: each member in turn over every patch, charged the sum of
+/// their shapes, and skipped entirely (no launch, no latency) when every
+/// member's region is empty. On the host the same loops run as plain
+/// calls.
+fn launch_group(
     patches: &mut [&mut Patch],
     ex: Exec<'_>,
     name: &'static str,
     category: Category,
-    vars: [VariableId; N],
-    arrays: u32,
-    flops: u32,
-    regions: &[[GBox; 4]],
-    body: impl Fn(Option<&Kernel<'_>>, usize, &mut [f64], GBox, &[k::View<'_>], GBox),
+    mut members: Vec<Member<'_>>,
 ) {
-    let total: i64 = regions.iter().flatten().map(|b| b.num_cells()).sum();
-    if total == 0 {
+    debug_assert_eq!(group_rule(&members), Ok(()), "launch {name} breaks the group rule");
+    #[cfg(test)]
+    tests::record(name, &members);
+    if members.iter().all(|m| m.cells == 0) {
         return;
     }
-    ex.launch(name, category, KernelShape::streaming(total, arrays, flops), |kk| {
-        for (i, p) in patches.iter_mut().enumerate() {
-            if regions[i].iter().all(|r| r.is_empty()) {
-                continue;
-            }
-            let mut datas = p.data_many_mut(vars);
-            let (out, ins) = datas.split_first_mut().expect("a kernel has an output variable");
-            // Slot `j` views `ins[j]`; the last slot is never handed out.
-            let mut views = [k::View::new(&[], GBox::EMPTY); N];
-            for (v, d) in views.iter_mut().zip(ins.iter()) {
-                *v = view(&**d, kk);
-            }
-            let obox = out.data_box();
-            let out = match kk {
-                Some(kk) => dev_mut(&mut **out).buffer_mut().as_mut_slice(kk),
-                None => host_mut(&mut **out).as_mut_slice(),
-            };
-            for r in &regions[i] {
-                body(kk, i, out, obox, &views[..N - 1], *r);
+    let shape = members.iter().map(|m| m.shape).sum();
+    ex.launch(name, category, shape, |kk| {
+        for m in &mut members {
+            for (i, p) in patches.iter_mut().enumerate() {
+                (m.run)(kk, i, p);
             }
         }
     });
@@ -416,11 +495,11 @@ fn roundtrip(patches: &mut [&mut Patch], vars: &[VariableId]) {
     }
 }
 
-/// Equation of state: pressure then sound speed. With `predict` unset
-/// it reads the step-start fields over the ghost box (kernel ordinals
-/// 1–2 of the `fill-start` window); the predictor EOS reads the working
-/// copies over the interior grown by one and only ever runs
-/// [`Pass::Full`].
+/// Equation of state: pressure then sound speed, one `ideal-gas`
+/// launch. With `predict` unset it reads the step-start fields over the
+/// ghost box (kernel ordinals 1–2 of the `fill-start` window); the
+/// predictor EOS reads the working copies over the interior grown by
+/// one and only ever runs [`Pass::Full`].
 pub(crate) fn ideal_gas(
     patches: &mut [&mut Patch],
     f: &Fields,
@@ -429,37 +508,47 @@ pub(crate) fn ideal_gas(
     gamma: f64,
     predict: bool,
 ) {
+    let eos = ideal_gas_members(patches, f, ex, pass, gamma, predict);
+    launch_group(patches, ex, "ideal-gas", Category::HydroKernel, eos);
+}
+
+/// [`ideal_gas`]'s members, after its round trip and host charge —
+/// here and below, a `*_members` function's caller launches them.
+fn ideal_gas_members<'a>(
+    patches: &mut [&mut Patch],
+    f: &Fields,
+    ex: Exec<'_>,
+    pass: Pass,
+    gamma: f64,
+    predict: bool,
+) -> Vec<Member<'a>> {
     let (rho, e) = if predict { (f.density1, f.energy1) } else { (f.density0, f.energy0) };
     if ex.copy_back() && pass != Pass::Boundary {
         roundtrip(patches, &[f.pressure, f.soundspeed, rho, e]);
     }
     let region = if predict { ComputeRegion::Grown(1) } else { ComputeRegion::GhostBox };
     let nominal = |p: &Patch| region.cell_box(p.cell_box());
-    let regs = regions_for(patches, pass, 1, Centring::Cell, nominal);
-    batched_launch(
-        patches,
-        ex,
-        "ideal-gas-pressure",
-        Category::HydroKernel,
-        [f.pressure, rho, e],
-        3,
-        3,
-        &regs,
-        |_kk, _i, p, pbox, v, r| k::ideal_gas_pressure(p, pbox, v[0], v[1], r, gamma),
-    );
-    let regs = regions_for(patches, pass, 2, Centring::Cell, nominal);
-    batched_launch(
-        patches,
-        ex,
-        "ideal-gas-soundspeed",
-        Category::HydroKernel,
-        [f.soundspeed, f.pressure, rho],
-        3,
-        5,
-        &regs,
-        |_kk, _i, ss, ssbox, v, r| k::ideal_gas_soundspeed(ss, ssbox, v[0], v[1], r, gamma),
-    );
     ex.charge_host(patches, Category::HydroKernel, |p| nominal(p).num_cells() * 2, 3, 8);
+    vec![
+        kernel(
+            "ideal-gas-pressure",
+            [f.pressure, rho, e],
+            &[],
+            (3, 3),
+            regions_for(patches, pass, 1, Centring::Cell, nominal),
+            move |_kk, _i, p, pbox, v, r| k::ideal_gas_pressure(p, pbox, v[0], v[1], r, gamma),
+        ),
+        kernel(
+            "ideal-gas-soundspeed",
+            [f.soundspeed, f.pressure, rho],
+            &[],
+            (3, 5),
+            regions_for(patches, pass, 2, Centring::Cell, nominal),
+            move |_kk, _i, ss, ssbox, v, r| {
+                k::ideal_gas_soundspeed(ss, ssbox, v[0], v[1], r, gamma)
+            },
+        ),
+    ]
 }
 
 /// Artificial viscosity — kernel ordinal 3 of the `fill-start` window.
@@ -470,27 +559,31 @@ pub(crate) fn viscosity(
     pass: Pass,
     dx: &[(f64, f64)],
 ) {
+    let q = viscosity_member(patches, f, ex, pass, dx);
+    launch_group(patches, ex, "viscosity", Category::HydroKernel, vec![q]);
+}
+
+fn viscosity_member<'a>(
+    patches: &mut [&mut Patch],
+    f: &Fields,
+    ex: Exec<'_>,
+    pass: Pass,
+    dx: &'a [(f64, f64)],
+) -> Member<'a> {
+    let vars = [f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0];
     if ex.copy_back() && pass != Pass::Boundary {
-        roundtrip(patches, &[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0]);
+        roundtrip(patches, &vars);
     }
     let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
-    let regs = regions_for(patches, pass, 3, Centring::Cell, grown);
-    batched_launch(
-        patches,
-        ex,
-        "viscosity",
-        Category::HydroKernel,
-        [f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0],
-        5,
-        15,
-        &regs,
-        |_kk, i, q, qbox, v, r| k::viscosity(q, qbox, v[0], v[1], v[2], v[3], r, dx[i]),
-    );
     ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells(), 5, 15);
+    let regs = regions_for(patches, pass, 3, Centring::Cell, grown);
+    kernel("viscosity", vars, &[f.xvel0, f.yvel0], (5, 15), regs, move |_kk, i, q, qbox, v, r| {
+        k::viscosity(q, qbox, v[0], v[1], v[2], v[3], r, dx[i]);
+    })
 }
 
 /// EOS + viscosity — the compute half of the `fill-start` overlap
-/// window.
+/// window, one `ideal-gas-viscosity` launch.
 pub(crate) fn eos_viscosity(
     patches: &mut [&mut Patch],
     f: &Fields,
@@ -499,8 +592,9 @@ pub(crate) fn eos_viscosity(
     gamma: f64,
     dx: &[(f64, f64)],
 ) {
-    ideal_gas(patches, f, ex, pass, gamma, false);
-    viscosity(patches, f, ex, pass, dx);
+    let mut group = ideal_gas_members(patches, f, ex, pass, gamma, false);
+    group.push(viscosity_member(patches, f, ex, pass, dx));
+    launch_group(patches, ex, "ideal-gas-viscosity", Category::HydroKernel, group);
 }
 
 /// CFL reduction: every patch's minimum lands in one `n`-patch staging
@@ -525,14 +619,14 @@ pub(crate) fn calc_dt(
     let n = patches.len();
     let mut result = ex.stage(n);
     let total: i64 = patches.iter().map(|p| p.cell_box().num_cells()).sum();
-    ex.launch("calc-dt", Category::Timestep, KernelShape::streaming(total, 6, 20), |kk| {
-        for (i, p) in patches.iter().enumerate() {
-            // `v[1]`, the pressure, is charged and round-tripped but not read.
-            let v = vars.map(|var| view(p.data(var), kk));
-            result.as_mut_slice(kk)[i] =
-                k::calc_dt(v[0], v[2], v[3], v[4], v[5], p.cell_box(), dx[i], cfl);
-        }
+    let stencil = [f.xvel0, f.yvel0];
+    let minimum = Member::new("calc-dt", (None, &stencil), (total, 6, 20), |kk, i, p| {
+        // `v[1]`, the pressure, is charged and round-tripped but not read.
+        let v = vars.map(|var| view(p.data(var), kk));
+        result.as_mut_slice(kk)[i] =
+            k::calc_dt(v[0], v[2], v[3], v[4], v[5], p.cell_box(), dx[i], cfl);
     });
+    launch_group(patches, ex, "calc-dt", Category::Timestep, vec![minimum]);
     ex.charge_host(patches, Category::Timestep, |p| p.cell_box().num_cells(), 6, 20);
     match result {
         Staged::Host(minima) => minima,
@@ -591,9 +685,10 @@ pub(crate) fn flag_cells(
     }
 }
 
-/// The Lagrangian pre-fill chain — predictor PdV, predictor EOS,
-/// revert, accelerate, corrector PdV. No fill runs concurrently with
-/// these, so they run as full-region launches (10 in all).
+/// The Lagrangian pre-fill chain — predictor PdV, predictor EOS and
+/// revert as one `pdv-predict` launch, then accelerate, then corrector
+/// PdV. No fill runs concurrently with these, so they run as
+/// full-region launches (3 in all).
 pub(crate) fn lagrangian_pre(
     patches: &mut [&mut Patch],
     f: &Fields,
@@ -602,37 +697,38 @@ pub(crate) fn lagrangian_pre(
     dx: &[(f64, f64)],
     dt: f64,
 ) {
-    pdv(patches, f, ex, dx, dt, true);
-    ideal_gas(patches, f, ex, Pass::Full, gamma, true);
-    revert(patches, f, ex);
+    let mut group = pdv_members(patches, f, ex, dx, dt, true);
+    group.extend(ideal_gas_members(patches, f, ex, Pass::Full, gamma, true));
+    group.extend(revert_members(patches, f, ex));
+    launch_group(patches, ex, "pdv-predict", Category::HydroKernel, group);
     accelerate(patches, f, ex, dx, dt);
     pdv(patches, f, ex, dx, dt, false);
 }
 
 /// Restore working density/energy to step-start values.
 pub(crate) fn revert(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) {
+    let copies = revert_members(patches, f, ex);
+    launch_group(patches, ex, "revert", Category::HydroKernel, copies);
+}
+
+fn revert_members<'a>(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) -> Vec<Member<'a>> {
     if ex.copy_back() {
         roundtrip(patches, &[f.density1, f.energy1, f.density0, f.energy0]);
     }
     let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
-    let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, grown);
-    for (dst, src) in [(f.density1, f.density0), (f.energy1, f.energy0)] {
-        batched_launch(
-            patches,
-            ex,
-            "copy-field",
-            Category::HydroKernel,
-            [dst, src],
-            2,
-            0,
-            &regs,
-            |_kk, _i, d, dbox, v, r| k::copy_field(d, dbox, v[0], r),
-        );
-    }
     ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells() * 2, 2, 0);
+    let copies =
+        [("revert-density", f.density1, f.density0), ("revert-energy", f.energy1, f.energy0)];
+    Vec::from(copies.map(|(name, dst, src)| {
+        let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, grown);
+        kernel(name, [dst, src], &[], (2, 0), regs, |_kk, _i, d, dbox, v, r| {
+            k::copy_field(d, dbox, v[0], r);
+        })
+    }))
 }
 
-/// Node velocity update from pressure and viscosity gradients.
+/// Node velocity update from pressure and viscosity gradients, x and y
+/// in one launch.
 pub(crate) fn accelerate(
     patches: &mut [&mut Patch],
     f: &Fields,
@@ -647,27 +743,27 @@ pub(crate) fn accelerate(
         );
     }
     let node = |p: &Patch| Centring::Node.data_box(p.cell_box());
-    let regs = regions_for(patches, Pass::Full, 1, Centring::Node, node);
-    for (axis, (v1, v0)) in [(0usize, (f.xvel1, f.xvel0)), (1, (f.yvel1, f.yvel0))] {
-        batched_launch(
-            patches,
-            ex,
-            "accelerate",
-            Category::HydroKernel,
+    let axes =
+        [("accelerate-x", 0usize, (f.xvel1, f.xvel0)), ("accelerate-y", 1, (f.yvel1, f.yvel0))];
+    let group = axes.map(|(name, axis, (v1, v0))| {
+        kernel(
+            name,
             [v1, v0, f.density0, f.pressure, f.viscosity],
-            5,
-            20,
-            &regs,
-            |_kk, i, out, nbox, v, r| {
+            &[f.density0, f.pressure, f.viscosity],
+            (5, 20),
+            regions_for(patches, Pass::Full, 1, Centring::Node, node),
+            move |_kk, i, out, nbox, v, r| {
                 k::accelerate(out, nbox, v[0], v[1], v[2], v[3], r, dt, dx[i], axis);
             },
-        );
-    }
+        )
+    });
+    launch_group(patches, ex, "accelerate", Category::HydroKernel, group.into());
     ex.charge_host(patches, Category::HydroKernel, |p| node(p).num_cells() * 2, 5, 20);
 }
 
 /// PdV energy/density update (predictor: half dt with the start
-/// velocities; corrector: full dt with time-averaged velocities).
+/// velocities; corrector: full dt with time-averaged velocities), one
+/// `pdv` launch.
 pub(crate) fn pdv(
     patches: &mut [&mut Patch],
     f: &Fields,
@@ -676,69 +772,58 @@ pub(crate) fn pdv(
     dt: f64,
     predict: bool,
 ) {
+    let group = pdv_members(patches, f, ex, dx, dt, predict);
+    launch_group(patches, ex, "pdv", Category::HydroKernel, group);
+}
+
+fn pdv_members<'a>(
+    patches: &mut [&mut Patch],
+    f: &Fields,
+    ex: Exec<'_>,
+    dx: &'a [(f64, f64)],
+    dt: f64,
+    predict: bool,
+) -> Vec<Member<'a>> {
+    let vels = [f.xvel0, f.xvel1, f.yvel0, f.yvel1];
     if ex.copy_back() {
-        roundtrip(
-            patches,
-            &[
-                f.energy1,
-                f.density1,
-                f.energy0,
-                f.density0,
-                f.pressure,
-                f.viscosity,
-                f.xvel0,
-                f.xvel1,
-                f.yvel0,
-                f.yvel1,
-            ],
-        );
+        let mut vars = vec![f.energy1, f.density1, f.energy0, f.density0, f.pressure, f.viscosity];
+        vars.extend(vels);
+        roundtrip(patches, &vars);
     }
     let dt_eff = if predict { 0.5 * dt } else { dt };
     let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
-    let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, grown);
-    batched_launch(
-        patches,
-        ex,
-        "pdv-energy",
-        Category::HydroKernel,
-        [
-            f.energy1,
-            f.energy0,
-            f.density0,
-            f.pressure,
-            f.viscosity,
-            f.xvel0,
-            f.xvel1,
-            f.yvel0,
-            f.yvel1,
-        ],
-        9,
-        30,
-        &regs,
-        |_kk, i, e1, ebox, v, r| {
-            let (u1, v1) = if predict { (v[4], v[6]) } else { (v[5], v[7]) };
-            k::pdv_energy(e1, ebox, v[0], v[1], v[2], v[3], v[4], u1, v[6], v1, r, dt_eff, dx[i]);
-        },
-    );
-    batched_launch(
-        patches,
-        ex,
-        "pdv-density",
-        Category::HydroKernel,
-        [f.density1, f.density0, f.xvel0, f.xvel1, f.yvel0, f.yvel1],
-        6,
-        25,
-        &regs,
-        |_kk, i, r1, rbox, v, r| {
-            let (u1, v1) = if predict { (v[1], v[3]) } else { (v[2], v[4]) };
-            k::pdv_density(r1, rbox, v[0], v[1], u1, v[3], v1, r, dt_eff, dx[i]);
-        },
-    );
     ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells() * 2, 9, 30);
+    let [u0, u1, v0, v1] = vels;
+    vec![
+        kernel(
+            "pdv-energy",
+            [f.energy1, f.energy0, f.density0, f.pressure, f.viscosity, u0, u1, v0, v1],
+            &vels,
+            (9, 30),
+            regions_for(patches, Pass::Full, 1, Centring::Cell, grown),
+            move |_kk, i, e1, ebox, v, r| {
+                let (u1, v1) = if predict { (v[4], v[6]) } else { (v[5], v[7]) };
+                k::pdv_energy(
+                    e1, ebox, v[0], v[1], v[2], v[3], v[4], u1, v[6], v1, r, dt_eff, dx[i],
+                );
+            },
+        ),
+        kernel(
+            "pdv-density",
+            [f.density1, f.density0, u0, u1, v0, v1],
+            &vels,
+            (6, 25),
+            regions_for(patches, Pass::Full, 1, Centring::Cell, grown),
+            move |_kk, i, r1, rbox, v, r| {
+                let (u1, v1) = if predict { (v[1], v[3]) } else { (v[2], v[4]) };
+                k::pdv_density(r1, rbox, v[0], v[1], u1, v[3], v1, r, dt_eff, dx[i]);
+            },
+        ),
+    ]
 }
 
-/// Volume fluxes — the compute half of the `post-accel` overlap window.
-/// Kernel ordinals 1–2.
+/// Volume fluxes, x and y in one launch — the compute half of the
+/// `post-accel` overlap window. Kernel ordinals 1–2.
 pub(crate) fn flux_calc(
     patches: &mut [&mut Patch],
     f: &Fields,
@@ -750,26 +835,19 @@ pub(crate) fn flux_calc(
     if ex.copy_back() && pass != Pass::Boundary {
         roundtrip(patches, &[f.vol_flux_x, f.vol_flux_y, f.xvel0, f.xvel1, f.yvel0, f.yvel1]);
     }
-    for (ordinal, (axis, (flux, v0, v1))) in
-        [(0usize, (f.vol_flux_x, f.xvel0, f.xvel1)), (1, (f.vol_flux_y, f.yvel0, f.yvel1))]
-            .into_iter()
-            .enumerate()
-    {
-        let regs = regions_for(patches, pass, ordinal as u32 + 1, Centring::Side(axis), |p| {
+    let axes = [
+        ("flux-calc-x", 0usize, (f.vol_flux_x, f.xvel0, f.xvel1)),
+        ("flux-calc-y", 1, (f.vol_flux_y, f.yvel0, f.yvel1)),
+    ];
+    let group = axes.map(|(name, axis, (flux, v0, v1))| {
+        let regs = regions_for(patches, pass, axis as u32 + 1, Centring::Side(axis), |p| {
             Centring::Side(axis).data_box(p.cell_box().grow(IntVector::uniform(GHOSTS)))
         });
-        batched_launch(
-            patches,
-            ex,
-            "flux-calc",
-            Category::HydroKernel,
-            [flux, v0, v1],
-            3,
-            6,
-            &regs,
-            |_kk, i, out, sbox, v, r| k::flux_calc(out, sbox, v[0], v[1], r, dt, dx[i], axis),
-        );
-    }
+        kernel(name, [flux, v0, v1], &[v0, v1], (3, 6), regs, move |_kk, i, out, sbox, v, r| {
+            k::flux_calc(out, sbox, v[0], v[1], r, dt, dx[i], axis);
+        })
+    });
+    launch_group(patches, ex, "flux-calc", Category::HydroKernel, group.into());
     let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
     ex.charge_host(patches, Category::HydroKernel, |p| ghost(p).num_cells() * 2, 3, 6);
 }
@@ -788,15 +866,18 @@ pub(crate) struct CellStash {
 }
 
 /// Staged pre-update velocities for the momentum sweep. Full capture at
-/// the interior pass: no in-window kernel before the capture writes the
-/// velocities, and the concurrent fills never fill them.
+/// the interior pass: no in-window kernel writes a velocity before the
+/// capture, and the concurrent fills never fill them.
 pub(crate) struct MomStash {
     old: Vec<Staged>,
     vbox: GBox,
 }
 
 /// Cell advection — standalone (first sweep, `Pass::Full`) or the
-/// compute half of the `mid-sweeps` window. Kernel ordinals 1–7.
+/// compute half of the `mid-sweeps` window. Kernel ordinals 1–7, in
+/// four launches: the volumes with the revert-save (nothing before the
+/// save writes energy1 or density1), the mass flux, the energy flux, and
+/// the cell energy and density updates (both read the saved density).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn advec_cell(
     patches: &mut [&mut Patch],
@@ -817,110 +898,98 @@ pub(crate) fn advec_cell(
         );
     }
     let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
-    let regs = regions_for(patches, pass, 1, Centring::Cell, ghost);
-    batched_launch(
-        patches,
-        ex,
-        "advec-pre-vol",
-        Category::HydroKernel,
-        [f.pre_vol, f.vol_flux_x, f.vol_flux_y],
-        3,
-        6,
-        &regs,
-        |_kk, i, pre, cbox, v, r| k::advec_pre_vol(pre, cbox, v[0], v[1], r, dir, sweep, dx[i]),
-    );
-    let regs = regions_for(patches, pass, 2, Centring::Cell, ghost);
-    batched_launch(
-        patches,
-        ex,
-        "advec-post-vol",
-        Category::HydroKernel,
-        [f.post_vol, f.vol_flux_x, f.vol_flux_y],
-        3,
-        6,
-        &regs,
-        |_kk, i, post, cbox, v, r| {
-            k::advec_post_vol(post, cbox, v[0], v[1], r, dir, sweep, dx[i]);
-        },
-    );
+    let fluxes = [f.vol_flux_x, f.vol_flux_y];
+    let volumes = vec![
+        kernel(
+            "advec-pre-vol",
+            [f.pre_vol, f.vol_flux_x, f.vol_flux_y],
+            &fluxes,
+            (3, 6),
+            regions_for(patches, pass, 1, Centring::Cell, ghost),
+            |_kk, i, pre, cbox, v, r| k::advec_pre_vol(pre, cbox, v[0], v[1], r, dir, sweep, dx[i]),
+        ),
+        kernel(
+            "advec-post-vol",
+            [f.post_vol, f.vol_flux_x, f.vol_flux_y],
+            &fluxes,
+            (3, 6),
+            regions_for(patches, pass, 2, Centring::Cell, ghost),
+            |_kk, i, post, cbox, v, r| {
+                k::advec_post_vol(post, cbox, v[0], v[1], r, dir, sweep, dx[i]);
+            },
+        ),
+        revert_save(patches, f, ex, pass, stash),
+    ];
+    launch_group(patches, ex, "advec-cell-vol", Category::HydroKernel, volumes);
     let regs = regions_for(patches, pass, 3, Centring::Side(dir), |p| {
         let face = Centring::Side(dir).data_box(p.cell_box().grow(IntVector::uniform(GHOSTS)));
         face.intersect(p.data(mass_flux).data_box())
     });
-    batched_launch(
-        patches,
-        ex,
+    let mass = kernel(
         "advec-mass-flux",
-        Category::HydroKernel,
         [mass_flux, vol_flux, f.density1, f.pre_vol],
-        4,
-        20,
-        &regs,
+        &[f.density1, f.pre_vol],
+        (4, 20),
+        regs,
         |_kk, _i, mf, sbox, v, r| k::advec_mass_flux(mf, sbox, v[0], v[1], v[2], r, dir),
     );
-    let regs = regions_for(patches, pass, 4, Centring::Cell, |p| p.cell_box().grow(IntVector::ONE));
-    batched_launch(
-        patches,
-        ex,
+    launch_group(patches, ex, "advec-mass-flux", Category::HydroKernel, vec![mass]);
+    let energy = kernel(
         "advec-ener-flux",
-        Category::HydroKernel,
         [f.ener_flux, mass_flux, f.energy1, f.density1, f.pre_vol],
-        5,
-        20,
-        &regs,
+        &[f.energy1, f.density1, f.pre_vol],
+        (5, 20),
+        regions_for(patches, pass, 4, Centring::Cell, |p| p.cell_box().grow(IntVector::ONE)),
         |_kk, _i, ef, cbox, v, r| k::advec_ener_flux(ef, cbox, v[0], v[1], v[2], v[3], r, dir),
     );
-    // Revert-save (ordinal 5): stage pre-advection energy1/density1.
-    revert_save(patches, f, ex, pass, stash);
+    launch_group(patches, ex, "advec-ener-flux", Category::HydroKernel, vec![energy]);
     let interior = |p: &Patch| p.cell_box();
-    let regs = regions_for(patches, pass, 6, Centring::Cell, interior);
-    batched_launch(
-        patches,
-        ex,
-        "advec-cell",
-        Category::HydroKernel,
-        [f.energy1, f.pre_vol, mass_flux, f.ener_flux],
-        6,
-        20,
-        &regs,
-        |kk, i, e1, ebox, v, r| {
-            let st = &stash[i];
-            let e_old = k::View::new(st.old_e.as_slice(kk), st.ebox);
-            let r_old = k::View::new(st.old_r.as_slice(kk), st.ebox);
-            k::advec_cell_energy(e1, ebox, e_old, r_old, v[0], v[1], v[2], r, dir);
-        },
-    );
-    let regs = regions_for(patches, pass, 7, Centring::Cell, interior);
-    batched_launch(
-        patches,
-        ex,
-        "advec-ener-update",
-        Category::HydroKernel,
-        [f.density1, f.pre_vol, mass_flux, vol_flux],
-        5,
-        15,
-        &regs,
-        |kk, i, r1, rbox, v, r| {
-            let st = &stash[i];
-            let r_old = k::View::new(st.old_r.as_slice(kk), st.ebox);
-            k::advec_cell_density(r1, rbox, r_old, v[0], v[1], v[2], r, dir);
-        },
-    );
+    let saved = &*stash;
+    let updates = vec![
+        kernel(
+            "advec-cell-energy",
+            [f.energy1, f.pre_vol, mass_flux, f.ener_flux],
+            &[mass_flux, f.ener_flux],
+            (6, 20),
+            regions_for(patches, pass, 6, Centring::Cell, interior),
+            |kk, i, e1, ebox, v, r| {
+                let st = &saved[i];
+                let e_old = k::View::new(st.old_e.as_slice(kk), st.ebox);
+                let r_old = k::View::new(st.old_r.as_slice(kk), st.ebox);
+                k::advec_cell_energy(e1, ebox, e_old, r_old, v[0], v[1], v[2], r, dir);
+            },
+        ),
+        kernel(
+            "advec-cell-density",
+            [f.density1, f.pre_vol, mass_flux, vol_flux],
+            &[mass_flux, vol_flux],
+            (5, 15),
+            regions_for(patches, pass, 7, Centring::Cell, interior),
+            |kk, i, r1, rbox, v, r| {
+                let st = &saved[i];
+                let r_old = k::View::new(st.old_r.as_slice(kk), st.ebox);
+                k::advec_cell_density(r1, rbox, r_old, v[0], v[1], v[2], r, dir);
+            },
+        ),
+    ];
+    launch_group(patches, ex, "advec-cell", Category::HydroKernel, updates);
     if pass != Pass::Interior {
         stash.clear();
     }
     ex.charge_host(patches, Category::HydroKernel, |p| ghost(p).num_cells() * 6, 8, 40);
 }
 
-fn revert_save(
+/// The revert-save member (kernel ordinal 5 of the cell-advection
+/// chain), over the whole energy1 allocation rather than a compute
+/// region. On the interior or full pass it first stages the arrays, so
+/// the previous sweep's stash is dropped here.
+fn revert_save<'a>(
     patches: &[&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
     pass: Pass,
-    stash: &mut Vec<CellStash>,
-) {
-    // Kernel ordinal 5 of the cell-advection chain, over the whole
-    // energy1 allocation rather than a compute region.
+    stash: &'a mut Vec<CellStash>,
+) -> Member<'a> {
     let caps = regions_for(patches, pass, 5, Centring::Cell, |p| p.data(f.energy1).data_box());
     if pass != Pass::Boundary {
         stash.clear();
@@ -931,25 +1000,24 @@ fn revert_save(
             stash.push(CellStash { old_e: ex.stage(len), old_r: ex.stage(len), ebox });
         }
     }
-    let total: i64 = caps.iter().flatten().map(|b| b.num_cells()).sum();
-    if total == 0 {
-        return;
-    }
-    let shape = KernelShape::streaming(total * 2, 4, 0);
-    ex.launch("revert-save", Category::HydroKernel, shape, |kk| {
-        for ((p, st), caps) in patches.iter().zip(stash.iter_mut()).zip(&caps) {
-            let (e1, r1) = (view(p.data(f.energy1), kk), view(p.data(f.density1), kk));
-            for r in caps {
-                k::copy_field(st.old_e.as_mut_slice(kk), st.ebox, e1, *r);
-                k::copy_field(st.old_r.as_mut_slice(kk), st.ebox, r1, *r);
-            }
+    let cells: i64 = caps.iter().flatten().map(|b| b.num_cells()).sum();
+    let (energy1, density1) = (f.energy1, f.density1);
+    Member::new("revert-save", (None, &[]), (cells * 2, 4, 0), move |kk, i, p| {
+        let st = &mut stash[i];
+        let (e1, r1) = (view(p.data(energy1), kk), view(p.data(density1), kk));
+        for r in &caps[i] {
+            k::copy_field(st.old_e.as_mut_slice(kk), st.ebox, e1, *r);
+            k::copy_field(st.old_r.as_mut_slice(kk), st.ebox, r1, *r);
         }
-    });
+    })
 }
 
 /// Momentum advection — the compute half of the `post-sweep` overlap
 /// windows. Kernel ordinals 1–9 (the two save-vel slots keep their
-/// ordinal so later margins stay monotone).
+/// ordinal so later margins stay monotone), in six launches: node flux,
+/// post-sweep node mass and both velocity saves (nothing before the
+/// saves writes a velocity), the pre-sweep node mass, then per velocity
+/// its momentum flux and its update.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn advec_mom(
     patches: &mut [&mut Patch],
@@ -978,95 +1046,80 @@ pub(crate) fn advec_mom(
         );
     }
     let node_region = |p: &Patch| Centring::Node.data_box(p.cell_box().grow(IntVector::ONE));
-    let regs = regions_for(patches, pass, 1, Centring::Node, node_region);
-    batched_launch(
-        patches,
-        ex,
-        "mom-node-flux",
-        Category::HydroKernel,
-        [f.node_flux, mass_flux],
-        2,
-        4,
-        &regs,
-        |_kk, _i, nf, nbox, v, r| k::mom_node_flux(nf, nbox, v[0], r, dir),
-    );
-    let regs = regions_for(patches, pass, 2, Centring::Node, node_region);
-    batched_launch(
-        patches,
-        ex,
-        "mom-node-mass-post",
-        Category::HydroKernel,
-        [f.node_mass_post, f.density1, f.post_vol],
-        3,
-        8,
-        &regs,
-        |_kk, _i, nm, nbox, v, r| k::mom_node_mass_post(nm, nbox, v[0], v[1], r),
-    );
-    let regs = regions_for(patches, pass, 3, Centring::Node, node_region);
-    batched_launch(
-        patches,
-        ex,
-        "mom-node-mass-pre",
-        Category::HydroKernel,
-        [f.node_mass_pre, f.node_mass_post, f.node_flux],
-        3,
-        2,
-        &regs,
-        |_kk, _i, nm, nbox, v, r| k::mom_node_mass_pre(nm, nbox, v[0], v[1], r, dir),
-    );
+    let vels = [f.xvel1, f.yvel1];
+    let mut nodes = vec![
+        kernel(
+            "mom-node-flux",
+            [f.node_flux, mass_flux],
+            &[mass_flux],
+            (2, 4),
+            regions_for(patches, pass, 1, Centring::Node, node_region),
+            |_kk, _i, nf, nbox, v, r| k::mom_node_flux(nf, nbox, v[0], r, dir),
+        ),
+        kernel(
+            "mom-node-mass-post",
+            [f.node_mass_post, f.density1, f.post_vol],
+            &[f.density1, f.post_vol],
+            (3, 8),
+            regions_for(patches, pass, 2, Centring::Node, node_region),
+            |_kk, _i, nm, nbox, v, r| k::mom_node_mass_post(nm, nbox, v[0], v[1], r),
+        ),
+    ];
+    // Save-vel (ordinals 5 and 8): full capture of the untouched
+    // velocities at the interior (or full) pass.
     if pass != Pass::Boundary {
         stash.clear();
         for p in patches.iter() {
-            stash.push(MomStash { old: Vec::new(), vbox: p.data(f.xvel1).data_box() });
+            let vbox = p.data(f.xvel1).data_box();
+            let len = vbox.num_cells() as usize;
+            stash.push(MomStash { old: vec![ex.stage(len), ex.stage(len)], vbox });
         }
+        let cells: i64 = stash.iter().map(|s| s.vbox.num_cells()).sum();
+        let saves = &mut *stash;
+        nodes.push(Member::new("mom-save-vel", (None, &[]), (2 * cells, 2, 0), move |kk, i, p| {
+            let st = &mut saves[i];
+            for (old, vel) in st.old.iter_mut().zip(vels) {
+                k::copy_field(old.as_mut_slice(kk), st.vbox, view(p.data(vel), kk), st.vbox);
+            }
+        }));
     }
-    for (vi, vel) in [f.xvel1, f.yvel1].into_iter().enumerate() {
+    launch_group(patches, ex, "advec-mom-node", Category::HydroKernel, nodes);
+    let pre = kernel(
+        "mom-node-mass-pre",
+        [f.node_mass_pre, f.node_mass_post, f.node_flux],
+        &[f.node_flux],
+        (3, 2),
+        regions_for(patches, pass, 3, Centring::Node, node_region),
+        |_kk, _i, nm, nbox, v, r| k::mom_node_mass_pre(nm, nbox, v[0], v[1], r, dir),
+    );
+    launch_group(patches, ex, "mom-node-mass-pre", Category::HydroKernel, vec![pre]);
+    for (vi, vel) in vels.into_iter().enumerate() {
         let base = 4 + 3 * vi as u32;
-        let regs = regions_for(patches, pass, base, Centring::Node, node_region);
-        batched_launch(
-            patches,
-            ex,
+        let flux = kernel(
             "mom-flux",
-            Category::HydroKernel,
             [f.mom_flux, vel, f.node_flux, f.node_mass_pre],
-            4,
-            25,
-            &regs,
+            &[vel, f.node_mass_pre],
+            (4, 25),
+            regions_for(patches, pass, base, Centring::Node, node_region),
             |_kk, _i, mf, nbox, v, r| k::mom_flux(mf, nbox, v[0], v[1], v[2], r, dir),
         );
-        // Save-vel (ordinal base+1): full capture of the untouched
-        // velocity at the interior (or full) pass.
-        if pass != Pass::Boundary && !patches.is_empty() {
-            let total: i64 = stash.iter().map(|s| s.vbox.num_cells()).sum();
-            for st in stash.iter_mut() {
-                st.old.push(ex.stage(st.vbox.num_cells() as usize));
-            }
-            let shape = KernelShape::streaming(total, 2, 0);
-            ex.launch("mom-save-vel", Category::HydroKernel, shape, |kk| {
-                for (st, p) in stash.iter_mut().zip(patches.iter()) {
-                    let old = st.old[vi].as_mut_slice(kk);
-                    k::copy_field(old, st.vbox, view(p.data(vel), kk), st.vbox);
-                }
-            });
-        }
-        let regs = regions_for(patches, pass, base + 2, Centring::Node, |p| {
-            Centring::Node.data_box(p.cell_box())
-        });
-        batched_launch(
-            patches,
-            ex,
+        launch_group(patches, ex, "mom-flux", Category::HydroKernel, vec![flux]);
+        let saved = &*stash;
+        let update = kernel(
             "mom-vel-update",
-            Category::HydroKernel,
             [vel, f.mom_flux, f.node_mass_pre, f.node_mass_post],
-            5,
-            10,
-            &regs,
+            &[f.mom_flux],
+            (5, 10),
+            regions_for(patches, pass, base + 2, Centring::Node, |p| {
+                Centring::Node.data_box(p.cell_box())
+            }),
             |kk, i, out, obox, v, r| {
-                let st = &stash[i];
+                let st = &saved[i];
                 let v_old = k::View::new(st.old[vi].as_slice(kk), st.vbox);
                 k::mom_vel_update(out, obox, v_old, v[0], v[1], v[2], r, dir);
             },
         );
+        launch_group(patches, ex, "mom-vel-update", Category::HydroKernel, vec![update]);
     }
     if pass != Pass::Interior {
         stash.clear();
@@ -1074,7 +1127,7 @@ pub(crate) fn advec_mom(
     ex.charge_host(patches, Category::HydroKernel, |p| node_region(p).num_cells() * 7, 7, 30);
 }
 
-/// End-of-step field reset: four full-region copies.
+/// End-of-step field reset: four full-region copies, one launch.
 pub(crate) fn reset(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) {
     if ex.copy_back() {
         roundtrip(
@@ -1082,37 +1135,41 @@ pub(crate) fn reset(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) {
             &[f.density0, f.energy0, f.xvel0, f.yvel0, f.density1, f.energy1, f.xvel1, f.yvel1],
         );
     }
-    for (dst, src, node) in [
-        (f.density0, f.density1, false),
-        (f.energy0, f.energy1, false),
-        (f.xvel0, f.xvel1, true),
-        (f.yvel0, f.yvel1, true),
-    ] {
+    let copies = [
+        ("reset-density", f.density0, f.density1, Centring::Cell),
+        ("reset-energy", f.energy0, f.energy1, Centring::Cell),
+        ("reset-xvel", f.xvel0, f.xvel1, Centring::Node),
+        ("reset-yvel", f.yvel0, f.yvel1, Centring::Node),
+    ];
+    let group = copies.map(|(name, dst, src, centring)| {
         let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, |p| {
-            if node {
-                Centring::Node.data_box(p.cell_box())
-            } else {
-                p.cell_box()
-            }
+            centring.data_box(p.cell_box())
         });
-        batched_launch(
-            patches,
-            ex,
-            "copy-field",
-            Category::HydroKernel,
-            [dst, src],
-            2,
-            0,
-            &regs,
-            |_kk, _i, d, dbox, v, r| k::copy_field(d, dbox, v[0], r),
-        );
-    }
+        kernel(name, [dst, src], &[], (2, 0), regs, |_kk, _i, d, dbox, v, r| {
+            k::copy_field(d, dbox, v[0], r);
+        })
+    });
+    launch_group(patches, ex, "reset-field", Category::HydroKernel, group.into());
     ex.charge_host(patches, Category::HydroKernel, |p| p.cell_box().num_cells() * 4, 2, 0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    /// One launch group as [`launch_group`] saw it: its launch name, its
+    /// members' kernel names, and the group rule's verdict.
+    type Group = (&'static str, Vec<&'static str>, Result<(), (&'static str, &'static str)>);
+
+    thread_local! {
+        static GROUPS: RefCell<Vec<Group>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn record(name: &'static str, members: &[Member<'_>]) {
+        let kernels = members.iter().map(|m| m.kernel).collect();
+        GROUPS.with(|g| g.borrow_mut().push((name, kernels, group_rule(members))));
+    }
 
     #[test]
     fn margins_are_monotone_with_stencil_gap() {
@@ -1420,6 +1477,102 @@ mod tests {
                     "{what}: {budgets:?}"
                 );
             }
+        }
+    }
+
+    /// A step's launches, in order, with their members: 27 groups.
+    const STEP: [(&str, &[&str]); 27] = [
+        ("ideal-gas-viscosity", &["ideal-gas-pressure", "ideal-gas-soundspeed", "viscosity"]),
+        ("calc-dt", &["calc-dt"]),
+        (
+            "pdv-predict",
+            &[
+                "pdv-energy",
+                "pdv-density",
+                "ideal-gas-pressure",
+                "ideal-gas-soundspeed",
+                "revert-density",
+                "revert-energy",
+            ],
+        ),
+        ("accelerate", &["accelerate-x", "accelerate-y"]),
+        ("pdv", &["pdv-energy", "pdv-density"]),
+        ("flux-calc", &["flux-calc-x", "flux-calc-y"]),
+        ("advec-cell-vol", &["advec-pre-vol", "advec-post-vol", "revert-save"]),
+        ("advec-mass-flux", &["advec-mass-flux"]),
+        ("advec-ener-flux", &["advec-ener-flux"]),
+        ("advec-cell", &["advec-cell-energy", "advec-cell-density"]),
+        ("advec-mom-node", &["mom-node-flux", "mom-node-mass-post", "mom-save-vel"]),
+        ("mom-node-mass-pre", &["mom-node-mass-pre"]),
+        ("mom-flux", &["mom-flux"]),
+        ("mom-vel-update", &["mom-vel-update"]),
+        ("mom-flux", &["mom-flux"]),
+        ("mom-vel-update", &["mom-vel-update"]),
+        ("advec-cell-vol", &["advec-pre-vol", "advec-post-vol", "revert-save"]),
+        ("advec-mass-flux", &["advec-mass-flux"]),
+        ("advec-ener-flux", &["advec-ener-flux"]),
+        ("advec-cell", &["advec-cell-energy", "advec-cell-density"]),
+        ("advec-mom-node", &["mom-node-flux", "mom-node-mass-post", "mom-save-vel"]),
+        ("mom-node-mass-pre", &["mom-node-mass-pre"]),
+        ("mom-flux", &["mom-flux"]),
+        ("mom-vel-update", &["mom-vel-update"]),
+        ("mom-flux", &["mom-flux"]),
+        ("mom-vel-update", &["mom-vel-update"]),
+        ("reset-field", &["reset-density", "reset-energy", "reset-xvel", "reset-yvel"]),
+    ];
+
+    /// Every launch group obeys the group rule — no member reads at a
+    /// neighbour what an earlier member of its launch writes, or
+    /// overwrites what an earlier one reads there — so each launch is
+    /// one legal data-parallel kernel. A whole-pass step is exactly
+    /// [`STEP`] on both placements, and the windowed phases' interior
+    /// and boundary passes obey the rule too. Moving `advec-mass-flux`
+    /// (a stencil read of `pre_vol`) into `advec-cell-vol` fails here.
+    #[test]
+    fn every_launch_group_obeys_the_group_rule() {
+        let device = Device::k20x();
+        let stream = Stream::new(&device);
+        let placements: [(Exec<'_>, std::sync::Arc<dyn rbamr_amr::DataFactory>); 2] = [
+            (Exec::Host(None), std::sync::Arc::new(rbamr_amr::HostDataFactory::new())),
+            (
+                Exec::Device { device: &device, stream: &stream, copy_back: false },
+                std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(device.clone())),
+            ),
+        ];
+        for (ex, factory) in placements {
+            let (reg, f) = registry(factory);
+            let boxes = [GBox::from_coords(0, 0, 64, 48), GBox::from_coords(0, 0, 24, 24)];
+            let mut levels: Vec<Patch> =
+                (0..2).map(|l| random_patch_in(&reg, (l, 0), boxes[l], l as u64)).collect();
+            let mut patches: Vec<&mut Patch> = levels.iter_mut().collect();
+            let dx = [(0.05, 0.05), (0.025, 0.025)];
+            let (mut cells, mut moms) = (Vec::new(), Vec::new());
+            let mut step = |p: &mut [&mut Patch], pass: Pass| {
+                eos_viscosity(p, &f, ex, pass, 1.4, &dx);
+                flux_calc(p, &f, ex, pass, &dx, 1e-3);
+                advec_cell(p, &f, ex, pass, &dx, 1, 2, &mut cells);
+                advec_mom(p, &f, ex, pass, 0, &mut moms);
+            };
+            GROUPS.with(|g| g.borrow_mut().clear());
+            step(&mut patches, Pass::Interior);
+            step(&mut patches, Pass::Boundary);
+            eos_viscosity(&mut patches, &f, ex, Pass::Full, 1.4, &dx);
+            calc_dt(&mut patches, &f, ex, &dx, 0.5);
+            lagrangian_pre(&mut patches, &f, ex, 1.4, &dx, 1e-3);
+            flux_calc(&mut patches, &f, ex, Pass::Full, &dx, 1e-3);
+            for (dir, sweep) in [(0, 1), (1, 2)] {
+                advec_cell(&mut patches, &f, ex, Pass::Full, &dx, dir, sweep, &mut cells);
+                advec_mom(&mut patches, &f, ex, Pass::Full, dir, &mut moms);
+            }
+            reset(&mut patches, &f, ex);
+            let groups = GROUPS.with(|g| g.take());
+            for (name, kernels, rule) in &groups {
+                assert_eq!(*rule, Ok(()), "{name}: {kernels:?}");
+            }
+            let split = groups.len() - STEP.len();
+            let whole: Vec<_> =
+                groups[split..].iter().map(|(n, k, _)| (*n, k.as_slice())).collect();
+            assert_eq!(whole, STEP);
         }
     }
 

@@ -38,7 +38,8 @@
 use proptest::prelude::*;
 use rbamr_device::DeviceStats;
 use rbamr_hydro::level_executor::{
-    hydro_launches, MAX_LAUNCHES_PER_STEP, MAX_SPLIT_LAUNCHES_PER_STEP,
+    hydro_launches, DATA_MOVEMENT_KERNEL_NAMES, HYDRO_KERNEL_NAMES, MAX_LAUNCHES_PER_STEP,
+    MAX_SPLIT_LAUNCHES_PER_STEP, TAG_KERNEL_NAMES,
 };
 use rbamr_hydro::{
     HydroConfig, HydroSim, Placement, RecoveryPolicy, RegionInit, ResilientSim, SimSpec,
@@ -82,6 +83,10 @@ struct RunConfig {
 }
 
 const LEVELS: usize = 2;
+
+/// Hydro launches per step on one rank, where no window splits: the
+/// step's kernel groups, each once.
+const STEP_GROUPS: u64 = 27;
 
 /// Everything observable about one rank of a run: per-step digests,
 /// cumulative device transfer/launch statistics, deterministic recorder
@@ -583,12 +588,13 @@ fn data_movement_launches_scale_with_fills_not_patches() {
 }
 
 /// A window splits into interior and boundary passes only where this
-/// rank receives a message in it. On one rank every windowed kernel
+/// rank receives a message in it. On one rank every windowed group
 /// launches once per window and no pass waits on an exchange; on two
 /// ranks, where every window of this 64-wide-patch deck has a remote
 /// peer, the passes still split (interior cores are non-empty, so each
-/// pass launches) and each window's boundary pass waits once. Hydro
-/// launches per step stay within the bound of each regime. The
+/// pass launches) and each window's boundary pass waits once. One rank
+/// launches exactly the step's 27 groups per step; two ranks stay
+/// within the split bound. The
 /// digests equal the host build's, which runs every phase whole — and
 /// whole equals interior + boundary bitwise
 /// (`one_pass_over_every_level_equals_a_pass_per_level`).
@@ -609,21 +615,42 @@ fn windows_split_only_where_a_peer_sends() {
         for (rank, t) in device.iter().enumerate() {
             let c = |name: &str| t.step_counters.get(name).copied().unwrap_or(0);
             let launches = |name: &str| c(&format!("device.kernel_launches.{name}"));
-            // `viscosity` runs in the step's first window only,
-            // `flux-calc` (x, then y) in its second only.
-            let windowed = (launches("viscosity"), launches("flux-calc"));
-            assert_eq!(
-                windowed,
-                (passes * steps, 2 * passes * steps),
-                "{ranks} ranks, rank {rank}"
-            );
+            // `ideal-gas-viscosity` runs in the step's first window
+            // only, `flux-calc` (x and y together) in its second only.
+            let windowed = (launches("ideal-gas-viscosity"), launches("flux-calc"));
+            assert_eq!(windowed, (passes * steps, passes * steps), "{ranks} ranks, rank {rank}");
             let waits = c("device.stream_waits.halo-exchange");
             assert_eq!(waits, (passes - 1) * 5 * steps, "{ranks} ranks, rank {rank}: waits");
+            if ranks == 1 {
+                assert_eq!(t.hydro_launches, STEP_GROUPS * steps, "one rank: the step's groups");
+            }
             assert!(
                 t.hydro_launches <= bound * steps,
                 "{ranks} ranks, rank {rank}: {} hydro launches in {steps} steps exceed {bound} per step",
                 t.hydro_launches
             );
+        }
+    }
+}
+
+/// Every launch of a traced 4-rank run — its steps and the regrid they
+/// include — is budgeted: each `device.kernel_launches.<name>` counter
+/// names a kernel of exactly one of the hydro, data-movement and tagging
+/// lists, so a renamed launch cannot escape every budget.
+#[test]
+fn every_launch_name_belongs_to_exactly_one_budget() {
+    let cfg = RunConfig { deck: 1, ranks: 4, cells: 64, patch: 16, steps: 3 };
+    let lists = [HYDRO_KERNEL_NAMES, DATA_MOVEMENT_KERNEL_NAMES, TAG_KERNEL_NAMES];
+    for (rank, t) in run(cfg, None, Placement::Device).iter().enumerate() {
+        let names: Vec<&str> = t
+            .step_counters
+            .keys()
+            .filter_map(|k| k.strip_prefix("device.kernel_launches."))
+            .collect();
+        assert!(names.iter().any(|n| TAG_KERNEL_NAMES.contains(n)), "rank {rank}: no regrid ran");
+        for name in names {
+            let homes = lists.iter().filter(|l| l.contains(&name)).count();
+            assert_eq!(homes, 1, "rank {rank}: `{name}` is in {homes} budget lists");
         }
     }
 }

@@ -28,6 +28,21 @@ impl KernelShape {
     }
 }
 
+/// Kernels run as one launch: their bytes and FLOPs add up.
+impl std::ops::Add for KernelShape {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self { bytes: self.bytes + other.bytes, flops: self.flops + other.flops }
+    }
+}
+
+impl std::iter::Sum for KernelShape {
+    fn sum<I: Iterator<Item = Self>>(shapes: I) -> Self {
+        shapes.fold(Self::default(), |a, b| a + b)
+    }
+}
+
 /// Cost model bound to one machine description.
 #[derive(Clone, Debug)]
 pub struct CostModel {

@@ -34,9 +34,10 @@ impl DeviceModel {
     /// reflects pipelined asynchronous launches (dispatch cost, not the
     /// full ~8 us round trip) — calibrated so the Figure 9 sweep lands
     /// on the paper's small-problem slowdown; this codebase issues
-    /// finer-grained kernels (~52/patch/step) than CloverLeaf's fused
-    /// Fortran-CUDA kernels, so a per-launch cost at the high end would
-    /// double-count overhead the original code did not pay.
+    /// finer-grained kernels (27 launches per step, one per kernel
+    /// group, where CloverLeaf's fused Fortran-CUDA kernels number ~15),
+    /// so a per-launch cost at the high end would double-count overhead
+    /// the original code did not pay.
     pub fn k20x() -> Self {
         Self {
             name: "NVIDIA Tesla K20x".into(),
