@@ -65,7 +65,8 @@ pub use patch::{Patch, PatchId};
 pub use patchdata::{Element, PatchData};
 pub use regrid::{RegridOutcome, RegridParams, Regridder};
 pub use schedule::{
-    CoarsenSchedule, FillWindow, PendingFill, RefineSchedule, ScheduleBuild, ScheduleCache,
+    CoarsenSchedule, DescriptorTable, FillWindow, PassTables, PendingFill, RefineSchedule,
+    ScheduleBuild, ScheduleCache,
 };
 pub use stats::{hierarchy_stats, HierarchyStats};
 pub use tagging::TagBitmap;

@@ -331,8 +331,9 @@ impl Regridder {
         // level, held here until the data has moved.
         let mut outgoing = hierarchy.install_level(target, new_level);
         let old = outgoing.as_ref();
-        let transfer =
-            RefineSchedule::regrid_transfer(hierarchy, old, registry, target, specs, true);
+        let transfer = Arc::new(RefineSchedule::regrid_transfer(
+            hierarchy, old, registry, target, specs, true,
+        ));
         transfer.try_transfer(hierarchy, outgoing.as_mut(), registry, comm, time)
     }
 }

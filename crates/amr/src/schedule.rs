@@ -299,18 +299,20 @@ impl ScheduleCache {
 /// One value is one build *pass*: each level's index and local
 /// positions are made once, and its fill geometry is walked once per
 /// class of variables, for every schedule the pass builds; all of it is
-/// dropped with the value.
+/// dropped with the value, except what it handed out, built or cached:
+/// the pass's [`PassTables`] ([`ScheduleBuild::into_tables`]).
 pub struct ScheduleBuild<'c> {
     /// When set, built schedules are cached and structure-preserving
     /// rebuilds become `Arc` clones.
     pub cache: Option<&'c mut ScheduleCache>,
     memo: PassMemo,
+    tables: PassTables,
 }
 
 impl ScheduleBuild<'static> {
     /// Indexed build, no caching.
     pub fn indexed() -> Self {
-        Self { cache: None, memo: PassMemo::default() }
+        Self { cache: None, memo: PassMemo::default(), tables: PassTables::default() }
     }
 }
 
@@ -336,7 +338,8 @@ impl<'c> ScheduleBuild<'c> {
             if let Some(hit) = cache.refine.get(&key) {
                 cache.hits += 1;
                 count_if_enabled(hierarchy, "schedule.cache_hits");
-                return Arc::clone(hit);
+                let hit = Arc::clone(hit);
+                return self.hand_out(hit);
             }
         }
         let built = Arc::new(RefineSchedule::build(
@@ -352,7 +355,7 @@ impl<'c> ScheduleBuild<'c> {
             count_if_enabled(hierarchy, "schedule.cache_misses");
             cache.refine.insert(key, Arc::clone(&built));
         }
-        built
+        self.hand_out(built)
     }
 
     /// Build (or fetch) the synchronisation schedule projecting
@@ -373,7 +376,8 @@ impl<'c> ScheduleBuild<'c> {
             if let Some(hit) = cache.coarsen.get(&key) {
                 cache.hits += 1;
                 count_if_enabled(hierarchy, "schedule.cache_hits");
-                return Arc::clone(hit);
+                let hit = Arc::clone(hit);
+                return self.hand_out(hit);
             }
         }
         let memo = &mut self.memo;
@@ -384,7 +388,18 @@ impl<'c> ScheduleBuild<'c> {
             count_if_enabled(hierarchy, "schedule.cache_misses");
             cache.coarsen.insert(key, Arc::clone(&built));
         }
-        built
+        self.hand_out(built)
+    }
+
+    /// Hand `sched` out, its table one of the pass's.
+    fn hand_out<S: DescriptorTable + 'static>(&mut self, sched: Arc<S>) -> Arc<S> {
+        self.tables.push(Arc::clone(&sched) as _);
+        sched
+    }
+
+    /// The tables of every schedule the pass handed out, in order.
+    pub fn into_tables(self) -> PassTables {
+        self.tables
     }
 }
 
@@ -449,21 +464,44 @@ const fn agg_tag(kind: u64, level_no: usize) -> u64 {
     (kind << 60) | level_no as u64
 }
 
-/// The placement's handle on a schedule's descriptor table (see
-/// [`DataFactory::upload_descriptors`]): made when the schedule first
-/// executes, dropped with the schedule.
-type Resident = Mutex<Option<Box<dyn Any + Send + Sync>>>;
+/// A table of descriptor words fused kernels index: every schedule's
+/// job lists, and the integrator's batch plan.
+pub trait DescriptorTable: Send + Sync {
+    /// Render the table's words, in order.
+    fn describe(&self, w: &mut DescriptorWords<'_>);
+}
 
-/// Ask the placement for the handle unless one is held.
-fn ensure_resident(
-    resident: &Resident,
-    factory: &dyn DataFactory,
-    mut words: impl FnMut() -> Vec<i32>,
-    category: Category,
-) {
-    let mut held = resident.lock().expect("descriptor upload panicked");
-    if held.is_none() {
-        *held = factory.upload_descriptors(&mut words, category);
+/// The descriptor tables one build pass holds, in pass order: a
+/// [`ScheduleBuild`]'s schedules, the integrator's batch plan, or a
+/// regrid transfer alone. The first fill after the pass makes them
+/// resident, in place of the tables held before, with one
+/// [`DataFactory::upload_tables`] call; nothing renders them sooner.
+#[derive(Default)]
+pub struct PassTables(Vec<Arc<dyn DescriptorTable>>);
+
+impl PassTables {
+    /// Add `table` after those held, unless it is one of them (two
+    /// fills of the same variables share a schedule).
+    pub fn push(&mut self, table: Arc<dyn DescriptorTable>) {
+        if !self.0.iter().any(|t| std::ptr::addr_eq(Arc::as_ptr(t), Arc::as_ptr(&table))) {
+            self.0.push(table);
+        }
+    }
+
+    /// The tables, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &Arc<dyn DescriptorTable>> {
+        self.0.iter()
+    }
+
+    /// Render every table into `out`, back to back, or only count the
+    /// words without one; returns the count.
+    ///
+    /// # Panics
+    /// Panics if `out` holds fewer words.
+    pub fn render(&self, out: Option<&mut [i32]>) -> usize {
+        let mut w = DescriptorWords { out, len: 0 };
+        self.0.iter().for_each(|t| t.describe(&mut w));
+        w.len
     }
 }
 
@@ -508,10 +546,9 @@ pub struct RefineSchedule {
     /// Interpolation jobs by operator, operators in order of first use.
     refines: Vec<(Arc<dyn RefineOperator>, Vec<RefineJob>)>,
     physical: Vec<PhysicalPlan>,
-    resident: Resident,
     /// What the physical-boundary strategy keeps between fills (see
     /// [`PhysicalBoundary::fill_many`]).
-    boundary_kept: Resident,
+    boundary_kept: Mutex<Option<Box<dyn Any + Send + Sync>>>,
 }
 
 impl RefineSchedule {
@@ -826,21 +863,6 @@ impl RefineSchedule {
             + list_bytes(&self.physical, |p| p.outside.heap_bytes())
     }
 
-    /// Render every job list as descriptor words (see
-    /// [`DataFactory::upload_descriptors`]).
-    fn descriptor_words(&self) -> Vec<i32> {
-        let mut w = DescriptorWords(Vec::new());
-        w.copies(&self.copies);
-        w.streams(&self.sends);
-        w.copies(&self.captures);
-        w.streams(&self.recvs);
-        w.extends(&self.covered);
-        for (_, jobs) in &self.refines {
-            w.refines(jobs);
-        }
-        w.0
-    }
-
     /// Execute the fill.
     ///
     /// `comm` is required when the schedule contains remote plans;
@@ -886,9 +908,10 @@ impl RefineSchedule {
     /// without the physical boundaries (the next halo fill sets the new
     /// level's ghosts), charged to [`Category::Regrid`], run-through
     /// after a fault as [`RefineSchedule::try_fill`]. `outgoing` is the
-    /// level [`RefineSchedule::regrid_transfer`] planned against.
+    /// level [`RefineSchedule::regrid_transfer`] planned against. The
+    /// transfer is a build pass of its own, uploading its table first.
     pub(crate) fn try_transfer(
-        &self,
+        self: &Arc<Self>,
         hierarchy: &mut PatchHierarchy,
         outgoing: Option<&mut PatchLevel>,
         registry: &VariableRegistry,
@@ -899,7 +922,10 @@ impl RefineSchedule {
         let _span = hierarchy.recorder().is_enabled().then(|| {
             hierarchy.recorder().span_arg("regrid-transfer", category, self.level_no as i64)
         });
-        let window = FillWindow::new(vec![self]);
+        let mut tables = PassTables::default();
+        tables.push(Arc::clone(self) as _);
+        registry.factory().upload_tables(&tables, category);
+        let window = FillWindow::new(vec![self.as_ref()]);
         let mut pending = window.begin_with(hierarchy, outgoing, registry, comm, category);
         let transferred = pending.receive_and_interpolate(hierarchy, comm, category);
         self.stamp(hierarchy.level_mut(self.level_no), time);
@@ -912,6 +938,19 @@ impl RefineSchedule {
             for &v in &self.vars {
                 p.data_mut(v).set_time(time);
             }
+        }
+    }
+}
+
+impl DescriptorTable for RefineSchedule {
+    fn describe(&self, w: &mut DescriptorWords<'_>) {
+        w.copies(&self.copies);
+        w.streams(&self.sends);
+        w.copies(&self.captures);
+        w.streams(&self.recvs);
+        w.extends(&self.covered);
+        for (_, jobs) in &self.refines {
+            w.refines(jobs);
         }
     }
 }
@@ -1095,7 +1134,6 @@ impl<'a> Planner<'a> {
             covered: Vec::new(),
             refines: Vec::new(),
             physical: Vec::new(),
-            resident: Mutex::new(None),
             boundary_kept: Mutex::new(None),
         };
         let (sends, recvs) = Default::default();
@@ -1364,7 +1402,6 @@ pub struct CoarsenSchedule {
     send_peers: Vec<PeerStream>,
     recvs: Vec<StreamJob>,
     recv_peers: Vec<PeerStream>,
-    resident: Resident,
 }
 
 impl CoarsenSchedule {
@@ -1523,17 +1560,7 @@ impl CoarsenSchedule {
         record_build_telemetry(hierarchy, candidate_pairs, build_start);
         let (sends, send_peers) = sends.finish();
         let (recvs, recv_peers) = recvs.finish();
-        Self {
-            fine_level_no,
-            scratch,
-            projects,
-            applies,
-            sends,
-            send_peers,
-            recvs,
-            recv_peers,
-            resident: Mutex::new(None),
-        }
+        Self { fine_level_no, scratch, projects, applies, sends, send_peers, recvs, recv_peers }
     }
 
     /// Canonical rendering of every sync plan, sorted (see
@@ -1608,7 +1635,6 @@ impl CoarsenSchedule {
             rec.span_arg("coarsen-sync", category, self.fine_level_no as i64)
         });
         let factory = registry.factory().as_ref();
-        ensure_resident(&self.resident, factory, || self.descriptor_words(), category);
         let ratio = hierarchy.ratio_to_coarser(self.fine_level_no);
         let mut scratches = make_scratch(registry, &self.scratch, category);
         let mut ctx = TransferCtx { hierarchy, scratch: &mut scratches, outgoing: None };
@@ -1656,18 +1682,16 @@ impl CoarsenSchedule {
             + list_bytes(&self.send_peers, |_| 0)
             + list_bytes(&self.recv_peers, |_| 0)
     }
+}
 
-    /// Render every job list as descriptor words (see
-    /// [`DataFactory::upload_descriptors`]).
-    fn descriptor_words(&self) -> Vec<i32> {
-        let mut w = DescriptorWords(Vec::new());
+impl DescriptorTable for CoarsenSchedule {
+    fn describe(&self, w: &mut DescriptorWords<'_>) {
         for (_, jobs) in &self.projects {
             w.coarsens(jobs);
         }
         w.streams(&self.sends);
         w.copies(&self.applies);
         w.streams(&self.recvs);
-        w.0
     }
 }
 
@@ -1975,6 +1999,8 @@ mod tests {
             build.refine(&h, &reg, 1, &without),
             build.coarsen(&h, &reg, 1, &sync),
         );
+        // The pass holds what it hands out, as its tables, until it ends.
+        drop(build);
         assert_eq!((cache.hits(), cache.misses()), (0, 3));
         assert_eq!(cache.len(), 3);
         assert!(cache.heap_bytes() >= held.0.heap_bytes() + held.2.heap_bytes());

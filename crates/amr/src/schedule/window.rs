@@ -150,9 +150,6 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
         category: Category,
     ) -> PendingFill<'_, S> {
         let factory = Arc::clone(registry.factory());
-        for s in self.members() {
-            ensure_resident(&s.resident, factory.as_ref(), || s.descriptor_words(), category);
-        }
 
         // 1. Interpolation scratch, then one copy stage: the same-level
         //    local copies, then the scratch's *local* coarse sources.

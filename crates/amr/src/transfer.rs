@@ -358,15 +358,32 @@ pub struct CoarsenJob {
     pub src_idx: u32,
 }
 
-/// Packed descriptor words of a stage's job lists — what a fused kernel
-/// indexes instead of receiving per-job arguments. A device factory
-/// uploads them once per schedule; the simulated kernels walk the host
-/// job lists, which hold the same numbers.
-pub(crate) struct DescriptorWords(pub(crate) Vec<i32>);
+/// Where a [`DescriptorTable`](crate::schedule::DescriptorTable)
+/// renders its packed words — what a fused kernel indexes instead of
+/// receiving per-job arguments; the simulated kernels walk the host job
+/// lists, which hold the same numbers. Without an output it only counts.
+pub struct DescriptorWords<'a> {
+    pub(crate) out: Option<&'a mut [i32]>,
+    pub(crate) len: usize,
+}
 
-impl DescriptorWords {
-    fn word(&mut self, v: impl TryInto<i32>) {
-        self.0.push(v.try_into().unwrap_or_else(|_| panic!("descriptor word exceeds 32 bits")));
+impl DescriptorWords<'_> {
+    /// Append one word.
+    ///
+    /// # Panics
+    /// Panics if `v` does not fit in 32 bits.
+    pub fn word(&mut self, v: impl TryInto<i32>) {
+        let v = v.try_into().unwrap_or_else(|_| panic!("descriptor word exceeds 32 bits"));
+        if let Some(out) = self.out.as_deref_mut() {
+            out[self.len] = v;
+        }
+        self.len += 1;
+    }
+
+    /// Append a 64-bit value as two words, low half first.
+    pub fn wide(&mut self, v: i64) {
+        self.word(v as i32);
+        self.word((v >> 32) as i32);
     }
 
     fn loc(&mut self, loc: Loc) {

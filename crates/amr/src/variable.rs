@@ -2,13 +2,13 @@
 
 use crate::ops::{CoarsenOperator, RefineOperator};
 use crate::patchdata::PatchData;
+use crate::schedule::PassTables;
 use crate::transfer::{
     CoarsenJob, CopyJob, Loc, OpGroup, Part, PeerStream, RefineJob, StreamJob, TransferCtx,
 };
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
 use rbamr_perfmodel::Category;
-use std::any::Any;
 use std::sync::Arc;
 
 /// Identifier of a registered variable — an index into the
@@ -135,18 +135,13 @@ pub trait DataFactory: Send + Sync {
         }
     }
 
-    /// Make a schedule's descriptor table resident where this factory's
-    /// data lives, and return the handle that keeps it there. Called
-    /// when a schedule that holds no handle executes. `words` renders
-    /// the table; the default — data the host addresses directly needs
-    /// no table — never calls it.
-    fn upload_descriptors(
-        &self,
-        words: &mut dyn FnMut() -> Vec<i32>,
-        category: Category,
-    ) -> Option<Box<dyn Any + Send + Sync>> {
-        let _ = (words, category);
-        None
+    /// Make a build pass's descriptor tables resident where this
+    /// factory's data lives, in place of the tables it held before:
+    /// called at the first fill after the pass (see [`PassTables`]).
+    /// The default — data the host addresses directly needs no table —
+    /// renders and uploads nothing.
+    fn upload_tables(&self, tables: &PassTables, category: Category) {
+        let _ = (tables, category);
     }
 }
 

@@ -321,16 +321,30 @@ impl Device {
         src: &[T],
         category: Category,
     ) {
+        self.upload_with(dst, offset, src.len(), category, |out| out.copy_from_slice(src));
+    }
+
+    /// [`Device::upload`] of `len` elements that `write` produces
+    /// straight into the destination range, with no host image of its
+    /// own: the same transfer, charge and fault site.
+    ///
+    /// # Panics
+    /// Panics if the destination range is out of bounds.
+    pub fn upload_with<T: memory::DeviceCopy>(
+        &self,
+        dst: &mut DeviceBuffer<T>,
+        offset: usize,
+        len: usize,
+        category: Category,
+        write: impl FnOnce(&mut [T]),
+    ) {
+        let bytes = (len * std::mem::size_of::<T>()) as u64;
         if self.injected(FaultKind::CopyFail) {
-            self.latch_fault(DeviceError::TransferFault {
-                direction: "h2d",
-                bytes: std::mem::size_of_val(src) as u64,
-            });
+            self.latch_fault(DeviceError::TransferFault { direction: "h2d", bytes });
         }
         let rec = self.telemetry();
         let _span = rec.as_ref().map(|r| r.span("h2d-copy", category));
-        dst.host_write(offset, src);
-        let bytes = std::mem::size_of_val(src) as u64;
+        write(dst.host_range_mut(offset, len));
         self.inner.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.inner.h2d_transfers.fetch_add(1, Ordering::Relaxed);
         self.charge_transfer(category, self.inner.cost.pcie(bytes));

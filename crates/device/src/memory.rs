@@ -122,14 +122,15 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
         &mut self.data
     }
 
-    pub(crate) fn host_write(&mut self, offset: usize, src: &[T]) {
-        let end = offset.checked_add(src.len()).expect("DeviceBuffer: transfer range overflow");
+    /// The host's view of `offset..offset + len`, for an H2D transfer.
+    pub(crate) fn host_range_mut(&mut self, offset: usize, len: usize) -> &mut [T] {
+        let end = offset.checked_add(len).expect("DeviceBuffer: transfer range overflow");
         assert!(
             end <= self.data.len(),
             "DeviceBuffer: H2D range {offset}..{end} out of bounds (len {})",
             self.data.len()
         );
-        self.data[offset..end].copy_from_slice(src);
+        &mut self.data[offset..end]
     }
 
     pub(crate) fn host_read(&self, offset: usize, dst: &mut [T]) {

@@ -8,8 +8,9 @@
 //! back to (level, patch, local offset); the level gives the patch's
 //! cell widths. A [`BatchPlan`] is that descriptor table: built whenever
 //! any level's box structure changes, cached beside the structure-keyed
-//! `ScheduleBuild`, and its device-resident copy uploaded once per
-//! rebuild (the only extra PCIe traffic batching introduces).
+//! `ScheduleBuild`, and made resident as one more table of the
+//! integrator's build pass ([`PassTables`](rbamr_amr::PassTables)), in
+//! the pass's one upload.
 //!
 //! The plan also owns the *interior/boundary* split geometry used for
 //! communication/computation overlap: [`interior_core`] shrinks a patch
@@ -18,97 +19,49 @@
 //! halo exchange is in flight) and the boundary frame (must wait for
 //! the exchange).
 
-use rbamr_device::{Device, DeviceBuffer};
+use rbamr_amr::transfer::DescriptorWords;
+use rbamr_amr::DescriptorTable;
 use rbamr_geometry::digest::Fnv64;
 use rbamr_geometry::{GBox, IntVector};
-use rbamr_perfmodel::Category;
 use std::sync::Arc;
 
-/// Number of `i64` words one patch occupies in the packed descriptor
+/// Number of `i64` values one patch occupies in the packed descriptor
 /// array: level (1), box lo/hi (4) and the running element offset (1).
 pub const DESCRIPTOR_WORDS: usize = 6;
 
-/// One patch's entry in a [`BatchPlan`]: its level, where it sits in
-/// that level's patch array, its cell box, and where its elements begin
-/// in the batched logical index space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PatchSlot {
-    /// The patch's level.
-    pub level: usize,
-    /// Index into the level's local patch array.
-    pub patch_index: usize,
-    /// The patch's interior cell box.
-    pub cell_box: GBox,
-    /// First logical element of this patch in a batched launch (running
-    /// sum of cell counts over the preceding slots).
-    pub elem_offset: u64,
-}
-
-/// The descriptor table for the hierarchy's batched launches.
-///
-/// Holds the host-side slot array, the structure key it was built from,
-/// and the device-resident packed descriptor buffer (uploaded once at
-/// build time — batched kernels index it instead of receiving per-patch
-/// arguments).
+/// The descriptor table for the hierarchy's batched launches: per local
+/// patch, coarse to fine and in patch-array order within a level, its
+/// level, its cell box and its first element in the batched logical
+/// index space (the running sum of cell counts). As a
+/// [`DescriptorTable`] it renders each value as two words, the array
+/// batched kernels index instead of receiving per-patch arguments.
 pub struct BatchPlan {
     structure_key: u64,
-    slots: Vec<PatchSlot>,
-    total_cells: u64,
-    descriptors: DeviceBuffer<i64>,
+    entries: Vec<[i64; DESCRIPTOR_WORDS]>,
 }
 
 impl BatchPlan {
     /// Build the plan from every local patch's `(level, cell box)`,
-    /// coarse to fine and in patch-array order within a level, and
-    /// upload the packed descriptor array to `device`.
-    pub fn build(device: &Device, patches: &[(usize, GBox)]) -> Self {
-        let mut slots = Vec::with_capacity(patches.len());
-        let mut offset = 0u64;
-        let mut packed = Vec::with_capacity(patches.len() * DESCRIPTOR_WORDS);
-        let mut patch_index = 0;
-        for (i, &(level, cell_box)) in patches.iter().enumerate() {
-            if i > 0 && patches[i - 1].0 != level {
-                patch_index = 0;
-            }
-            slots.push(PatchSlot { level, patch_index, cell_box, elem_offset: offset });
-            packed.extend_from_slice(&[
-                level as i64,
-                cell_box.lo.x,
-                cell_box.lo.y,
-                cell_box.hi.x,
-                cell_box.hi.y,
-                offset as i64,
-            ]);
-            offset += cell_box.num_cells() as u64;
-            patch_index += 1;
-        }
-        let mut descriptors = device.alloc::<i64>(packed.len().max(1));
-        if !packed.is_empty() {
-            device.upload(&mut descriptors, 0, &packed, Category::Other);
-        }
-        Self { structure_key: structure_key(patches), slots, total_cells: offset, descriptors }
+    /// coarse to fine and in patch-array order within a level.
+    pub fn build(patches: &[(usize, GBox)]) -> Self {
+        let mut offset = 0;
+        let entries = patches.iter().map(|&(level, b)| {
+            let entry = [level as i64, b.lo.x, b.lo.y, b.hi.x, b.hi.y, offset];
+            offset += b.num_cells();
+            entry
+        });
+        Self { structure_key: structure_key(patches), entries: entries.collect() }
     }
 
     /// The structure key the plan was built from.
     pub fn structure_key(&self) -> u64 {
         self.structure_key
     }
+}
 
-    /// Per-patch slots, coarse to fine, in patch-array order within a
-    /// level.
-    pub fn slots(&self) -> &[PatchSlot] {
-        &self.slots
-    }
-
-    /// Total interior cells across all slots (the batched logical index
-    /// space for a cell-centred interior launch).
-    pub fn total_cells(&self) -> u64 {
-        self.total_cells
-    }
-
-    /// Size of the device-resident descriptor array in bytes.
-    pub fn descriptor_bytes(&self) -> u64 {
-        self.descriptors.size_bytes()
+impl DescriptorTable for BatchPlan {
+    fn describe(&self, w: &mut DescriptorWords<'_>) {
+        self.entries.iter().flatten().for_each(|&v| w.wide(v));
     }
 }
 
@@ -126,14 +79,13 @@ pub fn structure_key(patches: &[(usize, GBox)]) -> u64 {
 
 /// The hierarchy's current batch plan, invalidated by structure key —
 /// the batching analogue of the schedule cache: a regrid that leaves
-/// every level's boxes unchanged reuses the plan (and its device
-/// descriptor upload) untouched; a change on any level rebuilds it.
+/// every level's boxes unchanged reuses the plan (and, resident, its
+/// table) untouched; a change on any level rebuilds it.
 #[derive(Default)]
 pub struct BatchPlanCache {
     plan: Option<Arc<BatchPlan>>,
     hits: u64,
     builds: u64,
-    uploaded_bytes: u64,
 }
 
 impl BatchPlanCache {
@@ -144,15 +96,14 @@ impl BatchPlanCache {
 
     /// Return the cached plan if its structure key still matches
     /// `patches`, else build (and cache) a fresh one.
-    pub fn get_or_build(&mut self, device: &Device, patches: &[(usize, GBox)]) -> Arc<BatchPlan> {
+    pub fn get_or_build(&mut self, patches: &[(usize, GBox)]) -> Arc<BatchPlan> {
         let key = structure_key(patches);
         if let Some(plan) = self.plan.as_ref().filter(|p| p.structure_key() == key) {
             self.hits += 1;
             return Arc::clone(plan);
         }
         self.builds += 1;
-        let plan = Arc::new(BatchPlan::build(device, patches));
-        self.uploaded_bytes += plan.descriptor_bytes();
+        let plan = Arc::new(BatchPlan::build(patches));
         self.plan = Some(Arc::clone(&plan));
         plan
     }
@@ -165,12 +116,6 @@ impl BatchPlanCache {
     /// Plan builds since creation.
     pub fn builds(&self) -> u64 {
         self.builds
-    }
-
-    /// Total descriptor bytes uploaded to the device across all builds
-    /// (the batching overhead on top of the oracle's H2D traffic).
-    pub fn uploaded_bytes(&self) -> u64 {
-        self.uploaded_bytes
     }
 }
 
@@ -210,6 +155,7 @@ pub fn split_region(region: GBox, core: GBox) -> (GBox, [GBox; 4]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbamr_amr::PassTables;
 
     fn b(x0: i64, y0: i64, x1: i64, y1: i64) -> GBox {
         GBox::from_coords(x0, y0, x1, y1)
@@ -217,27 +163,29 @@ mod tests {
 
     #[test]
     fn plan_offsets_span_patches() {
-        let dev = Device::k20x();
         let patches = [(0, b(0, 0, 8, 8)), (0, b(8, 0, 16, 8)), (1, b(0, 8, 8, 16))];
-        let plan = BatchPlan::build(&dev, &patches);
-        let slots: Vec<_> =
-            plan.slots().iter().map(|s| (s.level, s.patch_index, s.elem_offset)).collect();
-        assert_eq!(slots, [(0, 0, 0), (0, 1, 64), (1, 0, 128)]);
-        assert_eq!(plan.total_cells(), 192);
-        assert_eq!(plan.descriptor_bytes(), (3 * DESCRIPTOR_WORDS * 8) as u64);
+        let mut tables = PassTables::default();
+        tables.push(Arc::new(BatchPlan::build(&patches)));
+        let mut words = vec![0; tables.render(None)];
+        assert_eq!(words.len(), 3 * 2 * DESCRIPTOR_WORDS);
+        tables.render(Some(&mut words));
+        // Each value is two words, the high one zero here.
+        assert!(words.iter().skip(1).step_by(2).all(|&high| high == 0));
+        let low: Vec<i32> = words.iter().step_by(2).copied().collect();
+        let entries: Vec<_> = low.chunks(DESCRIPTOR_WORDS).collect();
+        assert_eq!(entries, [[0, 0, 0, 8, 8, 0], [0, 8, 0, 16, 8, 64], [1, 0, 8, 8, 16, 128]]);
     }
 
     #[test]
     fn cache_reuses_plan_until_structure_changes() {
-        let dev = Device::k20x();
         let mut cache = BatchPlanCache::new();
         let patches = vec![(0, b(0, 0, 8, 8)), (1, b(8, 0, 16, 8))];
-        let p1 = cache.get_or_build(&dev, &patches);
-        let p2 = cache.get_or_build(&dev, &patches);
+        let p1 = cache.get_or_build(&patches);
+        let p2 = cache.get_or_build(&patches);
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!((cache.builds(), cache.hits()), (1, 1));
         // The same boxes on other levels are another structure.
-        let p3 = cache.get_or_build(&dev, &[(0, b(0, 0, 8, 8)), (2, b(8, 0, 16, 8))]);
+        let p3 = cache.get_or_build(&[(0, b(0, 0, 8, 8)), (2, b(8, 0, 16, 8))]);
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert_eq!((cache.builds(), cache.hits()), (2, 1));
     }

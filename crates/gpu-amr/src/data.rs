@@ -12,12 +12,13 @@ use rbamr_amr::transfer::{
     STREAM_VALUE_BYTES,
 };
 use rbamr_amr::variable::DataFactory;
+use rbamr_amr::{DescriptorTable, PassTables};
 use rbamr_device::memory::DeviceCopy;
 use rbamr_device::{Device, DeviceBuffer, Stream};
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
 use rbamr_perfmodel::{Category, KernelShape};
 use std::any::Any;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Elements that can live in device patch data: the intersection of the
 /// framework's [`Element`] types and the device's [`DeviceCopy`] types
@@ -389,6 +390,11 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
 /// step allocates no staging at all. A stage with no peers stages,
 /// launches and transfers nothing.
 ///
+/// The descriptor tables live the same way: one grow-only device table
+/// holds the last build pass's ([`PassTables`]), rendered straight into
+/// it by one transfer, which a pass holding exactly the resident tables
+/// skips — one transfer per mesh change, not one per schedule.
+///
 /// [`HostDataFactory`]: rbamr_amr::HostDataFactory
 #[derive(Clone)]
 pub struct DeviceDataFactory {
@@ -397,7 +403,12 @@ pub struct DeviceDataFactory {
     stream: Stream,
     /// Message staging, shared by the factory's clones.
     staging: Arc<Mutex<Option<DeviceBuffer<f64>>>>,
+    /// The resident tables, shared by the factory's clones.
+    tables: Arc<Mutex<ResidentTables>>,
 }
+
+/// The resident tables, in order, and the device table holding them.
+type ResidentTables = (Vec<Weak<dyn DescriptorTable>>, Option<DeviceBuffer<i32>>);
 
 /// The device data behind a placement-agnostic handle.
 ///
@@ -417,7 +428,8 @@ impl DeviceDataFactory {
     /// A factory allocating on `device`.
     pub fn new(device: Device) -> Self {
         let stream = Stream::new(&device);
-        Self { device, stream, staging: Arc::new(Mutex::new(None)) }
+        let (staging, tables) = (Arc::default(), Arc::default());
+        Self { device, stream, staging, tables }
     }
 
     /// The device.
@@ -587,18 +599,33 @@ impl DataFactory for DeviceDataFactory {
         });
     }
 
-    fn upload_descriptors(
-        &self,
-        words: &mut dyn FnMut() -> Vec<i32>,
-        category: Category,
-    ) -> Option<Box<dyn Any + Send + Sync>> {
-        let words = words();
-        if words.is_empty() {
-            return None;
+    fn upload_tables(&self, tables: &PassTables, category: Category) {
+        let mut held = self.tables.lock().expect("a descriptor upload panicked");
+        let (resident, table) = &mut *held;
+        // A weak reference keeps a table's address from being reused, so
+        // the address names the table.
+        let same = |(r, t): (&Weak<_>, &Arc<_>)| std::ptr::addr_eq(r.as_ptr(), Arc::as_ptr(t));
+        if resident.len() == tables.iter().count() && resident.iter().zip(tables.iter()).all(same) {
+            return;
         }
-        let mut table = self.device.alloc::<i32>(words.len());
-        self.device.upload(&mut table, 0, &words, category);
-        Some(Box::new(table))
+        *resident = tables.iter().map(Arc::downgrade).collect();
+        let len = tables.render(None);
+        if len == 0 {
+            return;
+        }
+        if table.as_ref().is_none_or(|t| t.len() < len) {
+            // Release the old table before asking for the larger one.
+            *table = None;
+            *table = Some(self.device.alloc(len));
+        }
+        let table = table.as_mut().expect("the table was ensured above");
+        let render = |out: &mut [i32]| assert_eq!(tables.render(Some(out)), len);
+        self.device.upload_with(table, 0, len, category, render);
+        let rec = self.device.recorder();
+        if rec.is_enabled() {
+            rec.count("device.table_uploads", 1);
+            rec.gauge_max("device.table_bytes", (len * std::mem::size_of::<i32>()) as u64);
+        }
     }
 }
 

@@ -34,6 +34,6 @@ pub mod data;
 pub mod ops;
 pub mod tags;
 
-pub use batch::{interior_core, split_region, BatchPlan, BatchPlanCache, PatchSlot};
+pub use batch::{interior_core, split_region, BatchPlan, BatchPlanCache};
 pub use data::{DeviceData, DeviceDataFactory};
 pub use tags::{compress_tags, compress_tags_many, TagField};

@@ -3,8 +3,10 @@
 //! cell, node and side variables, interpolated or not — bitwise equal
 //! to `RefineSchedule::try_fill` run level by level, on the host and on
 //! the device, at 1, 2 and 4 ranks. On the device the window also obeys
-//! the stage law: one pack launch, at most one D2H and one H2D, and one
-//! message per peer of the union of its members' peers.
+//! the stage law: one pack launch, one D2H if it sends and one H2D if it
+//! receives, one message per peer of the union of its members' peers,
+//! and one upload at its first fill for the descriptor tables of the
+//! build pass that made its members.
 //!
 //! Dropping a member's scratch base in `Part::at` fails it at every
 //! rank count (level 2's scratch sits behind level 1's); dropping the
@@ -13,8 +15,8 @@
 use rbamr_amr::ops::{ConservativeCellRefine, LinearNodeRefine, LinearSideRefine};
 use rbamr_amr::schedule::FillSpec;
 use rbamr_amr::{
-    FillWindow, GridGeometry, HostDataFactory, Patch, PatchData, PatchHierarchy, PhysicalBoundary,
-    RefineOperator, RefineSchedule, ScheduleBuild, VariableId, VariableRegistry,
+    FillWindow, GridGeometry, HostDataFactory, PassTables, Patch, PatchData, PatchHierarchy,
+    PhysicalBoundary, RefineOperator, RefineSchedule, ScheduleBuild, VariableId, VariableRegistry,
 };
 use rbamr_device::Device;
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
@@ -142,9 +144,12 @@ impl Rank {
         out
     }
 
-    fn members(&self) -> Vec<Arc<RefineSchedule>> {
-        let build = |l| ScheduleBuild::indexed().refine(&self.h, &self.reg, l, &self.specs);
-        (0..LEVELS.len()).map(build).collect()
+    /// Every level's fill, built in one pass, and the pass's tables.
+    fn members(&self) -> (Vec<Arc<RefineSchedule>>, PassTables) {
+        let mut build = ScheduleBuild::indexed();
+        let levels = 0..LEVELS.len();
+        let members = levels.map(|l| build.refine(&self.h, &self.reg, l, &self.specs)).collect();
+        (members, build.into_tables())
     }
 
     fn counter(&self, name: &str) -> u64 {
@@ -172,12 +177,16 @@ fn peers_of(sched: &RefineSchedule) -> [BTreeSet<usize>; 2] {
 /// Every rank's snapshot after the fill, fused into one window or run
 /// level by level, and (fused, on the device) the second window's
 /// counts: pack launches, unpack launches, D2H, H2D, messages sent and
-/// received, and the union of the members' send and receive peers.
-fn run(nranks: usize, on_device: bool, fused: bool) -> Vec<(usize, Vec<u8>, [u64; 8])> {
+/// received, the union of the members' send and receive peers — and the
+/// first window's H2D, which also makes the pass's tables resident.
+fn run(nranks: usize, on_device: bool, fused: bool) -> Vec<(usize, Vec<u8>, [u64; 9])> {
     let results = Cluster::new(Machine::ipa_gpu()).run(nranks, move |mut comm| {
         let mut r = Rank::new(&comm, on_device);
         comm.set_recorder(r.rec.clone());
-        let members = r.members();
+        let (members, tables) = r.members();
+        let h2d = |r: &Rank| r.device.as_ref().map_or(0, |d| d.stats().h2d_transfers);
+        let first_h2d = h2d(&r);
+        r.reg.factory().upload_tables(&tables, CAT);
         let fill = |r: &mut Rank, comm: &Comm| {
             if fused {
                 let window = FillWindow::new(members.clone());
@@ -190,6 +199,7 @@ fn run(nranks: usize, on_device: bool, fused: bool) -> Vec<(usize, Vec<u8>, [u64
             }
         };
         fill(&mut r, &comm);
+        let first_h2d = h2d(&r) - first_h2d;
         let snapshot = r.snapshot().into_iter().flat_map(|(_, v)| v).collect();
         // A steady second fill (descriptor tables already resident) of
         // the same values: what one window costs.
@@ -224,6 +234,7 @@ fn run(nranks: usize, on_device: bool, fused: bool) -> Vec<(usize, Vec<u8>, [u64
             r.counter("net.recvs.kind5") - received,
             sends.len() as u64,
             recvs.len() as u64,
+            first_h2d,
         ];
         (comm.rank(), snapshot, counts)
     });
@@ -250,7 +261,8 @@ fn one_window_over_three_levels_equals_a_fill_per_level() {
                 continue;
             }
             for (rank, _, counts) in &fused {
-                let [pack, unpack, d2h, h2d, sent, received, send_peers, recv_peers] = *counts;
+                let [pack, unpack, d2h, h2d, sent, received, send_peers, recv_peers, first_h2d] =
+                    *counts;
                 let what = format!("{what}, rank {rank}");
                 assert_eq!(
                     (sent, received),
@@ -259,7 +271,9 @@ fn one_window_over_three_levels_equals_a_fill_per_level() {
                 );
                 assert_eq!(pack, u64::from(send_peers > 0), "{what}: one pack launch");
                 assert_eq!(unpack, u64::from(recv_peers > 0), "{what}: one unpack launch");
-                assert!(d2h <= 1 && h2d <= 1, "{what}: {d2h} D2H and {h2d} H2D");
+                assert_eq!(d2h, u64::from(send_peers > 0), "{what}: one D2H");
+                assert_eq!(h2d, u64::from(recv_peers > 0), "{what}: one H2D");
+                assert_eq!(first_h2d, h2d + 1, "{what}: one upload for the pass's tables");
                 if nranks > 1 {
                     assert!(send_peers > 0 && recv_peers > 0, "{what}: the layout exchanges");
                 }

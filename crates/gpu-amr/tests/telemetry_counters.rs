@@ -13,9 +13,8 @@ use rbamr_amr::ops::{
 use rbamr_amr::regrid::{CellTagger, TransferSpec};
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    CoarsenSchedule, GridGeometry, Patch, PatchData, PatchHierarchy, PhysicalBoundary,
-    RefineSchedule, RegridParams, Regridder, ScheduleBuild, ScheduleCache, TagBitmap, VariableId,
-    VariableRegistry,
+    GridGeometry, PassTables, Patch, PatchData, PatchHierarchy, PhysicalBoundary, RefineSchedule,
+    RegridParams, Regridder, ScheduleBuild, ScheduleCache, TagBitmap, VariableId, VariableRegistry,
 };
 use rbamr_device::{Device, DeviceError};
 use rbamr_geometry::{copy_overlap, BoxList, Centring, GBox, IntVector};
@@ -95,6 +94,20 @@ impl Rank {
         [FillSpec { var: self.var, refine_op: interpolate.then_some(op) }]
     }
 
+    /// The fill schedule of `level` built in a build pass of its own,
+    /// and the pass's tables.
+    fn pass(&self, level: usize, interpolate: bool) -> (Arc<RefineSchedule>, PassTables) {
+        let mut build = ScheduleBuild::indexed();
+        let sched = build.refine(&self.h, &self.reg, level, &self.spec(interpolate));
+        (sched, build.into_tables())
+    }
+
+    /// What the first fill after a pass does first: make the pass's
+    /// tables resident.
+    fn upload(&self, tables: &PassTables) {
+        self.reg.factory().upload_tables(tables, CAT);
+    }
+
     fn fill(&mut self, sched: &RefineSchedule, comm: &Comm) -> Result<(), CommError> {
         sched.try_fill(&mut self.h, &self.reg, &NoBoundary, Some(comm), 0.0, CAT)
     }
@@ -163,9 +176,10 @@ fn chain_peers(rank: usize) -> u64 {
 fn sibling_fill_counts_one_launch_and_one_transfer_per_stage() {
     Cluster::new(Machine::ipa_gpu()).run(2, |comm| {
         let mut r = Rank::new(&comm, 1);
-        let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
+        let (sched, tables) = r.pass(0, false);
         assert_eq!(sched.num_messages(), (1, 1));
         r.device.reset_transfer_stats();
+        r.upload(&tables);
         r.fill(&sched, &comm).unwrap();
 
         // The sibling halo: the 2-column x 8-row strip of the
@@ -177,7 +191,7 @@ fn sibling_fill_counts_one_launch_and_one_transfer_per_stage() {
         assert_eq!(r.launches("copy-region"), 0, "no same-rank neighbour");
         let first = r.device.stats();
         assert_eq!((first.d2h_transfers, first.d2h_bytes), (1, halo_bytes));
-        // H2D: the message, and once per schedule its descriptor table.
+        // H2D: the message, and once per pass its descriptor tables.
         assert_eq!(first.h2d_transfers, 2);
         let table_bytes = first.h2d_bytes - halo_bytes;
         assert!(
@@ -186,7 +200,7 @@ fn sibling_fill_counts_one_launch_and_one_transfer_per_stage() {
         );
 
         // A steady fill: the same traffic again, nothing uploaded for
-        // the schedule and nothing allocated (staging persists).
+        // the pass and nothing allocated (staging persists).
         let allocs = r.rec.counter("device.allocs");
         r.fill(&sched, &comm).unwrap();
         let second = r.device.stats();
@@ -207,14 +221,15 @@ fn a_stage_costs_one_launch_and_one_transfer_whatever_its_peer_count() {
         let mut r = chain(&comm);
         comm.set_recorder(r.rec.clone());
         let peers = chain_peers(comm.rank());
-        let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
+        let (sched, tables) = r.pass(0, false);
         assert_eq!(sched.num_messages(), (peers as usize, peers as usize));
         r.device.reset_transfer_stats();
+        r.upload(&tables);
         r.fill(&sched, &comm).unwrap();
         r.fill(&sched, &comm).unwrap();
 
         // Two fills: one pack + one D2H and one H2D + one unpack each,
-        // one message per peer, and the descriptor table once.
+        // one message per peer, and the pass's tables once.
         let what = format!("rank {} ({peers} peers)", comm.rank());
         assert_eq!((r.launches("pack"), r.launches("unpack")), (2, 2), "{what}");
         assert_eq!(r.rec.counter("net.sends"), 2 * peers, "{what}");
@@ -238,21 +253,26 @@ fn a_stage_costs_one_launch_and_one_transfer_whatever_its_peer_count() {
 fn a_stage_without_peers_packs_and_transfers_nothing() {
     Cluster::new(Machine::ipa_gpu()).run(1, |comm| {
         let mut r = Rank::new(&comm, 2);
-        let fill = RefineSchedule::new(&r.h, &r.reg, 1, &r.spec(true));
+        let mut build = ScheduleBuild::indexed();
+        let fill = build.refine(&r.h, &r.reg, 1, &r.spec(true));
         let spec = CoarsenSpec { var: r.var, op: Arc::new(VolumeWeightedCoarsen), aux: vec![] };
-        let sync = CoarsenSchedule::new(&r.h, &r.reg, 1, &[spec]);
+        let sync = build.coarsen(&r.h, &r.reg, 1, &[spec]);
+        let tables = build.into_tables();
         r.device.reset_transfer_stats();
+        r.upload(&tables);
         r.fill(&fill, &comm).unwrap();
         sync.try_run(&mut r.h, &r.reg, Some(&comm), CAT).unwrap();
         assert!(r.launches("refine-interp") == 1 && r.launches("coarsen-project") == 1);
         assert_eq!((r.launches("pack"), r.launches("unpack")), (0, 0));
-        // Nothing crosses PCIe but the two schedules' descriptor tables.
+        // Nothing crosses PCIe but the pass's descriptor tables, both
+        // schedules' in one upload.
         let first = r.device.stats();
-        assert_eq!((first.d2h_transfers, first.h2d_transfers), (0, 2));
+        assert_eq!((first.d2h_transfers, first.h2d_transfers), (0, 1));
+        r.upload(&tables);
         r.fill(&fill, &comm).unwrap();
         sync.try_run(&mut r.h, &r.reg, Some(&comm), CAT).unwrap();
         let steady = r.device.stats();
-        assert_eq!((steady.d2h_transfers, steady.h2d_transfers), (0, 2));
+        assert_eq!((steady.d2h_transfers, steady.h2d_transfers), (0, 1));
     });
 }
 
@@ -260,10 +280,11 @@ fn a_stage_without_peers_packs_and_transfers_nothing() {
 fn interpolating_fill_obeys_the_per_stage_launch_law() {
     Cluster::new(Machine::ipa_gpu()).run(2, |comm| {
         let mut r = Rank::new(&comm, 2);
-        let sched = RefineSchedule::new(&r.h, &r.reg, 1, &r.spec(true));
+        let (sched, tables) = r.pass(1, true);
         let (sent, received) = sched.num_messages();
         assert_eq!((sent, received), (1, 1), "each rank needs the other's coarse patch");
         r.device.reset_transfer_stats();
+        r.upload(&tables);
         r.fill(&sched, &comm).unwrap();
         assert_eq!(r.launches("pack"), sent as u64);
         assert_eq!(r.launches("unpack"), received as u64);
@@ -271,8 +292,8 @@ fn interpolating_fill_obeys_the_per_stage_launch_law() {
         // The coarse level covers every scratch value: nothing to extend.
         assert_eq!(r.launches("extend-uncovered"), 0);
         assert_eq!(r.launches("refine-interp"), 1);
-        // Residency: packed values out, packed values and one
-        // descriptor table in — nothing else crosses the bus.
+        // Residency: packed values out, packed values and the pass's
+        // descriptor tables in — nothing else crosses the bus.
         let stats = r.device.stats();
         assert_eq!((stats.d2h_transfers, stats.d2h_bytes), (1, r.rec.counter("pack.bytes")));
         assert_eq!(stats.h2d_transfers, 2);
@@ -307,15 +328,17 @@ fn scratch_extension_is_one_launch_when_some_scratch_value_is_uncovered() {
     });
 }
 
-/// Rank 0's device fails its `n`-th PCIe transfer of the fill (0 is the
-/// descriptor upload; 1 the pack's D2H; 2 the unpack's H2D). Per rank:
+/// Rank 0's device fails its `n`-th PCIe transfer of the first fill
+/// after a pass (0 is the pass's descriptor upload; 1 the pack's D2H; 2
+/// the unpack's H2D). Per rank:
 /// the fill's outcome, the ghost it left and what its device latched.
 fn fill_with_failed_transfer(n: u64) -> Vec<(Result<(), CommError>, f64, Option<DeviceError>)> {
     let plan = FaultPlan::new(5, vec![FaultRule::once_on(FaultKind::CopyFail, 0, n)]);
     let results = Cluster::new(Machine::ipa_gpu()).with_fault_plan(plan).run(2, |comm| {
         let mut r = Rank::new(&comm, 1);
         r.device.set_fault_injector(Arc::clone(comm.fault_injector().unwrap()));
-        let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
+        let (sched, tables) = r.pass(0, false);
+        r.upload(&tables);
         let outcome = r.fill(&sched, &comm);
         let latched = r.device.take_injected_fault();
         let (dbox, values) = r.values(0);
@@ -344,7 +367,8 @@ fn chain_fills_with(rule: FaultRule) -> Vec<[ChainFill; 2]> {
     let results = Cluster::new(Machine::ipa_gpu()).with_fault_plan(plan).run(4, |comm| {
         let mut r = chain(&comm);
         r.device.set_fault_injector(Arc::clone(comm.fault_injector().unwrap()));
-        let sched = RefineSchedule::new(&r.h, &r.reg, 0, &r.spec(false));
+        let (sched, tables) = r.pass(0, false);
+        r.upload(&tables);
         [(); 2].map(|()| {
             let outcome = r.fill(&sched, &comm);
             let latched = r.device.take_injected_fault();
@@ -415,37 +439,53 @@ fn corrupt_frame_from_one_of_three_peers_skips_that_peer_only() {
     }
 }
 
+/// The device holds one descriptor table: the tables of the last build
+/// pass, made resident by one upload at the pass's first fill, in one
+/// grow-only allocation — a schedule out of use leaves nothing behind.
 #[test]
 fn descriptor_tables_live_with_the_schedules_in_use() {
     Cluster::new(Machine::ipa_gpu()).run(1, |comm| {
-        let mut r = Rank::new(&comm, 1);
-        let specs = r.spec(false);
+        let mut r = Rank::new(&comm, 2);
         let mut cache = ScheduleCache::new();
         let uploads = |r: &Rank| r.device.stats().h2d_transfers;
-        let resident = r.device.stats().allocated_bytes;
-        let sched = ScheduleBuild::with_cache(&mut cache).refine(&r.h, &r.reg, 0, &specs);
+        let allocated = |r: &Rank| r.device.stats().allocated_bytes;
+        let patches = allocated(&r);
+        // One pass: the fine level's fill, interpolating or not, and the
+        // coarse level's.
+        let pass = |r: &Rank, cache: &mut ScheduleCache, interpolate| {
+            let mut build = ScheduleBuild::with_cache(cache);
+            let fine = build.refine(&r.h, &r.reg, 1, &r.spec(interpolate));
+            let coarse = build.refine(&r.h, &r.reg, 0, &r.spec(false));
+            ((fine, coarse), build.into_tables())
+        };
+        let words = |tables: &PassTables| tables.render(None) as u64;
+        let (held, tables) = pass(&r, &mut cache, true);
         r.device.reset_transfer_stats();
-        r.fill(&sched, &comm).unwrap();
-        assert_eq!(uploads(&r), 1, "first execution uploads the table");
-        assert!(r.device.stats().allocated_bytes > resident, "the table is resident");
-        // A steady regrid: the schedule held across the pass comes
-        // back, table and all.
-        let again = ScheduleBuild::with_cache(&mut cache).refine(&r.h, &r.reg, 0, &specs);
-        assert!(Arc::ptr_eq(&sched, &again));
-        r.fill(&again, &comm).unwrap();
+        r.upload(&tables);
+        r.fill(&held.0, &comm).unwrap();
+        r.fill(&held.1, &comm).unwrap();
+        assert_eq!(uploads(&r), 1, "both tables cross in the pass's one upload");
+        let table = 4 * words(&tables);
+        assert_eq!(allocated(&r), patches + table, "one table: the pass's words");
+        // A pass that keeps every schedule uploads nothing.
+        let (again, kept) = pass(&r, &mut cache, true);
+        assert!(Arc::ptr_eq(&held.0, &again.0) && Arc::ptr_eq(&held.1, &again.1));
+        r.upload(&kept);
+        r.fill(&again.0, &comm).unwrap();
         assert_eq!(uploads(&r), 1);
-        // Out of use: the next pass drops the schedule, and its table
-        // and staging with it.
-        drop((sched, again));
-        assert_eq!(cache.len(), 1);
-        ScheduleBuild::with_cache(&mut cache);
-        assert!(cache.is_empty());
-        assert_eq!(r.device.stats().allocated_bytes, resident);
-        // A later lookup is a miss, a build and one more upload.
-        let rebuilt = ScheduleBuild::with_cache(&mut cache).refine(&r.h, &r.reg, 0, &specs);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        r.fill(&rebuilt, &comm).unwrap();
+        // A pass that replaces one schedule and keeps the other uploads
+        // both tables again, into the same allocation: the replaced
+        // table is gone.
+        let coarse = held.1;
+        drop((held.0, again, tables, kept));
+        let (replaced, tables) = pass(&r, &mut cache, false);
+        assert!(Arc::ptr_eq(&replaced.1, &coarse));
+        assert_eq!((cache.hits(), cache.misses()), (3, 3));
+        r.upload(&tables);
+        r.fill(&replaced.0, &comm).unwrap();
         assert_eq!(uploads(&r), 2);
+        assert!(4 * words(&tables) < table, "the fine fill no longer interpolates");
+        assert_eq!(allocated(&r), patches + table, "grow-only, and no dead table");
     });
 }
 

@@ -31,9 +31,10 @@ use rbamr_amr::regrid::TransferSpec;
 use rbamr_amr::restart::RestoreError;
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    balance, CoarsenOperator, CoarsenSchedule, FillWindow, GridGeometry, HostDataFactory, Patch,
-    PatchHierarchy, RefineOperator, RefineSchedule, RegridOutcome, RegridParams, Regridder,
-    ScheduleBuild, ScheduleCache, VariableId, VariableRegistry,
+    balance, CoarsenOperator, CoarsenSchedule, DescriptorTable, FillWindow, GridGeometry,
+    HostDataFactory, PassTables, Patch, PatchHierarchy, RefineOperator, RefineSchedule,
+    RegridOutcome, RegridParams, Regridder, ScheduleBuild, ScheduleCache, VariableId,
+    VariableRegistry,
 };
 use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -187,9 +188,13 @@ pub struct HydroSim {
     schedule_cache: ScheduleCache,
     /// The hierarchy-wide launch descriptor plan, keyed by the same
     /// structure digest discipline as the schedule cache: a regrid that
-    /// preserves every level's boxes reuses the plan (and its one-time
-    /// device descriptor upload). Empty on the host placement.
+    /// preserves every level's boxes reuses the plan. Empty on the host
+    /// placement.
     batch_plans: BatchPlanCache,
+    /// The descriptor tables of the last build pass — its schedules
+    /// and the batch plan — until the first fill after it makes them
+    /// resident, with one upload.
+    pending_tables: Option<PassTables>,
     /// Telemetry handle; disabled unless wired via
     /// [`HydroSim::set_recorder`].
     recorder: rbamr_telemetry::Recorder,
@@ -205,6 +210,8 @@ const POST_SWEEP1: usize = 2;
 const MID_SWEEPS: usize = 4;
 /// Fill E, plus the sweep direction.
 const POST_SWEEP2: usize = 5;
+/// Every fill window a step runs.
+const ALL_FILLS: usize = POST_SWEEP2 + 2;
 
 impl HydroSim {
     /// Build a simulation.
@@ -291,9 +298,10 @@ impl HydroSim {
             sync_schedules: Vec::new(),
             schedule_cache: ScheduleCache::new(),
             batch_plans: BatchPlanCache::new(),
+            pending_tables: None,
             recorder: rbamr_telemetry::Recorder::disabled(),
         };
-        sim.rebuild_schedules();
+        sim.rebuild_schedules(START + 1);
         sim
     }
 
@@ -387,7 +395,7 @@ impl HydroSim {
         &mut self,
         comm: Option<&Comm>,
     ) -> Result<(), RestoreError> {
-        self.rebuild_schedules();
+        self.rebuild_schedules(ALL_FILLS);
         let refill = self.try_fill_start(comm);
         self.eos_and_viscosity();
         refill.map_err(|e| RestoreError::Exchange { detail: e.to_string() })
@@ -407,8 +415,14 @@ impl HydroSim {
         vars.iter().map(|&var| FillSpec { var, refine_op: Some(self.refine_op_for(var)) }).collect()
     }
 
-    /// (Re)build the per-level fill and sync schedules, in one build
-    /// pass, and refresh the batch plan.
+    /// (Re)build the per-level schedules of the first `windows` fill
+    /// windows — the sync schedules too when that is all of them — in
+    /// one build pass, and refresh the batch plan. A pass plans what
+    /// runs before the next one: construction plans the start fill,
+    /// all that initialisation runs, a regrid replans what is held, and
+    /// the first step plans the rest. The pass's tables wait for the
+    /// first fill after it (see [`HydroSim::upload_pending_tables`]), so
+    /// rendering them costs the step, not the regrid.
     ///
     /// The old schedules are still held here while the pass runs, so a
     /// level whose structure survived the last regrid resolves to `Arc`
@@ -416,7 +430,7 @@ impl HydroSim {
     /// that changed walks its overlap geometry once per centring for
     /// all six of its fills. What this pass replaces leaves the cache
     /// when the next one opens.
-    fn rebuild_schedules(&mut self) {
+    fn rebuild_schedules(&mut self, windows: usize) {
         let mut cache = std::mem::take(&mut self.schedule_cache);
         let mut build = ScheduleBuild::with_cache(&mut cache);
         let f = &self.fields;
@@ -436,7 +450,7 @@ impl HydroSim {
         // In `START` … `POST_SWEEP2` order.
         let var_sets: [&[VariableId]; 7] =
             [&start_vars, &b_vars, &c[0], &c[1], &d_vars, &e[0], &e[1]];
-        let fills = var_sets.map(|vars| self.fill_specs(vars));
+        let fills: Vec<_> = var_sets[..windows].iter().map(|vars| self.fill_specs(vars)).collect();
         let mut members = vec![Vec::new(); fills.len()];
         for l in 0..self.hierarchy.num_levels() {
             for (specs, members) in fills.iter().zip(&mut members) {
@@ -455,7 +469,8 @@ impl HydroSim {
         let vol_op: Arc<dyn CoarsenOperator> = Arc::new(VolumeWeightedCoarsen);
         let mass_op: Arc<dyn CoarsenOperator> = Arc::new(MassWeightedCoarsen);
         let inj_op: Arc<dyn CoarsenOperator> = Arc::new(NodeInjectionCoarsen);
-        self.sync_schedules = (1..self.hierarchy.num_levels())
+        let synced = if windows == ALL_FILLS { self.hierarchy.num_levels() } else { 1 };
+        self.sync_schedules = (1..synced)
             .map(|l| {
                 build.coarsen(
                     &self.hierarchy,
@@ -474,12 +489,25 @@ impl HydroSim {
                 )
             })
             .collect();
+        let mut tables = build.into_tables();
         if self.recorder.is_enabled() {
             self.recorder.gauge_max("schedule.cache_entries", cache.len() as u64);
             self.recorder.gauge_max("schedule.cache_bytes", cache.heap_bytes() as u64);
         }
         self.schedule_cache = cache;
-        self.refresh_batch_plan();
+        if let Some(plan) = self.refresh_batch_plan() {
+            tables.push(plan);
+        }
+        self.pending_tables = Some(tables);
+    }
+
+    /// Make the last build pass's tables resident, if no fill has since
+    /// that pass: called by every fill the integrator runs, so the
+    /// first one pays the pass's one upload.
+    fn upload_pending_tables(&mut self, category: Category) {
+        if let Some(tables) = self.pending_tables.take() {
+            self.registry.factory().upload_tables(&tables, category);
+        }
     }
 
     /// The structure-keyed schedule cache (hit/miss diagnostics).
@@ -495,14 +523,14 @@ impl HydroSim {
 
     /// Refresh the hierarchy's [`rbamr_gpu_amr::BatchPlan`] after the
     /// structure may have changed: a cache hit is a structure-key
-    /// comparison; a miss rebuilds the descriptor table and uploads it
-    /// to the device (the only PCIe traffic fused launching adds). The
-    /// host placement launches nothing.
-    fn refresh_batch_plan(&mut self) {
-        let Some(device) = &self.device else { return };
+    /// comparison; a miss rebuilds the descriptor table. Either way the
+    /// plan is one more table of the build pass. The host placement
+    /// launches nothing and has none.
+    fn refresh_batch_plan(&mut self) -> Option<Arc<dyn DescriptorTable>> {
+        self.device.as_ref()?;
         let (patches, _) = self.hierarchy.local_patches_mut();
         let boxes: Vec<_> = patches.iter().map(|p| (p.id().level, p.cell_box())).collect();
-        self.batch_plans.get_or_build(device, &boxes);
+        Some(self.batch_plans.get_or_build(&boxes))
     }
 
     /// Run one fill window over the whole hierarchy: the halo fill
@@ -541,6 +569,7 @@ impl HydroSim {
         which: usize,
         mut compute: impl FnMut(&mut [&mut Patch], &[(f64, f64)], Pass, Exec<'_>),
     ) {
+        self.upload_pending_tables(Category::HaloExchange);
         let window = Arc::clone(&self.fills[which]);
         let pending =
             window.begin(&mut self.hierarchy, &self.registry, comm, Category::HaloExchange);
@@ -731,6 +760,7 @@ impl HydroSim {
     /// not a fault fired.
     fn try_fill_start(&mut self, comm: Option<&Comm>) -> Result<(), SimError> {
         let (window, category) = (Arc::clone(&self.fills[START]), Category::HaloExchange);
+        self.upload_pending_tables(category);
         let rec = self.recorder.clone();
         let _span = rec.is_enabled().then(|| rec.span("refine-fill", category));
         let pending = window.begin(&mut self.hierarchy, &self.registry, comm, category);
@@ -819,6 +849,9 @@ impl HydroSim {
             rec.is_enabled().then(|| rec.span_arg("step", Category::Other, self.step as i64));
         let mut first: Option<SimError> = None;
         let f = self.fields;
+        if self.fills.len() < ALL_FILLS {
+            self.rebuild_schedules(ALL_FILLS);
+        }
 
         // --- Timestep phase ------------------------------------------
         {
@@ -998,7 +1031,7 @@ impl HydroSim {
         steps
     }
 
-    /// Regrid the hierarchy and refresh all schedules. Returns the
+    /// Regrid the hierarchy and refresh the schedules held. Returns the
     /// per-level outcome; with schedule caching on (the default),
     /// unchanged levels' schedules resolve as cache hits rather than
     /// being rebuilt.
@@ -1037,7 +1070,7 @@ impl HydroSim {
             comm,
             self.time,
         );
-        self.rebuild_schedules();
+        self.rebuild_schedules(self.fills.len());
         outcome.map_err(SimError::from)
     }
 
@@ -1375,7 +1408,9 @@ mod tests {
     fn device_build_is_resident() {
         let mut s = sim(Placement::Device, 16, 1);
         let device = s.device().unwrap().clone();
-        // The launch descriptor table was uploaded with the schedules.
+        // The first step plans the windows initialisation did not run,
+        // and uploads the pass's descriptor tables.
+        s.step(None);
         device.reset_transfer_stats();
         for _ in 0..3 {
             s.step(None);

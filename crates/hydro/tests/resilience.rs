@@ -456,17 +456,19 @@ fn a_copy_fault_anywhere_is_a_device_verdict_at_the_next_commit() {
     // Rank 1's first transfer is in `try_initialize`: one rollback, a
     // clean re-initialisation.
     recovered("initialisation", &[0], 1, 0);
-    // The first transfer of step 1 is its start window's pack D2H: with
-    // no retries left, every rank ends on the same `Device` verdict.
+    // The first transfer of step 1 uploads the descriptor tables of the
+    // build pass it opens with; the second is its start window's pack
+    // D2H: with no retries left, every rank ends on the same `Device`
+    // verdict.
     let no_retry = RecoveryPolicy { max_retries: 0, ..policy };
-    for (rank, r) in run(&[marks[0]], no_retry).iter().enumerate() {
+    for (rank, r) in run(&[marks[0] + 1], no_retry).iter().enumerate() {
         let Err(ResilienceError::RetriesExhausted { last: SimError::Device { detail }, .. }) = r
         else {
             panic!("rank {rank}: expected a Device verdict, got {r:?}");
         };
         assert_eq!(detail.contains("d2h"), rank == 1, "rank {rank}: {detail}");
     }
-    recovered("step 1's pack", &[marks[0]], 1, 0);
+    recovered("step 1's pack", &[marks[0] + 1], 1, 0);
     // The last transfer before step 6 is the end of step 5's checkpoint
     // save: the adoption is discarded on both ranks, with no rollback.
     recovered("checkpoint save", &[marks[5] - 1], 0, 1);

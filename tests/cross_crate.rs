@@ -157,6 +157,9 @@ struct StepTraffic {
     flagged: u64,
     /// Fill windows and coarsen syncs executed.
     windows: (u64, u64),
+    /// Descriptor table uploads, whether the step's regrid changed the
+    /// fine level, and whether it rebuilt it (rather than removed it).
+    tables: (u64, bool, bool),
 }
 
 #[test]
@@ -193,26 +196,46 @@ fn resident_traffic(nranks: usize) {
                 (c("device.kernel_launches.pack"), c("device.kernel_launches.unpack")),
                 (c("device.kernel_launches.any-tagged"), c("device.kernel_launches.compress-tags")),
                 (c("amr.refine_fills"), c("amr.coarsen_syncs")),
+                (c("device.table_uploads"), 0),
             ]
+        };
+        let fine = |sim: &HydroSim| {
+            let h = sim.hierarchy();
+            let level = (h.num_levels() > 1).then(|| h.level(1));
+            level.map(|l| (l.global_boxes().to_vec(), l.owners().to_vec()))
         };
         let mut steps = Vec::new();
         for _ in 0..STEPS {
             let local = |l| sim.hierarchy().level(l).local().len() as u64;
             let patches: u64 = (0..sim.hierarchy().num_levels()).map(local).sum();
             let flagged = local(0);
-            let before = observe();
+            let (before, level) = (observe(), fine(&sim));
             sim.step(Some(&comm));
-            let [d2h, h2d, messages, packed, stages, tags, windows] = {
+            let [d2h, h2d, messages, packed, stages, tags, windows, uploads] = {
                 let after = observe();
-                [0, 1, 2, 3, 4, 5, 6].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1))
+                [0, 1, 2, 3, 4, 5, 6, 7]
+                    .map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1))
             };
             let dt = (u64::from(patches > 0), patches);
-            let t = StepTraffic { d2h, h2d, messages, packed, stages, dt, tags, flagged, windows };
+            let after = fine(&sim);
+            let tables = (uploads.0, after != level, after != level && after.is_some());
+            let t = StepTraffic {
+                d2h,
+                h2d,
+                messages,
+                packed,
+                stages,
+                dt,
+                tags,
+                flagged,
+                windows,
+                tables,
+            };
             steps.push(t);
         }
         steps
     });
-    let mut fused = false;
+    let (mut fused, mut uploaded) = (false, false);
     for r in &results {
         for (i, t) in r.value.iter().enumerate() {
             let what = format!("{nranks} ranks, rank {} step {}", r.rank, i + 1);
@@ -250,20 +273,21 @@ fn resident_traffic(nranks: usize) {
             let bitmaps = t.d2h.1 - (t.packed.0 + 8 * t.dt.1 + words);
             assert!(t.tags.1 <= bitmaps && bitmaps <= 32 * t.flagged, "{what}: D2H {:?}", t.d2h);
             // In: one transfer per stage that receives, carrying exactly
-            // the bytes unpacked — plus a descriptor table per schedule
-            // at its first execution: the regrid's transfer schedule
-            // on the regrid step, the rebuilt fill and sync schedules
-            // on the two steps after a (re)build (the sweep directions
-            // alternate, so it takes two steps to execute every
-            // schedule once).
-            if regrid || i % 4 < 2 {
-                assert!(t.h2d.0 > t.stages.1 && t.h2d.1 > t.packed.1, "{what}: tables upload");
-                assert!(t.h2d.1 < 200_000, "{what}: H2D too large: {:?}", t.h2d);
-            } else {
-                assert_eq!(t.h2d, (t.stages.1, t.packed.1), "{what}: H2D");
-            }
+            // the bytes unpacked — plus one upload per build pass that
+            // brings new descriptor tables: the regrid's transfer of the
+            // rebuilt fine level on the regrid step, and the rebuild's
+            // pass at the first fill of the step after it — or the first
+            // step's, which plans what initialisation did not run. A
+            // pass that keeps every schedule uploads nothing.
+            let rebuilt = i == 0 || r.value[i - 1].tables.1;
+            assert_eq!(t.tables.0, u64::from(t.tables.2) + u64::from(rebuilt), "{what}: tables");
+            assert_eq!(t.h2d.0, t.stages.1 + t.tables.0, "{what}: H2D count");
+            assert_eq!(t.h2d.1 > t.packed.1, t.tables.0 > 0, "{what}: H2D {:?}", t.h2d);
+            assert!(t.h2d.1 - t.packed.1 < 200_000, "{what}: H2D too large: {:?}", t.h2d);
         }
+        uploaded |= r.value.iter().any(|t| t.tables.2);
     }
+    assert!(uploaded, "{nranks} ranks: some regrid must rebuild the fine level");
     assert_eq!(fused, nranks > 2, "{nranks} ranks: some stage must have several peers");
 }
 
