@@ -183,10 +183,12 @@ fn collect_metrics(out: &mut BTreeMap<String, f64>, combo: &Combo) {
         }
         out.insert(format!("{p}.counter.{name}"), *v as f64);
     }
-    // Where schedule memory is: the peak over ranks and build passes.
-    // (Bytes are capacities — exact for one toolchain, so they compare
-    // within the seconds tolerance, not as counters.)
-    for (name, v) in snap.gauges.iter().filter(|(name, _)| name.starts_with("schedule.")) {
+    // Where schedule memory is — on the host, and the largest pass of
+    // descriptor tables on the device: the peak over ranks and build
+    // passes. (Host bytes are capacities — exact for one toolchain, so
+    // they compare within the seconds tolerance, not as counters.)
+    let kept = |name: &str| name.starts_with("schedule.") || name == "device.table_bytes";
+    for (name, v) in snap.gauges.iter().filter(|(name, _)| kept(name)) {
         out.insert(format!("{p}.gauge.{name}"), *v as f64);
     }
 }

@@ -117,6 +117,45 @@ fn per_hierarchy_launch_rebless_is_hydro_down_and_descriptor_bytes_up() {
     assert_eq!(moved("makespan", "makespan_s"), ("perfmodel", "down"));
 }
 
+/// `dc95a01 → one-upload-per-pass`: a build pass's descriptor tables
+/// cross PCIe in one upload, at its first fill, instead of one upload per
+/// schedule. 121 keys moved and 12 were added: the H2D count fell at
+/// every device combo and the two table keys appeared; no D2H, network,
+/// pack / unpack or launch counter moved. The host row moved in its four
+/// schedule counters only: construction and initialisation now plan the
+/// start fill alone, so the first step builds what initialisation built
+/// before — the host clock and traffic did not move.
+#[test]
+fn pass_table_rebless_is_fewer_uploads_and_no_other_traffic() {
+    let d = pair("dc95a01", "one-upload-per-pass");
+    assert_eq!((d.moved, d.added, d.removed), (121, 12, 0));
+    let h2d = d.get("counter", "device.h2d_transfers").expect("moved");
+    assert_eq!((h2d.layer, h2d.direction(), h2d.changed.len()), ("device", "down", 6));
+    for (kind, name) in [("counter", "device.table_uploads"), ("gauge", "device.table_bytes")] {
+        let m = d.get(kind, name).unwrap_or_else(|| panic!("{name} added"));
+        assert_eq!((m.layer, m.direction(), m.changed.len()), ("device", "added", 6), "{name}");
+    }
+    let traffic = |name: &str| {
+        ["device.kernel_launches", "device.d2h_", "net.", "pack.bytes", "unpack.bytes"]
+            .iter()
+            .any(|prefix| name.starts_with(prefix))
+    };
+    assert!(d.moves.iter().all(|m| !traffic(&m.name)), "traffic moved:\n{d}");
+    let host: BTreeSet<&str> = d
+        .moves
+        .iter()
+        .filter(|m| m.changed.iter().any(|(combo, ..)| combo.starts_with("triple_point_host")))
+        .map(|m| m.name.as_str())
+        .collect();
+    let schedule = [
+        "schedule.builds",
+        "schedule.cache_hits",
+        "schedule.cache_misses",
+        "schedule.candidate_pairs",
+    ];
+    assert_eq!(host, BTreeSet::from(schedule));
+}
+
 /// A bucket that no longer adds up to ranks × makespan fails the
 /// identity; an `rbamr_bench --json` output parses to its metrics.
 #[test]
