@@ -13,8 +13,12 @@
 //! `<arm>` `parent` or `change` — or `<arm>.<w>.<s>.<n>.txt` for the
 //! `n`-th run of a seed run more than once (`n` a number; other names
 //! are skipped); only the last line, the run's JSON object, is read. A run that failed its checks stops the
-//! tool. The file is a JSON array with one object per campaign and one
-//! line per (workload, metric), so a campaign is a one-hunk diff.
+//! tool. A file named `<arm>.<w>.<s>.trace.txt` holds one `--trace 1`
+//! run: its `[T]`-marked per-layer counters, deterministic for a seed,
+//! follow the workload's end-to-end rows, one value per arm (both arms
+//! traced at the same seed). The file is a JSON array with one object
+//! per campaign and one line per (workload, metric), so a campaign is a
+//! one-hunk diff.
 
 use rbamr_bench::path_arg;
 use std::collections::BTreeMap;
@@ -36,6 +40,25 @@ fn value(json: &str, metric: &str) -> f64 {
     json[at..].split(',').next().and_then(|v| v.trim().parse().ok()).expect("a number")
 }
 
+/// The `[T]`-marked lines of a traced run's output, `name = value unit
+/// [T]`, in order.
+fn traced(text: &str) -> Vec<(String, f64)> {
+    let counter = |line: &str| {
+        let (name, rest) = line.trim().strip_suffix("[T]")?.split_once(" = ")?;
+        Some((name.to_owned(), rest.split_whitespace().next()?.parse().ok()?))
+    };
+    text.lines().filter_map(counter).collect()
+}
+
+/// One trajectory row.
+fn row(workload: &str, metric: &str, p: f64, c: f64) -> String {
+    let pct = if p == 0.0 { 0.0 } else { (c - p) / p * 100.0 };
+    format!(
+        "  {{\"workload\": \"{workload}\", \"metric\": \"{metric}\", \"parent\": {p:.6}, \
+         \"change\": {c:.6}, \"change_pct\": {pct:.2}}}"
+    )
+}
+
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
     (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
@@ -50,11 +73,19 @@ fn main() {
     // (workload, arm) -> one value list per metric; and the seeds seen.
     let mut values: BTreeMap<(String, String), [Vec<f64>; 6]> = BTreeMap::new();
     let mut seeds = Vec::new();
+    // (workload, arm) -> the traced seed and its counters.
+    let mut traces: BTreeMap<(String, String), (String, Vec<(String, f64)>)> = BTreeMap::new();
     for file in std::fs::read_dir(&runs).expect("--runs: not a directory") {
         let path = file.expect("--runs: unreadable entry").path();
         let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
         let parts: Vec<&str> = name.strip_suffix(".txt").unwrap_or("").split('.').collect();
         let (arm, workload, seed) = match parts[..] {
+            [arm @ ("parent" | "change"), w, s, "trace"] => {
+                let text = std::fs::read_to_string(&path).expect("a traced run's output");
+                let old = traces.insert((w.into(), arm.into()), (s.into(), traced(&text)));
+                assert!(old.is_none(), "{w}: more than one traced {arm} run");
+                continue;
+            }
             [arm @ ("parent" | "change"), w, s] => (arm, w, s),
             [arm @ ("parent" | "change"), w, s, n] if n.parse::<u32>().is_ok() => (arm, w, s),
             _ => continue,
@@ -77,12 +108,19 @@ fn main() {
         let change = values.get(&(workload.clone(), "change".into())).expect("both arms");
         assert_eq!(parent[0].len(), change[0].len(), "{workload}: the arms ran different seeds");
         for (k, metric) in METRICS.iter().enumerate() {
-            let (p, c) = (median(parent[k].clone()), median(change[k].clone()));
-            rows.push(format!(
-                "  {{\"workload\": \"{workload}\", \"metric\": \"{metric}\", \"parent\": {p:.6}, \
-                 \"change\": {c:.6}, \"change_pct\": {:.2}}}",
-                (c - p) / p * 100.0
-            ));
+            rows.push(row(workload, metric, median(parent[k].clone()), median(change[k].clone())));
+        }
+        let trace = |arm: &str| traces.get(&(workload.clone(), arm.to_owned()));
+        let (Some((seed, parent)), Some((change_seed, change))) =
+            (trace("parent"), trace("change"))
+        else {
+            continue;
+        };
+        assert_eq!(seed, change_seed, "{workload}: the arms traced different seeds");
+        for (metric, p) in parent {
+            let c = change.iter().find(|(m, _)| m == metric).map_or(f64::NAN, |(_, c)| *c);
+            assert!(c.is_finite(), "{workload}: {metric} traced in one arm only");
+            rows.push(row(workload, metric, *p, c));
         }
     }
     let record = format!(
