@@ -372,7 +372,7 @@ impl DescriptorWords<'_> {
     ///
     /// # Panics
     /// Panics if `v` does not fit in 32 bits.
-    pub fn word(&mut self, v: impl TryInto<i32>) {
+    pub(crate) fn word(&mut self, v: impl TryInto<i32>) {
         let v = v.try_into().unwrap_or_else(|_| panic!("descriptor word exceeds 32 bits"));
         if let Some(out) = self.out.as_deref_mut() {
             out[self.len] = v;

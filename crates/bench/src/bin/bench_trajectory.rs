@@ -40,9 +40,12 @@ fn value(json: &str, metric: &str) -> f64 {
     json[at..].split(',').next().and_then(|v| v.trim().parse().ok()).expect("a number")
 }
 
+/// A traced run's `[T]` counters, by name, in order.
+type Traced = Vec<(String, f64)>;
+
 /// The `[T]`-marked lines of a traced run's output, `name = value unit
 /// [T]`, in order.
-fn traced(text: &str) -> Vec<(String, f64)> {
+fn traced(text: &str) -> Traced {
     let counter = |line: &str| {
         let (name, rest) = line.trim().strip_suffix("[T]")?.split_once(" = ")?;
         Some((name.to_owned(), rest.split_whitespace().next()?.parse().ok()?))
@@ -74,7 +77,7 @@ fn main() {
     let mut values: BTreeMap<(String, String), [Vec<f64>; 6]> = BTreeMap::new();
     let mut seeds = Vec::new();
     // (workload, arm) -> the traced seed and its counters.
-    let mut traces: BTreeMap<(String, String), (String, Vec<(String, f64)>)> = BTreeMap::new();
+    let mut traces: BTreeMap<(String, String), (String, Traced)> = BTreeMap::new();
     for file in std::fs::read_dir(&runs).expect("--runs: not a directory") {
         let path = file.expect("--runs: unreadable entry").path();
         let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
