@@ -626,9 +626,9 @@ impl HydroSim {
         phase(&mut patches, &dx, ex)
     }
 
-    /// Plan digests of every schedule in use: per level the seven fills
-    /// in the order `rebuild_schedules` looks them up, then
-    /// the sync schedules. Used by tests to check that cached schedules
+    /// Plan digests of every schedule in use: per level the fills held
+    /// (all seven once a step has run) in the order `rebuild_schedules`
+    /// looks them up, then the sync schedules. Used by tests to check that cached schedules
     /// are plan-identical to fresh builds (e.g. across a restart) and
     /// to freeze the plans themselves.
     pub fn plan_digests(&self) -> Vec<Vec<String>> {
