@@ -493,11 +493,8 @@ impl PassTables {
         self.0.iter()
     }
 
-    /// Render every table into `out`, back to back, or only count the
-    /// words without one; returns the count.
-    ///
-    /// # Panics
-    /// Panics if `out` holds fewer words.
+    /// Render every table into `out` (which must hold them all), back
+    /// to back, or only count the words without one; returns the count.
     pub fn render(&self, out: Option<&mut [i32]>) -> usize {
         let mut w = DescriptorWords { out, len: 0 };
         self.0.iter().for_each(|t| t.describe(&mut w));

@@ -368,10 +368,7 @@ pub struct DescriptorWords<'a> {
 }
 
 impl DescriptorWords<'_> {
-    /// Append one word.
-    ///
-    /// # Panics
-    /// Panics if `v` does not fit in 32 bits.
+    /// Append one word; panics if `v` does not fit in 32 bits.
     pub(crate) fn word(&mut self, v: impl TryInto<i32>) {
         let v = v.try_into().unwrap_or_else(|_| panic!("descriptor word exceeds 32 bits"));
         if let Some(out) = self.out.as_deref_mut() {

@@ -135,11 +135,9 @@ pub trait DataFactory: Send + Sync {
         }
     }
 
-    /// Make a build pass's descriptor tables resident where this
-    /// factory's data lives, in place of the tables it held before:
-    /// called at the first fill after the pass (see [`PassTables`]).
-    /// The default — data the host addresses directly needs no table —
-    /// renders and uploads nothing.
+    /// Make a build pass's tables resident where this factory's data
+    /// lives, in place of those held (see [`PassTables`]). The default —
+    /// host data needs no table — renders nothing.
     fn upload_tables(&self, tables: &PassTables, category: Category) {
         let _ = (tables, category);
     }

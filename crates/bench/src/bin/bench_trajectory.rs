@@ -13,12 +13,11 @@
 //! `<arm>` `parent` or `change` — or `<arm>.<w>.<s>.<n>.txt` for the
 //! `n`-th run of a seed run more than once (`n` a number; other names
 //! are skipped); only the last line, the run's JSON object, is read. A run that failed its checks stops the
-//! tool. A file named `<arm>.<w>.<s>.trace.txt` holds one `--trace 1`
-//! run: its `[T]`-marked per-layer counters, deterministic for a seed,
-//! follow the workload's end-to-end rows, one value per arm (both arms
-//! traced at the same seed). The file is a JSON array with one object
-//! per campaign and one line per (workload, metric), so a campaign is a
-//! one-hunk diff.
+//! tool. A `<arm>.<w>.<s>.trace.txt` file holds one `--trace 1` run, both
+//! arms at one seed: its deterministic `[T]` counters follow the
+//! workload's rows, one value per arm. The file is a JSON array with one
+//! object per campaign and one line per (workload, metric), so a campaign
+//! is a one-hunk diff.
 
 use rbamr_bench::path_arg;
 use std::collections::BTreeMap;
@@ -40,12 +39,8 @@ fn value(json: &str, metric: &str) -> f64 {
     json[at..].split(',').next().and_then(|v| v.trim().parse().ok()).expect("a number")
 }
 
-/// A traced run's `[T]` counters, by name, in order.
-type Traced = Vec<(String, f64)>;
-
-/// The `[T]`-marked lines of a traced run's output, `name = value unit
-/// [T]`, in order.
-fn traced(text: &str) -> Traced {
+/// The `name = value unit [T]` lines of a traced run's output.
+fn traced(text: &str) -> Vec<(String, f64)> {
     let counter = |line: &str| {
         let (name, rest) = line.trim().strip_suffix("[T]")?.split_once(" = ")?;
         Some((name.to_owned(), rest.split_whitespace().next()?.parse().ok()?))
@@ -76,8 +71,8 @@ fn main() {
     // (workload, arm) -> one value list per metric; and the seeds seen.
     let mut values: BTreeMap<(String, String), [Vec<f64>; 6]> = BTreeMap::new();
     let mut seeds = Vec::new();
-    // (workload, arm) -> the traced seed and its counters.
-    let mut traces: BTreeMap<(String, String), (String, Traced)> = BTreeMap::new();
+    // (workload, arm) -> the traced run's seed and counters.
+    let mut traces = BTreeMap::new();
     for file in std::fs::read_dir(&runs).expect("--runs: not a directory") {
         let path = file.expect("--runs: unreadable entry").path();
         let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
@@ -85,7 +80,8 @@ fn main() {
         let (arm, workload, seed) = match parts[..] {
             [arm @ ("parent" | "change"), w, s, "trace"] => {
                 let text = std::fs::read_to_string(&path).expect("a traced run's output");
-                let old = traces.insert((w.into(), arm.into()), (s.into(), traced(&text)));
+                let old =
+                    traces.insert((w.to_owned(), arm.to_owned()), (s.to_owned(), traced(&text)));
                 assert!(old.is_none(), "{w}: more than one traced {arm} run");
                 continue;
             }
@@ -114,16 +110,12 @@ fn main() {
             rows.push(row(workload, metric, median(parent[k].clone()), median(change[k].clone())));
         }
         let trace = |arm: &str| traces.get(&(workload.clone(), arm.to_owned()));
-        let (Some((seed, parent)), Some((change_seed, change))) =
-            (trace("parent"), trace("change"))
-        else {
-            continue;
-        };
-        assert_eq!(seed, change_seed, "{workload}: the arms traced different seeds");
-        for (metric, p) in parent {
-            let c = change.iter().find(|(m, _)| m == metric).map_or(f64::NAN, |(_, c)| *c);
-            assert!(c.is_finite(), "{workload}: {metric} traced in one arm only");
-            rows.push(row(workload, metric, *p, c));
+        if let (Some((seed, parent)), Some((at, change))) = (trace("parent"), trace("change")) {
+            assert_eq!(seed, at, "{workload}: the arms traced different seeds");
+            for (metric, p) in parent {
+                let c = change.iter().find(|(m, _)| m == metric).expect("traced in both arms").1;
+                rows.push(row(workload, metric, *p, c));
+            }
         }
     }
     let record = format!(

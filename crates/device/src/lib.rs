@@ -325,8 +325,7 @@ impl Device {
     }
 
     /// [`Device::upload`] of `len` elements that `write` produces
-    /// straight into the destination range, with no host image of its
-    /// own: the same transfer, charge and fault site.
+    /// straight into the destination range (same charge and fault site).
     ///
     /// # Panics
     /// Panics if the destination range is out of bounds.

@@ -52,11 +52,6 @@ impl BatchPlan {
         });
         Self { structure_key: structure_key(patches), entries: entries.collect() }
     }
-
-    /// The structure key the plan was built from.
-    pub fn structure_key(&self) -> u64 {
-        self.structure_key
-    }
 }
 
 impl DescriptorTable for BatchPlan {
@@ -98,7 +93,7 @@ impl BatchPlanCache {
     /// `patches`, else build (and cache) a fresh one.
     pub fn get_or_build(&mut self, patches: &[(usize, GBox)]) -> Arc<BatchPlan> {
         let key = structure_key(patches);
-        if let Some(plan) = self.plan.as_ref().filter(|p| p.structure_key() == key) {
+        if let Some(plan) = self.plan.as_ref().filter(|p| p.structure_key == key) {
             self.hits += 1;
             return Arc::clone(plan);
         }

@@ -622,10 +622,8 @@ impl DataFactory for DeviceDataFactory {
         let render = |out: &mut [i32]| assert_eq!(tables.render(Some(out)), len);
         self.device.upload_with(table, 0, len, category, render);
         let rec = self.device.recorder();
-        if rec.is_enabled() {
-            rec.count("device.table_uploads", 1);
-            rec.gauge_max("device.table_bytes", (len * std::mem::size_of::<i32>()) as u64);
-        }
+        rec.count("device.table_uploads", 1);
+        rec.gauge_max("device.table_bytes", (len * std::mem::size_of::<i32>()) as u64);
     }
 }
 

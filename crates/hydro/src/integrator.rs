@@ -31,10 +31,9 @@ use rbamr_amr::regrid::TransferSpec;
 use rbamr_amr::restart::RestoreError;
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    balance, CoarsenOperator, CoarsenSchedule, DescriptorTable, FillWindow, GridGeometry,
-    HostDataFactory, PassTables, Patch, PatchHierarchy, RefineOperator, RefineSchedule,
-    RegridOutcome, RegridParams, Regridder, ScheduleBuild, ScheduleCache, VariableId,
-    VariableRegistry,
+    balance, CoarsenOperator, CoarsenSchedule, FillWindow, GridGeometry, HostDataFactory,
+    PassTables, Patch, PatchHierarchy, RefineOperator, RefineSchedule, RegridOutcome, RegridParams,
+    Regridder, ScheduleBuild, ScheduleCache, VariableId, VariableRegistry,
 };
 use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -191,9 +190,8 @@ pub struct HydroSim {
     /// preserves every level's boxes reuses the plan. Empty on the host
     /// placement.
     batch_plans: BatchPlanCache,
-    /// The descriptor tables of the last build pass — its schedules
-    /// and the batch plan — until the first fill after it makes them
-    /// resident, with one upload.
+    /// The last build pass's descriptor tables, until the first fill
+    /// after it uploads them.
     pending_tables: Option<PassTables>,
     /// Telemetry handle; disabled unless wired via
     /// [`HydroSim::set_recorder`].
@@ -415,14 +413,12 @@ impl HydroSim {
         vars.iter().map(|&var| FillSpec { var, refine_op: Some(self.refine_op_for(var)) }).collect()
     }
 
-    /// (Re)build the per-level schedules of the first `windows` fill
-    /// windows — the sync schedules too when that is all of them — in
-    /// one build pass, and refresh the batch plan. A pass plans what
-    /// runs before the next one: construction plans the start fill,
-    /// all that initialisation runs, a regrid replans what is held, and
-    /// the first step plans the rest. The pass's tables wait for the
-    /// first fill after it (see [`HydroSim::upload_pending_tables`]), so
-    /// rendering them costs the step, not the regrid.
+    /// (Re)build the schedules of the first `windows` fill windows (and
+    /// the syncs with all seven) in one build pass, and refresh the batch
+    /// plan. A pass plans what runs before the next: construction the
+    /// start fill, all initialisation runs; a regrid what is held; the
+    /// first step the rest. Its tables wait for the first fill after it,
+    /// so rendering them costs the step, not the regrid.
     ///
     /// The old schedules are still held here while the pass runs, so a
     /// level whose structure survived the last regrid resolves to `Arc`
@@ -495,15 +491,17 @@ impl HydroSim {
             self.recorder.gauge_max("schedule.cache_bytes", cache.heap_bytes() as u64);
         }
         self.schedule_cache = cache;
-        if let Some(plan) = self.refresh_batch_plan() {
-            tables.push(plan);
+        // The batch plan — rebuilt only when some level's boxes changed —
+        // is one more table of the pass; the host placement has none.
+        if self.device.is_some() {
+            let (patches, _) = self.hierarchy.local_patches_mut();
+            let boxes: Vec<_> = patches.iter().map(|p| (p.id().level, p.cell_box())).collect();
+            tables.push(self.batch_plans.get_or_build(&boxes));
         }
         self.pending_tables = Some(tables);
     }
 
-    /// Make the last build pass's tables resident, if no fill has since
-    /// that pass: called by every fill the integrator runs, so the
-    /// first one pays the pass's one upload.
+    /// Called by every fill: the first after a pass uploads its tables.
     fn upload_pending_tables(&mut self, category: Category) {
         if let Some(tables) = self.pending_tables.take() {
             self.registry.factory().upload_tables(&tables, category);
@@ -519,18 +517,6 @@ impl HydroSim {
     /// Empty on the host placement.
     pub fn batch_plans(&self) -> &BatchPlanCache {
         &self.batch_plans
-    }
-
-    /// Refresh the hierarchy's [`rbamr_gpu_amr::BatchPlan`] after the
-    /// structure may have changed: a cache hit is a structure-key
-    /// comparison; a miss rebuilds the descriptor table. Either way the
-    /// plan is one more table of the build pass. The host placement
-    /// launches nothing and has none.
-    fn refresh_batch_plan(&mut self) -> Option<Arc<dyn DescriptorTable>> {
-        self.device.as_ref()?;
-        let (patches, _) = self.hierarchy.local_patches_mut();
-        let boxes: Vec<_> = patches.iter().map(|p| (p.id().level, p.cell_box())).collect();
-        Some(self.batch_plans.get_or_build(&boxes))
     }
 
     /// Run one fill window over the whole hierarchy: the halo fill
