@@ -209,8 +209,9 @@ impl PatchLevel {
 
     /// A 64-bit digest of the level's structure: boxes, owners, ratio,
     /// level number, and domain. Identical on every rank; any change to
-    /// a box, an owner, or the patch ordering changes the digest. Used
-    /// to key cached communication schedules.
+    /// a box, an owner, or the patch ordering changes the digest. It is
+    /// the level's generation: a schedule planned against the level is
+    /// kept while the digest holds (see [`crate::RefineSchedule::is_current`]).
     pub fn structure_digest(&self) -> u64 {
         self.structure_digest
     }

@@ -66,7 +66,7 @@ pub use patchdata::{Element, PatchData};
 pub use regrid::{RegridOutcome, RegridParams, Regridder};
 pub use schedule::{
     CoarsenSchedule, DescriptorTable, FillWindow, PassTables, PendingFill, RefineSchedule,
-    ScheduleBuild, ScheduleCache,
+    ScheduleBuild,
 };
 pub use stats::{hierarchy_stats, HierarchyStats};
 pub use tagging::TagBitmap;

@@ -31,8 +31,7 @@ use rbamr_geometry::{BoxList, GBox, IntVector};
 
 /// Interpolate coarse data onto a finer level.
 pub trait RefineOperator: Send + Sync {
-    /// Operator name for diagnostics, plan digests and schedule-cache
-    /// keys.
+    /// Operator name for diagnostics and plan digests.
     fn name(&self) -> &'static str;
 
     /// Width (in coarse cells) of source data needed beyond the
@@ -74,8 +73,7 @@ pub trait RefineOperator: Send + Sync {
 
 /// Project fine data onto a coarser level.
 pub trait CoarsenOperator: Send + Sync {
-    /// Operator name for diagnostics, plan digests and schedule-cache
-    /// keys.
+    /// Operator name for diagnostics and plan digests.
     fn name(&self) -> &'static str;
 
     /// Auxiliary variables (by registry order chosen by the caller) the

@@ -111,13 +111,6 @@ impl RegridOutcome {
     pub fn any_changed(&self) -> bool {
         self.levels_changed.iter().any(|&c| c)
     }
-
-    /// Are `level`'s communication schedules stale — did the level
-    /// itself, or the coarser level its fills interpolate from, change
-    /// structure?
-    pub fn schedules_stale(&self, level: usize) -> bool {
-        self.levels_changed[level] || (level > 0 && self.levels_changed[level - 1])
-    }
 }
 
 /// The regridding driver.
@@ -151,8 +144,9 @@ impl Regridder {
     /// A level whose planned structure (boxes and owners) reproduces the
     /// existing one is left entirely in place — no rebuild, no data
     /// transfer (the transfer would be the identity) — and reported as
-    /// unchanged in the returned [`RegridOutcome`], so callers can keep
-    /// (or cache-fetch) its communication schedules.
+    /// unchanged in the returned [`RegridOutcome`]; its structure digest
+    /// is unchanged too, so the schedules planned against it stay
+    /// current.
     pub fn regrid(
         &self,
         hierarchy: &mut PatchHierarchy,
@@ -535,7 +529,6 @@ mod tests {
         assert_eq!(outcome.num_levels, 2);
         assert_eq!(outcome.levels_changed, vec![false, true]);
         assert!(outcome.tags_flagged > 0);
-        assert!(outcome.schedules_stale(1));
         let lvl1 = h.level(1);
         // Tagged region (plus buffer) is covered, refined.
         let covered = lvl1.covered();
@@ -589,7 +582,6 @@ mod tests {
         assert_eq!(second.num_levels, 2);
         assert_eq!(second.levels_changed, vec![false, false]);
         assert!(!second.any_changed());
-        assert!(!second.schedules_stale(1));
         assert_eq!(h.level(1).global_boxes(), boxes_before.as_slice());
         assert_eq!(h.structure_digest(1), digest_before);
         let p = h.level(1).local_by_index(0).unwrap();

@@ -34,11 +34,14 @@
 //! the data lives.
 //!
 //! [`ScheduleBuild`] is the sanctioned build entry point: indexed
-//! overlap discovery over the level's records, optionally routed
-//! through a [`ScheduleCache`], which keys finished schedules
-//! on the level-structure digests and a spec fingerprint so a regrid
-//! that reproduces the previous box structure (the common case once the
-//! hierarchy converges) reuses the schedules instead of rebuilding them.
+//! overlap discovery over the level's records, one build pass for all
+//! the schedules a hierarchy needs. Every schedule records the structure
+//! digests of the levels it reads, which are their generations
+//! ([`PatchLevel::structure_digest`]), so whoever holds one keeps it —
+//! [`ScheduleBuild::keep`] — while it is current
+//! ([`RefineSchedule::is_current`]): a regrid that reproduces a level
+//! (the common case once the hierarchy converges) or a restore rebuilds
+//! nothing of it.
 
 use crate::boundary::{PhysicalBoundary, PhysicalPlan};
 use crate::hierarchy::PatchHierarchy;
@@ -103,172 +106,38 @@ impl std::fmt::Debug for CoarsenSpec {
     }
 }
 
-// Spec equality and hashing identify an operator by its registered
-// name — the same identity `plan_digest` renders — so two specs naming
-// the same variable and operator are interchangeable for caching even
-// when they hold distinct `Arc`s.
-
-impl PartialEq for FillSpec {
-    fn eq(&self, other: &Self) -> bool {
-        self.var == other.var
-            && match (&self.refine_op, &other.refine_op) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.name() == b.name(),
-                _ => false,
-            }
-    }
-}
-
-impl Eq for FillSpec {}
-
-impl std::hash::Hash for FillSpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.var.hash(state);
-        match &self.refine_op {
-            None => state.write_u8(0),
-            Some(op) => {
-                state.write_u8(1);
-                op.name().hash(state);
-            }
-        }
-    }
-}
-
-impl PartialEq for CoarsenSpec {
-    fn eq(&self, other: &Self) -> bool {
-        self.var == other.var && self.op.name() == other.op.name() && self.aux == other.aux
-    }
-}
-
-impl Eq for CoarsenSpec {}
-
-impl std::hash::Hash for CoarsenSpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.var.hash(state);
-        self.op.name().hash(state);
-        self.aux.hash(state);
-    }
-}
-
-/// Order-dependent fingerprint of a spec list (spec order determines
-/// plan and message-stream order, so it is part of the cache key).
-fn specs_fingerprint<T: std::hash::Hash>(specs: &[T]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    specs.hash(&mut h);
-    h.finish()
-}
-
-/// Identity of a cached schedule: the level structures it was planned
-/// against, the spec set, and the rank (plans are rank-relative — they
-/// split into copies vs sends vs recvs by owner comparison).
+/// What a schedule is planned against: the rank it plans for and the
+/// structure digests of the levels it reads — its own, and the coarser
+/// one when it interpolates or syncs from it. A level's digest is its
+/// generation (see [`PatchLevel::structure_digest`]): the schedule is
+/// current exactly while these hold, and then its plans are byte for
+/// byte what a fresh build would produce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct ScheduleKey {
+struct Structure {
     rank: usize,
-    level_no: usize,
-    level_digest: u64,
-    /// Digest of the coarser level when the schedule reads it (refine
-    /// with interpolation, every coarsen); 0 otherwise.
-    coarser_digest: u64,
-    spec_fp: u64,
+    level: u64,
+    coarser: Option<u64>,
 }
 
-impl ScheduleKey {
-    /// `coarse`: whether what is keyed reads the coarser level.
-    fn new(hierarchy: &PatchHierarchy, level_no: usize, coarse: bool, spec_fp: u64) -> Self {
+impl Structure {
+    fn of(hierarchy: &PatchHierarchy, level_no: usize, coarse: bool) -> Self {
         Self {
             rank: hierarchy.rank(),
-            level_no,
-            level_digest: hierarchy.structure_digest(level_no),
-            coarser_digest: if coarse { hierarchy.structure_digest(level_no - 1) } else { 0 },
-            spec_fp,
+            level: hierarchy.structure_digest(level_no),
+            coarser: coarse.then(|| hierarchy.structure_digest(level_no - 1)),
         }
     }
 
-    fn refine(hierarchy: &PatchHierarchy, level_no: usize, specs: &[FillSpec]) -> Self {
-        // Matches the build: coarse metadata is only consulted when the
-        // level has a coarser one and some spec interpolates.
-        let needs_coarse = level_no > 0 && specs.iter().any(|s| s.refine_op.is_some());
-        Self::new(hierarchy, level_no, needs_coarse, specs_fingerprint(specs))
-    }
-
-    fn coarsen(hierarchy: &PatchHierarchy, fine_level_no: usize, specs: &[CoarsenSpec]) -> Self {
-        assert!(fine_level_no > 0, "CoarsenSchedule: level 0 has no coarser level");
-        Self::new(hierarchy, fine_level_no, true, specs_fingerprint(specs))
-    }
-}
-
-/// Structure-keyed cache of the schedules in use.
-///
-/// Keys bind the digests of every level a schedule was planned against
-/// (see [`crate::PatchLevel::structure_digest`]), the spec-set
-/// fingerprint, and the rank, so a lookup can only hit when the cached
-/// plans are byte-for-byte what a fresh build would produce. Entries are
-/// `Arc`-shared: a hit is an `Arc` clone, no copying.
-///
-/// The cache keeps an entry alive only while something else does: when
-/// a build pass opens ([`ScheduleBuild::with_cache`]) every schedule
-/// that nothing outside the cache holds is dropped — plans, descriptor
-/// table and boundary state together — so the cache is bounded by the
-/// schedules of the current structure and of the one being replaced,
-/// and a level that survives a regrid gets the same `Arc` back. A
-/// structure that fell out of use and comes back later is rebuilt;
-/// remembering such plans cost several times the mesh in host memory
-/// on a moving front and was never once hit on the benchmark decks.
-#[derive(Default)]
-pub struct ScheduleCache {
-    refine: HashMap<ScheduleKey, Arc<RefineSchedule>>,
-    coarsen: HashMap<ScheduleKey, Arc<CoarsenSchedule>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ScheduleCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cached schedules (both kinds).
-    pub fn len(&self) -> usize {
-        self.refine.len() + self.coarsen.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.refine.is_empty() && self.coarsen.is_empty()
-    }
-
-    /// Lifetime lookup hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime lookup misses.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Host heap bytes of the cached schedules (see
-    /// [`RefineSchedule::heap_bytes`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.refine.values().map(|s| s.heap_bytes()).sum::<usize>()
-            + self.coarsen.values().map(|s| s.heap_bytes()).sum::<usize>()
-    }
-
-    /// Lifetime hit rate in [0, 1]; 0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+    /// Whether `hierarchy`'s level `level_no` (and its coarser one) is
+    /// still what this was planned against.
+    fn is_current(&self, hierarchy: &PatchHierarchy, level_no: usize) -> bool {
+        level_no < hierarchy.num_levels()
+            && *self == Self::of(hierarchy, level_no, self.coarser.is_some())
     }
 }
 
 /// The sanctioned schedule-build entry point: Morton [`BoxIndex`]
-/// discovery, O(N log N + k), plus the cache hook.
+/// discovery, O(N log N + k), and the hand-over of what is kept.
 ///
 /// ```
 /// # use rbamr_amr::{ops::ConservativeCellRefine, schedule::FillSpec, *};
@@ -282,10 +151,10 @@ impl ScheduleCache {
 /// # h.set_level(0, vec![GBox::from_coords(0, 0, 16, 16)], vec![0], &reg);
 /// # h.set_level(1, vec![GBox::from_coords(8, 8, 24, 24)], vec![0], &reg);
 /// # let specs = [FillSpec { var, refine_op: Some(Arc::new(ConservativeCellRefine)) }];
-/// let mut cache = ScheduleCache::new();
-/// let sched = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &specs);
-/// // While `sched` is held, the same structure is a cache hit.
-/// let again = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &specs);
+/// let sched = ScheduleBuild::indexed().refine(&h, &reg, 1, &specs);
+/// // While levels 0 and 1 keep their digests, a later pass keeps it.
+/// assert!(sched.is_current(&h));
+/// let again = ScheduleBuild::indexed().keep(&h, &sched);
 /// assert!(Arc::ptr_eq(&sched, &again));
 /// ```
 ///
@@ -294,38 +163,26 @@ impl ScheduleCache {
 /// each rank plans only the transfers it owns an endpoint of. The
 /// all-pairs oracle
 /// ([`RefineSchedule::new_bruteforce`]) has no index, walks every
-/// destination and never goes through here, so it is never cached.
+/// destination and never goes through here.
 ///
 /// One value is one build *pass*: each level's index and local
 /// positions are made once, and its fill geometry is walked once per
 /// class of variables, for every schedule the pass builds; all of it is
-/// dropped with the value, except what it handed out, built or cached:
+/// dropped with the value, except what it handed out, built or kept:
 /// the pass's [`PassTables`] ([`ScheduleBuild::into_tables`]).
-pub struct ScheduleBuild<'c> {
-    /// When set, built schedules are cached and structure-preserving
-    /// rebuilds become `Arc` clones.
-    pub cache: Option<&'c mut ScheduleCache>,
+#[derive(Default)]
+pub struct ScheduleBuild {
     memo: PassMemo,
     tables: PassTables,
 }
 
-impl ScheduleBuild<'static> {
-    /// Indexed build, no caching.
+impl ScheduleBuild {
+    /// A pass with nothing built yet.
     pub fn indexed() -> Self {
-        Self { cache: None, memo: PassMemo::default(), tables: PassTables::default() }
-    }
-}
-
-impl<'c> ScheduleBuild<'c> {
-    /// Indexed build through `cache`, which first drops every schedule
-    /// nothing else holds any more (see [`ScheduleCache`]).
-    pub fn with_cache(cache: &'c mut ScheduleCache) -> Self {
-        cache.refine.retain(|_, s| Arc::strong_count(s) > 1);
-        cache.coarsen.retain(|_, s| Arc::strong_count(s) > 1);
-        Self { cache: Some(cache), ..ScheduleBuild::indexed() }
+        Self::default()
     }
 
-    /// Build (or fetch) the ghost-fill schedule for `level_no`.
+    /// Build the ghost-fill schedule for `level_no`.
     pub fn refine(
         &mut self,
         hierarchy: &PatchHierarchy,
@@ -333,33 +190,13 @@ impl<'c> ScheduleBuild<'c> {
         level_no: usize,
         specs: &[FillSpec],
     ) -> Arc<RefineSchedule> {
-        let key = self.cache.is_some().then(|| ScheduleKey::refine(hierarchy, level_no, specs));
-        if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
-            if let Some(hit) = cache.refine.get(&key) {
-                cache.hits += 1;
-                count_if_enabled(hierarchy, "schedule.cache_hits");
-                let hit = Arc::clone(hit);
-                return self.hand_out(hit);
-            }
-        }
-        let built = Arc::new(RefineSchedule::build(
-            hierarchy,
-            registry,
-            level_no,
-            specs,
-            true,
-            &mut self.memo,
-        ));
-        if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
-            cache.misses += 1;
-            count_if_enabled(hierarchy, "schedule.cache_misses");
-            cache.refine.insert(key, Arc::clone(&built));
-        }
-        self.hand_out(built)
+        let memo = &mut self.memo;
+        let built = RefineSchedule::build(hierarchy, registry, level_no, specs, true, memo);
+        self.hand_out(Arc::new(built))
     }
 
-    /// Build (or fetch) the synchronisation schedule projecting
-    /// `fine_level_no` onto `fine_level_no - 1`.
+    /// Build the synchronisation schedule projecting `fine_level_no`
+    /// onto `fine_level_no - 1`.
     ///
     /// # Panics
     /// Panics if `fine_level_no == 0`.
@@ -370,25 +207,24 @@ impl<'c> ScheduleBuild<'c> {
         fine_level_no: usize,
         specs: &[CoarsenSpec],
     ) -> Arc<CoarsenSchedule> {
-        let key =
-            self.cache.is_some().then(|| ScheduleKey::coarsen(hierarchy, fine_level_no, specs));
-        if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
-            if let Some(hit) = cache.coarsen.get(&key) {
-                cache.hits += 1;
-                count_if_enabled(hierarchy, "schedule.cache_hits");
-                let hit = Arc::clone(hit);
-                return self.hand_out(hit);
-            }
-        }
         let memo = &mut self.memo;
-        let built =
-            Arc::new(CoarsenSchedule::build(hierarchy, registry, fine_level_no, specs, true, memo));
-        if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
-            cache.misses += 1;
-            count_if_enabled(hierarchy, "schedule.cache_misses");
-            cache.coarsen.insert(key, Arc::clone(&built));
+        let built = CoarsenSchedule::build(hierarchy, registry, fine_level_no, specs, true, memo);
+        self.hand_out(Arc::new(built))
+    }
+
+    /// Hand `held` — a schedule current on `hierarchy`
+    /// ([`RefineSchedule::is_current`], [`CoarsenSchedule::is_current`])
+    /// — into the pass in place of a build, counted as `schedule.kept`.
+    pub fn keep<S: DescriptorTable + 'static>(
+        &mut self,
+        hierarchy: &PatchHierarchy,
+        held: &Arc<S>,
+    ) -> Arc<S> {
+        let rec = hierarchy.recorder();
+        if rec.is_enabled() {
+            rec.count("schedule.kept", 1);
         }
-        self.hand_out(built)
+        self.hand_out(Arc::clone(held))
     }
 
     /// Hand `sched` out, its table one of the pass's.
@@ -400,13 +236,6 @@ impl<'c> ScheduleBuild<'c> {
     /// The tables of every schedule the pass handed out, in order.
     pub fn into_tables(self) -> PassTables {
         self.tables
-    }
-}
-
-fn count_if_enabled(hierarchy: &PatchHierarchy, name: &'static str) {
-    let rec = hierarchy.recorder();
-    if rec.is_enabled() {
-        rec.count(name, 1);
     }
 }
 
@@ -524,6 +353,7 @@ fn data_box_of(var: &Variable, cell_box: GBox) -> GBox {
 /// interpolation, grouped by operator; physical boundaries.
 pub struct RefineSchedule {
     level_no: usize,
+    structure: Structure,
     /// Tag of the one message a peer gets per execution.
     tag: u64,
     vars: Vec<VariableId>,
@@ -552,16 +382,16 @@ impl RefineSchedule {
     /// Build the schedule for level `level_no` of `hierarchy`.
     ///
     /// Coarse-fine interpolation is planned when `level_no > 0` and the
-    /// spec has a refine operator. The schedule is valid until the next
-    /// regrid of this or the coarser level.
+    /// spec has a refine operator. The schedule is valid while it is
+    /// current ([`RefineSchedule::is_current`]).
     ///
     /// Source discovery goes through a [`BoxIndex`] (O(log N + k) per
     /// destination), so metadata cost is O(N log N) in the patch count
     /// rather than the all-pairs O(N²).
     ///
     /// Thin wrapper kept for the tests and simple callers; production
-    /// code should build through [`ScheduleBuild`], which adds the
-    /// structure-keyed [`ScheduleCache`].
+    /// code should build through [`ScheduleBuild`], which shares the
+    /// level tables and geometry of a pass and makes its tables.
     pub fn new(
         hierarchy: &PatchHierarchy,
         registry: &VariableRegistry,
@@ -576,7 +406,7 @@ impl RefineSchedule {
     /// the level, not only those this rank may own an end of. Retained
     /// as the test oracle: the proptests assert
     /// [`RefineSchedule::plan_digest`] is identical for both builds on
-    /// arbitrary hierarchies. Never cached.
+    /// arbitrary hierarchies.
     pub fn new_bruteforce(
         hierarchy: &PatchHierarchy,
         registry: &VariableRegistry,
@@ -604,8 +434,9 @@ impl RefineSchedule {
         let needs_coarse = level_no > 0 && specs.iter().any(|s| s.refine_op.is_some());
         let coarse = needs_coarse.then(|| Sources::shared(memo, hierarchy, level_no - 1, indexed));
         let vars = specs.iter().map(|s| s.var).collect();
-        let mut plan = Planner::new(hierarchy, registry, level_no, KIND_AGG_FILL, vars);
-        let structure = ScheduleKey::new(hierarchy, level_no, needs_coarse, indexed.into());
+        let mut plan =
+            Planner::new(hierarchy, registry, (level_no, needs_coarse), KIND_AGG_FILL, vars);
+        let structure = plan.sched.structure;
 
         for spec in specs {
             let var = registry.get(spec.var);
@@ -663,7 +494,7 @@ impl RefineSchedule {
     /// scratch cells depends on that box). Specs sharing a centring and
     /// a stencil width share every box of the plan: discovery and the
     /// walks run once per (new patch, such group). Built for one
-    /// execution ([`RefineSchedule::try_transfer`]), never cached.
+    /// execution ([`RefineSchedule::try_transfer`]), never kept.
     ///
     /// A rank walks only the new records it may own an end of a transfer
     /// into (DESIGN.md §13). Unindexed — the test oracle — it walks every
@@ -708,7 +539,7 @@ impl RefineSchedule {
         }
 
         let vars = specs.iter().map(|s| s.var).collect();
-        let mut plan = Planner::new(hierarchy, registry, level_no, KIND_AGG_REGRID, vars);
+        let mut plan = Planner::new(hierarchy, registry, (level_no, true), KIND_AGG_REGRID, vars);
         let mut cand = Vec::new();
 
         for (npos, &nb) in new.recs.boxes().iter().enumerate().filter(|&(npos, _)| walked[npos]) {
@@ -762,7 +593,7 @@ impl RefineSchedule {
         }
 
         // Its own counter, not `schedule.builds`: this is regrid work,
-        // and the cache statistics count the schedules that are kept.
+        // and the schedule statistics count the schedules that are kept.
         let rec = hierarchy.recorder();
         if rec.is_enabled() {
             rec.count("regrid.candidate_pairs", plan.candidate_pairs);
@@ -829,6 +660,14 @@ impl RefineSchedule {
             out.push(format!("phys v{} {} {:?}", p.var.0, p.dst_idx, p.outside));
         }
         sorted_digest(out)
+    }
+
+    /// Whether the levels this schedule reads — its own, and the coarser
+    /// one when it interpolates — still carry the digests it was planned
+    /// against on `hierarchy`'s rank: then it is what a fresh build would
+    /// be, and whoever holds it keeps it.
+    pub fn is_current(&self, hierarchy: &PatchHierarchy) -> bool {
+        self.structure.is_current(hierarchy, self.level_no)
     }
 
     /// Number of interpolation jobs (diagnostics/tests).
@@ -984,15 +823,15 @@ struct CoarseGeometry {
 type Class = (Centring, IntVector, Option<IntVector>);
 
 /// The geometry of a level's destinations, by record position, per
-/// structure (the key of a schedule, the discovery mode in place of a
-/// spec set) and class: what lets its fill schedules share one walk.
-type GeometryMemo = HashMap<(ScheduleKey, Class), Vec<(usize, DstGeometry)>>;
+/// structure (what a fill schedule of the level reads) and class: what
+/// lets its fill schedules share one walk.
+type GeometryMemo = HashMap<(Structure, Class), Vec<(usize, DstGeometry)>>;
 
 /// What one [`ScheduleBuild`] pass computes once for all its builds.
 #[derive(Default)]
 struct PassMemo {
-    /// Per level, keyed like a schedule of that level alone.
-    levels: HashMap<ScheduleKey, Arc<LevelTable>>,
+    /// Per level, keyed by (rank, level digest).
+    levels: HashMap<(usize, u64), Arc<LevelTable>>,
     geometry: GeometryMemo,
 }
 
@@ -1038,7 +877,7 @@ impl<'a> Sources<'a> {
 
     /// Level `level_no` of `h`, its table made once per pass.
     fn shared(memo: &mut PassMemo, h: &'a PatchHierarchy, level_no: usize, indexed: bool) -> Self {
-        let key = ScheduleKey::new(h, level_no, false, indexed.into());
+        let key = (h.rank(), h.structure_digest(level_no));
         let fresh = || Self::of(h.level(level_no), h.rank(), None, indexed).table;
         let table = Arc::clone(memo.levels.entry(key).or_insert_with(fresh));
         Self { recs: h.level(level_no).records(), level: Some(level_no), table }
@@ -1108,17 +947,18 @@ struct Planner<'a> {
 }
 
 impl<'a> Planner<'a> {
-    /// An empty schedule for level `level_no` filling the variables of
-    /// `specs`, its messages tagged with `kind`.
+    /// An empty schedule for level `level_no` filling `vars`, reading
+    /// the coarser level if `coarse`, its messages tagged with `kind`.
     fn new(
         hierarchy: &PatchHierarchy,
         registry: &'a VariableRegistry,
-        level_no: usize,
+        (level_no, coarse): (usize, bool),
         kind: u64,
         vars: Vec<VariableId>,
     ) -> Self {
         let sched = RefineSchedule {
             level_no,
+            structure: Structure::of(hierarchy, level_no, coarse),
             tag: agg_tag(kind, level_no),
             vars,
             copies: Vec::new(),
@@ -1152,7 +992,7 @@ impl<'a> Planner<'a> {
     /// Interpolate `fill` of the local patch `(position, global index)`
     /// out of a new scratch array over `scratch_box`, `covered` by its
     /// planned sources. Operators are told apart by name, as in the
-    /// spec fingerprints, and kept in order of first use.
+    /// plan digests, and kept in order of first use.
     ///
     /// # Panics
     /// Panics, in every profile, if `op` could read outside the scratch
@@ -1388,6 +1228,7 @@ fn scratch_region(scratch_data_box: GBox, cbox: GBox, centring: Centring) -> Box
 /// patches owned here.
 pub struct CoarsenSchedule {
     fine_level_no: usize,
+    structure: Structure,
     /// One scratch array per projection job: its variable and the
     /// coarse cell region it covers.
     scratch: Vec<(VariableId, GBox)>,
@@ -1557,7 +1398,18 @@ impl CoarsenSchedule {
         record_build_telemetry(hierarchy, candidate_pairs, build_start);
         let (sends, send_peers) = sends.finish();
         let (recvs, recv_peers) = recvs.finish();
-        Self { fine_level_no, scratch, projects, applies, sends, send_peers, recvs, recv_peers }
+        let structure = Structure::of(hierarchy, fine_level_no, true);
+        Self {
+            fine_level_no,
+            structure,
+            scratch,
+            projects,
+            applies,
+            sends,
+            send_peers,
+            recvs,
+            recv_peers,
+        }
     }
 
     /// Canonical rendering of every sync plan, sorted (see
@@ -1592,6 +1444,12 @@ impl CoarsenSchedule {
             ));
         }
         sorted_digest(out)
+    }
+
+    /// Whether both levels of the sync still carry the digests it was
+    /// planned against (see [`RefineSchedule::is_current`]).
+    pub fn is_current(&self, hierarchy: &PatchHierarchy) -> bool {
+        self.structure.is_current(hierarchy, self.fine_level_no)
     }
 
     /// Number of projection jobs this rank takes part in, as the fine
@@ -1899,7 +1757,7 @@ mod tests {
     #[should_panic(expected = "outside its scratch data box")]
     fn interpolation_reading_past_its_scratch_is_refused() {
         let (h, reg, var) = two_level_setup();
-        let mut plan = Planner::new(&h, &reg, 1, KIND_AGG_FILL, vec![var]);
+        let mut plan = Planner::new(&h, &reg, (1, true), KIND_AGG_FILL, vec![var]);
         let op: Arc<dyn RefineOperator> = Arc::new(ConservativeCellRefine);
         let (fill, covered) = (BoxList::from_box(b(6, 8, 8, 24)), BoxList::new());
         plan.interpolate(&op, var, (0, 0), (&fill, b(2, 3, 5, 13), &covered));
@@ -1927,107 +1785,10 @@ mod tests {
         agg_tag(15, 0);
     }
 
-    #[test]
-    fn spec_equality_and_hash_track_operator_identity() {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let hash_of = |s: &FillSpec| {
-            let mut h = DefaultHasher::new();
-            s.hash(&mut h);
-            h.finish()
-        };
-        let v = VariableId(0);
-        let bare = FillSpec { var: v, refine_op: None };
-        let cons = FillSpec { var: v, refine_op: Some(Arc::new(ConservativeCellRefine)) };
-        let cons2 = FillSpec { var: v, refine_op: Some(Arc::new(ConservativeCellRefine)) };
-        let lin = FillSpec { var: v, refine_op: Some(Arc::new(LinearNodeRefine)) };
-        assert_eq!(cons, cons2); // distinct Arcs, same operator name
-        assert_eq!(hash_of(&cons), hash_of(&cons2));
-        assert_ne!(cons, lin);
-        assert_ne!(cons, bare);
-        assert_ne!(bare, FillSpec { var: VariableId(1), refine_op: None });
-        let sync = CoarsenSpec { var: v, op: Arc::new(VolumeWeightedCoarsen), aux: vec![] };
-        let sync2 = CoarsenSpec { var: v, op: Arc::new(VolumeWeightedCoarsen), aux: vec![] };
-        assert_eq!(sync, sync2);
-        assert_ne!(
-            sync,
-            CoarsenSpec { var: v, op: Arc::new(VolumeWeightedCoarsen), aux: vec![VariableId(1)] }
-        );
-    }
-
     fn two_level_setup() -> (PatchHierarchy, VariableRegistry, VariableId) {
         let (mut h, reg, var) = setup();
         h.set_level(0, vec![b(0, 0, 16, 16)], vec![0], &reg);
         h.set_level(1, vec![b(8, 8, 24, 24)], vec![0], &reg);
         (h, reg, var)
-    }
-
-    #[test]
-    fn cache_hits_on_identical_structure_and_misses_on_change() {
-        let (mut h, reg, var) = two_level_setup();
-        let specs = [FillSpec { var, refine_op: Some(Arc::new(ConservativeCellRefine)) }];
-        let mut cache = ScheduleCache::new();
-        let first = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &specs);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        // Same structure: Arc-identical hit.
-        let second = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &specs);
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.hit_rate(), 0.5);
-        // Replacing the fine level with a different box misses and
-        // matches a fresh build.
-        h.set_level(1, vec![b(8, 8, 20, 24)], vec![0], &reg);
-        let third = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &specs);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        assert_eq!(third.plan_digest(), RefineSchedule::new(&h, &reg, 1, &specs).plan_digest());
-    }
-
-    #[test]
-    fn cache_distinguishes_spec_sets_and_kinds() {
-        let (h, reg, var) = two_level_setup();
-        let mut cache = ScheduleCache::new();
-        let with_op = [FillSpec { var, refine_op: Some(Arc::new(ConservativeCellRefine)) }];
-        let without = [FillSpec { var, refine_op: None }];
-        let sync = [CoarsenSpec { var, op: Arc::new(VolumeWeightedCoarsen), aux: vec![] }];
-        // One pass, every schedule held the way an integrator holds them.
-        let mut build = ScheduleBuild::with_cache(&mut cache);
-        let held = (
-            build.refine(&h, &reg, 1, &with_op),
-            build.refine(&h, &reg, 1, &without),
-            build.coarsen(&h, &reg, 1, &sync),
-        );
-        // The pass holds what it hands out, as its tables, until it ends.
-        drop(build);
-        assert_eq!((cache.hits(), cache.misses()), (0, 3));
-        assert_eq!(cache.len(), 3);
-        assert!(cache.heap_bytes() >= held.0.heap_bytes() + held.2.heap_bytes());
-        // A held schedule survives the next pass; the dropped ones go
-        // when it opens. The lifetime counters outlive the entries.
-        let (kept, bare, synced) = held;
-        drop((bare, synced));
-        let again = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &with_op);
-        assert!(Arc::ptr_eq(&kept, &again));
-        assert_eq!(cache.len(), 1);
-        drop((kept, again));
-        ScheduleBuild::with_cache(&mut cache);
-        assert!(cache.is_empty());
-        assert_eq!((cache.hits(), cache.misses()), (1, 3));
-        // What fell out of use is built again.
-        let _rebuilt = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 1, &with_op);
-        assert_eq!((cache.hits(), cache.misses()), (1, 4));
-    }
-
-    #[test]
-    fn cache_level_zero_refine_ignores_finer_levels() {
-        // A level-0 fill never reads level 1, so regridding level 1
-        // must not invalidate it.
-        let (mut h, reg, var) = two_level_setup();
-        let specs = [FillSpec { var, refine_op: None }];
-        let mut cache = ScheduleCache::new();
-        let a = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 0, &specs);
-        h.set_level(1, vec![b(0, 0, 16, 8)], vec![0], &reg);
-        let bsched = ScheduleBuild::with_cache(&mut cache).refine(&h, &reg, 0, &specs);
-        assert!(Arc::ptr_eq(&a, &bsched));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 }

@@ -65,6 +65,11 @@ impl FillWindow {
         self.members.len() == members.len()
             && self.members.iter().zip(members).all(|(m, s)| Arc::ptr_eq(&m.sched, s))
     }
+
+    /// The `i`-th member, coarse to fine.
+    pub fn member(&self, i: usize) -> Option<&Arc<RefineSchedule>> {
+        self.members.get(i).map(|m| &m.sched)
+    }
 }
 
 impl<S: Borrow<RefineSchedule>> FillWindow<S> {

@@ -17,7 +17,7 @@
 //!
 //! Jobs carry positions, not references, so they hold no borrows of
 //! the hierarchy; a [`TransferCtx`] resolves them when they run. They
-//! are kept with the cached schedules, many thousands at a time, so
+//! are kept with the schedules in use, many thousands at a time, so
 //! their index fields are 32 bits wide.
 
 use crate::hierarchy::PatchHierarchy;

@@ -1,29 +1,26 @@
-//! Property tests of the structure-keyed schedule cache.
+//! Property tests of schedule currency: a schedule is kept exactly
+//! while the levels it reads keep their structure digests.
 //!
 //! Over arbitrary two-level hierarchies viewed from every rank of a
 //! 1–4 rank job:
 //!
-//! * rebuilding schedules for a hierarchy with identical structure
-//!   (the steady-regrid / checkpoint-restore case: a *fresh*
-//!   `PatchHierarchy` object with the same boxes and owners) is a pure
-//!   cache hit, and the cached schedule is plan-identical to a fresh
-//!   uncached build;
-//! * any box or owner change invalidates exactly the affected levels —
-//!   a fine-level change leaves the level-0 fill cached but misses the
-//!   fine fill and the coarsen sync; a coarse-level change misses
-//!   everything (the fine fill interpolates from the coarse level, so
-//!   its key binds the coarser digest too);
-//! * the cache holds what is in use and nothing else: the tests hold a
-//!   generation of schedules the way an integrator does — until the
-//!   next pass has built its successor — and whatever is dropped
-//!   leaves the cache when the following pass opens.
+//! * a schedule built on one hierarchy is current on a *fresh*
+//!   `PatchHierarchy` object (the steady-regrid / checkpoint-restore
+//!   case) exactly when the levels it reads have equal digests there,
+//!   and then its plans equal a fresh build's, digest for digest;
+//! * a box or owner change on the fine level leaves the level-0 fill
+//!   current and makes the fine fill and the sync stale; a coarse-level
+//!   change makes every schedule stale (the fine fill interpolates from
+//!   the coarse level, the sync projects onto it);
+//! * a holder that keeps what is current and builds the rest holds one
+//!   generation: what a pass replaces is freed when the pass returns.
 
 use proptest::prelude::*;
 use rbamr_amr::ops::{ConservativeCellRefine, VolumeWeightedCoarsen};
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
     CoarsenSchedule, GridGeometry, HostDataFactory, PatchHierarchy, RefineSchedule, ScheduleBuild,
-    ScheduleCache, VariableRegistry,
+    VariableRegistry,
 };
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
 use std::sync::Arc;
@@ -79,20 +76,37 @@ fn sync_specs(fill: &FillSpec) -> [CoarsenSpec; 1] {
 /// The schedules of one structure: both fills and the sync.
 type Generation = (Arc<RefineSchedule>, Arc<RefineSchedule>, Arc<CoarsenSchedule>);
 
-/// One rebuild pass; the caller holds the result until the next pass
-/// has replaced it.
+/// One build pass of a holder of `held`: each schedule current on `h`
+/// is kept, the others are built.
 fn pass(
-    cache: &mut ScheduleCache,
+    held: Option<&Generation>,
     h: &PatchHierarchy,
     reg: &VariableRegistry,
     fill: &FillSpec,
 ) -> Generation {
-    let mut build = ScheduleBuild::with_cache(cache);
-    (
-        build.refine(h, reg, 0, std::slice::from_ref(fill)),
-        build.refine(h, reg, 1, std::slice::from_ref(fill)),
-        build.coarsen(h, reg, 1, &sync_specs(fill)),
-    )
+    let mut build = ScheduleBuild::indexed();
+    let specs = std::slice::from_ref(fill);
+    let refine = |build: &mut ScheduleBuild, l, held: Option<&Arc<RefineSchedule>>| match held {
+        Some(s) if s.is_current(h) => build.keep(h, s),
+        _ => build.refine(h, reg, l, specs),
+    };
+    let fills =
+        (refine(&mut build, 0, held.map(|g| &g.0)), refine(&mut build, 1, held.map(|g| &g.1)));
+    let sync = match held.map(|g| &g.2) {
+        Some(s) if s.is_current(h) => build.keep(h, s),
+        _ => build.coarsen(h, reg, 1, &sync_specs(fill)),
+    };
+    (fills.0, fills.1, sync)
+}
+
+/// Fresh plan digests of a generation's schedules on `h`.
+fn fresh_digests(h: &PatchHierarchy, reg: &VariableRegistry, fill: &FillSpec) -> [Vec<String>; 3] {
+    let fresh = pass(None, h, reg, fill);
+    [fresh.0.plan_digest(), fresh.1.plan_digest(), fresh.2.plan_digest()]
+}
+
+fn digests(g: &Generation) -> [Vec<String>; 3] {
+    [g.0.plan_digest(), g.1.plan_digest(), g.2.plan_digest()]
 }
 
 fn structure(coarse_mask: u32, fine_bits: u64, owner_seed: &[usize], nranks: usize) -> Structure {
@@ -106,9 +120,10 @@ fn structure(coarse_mask: u32, fine_bits: u64, owner_seed: &[usize], nranks: usi
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Same structure in a fresh hierarchy object → every lookup hits,
-    /// the hit returns the identical `Arc`, and the cached plan equals
-    /// a fresh uncached build digest-for-digest.
+    /// Same structure in a fresh hierarchy object → every schedule is
+    /// current, the pass keeps the identical `Arc`s, and the kept plans
+    /// equal a fresh build digest-for-digest. Plans are rank-relative,
+    /// so another rank's view of the structure is not current.
     #[test]
     fn identical_structure_is_a_pure_cache_hit(
         nranks in 1usize..5,
@@ -119,40 +134,27 @@ proptest! {
         let s = structure(coarse_mask, fine_bits, &owner_seed, nranks);
         for rank in 0..nranks {
             let (h1, reg1, fill1) = setup(&s, rank, nranks);
-            let mut cache = ScheduleCache::new();
-            let (first_r0, first_r1, first_c) = pass(&mut cache, &h1, &reg1, &fill1);
-            prop_assert_eq!(cache.misses(), 3);
-            prop_assert_eq!(cache.hits(), 0);
+            let first = pass(None, &h1, &reg1, &fill1);
 
             // Restore-like: brand-new hierarchy/registry, same structure.
             let (h2, reg2, fill2) = setup(&s, rank, nranks);
-            let (again_r0, again_r1, again_c) = pass(&mut cache, &h2, &reg2, &fill2);
-            prop_assert_eq!(cache.misses(), 3, "rebuild must not miss");
-            prop_assert_eq!(cache.hits(), 3, "rebuild must hit every lookup");
-            prop_assert!(Arc::ptr_eq(&first_r0, &again_r0));
-            prop_assert!(Arc::ptr_eq(&first_r1, &again_r1));
-            prop_assert!(Arc::ptr_eq(&first_c, &again_c));
+            let again = pass(Some(&first), &h2, &reg2, &fill2);
+            prop_assert!(Arc::ptr_eq(&first.0, &again.0));
+            prop_assert!(Arc::ptr_eq(&first.1, &again.1));
+            prop_assert!(Arc::ptr_eq(&first.2, &again.2));
+            prop_assert_eq!(digests(&again), fresh_digests(&h2, &reg2, &fill2));
 
-            // Cached plans are exactly what an uncached build produces.
-            let mut fresh = ScheduleBuild::indexed();
-            prop_assert_eq!(
-                again_r0.plan_digest(),
-                fresh.refine(&h2, &reg2, 0, std::slice::from_ref(&fill2)).plan_digest()
-            );
-            prop_assert_eq!(
-                again_r1.plan_digest(),
-                fresh.refine(&h2, &reg2, 1, std::slice::from_ref(&fill2)).plan_digest()
-            );
-            prop_assert_eq!(
-                again_c.plan_digest(),
-                fresh.coarsen(&h2, &reg2, 1, &sync_specs(&fill2)).plan_digest()
-            );
+            if nranks > 1 {
+                let (other, ..) = setup(&s, (rank + 1) % nranks, nranks);
+                prop_assert!(!first.0.is_current(&other) && !first.2.is_current(&other));
+            }
         }
     }
 
-    /// A box or owner change on the fine level invalidates the fine
-    /// fill and the coarsen sync but leaves the level-0 fill cached; a
-    /// coarse-level change invalidates everything.
+    /// A box or owner change on the fine level makes the fine fill and
+    /// the coarsen sync stale but leaves the level-0 fill current — kept,
+    /// and equal to a fresh build; a coarse-level change makes
+    /// everything stale.
     #[test]
     fn structure_change_invalidates_exactly_the_affected_levels(
         nranks in 1usize..5,
@@ -180,63 +182,53 @@ proptest! {
 
         for rank in 0..nranks {
             let (h1, reg1, fill1) = setup(&s, rank, nranks);
-            let mut cache = ScheduleCache::new();
-            let mut held = pass(&mut cache, &h1, &reg1, &fill1);
-            prop_assert_eq!((cache.hits(), cache.misses()), (0, 3));
+            let held = pass(None, &h1, &reg1, &fill1);
 
-            // Fine-level change: level-0 fill hits, the rest miss.
+            // Fine-level change: only the level-0 fill is current.
             let (h2, reg2, fill2) = setup(&fine, rank, nranks);
             prop_assert_ne!(h1.structure_digest(1), h2.structure_digest(1));
             prop_assert_eq!(h1.structure_digest(0), h2.structure_digest(0));
-            let level0 = Arc::clone(&held.0);
-            held = pass(&mut cache, &h2, &reg2, &fill2);
-            prop_assert_eq!(
-                (cache.hits(), cache.misses()),
-                (1, 5),
-                "fine change: only the level-0 fill may hit"
-            );
-            prop_assert!(Arc::ptr_eq(&level0, &held.0));
-            // Both generations are cached until the next pass opens.
-            prop_assert_eq!(cache.len(), 5);
+            prop_assert!(held.0.is_current(&h2), "fine change: the level-0 fill stays current");
+            prop_assert!(!held.1.is_current(&h2) && !held.2.is_current(&h2));
+            let next = pass(Some(&held), &h2, &reg2, &fill2);
+            prop_assert!(Arc::ptr_eq(&held.0, &next.0));
+            prop_assert!(!Arc::ptr_eq(&held.1, &next.1) && !Arc::ptr_eq(&held.2, &next.2));
+            prop_assert_eq!(digests(&next), fresh_digests(&h2, &reg2, &fill2));
 
-            // Coarse-level change: nothing hits (the fine fill's key
-            // binds the coarser digest because it interpolates).
+            // Coarse-level change: nothing is current (the fine fill
+            // interpolates from the coarse level, the sync writes it).
             let coarse = structure(coarse_mask ^ 1 | 2, fine_bits, &owner_seed, nranks);
-            let (h3, reg3, fill3) = setup(&coarse, rank, nranks);
+            let (h3, ..) = setup(&coarse, rank, nranks);
             prop_assert_ne!(h1.structure_digest(0), h3.structure_digest(0));
-            drop(level0);
-            held = pass(&mut cache, &h3, &reg3, &fill3);
-            prop_assert_eq!(
-                (cache.hits(), cache.misses()),
-                (1, 8),
-                "coarse change: every lookup must miss"
-            );
-            // The first generation's fine schedules went when this pass
-            // opened; the second goes when the next one does.
-            prop_assert_eq!(cache.len(), 6);
-            drop(held);
-            ScheduleBuild::with_cache(&mut cache);
-            prop_assert!(cache.is_empty());
+            prop_assert_eq!(h1.structure_digest(1), h3.structure_digest(1));
+            prop_assert!(!held.0.is_current(&h3) && !held.1.is_current(&h3));
+            prop_assert!(!held.2.is_current(&h3), "coarse change: the sync is still current");
         }
     }
 }
 
 /// A front that moves back and forth: 200 passes alternating between
-/// two structures, only the latest generation held. The cache never
-/// holds more than the generation in use and the one it replaced, and
-/// nothing is ever revived — every pass is three misses.
+/// two structures, each keeping what the last one held if current.
+/// Nothing ever is, so every pass builds all three, and each replaced
+/// generation is freed when the pass that replaces it returns.
 #[test]
-fn alternating_structures_keep_the_cache_at_two_generations() {
+fn alternating_structures_hold_one_generation() {
     let seed: Vec<usize> = (0..80).map(|i| i % 3).collect();
     let structures =
         [structure(0xffff, 0x0f0f_3c3c, &seed, 2), structure(0xfffe, 0x33cc_00ff, &seed, 2)];
-    let mut cache = ScheduleCache::new();
-    let mut held = None;
+    let mut held: Option<Generation> = None;
     for i in 0..200 {
         let (h, reg, fill) = setup(&structures[i % 2], 0, 2);
-        held = Some(pass(&mut cache, &h, &reg, &fill));
-        assert!(cache.len() <= 6, "pass {i}: {} schedules cached", cache.len());
+        let next = pass(held.as_ref(), &h, &reg, &fill);
+        let replaced = held.take().map(|g| {
+            assert!(!Arc::ptr_eq(&g.0, &next.0) && !Arc::ptr_eq(&g.1, &next.1), "pass {i}");
+            assert!(!Arc::ptr_eq(&g.2, &next.2), "pass {i}");
+            (Arc::downgrade(&g.0), Arc::downgrade(&g.1), Arc::downgrade(&g.2))
+        });
+        held = Some(next);
+        if let Some((a, b, c)) = replaced {
+            assert!(a.upgrade().is_none() && b.upgrade().is_none(), "pass {i}: a replaced fill");
+            assert!(c.upgrade().is_none(), "pass {i}: the replaced sync lives");
+        }
     }
-    assert_eq!((cache.hits(), cache.misses()), (0, 600));
-    drop(held);
 }

@@ -6,9 +6,9 @@
 //! indexed by a variable-size patch-descriptor array — one logical
 //! element index spans every patch, and the descriptor table maps it
 //! back to (level, patch, local offset); the level gives the patch's
-//! cell widths. A [`BatchPlan`] is that descriptor table: built whenever
-//! any level's box structure changes, cached beside the structure-keyed
-//! `ScheduleBuild`, and made resident as one more table of the
+//! cell widths. A [`BatchPlan`] is that descriptor table: kept while
+//! every level keeps its structure digest, as the schedules are, built
+//! again when one changes, and made resident as one more table of the
 //! integrator's build pass ([`PassTables`](rbamr_amr::PassTables)), in
 //! the pass's one upload.
 //!
@@ -20,8 +20,7 @@
 //! the exchange).
 
 use rbamr_amr::transfer::DescriptorWords;
-use rbamr_amr::DescriptorTable;
-use rbamr_geometry::digest::Fnv64;
+use rbamr_amr::{DescriptorTable, PatchHierarchy};
 use rbamr_geometry::{GBox, IntVector};
 use std::sync::Arc;
 
@@ -36,7 +35,6 @@ pub const DESCRIPTOR_WORDS: usize = 6;
 /// [`DescriptorTable`] it renders each value as two words, the array
 /// batched kernels index instead of receiving per-patch arguments.
 pub struct BatchPlan {
-    structure_key: u64,
     entries: Vec<[i64; DESCRIPTOR_WORDS]>,
 }
 
@@ -50,7 +48,7 @@ impl BatchPlan {
             offset += b.num_cells();
             entry
         });
-        Self { structure_key: structure_key(patches), entries: entries.collect() }
+        Self { entries: entries.collect() }
     }
 }
 
@@ -60,52 +58,37 @@ impl DescriptorTable for BatchPlan {
     }
 }
 
-/// Digest of the hierarchy's local box structure — every patch's
-/// `(level, cell box)` in plan order: what a [`BatchPlan`] is keyed by.
-pub fn structure_key(patches: &[(usize, GBox)]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_usize(patches.len());
-    for &(level, b) in patches {
-        h.write_usize(level);
-        h.write_gbox(b);
-    }
-    h.finish()
-}
-
-/// The hierarchy's current batch plan, invalidated by structure key —
-/// the batching analogue of the schedule cache: a regrid that leaves
-/// every level's boxes unchanged reuses the plan (and, resident, its
-/// table) untouched; a change on any level rebuilds it.
+/// The hierarchy's batch plan, kept while the hierarchy keeps its level
+/// count and every level its structure digest — the levels'
+/// generations, which keep the schedules too (see
+/// [`RefineSchedule::is_current`](rbamr_amr::RefineSchedule::is_current))
+/// — and built again when one changes.
 #[derive(Default)]
 pub struct BatchPlanCache {
-    plan: Option<Arc<BatchPlan>>,
-    hits: u64,
+    /// The plan, and the digests of the levels it was built from.
+    plan: Option<(Vec<u64>, Arc<BatchPlan>)>,
     builds: u64,
 }
 
 impl BatchPlanCache {
-    /// Create an empty cache.
+    /// Nothing held yet.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Return the cached plan if its structure key still matches
-    /// `patches`, else build (and cache) a fresh one.
-    pub fn get_or_build(&mut self, patches: &[(usize, GBox)]) -> Arc<BatchPlan> {
-        let key = structure_key(patches);
-        if let Some(plan) = self.plan.as_ref().filter(|p| p.structure_key == key) {
-            self.hits += 1;
+    /// The plan of this rank's patches of `hierarchy`: the one held if
+    /// it is current, else a fresh one, held from now on.
+    pub fn get_or_build(&mut self, hierarchy: &PatchHierarchy) -> Arc<BatchPlan> {
+        let levels = 0..hierarchy.num_levels();
+        let digests: Vec<u64> = levels.clone().map(|l| hierarchy.structure_digest(l)).collect();
+        if let Some((_, plan)) = self.plan.as_ref().filter(|(held, _)| *held == digests) {
             return Arc::clone(plan);
         }
+        let local = |l| hierarchy.level(l).local().iter().map(move |p| (l, p.cell_box()));
+        let plan = Arc::new(BatchPlan::build(&levels.flat_map(local).collect::<Vec<_>>()));
         self.builds += 1;
-        let plan = Arc::new(BatchPlan::build(patches));
-        self.plan = Some(Arc::clone(&plan));
+        self.plan = Some((digests, Arc::clone(&plan)));
         plan
-    }
-
-    /// Structure-key cache hits since creation.
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 
     /// Plan builds since creation.
@@ -173,16 +156,31 @@ mod tests {
 
     #[test]
     fn cache_reuses_plan_until_structure_changes() {
-        let mut cache = BatchPlanCache::new();
-        let patches = vec![(0, b(0, 0, 8, 8)), (1, b(8, 0, 16, 8))];
-        let p1 = cache.get_or_build(&patches);
-        let p2 = cache.get_or_build(&patches);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!((cache.builds(), cache.hits()), (1, 1));
-        // The same boxes on other levels are another structure.
-        let p3 = cache.get_or_build(&[(0, b(0, 0, 8, 8)), (2, b(8, 0, 16, 8))]);
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        assert_eq!((cache.builds(), cache.hits()), (2, 1));
+        use rbamr_amr::{GridGeometry, HostDataFactory, VariableRegistry};
+        use rbamr_geometry::{BoxList, Centring};
+        let mut reg = VariableRegistry::new(Arc::new(HostDataFactory::new()));
+        reg.register("q", Centring::Cell, IntVector::uniform(1));
+        let domain = BoxList::from_box(b(0, 0, 16, 16));
+        let ratio = IntVector::uniform(2);
+        let mut h = PatchHierarchy::new(GridGeometry::unit(1.0), domain, ratio, 3, 0, 1);
+        h.set_level(0, vec![b(0, 0, 8, 16), b(8, 0, 16, 16)], vec![0, 0], &reg);
+        h.set_level(1, vec![b(8, 8, 16, 16)], vec![0], &reg);
+        let mut plans = BatchPlanCache::new();
+        let first = plans.get_or_build(&h);
+        // A level reinstalled with the same records has the same digest.
+        h.set_level(1, vec![b(8, 8, 16, 16)], vec![0], &reg);
+        assert!(Arc::ptr_eq(&first, &plans.get_or_build(&h)));
+        assert_eq!(plans.builds(), 1);
+        // A changed level, or one more, is a new plan.
+        h.set_level(1, vec![b(8, 8, 24, 16)], vec![0], &reg);
+        let second = plans.get_or_build(&h);
+        h.set_level(2, vec![b(16, 16, 24, 24)], vec![0], &reg);
+        let third = plans.get_or_build(&h);
+        assert!(!Arc::ptr_eq(&first, &second) && !Arc::ptr_eq(&second, &third));
+        assert_eq!(plans.builds(), 3);
+        let mut tables = PassTables::default();
+        tables.push(third);
+        assert_eq!(tables.render(None), 4 * 2 * DESCRIPTOR_WORDS);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use rbamr_amr::regrid::{CellTagger, TransferSpec};
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
     GridGeometry, PassTables, Patch, PatchData, PatchHierarchy, PhysicalBoundary, RefineSchedule,
-    RegridParams, Regridder, ScheduleBuild, ScheduleCache, TagBitmap, VariableId, VariableRegistry,
+    RegridParams, Regridder, ScheduleBuild, TagBitmap, VariableId, VariableRegistry,
 };
 use rbamr_device::{Device, DeviceError};
 use rbamr_geometry::{copy_overlap, BoxList, Centring, GBox, IntVector};
@@ -446,20 +446,27 @@ fn corrupt_frame_from_one_of_three_peers_skips_that_peer_only() {
 fn descriptor_tables_live_with_the_schedules_in_use() {
     Cluster::new(Machine::ipa_gpu()).run(1, |comm| {
         let mut r = Rank::new(&comm, 2);
-        let mut cache = ScheduleCache::new();
         let uploads = |r: &Rank| r.device.stats().h2d_transfers;
         let allocated = |r: &Rank| r.device.stats().allocated_bytes;
         let patches = allocated(&r);
         // One pass: the fine level's fill, interpolating or not, and the
-        // coarse level's.
-        let pass = |r: &Rank, cache: &mut ScheduleCache, interpolate| {
-            let mut build = ScheduleBuild::with_cache(cache);
-            let fine = build.refine(&r.h, &r.reg, 1, &r.spec(interpolate));
-            let coarse = build.refine(&r.h, &r.reg, 0, &r.spec(false));
+        // coarse level's, each kept when a current one is held (the fine
+        // one only if it is the interpolating fill wanted).
+        type Held = (Arc<RefineSchedule>, Arc<RefineSchedule>);
+        let pass = |r: &Rank, held: Option<&Held>, interpolate| {
+            let mut build = ScheduleBuild::indexed();
+            let fine = match held.map(|h| &h.0) {
+                Some(s) if interpolate && s.is_current(&r.h) => build.keep(&r.h, s),
+                _ => build.refine(&r.h, &r.reg, 1, &r.spec(interpolate)),
+            };
+            let coarse = match held.map(|h| &h.1) {
+                Some(s) if s.is_current(&r.h) => build.keep(&r.h, s),
+                _ => build.refine(&r.h, &r.reg, 0, &r.spec(false)),
+            };
             ((fine, coarse), build.into_tables())
         };
         let words = |tables: &PassTables| tables.render(None) as u64;
-        let (held, tables) = pass(&r, &mut cache, true);
+        let (held, tables) = pass(&r, None, true);
         r.device.reset_transfer_stats();
         r.upload(&tables);
         r.fill(&held.0, &comm).unwrap();
@@ -468,7 +475,7 @@ fn descriptor_tables_live_with_the_schedules_in_use() {
         let table = 4 * words(&tables);
         assert_eq!(allocated(&r), patches + table, "one table: the pass's words");
         // A pass that keeps every schedule uploads nothing.
-        let (again, kept) = pass(&r, &mut cache, true);
+        let (again, kept) = pass(&r, Some(&held), true);
         assert!(Arc::ptr_eq(&held.0, &again.0) && Arc::ptr_eq(&held.1, &again.1));
         r.upload(&kept);
         r.fill(&again.0, &comm).unwrap();
@@ -476,11 +483,12 @@ fn descriptor_tables_live_with_the_schedules_in_use() {
         // A pass that replaces one schedule and keeps the other uploads
         // both tables again, into the same allocation: the replaced
         // table is gone.
-        let coarse = held.1;
-        drop((held.0, again, tables, kept));
-        let (replaced, tables) = pass(&r, &mut cache, false);
-        assert!(Arc::ptr_eq(&replaced.1, &coarse));
-        assert_eq!((cache.hits(), cache.misses()), (3, 3));
+        let gone = Arc::downgrade(&held.0);
+        drop((held.0, tables, kept));
+        let (replaced, tables) = pass(&r, Some(&again), false);
+        drop(again.0);
+        assert!(Arc::ptr_eq(&replaced.1, &held.1));
+        assert!(gone.upgrade().is_none(), "the replaced fill is still held");
         r.upload(&tables);
         r.fill(&replaced.0, &comm).unwrap();
         assert_eq!(uploads(&r), 2);

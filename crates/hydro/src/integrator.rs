@@ -31,9 +31,9 @@ use rbamr_amr::regrid::TransferSpec;
 use rbamr_amr::restart::RestoreError;
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    balance, CoarsenOperator, CoarsenSchedule, FillWindow, GridGeometry, HostDataFactory,
-    PassTables, Patch, PatchHierarchy, RefineOperator, RefineSchedule, RegridOutcome, RegridParams,
-    Regridder, ScheduleBuild, ScheduleCache, VariableId, VariableRegistry,
+    balance, CoarsenSchedule, FillWindow, GridGeometry, HostDataFactory, PassTables, Patch,
+    PatchHierarchy, RefineOperator, RefineSchedule, RegridOutcome, RegridParams, Regridder,
+    ScheduleBuild, VariableId, VariableRegistry,
 };
 use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -177,18 +177,13 @@ pub struct HydroSim {
     step: usize,
     prev_dt: f64,
     /// Live fill windows, indexed by [`START`] … [`POST_SWEEP2`], each
-    /// over one schedule per level; refreshed after regrids through the
-    /// schedule cache.
+    /// over one schedule per level, kept while current and rebuilt
+    /// otherwise by each build pass.
     fills: Vec<Arc<FillWindow>>,
     sync_schedules: Vec<Arc<CoarsenSchedule>>,
-    /// Structure-keyed schedule cache: a regrid that reproduces a
-    /// level's structure resolves its schedules as `Arc` clones instead
-    /// of rebuilding the plans.
-    schedule_cache: ScheduleCache,
-    /// The hierarchy-wide launch descriptor plan, keyed by the same
-    /// structure digest discipline as the schedule cache: a regrid that
-    /// preserves every level's boxes reuses the plan. Empty on the host
-    /// placement.
+    /// The hierarchy-wide launch descriptor plan, kept on the same rule
+    /// as the schedules: a regrid that preserves every level's digest
+    /// keeps the plan. Empty on the host placement.
     batch_plans: BatchPlanCache,
     /// The last build pass's descriptor tables, until the first fill
     /// after it uploads them.
@@ -294,7 +289,6 @@ impl HydroSim {
             prev_dt: f64::INFINITY,
             fills: Vec::new(),
             sync_schedules: Vec::new(),
-            schedule_cache: ScheduleCache::new(),
             batch_plans: BatchPlanCache::new(),
             pending_tables: None,
             recorder: rbamr_telemetry::Recorder::disabled(),
@@ -413,47 +407,49 @@ impl HydroSim {
         vars.iter().map(|&var| FillSpec { var, refine_op: Some(self.refine_op_for(var)) }).collect()
     }
 
-    /// (Re)build the schedules of the first `windows` fill windows (and
-    /// the syncs with all seven) in one build pass, and refresh the batch
-    /// plan. A pass plans what runs before the next: construction the
-    /// start fill, all initialisation runs; a regrid what is held; the
-    /// first step the rest. Its tables wait for the first fill after it,
-    /// so rendering them costs the step, not the regrid.
+    /// Keep or build the schedules of the first `windows` fill windows
+    /// (and the syncs with all seven) in one build pass, and refresh the
+    /// batch plan. A pass plans what runs before the next: construction
+    /// the start fill, all initialisation runs; a regrid what is held;
+    /// the first step the rest. Its tables wait for the first fill after
+    /// it, so rendering them costs the step, not the regrid.
     ///
-    /// The old schedules are still held here while the pass runs, so a
-    /// level whose structure survived the last regrid resolves to `Arc`
-    /// clones of them in O(1) through the [`ScheduleCache`]; a level
-    /// that changed walks its overlap geometry once per centring for
-    /// all six of its fills. What this pass replaces leaves the cache
-    /// when the next one opens.
+    /// A schedule held from the last pass whose levels kept their
+    /// digests is kept ([`RefineSchedule::is_current`]); a level that
+    /// changed walks its overlap geometry once per centring for all six
+    /// of its distinct fills — D fills B's variables, so its members are
+    /// B's. What the pass replaces is freed when it returns.
     fn rebuild_schedules(&mut self, windows: usize) {
-        let mut cache = std::mem::take(&mut self.schedule_cache);
-        let mut build = ScheduleBuild::with_cache(&mut cache);
-        let f = &self.fields;
+        let mut build = ScheduleBuild::indexed();
+        let (h, reg, f) = (&self.hierarchy, &self.registry, &self.fields);
         let start_vars = [f.density0, f.energy0, f.xvel0, f.yvel0];
         // After the Lagrangian phase: the advected velocities AND the
         // PdV-updated density/energy, whose depth-2 ghosts feed the van
         // Leer limiter of the first advection sweep (CloverLeaf fills
-        // the same set before advection).
+        // the same set before advection). Fill D fills them again.
         let b_vars = [f.density1, f.energy1, f.xvel1, f.yvel1];
         let c_vars = |dir: usize| {
             [f.density1, f.energy1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }]
         };
-        let d_vars = [f.density1, f.energy1, f.xvel1, f.yvel1];
         let e_vars =
             |dir: usize| [f.density1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }];
         let (c, e) = ([c_vars(0), c_vars(1)], [e_vars(0), e_vars(1)]);
         // In `START` … `POST_SWEEP2` order.
-        let var_sets: [&[VariableId]; 7] =
-            [&start_vars, &b_vars, &c[0], &c[1], &d_vars, &e[0], &e[1]];
+        let var_sets: [&[VariableId]; 7] = [&start_vars, &b_vars, &c[0], &c[1], &[], &e[0], &e[1]];
         let fills: Vec<_> = var_sets[..windows].iter().map(|vars| self.fill_specs(vars)).collect();
-        let mut members = vec![Vec::new(); fills.len()];
-        for l in 0..self.hierarchy.num_levels() {
-            for (specs, members) in fills.iter().zip(&mut members) {
-                members.push(build.refine(&self.hierarchy, &self.registry, l, specs));
+        let held = std::mem::take(&mut self.fills);
+        let mut members = vec![Vec::new(); windows];
+        for l in 0..h.num_levels() {
+            for w in 0..windows {
+                let sched = match held.get(w).and_then(|window| window.member(l)) {
+                    _ if w == MID_SWEEPS => Arc::clone(&members[POST_ACCEL][l]),
+                    Some(s) if s.is_current(h) => build.keep(h, s),
+                    _ => build.refine(h, reg, l, &fills[w]),
+                };
+                members[w].push(sched);
             }
         }
-        let mut held = std::mem::take(&mut self.fills).into_iter();
+        let mut held = held.into_iter();
         self.fills = members
             .into_iter()
             .map(|m| match held.next() {
@@ -462,41 +458,33 @@ impl HydroSim {
             })
             .collect();
 
-        let vol_op: Arc<dyn CoarsenOperator> = Arc::new(VolumeWeightedCoarsen);
-        let mass_op: Arc<dyn CoarsenOperator> = Arc::new(MassWeightedCoarsen);
-        let inj_op: Arc<dyn CoarsenOperator> = Arc::new(NodeInjectionCoarsen);
-        let synced = if windows == ALL_FILLS { self.hierarchy.num_levels() } else { 1 };
+        let syncs = [
+            CoarsenSpec {
+                var: f.energy0,
+                op: Arc::new(MassWeightedCoarsen),
+                aux: vec![f.density0],
+            },
+            CoarsenSpec { var: f.density0, op: Arc::new(VolumeWeightedCoarsen), aux: vec![] },
+            CoarsenSpec { var: f.xvel0, op: Arc::new(NodeInjectionCoarsen), aux: vec![] },
+            CoarsenSpec { var: f.yvel0, op: Arc::new(NodeInjectionCoarsen), aux: vec![] },
+        ];
+        let synced = if windows == ALL_FILLS { h.num_levels() } else { 1 };
+        let held = std::mem::take(&mut self.sync_schedules);
         self.sync_schedules = (1..synced)
-            .map(|l| {
-                build.coarsen(
-                    &self.hierarchy,
-                    &self.registry,
-                    l,
-                    &[
-                        CoarsenSpec {
-                            var: f.energy0,
-                            op: Arc::clone(&mass_op),
-                            aux: vec![f.density0],
-                        },
-                        CoarsenSpec { var: f.density0, op: Arc::clone(&vol_op), aux: vec![] },
-                        CoarsenSpec { var: f.xvel0, op: Arc::clone(&inj_op), aux: vec![] },
-                        CoarsenSpec { var: f.yvel0, op: Arc::clone(&inj_op), aux: vec![] },
-                    ],
-                )
+            .map(|l| match held.get(l - 1) {
+                Some(s) if s.is_current(h) => build.keep(h, s),
+                _ => build.coarsen(h, reg, l, &syncs),
             })
             .collect();
         let mut tables = build.into_tables();
         if self.recorder.is_enabled() {
-            self.recorder.gauge_max("schedule.cache_entries", cache.len() as u64);
-            self.recorder.gauge_max("schedule.cache_bytes", cache.heap_bytes() as u64);
+            let held_bytes = self.schedule_cache().iter().sum::<usize>();
+            self.recorder.gauge_max("schedule.held_bytes", held_bytes as u64);
         }
-        self.schedule_cache = cache;
-        // The batch plan — rebuilt only when some level's boxes changed —
-        // is one more table of the pass; the host placement has none.
+        // The batch plan — rebuilt only when some level changed — is one
+        // more table of the pass; the host placement has none.
         if self.device.is_some() {
-            let (patches, _) = self.hierarchy.local_patches_mut();
-            let boxes: Vec<_> = patches.iter().map(|p| (p.id().level, p.cell_box())).collect();
-            tables.push(self.batch_plans.get_or_build(&boxes));
+            tables.push(self.batch_plans.get_or_build(&self.hierarchy));
         }
         self.pending_tables = Some(tables);
     }
@@ -508,12 +496,16 @@ impl HydroSim {
         }
     }
 
-    /// The structure-keyed schedule cache (hit/miss diagnostics).
-    pub fn schedule_cache(&self) -> &ScheduleCache {
-        &self.schedule_cache
+    /// The host heap bytes of each distinct schedule held — every
+    /// window's members but D's, which are B's, then the syncs — so
+    /// `len()` counts them (diagnostics).
+    pub fn schedule_cache(&self) -> Vec<usize> {
+        let fills = self.fills.iter().enumerate().filter(|&(w, _)| w != MID_SWEEPS);
+        let fills = fills.flat_map(|(_, window)| window.members().map(RefineSchedule::heap_bytes));
+        fills.chain(self.sync_schedules.iter().map(|s| s.heap_bytes())).collect()
     }
 
-    /// The hierarchy-wide launch plan cache (hit/build diagnostics).
+    /// The hierarchy-wide launch plan holder (build diagnostics).
     /// Empty on the host placement.
     pub fn batch_plans(&self) -> &BatchPlanCache {
         &self.batch_plans
@@ -1018,9 +1010,9 @@ impl HydroSim {
     }
 
     /// Regrid the hierarchy and refresh the schedules held. Returns the
-    /// per-level outcome; with schedule caching on (the default),
-    /// unchanged levels' schedules resolve as cache hits rather than
-    /// being rebuilt.
+    /// per-level outcome; the schedules of the levels it left unchanged
+    /// (and whose coarser level it left unchanged) are kept, not
+    /// rebuilt.
     pub fn regrid(&mut self, comm: Option<&Comm>) -> RegridOutcome {
         self.try_regrid(comm).unwrap_or_else(|e| panic!("regrid: unhandled injected fault: {e}"))
     }
@@ -1238,8 +1230,8 @@ mod tests {
 
     /// The steady-state acceptance property: once the hierarchy has
     /// converged, a structure-preserving regrid performs zero schedule
-    /// rebuilds — `schedule.builds` stays flat and every lookup is a
-    /// cache hit.
+    /// rebuilds — `schedule.builds` stays flat and every schedule held
+    /// is kept.
     #[test]
     fn steady_regrid_rebuilds_no_schedules() {
         let mut s = sim(Placement::Host, 32, 2);
@@ -1253,14 +1245,64 @@ mod tests {
             }
         }
         let builds = rec.counter("schedule.builds");
-        let misses = rec.counter("schedule.cache_misses");
-        let hits = rec.counter("schedule.cache_hits");
+        let kept = rec.counter("schedule.kept");
         let outcome = s.regrid(None);
         assert!(!outcome.any_changed(), "fixed state must be a structural fixed point");
         assert_eq!(rec.counter("schedule.builds"), builds, "steady regrid must not rebuild");
-        assert_eq!(rec.counter("schedule.cache_misses"), misses);
-        assert!(rec.counter("schedule.cache_hits") > hits, "every lookup must hit the cache");
+        let held = s.schedule_cache().len() as u64;
+        assert!(held > 0);
+        assert_eq!(rec.counter("schedule.kept"), kept + held, "every schedule held is kept");
         assert!(rec.counter("regrid.levels_unchanged") > 0);
+    }
+
+    /// Fill D fills B's variables, so its members are B's on every
+    /// level: six distinct fills per level and one sync per fine level
+    /// are held, once a step has planned them all, and after a regrid.
+    #[test]
+    fn mid_sweep_fills_are_the_post_accel_schedules() {
+        let config = HydroConfig { regrid_interval: 0, ..HydroConfig::default() };
+        let mut s = sim_with(Placement::Host, 32, 2, config);
+        assert_eq!(s.fills.len(), START + 1, "initialisation plans the start fill alone");
+        let shared = |s: &HydroSim| {
+            let (b, d) = (&s.fills[POST_ACCEL], &s.fills[MID_SWEEPS]);
+            let levels = s.hierarchy().num_levels();
+            assert_eq!(s.schedule_cache().len(), 7 * levels - 1);
+            (0..levels).all(|l| Arc::ptr_eq(b.member(l).unwrap(), d.member(l).unwrap()))
+        };
+        s.step(None);
+        assert!(shared(&s), "after a step");
+        while !s.regrid(None).any_changed() {
+            assert!(s.steps_taken() < 40, "no regrid changed the mesh");
+            s.step(None);
+        }
+        assert!(shared(&s), "after a regrid that changed the mesh");
+    }
+
+    /// What a build pass replaces dies when the pass returns: after a
+    /// regrid that changes level 1, nothing holds its old fills or its
+    /// sync any more, while level 0's fills are the same `Arc`s.
+    #[test]
+    fn a_regrid_frees_the_schedules_it_replaces() {
+        let config = HydroConfig { regrid_interval: 0, ..HydroConfig::default() };
+        let mut s = sim_with(Placement::Device, 32, 2, config);
+        let members = |s: &HydroSim, l| -> Vec<_> {
+            s.fills.iter().map(|w| Arc::clone(w.member(l).expect("a member per level"))).collect()
+        };
+        for _ in 0..40 {
+            s.step(None);
+            let coarse = members(&s, 0);
+            let fine: Vec<_> = members(&s, 1).iter().map(Arc::downgrade).collect();
+            let sync = Arc::downgrade(&s.sync_schedules[0]);
+            if !s.regrid(None).levels_changed[1] {
+                continue;
+            }
+            assert!(fine.iter().all(|w| w.upgrade().is_none()), "a replaced fill is still held");
+            assert!(sync.upgrade().is_none(), "the replaced sync is still held");
+            let kept = members(&s, 0);
+            assert!(coarse.iter().zip(&kept).all(|(a, b)| Arc::ptr_eq(a, b)));
+            return;
+        }
+        panic!("no regrid changed level 1");
     }
 
     #[test]
@@ -1326,9 +1368,10 @@ mod tests {
         }
         assert!(dev.batch_plans().builds() > 0);
         // Regrids without stepping converge; the plan then survives.
-        let hits = dev.batch_plans().hits();
         (0..4).take_while(|_| dev.regrid(None).any_changed()).for_each(drop);
-        assert!(dev.batch_plans().hits() > hits, "steady structure must hit the plan cache");
+        let builds = dev.batch_plans().builds();
+        assert!(!dev.regrid(None).any_changed());
+        assert_eq!(dev.batch_plans().builds(), builds, "a steady structure must keep the plan");
         assert_eq!(host.batch_plans().builds(), 0, "the host placement launches nothing");
     }
 

@@ -15,17 +15,18 @@
 //!   show as growth over the 100 regrids between. The hot spot is wide
 //!   enough that the refined region is a ring by regrid 40: from there
 //!   on cells per patch, and with it schedule bytes per cell, hold
-//!   still, and what is left to vary is whether the cache still holds
-//!   the generation the last regrid replaced (±10 %).
-//! * The schedule cache never holds more than the schedules in use and
-//!   the generation they replaced, and every rebuild pass makes exactly
-//!   its 7 fill lookups per level and one sync lookup per fine level.
+//!   still; the generation a regrid replaces is freed when its build
+//!   pass returns.
+//! * The simulation holds exactly the schedules in use, and every build
+//!   pass keeps or builds 6 distinct fills per level (fill D's members
+//!   are fill B's) and one sync per fine level.
 //! * Both rank counts end on the same boxes, level for level.
 
 use rbamr_geometry::Fnv64;
 use rbamr_hydro::{HydroConfig, HydroSim, Placement, RegionInit};
 use rbamr_netsim::Cluster;
 use rbamr_perfmodel::{Category, Machine};
+use rbamr_telemetry::Recorder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -89,38 +90,39 @@ fn soak(ranks: usize) -> (Vec<AfterRegrid>, Vec<u64>) {
             comm.rank(),
             comm.size(),
         );
+        let (rank, clock) = (comm.rank(), comm.clock().clone());
         let comm = (comm.size() > 1).then_some(&comm);
         sim.initialize(comm);
-        let lookups_of = |levels: usize| 7 * levels + levels - 1;
-        let cache = sim.schedule_cache();
-        let mut generation = lookups_of(sim.hierarchy().num_levels());
-        // The first step plans what initialisation did not run: a pass.
-        let mut lookups = cache.hits() + cache.misses() + generation as u64;
+        let in_use = |levels: usize| 6 * levels + levels - 1;
         let mut after = Vec::new();
         for step in 1..=STEPS {
             sim.step(comm);
             if step % REGRID_EVERY != 0 {
                 continue;
             }
+            // A recorder for the regrid alone: its spans would grow
+            // with the run.
+            let rec = Recorder::new(rank, clock.clone());
+            sim.set_recorder(rec.clone());
             sim.regrid(comm);
-            let (h, cache) = (sim.hierarchy(), sim.schedule_cache());
-            let replaced = std::mem::replace(&mut generation, lookups_of(h.num_levels()));
-            lookups += generation as u64;
-            assert_eq!(cache.hits() + cache.misses(), lookups, "step {step}: lookups per pass");
-            assert!(
-                cache.len() <= replaced + generation,
-                "step {step}: {} schedules cached for generations of {replaced} and {generation}",
-                cache.len()
-            );
+            sim.set_recorder(Recorder::disabled());
+            let h = sim.hierarchy();
+            let generation = in_use(h.num_levels());
+            let passed = rec.counter("schedule.kept") + rec.counter("schedule.builds");
+            assert_eq!(passed, generation as u64, "step {step}: schedules kept or built");
+            drop(rec);
+            let held = sim.schedule_cache().len();
+            assert_eq!(held, generation, "step {step}: {held} schedules held, {generation} in use");
             // Every rank has finished its regrid before rank 0 reads
-            // the process-wide counter.
+            // the process-wide counter, and waits until it has.
             if let Some(comm) = comm {
                 comm.barrier(Category::Other);
             }
-            after.push(AfterRegrid {
-                live_bytes: LIVE.load(Ordering::Relaxed),
-                cells: h.total_cells(),
-            });
+            let live_bytes = LIVE.load(Ordering::Relaxed);
+            if let Some(comm) = comm {
+                comm.barrier(Category::Other);
+            }
+            after.push(AfterRegrid { live_bytes, cells: h.total_cells() });
         }
         let h = sim.hierarchy();
         let boxes = (0..h.num_levels()).map(|l| {
