@@ -156,6 +156,44 @@ fn pass_table_rebless_is_fewer_uploads_and_no_other_traffic() {
     assert_eq!(host, BTreeSet::from(schedule));
 }
 
+/// `1b4600a → held-schedules`: a schedule is kept while the levels it
+/// reads keep their structure digests, in place of the schedule cache.
+/// Nothing moved: the cache's two counters and two gauges went
+/// (`schedule.cache_misses` always equalled `schedule.builds`), and
+/// `schedule.kept` and the `schedule.held_bytes` gauge came, on every
+/// combo; `schedule.builds` and every device and network key, which
+/// this pair's fixtures hold too, are string-equal.
+#[test]
+fn held_schedule_rebless_renames_the_schedule_keys_only() {
+    let d = pair("1b4600a", "held-schedules");
+    assert_eq!((d.moved, d.added, d.removed), (0, 14, 28));
+    let named = |direction: &str| -> BTreeSet<(&str, &str)> {
+        let moves = d.moves.iter().filter(|m| m.direction() == direction);
+        moves.map(|m| (m.kind.as_str(), m.name.as_str())).collect()
+    };
+    let gone = [
+        ("counter", "schedule.cache_hits"),
+        ("counter", "schedule.cache_misses"),
+        ("gauge", "schedule.cache_bytes"),
+        ("gauge", "schedule.cache_entries"),
+    ];
+    assert_eq!(named("removed"), BTreeSet::from(gone));
+    let new = [("counter", "schedule.kept"), ("gauge", "schedule.held_bytes")];
+    assert_eq!(named("added"), BTreeSet::from(new));
+    assert!(d.moves.iter().all(|m| (m.layer, m.changed.len()) == ("amr", 7)), "{d}");
+    let untouched = |name: &str| -> Vec<String> {
+        let path = format!("{}/tests/fixtures/report/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).expect("fixture");
+        let kept = |l: &&str| {
+            [".counter.schedule.builds\"", ".device.", ".net."].iter().any(|k| l.contains(k))
+        };
+        text.lines().filter(kept).map(|l| l.trim_end_matches(',').to_string()).collect()
+    };
+    let before = untouched("1b4600a");
+    assert!(before.len() > 7 * 3, "the fixture holds the untouched keys");
+    assert_eq!(before, untouched("held-schedules"));
+}
+
 /// A bucket that no longer adds up to ranks × makespan fails the
 /// identity; an `rbamr_bench --json` output parses to its metrics.
 #[test]
