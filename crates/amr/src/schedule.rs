@@ -108,11 +108,11 @@ impl std::fmt::Debug for CoarsenSpec {
 
 /// What a schedule is planned against: the rank it plans for and the
 /// structure digests of the levels it reads — its own, and the coarser
-/// one when it interpolates or syncs from it. A level's digest is its
-/// generation (see [`PatchLevel::structure_digest`]): the schedule is
-/// current exactly while these hold, and then its plans are byte for
-/// byte what a fresh build would produce.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// one when it interpolates from it or syncs onto it. A level's digest
+/// is its generation (see [`PatchLevel::structure_digest`]): the
+/// schedule is current exactly while these hold, and then its plans are
+/// byte for byte what a fresh build would produce.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Structure {
     rank: usize,
     level: u64,
@@ -220,10 +220,7 @@ impl ScheduleBuild {
         hierarchy: &PatchHierarchy,
         held: &Arc<S>,
     ) -> Arc<S> {
-        let rec = hierarchy.recorder();
-        if rec.is_enabled() {
-            rec.count("schedule.kept", 1);
-        }
+        hierarchy.recorder().count("schedule.kept", 1);
         self.hand_out(Arc::clone(held))
     }
 

@@ -478,7 +478,7 @@ impl HydroSim {
             .collect();
         let mut tables = build.into_tables();
         if self.recorder.is_enabled() {
-            let held_bytes = self.schedule_cache().iter().sum::<usize>();
+            let held_bytes: usize = self.schedule_cache().iter().sum();
             self.recorder.gauge_max("schedule.held_bytes", held_bytes as u64);
         }
         // The batch plan — rebuilt only when some level changed — is one
