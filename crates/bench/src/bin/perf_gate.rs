@@ -29,6 +29,7 @@
 //!
 //! Exit status 1 on regression or baseline mismatch.
 
+use rbamr_bench::report::parse;
 use rbamr_bench::{path_arg, sod_config};
 use rbamr_hydro::{HydroConfig, HydroSim, Placement};
 use rbamr_netsim::Cluster;
@@ -211,26 +212,6 @@ fn metrics_to_json(metrics: &BTreeMap<String, f64>) -> String {
     out
 }
 
-/// Parse the one-entry-per-line JSON written by [`metrics_to_json`].
-fn parse_metrics(text: &str) -> Result<BTreeMap<String, f64>, String> {
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.is_empty() || line == "{" || line == "}" {
-            continue;
-        }
-        let (key, value) =
-            line.split_once(':').ok_or_else(|| format!("baseline: malformed line {line:?}"))?;
-        let key = key.trim().trim_matches('"').to_string();
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|e| format!("baseline: bad value on line {line:?}: {e}"))?;
-        out.insert(key, value);
-    }
-    Ok(out)
-}
-
 enum Verdict {
     Ok,
     Improved { base: f64, now: f64 },
@@ -306,10 +287,10 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let baseline = match parse_metrics(&baseline_text) {
+    let baseline = match parse(&baseline_text) {
         Ok(b) => b,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("baseline {}: {e}", baseline_path.display());
             std::process::exit(1);
         }
     };

@@ -215,3 +215,21 @@ fn identity_failures_show_and_benchmark_outputs_parse() {
     );
     assert_eq!(d.get("metric", "virt_ms_per_step").expect("moved").layer, "end-to-end");
 }
+
+/// `perf_gate` reads its baseline with [`parse`]: a malformed file is an
+/// error that says where, never a partial baseline.
+#[test]
+fn a_malformed_baseline_fails_with_a_message() {
+    let good = "{\n\"sod.r1.counter.device.allocs\": 12,\n\"sod.r1.makespan_s\": 1.5e-3\n}\n";
+    assert_eq!(parse(good).expect("parses").len(), 2);
+    for (text, says) in [
+        (good.replace(": 12", " 12"), "expected ':'"),
+        (good.replace("12", "twelve"), "\"twelve\""),
+        (good.replace("1.5e-3", "\"fast\""), "not a number"),
+        (good.trim_end().trim_end_matches('}').to_string(), "expected ',' or '}'"),
+        (format!("{good}x"), "trailing text"),
+    ] {
+        let err = parse(&text).expect_err("malformed");
+        assert!(err.contains(says), "{err:?} does not say {says:?}");
+    }
+}

@@ -1,11 +1,12 @@
-//! Kernel launch machinery: access tokens and grid configuration.
+//! Kernel launch machinery: access tokens, the stream handle and grid
+//! configuration.
 
 use crate::Device;
 
 /// Capability token proving code is executing "on the device".
 ///
 /// A `Kernel` is only constructed inside
-/// [`Device::launch`](crate::Device::launch); holding one is what lets a
+/// [`Device::launch_named`](crate::Device::launch_named); holding one is what lets a
 /// kernel body call [`DeviceBuffer::as_slice`](crate::DeviceBuffer::as_slice)
 /// and [`DeviceBuffer::as_mut_slice`](crate::DeviceBuffer::as_mut_slice).
 /// This is the mechanism that turns the paper's residency claim into a
@@ -35,6 +36,21 @@ impl<'d> Kernel<'d> {
     /// The device this kernel runs on.
     pub fn device(&self) -> &Device {
         self.device
+    }
+}
+
+/// The stream argument of [`Device::launch_named`](crate::Device::launch_named).
+///
+/// The simulated device runs every launch to completion, in program
+/// order, so a stream orders nothing: this handle is zero-sized and
+/// every stream is the same queue.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Stream;
+
+impl Stream {
+    /// A stream on `device`: the one in-order queue every launch runs on.
+    pub fn new(_device: &Device) -> Self {
+        Stream
     }
 }
 

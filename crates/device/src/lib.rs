@@ -9,7 +9,7 @@
 //!
 //! * [`DeviceBuffer`] holds data the host cannot read or write directly —
 //!   the only safe accessors require a [`Kernel`] token, which is only
-//!   handed out inside [`Device::launch`].
+//!   handed out inside [`Device::launch_named`].
 //! * Transfers go through [`Device::upload`] / [`Device::download`]
 //!   (or their offset variants), which count every byte. Tests and the
 //!   benchmark harness read [`Device::stats`] to assert that a timestep
@@ -20,16 +20,16 @@
 //!   (`rayon::join`, in the hydro kernels' row drivers). Each launch
 //!   also advances the rank's virtual [`rbamr_perfmodel::Clock`] by the
 //!   modelled K20x kernel cost, whatever the split.
-//! * [`Stream`]s and [`Event`]s reproduce the ordering constructs of the
-//!   paper's Figure 5a host code.
+//! * Every launch and transfer completes before the call returns, in
+//!   program order, so nothing needs ordering: the paper's per-patch
+//!   CUDA streams and the Figure 5a event/wait have no counterpart, and
+//!   [`Stream`] is a zero-sized handle.
 
 pub mod launch;
 pub mod memory;
-pub mod stream;
 
-pub use launch::{Kernel, LaunchConfig};
+pub use launch::{Kernel, LaunchConfig, Stream};
 pub use memory::{DeviceBuffer, DeviceError};
-pub use stream::{Event, RecordPoint, Stream, StreamError};
 
 use parking_lot::Mutex;
 use rbamr_fault::{FaultInjector, FaultKind};
@@ -81,8 +81,6 @@ struct DeviceInner {
     /// Device id, for diagnostics when several devices exist in one
     /// process (one per simulated rank).
     id: u64,
-    /// Serialises "stream 0" semantics where needed.
-    _default_stream: Mutex<()>,
     /// Seeded fault injector, shared with the rank's communicator.
     injector: Mutex<Option<Arc<FaultInjector>>>,
     /// CUDA-style sticky error: an injected allocation or transfer
@@ -133,7 +131,6 @@ impl Device {
                 recorder: Mutex::new(Recorder::disabled()),
                 telemetry_on: AtomicBool::new(false),
                 id: NEXT_DEVICE_ID.fetch_add(1, Ordering::Relaxed),
-                _default_stream: Mutex::new(()),
                 injector: Mutex::new(None),
                 pending_fault: Mutex::new(None),
             }),
@@ -389,25 +386,13 @@ impl Device {
 
     /// Launch a kernel: run `body` with a [`Kernel`] access token, count
     /// the launch, and advance the clock by the modelled device cost of
-    /// `shape` attributed to `category`.
-    ///
-    /// The body executes synchronously (the original code's streams are
-    /// modelled by [`Stream`] ordering bookkeeping; computation/transfer
-    /// overlap is not exploited, matching the paper, which defers
-    /// overlap to future work).
-    pub fn launch<R>(
-        &self,
-        stream: &Stream,
-        category: Category,
-        shape: KernelShape,
-        body: impl FnOnce(Kernel<'_>) -> R,
-    ) -> R {
-        self.launch_named(stream, "kernel", category, shape, body)
-    }
-
-    /// [`Device::launch`] with a kernel name for telemetry: the launch
-    /// is recorded as a span and counted under
+    /// `shape` attributed to `category`. The launch is recorded as a
+    /// span named `name` and counted under `device.kernel_launches` and
     /// `device.kernel_launches.<name>`.
+    ///
+    /// The body executes synchronously; computation/transfer overlap is
+    /// not exploited unless [`Device::set_transfer_overlap`] asks for it
+    /// (the paper defers overlap to future work).
     pub fn launch_named<R>(
         &self,
         _stream: &Stream,
@@ -429,47 +414,6 @@ impl Device {
         self.inner.clock.advance(category, kernel_cost);
         self.bank_credit(kernel_cost);
         body(Kernel::new(self))
-    }
-
-    /// Record an event at `stream`'s current position
-    /// (`cudaEventRecord` on a fresh event) and count it under
-    /// `device.events_recorded`. The returned event carries the record
-    /// point — stream, device, and sequence — so later waits validate
-    /// against where the event was *recorded*, not merely created.
-    pub fn record_event(&self, stream: &Stream) -> Event {
-        let event = Event::new(self);
-        event.record(stream);
-        if let Some(rec) = self.telemetry() {
-            rec.count("device.events_recorded", 1);
-        }
-        event
-    }
-
-    /// Make `stream` wait on `event` (`cudaStreamWaitEvent`), surfacing
-    /// the ordering edge as telemetry: a `stream-wait` span plus
-    /// `device.stream_waits` and `device.stream_waits.<label>` counters.
-    /// The label names the dependency being enforced (e.g.
-    /// `halo-exchange` for a boundary batch gated on netsim completion,
-    /// `interior-batch` for a copy gated on compute).
-    ///
-    /// # Panics
-    /// Panics with the typed [`StreamError`] if the event was never
-    /// recorded or its record point lives on another device.
-    pub fn stream_wait(
-        &self,
-        stream: &Stream,
-        event: &Event,
-        label: &'static str,
-        category: Category,
-    ) {
-        if let Some(rec) = self.telemetry() {
-            let _span = rec.span("stream-wait", category);
-            rec.count("device.stream_waits", 1);
-            rec.count_scoped("device.stream_waits.", label, 1);
-        }
-        if let Err(e) = stream.try_wait_event(event) {
-            panic!("{e}");
-        }
     }
 
     /// Snapshot the transfer/allocation counters.
@@ -542,9 +486,8 @@ mod tests {
     #[test]
     fn launches_are_counted_and_costed() {
         let dev = Device::k20x();
-        let stream = Stream::new(&dev);
         let shape = KernelShape::streaming(1000, 2, 1);
-        let out = dev.launch(&stream, Category::HydroKernel, shape, |_k| 42);
+        let out = dev.launch_named(&Stream, "test", Category::HydroKernel, shape, |_k| 42);
         assert_eq!(out, 42);
         assert_eq!(dev.stats().kernel_launches, 1);
         let t = dev.clock().snapshot().get(Category::HydroKernel);
@@ -572,9 +515,8 @@ mod tests {
     #[test]
     fn kernel_token_grants_data_access() {
         let dev = Device::k20x();
-        let stream = Stream::new(&dev);
         let mut buf = dev.alloc::<f64>(8);
-        dev.launch(&stream, Category::Other, KernelShape::default(), |k| {
+        dev.launch_named(&Stream, "test", Category::Other, KernelShape::default(), |k| {
             for (i, v) in buf.as_mut_slice(&k).iter_mut().enumerate() {
                 *v = i as f64;
             }
@@ -605,20 +547,19 @@ mod tests {
     #[test]
     fn overlap_hides_transfer_time_behind_kernels() {
         let dev = Device::k20x();
-        let stream = Stream::new(&dev);
         let mut buf = dev.alloc::<f64>(1 << 16);
         let payload = vec![0.0f64; 1 << 16];
 
         // Without overlap: kernel + transfer serialise.
         let shape = KernelShape::streaming(1 << 20, 4, 1);
-        dev.launch(&stream, Category::HydroKernel, shape, |_k| ());
+        dev.launch_named(&Stream, "test", Category::HydroKernel, shape, |_k| ());
         let t0 = dev.clock().total();
         dev.upload(&mut buf, 0, &payload, Category::HaloExchange);
         let serial = dev.clock().total() - t0;
 
         // With overlap: the same transfer hides behind banked kernel time.
         dev.set_transfer_overlap(true);
-        dev.launch(&stream, Category::HydroKernel, shape, |_k| ());
+        dev.launch_named(&Stream, "test", Category::HydroKernel, shape, |_k| ());
         let t1 = dev.clock().total();
         dev.upload(&mut buf, 0, &payload, Category::HaloExchange);
         let overlapped = dev.clock().total() - t1;
@@ -635,12 +576,12 @@ mod tests {
     #[test]
     fn overlap_window_is_bounded() {
         let dev = Device::k20x();
-        let stream = Stream::new(&dev);
         dev.set_transfer_overlap(true);
         // Bank far more kernel time than the window allows.
         for _ in 0..100 {
-            dev.launch(
-                &stream,
+            dev.launch_named(
+                &Stream,
+                "test",
                 Category::HydroKernel,
                 KernelShape::streaming(1 << 20, 8, 1),
                 |_k| (),

@@ -63,7 +63,7 @@ impl std::error::Error for DeviceError {}
 ///
 /// * [`DeviceBuffer::as_slice`] / [`DeviceBuffer::as_mut_slice`], which
 ///   require a [`Kernel`] token (only available inside
-///   [`Device::launch`](crate::Device::launch)), and
+///   [`Device::launch_named`](crate::Device::launch_named)), and
 /// * [`Device::upload`](crate::Device::upload) /
 ///   [`Device::download`](crate::Device::download), which model and
 ///   count PCIe traffic.
@@ -209,8 +209,7 @@ mod tests {
         let dev_a = Device::k20x();
         let dev_b = Device::k20x();
         let buf_b = dev_b.alloc::<f64>(4);
-        let stream = crate::Stream::new(&dev_a);
-        dev_a.launch(&stream, Category::Other, Default::default(), |k| {
+        dev_a.launch_named(&crate::Stream, "test", Category::Other, Default::default(), |k| {
             let _ = buf_b.as_slice(&k); // wrong device: must panic
         });
     }

@@ -70,12 +70,15 @@ proptest! {
     #[test]
     fn kernel_cost_monotone(a in 1i64..1_000_000, b in 1i64..1_000_000) {
         let dev = Device::k20x();
-        let stream = Stream::new(&dev);
         let (small, big) = (a.min(b), a.max(b));
+        let launch = |cells| {
+            let shape = KernelShape::streaming(cells, 3, 5);
+            dev.launch_named(&Stream, "test", Category::HydroKernel, shape, |_k| ());
+        };
         let t0 = dev.clock().total();
-        dev.launch(&stream, Category::HydroKernel, KernelShape::streaming(small, 3, 5), |_k| ());
+        launch(small);
         let t1 = dev.clock().total();
-        dev.launch(&stream, Category::HydroKernel, KernelShape::streaming(big, 3, 5), |_k| ());
+        launch(big);
         let t2 = dev.clock().total();
         let (c_small, c_big) = (t1 - t0, t2 - t1);
         prop_assert!(c_big >= c_small);

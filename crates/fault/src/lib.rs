@@ -318,11 +318,6 @@ impl FaultInjector {
         self.fired.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// Faults fired so far for one kind.
-    pub fn fired_count(&self, kind: FaultKind) -> u64 {
-        self.fired[kind.index()].load(Ordering::Relaxed)
-    }
-
     /// Snapshot the run's report (counters + ordered fired-site log).
     pub fn report(&self) -> FaultReport {
         let mut out = FaultReport::default();

@@ -66,7 +66,6 @@ pub struct DeviceData<T: DeviceElement> {
     centring: Centring,
     dbox: GBox,
     buf: DeviceBuffer<T>,
-    stream: Stream,
     time: f64,
     category: Category,
 }
@@ -82,19 +81,12 @@ impl<T: DeviceElement> DeviceData<T> {
         assert!(ghosts.all_ge(IntVector::ZERO), "DeviceData: negative ghost width");
         let dbox = centring.data_box(cell_box.grow(ghosts));
         let buf = device.alloc::<T>(dbox.num_cells() as usize);
-        let stream = Stream::new(device);
-        Self { cell_box, ghosts, centring, dbox, buf, stream, time: 0.0, category: Category::Other }
+        Self { cell_box, ghosts, centring, dbox, buf, time: 0.0, category: Category::Other }
     }
 
     /// The device this data lives on.
     pub fn device(&self) -> &Device {
         self.buf.device()
-    }
-
-    /// The data's stream (per-patch streams, as in the paper's
-    /// Figure 5a host code).
-    pub fn stream(&self) -> &Stream {
-        &self.stream
     }
 
     /// The current transfer category (what the next kernel charges).
@@ -143,7 +135,6 @@ impl<T: DeviceElement> DeviceData<T> {
 /// the Figure 4 kernel). No launch when there is nothing to copy.
 fn launch_copy<T: DeviceElement>(
     device: &Device,
-    stream: &Stream,
     category: Category,
     total: i64,
     jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &DeviceData<T>, &BoxOverlap)),
@@ -152,8 +143,7 @@ fn launch_copy<T: DeviceElement>(
         return;
     }
     let shape = KernelShape::streaming(total, 2, 0);
-    stream.submit();
-    device.launch_named(stream, "copy-region", category, shape, |k| {
+    device.launch_named(&Stream, "copy-region", category, shape, |k| {
         jobs(&mut |dst, src, overlap| {
             let (dst_dbox, src_dbox) = (dst.dbox, src.dbox);
             let src_slice = src.buffer().as_slice(&k);
@@ -171,7 +161,6 @@ fn launch_copy<T: DeviceElement>(
 /// packed values to the host, where they become the message stream.
 fn pack_message<T: DeviceElement>(
     device: &Device,
-    stream: &Stream,
     category: Category,
     staging: &mut DeviceBuffer<T>,
     total: usize,
@@ -180,8 +169,7 @@ fn pack_message<T: DeviceElement>(
     device.recorder().count("pack.bytes", (total * T::BYTES) as u64);
     if total > 0 {
         let shape = KernelShape::streaming(total as i64, 2, 0);
-        stream.submit();
-        device.launch_named(stream, "pack", category, shape, |k| {
+        device.launch_named(&Stream, "pack", category, shape, |k| {
             let out = &mut staging.as_mut_slice(&k)[..total];
             let mut offset = 0usize;
             jobs(&mut |src, overlap| {
@@ -208,7 +196,6 @@ fn pack_message<T: DeviceElement>(
 /// the first value of its overlap within the concatenation.
 fn unpack_message<T: DeviceElement>(
     device: &Device,
-    stream: &Stream,
     category: Category,
     staging: &mut DeviceBuffer<T>,
     msgs: &[&[u8]],
@@ -226,8 +213,7 @@ fn unpack_message<T: DeviceElement>(
     device.upload(staging, 0, &host, category);
     if total > 0 {
         let shape = KernelShape::streaming(total as i64, 2, 0);
-        stream.submit();
-        device.launch_named(stream, "unpack", category, shape, |k| {
+        device.launch_named(&Stream, "unpack", category, shape, |k| {
             let input = &staging.as_slice(&k)[..total];
             jobs(&mut |dst, overlap, first| {
                 let dst_dbox = dst.dbox;
@@ -248,7 +234,6 @@ fn unpack_message<T: DeviceElement>(
 /// all. No launch when there is nothing to extend.
 fn launch_extend<T: DeviceElement>(
     device: &Device,
-    stream: &Stream,
     category: Category,
     total: usize,
     jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &[(usize, usize)])),
@@ -257,8 +242,7 @@ fn launch_extend<T: DeviceElement>(
         return;
     }
     let shape = KernelShape::streaming(total as i64, 2, 0);
-    stream.submit();
-    device.launch_named(stream, "extend-uncovered", category, shape, |k| {
+    device.launch_named(&Stream, "extend-uncovered", category, shape, |k| {
         jobs(&mut |data, pairs| {
             let slice = data.buffer_mut().as_mut_slice(&k);
             // Sources are covered cells, targets uncovered: disjoint.
@@ -308,9 +292,8 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
             .downcast_ref::<DeviceData<T>>()
             .expect("DeviceData::copy_from: source is not DeviceData of the same element type");
         validate_overlap(overlap, src.dbox, self.dbox, self.centring);
-        let (device, stream, category) =
-            (self.buf.device().clone(), self.stream.clone(), self.category);
-        launch_copy(&device, &stream, category, overlap.num_values(), |copy| {
+        let (device, category) = (self.buf.device().clone(), self.category);
+        launch_copy(&device, category, overlap.num_values(), |copy| {
             copy(self, src, overlap);
         });
     }
@@ -323,9 +306,9 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
     /// size.
     fn pack(&self, overlap: &BoxOverlap) -> Bytes {
         let total = overlap.num_values() as usize;
-        let (device, stream) = (self.buf.device(), &self.stream);
+        let device = self.buf.device();
         let mut staging = device.alloc(total);
-        pack_message(device, stream, self.category, &mut staging, total, |pack| {
+        pack_message(device, self.category, &mut staging, total, |pack| {
             pack(self, overlap);
         })
     }
@@ -333,18 +316,17 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
     /// As [`DeviceData::pack`].
     fn unpack(&mut self, overlap: &BoxOverlap, stream: &[u8]) {
         assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
-        let (device, queue) = (self.buf.device().clone(), self.stream.clone());
+        let device = self.buf.device().clone();
         let mut staging = device.alloc(overlap.num_values() as usize);
-        unpack_message(&device, &queue, self.category, &mut staging, &[stream], |unpack| {
+        unpack_message(&device, self.category, &mut staging, &[stream], |unpack| {
             unpack(self, overlap, 0);
         });
     }
 
     fn extend_uncovered(&mut self, covered: &rbamr_geometry::BoxList) {
         let pairs = extension_pairs(self.dbox, covered);
-        let (device, stream, category) =
-            (self.buf.device().clone(), self.stream.clone(), self.category);
-        launch_extend(&device, &stream, category, pairs.len(), |extend| extend(self, &pairs));
+        let (device, category) = (self.buf.device().clone(), self.category);
+        launch_extend(&device, category, pairs.len(), |extend| extend(self, &pairs));
     }
 
     fn refine_from(
@@ -381,8 +363,8 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
 /// It is also where a schedule stage becomes fused device work: every
 /// batch entry point of [`DataFactory`] runs as one launch
 /// per call (copies, packs, unpacks and scratch extension on the
-/// factory's transfer stream; interpolation and projection where the
-/// first job's destination lives), and a stage's messages
+/// factory's device; interpolation and projection where the first
+/// job's destination lives), and a stage's messages
 /// cross PCIe together — every peer's, back to back in peer order, in
 /// one transfer — through one persistent, grow-only device buffer: the
 /// simulated device is synchronous, so the buffer is free again as soon
@@ -399,8 +381,6 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
 #[derive(Clone)]
 pub struct DeviceDataFactory {
     device: Device,
-    /// The stream fused transfer launches are submitted to.
-    stream: Stream,
     /// Message staging, shared by the factory's clones.
     staging: Arc<Mutex<Option<DeviceBuffer<f64>>>>,
     /// The resident tables, shared by the factory's clones.
@@ -427,9 +407,8 @@ pub(crate) fn device_mut(d: &mut dyn PatchData) -> &mut DeviceData<f64> {
 impl DeviceDataFactory {
     /// A factory allocating on `device`.
     pub fn new(device: Device) -> Self {
-        let stream = Stream::new(&device);
         let (staging, tables) = (Arc::default(), Arc::default());
-        Self { device, stream, staging, tables }
+        Self { device, staging, tables }
     }
 
     /// The device.
@@ -463,7 +442,7 @@ impl DataFactory for DeviceDataFactory {
         category: Category,
     ) {
         let total = Part::each(parts).map(|(_, job)| job.overlap.num_values()).sum();
-        launch_copy(&self.device, &self.stream, category, total, |copy| {
+        launch_copy(&self.device, category, total, |copy| {
             for (part, job) in Part::each(parts) {
                 let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
                 dst.set_transfer_category(category);
@@ -490,8 +469,7 @@ impl DataFactory for DeviceDataFactory {
         by_peer.sort_by_key(|((peer, range), ..)| (*peer, range.start));
         let total = peers.iter().map(|peer| peer.bytes).sum::<usize>() / STREAM_VALUE_BYTES;
         let packed = self.with_staging(total, |staging| {
-            let (device, stream) = (&self.device, &self.stream);
-            pack_message(device, stream, category, staging, total, |pack| {
+            pack_message(&self.device, category, staging, total, |pack| {
                 for (_, part, job) in by_peer {
                     let src = ctx.data_mut(part.at(job.loc), job.var);
                     src.set_transfer_category(category);
@@ -534,8 +512,7 @@ impl DataFactory for DeviceDataFactory {
         }
         let received: Vec<&[u8]> = msgs.iter().flatten().map(|msg| &msg[..]).collect();
         self.with_staging(end / STREAM_VALUE_BYTES, |staging| {
-            let (device, stream) = (&self.device, &self.stream);
-            unpack_message(device, stream, category, staging, &received, |unpack| {
+            unpack_message(&self.device, category, staging, &received, |unpack| {
                 for ((peer, range), part, job) in by_peer {
                     let dst = ctx.data_mut(part.at(job.loc), job.var);
                     dst.set_transfer_category(category);
@@ -557,7 +534,7 @@ impl DataFactory for DeviceDataFactory {
             .map(|(scratch, covered)| extension_pairs(scratch.data_box(), covered))
             .collect();
         let total = pairs.iter().map(Vec::len).sum();
-        launch_extend(&self.device, &self.stream, category, total, |extend| {
+        launch_extend(&self.device, category, total, |extend| {
             for (scratch, pairs) in scratch.iter_mut().zip(&pairs) {
                 extend(device_mut(scratch.as_mut()), pairs);
             }

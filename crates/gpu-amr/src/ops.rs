@@ -6,9 +6,10 @@
 //! name, a stencil, a `fill` over its row body and a cost. This module
 //! runs any of them as a device kernel — one logical thread per *fine*
 //! value for refinement (Figure 5) and one per *coarse* value for
-//! coarsening (Figures 7 and 8) — charging the operator's cost, with the
-//! stream/event protocol of the Figure 5a host listing around the
-//! refine launch. [`DeviceData`]'s per-item `refine_from` /
+//! coarsening (Figures 7 and 8) — charging the operator's cost. The
+//! Figure 5a host listing's stream synchronise / event record / stream
+//! wait around the refine launch has no counterpart: the simulated
+//! device runs launches in program order. [`DeviceData`]'s per-item `refine_from` /
 //! `coarsen_from` are a batch of one;
 //! [`DeviceDataFactory`](crate::DeviceDataFactory)'s `refine_many` /
 //! `coarsen_many` hand a stage's whole job list — every operator's, at
@@ -17,7 +18,7 @@
 use crate::data::DeviceData;
 use rbamr_amr::ops::{shared_source_box, CoarsenOperator, RefineOperator};
 use rbamr_amr::patchdata::PatchData;
-use rbamr_device::{Device, Event, Stream};
+use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, IntVector};
 use rbamr_perfmodel::{Category, KernelShape};
 
@@ -34,14 +35,14 @@ pub(crate) type RefineVisit<'a> = dyn FnMut(&dyn RefineOperator, IntVector, &mut
     + 'a;
 
 /// The jobs of one refine launch: each call walks them in order.
-/// [`launch_refine`] walks them once to size the launch, once inside
-/// it, and once for the stream protocol after it.
+/// [`launch_refine`] walks them once to size the launch and once
+/// inside it.
 pub(crate) type RefineJobs<'a> = dyn FnMut(&mut RefineVisit<'_>) + 'a;
 
 /// Where a fused launch runs and what it charges: the first job's
 /// destination decides (a batch shares one device and one category).
-fn launch_site(dst: &DeviceData<f64>) -> (Device, Category, Stream) {
-    (dst.device().clone(), dst.category(), dst.stream().clone())
+fn launch_site(dst: &DeviceData<f64>) -> (Device, Category) {
+    (dst.device().clone(), dst.category())
 }
 
 /// The shape of a launch over jobs of several operators: each job's
@@ -53,30 +54,23 @@ fn add_job(shape: &mut KernelShape, values: i64, (arrays, flops): (u32, u32)) {
 }
 
 /// The `refine-interp` kernel: one launch covering every fill region
-/// of every job, whatever its operator and ratio, wrapped in the
-/// Figure 5a protocol (synchronise the coarse streams, launch on the
-/// fine stream, record an event, make the coarse streams wait). Each
-/// job is one call of its operator's `fill`.
+/// of every job, whatever its operator and ratio. Each job is one call
+/// of its operator's `fill`.
 pub(crate) fn launch_refine(jobs: &mut RefineJobs<'_>) {
     let mut shape = KernelShape::default();
     let mut site = None;
-    jobs(&mut |op, ratio, dst, src, fills| {
+    jobs(&mut |op, ratio, dst, _, fills| {
         add_job(&mut shape, fills.num_cells(), op.cost(ratio));
-        src.stream().synchronize();
         site.get_or_insert_with(|| launch_site(dst));
     });
-    let Some((device, category, fine_stream)) = site.filter(|_| shape.bytes > 0.0) else { return };
-    fine_stream.submit();
-    device.launch_named(&fine_stream, "refine-interp", category, shape, |k| {
+    let Some((device, category)) = site.filter(|_| shape.bytes > 0.0) else { return };
+    device.launch_named(&Stream, "refine-interp", category, shape, |k| {
         jobs(&mut |op, ratio, dst, src, fills| {
             let (sbox, dbox) = (src.data_box(), dst.data_box());
             let src = src.buffer().as_slice(&k);
             op.fill(dst.buffer_mut().as_mut_slice(&k), dbox, fills, src, sbox, ratio);
         });
     });
-    let event = Event::new(&device);
-    event.record(&fine_stream);
-    jobs(&mut |_, _, _, src, _| src.stream().wait_event(&event));
 }
 
 /// As [`RefineVisit`], for a coarsen: the operator and ratio, the
@@ -95,8 +89,7 @@ pub(crate) type CoarsenVisit<'a> = dyn for<'s> FnMut(
 pub(crate) type CoarsenJobs<'a> = dyn FnMut(&mut CoarsenVisit<'_>) + 'a;
 
 /// The `coarsen-project` kernel: as [`launch_refine`] but indexed per
-/// *coarse* row (Figures 7/8: one thread per coarse value), with no
-/// stream protocol.
+/// *coarse* row (Figures 7/8: one thread per coarse value).
 ///
 /// # Panics
 /// Panics, before launching, as [`shared_source_box`] for the sources
@@ -109,9 +102,8 @@ pub(crate) fn launch_coarsen(jobs: &mut CoarsenJobs<'_>) {
         shared_source_box(op, std::iter::once(src).chain(aux).map(|s| s.data_box()));
         site.get_or_insert_with(|| launch_site(dst));
     });
-    let Some((device, category, stream)) = site.filter(|_| shape.bytes > 0.0) else { return };
-    stream.submit();
-    device.launch_named(&stream, "coarsen-project", category, shape, |k| {
+    let Some((device, category)) = site.filter(|_| shape.bytes > 0.0) else { return };
+    device.launch_named(&Stream, "coarsen-project", category, shape, |k| {
         jobs(&mut |op, ratio, dst, src, aux, fills| {
             let (sbox, dbox) = (src.data_box(), dst.data_box());
             let srcs: Vec<&[f64]> =

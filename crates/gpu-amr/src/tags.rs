@@ -48,13 +48,11 @@ pub fn compress_tags_many(
         return Vec::new();
     }
     let cells = |f: &TagField<'_>| f.cell_box.num_cells();
-    let stream = Stream::new(device);
 
     // Kernel 1: the any-tagged reduction, one word per patch.
     let mut flags: DeviceBuffer<i32> = device.alloc(fields.len());
-    stream.submit();
     let shape = KernelShape::streaming(fields.iter().map(cells).sum(), 1, 1);
-    device.launch_named(&stream, "any-tagged", category, shape, |k| {
+    device.launch_named(&Stream, "any-tagged", category, shape, |k| {
         for (f, flag) in fields.iter().zip(flags.as_mut_slice(&k)) {
             let src = &f.buf.as_slice(&k)[f.offset..];
             *flag = i32::from(f.cell_box.iter().any(|p| src[f.dbox.offset_of(p)] != 0));
@@ -78,9 +76,8 @@ pub fn compress_tags_many(
     let mut host_bits = vec![0u8; nbytes];
     if nbytes > 0 {
         let mut bits: DeviceBuffer<u8> = device.alloc(nbytes);
-        stream.submit();
         let shape = KernelShape::streaming(tagged_cells, 1, 2);
-        device.launch_named(&stream, "compress-tags", category, shape, |k| {
+        device.launch_named(&Stream, "compress-tags", category, shape, |k| {
             let out = bits.as_mut_slice(&k);
             for (f, first) in fields.iter().zip(&first_byte) {
                 let Some(first) = first else { continue };

@@ -140,10 +140,8 @@ fn launch_reflect(
     if total == 0 {
         return;
     }
-    let stream = Stream::new(device);
-    stream.submit();
     let shape = KernelShape::streaming(total as i64, 2, 1);
-    device.launch_named(&stream, "physical-boundary", Category::HaloExchange, shape, |k| {
+    device.launch_named(&Stream, "physical-boundary", Category::HaloExchange, shape, |k| {
         jobs(&mut |data, pairs| reflect(data.buffer_mut().as_mut_slice(&k), pairs));
     });
 }

@@ -40,7 +40,7 @@ impl DevicePatchIntegrator {
     }
 
     /// Run one executor phase on a batch of this one patch, on the
-    /// patch's own device and stream.
+    /// patch's own device.
     fn run<R>(
         &self,
         patch: &mut Patch,
@@ -48,8 +48,8 @@ impl DevicePatchIntegrator {
         phase: impl FnOnce(&mut [&mut Patch], Exec<'_>) -> R,
     ) -> R {
         let data = dev(patch.data(f.density0));
-        let (device, stream) = (data.device().clone(), data.stream().clone());
-        let ex = Exec::Device { device: &device, stream: &stream, copy_back: self.copy_back };
+        let device = data.device().clone();
+        let ex = Exec::Device { device: &device, copy_back: self.copy_back };
         phase(&mut [patch], ex)
     }
 }
@@ -129,7 +129,7 @@ impl PatchIntegrator for DevicePatchIntegrator {
 
     fn flag_cells(&self, patch: &Patch, f: &Fields, thresholds: &FlagThresholds) -> TagBitmap {
         let data = dev(patch.data(f.density0));
-        let ex = Exec::Device { device: data.device(), stream: data.stream(), copy_back: false };
+        let ex = Exec::Device { device: data.device(), copy_back: false };
         let mut bitmaps = exec::flag_cells(from_ref(patch), f, ex, thresholds);
         bitmaps.pop().expect("one bitmap per patch")
     }
@@ -140,11 +140,9 @@ impl PatchIntegrator for DevicePatchIntegrator {
         let (rho, e, p, u, vv) =
             (get(f.density0), get(f.energy0), get(f.pressure), get(f.xvel0), get(f.yvel0));
         let device = rho.device().clone();
-        let stream = Stream::new(&device);
-        stream.submit();
         let mut result = device.alloc::<f64>(5);
         let shape = KernelShape::streaming(region.num_cells(), 5, 15);
-        device.launch_named(&stream, "field-summary", Category::Other, shape, |kk| {
+        device.launch_named(&Stream, "field-summary", Category::Other, shape, |kk| {
             let s = k::field_summary(
                 k::View::new(rho.buffer().as_slice(&kk), rho.data_box()),
                 k::View::new(e.buffer().as_slice(&kk), e.data_box()),

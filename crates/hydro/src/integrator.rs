@@ -35,7 +35,7 @@ use rbamr_amr::{
     PatchHierarchy, RefineOperator, RefineSchedule, RegridOutcome, RegridParams, Regridder,
     ScheduleBuild, VariableId, VariableRegistry,
 };
-use rbamr_device::{Device, Stream};
+use rbamr_device::Device;
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
 use rbamr_gpu_amr::{BatchPlanCache, DeviceDataFactory};
 use rbamr_netsim::{CollectiveOp, CollectiveOutput, Comm, CommError, ReduceSpec};
@@ -521,16 +521,14 @@ impl HydroSim {
     ///    fill-then-compute, and every send is posted before the first
     ///    receive.
     /// 2. Only on a device, and only when this rank receives a message
-    ///    in the window: one interior batch (`Pass::Interior`) runs on
-    ///    the window's stream while the messages are in flight, and its
-    ///    elapsed kernel time is banked as comm overlap credit (the
-    ///    receives in step 3 charge only the exposed remainder).
+    ///    in the window: one interior batch (`Pass::Interior`) runs
+    ///    while the messages are in flight, and its elapsed kernel time
+    ///    is banked as comm overlap credit (the receives in step 3
+    ///    charge only the exposed remainder).
     /// 3. `finish` consumes the window's messages.
     /// 4. One batch runs the rest of the phase. After an interior batch
-    ///    it is the boundary batch (`Pass::Boundary`) on the same
-    ///    stream, so stream order is its edge to the interior batch,
-    ///    gated behind the exchange completion — surfaced as
-    ///    `stream-wait` telemetry (`halo-exchange`). Otherwise it is
+    ///    it is the boundary batch (`Pass::Boundary`), which follows
+    ///    the exchange in program order. Otherwise it is
     ///    the whole phase (`Pass::Full`): the CPU baseline models no
     ///    overlap, and a window with no message to wait for has nothing
     ///    to hide, so splitting it would only double its launches.
@@ -551,11 +549,10 @@ impl HydroSim {
         let window = Arc::clone(&self.fills[which]);
         let pending =
             window.begin(&mut self.hierarchy, &self.registry, comm, Category::HaloExchange);
-        let stream = self.device.as_ref().map(Stream::new);
-        let split = stream.as_ref().filter(|_| window.receives_remotely());
-        if let Some(stream) = split {
+        let split = self.device.is_some() && window.receives_remotely();
+        if split {
             let t0 = self.clock.total();
-            self.run_phase_on(Some(stream), |p, dx, ex| compute(p, dx, Pass::Interior, ex));
+            self.run_phase(|p, dx, ex| compute(p, dx, Pass::Interior, ex));
             if let Some(comm) = comm {
                 comm.bank_overlap_credit(self.clock.total() - t0);
             }
@@ -564,41 +561,25 @@ impl HydroSim {
         if let Err(e) = pending.finish(h, &self.boundary, comm, time, Category::HaloExchange) {
             first.get_or_insert(e.into());
         }
-        if let (Some(device), Some(stream)) = (&self.device, split) {
-            let exchange_stream = Stream::new(device);
-            exchange_stream.submit();
-            let exchanged = device.record_event(&exchange_stream);
-            device.stream_wait(stream, &exchanged, "halo-exchange", Category::HaloExchange);
-        }
-        let pass = if split.is_some() { Pass::Boundary } else { Pass::Full };
-        self.run_phase_on(stream.as_ref(), |p, dx, ex| compute(p, dx, pass, ex));
+        let pass = if split { Pass::Boundary } else { Pass::Full };
+        self.run_phase(|p, dx, ex| compute(p, dx, pass, ex));
         if let Some(comm) = comm {
             comm.clear_overlap_credit();
         }
     }
 
-    /// Run `phase` once over every level's local patches, outside a
-    /// fill window: no fill runs concurrently, so callers ask for
-    /// [`Pass::Full`].
+    /// Run `phase` once over every level's local patches: on the
+    /// device, if there is one; on the host, with its cost hook,
+    /// otherwise. Outside a fill window no fill runs concurrently, so
+    /// callers ask for [`Pass::Full`].
     fn run_phase<R>(
         &mut self,
         phase: impl FnOnce(&mut [&mut Patch], &[(f64, f64)], Exec<'_>) -> R,
     ) -> R {
-        let stream = self.device.as_ref().map(Stream::new);
-        self.run_phase_on(stream.as_ref(), phase)
-    }
-
-    /// [`HydroSim::run_phase`] on `stream` of the device, if there is
-    /// one; on the host, with its cost hook, otherwise.
-    fn run_phase_on<R>(
-        &mut self,
-        stream: Option<&Stream>,
-        phase: impl FnOnce(&mut [&mut Patch], &[(f64, f64)], Exec<'_>) -> R,
-    ) -> R {
         let copy_back = self.placement == Placement::DeviceCopyBack;
-        let ex = match (&self.device, stream) {
-            (Some(device), Some(stream)) => Exec::Device { device, stream, copy_back },
-            _ => Exec::Host(Some(&self.host_costs)),
+        let ex = match &self.device {
+            Some(device) => Exec::Device { device, copy_back },
+            None => Exec::Host(Some(&self.host_costs)),
         };
         let (mut patches, dx) = self.hierarchy.local_patches_mut();
         phase(&mut patches, &dx, ex)
@@ -1034,9 +1015,8 @@ impl HydroSim {
             .into_iter()
             .map(|var| TransferSpec { var, refine_op: self.refine_op_for(var) })
             .collect();
-        let on_device = self.device.as_ref().map(|device| (device, Stream::new(device)));
-        let ex = match &on_device {
-            Some((device, stream)) => Exec::Device { device, stream, copy_back: false },
+        let ex = match &self.device {
+            Some(device) => Exec::Device { device, copy_back: false },
             None => Exec::Host(Some(&self.host_costs)),
         };
         let tagger = HydroTagger { ex, fields: &self.fields, thresholds: self.config.thresholds };

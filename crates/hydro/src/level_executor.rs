@@ -107,13 +107,11 @@ pub(crate) enum Exec<'a> {
     /// loop over all its patches, after its kernels; no launch, span or
     /// counter exists.
     Host(Option<&'a HostCostHook>),
-    /// Device memory: one launch per kernel group per pass on `stream`.
-    /// `copy_back` adds the per-phase PCIe round trips.
+    /// Device memory: one launch per kernel group per pass. `copy_back`
+    /// adds the per-phase PCIe round trips.
     Device {
         /// The device the patches' arrays live on.
         device: &'a Device,
-        /// The stream the phase's launches are submitted to.
-        stream: &'a Stream,
         /// Round-trip every array the phase touches before its kernels.
         copy_back: bool,
     },
@@ -170,9 +168,8 @@ impl Exec<'_> {
     ) {
         match self {
             Exec::Host(_) => body(None),
-            Exec::Device { device, stream, .. } => {
-                stream.submit();
-                device.launch_named(stream, name, category, shape, |kk| body(Some(&kk)));
+            Exec::Device { device, .. } => {
+                device.launch_named(&Stream, name, category, shape, |kk| body(Some(&kk)));
             }
         }
     }
@@ -1342,11 +1339,10 @@ mod tests {
             [&[(96, 96), (8, 8)], &[(64, 64), (40, 40), (10, 10)], &[(64, 24), (12, 12)]];
         let dx = |l: usize| (0.05 / f64::from(1 << l), 0.05 / f64::from(1 << l));
         let device = Device::k20x();
-        let stream = Stream::new(&device);
         let placements: [(Exec<'_>, std::sync::Arc<dyn rbamr_amr::DataFactory>); 2] = [
             (Exec::Host(None), std::sync::Arc::new(rbamr_amr::HostDataFactory::new())),
             (
-                Exec::Device { device: &device, stream: &stream, copy_back: false },
+                Exec::Device { device: &device, copy_back: false },
                 std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(device.clone())),
             ),
         ];
@@ -1444,8 +1440,7 @@ mod tests {
 
                     let count = |name: &str| rec.counter(name);
                     let launches = |name: &str| count(&format!("device.kernel_launches.{name}"));
-                    let stream = Stream::new(&device);
-                    let ex = Exec::Device { device: &device, stream: &stream, copy_back: false };
+                    let ex = Exec::Device { device: &device, copy_back: false };
                     let allocs = count("device.allocs");
                     device.reset_transfer_stats();
                     let level = flag_cells(&patches, &f, ex, &th);
@@ -1531,11 +1526,10 @@ mod tests {
     #[test]
     fn every_launch_group_obeys_the_group_rule() {
         let device = Device::k20x();
-        let stream = Stream::new(&device);
         let placements: [(Exec<'_>, std::sync::Arc<dyn rbamr_amr::DataFactory>); 2] = [
             (Exec::Host(None), std::sync::Arc::new(rbamr_amr::HostDataFactory::new())),
             (
-                Exec::Device { device: &device, stream: &stream, copy_back: false },
+                Exec::Device { device: &device, copy_back: false },
                 std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(device.clone())),
             ),
         ];

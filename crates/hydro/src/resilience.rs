@@ -345,13 +345,6 @@ impl ResilientSim {
         self.spec.nranks
     }
 
-    /// The shrunken communicator, if a permanent rank loss has been
-    /// absorbed. Collectives issued by the driver use this in place of
-    /// the caller's original-size handle.
-    pub fn shrunk_comm(&self) -> Option<&Comm> {
-        self.shrunk.as_deref()
-    }
-
     /// Advance one step past the furthest committed point,
     /// transparently rolling back, replaying and retrying (and
     /// degrading the placement) on faults. A rollback rewinds the

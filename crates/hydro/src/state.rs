@@ -91,12 +91,6 @@ impl Fields {
             mom_flux: node(reg, "mom_flux"),
         }
     }
-
-    /// The state fields that carry the solution between steps (filled,
-    /// synchronised and transferred at regrid).
-    pub fn state_fields(&self) -> [VariableId; 6] {
-        [self.density0, self.energy0, self.xvel0, self.yvel0, self.pressure, self.viscosity]
-    }
 }
 
 /// One rectangular initial-condition region: the CloverLeaf "state"

@@ -757,11 +757,6 @@ impl Comm {
         self.reduce_f64(ReduceSpec::MAX_F64, v, category)
     }
 
-    /// Fault-aware [`Comm::allreduce_max`].
-    pub fn try_allreduce_max(&self, v: f64, category: Category) -> Result<f64, CommError> {
-        self.try_reduce_f64(ReduceSpec::MAX_F64, v, category)
-    }
-
     /// Global sum over all ranks (used by conservation diagnostics).
     /// Thin wrapper over [`Comm::collective`] with
     /// [`ReduceSpec::SUM_F64`].
@@ -770,11 +765,6 @@ impl Comm {
     /// tolerate roundoff-level variation exactly as MPI_SUM does.
     pub fn allreduce_sum(&self, v: f64, category: Category) -> f64 {
         self.reduce_f64(ReduceSpec::SUM_F64, v, category)
-    }
-
-    /// Fault-aware [`Comm::allreduce_sum`].
-    pub fn try_allreduce_sum(&self, v: f64, category: Category) -> Result<f64, CommError> {
-        self.try_reduce_f64(ReduceSpec::SUM_F64, v, category)
     }
 
     /// Synchronise all ranks. Thin wrapper over [`Comm::collective`]
