@@ -194,6 +194,35 @@ fn held_schedule_rebless_renames_the_schedule_keys_only() {
     assert_eq!(before, untouched("held-schedules"));
 }
 
+/// `31fec3f → in-order-device`: the simulated device runs every launch
+/// in program order, so the stream/event protocol went. Nothing moved
+/// and nothing came: the event and stream-wait counters went at r2 and
+/// r4 of both device decks, every combo that had them (one rank never
+/// splits a window, so it never waited), and every other device
+/// counter, which this pair's fixtures hold too, is string-equal.
+#[test]
+fn in_order_device_rebless_removes_the_stream_counters_only() {
+    let d = pair("31fec3f", "in-order-device");
+    assert_eq!((d.moved, d.added, d.removed), (0, 0, 12));
+    let gone: BTreeSet<&str> = d.moves.iter().map(|m| m.name.as_str()).collect();
+    let expect =
+        ["device.events_recorded", "device.stream_waits", "device.stream_waits.halo-exchange"];
+    assert_eq!(gone, BTreeSet::from(expect));
+    for m in &d.moves {
+        assert_eq!((m.layer, m.direction(), m.changed.len()), ("device", "removed", 4), "{m:?}");
+        assert_eq!(m.rank_pattern(), "all ranks", "{}", m.name);
+    }
+    let kept = |name: &str| -> Vec<String> {
+        let path = format!("{}/tests/fixtures/report/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).expect("fixture");
+        let gone = |l: &&str| expect.iter().any(|k| l.contains(&format!(".{k}\"")));
+        text.lines().filter(|l| !gone(l)).map(|l| l.trim_end_matches(',').to_string()).collect()
+    };
+    let before = kept("31fec3f");
+    assert!(before.len() > 7 * 20, "the fixture holds the untouched device keys");
+    assert_eq!(before, kept("in-order-device"));
+}
+
 /// A bucket that no longer adds up to ranks × makespan fails the
 /// identity; an `rbamr_bench --json` output parses to its metrics.
 #[test]
