@@ -44,7 +44,7 @@ impl<'d> Kernel<'d> {
 /// The simulated device runs every launch to completion, in program
 /// order, so a stream orders nothing: this handle is zero-sized and
 /// every stream is the same queue.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct Stream;
 
 impl Stream {

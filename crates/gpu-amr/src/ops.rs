@@ -7,9 +7,9 @@
 //! runs any of them as a device kernel — one logical thread per *fine*
 //! value for refinement (Figure 5) and one per *coarse* value for
 //! coarsening (Figures 7 and 8) — charging the operator's cost. The
-//! Figure 5a host listing's stream synchronise / event record / stream
-//! wait around the refine launch has no counterpart: the simulated
-//! device runs launches in program order. [`DeviceData`]'s per-item `refine_from` /
+//! stream synchronise, event record and stream wait of the Figure 5a
+//! host listing have no counterpart: the simulated device runs launches
+//! in program order. [`DeviceData`]'s per-item `refine_from` /
 //! `coarsen_from` are a batch of one;
 //! [`DeviceDataFactory`](crate::DeviceDataFactory)'s `refine_many` /
 //! `coarsen_many` hand a stage's whole job list — every operator's, at
