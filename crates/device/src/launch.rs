@@ -1,5 +1,4 @@
-//! Kernel launch machinery: access tokens, the stream handle and grid
-//! configuration.
+//! Kernel launch machinery: access tokens and the stream handle.
 
 use crate::Device;
 
@@ -51,50 +50,5 @@ impl Stream {
     /// A stream on `device`: the one in-order queue every launch runs on.
     pub fn new(_device: &Device) -> Self {
         Stream
-    }
-}
-
-/// Grid configuration for a launch, mirroring the `<<<nblocks,
-/// BLOCK_SIZE>>>` computation in the paper's Figure 5a. The simulated
-/// device does not need the block decomposition to execute, but the
-/// config is part of the public API so kernels document their intended
-/// thread geometry and tests can assert it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LaunchConfig {
-    /// Total number of logical threads (one per element, per the paper:
-    /// "we launch one CUDA thread per element").
-    pub threads: usize,
-    /// Threads per block.
-    pub block_size: usize,
-}
-
-impl LaunchConfig {
-    /// The paper's fixed block size.
-    pub const BLOCK_SIZE: usize = 256;
-
-    /// One thread per element with the default block size.
-    pub fn for_elements(elements: usize) -> Self {
-        Self { threads: elements, block_size: Self::BLOCK_SIZE }
-    }
-
-    /// Number of blocks: `(threads + block_size - 1) / block_size`,
-    /// exactly the Figure 5a computation.
-    pub fn blocks(&self) -> usize {
-        self.threads.div_ceil(self.block_size)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn launch_config_matches_figure_5a() {
-        let cfg = LaunchConfig::for_elements(1000);
-        assert_eq!(cfg.block_size, 256);
-        assert_eq!(cfg.blocks(), 4); // (1000 + 255) / 256
-        assert_eq!(LaunchConfig::for_elements(0).blocks(), 0);
-        assert_eq!(LaunchConfig::for_elements(256).blocks(), 1);
-        assert_eq!(LaunchConfig::for_elements(257).blocks(), 2);
     }
 }

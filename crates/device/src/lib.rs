@@ -28,7 +28,7 @@
 pub mod launch;
 pub mod memory;
 
-pub use launch::{Kernel, LaunchConfig, Stream};
+pub use launch::{Kernel, Stream};
 pub use memory::{DeviceBuffer, DeviceError};
 
 use parking_lot::Mutex;
