@@ -231,9 +231,10 @@ fn host_mut(d: &mut dyn PatchData) -> &mut HostData<f64> {
 /// CPU baseline data placement.
 ///
 /// With costs, the factory prices host data movement where the device
-/// pays a launch: a copy, pack or unpack stage is one loop nest over
-/// every job of every part — the fork/join overhead once, the bytes of
-/// every job (of an unpack, of every message received). Per-item
+/// pays a launch: a send stage (its local copies and its packs) or an
+/// unpack stage is one loop nest over every job of every part — the
+/// fork/join overhead once, the bytes of every job (of an unpack, of
+/// every message received). Per-item
 /// calls outside a stage (diagnostic digests, checkpoints) charge
 /// nothing.
 #[derive(Clone, Default)]
@@ -267,40 +268,33 @@ impl DataFactory for HostDataFactory {
         Box::new(HostData::<f64>::new(cell_box, ghosts, centring))
     }
 
-    fn copy_many(
+    fn send_many(
         &self,
         ctx: &mut TransferCtx<'_>,
-        parts: &[Part<'_, CopyJob>],
+        copies: &[Part<'_, CopyJob>],
+        sends: &[Part<'_, StreamJob>],
+        peers: &[PeerStream],
         category: Category,
-    ) {
+    ) -> Vec<Bytes> {
         let mut values = None;
-        for (part, job) in Part::each(parts) {
+        for (part, job) in Part::each(copies) {
             let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
             dst.copy_from(src, &job.overlap);
             *values.get_or_insert(0) += job.overlap.num_values();
         }
-        if let Some(values) = values {
-            self.charge(category, values);
-        }
-    }
-
-    fn pack_many(
-        &self,
-        ctx: &mut TransferCtx<'_>,
-        parts: &[Part<'_, StreamJob>],
-        peers: &[PeerStream],
-        category: Category,
-    ) -> Vec<Bytes> {
         // Each peer's jobs come in stream order, straight into its
         // message.
         let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
-        for (part, job) in Part::each(parts) {
+        for (part, job) in Part::each(sends) {
             let src = host(ctx.data_mut(part.at(job.loc), job.var));
             src.pack_into(&job.overlap, &mut out[part.slot(job).0]);
         }
         if !peers.is_empty() {
             let bytes: usize = peers.iter().map(|p| p.bytes).sum();
-            self.charge(category, (bytes / STREAM_VALUE_BYTES) as i64);
+            *values.get_or_insert(0) += (bytes / STREAM_VALUE_BYTES) as i64;
+        }
+        if let Some(values) = values {
+            self.charge(category, values);
         }
         out.into_iter().map(Bytes::from).collect()
     }
@@ -446,7 +440,7 @@ mod tests {
             })
             .into();
         let mut ctx = TransferCtx { hierarchy: &mut h, scratch: &mut [], outgoing: None };
-        factory.copy_many(&mut ctx, &[Part::whole(&jobs)], Category::HaloExchange);
+        factory.send_many(&mut ctx, &[Part::whole(&jobs)], &[], &[], Category::HaloExchange);
         let values = jobs.iter().map(|j| j.overlap.num_values()).sum();
         let stage = cost.host_kernel(KernelShape::streaming(values, 2, 0));
         assert_eq!(clock.snapshot().get(Category::HaloExchange), stage);
@@ -455,7 +449,7 @@ mod tests {
         dst.copy_from(src, &jobs[0].overlap);
         assert_eq!(clock.snapshot().total(), stage);
 
-        // The same overlaps through two peers' messages: the pack stage
+        // The same overlaps through two peers' messages: the send stage
         // and the unpack stage are each one loop over both.
         let (mut sends, mut recvs) = (StreamPlan::default(), StreamPlan::default());
         for (job, rank) in jobs.iter().zip([3, 5, 3, 5]) {
@@ -465,7 +459,7 @@ mod tests {
         }
         let ((sends, peers), (recvs, _)) = (sends.finish(), recvs.finish());
         let cat = Category::Synchronize;
-        let msgs = factory.pack_many(&mut ctx, &[Part::whole(&sends)], &peers, cat);
+        let msgs = factory.send_many(&mut ctx, &[], &[Part::whole(&sends)], &peers, cat);
         assert_eq!(clock.snapshot().get(cat), stage);
         assert_eq!(peers.len(), 2);
         let msgs: Vec<_> = msgs.into_iter().map(Some).collect();
@@ -475,6 +469,19 @@ mod tests {
         // A stage whose every frame was lost unpacks and charges nothing.
         factory.unpack_many(&mut ctx, &[Part::whole(&recvs)], &[None, None], cat);
         assert_eq!(clock.snapshot().get(cat), 2.0 * stage);
+
+        // A stage that copies and sends is one loop over the copied and
+        // the packed values.
+        let both = factory.send_many(
+            &mut ctx,
+            &[Part::whole(&jobs)],
+            &[Part::whole(&sends)],
+            &peers,
+            Category::Other,
+        );
+        assert_eq!(both.into_iter().map(Some).collect::<Vec<_>>(), msgs);
+        let fused = cost.host_kernel(KernelShape::streaming(2 * values, 2, 0));
+        assert_eq!(clock.snapshot().get(Category::Other), fused);
     }
 
     #[test]

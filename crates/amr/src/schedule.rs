@@ -1493,26 +1493,25 @@ impl CoarsenSchedule {
         let (sends, recvs) = ([Part::whole(&self.sends[..])], [Part::whole(&self.recvs[..])]);
 
         // Phase 1: fine owners coarsen into scratch, every operator in
-        // one call, and the results bound for remote coarse owners join
-        // the aggregated per-rank stream (one message per rank pair;
-        // plan order is globally deterministic).
+        // one call.
         let groups: Vec<_> = self
             .projects
             .iter()
             .map(|(op, jobs)| OpGroup { op: op.as_ref(), ratio, parts: vec![Part::whole(jobs)] })
             .collect();
         factory.coarsen_many(&mut ctx, self.fine_level_no, &groups);
-        let tag = agg_tag(KIND_AGG_SYNC, self.fine_level_no);
-        if !self.sends.is_empty() {
-            let comm = comm.expect("CoarsenSchedule: remote plans need a Comm");
-            let streams = factory.pack_many(&mut ctx, &sends, &self.send_peers, category);
-            for (peer, stream) in self.send_peers.iter().zip(streams) {
-                comm.send(peer.rank, tag, stream);
-            }
-        }
 
-        // Phase 2: apply local results.
-        factory.copy_many(&mut ctx, &[Part::whole(&self.applies)], category);
+        // Phase 2, one send stage: the local results applied, and the
+        // results bound for remote coarse owners packed into the
+        // aggregated per-rank stream (one message per rank pair; plan
+        // order is globally deterministic). Both only read scratch.
+        let applies = [Part::whole(&self.applies[..])];
+        let streams = factory.send_many(&mut ctx, &applies, &sends, &self.send_peers, category);
+        let tag = agg_tag(KIND_AGG_SYNC, self.fine_level_no);
+        for (peer, stream) in self.send_peers.iter().zip(streams) {
+            let comm = comm.expect("CoarsenSchedule: remote plans need a Comm");
+            comm.send(peer.rank, tag, stream);
+        }
 
         // Phase 3: receive the aggregated remote results and unpack
         // them in plan order. Faulty streams are skipped.

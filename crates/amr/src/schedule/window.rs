@@ -25,11 +25,11 @@ pub(super) fn fill_span(
 
 /// The ghost fills of several levels, coarse to fine, executed as one:
 /// every stage runs once for all members — one call per batch entry
-/// point of the [`DataFactory`] (the local copies and the coarse
-/// captures share one, every operator and ratio's interpolation jobs
-/// another) and one [`PhysicalBoundary::fill_many`] — and each peer gets
-/// one message, the members' streams to it concatenated in member
-/// order, under the first member's tag.
+/// point of the [`DataFactory`] (the local copies, the coarse captures
+/// and the outgoing packs share one, every operator and ratio's
+/// interpolation jobs another) and one [`PhysicalBoundary::fill_many`]
+/// — and each peer gets one message, the members' streams to it
+/// concatenated in member order, under the first member's tag.
 /// [`RefineSchedule::try_fill`] is the window of one schedule.
 ///
 /// The members are shared, not copied: the window keeps each (by `Arc`
@@ -142,10 +142,11 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
         self.members.iter().map(part).collect()
     }
 
-    /// The send half of the fill: stages 1 (scratch creation, then the
-    /// local copies and the local coarse captures) and 2 (pack + send).
-    /// `outgoing` is the level [`Loc::Outgoing`] sources name — set by
-    /// a regrid's solution transfer only, and read by this half only.
+    /// The send half of the fill: scratch creation, then stage 1 (the
+    /// local copies, the local coarse captures and the outgoing packs,
+    /// one send stage) and the sends. `outgoing` is the level
+    /// [`Loc::Outgoing`] sources name — set by a regrid's solution
+    /// transfer only, and read by this half only.
     pub(super) fn begin_with(
         &self,
         hierarchy: &mut PatchHierarchy,
@@ -156,33 +157,31 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
     ) -> PendingFill<'_, S> {
         let factory = Arc::clone(registry.factory());
 
-        // 1. Interpolation scratch, then one copy stage: the same-level
-        //    local copies, then the scratch's *local* coarse sources.
-        //    The captures read coarse data-box interiors — never ghost
-        //    regions — so nothing the finish half (or any interior-only
-        //    compute run between the halves) writes can change them;
-        //    capture-at-begin is bitwise-identical to capture-at-finish.
+        // 1. Interpolation scratch, then one send stage: the same-level
+        //    local copies, the scratch's *local* coarse sources, and the
+        //    outgoing messages. The captures read coarse data-box
+        //    interiors — never ghost regions — so nothing the finish
+        //    half (or any interior-only compute run between the halves)
+        //    writes can change them; capture-at-begin is
+        //    bitwise-identical to capture-at-finish. No copy writes a
+        //    value a pack reads, so the stage's order is free.
         let mut scratches =
             make_scratch(registry, self.members().flat_map(|s| &s.scratch), category);
         let mut ctx = TransferCtx { hierarchy, scratch: &mut scratches, outgoing };
         let mut copies = self.parts(|s| &s.copies, |_| None);
         copies.extend(self.parts(|s| &s.captures, |_| None));
-        factory.copy_many(&mut ctx, &copies, category);
+        let sends = self.parts(|s| &s.sends, |m| Some(&m.sends));
+        let streams = factory.send_many(&mut ctx, &copies, &sends, &self.send_peers, category);
 
-        // 2. Same-level + coarse-fine: outgoing messages. All traffic
-        //    for one destination rank is aggregated into a single
-        //    message (SAMRAI's per-processor MessageStream): plan
+        // 2. All traffic for one destination rank is aggregated into a
+        //    single message (SAMRAI's per-processor MessageStream): plan
         //    construction order is identical on every rank — it is
         //    derived from the globally replicated level metadata — so
         //    sender packing order and receiver slicing order agree by
         //    construction.
-        if !self.send_peers.is_empty() {
+        for (peer, stream) in self.send_peers.iter().zip(streams) {
             let comm = comm.expect("RefineSchedule: remote plans need a Comm");
-            let parts = self.parts(|s| &s.sends, |m| Some(&m.sends));
-            let streams = factory.pack_many(&mut ctx, &parts, &self.send_peers, category);
-            for (peer, stream) in self.send_peers.iter().zip(streams) {
-                comm.send(peer.rank, self.tag, stream);
-            }
+            comm.send(peer.rank, self.tag, stream);
         }
         PendingFill { window: self, factory, scratches }
     }

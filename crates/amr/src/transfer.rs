@@ -9,11 +9,11 @@
 //! Executing a stage is then one call handing the job lists of every
 //! schedule executed together — a fill window's members, each a
 //! [`Part`] — to the placement: the [`DataFactory`](crate::DataFactory)
-//! batch entry points (`copy_many`, `pack_many`, `unpack_many`,
-//! `extend_many`, `refine_many`, `coarsen_many`). The host factory
-//! loops the per-item [`PatchData`] methods in job order and charges a
-//! copy, pack or unpack stage as one loop nest; a device factory runs
-//! each call as one fused launch, driven by the same job lists.
+//! batch entry points (`send_many`, `unpack_many`, `extend_many`,
+//! `refine_many`, `coarsen_many`). The host factory loops the per-item
+//! [`PatchData`] methods in job order and charges a send or unpack
+//! stage as one loop nest; a device factory runs each call as one fused
+//! launch, driven by the same job lists.
 //!
 //! Jobs carry positions, not references, so they hold no borrows of
 //! the hierarchy; a [`TransferCtx`] resolves them when they run. They

@@ -42,33 +42,35 @@ pub struct Variable {
 ///
 /// The factory is also where every schedule stage enters the placement:
 /// the batch methods below take a stage's whole job list (see
-/// [`crate::transfer`]) — copies, packs, unpacks, scratch extension and
-/// the inter-level operators alike. Both placements price a stage, not
-/// an item: a factory whose data lives on a device runs each call as
-/// one fused launch (and one PCIe transfer per stage), whatever the
-/// number of parts or peers; the host factory pays one loop nest's
-/// fixed cost per copy, pack or unpack stage. The movement
-/// methods are therefore required; the scratch-extension and operator
-/// methods, which the host placement does not price, default to the
-/// loop over the per-item [`PatchData`] method in job order.
+/// [`crate::transfer`]) — a send stage's local copies and packs
+/// together, unpacks, scratch extension and the inter-level operators.
+/// Both placements price a stage, not an item: a factory whose data
+/// lives on a device runs each call as one fused launch (and one PCIe
+/// transfer per stage), whatever the number of parts or peers; the host
+/// factory pays one loop nest's fixed cost per send or unpack stage.
+/// The movement methods are therefore required; the scratch-extension
+/// and operator methods, which the host placement does not price,
+/// default to the loop over the per-item [`PatchData`] method in job
+/// order.
 pub trait DataFactory: Send + Sync {
     /// Allocate zeroed `centring` data over `cell_box` grown by
     /// `ghosts` — a variable's own width on patches
     /// ([`VariableRegistry::make_one`]), none on schedule scratch.
     fn make(&self, centring: Centring, ghosts: IntVector, cell_box: GBox) -> Box<dyn PatchData>;
 
-    /// Run every copy job of every part, charging `category`.
-    fn copy_many(&self, ctx: &mut TransferCtx<'_>, parts: &[Part<'_, CopyJob>], category: Category);
-
-    /// Pack every job of every part into its peer's message (see
-    /// [`Part::slot`]) and return the messages in `peers` order, each
-    /// exactly `peers[i].bytes` long. Each peer's jobs come in stream
-    /// order: a part's in plan order, the parts' streams one after the
-    /// other.
-    fn pack_many(
+    /// Run a send stage, charging `category`: every copy job of
+    /// `copies`, and every job of `sends` packed into its peer's message
+    /// (see [`Part::slot`]). Returns the messages in `peers` order, each
+    /// exactly `peers[i].bytes` long — none when `peers` is empty. Each
+    /// peer's jobs come in stream order: a part's in plan order, the
+    /// parts' streams one after the other. No copy writes a value a pack
+    /// reads (the schedules plan it so), so the two lists may run as one
+    /// launch or one loop.
+    fn send_many(
         &self,
         ctx: &mut TransferCtx<'_>,
-        parts: &[Part<'_, StreamJob>],
+        copies: &[Part<'_, CopyJob>],
+        sends: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
         category: Category,
     ) -> Vec<Bytes>;

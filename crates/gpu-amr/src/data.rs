@@ -46,16 +46,17 @@ impl DeviceElement for i32 {}
 ///   one `refine-interp` / `coarsen-project` launch.
 ///
 /// Each of these is a *batch of one* through the fused kernels of this
-/// module and [`crate::ops`] (`launch_copy`, `pack_message`,
-/// `unpack_message`, `launch_extend`, `launch_refine`,
-/// `launch_coarsen`). The schedules do not call them per overlap: they
-/// hand whole stages to [`DeviceDataFactory`], which runs the same
-/// kernels once per stage — one `copy-region` launch per job list, one
-/// `pack` launch and one D2H for all of a stage's outgoing messages, one
-/// H2D and one `unpack` launch for all it received, one interpolation or
-/// projection launch for every operator. A regrid's solution transfer is such
-/// a schedule too. The per-item methods remain for the callers that move
-/// one region at a time (checkpoints, digests, probes).
+/// module and [`crate::ops`] (`launch_send`, `unpack_message`,
+/// `launch_extend`, `launch_refine`, `launch_coarsen`). The schedules
+/// do not call them per overlap: they hand whole stages to
+/// [`DeviceDataFactory`], which runs the same kernels once per stage —
+/// one `pack` launch and one D2H for a send stage's local copies and
+/// all its outgoing messages (one `copy-region` launch where it sends
+/// nothing), one H2D and one `unpack` launch for all it received, one
+/// interpolation or projection launch for every operator. A regrid's
+/// solution transfer is such a schedule too. The per-item methods remain
+/// for the callers that move one region at a time (checkpoints, digests,
+/// probes).
 ///
 /// Host code cannot touch the values: reads outside kernels are a
 /// compile error (no [`Kernel`](rbamr_device::Kernel) token), which is
@@ -129,50 +130,50 @@ impl<T: DeviceElement> DeviceData<T> {
     }
 }
 
-/// The `copy-region` kernel: one launch copying every `(dst, src,
-/// overlap)` that `jobs` yields, `total` values in all (one logical
-/// thread per element; the row decomposition is the safe-Rust shape of
-/// the Figure 4 kernel). No launch when there is nothing to copy.
-fn launch_copy<T: DeviceElement>(
+/// The send kernel: one launch running every `(dst, src, overlap)` copy
+/// the first callback is handed, `copied` values in all, and gathering
+/// every region the second is handed, in order, into `staging[..total]`
+/// (the contiguous `cuda_stream` buffer of Figure 4), then one D2H
+/// bringing exactly the packed values to the host, where they become
+/// the message stream. One logical thread per element; the row
+/// decomposition is the safe-Rust shape of the Figure 4 kernel. With
+/// `staging` the launch is a `pack` charging both shapes; without, it
+/// only copies — a `copy-region` launch, none when there is nothing to
+/// copy — and there is no message.
+fn launch_send<T: DeviceElement>(
     device: &Device,
     category: Category,
-    total: i64,
-    jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &DeviceData<T>, &BoxOverlap)),
-) {
-    if total == 0 {
-        return;
-    }
-    let shape = KernelShape::streaming(total, 2, 0);
-    device.launch_named(&Stream, "copy-region", category, shape, |k| {
-        jobs(&mut |dst, src, overlap| {
-            let (dst_dbox, src_dbox) = (dst.dbox, src.dbox);
-            let src_slice = src.buffer().as_slice(&k);
-            let dst_slice = dst.buffer_mut().as_mut_slice(&k);
-            for fill in overlap.dst_boxes.boxes() {
-                copy_region(dst_slice, dst_dbox, src_slice, src_dbox, *fill, overlap.shift);
-            }
-        });
-    });
-}
-
-/// The `pack` kernel and its transfer: one launch gathers every region
-/// `jobs` yields, in order, into `staging[..total]` (the contiguous
-/// `cuda_stream` buffer of Figure 4), then one D2H brings exactly the
-/// packed values to the host, where they become the message stream.
-fn pack_message<T: DeviceElement>(
-    device: &Device,
-    category: Category,
-    staging: &mut DeviceBuffer<T>,
-    total: usize,
-    jobs: impl FnOnce(&mut dyn FnMut(&DeviceData<T>, &BoxOverlap)),
-) -> Bytes {
-    device.recorder().count("pack.bytes", (total * T::BYTES) as u64);
-    if total > 0 {
-        let shape = KernelShape::streaming(total as i64, 2, 0);
-        device.launch_named(&Stream, "pack", category, shape, |k| {
-            let out = &mut staging.as_mut_slice(&k)[..total];
+    copied: i64,
+    staging: Option<(&mut DeviceBuffer<T>, usize)>,
+    jobs: impl FnOnce(
+        &mut dyn FnMut(&mut DeviceData<T>, &DeviceData<T>, &BoxOverlap),
+        &mut dyn FnMut(&DeviceData<T>, &BoxOverlap),
+    ),
+) -> Option<Bytes> {
+    let (mut staging, total) = match staging {
+        Some((staging, total)) => {
+            device.recorder().count("pack.bytes", (total * T::BYTES) as u64);
+            (Some(staging), total)
+        }
+        None => (None, 0),
+    };
+    let name = if staging.is_some() { "pack" } else { "copy-region" };
+    if copied > 0 || total > 0 {
+        let shape =
+            KernelShape::streaming(copied, 2, 0) + KernelShape::streaming(total as i64, 2, 0);
+        device.launch_named(&Stream, name, category, shape, |k| {
+            let mut out = staging.as_deref_mut().map(|s| &mut s.as_mut_slice(&k)[..total]);
             let mut offset = 0usize;
-            jobs(&mut |src, overlap| {
+            let mut copy = |dst: &mut DeviceData<T>, src: &DeviceData<T>, overlap: &BoxOverlap| {
+                let (dst_dbox, src_dbox) = (dst.dbox, src.dbox);
+                let src_slice = src.buffer().as_slice(&k);
+                let dst_slice = dst.buffer_mut().as_mut_slice(&k);
+                for fill in overlap.dst_boxes.boxes() {
+                    copy_region(dst_slice, dst_dbox, src_slice, src_dbox, *fill, overlap.shift);
+                }
+            };
+            let mut pack = |src: &DeviceData<T>, overlap: &BoxOverlap| {
+                let out = out.as_deref_mut().expect("a copy-only launch packs nothing");
                 let src_slice = src.buffer().as_slice(&k);
                 for fill in overlap.dst_boxes.boxes() {
                     let n = fill.num_cells() as usize;
@@ -180,15 +181,18 @@ fn pack_message<T: DeviceElement>(
                     pack_region(packed, src_slice, src.dbox, *fill, overlap.shift);
                     offset += n;
                 }
-            });
+            };
+            jobs(&mut copy, &mut pack);
             assert_eq!(offset, total, "pack: jobs do not fill the message");
         });
     }
-    let mut host = vec![T::default(); total];
-    device.download(staging, 0, &mut host, category);
-    let mut out = Vec::with_capacity(total * T::BYTES);
-    T::encode(&host, &mut out);
-    Bytes::from(out)
+    staging.map(|staging| {
+        let mut host = vec![T::default(); total];
+        device.download(staging, 0, &mut host, category);
+        let mut out = Vec::with_capacity(total * T::BYTES);
+        T::encode(&host, &mut out);
+        Bytes::from(out)
+    })
 }
 
 /// The `unpack` kernel and its transfer: one H2D of `msgs`, back to
@@ -293,7 +297,7 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
             .expect("DeviceData::copy_from: source is not DeviceData of the same element type");
         validate_overlap(overlap, src.dbox, self.dbox, self.centring);
         let (device, category) = (self.buf.device().clone(), self.category);
-        launch_copy(&device, category, overlap.num_values(), |copy| {
+        launch_send(&device, category, overlap.num_values(), None, |copy, _| {
             copy(self, src, overlap);
         });
     }
@@ -308,9 +312,10 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
         let total = overlap.num_values() as usize;
         let device = self.buf.device();
         let mut staging = device.alloc(total);
-        pack_message(device, self.category, &mut staging, total, |pack| {
+        launch_send(device, self.category, 0, Some((&mut staging, total)), |_, pack| {
             pack(self, overlap);
         })
+        .expect("a pack makes a message")
     }
 
     /// As [`DeviceData::pack`].
@@ -361,16 +366,16 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
 /// shows for CleverLeaf's two patch integrators.
 ///
 /// It is also where a schedule stage becomes fused device work: every
-/// batch entry point of [`DataFactory`] runs as one launch
-/// per call (copies, packs, unpacks and scratch extension on the
-/// factory's device; interpolation and projection where the first
-/// job's destination lives), and a stage's messages
-/// cross PCIe together — every peer's, back to back in peer order, in
-/// one transfer — through one persistent, grow-only device buffer: the
-/// simulated device is synchronous, so the buffer is free again as soon
-/// as the stage's D2H returns or its unpack launch ends, and a steady
-/// step allocates no staging at all. A stage with no peers stages,
-/// launches and transfers nothing.
+/// batch entry point of [`DataFactory`] runs as one launch per call (a
+/// send stage's copies and packs together, unpacks and scratch extension
+/// on the factory's device; interpolation and projection where the first
+/// job's destination lives), and a stage's messages cross PCIe together
+/// — every peer's, back to back in peer order, in one transfer — through
+/// one persistent, grow-only device buffer: the simulated device is
+/// synchronous, so the buffer is free again as soon as the stage's D2H
+/// returns or its unpack launch ends, and a steady step allocates no
+/// staging at all. A stage with no peers stages and transfers nothing,
+/// and launches only its copies.
 ///
 /// The descriptor tables live the same way: one grow-only device table
 /// holds the last build pass's ([`PassTables`]), rendered straight into
@@ -435,48 +440,42 @@ impl DataFactory for DeviceDataFactory {
         Box::new(DeviceData::<f64>::new(&self.device, cell_box, ghosts, centring))
     }
 
-    fn copy_many(
+    fn send_many(
         &self,
         ctx: &mut TransferCtx<'_>,
-        parts: &[Part<'_, CopyJob>],
-        category: Category,
-    ) {
-        let total = Part::each(parts).map(|(_, job)| job.overlap.num_values()).sum();
-        launch_copy(&self.device, category, total, |copy| {
-            for (part, job) in Part::each(parts) {
-                let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
-                dst.set_transfer_category(category);
-                copy(device_mut(dst), device_ref(src), &job.overlap);
-            }
-        });
-    }
-
-    fn pack_many(
-        &self,
-        ctx: &mut TransferCtx<'_>,
-        parts: &[Part<'_, StreamJob>],
+        copies: &[Part<'_, CopyJob>],
+        sends: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
         category: Category,
     ) -> Vec<Bytes> {
-        if peers.is_empty() {
-            return Vec::new();
-        }
+        let copied = Part::each(copies).map(|(_, job)| job.overlap.num_values()).sum();
         // Peer-major, then by place in the peer's message: the jobs of
         // each part are in order within each of its streams, and the
         // parts' streams follow one another in a message.
-        let jobs = Part::each(parts).map(|(part, job)| (part.slot(job), part, job));
+        let jobs = Part::each(sends).map(|(part, job)| (part.slot(job), part, job));
         let mut by_peer: Vec<_> = jobs.collect();
         by_peer.sort_by_key(|((peer, range), ..)| (*peer, range.start));
-        let total = peers.iter().map(|peer| peer.bytes).sum::<usize>() / STREAM_VALUE_BYTES;
-        let packed = self.with_staging(total, |staging| {
-            pack_message(&self.device, category, staging, total, |pack| {
+        let send = |staging: Option<(&mut DeviceBuffer<f64>, usize)>| {
+            launch_send(&self.device, category, copied, staging, |copy, pack| {
+                for (part, job) in Part::each(copies) {
+                    let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
+                    dst.set_transfer_category(category);
+                    copy(device_mut(dst), device_ref(src), &job.overlap);
+                }
                 for (_, part, job) in by_peer {
                     let src = ctx.data_mut(part.at(job.loc), job.var);
                     src.set_transfer_category(category);
                     pack(device_ref(src), &job.overlap);
                 }
             })
-        });
+        };
+        if peers.is_empty() {
+            send(None);
+            return Vec::new();
+        }
+        let total = peers.iter().map(|peer| peer.bytes).sum::<usize>() / STREAM_VALUE_BYTES;
+        let packed = self.with_staging(total, |staging| send(Some((staging, total))));
+        let packed = packed.expect("a stage with peers makes a message");
         let mut end = 0;
         let streams = peers.iter().map(|peer| {
             let start = end;

@@ -269,10 +269,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The fused batch entry points — `DeviceDataFactory`'s `copy_many` /
-// `pack_many` / `unpack_many` / `extend_many` / `refine_many` /
-// `coarsen_many` — against the per-item loop *on the same device data*,
-// and against the host placement.
+// The fused batch entry points — `DeviceDataFactory`'s `send_many` /
+// `unpack_many` / `extend_many` / `refine_many` / `coarsen_many` —
+// against the per-item loop *on the same device data*, and against the
+// host placement.
 
 mod fused {
     use super::{coarsen_op, refine_op, sub_box};
@@ -317,28 +317,21 @@ mod fused {
             self.0.make(centring, ghosts, cell_box)
         }
 
-        fn copy_many(
+        fn send_many(
             &self,
             ctx: &mut TransferCtx<'_>,
-            parts: &[Part<'_, CopyJob>],
+            copies: &[Part<'_, CopyJob>],
+            sends: &[Part<'_, StreamJob>],
+            peers: &[PeerStream],
             category: Category,
-        ) {
-            for (part, job) in Part::each(parts) {
+        ) -> Vec<Bytes> {
+            for (part, job) in Part::each(copies) {
                 let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
                 dst.set_transfer_category(category);
                 dst.copy_from(src, &job.overlap);
             }
-        }
-
-        fn pack_many(
-            &self,
-            ctx: &mut TransferCtx<'_>,
-            parts: &[Part<'_, StreamJob>],
-            peers: &[PeerStream],
-            category: Category,
-        ) -> Vec<Bytes> {
             let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
-            for (part, job) in Part::each(parts) {
+            for (part, job) in Part::each(sends) {
                 let data = ctx.data_mut(part.at(job.loc), job.var);
                 data.set_transfer_category(category);
                 out[part.slot(job).0].extend_from_slice(&data.pack(&job.overlap));
@@ -644,26 +637,27 @@ mod fused {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// `copy_many`: same arrays, one launch.
+        /// `send_many` that only copies: same arrays, one launch.
         #[test]
         fn fused_copy_equals_the_per_item_loop(case in arb_case()) {
             let mut ws = worlds(&case);
             let jobs = copy_jobs(&ws[0], &case);
             prop_assume!(!jobs.is_empty());
-            let [_, per_item, fused] =
-                measured(&mut ws, |w| w.with_ctx(|f, ctx| f.copy_many(ctx, &[Part::whole(&jobs)], CAT)));
-            assert_same(&ws, "copy_many");
+            let [_, per_item, fused] = measured(&mut ws, |w| {
+                w.with_ctx(|f, ctx| f.send_many(ctx, &[Part::whole(&jobs)], &[], &[], CAT));
+            });
+            assert_same(&ws, "send_many, copies only");
             prop_assert_eq!(per_item.kernel_launches, jobs.len() as u64);
             prop_assert_eq!(fused.kernel_launches, 1);
             prop_assert_eq!(ws[2].counter("device.kernel_launches.copy-region"), 1);
             prop_assert_eq!((fused.h2d_transfers, fused.d2h_transfers), (0, 0));
         }
 
-        /// `pack_many` then `unpack_many`: the fused stream is the
-        /// concatenation of the per-overlap packs (and the host's), the
-        /// unpacked arrays agree, bytes agree, and the fused side spends
-        /// one launch and one PCIe transfer per stage, whatever the
-        /// peer count.
+        /// `send_many` that only packs, then `unpack_many`: the fused
+        /// stream is the concatenation of the per-overlap packs (and
+        /// the host's), the unpacked arrays agree, bytes agree, and the
+        /// fused side spends one launch and one PCIe transfer per
+        /// stage, whatever the peer count.
         #[test]
         fn fused_streams_equal_the_per_item_loop(case in arb_case()) {
             let mut ws = worlds(&case);
@@ -672,7 +666,7 @@ mod fused {
             let (sends, peers) = stream_jobs(&copies, true);
             let mut packed = Vec::new();
             let [_, per_item, fused] = measured(&mut ws, |w| {
-                packed.push(w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT)));
+                packed.push(w.with_ctx(|f, ctx| f.send_many(ctx, &[], &[Part::whole(&sends)], &peers, CAT)));
             });
             prop_assert_eq!(&packed[0], &packed[2], "fused stream differs from the host's");
             prop_assert_eq!(&packed[1], &packed[2], "fused stream differs from the per-item packs");
@@ -702,6 +696,41 @@ mod fused {
             prop_assert_eq!((per_item.kernel_launches, per_item.h2d_transfers), (recvs.len() as u64, recvs.len() as u64));
             prop_assert_eq!((fused.kernel_launches, fused.h2d_transfers), (1, 1));
             prop_assert_eq!(ws[2].counter("device.kernel_launches.unpack"), 1);
+        }
+
+        /// `send_many` that copies and packs: the ghosts the copies
+        /// write and the sources' values the packs read are disjoint,
+        /// so the stage equals its copies alone and its packs alone —
+        /// the same arrays and messages — and the fused side spends one
+        /// `pack` launch and one D2H for both.
+        #[test]
+        fn fused_send_equals_its_copies_and_its_packs(case in arb_case()) {
+            let [mut ws, mut apart] = [worlds(&case), worlds(&case)];
+            let copies = copy_jobs(&ws[0], &case);
+            prop_assume!(copies.len() >= 2);
+            let (sends, peers) = stream_jobs(&copies, true);
+            let (copies, sends) = ([Part::whole(&copies[..])], [Part::whole(&sends[..])]);
+            let mut packed = Vec::new();
+            let [_, per_item, fused] = measured(&mut ws, |w| {
+                packed.push(w.with_ctx(|f, ctx| f.send_many(ctx, &copies, &sends, &peers, CAT)));
+            });
+            assert_same(&ws, "send_many");
+            let alone: Vec<_> = apart
+                .iter_mut()
+                .map(|w| {
+                    w.with_ctx(|f, ctx| f.send_many(ctx, &copies, &[], &[], CAT));
+                    w.with_ctx(|f, ctx| f.send_many(ctx, &[], &sends, &peers, CAT))
+                })
+                .collect();
+            prop_assert_eq!(&packed, &alone);
+            for (fused, apart) in ws.iter().zip(&apart) {
+                prop_assert!(fused.snapshot() == apart.snapshot(), "copies and packs interfere");
+            }
+            let jobs = (copies[0].jobs.len() + sends[0].jobs.len()) as u64;
+            prop_assert_eq!(per_item.kernel_launches, jobs);
+            prop_assert_eq!((fused.kernel_launches, fused.d2h_transfers), (1, 1));
+            prop_assert_eq!(ws[2].counter("device.kernel_launches.pack"), 1);
+            prop_assert_eq!(ws[2].counter("device.kernel_launches.copy-region"), 0);
         }
 
         /// `extend_many` over scratch arrays with partial cover: same
@@ -854,7 +883,7 @@ mod fused {
         let mut w = World::new(Placement::Fused, &case);
         let (sends, peers) = stream_jobs(&copy_jobs(&w, &case), true);
         let pack = |w: &mut World| {
-            w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT))
+            w.with_ctx(|f, ctx| f.send_many(ctx, &[], &[Part::whole(&sends)], &peers, CAT))
         };
         let good = pack(&mut w);
         assert_eq!(latched(&w), None);
@@ -877,7 +906,8 @@ mod fused {
         let copies = copy_jobs(&w, &case);
         let (sends, peers) = stream_jobs(&copies, true);
         let (recvs, _) = stream_jobs(&copies, false);
-        let streams = w.with_ctx(|f, ctx| f.pack_many(ctx, &[Part::whole(&sends)], &peers, CAT));
+        let streams =
+            w.with_ctx(|f, ctx| f.send_many(ctx, &[], &[Part::whole(&sends)], &peers, CAT));
         let unpack = |w: &mut World, only: Option<u32>| {
             let arrived = |p: usize| only.is_none_or(|only| p == only as usize);
             let msgs: Vec<_> =

@@ -13,14 +13,15 @@ use rbamr_amr::ops::{
 use rbamr_amr::regrid::{CellTagger, TransferSpec};
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    GridGeometry, PassTables, Patch, PatchData, PatchHierarchy, PhysicalBoundary, RefineSchedule,
-    RegridParams, Regridder, ScheduleBuild, TagBitmap, VariableId, VariableRegistry,
+    GridGeometry, HostDataFactory, PassTables, Patch, PatchData, PatchHierarchy, PhysicalBoundary,
+    RefineSchedule, RegridParams, Regridder, ScheduleBuild, TagBitmap, VariableId,
+    VariableRegistry,
 };
 use rbamr_device::{Device, DeviceError};
 use rbamr_geometry::{copy_overlap, BoxList, Centring, GBox, IntVector};
 use rbamr_gpu_amr::{compress_tags, compress_tags_many, DeviceData, DeviceDataFactory, TagField};
 use rbamr_netsim::{Cluster, Comm, CommError, FaultKind, FaultPlan, FaultRule};
-use rbamr_perfmodel::{Category, Machine};
+use rbamr_perfmodel::{Category, CostModel, Machine};
 use rbamr_telemetry::Recorder;
 use std::sync::Arc;
 
@@ -288,7 +289,7 @@ fn interpolating_fill_obeys_the_per_stage_launch_law() {
         r.fill(&sched, &comm).unwrap();
         assert_eq!(r.launches("pack"), sent as u64);
         assert_eq!(r.launches("unpack"), received as u64);
-        assert!(r.launches("copy-region") <= 2);
+        assert_eq!(r.launches("copy-region"), 0, "the captures ride the pack launch");
         // The coarse level covers every scratch value: nothing to extend.
         assert_eq!(r.launches("extend-uncovered"), 0);
         assert_eq!(r.launches("refine-interp"), 1);
@@ -306,6 +307,61 @@ fn interpolating_fill_obeys_the_per_stage_launch_law() {
         assert_eq!(values[dbox.offset_of(IntVector::new(near, 8))], 1.0 + comm.rank() as f64);
         assert_eq!(values[dbox.offset_of(IntVector::new(far, 13))], 2.0 - comm.rank() as f64);
     });
+}
+
+/// Owners of a row of three 8x8 patches: rank 0's two neighbours copy
+/// between themselves, and both ranks send.
+const COPY_AND_SEND: [usize; 3] = [0, 0, 1];
+
+/// A window that both copies and sends is one send stage. At two ranks
+/// over [`COPY_AND_SEND`], rank 0's fill pays one `pack` launch (its
+/// copies inside, no `copy-region`) and one `unpack` on the device; on
+/// a host whose every loop costs 1 s and whose network is free, each
+/// rank's fill costs 2 s: one loop for the copies and packs, one for
+/// the unpack.
+#[test]
+fn a_window_that_copies_and_sends_is_one_launch_and_one_loop() {
+    let boxes = || (0..3).map(|i| b(8 * i, 0, 8 * i + 8, 8)).collect::<Vec<GBox>>();
+    Cluster::new(Machine::ipa_gpu()).run(2, move |comm| {
+        let mut r = Rank::with_level0(&comm, boxes(), COPY_AND_SEND.to_vec());
+        let (sched, tables) = r.pass(0, false);
+        let copies = sched.plan_digest().iter().filter(|l| l.starts_with("copy")).count();
+        assert_eq!((copies > 0, sched.num_messages()), (comm.rank() == 0, (1, 1)));
+        r.upload(&tables);
+        r.fill(&sched, &comm).unwrap();
+        let launches = ["pack", "copy-region", "unpack"].map(|name| r.launches(name));
+        assert_eq!(launches, [1, 0, 1], "rank {}", comm.rank());
+        assert_eq!(r.device.stats().kernel_launches, 2, "rank {}", comm.rank());
+    });
+
+    let mut machine = Machine::ipa_cpu_node();
+    machine.host.call_overhead = 1.0;
+    machine.host.mem_bandwidth = f64::INFINITY;
+    machine.host.flops = f64::INFINITY;
+    machine.network.latency = 0.0;
+    machine.network.bandwidth = f64::INFINITY;
+    let cost = Arc::new(CostModel::new(machine.clone()));
+    let results = Cluster::new(machine).run(2, move |comm| {
+        let factory = HostDataFactory::with_costs(comm.clock().clone(), Arc::clone(&cost));
+        let mut reg = VariableRegistry::new(Arc::new(factory));
+        let var = reg.register("q", Centring::Cell, IntVector::uniform(2));
+        let mut h = PatchHierarchy::new(
+            GridGeometry::unit(1.0),
+            BoxList::from_box(b(0, 0, 24, 8)),
+            IntVector::uniform(2),
+            1,
+            comm.rank(),
+            comm.size(),
+        );
+        h.set_level(0, boxes(), COPY_AND_SEND.to_vec(), &reg);
+        let spec = [FillSpec { var, refine_op: None }];
+        let sched = ScheduleBuild::indexed().refine(&h, &reg, 0, &spec);
+        let before = comm.clock().snapshot();
+        sched.try_fill(&mut h, &reg, &NoBoundary, Some(&comm), 0.0, CAT).unwrap();
+        comm.clock().snapshot().since(&before).get(CAT)
+    });
+    let seconds: Vec<f64> = results.into_iter().map(|r| r.value).collect();
+    assert_eq!(seconds, [2.0, 2.0], "one send loop and one unpack loop per rank");
 }
 
 #[test]
@@ -636,12 +692,13 @@ fn regrid_transfer_budget_does_not_grow_with_the_patch_count() {
         }
         ranks.into_iter().map(|r| r.launches).collect::<Vec<_>>()
     });
-    // One launch for the copies from the old level and the scratch
-    // captures, one for the interpolation of both operators, and one
-    // extension when some scratch value lies outside the coarse level
-    // — none here, the new level is well inside it: a constant.
+    // The copies from the old level and the scratch captures ride the
+    // pack launch (no `copy-region`: both ranks send), one launch
+    // interpolates for both operators, and one extension runs when
+    // some scratch value lies outside the coarse level — none here, the
+    // new level is well inside it: a constant.
     assert!(runs[0].iter().all(|l| l.iter().sum::<u64>() <= 16), "{:?}", runs[0]);
-    assert_eq!(runs[0], [[1, 1, 1, 1, 0]; 2]);
+    assert_eq!(runs[0], [[1, 1, 0, 1, 0]; 2]);
     assert!(runs[1] == runs[0] && runs[2] == runs[0], "launches grew with the level: {runs:?}");
 }
 
