@@ -223,6 +223,50 @@ fn in_order_device_rebless_removes_the_stream_counters_only() {
     assert_eq!(before, kept("in-order-device"));
 }
 
+/// `18bbe15 → one-send-launch`: a stage's local copies ride its pack
+/// launch. 71 keys moved in place, at r2 and r4 only: `copy-region`
+/// launches fell on both device decks (148 → 4 at triple_point r4; what
+/// is left are stages that send nothing) and the total launches by
+/// exactly as many; the makespans fell on every multi-rank row, the host
+/// row's most (there a stage's copies and packs became one loop); and
+/// `critical_path.cross_edges` rose on both r4 triple-point rows, since a
+/// sync's message now leaves after its applies. No traffic key — PCIe
+/// transfers and bytes, network counts and bytes, pack / unpack bytes
+/// and launches, all of which this pair's fixtures hold — moved.
+#[test]
+fn send_stage_rebless_is_fewer_copy_launches_and_no_traffic() {
+    let d = pair("18bbe15", "one-send-launch");
+    assert_eq!((d.moved, d.added, d.removed), (71, 0, 0));
+    let copies = launches(&d, "copy-region");
+    assert_eq!((copies.layer, copies.direction()), ("gpu-amr", "down"));
+    assert_eq!(copies.rank_pattern(), "r2/r4 only");
+    assert!(copies.changed.contains(&("triple_point.r4".into(), Some(148.0), Some(4.0))));
+    let total = d.get("counter", "device.kernel_launches").expect("moved");
+    assert_eq!(total.changed.len(), copies.changed.len());
+    for ((combo, before, after), (_, copied, left)) in total.changed.iter().zip(&copies.changed) {
+        let fell = |a: &Option<f64>, b: &Option<f64>| a.unwrap() - b.unwrap();
+        assert_eq!(fell(before, after), fell(copied, left), "{combo}");
+    }
+    let makespan = d.get("makespan", "makespan_s").expect("moved");
+    assert_eq!((makespan.direction(), makespan.rank_pattern().as_str()), ("down", "r2/r4 only"));
+    assert_eq!(makespan.changed.len(), 5);
+    let edges = d.get("counter", "critical_path.cross_edges").expect("moved");
+    assert_eq!((edges.direction(), edges.rank_pattern().as_str()), ("up", "r4 only"));
+    assert!(d.moves.iter().all(|m| m.changed.iter().all(|(combo, ..)| !combo.ends_with(".r1"))));
+    let traffic = |name: &str| -> Vec<String> {
+        let path = format!("{}/tests/fixtures/report/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).expect("fixture");
+        let kept = |l: &&str| {
+            let keys = [".device.h2d_", ".device.d2h_", ".net.", "pack.bytes\"", "pack\""];
+            keys.iter().any(|k| l.contains(k))
+        };
+        text.lines().filter(kept).map(|l| l.trim_end_matches(',').to_string()).collect()
+    };
+    let before = traffic("18bbe15");
+    assert!(before.len() > 7 * 10, "the fixture holds the traffic keys");
+    assert_eq!(before, traffic("one-send-launch"));
+}
+
 /// A bucket that no longer adds up to ranks × makespan fails the
 /// identity; an `rbamr_bench --json` output parses to its metrics.
 #[test]
