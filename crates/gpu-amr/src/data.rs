@@ -1,5 +1,8 @@
 //! Device-resident patch data — the `CudaArrayData`/`CudaCellData`/
-//! `CudaNodeData`/`CudaSideData` family (paper Figure 3).
+//! `CudaNodeData`/`CudaSideData` family (paper Figure 3) — and the fused
+//! movement kernels [`DeviceDataFactory`] runs a schedule stage through:
+//! a send stage's local copies and packs in one launch, a receive
+//! stage's unpacks in another.
 
 use crate::ops::{launch_coarsen, launch_refine, CoarsenVisit, RefineVisit};
 use bytes::Bytes;
