@@ -13,7 +13,9 @@
 //! added to the tags that will drive the planning of level `T-1`, so the
 //! new coarser level always covers the new finer one.
 //!
-//! Clustering runs once per planning pass, on rank 0: every rank sends
+//! Flagging runs once per regrid, over every tag level, before the
+//! planning passes ([`CellTagger::tag_levels`]). Clustering runs once
+//! per planning pass, on rank 0: every rank sends
 //! the [`TagBitmap`] of each of its tagged patches (the paper's
 //! compressed tags, Section IV-C), and rank 0 broadcasts the clustered
 //! boxes. From there every rank plans the same structure.
@@ -52,6 +54,19 @@ pub trait CellTagger {
     /// Tag cells on the *local* patches of `level`, returning one bitmap
     /// per local patch (in [`PatchLevel::local`] order).
     fn tag_cells(&self, hierarchy: &PatchHierarchy, level: usize, time: f64) -> Vec<TagBitmap>;
+
+    /// Tag levels `0..levels` — what a regrid flags, before it plans —
+    /// one [`CellTagger::tag_cells`] result per level. The default tags
+    /// a level at a time; a tagger whose pass has a fixed price (a
+    /// launch, a PCIe transfer) pays it once for all of them.
+    fn tag_levels(
+        &self,
+        hierarchy: &PatchHierarchy,
+        levels: usize,
+        time: f64,
+    ) -> Vec<Vec<TagBitmap>> {
+        (0..levels).map(|l| self.tag_cells(hierarchy, l, time)).collect()
+    }
 }
 
 /// How to initialise one variable on rebuilt levels.
@@ -190,15 +205,17 @@ impl Regridder {
         let mut nesting_cover: Vec<BoxList> = vec![BoxList::new(); max_levels];
         let mut tags_flagged: u64 = 0;
 
+        // Flag every tag level at once: levels 0..finest_target all
+        // exist (finest_target <= finest + 1), and planning moves no data.
+        let mut tags = tagger.tag_levels(hierarchy, finest_target, time);
+        assert_eq!(tags.len(), finest_target, "tagger returned wrong number of levels");
+
         // --- Plan, from second finest down to coarsest ----------------
         for target in (1..=finest_target).rev() {
             let tag_level = target - 1;
             let ratio = hierarchy.ratio_to_coarser(target);
             let tag_domain = hierarchy.level_domain(tag_level);
-
-            // Flag (on levels that currently exist — tag_level always
-            // does, since target <= finest + 1).
-            let bitmaps = tagger.tag_cells(hierarchy, tag_level, time);
+            let bitmaps = std::mem::take(&mut tags[tag_level]);
             assert_eq!(
                 bitmaps.len(),
                 hierarchy.level(tag_level).local().len(),

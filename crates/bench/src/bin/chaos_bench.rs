@@ -510,9 +510,10 @@ fn main() {
                     first.wall
                 );
             } else {
+                let margin = first.virtual_total - baseline.virtual_total;
                 let _ = write!(
                     detail,
-                    " delay-gate: virtual {:.3}s > {:.3}s, wall {:?} within budget",
+                    " delay-gate: virtual {:.9}s > {:.9}s by {margin:.3e}s, wall {:?} within budget",
                     first.virtual_total, baseline.virtual_total, first.wall
                 );
             }

@@ -15,7 +15,7 @@
 //! real compute); the default stops at 800k and is representative.
 //!
 //! Every GPU run gates in-process that hydro launches per step are
-//! exactly the step's 27 kernel groups, within
+//! exactly the step's 20 kernel groups, within
 //! `MAX_LAUNCHES_PER_STEP`, and halo data-movement launches
 //! (copies, packs, unpacks, scratch extension, interpolation,
 //! projection, physical boundaries) within
@@ -43,7 +43,7 @@ const REGRID_INTERVAL: usize = 10;
 const LEVELS: usize = 3;
 /// Hydro launches per device step: one rank, so no window splits and
 /// every kernel group of the step launches once.
-const HYDRO_LAUNCHES_PER_STEP: f64 = 27.0;
+const HYDRO_LAUNCHES_PER_STEP: f64 = 20.0;
 
 /// Projected runtime, total cells and measured hydro launches per step
 /// (zero on the host), the last gated against the whole-hierarchy bound

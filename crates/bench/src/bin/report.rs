@@ -9,10 +9,11 @@
 //! each side (per deck and rank count, Σ buckets = ranks × makespan),
 //! the moved keys per combo and per (layer, kind), the launch counters
 //! per kernel, and every move ranked by relative size with the rank
-//! counts it moved at. Exit status 2 on a usage or parse error, 1 when
-//! a side's bucket identity fails, 0 otherwise.
+//! counts it moved at. Exit status 2 on a usage, parse or write error,
+//! 1 when a side's bucket identity fails, 0 otherwise; a reader that
+//! closes the pipe (`| head`) ends the output quietly.
 
-use rbamr_bench::report::{diff, parse, Metrics};
+use rbamr_bench::report::{diff, parse, write_report, Metrics};
 use std::process::ExitCode;
 
 fn load(path: &str) -> Result<Metrics, String> {
@@ -38,8 +39,10 @@ fn main() -> ExitCode {
         }
     };
     let d = diff(&before, &after);
-    println!("report diff {a} {b}");
-    print!("{d}");
+    if let Err(e) = write_report(&mut std::io::stdout().lock(), a, b, &d) {
+        eprintln!("report: {e}");
+        return ExitCode::from(2);
+    }
     if d.identity.0.holds() && d.identity.1.holds() {
         ExitCode::SUCCESS
     } else {

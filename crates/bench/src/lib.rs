@@ -1,10 +1,10 @@
 //! Shared harness utilities for the figure-regeneration binaries.
 //!
-//! Each binary regenerates one table or figure of the paper's Section V
-//! (see `DESIGN.md`'s experiment index and `EXPERIMENTS.md` for
-//! paper-vs-measured results):
+//! Each binary regenerates one figure of the paper's Section V (see
+//! `DESIGN.md`'s experiment index and `EXPERIMENTS.md` for
+//! paper-vs-measured results; Table I is the perfmodel test
+//! `presets_model_table1`):
 //!
-//! * `table1_machines` — Table I.
 //! * `fig9_serial` — Figure 9, the serial K20x vs dual-socket sweep.
 //! * `fig10_strong` — Figure 10, strong scaling on IPA.
 //! * `fig11_weak` — Figure 11, weak scaling on Titan.

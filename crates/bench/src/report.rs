@@ -13,6 +13,7 @@
 use rbamr_hydro::level_executor::{DATA_MOVEMENT_KERNEL_NAMES, TAG_KERNEL_NAMES};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::io::{self, Write};
 
 /// Relative tolerance of the bucket identity: the perf-gate file prints
 /// ten significant digits.
@@ -518,5 +519,64 @@ impl fmt::Display for Diff {
             }
         }
         Ok(())
+    }
+}
+
+/// Write the text report of `d` (the diff of `before` and `after`) to
+/// `out`. A reader that closes the pipe early (`report diff … | head`)
+/// ends the report quietly: that is `Ok`, not an error.
+///
+/// # Errors
+/// Any other write error.
+pub fn write_report(out: &mut dyn Write, before: &str, after: &str, d: &Diff) -> io::Result<()> {
+    let written = writeln!(out, "report diff {before} {after}")
+        .and_then(|()| write!(out, "{d}"))
+        .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts `room` bytes, then fails every write with `kind`.
+    struct Closing {
+        room: usize,
+        kind: io::ErrorKind,
+    }
+
+    impl Write for Closing {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(self.kind.into());
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_report_quietly_and_other_errors_surface() {
+        let before = parse(r#"{"sod.r1.counter.device.kernel_launches.pack": 3}"#).unwrap();
+        let after = parse(r#"{"sod.r1.counter.device.kernel_launches.pack": 2}"#).unwrap();
+        let d = diff(&before, &after);
+        let mut full = Vec::new();
+        write_report(&mut full, "a.json", "b.json", &d).unwrap();
+        assert!(full.len() > 40, "the report has more than its first line");
+        for room in [0, 10, full.len() - 1] {
+            let mut pipe = Closing { room, kind: io::ErrorKind::BrokenPipe };
+            assert!(write_report(&mut pipe, "a.json", "b.json", &d).is_ok(), "room {room}");
+            let mut disk = Closing { room, kind: io::ErrorKind::StorageFull };
+            let err = write_report(&mut disk, "a.json", "b.json", &d).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull, "room {room}");
+        }
     }
 }

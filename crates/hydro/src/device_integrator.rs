@@ -115,12 +115,14 @@ impl PatchIntegrator for DevicePatchIntegrator {
 
     fn advec_cell(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize) {
         self.run(patch, f, |p, ex| {
-            exec::advec_cell(p, f, ex, Pass::Full, &[dx], dir, sweep, &mut Vec::new());
+            exec::advec_cell(p, f, ex, Pass::Full, &[dx], dir, sweep);
         });
     }
 
     fn advec_mom(&self, patch: &mut Patch, f: &Fields, _dx: (f64, f64), dir: usize, _sweep: usize) {
-        self.run(patch, f, |p, ex| exec::advec_mom(p, f, ex, Pass::Full, dir, &mut Vec::new()));
+        self.run(patch, f, |p, ex| {
+            exec::advec_mom(p, f, ex, Pass::Full, dir, &mut Vec::new(), false)
+        });
     }
 
     fn reset(&self, patch: &mut Patch, f: &Fields) {

@@ -95,12 +95,11 @@ impl PatchIntegrator for HostPatchIntegrator {
     }
 
     fn advec_cell(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize) {
-        let ex = self.ex();
-        exec::advec_cell(&mut [patch], f, ex, Pass::Full, &[dx], dir, sweep, &mut Vec::new());
+        exec::advec_cell(&mut [patch], f, self.ex(), Pass::Full, &[dx], dir, sweep);
     }
 
     fn advec_mom(&self, patch: &mut Patch, f: &Fields, _dx: (f64, f64), dir: usize, _sweep: usize) {
-        exec::advec_mom(&mut [patch], f, self.ex(), Pass::Full, dir, &mut Vec::new());
+        exec::advec_mom(&mut [patch], f, self.ex(), Pass::Full, dir, &mut Vec::new(), false);
     }
 
     fn reset(&self, patch: &mut Patch, f: &Fields) {

@@ -841,20 +841,23 @@ impl HydroSim {
         {
             let _s = rec.is_enabled().then(|| rec.span("advection", Category::HydroKernel));
             let dirs = if self.step.is_multiple_of(2) { [0usize, 1] } else { [1, 0] };
-            let (mut cell_stash, mut mom_stash) = (Vec::new(), Vec::new());
+            // The y-momentum flux's staging, held across a window's
+            // interior and boundary passes.
+            let mut flux_y = Vec::new();
             self.run_phase(|patches, dx, ex| {
-                exec::advec_cell(patches, &f, ex, Pass::Full, dx, dirs[0], 1, &mut cell_stash);
+                exec::advec_cell(patches, &f, ex, Pass::Full, dx, dirs[0], 1);
             });
             self.fill_window(comm, &mut first, POST_SWEEP1 + dirs[0], |patches, _, pass, ex| {
-                exec::advec_mom(patches, &f, ex, pass, dirs[0], &mut mom_stash);
+                exec::advec_mom(patches, &f, ex, pass, dirs[0], &mut flux_y, false);
             });
             self.fill_window(comm, &mut first, MID_SWEEPS, |patches, dx, pass, ex| {
-                exec::advec_cell(patches, &f, ex, pass, dx, dirs[1], 2, &mut cell_stash);
+                exec::advec_cell(patches, &f, ex, pass, dx, dirs[1], 2);
             });
+            // The second momentum sweep's last launch also resets the
+            // step-start fields.
             self.fill_window(comm, &mut first, POST_SWEEP2 + dirs[1], |patches, _, pass, ex| {
-                exec::advec_mom(patches, &f, ex, pass, dirs[1], &mut mom_stash);
+                exec::advec_mom(patches, &f, ex, pass, dirs[1], &mut flux_y, true);
             });
-            self.run_phase(|patches, _, ex| exec::reset(patches, &f, ex));
         }
 
         // --- Synchronisation: project fine onto coarse ----------------
@@ -1206,6 +1209,44 @@ mod tests {
         // (level-1 index 32 of 64).
         let covered = s.hierarchy().level(1).covered();
         assert!(covered.contains(IntVector::new(32, 32)), "interface not refined: {covered:?}");
+    }
+
+    /// A regrid flags every tag level in one pass: on a three-level
+    /// hierarchy whose two tag levels both hold tagged patches, the
+    /// pass's bitmaps equal a pass per level on both placements, and on
+    /// a device the pass is one `flag-cells`, one `any-tagged` and one
+    /// `compress-tags` launch and two downloads for both levels.
+    #[test]
+    fn one_tagging_pass_equals_a_pass_per_level() {
+        use rbamr_amr::regrid::CellTagger;
+        for placement in [Placement::Host, Placement::Device] {
+            let s = sim(placement, 32, 3);
+            assert_eq!(s.hierarchy().num_levels(), 3);
+            let ex = match &s.device {
+                Some(device) => Exec::Device { device, copy_back: false },
+                None => Exec::Host(None),
+            };
+            let tagger = HydroTagger { ex, fields: &s.fields, thresholds: s.config.thresholds };
+            let rec = rbamr_telemetry::Recorder::new(0, Clock::new());
+            if let Some(device) = &s.device {
+                device.set_recorder(rec.clone());
+                device.reset_transfer_stats();
+            }
+            let levels = tagger.tag_levels(&s.hierarchy, 2, 0.0);
+            let launches: Vec<u64> = exec::TAG_KERNEL_NAMES
+                .iter()
+                .map(|name| rec.counter(&format!("device.kernel_launches.{name}")))
+                .collect();
+            if let Some(device) = &s.device {
+                assert_eq!((launches, device.stats().d2h_transfers), (vec![1, 1, 1], 2));
+            }
+            let each: Vec<_> = (0..2).map(|l| tagger.tag_cells(&s.hierarchy, l, 0.0)).collect();
+            assert!(levels == each, "{placement:?}: one pass differs from a pass per level");
+            assert!(
+                levels.iter().all(|l| l.iter().any(rbamr_amr::TagBitmap::any)),
+                "{placement:?}"
+            );
+        }
     }
 
     /// The steady-state acceptance property: once the hierarchy has

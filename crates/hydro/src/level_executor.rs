@@ -30,7 +30,7 @@
 //! may read an earlier member's output only at the same element, and may
 //! not overwrite what an earlier member reads at a neighbour, so each
 //! group is one legal data-parallel kernel, not just a sequential loop.
-//! A lone kernel is the one-member group. A step is 27 launches:
+//! A lone kernel is the one-member group. A step is 20 launches:
 //!
 //! | launch (per step) | members |
 //! |---|---|
@@ -40,13 +40,23 @@
 //! | `accelerate` | x and y velocity |
 //! | `pdv` | corrector PdV energy + density |
 //! | `flux-calc` | x and y volume flux (`post-accel`) |
-//! | `advec-cell-vol` (×2) | pre- and post-sweep volume, revert-save |
-//! | `advec-mass-flux`, `advec-ener-flux` (×2 each) | one kernel |
+//! | `advec-cell-vol` (×2) | pre- and post-sweep volume, revert-save of energy and density |
+//! | `advec-mass-flux` (×2) | mass flux, then energy flux (reads the mass flux at its own face) |
 //! | `advec-cell` (×2) | cell energy + cell density, both from the saved ρ |
 //! | `advec-mom-node` (×2) | node flux, post-sweep node mass, both velocity saves |
 //! | `mom-node-mass-pre` (×2) | one kernel |
-//! | `mom-flux`, `mom-vel-update` (×4 each) | one kernel, per velocity |
-//! | `reset-field` | the four copies |
+//! | `mom-flux` (×2) | x and y momentum flux |
+//! | `mom-vel-update` (×2) | x and y velocity; the second sweep's also the four reset copies |
+//!
+//! The saves need no staging: the revert-save copies energy1 and
+//! density1 into `energy0` / `density0`, and the velocity saves copy
+//! the velocities into `xvel0` / `yvel0`. No kernel reads those arrays
+//! between the corrector PdV (for the velocities, `flux-calc`) and the
+//! reset that overwrites them, no fill of the advection windows fills
+//! them, and each save covers only the region its reader reads — the
+//! interior cells or nodes the reset overwrites — so their ghosts keep
+//! the step-start values. The y-momentum flux is the step's only staged
+//! array, so the two momentum fluxes can share a launch.
 //!
 //! [`crate::HostPatchIntegrator`] and [`crate::DevicePatchIntegrator`]
 //! run the same functions on a batch of one patch.
@@ -225,16 +235,16 @@ const MARGIN_STEP: i64 = 4;
 /// Upper bound on hydro launches per step for the whole hierarchy —
 /// the in-process fig9 gate constant — where no window's phase runs in
 /// two passes that both launch: on one rank, or where no patch has an
-/// interior core. Every group of the step's phase chain, once, is 27
-/// launches (the serial fig9 sweep reads exactly 27 on every rung); 35
+/// interior core. Every group of the step's phase chain, once, is 20
+/// launches (the serial fig9 sweep reads exactly 20 on every rung); 26
 /// leaves headroom without ever permitting per-level or per-patch scaling.
-pub const MAX_LAUNCHES_PER_STEP: u64 = 35;
+pub const MAX_LAUNCHES_PER_STEP: u64 = 26;
 
 /// Upper bound on hydro launches per step where windows split: a
 /// window whose rank receives a message launches its kernels in an
-/// interior pass too, where some patch has a core — 45 when all five
-/// windows split; 51 leaves headroom.
-pub const MAX_SPLIT_LAUNCHES_PER_STEP: u64 = 51;
+/// interior pass too, where some patch has a core — 33 when all five
+/// windows split; 38 leaves headroom.
+pub const MAX_SPLIT_LAUNCHES_PER_STEP: u64 = 38;
 
 /// Upper bound on halo data-movement launches per step — fig9's second
 /// gate, with the same bound whatever the level count: a fill window is
@@ -264,7 +274,6 @@ pub const HYDRO_KERNEL_NAMES: &[&str] = &[
     "accelerate",
     "advec-cell",
     "advec-cell-vol",
-    "advec-ener-flux",
     "advec-mass-flux",
     "advec-mom-node",
     "calc-dt",
@@ -376,16 +385,34 @@ fn view<'a>(data: &'a dyn PatchData, kk: Option<&Kernel<'_>>) -> k::View<'a> {
 /// A member's work on patch `i`, given the launch's kernel token.
 type MemberRun<'a> = Box<dyn FnMut(Option<&Kernel<'_>>, usize, &mut Patch) + 'a>;
 
+/// An array a member writes or reads at a neighbour: a registered
+/// field, or a phase's staging array, named by what it holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Array {
+    Field(VariableId),
+    Staged(&'static str),
+}
+
+/// The fields `vars`, as the arrays a member declares.
+fn fields<const N: usize>(vars: [VariableId; N]) -> [Array; N] {
+    vars.map(Array::Field)
+}
+
+/// What a member declares: its kernel, the array it writes (`None`: a
+/// staging array written and read only at the same element), and the
+/// arrays it reads at a neighbouring element — it reads every other
+/// input at its own element only.
+#[derive(Clone, Debug)]
+struct Access {
+    kernel: &'static str,
+    out: Option<Array>,
+    stencil: Vec<Array>,
+}
+
 /// One kernel of a launch group: its declared accesses, its price, and
 /// its work on patch `i`.
 struct Member<'a> {
-    kernel: &'static str,
-    /// The field it writes (`None`: a staging array, written and read
-    /// only at the same element).
-    out: Option<VariableId>,
-    /// The fields it reads at a neighbouring element; it reads every
-    /// other input at its own element only.
-    stencil: Vec<VariableId>,
+    access: Access,
     cells: i64,
     shape: KernelShape,
     run: MemberRun<'a>,
@@ -394,19 +421,20 @@ struct Member<'a> {
 impl<'a> Member<'a> {
     fn new(
         kernel: &'static str,
-        (out, stencil): (Option<VariableId>, &[VariableId]),
+        (out, stencil): (Option<Array>, &[Array]),
         (cells, arrays, flops): (i64, u32, u32),
         run: impl FnMut(Option<&Kernel<'_>>, usize, &mut Patch) + 'a,
     ) -> Self {
-        let (stencil, shape) = (stencil.to_vec(), KernelShape::streaming(cells, arrays, flops));
-        Self { kernel, out, stencil, cells, shape, run: Box::new(run) }
+        let access = Access { kernel, out, stencil: stencil.to_vec() };
+        let shape = KernelShape::streaming(cells, arrays, flops);
+        Self { access, cells, shape, run: Box::new(run) }
     }
 }
 
 /// The group rule, or the first (earlier, later) pair of members that
 /// breaks it: a member reads at a neighbour what the other writes.
-fn group_rule(members: &[Member<'_>]) -> Result<(), (&'static str, &'static str)> {
-    let reads = |r: &Member<'_>, w: &Member<'_>| w.out.is_some_and(|o| r.stencil.contains(&o));
+fn group_rule(members: &[&Access]) -> Result<(), (&'static str, &'static str)> {
+    let reads = |r: &Access, w: &Access| w.out.is_some_and(|o| r.stencil.contains(&o));
     for (j, later) in members.iter().enumerate() {
         if let Some(e) = members[..j].iter().find(|e| reads(later, e) || reads(e, later)) {
             return Err((e.kernel, later.kernel));
@@ -427,7 +455,9 @@ fn kernel<'a, const N: usize>(
     body: impl Fn(Option<&Kernel<'_>>, usize, &mut [f64], GBox, &[k::View<'_>], GBox) + 'a,
 ) -> Member<'a> {
     let cells = regions.iter().flatten().map(|b| b.num_cells()).sum();
-    Member::new(name, (Some(vars[0]), stencil), (cells, arrays, flops), move |kk, i, p| {
+    let stencil: Vec<Array> = stencil.iter().copied().map(Array::Field).collect();
+    let out = Some(Array::Field(vars[0]));
+    Member::new(name, (out, &stencil), (cells, arrays, flops), move |kk, i, p| {
         if regions[i].iter().all(|r| r.is_empty()) {
             return;
         }
@@ -461,7 +491,11 @@ fn launch_group(
     category: Category,
     mut members: Vec<Member<'_>>,
 ) {
-    debug_assert_eq!(group_rule(&members), Ok(()), "launch {name} breaks the group rule");
+    debug_assert_eq!(
+        group_rule(&members.iter().map(|m| &m.access).collect::<Vec<_>>()),
+        Ok(()),
+        "launch {name} breaks the group rule"
+    );
     #[cfg(test)]
     tests::record(name, &members);
     if members.iter().all(|m| m.cells == 0) {
@@ -616,7 +650,7 @@ pub(crate) fn calc_dt(
     let n = patches.len();
     let mut result = ex.stage(n);
     let total: i64 = patches.iter().map(|p| p.cell_box().num_cells()).sum();
-    let stencil = [f.xvel0, f.yvel0];
+    let stencil = fields([f.xvel0, f.yvel0]);
     let minimum = Member::new("calc-dt", (None, &stencil), (total, 6, 20), |kk, i, p| {
         // `v[1]`, the pressure, is charged and round-tripped but not read.
         let v = vars.map(|var| view(p.data(var), kk));
@@ -635,14 +669,15 @@ pub(crate) fn calc_dt(
     }
 }
 
-/// The refinement heuristic over a level: every patch's tags land in one
-/// staged `i32` array, patch after patch — on a device from a single
-/// `flag-cells` launch, compressed there for the whole level, so only
-/// one flag word per patch and the flagged patches' bits cross PCIe
-/// (Section IV-C; see [`compress_tags_many`]). Returns the bitmaps in
-/// patch order; the copy-back policy adds nothing here.
-pub(crate) fn flag_cells(
-    patches: &[Patch],
+/// The refinement heuristic over `patches` — every tag level's local
+/// patches at a regrid: their tags land in one staged `i32` array, patch
+/// after patch — on a device from a single `flag-cells` launch,
+/// compressed there for all of them, so only one flag word per patch and
+/// the flagged patches' bits cross PCIe, in one download each (Section
+/// IV-C; see [`compress_tags_many`]). Returns the bitmaps in patch
+/// order; the copy-back policy adds nothing here.
+pub(crate) fn flag_cells<P: Borrow<Patch>>(
+    patches: &[P],
     f: &Fields,
     ex: Exec<'_>,
     thresholds: &FlagThresholds,
@@ -651,11 +686,11 @@ pub(crate) fn flag_cells(
         return Vec::new();
     }
     let cells = |p: &Patch| p.cell_box().num_cells();
-    let total: i64 = patches.iter().map(cells).sum();
+    let total: i64 = patches.iter().map(|p| cells(p.borrow())).sum();
     let mut tags = ex.stage::<i32>(total as usize);
     ex.launch("flag-cells", Category::Regrid, KernelShape::streaming(total, 3, 10), |kk| {
         let mut rest = tags.as_mut_slice(kk);
-        for p in patches {
+        for p in patches.iter().map(Borrow::borrow) {
             let (mine, tail) = rest.split_at_mut(cells(p) as usize);
             let (rho, e) = (view(p.data(f.density0), kk), view(p.data(f.energy0), kk));
             k::flag_cells(mine, rho, e, p.cell_box(), thresholds.density, thresholds.energy);
@@ -667,8 +702,8 @@ pub(crate) fn flag_cells(
     let mut end = 0;
     let boxes = patches.iter().map(|p| {
         let offset = end;
-        end += cells(p) as usize;
-        (p.cell_box(), offset)
+        end += cells(p.borrow()) as usize;
+        (p.borrow().cell_box(), offset)
     });
     match &tags {
         Staged::Host(tags) => boxes
@@ -849,33 +884,18 @@ pub(crate) fn flux_calc(
     ex.charge_host(patches, Category::HydroKernel, |p| ghost(p).num_cells() * 2, 3, 6);
 }
 
-/// Staged pre-advection copies of energy1/density1 (device-to-device
-/// on a device: the resident equivalent of CloverLeaf's in-place
-/// read-modify loop) — the revert-save. Captured in two pieces across
-/// the passes of the `mid-sweeps` window: the interior piece *before*
-/// the fill finishes (legal: the fill only writes ghost cells) and the
-/// frame piece after, so each captured cell holds exactly the value a
-/// single pass captures.
-pub(crate) struct CellStash {
-    old_e: Staged,
-    old_r: Staged,
-    ebox: GBox,
-}
-
-/// Staged pre-update velocities for the momentum sweep. Full capture at
-/// the interior pass: no in-window kernel writes a velocity before the
-/// capture, and the concurrent fills never fill them.
-pub(crate) struct MomStash {
-    old: Vec<Staged>,
-    vbox: GBox,
-}
-
 /// Cell advection — standalone (first sweep, `Pass::Full`) or the
 /// compute half of the `mid-sweeps` window. Kernel ordinals 1–7, in
-/// four launches: the volumes with the revert-save (nothing before the
-/// save writes energy1 or density1), the mass flux, the energy flux, and
-/// the cell energy and density updates (both read the saved density).
-#[allow(clippy::too_many_arguments)]
+/// three launches: the volumes with the revert-save (nothing before the
+/// save writes energy1 or density1), the mass flux then the energy flux
+/// (which reads the mass flux at its own face only), and the cell
+/// energy and density updates (both read the saved density).
+///
+/// The revert-save (ordinal 5) copies energy1 and density1 into
+/// `energy0` / `density0` over the interior, the cells the updates read
+/// them at; split, the interior pass saves the core and the boundary
+/// pass the frames, so each saved cell holds exactly the value a single
+/// pass saves.
 pub(crate) fn advec_cell(
     patches: &mut [&mut Patch],
     f: &Fields,
@@ -884,19 +904,29 @@ pub(crate) fn advec_cell(
     dx: &[(f64, f64)],
     dir: usize,
     sweep: usize,
-    stash: &mut Vec<CellStash>,
 ) {
     let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
     let vol_flux = if dir == 0 { f.vol_flux_x } else { f.vol_flux_y };
     if ex.copy_back() && pass != Pass::Boundary {
         roundtrip(
             patches,
-            &[f.density1, f.energy1, mass_flux, vol_flux, f.pre_vol, f.post_vol, f.ener_flux],
+            &[
+                f.density1,
+                f.energy1,
+                f.density0,
+                f.energy0,
+                mass_flux,
+                vol_flux,
+                f.pre_vol,
+                f.post_vol,
+                f.ener_flux,
+            ],
         );
     }
     let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
+    let interior = |p: &Patch| p.cell_box();
     let fluxes = [f.vol_flux_x, f.vol_flux_y];
-    let volumes = vec![
+    let mut volumes = vec![
         kernel(
             "advec-pre-vol",
             [f.pre_vol, f.vol_flux_x, f.vol_flux_y],
@@ -915,114 +945,94 @@ pub(crate) fn advec_cell(
                 k::advec_post_vol(post, cbox, v[0], v[1], r, dir, sweep, dx[i]);
             },
         ),
-        revert_save(patches, f, ex, pass, stash),
     ];
+    let saves = [
+        ("revert-save-energy", f.energy0, f.energy1),
+        ("revert-save-density", f.density0, f.density1),
+    ];
+    volumes.extend(saves.map(|(name, dst, src)| {
+        let regs = regions_for(patches, pass, 5, Centring::Cell, interior);
+        kernel(name, [dst, src], &[], (2, 0), regs, |_kk, _i, d, dbox, v, r| {
+            k::copy_field(d, dbox, v[0], r);
+        })
+    }));
     launch_group(patches, ex, "advec-cell-vol", Category::HydroKernel, volumes);
     let regs = regions_for(patches, pass, 3, Centring::Side(dir), |p| {
         let face = Centring::Side(dir).data_box(p.cell_box().grow(IntVector::uniform(GHOSTS)));
         face.intersect(p.data(mass_flux).data_box())
     });
-    let mass = kernel(
-        "advec-mass-flux",
-        [mass_flux, vol_flux, f.density1, f.pre_vol],
-        &[f.density1, f.pre_vol],
-        (4, 20),
-        regs,
-        |_kk, _i, mf, sbox, v, r| k::advec_mass_flux(mf, sbox, v[0], v[1], v[2], r, dir),
-    );
-    launch_group(patches, ex, "advec-mass-flux", Category::HydroKernel, vec![mass]);
-    let energy = kernel(
-        "advec-ener-flux",
-        [f.ener_flux, mass_flux, f.energy1, f.density1, f.pre_vol],
-        &[f.energy1, f.density1, f.pre_vol],
-        (5, 20),
-        regions_for(patches, pass, 4, Centring::Cell, |p| p.cell_box().grow(IntVector::ONE)),
-        |_kk, _i, ef, cbox, v, r| k::advec_ener_flux(ef, cbox, v[0], v[1], v[2], v[3], r, dir),
-    );
-    launch_group(patches, ex, "advec-ener-flux", Category::HydroKernel, vec![energy]);
-    let interior = |p: &Patch| p.cell_box();
-    let saved = &*stash;
+    let fluxes = vec![
+        kernel(
+            "advec-mass-flux",
+            [mass_flux, vol_flux, f.density1, f.pre_vol],
+            &[f.density1, f.pre_vol],
+            (4, 20),
+            regs,
+            |_kk, _i, mf, sbox, v, r| k::advec_mass_flux(mf, sbox, v[0], v[1], v[2], r, dir),
+        ),
+        kernel(
+            "advec-ener-flux",
+            [f.ener_flux, mass_flux, f.energy1, f.density1, f.pre_vol],
+            &[f.energy1, f.density1, f.pre_vol],
+            (5, 20),
+            regions_for(patches, pass, 4, Centring::Cell, |p| p.cell_box().grow(IntVector::ONE)),
+            |_kk, _i, ef, cbox, v, r| {
+                k::advec_ener_flux(ef, cbox, v[0], v[1], v[2], v[3], r, dir);
+            },
+        ),
+    ];
+    launch_group(patches, ex, "advec-mass-flux", Category::HydroKernel, fluxes);
     let updates = vec![
         kernel(
             "advec-cell-energy",
-            [f.energy1, f.pre_vol, mass_flux, f.ener_flux],
+            [f.energy1, f.energy0, f.density0, f.pre_vol, mass_flux, f.ener_flux],
             &[mass_flux, f.ener_flux],
             (6, 20),
             regions_for(patches, pass, 6, Centring::Cell, interior),
-            |kk, i, e1, ebox, v, r| {
-                let st = &saved[i];
-                let e_old = k::View::new(st.old_e.as_slice(kk), st.ebox);
-                let r_old = k::View::new(st.old_r.as_slice(kk), st.ebox);
-                k::advec_cell_energy(e1, ebox, e_old, r_old, v[0], v[1], v[2], r, dir);
+            |_kk, _i, e1, ebox, v, r| {
+                k::advec_cell_energy(e1, ebox, v[0], v[1], v[2], v[3], v[4], r, dir);
             },
         ),
         kernel(
             "advec-cell-density",
-            [f.density1, f.pre_vol, mass_flux, vol_flux],
+            [f.density1, f.density0, f.pre_vol, mass_flux, vol_flux],
             &[mass_flux, vol_flux],
             (5, 15),
             regions_for(patches, pass, 7, Centring::Cell, interior),
-            |kk, i, r1, rbox, v, r| {
-                let st = &saved[i];
-                let r_old = k::View::new(st.old_r.as_slice(kk), st.ebox);
-                k::advec_cell_density(r1, rbox, r_old, v[0], v[1], v[2], r, dir);
+            |_kk, _i, r1, rbox, v, r| {
+                k::advec_cell_density(r1, rbox, v[0], v[1], v[2], v[3], r, dir);
             },
         ),
     ];
     launch_group(patches, ex, "advec-cell", Category::HydroKernel, updates);
-    if pass != Pass::Interior {
-        stash.clear();
-    }
     ex.charge_host(patches, Category::HydroKernel, |p| ghost(p).num_cells() * 6, 8, 40);
 }
 
-/// The revert-save member (kernel ordinal 5 of the cell-advection
-/// chain), over the whole energy1 allocation rather than a compute
-/// region. On the interior or full pass it first stages the arrays, so
-/// the previous sweep's stash is dropped here.
-fn revert_save<'a>(
-    patches: &[&mut Patch],
-    f: &Fields,
-    ex: Exec<'_>,
-    pass: Pass,
-    stash: &'a mut Vec<CellStash>,
-) -> Member<'a> {
-    let caps = regions_for(patches, pass, 5, Centring::Cell, |p| p.data(f.energy1).data_box());
-    if pass != Pass::Boundary {
-        stash.clear();
-        for p in patches.iter() {
-            // energy1 and density1 are both cell arrays over one box.
-            let ebox = p.data(f.energy1).data_box();
-            let len = ebox.num_cells() as usize;
-            stash.push(CellStash { old_e: ex.stage(len), old_r: ex.stage(len), ebox });
-        }
-    }
-    let cells: i64 = caps.iter().flatten().map(|b| b.num_cells()).sum();
-    let (energy1, density1) = (f.energy1, f.density1);
-    Member::new("revert-save", (None, &[]), (cells * 2, 4, 0), move |kk, i, p| {
-        let st = &mut stash[i];
-        let (e1, r1) = (view(p.data(energy1), kk), view(p.data(density1), kk));
-        for r in &caps[i] {
-            k::copy_field(st.old_e.as_mut_slice(kk), st.ebox, e1, *r);
-            k::copy_field(st.old_r.as_mut_slice(kk), st.ebox, r1, *r);
-        }
-    })
-}
+/// The y-momentum flux's staging array, so the two momentum fluxes of a
+/// sweep need not share `mom_flux`.
+const MOM_FLUX_Y: Array = Array::Staged("mom-flux-y");
 
 /// Momentum advection — the compute half of the `post-sweep` overlap
-/// windows. Kernel ordinals 1–9 (the two save-vel slots keep their
-/// ordinal so later margins stay monotone), in six launches: node flux,
-/// post-sweep node mass and both velocity saves (nothing before the
-/// saves writes a velocity), the pre-sweep node mass, then per velocity
-/// its momentum flux and its update.
-#[allow(clippy::too_many_arguments)]
+/// windows. Kernel ordinals 1–5, in four launches: node flux, post-sweep
+/// node mass and both velocity saves (nothing before the saves writes a
+/// velocity), the pre-sweep node mass, both momentum fluxes, and both
+/// velocity updates. With `then_reset` (the step's second sweep), the
+/// last launch also runs the end-of-step [`reset`] once the updates are
+/// complete, on the interior or full pass.
+///
+/// The saves copy the velocities into `xvel0` / `yvel0` over the nodes
+/// the updates write, whole at the interior (or full) pass: the
+/// concurrent fills never fill a velocity. The x-momentum flux lands in
+/// `mom_flux`, the y one in `flux_y`, a staging array per patch the
+/// interior pass allocates and the boundary (or full) pass frees.
 pub(crate) fn advec_mom(
     patches: &mut [&mut Patch],
     f: &Fields,
     ex: Exec<'_>,
     pass: Pass,
     dir: usize,
-    stash: &mut Vec<MomStash>,
+    flux_y: &mut Vec<Staged>,
+    then_reset: bool,
 ) {
     let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
     if ex.copy_back() && pass != Pass::Boundary {
@@ -1031,6 +1041,8 @@ pub(crate) fn advec_mom(
             &[
                 f.xvel1,
                 f.yvel1,
+                f.xvel0,
+                f.yvel0,
                 f.density1,
                 mass_flux,
                 f.node_flux,
@@ -1043,8 +1055,8 @@ pub(crate) fn advec_mom(
         );
     }
     let node_region = |p: &Patch| Centring::Node.data_box(p.cell_box().grow(IntVector::ONE));
-    let vels = [f.xvel1, f.yvel1];
-    let mut nodes = vec![
+    let nodes = |p: &Patch| Centring::Node.data_box(p.cell_box());
+    let mut node_group = vec![
         kernel(
             "mom-node-flux",
             [f.node_flux, mass_flux],
@@ -1062,25 +1074,20 @@ pub(crate) fn advec_mom(
             |_kk, _i, nm, nbox, v, r| k::mom_node_mass_post(nm, nbox, v[0], v[1], r),
         ),
     ];
-    // Save-vel (ordinals 5 and 8): full capture of the untouched
-    // velocities at the interior (or full) pass.
     if pass != Pass::Boundary {
-        stash.clear();
-        for p in patches.iter() {
-            let vbox = p.data(f.xvel1).data_box();
-            let len = vbox.num_cells() as usize;
-            stash.push(MomStash { old: vec![ex.stage(len), ex.stage(len)], vbox });
-        }
-        let cells: i64 = stash.iter().map(|s| s.vbox.num_cells()).sum();
-        let saves = &mut *stash;
-        nodes.push(Member::new("mom-save-vel", (None, &[]), (2 * cells, 2, 0), move |kk, i, p| {
-            let st = &mut saves[i];
-            for (old, vel) in st.old.iter_mut().zip(vels) {
-                k::copy_field(old.as_mut_slice(kk), st.vbox, view(p.data(vel), kk), st.vbox);
-            }
+        let saves = [("mom-save-xvel", f.xvel0, f.xvel1), ("mom-save-yvel", f.yvel0, f.yvel1)];
+        node_group.extend(saves.map(|(name, dst, src)| {
+            let regs = regions_for(patches, Pass::Full, 1, Centring::Node, nodes);
+            kernel(name, [dst, src], &[], (2, 0), regs, |_kk, _i, d, dbox, v, r| {
+                k::copy_field(d, dbox, v[0], r);
+            })
         }));
+        *flux_y = patches
+            .iter()
+            .map(|p| ex.stage(p.data(f.mom_flux).data_box().num_cells() as usize))
+            .collect();
     }
-    launch_group(patches, ex, "advec-mom-node", Category::HydroKernel, nodes);
+    launch_group(patches, ex, "advec-mom-node", Category::HydroKernel, node_group);
     let pre = kernel(
         "mom-node-mass-pre",
         [f.node_mass_pre, f.node_mass_post, f.node_flux],
@@ -1090,64 +1097,92 @@ pub(crate) fn advec_mom(
         |_kk, _i, nm, nbox, v, r| k::mom_node_mass_pre(nm, nbox, v[0], v[1], r, dir),
     );
     launch_group(patches, ex, "mom-node-mass-pre", Category::HydroKernel, vec![pre]);
-    for (vi, vel) in vels.into_iter().enumerate() {
-        let base = 4 + 3 * vi as u32;
-        let flux = kernel(
-            "mom-flux",
-            [f.mom_flux, vel, f.node_flux, f.node_mass_pre],
-            &[vel, f.node_mass_pre],
+    let (node_flux, node_mass_pre) = (f.node_flux, f.node_mass_pre);
+    let regs = regions_for(patches, pass, 4, Centring::Node, node_region);
+    let cells = regs.iter().flatten().map(|b| b.num_cells()).sum();
+    let staged = &mut *flux_y;
+    let stencil = fields([f.yvel1, node_mass_pre]);
+    let fluxes = vec![
+        kernel(
+            "mom-flux-x",
+            [f.mom_flux, f.xvel1, node_flux, node_mass_pre],
+            &[f.xvel1, node_mass_pre],
             (4, 25),
-            regions_for(patches, pass, base, Centring::Node, node_region),
+            regions_for(patches, pass, 4, Centring::Node, node_region),
             |_kk, _i, mf, nbox, v, r| k::mom_flux(mf, nbox, v[0], v[1], v[2], r, dir),
-        );
-        launch_group(patches, ex, "mom-flux", Category::HydroKernel, vec![flux]);
-        let saved = &*stash;
-        let update = kernel(
-            "mom-vel-update",
-            [vel, f.mom_flux, f.node_mass_pre, f.node_mass_post],
-            &[f.mom_flux],
-            (5, 10),
-            regions_for(patches, pass, base + 2, Centring::Node, |p| {
-                Centring::Node.data_box(p.cell_box())
-            }),
-            |kk, i, out, obox, v, r| {
-                let st = &saved[i];
-                let v_old = k::View::new(st.old[vi].as_slice(kk), st.vbox);
-                k::mom_vel_update(out, obox, v_old, v[0], v[1], v[2], r, dir);
-            },
-        );
-        launch_group(patches, ex, "mom-vel-update", Category::HydroKernel, vec![update]);
-    }
-    if pass != Pass::Interior {
-        stash.clear();
-    }
+        ),
+        Member::new("mom-flux-y", (Some(MOM_FLUX_Y), &stencil), (cells, 4, 25), move |kk, i, p| {
+            let nbox = p.data(node_flux).data_box();
+            let vel = view(p.data(f.yvel1), kk);
+            let (nf, nm) = (view(p.data(node_flux), kk), view(p.data(node_mass_pre), kk));
+            let out = staged[i].as_mut_slice(kk);
+            for r in &regs[i] {
+                k::mom_flux(out, nbox, vel, nf, nm, *r, dir);
+            }
+        }),
+    ];
+    launch_group(patches, ex, "mom-flux", Category::HydroKernel, fluxes);
+    let staged = &*flux_y;
+    let update_regions = || regions_for(patches, pass, 5, Centring::Node, nodes);
+    let mut updates = vec![kernel(
+        "mom-vel-update-x",
+        [f.xvel1, f.xvel0, f.mom_flux, f.node_mass_pre, f.node_mass_post],
+        &[f.mom_flux],
+        (5, 10),
+        update_regions(),
+        |_kk, _i, out, obox, v, r| k::mom_vel_update(out, obox, v[0], v[1], v[2], v[3], r, dir),
+    )];
+    let mut update_y = kernel(
+        "mom-vel-update-y",
+        [f.yvel1, f.yvel0, f.node_mass_pre, f.node_mass_post],
+        &[],
+        (5, 10),
+        update_regions(),
+        move |kk, i, out, obox, v, r| {
+            let flux = k::View::new(staged[i].as_slice(kk), obox);
+            k::mom_vel_update(out, obox, v[0], flux, v[1], v[2], r, dir);
+        },
+    );
+    update_y.access.stencil.push(MOM_FLUX_Y);
+    updates.push(update_y);
     ex.charge_host(patches, Category::HydroKernel, |p| node_region(p).num_cells() * 7, 7, 30);
+    if then_reset && pass != Pass::Interior {
+        updates.extend(reset_members(patches, f, ex));
+    }
+    launch_group(patches, ex, "mom-vel-update", Category::HydroKernel, updates);
+    if pass != Pass::Interior {
+        flux_y.clear();
+    }
 }
 
 /// End-of-step field reset: four full-region copies, one launch.
 pub(crate) fn reset(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) {
+    let copies = reset_members(patches, f, ex);
+    launch_group(patches, ex, "reset-field", Category::HydroKernel, copies);
+}
+
+fn reset_members<'a>(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) -> Vec<Member<'a>> {
     if ex.copy_back() {
         roundtrip(
             patches,
             &[f.density0, f.energy0, f.xvel0, f.yvel0, f.density1, f.energy1, f.xvel1, f.yvel1],
         );
     }
+    ex.charge_host(patches, Category::HydroKernel, |p| p.cell_box().num_cells() * 4, 2, 0);
     let copies = [
         ("reset-density", f.density0, f.density1, Centring::Cell),
         ("reset-energy", f.energy0, f.energy1, Centring::Cell),
         ("reset-xvel", f.xvel0, f.xvel1, Centring::Node),
         ("reset-yvel", f.yvel0, f.yvel1, Centring::Node),
     ];
-    let group = copies.map(|(name, dst, src, centring)| {
+    Vec::from(copies.map(|(name, dst, src, centring)| {
         let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, |p| {
             centring.data_box(p.cell_box())
         });
         kernel(name, [dst, src], &[], (2, 0), regs, |_kk, _i, d, dbox, v, r| {
             k::copy_field(d, dbox, v[0], r);
         })
-    });
-    launch_group(patches, ex, "reset-field", Category::HydroKernel, group.into());
-    ex.charge_host(patches, Category::HydroKernel, |p| p.cell_box().num_cells() * 4, 2, 0);
+    }))
 }
 
 #[cfg(test)]
@@ -1155,17 +1190,25 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
 
-    /// One launch group as [`launch_group`] saw it: its launch name, its
-    /// members' kernel names, and the group rule's verdict.
-    type Group = (&'static str, Vec<&'static str>, Result<(), (&'static str, &'static str)>);
+    /// One launch group as [`launch_group`] saw it: its launch name and
+    /// its members' declared accesses.
+    type Group = (&'static str, Vec<Access>);
 
     thread_local! {
         static GROUPS: RefCell<Vec<Group>> = const { RefCell::new(Vec::new()) };
     }
 
     pub(super) fn record(name: &'static str, members: &[Member<'_>]) {
-        let kernels = members.iter().map(|m| m.kernel).collect();
-        GROUPS.with(|g| g.borrow_mut().push((name, kernels, group_rule(members))));
+        let accesses = members.iter().map(|m| m.access.clone()).collect();
+        GROUPS.with(|g| g.borrow_mut().push((name, accesses)));
+    }
+
+    /// The pseudo-group marking a barrier between two launches: a fill
+    /// window, a sync, or the dt read-back.
+    const BARRIER: &str = "barrier";
+
+    fn barrier() {
+        GROUPS.with(|g| g.borrow_mut().push((BARRIER, Vec::new())));
     }
 
     #[test]
@@ -1320,17 +1363,21 @@ mod tests {
     /// every chain has a non-empty core).
     #[test]
     fn one_pass_over_every_level_equals_a_pass_per_level() {
-        // A phase's stashes and dt minima, one set per call group.
-        type Scratch = (Vec<CellStash>, Vec<MomStash>, Vec<f64>);
+        // A phase's y-momentum flux staging and dt minima, one set per
+        // call group.
+        type Scratch = (Vec<Staged>, Vec<f64>);
         type Phase = fn(&mut [&mut Patch], &[(f64, f64)], &Fields, Exec<'_>, Pass, &mut Scratch);
-        let phases: [(&str, bool, Phase); 7] = [
+        let phases: [(&str, bool, Phase); 8] = [
             ("eos_viscosity", true, |p, dx, f, ex, pass, _| eos_viscosity(p, f, ex, pass, 1.4, dx)),
             ("flux_calc", true, |p, dx, f, ex, pass, _| flux_calc(p, f, ex, pass, dx, 1e-3)),
-            ("advec_cell", true, |p, dx, f, ex, pass, s| {
-                advec_cell(p, f, ex, pass, dx, 1, 2, &mut s.0);
+            ("advec_cell", true, |p, dx, f, ex, pass, _| advec_cell(p, f, ex, pass, dx, 1, 2)),
+            ("advec_mom", true, |p, _, f, ex, pass, s| {
+                advec_mom(p, f, ex, pass, 0, &mut s.0, false)
             }),
-            ("advec_mom", true, |p, _, f, ex, pass, s| advec_mom(p, f, ex, pass, 0, &mut s.1)),
-            ("calc_dt", false, |p, dx, f, ex, _, s| s.2.extend(calc_dt(p, f, ex, dx, 0.5))),
+            ("advec_mom_reset", true, |p, _, f, ex, pass, s| {
+                advec_mom(p, f, ex, pass, 1, &mut s.0, true);
+            }),
+            ("calc_dt", false, |p, dx, f, ex, _, s| s.1.extend(calc_dt(p, f, ex, dx, 0.5))),
             ("lagrangian_pre", false, |p, dx, f, ex, _, _| lagrangian_pre(p, f, ex, 1.4, dx, 1e-3)),
             ("reset", false, |p, _, f, ex, _, _| reset(p, f, ex)),
         ];
@@ -1380,7 +1427,7 @@ mod tests {
                             phase(group, &dxs, &f, ex, pass, s);
                         }
                     }
-                    let minima = scratch.iter().flat_map(|s| s.2.iter().map(|m| m.to_bits()));
+                    let minima = scratch.iter().flat_map(|s| s.1.iter().map(|m| m.to_bits()));
                     let bits: Vec<_> = levels.iter().flatten().map(field_bits).collect();
                     outcomes.push((minima.collect::<Vec<_>>(), bits));
                 }
@@ -1416,9 +1463,10 @@ mod tests {
         (patches.collect(), f)
     }
 
-    /// The level-wide tagging pass: three launches, two downloads and
-    /// three allocations at most, whatever the patch count, and the
-    /// bitmaps of the per-patch entry points of both placements.
+    /// The tagging pass over a list of patches (a regrid hands it every
+    /// tag level's): three launches, two downloads and three
+    /// allocations at most, whatever the patch count, and the bitmaps of
+    /// the per-patch entry points of both placements.
     #[test]
     fn flag_cells_is_three_launches_per_level_and_equals_the_per_patch_bitmaps() {
         use crate::state::PatchIntegrator;
@@ -1475,8 +1523,8 @@ mod tests {
         }
     }
 
-    /// A step's launches, in order, with their members: 27 groups.
-    const STEP: [(&str, &[&str]); 27] = [
+    /// A step's launches, in order, with their members: 20 groups.
+    const STEP: [(&str, &[&str]); 20] = [
         ("ideal-gas-viscosity", &["ideal-gas-pressure", "ideal-gas-soundspeed", "viscosity"]),
         ("calc-dt", &["calc-dt"]),
         (
@@ -1493,28 +1541,93 @@ mod tests {
         ("accelerate", &["accelerate-x", "accelerate-y"]),
         ("pdv", &["pdv-energy", "pdv-density"]),
         ("flux-calc", &["flux-calc-x", "flux-calc-y"]),
-        ("advec-cell-vol", &["advec-pre-vol", "advec-post-vol", "revert-save"]),
-        ("advec-mass-flux", &["advec-mass-flux"]),
-        ("advec-ener-flux", &["advec-ener-flux"]),
+        ("advec-cell-vol", CELL_VOL),
+        ("advec-mass-flux", &["advec-mass-flux", "advec-ener-flux"]),
         ("advec-cell", &["advec-cell-energy", "advec-cell-density"]),
-        ("advec-mom-node", &["mom-node-flux", "mom-node-mass-post", "mom-save-vel"]),
+        ("advec-mom-node", MOM_NODE),
         ("mom-node-mass-pre", &["mom-node-mass-pre"]),
-        ("mom-flux", &["mom-flux"]),
-        ("mom-vel-update", &["mom-vel-update"]),
-        ("mom-flux", &["mom-flux"]),
-        ("mom-vel-update", &["mom-vel-update"]),
-        ("advec-cell-vol", &["advec-pre-vol", "advec-post-vol", "revert-save"]),
-        ("advec-mass-flux", &["advec-mass-flux"]),
-        ("advec-ener-flux", &["advec-ener-flux"]),
+        ("mom-flux", &["mom-flux-x", "mom-flux-y"]),
+        ("mom-vel-update", &["mom-vel-update-x", "mom-vel-update-y"]),
+        ("advec-cell-vol", CELL_VOL),
+        ("advec-mass-flux", &["advec-mass-flux", "advec-ener-flux"]),
         ("advec-cell", &["advec-cell-energy", "advec-cell-density"]),
-        ("advec-mom-node", &["mom-node-flux", "mom-node-mass-post", "mom-save-vel"]),
+        ("advec-mom-node", MOM_NODE),
         ("mom-node-mass-pre", &["mom-node-mass-pre"]),
-        ("mom-flux", &["mom-flux"]),
-        ("mom-vel-update", &["mom-vel-update"]),
-        ("mom-flux", &["mom-flux"]),
-        ("mom-vel-update", &["mom-vel-update"]),
-        ("reset-field", &["reset-density", "reset-energy", "reset-xvel", "reset-yvel"]),
+        ("mom-flux", &["mom-flux-x", "mom-flux-y"]),
+        (
+            "mom-vel-update",
+            &[
+                "mom-vel-update-x",
+                "mom-vel-update-y",
+                "reset-density",
+                "reset-energy",
+                "reset-xvel",
+                "reset-yvel",
+            ],
+        ),
     ];
+    const CELL_VOL: &[&str] =
+        &["advec-pre-vol", "advec-post-vol", "revert-save-energy", "revert-save-density"];
+    const MOM_NODE: &[&str] =
+        &["mom-node-flux", "mom-node-mass-post", "mom-save-xvel", "mom-save-yvel"];
+
+    /// Launch groups in the executor's order, with a [`BARRIER`] where
+    /// the step driver puts one: each windowed phase after its fill, the
+    /// dt read-back after `calc-dt`, and the sync after the last sweep.
+    /// First the windowed phases as interior and boundary passes, then a
+    /// whole-pass step — on two levels of one patch each, one 64 × 48
+    /// (where the interior passes launch) and one 24².
+    fn recorded_groups(
+        ex: Exec<'_>,
+        factory: std::sync::Arc<dyn rbamr_amr::DataFactory>,
+    ) -> Vec<Group> {
+        let (reg, f) = registry(factory);
+        let boxes = [GBox::from_coords(0, 0, 64, 48), GBox::from_coords(0, 0, 24, 24)];
+        let mut levels: Vec<Patch> =
+            (0..2).map(|l| random_patch_in(&reg, (l, 0), boxes[l], l as u64)).collect();
+        let mut patches: Vec<&mut Patch> = levels.iter_mut().collect();
+        let dx = [(0.05, 0.05), (0.025, 0.025)];
+        let mut flux_y = Vec::new();
+        let mut windows = |p: &mut [&mut Patch], pass: Pass| {
+            eos_viscosity(p, &f, ex, pass, 1.4, &dx);
+            flux_calc(p, &f, ex, pass, &dx, 1e-3);
+            advec_cell(p, &f, ex, pass, &dx, 1, 2);
+            advec_mom(p, &f, ex, pass, 0, &mut flux_y, pass == Pass::Boundary);
+        };
+        GROUPS.with(|g| g.borrow_mut().clear());
+        windows(&mut patches, Pass::Interior);
+        windows(&mut patches, Pass::Boundary);
+        barrier();
+        eos_viscosity(&mut patches, &f, ex, Pass::Full, 1.4, &dx);
+        calc_dt(&mut patches, &f, ex, &dx, 0.5);
+        barrier();
+        lagrangian_pre(&mut patches, &f, ex, 1.4, &dx, 1e-3);
+        barrier();
+        flux_calc(&mut patches, &f, ex, Pass::Full, &dx, 1e-3);
+        for (dir, sweep) in [(0, 1), (1, 2)] {
+            if sweep == 2 {
+                barrier();
+            }
+            advec_cell(&mut patches, &f, ex, Pass::Full, &dx, dir, sweep);
+            barrier();
+            advec_mom(&mut patches, &f, ex, Pass::Full, dir, &mut flux_y, sweep == 2);
+        }
+        barrier();
+        GROUPS.with(|g| g.take())
+    }
+
+    /// Both placements, the executor's groups of [`recorded_groups`].
+    fn groups_on_both_placements() -> Vec<Vec<Group>> {
+        let device = Device::k20x();
+        let placements: [(Exec<'_>, std::sync::Arc<dyn rbamr_amr::DataFactory>); 2] = [
+            (Exec::Host(None), std::sync::Arc::new(rbamr_amr::HostDataFactory::new())),
+            (
+                Exec::Device { device: &device, copy_back: false },
+                std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(device.clone())),
+            ),
+        ];
+        placements.into_iter().map(|(ex, factory)| recorded_groups(ex, factory)).collect()
+    }
 
     /// Every launch group obeys the group rule — no member reads at a
     /// neighbour what an earlier member of its launch writes, or
@@ -1525,48 +1638,46 @@ mod tests {
     /// (a stencil read of `pre_vol`) into `advec-cell-vol` fails here.
     #[test]
     fn every_launch_group_obeys_the_group_rule() {
-        let device = Device::k20x();
-        let placements: [(Exec<'_>, std::sync::Arc<dyn rbamr_amr::DataFactory>); 2] = [
-            (Exec::Host(None), std::sync::Arc::new(rbamr_amr::HostDataFactory::new())),
-            (
-                Exec::Device { device: &device, copy_back: false },
-                std::sync::Arc::new(rbamr_gpu_amr::DeviceDataFactory::new(device.clone())),
-            ),
-        ];
-        for (ex, factory) in placements {
-            let (reg, f) = registry(factory);
-            let boxes = [GBox::from_coords(0, 0, 64, 48), GBox::from_coords(0, 0, 24, 24)];
-            let mut levels: Vec<Patch> =
-                (0..2).map(|l| random_patch_in(&reg, (l, 0), boxes[l], l as u64)).collect();
-            let mut patches: Vec<&mut Patch> = levels.iter_mut().collect();
-            let dx = [(0.05, 0.05), (0.025, 0.025)];
-            let (mut cells, mut moms) = (Vec::new(), Vec::new());
-            let mut step = |p: &mut [&mut Patch], pass: Pass| {
-                eos_viscosity(p, &f, ex, pass, 1.4, &dx);
-                flux_calc(p, &f, ex, pass, &dx, 1e-3);
-                advec_cell(p, &f, ex, pass, &dx, 1, 2, &mut cells);
-                advec_mom(p, &f, ex, pass, 0, &mut moms);
-            };
-            GROUPS.with(|g| g.borrow_mut().clear());
-            step(&mut patches, Pass::Interior);
-            step(&mut patches, Pass::Boundary);
-            eos_viscosity(&mut patches, &f, ex, Pass::Full, 1.4, &dx);
-            calc_dt(&mut patches, &f, ex, &dx, 0.5);
-            lagrangian_pre(&mut patches, &f, ex, 1.4, &dx, 1e-3);
-            flux_calc(&mut patches, &f, ex, Pass::Full, &dx, 1e-3);
-            for (dir, sweep) in [(0, 1), (1, 2)] {
-                advec_cell(&mut patches, &f, ex, Pass::Full, &dx, dir, sweep, &mut cells);
-                advec_mom(&mut patches, &f, ex, Pass::Full, dir, &mut moms);
+        for groups in groups_on_both_placements() {
+            let launches: Vec<_> = groups.iter().filter(|(n, _)| *n != BARRIER).collect();
+            for (name, accesses) in &launches {
+                let kernels: Vec<_> = accesses.iter().map(|a| a.kernel).collect();
+                let accesses: Vec<&Access> = accesses.iter().collect();
+                assert_eq!(group_rule(&accesses), Ok(()), "{name}: {kernels:?}");
             }
-            reset(&mut patches, &f, ex);
-            let groups = GROUPS.with(|g| g.take());
-            for (name, kernels, rule) in &groups {
-                assert_eq!(*rule, Ok(()), "{name}: {kernels:?}");
+            let split = launches.len() - STEP.len();
+            let whole: Vec<(&str, Vec<&str>)> = launches[split..]
+                .iter()
+                .map(|(n, a)| (*n, a.iter().map(|a| a.kernel).collect()))
+                .collect();
+            let step: Vec<(&str, Vec<&str>)> = STEP.iter().map(|(n, k)| (*n, k.to_vec())).collect();
+            assert_eq!(whole, step);
+        }
+    }
+
+    /// The converse: no two consecutive launches of a whole-pass step
+    /// with no barrier between them could run as one under the group
+    /// rule, so a group split in two fails here the way an illegal
+    /// merge fails above. `calc-dt` stays apart by name: its launch
+    /// carries the `Timestep` attribution. Splitting `advec-ener-flux`
+    /// back out of `advec-mass-flux` fails here.
+    #[test]
+    fn no_two_consecutive_launches_could_merge() {
+        const APART: &[&str] = &["calc-dt"];
+        for groups in groups_on_both_placements() {
+            // The whole-pass step: everything after the windowed passes'
+            // closing barrier.
+            let first = groups.iter().position(|(n, _)| *n == BARRIER).expect("a barrier");
+            let step = &groups[first..];
+            assert_eq!(step.iter().filter(|(n, _)| *n != BARRIER).count(), STEP.len());
+            for pair in step.windows(2) {
+                let [(a, first), (b, second)] = pair else { unreachable!() };
+                if [a, b].iter().any(|n| **n == BARRIER || APART.contains(n)) {
+                    continue;
+                }
+                let merged: Vec<&Access> = first.iter().chain(second).collect();
+                assert!(group_rule(&merged).is_err(), "`{a}` and `{b}` could be one launch");
             }
-            let split = groups.len() - STEP.len();
-            let whole: Vec<_> =
-                groups[split..].iter().map(|(n, k, _)| (*n, k.as_slice())).collect();
-            assert_eq!(whole, STEP);
         }
     }
 

@@ -28,7 +28,7 @@
 //! hierarchy through [`level_executor`], which holds the one call site
 //! of each step kernel: on the host as plain calls over host slices
 //! that charge the CPU cost model, on a device as one launch per kernel
-//! group (kernels with no cross-element dependency; 27 per step) per
+//! group (kernels with no cross-element dependency; 20 per step) per
 //! pass over every level, with each window's halo fills overlapped
 //! with interior compute. Both
 //! patch integrators run the same executor on a batch of one patch.

@@ -277,10 +277,10 @@ pub trait PatchIntegrator: Send + Sync {
 }
 
 /// [`CellTagger`] adapter running the flagging heuristic over every
-/// local patch's whole interior, a level at a time
-/// ([`level_executor::flag_cells`](crate::level_executor)). Cells already
-/// covered by a finer level are flagged like any other: those tags are
-/// what keeps the finer level alive at the next regrid.
+/// local patch's whole interior ([`level_executor::flag_cells`](crate::level_executor)):
+/// a regrid flags every tag level in one pass. Cells already covered by
+/// a finer level are flagged like any other: those tags are what keeps
+/// the finer level alive at the next regrid.
 pub struct HydroTagger<'a> {
     /// Where the patches' arrays live and what flagging them charges.
     pub(crate) ex: Exec<'a>,
@@ -293,6 +293,21 @@ pub struct HydroTagger<'a> {
 impl CellTagger for HydroTagger<'_> {
     fn tag_cells(&self, hierarchy: &PatchHierarchy, level: usize, _time: f64) -> Vec<TagBitmap> {
         flag_cells(hierarchy.level(level).local(), self.fields, self.ex, &self.thresholds)
+    }
+
+    /// One `flag-cells`, one `any-tagged` and at most one
+    /// `compress-tags` launch, and at most two downloads, for all the
+    /// levels together.
+    fn tag_levels(
+        &self,
+        hierarchy: &PatchHierarchy,
+        levels: usize,
+        _time: f64,
+    ) -> Vec<Vec<TagBitmap>> {
+        let local = |l: usize| hierarchy.level(l).local();
+        let patches: Vec<&Patch> = (0..levels).flat_map(local).collect();
+        let mut bitmaps = flag_cells(&patches, self.fields, self.ex, &self.thresholds).into_iter();
+        (0..levels).map(|l| bitmaps.by_ref().take(local(l).len()).collect()).collect()
     }
 }
 

@@ -19,9 +19,8 @@
 //!   identical digests, device counters, recorder counters, and
 //!   causal-edge streams (tags, occurrences, bytes, and bit-exact
 //!   virtual costs);
-//! * with 64-wide patches, where every interior/boundary split but
-//!   the deepest momentum kernel's is non-degenerate, the same digest
-//!   identity holds;
+//! * with 64-wide patches, where every interior/boundary split is
+//!   non-degenerate, the same digest identity holds;
 //! * the copy-back placement changes transfers, never digests;
 //! * hydro launches per step stay within `MAX_LAUNCHES_PER_STEP`,
 //!   whatever the patch or level count, and a 1-level and a 3-level run
@@ -89,7 +88,7 @@ const LEVELS: usize = 2;
 
 /// Hydro launches per step on one rank, where no window splits: the
 /// step's kernel groups, each once.
-const STEP_GROUPS: u64 = 27;
+const STEP_GROUPS: u64 = 20;
 
 /// Everything observable about one rank of a run: per-step digests,
 /// cumulative device transfer/launch statistics, deterministic recorder
@@ -595,43 +594,38 @@ fn data_movement_launches_scale_with_fills_not_patches() {
 }
 
 /// The step's launch groups by name (the executor's `STEP` table):
-/// per step, how many launches run outside a fill window, how many in
-/// one of its five windows (`fill-start`, `post-accel`, the two
-/// post-sweep momentum windows and `mid-sweeps`), and how many of those
-/// have no interior core on a patch at most 64 cells wide. The last are
-/// each momentum sweep's second velocity update, kernel ordinal 9 of its
-/// window, whose margin of 38 cells leaves such a patch no interior, so
-/// it runs in the boundary pass only.
-const STEP_LAUNCHES: [(&str, u64, u64, u64); 15] = [
-    ("ideal-gas-viscosity", 0, 1, 0),
-    ("calc-dt", 1, 0, 0),
-    ("pdv-predict", 1, 0, 0),
-    ("accelerate", 1, 0, 0),
-    ("pdv", 1, 0, 0),
-    ("flux-calc", 0, 1, 0),
-    ("advec-cell-vol", 1, 1, 0),
-    ("advec-mass-flux", 1, 1, 0),
-    ("advec-ener-flux", 1, 1, 0),
-    ("advec-cell", 1, 1, 0),
-    ("advec-mom-node", 0, 2, 0),
-    ("mom-node-mass-pre", 0, 2, 0),
-    ("mom-flux", 0, 4, 0),
-    ("mom-vel-update", 0, 4, 2),
-    ("reset-field", 1, 0, 0),
+/// per step, how many launches run outside a fill window and how many
+/// in one of its five windows (`fill-start`, `post-accel`, the two
+/// post-sweep momentum windows and `mid-sweeps`). On a patch 64 cells
+/// wide every windowed group has an interior core: the deepest margin
+/// of any window's chain is 30 cells (`advec-cell`, ordinal 7).
+const STEP_LAUNCHES: [(&str, u64, u64); 13] = [
+    ("ideal-gas-viscosity", 0, 1),
+    ("calc-dt", 1, 0),
+    ("pdv-predict", 1, 0),
+    ("accelerate", 1, 0),
+    ("pdv", 1, 0),
+    ("flux-calc", 0, 1),
+    ("advec-cell-vol", 1, 1),
+    ("advec-mass-flux", 1, 1),
+    ("advec-cell", 1, 1),
+    ("advec-mom-node", 0, 2),
+    ("mom-node-mass-pre", 0, 2),
+    ("mom-flux", 0, 2),
+    ("mom-vel-update", 0, 2),
 ];
 
 /// A window splits into interior and boundary passes only where this
 /// rank receives a message in it. On one rank every group launches once
-/// per step, exactly the step's 27; on two ranks, where every window of
+/// per step, exactly the step's 20; on two ranks, where every window of
 /// this 64-wide-patch deck has a remote peer, every windowed group
-/// launches in both passes, except where no patch has an interior core
-/// ([`STEP_LAUNCHES`]), and the step stays within the split bound. The
-/// digests equal the host build's, which runs every phase whole — and
-/// whole equals interior + boundary bitwise
+/// launches in both passes ([`STEP_LAUNCHES`]), and the step stays
+/// within the split bound. The digests equal the host build's, which
+/// runs every phase whole — and whole equals interior + boundary bitwise
 /// (`one_pass_over_every_level_equals_a_pass_per_level`).
 #[test]
 fn windows_split_only_where_a_peer_sends() {
-    let groups: u64 = STEP_LAUNCHES.iter().map(|&(_, whole, windowed, _)| whole + windowed).sum();
+    let groups: u64 = STEP_LAUNCHES.iter().map(|&(_, whole, windowed)| whole + windowed).sum();
     assert_eq!(groups, STEP_GROUPS);
     for (ranks, split, bound) in
         [(1, false, MAX_LAUNCHES_PER_STEP), (2, true, MAX_SPLIT_LAUNCHES_PER_STEP)]
@@ -645,8 +639,8 @@ fn windows_split_only_where_a_peer_sends() {
             &device,
         );
         let steps = cfg.steps as u64;
-        let expected = |(_, whole, windowed, coreless): (&str, u64, u64, u64)| {
-            steps * (whole + windowed + if split { windowed - coreless } else { 0 })
+        let expected = |(_, whole, windowed): (&str, u64, u64)| {
+            steps * (whole + windowed * if split { 2 } else { 1 })
         };
         for (rank, t) in device.iter().enumerate() {
             let launches =
