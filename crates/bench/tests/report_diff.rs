@@ -267,6 +267,72 @@ fn send_stage_rebless_is_fewer_copy_launches_and_no_traffic() {
     assert_eq!(before, traffic("one-send-launch"));
 }
 
+/// `twenty-launches-parent → twenty-launches`: the step's last legal
+/// launch groups merged (27 → 20 hydro launches per step where no
+/// window splits) and one tagging pass per regrid. The pair holds every
+/// bucket, makespan, critical-path, device, net and pack / unpack key
+/// and three phases. 107 keys moved and 12 went, at every rank count:
+/// `advec-ener-flux` and `reset-field` are gone (they ride
+/// `advec-mass-flux` and the last `mom-vel-update`), `mom-flux` and
+/// `mom-vel-update` halved, the three tag kernels fell to one launch
+/// per regrid (7 → 4 on one rank: four regrids, three of which flagged
+/// two levels), and the total launches fell by exactly those. D2H
+/// transfers fell (the tag downloads) and allocations with the staging
+/// the saves no longer need; the makespans fell on every row, the host
+/// row's by its one tagging loop per regrid. No H2D, network or pack /
+/// unpack key moved.
+#[test]
+fn twenty_launch_rebless_is_fewer_hydro_and_tag_launches_and_no_traffic() {
+    let d = pair("twenty-launches-parent", "twenty-launches");
+    assert_eq!((d.moved, d.added, d.removed), (107, 0, 12));
+    for kernel in ["advec-ener-flux", "reset-field"] {
+        let m = launches(&d, kernel);
+        assert_eq!((m.layer, m.direction(), m.changed.len()), ("hydro", "removed", 6), "{kernel}");
+    }
+    for kernel in ["mom-flux", "mom-vel-update"] {
+        let m = launches(&d, kernel);
+        assert_eq!(m.changed.len(), 6, "{kernel}");
+        for (combo, before, after) in &m.changed {
+            assert_eq!(before.unwrap(), 2.0 * after.unwrap(), "{kernel} at {combo}");
+        }
+    }
+    for kernel in ["flag-cells", "any-tagged", "compress-tags"] {
+        let m = launches(&d, kernel);
+        assert_eq!(
+            (m.layer, m.direction(), m.rank_pattern().as_str()),
+            ("tagging", "down", "all ranks")
+        );
+    }
+    assert!(launches(&d, "flag-cells").changed.contains(&("sod.r1".into(), Some(7.0), Some(4.0))));
+    let total = d.get("counter", "device.kernel_launches").expect("moved");
+    assert_eq!(total.changed.len(), 6);
+    for (combo, before, after) in &total.changed {
+        let fell = |kernel: &str| {
+            let m = launches(&d, kernel);
+            let (_, a, b) = m.changed.iter().find(|(c, ..)| c == combo).expect("every combo");
+            a.unwrap_or(0.0) - b.unwrap_or(0.0)
+        };
+        let kernels = ["advec-ener-flux", "reset-field", "mom-flux", "mom-vel-update"];
+        let tags = ["flag-cells", "any-tagged", "compress-tags"];
+        let merged: f64 = kernels.iter().chain(&tags).map(|k| fell(k)).sum();
+        assert_eq!(before.unwrap() - after.unwrap(), merged, "{combo}");
+    }
+    for name in ["device.d2h_transfers", "device.allocs", "device.alloc_bytes"] {
+        let m = d.get("counter", name).expect("moved");
+        assert_eq!((m.direction(), m.changed.len()), ("down", 6), "{name}");
+    }
+    let makespan = d.get("makespan", "makespan_s").expect("moved");
+    assert_eq!((makespan.direction(), makespan.changed.len()), ("down", 7));
+    let host = d
+        .moves
+        .iter()
+        .filter(|m| m.changed.iter().any(|(c, ..)| c.starts_with("triple_point_host")));
+    assert!(host.clone().all(seconds), "the host row moves only seconds");
+    let traffic = ["device.h2d_", "device.d2h_bytes", "net.", "pack.bytes", "unpack.bytes"];
+    let moved = |m: &&Move| traffic.iter().any(|t| m.name.starts_with(t));
+    assert_eq!(d.moves.iter().filter(moved).count(), 0, "a traffic key moved:\n{d}");
+}
+
 /// A bucket that no longer adds up to ranks × makespan fails the
 /// identity; an `rbamr_bench --json` output parses to its metrics.
 #[test]
