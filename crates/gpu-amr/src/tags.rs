@@ -5,12 +5,13 @@
 //! for each patch. If no cells in a patch are flagged for refinement
 //! then we don't copy data."
 //!
-//! Both kernels run on the device over a whole level's tag fields at
-//! once: `any-tagged` writes one flag word per patch, `compress-tags`
-//! (one thread per output byte, each reading eight tags) packs the
-//! flagged patches' bits into one array. Only the flag words and that
-//! bit array — nothing but the flags, when the level is clean — cross
-//! the PCIe bus, in one transfer each.
+//! Both kernels run on the device over every tag field they are handed
+//! at once — a regrid hands them every tag level's patches: `any-tagged`
+//! writes one flag word per patch, `compress-tags` (one thread per
+//! output byte, each reading eight tags) packs the flagged patches' bits
+//! into one array. Only the flag words and that bit array — nothing but
+//! the flags, when every patch is clean — cross the PCIe bus, in one
+//! transfer each.
 
 use crate::data::DeviceData;
 use rbamr_amr::patchdata::PatchData;
@@ -33,7 +34,7 @@ pub struct TagField<'a> {
     pub dbox: GBox,
 }
 
-/// Compress a level's device-resident tag fields into host-side
+/// Compress device-resident tag fields into host-side
 /// [`TagBitmap`]s, in `fields` order, transferring only the compressed
 /// form: one `any-tagged` launch and one download of a 4-byte flag per
 /// patch, then one `compress-tags` launch and one download of

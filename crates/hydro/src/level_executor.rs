@@ -393,11 +393,6 @@ enum Array {
     Staged(&'static str),
 }
 
-/// The fields `vars`, as the arrays a member declares.
-fn fields<const N: usize>(vars: [VariableId; N]) -> [Array; N] {
-    vars.map(Array::Field)
-}
-
 /// What a member declares: its kernel, the array it writes (`None`: a
 /// staging array written and read only at the same element), and the
 /// arrays it reads at a neighbouring element — it reads every other
@@ -650,7 +645,7 @@ pub(crate) fn calc_dt(
     let n = patches.len();
     let mut result = ex.stage(n);
     let total: i64 = patches.iter().map(|p| p.cell_box().num_cells()).sum();
-    let stencil = fields([f.xvel0, f.yvel0]);
+    let stencil = [Array::Field(f.xvel0), Array::Field(f.yvel0)];
     let minimum = Member::new("calc-dt", (None, &stencil), (total, 6, 20), |kk, i, p| {
         // `v[1]`, the pressure, is charged and round-tripped but not read.
         let v = vars.map(|var| view(p.data(var), kk));
@@ -1101,18 +1096,18 @@ pub(crate) fn advec_mom(
     let regs = regions_for(patches, pass, 4, Centring::Node, node_region);
     let cells = regs.iter().flatten().map(|b| b.num_cells()).sum();
     let staged = &mut *flux_y;
-    let stencil = fields([f.yvel1, node_mass_pre]);
+    let stencil = [Array::Field(f.yvel1), Array::Field(node_mass_pre)];
     let fluxes = vec![
         kernel(
             "mom-flux-x",
             [f.mom_flux, f.xvel1, node_flux, node_mass_pre],
             &[f.xvel1, node_mass_pre],
             (4, 25),
-            regions_for(patches, pass, 4, Centring::Node, node_region),
+            regs.clone(),
             |_kk, _i, mf, nbox, v, r| k::mom_flux(mf, nbox, v[0], v[1], v[2], r, dir),
         ),
         Member::new("mom-flux-y", (Some(MOM_FLUX_Y), &stencil), (cells, 4, 25), move |kk, i, p| {
-            let nbox = p.data(node_flux).data_box();
+            let nbox = p.data(f.mom_flux).data_box();
             let vel = view(p.data(f.yvel1), kk);
             let (nf, nm) = (view(p.data(node_flux), kk), view(p.data(node_mass_pre), kk));
             let out = staged[i].as_mut_slice(kk);

@@ -256,11 +256,15 @@ pub trait PatchIntegrator: Send + Sync {
     fn flux_calc(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64);
 
     /// Directionally split cell advection (density & energy). `dir` is
-    /// the sweep axis; `sweep` is 1 or 2 within the step.
+    /// the sweep axis; `sweep` is 1 or 2 within the step. The pre-sweep
+    /// energy and density are saved in `energy0` / `density0` over the
+    /// interior, which the step reads no more before its reset.
     fn advec_cell(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize);
 
     /// Momentum advection along `dir` for both velocity components.
-    /// `sweep` as in [`PatchIntegrator::advec_cell`].
+    /// `sweep` as in [`PatchIntegrator::advec_cell`]; the pre-sweep
+    /// velocities are saved in `xvel0` / `yvel0` over the interior
+    /// nodes.
     fn advec_mom(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize);
 
     /// Copy the advanced state back to the step-start fields.
