@@ -3,7 +3,7 @@
 //! Each binary regenerates one figure of the paper's Section V (see
 //! `DESIGN.md`'s experiment index and `EXPERIMENTS.md` for
 //! paper-vs-measured results; Table I is the perfmodel test
-//! `presets_model_table1`):
+//! `table_rows_render`):
 //!
 //! * `fig9_serial` — Figure 9, the serial K20x vs dual-socket sweep.
 //! * `fig10_strong` — Figure 10, strong scaling on IPA.

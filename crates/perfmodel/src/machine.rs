@@ -265,6 +265,14 @@ mod tests {
         assert_eq!(DeviceModel::k20x().memory_bytes, 6 * (1 << 30));
     }
 
+    #[test]
+    fn titan_node_counts_match_table1() {
+        let t = Machine::titan();
+        assert_eq!(t.total_nodes, 18_688);
+        assert_eq!(t.gpus_per_node, 1);
+        assert_eq!(t.cores_per_node, 16);
+    }
+
     /// Table I of the paper — the hardware of the two platforms — as the
     /// presets model it: per machine its processor, accelerator, nodes,
     /// cores and GPUs per node, and interconnect. The software row
@@ -272,7 +280,7 @@ mod tests {
     /// model: rustc, the netsim message runtime and the simulated K20x
     /// stand in for it.
     #[test]
-    fn presets_model_table1() {
+    fn table_rows_render() {
         type Row = (&'static str, &'static str, Option<&'static str>, u32, u32, u32, &'static str);
         let k20x = Some("NVIDIA Tesla K20x");
         let table: [(Machine, Row); 3] = [
