@@ -285,6 +285,224 @@ fn host_digests_match_the_frozen_reference() {
     );
 }
 
+/// Every rank's six per-category clock totals ([`Category::ALL`] order,
+/// as `f64` bits) after initialisation, 4 steps of the blast deck (a
+/// regrid at step 3) and a reduced `summary`: which component of
+/// Fig. 11 each charge lands in, pinned on every placement. No digest
+/// is taken during the run, since a digest is a diagnostic charged
+/// outside the step.
+const FROZEN_CATEGORY_BITS: [(Placement, usize, [[u64; 6]; 4]); 6] = [
+    (
+        Placement::Host,
+        1,
+        [
+            [
+                0x3f56_13e2_339a_e44e,
+                0x3f28_40f5_4702_bade,
+                0x3ef9_b130_b131_4821,
+                0x3eee_ee72_7759_2049,
+                0x3ef6_1859_662f_8ccd,
+                0x3f29_de30_0a35_1aaa,
+            ],
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+        ],
+    ),
+    (
+        Placement::Host,
+        4,
+        [
+            [
+                0x3f3d_a7ca_b777_b76c,
+                0x3f32_fcd3_a158_fff9,
+                0x3efc_894a_1787_b622,
+                0x3ef3_aeef_fc1a_e5d5,
+                0x3f08_d8db_fe3b_4be0,
+                0x3f14_9e83_ca60_9d0a,
+            ],
+            [
+                0x3f3c_101b_8092_3762,
+                0x3f33_6b8e_1651_93e6,
+                0x3efc_487f_2c73_f075,
+                0x3f00_67f2_3df0_b057,
+                0x3f08_9180_b851_c75c,
+                0x3f13_0d16_b8bb_918b,
+            ],
+            [
+                0x3f3e_8b2e_00f2_ecae,
+                0x3f33_e04b_887c_189c,
+                0x3efc_7a90_5677_94d7,
+                0x3f04_260d_1b75_8cb5,
+                0x3f09_162b_8586_3015,
+                0x3f16_28bb_402b_183d,
+            ],
+            [
+                0x3f3f_e62e_b088_16bd,
+                0x3f34_4e1a_3780_cf45,
+                0x3efc_84df_2a69_45c0,
+                0x3eea_b41d_8937_917a,
+                0x3f06_c90c_d014_8c45,
+                0x3f15_67d7_65e9_242c,
+            ],
+        ],
+    ),
+    (
+        Placement::Device,
+        1,
+        [
+            [
+                0x3f3f_1dbb_3a91_dffb,
+                0x3f43_8c0b_fcd3_755f,
+                0x3f11_fb47_c0bd_63a5,
+                0x3f03_7bb6_ea6a_5d16,
+                0x3f22_9318_291b_a67a,
+                0x3f7b_9808_d0d5_f1ba,
+            ],
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+        ],
+    ),
+    (
+        Placement::Device,
+        4,
+        [
+            [
+                0x3f3b_265f_9fd1_a2c4,
+                0x3f52_cd73_2d77_7f9d,
+                0x3f14_9f2f_84ec_5d19,
+                0x3f1b_5fc5_85b0_36b4,
+                0x3f2b_1d3c_bd0a_69bb,
+                0x3f59_a645_6211_1842,
+            ],
+            [
+                0x3f3a_fab5_2232_717e,
+                0x3f54_b470_fc49_e0c0,
+                0x3f14_9bc5_3902_9561,
+                0x3f24_b703_3c10_a5e0,
+                0x3f2c_7021_ebb1_dd54,
+                0x3f57_81a8_8f3b_4e61,
+            ],
+            [
+                0x3f3b_3725_4e2e_5ff3,
+                0x3f53_ded3_7e55_fe42,
+                0x3f14_9f43_77e6_0bd2,
+                0x3f20_eb2e_f703_0b10,
+                0x3f2c_31ed_f4b8_1112,
+                0x3f5d_5b5e_076c_73e2,
+            ],
+            [
+                0x3f3b_5556_f5d8_7b7a,
+                0x3f54_fe5e_55c7_f9b9,
+                0x3f14_a0b4_5e9f_b4e6,
+                0x3f16_4a89_ea37_01c2,
+                0x3f2c_0f74_bbb6_a14f,
+                0x3f60_ea6a_0df5_a831,
+            ],
+        ],
+    ),
+    (
+        Placement::DeviceCopyBack,
+        1,
+        [
+            [
+                0x3fde_1031_8810_baa3,
+                0x3f43_8c0b_fcd3_755f,
+                0x3f11_fb47_c0bd_63a5,
+                0x3f03_7bb6_ea6a_5d16,
+                0x3f22_9318_291b_a67a,
+                0x3f7b_9808_d0d5_f1ba,
+            ],
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+        ],
+    ),
+    (
+        Placement::DeviceCopyBack,
+        4,
+        [
+            [
+                0x3fba_7594_f75e_3761,
+                0x3f51_91bd_6eaf_42a4,
+                0x3f14_9f2f_84ec_5d19,
+                0x3f1b_5fc5_85b0_36b4,
+                0x3f2b_1d3c_bd0a_69bb,
+                0x3f59_a645_6211_1842,
+            ],
+            [
+                0x3fb7_c251_ea1e_9a17,
+                0x3f53_5a7c_c106_c47a,
+                0x3f14_9bc5_3902_9561,
+                0x3f24_b703_3c10_a5e0,
+                0x3f2c_7021_ebb1_dd54,
+                0x3f57_81a8_8f3b_4e61,
+            ],
+            [
+                0x3fbf_cf29_cf49_2645,
+                0x3f52_9d58_8259_e77a,
+                0x3f14_9f43_77e6_0bd2,
+                0x3f20_eb2e_f703_0b10,
+                0x3f2c_31ed_f4b8_1112,
+                0x3f5d_5b5e_076c_73e2,
+            ],
+            [
+                0x3fc3_43a2_a2a4_3357,
+                0x3f53_97ab_f123_a3b8,
+                0x3f14_a0b4_5e9f_b4e6,
+                0x3f16_4a89_ea37_01c2,
+                0x3f2c_0f74_bbb6_a14f,
+                0x3f60_ea6a_0df5_a831,
+            ],
+        ],
+    ),
+];
+
+/// The per-rank category bits of [`FROZEN_CATEGORY_BITS`]' run; a
+/// 1-rank run fills the first row only.
+fn category_bits(placement: Placement, ranks: usize) -> [[u64; 6]; 4] {
+    let m = Machine::ipa_gpu();
+    let results = Cluster::new(m.clone()).with_workers(1).run(ranks, move |comm| {
+        let mut config =
+            HydroConfig { regrid_interval: 3, max_patch_size: 8, ..HydroConfig::default() };
+        config.regrid.cluster.min_size = 4;
+        config.regrid.max_patch_size = 8;
+        let mut sim = HydroSim::new(
+            m.clone(),
+            placement,
+            comm.clock().clone(),
+            (1.0, 1.0),
+            (32, 32),
+            LEVELS,
+            2,
+            config,
+            blast_regions(),
+            comm.rank(),
+            comm.size(),
+        );
+        sim.initialize(Some(&comm));
+        sim.run_steps(4, Some(&comm));
+        sim.summary(Some(&comm));
+        let t = comm.clock().snapshot();
+        Category::ALL.map(|c| t.get(c).to_bits())
+    });
+    let mut out = [[0; 6]; 4];
+    for r in results {
+        out[r.rank] = r.value;
+    }
+    out
+}
+
+#[test]
+fn category_totals_match_the_frozen_reference() {
+    let measured = FROZEN_CATEGORY_BITS.map(|(p, ranks, _)| (p, ranks, category_bits(p, ranks)));
+    assert!(
+        measured == FROZEN_CATEGORY_BITS,
+        "per-category clock totals left the frozen reference: {measured:#x?}"
+    );
+}
+
 const MANY_PATCHES: RunConfig = RunConfig { deck: 0, ranks: 2, cells: 32, patch: 8, steps: 4 };
 
 /// The copy-back placement runs the same kernels with per-phase PCIe
