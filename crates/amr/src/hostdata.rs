@@ -6,7 +6,7 @@ use crate::transfer::{CopyJob, Part, PeerStream, StreamJob, TransferCtx, STREAM_
 use crate::variable::DataFactory;
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
-use rbamr_perfmodel::{Category, Clock, CostModel, KernelShape};
+use rbamr_perfmodel::{Clock, CostModel, KernelShape};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -256,9 +256,9 @@ impl HostDataFactory {
 
     /// Charge one loop nest moving `values` values, each one read and
     /// one write.
-    fn charge(&self, category: Category, values: i64) {
+    fn charge(&self, values: i64) {
         if let Some(h) = &self.hook {
-            h.clock.advance(category, h.cost.host_kernel(KernelShape::streaming(values, 2, 0)));
+            h.clock.charge(h.cost.host_kernel(KernelShape::streaming(values, 2, 0)));
         }
     }
 }
@@ -268,13 +268,16 @@ impl DataFactory for HostDataFactory {
         Box::new(HostData::<f64>::new(cell_box, ghosts, centring))
     }
 
+    fn clock(&self) -> Option<&Clock> {
+        self.hook.as_ref().map(|h| &h.clock)
+    }
+
     fn send_many(
         &self,
         ctx: &mut TransferCtx<'_>,
         copies: &[Part<'_, CopyJob>],
         sends: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
-        category: Category,
     ) -> Vec<Bytes> {
         let mut values = None;
         for (part, job) in Part::each(copies) {
@@ -294,7 +297,7 @@ impl DataFactory for HostDataFactory {
             *values.get_or_insert(0) += (bytes / STREAM_VALUE_BYTES) as i64;
         }
         if let Some(values) = values {
-            self.charge(category, values);
+            self.charge(values);
         }
         out.into_iter().map(Bytes::from).collect()
     }
@@ -304,7 +307,6 @@ impl DataFactory for HostDataFactory {
         ctx: &mut TransferCtx<'_>,
         parts: &[Part<'_, StreamJob>],
         msgs: &[Option<Bytes>],
-        category: Category,
     ) {
         for (part, job) in Part::each(parts) {
             let (peer, range) = part.slot(job);
@@ -313,7 +315,7 @@ impl DataFactory for HostDataFactory {
             }
         }
         if let Some(bytes) = msgs.iter().flatten().map(Bytes::len).reduce(|a, b| a + b) {
-            self.charge(category, (bytes / STREAM_VALUE_BYTES) as i64);
+            self.charge((bytes / STREAM_VALUE_BYTES) as i64);
         }
     }
 }
@@ -408,12 +410,13 @@ mod tests {
     }
 
     /// A copy, pack or unpack stage is one loop over every job's
-    /// values, charged in the stage's category, whatever the number of
+    /// values, charged in the clock's scope, whatever the number of
     /// peers; a per-item copy outside a stage charges nothing.
     #[test]
     fn cost_hook_charges_clock() {
         use crate::transfer::{Loc, StreamPlan};
         use crate::{GridGeometry, PatchHierarchy, VariableRegistry};
+        use rbamr_perfmodel::Category;
         let clock = Clock::new();
         let cost = Arc::new(CostModel::new(rbamr_perfmodel::Machine::ipa_cpu_node()));
         let factory = HostDataFactory::with_costs(clock.clone(), Arc::clone(&cost));
@@ -440,7 +443,9 @@ mod tests {
             })
             .into();
         let mut ctx = TransferCtx { hierarchy: &mut h, scratch: &mut [], outgoing: None };
-        factory.send_many(&mut ctx, &[Part::whole(&jobs)], &[], &[], Category::HaloExchange);
+        let halo = clock.scope(Category::HaloExchange);
+        factory.send_many(&mut ctx, &[Part::whole(&jobs)], &[], &[]);
+        drop(halo);
         let values = jobs.iter().map(|j| j.overlap.num_values()).sum();
         let stage = cost.host_kernel(KernelShape::streaming(values, 2, 0));
         assert_eq!(clock.snapshot().get(Category::HaloExchange), stage);
@@ -459,26 +464,23 @@ mod tests {
         }
         let ((sends, peers), (recvs, _)) = (sends.finish(), recvs.finish());
         let cat = Category::Synchronize;
-        let msgs = factory.send_many(&mut ctx, &[], &[Part::whole(&sends)], &peers, cat);
+        let sync = clock.scope(cat);
+        let msgs = factory.send_many(&mut ctx, &[], &[Part::whole(&sends)], &peers);
         assert_eq!(clock.snapshot().get(cat), stage);
         assert_eq!(peers.len(), 2);
         let msgs: Vec<_> = msgs.into_iter().map(Some).collect();
-        factory.unpack_many(&mut ctx, &[Part::whole(&recvs)], &msgs, cat);
+        factory.unpack_many(&mut ctx, &[Part::whole(&recvs)], &msgs);
         assert_eq!(clock.snapshot().get(cat), 2.0 * stage);
 
         // A stage whose every frame was lost unpacks and charges nothing.
-        factory.unpack_many(&mut ctx, &[Part::whole(&recvs)], &[None, None], cat);
+        factory.unpack_many(&mut ctx, &[Part::whole(&recvs)], &[None, None]);
         assert_eq!(clock.snapshot().get(cat), 2.0 * stage);
+        drop(sync);
 
         // A stage that copies and sends is one loop over the copied and
         // the packed values.
-        let both = factory.send_many(
-            &mut ctx,
-            &[Part::whole(&jobs)],
-            &[Part::whole(&sends)],
-            &peers,
-            Category::Other,
-        );
+        let both =
+            factory.send_many(&mut ctx, &[Part::whole(&jobs)], &[Part::whole(&sends)], &peers);
         assert_eq!(both.into_iter().map(Some).collect::<Vec<_>>(), msgs);
         let fused = cost.host_kernel(KernelShape::streaming(2 * values, 2, 0));
         assert_eq!(clock.snapshot().get(Category::Other), fused);

@@ -3,7 +3,6 @@
 use crate::ops::{CoarsenOperator, RefineOperator};
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
-use rbamr_perfmodel::Category;
 use std::any::Any;
 use std::ops::Range;
 
@@ -103,13 +102,6 @@ pub trait PatchData: Send {
 
     /// Set the simulation time (`setTime()`).
     fn set_time(&mut self, time: f64);
-
-    /// Set the cost category charged for subsequent copy/pack/unpack
-    /// operations, so schedules can attribute data movement to the
-    /// right runtime component (halo fill vs synchronisation vs
-    /// regridding). Implementations without per-item cost accounting —
-    /// host data, whose factory charges whole stages — ignore it.
-    fn set_transfer_category(&mut self, _category: Category) {}
 
     /// Copy the overlap region from `src` into `self` (`copy(src,
     /// overlap)`).

@@ -37,7 +37,7 @@ use crate::cluster::{cluster_tags, split_to_max, ClusterParams};
 use crate::hierarchy::PatchHierarchy;
 use crate::level::PatchLevel;
 use crate::ops::RefineOperator;
-use crate::schedule::RefineSchedule;
+use crate::schedule::{rank_clock, RefineSchedule};
 use crate::tagging::TagBitmap;
 use crate::variable::{VariableId, VariableRegistry};
 use rbamr_geometry::{BoxList, GBox, IntVector};
@@ -153,8 +153,8 @@ impl Regridder {
     /// Rebuild every level finer than level 0.
     ///
     /// Flags with `tagger`, clusters, load balances, rebuilds the levels
-    /// and transfers the solution (`specs`). Charges `Category::Regrid`
-    /// on data movement.
+    /// and transfers the solution (`specs`), all of it in a
+    /// [`Category::Regrid`] scope on the rank's clock.
     ///
     /// A level whose planned structure (boxes and owners) reproduces the
     /// existing one is left entirely in place — no rebuild, no data
@@ -194,8 +194,9 @@ impl Regridder {
         comm: Option<&Comm>,
         time: f64,
     ) -> Result<RegridOutcome, CommError> {
+        let _scope = rank_clock(registry, comm).map(|clock| clock.scope(Category::Regrid));
         let rec = hierarchy.recorder().clone();
-        let _span = rec.is_enabled().then(|| rec.span("regrid", Category::Regrid));
+        let _span = rec.is_enabled().then(|| rec.open("regrid"));
         let max_levels = hierarchy.max_levels();
         let finest_target = (hierarchy.finest_level() + 1).min(max_levels - 1);
         // Planned boxes per level (fine index space of that level).
@@ -308,7 +309,7 @@ impl Regridder {
         }
         hierarchy.truncate_levels(new_num_levels);
         if let Some(comm) = comm {
-            comm.try_barrier(Category::Regrid)?;
+            comm.try_barrier()?;
         }
         levels_changed.truncate(new_num_levels);
         match first_err {
@@ -374,7 +375,7 @@ fn try_cluster_on_root(
 ) -> Result<(u64, Vec<GBox>), CommError> {
     let mut payload = Vec::new();
     local.iter().filter(|bm| bm.any()).for_each(|bm| bm.encode_into(&mut payload));
-    let gathered = comm.try_gather(0, payload.into(), Category::Regrid);
+    let gathered = comm.try_gather(0, payload.into());
     // The gather runs through, so rank 0 always broadcasts: nothing
     // when it lost a part.
     let parts = gathered.as_ref().ok().and_then(Option::as_deref);
@@ -384,7 +385,7 @@ fn try_cluster_on_root(
         std::iter::once(tags as i64).chain(words).flat_map(i64::to_le_bytes).collect::<Vec<_>>()
     });
     let root = (comm.rank() == 0).then(|| clustered.unwrap_or_default().into());
-    let received = comm.broadcast(0, root, Category::Regrid);
+    let received = comm.broadcast(0, root);
     let words: Vec<i64> = (received.as_deref().unwrap_or_default().chunks_exact(8))
         .map(|w| i64::from_le_bytes(w.try_into().expect("8 bytes")))
         .collect();
@@ -395,7 +396,7 @@ fn try_cluster_on_root(
     // plans against boxes its peers do not share.
     let first_err = gathered.err().or(received.err());
     let vote = if first_err.is_none() && result.is_some() { 1.0 } else { 0.0 };
-    match comm.try_allreduce_min(vote, Category::Regrid) {
+    match comm.try_allreduce_min(vote) {
         Ok(v) if v >= 0.5 => Ok(result.expect("every rank holds the boxes")),
         agreed => Err(first_err
             .or(agreed.err())

@@ -58,12 +58,13 @@ use rbamr_geometry::{
     copy_overlap, ghost_overlaps, BoxIndex, BoxList, BoxOverlap, Centring, GBox, IntVector,
 };
 use rbamr_netsim::{Comm, CommError};
-use rbamr_perfmodel::Category;
+use rbamr_perfmodel::{Category, Clock};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 mod window;
+pub(crate) use window::rank_clock;
 use window::{fill_span, make_scratch, receive_and_unpack};
 pub use window::{FillWindow, PendingFill};
 
@@ -696,10 +697,9 @@ impl RefineSchedule {
             + list_bytes(&self.physical, |p| p.outside.heap_bytes())
     }
 
-    /// Execute the fill.
-    ///
-    /// `comm` is required when the schedule contains remote plans;
-    /// single-rank runs pass `None`. Time is charged to `category`.
+    /// Execute the fill: [`RefineSchedule::try_fill`] inside a scope
+    /// of `category` on the rank's clock. Kept for the frozen benchmark
+    /// package's signature (ROADMAP 27(b)).
     ///
     /// # Panics
     /// Panics on an injected fault — fault-aware callers use
@@ -713,12 +713,15 @@ impl RefineSchedule {
         time: f64,
         category: Category,
     ) {
-        self.try_fill(hierarchy, registry, physical, comm, time, category)
+        let _scope = rank_clock(registry, comm).map(|clock| clock.scope(category));
+        self.try_fill(hierarchy, registry, physical, comm, time)
             .unwrap_or_else(|e| panic!("refine fill: unhandled injected fault: {e}"));
     }
 
-    /// Fault-aware [`RefineSchedule::fill`]: the window of this schedule
-    /// alone (see [`FillWindow`]). A message fault is reported after the
+    /// Execute the fill: the window of this schedule alone (see
+    /// [`FillWindow`]), charged in the clock's current scope. `comm` is
+    /// required when the schedule contains remote plans; single-rank
+    /// runs pass `None`. A message fault is reported after the
     /// whole communication pattern has executed, so no rank is left
     /// blocked on this rank's messages. On `Err` the filled data is
     /// unusable and the caller must roll back.
@@ -729,17 +732,16 @@ impl RefineSchedule {
         physical: &dyn PhysicalBoundary,
         comm: Option<&Comm>,
         time: f64,
-        category: Category,
     ) -> Result<(), CommError> {
-        let _span = fill_span(hierarchy, "refine-fill", category, self.level_no);
+        let _span = fill_span(hierarchy, "refine-fill", self.level_no);
         let window = FillWindow::new(vec![self]);
-        let pending = window.begin_with(hierarchy, None, registry, comm, category);
-        pending.finish(hierarchy, physical, comm, time, category)
+        let pending = window.begin_with(hierarchy, None, registry, comm);
+        pending.finish(hierarchy, physical, comm, time)
     }
 
     /// Execute a regrid's solution transfer: the stages of a fill
     /// without the physical boundaries (the next halo fill sets the new
-    /// level's ghosts), charged to [`Category::Regrid`], run-through
+    /// level's ghosts), charged in the regrid's scope, run-through
     /// after a fault as [`RefineSchedule::try_fill`]. `outgoing` is the
     /// level [`RefineSchedule::regrid_transfer`] planned against. The
     /// transfer is a build pass of its own, uploading its table first.
@@ -751,16 +753,16 @@ impl RefineSchedule {
         comm: Option<&Comm>,
         time: f64,
     ) -> Result<(), CommError> {
-        let category = Category::Regrid;
-        let _span = hierarchy.recorder().is_enabled().then(|| {
-            hierarchy.recorder().span_arg("regrid-transfer", category, self.level_no as i64)
-        });
+        let _span = hierarchy
+            .recorder()
+            .is_enabled()
+            .then(|| hierarchy.recorder().span_arg("regrid-transfer", self.level_no as i64));
         let mut tables = PassTables::default();
         tables.push(Arc::clone(self) as _);
-        registry.factory().upload_tables(&tables, category);
+        registry.factory().upload_tables(&tables);
         let window = FillWindow::new(vec![self.as_ref()]);
-        let mut pending = window.begin_with(hierarchy, outgoing, registry, comm, category);
-        let transferred = pending.receive_and_interpolate(hierarchy, comm, category);
+        let mut pending = window.begin_with(hierarchy, outgoing, registry, comm);
+        let transferred = pending.receive_and_interpolate(hierarchy, comm);
         self.stamp(hierarchy.level_mut(self.level_no), time);
         transferred
     }
@@ -1455,8 +1457,9 @@ impl CoarsenSchedule {
         self.scratch.len() + self.recvs.len()
     }
 
-    /// Execute the synchronisation. Time is charged to `category`
-    /// (the paper's "Synchronisation" component).
+    /// Execute the synchronisation: [`CoarsenSchedule::try_run`]
+    /// inside a scope of `category` on the rank's clock. Kept for the
+    /// frozen benchmark package's signature (ROADMAP 27(b)).
     ///
     /// # Panics
     /// Panics on an injected fault — fault-aware callers use
@@ -1468,27 +1471,29 @@ impl CoarsenSchedule {
         comm: Option<&Comm>,
         category: Category,
     ) {
-        self.try_run(hierarchy, registry, comm, category)
+        let _scope = rank_clock(registry, comm).map(|clock| clock.scope(category));
+        self.try_run(hierarchy, registry, comm)
             .unwrap_or_else(|e| panic!("coarsen sync: unhandled injected fault: {e}"));
     }
 
-    /// Fault-aware [`CoarsenSchedule::run`] with run-through semantics
-    /// (see [`RefineSchedule::try_fill`]).
+    /// Execute the synchronisation, charged in the clock's current
+    /// scope (the step's: the paper's "Synchronisation" component),
+    /// with run-through semantics after a fault (see
+    /// [`RefineSchedule::try_fill`]).
     pub fn try_run(
         &self,
         hierarchy: &mut PatchHierarchy,
         registry: &VariableRegistry,
         comm: Option<&Comm>,
-        category: Category,
     ) -> Result<(), CommError> {
         let _span = hierarchy.recorder().is_enabled().then(|| {
             let rec = hierarchy.recorder();
             rec.count("amr.coarsen_syncs", 1);
-            rec.span_arg("coarsen-sync", category, self.fine_level_no as i64)
+            rec.span_arg("coarsen-sync", self.fine_level_no as i64)
         });
         let factory = registry.factory().as_ref();
         let ratio = hierarchy.ratio_to_coarser(self.fine_level_no);
-        let mut scratches = make_scratch(registry, &self.scratch, category);
+        let mut scratches = make_scratch(registry, &self.scratch);
         let mut ctx = TransferCtx { hierarchy, scratch: &mut scratches, outgoing: None };
         let (sends, recvs) = ([Part::whole(&self.sends[..])], [Part::whole(&self.recvs[..])]);
 
@@ -1506,7 +1511,7 @@ impl CoarsenSchedule {
         // aggregated per-rank stream (one message per rank pair; plan
         // order is globally deterministic). Both only read scratch.
         let applies = [Part::whole(&self.applies[..])];
-        let streams = factory.send_many(&mut ctx, &applies, &sends, &self.send_peers, category);
+        let streams = factory.send_many(&mut ctx, &applies, &sends, &self.send_peers);
         let tag = agg_tag(KIND_AGG_SYNC, self.fine_level_no);
         for (peer, stream) in self.send_peers.iter().zip(streams) {
             let comm = comm.expect("CoarsenSchedule: remote plans need a Comm");
@@ -1515,8 +1520,7 @@ impl CoarsenSchedule {
 
         // Phase 3: receive the aggregated remote results and unpack
         // them in plan order. Faulty streams are skipped.
-        let received =
-            receive_and_unpack(factory, &mut ctx, &recvs, &self.recv_peers, comm, tag, category);
+        let received = receive_and_unpack(factory, &mut ctx, &recvs, &self.recv_peers, comm, tag);
         received.map_or(Ok(()), Err)
     }
 

@@ -9,17 +9,25 @@ use crate::transfer::{OpGroup, PeerSlot, STREAM_VALUE_BYTES};
 use bytes::Bytes;
 use std::borrow::Borrow;
 
+/// The rank's clock: the one the registry's data charges, else the
+/// communicator's.
+pub(crate) fn rank_clock<'a>(
+    registry: &'a VariableRegistry,
+    comm: Option<&'a Comm>,
+) -> Option<&'a Clock> {
+    registry.factory().clock().or(comm.map(Comm::clock))
+}
+
 /// Count a fill and open its span, when telemetry is on.
 pub(super) fn fill_span(
     hierarchy: &PatchHierarchy,
     name: &'static str,
-    category: Category,
     level_no: usize,
 ) -> Option<rbamr_telemetry::SpanGuard> {
     let rec = hierarchy.recorder();
     rec.is_enabled().then(|| {
         rec.count("amr.refine_fills", 1);
-        rec.span_arg(name, category, level_no as i64)
+        rec.span_arg(name, level_no as i64)
     })
 }
 
@@ -120,11 +128,10 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
         hierarchy: &mut PatchHierarchy,
         registry: &VariableRegistry,
         comm: Option<&Comm>,
-        category: Category,
     ) -> PendingFill<'_, S> {
         let level_no = self.members[0].sched.borrow().level_no;
-        let _span = fill_span(hierarchy, "refine-fill-start", category, level_no);
-        self.begin_with(hierarchy, None, registry, comm, category)
+        let _span = fill_span(hierarchy, "refine-fill-start", level_no);
+        self.begin_with(hierarchy, None, registry, comm)
     }
 
     /// One stage's parts: each member's `jobs`, its peers' slots given
@@ -153,7 +160,6 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
         outgoing: Option<&mut PatchLevel>,
         registry: &VariableRegistry,
         comm: Option<&Comm>,
-        category: Category,
     ) -> PendingFill<'_, S> {
         let factory = Arc::clone(registry.factory());
 
@@ -165,13 +171,12 @@ impl<S: Borrow<RefineSchedule>> FillWindow<S> {
         //    writes can change them; capture-at-begin is
         //    bitwise-identical to capture-at-finish. No copy writes a
         //    value a pack reads, so the stage's order is free.
-        let mut scratches =
-            make_scratch(registry, self.members().flat_map(|s| &s.scratch), category);
+        let mut scratches = make_scratch(registry, self.members().flat_map(|s| &s.scratch));
         let mut ctx = TransferCtx { hierarchy, scratch: &mut scratches, outgoing };
         let mut copies = self.parts(|s| &s.copies, |_| None);
         copies.extend(self.parts(|s| &s.captures, |_| None));
         let sends = self.parts(|s| &s.sends, |m| Some(&m.sends));
-        let streams = factory.send_many(&mut ctx, &copies, &sends, &self.send_peers, category);
+        let streams = factory.send_many(&mut ctx, &copies, &sends, &self.send_peers);
 
         // 2. All traffic for one destination rank is aggregated into a
         //    single message (SAMRAI's per-processor MessageStream): plan
@@ -207,23 +212,20 @@ fn seat_peers<'m>(
     (window, slots)
 }
 
-/// One scratch array per `(variable, cell box)`, charging `category`.
+/// One scratch array per `(variable, cell box)`.
 /// Scratch has no ghosts: its data box is all the jobs write and read
 /// (see [`Planner::interpolate`](super::Planner::interpolate)) and what
 /// the plan validated against.
 pub(super) fn make_scratch<'a>(
     registry: &VariableRegistry,
     specs: impl IntoIterator<Item = &'a (VariableId, GBox)>,
-    category: Category,
 ) -> Vec<Box<dyn PatchData>> {
     let factory = registry.factory();
     specs
         .into_iter()
         .map(|&(var, cell_box)| {
             let centring = registry.get(var).centring;
-            let mut scratch = factory.make(centring, IntVector::ZERO, cell_box);
-            scratch.set_transfer_category(category);
-            scratch
+            factory.make(centring, IntVector::ZERO, cell_box)
         })
         .collect()
 }
@@ -241,7 +243,6 @@ pub(super) fn receive_and_unpack(
     peers: &[PeerStream],
     comm: Option<&Comm>,
     tag: u64,
-    category: Category,
 ) -> Option<CommError> {
     if peers.is_empty() {
         return None;
@@ -251,18 +252,16 @@ pub(super) fn receive_and_unpack(
     let mut incoming: Vec<Option<Option<Bytes>>> = vec![None; peers.len()];
     for (part, job) in Part::each(parts) {
         let peer = part.slot(job).0;
-        incoming[peer].get_or_insert_with(|| {
-            match comm.try_recv(peers[peer].rank, tag, category) {
-                Ok(msg) => Some(msg),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                    None
-                }
+        incoming[peer].get_or_insert_with(|| match comm.try_recv(peers[peer].rank, tag) {
+            Ok(msg) => Some(msg),
+            Err(e) => {
+                first_err.get_or_insert(e);
+                None
             }
         });
     }
     let msgs: Vec<Option<Bytes>> = incoming.into_iter().map(Option::flatten).collect();
-    factory.unpack_many(ctx, parts, &msgs, category);
+    factory.unpack_many(ctx, parts, &msgs);
     first_err
 }
 
@@ -289,13 +288,12 @@ impl<S: Borrow<RefineSchedule>> PendingFill<'_, S> {
         physical: &dyn PhysicalBoundary,
         comm: Option<&Comm>,
         time: f64,
-        category: Category,
     ) -> Result<(), CommError> {
         let _span = hierarchy.recorder().is_enabled().then(|| {
             let level_no = self.window.members[0].sched.borrow().level_no as i64;
-            hierarchy.recorder().span_arg("refine-fill-finish", category, level_no)
+            hierarchy.recorder().span_arg("refine-fill-finish", level_no)
         });
-        let transferred = self.receive_and_interpolate(hierarchy, comm, category);
+        let transferred = self.receive_and_interpolate(hierarchy, comm);
 
         // 5. Physical boundaries of every member, after every member's
         //    interpolation (so corners overwrite interpolant values
@@ -326,7 +324,6 @@ impl<S: Borrow<RefineSchedule>> PendingFill<'_, S> {
         &mut self,
         hierarchy: &mut PatchHierarchy,
         comm: Option<&Comm>,
-        category: Category,
     ) -> Result<(), CommError> {
         let (w, factory) = (self.window, self.factory.as_ref());
         let mut ctx = TransferCtx { hierarchy, scratch: &mut self.scratches, outgoing: None };
@@ -334,8 +331,7 @@ impl<S: Borrow<RefineSchedule>> PendingFill<'_, S> {
         // 3. Incoming messages: same-level ghosts and the remote
         //    coarse sources of the interpolation scratch.
         let parts = w.parts(|s| &s.recvs, |m| Some(&m.recvs));
-        let received =
-            receive_and_unpack(factory, &mut ctx, &parts, &w.recv_peers, comm, w.tag, category);
+        let received = receive_and_unpack(factory, &mut ctx, &parts, &w.recv_peers, comm, w.tag);
 
         // 4. Coarse-fine interpolation through the captured scratch:
         //    one call for every member, its jobs grouped by operator and
@@ -354,7 +350,7 @@ impl<S: Borrow<RefineSchedule>> PendingFill<'_, S> {
                 }
             }
         }
-        factory.refine_many(&mut ctx, &groups, category);
+        factory.refine_many(&mut ctx, &groups);
         received.map_or(Ok(()), Err)
     }
 }

@@ -8,7 +8,7 @@ use crate::transfer::{
 };
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
-use rbamr_perfmodel::Category;
+use rbamr_perfmodel::Clock;
 use std::sync::Arc;
 
 /// Identifier of a registered variable — an index into the
@@ -58,7 +58,12 @@ pub trait DataFactory: Send + Sync {
     /// ([`VariableRegistry::make_one`]), none on schedule scratch.
     fn make(&self, centring: Centring, ghosts: IntVector, cell_box: GBox) -> Box<dyn PatchData>;
 
-    /// Run a send stage, charging `category`: every copy job of
+    /// The rank's clock this factory's data charges, if it charges one.
+    fn clock(&self) -> Option<&Clock> {
+        None
+    }
+
+    /// Run a send stage: every copy job of
     /// `copies`, and every job of `sends` packed into its peer's message
     /// (see [`Part::slot`]). Returns the messages in `peers` order, each
     /// exactly `peers[i].bytes` long — none when `peers` is empty. Each
@@ -72,12 +77,11 @@ pub trait DataFactory: Send + Sync {
         copies: &[Part<'_, CopyJob>],
         sends: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
-        category: Category,
     ) -> Vec<Bytes>;
 
     /// Unpack every job of every part from its peer's message —
-    /// `msgs[p]` for the stage's peer slot `p` (see [`Part::slot`]) —
-    /// charging `category`. The stage has received every message
+    /// `msgs[p]` for the stage's peer slot `p` (see [`Part::slot`]).
+    /// The stage has received every message
     /// before this call; `None` marks one that did not arrive intact (a
     /// dropped or corrupt frame), and its jobs are skipped.
     fn unpack_many(
@@ -85,7 +89,6 @@ pub trait DataFactory: Send + Sync {
         ctx: &mut TransferCtx<'_>,
         parts: &[Part<'_, StreamJob>],
         msgs: &[Option<Bytes>],
-        category: Category,
     );
 
     /// Clamp-extend every scratch array into the cells its coarse
@@ -100,13 +103,11 @@ pub trait DataFactory: Send + Sync {
 
     /// Run every job of every group: scratch `job.scratch` refined by
     /// the group's operator into the local patch `job.pos` of level
-    /// `job.level`, the group's ratio finer than its coarser level,
-    /// charging `category`.
+    /// `job.level`, the group's ratio finer than its coarser level.
     fn refine_many(
         &self,
         ctx: &mut TransferCtx<'_>,
         groups: &[OpGroup<'_, dyn RefineOperator, RefineJob>],
-        category: Category,
     ) {
         for (op, ratio, part, job) in OpGroup::each(groups) {
             let (dst, src) = ctx.pair(
@@ -114,15 +115,13 @@ pub trait DataFactory: Send + Sync {
                 part.at(Loc::Scratch(job.scratch)),
                 job.var,
             );
-            dst.set_transfer_category(category);
             dst.refine_from(op, src, &job.fill, ratio);
         }
     }
 
     /// Run every job of every group of one synchronisation: the local
     /// patch `job.pos` of level `fine_level` projected by the group's
-    /// operator into scratch `job.scratch` (which carries the
-    /// category).
+    /// operator into scratch `job.scratch`.
     fn coarsen_many(
         &self,
         ctx: &mut TransferCtx<'_>,
@@ -140,8 +139,8 @@ pub trait DataFactory: Send + Sync {
     /// Make a build pass's tables resident where this factory's data
     /// lives, in place of those held (see [`PassTables`]). The default —
     /// host data needs no table — renders nothing.
-    fn upload_tables(&self, tables: &PassTables, category: Category) {
-        let _ = (tables, category);
+    fn upload_tables(&self, tables: &PassTables) {
+        let _ = tables;
     }
 }
 

@@ -29,7 +29,7 @@ use rbamr_amr::{
 };
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
 use rbamr_netsim::{Cluster, Comm};
-use rbamr_perfmodel::{Category, Machine};
+use rbamr_perfmodel::{Category, Clock, Machine};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -42,14 +42,17 @@ struct Seen {
     clashes: Vec<String>,
 }
 
-/// The host placement, checking every send stage before it runs it.
+/// The host placement, checking every send stage before it runs it;
+/// a stage's category is the rank clock's scope.
 struct Checked {
     host: HostDataFactory,
     seen: Mutex<Seen>,
+    clock: Clock,
 }
 
 impl Checked {
-    fn check(&self, copies: &[Part<'_, CopyJob>], sends: &[Part<'_, StreamJob>], cat: Category) {
+    fn check(&self, copies: &[Part<'_, CopyJob>], sends: &[Part<'_, StreamJob>]) {
+        let cat = self.clock.current_scope();
         let mut seen = self.seen.lock().unwrap();
         let both = Part::each(copies).next().is_some() && Part::each(sends).next().is_some();
         let stage = seen.stages.entry(cat).or_default();
@@ -82,10 +85,9 @@ impl DataFactory for Checked {
         copies: &[Part<'_, CopyJob>],
         sends: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
-        category: Category,
     ) -> Vec<Bytes> {
-        self.check(copies, sends, category);
-        self.host.send_many(ctx, copies, sends, peers, category)
+        self.check(copies, sends);
+        self.host.send_many(ctx, copies, sends, peers)
     }
 
     fn unpack_many(
@@ -93,9 +95,8 @@ impl DataFactory for Checked {
         ctx: &mut TransferCtx<'_>,
         parts: &[Part<'_, StreamJob>],
         msgs: &[Option<Bytes>],
-        category: Category,
     ) {
-        self.host.unpack_many(ctx, parts, msgs, category);
+        self.host.unpack_many(ctx, parts, msgs);
     }
 }
 
@@ -148,7 +149,9 @@ fn tiles(mask: u64, n: i64, size: i64) -> Vec<GBox> {
 fn run(layout: &Layout) -> Vec<Seen> {
     let layout = layout.clone();
     let results = Cluster::new(Machine::ipa_cpu_node()).run(layout.ranks, move |comm| {
-        let factory = Arc::new(Checked { host: HostDataFactory::new(), seen: Mutex::default() });
+        let clock = comm.clock().clone();
+        let factory =
+            Arc::new(Checked { host: HostDataFactory::new(), seen: Mutex::default(), clock });
         let seen = Arc::clone(&factory);
         let mut reg = VariableRegistry::new(factory);
         let vars: [(&str, Centring, Arc<dyn RefineOperator>); 3] = [
@@ -201,12 +204,16 @@ fn run_stages(
     let sync = build.coarsen(h, reg, 1, &syncs);
 
     let window = FillWindow::new(members.clone());
-    let pending = window.begin(h, reg, Some(comm), Category::HaloExchange);
-    pending.finish(h, &NoBoundary, Some(comm), 0.0, Category::HaloExchange).unwrap();
+    let halo = comm.clock().scope(Category::HaloExchange);
+    let pending = window.begin(h, reg, Some(comm));
+    pending.finish(h, &NoBoundary, Some(comm), 0.0).unwrap();
+    drop(halo);
     for member in &members {
-        member.try_fill(h, reg, &NoBoundary, Some(comm), 0.0, Category::Other).unwrap();
+        member.try_fill(h, reg, &NoBoundary, Some(comm), 0.0).unwrap();
     }
-    sync.try_run(h, reg, Some(comm), Category::Synchronize).unwrap();
+    let synchronize = comm.clock().scope(Category::Synchronize);
+    sync.try_run(h, reg, Some(comm)).unwrap();
+    drop(synchronize);
 
     let transfers: Vec<TransferSpec> = vars
         .iter()

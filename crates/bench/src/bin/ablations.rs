@@ -8,6 +8,8 @@
 //! * **"any tagged" patch skip** on a hierarchy where most patches are
 //!   clean.
 //!
+//! Each claim it prints is asserted; a run that breaks one exits 101.
+//!
 //! ```text
 //! cargo run --release -p rbamr-bench --bin ablations
 //! ```
@@ -15,9 +17,9 @@
 use rbamr_bench::measure_profile;
 use rbamr_device::Device;
 use rbamr_geometry::{Centring, GBox, IntVector};
-use rbamr_gpu_amr::{compress_tags, DeviceData};
+use rbamr_gpu_amr::{compress_tags_many, DeviceData, TagField};
 use rbamr_hydro::{HydroConfig, HydroSim, Placement};
-use rbamr_perfmodel::{Category, Clock, CostModel, Machine};
+use rbamr_perfmodel::{Category, Clock, Machine};
 use rbamr_problems::sod_regions;
 
 fn main() {
@@ -75,6 +77,7 @@ fn amr_vs_uniform_ablation() {
         t_amr / t_uni,
         e_amr / e_uni
     );
+    assert!(c_amr < c_uni, "AMR stores {c_amr} cells, the uniform grid {c_uni}");
 }
 
 /// The paper's Section VI future work, implemented as a timing-model
@@ -113,12 +116,18 @@ fn overlap_ablation() {
             "  overlap benefit           : {:>8.1} %\n",
             (1.0 - per_mode[1] / per_mode[0]) * 100.0
         );
+        assert!(per_mode[1] <= per_mode[0], "{name}: overlap made a step slower: {per_mode:?}");
     }
     println!("(the resident design leaves little to hide; overlap mainly rescues");
     println!(" the copy-back baseline — consistent with GAMER/Uintah, which need");
     println!(" overlap precisely because they are not resident)");
 }
 
+/// Steps [`run_placement`] measures, after one warm-up step.
+const MEASURED_STEPS: u64 = 3;
+
+/// Per measured step of a 256^2, 3-level Sod run: virtual seconds,
+/// PCIe bytes and kernel launches.
 fn run_placement(placement: Placement) -> (f64, u64, u64) {
     let config = HydroConfig { regrid_interval: 0, ..HydroConfig::default() };
     let mut sim = HydroSim::new(
@@ -135,12 +144,23 @@ fn run_placement(placement: Placement) -> (f64, u64, u64) {
         1,
     );
     sim.initialize(None);
+    sim.step(None); // warm-up: the first dt ramp, the first tables' upload
     let device = sim.device().unwrap().clone();
     device.reset_transfer_stats();
-    let profile = measure_profile(&mut sim, None, 3);
+    let before = sim.clock().total();
+    for _ in 0..MEASURED_STEPS {
+        sim.step(None);
+    }
+    let seconds = (sim.clock().total() - before) / MEASURED_STEPS as f64;
     let stats = device.stats();
-    (profile.per_step.total(), (stats.d2h_bytes + stats.h2d_bytes) / 4, stats.kernel_launches / 4)
+    let pcie = stats.d2h_bytes + stats.h2d_bytes;
+    (seconds, pcie / MEASURED_STEPS, stats.kernel_launches / MEASURED_STEPS)
 }
+
+/// The floors [`residency_ablation`] asserts: the resident design's
+/// per-step advantage and the factor by which it cuts PCIe traffic.
+const MIN_RESIDENCY_SPEEDUP: f64 = 10.0;
+const MIN_PCIE_RATIO: f64 = 1000.0;
 
 fn residency_ablation() {
     println!("=== ablation: resident vs copy-back (Wang et al. style), both MEASURED ===\n");
@@ -157,67 +177,25 @@ fn residency_ablation() {
         copy_back * 1e3,
         copyback_pcie
     );
-    println!("  residency speedup         : {:>9.2}x", copy_back / resident);
-    println!(
-        "  PCIe traffic ratio        : {:>9.0}x\n",
-        copyback_pcie as f64 / resident_pcie.max(1) as f64
+    let (speedup, ratio) =
+        (copy_back / resident, copyback_pcie as f64 / resident_pcie.max(1) as f64);
+    println!("  residency speedup         : {speedup:>9.2}x");
+    println!("  PCIe traffic ratio        : {ratio:>9.0}x\n");
+    assert!(
+        speedup >= MIN_RESIDENCY_SPEEDUP,
+        "residency speedup {speedup} < {MIN_RESIDENCY_SPEEDUP}"
     );
-}
-
-#[allow(dead_code)]
-fn residency_ablation_modeled() {
-    let config = HydroConfig { regrid_interval: 0, ..HydroConfig::default() };
-    let mut sim = HydroSim::new(
-        Machine::ipa_gpu(),
-        Placement::Device,
-        Clock::new(),
-        (1.0, 1.0),
-        (256, 256),
-        3,
-        2,
-        config,
-        sod_regions(),
-        0,
-        1,
-    );
-    sim.initialize(None);
-    let device = sim.device().unwrap().clone();
-    device.reset_transfer_stats();
-    let profile = measure_profile(&mut sim, None, 3);
-    let stats = device.stats();
-    let launches_per_step = stats.kernel_launches as f64 / 4.0;
-
-    let resident = profile.per_step.total();
-    // Copy-back model: every launch round-trips its working set over
-    // PCIe, patch by patch (CloverLeaf-style kernels touch ~4 arrays;
-    // patch arrays are total_cells/patches sized on average).
-    let cost = CostModel::new(Machine::ipa_gpu());
-    let cells = profile.total_cells as f64;
-    let avg_arrays = 4.0;
-    let h = sim.hierarchy();
-    let patches = (0..h.num_levels()).map(|l| h.level(l).num_patches()).sum::<usize>() as f64;
-    let array_bytes = cells / patches.max(1.0) * 8.0;
-    let per_kernel_pcie = 2.0 * cost.pcie((avg_arrays * array_bytes) as u64);
-    let round_trips = launches_per_step * patches;
-    let copy_back = resident + round_trips * per_kernel_pcie;
-
-    println!("per-step virtual time, 256^2 Sod, 3 levels:");
-    println!("  resident (paper design)   : {:>9.2} ms", resident * 1e3);
-    println!("  copy-back (naive port)    : {:>9.2} ms", copy_back * 1e3);
-    println!("  residency speedup         : {:>9.2}x", copy_back / resident);
-    println!(
-        "  per-step PCIe, resident   : {:>9} B (dt scalar + halo packs)",
-        stats.d2h_bytes / 4 + stats.h2d_bytes / 4
-    );
-    println!(
-        "  per-step PCIe, copy-back  : {:>9.0} MB\n",
-        round_trips * avg_arrays * array_bytes * 2.0 / 1e6
-    );
+    assert!(ratio >= MIN_PCIE_RATIO, "PCIe traffic ratio {ratio} < {MIN_PCIE_RATIO}");
 }
 
 fn tag_compression_ablation() {
     println!("=== ablation: tag-bitmap compression (Section IV-C) ===\n");
     let device = Device::k20x();
+    // What a regrid's tagging charges.
+    let _regrid = device.clock().scope(Category::Regrid);
+    let compress = |tags: &DeviceData<i32>| {
+        compress_tags_many(&device, &[TagField::interior(tags)]).pop().expect("one bitmap")
+    };
     let n = 256i64;
     let cell_box = GBox::from_coords(0, 0, n, n);
 
@@ -229,17 +207,17 @@ fn tag_compression_ablation() {
             vals[(j * n + i) as usize] = 1;
         }
     }
-    tags.upload_all(&vals, Category::Regrid);
+    tags.upload_from(&vals);
 
     device.reset_transfer_stats();
     let before = device.clock().total();
-    let bm = compress_tags(&tags, Category::Regrid);
+    let bm = compress(&tags);
     let compressed_time = device.clock().total() - before;
     let compressed_bytes = device.stats().d2h_bytes;
 
     device.reset_transfer_stats();
     let before = device.clock().total();
-    let _raw = tags.download_all(Category::Regrid);
+    let _raw = tags.download_all();
     let raw_time = device.clock().total() - before;
     let raw_bytes = device.stats().d2h_bytes;
 
@@ -257,16 +235,15 @@ fn tag_compression_ablation() {
         raw_time / compressed_time
     );
     assert!(bm.any());
+    assert!(compressed_bytes < raw_bytes, "compressed {compressed_bytes} B, raw {raw_bytes} B");
 
     // The untagged fast path.
     let clean = DeviceData::<i32>::new(&device, cell_box, IntVector::ZERO, Centring::Cell);
     device.reset_transfer_stats();
-    let bm = compress_tags(&clean, Category::Regrid);
+    let bm = compress(&clean);
+    let flag_bytes = device.stats().d2h_bytes;
     println!("\nuntagged patch fast path:");
-    println!(
-        "  transferred {} B (the 'tagged' flag only; raw would be {} B)",
-        device.stats().d2h_bytes,
-        (n * n * 4)
-    );
+    println!("  transferred {flag_bytes} B (the 'tagged' flag only; raw would be {} B)", n * n * 4);
     assert!(!bm.any());
+    assert_eq!(flag_bytes, 4, "an untagged patch moves its 4-byte flag only");
 }

@@ -125,14 +125,11 @@ pub fn measure_profile(
 
 /// `(after - before) * scale`, per category.
 pub fn diff_scaled(before: &TimeBreakdown, after: &TimeBreakdown, scale: f64) -> TimeBreakdown {
-    let clock = Clock::new();
+    let mut out = TimeBreakdown::default();
     for c in Category::ALL {
-        let d = (after.get(c) - before.get(c)).max(0.0) * scale;
-        if d > 0.0 {
-            clock.advance(c, d);
-        }
+        out.add(c, (after.get(c) - before.get(c)).max(0.0) * scale);
     }
-    clock.snapshot()
+    out
 }
 
 /// Format seconds compactly.

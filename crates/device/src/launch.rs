@@ -5,7 +5,7 @@ use crate::Device;
 /// Capability token proving code is executing "on the device".
 ///
 /// A `Kernel` is only constructed inside
-/// [`Device::launch_named`](crate::Device::launch_named); holding one is what lets a
+/// [`Device::launch`](crate::Device::launch); holding one is what lets a
 /// kernel body call [`DeviceBuffer::as_slice`](crate::DeviceBuffer::as_slice)
 /// and [`DeviceBuffer::as_mut_slice`](crate::DeviceBuffer::as_mut_slice).
 /// This is the mechanism that turns the paper's residency claim into a
@@ -38,7 +38,8 @@ impl<'d> Kernel<'d> {
     }
 }
 
-/// The stream argument of [`Device::launch_named`](crate::Device::launch_named).
+/// The stream argument of [`Device::launch_named`](crate::Device::launch_named),
+/// kept for the frozen benchmark package.
 ///
 /// The simulated device runs every launch to completion, in program
 /// order, so a stream orders nothing: this handle is zero-sized and

@@ -9,8 +9,8 @@
 //!
 //! * [`DeviceBuffer`] holds data the host cannot read or write directly —
 //!   the only safe accessors require a [`Kernel`] token, which is only
-//!   handed out inside [`Device::launch_named`].
-//! * Transfers go through [`Device::upload`] / [`Device::download`]
+//!   handed out inside [`Device::launch`].
+//! * Transfers go through [`Device::h2d`] / [`Device::d2h`]
 //!   (or their offset variants), which count every byte. Tests and the
 //!   benchmark harness read [`Device::stats`] to assert that a timestep
 //!   moves exactly the packed-halo + tag-bitmap + scalar traffic the
@@ -19,7 +19,8 @@
 //!   that covers a large region splits its rows across the host's cores
 //!   (`rayon::join`, in the hydro kernels' row drivers). Each launch
 //!   also advances the rank's virtual [`rbamr_perfmodel::Clock`] by the
-//!   modelled K20x kernel cost, whatever the split.
+//!   modelled K20x kernel cost, whatever the split, in the clock's
+//!   current scope: no launch or transfer names a category.
 //! * Every launch and transfer completes before the call returns, in
 //!   program order, so nothing needs ordering: the paper's per-patch
 //!   CUDA streams and the Figure 5a event/wait have no counterpart, and
@@ -245,7 +246,7 @@ impl Device {
     }
 
     /// Charge a transfer, hiding as much as the overlap credit allows.
-    fn charge_transfer(&self, category: Category, seconds: f64) {
+    fn charge_transfer(&self, seconds: f64) {
         let exposed = if self.transfer_overlap() {
             let mut credit = self.inner.overlap_credit.lock();
             let hidden = seconds.min(*credit);
@@ -254,7 +255,7 @@ impl Device {
         } else {
             seconds
         };
-        self.inner.clock.advance(category, exposed);
+        self.inner.clock.charge(exposed);
     }
 
     /// Bank kernel time as overlap credit.
@@ -302,15 +303,8 @@ impl Device {
         self.inner.allocated.fetch_sub(bytes, Ordering::Relaxed);
     }
 
-    /// Copy `src` into the device buffer starting at element `offset`
-    /// (H2D). Advances the clock by the modelled PCIe cost, attributed
-    /// to `category`.
-    ///
-    /// An injected copy fault is latched as a sticky error (see
-    /// [`Device::take_injected_fault`]); the copy itself still happens.
-    ///
-    /// # Panics
-    /// Panics if the destination range is out of bounds.
+    /// [`Device::h2d`] of `src` inside a clock scope of `category`;
+    /// kept for the frozen benchmark package's signature (ROADMAP 27(b)).
     pub fn upload<T: memory::DeviceCopy>(
         &self,
         dst: &mut DeviceBuffer<T>,
@@ -318,20 +312,24 @@ impl Device {
         src: &[T],
         category: Category,
     ) {
-        self.upload_with(dst, offset, src.len(), category, |out| out.copy_from_slice(src));
+        let _scope = self.inner.clock.scope(category);
+        self.h2d(dst, offset, src.len(), |out| out.copy_from_slice(src));
     }
 
-    /// [`Device::upload`] of `len` elements that `write` produces
-    /// straight into the destination range (same charge and fault site).
+    /// Write `len` elements, which `write` produces straight into the
+    /// destination range, into the device buffer from element `offset`
+    /// (H2D). Advances the clock by the modelled PCIe cost.
+    ///
+    /// An injected copy fault is latched as a sticky error (see
+    /// [`Device::take_injected_fault`]); the copy itself still happens.
     ///
     /// # Panics
     /// Panics if the destination range is out of bounds.
-    pub fn upload_with<T: memory::DeviceCopy>(
+    pub fn h2d<T: memory::DeviceCopy>(
         &self,
         dst: &mut DeviceBuffer<T>,
         offset: usize,
         len: usize,
-        category: Category,
         write: impl FnOnce(&mut [T]),
     ) {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
@@ -339,11 +337,11 @@ impl Device {
             self.latch_fault(DeviceError::TransferFault { direction: "h2d", bytes });
         }
         let rec = self.telemetry();
-        let _span = rec.as_ref().map(|r| r.span("h2d-copy", category));
+        let _span = rec.as_ref().map(|r| r.open("h2d-copy"));
         write(dst.host_range_mut(offset, len));
         self.inner.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.inner.h2d_transfers.fetch_add(1, Ordering::Relaxed);
-        self.charge_transfer(category, self.inner.cost.pcie(bytes));
+        self.charge_transfer(self.inner.cost.pcie(bytes));
         if let Some(rec) = &rec {
             rec.count("device.h2d_bytes", bytes);
             rec.count("device.h2d_transfers", 1);
@@ -358,13 +356,7 @@ impl Device {
     ///
     /// # Panics
     /// Panics if the source range is out of bounds.
-    pub fn download<T: memory::DeviceCopy>(
-        &self,
-        src: &DeviceBuffer<T>,
-        offset: usize,
-        dst: &mut [T],
-        category: Category,
-    ) {
+    pub fn d2h<T: memory::DeviceCopy>(&self, src: &DeviceBuffer<T>, offset: usize, dst: &mut [T]) {
         if self.injected(FaultKind::CopyFail) {
             self.latch_fault(DeviceError::TransferFault {
                 direction: "d2h",
@@ -372,27 +364,63 @@ impl Device {
             });
         }
         let rec = self.telemetry();
-        let _span = rec.as_ref().map(|r| r.span("d2h-copy", category));
+        let _span = rec.as_ref().map(|r| r.open("d2h-copy"));
         src.host_read(offset, dst);
         let bytes = std::mem::size_of_val(dst) as u64;
         self.inner.d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.inner.d2h_transfers.fetch_add(1, Ordering::Relaxed);
-        self.charge_transfer(category, self.inner.cost.pcie(bytes));
+        self.charge_transfer(self.inner.cost.pcie(bytes));
         if let Some(rec) = &rec {
             rec.count("device.d2h_bytes", bytes);
             rec.count("device.d2h_transfers", 1);
         }
     }
 
+    /// [`Device::d2h`] inside a clock scope of `category`; kept for the
+    /// frozen benchmark package's signature (ROADMAP 27(b)).
+    pub fn download<T: memory::DeviceCopy>(
+        &self,
+        src: &DeviceBuffer<T>,
+        offset: usize,
+        dst: &mut [T],
+        category: Category,
+    ) {
+        let _scope = self.inner.clock.scope(category);
+        self.d2h(src, offset, dst);
+    }
+
     /// Launch a kernel: run `body` with a [`Kernel`] access token, count
     /// the launch, and advance the clock by the modelled device cost of
-    /// `shape` attributed to `category`. The launch is recorded as a
-    /// span named `name` and counted under `device.kernel_launches` and
+    /// `shape`. The launch is recorded as a span named `name` and
+    /// counted under `device.kernel_launches` and
     /// `device.kernel_launches.<name>`.
     ///
     /// The body executes synchronously; computation/transfer overlap is
     /// not exploited unless [`Device::set_transfer_overlap`] asks for it
     /// (the paper defers overlap to future work).
+    pub fn launch<R>(
+        &self,
+        name: &'static str,
+        shape: KernelShape,
+        body: impl FnOnce(Kernel<'_>) -> R,
+    ) -> R {
+        self.inner.kernel_launches.fetch_add(1, Ordering::Relaxed);
+        let rec = self.telemetry();
+        let _span = rec.as_ref().map(|r| r.open(name));
+        if let Some(rec) = &rec {
+            rec.count("device.kernel_launches", 1);
+            // Static label pieces: no per-launch string allocation on
+            // the hot path; the full name is composed at snapshot time.
+            rec.count_scoped("device.kernel_launches.", name, 1);
+        }
+        let kernel_cost = self.inner.cost.device_kernel(shape);
+        self.inner.clock.charge(kernel_cost);
+        self.bank_credit(kernel_cost);
+        body(Kernel::new(self))
+    }
+
+    /// [`Device::launch`] inside a clock scope of `category`; kept, with
+    /// its [`Stream`], for the frozen benchmark package (ROADMAP 27(b)).
     pub fn launch_named<R>(
         &self,
         _stream: &Stream,
@@ -401,19 +429,8 @@ impl Device {
         shape: KernelShape,
         body: impl FnOnce(Kernel<'_>) -> R,
     ) -> R {
-        self.inner.kernel_launches.fetch_add(1, Ordering::Relaxed);
-        let rec = self.telemetry();
-        let _span = rec.as_ref().map(|r| r.span(name, category));
-        if let Some(rec) = &rec {
-            rec.count("device.kernel_launches", 1);
-            // Static label pieces: no per-launch string allocation on
-            // the hot path; the full name is composed at snapshot time.
-            rec.count_scoped("device.kernel_launches.", name, 1);
-        }
-        let kernel_cost = self.inner.cost.device_kernel(shape);
-        self.inner.clock.advance(category, kernel_cost);
-        self.bank_credit(kernel_cost);
-        body(Kernel::new(self))
+        let _scope = self.inner.clock.scope(category);
+        self.launch(name, shape, body)
     }
 
     /// Snapshot the transfer/allocation counters.

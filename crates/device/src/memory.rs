@@ -63,9 +63,9 @@ impl std::error::Error for DeviceError {}
 ///
 /// * [`DeviceBuffer::as_slice`] / [`DeviceBuffer::as_mut_slice`], which
 ///   require a [`Kernel`] token (only available inside
-///   [`Device::launch_named`](crate::Device::launch_named)), and
-/// * [`Device::upload`](crate::Device::upload) /
-///   [`Device::download`](crate::Device::download), which model and
+///   [`Device::launch`](crate::Device::launch)), and
+/// * [`Device::h2d`](crate::Device::h2d) /
+///   [`Device::d2h`](crate::Device::d2h), which model and
 ///   count PCIe traffic.
 ///
 /// Dropping the buffer returns its bytes to the device's allocation

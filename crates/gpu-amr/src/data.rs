@@ -17,9 +17,9 @@ use rbamr_amr::transfer::{
 use rbamr_amr::variable::DataFactory;
 use rbamr_amr::{DescriptorTable, PassTables};
 use rbamr_device::memory::DeviceCopy;
-use rbamr_device::{Device, DeviceBuffer, Stream};
+use rbamr_device::{Device, DeviceBuffer};
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
-use rbamr_perfmodel::{Category, KernelShape};
+use rbamr_perfmodel::{Category, Clock, KernelShape};
 use std::any::Any;
 use std::sync::{Arc, Mutex, Weak};
 
@@ -71,7 +71,6 @@ pub struct DeviceData<T: DeviceElement> {
     dbox: GBox,
     buf: DeviceBuffer<T>,
     time: f64,
-    category: Category,
 }
 
 impl<T: DeviceElement> DeviceData<T> {
@@ -85,17 +84,12 @@ impl<T: DeviceElement> DeviceData<T> {
         assert!(ghosts.all_ge(IntVector::ZERO), "DeviceData: negative ghost width");
         let dbox = centring.data_box(cell_box.grow(ghosts));
         let buf = device.alloc::<T>(dbox.num_cells() as usize);
-        Self { cell_box, ghosts, centring, dbox, buf, time: 0.0, category: Category::Other }
+        Self { cell_box, ghosts, centring, dbox, buf, time: 0.0 }
     }
 
     /// The device this data lives on.
     pub fn device(&self) -> &Device {
         self.buf.device()
-    }
-
-    /// The current transfer category (what the next kernel charges).
-    pub fn category(&self) -> Category {
-        self.category
     }
 
     /// The backing device buffer (for kernels in this crate and the
@@ -112,17 +106,24 @@ impl<T: DeviceElement> DeviceData<T> {
     /// Upload a full host image into the device array — permitted only
     /// for initialisation and restart (the sanctioned full-array
     /// transfers). Values are row-major over [`PatchData::data_box`].
-    pub fn upload_all(&mut self, values: &[T], category: Category) {
+    pub fn upload_from(&mut self, values: &[T]) {
         assert_eq!(values.len(), self.buf.len(), "upload_all: size mismatch");
         let dev = self.buf.device().clone();
-        dev.upload(&mut self.buf, 0, values, category);
+        dev.h2d(&mut self.buf, 0, values.len(), |out| out.copy_from_slice(values));
+    }
+
+    /// [`DeviceData::upload_from`] inside a clock scope of `category`;
+    /// kept for the frozen benchmark package's signature (ROADMAP 27(b)).
+    pub fn upload_all(&mut self, values: &[T], category: Category) {
+        let _scope = self.device().clock().scope(category);
+        self.upload_from(values);
     }
 
     /// Download the full array to the host — visualisation, checkpoint
     /// and test interop only.
-    pub fn download_all(&self, category: Category) -> Vec<T> {
+    pub fn download_all(&self) -> Vec<T> {
         let mut out = vec![T::default(); self.buf.len()];
-        self.buf.device().download(&self.buf, 0, &mut out, category);
+        self.buf.device().d2h(&self.buf, 0, &mut out);
         out
     }
 
@@ -145,7 +146,6 @@ impl<T: DeviceElement> DeviceData<T> {
 /// copy — and there is no message.
 fn launch_send<T: DeviceElement>(
     device: &Device,
-    category: Category,
     copied: i64,
     staging: Option<(&mut DeviceBuffer<T>, usize)>,
     jobs: impl FnOnce(
@@ -164,7 +164,7 @@ fn launch_send<T: DeviceElement>(
     if copied > 0 || total > 0 {
         let shape =
             KernelShape::streaming(copied, 2, 0) + KernelShape::streaming(total as i64, 2, 0);
-        device.launch_named(&Stream, name, category, shape, |k| {
+        device.launch(name, shape, |k| {
             let mut out = staging.as_deref_mut().map(|s| &mut s.as_mut_slice(&k)[..total]);
             let mut offset = 0usize;
             let mut copy = |dst: &mut DeviceData<T>, src: &DeviceData<T>, overlap: &BoxOverlap| {
@@ -191,7 +191,7 @@ fn launch_send<T: DeviceElement>(
     }
     staging.map(|staging| {
         let mut host = vec![T::default(); total];
-        device.download(staging, 0, &mut host, category);
+        device.d2h(staging, 0, &mut host);
         let mut out = Vec::with_capacity(total * T::BYTES);
         T::encode(&host, &mut out);
         Bytes::from(out)
@@ -203,24 +203,22 @@ fn launch_send<T: DeviceElement>(
 /// the first value of its overlap within the concatenation.
 fn unpack_message<T: DeviceElement>(
     device: &Device,
-    category: Category,
     staging: &mut DeviceBuffer<T>,
     msgs: &[&[u8]],
     jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &BoxOverlap, usize)),
 ) {
     let total = msgs.iter().map(|m| m.len()).sum::<usize>() / T::BYTES;
     device.recorder().count("unpack.bytes", (total * T::BYTES) as u64);
-    let mut host = vec![T::default(); total];
-    let mut rest = &mut host[..];
-    for msg in msgs {
-        let (values, tail) = rest.split_at_mut(msg.len() / T::BYTES);
-        T::decode(msg, values);
-        rest = tail;
-    }
-    device.upload(staging, 0, &host, category);
+    device.h2d(staging, 0, total, |mut rest| {
+        for msg in msgs {
+            let (values, tail) = rest.split_at_mut(msg.len() / T::BYTES);
+            T::decode(msg, values);
+            rest = tail;
+        }
+    });
     if total > 0 {
         let shape = KernelShape::streaming(total as i64, 2, 0);
-        device.launch_named(&Stream, "unpack", category, shape, |k| {
+        device.launch("unpack", shape, |k| {
             let input = &staging.as_slice(&k)[..total];
             jobs(&mut |dst, overlap, first| {
                 let dst_dbox = dst.dbox;
@@ -241,7 +239,6 @@ fn unpack_message<T: DeviceElement>(
 /// all. No launch when there is nothing to extend.
 fn launch_extend<T: DeviceElement>(
     device: &Device,
-    category: Category,
     total: usize,
     jobs: impl FnOnce(&mut dyn FnMut(&mut DeviceData<T>, &[(usize, usize)])),
 ) {
@@ -249,7 +246,7 @@ fn launch_extend<T: DeviceElement>(
         return;
     }
     let shape = KernelShape::streaming(total as i64, 2, 0);
-    device.launch_named(&Stream, "extend-uncovered", category, shape, |k| {
+    device.launch("extend-uncovered", shape, |k| {
         jobs(&mut |data, pairs| {
             let slice = data.buffer_mut().as_mut_slice(&k);
             // Sources are covered cells, targets uncovered: disjoint.
@@ -289,18 +286,14 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
         self.time = time;
     }
 
-    fn set_transfer_category(&mut self, category: Category) {
-        self.category = category;
-    }
-
     fn copy_from(&mut self, src: &dyn PatchData, overlap: &BoxOverlap) {
         let src = src
             .as_any()
             .downcast_ref::<DeviceData<T>>()
             .expect("DeviceData::copy_from: source is not DeviceData of the same element type");
         validate_overlap(overlap, src.dbox, self.dbox, self.centring);
-        let (device, category) = (self.buf.device().clone(), self.category);
-        launch_send(&device, category, overlap.num_values(), None, |copy, _| {
+        let device = self.buf.device().clone();
+        launch_send(&device, overlap.num_values(), None, |copy, _| {
             copy(self, src, overlap);
         });
     }
@@ -315,7 +308,7 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
         let total = overlap.num_values() as usize;
         let device = self.buf.device();
         let mut staging = device.alloc(total);
-        launch_send(device, self.category, 0, Some((&mut staging, total)), |_, pack| {
+        launch_send(device, 0, Some((&mut staging, total)), |_, pack| {
             pack(self, overlap);
         })
         .expect("a pack makes a message")
@@ -326,15 +319,15 @@ impl<T: DeviceElement> PatchData for DeviceData<T> {
         assert_eq!(stream.len(), self.stream_size(overlap), "unpack: stream length mismatch");
         let device = self.buf.device().clone();
         let mut staging = device.alloc(overlap.num_values() as usize);
-        unpack_message(&device, self.category, &mut staging, &[stream], |unpack| {
+        unpack_message(&device, &mut staging, &[stream], |unpack| {
             unpack(self, overlap, 0);
         });
     }
 
     fn extend_uncovered(&mut self, covered: &rbamr_geometry::BoxList) {
         let pairs = extension_pairs(self.dbox, covered);
-        let (device, category) = (self.buf.device().clone(), self.category);
-        launch_extend(&device, category, pairs.len(), |extend| extend(self, &pairs));
+        let device = self.buf.device().clone();
+        launch_extend(&device, pairs.len(), |extend| extend(self, &pairs));
     }
 
     fn refine_from(
@@ -443,13 +436,16 @@ impl DataFactory for DeviceDataFactory {
         Box::new(DeviceData::<f64>::new(&self.device, cell_box, ghosts, centring))
     }
 
+    fn clock(&self) -> Option<&Clock> {
+        Some(self.device.clock())
+    }
+
     fn send_many(
         &self,
         ctx: &mut TransferCtx<'_>,
         copies: &[Part<'_, CopyJob>],
         sends: &[Part<'_, StreamJob>],
         peers: &[PeerStream],
-        category: Category,
     ) -> Vec<Bytes> {
         let copied = Part::each(copies).map(|(_, job)| job.overlap.num_values()).sum();
         // Peer-major, then by place in the peer's message: the jobs of
@@ -459,15 +455,13 @@ impl DataFactory for DeviceDataFactory {
         let mut by_peer: Vec<_> = jobs.collect();
         by_peer.sort_by_key(|((peer, range), ..)| (*peer, range.start));
         let send = |staging: Option<(&mut DeviceBuffer<f64>, usize)>| {
-            launch_send(&self.device, category, copied, staging, |copy, pack| {
+            launch_send(&self.device, copied, staging, |copy, pack| {
                 for (part, job) in Part::each(copies) {
                     let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
-                    dst.set_transfer_category(category);
                     copy(device_mut(dst), device_ref(src), &job.overlap);
                 }
                 for (_, part, job) in by_peer {
                     let src = ctx.data_mut(part.at(job.loc), job.var);
-                    src.set_transfer_category(category);
                     pack(device_ref(src), &job.overlap);
                 }
             })
@@ -493,7 +487,6 @@ impl DataFactory for DeviceDataFactory {
         ctx: &mut TransferCtx<'_>,
         parts: &[Part<'_, StreamJob>],
         msgs: &[Option<Bytes>],
-        category: Category,
     ) {
         // Peer-major, then by place in the peer's message, as packed. A
         // message that never arrived is not part of the upload, and its
@@ -514,10 +507,9 @@ impl DataFactory for DeviceDataFactory {
         }
         let received: Vec<&[u8]> = msgs.iter().flatten().map(|msg| &msg[..]).collect();
         self.with_staging(end / STREAM_VALUE_BYTES, |staging| {
-            unpack_message(&self.device, category, staging, &received, |unpack| {
+            unpack_message(&self.device, staging, &received, |unpack| {
                 for ((peer, range), part, job) in by_peer {
                     let dst = ctx.data_mut(part.at(job.loc), job.var);
-                    dst.set_transfer_category(category);
                     let first = (base[peer] + range.start) / STREAM_VALUE_BYTES;
                     unpack(device_mut(dst), &job.overlap, first);
                 }
@@ -526,17 +518,13 @@ impl DataFactory for DeviceDataFactory {
     }
 
     fn extend_many(&self, scratch: &mut [Box<dyn PatchData>], covered: &[&[BoxList]]) {
-        // The scratch arrays carry the category their fill charges.
-        let Some(category) = scratch.first().map(|s| device_ref(s.as_ref()).category) else {
-            return;
-        };
         let pairs: Vec<_> = scratch
             .iter()
             .zip(covered.iter().copied().flatten())
             .map(|(scratch, covered)| extension_pairs(scratch.data_box(), covered))
             .collect();
         let total = pairs.iter().map(Vec::len).sum();
-        launch_extend(&self.device, category, total, |extend| {
+        launch_extend(&self.device, total, |extend| {
             for (scratch, pairs) in scratch.iter_mut().zip(&pairs) {
                 extend(device_mut(scratch.as_mut()), pairs);
             }
@@ -547,7 +535,6 @@ impl DataFactory for DeviceDataFactory {
         &self,
         ctx: &mut TransferCtx<'_>,
         groups: &[OpGroup<'_, dyn RefineOperator, RefineJob>],
-        category: Category,
     ) {
         launch_refine(&mut |visit: &mut RefineVisit<'_>| {
             for (op, ratio, part, job) in OpGroup::each(groups) {
@@ -556,7 +543,6 @@ impl DataFactory for DeviceDataFactory {
                     part.at(Loc::Scratch(job.scratch)),
                     job.var,
                 );
-                dst.set_transfer_category(category);
                 visit(op, ratio, device_mut(dst), device_ref(src), &job.fill);
             }
         });
@@ -578,7 +564,7 @@ impl DataFactory for DeviceDataFactory {
         });
     }
 
-    fn upload_tables(&self, tables: &PassTables, category: Category) {
+    fn upload_tables(&self, tables: &PassTables) {
         let mut held = self.tables.lock().expect("a descriptor upload panicked");
         let (resident, table) = &mut *held;
         // A weak reference keeps a table's address from being reused, so
@@ -599,7 +585,7 @@ impl DataFactory for DeviceDataFactory {
         }
         let table = table.as_mut().expect("the table was ensured above");
         let render = |out: &mut [i32]| assert_eq!(tables.render(Some(out)), len);
-        self.device.upload_with(table, 0, len, category, render);
+        self.device.h2d(table, 0, len, render);
         let rec = self.device.recorder();
         rec.count("device.table_uploads", 1);
         rec.gauge_max("device.table_bytes", (len * std::mem::size_of::<i32>()) as u64);
@@ -645,7 +631,7 @@ mod tests {
         let ov =
             ghost_overlaps(b(0, 0, 4, 4), ghosts, b(4, 0, 8, 4), Centring::Cell, IntVector::ZERO);
         dst.copy_from(&src, &ov);
-        let host = dst.download_all(Category::Other);
+        let host = dst.download_all();
         let dbox = dst.data_box();
         assert_eq!(host[dbox.offset_of(IntVector::new(4, 2))], 402.0);
         assert_eq!(host[dbox.offset_of(IntVector::new(5, 3))], 503.0);
@@ -679,7 +665,7 @@ mod tests {
         assert_eq!(stream.len(), src.stream_size(&ov));
         let mut dst = DeviceData::<f64>::new(&device, b(0, 0, 4, 4), ghosts, Centring::Cell);
         dst.unpack(&ov, &stream);
-        let host = dst.download_all(Category::Other);
+        let host = dst.download_all();
         let dbox = dst.data_box();
         assert_eq!(host[dbox.offset_of(IntVector::new(4, 1))], 401.0);
     }
@@ -714,7 +700,7 @@ mod tests {
         let ghosts = IntVector::uniform(1);
         let src = filled(&device, b(4, 0, 8, 4), ghosts);
         let mut dst = DeviceData::<f64>::new(&device, b(0, 0, 4, 4), ghosts, Centring::Cell);
-        dst.set_transfer_category(Category::HaloExchange);
+        let _halo = device.clock().scope(Category::HaloExchange);
         let before = device.clock().snapshot().get(Category::HaloExchange);
         let ov =
             ghost_overlaps(b(0, 0, 4, 4), ghosts, b(4, 0, 8, 4), Centring::Cell, IntVector::ZERO);
@@ -741,7 +727,7 @@ mod tests {
         let mut vals = vec![0i32; 16];
         vals[5] = 1;
         d.upload_all(&vals, Category::Regrid);
-        let back = d.download_all(Category::Regrid);
+        let back = d.download_all();
         assert_eq!(back, vals);
     }
 }

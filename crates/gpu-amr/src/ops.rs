@@ -18,9 +18,8 @@
 use crate::data::DeviceData;
 use rbamr_amr::ops::{shared_source_box, CoarsenOperator, RefineOperator};
 use rbamr_amr::patchdata::PatchData;
-use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, IntVector};
-use rbamr_perfmodel::{Category, KernelShape};
+use rbamr_perfmodel::KernelShape;
 
 /// The two operators the frozen `benchmarks/` package imports by their
 /// names from before the host and device sets became one.
@@ -39,12 +38,6 @@ pub(crate) type RefineVisit<'a> = dyn FnMut(&dyn RefineOperator, IntVector, &mut
 /// inside it.
 pub(crate) type RefineJobs<'a> = dyn FnMut(&mut RefineVisit<'_>) + 'a;
 
-/// Where a fused launch runs and what it charges: the first job's
-/// destination decides (a batch shares one device and one category).
-fn launch_site(dst: &DeviceData<f64>) -> (Device, Category) {
-    (dst.device().clone(), dst.category())
-}
-
 /// The shape of a launch over jobs of several operators: each job's
 /// fill values priced at its operator's cost, bytes and flops summed.
 fn add_job(shape: &mut KernelShape, values: i64, (arrays, flops): (u32, u32)) {
@@ -61,10 +54,12 @@ pub(crate) fn launch_refine(jobs: &mut RefineJobs<'_>) {
     let mut site = None;
     jobs(&mut |op, ratio, dst, _, fills| {
         add_job(&mut shape, fills.num_cells(), op.cost(ratio));
-        site.get_or_insert_with(|| launch_site(dst));
+        // The launch runs on the first destination's device (a batch
+        // shares one).
+        site.get_or_insert_with(|| dst.device().clone());
     });
-    let Some((device, category)) = site.filter(|_| shape.bytes > 0.0) else { return };
-    device.launch_named(&Stream, "refine-interp", category, shape, |k| {
+    let Some(device) = site.filter(|_| shape.bytes > 0.0) else { return };
+    device.launch("refine-interp", shape, |k| {
         jobs(&mut |op, ratio, dst, src, fills| {
             let (sbox, dbox) = (src.data_box(), dst.data_box());
             let src = src.buffer().as_slice(&k);
@@ -100,10 +95,10 @@ pub(crate) fn launch_coarsen(jobs: &mut CoarsenJobs<'_>) {
     jobs(&mut |op, ratio, dst, src, aux, fills| {
         add_job(&mut shape, fills.num_cells(), op.cost(ratio));
         shared_source_box(op, std::iter::once(src).chain(aux).map(|s| s.data_box()));
-        site.get_or_insert_with(|| launch_site(dst));
+        site.get_or_insert_with(|| dst.device().clone());
     });
-    let Some((device, category)) = site.filter(|_| shape.bytes > 0.0) else { return };
-    device.launch_named(&Stream, "coarsen-project", category, shape, |k| {
+    let Some(device) = site.filter(|_| shape.bytes > 0.0) else { return };
+    device.launch("coarsen-project", shape, |k| {
         jobs(&mut |op, ratio, dst, src, aux, fills| {
             let (sbox, dbox) = (src.data_box(), dst.data_box());
             let srcs: Vec<&[f64]> =
@@ -117,6 +112,7 @@ pub(crate) fn launch_coarsen(jobs: &mut CoarsenJobs<'_>) {
 mod tests {
     use super::*;
     use rbamr_amr::ops::ConservativeCellRefine;
+    use rbamr_device::Device;
     use rbamr_geometry::{Centring, GBox};
 
     fn b(x0: i64, y0: i64, x1: i64, y1: i64) -> GBox {

@@ -16,7 +16,7 @@
 use crate::data::DeviceData;
 use rbamr_amr::patchdata::PatchData;
 use rbamr_amr::TagBitmap;
-use rbamr_device::{Device, DeviceBuffer, Stream};
+use rbamr_device::{Device, DeviceBuffer};
 use rbamr_geometry::GBox;
 use rbamr_perfmodel::{Category, KernelShape};
 
@@ -34,17 +34,20 @@ pub struct TagField<'a> {
     pub dbox: GBox,
 }
 
+impl<'a> TagField<'a> {
+    /// The interior (non-ghost) tags of one device array.
+    pub fn interior(tags: &'a DeviceData<i32>) -> Self {
+        TagField { buf: tags.buffer(), offset: 0, cell_box: tags.cell_box(), dbox: tags.data_box() }
+    }
+}
+
 /// Compress device-resident tag fields into host-side
 /// [`TagBitmap`]s, in `fields` order, transferring only the compressed
 /// form: one `any-tagged` launch and one download of a 4-byte flag per
 /// patch, then one `compress-tags` launch and one download of
 /// `ceil(cells / 8)` bytes per *flagged* patch — neither when no patch
 /// is flagged. Three allocations at most, whatever the patch count.
-pub fn compress_tags_many(
-    device: &Device,
-    fields: &[TagField<'_>],
-    category: Category,
-) -> Vec<TagBitmap> {
+pub fn compress_tags_many(device: &Device, fields: &[TagField<'_>]) -> Vec<TagBitmap> {
     if fields.is_empty() {
         return Vec::new();
     }
@@ -53,14 +56,14 @@ pub fn compress_tags_many(
     // Kernel 1: the any-tagged reduction, one word per patch.
     let mut flags: DeviceBuffer<i32> = device.alloc(fields.len());
     let shape = KernelShape::streaming(fields.iter().map(cells).sum(), 1, 1);
-    device.launch_named(&Stream, "any-tagged", category, shape, |k| {
+    device.launch("any-tagged", shape, |k| {
         for (f, flag) in fields.iter().zip(flags.as_mut_slice(&k)) {
             let src = &f.buf.as_slice(&k)[f.offset..];
             *flag = i32::from(f.cell_box.iter().any(|p| src[f.dbox.offset_of(p)] != 0));
         }
     });
     let mut any = vec![0i32; fields.len()];
-    device.download(&flags, 0, &mut any, category);
+    device.d2h(&flags, 0, &mut any);
 
     // Kernel 2: bit compression of the flagged patches, one thread per
     // output byte; each patch's bits start on a byte boundary
@@ -78,7 +81,7 @@ pub fn compress_tags_many(
     if nbytes > 0 {
         let mut bits: DeviceBuffer<u8> = device.alloc(nbytes);
         let shape = KernelShape::streaming(tagged_cells, 1, 2);
-        device.launch_named(&Stream, "compress-tags", category, shape, |k| {
+        device.launch("compress-tags", shape, |k| {
             let out = bits.as_mut_slice(&k);
             for (f, first) in fields.iter().zip(&first_byte) {
                 let Some(first) = first else { continue };
@@ -90,7 +93,7 @@ pub fn compress_tags_many(
                 }
             }
         });
-        device.download(&bits, 0, &mut host_bits, category);
+        device.d2h(&bits, 0, &mut host_bits);
     }
 
     // Reconstruct through the shared TagBitmap type so host and device
@@ -107,14 +110,12 @@ pub fn compress_tags_many(
 /// [`compress_tags_many`] on one tag field: the interior (non-ghost)
 /// tags of `tags`. PCIe traffic is `ceil(cells/8)` bytes plus the flag
 /// word when any cell is tagged, and the 4-byte flag alone otherwise.
+/// Charged inside a scope of `category` on the device's clock; kept,
+/// with that argument, for the frozen benchmark package's signature
+/// (ROADMAP 27(b)).
 pub fn compress_tags(tags: &DeviceData<i32>, category: Category) -> TagBitmap {
-    let field = TagField {
-        buf: tags.buffer(),
-        offset: 0,
-        cell_box: tags.cell_box(),
-        dbox: tags.data_box(),
-    };
-    let mut bitmaps = compress_tags_many(tags.device(), &[field], category);
+    let _scope = tags.device().clock().scope(category);
+    let mut bitmaps = compress_tags_many(tags.device(), &[TagField::interior(tags)]);
     bitmaps.pop().expect("one bitmap per tag field")
 }
 

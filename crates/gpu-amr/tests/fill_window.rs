@@ -22,12 +22,10 @@ use rbamr_device::Device;
 use rbamr_geometry::{BoxList, BoxOverlap, Centring, GBox, IntVector};
 use rbamr_gpu_amr::DeviceDataFactory;
 use rbamr_netsim::{Cluster, Comm};
-use rbamr_perfmodel::{Category, Machine};
+use rbamr_perfmodel::Machine;
 use rbamr_telemetry::Recorder;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-const CAT: Category = Category::HaloExchange;
 
 /// Level 0 is 32 x 16 cells; every level is cut into 8 x 8 patches of
 /// these boxes, ratio 2, each nested two coarse cells inside the last.
@@ -186,15 +184,15 @@ fn run(nranks: usize, on_device: bool, fused: bool) -> Vec<(usize, Vec<u8>, [u64
         let (members, tables) = r.members();
         let h2d = |r: &Rank| r.device.as_ref().map_or(0, |d| d.stats().h2d_transfers);
         let first_h2d = h2d(&r);
-        r.reg.factory().upload_tables(&tables, CAT);
+        r.reg.factory().upload_tables(&tables);
         let fill = |r: &mut Rank, comm: &Comm| {
             if fused {
                 let window = FillWindow::new(members.clone());
-                let pending = window.begin(&mut r.h, &r.reg, Some(comm), CAT);
-                pending.finish(&mut r.h, &NoBoundary, Some(comm), 0.0, CAT).unwrap();
+                let pending = window.begin(&mut r.h, &r.reg, Some(comm));
+                pending.finish(&mut r.h, &NoBoundary, Some(comm), 0.0).unwrap();
             } else {
                 for sched in &members {
-                    sched.try_fill(&mut r.h, &r.reg, &NoBoundary, Some(comm), 0.0, CAT).unwrap();
+                    sched.try_fill(&mut r.h, &r.reg, &NoBoundary, Some(comm), 0.0).unwrap();
                 }
             }
         };

@@ -171,7 +171,7 @@ impl Placement {
                 d.as_any().downcast_ref::<HostData<T>>().unwrap().as_slice().to_vec()
             }
             Placement::Device(_) => {
-                d.as_any().downcast_ref::<DeviceData<T>>().unwrap().download_all(Category::Other)
+                d.as_any().downcast_ref::<DeviceData<T>>().unwrap().download_all()
             }
         };
         digest(values.into_iter().map(Bits::bits))

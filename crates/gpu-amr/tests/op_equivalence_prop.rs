@@ -53,7 +53,7 @@ fn pair(
 }
 
 fn assert_equal(h: &HostData<f64>, d: &DeviceData<f64>, what: &str) {
-    let dv = d.download_all(Category::Other);
+    let dv = d.download_all();
     for (i, (a, b)) in h.as_slice().iter().zip(&dv).enumerate() {
         assert_eq!(a, b, "{what}: divergence at linear index {i}");
     }
@@ -296,7 +296,6 @@ mod fused {
     use rbamr_telemetry::Recorder;
     use std::sync::Arc;
 
-    const CAT: Category = Category::HaloExchange;
     const DOMAIN: (i64, i64) = (24, 16);
     /// Coarse footprints of the two fine patches.
     const FOOTPRINTS: [GBox; 2] = [GBox::from_coords(2, 2, 8, 8), GBox::from_coords(12, 4, 20, 12)];
@@ -323,17 +322,14 @@ mod fused {
             copies: &[Part<'_, CopyJob>],
             sends: &[Part<'_, StreamJob>],
             peers: &[PeerStream],
-            category: Category,
         ) -> Vec<Bytes> {
             for (part, job) in Part::each(copies) {
                 let (dst, src) = ctx.pair(part.at(job.dst), part.at(job.src), job.var);
-                dst.set_transfer_category(category);
                 dst.copy_from(src, &job.overlap);
             }
             let mut out: Vec<Vec<u8>> = peers.iter().map(|p| Vec::with_capacity(p.bytes)).collect();
             for (part, job) in Part::each(sends) {
                 let data = ctx.data_mut(part.at(job.loc), job.var);
-                data.set_transfer_category(category);
                 out[part.slot(job).0].extend_from_slice(&data.pack(&job.overlap));
             }
             out.into_iter().map(Bytes::from).collect()
@@ -344,13 +340,11 @@ mod fused {
             ctx: &mut TransferCtx<'_>,
             parts: &[Part<'_, StreamJob>],
             msgs: &[Option<Bytes>],
-            category: Category,
         ) {
             for (part, job) in Part::each(parts) {
                 let (peer, range) = part.slot(job);
                 if let Some(msg) = &msgs[peer] {
                     let data = ctx.data_mut(part.at(job.loc), job.var);
-                    data.set_transfer_category(category);
                     data.unpack(&job.overlap, &msg[range]);
                 }
             }
@@ -417,11 +411,9 @@ mod fused {
     fn bits(d: &dyn PatchData) -> Vec<u64> {
         let values = match d.as_any().downcast_ref::<HostData<f64>>() {
             Some(h) => h.as_slice().to_vec(),
-            None => d
-                .as_any()
-                .downcast_ref::<DeviceData<f64>>()
-                .expect("device data")
-                .download_all(Category::Other),
+            None => {
+                d.as_any().downcast_ref::<DeviceData<f64>>().expect("device data").download_all()
+            }
         };
         values.into_iter().map(f64::to_bits).collect()
     }
@@ -482,7 +474,6 @@ mod fused {
 
         fn add_scratch(&mut self, var: VariableId, cell_box: GBox, case: &Case) -> usize {
             let mut s = self.reg.make_one(var, cell_box);
-            s.set_transfer_category(CAT);
             set_values(s.as_mut(), &case.vals, 100 + self.scratch.len());
             self.scratch.push(s);
             self.scratch.len() - 1
@@ -644,7 +635,7 @@ mod fused {
             let jobs = copy_jobs(&ws[0], &case);
             prop_assume!(!jobs.is_empty());
             let [_, per_item, fused] = measured(&mut ws, |w| {
-                w.with_ctx(|f, ctx| f.send_many(ctx, &[Part::whole(&jobs)], &[], &[], CAT));
+                w.with_ctx(|f, ctx| f.send_many(ctx, &[Part::whole(&jobs)], &[], &[]));
             });
             assert_same(&ws, "send_many, copies only");
             prop_assert_eq!(per_item.kernel_launches, jobs.len() as u64);
@@ -666,7 +657,7 @@ mod fused {
             let (sends, peers) = stream_jobs(&copies, true);
             let mut packed = Vec::new();
             let [_, per_item, fused] = measured(&mut ws, |w| {
-                packed.push(w.with_ctx(|f, ctx| f.send_many(ctx, &[], &[Part::whole(&sends)], &peers, CAT)));
+                packed.push(w.with_ctx(|f, ctx| f.send_many(ctx, &[], &[Part::whole(&sends)], &peers)));
             });
             prop_assert_eq!(&packed[0], &packed[2], "fused stream differs from the host's");
             prop_assert_eq!(&packed[1], &packed[2], "fused stream differs from the per-item packs");
@@ -686,7 +677,7 @@ mod fused {
             let (recvs, _) = stream_jobs(&copies, false);
             let streams: Vec<_> = packed.pop().unwrap().into_iter().map(Some).collect();
             let [_, per_item, fused] = measured(&mut ws, |w| {
-                w.with_ctx(|f, ctx| f.unpack_many(ctx, &[Part::whole(&recvs)], &streams, CAT));
+                w.with_ctx(|f, ctx| f.unpack_many(ctx, &[Part::whole(&recvs)], &streams));
             });
             assert_same(&ws, "unpack_many");
             prop_assert_eq!(per_item.h2d_bytes, total);
@@ -712,14 +703,14 @@ mod fused {
             let (copies, sends) = ([Part::whole(&copies[..])], [Part::whole(&sends[..])]);
             let mut packed = Vec::new();
             let [_, per_item, fused] = measured(&mut ws, |w| {
-                packed.push(w.with_ctx(|f, ctx| f.send_many(ctx, &copies, &sends, &peers, CAT)));
+                packed.push(w.with_ctx(|f, ctx| f.send_many(ctx, &copies, &sends, &peers)));
             });
             assert_same(&ws, "send_many");
             let alone: Vec<_> = apart
                 .iter_mut()
                 .map(|w| {
-                    w.with_ctx(|f, ctx| f.send_many(ctx, &copies, &[], &[], CAT));
-                    w.with_ctx(|f, ctx| f.send_many(ctx, &[], &sends, &peers, CAT))
+                    w.with_ctx(|f, ctx| f.send_many(ctx, &copies, &[], &[]));
+                    w.with_ctx(|f, ctx| f.send_many(ctx, &[], &sends, &peers))
                 })
                 .collect();
             prop_assert_eq!(&packed, &alone);
@@ -806,7 +797,7 @@ mod fused {
                 .map(|(op, group)| OpGroup { op: *op, ratio: r, parts: vec![Part::whole(group)] })
                 .collect();
             let [_, per_item, fused] =
-                measured(&mut ws, |w| w.with_ctx(|f, ctx| f.refine_many(ctx, &groups, CAT)));
+                measured(&mut ws, |w| w.with_ctx(|f, ctx| f.refine_many(ctx, &groups)));
             assert_same(&ws, "refine_many");
             for (k, &var) in vars.iter().enumerate() {
                 prop_assert!(ws[0].fine_bits(var) != before[k], "group {} wrote nothing", k);
@@ -883,7 +874,7 @@ mod fused {
         let mut w = World::new(Placement::Fused, &case);
         let (sends, peers) = stream_jobs(&copy_jobs(&w, &case), true);
         let pack = |w: &mut World| {
-            w.with_ctx(|f, ctx| f.send_many(ctx, &[], &[Part::whole(&sends)], &peers, CAT))
+            w.with_ctx(|f, ctx| f.send_many(ctx, &[], &[Part::whole(&sends)], &peers))
         };
         let good = pack(&mut w);
         assert_eq!(latched(&w), None);
@@ -906,13 +897,12 @@ mod fused {
         let copies = copy_jobs(&w, &case);
         let (sends, peers) = stream_jobs(&copies, true);
         let (recvs, _) = stream_jobs(&copies, false);
-        let streams =
-            w.with_ctx(|f, ctx| f.send_many(ctx, &[], &[Part::whole(&sends)], &peers, CAT));
+        let streams = w.with_ctx(|f, ctx| f.send_many(ctx, &[], &[Part::whole(&sends)], &peers));
         let unpack = |w: &mut World, only: Option<u32>| {
             let arrived = |p: usize| only.is_none_or(|only| p == only as usize);
             let msgs: Vec<_> =
                 streams.iter().enumerate().map(|(p, s)| arrived(p).then(|| s.clone())).collect();
-            w.with_ctx(|f, ctx| f.unpack_many(ctx, &[Part::whole(&recvs)], &msgs, CAT));
+            w.with_ctx(|f, ctx| f.unpack_many(ctx, &[Part::whole(&recvs)], &msgs));
         };
         let mut clean = World::new(Placement::Fused, &case);
         unpack(&mut clean, None);

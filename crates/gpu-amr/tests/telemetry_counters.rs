@@ -106,11 +106,11 @@ impl Rank {
     /// What the first fill after a pass does first: make the pass's
     /// tables resident.
     fn upload(&self, tables: &PassTables) {
-        self.reg.factory().upload_tables(tables, CAT);
+        self.reg.factory().upload_tables(tables);
     }
 
     fn fill(&mut self, sched: &RefineSchedule, comm: &Comm) -> Result<(), CommError> {
-        sched.try_fill(&mut self.h, &self.reg, &NoBoundary, Some(comm), 0.0, CAT)
+        sched.try_fill(&mut self.h, &self.reg, &NoBoundary, Some(comm), 0.0)
     }
 
     fn launches(&self, name: &str) -> u64 {
@@ -121,7 +121,7 @@ impl Rank {
     fn values(&self, level: usize) -> (GBox, Vec<f64>) {
         let d: &DeviceData<f64> =
             self.h.level(level).local()[0].data(self.var).as_any().downcast_ref().unwrap();
-        (d.data_box(), d.download_all(Category::Other))
+        (d.data_box(), d.download_all())
     }
 
     /// Per local level-0 patch of the [`chain`], what its left and right
@@ -131,7 +131,7 @@ impl Rank {
         patches
             .map(|p| {
                 let d: &DeviceData<f64> = p.data(self.var).as_any().downcast_ref().unwrap();
-                let (dbox, cells, values) = (d.data_box(), p.cell_box(), d.download_all(CAT));
+                let (dbox, cells, values) = (d.data_box(), p.cell_box(), d.download_all());
                 [cells.lo.x - 1, cells.hi.x].map(|x| {
                     (0..8 * CHAIN.len() as i64)
                         .contains(&x)
@@ -262,7 +262,7 @@ fn a_stage_without_peers_packs_and_transfers_nothing() {
         r.device.reset_transfer_stats();
         r.upload(&tables);
         r.fill(&fill, &comm).unwrap();
-        sync.try_run(&mut r.h, &r.reg, Some(&comm), CAT).unwrap();
+        sync.try_run(&mut r.h, &r.reg, Some(&comm)).unwrap();
         assert!(r.launches("refine-interp") == 1 && r.launches("coarsen-project") == 1);
         assert_eq!((r.launches("pack"), r.launches("unpack")), (0, 0));
         // Nothing crosses PCIe but the pass's descriptor tables, both
@@ -271,7 +271,7 @@ fn a_stage_without_peers_packs_and_transfers_nothing() {
         assert_eq!((first.d2h_transfers, first.h2d_transfers), (0, 1));
         r.upload(&tables);
         r.fill(&fill, &comm).unwrap();
-        sync.try_run(&mut r.h, &r.reg, Some(&comm), CAT).unwrap();
+        sync.try_run(&mut r.h, &r.reg, Some(&comm)).unwrap();
         let steady = r.device.stats();
         assert_eq!((steady.d2h_transfers, steady.h2d_transfers), (0, 1));
     });
@@ -357,7 +357,8 @@ fn a_window_that_copies_and_sends_is_one_launch_and_one_loop() {
         let spec = [FillSpec { var, refine_op: None }];
         let sched = ScheduleBuild::indexed().refine(&h, &reg, 0, &spec);
         let before = comm.clock().snapshot();
-        sched.try_fill(&mut h, &reg, &NoBoundary, Some(&comm), 0.0, CAT).unwrap();
+        let _halo = comm.clock().scope(CAT);
+        sched.try_fill(&mut h, &reg, &NoBoundary, Some(&comm), 0.0).unwrap();
         comm.clock().snapshot().since(&before).get(CAT)
     });
     let seconds: Vec<f64> = results.into_iter().map(|r| r.value).collect();
@@ -649,7 +650,7 @@ fn regrid_counts(tagged: IntVector, fail_transfer: Option<u64>) -> Vec<RegridCou
         for p in h.level(1).local() {
             for var in [q, v] {
                 let d: &DeviceData<f64> = p.data(var).as_any().downcast_ref().unwrap();
-                for x in d.download_all(Category::Other) {
+                for x in d.download_all() {
                     digest = (digest ^ x.to_bits()).wrapping_mul(0x100_0000_01b3);
                 }
             }
@@ -766,7 +767,7 @@ fn level_wide_tag_compression_budget_does_not_grow_with_the_patch_count() {
                     dbox: d.data_box(),
                 })
                 .collect();
-            let bitmaps = compress_tags_many(&device, &level, Category::Regrid);
+            let bitmaps = compress_tags_many(&device, &level);
             assert!(bitmaps == per_patch, "{what}, {patches} patches: bitmaps differ");
             let flagged = (0..patches).filter(|&i| tagged(mix, i)).count() as u64;
             assert_eq!(bitmaps.iter().filter(|bm| bm.any()).count() as u64, flagged, "{what}");

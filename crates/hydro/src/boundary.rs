@@ -15,10 +15,10 @@ use rbamr_amr::{
     BoundaryFill, HostData, Patch, PatchData, PatchHierarchy, PhysicalBoundary, PhysicalPlan,
     VariableId,
 };
-use rbamr_device::{Device, Stream};
+use rbamr_device::Device;
 use rbamr_geometry::{BoxList, Centring, GBox};
 use rbamr_gpu_amr::DeviceData;
-use rbamr_perfmodel::{Category, KernelShape};
+use rbamr_perfmodel::KernelShape;
 
 /// Per-variable mirror parity: whether the value flips sign when
 /// reflected across an x- or y-facing wall.
@@ -141,7 +141,7 @@ fn launch_reflect(
         return;
     }
     let shape = KernelShape::streaming(total as i64, 2, 1);
-    device.launch_named(&Stream, "physical-boundary", Category::HaloExchange, shape, |k| {
+    device.launch("physical-boundary", shape, |k| {
         jobs(&mut |data, pairs| reflect(data.buffer_mut().as_mut_slice(&k), pairs));
     });
 }
@@ -347,7 +347,7 @@ mod tests {
                 let image: Vec<f64> = (0..dev.data_box().num_cells())
                     .map(|i| (1 + i + 100 * var.0 as i64) as f64)
                     .collect();
-                dev.upload_all(&image, Category::Other);
+                dev.upload_from(&image);
                 let outside = BoxList::from_box(patch.cell_box().grow(IntVector::uniform(2)))
                     .intersect_box(b(-2, -2, 10, 0));
                 plans.push(PhysicalPlan { pos, dst_idx: pos, var, outside });
@@ -362,7 +362,7 @@ mod tests {
             let image = |plan: &PhysicalPlan| {
                 let data = h.level(0).local()[plan.pos].data(plan.var);
                 let dev: &DeviceData<f64> = data.as_any().downcast_ref().unwrap();
-                dev.download_all(Category::Other)
+                dev.download_all()
             };
             plans.iter().map(image).collect()
         };

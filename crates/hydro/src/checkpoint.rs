@@ -30,7 +30,6 @@ use rbamr_amr::patchdata::PatchData;
 use rbamr_amr::restart::{Database, RestoreError, Value};
 use rbamr_geometry::{BoxList, BoxOverlap, GBox, IntVector};
 use rbamr_netsim::Comm;
-use rbamr_perfmodel::Category;
 
 /// The state fields a checkpoint persists (everything else is
 /// recomputed by the next step's EOS/fill phases).
@@ -222,15 +221,14 @@ impl HydroSim {
             }
             let blob = encode_patch_blob(&entries);
             let (rec_parts, blob_parts) = if let Some(comm) = comm {
-                let rec = match comm.try_allgatherv(bytes::Bytes::from(rec_bytes), Category::Other)
-                {
+                let rec = match comm.try_allgatherv(bytes::Bytes::from(rec_bytes)) {
                     Ok(parts) => parts,
                     Err(e) => {
                         first_err.get_or_insert(RestoreError::Exchange { detail: e.to_string() });
                         Vec::new()
                     }
                 };
-                let data = match comm.try_allgatherv(bytes::Bytes::from(blob), Category::Other) {
+                let data = match comm.try_allgatherv(bytes::Bytes::from(blob)) {
                     Ok(parts) => parts,
                     Err(e) => {
                         first_err.get_or_insert(RestoreError::Exchange { detail: e.to_string() });
@@ -280,7 +278,7 @@ impl HydroSim {
         // Agreement: every rank adopts the manifest, or no rank does.
         if let Some(comm) = comm {
             let ok = if first_err.is_none() { 1.0 } else { 0.0 };
-            match comm.try_allreduce_min(ok, Category::Other) {
+            match comm.try_allreduce_min(ok) {
                 Ok(all_ok) if all_ok >= 1.0 => {}
                 Ok(_) => {
                     return Err(first_err.unwrap_or_else(|| RestoreError::Exchange {
@@ -407,7 +405,7 @@ impl HydroSim {
         // fills its peers run, and the job would deadlock.
         if let Some(comm) = comm {
             let ok = if first_err.is_none() { 1.0 } else { 0.0 };
-            match comm.try_allreduce_min(ok, Category::Other) {
+            match comm.try_allreduce_min(ok) {
                 Ok(all_ok) if all_ok >= 1.0 => {}
                 Ok(_) => {
                     return Err(first_err.unwrap_or_else(|| RestoreError::Exchange {

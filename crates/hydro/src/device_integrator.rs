@@ -14,9 +14,8 @@ use crate::level_executor::{self as exec, dev, dev_mut, Exec, Pass};
 use crate::state::{initial_images, Fields, FlagThresholds, PatchIntegrator, RegionInit, Summary};
 use rbamr_amr::patchdata::PatchData as _;
 use rbamr_amr::{Patch, TagBitmap};
-use rbamr_device::Stream;
 use rbamr_geometry::GBox;
-use rbamr_perfmodel::{Category, KernelShape};
+use rbamr_perfmodel::KernelShape;
 use std::slice::from_ref;
 
 /// Advances a patch with device-resident data.
@@ -81,7 +80,7 @@ impl PatchIntegrator for DevicePatchIntegrator {
         // Initialisation is a sanctioned full-array H2D transfer: build
         // the images on the host and upload once per field.
         for (var, image) in initial_images(f, patch.cell_box(), origin, dx, regions) {
-            dev_mut(patch.data_mut(var)).upload_all(&image, Category::Other);
+            dev_mut(patch.data_mut(var)).upload_from(&image);
         }
     }
 
@@ -144,7 +143,7 @@ impl PatchIntegrator for DevicePatchIntegrator {
         let device = rho.device().clone();
         let mut result = device.alloc::<f64>(5);
         let shape = KernelShape::streaming(region.num_cells(), 5, 15);
-        device.launch_named(&Stream, "field-summary", Category::Other, shape, |kk| {
+        device.launch("field-summary", shape, |kk| {
             let s = k::field_summary(
                 k::View::new(rho.buffer().as_slice(&kk), rho.data_box()),
                 k::View::new(e.buffer().as_slice(&kk), e.data_box()),
@@ -162,7 +161,7 @@ impl PatchIntegrator for DevicePatchIntegrator {
             out[4] = s.pressure;
         });
         let mut host = [0.0f64; 5];
-        device.download(&result, 0, &mut host, Category::Other);
+        device.d2h(&result, 0, &mut host);
         Summary {
             volume: host[0],
             mass: host[1],

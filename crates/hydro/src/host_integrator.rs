@@ -14,7 +14,6 @@ use rbamr_amr::hostdata::HostCostHook;
 use rbamr_amr::patchdata::PatchData as _;
 use rbamr_amr::{Patch, TagBitmap, VariableId};
 use rbamr_geometry::GBox;
-use rbamr_perfmodel::Category;
 use std::slice::from_ref;
 
 /// Advances a patch on the host. Optionally charges a virtual clock so
@@ -117,7 +116,7 @@ impl PatchIntegrator for HostPatchIntegrator {
             let d = patch.host::<f64>(v);
             k::View::new(d.as_slice(), d.data_box())
         };
-        self.ex().charge_loop(Category::Other, region.num_cells(), 5, 15);
+        self.ex().charge_loop(region.num_cells(), 5, 15);
         k::field_summary(
             view(f.density0),
             view(f.energy0),

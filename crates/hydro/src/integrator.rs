@@ -490,9 +490,9 @@ impl HydroSim {
     }
 
     /// Called by every fill: the first after a pass uploads its tables.
-    fn upload_pending_tables(&mut self, category: Category) {
+    fn upload_pending_tables(&mut self) {
         if let Some(tables) = self.pending_tables.take() {
-            self.registry.factory().upload_tables(&tables, category);
+            self.registry.factory().upload_tables(&tables);
         }
     }
 
@@ -545,12 +545,14 @@ impl HydroSim {
         which: usize,
         mut compute: impl FnMut(&mut [&mut Patch], &[(f64, f64)], Pass, Exec<'_>),
     ) {
-        self.upload_pending_tables(Category::HaloExchange);
         let window = Arc::clone(&self.fills[which]);
-        let pending =
-            window.begin(&mut self.hierarchy, &self.registry, comm, Category::HaloExchange);
+        let halo = self.clock.scope(Category::HaloExchange);
+        self.upload_pending_tables();
+        let pending = window.begin(&mut self.hierarchy, &self.registry, comm);
+        drop(halo);
         let split = self.device.is_some() && window.receives_remotely();
         if split {
+            let _hydro = self.clock.scope(Category::HydroKernel);
             let t0 = self.clock.total();
             self.run_phase(|p, dx, ex| compute(p, dx, Pass::Interior, ex));
             if let Some(comm) = comm {
@@ -558,10 +560,13 @@ impl HydroSim {
             }
         }
         let (h, time) = (&mut self.hierarchy, self.time);
-        if let Err(e) = pending.finish(h, &self.boundary, comm, time, Category::HaloExchange) {
+        let halo = self.clock.scope(Category::HaloExchange);
+        if let Err(e) = pending.finish(h, &self.boundary, comm, time) {
             first.get_or_insert(e.into());
         }
+        drop(halo);
         let pass = if split { Pass::Boundary } else { Pass::Full };
+        let _hydro = self.clock.scope(Category::HydroKernel);
         self.run_phase(|p, dx, ex| compute(p, dx, pass, ex));
         if let Some(comm) = comm {
             comm.clear_overlap_credit();
@@ -668,8 +673,9 @@ impl HydroSim {
     /// # Errors
     /// The globally agreed [`SimError`] when any rank observed a fault.
     pub fn try_initialize(&mut self, comm: Option<&Comm>) -> Result<(), SimError> {
+        let _scope = self.clock.scope(Category::Other);
         let rec = self.recorder.clone();
-        let _span = rec.is_enabled().then(|| rec.span("initialize", Category::Other));
+        let _span = rec.is_enabled().then(|| rec.open("initialize"));
         let mut first: Option<SimError> = None;
         self.apply_initial_state();
         for _ in 0..self.hierarchy.max_levels() - 1 {
@@ -718,16 +724,18 @@ impl HydroSim {
     /// so the cross-rank communication pattern is identical whether or
     /// not a fault fired.
     fn try_fill_start(&mut self, comm: Option<&Comm>) -> Result<(), SimError> {
-        let (window, category) = (Arc::clone(&self.fills[START]), Category::HaloExchange);
-        self.upload_pending_tables(category);
+        let window = Arc::clone(&self.fills[START]);
+        let _scope = self.clock.scope(Category::HaloExchange);
+        self.upload_pending_tables();
         let rec = self.recorder.clone();
-        let _span = rec.is_enabled().then(|| rec.span("refine-fill", category));
-        let pending = window.begin(&mut self.hierarchy, &self.registry, comm, category);
-        Ok(pending.finish(&mut self.hierarchy, &self.boundary, comm, self.time, category)?)
+        let _span = rec.is_enabled().then(|| rec.open("refine-fill"));
+        let pending = window.begin(&mut self.hierarchy, &self.registry, comm);
+        Ok(pending.finish(&mut self.hierarchy, &self.boundary, comm, self.time)?)
     }
 
     fn eos_and_viscosity(&mut self) {
         let (f, gamma) = (self.fields, self.config.gamma);
+        let _scope = self.clock.scope(Category::HydroKernel);
         self.run_phase(|p, dx, ex| exec::eos_viscosity(p, &f, ex, Pass::Full, gamma, dx));
     }
 
@@ -748,7 +756,7 @@ impl HydroSim {
         });
         let mut dt = dt_local.min(self.config.dt_max).min(self.prev_dt * self.config.max_dt_growth);
         if let Some(comm) = comm {
-            match comm.try_allreduce_min(dt, Category::Timestep) {
+            match comm.try_allreduce_min(dt) {
                 Ok(v) => dt = v,
                 Err(e) => {
                     first.get_or_insert(e.into());
@@ -804,8 +812,7 @@ impl HydroSim {
     ) -> Result<StepStats, SimError> {
         let gamma = self.config.gamma;
         let rec = self.recorder.clone();
-        let _step_span =
-            rec.is_enabled().then(|| rec.span_arg("step", Category::Other, self.step as i64));
+        let _step_span = rec.is_enabled().then(|| rec.span_arg("step", self.step as i64));
         let mut first: Option<SimError> = None;
         let f = self.fields;
         if self.fills.len() < ALL_FILLS {
@@ -814,13 +821,15 @@ impl HydroSim {
 
         // --- Timestep phase ------------------------------------------
         {
-            let _s = rec.is_enabled().then(|| rec.span("fill-start", Category::HaloExchange));
+            let _p = self.clock.scope(Category::HaloExchange);
+            let _s = rec.is_enabled().then(|| rec.open("fill-start"));
             self.fill_window(comm, &mut first, START, |patches, dx, pass, ex| {
                 exec::eos_viscosity(patches, &f, ex, pass, gamma, dx)
             });
         }
         let mut dt = {
-            let _s = rec.is_enabled().then(|| rec.span("dt-reduction", Category::Timestep));
+            let _p = self.clock.scope(Category::Timestep);
+            let _s = rec.is_enabled().then(|| rec.open("dt-reduction"));
             self.try_compute_dt(comm, &mut first)
         };
         if let Some(cap) = dt_cap {
@@ -830,7 +839,8 @@ impl HydroSim {
 
         // --- Lagrangian phase ----------------------------------------
         {
-            let _s = rec.is_enabled().then(|| rec.span("lagrangian", Category::HydroKernel));
+            let _p = self.clock.scope(Category::HydroKernel);
+            let _s = rec.is_enabled().then(|| rec.open("lagrangian"));
             self.run_phase(|patches, dx, ex| exec::lagrangian_pre(patches, &f, ex, gamma, dx, dt));
             self.fill_window(comm, &mut first, POST_ACCEL, |patches, dx, pass, ex| {
                 exec::flux_calc(patches, &f, ex, pass, dx, dt)
@@ -839,7 +849,8 @@ impl HydroSim {
 
         // --- Advection phase (alternating sweep order) ---------------
         {
-            let _s = rec.is_enabled().then(|| rec.span("advection", Category::HydroKernel));
+            let _p = self.clock.scope(Category::HydroKernel);
+            let _s = rec.is_enabled().then(|| rec.open("advection"));
             let dirs = if self.step.is_multiple_of(2) { [0usize, 1] } else { [1, 0] };
             // The y-momentum flux's staging, held across a window's
             // interior and boundary passes.
@@ -862,14 +873,11 @@ impl HydroSim {
 
         // --- Synchronisation: project fine onto coarse ----------------
         {
-            let _s = rec.is_enabled().then(|| rec.span("synchronize", Category::Synchronize));
+            let _p = self.clock.scope(Category::Synchronize);
+            let _s = rec.is_enabled().then(|| rec.open("synchronize"));
             for l in (1..self.hierarchy.num_levels()).rev() {
-                if let Err(e) = self.sync_schedules[l - 1].try_run(
-                    &mut self.hierarchy,
-                    &self.registry,
-                    comm,
-                    Category::Synchronize,
-                ) {
+                let sync = &self.sync_schedules[l - 1];
+                if let Err(e) = sync.try_run(&mut self.hierarchy, &self.registry, comm) {
                     first.get_or_insert(e.into());
                 }
             }
@@ -882,7 +890,8 @@ impl HydroSim {
         // --- Regrid --------------------------------------------------
         if self.config.regrid_interval > 0 && self.step.is_multiple_of(self.config.regrid_interval)
         {
-            let _s = rec.is_enabled().then(|| rec.span("regrid-phase", Category::Regrid));
+            let _p = self.clock.scope(Category::Regrid);
+            let _s = rec.is_enabled().then(|| rec.open("regrid-phase"));
             if let Err(e) = self.try_regrid(comm) {
                 first.get_or_insert(e);
             }
@@ -948,7 +957,7 @@ impl HydroSim {
             Some(SimError::Device { .. }) => (0, 2),
         };
         let op = CollectiveOp::Reduce { spec: ReduceSpec::VERDICT, words: [ok, reason, 0] };
-        let agreed = comm.try_collective(op, Category::Other).map(CollectiveOutput::reduced);
+        let agreed = comm.try_collective(op).map(CollectiveOutput::reduced);
         // Reuse the local error's inner detail rather than re-rendering
         // the whole error, so repeated commits don't nest prefixes.
         let inner = |e: SimError| match e {
@@ -1068,12 +1077,13 @@ impl HydroSim {
             }
         }
         if let Some(comm) = comm {
+            let sum = |v| comm.allreduce(ReduceSpec::SUM_F64, v);
             total = Summary {
-                volume: comm.allreduce_sum(total.volume, Category::Other),
-                mass: comm.allreduce_sum(total.mass, Category::Other),
-                internal_energy: comm.allreduce_sum(total.internal_energy, Category::Other),
-                kinetic_energy: comm.allreduce_sum(total.kinetic_energy, Category::Other),
-                pressure: comm.allreduce_sum(total.pressure, Category::Other),
+                volume: sum(total.volume),
+                mass: sum(total.mass),
+                internal_energy: sum(total.internal_energy),
+                kinetic_energy: sum(total.kinetic_energy),
+                pressure: sum(total.pressure),
             };
         }
         total
@@ -1132,7 +1142,7 @@ impl HydroSim {
                     .as_any()
                     .downcast_ref::<rbamr_gpu_amr::DeviceData<f64>>()
                     .expect("device data");
-                let all = d.download_all(Category::Other);
+                let all = d.download_all();
                 let dbox = d.data_box();
                 (cb.lo.x..cb.hi.x).map(|x| (x, all[dbox.offset_of(IntVector::new(x, y))])).collect()
             }

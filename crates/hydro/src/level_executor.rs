@@ -102,7 +102,7 @@ use rbamr_amr::hostdata::HostCostHook;
 use rbamr_amr::patchdata::PatchData;
 use rbamr_amr::{HostData, Patch, TagBitmap, VariableId};
 use rbamr_device::memory::DeviceCopy;
-use rbamr_device::{Device, DeviceBuffer, Kernel, Stream};
+use rbamr_device::{Device, DeviceBuffer, Kernel};
 use rbamr_geometry::{Centring, GBox, IntVector};
 use rbamr_gpu_amr::{compress_tags_many, interior_core, split_region, DeviceData, TagField};
 use rbamr_perfmodel::{Category, KernelShape};
@@ -134,10 +134,10 @@ impl Exec<'_> {
 
     /// The CPU baseline's price of one streaming loop over `cells`
     /// cells. A no-op unless this is a host executor with a cost hook.
-    pub(crate) fn charge_loop(self, category: Category, cells: i64, arrays: u32, flops: u32) {
+    pub(crate) fn charge_loop(self, cells: i64, arrays: u32, flops: u32) {
         if let Exec::Host(Some(hook)) = self {
             let shape = KernelShape::streaming(cells, arrays, flops);
-            hook.clock.advance(category, hook.cost.host_kernel(shape));
+            hook.clock.charge(hook.cost.host_kernel(shape));
         }
     }
 
@@ -146,14 +146,13 @@ impl Exec<'_> {
     fn charge_host<P: Borrow<Patch>>(
         self,
         patches: &[P],
-        category: Category,
         cells_of: impl Fn(&Patch) -> i64,
         arrays: u32,
         flops: u32,
     ) {
         if !patches.is_empty() {
             let cells = patches.iter().map(|p| cells_of(p.borrow())).sum();
-            self.charge_loop(category, cells, arrays, flops);
+            self.charge_loop(cells, arrays, flops);
         }
     }
 
@@ -172,15 +171,12 @@ impl Exec<'_> {
     fn launch(
         self,
         name: &'static str,
-        category: Category,
         shape: KernelShape,
         body: impl FnOnce(Option<&Kernel<'_>>),
     ) {
         match self {
             Exec::Host(_) => body(None),
-            Exec::Device { device, .. } => {
-                device.launch_named(&Stream, name, category, shape, |kk| body(Some(&kk)));
-            }
+            Exec::Device { device, .. } => device.launch(name, shape, |kk| body(Some(&kk))),
         }
     }
 }
@@ -483,7 +479,6 @@ fn launch_group(
     patches: &mut [&mut Patch],
     ex: Exec<'_>,
     name: &'static str,
-    category: Category,
     mut members: Vec<Member<'_>>,
 ) {
     debug_assert_eq!(
@@ -497,7 +492,7 @@ fn launch_group(
         return;
     }
     let shape = members.iter().map(|m| m.shape).sum();
-    ex.launch(name, category, shape, |kk| {
+    ex.launch(name, shape, |kk| {
         for m in &mut members {
             for (i, p) in patches.iter_mut().enumerate() {
                 (m.run)(kk, i, p);
@@ -515,8 +510,8 @@ fn roundtrip(patches: &mut [&mut Patch], vars: &[VariableId]) {
     for p in patches.iter_mut() {
         for &var in vars {
             let d = dev_mut(p.data_mut(var));
-            let host = d.download_all(Category::HydroKernel);
-            d.upload_all(&host, Category::HydroKernel);
+            let host = d.download_all();
+            d.upload_from(&host);
         }
     }
 }
@@ -535,7 +530,7 @@ pub(crate) fn ideal_gas(
     predict: bool,
 ) {
     let eos = ideal_gas_members(patches, f, ex, pass, gamma, predict);
-    launch_group(patches, ex, "ideal-gas", Category::HydroKernel, eos);
+    launch_group(patches, ex, "ideal-gas", eos);
 }
 
 /// [`ideal_gas`]'s members, after its round trip and host charge —
@@ -554,7 +549,7 @@ fn ideal_gas_members<'a>(
     }
     let region = if predict { ComputeRegion::Grown(1) } else { ComputeRegion::GhostBox };
     let nominal = |p: &Patch| region.cell_box(p.cell_box());
-    ex.charge_host(patches, Category::HydroKernel, |p| nominal(p).num_cells() * 2, 3, 8);
+    ex.charge_host(patches, |p| nominal(p).num_cells() * 2, 3, 8);
     vec![
         kernel(
             "ideal-gas-pressure",
@@ -586,7 +581,7 @@ pub(crate) fn viscosity(
     dx: &[(f64, f64)],
 ) {
     let q = viscosity_member(patches, f, ex, pass, dx);
-    launch_group(patches, ex, "viscosity", Category::HydroKernel, vec![q]);
+    launch_group(patches, ex, "viscosity", vec![q]);
 }
 
 fn viscosity_member<'a>(
@@ -601,7 +596,7 @@ fn viscosity_member<'a>(
         roundtrip(patches, &vars);
     }
     let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
-    ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells(), 5, 15);
+    ex.charge_host(patches, |p| grown(p).num_cells(), 5, 15);
     let regs = regions_for(patches, pass, 3, Centring::Cell, grown);
     kernel("viscosity", vars, &[f.xvel0, f.yvel0], (5, 15), regs, move |_kk, i, q, qbox, v, r| {
         k::viscosity(q, qbox, v[0], v[1], v[2], v[3], r, dx[i]);
@@ -620,7 +615,7 @@ pub(crate) fn eos_viscosity(
 ) {
     let mut group = ideal_gas_members(patches, f, ex, pass, gamma, false);
     group.push(viscosity_member(patches, f, ex, pass, dx));
-    launch_group(patches, ex, "ideal-gas-viscosity", Category::HydroKernel, group);
+    launch_group(patches, ex, "ideal-gas-viscosity", group);
 }
 
 /// CFL reduction: every patch's minimum lands in one `n`-patch staging
@@ -636,7 +631,10 @@ pub(crate) fn calc_dt(
     cfl: f64,
 ) -> Vec<f64> {
     let vars = [f.density0, f.pressure, f.viscosity, f.soundspeed, f.xvel0, f.yvel0];
-    if ex.copy_back() {
+    if let Exec::Device { device, copy_back: true } = ex {
+        // The copy-back round trip is hydro-kernel time, as in every
+        // other phase, inside the timestep phase that pays for it.
+        let _hydro = device.clock().scope(Category::HydroKernel);
         roundtrip(patches, &vars);
     }
     if patches.is_empty() {
@@ -652,13 +650,13 @@ pub(crate) fn calc_dt(
         result.as_mut_slice(kk)[i] =
             k::calc_dt(v[0], v[2], v[3], v[4], v[5], p.cell_box(), dx[i], cfl);
     });
-    launch_group(patches, ex, "calc-dt", Category::Timestep, vec![minimum]);
-    ex.charge_host(patches, Category::Timestep, |p| p.cell_box().num_cells(), 6, 20);
+    launch_group(patches, ex, "calc-dt", vec![minimum]);
+    ex.charge_host(patches, |p| p.cell_box().num_cells(), 6, 20);
     match result {
         Staged::Host(minima) => minima,
         Staged::Device(buf) => {
             let mut minima = vec![0.0f64; n];
-            buf.device().download(&buf, 0, &mut minima, Category::Timestep);
+            buf.device().d2h(&buf, 0, &mut minima);
             minima
         }
     }
@@ -683,7 +681,7 @@ pub(crate) fn flag_cells<P: Borrow<Patch>>(
     let cells = |p: &Patch| p.cell_box().num_cells();
     let total: i64 = patches.iter().map(|p| cells(p.borrow())).sum();
     let mut tags = ex.stage::<i32>(total as usize);
-    ex.launch("flag-cells", Category::Regrid, KernelShape::streaming(total, 3, 10), |kk| {
+    ex.launch("flag-cells", KernelShape::streaming(total, 3, 10), |kk| {
         let mut rest = tags.as_mut_slice(kk);
         for p in patches.iter().map(Borrow::borrow) {
             let (mine, tail) = rest.split_at_mut(cells(p) as usize);
@@ -692,7 +690,7 @@ pub(crate) fn flag_cells<P: Borrow<Patch>>(
             rest = tail;
         }
     });
-    ex.charge_host(patches, Category::Regrid, cells, 3, 10);
+    ex.charge_host(patches, cells, 3, 10);
     // Each patch's tags: its cell box, row-major, from its offset.
     let mut end = 0;
     let boxes = patches.iter().map(|p| {
@@ -707,7 +705,7 @@ pub(crate) fn flag_cells<P: Borrow<Patch>>(
         Staged::Device(buf) => {
             let fields: Vec<_> =
                 boxes.map(|(b, offset)| TagField { buf, offset, cell_box: b, dbox: b }).collect();
-            compress_tags_many(buf.device(), &fields, Category::Regrid)
+            compress_tags_many(buf.device(), &fields)
         }
     }
 }
@@ -727,7 +725,7 @@ pub(crate) fn lagrangian_pre(
     let mut group = pdv_members(patches, f, ex, dx, dt, true);
     group.extend(ideal_gas_members(patches, f, ex, Pass::Full, gamma, true));
     group.extend(revert_members(patches, f, ex));
-    launch_group(patches, ex, "pdv-predict", Category::HydroKernel, group);
+    launch_group(patches, ex, "pdv-predict", group);
     accelerate(patches, f, ex, dx, dt);
     pdv(patches, f, ex, dx, dt, false);
 }
@@ -735,7 +733,7 @@ pub(crate) fn lagrangian_pre(
 /// Restore working density/energy to step-start values.
 pub(crate) fn revert(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) {
     let copies = revert_members(patches, f, ex);
-    launch_group(patches, ex, "revert", Category::HydroKernel, copies);
+    launch_group(patches, ex, "revert", copies);
 }
 
 fn revert_members<'a>(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) -> Vec<Member<'a>> {
@@ -743,7 +741,7 @@ fn revert_members<'a>(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) -> V
         roundtrip(patches, &[f.density1, f.energy1, f.density0, f.energy0]);
     }
     let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
-    ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells() * 2, 2, 0);
+    ex.charge_host(patches, |p| grown(p).num_cells() * 2, 2, 0);
     let copies =
         [("revert-density", f.density1, f.density0), ("revert-energy", f.energy1, f.energy0)];
     Vec::from(copies.map(|(name, dst, src)| {
@@ -784,8 +782,8 @@ pub(crate) fn accelerate(
             },
         )
     });
-    launch_group(patches, ex, "accelerate", Category::HydroKernel, group.into());
-    ex.charge_host(patches, Category::HydroKernel, |p| node(p).num_cells() * 2, 5, 20);
+    launch_group(patches, ex, "accelerate", group.into());
+    ex.charge_host(patches, |p| node(p).num_cells() * 2, 5, 20);
 }
 
 /// PdV energy/density update (predictor: half dt with the start
@@ -800,7 +798,7 @@ pub(crate) fn pdv(
     predict: bool,
 ) {
     let group = pdv_members(patches, f, ex, dx, dt, predict);
-    launch_group(patches, ex, "pdv", Category::HydroKernel, group);
+    launch_group(patches, ex, "pdv", group);
 }
 
 fn pdv_members<'a>(
@@ -819,7 +817,7 @@ fn pdv_members<'a>(
     }
     let dt_eff = if predict { 0.5 * dt } else { dt };
     let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
-    ex.charge_host(patches, Category::HydroKernel, |p| grown(p).num_cells() * 2, 9, 30);
+    ex.charge_host(patches, |p| grown(p).num_cells() * 2, 9, 30);
     let [u0, u1, v0, v1] = vels;
     vec![
         kernel(
@@ -874,9 +872,9 @@ pub(crate) fn flux_calc(
             k::flux_calc(out, sbox, v[0], v[1], r, dt, dx[i], axis);
         })
     });
-    launch_group(patches, ex, "flux-calc", Category::HydroKernel, group.into());
+    launch_group(patches, ex, "flux-calc", group.into());
     let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
-    ex.charge_host(patches, Category::HydroKernel, |p| ghost(p).num_cells() * 2, 3, 6);
+    ex.charge_host(patches, |p| ghost(p).num_cells() * 2, 3, 6);
 }
 
 /// Cell advection — standalone (first sweep, `Pass::Full`) or the
@@ -951,7 +949,7 @@ pub(crate) fn advec_cell(
             k::copy_field(d, dbox, v[0], r);
         })
     }));
-    launch_group(patches, ex, "advec-cell-vol", Category::HydroKernel, volumes);
+    launch_group(patches, ex, "advec-cell-vol", volumes);
     let regs = regions_for(patches, pass, 3, Centring::Side(dir), |p| {
         let face = Centring::Side(dir).data_box(p.cell_box().grow(IntVector::uniform(GHOSTS)));
         face.intersect(p.data(mass_flux).data_box())
@@ -976,7 +974,7 @@ pub(crate) fn advec_cell(
             },
         ),
     ];
-    launch_group(patches, ex, "advec-mass-flux", Category::HydroKernel, fluxes);
+    launch_group(patches, ex, "advec-mass-flux", fluxes);
     let updates = vec![
         kernel(
             "advec-cell-energy",
@@ -999,8 +997,8 @@ pub(crate) fn advec_cell(
             },
         ),
     ];
-    launch_group(patches, ex, "advec-cell", Category::HydroKernel, updates);
-    ex.charge_host(patches, Category::HydroKernel, |p| ghost(p).num_cells() * 6, 8, 40);
+    launch_group(patches, ex, "advec-cell", updates);
+    ex.charge_host(patches, |p| ghost(p).num_cells() * 6, 8, 40);
 }
 
 /// The y-momentum flux's staging array, so the two momentum fluxes of a
@@ -1082,7 +1080,7 @@ pub(crate) fn advec_mom(
             .map(|p| ex.stage(p.data(f.mom_flux).data_box().num_cells() as usize))
             .collect();
     }
-    launch_group(patches, ex, "advec-mom-node", Category::HydroKernel, node_group);
+    launch_group(patches, ex, "advec-mom-node", node_group);
     let pre = kernel(
         "mom-node-mass-pre",
         [f.node_mass_pre, f.node_mass_post, f.node_flux],
@@ -1091,7 +1089,7 @@ pub(crate) fn advec_mom(
         regions_for(patches, pass, 3, Centring::Node, node_region),
         |_kk, _i, nm, nbox, v, r| k::mom_node_mass_pre(nm, nbox, v[0], v[1], r, dir),
     );
-    launch_group(patches, ex, "mom-node-mass-pre", Category::HydroKernel, vec![pre]);
+    launch_group(patches, ex, "mom-node-mass-pre", vec![pre]);
     let (node_flux, node_mass_pre) = (f.node_flux, f.node_mass_pre);
     let regs = regions_for(patches, pass, 4, Centring::Node, node_region);
     let cells = regs.iter().flatten().map(|b| b.num_cells()).sum();
@@ -1116,7 +1114,7 @@ pub(crate) fn advec_mom(
             }
         }),
     ];
-    launch_group(patches, ex, "mom-flux", Category::HydroKernel, fluxes);
+    launch_group(patches, ex, "mom-flux", fluxes);
     let staged = &*flux_y;
     let update_regions = || regions_for(patches, pass, 5, Centring::Node, nodes);
     let mut updates = vec![kernel(
@@ -1140,11 +1138,11 @@ pub(crate) fn advec_mom(
     );
     update_y.access.stencil.push(MOM_FLUX_Y);
     updates.push(update_y);
-    ex.charge_host(patches, Category::HydroKernel, |p| node_region(p).num_cells() * 7, 7, 30);
+    ex.charge_host(patches, |p| node_region(p).num_cells() * 7, 7, 30);
     if then_reset && pass != Pass::Interior {
         updates.extend(reset_members(patches, f, ex));
     }
-    launch_group(patches, ex, "mom-vel-update", Category::HydroKernel, updates);
+    launch_group(patches, ex, "mom-vel-update", updates);
     if pass != Pass::Interior {
         flux_y.clear();
     }
@@ -1153,7 +1151,7 @@ pub(crate) fn advec_mom(
 /// End-of-step field reset: four full-region copies, one launch.
 pub(crate) fn reset(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) {
     let copies = reset_members(patches, f, ex);
-    launch_group(patches, ex, "reset-field", Category::HydroKernel, copies);
+    launch_group(patches, ex, "reset-field", copies);
 }
 
 fn reset_members<'a>(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) -> Vec<Member<'a>> {
@@ -1163,7 +1161,7 @@ fn reset_members<'a>(patches: &mut [&mut Patch], f: &Fields, ex: Exec<'_>) -> Ve
             &[f.density0, f.energy0, f.xvel0, f.yvel0, f.density1, f.energy1, f.xvel1, f.yvel1],
         );
     }
-    ex.charge_host(patches, Category::HydroKernel, |p| p.cell_box().num_cells() * 4, 2, 0);
+    ex.charge_host(patches, |p| p.cell_box().num_cells() * 4, 2, 0);
     let copies = [
         ("reset-density", f.density0, f.density1, Centring::Cell),
         ("reset-energy", f.energy0, f.energy1, Centring::Cell),
@@ -1290,7 +1288,7 @@ mod tests {
                 let data = patch.data(VariableId(v));
                 let values = match data.as_any().downcast_ref::<HostData<f64>>() {
                     Some(host) => host.as_slice().to_vec(),
-                    None => dev(data).download_all(Category::Other),
+                    None => dev(data).download_all(),
                 };
                 values.into_iter().map(f64::to_bits).collect()
             })

@@ -13,7 +13,6 @@ use crate::state::Fields;
 use rbamr_amr::patchdata::PatchData;
 use rbamr_amr::{HostData, Patch, VariableId};
 use rbamr_gpu_amr::DeviceData;
-use rbamr_perfmodel::Category;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -31,7 +30,7 @@ fn read_interior(patch: &Patch, var: VariableId) -> Vec<f64> {
     if let Some(h) = patch.data(var).as_any().downcast_ref::<HostData<f64>>() {
         cb.iter().map(|q| h.at(q)).collect()
     } else if let Some(d) = patch.data(var).as_any().downcast_ref::<DeviceData<f64>>() {
-        let all = d.download_all(Category::Other);
+        let all = d.download_all();
         let dbox = d.data_box();
         cb.iter().map(|q| all[dbox.offset_of(q)]).collect()
     } else {
@@ -138,7 +137,7 @@ impl HydroSim {
     ) -> io::Result<usize> {
         let mine = self.write_vtk_patches(dir)?;
         let payload = bytes::Bytes::from(mine.join("\n").into_bytes());
-        let gathered = comm.gather(0, payload, Category::Other);
+        let gathered = comm.gather(0, payload);
         let local = mine.len();
         if let Some(parts) = gathered {
             let mut index = Vec::new();

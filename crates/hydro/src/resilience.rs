@@ -58,7 +58,7 @@ use crate::integrator::{HydroConfig, HydroSim, Placement, SimError, StepStats};
 use crate::state::RegionInit;
 use rbamr_amr::restart::Database;
 use rbamr_netsim::{Comm, FaultKind};
-use rbamr_perfmodel::{Category, Clock, Machine};
+use rbamr_perfmodel::{Clock, Machine};
 use std::sync::Arc;
 
 /// Everything needed to (re)build a [`HydroSim`] from scratch — the
@@ -487,7 +487,7 @@ impl ResilientSim {
         // retry storms without sacrificing reproducibility: the factor
         // is a pure hash, never wall-clock randomness.
         let jitter = jitter_factor(self.jitter_seed, self.spec.rank as u64, self.attempts as u64);
-        self.clock.advance(Category::Other, backoff * jitter);
+        self.clock.charge(backoff * jitter);
         Ok(())
     }
 

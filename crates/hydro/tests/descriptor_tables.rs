@@ -17,7 +17,7 @@ use rbamr_amr::{VariableId, VariableRegistry};
 use rbamr_geometry::GBox;
 use rbamr_hydro::{Fields, HydroSim, Placement};
 use rbamr_netsim::Cluster;
-use rbamr_perfmodel::{Category, Machine};
+use rbamr_perfmodel::Machine;
 use rbamr_telemetry::Recorder;
 use regrid_decks::{Deck, REGRID_EVERY};
 use std::sync::Arc;
@@ -119,5 +119,5 @@ impl DescriptorTable for Unrenderable {
 fn the_host_placement_renders_no_table() {
     let mut tables = PassTables::default();
     tables.push(Arc::new(Unrenderable));
-    HostDataFactory::new().upload_tables(&tables, Category::HaloExchange);
+    HostDataFactory::new().upload_tables(&tables);
 }

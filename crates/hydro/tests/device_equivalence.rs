@@ -743,6 +743,57 @@ const PER_ITEM_BYTES_SECONDS: [(f64, f64); 4] = [
     (1.380388571428592e-5, 1.546605714285714e-4),
 ];
 
+/// On a device, a checkpoint save and a digest between steps charge all
+/// their launches and PCIe copies to `Other`, whatever stage last
+/// touched each array; a restore charges its loads there too, and only
+/// its re-priming start fill and EOS elsewhere.
+#[test]
+fn device_checkpoints_and_digests_charge_other() {
+    let m = Machine::ipa_gpu();
+    let results = Cluster::new(m.clone()).with_workers(1).run(2, move |comm| {
+        let mut config =
+            HydroConfig { regrid_interval: 3, max_patch_size: 8, ..HydroConfig::default() };
+        config.regrid.cluster.min_size = 4;
+        config.regrid.max_patch_size = 8;
+        let mut sim = HydroSim::new(
+            m.clone(),
+            Placement::Device,
+            comm.clock().clone(),
+            (1.0, 1.0),
+            (32, 32),
+            LEVELS,
+            2,
+            config,
+            blast_regions(),
+            comm.rank(),
+            comm.size(),
+        );
+        sim.initialize(Some(&comm));
+        sim.run_steps(4, Some(&comm));
+        let delta = |before: TimeBreakdown| comm.clock().snapshot().since(&before);
+        let before = comm.clock().snapshot();
+        let db = sim.try_save_checkpoint(Some(&comm)).expect("fault-free save");
+        let save = delta(before);
+        let before = comm.clock().snapshot();
+        sim.state_field_digest();
+        let digest = delta(before);
+        let before = comm.clock().snapshot();
+        sim.try_restore_checkpoint(&db, Some(&comm)).expect("fault-free restore");
+        (save, digest, delta(before))
+    });
+    for r in results {
+        let (save, digest, restore) = r.value;
+        for (what, t) in [("save", save), ("digest", digest)] {
+            assert!(t.get(Category::Other) > 0.0, "rank {}: {what} charged nothing", r.rank);
+            assert_eq!(t.get(Category::Other), t.total(), "rank {}: {what} {t:?}", r.rank);
+        }
+        assert!(restore.get(Category::Other) > 0.0, "rank {}: {restore:?}", r.rank);
+        for c in [Category::Timestep, Category::Synchronize, Category::Regrid] {
+            assert_eq!(restore.get(c), 0.0, "rank {}: restore {restore:?}", r.rank);
+        }
+    }
+}
+
 /// A diagnostic digest reads every array through the per-item pack, and
 /// per-item calls outside a stage charge nothing: taking it leaves the
 /// host clock bit-identical.

@@ -273,7 +273,7 @@ mod tests {
         let results = Cluster::new(Machine::ipa_cpu_node())
             .with_workers(4)
             .with_stack_size(256 * 1024)
-            .run(64, |comm| comm.allreduce_max(comm.rank() as f64, Category::Other));
+            .run(64, |comm| comm.allreduce_max(comm.rank() as f64));
         for r in &results {
             assert_eq!(r.value, 63.0);
         }

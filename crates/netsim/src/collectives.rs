@@ -8,7 +8,7 @@
 //! execution, both in [`Comm::try_reduce`]:
 //!
 //! * **Cost model** — `CostModel::allreduce(N, spec.bytes)`, i.e.
-//!   ⌈log₂N⌉ × `message(bytes)`, charged to the caller's category,
+//!   ⌈log₂N⌉ × `message(bytes)`, charged in the clock's current scope,
 //!   plus one collective causal edge. This is what a log-depth
 //!   butterfly costs on the modelled machine.
 //! * **Execution** — one rendezvous through the scheduler's shared 3-word
@@ -40,7 +40,6 @@
 
 use crate::comm::{Comm, CommError};
 use bytes::Bytes;
-use rbamr_perfmodel::Category;
 
 /// How payload-moving collectives (gather / broadcast / allgatherv)
 /// exchange their frames. See the module docs for the frame-complexity
@@ -295,7 +294,6 @@ pub(crate) fn tree_gather(
     comm: &Comm,
     root: usize,
     payload: Bytes,
-    category: Category,
 ) -> Result<Option<Vec<Bytes>>, CommError> {
     let n = comm.size();
     let rank = comm.rank();
@@ -304,7 +302,7 @@ pub(crate) fn tree_gather(
     let mut first_err = None;
     let mut segments: Vec<(usize, Bytes)> = vec![(rank, payload)];
     for c in tree_children(rank, root, n) {
-        match comm.try_recv(c, tag, category) {
+        match comm.try_recv(c, tag) {
             Ok(frame) => {
                 let (t, segs) = decode_segments(&frame);
                 taint |= t;
@@ -346,7 +344,6 @@ pub(crate) fn tree_broadcast(
     comm: &Comm,
     root: usize,
     payload: Option<Bytes>,
-    category: Category,
 ) -> Result<Bytes, CommError> {
     let n = comm.size();
     let rank = comm.rank();
@@ -369,7 +366,7 @@ pub(crate) fn tree_broadcast(
     if payload.is_some() {
         return Err(CommError::UnexpectedPayload { rank });
     }
-    match comm.try_recv(tree_parent(rank, root, n), tag, category) {
+    match comm.try_recv(tree_parent(rank, root, n), tag) {
         Ok(frame) => {
             assert!(!frame.is_empty(), "broadcast frame: missing taint byte");
             let taint = frame[0] != 0;
@@ -426,11 +423,7 @@ fn finish_allgatherv(
 /// known segment set every round; extras hand their segment to a proxy
 /// up front and receive the complete set at the end. ≈ N·⌈log₂N⌉
 /// frames job-wide vs the flat fan's N·(N−1).
-pub(crate) fn rd_allgatherv(
-    comm: &Comm,
-    payload: Bytes,
-    category: Category,
-) -> Result<Vec<Bytes>, CommError> {
+pub(crate) fn rd_allgatherv(comm: &Comm, payload: Bytes) -> Result<Vec<Bytes>, CommError> {
     let n = comm.size();
     let rank = comm.rank();
     let tag = comm.next_collective_tag();
@@ -443,7 +436,7 @@ pub(crate) fn rd_allgatherv(
     if rank >= p {
         // Extra: publish through the proxy, then receive the full set.
         comm.send(rank - p, tag, encode_segments(taint, &held_segments(&parts)));
-        match comm.try_recv(rank - p, tag, category) {
+        match comm.try_recv(rank - p, tag) {
             Ok(frame) => absorb_segments(&mut parts, &frame, &mut taint),
             Err(e) => {
                 taint = true;
@@ -453,7 +446,7 @@ pub(crate) fn rd_allgatherv(
         return finish_allgatherv(comm, parts, taint, first_err);
     }
     if rank < extras {
-        match comm.try_recv(rank + p, tag, category) {
+        match comm.try_recv(rank + p, tag) {
             Ok(frame) => absorb_segments(&mut parts, &frame, &mut taint),
             Err(e) => {
                 taint = true;
@@ -465,7 +458,7 @@ pub(crate) fn rd_allgatherv(
     while k < p {
         let partner = rank ^ k;
         comm.send(partner, tag, encode_segments(taint, &held_segments(&parts)));
-        match comm.try_recv(partner, tag, category) {
+        match comm.try_recv(partner, tag) {
             Ok(frame) => absorb_segments(&mut parts, &frame, &mut taint),
             Err(e) => {
                 taint = true;

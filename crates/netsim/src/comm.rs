@@ -411,7 +411,7 @@ impl Comm {
             self.collective_seq.load(std::sync::atomic::Ordering::Relaxed),
             self.rendezvous_seq.load(std::sync::atomic::Ordering::Relaxed),
         ];
-        let aligned = match self.shared.shrink_align(self.physical_rank, words) {
+        let aligned = match self.shared.shrink_align(self.physical_rank, words, &self.clock) {
             Ok(w) => w,
             Err(p) => std::panic::panic_any(p),
         };
@@ -507,7 +507,7 @@ impl Comm {
         self.count_message(true, tag, payload.len() as u64);
         if self.recorder.is_enabled() {
             let occ = next_occurrence(&self.send_seq, dst, tag);
-            self.recorder.edge_send(dst, tag, occ, payload.len() as u64, Category::Other);
+            self.recorder.edge_send(dst, tag, occ, payload.len() as u64);
         }
         let frame = self.frame_for_send(payload);
         if let Err(p) = self.shared.push_frame(self.physical_rank, dst, tag, frame) {
@@ -516,8 +516,7 @@ impl Comm {
     }
 
     /// Blocking receive of the next message from `src` with `tag`.
-    /// Charges this rank's clock with the modelled message cost,
-    /// attributed to `category`.
+    /// Charges this rank's clock with the modelled message cost.
     ///
     /// # Errors
     /// [`CommError::MessageDropped`] / [`CommError::MessageCorrupt`]
@@ -530,7 +529,7 @@ impl Comm {
     /// Panics on deadlock (detected structurally, see [`crate::sched`];
     /// the message dumps every rank's pending op), or if `src` is
     /// invalid.
-    pub fn try_recv(&self, src: usize, tag: u64, category: Category) -> Result<Bytes, CommError> {
+    pub fn try_recv(&self, src: usize, tag: u64) -> Result<Bytes, CommError> {
         assert!(src < self.size(), "recv: rank {src} out of range");
         let logical_src = src;
         let src = self.physical(src);
@@ -539,7 +538,8 @@ impl Comm {
             "recv: rank {} received from itself",
             self.logical_rank
         );
-        let (flag, payload) = match self.shared.pop_frame(self.physical_rank, src, tag, category) {
+        let (flag, payload) = match self.shared.pop_frame(self.physical_rank, src, tag, &self.clock)
+        {
             Ok(frame) => frame,
             Err(Fail::Poisoned(p)) => return Err(CommError::PeerPanicked { origin: p.origin }),
             Err(Fail::Dead { rank }) => {
@@ -568,11 +568,11 @@ impl Comm {
             *credit -= hidden;
             transfer -= hidden;
         }
-        self.clock.advance(category, transfer);
+        self.clock.charge(transfer);
         self.count_message(false, tag, bytes);
         if self.recorder.is_enabled() {
             let occ = next_occurrence(&self.recv_seq, src, tag);
-            self.recorder.edge_recv(src, tag, occ, bytes, transfer, category);
+            self.recorder.edge_recv(src, tag, occ, bytes, transfer);
         }
         match flag {
             FLAG_OK => Ok(payload),
@@ -586,14 +586,12 @@ impl Comm {
         }
     }
 
-    /// Blocking receive for fault-free paths.
-    ///
-    /// # Panics
-    /// Panics on an injected fault — callers that can encounter
-    /// injected faults use [`Comm::try_recv`] and propagate the typed
-    /// error instead.
+    /// [`Comm::try_recv`] inside a clock scope of `category`, panicking
+    /// on a fault; kept for the frozen benchmark package's signature
+    /// (ROADMAP 27(b)).
     pub fn recv(&self, src: usize, tag: u64, category: Category) -> Bytes {
-        self.try_recv(src, tag, category).unwrap_or_else(|e| escalate("recv", e))
+        let _scope = self.clock.scope(category);
+        self.try_recv(src, tag).unwrap_or_else(|e| escalate("recv", e))
     }
 
     /// Run one collective. This is the single fallible entry point
@@ -604,47 +602,39 @@ impl Comm {
     /// job's [`CollectiveAlgo`]. An injected
     /// [`CommError::CollectiveFault`] on a reduction surfaces
     /// symmetrically on every rank.
-    pub fn try_collective(
-        &self,
-        op: CollectiveOp,
-        category: Category,
-    ) -> Result<CollectiveOutput, CommError> {
+    pub fn try_collective(&self, op: CollectiveOp) -> Result<CollectiveOutput, CommError> {
+        let span = |name| self.recorder.is_enabled().then(|| self.recorder.open(name));
         match op {
             CollectiveOp::Reduce { spec, words } => {
-                self.try_reduce(spec, words, category).map(CollectiveOutput::Reduced)
+                self.try_reduce(spec, words).map(CollectiveOutput::Reduced)
             }
             CollectiveOp::AllGather { payload } => {
-                let _span =
-                    self.recorder.is_enabled().then(|| self.recorder.span("allgatherv", category));
+                let _span = span("allgatherv");
                 self.recorder.count("net.collectives", 1);
                 match self.algo {
-                    CollectiveAlgo::Flat => self.flat_allgatherv(payload, category),
-                    CollectiveAlgo::RecursiveDoubling => {
-                        collectives::rd_allgatherv(self, payload, category)
-                    }
+                    CollectiveAlgo::Flat => self.flat_allgatherv(payload),
+                    CollectiveAlgo::RecursiveDoubling => collectives::rd_allgatherv(self, payload),
                 }
                 .map(CollectiveOutput::Gathered)
             }
             CollectiveOp::Gather { root, payload } => {
-                let _span =
-                    self.recorder.is_enabled().then(|| self.recorder.span("gather", category));
+                let _span = span("gather");
                 self.recorder.count("net.collectives", 1);
                 match self.algo {
-                    CollectiveAlgo::Flat => self.flat_gather(root, payload, category),
+                    CollectiveAlgo::Flat => self.flat_gather(root, payload),
                     CollectiveAlgo::RecursiveDoubling => {
-                        collectives::tree_gather(self, root, payload, category)
+                        collectives::tree_gather(self, root, payload)
                     }
                 }
                 .map(CollectiveOutput::GatheredAtRoot)
             }
             CollectiveOp::Broadcast { root, payload } => {
-                let _span =
-                    self.recorder.is_enabled().then(|| self.recorder.span("broadcast", category));
+                let _span = span("broadcast");
                 self.recorder.count("net.collectives", 1);
                 match self.algo {
-                    CollectiveAlgo::Flat => self.flat_broadcast(root, payload, category),
+                    CollectiveAlgo::Flat => self.flat_broadcast(root, payload),
                     CollectiveAlgo::RecursiveDoubling => {
-                        collectives::tree_broadcast(self, root, payload, category)
+                        collectives::tree_broadcast(self, root, payload)
                     }
                 }
                 .map(CollectiveOutput::Broadcast)
@@ -658,35 +648,30 @@ impl Comm {
     /// Panics on any typed comm error — callers that can encounter
     /// injected faults (or use the inherently fallible broadcast
     /// payload contract) go through [`Comm::try_collective`].
-    pub fn collective(&self, op: CollectiveOp, category: Category) -> CollectiveOutput {
+    pub fn collective(&self, op: CollectiveOp) -> CollectiveOutput {
         let name = op.name();
-        self.try_collective(op, category).unwrap_or_else(|e| escalate(name, e))
+        self.try_collective(op).unwrap_or_else(|e| escalate(name, e))
     }
 
     /// Allreduce of a 3-word state — the one execution of every
     /// reduction-shaped collective (barriers included). *Cost*: the
     /// caller's clock is charged [`CostModel::allreduce`]
-    /// (⌈log₂N⌉ × `message(spec.bytes)`) to `category` and one
+    /// (⌈log₂N⌉ × `message(spec.bytes)`) and one
     /// collective causal edge is emitted. *Execution*: one rendezvous
     /// through the scheduler's shared 3-word accumulator, no frames on the
     /// wire. The injected-fault decision (consulted once per call) and
     /// the dead-rank flag are OR-ed through the same rendezvous, so
     /// every rank reports the same [`CommError::CollectiveFault`] /
     /// [`CommError::Revoked`].
-    fn try_reduce(
-        &self,
-        spec: ReduceSpec,
-        words: [u64; 3],
-        category: Category,
-    ) -> Result<[u64; 3], CommError> {
+    fn try_reduce(&self, spec: ReduceSpec, words: [u64; 3]) -> Result<[u64; 3], CommError> {
         let name = spec.name;
-        let _span = self.recorder.is_enabled().then(|| self.recorder.span(name, category));
+        let _span = self.recorder.is_enabled().then(|| self.recorder.open(name));
         self.recorder.count("net.collectives", 1);
         self.recorder.count("net.collective_bytes", spec.bytes);
         let cost = self.cost.allreduce(self.size() as u32, spec.bytes);
-        self.clock.advance(category, cost);
+        self.clock.charge(cost);
         let cseq = self.rendezvous_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.recorder.edge_collective(name, cseq, spec.bytes, cost, category);
+        self.recorder.edge_collective(name, cseq, spec.bytes, cost);
         let injected =
             self.injector.as_ref().and_then(|i| i.should_fire(FaultKind::CollectiveFault));
         if injected.is_some() {
@@ -702,7 +687,7 @@ impl Comm {
         let (result, result_fault, result_revoked) = match self.shared.rendezvous(
             self.physical_rank,
             name,
-            category,
+            &self.clock,
             words,
             spec.combine,
             injected.is_some(),
@@ -721,17 +706,19 @@ impl Comm {
         }
     }
 
-    fn reduce_f64(&self, spec: ReduceSpec, v: f64, category: Category) -> f64 {
-        self.try_reduce_f64(spec, v, category).unwrap_or_else(|e| escalate(spec.name, e))
+    /// Blocking reduction of one `f64` under `spec` (a min, max or sum)
+    /// for fault-free paths. A sum's accumulation order is arrival-order
+    /// dependent; diagnostics tolerate roundoff-level variation exactly
+    /// as MPI_SUM does.
+    ///
+    /// # Panics
+    /// Panics on an injected fault, as [`Comm::collective`].
+    pub fn allreduce(&self, spec: ReduceSpec, v: f64) -> f64 {
+        self.try_reduce_f64(spec, v).unwrap_or_else(|e| escalate(spec.name, e))
     }
 
-    fn try_reduce_f64(
-        &self,
-        spec: ReduceSpec,
-        v: f64,
-        category: Category,
-    ) -> Result<f64, CommError> {
-        self.try_reduce(spec, f64_words(v), category).map(|w| f64::from_bits(w[0]))
+    fn try_reduce_f64(&self, spec: ReduceSpec, v: f64) -> Result<f64, CommError> {
+        self.try_reduce(spec, f64_words(v)).map(|w| f64::from_bits(w[0]))
     }
 
     /// Global minimum over all ranks — the dt reduction, "the only
@@ -740,42 +727,44 @@ impl Comm {
     /// Thin wrapper over [`Comm::collective`] with
     /// [`ReduceSpec::MIN_F64`]; prefer the generic entry point in new
     /// code.
-    pub fn allreduce_min(&self, v: f64, category: Category) -> f64 {
-        self.reduce_f64(ReduceSpec::MIN_F64, v, category)
+    pub fn allreduce_min(&self, v: f64) -> f64 {
+        self.allreduce(ReduceSpec::MIN_F64, v)
     }
 
     /// Fault-aware [`Comm::allreduce_min`]: an injected collective
     /// fault surfaces as the same [`CommError::CollectiveFault`] on
     /// every participating rank.
-    pub fn try_allreduce_min(&self, v: f64, category: Category) -> Result<f64, CommError> {
-        self.try_reduce_f64(ReduceSpec::MIN_F64, v, category)
+    pub fn try_allreduce_min(&self, v: f64) -> Result<f64, CommError> {
+        self.try_reduce_f64(ReduceSpec::MIN_F64, v)
     }
 
     /// Global maximum over all ranks. Thin wrapper over
     /// [`Comm::collective`] with [`ReduceSpec::MAX_F64`].
-    pub fn allreduce_max(&self, v: f64, category: Category) -> f64 {
-        self.reduce_f64(ReduceSpec::MAX_F64, v, category)
+    pub fn allreduce_max(&self, v: f64) -> f64 {
+        self.allreduce(ReduceSpec::MAX_F64, v)
     }
 
-    /// Global sum over all ranks (used by conservation diagnostics).
-    /// Thin wrapper over [`Comm::collective`] with
-    /// [`ReduceSpec::SUM_F64`].
-    ///
-    /// The accumulation order is arrival-order dependent; diagnostics
-    /// tolerate roundoff-level variation exactly as MPI_SUM does.
+    /// [`Comm::allreduce`] of [`ReduceSpec::SUM_F64`] inside a clock
+    /// scope of `category`; kept for the frozen benchmark package's
+    /// signature (ROADMAP 27(b)).
     pub fn allreduce_sum(&self, v: f64, category: Category) -> f64 {
-        self.reduce_f64(ReduceSpec::SUM_F64, v, category)
+        let _scope = self.clock.scope(category);
+        self.allreduce(ReduceSpec::SUM_F64, v)
     }
 
-    /// Synchronise all ranks. Thin wrapper over [`Comm::collective`]
-    /// with [`ReduceSpec::BARRIER`].
+    /// [`Comm::try_barrier`] inside a clock scope of `category`,
+    /// panicking on a fault; kept for the frozen benchmark package's
+    /// signature (ROADMAP 27(b)).
     pub fn barrier(&self, category: Category) {
-        self.reduce_f64(ReduceSpec::BARRIER, 0.0, category);
+        let _scope = self.clock.scope(category);
+        self.allreduce(ReduceSpec::BARRIER, 0.0);
     }
 
-    /// Fault-aware [`Comm::barrier`].
-    pub fn try_barrier(&self, category: Category) -> Result<(), CommError> {
-        self.try_reduce(ReduceSpec::BARRIER, [0; 3], category).map(|_| ())
+    /// Synchronise all ranks: one rendezvous of
+    /// [`ReduceSpec::BARRIER`]. An injected collective fault surfaces
+    /// on every rank.
+    pub fn try_barrier(&self) -> Result<(), CommError> {
+        self.try_reduce(ReduceSpec::BARRIER, [0; 3]).map(|_| ())
     }
 
     pub(crate) fn next_collective_tag(&self) -> u64 {
@@ -795,32 +784,22 @@ impl Comm {
     /// # Panics
     /// Panics on an injected fault — use [`Comm::try_gather`] on paths
     /// where faults may be injected.
-    pub fn gather(&self, root: usize, payload: Bytes, category: Category) -> Option<Vec<Bytes>> {
-        self.collective(CollectiveOp::Gather { root, payload }, category).gathered_at_root()
+    pub fn gather(&self, root: usize, payload: Bytes) -> Option<Vec<Bytes>> {
+        self.collective(CollectiveOp::Gather { root, payload }).gathered_at_root()
     }
 
     /// Fault-aware [`Comm::gather`]: every subtree is received even
     /// when a frame is faulty (run-through), and the root reports the
     /// first fault it saw — directly or as a taint from an upstream
     /// receive.
-    pub fn try_gather(
-        &self,
-        root: usize,
-        payload: Bytes,
-        category: Category,
-    ) -> Result<Option<Vec<Bytes>>, CommError> {
-        self.try_collective(CollectiveOp::Gather { root, payload }, category)
+    pub fn try_gather(&self, root: usize, payload: Bytes) -> Result<Option<Vec<Bytes>>, CommError> {
+        self.try_collective(CollectiveOp::Gather { root, payload })
             .map(CollectiveOutput::gathered_at_root)
     }
 
     /// The original flat gather: every rank sends straight to the
     /// root, which receives in rank order.
-    fn flat_gather(
-        &self,
-        root: usize,
-        payload: Bytes,
-        category: Category,
-    ) -> Result<Option<Vec<Bytes>>, CommError> {
+    fn flat_gather(&self, root: usize, payload: Bytes) -> Result<Option<Vec<Bytes>>, CommError> {
         let tag = self.next_collective_tag();
         if self.rank() == root {
             let mut parts = Vec::with_capacity(self.size());
@@ -829,7 +808,7 @@ impl Comm {
                 if src == self.rank() {
                     parts.push(payload.clone());
                 } else {
-                    match self.try_recv(src, tag, category) {
+                    match self.try_recv(src, tag) {
                         Ok(p) => parts.push(p),
                         Err(e) => {
                             parts.push(Bytes::new());
@@ -866,24 +845,14 @@ impl Comm {
     /// receive). The collective tag is consumed either way, so a rank
     /// that reports (rather than propagates) the error stays aligned
     /// with the other ranks' collective sequence.
-    pub fn broadcast(
-        &self,
-        root: usize,
-        payload: Option<Bytes>,
-        category: Category,
-    ) -> Result<Bytes, CommError> {
-        self.try_collective(CollectiveOp::Broadcast { root, payload }, category)
+    pub fn broadcast(&self, root: usize, payload: Option<Bytes>) -> Result<Bytes, CommError> {
+        self.try_collective(CollectiveOp::Broadcast { root, payload })
             .map(CollectiveOutput::broadcast)
     }
 
     /// The original flat broadcast: the root sends straight to every
     /// rank.
-    fn flat_broadcast(
-        &self,
-        root: usize,
-        payload: Option<Bytes>,
-        category: Category,
-    ) -> Result<Bytes, CommError> {
+    fn flat_broadcast(&self, root: usize, payload: Option<Bytes>) -> Result<Bytes, CommError> {
         let tag = self.next_collective_tag();
         if self.rank() == root {
             let Some(payload) = payload else {
@@ -900,46 +869,38 @@ impl Comm {
             if payload.is_some() {
                 return Err(CommError::UnexpectedPayload { rank: self.rank() });
             }
-            let payload = self.try_recv(root, tag, category)?;
+            let payload = self.try_recv(root, tag)?;
             self.recorder.count("net.collective_bytes", payload.len() as u64);
             Ok(payload)
         }
     }
 
+    /// [`Comm::try_allgatherv`] inside a clock scope of `category`,
+    /// panicking on a fault; kept for the frozen benchmark package's
+    /// signature (ROADMAP 27(b)).
+    pub fn allgatherv(&self, payload: Bytes, category: Category) -> Vec<Bytes> {
+        let _scope = self.clock.scope(category);
+        self.collective(CollectiveOp::AllGather { payload }).gathered()
+    }
+
     /// All-to-all gather of variable-length payloads: every rank
     /// contributes its bytes and receives every rank's contribution,
     /// indexed by rank (this rank's own slot included). Distributed
-    /// checkpoints use it.
+    /// checkpoints use it. A recursive-doubling butterfly (≈ N·⌈log₂N⌉
+    /// frames) in production; the flat all-to-all fan (N·(N−1) frames)
+    /// under [`CollectiveAlgo::Flat`].
     ///
-    /// A recursive-doubling butterfly (≈ N·⌈log₂N⌉ frames) in
-    /// production; the flat all-to-all fan (N·(N−1) frames) under
-    /// [`CollectiveAlgo::Flat`]. Thin wrapper
-    /// over [`Comm::collective`] with [`CollectiveOp::AllGather`].
-    ///
-    /// # Panics
-    /// Panics on an injected fault — use [`Comm::try_allgatherv`] on
-    /// paths where faults may be injected.
-    pub fn allgatherv(&self, payload: Bytes, category: Category) -> Vec<Bytes> {
-        self.collective(CollectiveOp::AllGather { payload }, category).gathered()
-    }
-
-    /// Fault-aware [`Comm::allgatherv`]: receives from every peer even
-    /// when a frame is faulty (run-through), then reports the first
-    /// locally observed fault (a [`CommError::CollectiveFault`] when
-    /// the fault hit another rank's exchange and reached this rank only
-    /// as a taint).
-    pub fn try_allgatherv(
-        &self,
-        payload: Bytes,
-        category: Category,
-    ) -> Result<Vec<Bytes>, CommError> {
-        self.try_collective(CollectiveOp::AllGather { payload }, category)
-            .map(CollectiveOutput::gathered)
+    /// Run-through: receives from every peer even when a frame is
+    /// faulty, then reports the first locally observed fault (a
+    /// [`CommError::CollectiveFault`] when the fault hit another rank's
+    /// exchange and reached this rank only as a taint).
+    pub fn try_allgatherv(&self, payload: Bytes) -> Result<Vec<Bytes>, CommError> {
+        self.try_collective(CollectiveOp::AllGather { payload }).map(CollectiveOutput::gathered)
     }
 
     /// The original flat allgatherv: a buffered send to every peer
     /// followed by one receive per peer in rank order.
-    fn flat_allgatherv(&self, payload: Bytes, category: Category) -> Result<Vec<Bytes>, CommError> {
+    fn flat_allgatherv(&self, payload: Bytes) -> Result<Vec<Bytes>, CommError> {
         let tag = self.next_collective_tag();
         for dst in 0..self.size() {
             if dst != self.rank() {
@@ -952,7 +913,7 @@ impl Comm {
             if src == self.rank() {
                 parts.push(payload.clone());
             } else {
-                match self.try_recv(src, tag, category) {
+                match self.try_recv(src, tag) {
                     Ok(p) => parts.push(p),
                     Err(e) => {
                         parts.push(Bytes::new());
@@ -1034,8 +995,8 @@ mod tests {
     fn allreduce_min_max_sum() {
         let results = cluster().run(4, |comm| {
             let v = comm.rank() as f64;
-            let mn = comm.allreduce_min(v, Category::Timestep);
-            let mx = comm.allreduce_max(v, Category::Other);
+            let mn = comm.allreduce_min(v);
+            let mx = comm.allreduce_max(v);
             let sm = comm.allreduce_sum(v, Category::Other);
             (mn, mx, sm)
         });
@@ -1052,7 +1013,7 @@ mod tests {
             let mut out = Vec::new();
             for round in 0..10 {
                 let v = (comm.rank() * 100 + round) as f64;
-                out.push(comm.allreduce_min(v, Category::Timestep));
+                out.push(comm.allreduce_min(v));
             }
             out
         });
@@ -1065,7 +1026,7 @@ mod tests {
     #[test]
     fn single_rank_collectives_are_identity_and_free() {
         let results = cluster().run(1, |comm| {
-            let v = comm.allreduce_min(3.5, Category::Timestep);
+            let v = comm.allreduce_min(3.5);
             (v, comm.clock().total())
         });
         assert_eq!(results[0].value.0, 3.5);
@@ -1106,7 +1067,7 @@ mod tests {
     fn gather_then_broadcast() {
         let results = cluster().run(3, |comm| {
             let mine = Bytes::from(vec![comm.rank() as u8]);
-            let gathered = comm.gather(0, mine, Category::Regrid);
+            let gathered = comm.gather(0, mine);
             let merged = gathered.map(|parts| {
                 let mut all = Vec::new();
                 for p in parts {
@@ -1114,7 +1075,7 @@ mod tests {
                 }
                 Bytes::from(all)
             });
-            comm.broadcast(0, merged, Category::Regrid)
+            comm.broadcast(0, merged)
         });
         for r in &results {
             // Propagate the typed result out of the rank closure; no
@@ -1126,7 +1087,7 @@ mod tests {
 
     #[test]
     fn broadcast_root_without_payload_is_an_error() {
-        let results = cluster().run(1, |comm| comm.broadcast(0, None, Category::Regrid));
+        let results = cluster().run(1, |comm| comm.broadcast(0, None));
         assert_eq!(results[0].value, Err(CommError::MissingRootPayload { root: 0 }));
     }
 
@@ -1134,8 +1095,7 @@ mod tests {
     fn broadcast_nonroot_with_payload_is_an_error() {
         // The root's sends are buffered, so the misbehaving non-root
         // erroring out does not deadlock the job.
-        let results = cluster()
-            .run(2, |comm| comm.broadcast(0, Some(Bytes::from_static(b"x")), Category::Regrid));
+        let results = cluster().run(2, |comm| comm.broadcast(0, Some(Bytes::from_static(b"x"))));
         assert_eq!(results[0].value, Ok(Bytes::from_static(b"x")));
         assert_eq!(results[1].value, Err(CommError::UnexpectedPayload { rank: 1 }));
     }
@@ -1207,12 +1167,8 @@ mod tests {
             let mine = Bytes::from(vec![comm.rank() as u8; comm.rank() + 1]); // 1, 2, 3 bytes
             comm.allreduce_sum(1.0, Category::Timestep); // 8
             comm.barrier(Category::Other); // 0
-            comm.gather(0, mine.clone(), Category::Regrid); // root: 6, others: own len
-            let bcast = comm.broadcast(
-                0,
-                (comm.rank() == 0).then(|| Bytes::from_static(b"abcde")),
-                Category::Regrid,
-            ); // 5 everywhere
+            comm.gather(0, mine.clone()); // root: 6, others: own len
+            let bcast = comm.broadcast(0, (comm.rank() == 0).then(|| Bytes::from_static(b"abcde"))); // 5 everywhere
             assert!(bcast.is_ok(), "fault-free broadcast succeeds");
             comm.allgatherv(mine, Category::HaloExchange); // 6 everywhere
             (rec.counter("net.collectives"), rec.counter("net.collective_bytes"))
@@ -1246,7 +1202,9 @@ mod tests {
     #[test]
     fn collective_categories_charge_the_declared_category() {
         let results = cluster().run(2, |comm| {
-            comm.allreduce_min(1.0, Category::Timestep);
+            let timestep = comm.clock().scope(Category::Timestep);
+            comm.allreduce_min(1.0);
+            drop(timestep);
             comm.allgatherv(Bytes::from_static(b"xy"), Category::Regrid);
             let snap = comm.clock().snapshot();
             (snap.get(Category::Timestep), snap.get(Category::Regrid), snap.get(Category::Other))
@@ -1272,7 +1230,7 @@ mod tests {
                 comm.send(0, 8, Bytes::from(vec![1u8; 256]));
                 comm.recv(0, 7, Category::HaloExchange);
             }
-            comm.allreduce_min(comm.rank() as f64, Category::Timestep);
+            comm.allreduce_min(comm.rank() as f64);
             rec
         });
         let recs: Vec<Recorder> = results.into_iter().map(|r| r.value).collect();
@@ -1343,7 +1301,7 @@ mod tests {
             } else {
                 // The dropped frame is consumed; the next message still
                 // arrives — run-through, no desync.
-                (comm.try_recv(0, 3, Category::Other), comm.try_recv(0, 4, Category::Other))
+                (comm.try_recv(0, 3), comm.try_recv(0, 4))
             }
         });
         let (first, second) = &results[1].value;
@@ -1359,7 +1317,7 @@ mod tests {
                 comm.send(1, 5, Bytes::from_static(b"payload"));
                 Ok(Bytes::new())
             } else {
-                comm.try_recv(0, 5, Category::Other)
+                comm.try_recv(0, 5)
             }
         });
         assert_eq!(results[1].value, Err(CommError::MessageCorrupt { src: 0, dst: 1, tag: 5 }));
@@ -1419,7 +1377,7 @@ mod tests {
                     }
                 } else {
                     for i in 0..32u64 {
-                        if comm.try_recv(0, i, Category::Other).is_err() {
+                        if comm.try_recv(0, i).is_err() {
                             errs += 1;
                         }
                     }
@@ -1538,9 +1496,7 @@ mod tests {
                     panic!("boom");
                 }
                 comm.send(0, 9, Bytes::from_static(b"go"));
-                if comm.try_recv(0, 1, Category::Other)
-                    == Err(CommError::PeerPanicked { origin: 0 })
-                {
+                if comm.try_recv(0, 1) == Err(CommError::PeerPanicked { origin: 0 }) {
                     obs.store(true, Ordering::SeqCst);
                 }
             });
@@ -1559,11 +1515,11 @@ mod tests {
                 return Vec::new();
             }
             // Queued-before-death frames must still be deliverable.
-            let pre = comm.try_recv(1, 1, Category::Other);
+            let pre = comm.try_recv(1, 1);
             assert_eq!(pre.as_deref(), Ok(&b"last words"[..]));
             // A receive the dead rank never matched fails structurally
             // with a typed error — no hang.
-            let post = comm.try_recv(1, 2, Category::Other);
+            let post = comm.try_recv(1, 2);
             assert_eq!(post, Err(CommError::RankDead { rank: 1 }));
             // A send to the dead rank is black-holed without panicking.
             comm.send(1, 4, Bytes::from_static(b"into the void"));
@@ -1590,7 +1546,7 @@ mod tests {
                 return (usize::MAX, usize::MAX, 0.0);
             }
             // Detect the loss collectively, then agree to shrink.
-            let detect = comm.try_allreduce_min(0.0, Category::Timestep);
+            let detect = comm.try_allreduce_min(0.0);
             assert!(matches!(detect, Err(CommError::Revoked { .. })));
             let old_rank = comm.rank();
             let comm = comm.shrink().expect("survivor shrink succeeds");

@@ -50,7 +50,7 @@
 use crate::comm::{Fail, PeerPanicked};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use rbamr_perfmodel::Category;
+use rbamr_perfmodel::Clock;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
@@ -59,25 +59,28 @@ use std::collections::{HashMap, VecDeque};
 /// copies no bytes.
 pub(crate) type Frame = (u8, Bytes);
 
-/// What a blocked task is waiting for. Descriptions are formatted
-/// lazily (only when a deadlock dump is actually printed) to keep the
-/// block path allocation-free.
+/// What a blocked task is waiting for, and the clock of the rank that
+/// waits: a dump names the category from its scope. Descriptions are
+/// formatted lazily (only when a deadlock dump is actually printed) to
+/// keep the block path allocation-free.
 pub(crate) enum Wait {
     /// Blocked in `recv` on an exact `(src, tag)` channel.
-    Recv { src: usize, tag: u64, category: Category },
+    Recv { src: usize, tag: u64, clock: Clock },
     /// Blocked in a rendezvous collective (`allreduce-*`, `barrier`,
     /// `allreduce-digest`): the name carries which one for diagnostics.
-    Collective { name: &'static str, category: Category },
+    Collective { name: &'static str, clock: Clock },
 }
 
 impl Wait {
     /// Human-readable pending-op description for deadlock diagnostics.
     fn describe(&self) -> String {
         match self {
-            Wait::Recv { src, tag, category } => {
-                format!("recv(src={src}, tag={tag:#x}, category={category:?})")
+            Wait::Recv { src, tag, clock } => {
+                format!("recv(src={src}, tag={tag:#x}, category={:?})", clock.current_scope())
             }
-            Wait::Collective { name, category } => format!("{name} (category={category:?})"),
+            Wait::Collective { name, clock } => {
+                format!("{name} (category={:?})", clock.current_scope())
+            }
         }
     }
 }
@@ -383,7 +386,7 @@ impl Scheduler {
         rank: usize,
         src: usize,
         tag: u64,
-        category: Category,
+        clock: &Clock,
     ) -> Result<Frame, Fail> {
         let mut st = self.state.lock();
         loop {
@@ -403,7 +406,8 @@ impl Scheduler {
             if st.dead[src] {
                 return Err(Fail::Dead { rank: src });
             }
-            self.block(&mut st, rank, Wait::Recv { src, tag, category }).map_err(Fail::Poisoned)?;
+            let wait = Wait::Recv { src, tag, clock: clock.clone() };
+            self.block(&mut st, rank, wait).map_err(Fail::Poisoned)?;
         }
     }
 
@@ -417,7 +421,7 @@ impl Scheduler {
         &self,
         rank: usize,
         name: &'static str,
-        category: Category,
+        clock: &Clock,
         words: [u64; 3],
         combine: fn(&mut [u64; 3], [u64; 3]),
         fault: bool,
@@ -444,7 +448,7 @@ impl Scheduler {
         }
         let gen = st.coll.generation;
         while st.coll.generation == gen {
-            self.block(&mut st, rank, Wait::Collective { name, category })?;
+            self.block(&mut st, rank, Wait::Collective { name, clock: clock.clone() })?;
         }
         Ok((st.coll.result, st.coll.result_fault, st.coll.result_revoked))
     }
@@ -535,6 +539,7 @@ impl Scheduler {
         &self,
         rank: usize,
         words: [u64; 2],
+        clock: &Clock,
     ) -> Result<[u64; 2], PeerPanicked> {
         let size = self.size();
         let mut st = self.state.lock();
@@ -554,11 +559,8 @@ impl Scheduler {
         }
         let gen = st.shrink_generation;
         while st.shrink_generation == gen {
-            self.block(
-                &mut st,
-                rank,
-                Wait::Collective { name: "shrink-align", category: Category::Other },
-            )?;
+            let wait = Wait::Collective { name: "shrink-align", clock: clock.clone() };
+            self.block(&mut st, rank, wait)?;
         }
         Ok(st.shrink_result)
     }
@@ -594,7 +596,7 @@ mod tests {
             let flag = (tag % 3) as u8;
             let frame = (flag, Bytes::from_static(b"x"));
             sched.push_frame(0, 1, tag, frame).expect("job is not poisoned");
-            let frame = sched.pop_frame(1, 0, tag, Category::Other);
+            let frame = sched.pop_frame(1, 0, tag, &Clock::new());
             assert!(matches!(frame, Ok((f, body)) if f == flag && &body[..] == b"x"));
         }
         assert!(sched.state.lock().mailboxes[1].is_empty());

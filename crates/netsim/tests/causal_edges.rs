@@ -51,10 +51,10 @@ fn run_script(n: usize, ops: &[Op]) -> Vec<Recorder> {
                     }
                 }
                 Op::Collective(0) => {
-                    comm.allreduce_min(comm.rank() as f64, Category::Timestep);
+                    comm.allreduce_min(comm.rank() as f64);
                 }
                 Op::Collective(1) => {
-                    comm.allreduce_max(comm.rank() as f64, Category::Timestep);
+                    comm.allreduce_max(comm.rank() as f64);
                 }
                 Op::Collective(2) => comm.barrier(Category::Synchronize),
                 Op::Collective(_) => {

@@ -140,7 +140,9 @@ fn checked_reduce(
         ["net.sends", "net.sends.kind15", "net.collectives", "net.edge.collectives"];
     let before = WATCHED.map(|k| rec.counter(k));
     let clock_before = comm.clock().snapshot().get(category);
-    let out = comm.collective(CollectiveOp::Reduce { spec, words }, category).reduced();
+    let scope = comm.clock().scope(category);
+    let out = comm.collective(CollectiveOp::Reduce { spec, words }).reduced();
+    drop(scope);
     let delta: Vec<u64> = WATCHED.iter().zip(before).map(|(k, b)| rec.counter(k) - b).collect();
     assert_eq!(delta, [0, 0, 1, 1], "{}: counter deltas for {WATCHED:?}", spec.name);
     let cost = comm.cost_model().allreduce(comm.size() as u32, spec.bytes);
@@ -179,21 +181,19 @@ fn run_ops(cluster: Cluster, nranks: usize, ops: &[Op]) -> (Vec<Observation>, Ve
                         fnv1a(&mut h, p);
                     }
                 }
-                Op::Gather { root_pick } => {
-                    match comm.gather(root_pick % n, payload_for(r, i), Category::Regrid) {
-                        Some(parts) => {
-                            assert_eq!(parts.len(), n, "root sees every rank's part");
-                            for p in &parts {
-                                fnv1a(&mut h, p);
-                            }
+                Op::Gather { root_pick } => match comm.gather(root_pick % n, payload_for(r, i)) {
+                    Some(parts) => {
+                        assert_eq!(parts.len(), n, "root sees every rank's part");
+                        for p in &parts {
+                            fnv1a(&mut h, p);
                         }
-                        None => fnv1a(&mut h, b"\xffnot-root"),
                     }
-                }
+                    None => fnv1a(&mut h, b"\xffnot-root"),
+                },
                 Op::Broadcast { root_pick } => {
                     let root = root_pick % n;
                     let mine = (r == root).then(|| payload_for(root, i));
-                    let got = comm.broadcast(root, mine, Category::Regrid).expect("fault-free");
+                    let got = comm.broadcast(root, mine).expect("fault-free");
                     assert_eq!(got, payload_for(root, i));
                     fnv1a(&mut h, &got);
                 }
@@ -352,21 +352,17 @@ fn generic_entry_point_matches_legacy_wrappers() {
     for algo in ALGOS {
         let results = Cluster::new(machine()).with_collectives(algo).run(5, move |comm| {
             let r = comm.rank() as f64;
-            let wrapper = comm.allreduce_min(r, Category::Timestep);
+            let wrapper = comm.allreduce_min(r);
             let generic = comm
-                .collective(
-                    CollectiveOp::Reduce { spec: ReduceSpec::MIN_F64, words: f64_words(r) },
-                    Category::Timestep,
-                )
+                .collective(CollectiveOp::Reduce { spec: ReduceSpec::MIN_F64, words: f64_words(r) })
                 .reduced();
             assert_eq!(wrapper.to_bits(), generic[0], "min wrapper == generic");
             let wrapper =
                 comm.allgatherv(Bytes::from(vec![comm.rank() as u8; 3]), Category::Regrid);
             let generic = comm
-                .collective(
-                    CollectiveOp::AllGather { payload: Bytes::from(vec![comm.rank() as u8; 3]) },
-                    Category::Regrid,
-                )
+                .collective(CollectiveOp::AllGather {
+                    payload: Bytes::from(vec![comm.rank() as u8; 3]),
+                })
                 .gathered();
             assert_eq!(wrapper, generic, "allgatherv wrapper == generic");
             comm.collective_algo()
@@ -387,8 +383,8 @@ fn injected_collective_fault_is_symmetric_at_128_ranks() {
     for cluster in clusters() {
         let plan = FaultPlan::new(11, vec![FaultRule::once_on(FaultKind::CollectiveFault, 77, 0)]);
         let results = cluster.with_fault_plan(plan).run(128, |comm| {
-            let bad = comm.try_allreduce_min(comm.rank() as f64, Category::Timestep);
-            let good = comm.try_allreduce_min(comm.rank() as f64, Category::Timestep);
+            let bad = comm.try_allreduce_min(comm.rank() as f64);
+            let good = comm.try_allreduce_min(comm.rank() as f64);
             (bad, good)
         });
         for r in &results {
@@ -414,7 +410,7 @@ fn dead_rank_revokes_the_round_on_every_survivor_at_128_ranks() {
             // Whether the death lands before the survivors enter the
             // collective or mid-rendezvous, every survivor observes the
             // same revocation instead of a result or a hang.
-            Some(comm.try_allreduce_min(comm.rank() as f64, Category::Timestep))
+            Some(comm.try_allreduce_min(comm.rank() as f64))
         });
         for r in results.iter().filter(|r| r.rank != 77) {
             assert_eq!(

@@ -83,12 +83,12 @@ fn run_script(cluster: Cluster, nranks: usize, script: &[Round]) -> Vec<RankObse
             let v = (comm.rank() * 31 + round_idx) as f64;
             match round.collective {
                 0 => {
-                    let min = comm.allreduce_min(v, Category::Timestep);
+                    let min = comm.allreduce_min(v);
                     assert_eq!(min, round_idx as f64);
                     collective_bits.push(min.to_bits());
                 }
                 1 => {
-                    let max = comm.allreduce_max(v, Category::Timestep);
+                    let max = comm.allreduce_max(v);
                     assert_eq!(max, ((nranks - 1) * 31 + round_idx) as f64);
                     collective_bits.push(max.to_bits());
                 }

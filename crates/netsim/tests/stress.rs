@@ -71,7 +71,7 @@ fn interleaved_collectives_and_p2p() {
                 let b = comm.recv(comm.rank() - 1, round, Category::HaloExchange);
                 assert_eq!(b[0] as u64, round);
             }
-            acc += comm.allreduce_min(comm.rank() as f64 + round as f64, Category::Timestep);
+            acc += comm.allreduce_min(comm.rank() as f64 + round as f64);
             comm.barrier(Category::Other);
         }
         acc
@@ -88,7 +88,7 @@ fn gather_broadcast_roundtrip_under_load() {
         let mut all_ok = true;
         for round in 0..10u8 {
             let mine = Bytes::from(vec![comm.rank() as u8, round]);
-            let gathered = comm.gather(0, mine, Category::Regrid);
+            let gathered = comm.gather(0, mine);
             let merged = if comm.rank() == 0 {
                 let parts = gathered.unwrap();
                 assert_eq!(parts.len(), comm.size());
@@ -103,7 +103,7 @@ fn gather_broadcast_roundtrip_under_load() {
             } else {
                 None
             };
-            let bcast = comm.broadcast(0, merged, Category::Regrid).expect("valid broadcast");
+            let bcast = comm.broadcast(0, merged).expect("valid broadcast");
             all_ok &= bcast.len() == comm.size() * 2;
         }
         all_ok
@@ -148,8 +148,8 @@ fn thousand_rank_ring_with_collectives() {
             comm.send(next, 0, Bytes::from(vec![comm.rank() as u8; 8]));
             let got = comm.recv(prev, 0, Category::HaloExchange);
             assert_eq!(got[0], prev as u8);
-            let dt = comm.allreduce_min(comm.rank() as f64 + 0.5, Category::Timestep);
-            let hi = comm.allreduce_max(comm.rank() as f64, Category::Other);
+            let dt = comm.allreduce_min(comm.rank() as f64 + 0.5);
+            let hi = comm.allreduce_max(comm.rank() as f64);
             comm.barrier(Category::Other);
             (dt, hi)
         });

@@ -16,7 +16,9 @@ use serde::{Deserialize, Serialize};
 ///   clustering and solution transfer.
 /// * **Timestep** (Section V-B: "calculating the timestep, which
 ///   contains the only global reduction") = [`Category::Timestep`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub enum Category {
     /// Numerical kernels advancing the solution on patches.
     HydroKernel,
@@ -31,7 +33,9 @@ pub enum Category {
     /// Error flagging, tag compression/transfer, clustering, and
     /// solution transfer onto the new hierarchy.
     Regrid,
-    /// Everything else (initialisation, diagnostics).
+    /// Everything else (initialisation, diagnostics): a clock's scope
+    /// outside every other.
+    #[default]
     Other,
 }
 

@@ -79,44 +79,92 @@ impl TimeBreakdown {
 /// A monotonically accumulating virtual clock, shareable across the
 /// device/network layers of one simulated rank.
 ///
-/// Cloning shares the underlying accumulator (it is an `Arc`).
+/// Every charge lands in the clock's current **scope**: the [`Category`]
+/// of the code running now, set by [`Clock::scope`] where that is
+/// decided — a step phase, a fill window, a sync, a regrid,
+/// initialisation — and [`Category::Other`] outside all of them. The
+/// layers that charge (device launches and transfers, messages and
+/// collectives, host loops) name no category.
+///
+/// Cloning shares the underlying accumulator and scope (it is an `Arc`).
 #[derive(Clone, Debug, Default)]
 pub struct Clock {
-    inner: Arc<Mutex<TimeBreakdown>>,
+    inner: Arc<Mutex<State>>,
 }
 
-impl Clock {
-    /// A fresh clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
+#[derive(Debug, Default)]
+struct State {
+    time: TimeBreakdown,
+    scope: Category,
+}
 
-    /// Advance the clock by `seconds` attributed to `category`.
-    ///
-    /// # Panics
-    /// Panics if `seconds` is negative or not finite — a cost law
-    /// producing such a value is a bug.
-    pub fn advance(&self, category: Category, seconds: f64) {
+impl State {
+    fn add(&mut self, category: Category, seconds: f64) {
         assert!(
             seconds.is_finite() && seconds >= 0.0,
             "Clock::advance: invalid duration {seconds}"
         );
-        self.inner.lock().seconds[category.index()] += seconds;
+        self.time.add(category, seconds);
+    }
+}
+
+/// The guard of [`Clock::scope`]: restores the enclosing scope when it
+/// drops, so scopes nest.
+#[must_use = "the scope closes when the guard drops"]
+#[derive(Debug)]
+pub struct Scope {
+    clock: Clock,
+    enclosing: Category,
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        self.clock.inner.lock().scope = self.enclosing;
+    }
+}
+
+impl Clock {
+    /// A fresh clock at time zero, in the [`Category::Other`] scope.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Attribute every charge to `category` until the guard drops.
+    pub fn scope(&self, category: Category) -> Scope {
+        let enclosing = std::mem::replace(&mut self.inner.lock().scope, category);
+        Scope { clock: self.clone(), enclosing }
+    }
+
+    /// The category charges land in now.
+    pub fn current_scope(&self) -> Category {
+        self.inner.lock().scope
+    }
+
+    /// Advance the clock by `seconds`, attributed to the current scope.
+    ///
+    /// # Panics
+    /// Panics if `seconds` is negative or not finite — a cost law
+    /// producing such a value is a bug.
+    pub fn charge(&self, seconds: f64) {
+        let mut state = self.inner.lock();
+        let scope = state.scope;
+        state.add(scope, seconds);
+    }
+
+    /// [`Clock::charge`] as if inside a scope of `category`; kept for
+    /// the frozen benchmark package's signature (ROADMAP 27(b)).
+    pub fn advance(&self, category: Category, seconds: f64) {
+        self.inner.lock().add(category, seconds);
     }
 
     /// Snapshot the current accumulated time.
     pub fn snapshot(&self) -> TimeBreakdown {
-        *self.inner.lock()
+        self.inner.lock().time
     }
 
     /// Total virtual time so far.
     pub fn total(&self) -> f64 {
         self.snapshot().total()
-    }
-
-    /// Reset the clock to zero (used between benchmark repetitions).
-    pub fn reset(&self) {
-        *self.inner.lock() = TimeBreakdown::default();
     }
 }
 
@@ -134,6 +182,30 @@ mod tests {
         assert_eq!(s.get(Category::HydroKernel), 1.5);
         assert_eq!(s.get(Category::Regrid), 2.0);
         assert_eq!(s.total(), 3.5);
+    }
+
+    #[test]
+    fn charges_land_in_the_innermost_scope() {
+        let c = Clock::new();
+        assert_eq!(c.current_scope(), Category::Other);
+        c.charge(1.0);
+        {
+            let _step = c.scope(Category::HydroKernel);
+            c.charge(2.0);
+            {
+                let _fill = c.clone().scope(Category::HaloExchange);
+                c.charge(4.0);
+                c.advance(Category::Regrid, 8.0);
+            }
+            assert_eq!(c.current_scope(), Category::HydroKernel);
+            c.charge(16.0);
+        }
+        assert_eq!(c.current_scope(), Category::Other);
+        let s = c.snapshot();
+        assert_eq!(s.get(Category::Other), 1.0);
+        assert_eq!(s.get(Category::HydroKernel), 18.0);
+        assert_eq!(s.get(Category::HaloExchange), 4.0);
+        assert_eq!(s.get(Category::Regrid), 8.0);
     }
 
     #[test]
@@ -183,14 +255,6 @@ mod tests {
         let x = a.max_per_category(&b);
         assert_eq!(x.seconds[0], 2.0);
         assert_eq!(x.seconds[1], 5.0);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let c = Clock::new();
-        c.advance(Category::Other, 9.0);
-        c.reset();
-        assert_eq!(c.total(), 0.0);
     }
 
     #[test]

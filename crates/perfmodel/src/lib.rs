@@ -23,7 +23,9 @@
 //!
 //! Timing is attributed to a [`Category`], matching the runtime
 //! components plotted in Figure 11 (hydrodynamics, synchronisation,
-//! regridding) and the percentage breakdown quoted in Section V-B.
+//! regridding) and the percentage breakdown quoted in Section V-B: the
+//! clock's current [`Scope`], opened where the phase is decided, not
+//! named by each charge.
 
 pub mod category;
 pub mod clock;
@@ -31,6 +33,6 @@ pub mod cost;
 pub mod machine;
 
 pub use category::Category;
-pub use clock::{Clock, TimeBreakdown};
+pub use clock::{Clock, Scope, TimeBreakdown};
 pub use cost::{CostModel, KernelShape};
 pub use machine::{DeviceModel, HostModel, Machine, NetworkModel};

@@ -671,10 +671,10 @@ mod tests {
         let c1 = Clock::new();
         let r1 = Recorder::new(1, c1.clone());
         c1.advance(Category::HydroKernel, 1.0);
-        r1.edge_send(0, 7, 0, 1024, Category::HaloExchange);
+        r1.edge_send(0, 7, 0, 1024);
         c0.advance(Category::HydroKernel, 0.2);
         c0.advance(Category::HaloExchange, 0.3);
-        r0.edge_recv(1, 7, 0, 1024, 0.3, Category::HaloExchange);
+        r0.edge_recv(1, 7, 0, 1024, 0.3);
         let a = analyze(&[r0, r1]).unwrap();
         assert!((a.makespan - 1.3).abs() < 1e-12);
         let b0 = &a.ranks[0].buckets;
@@ -704,7 +704,7 @@ mod tests {
             let r = Recorder::new(rank, c.clone());
             c.advance(Category::HydroKernel, work);
             c.advance(Category::Timestep, 0.1);
-            r.edge_collective("allreduce-min", 0, 8, 0.1, Category::Timestep);
+            r.edge_collective("allreduce-min", 0, 8, 0.1);
             r
         };
         let a = analyze(&[mk(0, 1.0), mk(1, 2.0), mk(2, 3.0)]).unwrap();
@@ -731,24 +731,24 @@ mod tests {
         let r1 = Recorder::new(1, c1.clone());
         for step in 0..2i64 {
             {
-                let _s = r1.span_arg("step", Category::Other, step);
+                let _s = r1.span_arg("step", step);
                 {
                     let _p = r1.span("lagrangian", Category::HydroKernel);
                     c1.advance(Category::HydroKernel, 1.0);
-                    r1.edge_send(0, 3, step as u64, 64, Category::HaloExchange);
+                    r1.edge_send(0, 3, step as u64, 64);
                 }
                 c1.advance(Category::Timestep, 0.05);
-                r1.edge_collective("allreduce-min", step as u64, 8, 0.05, Category::Timestep);
+                r1.edge_collective("allreduce-min", step as u64, 8, 0.05);
             }
             {
-                let _s = r0.span_arg("step", Category::Other, step);
+                let _s = r0.span_arg("step", step);
                 {
-                    let _p = r0.span_arg("fill-start", Category::HaloExchange, 1);
+                    let _p = r0.span_arg("fill-start", 1);
                     c0.advance(Category::HaloExchange, 0.2);
-                    r0.edge_recv(1, 3, step as u64, 64, 0.2, Category::HaloExchange);
+                    r0.edge_recv(1, 3, step as u64, 64, 0.2);
                 }
                 c0.advance(Category::Timestep, 0.05);
-                r0.edge_collective("allreduce-min", step as u64, 8, 0.05, Category::Timestep);
+                r0.edge_collective("allreduce-min", step as u64, 8, 0.05);
             }
         }
         let a = analyze(&[r0, r1]).unwrap();
@@ -772,10 +772,10 @@ mod tests {
             let mk = |rank: usize, work: f64| {
                 let c = Clock::new();
                 let r = Recorder::new(rank, c.clone());
-                let _s = r.span_arg("step", Category::Other, 0);
+                let _s = r.span_arg("step", 0);
                 c.advance(Category::HydroKernel, work);
                 c.advance(Category::Timestep, 0.01);
-                r.edge_collective("allreduce-min", 0, 8, 0.01, Category::Timestep);
+                r.edge_collective("allreduce-min", 0, 8, 0.01);
                 drop(_s);
                 r
             };
@@ -792,7 +792,7 @@ mod tests {
         let c = Clock::new();
         let r = Recorder::new(0, c.clone());
         c.advance(Category::HaloExchange, 0.1);
-        r.edge_recv(1, 9, 0, 64, 0.1, Category::HaloExchange);
+        r.edge_recv(1, 9, 0, 64, 0.1);
         let err = analyze(&[r]).unwrap_err();
         assert_eq!(err, CausalError::UnmatchedRecv { rank: 0, src: 1, tag: 9, occurrence: 0 });
     }

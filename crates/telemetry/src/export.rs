@@ -321,7 +321,8 @@ mod tests {
                 clock.advance(Category::HydroKernel, 2.0);
             }
             {
-                let _fill = rec.span_arg("halo-fill", Category::HaloExchange, 1);
+                let _halo = clock.scope(Category::HaloExchange);
+                let _fill = rec.span_arg("halo-fill", 1);
                 clock.advance(Category::HaloExchange, 0.5);
             }
             {
@@ -425,11 +426,11 @@ mod tests {
             let a = Recorder::new(0, ca.clone());
             let cb = Clock::new();
             let b = Recorder::new(1, cb.clone());
-            a.edge_send(1, 5, 0, 256, Category::HaloExchange);
+            a.edge_send(1, 5, 0, 256);
             cb.advance(Category::HaloExchange, 0.125);
-            b.edge_recv(0, 5, 0, 256, 0.125, Category::HaloExchange);
-            a.edge_collective("allreduce-min", 0, 8, 0.01, Category::Timestep);
-            b.edge_collective("allreduce-min", 0, 8, 0.01, Category::Timestep);
+            b.edge_recv(0, 5, 0, 256, 0.125);
+            a.edge_collective("allreduce-min", 0, 8, 0.01);
+            b.edge_collective("allreduce-min", 0, 8, 0.01);
             vec![a, b]
         };
         let json = chrome_trace(&make());

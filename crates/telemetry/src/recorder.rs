@@ -14,7 +14,8 @@ use std::sync::Arc;
 pub struct SpanEvent {
     /// Static span name (e.g. `"halo-fill"`).
     pub name: &'static str,
-    /// Nominal phase of the span (its track colour in a trace viewer).
+    /// The clock's scope when the span opened (its track colour in a
+    /// trace viewer).
     pub category: Category,
     /// Optional numeric argument (typically an AMR level number).
     pub arg: Option<i64>,
@@ -89,7 +90,8 @@ pub struct EdgeEvent {
     pub cost: f64,
     /// Display name (`"send"`, `"recv"`, or the collective's name).
     pub name: &'static str,
-    /// Category the charge was attributed to.
+    /// The clock's scope when the event was recorded: the category its
+    /// charge was attributed to.
     pub category: Category,
     /// Trace context: rank, innermost open span, local sequence.
     pub ctx: TraceCtx,
@@ -187,24 +189,34 @@ impl Recorder {
         self.inner.as_ref().map_or(0, |i| i.rank)
     }
 
-    /// Open a span; it closes (and records its end snapshot) when the
-    /// returned guard drops.
+    /// Open a span under the clock's current scope; it closes (and
+    /// records its end snapshot) when the returned guard drops.
+    #[must_use = "the span closes when the guard drops"]
+    pub fn open(&self, name: &'static str) -> SpanGuard {
+        self.begin_span(name, None)
+    }
+
+    /// [`Recorder::open`] under `category`: the span records it, and
+    /// what the span encloses charges the enclosing scope as before.
+    /// Kept for the frozen benchmark package's signature (ROADMAP
+    /// 27(b)).
     #[must_use = "the span closes when the guard drops"]
     pub fn span(&self, name: &'static str, category: Category) -> SpanGuard {
-        self.begin_span(name, category, None)
+        let _scope = self.inner.as_ref().map(|i| i.clock.scope(category));
+        self.open(name)
     }
 
     /// Open a span carrying a numeric argument (e.g. an AMR level).
     #[must_use = "the span closes when the guard drops"]
-    pub fn span_arg(&self, name: &'static str, category: Category, arg: i64) -> SpanGuard {
-        self.begin_span(name, category, Some(arg))
+    pub fn span_arg(&self, name: &'static str, arg: i64) -> SpanGuard {
+        self.begin_span(name, Some(arg))
     }
 
-    fn begin_span(&self, name: &'static str, category: Category, arg: Option<i64>) -> SpanGuard {
+    fn begin_span(&self, name: &'static str, arg: Option<i64>) -> SpanGuard {
         let Some(inner) = &self.inner else {
             return SpanGuard { inner: None, index: 0 };
         };
-        let begin = inner.clock.snapshot();
+        let (begin, category) = (inner.clock.snapshot(), inner.clock.current_scope());
         let mut state = inner.state.lock();
         let seq = state.next_seq;
         state.next_seq += 1;
@@ -217,7 +229,8 @@ impl Recorder {
         SpanGuard { inner: Some(inner.clone()), index }
     }
 
-    /// Record a communication edge event at the current clock time.
+    /// Record a communication edge event at the current clock time,
+    /// under its current scope.
     /// Returns the event's [`TraceCtx`] (None when disabled). Counts
     /// `net.edge.sends` / `net.edge.recvs` / `net.edge.collectives`.
     #[allow(clippy::too_many_arguments)]
@@ -230,10 +243,9 @@ impl Recorder {
         occurrence: u64,
         bytes: u64,
         cost: f64,
-        category: Category,
     ) -> Option<TraceCtx> {
         let inner = self.inner.as_ref()?;
-        let time = inner.clock.snapshot();
+        let (time, category) = (inner.clock.snapshot(), inner.clock.current_scope());
         let mut state = inner.state.lock();
         let seq = state.next_seq;
         state.next_seq += 1;
@@ -260,15 +272,8 @@ impl Recorder {
     }
 
     /// Record the sending endpoint of a point-to-point edge.
-    pub fn edge_send(
-        &self,
-        dst: usize,
-        tag: u64,
-        occurrence: u64,
-        bytes: u64,
-        category: Category,
-    ) -> Option<TraceCtx> {
-        self.edge(EdgeKind::Send, "send", dst, tag, occurrence, bytes, 0.0, category)
+    pub fn edge_send(&self, dst: usize, tag: u64, occurrence: u64, bytes: u64) -> Option<TraceCtx> {
+        self.edge(EdgeKind::Send, "send", dst, tag, occurrence, bytes, 0.0)
     }
 
     /// Record the receiving endpoint of a point-to-point edge; `cost`
@@ -280,9 +285,8 @@ impl Recorder {
         occurrence: u64,
         bytes: u64,
         cost: f64,
-        category: Category,
     ) -> Option<TraceCtx> {
-        self.edge(EdgeKind::Recv, "recv", src, tag, occurrence, bytes, cost, category)
+        self.edge(EdgeKind::Recv, "recv", src, tag, occurrence, bytes, cost)
     }
 
     /// Record arrival at rendezvous collective number `cseq` (all
@@ -293,9 +297,8 @@ impl Recorder {
         cseq: u64,
         bytes: u64,
         cost: f64,
-        category: Category,
     ) -> Option<TraceCtx> {
-        self.edge(EdgeKind::Collective, name, usize::MAX, cseq, 0, bytes, cost, category)
+        self.edge(EdgeKind::Collective, name, usize::MAX, cseq, 0, bytes, cost)
     }
 
     /// Snapshot of all edge events recorded so far, in record order.
@@ -459,7 +462,7 @@ mod tests {
             let _outer = rec.span("step", Category::Other);
             clock.advance(Category::HydroKernel, 1.0);
             {
-                let _inner = rec.span_arg("halo-fill", Category::HaloExchange, 1);
+                let _inner = rec.span_arg("halo-fill", 1);
                 clock.advance(Category::HaloExchange, 0.5);
             }
             clock.advance(Category::Timestep, 0.25);
@@ -504,11 +507,11 @@ mod tests {
         {
             let _step = rec.span("step", Category::Other);
             clock.advance(Category::HaloExchange, 0.5);
-            let ctx = rec.edge_send(3, 42, 0, 128, Category::HaloExchange).unwrap();
+            let ctx = rec.edge_send(3, 42, 0, 128).unwrap();
             assert_eq!(ctx.rank, 1);
             assert_eq!(ctx.span, Some(0));
-            rec.edge_recv(2, 42, 0, 64, 0.25, Category::HaloExchange);
-            rec.edge_collective("allreduce-min", 7, 8, 0.125, Category::Timestep);
+            rec.edge_recv(2, 42, 0, 64, 0.25);
+            rec.edge_collective("allreduce-min", 7, 8, 0.125);
         }
         let edges = rec.edges();
         assert_eq!(edges.len(), 3);
@@ -524,7 +527,7 @@ mod tests {
         assert_eq!(rec.counter("net.edge.collectives"), 1);
         // A send and its matching recv produce the same flow id.
         let other = Recorder::new(3, Clock::new());
-        other.edge_recv(1, 42, 0, 128, 0.1, Category::HaloExchange);
+        other.edge_recv(1, 42, 0, 128, 0.1);
         assert_eq!(other.edges()[0].flow_id(), edges[0].flow_id());
         assert_ne!(edges[0].flow_id(), edges[1].flow_id());
     }
@@ -537,13 +540,13 @@ mod tests {
             let _a = rec.span("step", Category::Other);
             {
                 let _b = rec.span("lagrangian", Category::HydroKernel);
-                let ctx = rec.edge_send(1, 0, 0, 8, Category::HaloExchange).unwrap();
+                let ctx = rec.edge_send(1, 0, 0, 8).unwrap();
                 assert_eq!(ctx.span, Some(1));
             }
             {
                 let _c = rec.span("advection", Category::HydroKernel);
             }
-            let ctx = rec.edge_send(1, 0, 1, 8, Category::HaloExchange).unwrap();
+            let ctx = rec.edge_send(1, 0, 1, 8).unwrap();
             assert_eq!(ctx.span, Some(0));
         }
         let spans = rec.spans();
@@ -551,7 +554,7 @@ mod tests {
         assert_eq!(spans[1].parent, Some(0));
         assert_eq!(spans[2].parent, Some(0));
         // Outside all spans: no context.
-        let ctx = rec.edge_send(1, 0, 2, 8, Category::HaloExchange).unwrap();
+        let ctx = rec.edge_send(1, 0, 2, 8).unwrap();
         assert_eq!(ctx.span, None);
     }
 
@@ -573,7 +576,7 @@ mod tests {
         off.count_scoped("a", "b", 1);
         assert_eq!(off.counter("ab"), 0);
         assert!(off.edges().is_empty());
-        assert!(off.edge_send(0, 0, 0, 0, Category::Other).is_none());
+        assert!(off.edge_send(0, 0, 0, 0).is_none());
     }
 
     #[test]

@@ -529,7 +529,9 @@ fn eight_ranks_step_and_reduce_at_the_log_depth_cost() {
                 );
             };
             let before = timestep();
-            let min = comm.allreduce_min(10.0 - r as f64, Category::Timestep);
+            let timestep_scope = comm.clock().scope(Category::Timestep);
+            let min = comm.allreduce_min(10.0 - r as f64);
+            drop(timestep_scope);
             assert_charged(before, ReduceSpec::MIN_F64);
             assert_eq!(min, 10.0 - (N - 1) as f64);
             let before = timestep();
