@@ -152,9 +152,12 @@ fn main() {
 
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     if !small_ratios.is_empty() {
+        // The direction the average speedup measured, not the paper's.
+        let speedup = avg(&small_ratios);
+        let (factor, direction) =
+            if speedup >= 1.0 { (speedup, "faster") } else { (1.0 / speedup, "slower") };
         println!(
-            "below 200k zones: GPU is {:.2}x slower on average   (paper: ~1.6x slower)",
-            1.0 / avg(&small_ratios)
+            "below 200k zones: GPU is {factor:.2}x {direction} on average   (paper: ~1.6x slower)"
         );
     }
     if !large_ratios.is_empty() {
