@@ -99,12 +99,12 @@ struct State {
 }
 
 impl State {
-    fn add(&mut self, category: Category, seconds: f64) {
+    fn add(&mut self, c: Category, seconds: f64) {
         assert!(
             seconds.is_finite() && seconds >= 0.0,
             "Clock::advance: invalid duration {seconds}"
         );
-        self.time.add(category, seconds);
+        self.time.add(c, seconds);
     }
 }
 
