@@ -23,8 +23,9 @@
 //!
 //! * `--ranks N` runs the real triple-point problem on `N` simulated
 //!   ranks (small per-rank workload, 2 steps) and prints one
-//!   `SCALE_JSON {...}` line with wall time and the process peak-RSS
-//!   (`VmHWM`).
+//!   `SCALE_JSON {...}` line with wall time, the process peak-RSS
+//!   (`VmHWM`) and CPU utilisation (process CPU time / wall / run
+//!   slots), which shows how busy the slots were kept.
 //! * `--scale-smoke [--json <path>]` re-executes this binary as a child
 //!   process at 256, 1,024 and 4,096 ranks (`VmHWM` is a
 //!   process-lifetime high-water mark, so each rank count needs a fresh
@@ -34,7 +35,8 @@
 //!   artifact for CI.
 
 use rbamr_bench::{
-    csv_dir_arg, measure_profile, metrics_path_arg, path_arg, trace_path_arg, vm_hwm_kb, write_csv,
+    csv_dir_arg, measure_profile, metrics_path_arg, path_arg, process_cpu_seconds, trace_path_arg,
+    vm_hwm_kb, write_csv,
 };
 use rbamr_hydro::{HydroConfig, HydroSim, Placement};
 use rbamr_netsim::Cluster;
@@ -236,9 +238,14 @@ fn scale_run(ranks: usize) {
     let virtual_seconds = Cluster::job_time(&results).total();
     let stored_cells = results[0].value;
     let hwm = vm_hwm_kb().unwrap_or(0);
+    // The cluster's default slot count: one per CPU of the process (the
+    // main thread is never pinned), at most one per rank.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(ranks);
+    let cpu_util = process_cpu_seconds().unwrap_or(0.0) / wall.as_secs_f64() / workers as f64;
     println!(
         "SCALE_JSON {{\"ranks\": {ranks}, \"wall_ms\": {}, \"vm_hwm_kb\": {hwm}, \
-         \"stored_cells\": {stored_cells}, \"virtual_seconds\": {virtual_seconds:.6}}}",
+         \"cpu_util\": {cpu_util:.3}, \"stored_cells\": {stored_cells}, \
+         \"virtual_seconds\": {virtual_seconds:.6}}}",
         wall.as_millis(),
     );
 }
@@ -248,6 +255,8 @@ struct ScaleSample {
     ranks: usize,
     wall_ms: u64,
     vm_hwm_kb: u64,
+    /// Printed, not gated.
+    cpu_util: f64,
     json: String,
 }
 
@@ -275,14 +284,20 @@ fn scale_child(ranks: usize) -> ScaleSample {
         .find_map(|l| l.strip_prefix("SCALE_JSON "))
         .unwrap_or_else(|| panic!("scale-smoke: no SCALE_JSON line in:\n{stdout}"))
         .to_string();
-    let field = |name: &str| -> u64 {
+    fn field<T: std::str::FromStr>(json: &str, name: &str) -> T {
         json.split(&format!("\"{name}\": "))
             .nth(1)
             .and_then(|rest| rest.split([',', '}']).next())
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or_else(|| panic!("scale-smoke: missing field {name} in {json}"))
-    };
-    ScaleSample { ranks, wall_ms: field("wall_ms"), vm_hwm_kb: field("vm_hwm_kb"), json }
+    }
+    ScaleSample {
+        ranks,
+        wall_ms: field(&json, "wall_ms"),
+        vm_hwm_kb: field(&json, "vm_hwm_kb"),
+        cpu_util: field(&json, "cpu_util"),
+        json,
+    }
 }
 
 /// In-process gate on collective frame complexity: one small
@@ -346,7 +361,10 @@ fn scale_smoke() {
         .iter()
         .map(|&(ranks, _)| {
             let sample = scale_child(ranks);
-            println!("  {ranks} ranks: wall {} ms, VmHWM {} KiB", sample.wall_ms, sample.vm_hwm_kb);
+            println!(
+                "  {ranks} ranks: wall {} ms, VmHWM {} KiB, CPU utilisation {:.2}",
+                sample.wall_ms, sample.vm_hwm_kb, sample.cpu_util
+            );
             sample
         })
         .collect();

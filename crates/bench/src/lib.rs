@@ -197,6 +197,19 @@ pub fn vm_hwm_kb() -> Option<u64> {
         .find_map(|l| l.strip_prefix("VmHWM:")?.trim().strip_suffix("kB")?.trim().parse().ok())
 }
 
+/// CPU time of this process (user + system, every thread) in seconds,
+/// from `utime` and `stime` in `/proc/self/stat` (clock ticks of 10 ms,
+/// Linux's `USER_HZ`). Returns `None` off Linux or when unreadable.
+pub fn process_cpu_seconds() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The fields after the parenthesised command name; utime and stime
+    // are fields 14 and 15 of the line.
+    let (_, rest) = stat.rsplit_once(')')?;
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    let ticks = |i: usize| fields.get(i)?.parse::<f64>().ok();
+    Some((ticks(11)? + ticks(12)?) / 100.0)
+}
+
 /// Parse an optional `<flag> <path>` pair from the process arguments.
 pub fn path_arg(flag: &str) -> Option<std::path::PathBuf> {
     let args: Vec<String> = std::env::args().collect();

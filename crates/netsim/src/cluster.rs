@@ -1,5 +1,6 @@
 //! Job launcher: run N ranks of the same program.
 
+use crate::affinity;
 use crate::collectives::CollectiveAlgo;
 use crate::comm::Comm;
 use crate::sched::Scheduler;
@@ -55,10 +56,11 @@ impl Cluster {
     }
 
     /// Bound how many simulated ranks are runnable at once (default:
-    /// available parallelism). `RBAMR_NETSIM_WORKERS` overrides at
+    /// the process's CPUs). `RBAMR_NETSIM_WORKERS` overrides at
     /// runtime. With one worker the schedule is a fully deterministic
     /// round-robin — the reference the equivalence tests compare every
-    /// other worker count against.
+    /// other worker count against. When ranks share the slots, each
+    /// slot runs on one CPU of the process (see [`crate::sched`]).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -105,7 +107,14 @@ impl Cluster {
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .or(self.workers)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+            .unwrap_or_else(|| {
+                // The process's set, not `available_parallelism()`: the
+                // caller may be a carrier pinned to one CPU.
+                match affinity::process_cpus().len() {
+                    0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                    cpus => cpus,
+                }
+            });
         configured.clamp(1, nranks)
     }
 
@@ -265,6 +274,42 @@ mod tests {
             .run(16, |comm| comm.allreduce_sum(1.0, Category::Other));
         for r in &results {
             assert_eq!(r.value, 16.0);
+        }
+    }
+
+    /// Each rank's own CPUs at three points of a run that hands slots
+    /// over at every collective.
+    #[cfg(target_os = "linux")]
+    fn rank_cpus(ranks: usize, workers: usize) -> Vec<Vec<usize>> {
+        let results =
+            Cluster::new(Machine::ipa_cpu_node()).with_workers(workers).run(ranks, |comm| {
+                let mut seen = vec![affinity::current_cpus()];
+                comm.allreduce_max(comm.rank() as f64);
+                seen.push(affinity::current_cpus());
+                comm.barrier(Category::Other);
+                seen.push(affinity::current_cpus());
+                seen
+            });
+        results.into_iter().flat_map(|r| r.value).collect()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_rank_sharing_slots_runs_on_one_cpu_of_the_process() {
+        let process = affinity::process_cpus();
+        for cpus in rank_cpus(4, 2) {
+            assert!(matches!(cpus[..], [cpu] if process.contains(&cpu)), "{cpus:?} of {process:?}");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_rank_with_its_own_slot_or_the_only_slot_is_not_pinned() {
+        let process = affinity::process_cpus();
+        for (ranks, workers) in [(2, 2), (4, 1)] {
+            for cpus in rank_cpus(ranks, workers) {
+                assert_eq!(cpus, process, "{ranks} ranks on {workers} workers");
+            }
         }
     }
 

@@ -41,6 +41,7 @@
 //! of Figures 10 and 11. Virtual time never depends on wall-clock
 //! scheduling, so the worker count cannot change any metric.
 
+mod affinity;
 pub mod cluster;
 pub mod collectives;
 pub mod comm;

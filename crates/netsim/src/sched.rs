@@ -46,7 +46,19 @@
 //! produce. No wall-clock timeout is involved, so a loaded CI machine
 //! can never produce a false positive, and a real deadlock is reported
 //! instantly with a per-rank pending-operation dump.
+//!
+//! ## Run slots are CPUs
+//!
+//! When ranks share slots (`2 <= workers < ranks`), slot `k` is bound to
+//! the `k`-th CPU of the process's set (cycled), and a granted rank is
+//! pinned to its slot's CPU before it is notified ([`Slots`]). Left to
+//! itself, the OS queues a woken carrier behind whichever rank holds
+//! the CPU it last ran on, and the carrier waits out that rank's time
+//! slice while the CPU the blocking rank just freed sits idle; pinned,
+//! a handoff is a context switch on the freed CPU. Placement changes
+//! which CPU a carrier runs on, never what it computes.
 
+use crate::affinity::{self, Tid};
 use crate::comm::{Fail, PeerPanicked};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -117,6 +129,61 @@ struct CollState {
     result_revoked: bool,
 }
 
+/// Which CPU each held run slot is bound to (see the module docs).
+/// Unbound — a single slot, a slot per rank, or a platform without CPU
+/// affinity — `free` stays empty and nothing is pinned.
+struct Slots {
+    /// CPUs of the free slots, the most recently freed last (the next
+    /// grantee takes the CPU its predecessor just left). A CPU serving
+    /// several slots is listed once per free slot.
+    free: Vec<usize>,
+    /// `held[rank]`: the CPU of the slot `rank` holds.
+    held: Vec<Option<usize>>,
+    /// `tids[rank]`: the rank's carrier, once it reaches `task_started`.
+    tids: Vec<Option<Tid>>,
+}
+
+impl Slots {
+    /// Bind `workers` slots to `cpus` (the process's set, ascending)
+    /// when ranks share slots.
+    fn new(size: usize, workers: usize, cpus: &[usize]) -> Self {
+        let bound = (2..size).contains(&workers) && !cpus.is_empty();
+        let free = if bound {
+            (0..workers).rev().map(|k| cpus[k % cpus.len()]).collect()
+        } else {
+            Vec::new()
+        };
+        Slots { free, held: vec![None; size], tids: vec![None; size] }
+    }
+
+    /// `rank` was granted a slot: give it a free CPU and pin its
+    /// carrier there if the carrier has started.
+    fn grant(&mut self, rank: usize) {
+        if let Some(cpu) = self.free.pop() {
+            self.held[rank] = Some(cpu);
+            if let Some(tid) = self.tids[rank] {
+                affinity::pin(tid, cpu);
+            }
+        }
+    }
+
+    /// `rank` gave its slot up.
+    fn release(&mut self, rank: usize) {
+        if let Some(cpu) = self.held[rank].take() {
+            self.free.push(cpu);
+        }
+    }
+
+    /// `rank`'s carrier is thread `tid`: pin it now if it was granted a
+    /// slot before it started.
+    fn started(&mut self, rank: usize, tid: Tid) {
+        self.tids[rank] = Some(tid);
+        if let Some(cpu) = self.held[rank] {
+            affinity::pin(tid, cpu);
+        }
+    }
+}
+
 struct SchedState {
     tasks: Vec<TaskState>,
     /// Ready tasks in FIFO order; with `workers == 1` this makes the
@@ -126,6 +193,7 @@ struct SchedState {
     running: usize,
     /// Maximum concurrent `Running` tasks.
     workers: usize,
+    slots: Slots,
     /// Tasks not yet `Finished`.
     live: usize,
     /// First rank that panicked with a non-deadlock payload; set once.
@@ -163,12 +231,19 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     pub(crate) fn new(size: usize, workers: usize) -> Self {
+        Self::with_cpus(size, workers, &affinity::process_cpus())
+    }
+
+    /// [`Scheduler::new`] with the slots bound to `cpus` (ascending)
+    /// instead of the process's set.
+    fn with_cpus(size: usize, workers: usize, cpus: &[usize]) -> Self {
         let workers = workers.clamp(1, size.max(1));
         let mut state = SchedState {
             tasks: (0..size).map(|_| TaskState::Ready).collect(),
             runnable: (0..size).collect(),
             running: 0,
             workers,
+            slots: Slots::new(size, workers, cpus),
             live: size,
             poisoned: None,
             deadlock: None,
@@ -211,6 +286,7 @@ impl Scheduler {
             debug_assert!(matches!(state.tasks[next], TaskState::Ready));
             state.tasks[next] = TaskState::Running;
             state.running += 1;
+            state.slots.grant(next);
             cvs[next].notify_one();
         }
     }
@@ -272,6 +348,7 @@ impl Scheduler {
     ) -> Result<(), PeerPanicked> {
         guard.tasks[rank] = TaskState::Blocked(wait);
         guard.running -= 1;
+        guard.slots.release(rank);
         Self::refill(guard, &self.cvs);
         Self::check_structural_deadlock(guard, &self.cvs);
         loop {
@@ -295,9 +372,11 @@ impl Scheduler {
         }
     }
 
-    /// Park the carrier until its rank is granted its first run slot.
+    /// Park the carrier (the calling thread) until its rank is granted
+    /// its first run slot.
     pub(crate) fn task_started(&self, rank: usize) -> Result<(), PeerPanicked> {
         let mut st = self.state.lock();
+        st.slots.started(rank, affinity::current_tid());
         loop {
             if let Some(origin) = st.poisoned {
                 return Err(PeerPanicked { origin });
@@ -316,6 +395,7 @@ impl Scheduler {
         let mut st = self.state.lock();
         if matches!(st.tasks[rank], TaskState::Running) {
             st.running -= 1;
+            st.slots.release(rank);
         }
         st.tasks[rank] = TaskState::Finished;
         st.live -= 1;
@@ -330,6 +410,7 @@ impl Scheduler {
         let mut st = self.state.lock();
         if matches!(st.tasks[rank], TaskState::Running) {
             st.running -= 1;
+            st.slots.release(rank);
         }
         st.tasks[rank] = TaskState::Finished;
         st.live -= 1;
@@ -600,5 +681,62 @@ mod tests {
             assert!(matches!(frame, Ok((f, body)) if f == flag && &body[..] == b"x"));
         }
         assert!(sched.state.lock().mailboxes[1].is_empty());
+    }
+
+    /// The free CPUs and the held ones are, together, exactly the slot
+    /// CPUs; a rank holds one iff it is `Running`.
+    fn assert_slots_partition(sched: &Scheduler, slot_cpus: &[usize]) {
+        let st = sched.state.lock();
+        let mut all: Vec<usize> = st.slots.free.clone();
+        all.extend(st.slots.held.iter().flatten());
+        all.sort_unstable();
+        assert_eq!(all, slot_cpus, "free {:?}, held {:?}", st.slots.free, st.slots.held);
+        for (rank, task) in st.tasks.iter().enumerate() {
+            let running = matches!(task, TaskState::Running);
+            assert_eq!(st.slots.held[rank].is_some(), running, "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn free_and_held_slots_partition_the_slot_cpus() {
+        // Three slots over two CPUs: CPU 5 serves slots 0 and 2. No
+        // carrier calls `task_started`, so nothing is pinned.
+        let (size, slot_cpus) = (5, [5, 5, 7]);
+        let sched = std::sync::Arc::new(Scheduler::with_cpus(size, 3, &[5, 7]));
+        let check = || assert_slots_partition(&sched, &slot_cpus);
+        check(); // ranks 0, 1, 2 granted
+        let receiver = {
+            let sched = std::sync::Arc::clone(&sched);
+            std::thread::spawn(move || sched.pop_frame(0, 1, 9, &Clock::new()).map(|(f, _)| f))
+        };
+        while !matches!(sched.state.lock().tasks[0], TaskState::Blocked(_)) {
+            std::thread::yield_now();
+        }
+        check(); // rank 0 blocked, its slot went to rank 3
+        sched.push_frame(1, 0, 9, (4, Bytes::new())).expect("job is not poisoned");
+        check(); // rank 0 is Ready, queued behind rank 4
+        sched.task_finished(1);
+        check(); // rank 4 granted
+        sched.task_finished(2);
+        assert!(matches!(receiver.join().expect("receiver returns"), Ok(4)));
+        check(); // rank 0 re-granted and got its frame
+        sched.mark_dead(3);
+        check();
+        sched.task_panicked(3);
+        check();
+        for rank in [0, 4] {
+            sched.task_finished(rank);
+            check();
+        }
+        assert_eq!(sched.state.lock().slots.free.len(), 3);
+    }
+
+    #[test]
+    fn slots_are_bound_only_when_ranks_share_them() {
+        let bound = |size, workers| !Slots::new(size, workers, &[0, 1]).free.is_empty();
+        assert!(bound(4, 2) && bound(3, 2) && bound(128, 2));
+        assert!(!bound(4, 1), "one slot is the round-robin reference");
+        assert!(!bound(2, 2) && !bound(1, 1), "every rank keeps its slot");
+        assert!(Slots::new(4, 2, &[]).free.is_empty(), "no CPU set, nothing to bind");
     }
 }
