@@ -172,9 +172,12 @@ pub trait PatchData: Send {
 /// Compute the (target, source) index pairs for
 /// [`PatchData::extend_uncovered`]: pure index arithmetic shared by the
 /// host and device implementations. Only the cells of `data_box` that
-/// `covered` leaves, found by box calculus, are visited, so a covered
-/// array costs one subtraction. Targets are uncovered and sources
-/// covered, so the pairs may be applied in any order.
+/// `covered` leaves, found by box calculus, are visited — box by box,
+/// row by row — so a covered array costs one subtraction. A target's
+/// source is its clamp into `covered`'s bounding box; when one box of
+/// `covered` is that bound, every clamp lands in it and no source is
+/// tested. Targets are uncovered and sources covered, so the pairs may
+/// be applied in any order.
 pub fn extension_pairs(data_box: GBox, covered: &BoxList) -> Vec<(usize, usize)> {
     if covered.is_empty() {
         return Vec::new();
@@ -182,14 +185,17 @@ pub fn extension_pairs(data_box: GBox, covered: &BoxList) -> Vec<(usize, usize)>
     let mut uncovered = BoxList::from_box(data_box);
     uncovered.subtract(covered);
     let bound = covered.bounding();
-    let mut pairs = Vec::new();
-    for p in uncovered.boxes().iter().flat_map(|b| b.iter()) {
-        let q = IntVector::new(
-            p.x.clamp(bound.lo.x, bound.hi.x - 1),
-            p.y.clamp(bound.lo.y, bound.hi.y - 1),
-        );
-        if covered.contains(q) {
-            pairs.push((data_box.offset_of(p), data_box.offset_of(q)));
+    let one_box = covered.boxes().contains(&bound);
+    let mut pairs = Vec::with_capacity(uncovered.num_cells() as usize);
+    for b in uncovered.boxes() {
+        for y in b.lo.y..b.hi.y {
+            let qy = y.clamp(bound.lo.y, bound.hi.y - 1);
+            for x in b.lo.x..b.hi.x {
+                let q = IntVector::new(x.clamp(bound.lo.x, bound.hi.x - 1), qy);
+                if one_box || covered.contains(q) {
+                    pairs.push((data_box.offset_of(IntVector::new(x, y)), data_box.offset_of(q)));
+                }
+            }
         }
     }
     pairs
@@ -458,6 +464,29 @@ mod tests {
         pairs
     }
 
+    /// The walk [`extension_pairs`] makes, as it was before a single
+    /// bounding box skipped the source tests: every uncovered cell in
+    /// the cover's box order, each clamped source tested.
+    fn extension_pairs_walk(data_box: GBox, covered: &BoxList) -> Vec<(usize, usize)> {
+        if covered.is_empty() {
+            return Vec::new();
+        }
+        let mut uncovered = BoxList::from_box(data_box);
+        uncovered.subtract(covered);
+        let bound = covered.bounding();
+        let mut pairs = Vec::new();
+        for p in uncovered.boxes().iter().flat_map(|b| b.iter()) {
+            let q = IntVector::new(
+                p.x.clamp(bound.lo.x, bound.hi.x - 1),
+                p.y.clamp(bound.lo.y, bound.hi.y - 1),
+            );
+            if covered.contains(q) {
+                pairs.push((data_box.offset_of(p), data_box.offset_of(q)));
+            }
+        }
+        pairs
+    }
+
     /// A box of `dbox` from four fractions: its corner, then its extent.
     fn sub_box(dbox: GBox, (fx, fy, fw, fh): (f64, f64, f64, f64)) -> GBox {
         let s = dbox.size();
@@ -472,7 +501,9 @@ mod tests {
 
         /// The box-calculus walk and the per-point scan pick the same
         /// pairs over every centring and shape of cover: none, all of
-        /// the data box, an L, and up to four overlapping boxes.
+        /// the data box, an L, one box inside it, and up to four
+        /// overlapping boxes; and the walk's order is the order of the
+        /// walk that tested every source.
         #[test]
         fn extension_pairs_equal_the_per_point_scan(
             lo in (-6i64..6, -6i64..6),
@@ -480,7 +511,7 @@ mod tests {
             centring in proptest::sample::select(
                 vec![Centring::Cell, Centring::Node, Centring::Side(0), Centring::Side(1)],
             ),
-            shape in 0u8..4,
+            shape in 0u8..5,
             fractions in proptest::collection::vec(
                 (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
                 1..5,
@@ -497,9 +528,11 @@ mod tests {
                     l.subtract_box(GBox::new(sub_box(dbox, fractions[0]).lo, dbox.hi));
                     l
                 }
+                3 => BoxList::from_box(sub_box(dbox, fractions[0])),
                 _ => BoxList::from_boxes(fractions.iter().map(|&f| sub_box(dbox, f))),
             };
             let mut fast = extension_pairs(dbox, &covered);
+            proptest::prop_assert_eq!(&fast, &extension_pairs_walk(dbox, &covered));
             let mut scan = extension_pairs_scan(dbox, &covered);
             fast.sort_unstable();
             scan.sort_unstable();

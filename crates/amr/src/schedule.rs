@@ -55,12 +55,13 @@ use crate::transfer::{
 };
 use crate::variable::{DataFactory, Variable, VariableId, VariableRegistry};
 use rbamr_geometry::{
-    copy_overlap, ghost_overlaps, BoxIndex, BoxList, BoxOverlap, Centring, GBox, IntVector,
+    ghost_overlap_into, BoxIndex, BoxList, BoxOverlap, Centring, GBox, IntVector,
 };
 use rbamr_netsim::{Comm, CommError};
 use rbamr_perfmodel::{Category, Clock};
 use std::any::Any;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 mod window;
@@ -259,11 +260,6 @@ fn sorted_digest(mut lines: Vec<String>) -> Vec<String> {
     lines
 }
 
-/// The union of `centring.data_box(b)` over a region's boxes.
-fn data_region(cells: &BoxList, centring: Centring) -> BoxList {
-    BoxList::from_boxes(cells.boxes().iter().map(|b| centring.data_box(*b)))
-}
-
 /// Minimal cell box whose data box covers the data-space box `b`.
 fn cell_cover(b: GBox, centring: Centring) -> GBox {
     match centring {
@@ -446,16 +442,17 @@ impl RefineSchedule {
                 .geometry
                 .entry((structure, class))
                 .or_insert_with(|| plan.geometry(hierarchy, &same, coarse.as_ref(), class));
-            for &(dst_pos, ref g) in geometry.iter() {
+            let regions = &geometry.regions;
+            for &(dst_pos, ref g) in &geometry.dsts {
                 let dst_box = same.recs.box_at(dst_pos);
                 let dst = (dst_pos, same.recs.owner_at(dst_pos));
                 // --- Same-level copies -----------------------------------
                 let end = (spec.var, same.loc(dst_pos), data_box_of(var, dst_box));
-                plan.stamp(&same, &g.same, dst, &[end]);
+                plan.stamp(&same, regions.claims(&g.same), dst, &[end]);
                 // --- Physical boundary regions (dst local only) ----------
                 if !g.outside.is_empty() {
-                    let (pos, dst_idx, outside) =
-                        (same.table.local[dst_pos], dst.0, g.outside.clone());
+                    let outside = BoxList::from_boxes(regions.boxes(&g.outside).iter().copied());
+                    let (pos, dst_idx) = (same.table.local[dst_pos], dst.0);
                     plan.sched.physical.push(PhysicalPlan { pos, dst_idx, var: spec.var, outside });
                 }
                 // --- Coarse-fine interpolation ---------------------------
@@ -464,10 +461,11 @@ impl RefineSchedule {
                 // is ours to make if the destination is.
                 let slot = Loc::scratch(plan.next_scratch());
                 let end = (spec.var, slot, var.centring.data_box(c.scratch_box));
-                plan.stamp(coarse, &c.sources, dst, &[end]);
+                plan.stamp(coarse, regions.claims(&c.sources), dst, &[end]);
                 if dst.1 == rank {
                     let at = (same.table.local[dst_pos], dst.0);
-                    plan.interpolate(op, spec.var, at, (&c.want, c.scratch_box, &c.covered));
+                    let (want, covered) = (regions.boxes(&c.want), regions.boxes(&c.covered));
+                    plan.interpolate(op, spec.var, at, (want, c.scratch_box, covered));
                 }
             }
         }
@@ -538,7 +536,9 @@ impl RefineSchedule {
 
         let vars = specs.iter().map(|s| s.var).collect();
         let mut plan = Planner::new(hierarchy, registry, (level_no, true), KIND_AGG_REGRID, vars);
-        let mut cand = Vec::new();
+        // Scratch reused by every destination: only the jobs allocate.
+        let (mut cand, mut ends, mut claims) = (Vec::new(), Vec::new(), Regions::default());
+        let [mut region, mut claimed, mut covered, mut fill] = <[BoxList; 4]>::default();
 
         for (npos, &nb) in new.recs.boxes().iter().enumerate().filter(|&(npos, _)| walked[npos]) {
             let dst = (npos, new.recs.owner_at(npos));
@@ -548,22 +548,31 @@ impl RefineSchedule {
                 let fine_fill = centring.data_box(nb);
                 // One destination per spec of the group: the new patch,
                 // then its scratch array (ours to make when `mine`).
-                let ends = |at: &dyn Fn(usize) -> Loc, data_box: &dyn Fn(VariableId) -> GBox| {
-                    let end =
-                        |(k, spec): (usize, &&TransferSpec)| (spec.var, at(k), data_box(spec.var));
-                    group.iter().enumerate().map(end).collect::<Vec<_>>()
-                };
+                let set_ends =
+                    |ends: &mut Vec<_>,
+                     at: &dyn Fn(usize) -> Loc,
+                     data_box: &dyn Fn(VariableId) -> GBox| {
+                        let end = |(k, spec): (usize, &&TransferSpec)| {
+                            (spec.var, at(k), data_box(spec.var))
+                        };
+                        ends.clear();
+                        ends.extend(group.iter().enumerate().map(end));
+                    };
 
                 // --- Old level, same index space: copies and messages --
-                let mut claimed = BoxList::new();
+                claimed.clear();
                 if let Some(old) = &old {
                     old.candidates(fine_fill, &mut cand);
-                    let ends = ends(&|_| new.loc(npos), &|v| data_box_of(registry.get(v), nb));
-                    let overlap = |_, obox| copy_overlap(nb, obox, centring).dst_boxes;
+                    set_ends(&mut ends, &|_| new.loc(npos), &|v| data_box_of(registry.get(v), nb));
+                    let overlap = |_, obox, out: &mut BoxList| {
+                        out.set_box(fine_fill.intersect(centring.data_box(obox)));
+                    };
                     let newest_first = cand.iter().rev().copied();
-                    let claims =
-                        plan.claim(old, newest_first, centring, overlap, &mut claimed, dst.1);
-                    plan.stamp(old, &claims, dst, &ends);
+                    let work = (&mut region, &mut claimed);
+                    claims.clear();
+                    let at =
+                        plan.claim(old, newest_first, centring, overlap, work, dst.1, &mut claims);
+                    plan.stamp(old, claims.claims(&at), dst, &ends);
                 }
 
                 // --- Coarser level: scratch, then interpolation --------
@@ -571,20 +580,31 @@ impl RefineSchedule {
                 let scratch_data_box = centring.data_box(scratch_box);
                 coarse.candidates(scratch_data_box, &mut cand);
                 let first = plan.next_scratch();
-                let ends = ends(&|k| Loc::scratch(first + k), &|_| scratch_data_box);
-                let in_scratch = |_, cbox| scratch_region(scratch_data_box, cbox, centring);
-                let mut covered = BoxList::new();
+                set_ends(&mut ends, &|k| Loc::scratch(first + k), &|_| scratch_data_box);
+                let in_scratch = |_, cbox, out: &mut BoxList| {
+                    out.set_box(scratch_data_box.intersect(centring.data_box(cbox)));
+                };
                 let newest_first = cand.iter().rev().copied();
-                let claims =
-                    plan.claim(&coarse, newest_first, centring, in_scratch, &mut covered, dst.1);
-                plan.stamp(&coarse, &claims, dst, &ends);
+                let work = (&mut region, &mut covered);
+                claims.clear();
+                let at = plan.claim(
+                    &coarse,
+                    newest_first,
+                    centring,
+                    in_scratch,
+                    work,
+                    dst.1,
+                    &mut claims,
+                );
+                plan.stamp(&coarse, claims.claims(&at), dst, &ends);
                 if mine {
-                    let mut fill = BoxList::from_box(fine_fill);
+                    fill.set_box(fine_fill);
                     fill.subtract(&claimed);
                     fill.coalesce();
                     for spec in group {
                         let (op, at) = (&spec.refine_op, (new.table.local[npos], dst.0));
-                        plan.interpolate(op, spec.var, at, (&fill, scratch_box, &covered));
+                        let (fill, covered) = (fill.boxes(), covered.boxes());
+                        plan.interpolate(op, spec.var, at, (fill, scratch_box, covered));
                     }
                 }
             }
@@ -790,31 +810,69 @@ impl DescriptorTable for RefineSchedule {
     }
 }
 
-/// What each source provides of one destination array: `(record
-/// position, region)`, for the pairs this rank owns an end of.
-type Claims = Vec<(usize, BoxList)>;
+/// Regions kept back to back in one array: the claims of a walk —
+/// what each source provides of one destination array, for the pairs
+/// this rank owns an end of, as `(record position, region)` in claim
+/// order — and the other regions its destinations keep.
+#[derive(Default)]
+struct Regions {
+    claims: Vec<(usize, Range<usize>)>,
+    boxes: Vec<GBox>,
+}
+
+impl Regions {
+    fn clear(&mut self) {
+        self.claims.clear();
+        self.boxes.clear();
+    }
+
+    /// Keep `region`'s boxes; returns where they are.
+    fn keep(&mut self, region: &BoxList) -> Range<usize> {
+        let start = self.boxes.len();
+        self.boxes.extend_from_slice(region.boxes());
+        start..self.boxes.len()
+    }
+
+    /// The boxes kept at `at`.
+    fn boxes(&self, at: &Range<usize>) -> &[GBox] {
+        &self.boxes[at.clone()]
+    }
+
+    /// The claims `at`: `(record position, region boxes)`, in order.
+    fn claims(&self, at: &Range<usize>) -> impl Iterator<Item = (usize, &[GBox])> {
+        self.claims[at.clone()].iter().map(|(pos, region)| (*pos, self.boxes(region)))
+    }
+}
 
 /// The fill geometry of one destination record, shared by every
-/// variable of a [`Class`].
+/// variable of a [`Class`]: ranges into its walk's [`Regions`].
 struct DstGeometry {
-    /// From the neighbours on the level.
-    same: Claims,
+    /// Claims from the neighbours on the level.
+    same: Range<usize>,
     /// The ghost cells outside the domain; empty unless the record is
     /// this rank's.
-    outside: BoxList,
+    outside: Range<usize>,
     /// Where the level leaves in-domain ghost data wanted.
     coarse: Option<CoarseGeometry>,
 }
 
 struct CoarseGeometry {
     /// Fine data-space region to interpolate.
-    want: BoxList,
+    want: Range<usize>,
     /// Cell box of the coarse scratch array it is interpolated from.
     scratch_box: GBox,
-    /// From the coarser level, into the scratch array.
-    sources: Claims,
+    /// Claims from the coarser level, into the scratch array.
+    sources: Range<usize>,
     /// The union of what the coarse sources provide.
-    covered: BoxList,
+    covered: Range<usize>,
+}
+
+/// The geometry of a level's destinations for one class, by record
+/// position, and the regions it refers to.
+#[derive(Default)]
+struct LevelGeometry {
+    dsts: Vec<(usize, DstGeometry)>,
+    regions: Regions,
 }
 
 /// What the geometry depends on a variable through: its centring, its
@@ -824,7 +882,7 @@ type Class = (Centring, IntVector, Option<IntVector>);
 /// The geometry of a level's destinations, by record position, per
 /// structure (what a fill schedule of the level reads) and class: what
 /// lets its fill schedules share one walk.
-type GeometryMemo = HashMap<(Structure, Class), Vec<(usize, DstGeometry)>>;
+type GeometryMemo = HashMap<(Structure, Class), LevelGeometry>;
 
 /// What one [`ScheduleBuild`] pass computes once for all its builds.
 #[derive(Default)]
@@ -1002,11 +1060,11 @@ impl<'a> Planner<'a> {
         op: &Arc<dyn RefineOperator>,
         var: VariableId,
         (pos, dst_idx): (usize, usize),
-        (fill, scratch_box, covered): (&BoxList, GBox, &BoxList),
+        (fill, scratch_box, covered): (&[GBox], GBox, &[GBox]),
     ) {
         let centring = self.registry.get(var).centring;
         let sbox = centring.data_box(scratch_box);
-        for b in fill.boxes() {
+        for b in fill {
             let cells = cell_cover(*b, centring).coarsen(self.ratio).grow(op.stencil_width());
             let reads = centring.data_box(cells);
             assert!(
@@ -1017,13 +1075,14 @@ impl<'a> Planner<'a> {
         }
         let (pos, scratch, dst_idx) = (narrow(pos), narrow(self.next_scratch()), narrow(dst_idx));
         let level = u16::try_from(self.sched.level_no).expect("level number exceeds 16 bits");
-        let job = RefineJob { var, level, pos, scratch, fill: fill.clone(), dst_idx };
+        let fill = BoxList::from_boxes(fill.iter().copied());
+        let job = RefineJob { var, level, pos, scratch, fill, dst_idx };
         let refines = &mut self.sched.refines;
         match refines.iter_mut().find(|(o, _)| o.name() == op.name()) {
             Some((_, jobs)) => jobs.push(job),
             None => refines.push((Arc::clone(op), vec![job])),
         }
-        self.sched.covered.push(covered.clone());
+        self.sched.covered.push(BoxList::from_boxes(covered.iter().copied()));
         self.sched.scratch.push((var, scratch_box));
     }
 
@@ -1040,7 +1099,7 @@ impl<'a> Planner<'a> {
         same: &Sources<'_>,
         coarse: Option<&Sources<'_>>,
         (centring, ghosts, stencil): Class,
-    ) -> Vec<(usize, DstGeometry)> {
+    ) -> LevelGeometry {
         let level_no = same.level.expect("a fill targets a level of the hierarchy");
         let domain = hierarchy.level(level_no).domain();
         let boxes = same.recs.boxes();
@@ -1050,7 +1109,11 @@ impl<'a> Planner<'a> {
             coarse.owned_boxes().map(from)
         });
         let walked = same.reachable(same.owned_boxes().map(|b| b.grow(reach)).chain(feeds));
+        // Scratch reused by every destination; what the geometry keeps
+        // goes into one array of regions.
         let (mut sources, mut coarse_sources) = (Vec::new(), Vec::new());
+        let [mut region, mut claimed, mut want] = <[BoxList; 3]>::default();
+        let mut regions = Regions::default();
         let mut per_dst = |(dst_pos, &dst_box): (usize, &GBox)| {
             let dst_rank = same.recs.owner_at(dst_pos);
             // Candidate-source discovery (see [`Sources::candidates`]):
@@ -1060,19 +1123,17 @@ impl<'a> Planner<'a> {
             // scan's — empty overlaps are skipped either way. (A
             // patch's overlap with itself is empty.)
             same.candidates(dst_box.grow(ghosts + IntVector::ONE), &mut sources);
-            let ghost_region = |_, src_box| {
-                ghost_overlaps(dst_box, ghosts, src_box, centring, IntVector::ZERO).dst_boxes
+            let ghost_region = |_, src_box, out: &mut BoxList| {
+                ghost_overlap_into(dst_box, ghosts, src_box, centring, IntVector::ZERO, out);
             };
-            let (near, claimed) = (sources.iter().copied(), &mut BoxList::new());
-            let mut g = DstGeometry {
-                same: self.claim(same, near, centring, ghost_region, claimed, dst_rank),
-                outside: BoxList::new(),
-                coarse: None,
-            };
+            let (near, work) = (sources.iter().copied(), (&mut region, &mut claimed));
+            let same = self.claim(same, near, centring, ghost_region, work, dst_rank, &mut regions);
+            let mut g = DstGeometry { same, outside: 0..0, coarse: None };
             if dst_rank == self.rank {
-                g.outside = BoxList::from_box(dst_box.grow(ghosts));
-                g.outside.subtract(domain);
-                g.outside.coalesce();
+                region.set_box(dst_box.grow(ghosts));
+                region.subtract(domain);
+                region.coalesce();
+                g.outside = regions.keep(&region);
             }
             let (Some(stencil), Some(coarse)) = (stencil, coarse) else { return g };
             // Region wanted: in-domain ghost data not provided by this
@@ -1081,8 +1142,9 @@ impl<'a> Planner<'a> {
             // data box is a no-op, so restricting to the candidates
             // leaves `want` bitwise identical to the all-boxes
             // subtraction.
-            let in_domain = domain.intersect_box(dst_box.grow(ghosts));
-            let mut want = data_region(&in_domain, centring);
+            domain.intersect_box_into(dst_box.grow(ghosts), &mut region);
+            want.clear();
+            region.boxes().iter().for_each(|&b| want.add(centring.data_box(b)));
             want.subtract_box(centring.data_box(dst_box));
             for &src_pos in &sources {
                 want.subtract_box(centring.data_box(boxes[src_pos]));
@@ -1101,16 +1163,21 @@ impl<'a> Planner<'a> {
             let scratch_box = fine_cover.coarsen(ratio).grow(stencil);
             let scratch_data_box = centring.data_box(scratch_box);
             coarse.candidates(scratch_data_box, &mut coarse_sources);
-            let in_scratch = |_, cbox| scratch_region(scratch_data_box, cbox, centring);
-            let mut covered = BoxList::new();
-            let near = coarse_sources.iter().copied();
-            let sources = self.claim(coarse, near, centring, in_scratch, &mut covered, dst_rank);
+            let in_scratch = |_, cbox, out: &mut BoxList| {
+                out.set_box(scratch_data_box.intersect(centring.data_box(cbox)));
+            };
+            let (near, work) = (coarse_sources.iter().copied(), (&mut region, &mut claimed));
+            let sources =
+                self.claim(coarse, near, centring, in_scratch, work, dst_rank, &mut regions);
+            let (want, covered) = (regions.keep(&want), regions.keep(&claimed));
             g.coarse = Some(CoarseGeometry { want, scratch_box, sources, covered });
             g
         };
-        // Collected from an exact-size iterator: one allocation.
-        let walked: Vec<usize> = (0..boxes.len()).filter(|&pos| walked[pos]).collect();
-        walked.into_iter().map(|pos| (pos, per_dst((pos, &boxes[pos])))).collect()
+        let mut dsts = Vec::with_capacity(walked.iter().filter(|&&w| w).count());
+        for (pos, dst_box) in boxes.iter().enumerate().filter(|&(pos, _)| walked[pos]) {
+            dsts.push((pos, per_dst((pos, dst_box))));
+        }
+        LevelGeometry { dsts, regions }
     }
 
     /// Give every value of one destination — a record `dst_rank` owns —
@@ -1128,21 +1195,27 @@ impl<'a> Planner<'a> {
     /// (DESIGN.md §13), and the order
     /// the stages apply copies and unpacks in cannot matter.
     /// Cell-centred sources are disjoint and skip the calculus, and a
-    /// rank owning no end skips the destination wholesale.
+    /// rank owning no end skips the destination wholesale. `region` is
+    /// the candidate's region and `claimed` the running union, both the
+    /// caller's scratch; the claims are appended to `regions`, and
+    /// where they are is returned.
+    #[allow(clippy::too_many_arguments)]
     fn claim(
         &mut self,
         src: &Sources<'_>,
         cands: impl ExactSizeIterator<Item = usize> + Clone,
         centring: Centring,
-        region_of: impl Fn(usize, GBox) -> BoxList,
-        claimed: &mut BoxList,
+        region_of: impl Fn(usize, GBox, &mut BoxList),
+        (region, claimed): (&mut BoxList, &mut BoxList),
         dst_rank: usize,
-    ) -> Claims {
+        regions: &mut Regions,
+    ) -> Range<usize> {
         self.candidate_pairs += cands.len() as u64;
         let mine = dst_rank == self.rank;
-        let mut claims = Claims::new();
+        claimed.clear();
+        let first = regions.claims.len();
         if !mine && !cands.clone().any(|c| src.recs.owner_at(c) == self.rank) {
-            return claims;
+            return first..first;
         }
         for pos in cands {
             // A pair between two other ranks matters for its claim only.
@@ -1150,7 +1223,7 @@ impl<'a> Planner<'a> {
             if theirs && centring == Centring::Cell {
                 continue;
             }
-            let mut region = region_of(pos, src.recs.box_at(pos));
+            region_of(pos, src.recs.box_at(pos), region);
             if centring != Centring::Cell {
                 region.subtract(claimed);
                 region.coalesce();
@@ -1158,12 +1231,13 @@ impl<'a> Planner<'a> {
             if region.is_empty() {
                 continue;
             }
-            claimed.union(&region);
+            claimed.union(region);
             if !theirs {
-                claims.push((pos, region));
+                let at = regions.keep(region);
+                regions.claims.push((pos, at));
             }
         }
-        claims
+        first..regions.claims.len()
     }
 
     /// File each of `claims` on the destination `dst` — `(global index,
@@ -1172,10 +1246,10 @@ impl<'a> Planner<'a> {
     /// from the source's. `ends` lists the destination arrays sharing
     /// this geometry (variable, where it lives, its data box), read
     /// only when `dst` is this rank's.
-    fn stamp(
+    fn stamp<'r>(
         &mut self,
         src: &Sources<'_>,
-        claims: &[(usize, BoxList)],
+        claims: impl Iterator<Item = (usize, &'r [GBox])>,
         dst: (usize, usize),
         ends: &[(VariableId, Loc, GBox)],
     ) {
@@ -1186,12 +1260,14 @@ impl<'a> Planner<'a> {
             Loc::Scratch(_) => &mut self.sched.captures,
             _ => &mut self.sched.copies,
         };
-        for &(pos, ref region) in claims {
+        for (pos, region) in claims {
             let src_rank = src.recs.owner_at(pos);
             let ids = (pos, dst.0);
             for &(var, dst_loc, dst_data_box) in ends {
-                let overlap =
-                    BoxOverlap { dst_boxes: region.clone(), shift: IntVector::ZERO, centring };
+                // Each job holds its own copy, of exactly the region's
+                // boxes.
+                let dst_boxes = BoxList::from_boxes(region.iter().copied());
+                let overlap = BoxOverlap { dst_boxes, shift: IntVector::ZERO, centring };
                 if dst.1 != self.rank {
                     self.sends.push(dst.1, var, src.loc(pos), overlap, ids);
                 } else if src_rank != self.rank {
@@ -1213,9 +1289,35 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// What the coarse record `cbox` can fill of an interpolation scratch.
-fn scratch_region(scratch_data_box: GBox, cbox: GBox, centring: Centring) -> BoxList {
-    BoxList::from_box(scratch_data_box.intersect(centring.data_box(cbox)))
+/// `fill` less `claimed`, coalesced, as a sync keeps it: in an array
+/// with room for the boxes the last cut left of as many boxes as it
+/// started from, grown by `Vec`'s doubling (from 4) — the capacity
+/// [`CoarsenSchedule::heap_bytes`], and with it the
+/// `schedule.held_bytes` gauge, has always counted for it. The cuts
+/// themselves run in place.
+fn unclaimed(mut fill: BoxList, claimed: &BoxList) -> BoxList {
+    let mut room = None;
+    for &b in claimed.boxes() {
+        let before = fill.len();
+        if before == 0 {
+            break;
+        }
+        fill.subtract_box(b);
+        let mut cap = before;
+        while cap < fill.len() {
+            cap = (2 * cap).max(4);
+        }
+        room = Some(cap);
+    }
+    fill.coalesce();
+    match room {
+        Some(cap) if !fill.is_empty() => {
+            let mut held = BoxList::with_capacity(cap);
+            held.union(&fill);
+            held
+        }
+        _ => fill,
+    }
 }
 
 /// Fine-to-coarse synchronisation schedule (SAMRAI `CoarsenSchedule`).
@@ -1344,8 +1446,7 @@ impl CoarsenSchedule {
                     let mut fill = BoxList::from_box(centring.data_box(region));
                     if overlapping_centring {
                         let claimed = claims.entry(cpos).or_default();
-                        fill.subtract(claimed);
-                        fill.coalesce();
+                        fill = unclaimed(fill, claimed);
                         if fill.is_empty() {
                             continue;
                         }
@@ -1760,8 +1861,8 @@ mod tests {
         let mut plan = Planner::new(&h, &reg, (1, true), KIND_AGG_FILL, vec![var]);
         let op: Arc<dyn RefineOperator> = Arc::new(ConservativeCellRefine);
         let (fill, covered) = (BoxList::from_box(b(6, 8, 8, 24)), BoxList::new());
-        plan.interpolate(&op, var, (0, 0), (&fill, b(2, 3, 5, 13), &covered));
-        plan.interpolate(&op, var, (0, 0), (&fill, b(3, 3, 5, 13), &covered));
+        plan.interpolate(&op, var, (0, 0), (fill.boxes(), b(2, 3, 5, 13), covered.boxes()));
+        plan.interpolate(&op, var, (0, 0), (fill.boxes(), b(3, 3, 5, 13), covered.boxes()));
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! `schedule.candidate_pairs` for one level-1 build must equal
 //! [`PINNED_PAIRS`]. The count is deterministic; a build that walked
 //! destinations no end of which the rank owns would exceed it.
+//!
+//! It also counts the heap allocations of one indexed build (rank 0 of
+//! 4) with a counting global allocator and fails when the count per
+//! destination — per fine patch — exceeds [`PINNED_ALLOCS`] by more
+//! than a quarter: the box calculus under a build allocates only what
+//! the schedule keeps, and the gate keeps it that way.
 
 use rbamr_amr::ops::ConservativeCellRefine;
 use rbamr_amr::schedule::FillSpec;
@@ -28,8 +34,40 @@ use rbamr_bench::{path_arg, schedule_bench_hierarchy, schedule_bench_hierarchy_s
 use rbamr_netsim::Cluster;
 use rbamr_perfmodel::Machine;
 use rbamr_telemetry::Recorder;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The system allocator, counting allocation calls (a `realloc` goes
+/// through `alloc`, so growth counts too).
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a statistic and guards no
+// memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations of one indexed level-1 build on rank 0 of 4, by
+/// fine patches, measured when the box calculus stopped allocating
+/// temporaries; a build may make at most 1.25x as many.
+const PINNED_ALLOCS: [(usize, u64); 2] = [(64, 244), (256, 876)];
 
 /// Worst-rank candidate pairs of one level-1 build, by (ranks, fine
 /// patches), recorded at dfaef24.
@@ -117,6 +155,26 @@ fn main() {
         let body = format!("[\n{}\n]\n", entries.join(",\n"));
         std::fs::write(&path, body).expect("schedule_bench: write json");
         println!("\nwrote {}", path.display());
+    }
+
+    println!("\nHeap allocations of one indexed level-1 build (rank 0 of 4)");
+    for &patches in sizes.iter().filter(|&&p| p <= 256) {
+        let (h, reg, var) = schedule_bench_hierarchy(patches, 0, 4);
+        let specs = [FillSpec { var, refine_op: Some(Arc::new(ConservativeCellRefine)) }];
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let sched = RefineSchedule::new(&h, &reg, 1, &specs);
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        drop(sched);
+        let pinned = PINNED_ALLOCS.iter().find(|p| p.0 == patches);
+        let pinned = pinned.expect("a pinned count for every gated size").1;
+        let per_dst = allocs as f64 / patches as f64;
+        println!(
+            "{patches:>5} patches: {allocs} allocations, {per_dst:.2} per destination (pinned {pinned})"
+        );
+        assert!(
+            allocs as f64 <= 1.25 * pinned as f64,
+            "{patches} patches: {allocs} allocations, more than 1.25x the pinned {pinned}"
+        );
     }
 
     println!("\nOwner-only walk: worst-rank candidate pairs of a level-1 build");

@@ -34,12 +34,21 @@ impl BoxList {
     }
 
     /// Build a region from arbitrary (possibly overlapping) boxes.
+    /// Room for the inputs is reserved first, so pairwise-disjoint
+    /// inputs of known number — another region's boxes — are held in
+    /// an array of exactly that size.
     pub fn from_boxes<I: IntoIterator<Item = GBox>>(boxes: I) -> Self {
-        let mut l = Self::new();
+        let boxes = boxes.into_iter();
+        let mut l = Self::with_capacity(boxes.size_hint().0);
         for b in boxes {
             l.add(b);
         }
         l
+    }
+
+    /// The empty region, with room for `n` boxes.
+    pub fn with_capacity(n: usize) -> Self {
+        Self { boxes: Vec::with_capacity(n) }
     }
 
     /// The disjoint boxes making up the region.
@@ -69,24 +78,43 @@ impl BoxList {
 
     /// Add a box to the region, keeping components disjoint: only the
     /// part of `b` not already covered is inserted.
+    ///
+    /// The part is carved against the existing boxes in order, and its
+    /// pieces are appended in carving order. A box that meets nothing is
+    /// appended whole, and one that a single box holds adds nothing,
+    /// without carving; otherwise the pieces are carved in the list's
+    /// own spare capacity.
     pub fn add(&mut self, b: GBox) {
         if b.is_empty() {
             return;
         }
-        // Carve b against every existing box.
-        let mut pending = vec![b];
-        let mut next = Vec::new();
-        for &existing in &self.boxes {
-            next.clear();
-            for piece in pending.drain(..) {
-                piece.subtract_into(existing, &mut next);
+        let Some(first) = self.boxes.iter().position(|m| m.intersects(b)) else {
+            self.boxes.push(b);
+            return;
+        };
+        if self.boxes[first].contains_box(b) {
+            return;
+        }
+        // The pieces still to place live past the existing boxes, at
+        // `n..`; each carve appends the next generation and drops the
+        // last. A box that misses every piece leaves them as they are.
+        let n = self.boxes.len();
+        self.boxes.push(b);
+        for i in first..n {
+            let existing = self.boxes[i];
+            let end = self.boxes.len();
+            if !self.boxes[n..end].iter().any(|p| p.intersects(existing)) {
+                continue;
             }
-            std::mem::swap(&mut pending, &mut next);
-            if pending.is_empty() {
+            for k in n..end {
+                let piece = self.boxes[k];
+                piece.subtract_into(existing, &mut self.boxes);
+            }
+            self.boxes.drain(n..end);
+            if self.boxes.len() == n {
                 return;
             }
         }
-        self.boxes.extend(pending);
     }
 
     /// Union with another region.
@@ -96,16 +124,21 @@ impl BoxList {
         }
     }
 
-    /// Remove `b` from the region.
+    /// Remove `b` from the region: each box it meets is replaced, in
+    /// place, by its remainders in [`GBox::subtract_into`]'s order; a
+    /// box it misses is left where it is, and a list it misses is not
+    /// touched.
     pub fn subtract_box(&mut self, b: GBox) {
-        if b.is_empty() || self.boxes.is_empty() {
+        if b.is_empty() {
             return;
         }
-        let mut out = Vec::with_capacity(self.boxes.len());
-        for &mine in &self.boxes {
-            mine.subtract_into(b, &mut out);
+        let Some(first) = self.boxes.iter().position(|m| m.intersects(b)) else { return };
+        let n = self.boxes.len();
+        for i in first..n {
+            let mine = self.boxes[i];
+            mine.subtract_into(b, &mut self.boxes);
         }
-        self.boxes = out;
+        self.boxes.drain(first..n);
     }
 
     /// Remove another region from this one.
@@ -119,15 +152,38 @@ impl BoxList {
     pub fn intersect(&self, other: &BoxList) -> BoxList {
         let mut out = BoxList::new();
         for &b in &self.boxes {
-            out.union(&other.intersect_box(b));
+            for &o in &other.boxes {
+                out.add(o.intersect(b));
+            }
         }
         out
     }
 
     /// The intersection of the region with a single box.
     pub fn intersect_box(&self, b: GBox) -> BoxList {
-        let boxes = self.boxes.iter().map(|m| m.intersect(b)).filter(|m| !m.is_empty()).collect();
-        BoxList { boxes }
+        let mut out = BoxList::new();
+        self.intersect_box_into(b, &mut out);
+        out
+    }
+
+    /// [`BoxList::intersect_box`] into `out`, which is cleared first:
+    /// a caller reusing one list allocates only when it grows.
+    pub fn intersect_box_into(&self, b: GBox, out: &mut BoxList) {
+        out.boxes.clear();
+        let meets = self.boxes.iter().map(|m| m.intersect(b)).filter(|m| !m.is_empty());
+        out.boxes.extend(meets);
+    }
+
+    /// Empty the region, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.boxes.clear();
+    }
+
+    /// Make the region the single box `b` (nothing if `b` is empty),
+    /// keeping the allocation.
+    pub fn set_box(&mut self, b: GBox) {
+        self.clear();
+        self.add(b);
     }
 
     /// True if the cell `p` lies in the region.
@@ -135,21 +191,15 @@ impl BoxList {
         self.boxes.iter().any(|b| b.contains(p))
     }
 
-    /// True if every cell of `b` lies in the region.
+    /// True if every cell of `b` lies in the region: the components are
+    /// disjoint, so exactly when the cells they share with `b` add up
+    /// to all of `b`'s.
     pub fn contains_box(&self, b: GBox) -> bool {
-        let mut remainder = vec![b];
-        let mut next = Vec::new();
-        for &mine in &self.boxes {
-            next.clear();
-            for piece in remainder.drain(..) {
-                piece.subtract_into(mine, &mut next);
-            }
-            std::mem::swap(&mut remainder, &mut next);
-            if remainder.is_empty() {
-                return true;
-            }
+        if b.is_empty() || self.boxes.iter().any(|m| m.contains_box(b)) {
+            return true;
         }
-        remainder.iter().all(|b| b.is_empty())
+        let shared: i64 = self.boxes.iter().map(|m| m.intersect(b).num_cells()).sum();
+        shared == b.num_cells()
     }
 
     /// Refine every box (see [`GBox::refine`]).

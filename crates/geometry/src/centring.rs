@@ -28,6 +28,7 @@ impl Centring {
     /// * `Cell` — unchanged.
     /// * `Node` — one extra layer on the upper side in both axes.
     /// * `Side(d)` — one extra layer on the upper side along `d`.
+    #[inline]
     pub fn data_box(self, cell_box: GBox) -> GBox {
         if cell_box.is_empty() {
             return GBox::EMPTY;

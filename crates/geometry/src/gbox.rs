@@ -36,17 +36,20 @@ impl GBox {
     pub const EMPTY: Self = Self::new(IntVector::ZERO, IntVector::ZERO);
 
     /// True if the box contains no cells (any `hi <= lo` component).
+    #[inline]
     pub fn is_empty(self) -> bool {
         self.hi.x <= self.lo.x || self.hi.y <= self.lo.y
     }
 
     /// Size vector `hi - lo` (component-wise cell counts). Meaningless
     /// for empty boxes.
+    #[inline]
     pub fn size(self) -> IntVector {
         self.hi - self.lo
     }
 
     /// Number of cells in the box; zero for empty boxes.
+    #[inline]
     pub fn num_cells(self) -> i64 {
         if self.is_empty() {
             0
@@ -56,17 +59,20 @@ impl GBox {
     }
 
     /// True if the cell index `p` lies inside the box.
+    #[inline]
     pub fn contains(self, p: IntVector) -> bool {
         p.all_ge(self.lo) && self.hi.all_gt(p)
     }
 
     /// True if every cell of `other` lies inside `self`. Empty boxes are
     /// contained in everything.
+    #[inline]
     pub fn contains_box(self, other: GBox) -> bool {
         other.is_empty() || (other.lo.all_ge(self.lo) && self.hi.all_ge(other.hi))
     }
 
     /// Intersection of two boxes (empty if they do not overlap).
+    #[inline]
     pub fn intersect(self, other: GBox) -> GBox {
         let b = GBox::new(self.lo.max(other.lo), self.hi.min(other.hi));
         if b.is_empty() {
@@ -76,28 +82,35 @@ impl GBox {
         }
     }
 
-    /// True if the two boxes share at least one cell.
+    /// True if the two boxes share at least one cell: their
+    /// intersection is non-empty on both axes.
+    #[inline]
     pub fn intersects(self, other: GBox) -> bool {
-        !self.intersect(other).is_empty()
+        self.lo.x.max(other.lo.x) < self.hi.x.min(other.hi.x)
+            && self.lo.y.max(other.lo.y) < self.hi.y.min(other.hi.y)
     }
 
     /// Grow the box by `g` cells on every side (negative values shrink).
     /// This is how ghost boxes are formed from patch interiors.
+    #[inline]
     pub fn grow(self, g: IntVector) -> GBox {
         GBox::new(self.lo - g, self.hi + g)
     }
 
     /// Grow the box by `g` cells only on the lower side of each axis.
+    #[inline]
     pub fn grow_lower(self, g: IntVector) -> GBox {
         GBox::new(self.lo - g, self.hi)
     }
 
     /// Grow the box by `g` cells only on the upper side of each axis.
+    #[inline]
     pub fn grow_upper(self, g: IntVector) -> GBox {
         GBox::new(self.lo, self.hi + g)
     }
 
     /// Translate the box by `shift`.
+    #[inline]
     pub fn shift(self, shift: IntVector) -> GBox {
         GBox::new(self.lo + shift, self.hi + shift)
     }
@@ -108,6 +121,7 @@ impl GBox {
     ///
     /// # Panics
     /// Panics if any ratio component is not positive.
+    #[inline]
     pub fn refine(self, ratio: IntVector) -> GBox {
         assert!(ratio.all_gt(IntVector::ZERO), "refine: ratio must be positive");
         GBox::new(self.lo.scale(ratio), self.hi.scale(ratio))
@@ -118,6 +132,7 @@ impl GBox {
     ///
     /// # Panics
     /// Panics if any ratio component is not positive.
+    #[inline]
     pub fn coarsen(self, ratio: IntVector) -> GBox {
         assert!(ratio.all_gt(IntVector::ZERO), "coarsen: ratio must be positive");
         GBox::new(self.lo.div_floor(ratio), self.hi.div_ceil(ratio))
@@ -134,6 +149,7 @@ impl GBox {
     }
 
     /// The smallest box containing both operands (their bounding box).
+    #[inline]
     pub fn bounding(self, other: GBox) -> GBox {
         if self.is_empty() {
             return other;
@@ -150,6 +166,7 @@ impl GBox {
     /// The decomposition slices bottom strip, top strip, then left and
     /// right strips of the middle band, so the output pieces are disjoint
     /// and their union is exactly `self \ other`.
+    #[inline]
     pub fn subtract_into(self, other: GBox, out: &mut Vec<GBox>) {
         if self.is_empty() {
             return;

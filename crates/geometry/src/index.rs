@@ -10,18 +10,18 @@
 //! growing with scale; production frameworks (e.g. AMReX) answer it
 //! with hashed or sorted spatial indices instead.
 //!
-//! [`BoxIndex`] is the sorted variant: boxes are ordered along the
-//! Morton space-filling curve of their centroids (the same curve the
-//! load balancer uses, so spatially adjacent boxes are adjacent in the
-//! array), and an implicit bounding-box tree over that order prunes
-//! whole subtrees whose bounds miss the query region. Queries return
-//! original box indices in ascending order, so a plan built from index
-//! candidates is *identical* — not merely equivalent — to one built
-//! from the brute-force scan (the `amr` proptests assert this).
+//! [`BoxIndex`] is a uniform bucket grid over the boxes' bounding box,
+//! its bucket the size of an average box, so a box lists itself in the
+//! few buckets it meets and a query reads the few buckets its region
+//! meets — O(k) for AMR levels, whose patches are of similar size —
+//! reporting each box once, from the first bucket it shares with the
+//! query. Queries return original box indices in ascending order, so a
+//! plan built from index candidates is *identical* — not merely
+//! equivalent — to one built from the brute-force scan (the `amr`
+//! proptests assert this).
 
 use crate::gbox::GBox;
 use crate::ivec::IntVector;
-use crate::sfc::morton_key;
 
 /// A static spatial index over a set of boxes.
 ///
@@ -31,15 +31,21 @@ use crate::sfc::morton_key;
 /// `ghost` cells of region R" without growing every query.
 #[derive(Clone, Debug)]
 pub struct BoxIndex {
-    /// Grown boxes in Morton order, paired with their original index.
+    /// Every input box grown by `ghost`, by original index; an empty
+    /// input is kept as [`GBox::EMPTY`] and never reported.
+    boxes: Vec<GBox>,
+    /// Number of non-empty boxes.
+    len: usize,
+    /// The bounding box of the grown boxes: the grid's extent.
+    bound: GBox,
+    /// Extent of one bucket, per axis.
+    bucket: IntVector,
+    /// Buckets along x (rows of the grid are along x).
+    columns: usize,
+    /// Bucket `k` (row-major) lists `entries[starts[k]..starts[k + 1]]`:
+    /// the boxes meeting it with their indices, ascending.
+    starts: Vec<u32>,
     entries: Vec<(GBox, u32)>,
-    /// Implicit binary tree: `tree[1]` is the root, node `i` has
-    /// children `2i` and `2i+1`, and `tree[cap + j]` bounds
-    /// `entries[j]`. Padding leaves are [`GBox::EMPTY`] and prune
-    /// themselves (nothing intersects an empty box).
-    tree: Vec<GBox>,
-    /// Leaf offset: the number of leaves, rounded up to a power of two.
-    cap: usize,
 }
 
 impl BoxIndex {
@@ -47,46 +53,83 @@ impl BoxIndex {
     /// side. Empty input boxes are never reported (they cannot
     /// intersect anything, even grown).
     ///
-    /// Cost: O(N log N) for the Morton sort.
+    /// Cost: O(N) buckets and O(N) entries for boxes of similar size.
     ///
     /// # Panics
     /// Panics if any `ghost` component is negative.
     pub fn new(boxes: &[GBox], ghost: IntVector) -> Self {
         assert!(ghost.all_ge(IntVector::ZERO), "BoxIndex: negative ghost width");
         assert!(boxes.len() <= u32::MAX as usize, "BoxIndex: too many boxes");
-        let mut entries: Vec<(GBox, u32)> = boxes
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(i, &b)| (b.grow(ghost), i as u32))
-            .collect();
-        entries.sort_by_key(|&(b, i)| {
-            // Floor (not truncating) division: centroids of boxes
-            // straddling the origin must stay on their side of the
-            // Morton split.
-            let cx = (b.lo.x + b.hi.x).div_euclid(2);
-            let cy = (b.lo.y + b.hi.y).div_euclid(2);
-            (morton_key(cx, cy), i)
-        });
-        let cap = entries.len().next_power_of_two().max(1);
-        let mut tree = vec![GBox::EMPTY; 2 * cap];
-        for (j, &(b, _)) in entries.iter().enumerate() {
-            tree[cap + j] = b;
+        let boxes: Vec<GBox> =
+            boxes.iter().map(|b| if b.is_empty() { GBox::EMPTY } else { b.grow(ghost) }).collect();
+        let live = || boxes.iter().filter(|b| !b.is_empty());
+        let len = live().count();
+        let bound = live().fold(GBox::EMPTY, |acc, &b| acc.bounding(b));
+        // Buckets the size of an average box, doubled while there are
+        // more than a few per box (boxes of very different sizes).
+        let n = len.max(1) as i64;
+        let total = live().fold(IntVector::ZERO, |acc, b| acc + b.size());
+        let mut bucket = IntVector::new((total.x / n).max(1), (total.y / n).max(1));
+        let extent = if len == 0 { IntVector::ZERO } else { bound.size() };
+        let buckets = |bucket: IntVector| {
+            let dims = extent.div_ceil(bucket);
+            dims.x.saturating_mul(dims.y)
+        };
+        while buckets(bucket) > 4 * n + 16 {
+            bucket = bucket * 2;
         }
-        for i in (1..cap).rev() {
-            tree[i] = tree[2 * i].bounding(tree[2 * i + 1]);
+        let columns = extent.div_ceil(bucket).x.max(0) as usize;
+        let mut index = Self {
+            boxes,
+            len,
+            bound,
+            bucket,
+            columns,
+            starts: vec![0; buckets(bucket).max(0) as usize + 1],
+            entries: Vec::new(),
+        };
+        // Counting sort by bucket, boxes in ascending order.
+        for b in index.boxes.iter().filter(|b| !b.is_empty()) {
+            index.buckets(*b).for_each(|k| index.starts[k + 1] += 1);
         }
-        Self { entries, tree, cap }
+        for k in 1..index.starts.len() {
+            index.starts[k] += index.starts[k - 1];
+        }
+        let mut next = index.starts.clone();
+        let total = *index.starts.last().expect("one start at least") as usize;
+        index.entries = vec![(GBox::EMPTY, 0); total];
+        for (i, &b) in index.boxes.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+            for k in index.buckets(b) {
+                index.entries[next[k] as usize] = (b, i as u32);
+                next[k] += 1;
+            }
+        }
+        index
+    }
+
+    /// The bucket range `region` (inside the bound) meets: its lower
+    /// and upper bucket coordinates, inclusive.
+    fn range(&self, region: GBox) -> (IntVector, IntVector) {
+        let lo = (region.lo - self.bound.lo).div_floor(self.bucket);
+        let hi = (region.hi - IntVector::ONE - self.bound.lo).div_floor(self.bucket);
+        (lo, hi)
+    }
+
+    /// The buckets, row-major, that the stored box `b` meets.
+    fn buckets(&self, b: GBox) -> impl Iterator<Item = usize> {
+        let ((lo, hi), columns) = (self.range(b), self.columns);
+        (lo.y..=hi.y)
+            .flat_map(move |y| (lo.x..=hi.x).map(move |x| y as usize * columns + x as usize))
     }
 
     /// Number of (non-empty) boxes in the index.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if the index holds no boxes.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Indices of all stored (grown) boxes intersecting `region`,
@@ -101,31 +144,29 @@ impl BoxIndex {
     /// stored boxes intersecting `region`, in ascending index order —
     /// the same order a brute-force scan visits them.
     ///
-    /// Cost: O(log N + k) expected for k results — the Morton order
-    /// keeps spatially close boxes in contiguous subtrees, so the
-    /// descent prunes all but O(log N) off-path nodes.
+    /// Cost: the entries of the buckets `region` meets — O(k) for k
+    /// results when the boxes are of similar size.
     pub fn query_into(&self, region: GBox, out: &mut Vec<usize>) {
         out.clear();
-        if region.is_empty() || self.entries.is_empty() {
+        let clipped = region.intersect(self.bound);
+        if clipped.is_empty() {
             return;
         }
-        // Explicit-stack descent; depth is log2(cap) <= 32.
-        let mut stack = [0usize; 64];
-        let mut top = 0;
-        stack[top] = 1;
-        top += 1;
-        while top > 0 {
-            top -= 1;
-            let node = stack[top];
-            if !self.tree[node].intersects(region) {
-                continue;
-            }
-            if node >= self.cap {
-                out.push(self.entries[node - self.cap].1 as usize);
-            } else {
-                stack[top] = 2 * node;
-                stack[top + 1] = 2 * node + 1;
-                top += 2;
+        let (lo, hi) = self.range(clipped);
+        for y in lo.y..=hi.y {
+            // A box is reported from the first bucket it shares with
+            // the query, so once: the query's first row or column, or
+            // the one the box starts in.
+            let row = self.bound.lo.y + y * self.bucket.y;
+            for x in lo.x..=hi.x {
+                let column = self.bound.lo.x + x * self.bucket.x;
+                let k = y as usize * self.columns + x as usize;
+                for &(b, i) in &self.entries[self.starts[k] as usize..self.starts[k + 1] as usize] {
+                    let first = (x == lo.x || b.lo.x >= column) && (y == lo.y || b.lo.y >= row);
+                    if first && b.intersects(region) {
+                        out.push(i as usize);
+                    }
+                }
             }
         }
         out.sort_unstable();
@@ -134,14 +175,7 @@ impl BoxIndex {
     /// Reference implementation: linear scan over the stored (grown)
     /// boxes. The schedules keep this as their test oracle.
     pub fn query_bruteforce(&self, region: GBox) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .entries
-            .iter()
-            .filter(|(b, _)| b.intersects(region))
-            .map(|&(_, i)| i as usize)
-            .collect();
-        out.sort_unstable();
-        out
+        (0..self.boxes.len()).filter(|&i| self.boxes[i].intersects(region)).collect()
     }
 }
 

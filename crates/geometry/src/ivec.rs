@@ -48,11 +48,13 @@ impl IntVector {
     }
 
     /// Component-wise minimum.
+    #[inline]
     pub fn min(self, other: Self) -> Self {
         Self::new(self.x.min(other.x), self.y.min(other.y))
     }
 
     /// Component-wise maximum.
+    #[inline]
     pub fn max(self, other: Self) -> Self {
         Self::new(self.x.max(other.x), self.y.max(other.y))
     }
@@ -65,23 +67,27 @@ impl IntVector {
     /// Product of the components. For a box size vector this is the cell
     /// count, hence the return type is `i64` (can be large but never
     /// overflows for realistic meshes).
+    #[inline]
     pub fn product(self) -> i64 {
         self.x * self.y
     }
 
     /// True if every component of `self` is `>=` the matching component
     /// of `other`.
+    #[inline]
     pub fn all_ge(self, other: Self) -> bool {
         self.x >= other.x && self.y >= other.y
     }
 
     /// True if every component of `self` is `>` the matching component of
     /// `other`.
+    #[inline]
     pub fn all_gt(self, other: Self) -> bool {
         self.x > other.x && self.y > other.y
     }
 
     /// Component-wise multiplication.
+    #[inline]
     pub fn scale(self, other: Self) -> Self {
         Self::new(self.x * other.x, self.y * other.y)
     }
@@ -92,6 +98,7 @@ impl IntVector {
     ///
     /// # Panics
     /// Panics if any component of `other` is zero.
+    #[inline]
     pub fn div_floor(self, other: Self) -> Self {
         Self::new(self.x.div_euclid(other.x), self.y.div_euclid(other.y))
     }
@@ -100,6 +107,7 @@ impl IntVector {
     ///
     /// # Panics
     /// Panics if any component of `other` is not positive.
+    #[inline]
     pub fn div_ceil(self, other: Self) -> Self {
         assert!(other.all_gt(IntVector::ZERO), "div_ceil: ratio must be positive");
         let q = |a: i64, b: i64| a.div_euclid(b) + i64::from(a.rem_euclid(b) != 0);
@@ -107,6 +115,7 @@ impl IntVector {
     }
 
     /// Access a component by axis index (0 = x, 1 = y).
+    #[inline]
     pub fn get(self, axis: usize) -> i64 {
         match axis {
             0 => self.x,
@@ -116,6 +125,7 @@ impl IntVector {
     }
 
     /// Set a component by axis index, returning the modified vector.
+    #[inline]
     pub fn with(self, axis: usize, v: i64) -> Self {
         match axis {
             0 => Self::new(v, self.y),
@@ -139,12 +149,14 @@ impl fmt::Display for IntVector {
 
 impl Add for IntVector {
     type Output = Self;
+    #[inline]
     fn add(self, o: Self) -> Self {
         Self::new(self.x + o.x, self.y + o.y)
     }
 }
 
 impl AddAssign for IntVector {
+    #[inline]
     fn add_assign(&mut self, o: Self) {
         *self = *self + o;
     }
@@ -152,12 +164,14 @@ impl AddAssign for IntVector {
 
 impl Sub for IntVector {
     type Output = Self;
+    #[inline]
     fn sub(self, o: Self) -> Self {
         Self::new(self.x - o.x, self.y - o.y)
     }
 }
 
 impl SubAssign for IntVector {
+    #[inline]
     fn sub_assign(&mut self, o: Self) {
         *self = *self - o;
     }
@@ -165,6 +179,7 @@ impl SubAssign for IntVector {
 
 impl Neg for IntVector {
     type Output = Self;
+    #[inline]
     fn neg(self) -> Self {
         Self::new(-self.x, -self.y)
     }
@@ -172,6 +187,7 @@ impl Neg for IntVector {
 
 impl Mul<i64> for IntVector {
     type Output = Self;
+    #[inline]
     fn mul(self, s: i64) -> Self {
         Self::new(self.x * s, self.y * s)
     }
@@ -179,6 +195,7 @@ impl Mul<i64> for IntVector {
 
 impl Div<i64> for IntVector {
     type Output = Self;
+    #[inline]
     fn div(self, s: i64) -> Self {
         Self::new(self.x / s, self.y / s)
     }
@@ -186,6 +203,7 @@ impl Div<i64> for IntVector {
 
 impl Index<usize> for IntVector {
     type Output = i64;
+    #[inline]
     fn index(&self, axis: usize) -> &i64 {
         match axis {
             0 => &self.x,

@@ -7,8 +7,8 @@
 //! and difference), centring conversions between cell-, node- and
 //! side-centred index spaces, ghost-region/overlap computation, a
 //! Morton space-filling curve used for load balancing, and a
-//! Morton-sorted spatial box index ([`BoxIndex`]) answering "which
-//! boxes intersect region R" in O(log N + k) for the schedule and
+//! bucket-grid spatial box index ([`BoxIndex`]) answering "which
+//! boxes intersect region R" in O(k) for the schedule and
 //! regrid metadata paths, and deterministic structure digests
 //! ([`Fnv64`], [`UnorderedDigest`]) used to key cached communication
 //! schedules on level structure.
@@ -36,7 +36,7 @@ pub use digest::{mix64, Fnv64, UnorderedDigest};
 pub use gbox::GBox;
 pub use index::BoxIndex;
 pub use ivec::IntVector;
-pub use overlap::{copy_overlap, ghost_overlaps, BoxOverlap};
+pub use overlap::{copy_overlap, ghost_overlap_into, ghost_overlaps, BoxOverlap};
 pub use sfc::morton_key;
 
 /// The spatial dimensionality of every index space in this workspace.

@@ -65,13 +65,27 @@ pub fn ghost_overlaps(
     centring: Centring,
     shift: IntVector,
 ) -> BoxOverlap {
+    let mut fill = BoxList::new();
+    ghost_overlap_into(dst_cell_box, ghosts, src_cell_box, centring, shift, &mut fill);
+    BoxOverlap { dst_boxes: fill, shift, centring }
+}
+
+/// The boxes of [`ghost_overlaps`]' region, written over `out`: a
+/// caller reusing one list allocates only when it grows.
+pub fn ghost_overlap_into(
+    dst_cell_box: GBox,
+    ghosts: IntVector,
+    src_cell_box: GBox,
+    centring: Centring,
+    shift: IntVector,
+    out: &mut BoxList,
+) {
     let dst_data = centring.data_box(dst_cell_box);
     let dst_ghost_data = centring.data_box(dst_cell_box.grow(ghosts));
     let src_data = centring.data_box(src_cell_box).shift(shift);
-    let mut fill = BoxList::from_box(dst_ghost_data.intersect(src_data));
-    fill.subtract_box(dst_data);
-    fill.coalesce();
-    BoxOverlap { dst_boxes: fill, shift, centring }
+    out.set_box(dst_ghost_data.intersect(src_data));
+    out.subtract_box(dst_data);
+    out.coalesce();
 }
 
 /// Compute the overlap for a plain interior-to-interior copy (used when

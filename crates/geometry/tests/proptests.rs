@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
+use std::collections::HashSet;
 
 fn arb_box() -> impl Strategy<Value = GBox> {
     (-50i64..50, -50i64..50, 1i64..30, 1i64..30)
@@ -151,5 +152,61 @@ proptest! {
             .collect();
         prop_assert_eq!(ix.query(q), expect.clone());
         prop_assert_eq!(ix.query_bruteforce(q), expect);
+    }
+}
+
+fn arb_small_box() -> impl Strategy<Value = GBox> {
+    (-20i64..20, -20i64..20, 0i64..12, 0i64..12)
+        .prop_map(|(x, y, w, h)| GBox::from_coords(x, y, x + w, y + h))
+}
+
+/// The cells of some boxes, as a set.
+fn cell_set<'a>(boxes: impl IntoIterator<Item = &'a GBox>) -> HashSet<IntVector> {
+    boxes.into_iter().flat_map(|b| b.iter()).collect()
+}
+
+/// The cells of a region, as a set, after checking that its boxes are
+/// non-empty and disjoint (then their cell counts add up to the set's).
+fn region_cells(l: &BoxList) -> Result<HashSet<IntVector>, TestCaseError> {
+    let cells = cell_set(l.boxes());
+    prop_assert!(l.boxes().iter().all(|b| !b.is_empty()), "an empty component in {:?}", l);
+    prop_assert_eq!(l.num_cells(), cells.len() as i64, "overlapping components in {:?}", l);
+    Ok(cells)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Region membership, cell by cell, against a `HashSet` of cells:
+    /// `add`, `union`, `subtract`, `intersect_box` and `contains_box`
+    /// (empty operands included), every result non-empty and disjoint.
+    #[test]
+    fn boxlist_membership_matches_a_cell_set(
+        a in prop::collection::vec(arb_small_box(), 0..5),
+        b in prop::collection::vec(arb_small_box(), 0..5),
+        q in arb_small_box(),
+    ) {
+        let (la, lb) = (BoxList::from_boxes(a.iter().copied()), BoxList::from_boxes(b.iter().copied()));
+        let (sa, sb, sq) = (cell_set(&a), cell_set(&b), cell_set([&q]));
+        prop_assert_eq!(region_cells(&la)?, sa.clone());
+
+        let mut added = la.clone();
+        added.add(q);
+        prop_assert_eq!(region_cells(&added)?, &sa | &sq);
+
+        let mut union = la.clone();
+        union.union(&lb);
+        prop_assert_eq!(region_cells(&union)?, &sa | &sb);
+
+        let mut difference = la.clone();
+        difference.subtract(&lb);
+        prop_assert_eq!(region_cells(&difference)?, &sa - &sb);
+
+        let mut cut = la.clone();
+        cut.subtract_box(q);
+        prop_assert_eq!(region_cells(&cut)?, &sa - &sq);
+
+        prop_assert_eq!(region_cells(&la.intersect_box(q))?, &sa & &sq);
+        prop_assert_eq!(la.contains_box(q), sq.is_subset(&sa));
     }
 }
