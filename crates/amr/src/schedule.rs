@@ -451,7 +451,7 @@ impl RefineSchedule {
                 plan.stamp(&same, regions.claims(&g.same), dst, &[end]);
                 // --- Physical boundary regions (dst local only) ----------
                 if !g.outside.is_empty() {
-                    let outside = BoxList::from_boxes(regions.boxes(&g.outside).iter().copied());
+                    let outside = BoxList::from_disjoint(regions.boxes(&g.outside));
                     let (pos, dst_idx) = (same.table.local[dst_pos], dst.0);
                     plan.sched.physical.push(PhysicalPlan { pos, dst_idx, var: spec.var, outside });
                 }
@@ -1075,14 +1075,14 @@ impl<'a> Planner<'a> {
         }
         let (pos, scratch, dst_idx) = (narrow(pos), narrow(self.next_scratch()), narrow(dst_idx));
         let level = u16::try_from(self.sched.level_no).expect("level number exceeds 16 bits");
-        let fill = BoxList::from_boxes(fill.iter().copied());
-        let job = RefineJob { var, level, pos, scratch, fill, dst_idx };
+        let job =
+            RefineJob { var, level, pos, scratch, fill: BoxList::from_disjoint(fill), dst_idx };
         let refines = &mut self.sched.refines;
         match refines.iter_mut().find(|(o, _)| o.name() == op.name()) {
             Some((_, jobs)) => jobs.push(job),
             None => refines.push((Arc::clone(op), vec![job])),
         }
-        self.sched.covered.push(BoxList::from_boxes(covered.iter().copied()));
+        self.sched.covered.push(BoxList::from_disjoint(covered));
         self.sched.scratch.push((var, scratch_box));
     }
 
@@ -1266,7 +1266,7 @@ impl<'a> Planner<'a> {
             for &(var, dst_loc, dst_data_box) in ends {
                 // Each job holds its own copy, of exactly the region's
                 // boxes.
-                let dst_boxes = BoxList::from_boxes(region.iter().copied());
+                let dst_boxes = BoxList::from_disjoint(region);
                 let overlap = BoxOverlap { dst_boxes, shift: IntVector::ZERO, centring };
                 if dst.1 != self.rank {
                     self.sends.push(dst.1, var, src.loc(pos), overlap, ids);
@@ -1289,12 +1289,11 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// `fill` less `claimed`, coalesced, as a sync keeps it: in an array
-/// with room for the boxes the last cut left of as many boxes as it
-/// started from, grown by `Vec`'s doubling (from 4) — the capacity
-/// [`CoarsenSchedule::heap_bytes`], and with it the
-/// `schedule.held_bytes` gauge, has always counted for it. The cuts
-/// themselves run in place.
+/// `fill` less `claimed`, coalesced, in the array a sync keeps. Its
+/// capacity is what [`CoarsenSchedule::heap_bytes`] — and with it the
+/// `schedule.held_bytes` gauge — counts for the fill: an array made for
+/// the boxes the last cut started from, grown by `Vec`'s doubling (from
+/// 4) to the boxes it left. The cuts themselves run in place.
 fn unclaimed(mut fill: BoxList, claimed: &BoxList) -> BoxList {
     let mut room = None;
     for &b in claimed.boxes() {
@@ -1398,7 +1397,15 @@ impl CoarsenSchedule {
         let fed = (0..relevant.len()).filter(|&cpos| relevant[cpos]);
         let walked = fine.reachable(fed.map(|cpos| coarse.recs.box_at(cpos).refine(ratio)));
         let mut candidate_pairs: u64 = 0;
-        let mut coarse_cand = Vec::new();
+        // The coarse records each walked fine record meets, found once
+        // for every spec: `(fine position, range of fed)`.
+        let (mut feeds, mut fed, mut coarse_cand) = (Vec::new(), Vec::new(), Vec::new());
+        for fpos in (0..walked.len()).filter(|&fpos| walked[fpos]) {
+            coarse.meeting(shadow_of(fpos), &mut coarse_cand);
+            let start = fed.len();
+            fed.extend(coarse_cand.iter().filter(|&&cpos| relevant[cpos]));
+            feeds.push((fpos, start..fed.len()));
+        }
         let there = |rec_pos: usize| Loc::patch(fine_level_no - 1, coarse.table.local[rec_pos]);
         let mut scratch = Vec::new();
         let mut projects: Vec<(Arc<dyn CoarsenOperator>, Vec<CoarsenJob>)> = Vec::new();
@@ -1426,14 +1433,12 @@ impl CoarsenSchedule {
             // record order, so a rank walks every candidate pair of a
             // destination it is an end at, not only its own pairs.
             let overlapping_centring = centring != Centring::Cell;
-            let mut claims: HashMap<usize, BoxList> = HashMap::new();
-            for fpos in (0..walked.len()).filter(|&fpos| walked[fpos]) {
+            let mut claims = vec![BoxList::new(); coarse.recs.len()];
+            for (fpos, at) in feeds.iter().cloned() {
                 let f_rank = fine.recs.owner_at(fpos);
                 let shadow = shadow_of(fpos);
-                coarse.meeting(shadow, &mut coarse_cand);
-                coarse_cand.retain(|&cpos| relevant[cpos]);
-                candidate_pairs += coarse_cand.len() as u64;
-                for &cpos in &coarse_cand {
+                candidate_pairs += at.len() as u64;
+                for &cpos in &fed[at] {
                     let cbox = coarse.recs.box_at(cpos);
                     let c_rank = coarse.recs.owner_at(cpos);
                     if !overlapping_centring && f_rank != rank && c_rank != rank {
@@ -1445,7 +1450,7 @@ impl CoarsenSchedule {
                     }
                     let mut fill = BoxList::from_box(centring.data_box(region));
                     if overlapping_centring {
-                        let claimed = claims.entry(cpos).or_default();
+                        let claimed = &mut claims[cpos];
                         fill = unclaimed(fill, claimed);
                         if fill.is_empty() {
                             continue;

@@ -34,16 +34,26 @@ impl BoxList {
     }
 
     /// Build a region from arbitrary (possibly overlapping) boxes.
-    /// Room for the inputs is reserved first, so pairwise-disjoint
-    /// inputs of known number — another region's boxes — are held in
-    /// an array of exactly that size.
     pub fn from_boxes<I: IntoIterator<Item = GBox>>(boxes: I) -> Self {
-        let boxes = boxes.into_iter();
-        let mut l = Self::with_capacity(boxes.size_hint().0);
+        let mut l = Self::new();
         for b in boxes {
             l.add(b);
         }
         l
+    }
+
+    /// The region of `boxes`, which are already non-empty and pairwise
+    /// disjoint — another region's, or some of them — in that order,
+    /// held in an array of exactly their number.
+    ///
+    /// # Panics
+    /// Panics if a box is empty or meets an earlier one.
+    pub fn from_disjoint(boxes: &[GBox]) -> Self {
+        for (i, &b) in boxes.iter().enumerate() {
+            let fits = !b.is_empty() && !boxes[..i].iter().any(|&a| a.intersects(b));
+            assert!(fits, "BoxList::from_disjoint: {b:?} is empty or meets an earlier box");
+        }
+        Self { boxes: boxes.to_vec() }
     }
 
     /// The empty region, with room for `n` boxes.
@@ -84,14 +94,20 @@ impl BoxList {
     /// appended whole, and one that a single box holds adds nothing,
     /// without carving; otherwise the pieces are carved in the list's
     /// own spare capacity.
+    #[inline]
     pub fn add(&mut self, b: GBox) {
         if b.is_empty() {
             return;
         }
-        let Some(first) = self.boxes.iter().position(|m| m.intersects(b)) else {
-            self.boxes.push(b);
-            return;
-        };
+        match self.boxes.iter().position(|m| m.intersects(b)) {
+            None => self.boxes.push(b),
+            Some(first) => self.add_carved(b, first),
+        }
+    }
+
+    /// [`BoxList::add`] of a box that meets the box at `first` and none
+    /// before it.
+    fn add_carved(&mut self, b: GBox, first: usize) {
         if self.boxes[first].contains_box(b) {
             return;
         }
@@ -118,6 +134,7 @@ impl BoxList {
     }
 
     /// Union with another region.
+    #[inline]
     pub fn union(&mut self, other: &BoxList) {
         for &b in &other.boxes {
             self.add(b);
@@ -128,11 +145,19 @@ impl BoxList {
     /// place, by its remainders in [`GBox::subtract_into`]'s order; a
     /// box it misses is left where it is, and a list it misses is not
     /// touched.
+    #[inline]
     pub fn subtract_box(&mut self, b: GBox) {
         if b.is_empty() {
             return;
         }
-        let Some(first) = self.boxes.iter().position(|m| m.intersects(b)) else { return };
+        if let Some(first) = self.boxes.iter().position(|m| m.intersects(b)) {
+            self.subtract_from(b, first);
+        }
+    }
+
+    /// [`BoxList::subtract_box`] of a box that meets the box at `first`
+    /// and none before it.
+    fn subtract_from(&mut self, b: GBox, first: usize) {
         let n = self.boxes.len();
         for i in first..n {
             let mine = self.boxes[i];
@@ -142,6 +167,7 @@ impl BoxList {
     }
 
     /// Remove another region from this one.
+    #[inline]
     pub fn subtract(&mut self, other: &BoxList) {
         for &b in &other.boxes {
             self.subtract_box(b);
