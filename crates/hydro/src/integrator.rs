@@ -36,7 +36,7 @@ use rbamr_amr::{
     ScheduleBuild, VariableId, VariableRegistry,
 };
 use rbamr_device::Device;
-use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
+use rbamr_geometry::{BoxList, Centring, GBox, IntVector, UnorderedDigest};
 use rbamr_gpu_amr::{BatchPlanCache, DeviceDataFactory};
 use rbamr_netsim::{CollectiveOp, CollectiveOutput, Comm, CommError, ReduceSpec};
 use rbamr_perfmodel::{Category, Clock, CostModel, Machine};
@@ -609,22 +609,33 @@ impl HydroSim {
     /// identical resident state.
     pub fn local_state_digest(&self) -> u64 {
         let vars: Vec<VariableId> = (0..self.registry.len()).map(VariableId).collect();
-        self.digest_of_vars(&vars)
+        self.accumulate_vars(&vars).finish()
+    }
+
+    /// [`HydroSim::state_accumulator`], finished: the rank-local digest
+    /// of the four persisted state fields.
+    pub fn state_field_digest(&self) -> u64 {
+        self.state_accumulator().finish()
     }
 
     /// As [`HydroSim::local_state_digest`], restricted to the four
-    /// persisted state fields (density, energy, velocities). Recovery
-    /// gates compare this one: a rollback restores the persisted state
-    /// and *recomputes* derived and work arrays, so only the persisted
-    /// fields are meaningful to compare bitwise against a fault-free
-    /// run.
-    pub fn state_field_digest(&self) -> u64 {
+    /// persisted state fields (density, energy, velocities) and left
+    /// unfinished. Recovery gates compare these: a rollback restores
+    /// the persisted state and *recomputes* derived and work arrays, so
+    /// only the persisted fields are meaningful to compare bitwise
+    /// against a fault-free run. Each patch is packed over its whole
+    /// data box, ghost cells too, so a digest taken straight after a
+    /// restore (whose re-priming fill refreshes ghosts a running
+    /// simulation had left stale) is compared only after a step. Merged
+    /// over every rank ([`UnorderedDigest::merge`]), the accumulators
+    /// give one value for the whole hierarchy, whatever the rank count.
+    pub fn state_accumulator(&self) -> UnorderedDigest {
         let f = self.fields;
-        self.digest_of_vars(&[f.density0, f.energy0, f.xvel0, f.yvel0])
+        self.accumulate_vars(&[f.density0, f.energy0, f.xvel0, f.yvel0])
     }
 
-    fn digest_of_vars(&self, vars: &[VariableId]) -> u64 {
-        use rbamr_geometry::{BoxOverlap, Fnv64, UnorderedDigest};
+    fn accumulate_vars(&self, vars: &[VariableId]) -> UnorderedDigest {
+        use rbamr_geometry::{BoxOverlap, Fnv64};
         let mut set = UnorderedDigest::new();
         for l in 0..self.hierarchy.num_levels() {
             for patch in self.hierarchy.level(l).local() {
@@ -650,7 +661,7 @@ impl HydroSim {
                 }
             }
         }
-        set.finish()
+        set
     }
 
     /// Initialise the hierarchy: set the initial state on level 0, then
