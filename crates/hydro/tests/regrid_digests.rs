@@ -7,12 +7,10 @@
 //! fronts drop under the flagging thresholds and cross again — are run
 //! on {Host, Device} × {1, 2, 4 ranks}, and the triple point on the
 //! host at 8 ranks, where a rank walks few of a new level's transfer
-//! destinations. After every regrid the four
-//! persisted state fields of every patch are hashed exactly as
-//! [`HydroSim::state_field_digest`] hashes them and combined over the
-//! ranks, which gives the digest a 1-rank run reports whatever the rank
-//! layout. Every cell of a deck must produce the one sequence in
-//! [`FROZEN`].
+//! destinations. After every regrid the ranks'
+//! [`HydroSim::state_accumulator`]s are merged, which gives the digest
+//! a 1-rank run reports whatever the rank layout. Every cell of a deck
+//! must produce the one sequence in [`FROZEN`].
 //!
 //! The constants were recorded at commit 50e6f37, from the regridder
 //! that refined every new patch over its whole data box and then
@@ -27,8 +25,7 @@
 
 mod regrid_decks;
 
-use rbamr_geometry::{BoxList, BoxOverlap, Fnv64, IntVector, UnorderedDigest};
-use rbamr_hydro::{HydroSim, Placement};
+use rbamr_hydro::Placement;
 use rbamr_netsim::Cluster;
 use rbamr_perfmodel::Machine;
 use regrid_decks::{Deck, REGRIDS, REGRID_EVERY};
@@ -42,35 +39,6 @@ struct AfterRegrid {
     patches: usize,
 }
 
-/// The per-patch items of [`HydroSim::state_field_digest`], unfinished,
-/// so that the ranks' accumulators can be merged.
-fn state_items(sim: &HydroSim) -> UnorderedDigest {
-    let f = sim.fields();
-    let mut set = UnorderedDigest::new();
-    let h = sim.hierarchy();
-    for l in 0..h.num_levels() {
-        for patch in h.level(l).local() {
-            for var in [f.density0, f.energy0, f.xvel0, f.yvel0] {
-                let data = patch.data(var);
-                let ov = BoxOverlap {
-                    dst_boxes: BoxList::from_box(data.data_box()),
-                    shift: IntVector::ZERO,
-                    centring: data.centring(),
-                };
-                let mut item = Fnv64::new();
-                item.write_usize(l);
-                item.write_usize(patch.id().index);
-                item.write_usize(var.0);
-                for word in data.pack(&ov).chunks_exact(8) {
-                    item.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-                }
-                set.add(item.finish());
-            }
-        }
-    }
-    set
-}
-
 fn run(deck: Deck, placement: Placement, ranks: usize) -> Vec<AfterRegrid> {
     let results = Cluster::new(Machine::ipa_gpu()).run(ranks, move |comm| {
         let mut sim = deck.sim(placement, &comm);
@@ -80,10 +48,7 @@ fn run(deck: Deck, placement: Placement, ranks: usize) -> Vec<AfterRegrid> {
         for step in 1..=REGRIDS * REGRID_EVERY {
             sim.step(comm);
             if step % REGRID_EVERY == 0 {
-                let items = state_items(&sim);
-                if ranks == 1 {
-                    assert_eq!(items.finish(), sim.state_field_digest(), "digest recipe drifted");
-                }
+                let items = sim.state_accumulator();
                 let h = sim.hierarchy();
                 let patches = (0..h.num_levels()).map(|l| h.level(l).num_patches()).sum();
                 after.push((items, h.num_levels(), patches));

@@ -1,57 +1,23 @@
 //! Checkpoint-rollback recovery under injected faults: transient faults
-//! roll back and converge to the fault-free answer, persistent device
-//! faults degrade the placement until the run survives, persistent
-//! communication faults exhaust the retry budget with the same typed
-//! error on every rank, and same-seed reruns reproduce identical fault
-//! sites and recovery counters.
+//! roll back and converge to the fault-free answer (the recovery deck's
+//! frozen digest, `deck_digests`), persistent device faults degrade the
+//! placement until the run survives, persistent communication faults
+//! exhaust the retry budget with the same typed error on every rank,
+//! and same-seed reruns reproduce identical fault sites and recovery
+//! counters.
 
+mod deck_digests;
+
+use deck_digests::{Deck, RankState};
 use rbamr_fault::{FaultKind, FaultPlan, FaultReport, FaultRule};
 use rbamr_hydro::{
-    HydroConfig, HydroSim, Placement, RecoveryPolicy, RecoveryStats, RegionInit, ResilienceError,
-    ResilientSim, SimError, SimSpec,
+    Placement, RecoveryPolicy, RecoveryStats, ResilienceError, ResilientSim, SimError,
 };
 use rbamr_netsim::Cluster;
 use rbamr_perfmodel::{Clock, Machine};
 use rbamr_telemetry::Recorder;
 
-fn sod_regions() -> Vec<RegionInit> {
-    vec![
-        RegionInit { rect: (0.0, 0.0, 0.5, 1.0), density: 1.0, energy: 2.5, xvel: 0.0, yvel: 0.0 },
-        RegionInit {
-            rect: (0.5, 0.0, 1.0, 1.0),
-            density: 0.125,
-            energy: 2.0,
-            xvel: 0.0,
-            yvel: 0.0,
-        },
-    ]
-}
-
-fn sod_config() -> HydroConfig {
-    let mut config =
-        HydroConfig { regrid_interval: 5, max_patch_size: 8, ..HydroConfig::default() };
-    config.regrid.cluster.min_size = 4;
-    config
-}
-
-fn spec(placement: Placement, rank: usize, nranks: usize) -> SimSpec {
-    let machine = match placement {
-        Placement::Host => Machine::ipa_cpu_node(),
-        _ => Machine::ipa_gpu(),
-    };
-    SimSpec {
-        machine,
-        placement,
-        extent: (1.0, 1.0),
-        coarse_cells: (24, 24),
-        max_levels: 2,
-        ratio: 2,
-        config: sod_config(),
-        regions: sod_regions(),
-        rank,
-        nranks,
-    }
-}
+const DECK: Deck = Deck::Sod24;
 
 fn cluster(plan: FaultPlan) -> Cluster {
     Cluster::new(Machine::ipa_cpu_node()).with_fault_plan(plan)
@@ -61,7 +27,7 @@ fn cluster(plan: FaultPlan) -> Cluster {
 /// cross-schedule comparison.
 #[derive(Clone, Debug, PartialEq)]
 struct RankOutcome {
-    digest: u64,
+    state: RankState,
     stats: RecoveryStats,
     report: FaultReport,
 }
@@ -78,12 +44,12 @@ fn run_resilient(
         .run(nranks, move |comm| {
             let rank = comm.rank();
             let recorder = Recorder::new(rank, comm.clock().clone());
-            let mut sim =
-                ResilientSim::new(spec(placement, rank, nranks), policy, recorder, Some(&comm))?;
+            let spec = DECK.spec(placement, rank, nranks);
+            let mut sim = ResilientSim::new(spec, policy, recorder, Some(&comm))?;
             sim.run_steps(steps, Some(&comm))?;
             let report =
                 comm.fault_injector().expect("cluster ranks always carry an injector").report();
-            Ok(RankOutcome { digest: sim.sim().state_field_digest(), stats: sim.stats(), report })
+            Ok(RankOutcome { state: RankState::of(sim.sim()), stats: sim.stats(), report })
         })
         .into_iter()
         .map(|r| (r.rank, r.value))
@@ -95,25 +61,9 @@ fn run_resilient(
 #[test]
 fn fault_free_resilient_run_matches_plain_run() {
     let steps = 7;
-    let mut plain = HydroSim::new(
-        Machine::ipa_cpu_node(),
-        Placement::Host,
-        Clock::new(),
-        (1.0, 1.0),
-        (24, 24),
-        2,
-        2,
-        sod_config(),
-        sod_regions(),
-        0,
-        1,
-    );
-    plain.initialize(None);
-    plain.run_steps(steps, None);
-
     let recorder = Recorder::new(0, Clock::new());
     let mut resilient = ResilientSim::new(
-        spec(Placement::Host, 0, 1),
+        DECK.spec(Placement::Host, 0, 1),
         RecoveryPolicy::default(),
         recorder.clone(),
         None,
@@ -121,11 +71,9 @@ fn fault_free_resilient_run_matches_plain_run() {
     .expect("fault-free initialisation cannot fail");
     resilient.run_steps(steps, None).expect("fault-free stepping cannot fail");
 
-    assert_eq!(
-        resilient.sim().state_field_digest(),
-        plain.state_field_digest(),
-        "recovery layer must be invisible without faults"
-    );
+    // The deck digest is a plain run's: the recovery layer must be
+    // invisible without faults.
+    DECK.assert_step(steps, [RankState::of(resilient.sim())], "fault-free resilient run");
     assert_eq!(resilient.stats().rollbacks, 0);
     assert_eq!(resilient.placement(), Placement::Host);
     // Initial checkpoint + one per interval (5) over 7 steps.
@@ -138,8 +86,6 @@ fn fault_free_resilient_run_matches_plain_run() {
 #[test]
 fn transient_collective_fault_rolls_back_and_converges() {
     let steps = 8;
-    let baseline =
-        run_resilient(Placement::Host, 2, steps, FaultPlan::none(), RecoveryPolicy::default());
     let faulty = run_resilient(
         Placement::Host,
         2,
@@ -149,30 +95,23 @@ fn transient_collective_fault_rolls_back_and_converges() {
         FaultPlan::new(7, vec![FaultRule::once_on(FaultKind::CollectiveFault, 0, 12)]),
         RecoveryPolicy::default(),
     );
-    for (rank, (base, fault)) in baseline.iter().zip(&faulty).enumerate() {
-        let base = base.as_ref().expect("baseline is fault-free");
-        let fault = fault.as_ref().expect("a transient fault must be recovered");
-        assert_eq!(
-            fault.digest, base.digest,
-            "rank {rank}: recovered run must converge to the fault-free answer"
-        );
+    let faulty: Vec<_> =
+        faulty.iter().map(|r| r.as_ref().expect("a transient fault must be recovered")).collect();
+    for (rank, fault) in faulty.iter().enumerate() {
         assert!(fault.stats.rollbacks >= 1, "rank {rank}: the fault must cause a rollback");
         assert_eq!(fault.stats.degradations, 0, "rank {rank}: comm faults never degrade");
-        assert_eq!(base.stats.rollbacks, 0);
     }
+    DECK.assert_step(steps, faulty.iter().map(|r| r.state), "recovered collective fault");
     assert_eq!(
-        faulty[0].as_ref().unwrap().stats,
-        faulty[1].as_ref().unwrap().stats,
+        faulty[0].stats, faulty[1].stats,
         "recovery decisions are collective: both ranks walk the same path"
     );
-    assert_eq!(faulty[0].as_ref().unwrap().report.total_fired(), 1);
+    assert_eq!(faulty[0].report.total_fired(), 1);
 }
 
 #[test]
 fn transient_message_faults_roll_back_and_converge() {
     let steps = 8;
-    let baseline =
-        run_resilient(Placement::Host, 2, steps, FaultPlan::none(), RecoveryPolicy::default());
     let faulty = run_resilient(
         Placement::Host,
         2,
@@ -186,12 +125,14 @@ fn transient_message_faults_roll_back_and_converge() {
         ),
         RecoveryPolicy::default(),
     );
-    for (rank, (base, fault)) in baseline.iter().zip(&faulty).enumerate() {
-        let base = base.as_ref().expect("baseline is fault-free");
-        let fault = fault.as_ref().expect("transient message faults must be recovered");
-        assert_eq!(fault.digest, base.digest, "rank {rank}: digest must match fault-free");
+    let faulty: Vec<_> = faulty
+        .iter()
+        .map(|r| r.as_ref().expect("transient message faults must be recovered"))
+        .collect();
+    for (rank, fault) in faulty.iter().enumerate() {
         assert!(fault.stats.rollbacks >= 1, "rank {rank}: faults must cause rollbacks");
     }
+    DECK.assert_step(steps, faulty.iter().map(|r| r.state), "recovered message faults");
 }
 
 #[test]
@@ -215,14 +156,8 @@ fn persistent_device_fault_degrades_to_host_and_completes() {
     );
     assert!(outcome.report.fired[FaultKind::AllocFail.index()] > 0);
 
-    // The degraded run still computes real physics: it matches a run
-    // that asked for the host placement in the first place.
-    let host = run_resilient(Placement::Host, 1, steps, FaultPlan::none(), policy);
-    assert_eq!(
-        outcome.digest,
-        host[0].as_ref().unwrap().digest,
-        "degraded-to-host physics must equal native host physics"
-    );
+    // The degraded run still computes real physics: the deck's.
+    DECK.assert_step(steps, [outcome.state], "degraded to the host");
 }
 
 #[test]
@@ -235,9 +170,9 @@ fn degraded_placement_is_observable() {
     ))
     .run(1, move |comm| {
         let recorder = Recorder::new(0, comm.clock().clone());
-        let mut sim =
-            ResilientSim::new(spec(Placement::Device, 0, 1), policy, recorder.clone(), Some(&comm))
-                .expect("must degrade to host and initialise");
+        let spec = DECK.spec(Placement::Device, 0, 1);
+        let mut sim = ResilientSim::new(spec, policy, recorder.clone(), Some(&comm))
+            .expect("must degrade to host and initialise");
         assert_eq!(sim.placement(), Placement::Host);
         sim.run_steps(2, Some(&comm)).expect("host placement has no device to fault");
         (sim.stats(), recorder.counter("recovery.degradations"), recorder.counter("fault.injected"))
@@ -292,14 +227,11 @@ fn same_seed_reruns_reproduce_fault_sites_and_stats() {
 
 /// Permanent rank loss: the victim reports `Killed`, the survivor
 /// detects the death structurally (no timeout), shrinks to one rank,
-/// rolls back to the last adopted checkpoint, and replays to a digest
-/// bitwise-identical to a fault-free run at the surviving rank count.
+/// rolls back to the last adopted checkpoint, and replays to the deck
+/// digest of a fault-free run, bitwise.
 #[test]
 fn rank_kill_shrinks_and_replays_to_the_survivor_baseline() {
     let steps = 8;
-    let baseline =
-        run_resilient(Placement::Host, 1, steps, FaultPlan::none(), RecoveryPolicy::default());
-    let base = baseline[0].as_ref().expect("baseline is fault-free");
 
     let outcome = run_resilient(
         Placement::Host,
@@ -314,10 +246,7 @@ fn rank_kill_shrinks_and_replays_to_the_survivor_baseline() {
         outcome[1]
     );
     let survivor = outcome[0].as_ref().expect("the survivor completes the run");
-    assert_eq!(
-        survivor.digest, base.digest,
-        "survivor must finish bitwise-identical to the fault-free 1-rank run"
-    );
+    DECK.assert_step(steps, [survivor.state], "the survivor of a kill");
     assert_eq!(survivor.stats.shrinks, 1);
     assert_eq!(survivor.stats.rank_losses, 1);
     assert!(survivor.stats.rollbacks >= 1, "the shrink rolls back to the checkpoint");
@@ -329,9 +258,6 @@ fn rank_kill_shrinks_and_replays_to_the_survivor_baseline() {
 #[test]
 fn rank_kill_during_checkpoint_adoption_is_survived() {
     let steps = 8;
-    let baseline =
-        run_resilient(Placement::Host, 1, steps, FaultPlan::none(), RecoveryPolicy::default());
-    let base = baseline[0].as_ref().expect("baseline is fault-free");
 
     let outcome = run_resilient(
         Placement::Host,
@@ -344,18 +270,15 @@ fn rank_kill_during_checkpoint_adoption_is_survived() {
     );
     assert!(matches!(outcome[1], Err(ResilienceError::Killed { rank: 1, at_step: 5 })));
     let survivor = outcome[0].as_ref().expect("the survivor completes the run");
-    assert_eq!(survivor.digest, base.digest);
+    DECK.assert_step(steps, [survivor.state], "the survivor of a kill in adoption");
     assert_eq!(survivor.stats.shrinks, 1);
 }
 
-/// Shrinking from four ranks to three renumbers the survivors: each
-/// survivor's final digest matches the corresponding logical rank of a
-/// fault-free three-rank run.
+/// Shrinking from four ranks to three renumbers the survivors: together
+/// they hold the deck's fault-free state.
 #[test]
-fn four_rank_kill_matches_three_rank_baseline_per_logical_rank() {
+fn four_rank_kill_replays_to_the_deck_digest() {
     let steps = 6;
-    let baseline =
-        run_resilient(Placement::Host, 3, steps, FaultPlan::none(), RecoveryPolicy::default());
     let outcome = run_resilient(
         Placement::Host,
         4,
@@ -364,16 +287,13 @@ fn four_rank_kill_matches_three_rank_baseline_per_logical_rank() {
         RecoveryPolicy::default(),
     );
     assert!(matches!(outcome[1], Err(ResilienceError::Killed { rank: 1, at_step: 2 })));
-    // Survivors 0, 2, 3 renumber to logical 0, 1, 2.
-    for (original, logical) in [(0usize, 0usize), (2, 1), (3, 2)] {
-        let survivor = outcome[original].as_ref().expect("survivors complete");
-        let base = baseline[logical].as_ref().expect("baseline is fault-free");
-        assert_eq!(
-            survivor.digest, base.digest,
-            "original rank {original} (logical {logical}) must match the 3-rank baseline"
-        );
+    let survivors: Vec<_> = [0usize, 2, 3]
+        .map(|original| outcome[original].as_ref().expect("survivors complete"))
+        .to_vec();
+    for survivor in &survivors {
         assert_eq!(survivor.stats.rank_losses, 1);
     }
+    DECK.assert_step(steps, survivors.iter().map(|r| r.state), "the three survivors");
 }
 
 /// A loss below the policy's rank floor fails fast — with the same
@@ -410,7 +330,7 @@ fn rank_1_transfer_marks(steps: usize, policy: RecoveryPolicy) -> Vec<u64> {
     };
     let results = cluster(FaultPlan::new(41, vec![counting])).run(2, move |comm| {
         let recorder = Recorder::new(comm.rank(), comm.clock().clone());
-        let spec = spec(Placement::Device, comm.rank(), 2);
+        let spec = DECK.spec(Placement::Device, comm.rank(), 2);
         let mut sim = ResilientSim::new(spec, policy, recorder, Some(&comm)).expect("fault-free");
         let injector = comm.fault_injector().expect("cluster ranks always carry an injector");
         let evaluated = || injector.report().evaluated[FaultKind::CopyFail.index()];
@@ -429,7 +349,8 @@ fn rank_1_transfer_marks(steps: usize, policy: RecoveryPolicy) -> Vec<u64> {
 /// restore of a rollback — because the commit that follows drains the
 /// device's latch: every rank then sees a `Device` verdict, counted as
 /// a rollback (or, for a save, as a discarded adoption), and recovers
-/// the fault-free answer.
+/// the fault-free answer: the deck digest, and a fault-free run's
+/// checkpoints (the initial one and one per interval).
 #[test]
 fn a_copy_fault_anywhere_is_a_device_verdict_at_the_next_commit() {
     let steps = 6;
@@ -440,17 +361,21 @@ fn a_copy_fault_anywhere_is_a_device_verdict_at_the_next_commit() {
         let rules = at.iter().map(|&n| FaultRule::once_on(FaultKind::CopyFail, 1, n)).collect();
         run_resilient(Placement::Device, 2, steps, FaultPlan::new(41, rules), policy)
     };
-    let clean = run(&[], policy);
-    let clean: Vec<_> = clean.iter().map(|r| r.as_ref().expect("fault-free")).collect();
+    let checkpoints = 1 + (steps / policy.checkpoint_interval) as u64;
     let recovered = |what: &str, at: &[u64], rollbacks: u64, checkpoints_lost: u64| {
-        for (rank, (r, c)) in run(at, policy).iter().zip(&clean).enumerate() {
-            let r = r.as_ref().unwrap_or_else(|e| panic!("{what}, rank {rank}: {e}"));
-            assert_eq!(r.digest, c.digest, "{what}, rank {rank}: the fault-free answer");
+        let results = run(at, policy);
+        let results: Vec<_> = results
+            .iter()
+            .enumerate()
+            .map(|(rank, r)| r.as_ref().unwrap_or_else(|e| panic!("{what}, rank {rank}: {e}")))
+            .collect();
+        for (rank, r) in results.iter().enumerate() {
             assert_eq!(r.stats.rollbacks, rollbacks, "{what}, rank {rank}");
-            assert_eq!(r.stats.checkpoints + checkpoints_lost, c.stats.checkpoints, "{what}");
+            assert_eq!(r.stats.checkpoints + checkpoints_lost, checkpoints, "{what}");
             let fired = if rank == 1 { at.len() as u64 } else { 0 };
             assert_eq!(r.report.total_fired(), fired, "{what}, rank {rank}");
         }
+        DECK.assert_step(steps, results.iter().map(|r| r.state), what);
     };
 
     // Rank 1's first transfer is in `try_initialize`: one rollback, a

@@ -4,17 +4,25 @@
 //! The key end-to-end contracts of the reproduction:
 //!
 //! * physics is **rank-count invariant**: a distributed run produces the
-//!   same solution as a serial run;
+//!   same solution as a serial run, bitwise — the deck digest of
+//!   `crates/hydro/tests/deck_digests`;
 //! * host and device builds produce **bit-identical** solutions;
 //! * the device build is **resident**: per-step PCIe traffic is packed
 //!   halos + tag bitmaps + dt scalars only;
 //! * the Sod solution **converges** to the exact Riemann solution;
 //! * conserved quantities stay conserved through regridding.
 
+#[path = "../crates/hydro/tests/deck_digests/mod.rs"]
+mod deck_digests;
+
+use deck_digests::{Deck, RankState};
 use rbamr::hydro::{HydroConfig, HydroSim, Placement, Summary};
 use rbamr::netsim::Cluster;
 use rbamr::perfmodel::{Category, Clock, Machine};
 use rbamr::problems::sod::{sod_l1_error, sod_regions};
+
+/// Sod on 48², two levels, 16-cell patches, regrid every 4 steps.
+const DECK: Deck = Deck::Sod48;
 
 fn config(max_patch: i64) -> HydroConfig {
     let mut c =
@@ -51,30 +59,22 @@ fn sod(
     )
 }
 
-/// The globally reduced summary and every rank's `state_field_digest`,
-/// in rank order.
+/// A run of [`DECK`] (small patches, so every rank owns several): the
+/// globally reduced summary, and every rank's `state_field_digest` and
+/// share of the deck digest, in rank order.
 fn run_distributed(
     placement: Placement,
     nranks: usize,
-    n: i64,
     steps: usize,
-) -> (Summary, Vec<u64>) {
+) -> (Summary, Vec<u64>, Vec<RankState>) {
     let cluster = Cluster::new(Machine::ipa_cpu_node());
     let mut results = cluster.run(nranks, |comm| {
-        let mut sim = sod(
-            placement,
-            n,
-            2,
-            16, // small patches so every rank owns several
-            comm.rank(),
-            comm.size(),
-            comm.clock().clone(),
-        );
+        let mut sim = DECK.sim(placement, comm.clock().clone(), comm.rank(), comm.size());
         sim.initialize(Some(&comm));
         for _ in 0..steps {
             sim.step(Some(&comm));
         }
-        (sim.summary(Some(&comm)), sim.state_field_digest())
+        (sim.summary(Some(&comm)), sim.state_field_digest(), RankState::of(&sim))
     });
     results.sort_by_key(|r| r.rank);
     // Every rank reports the same reduced summary.
@@ -82,44 +82,26 @@ fn run_distributed(
     for r in &results {
         assert!((r.value.0.mass - s0.mass).abs() < 1e-12);
     }
-    (s0, results.iter().map(|r| r.value.1).collect())
+    let digests = results.iter().map(|r| r.value.1).collect();
+    (s0, digests, results.iter().map(|r| r.value.2).collect())
 }
 
+/// The deck digest is the serial run's (`rank_count_invariance` asserts
+/// it at 1 to 8 ranks on every placement): a distributed run reaches it
+/// bitwise.
 #[test]
 fn distributed_run_matches_serial() {
     let steps = 8;
-    let serial = {
-        let mut sim = sod(Placement::Host, 48, 2, 16, 0, 1, Clock::new());
-        sim.initialize(None);
-        for _ in 0..steps {
-            sim.step(None);
-        }
-        sim.summary(None)
-    };
     for nranks in [2usize, 4] {
-        let (dist, _) = run_distributed(Placement::Host, nranks, 48, steps);
-        // Same physics; summation order differs across ranks, so allow
-        // roundoff-level drift only.
-        assert!(
-            ((dist.mass - serial.mass) / serial.mass).abs() < 1e-11,
-            "{nranks} ranks: mass {} vs serial {}",
-            dist.mass,
-            serial.mass
-        );
-        assert!(
-            ((dist.total_energy() - serial.total_energy()) / serial.total_energy()).abs() < 1e-11,
-            "{nranks} ranks: energy {} vs serial {}",
-            dist.total_energy(),
-            serial.total_energy()
-        );
-        assert!(((dist.pressure - serial.pressure) / serial.pressure).abs() < 1e-11);
+        let (_, _, states) = run_distributed(Placement::Host, nranks, steps);
+        DECK.assert_step(steps, states, &format!("{nranks} ranks"));
     }
 }
 
 #[test]
 fn device_distributed_matches_host_distributed() {
-    let (host, host_digests) = run_distributed(Placement::Host, 2, 48, 6);
-    let (dev, dev_digests) = run_distributed(Placement::Device, 2, 48, 6);
+    let (host, host_digests, _) = run_distributed(Placement::Host, 2, 6);
+    let (dev, dev_digests, _) = run_distributed(Placement::Device, 2, 6);
     assert!(((host.mass - dev.mass) / host.mass).abs() < 1e-12);
     assert!(((host.total_energy() - dev.total_energy()) / host.total_energy()).abs() < 1e-12);
     assert!(
@@ -476,22 +458,23 @@ fn causal_buckets_account_for_distributed_sod_wall_time() {
 fn regridding_is_rank_count_invariant() {
     // The hierarchy structure (clustered boxes) produced by the
     // distributed regrid — gathering tags through the collective path —
-    // must match the serial result exactly.
+    // must match the serial result exactly, and so must the state the
+    // initialisation leaves on it.
     let serial_boxes: Vec<_> = {
-        let mut sim = sod(Placement::Host, 48, 2, 16, 0, 1, Clock::new());
+        let mut sim = DECK.sim(Placement::Host, Clock::new(), 0, 1);
         sim.initialize(None);
         sim.hierarchy().level(1).global_boxes().to_vec()
     };
     let cluster = Cluster::new(Machine::ipa_cpu_node());
     let results = cluster.run(4, |comm| {
-        let mut sim =
-            sod(Placement::Host, 48, 2, 16, comm.rank(), comm.size(), comm.clock().clone());
+        let mut sim = DECK.sim(Placement::Host, comm.clock().clone(), comm.rank(), comm.size());
         sim.initialize(Some(&comm));
-        sim.hierarchy().level(1).global_boxes().to_vec()
+        (sim.hierarchy().level(1).global_boxes().to_vec(), RankState::of(&sim))
     });
     for r in &results {
-        assert_eq!(r.value, serial_boxes, "rank {} sees different level-1 boxes", r.rank);
+        assert_eq!(r.value.0, serial_boxes, "rank {} sees different level-1 boxes", r.rank);
     }
+    DECK.assert_step(0, results.iter().map(|r| r.value.1), "4 ranks, initialised");
 }
 
 #[test]
