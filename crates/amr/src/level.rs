@@ -131,19 +131,29 @@ impl<'a> LevelRecords<'a> {
     }
 }
 
-/// Construction-time validation of a set of patch boxes. Overlaps are
-/// found through a [`BoxIndex`]; each pair is reported at its lower
-/// index, as the pairwise scan did.
-fn validate_boxes(boxes: &[GBox], domain: &BoxList) {
+/// Whether `boxes` can be the patches of a level on `domain`: each one
+/// non-empty and inside the domain, no two overlapping.
+/// [`PatchLevel::new`] asserts it; a checkpoint restore reports it.
+/// Overlaps are found through a [`BoxIndex`]; each pair is reported at
+/// its lower index, as the pairwise scan did.
+///
+/// # Errors
+/// What is wrong with the first offending box.
+pub fn validate_boxes(boxes: &[GBox], domain: &BoxList) -> Result<(), String> {
     let (index, mut hits) = (BoxIndex::new(boxes, IntVector::ZERO), Vec::new());
     for (i, b) in boxes.iter().enumerate() {
-        assert!(!b.is_empty(), "PatchLevel: empty patch box {i}");
-        assert!(domain.contains_box(*b), "PatchLevel: patch box {b:?} escapes level domain");
+        if b.is_empty() {
+            return Err(format!("empty patch box {i}"));
+        }
+        if !domain.contains_box(*b) {
+            return Err(format!("patch box {b:?} escapes level domain"));
+        }
         index.query_into(*b, &mut hits);
         if let Some(&j) = hits.iter().find(|&&j| j != i) {
-            panic!("PatchLevel: overlapping patch boxes {b:?}, {:?}", boxes[j]);
+            return Err(format!("overlapping patch boxes {b:?}, {:?}", boxes[j]));
         }
     }
+    Ok(())
 }
 
 impl PatchLevel {
@@ -162,7 +172,7 @@ impl PatchLevel {
         registry: &VariableRegistry,
     ) -> Self {
         assert_eq!(boxes.len(), owners.len(), "PatchLevel: boxes/owners mismatch");
-        validate_boxes(&boxes, &domain);
+        validate_boxes(&boxes, &domain).unwrap_or_else(|e| panic!("PatchLevel: {e}"));
         let local = boxes
             .iter()
             .zip(&owners)

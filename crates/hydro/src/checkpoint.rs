@@ -26,6 +26,7 @@
 
 use crate::integrator::HydroSim;
 use crate::state::Fields;
+use rbamr_amr::level::validate_boxes;
 use rbamr_amr::patchdata::PatchData;
 use rbamr_amr::restart::{Database, RestoreError, Value};
 use rbamr_geometry::{BoxList, BoxOverlap, GBox, IntVector};
@@ -92,7 +93,9 @@ const CHECKPOINT_FORMAT: i64 = 2;
 /// rank count is running.
 const RECORD_WORDS: usize = 5;
 
-fn decode_records(words: &[i64]) -> Result<Vec<GBox>, RestoreError> {
+/// A level's boxes from its records; they must be able to form a level
+/// on `domain` ([`validate_boxes`]).
+fn decode_records(words: &[i64], domain: &BoxList) -> Result<Vec<GBox>, RestoreError> {
     let malformed = |expected| RestoreError::Malformed { key: "records".to_owned(), expected };
     if !words.len().is_multiple_of(RECORD_WORDS) {
         return Err(malformed("multiple of 5 words per record"));
@@ -109,6 +112,8 @@ fn decode_records(words: &[i64]) -> Result<Vec<GBox>, RestoreError> {
         }
         boxes.push(b);
     }
+    validate_boxes(&boxes, domain)
+        .map_err(|_| malformed("non-empty, disjoint patch boxes inside the level domain"))?;
     Ok(boxes)
 }
 
@@ -387,7 +392,7 @@ impl HydroSim {
                     Vec::new()
                 }
             };
-            match decode_records(&words) {
+            match decode_records(&words, &self.hierarchy().level_domain(l)) {
                 Ok(boxes) => {
                     let owners = rbamr_amr::balance::partition_sfc(&boxes, nranks);
                     structures.push(Some((boxes, owners)));
@@ -524,25 +529,30 @@ mod tests {
         ]
     }
 
-    fn build(placement: Placement) -> HydroSim {
+    /// A never-initialised Sod simulation on `cells`² coarse cells.
+    fn uninitialized(placement: Placement, cells: i64) -> HydroSim {
         let machine = match placement {
             Placement::Host => Machine::ipa_cpu_node(),
             _ => Machine::ipa_gpu(),
         };
         let config = HydroConfig { regrid_interval: 5, ..HydroConfig::default() };
-        let mut sim = HydroSim::new(
+        HydroSim::new(
             machine,
             placement,
             Clock::new(),
             (1.0, 1.0),
-            (32, 32),
+            (cells, cells),
             2,
             2,
             config,
             sod_regions(),
             0,
             1,
-        );
+        )
+    }
+
+    fn build(placement: Placement) -> HydroSim {
+        let mut sim = uninitialized(placement, 32);
         sim.initialize(None);
         sim
     }
@@ -623,20 +633,7 @@ mod tests {
 
         let mut warm = build(Placement::Host);
         warm.restore_checkpoint(&db, None);
-        let config = HydroConfig { regrid_interval: 5, ..HydroConfig::default() };
-        let mut cold = HydroSim::new(
-            Machine::ipa_cpu_node(),
-            Placement::Host,
-            Clock::new(),
-            (1.0, 1.0),
-            (32, 32),
-            2,
-            2,
-            config,
-            sod_regions(),
-            0,
-            1,
-        );
+        let mut cold = uninitialized(Placement::Host, 32);
         cold.restore_checkpoint(&db, None);
         assert_eq!(cold.steps_taken(), warm.steps_taken());
         assert_eq!(cold.state_field_digest(), warm.state_field_digest());
@@ -705,6 +702,24 @@ mod tests {
             resumed.try_restore_checkpoint(&db, None),
             Err(RestoreError::Malformed { .. })
         ));
+
+        // Boxes no level could hold: an inverted record (empty), an
+        // overlapping pair, and a 32² checkpoint in a 16² simulation.
+        let boxes_refused = Err(RestoreError::Malformed {
+            key: "records".to_owned(),
+            expected: "non-empty, disjoint patch boxes inside the level domain",
+        });
+        let with_level_0 = |records: Vec<i64>| {
+            let mut db = sim.save_checkpoint();
+            db.child("level_0").put("records", Value::VecI64(records));
+            db
+        };
+        let inverted = with_level_0(vec![0, 32, 32, 0, 0]);
+        assert_eq!(resumed.try_restore_checkpoint(&inverted, None), boxes_refused);
+        let overlapping = with_level_0(vec![0, 0, 0, 32, 32, 1, 0, 0, 8, 8]);
+        assert_eq!(resumed.try_restore_checkpoint(&overlapping, None), boxes_refused);
+        let mut small = uninitialized(Placement::Host, 16);
+        assert_eq!(small.try_restore_checkpoint(&sim.save_checkpoint(), None), boxes_refused);
     }
 
     /// A restore keeps the schedules of every level whose digest it
