@@ -2,7 +2,7 @@
 //! framework relies on.
 
 use proptest::prelude::*;
-use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
+use rbamr_geometry::{BoxList, Centring, GBox, IntVector, UnorderedDigest};
 use std::collections::HashSet;
 
 fn arb_box() -> impl Strategy<Value = GBox> {
@@ -212,5 +212,46 @@ proptest! {
         for x in a.iter().chain(&b).chain([&q, &la.bounding()]) {
             prop_assert_eq!(la.contains_box(*x), cell_set([x]).is_subset(&sa), "contains {:?}", x);
         }
+    }
+}
+
+/// Parts an item may be assigned to.
+const PARTS: usize = 5;
+
+/// The accumulators of `parts`, merged in the order of their `keys`.
+fn merged(parts: &[Vec<u64>], keys: &[u64]) -> UnorderedDigest {
+    let mut order: Vec<usize> = (0..parts.len()).collect();
+    order.sort_by_key(|&p| keys[p]);
+    let mut d = UnorderedDigest::new();
+    for p in order {
+        let mut part = UnorderedDigest::new();
+        parts[p].iter().for_each(|&item| part.add(item));
+        d.merge(&part);
+    }
+    d
+}
+
+proptest! {
+    /// `UnorderedDigest::merge`, which the per-rank state digests rest
+    /// on: any split of an item multiset (duplicates included) into
+    /// parts, merged in any order, equals one pass over all the items;
+    /// an item that one part also holds as a duplicate, like a patch
+    /// digested on two ranks, changes it.
+    #[test]
+    fn merged_parts_equal_one_pass(
+        items in prop::collection::vec((0u64..16, 0usize..PARTS), 1..40),
+        keys in prop::collection::vec(any::<u64>(), PARTS),
+        dup in any::<usize>(),
+    ) {
+        let (mut once, mut parts) = (UnorderedDigest::new(), vec![Vec::new(); PARTS]);
+        for &(item, part) in &items {
+            once.add(item);
+            parts[part].push(item);
+        }
+        prop_assert_eq!(merged(&parts, &keys), once);
+
+        let (item, part) = items[dup % items.len()];
+        parts[(part + 1) % PARTS].push(item);
+        prop_assert_ne!(merged(&parts, &keys).finish(), once.finish());
     }
 }
