@@ -7,8 +7,8 @@
 //!
 //! * `fig9_serial` — Figure 9, the serial K20x vs dual-socket sweep.
 //! * `fig10_strong` — Figure 10, strong scaling on IPA.
-//! * `fig11_weak` — Figure 11, weak scaling on Titan.
-//! * `breakdown` — the Section V-B runtime-component percentages.
+//! * `fig11_weak` — Figure 11, weak scaling on Titan, and the Section
+//!   V-B runtime-component percentages.
 //! * `report diff` — two metric files' differences by layer ([`report`]).
 //!
 //! Runtimes are **virtual** (the calibrated machine models of

@@ -185,10 +185,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    pub fn from_recorder(rec: &Recorder) -> Self {
-        Self::from_recorders(std::slice::from_ref(rec))
-    }
-
     pub fn from_recorders(recorders: &[Recorder]) -> Self {
         let mut snap = Self::default();
         for rec in recorders.iter().filter(|r| r.is_enabled()) {
