@@ -612,23 +612,22 @@ impl HydroSim {
         self.accumulate_vars(&vars).finish()
     }
 
-    /// [`HydroSim::state_accumulator`], finished: the rank-local digest
-    /// of the four persisted state fields.
+    /// As [`HydroSim::local_state_digest`], restricted to the four
+    /// persisted state fields (density, energy, velocities). Recovery
+    /// gates compare this one: a rollback restores the persisted state
+    /// and *recomputes* derived and work arrays, so only the persisted
+    /// fields are meaningful to compare bitwise against a fault-free
+    /// run. Each patch is packed over its whole data box, ghost cells
+    /// too, so a digest taken straight after a restore (whose
+    /// re-priming fill refreshes ghosts a running simulation had left
+    /// stale) is compared only after a step.
     pub fn state_field_digest(&self) -> u64 {
         self.state_accumulator().finish()
     }
 
-    /// As [`HydroSim::local_state_digest`], restricted to the four
-    /// persisted state fields (density, energy, velocities) and left
-    /// unfinished. Recovery gates compare these: a rollback restores
-    /// the persisted state and *recomputes* derived and work arrays, so
-    /// only the persisted fields are meaningful to compare bitwise
-    /// against a fault-free run. Each patch is packed over its whole
-    /// data box, ghost cells too, so a digest taken straight after a
-    /// restore (whose re-priming fill refreshes ghosts a running
-    /// simulation had left stale) is compared only after a step. Merged
-    /// over every rank ([`UnorderedDigest::merge`]), the accumulators
-    /// give one value for the whole hierarchy, whatever the rank count.
+    /// [`HydroSim::state_field_digest`], unfinished: merged over every
+    /// rank ([`UnorderedDigest::merge`]), the accumulators give one
+    /// value for the whole hierarchy, whatever the rank count.
     pub fn state_accumulator(&self) -> UnorderedDigest {
         let f = self.fields;
         self.accumulate_vars(&[f.density0, f.energy0, f.xvel0, f.yvel0])
